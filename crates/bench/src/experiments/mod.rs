@@ -8,7 +8,6 @@ pub mod incremental;
 pub mod locality;
 pub mod mts;
 pub mod node;
-pub mod overlap;
 pub mod scaling;
 pub mod screening;
 pub mod serve;
@@ -18,7 +17,7 @@ pub mod validation;
 use crate::Table;
 
 /// All experiment ids in the DESIGN.md order.
-pub const ALL_IDS: [&str; 25] = [
+pub const ALL_IDS: [&str; 23] = [
     "fig-strong-scaling",
     "fig-weak-scaling",
     "fig-baseline-scaling",
@@ -35,12 +34,10 @@ pub const ALL_IDS: [&str; 25] = [
     "tab-hfx-validation",
     "tab-battery",
     "fig-md-water",
-    "bench-pair-kernel",
     "bench-incremental",
     "bench-mts",
     "bench-simd",
     "bench-collectives",
-    "bench-overlap",
     "bench-scaling",
     "bench-serve",
     "screen-solvents",
@@ -66,12 +63,10 @@ pub fn run(id: &str, fast: bool) -> Vec<Table> {
         "tab-hfx-validation" => validation::tab_hfx_validation(fast),
         "tab-battery" => battery::tab_battery(fast),
         "fig-md-water" => battery::fig_md_water(fast),
-        "bench-pair-kernel" => node::bench_pair_kernel(fast),
         "bench-incremental" => incremental::bench_incremental(fast),
         "bench-mts" => mts::bench_mts(fast),
         "bench-simd" => simd::bench_simd(fast),
         "bench-collectives" => collectives::bench_collectives(fast),
-        "bench-overlap" => overlap::bench_overlap(fast),
         "bench-scaling" => locality::bench_scaling(fast),
         "bench-serve" => serve::bench_serve(fast),
         "screen-solvents" => screening::screen_solvents(fast),

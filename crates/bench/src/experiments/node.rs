@@ -185,93 +185,6 @@ pub fn fig_link_congestion(fast: bool) -> Vec<Table> {
     vec![t]
 }
 
-/// `bench-pair-kernel` — ns/pair of one full-grid pair-Poisson solve at the
-/// paper-relevant grid sizes: the seed c2c reference path vs the planned
-/// r2c energy-only path (single and two-pair batched). Also writes the
-/// machine-readable `BENCH_pair_kernel.json` into the working directory.
-pub fn bench_pair_kernel(fast: bool) -> Vec<Table> {
-    use liair_grid::PoissonWorkspace;
-    let sizes: &[usize] = if fast { &[32, 48] } else { &[48, 64, 96] };
-    let mut t = Table::new(
-        "bench-pair-kernel — single full-grid pair-Poisson solve",
-        &[
-            "grid",
-            "reference c2c",
-            "r2c energy",
-            "r2c batched",
-            "speedup",
-        ],
-    );
-    let mut entries: Vec<(usize, f64, f64, f64)> = Vec::new();
-    for &n in sizes {
-        let grid = RealGrid::cubic(Cell::cubic(20.0), n);
-        let solver = PoissonSolver::isolated(grid);
-        let mut rng = liair_math::rng::SplitMix64::new(0x5eed ^ n as u64);
-        let rho_a: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-        let rho_b: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-        let mut ws = PoissonWorkspace::new();
-        // Warm-up: FFT plans, kernel tables, grow-once workspaces.
-        let _ = solver.exchange_pair_reference(&rho_a);
-        let _ = solver.exchange_pair_energy(&rho_a, &mut ws);
-        let _ = solver.exchange_pair_energy_batched(&rho_a, &rho_b, &mut ws);
-        let reps = if n >= 96 {
-            3
-        } else if n >= 64 {
-            6
-        } else {
-            12
-        };
-        // Best-of-2 over `reps`-call batches: robust to one-off scheduler
-        // noise without criterion's full sampling machinery.
-        let time_ns = |f: &mut dyn FnMut() -> f64| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..2 {
-                let t0 = Instant::now();
-                let mut acc = 0.0;
-                for _ in 0..reps {
-                    acc += f();
-                }
-                let dt = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
-                std::hint::black_box(acc);
-                best = best.min(dt);
-            }
-            best
-        };
-        let t_ref = time_ns(&mut || solver.exchange_pair_reference(&rho_a));
-        let t_r2c = time_ns(&mut || solver.exchange_pair_energy(&rho_a, &mut ws));
-        let t_bat = time_ns(&mut || {
-            let (ea, eb) = solver.exchange_pair_energy_batched(&rho_a, &rho_b, &mut ws);
-            ea + eb
-        }) / 2.0;
-        t.row(vec![
-            format!("{n}^3"),
-            format!("{:.0} ns", t_ref),
-            format!("{:.0} ns", t_r2c),
-            format!("{:.0} ns/pair", t_bat),
-            format!("{:.2}x", t_ref / t_r2c),
-        ]);
-        entries.push((n, t_ref, t_r2c, t_bat));
-    }
-    // Hand-rolled JSON (the tree keeps no serde dependency): one object per
-    // grid size, times in ns per pair.
-    let mut json = String::from("{\n  \"experiment\": \"bench-pair-kernel\",\n  \"unit\": \"ns_per_pair\",\n  \"grids\": [\n");
-    for (i, (n, t_ref, t_r2c, t_bat)) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {n}, \"reference_c2c\": {t_ref:.1}, \"r2c_energy\": {t_r2c:.1}, \"r2c_batched\": {t_bat:.1}, \"speedup\": {:.3}}}{}\n",
-            t_ref / t_r2c,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_pair_kernel.json", &json) {
-        Ok(()) => {
-            t.note = "speedup = reference / r2c energy; BENCH_pair_kernel.json written".into()
-        }
-        Err(e) => t.note = format!("speedup = reference / r2c energy; JSON not written: {e}"),
-    }
-    vec![t]
-}
-
 fn human_bytes(b: f64) -> String {
     if b >= 1e6 {
         format!("{:.0} MB", b / 1e6)

@@ -2,9 +2,9 @@
 //! to head.
 //!
 //! Every primitive of [`liair_math::simd`] runs at every level the host
-//! supports (`off` = the pre-SIMD sequential loops, `scalar` = the chunked
-//! auto-vectorizable path, `avx2` = the intrinsics path where available),
-//! plus the end-to-end pair-energy kernel those primitives feed. Speedups
+//! supports (`off` = the portable sequential loops, `avx2` = the
+//! intrinsics path where available), plus the end-to-end pair-energy
+//! kernel those primitives feed. Speedups
 //! are against the `off` baseline — the exact loops the tree ran before the
 //! SIMD layer existed. Also writes the machine-readable `BENCH_simd.json`
 //! and feeds the measured kernel ratio into the BG/Q node-model
@@ -18,9 +18,8 @@ use liair_math::simd::{self, SimdLevel};
 use liair_math::Complex64;
 use std::time::Instant;
 
-/// Best-of-2 over `reps`-call batches, ns per call — the same scheme as
-/// `bench-pair-kernel`: robust to one-off scheduler noise without
-/// criterion's full sampling machinery.
+/// Best-of-2 over `reps`-call batches, ns per call: robust to one-off
+/// scheduler noise without criterion's full sampling machinery.
 fn time_ns(reps: usize, f: &mut dyn FnMut() -> f64) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..2 {
@@ -129,8 +128,8 @@ fn measure_grid(n: usize, levels: &[SimdLevel], reps: usize) -> Vec<KernelRow> {
 }
 
 /// Measured vector/baseline speedup of the half-spectrum energy
-/// contraction — the kernel the autotuner and the BG/Q node-model
-/// calibration care about. Returns `(ratio, lanes)` where `ratio` is the
+/// contraction — the kernel the BG/Q node-model calibration cares
+/// about. Returns `(ratio, lanes)` where `ratio` is the
 /// best available level's speedup over the `off` sequential loop and
 /// `lanes` that level's vector width. Cheap: one 16³ half-spectrum —
 /// in-cache, so the ratio reflects the compute-bound kernel the node
@@ -220,7 +219,7 @@ pub fn bench_simd(fast: bool) -> Vec<Table> {
             if gi + 1 < sizes.len() { "," } else { "" }
         ));
         t.note = format!(
-            "levels available here: {}; LIAIR_SIMD=off|scalar|avx2 forces one",
+            "levels available here: {}; LIAIR_SIMD=off|avx2 forces one",
             levels
                 .iter()
                 .map(|l| l.name())

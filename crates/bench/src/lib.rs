@@ -26,7 +26,6 @@
 //! | `tab-hfx-validation` | grid pair-Poisson exchange = analytic exchange |
 //! | `tab-battery` | PC degrades at Li₂O₂; candidate solvents survive |
 //! | `fig-md-water` | stable condensed-phase MD substrate |
-//! | `bench-pair-kernel` | measured single vs batched pair-Poisson kernel (writes `BENCH_pair_kernel.json`) |
 //! | `bench-incremental` | incremental exchange vs from-scratch across an MD-like step (writes `BENCH_incremental.json`) |
 //! | `bench-simd` | runtime-dispatched vector kernels vs the pre-SIMD loops (writes `BENCH_simd.json`) |
 //! | `bench-collectives` | flat vs hierarchical collectives, measured and modeled to 6,291,456 threads (writes `BENCH_collectives.json`) |

@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn pipelined_gather_hides_most_of_the_collective_at_scale() {
-        // The bench-overlap acceptance property at the model level: with 8
+        // The overlap acceptance property at the model level: with 8
         // rotating buffers and the strong-scaled compute window of the
         // full machine, the tree gather overlaps >= 80% of itself.
         let m = MachineConfig::bgq_racks(96);

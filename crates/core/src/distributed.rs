@@ -21,10 +21,10 @@ use liair_grid::{PoissonSolver, RealGrid};
 
 /// Compute the exchange energy with `nranks` virtual ranks.
 ///
-/// Deterministic: every rank derives the same chunk assignment from the
-/// shared pair list, so no task-coordination messages are needed — only
-/// the final gather. Each rank owns one grow-once pair-density scratch
-/// and runs the autotuned pair kernel, so the per-pair loop is
+/// Deterministic: every rank derives the same static chunk assignment
+/// from the shared pair list, so only the stolen tail needs
+/// task-coordination messages. Each rank owns one grow-once pair-density
+/// scratch and runs the same pair kernel, so the per-pair loop is
 /// allocation-free in steady state — the same hot path as the threaded
 /// executor.
 pub fn distributed_exchange(

@@ -9,13 +9,11 @@
 //! floating-point sequence that makes the rayon build, the message-passing
 //! build, and the incremental build with `eps_inc = 0` bit-identical.
 
-use super::{pipeline, BuildProfile, ExchangeEngine, ExecBackend, PipelineMode};
-use crate::balance::assign;
-use crate::error::{Error, Result};
+use super::{pipeline, BuildProfile, ExchangeEngine, ExecBackend};
+use crate::error::Result;
 use liair_basis::Basis;
 use liair_grid::{ao_values, orbitals_on_grid, KernelTimings, PoissonWorkspace, RealGrid};
 use liair_math::Mat;
-use liair_runtime::{run_spmd_cfg, CommConfig};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -265,7 +263,6 @@ impl ExchangeEngine<'_> {
         let nao = setup.nao;
         let npts = self.grid.len();
         let dvol = self.grid.dvol();
-        let level = self.simd_choice();
         let solver = self.full_solver();
         let eval = |sc: &mut KTaskScratch, t: usize| -> (Vec<f64>, KernelTimings, usize) {
             let (j, nu) = tasks[t];
@@ -274,7 +271,7 @@ impl ExchangeEngine<'_> {
             for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&setup.aos[nu]) {
                 *r = a * b;
             }
-            let v = solver.solve_into_with(level, rho, ws);
+            let v = solver.solve_into(rho, ws);
             // column ν of ΔK_j gets ⟨χ_μ φ_j | v_jν⟩ for every μ.
             let col: Vec<f64> = (0..nao)
                 .map(|mu| {
@@ -315,111 +312,24 @@ impl ExchangeEngine<'_> {
                 Ok(cols)
             }
             ExecBackend::Comm { nranks, strategy } => {
-                if nranks == 0 {
-                    return Err(Error::InvalidConfig("need at least one rank".into()));
-                }
-                let tuning = self.comm_tuning();
-                if tuning.pipeline == PipelineMode::Pipelined {
-                    // Pipelined overlap: tasks stream to the root as
-                    // `(task id, column)` entries while ranks compute, and
-                    // the steal queue rebalances the tail — reassembled in
-                    // canonical task order, so identical to staged/serial.
-                    let job = pipeline::PipelineJob {
-                        nitems: tasks.len(),
-                        width: nao,
-                        nranks,
-                        strategy,
-                    };
-                    let wrap = |sc: &mut KTaskScratch, t: usize, buf: &mut Vec<f64>| {
-                        let (col, tim, grew) = eval(sc, t);
-                        buf.extend_from_slice(&col);
-                        (tim, grew)
-                    };
-                    let flat = pipeline::run_pipelined(
-                        &job,
-                        &KTaskScratch::default,
-                        &wrap,
-                        &tuning,
-                        profile,
-                    )?;
-                    return Ok(flat.chunks_exact(nao).map(<[f64]>::to_vec).collect());
-                }
-                let costs = vec![1.0; tasks.len()];
-                let assignment = assign(&costs, nranks, strategy);
-                let cfg = CommConfig {
-                    mode: tuning.collectives,
-                    fault: tuning.fault,
-                    torus: None,
+                // Tasks stream to the root as `(task id, column)` entries
+                // while ranks compute, and the steal queue rebalances the
+                // tail — reassembled in canonical task order, so identical
+                // to serial.
+                let job = pipeline::PipelineJob {
+                    nitems: tasks.len(),
+                    width: nao,
+                    nranks,
+                    strategy,
+                    fault: self.fault,
                 };
-                let run = run_spmd_cfg(nranks, cfg, |comm| {
-                    if comm.stalled() {
-                        return Ok(None);
-                    }
-                    let mine = &assignment.per_rank[comm.rank()];
-                    let mut sc = KTaskScratch::default();
-                    let mut tim = KernelTimings::default();
-                    let mut grew = 0usize;
-                    let mut flat = Vec::with_capacity(nao * mine.len() + 3);
-                    for &t in mine {
-                        let (col, dt, g) = eval(&mut sc, t);
-                        flat.extend_from_slice(&col);
-                        tim.merge(dt);
-                        grew += g;
-                    }
-                    flat.push(tim.fft_s);
-                    flat.push(tim.kernel_s);
-                    flat.push(grew as f64);
-                    // The single collective of the build, timed at the
-                    // root (pure exposed reduce latency).
-                    let tg = Instant::now();
-                    let parts = comm.gather_partial(0, flat)?;
-                    Ok(parts.map(|p| (p, tg.elapsed().as_secs_f64())))
-                })
-                .map_err(Error::Comm)?;
-                if let Some((_, _, _, _, retries)) = run.fault_stats {
-                    profile.comm_retries += retries;
-                }
-                let (parts, t_gather) = run
-                    .results
-                    .into_iter()
-                    .next()
-                    .expect("nranks >= 1")
-                    .map_err(Error::Comm)?
-                    .expect("rank 0 never stalls and is the gather root");
-                profile.t_reduce_s += t_gather;
-                let mut cols = vec![Vec::new(); tasks.len()];
-                let mut reissue_sc: Option<KTaskScratch> = None;
-                for (r, part) in parts.iter().enumerate() {
-                    let mine = &assignment.per_rank[r];
-                    match part {
-                        Some(part) => {
-                            for (slot, &t) in mine.iter().enumerate() {
-                                cols[t] = part[slot * nao..(slot + 1) * nao].to_vec();
-                            }
-                            let base = nao * mine.len();
-                            profile.t_fft_s += part[base];
-                            profile.t_kernel_s += part[base + 1];
-                            profile.steady_allocs += part[base + 2] as usize;
-                            profile.bytes_reduced += part.len() * std::mem::size_of::<f64>();
-                        }
-                        None => {
-                            // Graceful degradation: re-run the stalled
-                            // rank's tasks through the identical kernel —
-                            // same columns, bit for bit.
-                            profile.ranks_stalled += 1;
-                            let sc = reissue_sc.get_or_insert_with(KTaskScratch::default);
-                            for &t in mine {
-                                let (col, tim, grew) = eval(sc, t);
-                                profile.t_fft_s += tim.fft_s;
-                                profile.t_kernel_s += tim.kernel_s;
-                                profile.steady_allocs += grew;
-                                profile.chunks_reissued += 1;
-                                cols[t] = col;
-                            }
-                        }
-                    }
-                }
-                Ok(cols)
+                let wrap = |sc: &mut KTaskScratch, t: usize, buf: &mut Vec<f64>| {
+                    let (col, tim, grew) = eval(sc, t);
+                    buf.extend_from_slice(&col);
+                    (tim, grew)
+                };
+                let flat = pipeline::run_pipelined(&job, &KTaskScratch::default, &wrap, profile)?;
+                Ok(flat.chunks_exact(nao).map(<[f64]>::to_vec).collect())
             }
         }
     }

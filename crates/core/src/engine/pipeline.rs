@@ -1,11 +1,12 @@
-//! The pipelined exec stage: double-buffered comm/compute overlap with a
-//! root-coordinated steal queue.
+//! The `Comm` exec stage: double-buffered comm/compute overlap with a
+//! root-coordinated steal queue, over point-to-point `send` / `recv` /
+//! `try_recv` only (no collective is issued).
 //!
-//! The staged Comm backend runs exec and reduce as synchronous phases —
-//! every rank finishes its whole share, then one gather lands everything
-//! on the root, so the collective is pure exposed latency and one slow
-//! rank stalls the build. This module restructures the same work as an
-//! asynchronous pipeline:
+//! Running exec and reduce as synchronous phases — every rank finishes
+//! its whole share, then one gather lands everything on the root — leaves
+//! the collective as pure exposed latency and lets one slow rank stall
+//! the build. This module schedules the same work as an asynchronous
+//! pipeline:
 //!
 //! * **streaming results** — each worker fills one of two rotating chunk
 //!   buffers while the previous packet is in flight inside the transport
@@ -40,11 +41,10 @@
 //! even though the *rank* that wins each chunk races.
 
 use super::profile::BuildProfile;
-use super::CommTuning;
 use crate::balance::{assign, BalanceStrategy};
 use crate::error::{Error, Result};
 use liair_grid::KernelTimings;
-use liair_runtime::{run_spmd_cfg, Comm, CommConfig, CommResult};
+use liair_runtime::{run_spmd_cfg, Comm, CommConfig, CommResult, FaultPlan};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -83,6 +83,8 @@ pub(crate) struct PipelineJob {
     pub nranks: usize,
     /// Static assignment strategy for the head of the chunk list.
     pub strategy: BalanceStrategy,
+    /// Deterministic fault plan the region runs under (`None` = clean).
+    pub fault: Option<FaultPlan>,
 }
 
 /// The root-side schedule derived from a [`PipelineJob`].
@@ -471,7 +473,7 @@ where
     Ok(out)
 }
 
-/// Run a [`PipelineJob`] over the pipelined Comm backend and return the
+/// Run a [`PipelineJob`] over the Comm backend and return the
 /// canonical flat output (`nitems × width` words, chunk-major). `eval`
 /// appends exactly `width` words for chunk `ci` and reports its kernel
 /// timings and scratch growth — the identical closure every other backend
@@ -480,7 +482,6 @@ pub(crate) fn run_pipelined<S, I, F>(
     job: &PipelineJob,
     init: &I,
     eval: &F,
-    tuning: &CommTuning,
     profile: &mut BuildProfile,
 ) -> Result<Vec<f64>>
 where
@@ -509,12 +510,11 @@ where
         width: job.width,
         per_rank: assign(&costs, job.nranks, job.strategy).per_rank,
         nstatic,
-        stall_timeout: tuning.fault.map(|plan| plan.base_timeout),
+        stall_timeout: job.fault.map(|plan| plan.base_timeout),
     };
     let cfg = CommConfig {
-        mode: tuning.collectives,
-        fault: tuning.fault,
-        torus: None,
+        fault: job.fault,
+        ..CommConfig::default()
     };
     let run = run_spmd_cfg(job.nranks, cfg, |comm| -> CommResult<Option<RootOut>> {
         if comm.stalled() {

@@ -4,8 +4,8 @@
 //! one FFT Poisson solve per pair — the node-level kernel of the paper's
 //! scheme. Both entry points here are thin configurations of
 //! [`crate::engine::ExchangeEngine`] (rayon backend): the engine owns the
-//! pair chunking, the autotuned kernel choice, the scratch lifetimes, and
-//! the [`crate::engine::BuildProfile`] instrumentation, so this module only
+//! pair chunking, the pair kernel, the scratch lifetimes, and the
+//! [`crate::engine::BuildProfile`] instrumentation, so this module only
 //! supplies the molecular pipeline around it and the analytic references
 //! it is validated against (the `tab-hfx-validation` experiment re-runs
 //! that comparison as a resolution sweep).
@@ -38,9 +38,8 @@ pub struct HfxResult {
 ///
 /// Thin wrapper over [`ExchangeEngine::energy`] on the rayon backend:
 /// workers walk the pair list two pairs at a time with grow-once scratch
-/// (the steady-state loop performs zero heap allocations), and on grids
-/// where the packed-complex transform wins the autotune both pair energies
-/// of a chunk come out of a single FFT.
+/// (the steady-state loop performs zero heap allocations), one r2c
+/// transform per pair.
 pub fn exchange_energy(
     grid: &RealGrid,
     solver: &PoissonSolver,

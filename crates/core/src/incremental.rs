@@ -40,7 +40,7 @@
 //! build is exactly the from-scratch one (bit-identical for the operator
 //! path — property-tested).
 
-use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KernelChoice};
+use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend};
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::{Mat, Vec3};
@@ -210,9 +210,6 @@ pub struct IncrementalExchange {
     pub totals: IncStats,
     /// Per-phase instrumentation of the most recent build (either path).
     pub last_profile: BuildProfile,
-    /// Pinned kernel choice for the dirty recompute (None = autotune),
-    /// see [`IncrementalExchange::force_kernel_choice`].
-    kernel_choice: Option<KernelChoice>,
     /// Execution backend of the dirty recompute (None = rayon). The serve
     /// scheduler points this at its rank-pool lease
     /// (`ExecBackend::Comm { nranks, .. }`); engine bit-identity across
@@ -248,7 +245,6 @@ impl IncrementalExchange {
             k: None,
             totals: IncStats::default(),
             last_profile: BuildProfile::default(),
-            kernel_choice: None,
             backend: None,
             fp_scratch: Vec::new(),
             dirty_orb: Vec::new(),
@@ -263,40 +259,24 @@ impl IncrementalExchange {
         self.k = None;
     }
 
-    /// Pin the kernel (pair path, SIMD level) of the dirty recompute
-    /// instead of autotuning — needed when one process must compare an
-    /// incremental build bit-for-bit against an engine build running a
-    /// specific choice. Invalidates the cache: contributions computed
-    /// under a different kernel would no longer be bit-compatible.
-    pub fn force_kernel_choice(&mut self, choice: KernelChoice) {
-        if self.kernel_choice != Some(choice) {
-            self.kernel_choice = Some(choice);
-            self.invalidate();
-        }
-    }
-
     /// Route the dirty recompute through `backend` instead of the default
-    /// rayon pool. Unlike [`IncrementalExchange::force_kernel_choice`]
-    /// this does *not* invalidate the cache: every backend produces
-    /// bit-identical contributions (the engine's canonical-order
-    /// guarantee), so cached entries remain exact.
+    /// rayon pool. This does *not* invalidate the cache: every backend
+    /// produces bit-identical contributions (a pair's contribution is a
+    /// pure function of the pair), so cached entries remain exact.
     pub fn set_backend(&mut self, backend: ExecBackend) {
         self.backend = Some(backend);
     }
 
     /// The configured engine over `grid`/`solver` (rayon backend unless
-    /// one was set, pinned kernel choice when one was forced).
+    /// one was set).
     fn engine<'a>(&self, grid: &'a RealGrid, solver: &'a PoissonSolver) -> ExchangeEngine<'a> {
         let mut builder = ExchangeEngine::builder(grid, solver);
-        if let Some(c) = self.kernel_choice {
-            builder = builder.kernel_choice(c);
-        }
         if let Some(b) = self.backend {
             builder = builder.backend(b);
         }
         builder
             .build()
-            .expect("a backend over an optional pinned kernel is always a valid configuration")
+            .expect("a default engine over the configured backend is a valid configuration")
     }
 
     /// Incremental twin of [`crate::hfx::exchange_energy`]: clean pairs
@@ -372,9 +352,9 @@ impl IncrementalExchange {
             }
         }
 
-        // Recompute the dirty pairs through the engine (rayon backend,
-        // same chunking and kernel choice as a from-scratch build, so the
-        // dirty contributions are bit-identical to that build's).
+        // Recompute the dirty pairs through the engine. A contribution is
+        // a pure function of its pair, so whichever subset is dirty, each
+        // recomputed entry carries the bits a from-scratch build gives it.
         let n_dirty = self.dirty_pairs.len();
         let mut profile = BuildProfile::default();
         let t_dirty0 = Instant::now();

@@ -28,8 +28,8 @@
 //!
 //! All of the above are thin configurations of one staged driver:
 //! [`engine::ExchangeEngine`] owns the canonical build pipeline (pair
-//! source → execute backend → ordered accumulate), the autotuned kernel
-//! choice, and the per-phase [`engine::BuildProfile`] instrumentation.
+//! source → execute backend → ordered accumulate), the one pair kernel,
+//! and the per-phase [`engine::BuildProfile`] instrumentation.
 
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
@@ -53,8 +53,8 @@ pub use domain::{
     DomainGeometry,
 };
 pub use engine::{
-    BuildProfile, CollectiveMode, CommTuning, EngineBuilder, EngineScratch, ExchangeEngine,
-    ExecBackend, FaultPlan, KBuildOutcome, KernelChoice, PairPath, PipelineMode,
+    BuildProfile, EngineBuilder, EngineScratch, ExchangeEngine, ExecBackend, FaultPlan,
+    KBuildOutcome,
 };
 pub use error::{Error, Result};
 pub use hfx::{exchange_energy, exchange_energy_patched, HfxResult};

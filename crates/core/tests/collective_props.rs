@@ -1,22 +1,18 @@
-//! Property tests of the collective runtime's bitwise contract:
+//! Property tests of the `Comm` backend's bitwise contract:
 //!
-//! * the hierarchical (binomial-tree) gather and the flat root gather are
-//!   pure data movement, so for **any** kernel choice (SIMD level × pair
-//!   path), rank count, and workload the two collective families produce
-//!   bit-identical energies;
+//! * for **any** rank count and workload the pipelined schedule produces
+//!   the serial reference's energy bit for bit — streamed results and the
+//!   steal queue move bits, they never combine them;
 //! * **any** seeded fault schedule — drops, delays, duplicates, stalled
 //!   ranks — still yields the bit-identical result, run after run:
 //!   retransmission recovers payloads verbatim, and chunks re-issued for
-//!   lost ranks replay the identical kernel.
+//!   lost ranks replay the identical kernel;
+//! * the steal counters are replayable for a fixed fault seed.
 
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
-use liair_core::{
-    BalanceStrategy, CollectiveMode, ExchangeEngine, ExecBackend, FaultPlan, KernelChoice,
-    PairPath, PipelineMode,
-};
+use liair_core::{BalanceStrategy, ExchangeEngine, ExecBackend, FaultPlan};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
-use liair_math::simd::available_levels;
 use liair_math::Vec3;
 use proptest::prelude::*;
 
@@ -56,64 +52,20 @@ fn setup(seed: u64, norb: usize) -> (RealGrid, PoissonSolver, Vec<Vec<f64>>, Pai
     (grid, solver, fields, pairs)
 }
 
-/// Pick a runnable kernel choice from two free indices.
-fn choice(level_idx: usize, path_idx: usize) -> KernelChoice {
-    let levels = available_levels();
-    KernelChoice {
-        path: [PairPath::Single, PairPath::Batched][path_idx % 2],
-        simd: levels[level_idx % levels.len()],
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Flat and hierarchical collectives agree to the last bit with the
-    /// serial reference for every kernel choice, rank count, and
-    /// workload — the gathers move bits, they never combine them.
-    #[test]
-    fn flat_and_hierarchical_are_bitwise_equal(
-        wseed in 0u64..1000,
-        level_idx in 0usize..4,
-        path_idx in 0usize..2,
-        nranks in 1usize..6,
-    ) {
-        let (grid, solver, fields, pairs) = setup(wseed, 3);
-        let c = choice(level_idx, path_idx);
-        let serial = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(c)
-            .no_faults()
-            .backend(ExecBackend::Serial)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
-            let comm = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(c)
-                .no_faults()
-                .backend(ExecBackend::Comm { nranks, strategy: BalanceStrategy::GreedyLpt })
-                .collectives(mode)
-                .build()
-                .unwrap()
-                .energy(&fields, &pairs);
-            prop_assert_eq!(serial.energy.to_bits(), comm.energy.to_bits());
-        }
-    }
 
     /// Any seeded fault schedule yields the bit-identical energy, run
     /// after run. The degradation *counters* may differ between replays
     /// (a delayed retransmission racing the recv timeout can demote a
-    /// slow rank to "lost", and a timed-out intermediate tree node loses
-    /// its whole subtree) — but every lost rank's chunks are re-issued
+    /// slow rank to "lost") — but every lost rank's chunks are re-issued
     /// through the identical kernel, so the energy never moves.
     #[test]
     fn seeded_fault_schedules_are_bitwise_and_deterministic(
         fseed in 0u64..10_000,
         stall_idx in 0usize..2,
-        mode_idx in 0usize..2,
     ) {
         let (grid, solver, fields, pairs) = setup(17, 3);
-        let mode = [CollectiveMode::Flat, CollectiveMode::Hierarchical][mode_idx];
         let plan = if stall_idx == 1 {
             FaultPlan::with_stalls(fseed)
         } else {
@@ -128,7 +80,6 @@ proptest! {
         let build = || {
             ExchangeEngine::builder(&grid, &solver)
                 .backend(ExecBackend::Comm { nranks: 4, strategy: BalanceStrategy::RoundRobin })
-                .collectives(mode)
                 .fault_plan(plan)
                 .build()
                 .unwrap()
@@ -146,43 +97,35 @@ proptest! {
         }
     }
 
-    /// The pipelined overlap backend is bit-identical to the staged
-    /// gather and the serial reference for every workload, rank count,
-    /// kernel choice, and (optional) fault seed: dynamic stealing and
-    /// out-of-order streamed arrival never change the canonical
-    /// reassembly, only who computed each chunk and when it landed.
+    /// The pipelined backend is bit-identical to the serial reference for
+    /// every workload, rank count, and (optional) fault seed: dynamic
+    /// stealing and out-of-order streamed arrival never change the
+    /// canonical reassembly, only who computed each chunk and when it
+    /// landed.
     #[test]
-    fn pipelined_staged_serial_are_bitwise_equal(
+    fn pipelined_and_serial_are_bitwise_equal(
         wseed in 0u64..1000,
         fseed in 0u64..10_000,
         faulty in 0usize..2,
-        level_idx in 0usize..4,
-        path_idx in 0usize..2,
         nranks in 1usize..6,
         norb in 2usize..5,
     ) {
         let (grid, solver, fields, pairs) = setup(wseed, norb);
-        let c = choice(level_idx, path_idx);
-        let build = |backend, mode| {
+        let build = |backend| {
             let mut b = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(c)
                 .backend(backend)
-                .pipeline(mode)
                 .no_faults();
             if faulty == 1 {
                 b = b.fault_plan(FaultPlan::with_stalls(fseed));
             }
             b.build().unwrap().energy(&fields, &pairs)
         };
-        let comm = ExecBackend::Comm { nranks, strategy: BalanceStrategy::GreedyLpt };
-        let serial = build(ExecBackend::Serial, PipelineMode::Staged);
-        let staged = build(comm, PipelineMode::Staged);
-        let pipelined = build(comm, PipelineMode::Pipelined);
-        prop_assert_eq!(serial.energy.to_bits(), staged.energy.to_bits());
+        let serial = build(ExecBackend::Serial);
+        let pipelined = build(ExecBackend::Comm { nranks, strategy: BalanceStrategy::GreedyLpt });
         prop_assert_eq!(serial.energy.to_bits(), pipelined.energy.to_bits());
-        // The steal queue only ever exists on the pipelined backend.
-        prop_assert_eq!(staged.profile.chunks_stolen, 0);
-        prop_assert_eq!(staged.profile.steal_requests, 0);
+        // The steal queue only ever exists on the Comm backend.
+        prop_assert_eq!(serial.profile.chunks_stolen, 0);
+        prop_assert_eq!(serial.profile.steal_requests, 0);
         if nranks == 1 {
             // A single rank has nobody to steal from: all-static schedule.
             prop_assert_eq!(pipelined.profile.chunks_stolen, 0);
@@ -206,7 +149,6 @@ proptest! {
         let build = || {
             ExchangeEngine::builder(&grid, &solver)
                 .backend(ExecBackend::Comm { nranks, strategy: BalanceStrategy::Block })
-                .pipeline(PipelineMode::Pipelined)
                 .fault_plan(FaultPlan::with_stalls(fseed))
                 .build()
                 .unwrap()

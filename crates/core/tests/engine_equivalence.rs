@@ -1,29 +1,22 @@
 //! Cross-driver equivalence suite for the staged [`ExchangeEngine`]: every
-//! execution backend (serial, rayon, message-passing `Comm` under both
-//! collective families) must produce **bit-identical** energies and K
-//! matrices for every runnable SIMD level and both pair-kernel paths, and
-//! the incremental driver with `eps_inc = 0` must reproduce the
-//! from-scratch build exactly. The distributed backend must additionally
-//! hold the guarantee *under injected faults* — dropped, delayed,
-//! duplicated messages and stalled ranks — because retransmission and
-//! chunk re-issue replay the identical kernel.
+//! execution backend (serial, rayon, message-passing `Comm`) must produce
+//! **bit-identical** energies and K matrices, and the incremental driver
+//! with `eps_inc = 0` must reproduce the from-scratch build exactly. The
+//! distributed backend must additionally hold the guarantee *under
+//! injected faults* — dropped, delayed, duplicated messages and stalled
+//! ranks — because retransmission and chunk re-issue replay the identical
+//! kernel.
 //!
-//! The kernel choice is pinned through [`EngineBuilder::kernel_choice`] /
-//! [`IncrementalExchange::force_kernel_choice`] rather than `LIAIR_SIMD`
-//! (the env override is latched once per process), so one test binary can
-//! sweep all levels. CI additionally runs the whole binary under a
-//! `LIAIR_SIMD` matrix and a `LIAIR_FAULT_SEED` matrix to exercise the
-//! env-driven defaults.
+//! The SIMD level is latched once per process inside `liair-math`, so CI
+//! runs the whole binary under a `LIAIR_SIMD` matrix and a
+//! `LIAIR_FAULT_SEED` matrix to exercise the env-driven defaults.
 
 use liair_basis::{systems, Basis, Cell};
-use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
-use liair_core::{
-    BalanceStrategy, CollectiveMode, ExchangeEngine, ExecBackend, FaultPlan, IncrementalExchange,
-    KernelChoice, PairPath, PipelineMode,
-};
+use liair_core::engine::BuildProfile;
+use liair_core::screening::{build_pair_list, OrbitalInfo, Pair, PairList};
+use liair_core::{BalanceStrategy, ExchangeEngine, ExecBackend, FaultPlan, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
-use liair_math::simd::available_levels;
 use liair_math::Vec3;
 
 /// Smooth synthetic "orbitals": normalized Gaussians at random centers.
@@ -74,84 +67,64 @@ fn synthetic_setup(
     (grid, solver, fields, infos, pairs)
 }
 
-/// Every (SIMD level, pair path) combination runnable on this machine.
-fn kernel_choices() -> Vec<KernelChoice> {
-    let mut out = Vec::new();
-    for simd in available_levels() {
-        for path in [PairPath::Single, PairPath::Batched] {
-            out.push(KernelChoice { path, simd });
-        }
-    }
-    out
+fn comm(nranks: usize, strategy: BalanceStrategy) -> ExecBackend {
+    ExecBackend::Comm { nranks, strategy }
 }
-
-const MODES: [CollectiveMode; 2] = [CollectiveMode::Flat, CollectiveMode::Hierarchical];
 
 #[test]
 fn energy_bit_identical_across_backends() {
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 20);
-    for choice in kernel_choices() {
-        let base = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
-            .no_faults();
-        let serial = base
-            .backend(ExecBackend::Serial)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
-        assert!(serial.energy < 0.0);
-        assert!(serial.profile.is_populated());
+    let base = ExchangeEngine::builder(&grid, &solver).no_faults();
+    let serial = base
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .energy(&fields, &pairs);
+    assert!(serial.energy < 0.0);
+    assert!(serial.profile.is_populated());
 
-        let rayon = base
-            .backend(ExecBackend::Rayon)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
-        assert_eq!(
-            serial.energy.to_bits(),
-            rayon.energy.to_bits(),
-            "serial vs rayon differ for {choice:?}: {} vs {}",
-            serial.energy,
-            rayon.energy
-        );
+    let rayon = base
+        .backend(ExecBackend::Rayon)
+        .build()
+        .unwrap()
+        .energy(&fields, &pairs);
+    assert_eq!(
+        serial.energy.to_bits(),
+        rayon.energy.to_bits(),
+        "serial vs rayon differ: {} vs {}",
+        serial.energy,
+        rayon.energy
+    );
 
-        for nranks in [1, 3, 4] {
-            for strategy in [
-                BalanceStrategy::RoundRobin,
-                BalanceStrategy::Block,
-                BalanceStrategy::GreedyLpt,
-            ] {
-                for mode in MODES {
-                    let comm = base
-                        .backend(ExecBackend::Comm { nranks, strategy })
-                        .collectives(mode)
-                        .build()
-                        .unwrap()
-                        .energy(&fields, &pairs);
-                    assert_eq!(
-                        serial.energy.to_bits(),
-                        comm.energy.to_bits(),
-                        "serial vs comm(nranks={nranks}, {strategy:?}, {mode:?}) differ \
-                         for {choice:?}: {} vs {}",
-                        serial.energy,
-                        comm.energy
-                    );
-                }
-            }
+    for nranks in [1, 3, 4] {
+        for strategy in [
+            BalanceStrategy::RoundRobin,
+            BalanceStrategy::Block,
+            BalanceStrategy::GreedyLpt,
+        ] {
+            let out = base
+                .backend(comm(nranks, strategy))
+                .build()
+                .unwrap()
+                .energy(&fields, &pairs);
+            assert_eq!(
+                serial.energy.to_bits(),
+                out.energy.to_bits(),
+                "serial vs comm(nranks={nranks}, {strategy:?}) differ: {} vs {}",
+                serial.energy,
+                out.energy
+            );
         }
     }
 }
 
 #[test]
 fn energy_bit_identical_under_injected_faults() {
-    // Retransmission (drops/delays/dups) and root-side chunk re-issue
-    // (stalls) must not change a single bit of the result: recovered
-    // messages carry the same payloads, and re-issued chunks replay the
-    // identical kernel.
+    // Retransmission (drops/delays/dups) and chunk re-issue (stalls) must
+    // not change a single bit of the result: recovered messages carry the
+    // same payloads, and re-issued chunks replay the identical kernel.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 16);
-    let choice = kernel_choices()[0];
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
@@ -159,32 +132,25 @@ fn energy_bit_identical_under_injected_faults() {
         .energy(&fields, &pairs);
     for seed in [7u64, 1234] {
         for plan in [FaultPlan::messages_only(seed), FaultPlan::with_stalls(seed)] {
-            for mode in MODES {
-                let faulty = ExchangeEngine::builder(&grid, &solver)
-                    .kernel_choice(choice)
-                    .backend(ExecBackend::Comm {
-                        nranks: 4,
-                        strategy: BalanceStrategy::GreedyLpt,
-                    })
-                    .collectives(mode)
-                    .fault_plan(plan)
-                    .build()
-                    .unwrap()
-                    .energy(&fields, &pairs);
-                assert_eq!(
-                    clean.energy.to_bits(),
-                    faulty.energy.to_bits(),
-                    "seed {seed} {mode:?}: faulty build drifted: {} vs {}",
-                    clean.energy,
-                    faulty.energy
+            let faulty = ExchangeEngine::builder(&grid, &solver)
+                .backend(comm(4, BalanceStrategy::GreedyLpt))
+                .fault_plan(plan)
+                .build()
+                .unwrap()
+                .energy(&fields, &pairs);
+            assert_eq!(
+                clean.energy.to_bits(),
+                faulty.energy.to_bits(),
+                "seed {seed}: faulty build drifted: {} vs {}",
+                clean.energy,
+                faulty.energy
+            );
+            // A stalled rank shows up in the profile as re-issued work.
+            if faulty.profile.ranks_stalled > 0 {
+                assert!(
+                    faulty.profile.chunks_reissued > 0,
+                    "stalled ranks must re-issue their chunks"
                 );
-                // A stalled rank shows up in the profile as re-issued work.
-                if faulty.profile.ranks_stalled > 0 {
-                    assert!(
-                        faulty.profile.chunks_reissued > 0,
-                        "stalled ranks must re-issue their chunks"
-                    );
-                }
             }
         }
     }
@@ -193,85 +159,78 @@ fn energy_bit_identical_under_injected_faults() {
 #[test]
 fn pipelined_overlap_bit_identical_under_fault_matrix() {
     // The CI fault matrix seeds (LIAIR_FAULT_SEED = 7, 13, 42), run
-    // explicitly against both schedules: the pipelined backend's streamed
-    // out-of-order reassembly, steal queue, and mid-build straggler
-    // re-issue must leave every bit where the staged gather and the
-    // serial reference put it.
+    // explicitly: the pipeline's streamed out-of-order reassembly, steal
+    // queue, and mid-build straggler re-issue must leave every bit where
+    // the serial reference put it.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 16);
     let nchunks = pairs.len().div_ceil(2);
-    let choice = kernel_choices()[0];
     let serial = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
         .energy(&fields, &pairs);
+    assert_eq!(serial.profile.chunks_stolen, 0);
+    assert_eq!(serial.profile.steal_requests, 0);
     for seed in [7u64, 13, 42] {
-        for mode in [PipelineMode::Staged, PipelineMode::Pipelined] {
-            let out = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
-                .backend(ExecBackend::Comm {
-                    nranks: 4,
-                    strategy: BalanceStrategy::GreedyLpt,
-                })
-                .pipeline(mode)
-                .fault_plan(FaultPlan::with_stalls(seed))
-                .build()
-                .unwrap()
-                .energy(&fields, &pairs);
-            assert_eq!(
-                serial.energy.to_bits(),
-                out.energy.to_bits(),
-                "seed {seed} {mode:?}: schedule changed the energy: {} vs {}",
-                serial.energy,
-                out.energy
-            );
-            if mode == PipelineMode::Pipelined {
-                // A straggler's share is re-issued through the steal
-                // queue as soon as its timeout fires, so every re-issued
-                // chunk is also a stolen one.
-                if out.profile.ranks_stalled > 0 {
-                    assert!(out.profile.chunks_reissued > 0);
-                }
-                assert_eq!(
-                    out.profile.chunks_stolen,
-                    nchunks / 4 + out.profile.chunks_reissued,
-                    "seed {seed}: tail + re-issues must each be granted exactly once"
-                );
-            } else {
-                assert_eq!(out.profile.chunks_stolen, 0);
-                assert_eq!(out.profile.steal_requests, 0);
-            }
+        let out = ExchangeEngine::builder(&grid, &solver)
+            .backend(comm(4, BalanceStrategy::GreedyLpt))
+            .fault_plan(FaultPlan::with_stalls(seed))
+            .build()
+            .unwrap()
+            .energy(&fields, &pairs);
+        assert_eq!(
+            serial.energy.to_bits(),
+            out.energy.to_bits(),
+            "seed {seed}: the schedule changed the energy: {} vs {}",
+            serial.energy,
+            out.energy
+        );
+        // A straggler's share is re-issued through the steal queue as
+        // soon as its timeout fires, so every re-issued chunk is also a
+        // stolen one.
+        if out.profile.ranks_stalled > 0 {
+            assert!(out.profile.chunks_reissued > 0);
         }
+        assert_eq!(
+            out.profile.chunks_stolen,
+            nchunks / 4 + out.profile.chunks_reissued,
+            "seed {seed}: tail + re-issues must each be granted exactly once"
+        );
     }
 }
 
 #[test]
-fn pipelined_overlap_matches_staged_for_k_operator() {
+fn pipelined_overlap_matches_serial_for_k_operator() {
     let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
-    let comm = ExecBackend::Comm {
-        nranks: 3,
-        strategy: BalanceStrategy::GreedyLpt,
-    };
-    let run = |mode| {
-        ExchangeEngine::builder(&kgrid, &ksolver)
-            .backend(comm)
-            .pipeline(mode)
-            .no_faults()
-            .build()
-            .unwrap()
-            .k_operator(&basis, &c_occ, nocc, 0.0)
-    };
-    let staged = run(PipelineMode::Staged);
-    let pipelined = run(PipelineMode::Pipelined);
-    assert_eq!(staged.evaluated, pipelined.evaluated);
-    assert_eq!(staged.skipped, pipelined.skipped);
-    assert_eq!(
-        pipelined.k.sub(&staged.k).fro_norm(),
-        0.0,
-        "K columns must reassemble identically under streamed arrival"
-    );
+    let serial = ExchangeEngine::builder(&kgrid, &ksolver)
+        .backend(ExecBackend::Serial)
+        .no_faults()
+        .build()
+        .unwrap()
+        .k_operator(&basis, &c_occ, nocc, 0.0);
+    let ntasks = nocc * basis.nao();
+    for plan in [None, Some(7u64), Some(13), Some(42)] {
+        let mut b = ExchangeEngine::builder(&kgrid, &ksolver)
+            .backend(comm(3, BalanceStrategy::GreedyLpt))
+            .no_faults();
+        if let Some(seed) = plan {
+            b = b.fault_plan(FaultPlan::with_stalls(seed));
+        }
+        let pipelined = b.build().unwrap().k_operator(&basis, &c_occ, nocc, 0.0);
+        assert_eq!(serial.evaluated, pipelined.evaluated);
+        assert_eq!(serial.skipped, pipelined.skipped);
+        assert_eq!(
+            pipelined.k.sub(&serial.k).fro_norm(),
+            0.0,
+            "{plan:?}: K columns must reassemble identically under streamed arrival"
+        );
+        assert_eq!(
+            pipelined.profile.chunks_stolen,
+            ntasks / 4 + pipelined.profile.chunks_reissued,
+            "{plan:?}: tail + re-issues must each be granted exactly once"
+        );
+    }
 }
 
 /// SCF-quality H2 setup for the K-operator paths.
@@ -289,124 +248,204 @@ fn h2_setup() -> (Basis, liair_math::Mat, usize, RealGrid, PoissonSolver) {
 #[test]
 fn k_operator_bit_identical_across_backends() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
-    for simd in available_levels() {
-        let choice = KernelChoice {
-            path: PairPath::Single,
-            simd,
-        };
-        let base = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
-            .no_faults();
-        let serial = base
-            .backend(ExecBackend::Serial)
+    let base = ExchangeEngine::builder(&grid, &solver).no_faults();
+    let serial = base
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .k_operator(&basis, &c_occ, nocc, 0.0);
+    assert!(serial.profile.is_populated());
+    assert_eq!(serial.evaluated, nocc * basis.nao());
+
+    let rayon = base
+        .backend(ExecBackend::Rayon)
+        .build()
+        .unwrap()
+        .k_operator(&basis, &c_occ, nocc, 0.0);
+    let d = rayon.k.sub(&serial.k).fro_norm();
+    assert_eq!(d, 0.0, "serial vs rayon K differ: {d:e}");
+
+    for nranks in [1, 3] {
+        let out = base
+            .backend(comm(nranks, BalanceStrategy::RoundRobin))
             .build()
             .unwrap()
             .k_operator(&basis, &c_occ, nocc, 0.0);
-        assert!(serial.profile.is_populated());
-        assert_eq!(serial.evaluated, nocc * basis.nao());
-
-        let rayon = base
-            .backend(ExecBackend::Rayon)
-            .build()
-            .unwrap()
-            .k_operator(&basis, &c_occ, nocc, 0.0);
-        let d = rayon.k.sub(&serial.k).fro_norm();
-        assert_eq!(d, 0.0, "serial vs rayon K differ at level {simd:?}: {d:e}");
-
-        for nranks in [1, 3] {
-            for mode in MODES {
-                let comm = base
-                    .backend(ExecBackend::Comm {
-                        nranks,
-                        strategy: BalanceStrategy::RoundRobin,
-                    })
-                    .collectives(mode)
-                    .build()
-                    .unwrap()
-                    .k_operator(&basis, &c_occ, nocc, 0.0);
-                let d = comm.k.sub(&serial.k).fro_norm();
-                assert_eq!(
-                    d, 0.0,
-                    "serial vs comm(nranks={nranks}, {mode:?}) K differ at level {simd:?}: {d:e}"
-                );
-            }
-        }
+        let d = out.k.sub(&serial.k).fro_norm();
+        assert_eq!(d, 0.0, "serial vs comm(nranks={nranks}) K differ: {d:e}");
     }
 }
 
 #[test]
 fn k_operator_bit_identical_under_injected_faults() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
-    let choice = KernelChoice {
-        path: PairPath::Single,
-        simd: available_levels()[0],
-    };
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
         .k_operator(&basis, &c_occ, nocc, 0.0);
     for plan in [FaultPlan::messages_only(42), FaultPlan::with_stalls(42)] {
-        for mode in MODES {
-            let faulty = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
-                .backend(ExecBackend::Comm {
-                    nranks: 3,
-                    strategy: BalanceStrategy::RoundRobin,
-                })
-                .collectives(mode)
-                .fault_plan(plan)
-                .build()
-                .unwrap()
-                .k_operator(&basis, &c_occ, nocc, 0.0);
+        let faulty = ExchangeEngine::builder(&grid, &solver)
+            .backend(comm(3, BalanceStrategy::RoundRobin))
+            .fault_plan(plan)
+            .build()
+            .unwrap()
+            .k_operator(&basis, &c_occ, nocc, 0.0);
+        assert_eq!(
+            faulty.k.sub(&clean.k).fro_norm(),
+            0.0,
+            "K drifted under faults"
+        );
+    }
+}
+
+#[test]
+fn incremental_eps0_energy_bit_identical() {
+    let (grid, solver, fields, infos, pairs) = synthetic_setup(4, 20);
+    let reference = ExchangeEngine::builder(&grid, &solver)
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .energy(&fields, &pairs);
+
+    let mut inc = IncrementalExchange::new(0.0, 0);
+    // Cold build: everything dirty.
+    let cold = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+    assert_eq!(
+        reference.energy.to_bits(),
+        cold.energy.to_bits(),
+        "cold incremental differs"
+    );
+    // Rebuild on identical fields: eps_inc = 0 must recompute, not reuse.
+    let rebuilt = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+    assert_eq!(rebuilt.inc.pairs_reused, 0);
+    assert_eq!(
+        reference.energy.to_bits(),
+        rebuilt.energy.to_bits(),
+        "eps_inc=0 rebuild differs"
+    );
+}
+
+/// The backends the slice-independence contract is held on, each with an
+/// optional fault plan (ignored off the `Comm` backend).
+fn backends_and_faults() -> Vec<(ExecBackend, Option<FaultPlan>)> {
+    let mut out = vec![(ExecBackend::Serial, None), (ExecBackend::Rayon, None)];
+    for nranks in [1, 2, 3] {
+        let b = comm(nranks, BalanceStrategy::GreedyLpt);
+        out.push((b, None));
+        out.push((b, Some(FaultPlan::with_stalls(13))));
+    }
+    out
+}
+
+#[test]
+fn pair_contribution_is_slice_independent() {
+    // A pair's contribution is a pure function of the pair: whichever
+    // slice of the list it is evaluated in, at whichever position, on
+    // whichever backend, it carries the same bits. 16³ is a grid where a
+    // chunk-partner-dependent kernel shows up in the last 1–2 bits.
+    let (grid, solver, fields, infos, pairs) = synthetic_setup(4, 16);
+    let all = &pairs.pairs;
+    let full = ExchangeEngine::builder(&grid, &solver)
+        .no_faults()
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .pair_contribs(&fields, all, &mut BuildProfile::default());
+    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+
+    for (backend, fault) in backends_and_faults() {
+        let mut b = ExchangeEngine::builder(&grid, &solver)
+            .backend(backend)
+            .no_faults();
+        if let Some(plan) = fault {
+            b = b.fault_plan(plan);
+        }
+        let engine = b.build().unwrap();
+        let what = format!("{backend:?} fault={}", fault.is_some());
+        let run = |slice: &[Pair]| {
+            bits(&engine.pair_contribs(&fields, slice, &mut BuildProfile::default()))
+        };
+        assert_eq!(run(all), bits(&full), "{what}: full list");
+        // Every sub-slice, so every pair meets every chunk position and
+        // partner; odd-length prefixes are the `0..end` rows.
+        for start in 0..all.len() {
+            for end in start + 1..=all.len() {
+                assert_eq!(
+                    run(&all[start..end]),
+                    bits(&full[start..end]),
+                    "{what}: slice {start}..{end}"
+                );
+            }
+        }
+        let reversed: Vec<Pair> = all.iter().rev().copied().collect();
+        let want: Vec<f64> = full.iter().rev().copied().collect();
+        assert_eq!(run(&reversed), bits(&want), "{what}: reversed list");
+    }
+
+    // Warm incremental build with a partial dirty set: move one orbital,
+    // so only its pairs are recomputed — as a short list with different
+    // chunk partners than in the full one. (The tolerance is the smallest
+    // that still reuses: eps_inc = 0 would recompute everything and hide
+    // the dirty slice.) Every contribution the cache then holds must be
+    // the from-scratch build's, bit for bit; a one-pair list reads one
+    // cached entry back as the build's energy.
+    let mut moved = fields.clone();
+    let shift = Vec3::new(0.3, -0.2, 0.1);
+    let norm = (2.0 * 1.1 / std::f64::consts::PI).powf(0.75);
+    moved[1] = (0..grid.len())
+        .map(|i| {
+            let d = grid
+                .cell
+                .min_image(infos[1].center + shift, grid.point_flat(i));
+            norm * (-1.1 * d.norm_sqr()).exp()
+        })
+        .collect();
+    let scratch = ExchangeEngine::builder(&grid, &solver)
+        .no_faults()
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .pair_contribs(&moved, all, &mut BuildProfile::default());
+    let clean_backends = backends_and_faults()
+        .into_iter()
+        .filter(|(_, fault)| fault.is_none());
+    for (backend, _) in clean_backends {
+        let mut inc = IncrementalExchange::new(1e-12, 0);
+        inc.set_backend(backend);
+        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        let warm = inc.exchange_energy(&grid, &solver, &moved, &infos, &pairs);
+        let touching = all.iter().filter(|p| p.i == 1 || p.j == 1).count();
+        assert_eq!(warm.inc.pairs_recomputed, touching, "{backend:?}");
+        assert_eq!(warm.inc.pairs_reused, all.len() - touching, "{backend:?}");
+        for (p, want) in all.iter().zip(&scratch) {
+            let one = PairList {
+                pairs: vec![*p],
+                ..pairs.clone()
+            };
+            let held = inc.exchange_energy(&grid, &solver, &moved, &infos, &one);
             assert_eq!(
-                faulty.k.sub(&clean.k).fro_norm(),
-                0.0,
-                "{mode:?}: K drifted under faults"
+                held.inc.pairs_reused, 1,
+                "{backend:?}: pair ({}, {})",
+                p.i, p.j
+            );
+            assert_eq!(
+                held.energy.to_bits(),
+                want.to_bits(),
+                "{backend:?}: cached ({}, {}) is not the from-scratch contribution",
+                p.i,
+                p.j
             );
         }
     }
 }
 
 #[test]
-fn incremental_eps0_energy_bit_identical_per_kernel() {
-    let (grid, solver, fields, infos, pairs) = synthetic_setup(4, 20);
-    for choice in kernel_choices() {
-        // The incremental driver executes dirty work on the default Rayon
-        // backend, so that is the reference.
-        let reference = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
-
-        let mut inc = IncrementalExchange::new(0.0, 0);
-        inc.force_kernel_choice(choice);
-        // Cold build: everything dirty.
-        let cold = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(
-            reference.energy.to_bits(),
-            cold.energy.to_bits(),
-            "cold incremental differs for {choice:?}"
-        );
-        // Rebuild on identical fields: eps_inc = 0 must recompute, not reuse.
-        let rebuilt = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(rebuilt.inc.pairs_reused, 0);
-        assert_eq!(
-            reference.energy.to_bits(),
-            rebuilt.energy.to_bits(),
-            "eps_inc=0 rebuild differs for {choice:?}"
-        );
-    }
-}
-
-#[test]
 fn public_wrappers_match_pinned_default_engine() {
     // The thin public entry points must equal an engine configured the way
-    // the wrappers configure it — same autotuned/default kernel choice,
-    // same backend — down to the last bit.
+    // the wrappers configure it — same default backend — down to the last
+    // bit.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(3, 20);
     let wrapper = liair_core::exchange_energy(&grid, &solver, &fields, &pairs);
     let engine = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
@@ -438,58 +477,23 @@ fn public_wrappers_match_pinned_default_engine() {
 }
 
 #[test]
-fn incremental_eps0_k_bit_identical_per_level() {
+fn incremental_eps0_k_bit_identical() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
-    for simd in available_levels() {
-        let choice = KernelChoice {
-            path: PairPath::Single,
-            simd,
-        };
-        let reference = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
-            .build()
-            .unwrap()
-            .k_operator(&basis, &c_occ, nocc, 0.0);
-        let mut inc = IncrementalExchange::new(0.0, 0);
-        inc.force_kernel_choice(choice);
-        let (k_inc, ev, sk, stats) =
-            inc.exchange_operator(&basis, &c_occ, nocc, &grid, &solver, 0.0);
-        assert_eq!(ev, reference.evaluated);
-        assert_eq!(sk, reference.skipped);
-        assert_eq!(stats.pairs_reused, 0);
-        assert_eq!(
-            k_inc.sub(&reference.k).fro_norm(),
-            0.0,
-            "incremental eps_inc=0 K differs at level {simd:?}"
-        );
-    }
-}
-
-#[test]
-fn simd_level_never_changes_physics() {
-    // Different SIMD levels are *not* expected to be bitwise equal to each
-    // other (different summation orders), but they must agree to numerical
-    // round-off — the levels change instruction schedules, not physics.
-    let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 20);
-    let energies: Vec<f64> = kernel_choices()
-        .iter()
-        .map(|&c| {
-            ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(c)
-                .build()
-                .unwrap()
-                .energy(&fields, &pairs)
-                .energy
-        })
-        .collect();
-    for (i, e) in energies.iter().enumerate() {
-        let rel = (e - energies[0]).abs() / energies[0].abs();
-        assert!(
-            rel < 1e-12,
-            "choice #{i} drifted: {e} vs {} ({rel:e})",
-            energies[0]
-        );
-    }
+    let reference = ExchangeEngine::builder(&grid, &solver)
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .k_operator(&basis, &c_occ, nocc, 0.0);
+    let mut inc = IncrementalExchange::new(0.0, 0);
+    let (k_inc, ev, sk, stats) = inc.exchange_operator(&basis, &c_occ, nocc, &grid, &solver, 0.0);
+    assert_eq!(ev, reference.evaluated);
+    assert_eq!(sk, reference.skipped);
+    assert_eq!(stats.pairs_reused, 0);
+    assert_eq!(
+        k_inc.sub(&reference.k).fro_norm(),
+        0.0,
+        "incremental eps_inc=0 K differs"
+    );
 }
 
 #[test]
@@ -522,19 +526,16 @@ fn comm_backend_reports_gather_volume() {
 #[test]
 fn builder_rejects_inconsistent_configuration() {
     let (grid, solver, _fields, _infos, _pairs) = synthetic_setup(2, 12);
-    let choice = kernel_choices()[0];
-    // kernel_choice + pair_path double-pins the path.
-    let err = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
-        .pair_path(PairPath::Single)
-        .build();
-    assert!(err.is_err());
     // Zero ranks is meaningless.
     let err = ExchangeEngine::builder(&grid, &solver)
-        .backend(ExecBackend::Comm {
-            nranks: 0,
-            strategy: BalanceStrategy::Block,
-        })
+        .backend(comm(0, BalanceStrategy::Block))
+        .build();
+    assert!(err.is_err());
+    // A fault plan whose probabilities cannot be executed.
+    let mut plan = FaultPlan::messages_only(1);
+    plan.drop_p = 1.5;
+    let err = ExchangeEngine::builder(&grid, &solver)
+        .fault_plan(plan)
         .build();
     assert!(err.is_err());
 }

@@ -3,8 +3,8 @@
 //! canonical merge — [`build_pair_list_sharded`]) and one built by the
 //! real SPMD halo-exchange protocol ([`sharded_pair_list_spmd`]) must
 //! drive the [`ExchangeEngine`] to **bit-identical** energies and K
-//! matrices against the global O(N²) list, on every execution backend and
-//! kernel choice — and under injected message faults. The sharded source
+//! matrices against the global O(N²) list, on every execution backend —
+//! and under injected message faults. The sharded source
 //! reassembles the canonical (i, j) pair order exactly, so the engine
 //! cannot tell the lists apart; these tests pin that guarantee at the
 //! energy level, not just the list level.
@@ -12,13 +12,13 @@
 use liair_basis::{Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{
-    build_pair_list_sharded, sharded_pair_list_spmd, BalanceStrategy, CollectiveMode,
-    ExchangeEngine, ExecBackend, FaultPlan, KernelChoice, PairPath,
+    build_pair_list_sharded, sharded_pair_list_spmd, BalanceStrategy, ExchangeEngine, ExecBackend,
+    FaultPlan,
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
-use liair_math::simd::available_levels;
 use liair_math::Vec3;
+use liair_runtime::CollectiveMode;
 use liair_scf::ScfOptions;
 
 /// A finite screening threshold loose enough to keep most pairs: the
@@ -94,56 +94,28 @@ fn sharded_energy_bit_identical_across_backends() {
     let (grid, solver, fields, global, sharded, spmd) = setup(4, 20, [2, 2, 2]);
     assert_same_list(&global, &sharded, "sharded");
     assert_same_list(&global, &spmd, "spmd");
-    for simd in available_levels() {
-        for path in [PairPath::Single, PairPath::Batched] {
-            let choice = KernelChoice { path, simd };
-            let base = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
-                .no_faults();
-            let reference = base
-                .backend(ExecBackend::Serial)
-                .build()
-                .unwrap()
-                .energy(&fields, &global);
-            assert!(reference.energy < 0.0);
-            for (list, what) in [(&sharded, "sharded"), (&spmd, "spmd")] {
-                let serial = base
-                    .backend(ExecBackend::Serial)
-                    .build()
-                    .unwrap()
-                    .energy(&fields, list);
-                assert_eq!(
-                    reference.energy.to_bits(),
-                    serial.energy.to_bits(),
-                    "{what} serial differs for {choice:?}"
-                );
-                let rayon = base
-                    .backend(ExecBackend::Rayon)
-                    .build()
-                    .unwrap()
-                    .energy(&fields, list);
-                assert_eq!(
-                    reference.energy.to_bits(),
-                    rayon.energy.to_bits(),
-                    "{what} rayon differs for {choice:?}"
-                );
-                for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
-                    let comm = base
-                        .backend(ExecBackend::Comm {
-                            nranks: 3,
-                            strategy: BalanceStrategy::GreedyLpt,
-                        })
-                        .collectives(mode)
-                        .build()
-                        .unwrap()
-                        .energy(&fields, list);
-                    assert_eq!(
-                        reference.energy.to_bits(),
-                        comm.energy.to_bits(),
-                        "{what} comm({mode:?}) differs for {choice:?}"
-                    );
-                }
-            }
+    let base = ExchangeEngine::builder(&grid, &solver).no_faults();
+    let reference = base
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap()
+        .energy(&fields, &global);
+    assert!(reference.energy < 0.0);
+    for (list, what) in [(&sharded, "sharded"), (&spmd, "spmd")] {
+        for backend in [
+            ExecBackend::Serial,
+            ExecBackend::Rayon,
+            ExecBackend::Comm {
+                nranks: 3,
+                strategy: BalanceStrategy::GreedyLpt,
+            },
+        ] {
+            let out = base.backend(backend).build().unwrap().energy(&fields, list);
+            assert_eq!(
+                reference.energy.to_bits(),
+                out.energy.to_bits(),
+                "{what} differs on {backend:?}"
+            );
         }
     }
 }
@@ -155,12 +127,7 @@ fn sharded_energy_bit_identical_under_injected_faults() {
     // an identical task list, so not one bit may move.
     let (grid, solver, fields, global, sharded, _spmd) = setup(4, 16, [3, 2, 1]);
     assert_same_list(&global, &sharded, "sharded");
-    let choice = KernelChoice {
-        path: PairPath::Single,
-        simd: available_levels()[0],
-    };
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
@@ -169,7 +136,6 @@ fn sharded_energy_bit_identical_under_injected_faults() {
     for seed in [7u64, 42] {
         for plan in [FaultPlan::messages_only(seed), FaultPlan::with_stalls(seed)] {
             let faulty = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
                 .backend(ExecBackend::Comm {
                     nranks: 4,
                     strategy: BalanceStrategy::GreedyLpt,

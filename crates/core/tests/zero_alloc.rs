@@ -94,7 +94,7 @@ fn exchange_energy_allocations_do_not_scale_with_pair_count() {
         (result, alloc_count() - before)
     };
 
-    // Warm-up: FFT plans, autotune timing, kernel tables all primed.
+    // Warm-up: FFT plans and kernel tables all primed.
     let (warm, _) = run(&few);
     assert!(warm.energy.is_finite());
 
@@ -174,7 +174,7 @@ fn warm_serial_engine_build_is_allocation_free() {
         .expect("serial engine configuration is always valid");
     let mut scratch = EngineScratch::new();
 
-    // Warm-up: grows the scratch, primes FFT plans, autotune, kernel tables.
+    // Warm-up: grows the scratch, primes FFT plans and kernel tables.
     let warm = engine.energy_into(&orbitals, &pairs, &mut scratch);
     assert!(warm.energy.is_finite());
     assert!(warm.profile.is_populated());

@@ -18,7 +18,7 @@
 use crate::grid::RealGrid;
 use crate::poisson::{PoissonSolver, PoissonWorkspace};
 use liair_basis::Cell;
-use liair_math::simd::{self, SimdLevel};
+use liair_math::simd;
 use liair_math::Vec3;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -171,35 +171,13 @@ pub fn patch_pair_energy_ws(
     extent: usize,
     scratch: &mut PatchScratch,
 ) -> f64 {
-    patch_pair_energy_ws_with(
-        simd::level(),
-        parent,
-        phi_i,
-        phi_j,
-        midpoint,
-        extent,
-        scratch,
-    )
-}
-
-/// [`patch_pair_energy_ws`] at an explicit SIMD level.
-#[allow(clippy::too_many_arguments)]
-pub fn patch_pair_energy_ws_with(
-    level: SimdLevel,
-    parent: &RealGrid,
-    phi_i: &[f64],
-    phi_j: &[f64],
-    midpoint: Vec3,
-    extent: usize,
-    scratch: &mut PatchScratch,
-) -> f64 {
     let patch = Patch::plan(parent, midpoint, extent);
     scratch.ensure(patch.extent.pow(3));
     patch.gather_into(parent, phi_i, &mut scratch.a);
     patch.gather_into(parent, phi_j, &mut scratch.b);
-    simd::mul_into_with(level, &mut scratch.rho, &scratch.a, &scratch.b);
+    simd::mul_into(&mut scratch.rho, &scratch.a, &scratch.b);
     let solver = isolated_patch_solver(patch.grid);
-    solver.exchange_pair_energy_with(level, &scratch.rho, &mut scratch.poisson)
+    solver.exchange_pair_energy(&scratch.rho, &mut scratch.poisson)
 }
 
 #[cfg(test)]

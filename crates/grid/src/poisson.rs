@@ -17,10 +17,9 @@
 //! kernel table is laid out once over the half-spectrum bins, the r2c/c2r
 //! transforms do roughly half the work of the seed's complex path, and the
 //! hot-loop entry points ([`PoissonSolver::solve_into`],
-//! [`PoissonSolver::exchange_pair_energy`],
-//! [`PoissonSolver::exchange_pair_energy_batched`]) run against a caller
-//! owned [`PoissonWorkspace`] so steady-state pair loops perform **zero**
-//! heap allocations.
+//! [`PoissonSolver::exchange_pair_energy`]) run against a caller owned
+//! [`PoissonWorkspace`] so steady-state pair loops perform **zero** heap
+//! allocations.
 //!
 //! Energy-only callers skip the inverse transform entirely: by Parseval,
 //! `(ij|ij) = (dV/N) Σ_k v(G_k) |ρ̂_k|²`, summed over half-spectrum bins
@@ -28,8 +27,7 @@
 //! `v(−G) = v(G)`).
 
 use crate::grid::RealGrid;
-use liair_math::fft3::fft3_serial_slice_with;
-use liair_math::rfft::{half_len, irfft3, irfft3_into_with, rfft3, rfft3_into_with};
+use liair_math::rfft::{half_len, irfft3, irfft3_into, rfft3, rfft3_into, rfft3_into_with};
 use liair_math::simd::{self, SimdLevel};
 use liair_math::Complex64;
 use std::f64::consts::PI;
@@ -67,7 +65,7 @@ impl CoulombKernel {
 
 /// Wall time a workspace has spent in the two compute phases of the pair
 /// kernel: the FFT transforms and the reciprocal-space kernel work
-/// (pointwise multiply / Parseval contraction / spectrum untangle).
+/// (pointwise multiply / Parseval contraction).
 /// Accumulated into the owning [`PoissonWorkspace`] by every instrumented
 /// solve; drained by the exchange engine into its per-build profile.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
@@ -93,8 +91,6 @@ impl KernelTimings {
 pub struct PoissonWorkspace {
     /// Half-spectrum buffer for r2c/c2r solves.
     half: Vec<Complex64>,
-    /// Full complex buffer for the two-pair batched transform.
-    full: Vec<Complex64>,
     /// Real output field (potential) for `solve_into`.
     v: Vec<f64>,
     /// Phase timings accumulated across all solves through this workspace.
@@ -119,13 +115,6 @@ impl PoissonWorkspace {
         }
     }
 
-    fn ensure_full(&mut self, dims: (usize, usize, usize)) {
-        let need = dims.0 * dims.1 * dims.2;
-        if self.full.len() != need {
-            self.full.resize(need, Complex64::ZERO);
-        }
-    }
-
     fn ensure_v(&mut self, n: usize) {
         if self.v.len() != n {
             self.v.resize(n, 0.0);
@@ -137,9 +126,6 @@ impl PoissonWorkspace {
 #[derive(Debug, Clone)]
 pub struct PoissonSolver {
     grid: RealGrid,
-    /// Kernel over the full `(nx, ny, nz)` bin set (batched c2c path and
-    /// the seed-convention reference).
-    kernel: Vec<f64>,
     /// Kernel over the Hermitian half-spectrum `(nx, ny, nz/2 + 1)`.
     kernel_half: Vec<f64>,
     /// Half-spectrum kernel with the Hermitian double-count weight folded
@@ -156,20 +142,13 @@ impl PoissonSolver {
     pub fn new(grid: RealGrid, kernel: CoulombKernel) -> Self {
         let (nx, ny, nz) = grid.dims;
         let nzh = nz / 2 + 1;
-        let mut table = vec![0.0; grid.len()];
-        let mut table_half = vec![0.0; nx * ny * nzh];
-        let mut idx = 0;
+        let mut table_half = Vec::with_capacity(nx * ny * nzh);
         for i in 0..nx {
             for j in 0..ny {
-                for k in 0..nz {
-                    let g2 = grid.g_of_bin(i, j, k).norm_sqr();
-                    table[idx] = kernel.eval(g2);
-                    if k < nzh {
-                        // Half-spectrum bins share the full-bin frequency
-                        // mapping for iz ≤ nz/2.
-                        table_half[(i * ny + j) * nzh + k] = table[idx];
-                    }
-                    idx += 1;
+                // Half-spectrum bins share the full-bin frequency mapping
+                // for iz ≤ nz/2.
+                for k in 0..nzh {
+                    table_half.push(kernel.eval(grid.g_of_bin(i, j, k).norm_sqr()));
                 }
             }
         }
@@ -194,7 +173,6 @@ impl PoissonSolver {
             .collect();
         Self {
             grid,
-            kernel: table,
             kernel_half: table_half,
             kernel_half_weighted: table_weighted,
         }
@@ -228,25 +206,15 @@ impl PoissonSolver {
     /// no rayon, zero steady-state heap allocation. Returns the potential
     /// borrowed from the workspace.
     pub fn solve_into<'w>(&self, rho: &[f64], ws: &'w mut PoissonWorkspace) -> &'w [f64] {
-        self.solve_into_with(simd::level(), rho, ws)
-    }
-
-    /// [`Self::solve_into`] at an explicit SIMD level.
-    pub fn solve_into_with<'w>(
-        &self,
-        level: SimdLevel,
-        rho: &[f64],
-        ws: &'w mut PoissonWorkspace,
-    ) -> &'w [f64] {
         assert_eq!(rho.len(), self.grid.len());
         ws.ensure_half(self.grid.dims);
         ws.ensure_v(self.grid.len());
         let t0 = std::time::Instant::now();
-        rfft3_into_with(level, rho, self.grid.dims, &mut ws.half);
+        rfft3_into(rho, self.grid.dims, &mut ws.half);
         let t1 = std::time::Instant::now();
-        simd::scale_by_table_with(level, &mut ws.half, &self.kernel_half);
+        self.apply_kernel_half(&mut ws.half);
         let t2 = std::time::Instant::now();
-        irfft3_into_with(level, &mut ws.half, self.grid.dims, &mut ws.v);
+        irfft3_into(&mut ws.half, self.grid.dims, &mut ws.v);
         ws.timings.fft_s += (t1 - t0).as_secs_f64() + t2.elapsed().as_secs_f64();
         ws.timings.kernel_s += (t2 - t1).as_secs_f64();
         &ws.v
@@ -303,79 +271,6 @@ impl PoissonSolver {
         ws.timings.kernel_s += t1.elapsed().as_secs_f64();
         acc * self.grid.dvol() / self.grid.len() as f64
     }
-
-    /// Two energy-only exchange pair terms for the price of one complex
-    /// transform: the real densities are packed as `ρ_a + i·ρ_b`, one
-    /// forward c2c FFT runs, and the two Hermitian spectra are untangled
-    /// per bin via the conjugate partner `ẑ(−k)`. Zero allocation.
-    pub fn exchange_pair_energy_batched(
-        &self,
-        rho_a: &[f64],
-        rho_b: &[f64],
-        ws: &mut PoissonWorkspace,
-    ) -> (f64, f64) {
-        self.exchange_pair_energy_batched_with(simd::level(), rho_a, rho_b, ws)
-    }
-
-    /// [`Self::exchange_pair_energy_batched`] at an explicit SIMD level.
-    pub fn exchange_pair_energy_batched_with(
-        &self,
-        level: SimdLevel,
-        rho_a: &[f64],
-        rho_b: &[f64],
-        ws: &mut PoissonWorkspace,
-    ) -> (f64, f64) {
-        assert_eq!(rho_a.len(), self.grid.len());
-        assert_eq!(rho_b.len(), self.grid.len());
-        let dims = self.grid.dims;
-        ws.ensure_full(dims);
-        for ((z, &a), &b) in ws.full.iter_mut().zip(rho_a).zip(rho_b) {
-            *z = Complex64::new(a, b);
-        }
-        let t0 = std::time::Instant::now();
-        fft3_serial_slice_with(level, &mut ws.full, dims);
-        let t1 = std::time::Instant::now();
-        ws.timings.fft_s += (t1 - t0).as_secs_f64();
-        let (nx, ny, nz) = dims;
-        let (mut ea, mut eb) = (0.0, 0.0);
-        let mut idx = 0;
-        for i in 0..nx {
-            let ic = ((nx - i) % nx) * ny;
-            for j in 0..ny {
-                let jc = (ic + (ny - j) % ny) * nz;
-                for k in 0..nz {
-                    let z = ws.full[idx];
-                    let zc = ws.full[jc + (nz - k) % nz].conj();
-                    // ẑ = â + i·b̂ with â, b̂ Hermitian:
-                    // â(k) = (ẑ(k) + ẑ*(−k))/2, b̂(k) = (ẑ(k) − ẑ*(−k))/2i.
-                    let ah = (z + zc).scale(0.5);
-                    let bh = (z - zc) * Complex64::new(0.0, -0.5);
-                    let kk = self.kernel[idx];
-                    ea += kk * ah.norm_sqr();
-                    eb += kk * bh.norm_sqr();
-                    idx += 1;
-                }
-            }
-        }
-        ws.timings.kernel_s += t1.elapsed().as_secs_f64();
-        let scale = self.grid.dvol() / self.grid.len() as f64;
-        (ea * scale, eb * scale)
-    }
-
-    /// The seed's complex-to-complex energy path, kept verbatim as the
-    /// benchmark baseline for the r2c fast path (`benches/pair_kernel.rs`).
-    pub fn exchange_pair_reference(&self, rho_ij: &[f64]) -> f64 {
-        use liair_math::fft3::{fft3, ifft3, to_complex, to_real};
-        assert_eq!(rho_ij.len(), self.grid.len());
-        let mut work = to_complex(rho_ij, self.grid.dims);
-        fft3(&mut work);
-        for (z, &k) in work.as_mut_slice().iter_mut().zip(&self.kernel) {
-            *z = z.scale(k);
-        }
-        ifft3(&mut work);
-        let v = to_real(&work);
-        self.grid.inner(rho_ij, &v)
-    }
 }
 
 #[cfg(test)]
@@ -384,6 +279,29 @@ mod tests {
     use liair_basis::Cell;
     use liair_math::special::erf;
     use liair_math::{approx_eq, Vec3};
+
+    /// The seed's complex-to-complex energy path — full-spectrum kernel
+    /// table, threaded c2c forward and inverse transforms, real-space
+    /// contraction — kept verbatim as the oracle for the r2c fast path.
+    fn exchange_pair_reference(grid: &RealGrid, kernel: CoulombKernel, rho_ij: &[f64]) -> f64 {
+        use liair_math::fft3::{fft3, ifft3, to_complex, to_real};
+        let (nx, ny, nz) = grid.dims;
+        let mut table = Vec::with_capacity(grid.len());
+        for i in 0..nx {
+            for j in 0..ny {
+                for k in 0..nz {
+                    table.push(kernel.eval(grid.g_of_bin(i, j, k).norm_sqr()));
+                }
+            }
+        }
+        let mut work = to_complex(rho_ij, grid.dims);
+        fft3(&mut work);
+        for (z, &k) in work.as_mut_slice().iter_mut().zip(&table) {
+            *z = z.scale(k);
+        }
+        ifft3(&mut work);
+        grid.inner(rho_ij, &to_real(&work))
+    }
 
     fn gaussian_density(grid: &RealGrid, center: Vec3, alpha: f64) -> Vec<f64> {
         let norm = (alpha / PI).powf(1.5);
@@ -521,25 +439,39 @@ mod tests {
                 approx_eq(got, want, 1e-10),
                 "dims {dims:?}: {got} vs {want}"
             );
-            let reference = solver.exchange_pair_reference(&rho);
-            assert!(approx_eq(got, reference, 1e-10), "{got} vs c2c {reference}");
         }
     }
 
     #[test]
-    fn batched_pair_energies_match_single() {
-        for dims in [(16usize, 16usize, 16usize), (12, 10, 15)] {
-            let grid = RealGrid::new(Cell::orthorhombic(8.0, 9.0, 10.0), dims);
-            let solver = PoissonSolver::isolated(grid);
-            let mut rng = liair_math::rng::SplitMix64::new(44);
-            let a: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-            let b: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-            let mut ws = PoissonWorkspace::new();
-            let ea = solver.exchange_pair_energy(&a, &mut ws);
-            let eb = solver.exchange_pair_energy(&b, &mut ws);
-            let (ga, gb) = solver.exchange_pair_energy_batched(&a, &b, &mut ws);
-            assert!(approx_eq(ga, ea, 1e-10), "dims {dims:?}: {ga} vs {ea}");
-            assert!(approx_eq(gb, eb, 1e-10), "dims {dims:?}: {gb} vs {eb}");
+    fn energy_only_path_matches_c2c_reference() {
+        // 16³ runs pure radix-2 lines, 18³ the Bluestein fallback.
+        for n in [16usize, 18] {
+            let grid = RealGrid::cubic(Cell::cubic(10.0), n);
+            let kernel = CoulombKernel::SphericalCutoff(grid.cell.min_half_edge());
+            let solver = PoissonSolver::new(grid, kernel);
+            let mut rng = liair_math::rng::SplitMix64::new(55);
+            let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
+            let got = solver.exchange_pair_energy(&rho, &mut PoissonWorkspace::new());
+            let want = exchange_pair_reference(&grid, kernel, &rho);
+            let rel = (got - want).abs() / want.abs();
+            assert!(rel <= 1e-12, "{n}³: {got} vs c2c {want} ({rel:e})");
+        }
+    }
+
+    #[test]
+    fn simd_level_never_changes_physics() {
+        // The levels reassociate the Parseval sum and nothing else, so
+        // they agree to round-off (not bitwise).
+        let grid = RealGrid::cubic(Cell::cubic(10.0), 20);
+        let solver = PoissonSolver::isolated(grid);
+        let mut rng = liair_math::rng::SplitMix64::new(66);
+        let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
+        let mut ws = PoissonWorkspace::new();
+        let off = solver.exchange_pair_energy_with(SimdLevel::Off, &rho, &mut ws);
+        for level in simd::available_levels() {
+            let e = solver.exchange_pair_energy_with(level, &rho, &mut ws);
+            let rel = (e - off).abs() / off;
+            assert!(rel < 1e-12, "{level:?}: {e} vs off {off} ({rel:e})");
         }
     }
 }

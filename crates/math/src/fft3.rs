@@ -13,23 +13,16 @@
 //! threads per BG/Q node; here the threading is rayon.
 //!
 //! Plans are fetched **once per axis** from the process-wide cache (the
-//! seed rebuilt twiddle tables inside every 1-D line transform), and the
-//! serial variants [`fft3_serial`] / [`ifft3_serial`] additionally perform
-//! zero heap allocations in steady state — they are the building block for
-//! the per-pair exchange hot loop, where each rayon task owns one whole
-//! 3-D transform and must not allocate or nest parallelism.
+//! seed rebuilt twiddle tables inside every 1-D line transform). The
+//! per-pair exchange hot loop, where each task owns one whole transform
+//! and must not allocate or nest parallelism, runs the serial r2c path of
+//! [`crate::rfft`] instead.
 
 use crate::array3::Array3;
 use crate::complex::Complex64;
 use crate::plan::{plan, FftPlan};
 use crate::simd::{self, SimdLevel};
 use rayon::prelude::*;
-use std::cell::RefCell;
-
-thread_local! {
-    /// Grow-only line scratch for strided (y/x-axis) serial transforms.
-    static LINE_SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Forward 3-D FFT, unnormalized.
 pub fn fft3(a: &mut Array3<Complex64>) {
@@ -39,50 +32,6 @@ pub fn fft3(a: &mut Array3<Complex64>) {
 /// Inverse 3-D FFT with `1/(nx·ny·nz)` normalization.
 pub fn ifft3(a: &mut Array3<Complex64>) {
     transform3(a, true);
-}
-
-/// Forward 3-D FFT on the calling thread only — no rayon, no steady-state
-/// heap allocation (scratch is thread-local and grow-only). Use inside
-/// parallel loops that already own one transform per task.
-pub fn fft3_serial(a: &mut Array3<Complex64>) {
-    let dims = a.dims();
-    transform3_serial(simd::level(), a.as_mut_slice(), dims, false);
-}
-
-/// Serial inverse 3-D FFT with `1/(nx·ny·nz)` normalization; see
-/// [`fft3_serial`].
-pub fn ifft3_serial(a: &mut Array3<Complex64>) {
-    let dims = a.dims();
-    transform3_serial(simd::level(), a.as_mut_slice(), dims, true);
-}
-
-/// [`fft3_serial`] over a bare slice in `Array3` layout (z contiguous),
-/// for callers that keep reusable flat workspaces.
-pub fn fft3_serial_slice(data: &mut [Complex64], dims: (usize, usize, usize)) {
-    transform3_serial(simd::level(), data, dims, false);
-}
-
-/// [`fft3_serial_slice`] at an explicit SIMD level.
-pub fn fft3_serial_slice_with(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    dims: (usize, usize, usize),
-) {
-    transform3_serial(level, data, dims, false);
-}
-
-/// [`ifft3_serial`] over a bare slice in `Array3` layout.
-pub fn ifft3_serial_slice(data: &mut [Complex64], dims: (usize, usize, usize)) {
-    transform3_serial(simd::level(), data, dims, true);
-}
-
-/// [`ifft3_serial_slice`] at an explicit SIMD level.
-pub fn ifft3_serial_slice_with(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    dims: (usize, usize, usize),
-) {
-    transform3_serial(level, data, dims, true);
 }
 
 #[inline]
@@ -157,63 +106,6 @@ fn transform3(a: &mut Array3<Complex64>, inverse: bool) {
                 });
         }
     }
-}
-
-/// Single-thread axis-by-axis transform. Strided axes go through one
-/// thread-local gather/scatter line instead of a full transpose buffer, so
-/// the only memory touched beyond the array itself is `max(nx, ny)`
-/// complex numbers of reusable scratch.
-fn transform3_serial(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    dims: (usize, usize, usize),
-    inverse: bool,
-) {
-    let (nx, ny, nz) = dims;
-    assert_eq!(data.len(), nx * ny * nz, "slice does not match dims");
-    let (px, py, pz) = (plan(nx), plan(ny), plan(nz));
-
-    // --- z axis: contiguous rows ---
-    for row in data.chunks_exact_mut(nz) {
-        line_transform(&pz, level, inverse, row);
-    }
-
-    LINE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let need = nx.max(ny);
-        if buf.len() < need {
-            buf.resize(need, Complex64::ZERO);
-        }
-
-        // --- y axis: per-x slab, strided by nz ---
-        let line = &mut buf[..ny];
-        for slab in data.chunks_exact_mut(ny * nz) {
-            for iz in 0..nz {
-                for iy in 0..ny {
-                    line[iy] = slab[iy * nz + iz];
-                }
-                line_transform(&py, level, inverse, line);
-                for iy in 0..ny {
-                    slab[iy * nz + iz] = line[iy];
-                }
-            }
-        }
-
-        // --- x axis: strided by ny·nz ---
-        if nx > 1 {
-            let plane = ny * nz;
-            let line = &mut buf[..nx];
-            for p in 0..plane {
-                for ix in 0..nx {
-                    line[ix] = data[ix * plane + p];
-                }
-                line_transform(&px, level, inverse, line);
-                for ix in 0..nx {
-                    data[ix * plane + p] = line[ix];
-                }
-            }
-        }
-    });
 }
 
 /// Convert a real field into a complex work array.
@@ -294,33 +186,6 @@ mod tests {
                 .map(|(x, y)| (*x - *y).abs())
                 .fold(0.0, f64::max);
             assert!(err < 1e-9, "dims {dims:?}: err {err}");
-        }
-    }
-
-    #[test]
-    fn serial_matches_parallel() {
-        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 2), (6, 10, 15)] {
-            let a = random_grid(dims, 29);
-            let mut par = a.clone();
-            let mut ser = a.clone();
-            fft3(&mut par);
-            fft3_serial(&mut ser);
-            let err = par
-                .as_slice()
-                .iter()
-                .zip(ser.as_slice())
-                .map(|(x, y)| (*x - *y).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-10, "dims {dims:?}: fwd err {err}");
-            ifft3(&mut par);
-            ifft3_serial(&mut ser);
-            let err = par
-                .as_slice()
-                .iter()
-                .zip(ser.as_slice())
-                .map(|(x, y)| (*x - *y).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-10, "dims {dims:?}: inv err {err}");
         }
     }
 

@@ -9,31 +9,30 @@
 //!
 //! * an **AVX2+FMA** implementation (`x86_64` only, `std::arch`
 //!   intrinsics behind `is_x86_feature_detected!` — no new dependencies),
-//! * a **chunked scalar** fallback written so LLVM can auto-vectorize it
-//!   (the portable default), and
-//! * an **off** path that is bit-identical to the pre-SIMD scalar code
-//!   (the debugging / regression baseline).
+//!   and
+//! * an **off** path: the portable scalar loops, the only path off
+//!   `x86_64` and the regression baseline on it.
 //!
-//! Dispatch is per *call* through [`SimdLevel`]: [`level()`] resolves the
-//! process-wide default once (hardware detection + the `LIAIR_SIMD`
-//! override), and every primitive has a `*_with` form taking an explicit
-//! level so callers like the `liair-core` pair-path autotuner can pick
-//! scalar vs SIMD per grid shape.
+//! [`level()`] resolves the process-wide level once (hardware detection +
+//! the `LIAIR_SIMD` override); no crate above `liair-grid` names a level.
+//! Every primitive also has a `*_with` form taking an explicit
+//! [`SimdLevel`] — the seam the cross-level tests and `bench-simd` use.
 //!
 //! ## Numerical contract
 //!
 //! Every *elementwise* primitive (butterfly, kernel multiply, pair
 //! density, axpy, scale, pack/unpack) performs the same per-element
-//! operations in the same rounding order at every level — the AVX2
+//! operations in the same rounding order at both levels — the AVX2
 //! variants deliberately use unfused multiply + add/sub — so their
-//! results are **bit-identical** across `off`/`scalar`/`avx2`. Only the
-//! energy *contraction* re-associates the sum (four independent
-//! accumulator lanes); its terms are non-negative, so the scalar and SIMD
-//! results agree to a few ULP (property-tested at ≤ 4 ULP).
+//! results are **bit-identical** across `off`/`avx2`. Only the energy
+//! *contraction* re-associates the sum (sixteen accumulator lanes); its
+//! terms are non-negative, so the two levels agree to the O(n·ε)
+//! reassociation bound (property-tested).
 //!
-//! `LIAIR_SIMD=off|scalar|avx2` forces a level; requesting `avx2` on
-//! hardware without it falls back to `scalar` rather than failing, so the
-//! same test matrix runs everywhere.
+//! `LIAIR_SIMD=off|avx2` forces a level; requesting `avx2` on hardware
+//! without it falls back to `off` rather than failing, so the same test
+//! matrix runs everywhere. Any other non-empty value is reported on
+//! stderr once and ignored.
 
 use crate::complex::Complex64;
 use std::sync::OnceLock;
@@ -41,10 +40,8 @@ use std::sync::OnceLock;
 /// Which kernel implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
-    /// The pre-SIMD scalar loops, bit-identical to the seed code paths.
+    /// The portable scalar loops, bit-identical to the seed code paths.
     Off,
-    /// Chunked scalar kernels laid out for LLVM auto-vectorization.
-    Scalar,
     /// Explicit AVX2+FMA intrinsics (`x86_64` with runtime detection).
     Avx2,
 }
@@ -54,7 +51,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Off => "off",
-            SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -62,8 +58,8 @@ impl SimdLevel {
     /// f64 lanes the level's vector unit processes at once.
     pub fn lanes(self) -> usize {
         match self {
+            SimdLevel::Off => 1,
             SimdLevel::Avx2 => 4,
-            _ => 1,
         }
     }
 }
@@ -88,48 +84,44 @@ pub fn detect() -> SimdLevel {
     if avx2_available() {
         SimdLevel::Avx2
     } else {
-        SimdLevel::Scalar
+        SimdLevel::Off
     }
 }
 
-/// Parse a `LIAIR_SIMD` value. Unknown strings are `None` (auto).
-pub fn parse_level(raw: &str) -> Option<SimdLevel> {
+/// Parse a `LIAIR_SIMD` value: `off`/`avx2` force that level, empty means
+/// auto-detect, and anything else (the retired `scalar` included) is an
+/// error naming the accepted values.
+fn parse_level(raw: &str) -> Result<Option<SimdLevel>, String> {
     match raw.trim().to_ascii_lowercase().as_str() {
-        "off" => Some(SimdLevel::Off),
-        "scalar" => Some(SimdLevel::Scalar),
-        "avx2" => Some(SimdLevel::Avx2),
-        _ => None,
+        "" => Ok(None),
+        "off" => Ok(Some(SimdLevel::Off)),
+        "avx2" => Ok(Some(SimdLevel::Avx2)),
+        other => Err(format!(
+            "LIAIR_SIMD={other}: not one of off|avx2, using the detected level"
+        )),
     }
 }
 
-/// The `LIAIR_SIMD` override, read once per process. A forced `avx2` on
-/// hardware without it degrades to `scalar`.
-pub fn env_override() -> Option<SimdLevel> {
-    static OVERRIDE: OnceLock<Option<SimdLevel>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let forced = std::env::var("LIAIR_SIMD")
-            .ok()
-            .as_deref()
-            .and_then(parse_level)?;
-        Some(if forced == SimdLevel::Avx2 && !avx2_available() {
-            SimdLevel::Scalar
-        } else {
-            forced
-        })
-    })
-}
-
-/// The process-wide default level: the `LIAIR_SIMD` override if set,
-/// otherwise the best detected level.
+/// The process-wide level, resolved once: the `LIAIR_SIMD` override if it
+/// names a level (a forced `avx2` on hardware without it degrades to
+/// `off`), otherwise the best detected level. An unrecognised value costs
+/// one stderr line and is otherwise ignored.
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| env_override().unwrap_or_else(detect))
+    *LEVEL.get_or_init(|| {
+        let raw = std::env::var("LIAIR_SIMD").unwrap_or_default();
+        let forced = parse_level(&raw).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            None
+        });
+        effective(forced.unwrap_or_else(detect))
+    })
 }
 
 /// Every level runnable on this machine, in increasing capability order —
 /// what the tests and `bench-simd` sweep.
 pub fn available_levels() -> Vec<SimdLevel> {
-    let mut v = vec![SimdLevel::Off, SimdLevel::Scalar];
+    let mut v = vec![SimdLevel::Off];
     if avx2_available() {
         v.push(SimdLevel::Avx2);
     }
@@ -137,12 +129,12 @@ pub fn available_levels() -> Vec<SimdLevel> {
 }
 
 /// Resolve a requested level to one that is safe to execute here: `Avx2`
-/// without hardware support degrades to `Scalar`. Keeps the `*_with`
-/// entry points sound even for a hand-constructed [`SimdLevel::Avx2`].
+/// without hardware support degrades to `Off`. Keeps the `*_with` entry
+/// points sound even for a hand-constructed [`SimdLevel::Avx2`].
 #[inline]
 fn effective(level: SimdLevel) -> SimdLevel {
     if level == SimdLevel::Avx2 && !avx2_available() {
-        SimdLevel::Scalar
+        SimdLevel::Off
     } else {
         level
     }
@@ -165,22 +157,6 @@ pub fn mul_into_with(level: SimdLevel, out: &mut [f64], a: &[f64], b: &[f64]) {
     match effective(level) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { avx2::mul_into(out, a, b) },
-        SimdLevel::Scalar => {
-            // 4-lane chunks: independent lanes LLVM packs into vectors.
-            let n4 = out.len() / 4 * 4;
-            for ((o, a4), b4) in out[..n4]
-                .chunks_exact_mut(4)
-                .zip(a[..n4].chunks_exact(4))
-                .zip(b[..n4].chunks_exact(4))
-            {
-                for k in 0..4 {
-                    o[k] = a4[k] * b4[k];
-                }
-            }
-            for i in n4..out.len() {
-                out[i] = a[i] * b[i];
-            }
-        }
         _ => {
             for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
                 *o = x * y;
@@ -205,17 +181,6 @@ pub fn axpy_with(level: SimdLevel, y: &mut [f64], alpha: f64, x: &[f64]) {
     match effective(level) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { avx2::axpy(y, alpha, x) },
-        SimdLevel::Scalar => {
-            let n4 = y.len() / 4 * 4;
-            for (y4, x4) in y[..n4].chunks_exact_mut(4).zip(x[..n4].chunks_exact(4)) {
-                for k in 0..4 {
-                    y4[k] += alpha * x4[k];
-                }
-            }
-            for i in n4..y.len() {
-                y[i] += alpha * x[i];
-            }
-        }
         _ => {
             for (yi, &xi) in y.iter_mut().zip(x) {
                 *yi += alpha * xi;
@@ -238,17 +203,6 @@ pub fn scale_complex_with(level: SimdLevel, z: &mut [Complex64], s: f64) {
     match effective(level) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { avx2::scale_complex(z, s) },
-        SimdLevel::Scalar => {
-            // Two complex per chunk = four independent f64 lanes.
-            let n2 = z.len() / 2 * 2;
-            for pair in z[..n2].chunks_exact_mut(2) {
-                pair[0] = pair[0].scale(s);
-                pair[1] = pair[1].scale(s);
-            }
-            for zi in &mut z[n2..] {
-                *zi = zi.scale(s);
-            }
-        }
         _ => {
             for zi in z.iter_mut() {
                 *zi = zi.scale(s);
@@ -274,16 +228,6 @@ pub fn scale_by_table_with(level: SimdLevel, z: &mut [Complex64], table: &[f64])
     match effective(level) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { avx2::scale_by_table(z, table) },
-        SimdLevel::Scalar => {
-            let n2 = z.len() / 2 * 2;
-            for (pair, k2) in z[..n2].chunks_exact_mut(2).zip(table[..n2].chunks_exact(2)) {
-                pair[0] = pair[0].scale(k2[0]);
-                pair[1] = pair[1].scale(k2[1]);
-            }
-            for i in n2..z.len() {
-                z[i] = z[i].scale(table[i]);
-            }
-        }
         _ => {
             for (zi, &k) in z.iter_mut().zip(table) {
                 *zi = zi.scale(k);
@@ -301,10 +245,8 @@ pub fn scale_by_table_with(level: SimdLevel, z: &mut [Complex64], table: &[f64])
 /// of the energy-only exchange path.
 ///
 /// `Off` accumulates strictly sequentially (bit-identical to the seed
-/// loop); `Scalar` and `Avx2` share a sixteen-lane accumulation order, so
-/// they agree with each other to ≤ 4 ULP (FMA fusion is the only
-/// difference) and with `Off` to the usual reassociation error of a
-/// non-negative sum.
+/// loop); `Avx2` accumulates in sixteen fused lanes, so it agrees with
+/// `Off` to the usual reassociation error of a non-negative sum.
 pub fn weighted_energy(z: &[Complex64], wk: &[f64]) -> f64 {
     weighted_energy_with(level(), z, wk)
 }
@@ -315,33 +257,6 @@ pub fn weighted_energy_with(level: SimdLevel, z: &[Complex64], wk: &[f64]) -> f6
     match effective(level) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { avx2::weighted_energy(z, wk) },
-        SimdLevel::Scalar => {
-            // Mirror of the AVX2 lane layout: four 4-lane accumulators over
-            // eight complex per step, identical reduction tree. Four chains
-            // because the FMA/add latency of one chain is what bounds the
-            // sequential `Off` loop.
-            let n = z.len();
-            let mut l = [0.0f64; 16];
-            let mut i = 0;
-            while i + 8 <= n {
-                for v in 0..4 {
-                    let c0 = z[i + 2 * v];
-                    let c1 = z[i + 2 * v + 1];
-                    l[4 * v] += c0.re * c0.re * wk[i + 2 * v];
-                    l[4 * v + 1] += c0.im * c0.im * wk[i + 2 * v];
-                    l[4 * v + 2] += c1.re * c1.re * wk[i + 2 * v + 1];
-                    l[4 * v + 3] += c1.im * c1.im * wk[i + 2 * v + 1];
-                }
-                i += 8;
-            }
-            let mut acc = (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
-                + (((l[8] + l[9]) + (l[10] + l[11])) + ((l[12] + l[13]) + (l[14] + l[15])));
-            while i < n {
-                acc += wk[i] * z[i].norm_sqr();
-                i += 1;
-            }
-            acc
-        }
         _ => {
             let mut acc = 0.0;
             for (zi, &k) in z.iter().zip(wk) {
@@ -380,8 +295,7 @@ pub fn butterfly_pass_with(
     }
 }
 
-/// The seed butterfly loop, shared by `Off` and `Scalar` (a butterfly has
-/// no accumulation to re-associate, so one scalar body serves both).
+/// The seed butterfly loop: `Off`, and the `len = 2` pass of `Avx2`.
 fn butterfly_pass_scalar(data: &mut [Complex64], tw: &[Complex64], len: usize, step: usize) {
     let half = len / 2;
     for block in data.chunks_exact_mut(len) {
@@ -463,8 +377,7 @@ mod avx2 {
         _mm256_permute4x64_pd(_mm256_castpd128_pd256(k), 0b01_01_00_00)
     }
 
-    /// `(a[0]+a[1]) + (a[2]+a[3])` — the reduction tree the chunked
-    /// scalar path mirrors.
+    /// `(a[0]+a[1]) + (a[2]+a[3])`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn hsum4(v: __m256d) -> f64 {
@@ -680,35 +593,27 @@ mod tests {
             .collect()
     }
 
-    /// ULP distance between two finite doubles (monotone bit mapping).
-    fn ulps(a: f64, b: f64) -> u64 {
-        fn key(x: f64) -> u64 {
-            let b = x.to_bits();
-            if b >> 63 == 1 {
-                !b
-            } else {
-                b | (1 << 63)
-            }
-        }
-        key(a).abs_diff(key(b))
-    }
-
     #[test]
     fn parse_level_vocabulary() {
-        assert_eq!(parse_level("off"), Some(SimdLevel::Off));
-        assert_eq!(parse_level(" Scalar "), Some(SimdLevel::Scalar));
-        assert_eq!(parse_level("AVX2"), Some(SimdLevel::Avx2));
-        assert_eq!(parse_level("auto"), None);
-        assert_eq!(parse_level(""), None);
+        assert_eq!(parse_level(" Off "), Ok(Some(SimdLevel::Off)));
+        assert_eq!(parse_level("AVX2"), Ok(Some(SimdLevel::Avx2)));
+        assert_eq!(parse_level(""), Ok(None));
+        assert_eq!(parse_level("  "), Ok(None));
+        // Anything else — the retired `scalar` included — is reported with
+        // the accepted vocabulary instead of being silently ignored.
+        for bad in ["scalar", "auto", "avx512"] {
+            let msg = parse_level(bad).unwrap_err();
+            assert!(msg.contains(bad) && msg.contains("off|avx2"), "{msg}");
+            assert_eq!(msg.lines().count(), 1);
+        }
     }
 
     #[test]
     fn detection_is_consistent() {
         let d = detect();
-        assert!(d == SimdLevel::Scalar || d == SimdLevel::Avx2);
         assert_eq!(d == SimdLevel::Avx2, avx2_available());
         let avail = available_levels();
-        assert!(avail.contains(&SimdLevel::Off) && avail.contains(&SimdLevel::Scalar));
+        assert_eq!(avail[0], SimdLevel::Off);
         assert_eq!(avail.contains(&SimdLevel::Avx2), avx2_available());
         // level() resolves to something runnable.
         assert!(avail.contains(&level()));
@@ -798,34 +703,23 @@ mod tests {
             // Non-negative weights, like the Coulomb kernel table.
             let wk: Vec<f64> = randf(n, 13 + n as u64).iter().map(|v| v.abs()).collect();
             let off = weighted_energy_with(SimdLevel::Off, &z, &wk);
-            let scalar = weighted_energy_with(SimdLevel::Scalar, &z, &wk);
-            // Scalar and AVX2 share the lane assignment and reduction tree,
-            // so they agree to ≤ 4 ULP (FMA fusion is the only difference).
+            // The vector level re-associates the sequential sum; for a sum
+            // of non-negative terms the drift is bounded by n·eps relatively.
+            let tol = 4.0 * n.max(1) as f64 * f64::EPSILON;
             for lvl in available_levels() {
-                if lvl == SimdLevel::Off {
-                    continue;
-                }
                 let got = weighted_energy_with(lvl, &z, &wk);
                 assert!(
-                    ulps(got, scalar) <= 4,
-                    "{lvl:?} n={n}: {got} vs {scalar} ({} ulp)",
-                    ulps(got, scalar)
+                    (got - off).abs() <= tol * off.abs().max(1.0),
+                    "{lvl:?} n={n}: {got} vs off {off}"
                 );
             }
-            // Off re-associates differently (sequential sum); for a sum of
-            // non-negative terms the drift is bounded by n·eps relatively.
-            let tol = 4.0 * n.max(1) as f64 * f64::EPSILON;
-            assert!(
-                (scalar - off).abs() <= tol * off.abs().max(1.0),
-                "n={n}: scalar {scalar} vs off {off}"
-            );
         }
     }
 
     #[test]
     fn avx2_requests_degrade_gracefully() {
         // Passing Avx2 explicitly must be safe even where unsupported:
-        // `effective` falls back to the chunked scalar path.
+        // `effective` falls back to the portable loops.
         let a = randf(9, 1);
         let b = randf(9, 2);
         let mut got = vec![0.0; 9];

@@ -2,13 +2,13 @@
 //!
 //! Before the serve layer, every seed in the workspace was its own
 //! convention: `liair-md` read `LIAIR_MD_SEED`, the fault injector read
-//! `LIAIR_FAULT_SEED`, the engine autotuner read `LIAIR_AUTOTUNE_REPS` —
-//! each at its own call site, each with its own parse-and-default logic.
+//! `LIAIR_FAULT_SEED` — each at its own call site, each with its own
+//! parse-and-default logic.
 //! Fine for one job per process; wrong for a multi-tenant service, where
 //! two tenants with different seeds would race on process-global
 //! environment variables.
 //!
-//! [`SeedConfig`] collects all of them in one value that a job carries
+//! [`SeedConfig`] collects both in one value that a job carries
 //! with it. [`SeedConfig::from_env`] reproduces the legacy single-job
 //! behavior (and is what the old env-reading call sites now delegate to),
 //! while serve jobs construct theirs explicitly and never touch the
@@ -20,27 +20,20 @@ use crate::fault::FaultPlan;
 pub const MD_SEED_ENV: &str = "LIAIR_MD_SEED";
 /// Environment variable naming the fault-injection seed.
 pub const FAULT_SEED_ENV: &str = "LIAIR_FAULT_SEED";
-/// Environment variable naming the autotune repetition count.
-pub const AUTOTUNE_REPS_ENV: &str = "LIAIR_AUTOTUNE_REPS";
 
 /// Fallback MD seed when neither an explicit seed nor the environment
 /// provides one (the paper's publication year, as established in PR 7).
 pub const DEFAULT_MD_SEED: u64 = 2014;
-/// Fallback autotune repetition count.
-pub const DEFAULT_AUTOTUNE_REPS: usize = 2;
 
 /// All deterministic-behavior knobs a job carries, replacing process-wide
-/// environment lookups scattered across `liair-md`, `liair-runtime::fault`
-/// and the engine autotuner.
+/// environment lookups scattered across `liair-md` and
+/// `liair-runtime::fault`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedConfig {
     /// MD thermalization seed; `None` falls back to [`DEFAULT_MD_SEED`].
     pub md_seed: Option<u64>,
     /// Fault-injection seed; `None` disables injected faults.
     pub fault_seed: Option<u64>,
-    /// Autotune repetitions; `None` falls back to
-    /// [`DEFAULT_AUTOTUNE_REPS`], values are clamped to ≥ 1.
-    pub autotune_reps: Option<usize>,
 }
 
 impl SeedConfig {
@@ -51,7 +44,6 @@ impl SeedConfig {
         SeedConfig {
             md_seed: parse_env_u64(MD_SEED_ENV),
             fault_seed: parse_env_u64(FAULT_SEED_ENV),
-            autotune_reps: parse_env_usize(AUTOTUNE_REPS_ENV),
         }
     }
 
@@ -67,11 +59,6 @@ impl SeedConfig {
         self.fault_seed.map(FaultPlan::with_stalls)
     }
 
-    /// Resolve the autotune repetition count (always ≥ 1).
-    pub fn resolve_autotune_reps(&self) -> usize {
-        self.autotune_reps.unwrap_or(DEFAULT_AUTOTUNE_REPS).max(1)
-    }
-
     /// Builder-style override of the MD seed.
     pub fn with_md_seed(mut self, seed: u64) -> SeedConfig {
         self.md_seed = Some(seed);
@@ -83,20 +70,10 @@ impl SeedConfig {
         self.fault_seed = Some(seed);
         self
     }
-
-    /// Builder-style override of the autotune repetitions.
-    pub fn with_autotune_reps(mut self, reps: usize) -> SeedConfig {
-        self.autotune_reps = Some(reps);
-        self
-    }
 }
 
 fn parse_env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse::<u64>().ok()
-}
-
-fn parse_env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse::<usize>().ok()
 }
 
 #[cfg(test)]
@@ -120,23 +97,43 @@ mod tests {
         assert_eq!(plan, Some(FaultPlan::with_stalls(13)));
     }
 
+    /// Every `LIAIR_*` name in a source file under `dir`.
+    fn knob_names(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
+        for entry in std::fs::read_dir(dir).expect("readable source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                knob_names(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("readable source file");
+                for (at, prefix) in text.match_indices(concat!("LIAIR", "_")) {
+                    let tail = &text[at + prefix.len()..];
+                    let end = tail
+                        .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                        .unwrap_or(tail.len());
+                    if end > 0 {
+                        out.insert(format!("{prefix}{}", &tail[..end]));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
-    fn autotune_reps_clamped_to_one() {
-        assert_eq!(
-            SeedConfig::default().resolve_autotune_reps(),
-            DEFAULT_AUTOTUNE_REPS
-        );
-        assert_eq!(
-            SeedConfig::default()
-                .with_autotune_reps(0)
-                .resolve_autotune_reps(),
-            1
-        );
-        assert_eq!(
-            SeedConfig::default()
-                .with_autotune_reps(5)
-                .resolve_autotune_reps(),
-            5
-        );
+    fn workspace_names_exactly_three_env_knobs() {
+        // Comments and tests included: a knob nobody reads is not named
+        // either. `LIAIR_SIMD` is read by `liair_math::simd::level`, the
+        // two seeds by `SeedConfig::from_env`.
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("crates/ directory");
+        let mut names = std::collections::BTreeSet::new();
+        for krate in std::fs::read_dir(crates).expect("readable crates directory") {
+            let src = krate.expect("directory entry").path().join("src");
+            if src.is_dir() {
+                knob_names(&src, &mut names);
+            }
+        }
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert_eq!(names, [FAULT_SEED_ENV, MD_SEED_ENV, "LIAIR_SIMD"]);
     }
 }

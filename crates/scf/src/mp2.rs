@@ -11,7 +11,6 @@
 use crate::driver::ScfResult;
 use liair_basis::Basis;
 use liair_integrals::eri_tensor;
-use liair_math::Mat;
 
 /// MP2 correlation energy on a converged closed-shell reference.
 pub fn mp2_correlation(basis: &Basis, scf: &ScfResult) -> f64 {
@@ -121,10 +120,6 @@ pub fn rhf_mp2_energy(
     let corr = mp2_correlation(basis, &scf);
     (scf.energy, corr)
 }
-
-/// Unused-parameter silencer for Mat import in docs.
-#[allow(dead_code)]
-fn _t(_: &Mat) {}
 
 #[cfg(test)]
 mod tests {

@@ -43,11 +43,12 @@
 //! ## The exchange engine
 //!
 //! Every exchange build routes through one staged driver, configured with
-//! the validated [`EngineBuilder`](prelude::ExchangeEngine::builder). The
-//! distributed backend runs over the fault-tolerant [`runtime`] `Comm`
-//! layer: hierarchical collectives by default, and an optional seeded
-//! fault plan under which the build is still bit-identical (lost ranks'
-//! chunks are re-issued on the root through the same kernel).
+//! the validated [`EngineBuilder`](prelude::ExchangeEngine::builder): a
+//! backend (`Serial`, `Rayon` or `Comm`) and an optional seeded fault
+//! plan. The distributed backend streams results to the root over the
+//! fault-tolerant [`runtime`] `Comm` layer while ranks keep computing, and
+//! under a fault plan the build is still bit-identical (lost ranks' chunks
+//! are re-issued to the survivors through the same kernel).
 //!
 //! ```
 //! use liair::prelude::*;
@@ -59,7 +60,6 @@
 //! # let pairs = build_pair_list(&infos, 0.0, Some(&grid.cell));
 //! let engine = ExchangeEngine::builder(&grid, &solver)
 //!     .backend(ExecBackend::Comm { nranks: 2, strategy: BalanceStrategy::GreedyLpt })
-//!     .collectives(CollectiveMode::Hierarchical)
 //!     .fault_plan(FaultPlan::messages_only(7))
 //!     .build()
 //!     .unwrap();
@@ -85,7 +85,7 @@ pub mod prelude {
     pub use liair_bgq::{machine::scaling_series, MachineConfig};
     pub use liair_core::{
         build_pair_list, exchange_energy, simulate_hfx_build, BalanceStrategy, BuildProfile,
-        CollectiveMode, EngineBuilder, Error as CoreError, ExchangeEngine, ExecBackend, FaultPlan,
+        EngineBuilder, Error as CoreError, ExchangeEngine, ExecBackend, FaultPlan,
         IncrementalExchange, OrbitalInfo, Result as CoreResult, Scheme, Workload,
     };
     pub use liair_grid::{foster_boys, MolGrid, PoissonSolver, RealGrid};
@@ -95,7 +95,8 @@ pub mod prelude {
         MdState, MtsOptions, SplitForceProvider, Thermostat, XcForces,
     };
     pub use liair_runtime::{
-        fit_torus, run_spmd_cfg, Comm, CommConfig, CommError, SeedConfig, SpmdRun, TrafficLog,
+        fit_torus, run_spmd_cfg, CollectiveMode, Comm, CommConfig, CommError, SeedConfig, SpmdRun,
+        TrafficLog,
     };
     pub use liair_scf::{
         fci_two_electron, functional_energy, harmonic_frequencies, mp2_correlation, optimize_rhf,
