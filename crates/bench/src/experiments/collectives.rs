@@ -1,24 +1,26 @@
-//! `bench-collectives` — flat vs hierarchical collectives, measured on the
-//! threaded runtime and priced on the BG/Q model up to the full machine.
+//! `bench-collectives` — flat vs hierarchical gather: the tree the runtime
+//! executes, and both families priced on the BG/Q model up to the full
+//! machine.
 //!
-//! The engine's exchange build ends in one gather per build. Its cost has
-//! two regimes: the bandwidth term `(P−1)·b/BW` every algorithm shares
-//! (all contributions land on the root), and the latency term — `(P−1)·α`
-//! for the flat root gather vs `⌈log₂P⌉·α` for the binomial tree. At the
-//! paper's 6,291,456 threads the flat term alone costs ~0.2 s per build;
-//! the hierarchical algorithms keep the collective in the hundreds of
+//! A gather's cost has two regimes: the bandwidth term `(P−1)·b/BW` every
+//! algorithm shares (all contributions land on the root), and the latency
+//! term — `(P−1)·α` for a flat root gather vs `⌈log₂P⌉·α` for the binomial
+//! tree. At the paper's 6,291,456 threads the flat term alone costs ~0.2 s
+//! per build; the tree keeps the collective in the hundreds of
 //! microseconds, which is what keeps the modeled build efficiency flat.
 //!
 //! Two sections:
 //!
-//! 1. **measured** — the runtime's actual message patterns: `run_spmd_cfg`
-//!    executes the same gather under [`CollectiveMode::Flat`] and
-//!    [`CollectiveMode::Hierarchical`], the [`TrafficLog`] records every
-//!    wire message, and `liair-bgq`'s router prices the resulting link
-//!    loads — executed pattern, modeled machine;
+//! 1. **measured** — the runtime's actual message pattern: `run_spmd_cfg`
+//!    executes its (binomial-tree) gather, the
+//!    [`TrafficLog`](liair_runtime::TrafficLog) records every wire
+//!    message, and `liair-bgq`'s router prices the resulting link loads —
+//!    executed pattern, modeled machine — beside the analytic model's
+//!    price of both families at the same rank count;
 //! 2. **modeled** — [`liair_bgq::collectives::gather`] over the paper's
 //!    scaling series (1 → 96 racks), with the strong-scaling build
-//!    efficiency each algorithm family sustains.
+//!    efficiency each algorithm family sustains. The flat family exists
+//!    only here, as [`CollectiveAlgo::FlatRoot`].
 //!
 //! Writes the machine-readable `BENCH_collectives.json`.
 
@@ -26,7 +28,7 @@ use crate::Table;
 use liair_bgq::collectives::{gather, CollectiveAlgo};
 use liair_bgq::machine::scaling_series;
 use liair_bgq::MachineConfig;
-use liair_runtime::{fit_torus, run_spmd_cfg, CollectiveMode, CommConfig};
+use liair_runtime::{fit_torus, run_spmd_cfg, CommConfig};
 
 /// Per-rank gather payload of a typical engine build: a node group's
 /// chunk contributions plus the timing trailer (10 doubles).
@@ -76,19 +78,20 @@ fn model_series() -> Vec<ModelRow> {
         .collect()
 }
 
-/// One measured point: the runtime's real gather traffic under a mode.
+/// One measured point: the runtime's real gather traffic, routed, beside
+/// the analytic model of both families on the same machine.
 struct MeasuredRow {
     nranks: usize,
-    mode: CollectiveMode,
     messages: usize,
     mean_hops: f64,
     max_link_bytes: f64,
-    modeled_s: f64,
+    routed_s: f64,
+    model_flat_s: f64,
+    model_tree_s: f64,
 }
 
-fn measure(nranks: usize, mode: CollectiveMode, words: usize) -> MeasuredRow {
+fn measure(nranks: usize, words: usize) -> MeasuredRow {
     let cfg = CommConfig {
-        mode,
         fault: None,
         torus: Some(fit_torus(nranks)),
     };
@@ -99,13 +102,15 @@ fn measure(nranks: usize, mode: CollectiveMode, words: usize) -> MeasuredRow {
     .expect("valid fault-free configuration");
     let log = run.traffic.expect("torus was configured");
     let machine = MachineConfig::bgq_nodes(nranks);
+    let bytes = (words * 8) as f64;
     MeasuredRow {
         nranks,
-        mode,
         messages: log.messages(),
         mean_hops: log.mean_hops(),
         max_link_bytes: log.route().max(),
-        modeled_s: log.modeled_comm_time(&machine),
+        routed_s: log.modeled_comm_time(&machine),
+        model_flat_s: gather(&machine, CollectiveAlgo::FlatRoot, bytes),
+        model_tree_s: gather(&machine, CollectiveAlgo::BinomialTree, bytes),
     }
 }
 
@@ -121,47 +126,46 @@ pub fn bench_collectives(fast: bool) -> Vec<Table> {
     let rank_counts: &[usize] = if fast { &[8, 16] } else { &[8, 16, 32, 64] };
     let words = 10; // PAYLOAD_BYTES / 8
     let mut tm = Table::new(
-        "bench-collectives — measured gather traffic (threaded runtime, routed on the fitted torus)",
+        "bench-collectives — executed tree gather (threaded runtime, routed on the fitted torus) vs the model",
         &[
             "ranks",
-            "mode",
             "wire msgs",
             "mean hops",
             "max link [B]",
-            "modeled [us]",
+            "routed [us]",
+            "model flat [us]",
+            "model tree [us]",
         ],
     );
     json.push_str("  \"measured\": [\n");
-    let mut measured = Vec::new();
-    for &n in rank_counts {
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
-            measured.push(measure(n, mode, words));
-        }
-    }
+    let measured: Vec<MeasuredRow> = rank_counts.iter().map(|&n| measure(n, words)).collect();
     for (i, r) in measured.iter().enumerate() {
         tm.row(vec![
             r.nranks.to_string(),
-            r.mode.name().to_string(),
             r.messages.to_string(),
             format!("{:.2}", r.mean_hops),
             format!("{:.0}", r.max_link_bytes),
-            format!("{:.2}", r.modeled_s * 1e6),
+            format!("{:.2}", r.routed_s * 1e6),
+            format!("{:.2}", r.model_flat_s * 1e6),
+            format!("{:.2}", r.model_tree_s * 1e6),
         ]);
         json.push_str(&format!(
-            "    {{\"ranks\": {}, \"mode\": \"{}\", \"messages\": {}, \"mean_hops\": {:.3}, \
-             \"max_link_bytes\": {:.1}, \"modeled_s\": {:.3e}}}{}\n",
+            "    {{\"ranks\": {}, \"pattern\": \"binomial-tree\", \"messages\": {}, \
+             \"mean_hops\": {:.3}, \"max_link_bytes\": {:.1}, \"routed_s\": {:.3e}, \
+             \"model_flat_s\": {:.3e}, \"model_tree_s\": {:.3e}}}{}\n",
             r.nranks,
-            r.mode.name(),
             r.messages,
             r.mean_hops,
             r.max_link_bytes,
-            r.modeled_s,
+            r.routed_s,
+            r.model_flat_s,
+            r.model_tree_s,
             if i + 1 < measured.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
-    tm.note = "every non-root rank sends its contribution exactly once in both modes; \
-               the tree spreads the root's in-degree over rounds"
+    tm.note = "every non-root rank sends exactly once; interior nodes forward their subtree \
+               (3 frame words per message + 2 per forwarded rank ride along)"
         .into();
     tables.push(tm);
 
@@ -275,13 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn measured_modes_send_same_message_count() {
-        // Both gathers are one-send-per-non-root; the tree only reshapes
-        // *where* the messages go.
-        let flat = measure(8, CollectiveMode::Flat, 4);
-        let hier = measure(8, CollectiveMode::Hierarchical, 4);
-        assert_eq!(flat.messages, 7);
-        assert_eq!(hier.messages, 7);
-        assert!(flat.modeled_s > 0.0 && hier.modeled_s > 0.0);
+    fn executed_tree_sends_once_per_non_root() {
+        // One send per non-root rank, ⌈log₂ 8⌉ of them into the root.
+        let row = measure(8, 4);
+        assert_eq!(row.messages, 7);
+        assert!(row.routed_s > 0.0);
+        assert!(row.model_tree_s < row.model_flat_s);
     }
 }

@@ -35,7 +35,6 @@ use liair_core::screening::{
 use liair_core::{build_pair_list_sharded, sharded_pair_list_spmd};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
-use liair_runtime::CollectiveMode;
 
 /// Screening threshold of the paper's production runs.
 const EPS: f64 = 1e-6;
@@ -261,8 +260,7 @@ fn bit_identity() -> Identity {
         same(&brute.pairs, &sh.pairs) && same(&cl.pairs, &sh.pairs)
     });
     let spmd = {
-        let sh = sharded_pair_list_spmd(&orbs, eps, &cell, [2, 2, 1], CollectiveMode::Flat)
-            .expect("spmd build");
+        let sh = sharded_pair_list_spmd(&orbs, eps, &cell, [2, 2, 1]).expect("spmd build");
         same(&brute.pairs, &sh.pairs)
     };
     // A fine grid with a short cutoff engages the windowed O(residents)

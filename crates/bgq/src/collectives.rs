@@ -12,9 +12,9 @@
 //!   `fig-torus-mapping` ablation contrasts the two.
 //! * [`CollectiveAlgo::FlatRoot`] — every rank talks to rank 0 directly:
 //!   the root pays one software start-up per peer, so the latency term is
-//!   `(P−1)·α` instead of `⌈log₂P⌉·α`. This is what the runtime's flat
-//!   `CollectiveMode` gathers do, kept as the degenerate baseline the
-//!   `bench-collectives` experiment prices against the hierarchical
+//!   `(P−1)·α` instead of `⌈log₂P⌉·α`. A model only — `liair-runtime`
+//!   executes the binomial tree alone — kept as the degenerate baseline
+//!   the `bench-collectives` experiment prices against the hierarchical
 //!   algorithms.
 //!
 //! All times are seconds; message sizes are bytes.

@@ -39,7 +39,7 @@ use crate::error::{Error, Result};
 use crate::screening::{cutoff_radius, pair_bound, OrbitalInfo, Pair, PairList};
 use liair_basis::Cell;
 use liair_math::Vec3;
-use liair_runtime::{run_spmd_cfg, CollectiveMode, Comm, CommConfig, CommResult};
+use liair_runtime::{run_spmd_cfg, Comm, CommConfig, CommResult};
 
 /// Relative inflation applied to every cutoff comparison so a pair whose
 /// bound lands exactly on ε (kept by the `≥ ε` screening rule) can never
@@ -511,18 +511,13 @@ pub fn sharded_pair_list_spmd(
     eps: f64,
     cell: &Cell,
     dims: [usize; 3],
-    mode: CollectiveMode,
 ) -> Result<PairList> {
     let decomp = DomainDecomposition::build(orbitals, eps, cell, dims)?;
     let geometry = decomp.geometry;
     let nd = geometry.n_domains();
     let run = run_spmd_cfg(
         nd,
-        CommConfig {
-            mode,
-            fault: None,
-            torus: None,
-        },
+        CommConfig::default(),
         |comm| -> CommResult<Option<(Vec<Pair>, usize)>> {
             let d = comm.rank();
             let owned: Vec<(u32, OrbitalInfo)> = decomp.owned[d]
@@ -694,23 +689,15 @@ mod tests {
         let eps = 1e-4;
         let dec = DomainDecomposition::build(&orbs, eps, &cell, [2, 2, 1]).unwrap();
         let geom = dec.geometry;
-        let run = run_spmd_cfg(
-            geom.n_domains(),
-            CommConfig {
-                mode: CollectiveMode::Flat,
-                fault: None,
-                torus: None,
-            },
-            |comm| {
-                let d = comm.rank();
-                let owned: Vec<(u32, OrbitalInfo)> = dec.owned[d]
-                    .iter()
-                    .map(|&i| (i, orbs[i as usize]))
-                    .collect();
-                let halo = exchange_halo(comm, &geom, &owned).unwrap();
-                halo.iter().map(|&(id, _)| id).collect::<Vec<u32>>()
-            },
-        )
+        let run = run_spmd_cfg(geom.n_domains(), CommConfig::default(), |comm| {
+            let d = comm.rank();
+            let owned: Vec<(u32, OrbitalInfo)> = dec.owned[d]
+                .iter()
+                .map(|&i| (i, orbs[i as usize]))
+                .collect();
+            let halo = exchange_halo(comm, &geom, &owned).unwrap();
+            halo.iter().map(|&(id, _)| id).collect::<Vec<u32>>()
+        })
         .unwrap();
         for (d, got) in run.results.iter().enumerate() {
             assert_eq!(got, &dec.halo[d], "halo mismatch on rank {d}");
@@ -723,11 +710,9 @@ mod tests {
         let orbs = random_layout(5, 90, 20.0, 0.4, 1.0);
         let eps = 1e-5;
         let brute = build_pair_list(&orbs, eps, Some(&cell));
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
-            let sh = sharded_pair_list_spmd(&orbs, eps, &cell, [2, 2, 2], mode).unwrap();
-            assert_eq!(brute.pairs, sh.pairs, "mode {}", mode.name());
-            assert!(sh.considered >= sh.len());
-        }
+        let sh = sharded_pair_list_spmd(&orbs, eps, &cell, [2, 2, 2]).unwrap();
+        assert_eq!(brute.pairs, sh.pairs);
+        assert!(sh.considered >= sh.len());
     }
 
     #[test]

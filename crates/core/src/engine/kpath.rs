@@ -9,12 +9,11 @@
 //! floating-point sequence that makes the rayon build, the message-passing
 //! build, and the incremental build with `eps_inc = 0` bit-identical.
 
-use super::{pipeline, BuildProfile, ExchangeEngine, ExecBackend};
+use super::{BuildProfile, ExchangeEngine, HfxScratch};
 use crate::error::Result;
 use liair_basis::Basis;
-use liair_grid::{ao_values, orbitals_on_grid, KernelTimings, PoissonWorkspace, RealGrid};
+use liair_grid::{ao_values, orbitals_on_grid, RealGrid};
 use liair_math::Mat;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// One orbital's unsymmetrized `ΔK_j` contribution tagged with its slot,
@@ -100,26 +99,6 @@ pub(crate) fn symmetrize(k: &mut Mat) {
             let s = 0.5 * (k[(mu, nu)] + k[(nu, mu)]);
             k[(mu, nu)] = s;
             k[(nu, mu)] = s;
-        }
-    }
-}
-
-/// Per-worker scratch of the K task loop: one pair-density buffer and one
-/// Poisson workspace, grow-once (only the nao-length output column is
-/// allocated per task).
-#[derive(Default)]
-struct KTaskScratch {
-    rho: Vec<f64>,
-    ws: PoissonWorkspace,
-}
-
-impl KTaskScratch {
-    fn ensure(&mut self, n: usize) -> bool {
-        if self.rho.len() != n {
-            self.rho.resize(n, 0.0);
-            true
-        } else {
-            false
         }
     }
 }
@@ -226,8 +205,35 @@ impl ExchangeEngine<'_> {
             }
             tasks
         };
+        // One item per task; its output is column ν of ΔK_j,
+        // `⟨χ_μ φ_j | v_jν⟩` for every μ.
+        let npts = self.grid.len();
+        let dvol = self.grid.dvol();
+        let solver = self.full_solver();
         let t0 = Instant::now();
-        let cols = self.run_k_tasks(setup, &tasks, profile)?;
+        let cols = self.execute(
+            tasks.len(),
+            nao,
+            HfxScratch::default,
+            |sc, t, col| {
+                let (j, nu) = tasks[t];
+                let grew = sc.ensure(npts) as usize;
+                let HfxScratch { rho, ws } = sc;
+                for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&setup.aos[nu]) {
+                    *r = a * b;
+                }
+                let v = solver.solve_into(rho, ws);
+                for (mu, c) in col.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for p in 0..npts {
+                        acc += setup.aos[mu][p] * setup.orbitals[j][p] * v[p];
+                    }
+                    *c = acc * dvol;
+                }
+                (sc.ws.take_timings(), grew)
+            },
+            profile,
+        )?;
         profile.t_exec_s += t0.elapsed().as_secs_f64();
         plan_window.record(profile);
         let mut slot_of = vec![usize::MAX; setup.nocc];
@@ -240,8 +246,7 @@ impl ExchangeEngine<'_> {
             .collect();
         // Accumulate columns in canonical task order — the fixed sequence
         // shared by every backend and the incremental rebuild.
-        for (t, col) in cols.iter().enumerate() {
-            let (j, nu) = tasks[t];
+        for (col, &(j, nu)) in cols.chunks_exact(nao).zip(&tasks) {
             let ((_, dk), (ev, sk)) = &mut out[slot_of[j]];
             for mu in 0..nao {
                 dk[(mu, nu)] += col[mu];
@@ -250,87 +255,5 @@ impl ExchangeEngine<'_> {
             *sk -= 1;
         }
         Ok(out)
-    }
-
-    /// Execute the task list on the configured backend, returning the
-    /// nao-length output columns in canonical task order.
-    fn run_k_tasks(
-        &self,
-        setup: &KBuildSetup,
-        tasks: &[(usize, usize)],
-        profile: &mut BuildProfile,
-    ) -> Result<Vec<Vec<f64>>> {
-        let nao = setup.nao;
-        let npts = self.grid.len();
-        let dvol = self.grid.dvol();
-        let solver = self.full_solver();
-        let eval = |sc: &mut KTaskScratch, t: usize| -> (Vec<f64>, KernelTimings, usize) {
-            let (j, nu) = tasks[t];
-            let grew = sc.ensure(npts) as usize;
-            let KTaskScratch { rho, ws } = sc;
-            for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&setup.aos[nu]) {
-                *r = a * b;
-            }
-            let v = solver.solve_into(rho, ws);
-            // column ν of ΔK_j gets ⟨χ_μ φ_j | v_jν⟩ for every μ.
-            let col: Vec<f64> = (0..nao)
-                .map(|mu| {
-                    let mut acc = 0.0;
-                    for p in 0..npts {
-                        acc += setup.aos[mu][p] * setup.orbitals[j][p] * v[p];
-                    }
-                    acc * dvol
-                })
-                .collect();
-            (col, sc.ws.take_timings(), grew)
-        };
-        match self.backend() {
-            ExecBackend::Serial => {
-                let mut sc = KTaskScratch::default();
-                let mut cols = Vec::with_capacity(tasks.len());
-                for t in 0..tasks.len() {
-                    let (col, tim, grew) = eval(&mut sc, t);
-                    profile.t_fft_s += tim.fft_s;
-                    profile.t_kernel_s += tim.kernel_s;
-                    profile.steady_allocs += grew;
-                    cols.push(col);
-                }
-                Ok(cols)
-            }
-            ExecBackend::Rayon => {
-                let results: Vec<(Vec<f64>, KernelTimings, usize)> = (0..tasks.len())
-                    .into_par_iter()
-                    .map_init(KTaskScratch::default, |sc, t| eval(sc, t))
-                    .collect();
-                let mut cols = Vec::with_capacity(tasks.len());
-                for (col, tim, grew) in results {
-                    profile.t_fft_s += tim.fft_s;
-                    profile.t_kernel_s += tim.kernel_s;
-                    profile.steady_allocs += grew;
-                    cols.push(col);
-                }
-                Ok(cols)
-            }
-            ExecBackend::Comm { nranks, strategy } => {
-                // Tasks stream to the root as `(task id, column)` entries
-                // while ranks compute, and the steal queue rebalances the
-                // tail — reassembled in canonical task order, so identical
-                // to serial.
-                let job = pipeline::PipelineJob {
-                    nitems: tasks.len(),
-                    width: nao,
-                    nranks,
-                    strategy,
-                    fault: self.fault,
-                };
-                let wrap = |sc: &mut KTaskScratch, t: usize, buf: &mut Vec<f64>| {
-                    let (col, tim, grew) = eval(sc, t);
-                    buf.extend_from_slice(&col);
-                    (tim, grew)
-                };
-                let flat = pipeline::run_pipelined(&job, &KTaskScratch::default, &wrap, profile)?;
-                Ok(flat.chunks_exact(nao).map(<[f64]>::to_vec).collect())
-            }
-        }
     }
 }

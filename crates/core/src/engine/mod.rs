@@ -129,16 +129,9 @@ impl<'a> EngineBuilder<'a> {
     }
 }
 
-/// What one chunk of work sends back through the execute stage.
-struct ChunkOut {
-    a: f64,
-    b: f64,
-    t: KernelTimings,
-    grew: usize,
-}
-
-/// Per-worker scratch for the pair loop: one pair density plus the
-/// Poisson workspace. Grow-once, reused across all pairs a worker takes.
+/// Per-worker scratch of the pair loop and the K task loop alike: one
+/// pair density plus the Poisson workspace. Grow-once, reused across all
+/// items a worker takes.
 #[derive(Debug, Default)]
 pub(crate) struct HfxScratch {
     rho: Vec<f64>,
@@ -185,6 +178,43 @@ fn eval_pair(sc: &mut HfxScratch, p: &Pair, solver: &PoissonSolver, orbitals: &[
         &orbitals[p.j as usize],
     );
     -p.weight * solver.exchange_pair_energy(&sc.rho, &mut sc.ws)
+}
+
+/// The energy path's work item as [`ExchangeEngine::execute`] takes it:
+/// chunk `ci` is pairs `2·ci` and `2·ci + 1` of `pairs` (second slot 0 for
+/// an odd tail) on an `n`-point grid.
+fn pair_chunk<'p>(
+    n: usize,
+    solver: &'p PoissonSolver,
+    orbitals: &'p [Vec<f64>],
+    pairs: &'p [Pair],
+) -> impl Fn(&mut HfxScratch, usize, &mut [f64]) -> (KernelTimings, usize) + Send + Sync + 'p {
+    move |sc, ci, out| {
+        let grew = sc.ensure(n) as usize;
+        out[0] = eval_pair(sc, &pairs[2 * ci], solver, orbitals);
+        out[1] = pairs
+            .get(2 * ci + 1)
+            .map_or(0.0, |p| eval_pair(sc, p, solver, orbitals));
+        (sc.ws.take_timings(), grew)
+    }
+}
+
+/// The serial arm of [`ExchangeEngine::execute`], on caller-owned scratch
+/// and output — which makes it the whole execute stage of
+/// [`ExchangeEngine::energy_into`] too.
+fn run_serial<S, F>(
+    sc: &mut S,
+    flat: &mut [f64],
+    width: usize,
+    eval: &F,
+    profile: &mut BuildProfile,
+) where
+    F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize),
+{
+    for (i, out) in flat.chunks_exact_mut(width).enumerate() {
+        let (t, grew) = eval(sc, i, out);
+        profile.note_kernel(t, grew);
+    }
 }
 
 impl<'a> ExchangeEngine<'a> {
@@ -261,16 +291,20 @@ impl<'a> ExchangeEngine<'a> {
         Ok(())
     }
 
-    /// Execute stage: run `npairs.div_ceil(2)` chunks on the configured
-    /// backend and return the per-pair contributions *in canonical pair
-    /// order*, accumulating kernel timings and scratch-growth counts into
-    /// `profile`. The two-pair chunk is a scheduling grain only — what a
-    /// rank is assigned, streams and steals; a pair's contribution does
-    /// not depend on which chunk it lands in — and canonical-order
-    /// reassembly is what makes every backend bit-identical.
-    fn run_chunks<S, I, F>(
+    /// Execute stage — the one place the engine dispatches on its
+    /// [`ExecBackend`]: run items `0..nitems` and return their outputs as
+    /// one flat vector, `width` words per item *in canonical item order*,
+    /// accumulating kernel timings and scratch-growth counts into
+    /// `profile`. `eval` fills item `i`'s `width`-word slot and is the
+    /// identical closure on every backend; with canonical-order
+    /// reassembly that is what makes the backends bit-identical. The
+    /// energy paths run two-pair chunks (`width` 2 — a scheduling grain
+    /// only: what a rank is assigned, streams and steals), the K path one
+    /// `nao`-word column per `(j, ν)` task.
+    fn execute<S, I, F>(
         &self,
-        npairs: usize,
+        nitems: usize,
+        width: usize,
         init: I,
         eval: F,
         profile: &mut BuildProfile,
@@ -278,50 +312,37 @@ impl<'a> ExchangeEngine<'a> {
     where
         S: Send,
         I: Fn() -> S + Send + Sync,
-        F: Fn(&mut S, usize) -> ChunkOut + Send + Sync,
+        F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize) + Send + Sync,
     {
-        let nchunks = npairs.div_ceil(2);
-        let per_chunk: Vec<ChunkOut> = match self.backend {
+        match self.backend {
             ExecBackend::Serial => {
-                let mut sc = init();
-                (0..nchunks).map(|ci| eval(&mut sc, ci)).collect()
+                let mut flat = vec![0.0; nitems * width];
+                run_serial(&mut init(), &mut flat, width, &eval, profile);
+                Ok(flat)
             }
-            ExecBackend::Rayon => (0..nchunks)
-                .into_par_iter()
-                .map_init(&init, |sc, ci| eval(sc, ci))
-                .collect(),
+            ExecBackend::Rayon => {
+                let mut flat = vec![0.0; nitems * width];
+                let notes: Vec<(KernelTimings, usize)> = flat
+                    .par_chunks_mut(width)
+                    .enumerate()
+                    .map_init(&init, |sc, (i, out)| eval(sc, i, out))
+                    .collect();
+                for (t, grew) in notes {
+                    profile.note_kernel(t, grew);
+                }
+                Ok(flat)
+            }
             ExecBackend::Comm { nranks, strategy } => {
                 let job = pipeline::PipelineJob {
-                    nitems: nchunks,
-                    width: 2,
+                    nitems,
+                    width,
                     nranks,
                     strategy,
                     fault: self.fault,
                 };
-                let wrap = |sc: &mut S, ci: usize, buf: &mut Vec<f64>| {
-                    let c = eval(sc, ci);
-                    buf.push(c.a);
-                    buf.push(c.b);
-                    (c.t, c.grew)
-                };
-                let mut flat = pipeline::run_pipelined(&job, &init, &wrap, profile)?;
-                // The last chunk's second slot is padding when the pair
-                // count is odd.
-                flat.truncate(npairs);
-                return Ok(flat);
-            }
-        };
-        let mut out = Vec::with_capacity(npairs);
-        for (ci, c) in per_chunk.into_iter().enumerate() {
-            profile.t_fft_s += c.t.fft_s;
-            profile.t_kernel_s += c.t.kernel_s;
-            profile.steady_allocs += c.grew;
-            out.push(c.a);
-            if 2 * ci + 1 < npairs {
-                out.push(c.b);
+                pipeline::run_pipelined(&job, &init, &eval, profile)
             }
         }
-        Ok(out)
     }
 
     /// Per-pair weighted contributions `−w_ij (ij|ij)` over an explicit
@@ -354,25 +375,16 @@ impl<'a> ExchangeEngine<'a> {
         let n = self.grid.len();
         let solver = self.try_full_solver()?;
         let t0 = Instant::now();
-        let contribs = self.run_chunks(
-            pairs.len(),
+        let mut contribs = self.execute(
+            pairs.len().div_ceil(2),
+            2,
             HfxScratch::default,
-            |sc, ci| {
-                let grew = sc.ensure(n) as usize;
-                let a = eval_pair(sc, &pairs[2 * ci], solver, orbitals);
-                // Second slot 0 for an odd tail.
-                let b = pairs
-                    .get(2 * ci + 1)
-                    .map_or(0.0, |p| eval_pair(sc, p, solver, orbitals));
-                ChunkOut {
-                    a,
-                    b,
-                    t: sc.ws.take_timings(),
-                    grew,
-                }
-            },
+            pair_chunk(n, solver, orbitals, pairs),
             profile,
         )?;
+        // The last chunk's second slot is padding when the pair count is
+        // odd.
+        contribs.truncate(pairs.len());
         profile.t_exec_s += t0.elapsed().as_secs_f64();
         plan_window.record(profile);
         Ok(contribs)
@@ -391,7 +403,7 @@ impl<'a> ExchangeEngine<'a> {
         self.validate_orbitals(orbitals)?;
         let mut profile = BuildProfile::default();
         let contribs = self.try_pair_contribs(orbitals, &pairs.pairs, &mut profile)?;
-        Ok(self.finish_energy(contribs, pairs, profile))
+        Ok(self.finish_energy(&contribs, pairs, profile))
     }
 
     /// Exchange energy over *pair-local patches* instead of full-cell
@@ -431,13 +443,13 @@ impl<'a> ExchangeEngine<'a> {
         let mut profile = BuildProfile::default();
         let plan_window = profile::PlanCacheWindow::open();
         let t0 = Instant::now();
-        let contribs = self.run_chunks(
-            plist.len(),
+        let mut contribs = self.execute(
+            plist.len().div_ceil(2),
+            2,
             PatchScratch::new,
-            |scratch, ci| {
+            |scratch, ci, out| {
                 let chunk = &plist[2 * ci..(2 * ci + 2).min(plist.len())];
-                let mut out = [0.0, 0.0];
-                for (slot, p) in chunk.iter().enumerate() {
+                for (slot, p) in out.iter_mut().zip(chunk) {
                     let (i, j) = (p.i as usize, p.j as usize);
                     let (a, b) = (&infos[i], &infos[j]);
                     let d = a.center.distance(b.center);
@@ -452,20 +464,16 @@ impl<'a> ExchangeEngine<'a> {
                         extent,
                         scratch,
                     );
-                    out[slot] = -p.weight * e_pair;
+                    *slot = -p.weight * e_pair;
                 }
-                ChunkOut {
-                    a: out[0],
-                    b: out[1],
-                    t: scratch.take_timings(),
-                    grew: 0,
-                }
+                (scratch.take_timings(), 0)
             },
             &mut profile,
         )?;
+        contribs.truncate(plist.len());
         profile.t_exec_s += t0.elapsed().as_secs_f64();
         plan_window.record(&mut profile);
-        Ok(self.finish_energy(contribs, pairs, profile))
+        Ok(self.finish_energy(&contribs, pairs, profile))
     }
 
     /// Strict zero-allocation energy build: serial execution into a
@@ -490,39 +498,28 @@ impl<'a> ExchangeEngine<'a> {
         scratch: &mut EngineScratch,
     ) -> Result<HfxResult> {
         self.validate_orbitals(orbitals)?;
+        let solver = self.try_full_solver()?;
         let npairs = pairs.len();
+        let padded = 2 * npairs.div_ceil(2);
         let mut profile = BuildProfile::default();
         // Stats snapshots are plain stack copies — the zero-alloc
         // guarantee of this path is untouched.
         let plan_window = profile::PlanCacheWindow::open();
         let t0 = Instant::now();
-        profile.steady_allocs += scratch.pair.ensure(self.grid.len()) as usize;
-        profile.steady_allocs += (npairs > scratch.contribs.capacity()) as usize;
+        profile.steady_allocs += (padded > scratch.contribs.capacity()) as usize;
         scratch.contribs.clear();
-        scratch.contribs.resize(npairs, 0.0);
-        let solver = self.try_full_solver()?;
-        for (c, p) in scratch.contribs.iter_mut().zip(&pairs.pairs) {
-            *c = eval_pair(&mut scratch.pair, p, solver, orbitals);
-        }
-        let t = scratch.pair.ws.take_timings();
-        profile.t_fft_s += t.fft_s;
-        profile.t_kernel_s += t.kernel_s;
+        scratch.contribs.resize(padded, 0.0);
+        run_serial(
+            &mut scratch.pair,
+            &mut scratch.contribs,
+            2,
+            &pair_chunk(self.grid.len(), solver, orbitals, &pairs.pairs),
+            &mut profile,
+        );
+        scratch.contribs.truncate(npairs);
         profile.t_exec_s += t0.elapsed().as_secs_f64();
-        let tr = Instant::now();
-        let energy: f64 = scratch.contribs.iter().sum();
-        profile.t_reduce_s += tr.elapsed().as_secs_f64();
-        profile.bytes_reduced += npairs * std::mem::size_of::<f64>();
-        profile.pairs_computed = npairs;
-        profile.pairs_screened = pairs.n_candidates - npairs;
-        profile.pairs_considered = pairs.considered;
         plan_window.record(&mut profile);
-        Ok(HfxResult {
-            energy,
-            pairs_evaluated: npairs,
-            pairs_screened: pairs.n_candidates - npairs,
-            inc: IncStats::default(),
-            profile,
-        })
+        Ok(self.finish_energy(&scratch.contribs, pairs, profile))
     }
 
     /// Reduce stage of the energy paths: ordered sequential sum of the
@@ -530,14 +527,14 @@ impl<'a> ExchangeEngine<'a> {
     /// build reports.
     fn finish_energy(
         &self,
-        contribs: Vec<f64>,
+        contribs: &[f64],
         pairs: &PairList,
         mut profile: BuildProfile,
     ) -> HfxResult {
         let tr = Instant::now();
         let energy: f64 = contribs.iter().sum();
         profile.t_reduce_s += tr.elapsed().as_secs_f64();
-        profile.bytes_reduced += contribs.len() * std::mem::size_of::<f64>();
+        profile.bytes_reduced += std::mem::size_of_val(contribs);
         profile.pairs_computed = pairs.len();
         profile.pairs_screened = pairs.n_candidates - pairs.len();
         profile.pairs_considered = pairs.considered;

@@ -77,7 +77,7 @@ const TRAILER_LEN: usize = 6;
 pub(crate) struct PipelineJob {
     /// Chunk count (canonical ids `0..nitems`).
     pub nitems: usize,
-    /// Payload words per chunk.
+    /// Output words per chunk.
     pub width: usize,
     /// Virtual rank count.
     pub nranks: usize,
@@ -100,28 +100,15 @@ struct Schedule {
     stall_timeout: Option<Duration>,
 }
 
-/// Everything the root learned from one pipelined region, merged into the
-/// [`BuildProfile`] by [`run_pipelined`].
+/// Everything the root learned from one pipelined region: the canonical
+/// output plus this region's [`BuildProfile`] delta, which
+/// [`run_pipelined`] merges into the build's profile.
 #[derive(Debug, Default)]
 struct RootOut {
     flat: Vec<f64>,
-    fft_s: f64,
-    kernel_s: f64,
-    grew: usize,
-    hidden_s: f64,
-    exposed_s: f64,
-    bytes: usize,
-    ranks_stalled: usize,
-    chunks_reissued: usize,
-    chunks_stolen: usize,
-    steal_requests: usize,
+    delta: BuildProfile,
     /// The root's own compute seconds (its static share + queue work).
     root_busy_s: f64,
-    /// Busy/idle brackets over the worker trailers.
-    busy_min_s: f64,
-    busy_max_s: f64,
-    busy_total_s: f64,
-    idle_total_s: f64,
 }
 
 /// Per-worker bookkeeping on the root.
@@ -170,21 +157,16 @@ fn eval_local<S, F>(
     eval: &F,
     sc: &mut S,
     ci: usize,
-    entry: &mut Vec<f64>,
+    width: usize,
     out: &mut RootOut,
     filled: &mut [bool],
 ) where
-    F: Fn(&mut S, usize, &mut Vec<f64>) -> (KernelTimings, usize),
+    F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize),
 {
     let t0 = Instant::now();
-    entry.clear();
-    let (t, g) = eval(sc, ci, entry);
-    let w = entry.len();
-    out.flat[ci * w..(ci + 1) * w].copy_from_slice(entry);
+    let (t, g) = eval(sc, ci, &mut out.flat[ci * width..(ci + 1) * width]);
     filled[ci] = true;
-    out.fft_s += t.fft_s;
-    out.kernel_s += t.kernel_s;
-    out.grew += g;
+    out.delta.note_kernel(t, g);
     out.root_busy_s += t0.elapsed().as_secs_f64();
 }
 
@@ -199,7 +181,7 @@ fn worker_drive<S, F>(
     eval: &F,
 ) -> CommResult<()>
 where
-    F: Fn(&mut S, usize, &mut Vec<f64>) -> (KernelTimings, usize),
+    F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize),
 {
     let cap = STREAM_BATCH * (width + 1);
     // Two rotating buffers: while one packet is in flight inside the
@@ -216,8 +198,11 @@ where
     {
         let mut compute = |ci: usize, sc: &mut S, bufs: &mut [Vec<f64>; 2], cur: &mut usize| {
             let t0 = Instant::now();
-            bufs[*cur].push(ci as f64);
-            let (t, g) = eval(sc, ci, &mut bufs[*cur]);
+            let buf = &mut bufs[*cur];
+            buf.push(ci as f64);
+            let at = buf.len();
+            buf.resize(at + width, 0.0);
+            let (t, g) = eval(sc, ci, &mut buf[at..]);
             busy_s += t0.elapsed().as_secs_f64();
             tim.merge(t);
             grew += g;
@@ -277,22 +262,21 @@ where
 fn root_drive<S, I, F>(comm: &dyn Comm, sched: &Schedule, init: &I, eval: &F) -> CommResult<RootOut>
 where
     I: Fn() -> S,
-    F: Fn(&mut S, usize, &mut Vec<f64>) -> (KernelTimings, usize),
+    F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize),
 {
     let p = comm.size();
     let (nitems, width) = (sched.nitems, sched.width);
     let t_start = Instant::now();
     let mut out = RootOut {
         flat: vec![0.0; nitems * width],
-        busy_min_s: f64::INFINITY,
         ..Default::default()
     };
+    out.delta.rank_busy_min_s = f64::INFINITY;
     let mut filled = vec![false; nitems];
     let mut queue: VecDeque<usize> = (sched.nstatic..nitems).collect();
     let mut ws: Vec<WorkerState> = (0..p).map(|_| WorkerState::default()).collect();
     ws[0].contacted = true; // the root is trivially live
     let mut sc = init();
-    let mut entry = Vec::with_capacity(width);
 
     // One non-blocking progress sweep over every worker; expands in place
     // (a macro, not a closure, so it can split-borrow the local state).
@@ -307,7 +291,7 @@ where
                 // Drain streamed result packets in sequence order.
                 while let Some(pkt) = comm.try_recv(w, T_RESULT | ws[w].next_seq)? {
                     ingest(&pkt, width, &mut out.flat, &mut filled);
-                    out.bytes += pkt.len() * std::mem::size_of::<f64>();
+                    out.delta.bytes_reduced += pkt.len() * std::mem::size_of::<f64>();
                     ws[w].next_seq += 1;
                     ws[w].contacted = true;
                     progressed = true;
@@ -329,21 +313,21 @@ where
                     if let Some(ci) = queue.pop_front() {
                         comm.send(w, T_GRANT | req, vec![ci as f64])?;
                         ws[w].pending_req = None;
-                        out.chunks_stolen += 1;
-                        out.steal_requests += 1;
+                        out.delta.chunks_stolen += 1;
+                        out.delta.steal_requests += 1;
                         progressed = true;
                     } else if (1..p).all(|r| ws[r].resolved()) {
                         comm.send(w, T_GRANT | req, Vec::new())?;
                         ws[w].pending_req = None;
                         ws[w].done_granted = true;
-                        out.steal_requests += 1;
+                        out.delta.steal_requests += 1;
                         progressed = true;
                     }
                 }
                 if ws[w].trailer.is_none() {
                     if let Some(tr) = comm.try_recv(w, T_TRAILER)? {
                         debug_assert_eq!(tr.len(), TRAILER_LEN);
-                        out.bytes += tr.len() * std::mem::size_of::<f64>();
+                        out.delta.bytes_reduced += tr.len() * std::mem::size_of::<f64>();
                         ws[w].trailer = Some(tr);
                         ws[w].contacted = true;
                         progressed = true;
@@ -352,13 +336,14 @@ where
                 // Finalize once every announced packet is drained.
                 if let Some(tr) = &ws[w].trailer {
                     if ws[w].next_seq >= tr[5] as u64 {
-                        out.fft_s += tr[0];
-                        out.kernel_s += tr[1];
-                        out.grew += tr[2] as usize;
-                        out.busy_min_s = out.busy_min_s.min(tr[3]);
-                        out.busy_max_s = out.busy_max_s.max(tr[3]);
-                        out.busy_total_s += tr[3];
-                        out.idle_total_s += tr[4];
+                        let d = &mut out.delta;
+                        d.t_fft_s += tr[0];
+                        d.t_kernel_s += tr[1];
+                        d.steady_allocs += tr[2] as usize;
+                        d.rank_busy_min_s = d.rank_busy_min_s.min(tr[3]);
+                        d.rank_busy_max_s = d.rank_busy_max_s.max(tr[3]);
+                        d.rank_busy_total_s += tr[3];
+                        d.rank_idle_total_s += tr[4];
                         ws[w].finalized = true;
                         progressed = true;
                     }
@@ -373,10 +358,10 @@ where
                     for w in 1..p {
                         if !ws[w].resolved() && comm.peer_stalled(w) {
                             ws[w].declared_stalled = true;
-                            out.ranks_stalled += 1;
+                            out.delta.ranks_stalled += 1;
                             for &ci in &sched.per_rank[w] {
                                 queue.push_back(ci);
-                                out.chunks_reissued += 1;
+                                out.delta.chunks_reissued += 1;
                             }
                             progressed = true;
                         }
@@ -391,10 +376,10 @@ where
     // each: everything the sweeps accomplish here is reduce/steal work
     // hidden behind compute.
     for &ci in &sched.per_rank[0] {
-        eval_local(eval, &mut sc, ci, &mut entry, &mut out, &mut filled);
+        eval_local(eval, &mut sc, ci, width, &mut out, &mut filled);
         let t0 = Instant::now();
         sweep!();
-        out.hidden_s += t0.elapsed().as_secs_f64();
+        out.delta.t_reduce_hidden_s += t0.elapsed().as_secs_f64();
     }
 
     // Phase 2 — service loop: whatever the root waits on here is the
@@ -409,8 +394,8 @@ where
         // thief of last resort (single-rank regions, every worker dead).
         if !(1..p).any(|w| !ws[w].declared_stalled) {
             while let Some(ci) = queue.pop_front() {
-                out.chunks_stolen += 1;
-                eval_local(eval, &mut sc, ci, &mut entry, &mut out, &mut filled);
+                out.delta.chunks_stolen += 1;
+                eval_local(eval, &mut sc, ci, width, &mut out, &mut filled);
             }
             continue;
         }
@@ -431,7 +416,7 @@ where
                     };
                     match got {
                         Ok(data) => {
-                            out.bytes += data.len() * std::mem::size_of::<f64>();
+                            out.delta.bytes_reduced += data.len() * std::mem::size_of::<f64>();
                             if want_trailer {
                                 ws[w].trailer = Some(data);
                             } else {
@@ -441,7 +426,7 @@ where
                         }
                         Err(_) => {
                             ws[w].declared_stalled = true;
-                            out.ranks_stalled += 1;
+                            out.delta.ranks_stalled += 1;
                         }
                     }
                     blocked = true;
@@ -459,23 +444,26 @@ where
     // identical kernel — bit-identical contributions in the same slots.
     for ci in 0..nitems {
         if !filled[ci] {
-            out.chunks_reissued += 1;
-            eval_local(eval, &mut sc, ci, &mut entry, &mut out, &mut filled);
+            out.delta.chunks_reissued += 1;
+            eval_local(eval, &mut sc, ci, width, &mut out, &mut filled);
         }
     }
-    out.exposed_s = t_drain.elapsed().as_secs_f64();
+    let exposed_s = t_drain.elapsed().as_secs_f64();
+    let d = &mut out.delta;
+    d.t_reduce_s = exposed_s;
+    d.bytes_reduced += out.flat.len() * std::mem::size_of::<f64>();
     // The root's own compute participates in the busy bracket; its
     // phase-2 wait is idle time like any worker's.
-    out.busy_min_s = out.busy_min_s.min(out.root_busy_s);
-    out.busy_max_s = out.busy_max_s.max(out.root_busy_s);
-    out.busy_total_s += out.root_busy_s;
-    out.idle_total_s += out.exposed_s;
+    d.rank_busy_min_s = d.rank_busy_min_s.min(out.root_busy_s);
+    d.rank_busy_max_s = d.rank_busy_max_s.max(out.root_busy_s);
+    d.rank_busy_total_s += out.root_busy_s;
+    d.rank_idle_total_s += exposed_s;
     Ok(out)
 }
 
 /// Run a [`PipelineJob`] over the Comm backend and return the
 /// canonical flat output (`nitems × width` words, chunk-major). `eval`
-/// appends exactly `width` words for chunk `ci` and reports its kernel
+/// fills the `width`-word slot of chunk `ci` and reports its kernel
 /// timings and scratch growth — the identical closure every other backend
 /// runs, which is what keeps the pipeline bit-identical to them.
 pub(crate) fn run_pipelined<S, I, F>(
@@ -487,7 +475,7 @@ pub(crate) fn run_pipelined<S, I, F>(
 where
     S: Send,
     I: Fn() -> S + Send + Sync,
-    F: Fn(&mut S, usize, &mut Vec<f64>) -> (KernelTimings, usize) + Send + Sync,
+    F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize) + Send + Sync,
 {
     if job.nranks == 0 {
         return Err(Error::InvalidConfig("need at least one rank".into()));
@@ -534,32 +522,16 @@ where
         }
     })
     .map_err(Error::Comm)?;
-    if let Some((_, _, _, _, retries)) = run.fault_stats {
-        profile.comm_retries += retries;
-    }
-    let out = run
+    let mut out = run
         .results
         .into_iter()
         .next()
         .expect("nranks >= 1")
         .map_err(Error::Comm)?
         .expect("rank 0 never stalls and drives the pipeline");
-    profile.t_fft_s += out.fft_s;
-    profile.t_kernel_s += out.kernel_s;
-    profile.steady_allocs += out.grew;
-    profile.bytes_reduced += out.bytes + out.flat.len() * std::mem::size_of::<f64>();
-    profile.t_reduce_hidden_s += out.hidden_s;
-    profile.t_reduce_s += out.exposed_s;
-    profile.ranks_stalled += out.ranks_stalled;
-    profile.chunks_reissued += out.chunks_reissued;
-    profile.chunks_stolen += out.chunks_stolen;
-    profile.steal_requests += out.steal_requests;
-    profile.rank_busy_max_s = profile.rank_busy_max_s.max(out.busy_max_s);
-    profile.rank_busy_min_s = match (profile.rank_busy_min_s, out.busy_min_s) {
-        (0.0, b) => b,
-        (a, b) => a.min(b),
-    };
-    profile.rank_busy_total_s += out.busy_total_s;
-    profile.rank_idle_total_s += out.idle_total_s;
+    if let Some((_, _, _, _, retries)) = run.fault_stats {
+        out.delta.comm_retries = retries;
+    }
+    profile.merge(&out.delta);
     Ok(out.flat)
 }

@@ -128,6 +128,14 @@ impl BuildProfile {
         self.rank_idle_total_s += other.rank_idle_total_s;
     }
 
+    /// Account one executed item: its kernel phase times and whether its
+    /// worker's scratch grew.
+    pub(crate) fn note_kernel(&mut self, t: liair_grid::KernelTimings, grew: usize) {
+        self.t_fft_s += t.fft_s;
+        self.t_kernel_s += t.kernel_s;
+        self.steady_allocs += grew;
+    }
+
     /// Fraction of the build's reduce/reassembly the pipelined backend hid
     /// behind compute: `hidden / (hidden + exposed)`. 0 for a staged or
     /// serial build (nothing was overlapped).

@@ -59,10 +59,7 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use hfx::{exchange_energy, exchange_energy_patched, HfxResult};
 pub use incremental::{Fingerprint, IncStats, IncrementalExchange};
-pub use operator::{
-    exchange_operator_grid, rhf_with_grid_exchange, rhf_with_grid_exchange_in_cell,
-    rhf_with_grid_exchange_incremental, rhf_with_grid_exchange_scheduled, GridScfResult,
-};
+pub use operator::{exchange_operator_grid, rhf_with_grid_exchange_in_cell, GridScfResult};
 pub use screening::{
     build_pair_list, build_pair_list_celllist, source_pairs, CrossBins, EpsSchedule, IncSchedule,
     OrbitalInfo, Pair, PairList,

@@ -12,12 +12,12 @@
 //! exchange potentials `v_jν` acting back on the orbitals). The build
 //! itself lives in the engine ([`ExchangeEngine::k_operator`]); the entry
 //! points here are thin rayon-backend configurations of it, and the
-//! [`rhf_with_grid_exchange`] driver converges an SCF in which *all*
-//! exact exchange comes from the grid path, validating the full pipeline
-//! against the purely analytic RHF.
+//! [`rhf_with_grid_exchange_in_cell`] driver converges an SCF in which
+//! *all* exact exchange comes from the grid path, validating the full
+//! pipeline against the purely analytic RHF.
 
 use crate::engine::{BuildProfile, ExchangeEngine};
-use liair_basis::{Basis, Cell, Molecule};
+use liair_basis::{Basis, Molecule};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
 use liair_math::linalg::{eigh, sym_inv_sqrt};
@@ -84,94 +84,19 @@ pub struct GridScfResult {
 /// grid every iteration (Coulomb and one-electron parts stay analytic —
 /// exactly the split of the paper's plane-wave code, where the Hartree
 /// term rides the density FFT and exchange is the expensive pair loop).
-///
-/// The molecule is centered in a cubic box of edge `extent + 2·padding`
-/// with an `n³` grid. Suitable for small valence-only-friendly systems
-/// (H-based molecules); heavier atoms need core filtering as in
+/// Suitable for small valence-only-friendly systems (H-based molecules);
+/// heavier atoms need core filtering as in
 /// [`crate::hfx::grid_exchange_for_molecule`].
-pub fn rhf_with_grid_exchange(
-    mol: &Molecule,
-    n: usize,
-    padding: f64,
-    max_iter: usize,
-    tol: f64,
-) -> GridScfResult {
-    rhf_with_grid_exchange_scheduled(
-        mol,
-        n,
-        padding,
-        max_iter,
-        tol,
-        crate::screening::EpsSchedule::fixed(0.0),
-    )
-}
-
-/// As [`rhf_with_grid_exchange`] with an ε *schedule*: early iterations
-/// screen aggressively (fewer exchange tasks), tightening toward
-/// convergence — the SCF-level payoff of the controllable-accuracy knob.
-pub fn rhf_with_grid_exchange_scheduled(
-    mol: &Molecule,
-    n: usize,
-    padding: f64,
-    max_iter: usize,
-    tol: f64,
-    schedule: crate::screening::EpsSchedule,
-) -> GridScfResult {
-    let (mol_c, grid, solver) = center_in_box(mol, n, padding);
-    rhf_with_grid_exchange_in_cell(&mol_c, &grid, &solver, max_iter, tol, schedule, None, None)
-}
-
-/// As [`rhf_with_grid_exchange_scheduled`] with an incremental-exchange
-/// state reused across the SCF iterations: the K build of iteration `it`
-/// recomputes only the orbitals that moved since their cached contribution
-/// (tolerance from `inc_schedule`), reusing the rest. `inc` persists
-/// across calls, so a caller stepping a geometry (MD) keeps the cache warm
-/// between steps *provided the box frame is fixed* — use
-/// [`rhf_with_grid_exchange_in_cell`] directly for that; this entry point
-/// re-centers per call and is meant for single-point runs.
-#[allow(clippy::too_many_arguments)]
-pub fn rhf_with_grid_exchange_incremental(
-    mol: &Molecule,
-    n: usize,
-    padding: f64,
-    max_iter: usize,
-    tol: f64,
-    schedule: crate::screening::EpsSchedule,
-    inc_schedule: crate::screening::IncSchedule,
-    inc: &mut crate::incremental::IncrementalExchange,
-) -> GridScfResult {
-    let (mol_c, grid, solver) = center_in_box(mol, n, padding);
-    rhf_with_grid_exchange_in_cell(
-        &mol_c,
-        &grid,
-        &solver,
-        max_iter,
-        tol,
-        schedule,
-        Some((inc, inc_schedule)),
-        None,
-    )
-}
-
-/// Center `mol` in a cubic box sized to its extent plus `padding` on each
-/// side, with an `n³` grid and an isolated Poisson solver.
-fn center_in_box(mol: &Molecule, n: usize, padding: f64) -> (Molecule, RealGrid, PoissonSolver) {
-    let (lo, hi) = mol.bounding_box();
-    let extent = (hi - lo).x.max((hi - lo).y).max((hi - lo).z);
-    let edge = extent + 2.0 * padding;
-    let shift = liair_math::Vec3::splat(edge / 2.0) - (lo + hi) * 0.5;
-    let mut mol_c = mol.clone();
-    mol_c.translate(shift);
-    let grid = RealGrid::cubic(Cell::cubic(edge), n);
-    let solver = PoissonSolver::isolated(grid);
-    (mol_c, grid, solver)
-}
-
-/// The grid-exchange SCF loop itself, in a caller-fixed frame: `mol_c`
-/// must already sit inside the cell `grid` discretizes. This is the MD
-/// entry point — a fixed box keeps orbital fields comparable across steps,
-/// which is what lets an [`crate::incremental::IncrementalExchange`] passed
-/// in `inc` carry its cache from one step to the next.
+///
+/// The loop runs in a caller-fixed frame: `mol_c` must already sit inside
+/// the cell `grid` discretizes. A fixed box keeps orbital fields
+/// comparable across MD steps, which is what lets an
+/// [`crate::incremental::IncrementalExchange`] passed in `inc` carry its
+/// cache from one step to the next — each K build recomputes only the
+/// orbitals that moved since their cached contribution (tolerance from the
+/// [`crate::screening::IncSchedule`]). `schedule` is the ε schedule: early
+/// iterations may screen aggressively (fewer exchange tasks), tightening
+/// toward convergence.
 #[allow(clippy::too_many_arguments)]
 pub fn rhf_with_grid_exchange_in_cell(
     mol_c: &Molecule,
@@ -294,9 +219,32 @@ fn density_of(c_occ: &Mat, nocc: usize) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liair_basis::systems;
+    use crate::incremental::IncrementalExchange;
+    use crate::screening::{EpsSchedule, IncSchedule};
+    use liair_basis::{systems, Cell};
     use liair_math::approx_eq;
     use liair_scf::{rhf, ScfOptions};
+
+    /// The grid-exchange SCF on `mol` centered in a cubic box sized to its
+    /// extent plus `padding` on each side, with an `n³` grid and an
+    /// isolated Poisson solver.
+    fn scf_in_box(
+        mol: &Molecule,
+        n: usize,
+        padding: f64,
+        schedule: EpsSchedule,
+        inc: Option<(&mut IncrementalExchange, IncSchedule)>,
+    ) -> GridScfResult {
+        let (lo, hi) = mol.bounding_box();
+        let extent = (hi - lo).x.max((hi - lo).y).max((hi - lo).z);
+        let edge = extent + 2.0 * padding;
+        let shift = liair_math::Vec3::splat(edge / 2.0) - (lo + hi) * 0.5;
+        let mut mol_c = mol.clone();
+        mol_c.translate(shift);
+        let grid = RealGrid::cubic(Cell::cubic(edge), n);
+        let solver = PoissonSolver::isolated(grid);
+        rhf_with_grid_exchange_in_cell(&mol_c, &grid, &solver, 40, 1e-8, schedule, inc, None)
+    }
 
     #[test]
     fn grid_k_matches_analytic_k() {
@@ -327,7 +275,7 @@ mod tests {
         let mol = systems::h2();
         let basis = Basis::sto3g(&mol);
         let reference = rhf(&mol, &basis, &ScfOptions::default());
-        let grid_scf = rhf_with_grid_exchange(&mol, 64, 7.0, 40, 1e-8);
+        let grid_scf = scf_in_box(&mol, 64, 7.0, EpsSchedule::fixed(0.0), None);
         assert!(grid_scf.converged, "grid-exchange SCF did not converge");
         assert!(
             approx_eq(grid_scf.energy, reference.energy, 2e-3),
@@ -352,19 +300,13 @@ mod tests {
         let mut far = systems::h2();
         far.translate(liair_math::Vec3::new(0.0, 9.0, 0.0));
         mol.merge(&far);
-        let plain = rhf_with_grid_exchange(&mol, 48, 6.0, 40, 1e-8);
-        let scheduled = rhf_with_grid_exchange_scheduled(
-            &mol,
-            48,
-            6.0,
-            40,
-            1e-8,
-            crate::screening::EpsSchedule {
-                eps_start: 1e-2,
-                eps_final: 1e-5,
-                tighten_over: 5,
-            },
-        );
+        let plain = scf_in_box(&mol, 48, 6.0, EpsSchedule::fixed(0.0), None);
+        let tightening = EpsSchedule {
+            eps_start: 1e-2,
+            eps_final: 1e-5,
+            tighten_over: 5,
+        };
+        let scheduled = scf_in_box(&mol, 48, 6.0, tightening, None);
         assert!(plain.converged && scheduled.converged);
         assert!(
             approx_eq(plain.energy, scheduled.energy, 1e-4),
@@ -382,19 +324,11 @@ mod tests {
         // the scheduled SCF's energy (reuse tolerance only perturbs
         // mid-convergence iterations) while skipping Poisson solves.
         let mol = systems::h2();
-        let sched = crate::screening::EpsSchedule::fixed(1e-4);
-        let plain = rhf_with_grid_exchange_scheduled(&mol, 48, 6.0, 40, 1e-8, sched);
-        let mut inc = crate::incremental::IncrementalExchange::new(1e-3, 0);
-        let incr = rhf_with_grid_exchange_incremental(
-            &mol,
-            48,
-            6.0,
-            40,
-            1e-8,
-            sched,
-            crate::screening::IncSchedule::fixed(1e-3, 0),
-            &mut inc,
-        );
+        let sched = EpsSchedule::fixed(1e-4);
+        let plain = scf_in_box(&mol, 48, 6.0, sched, None);
+        let mut inc = IncrementalExchange::new(1e-3, 0);
+        let reuse = Some((&mut inc, IncSchedule::fixed(1e-3, 0)));
+        let incr = scf_in_box(&mol, 48, 6.0, sched, reuse);
         assert!(plain.converged && incr.converged);
         assert!(
             approx_eq(plain.energy, incr.energy, 2e-3),

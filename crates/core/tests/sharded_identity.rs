@@ -18,7 +18,6 @@ use liair_core::{
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
-use liair_runtime::CollectiveMode;
 use liair_scf::ScfOptions;
 
 /// A finite screening threshold loose enough to keep most pairs: the
@@ -76,7 +75,7 @@ fn setup(
         .collect();
     let global = build_pair_list(&infos, EPS, Some(&grid.cell));
     let sharded = build_pair_list_sharded(&infos, EPS, &grid.cell, dims).unwrap();
-    let spmd = sharded_pair_list_spmd(&infos, EPS, &grid.cell, dims, CollectiveMode::Flat).unwrap();
+    let spmd = sharded_pair_list_spmd(&infos, EPS, &grid.cell, dims).unwrap();
     (grid, solver, fields, global, sharded, spmd)
 }
 

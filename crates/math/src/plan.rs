@@ -16,10 +16,10 @@
 //! thread) reuses it — the serial analogue of FFTW-style planning the
 //! BG/Q paper leans on for its node kernel. The cache is **bounded**: a
 //! multi-tenant serve process sees many distinct grid sizes over its
-//! lifetime, so beyond [`plan_cache_capacity`] entries the least-recently
-//! used plan is evicted (in-flight `Arc`s keep evicted plans alive until
-//! their last user drops them — eviction only forgets, it never
-//! invalidates). [`plan_cache_stats`] exposes hit/miss/eviction counters
+//! lifetime, so beyond [`DEFAULT_PLAN_CACHE_CAPACITY`] entries the
+//! least-recently used plan is evicted (in-flight `Arc`s keep evicted
+//! plans alive until their last user drops them — eviction only forgets,
+//! it never invalidates). [`plan_cache_stats`] exposes hit/miss/eviction counters
 //! for regression tests, the engine's `BuildProfile`, and perf triage.
 //!
 //! Steady-state transforms are allocation-free: the Bluestein convolution
@@ -330,23 +330,6 @@ pub fn plan(n: usize) -> Arc<FftPlan> {
     );
     c.enforce_bound(n);
     out
-}
-
-/// Bound the number of distinct cached plan lengths (LRU eviction beyond
-/// it). Returns the previous capacity. Takes effect immediately: shrinking
-/// below the current population evicts at once.
-pub fn set_plan_cache_capacity(capacity: usize) -> usize {
-    let mut c = cache().lock().unwrap();
-    let prev = c.capacity;
-    c.capacity = capacity.max(1);
-    // `usize::MAX` is never a valid length key, so nothing is pinned.
-    c.enforce_bound(usize::MAX);
-    prev
-}
-
-/// The current bound on distinct cached plan lengths.
-pub fn plan_cache_capacity() -> usize {
-    cache().lock().unwrap().capacity
 }
 
 /// Plan-cache observability counters.

@@ -3,13 +3,13 @@
 //! A virtual-rank SPMD runtime — the stand-in for MPI (Rust MPI bindings
 //! are too thin for this reproduction, per the calibration notes).
 //!
-//! [`Comm`] is the first-class communication API: typed point-to-point
-//! transfers ([`Payload`]) and the collective set the parallel
-//! exact-exchange scheme needs, each in a flat (root-based) and a
-//! hierarchical (binomial-tree / recursive-doubling) algorithm selected
-//! by [`CollectiveMode`]. Two implementations exist:
+//! [`Comm`] is the communication API, sized to its callers: word-vector
+//! point-to-point transfers plus the two collectives something calls — a
+//! rooted [`Comm::gather`] and [`Comm::allreduce_sum`], both over one
+//! binomial tree (the flat root-based family lives on only as a cost
+//! model in `liair-bgq`). Two implementations exist:
 //!
-//! * [`LocalComm`] under [`run_spmd`] / [`run_spmd_cfg`] — every rank an
+//! * [`LocalComm`] under [`run_spmd_cfg`] — every rank an
 //!   OS thread with crossbeam channels for transport; proves the
 //!   *correctness* of the distributed algorithm at laptop scale;
 //! * [`TorusComm`] — wraps a communicator and charges every transfer to a
@@ -34,14 +34,12 @@ pub mod comm;
 pub mod config;
 pub mod error;
 pub mod fault;
-pub mod payload;
 pub mod pool;
 pub mod topo;
 
-pub use comm::{run_spmd, run_spmd_cfg, CollectiveMode, Comm, CommConfig, LocalComm, SpmdRun};
+pub use comm::{run_spmd_cfg, Comm, CommConfig, LocalComm, SpmdRun};
 pub use config::SeedConfig;
 pub use error::{CommError, CommResult};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, Verdict};
-pub use payload::Payload;
 pub use pool::{PoolStats, RankLease, RankPool};
 pub use topo::{fit_torus, TorusComm, TrafficLog};

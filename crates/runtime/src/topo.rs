@@ -5,10 +5,11 @@
 //! routed after the region with `liair-bgq`'s dimension-ordered router.
 //! That closes the loop between the *executed* algorithm and the *modeled*
 //! machine — the hop counts and per-link loads of the real message
-//! pattern (flat root gather vs binomial tree vs recursive doubling) feed
-//! the BSP cost model, instead of an assumed analytic pattern.
+//! pattern (every edge of the binomial-tree collectives, every packet of
+//! the engine's pipeline) feed the BSP cost model, instead of an assumed
+//! analytic pattern.
 
-use crate::comm::{CollectiveMode, Comm};
+use crate::comm::Comm;
 use crate::error::CommResult;
 use liair_bgq::routing::{route_traffic, LinkLoads};
 use liair_bgq::{MachineConfig, Torus5D};
@@ -127,10 +128,6 @@ impl<C: Comm> Comm for TorusComm<'_, C> {
         self.inner.size()
     }
 
-    fn mode(&self) -> CollectiveMode {
-        self.inner.mode()
-    }
-
     fn next_epoch(&self) -> u64 {
         self.inner.next_epoch()
     }
@@ -163,9 +160,8 @@ mod tests {
     use super::*;
     use crate::comm::{run_spmd_cfg, CommConfig};
 
-    fn cfg(nranks: usize, mode: CollectiveMode) -> CommConfig {
+    fn cfg(nranks: usize) -> CommConfig {
         CommConfig {
-            mode,
             fault: None,
             torus: Some(fit_torus(nranks)),
         }
@@ -181,46 +177,40 @@ mod tests {
     #[test]
     fn ledger_accounts_every_sent_word() {
         let n = 4;
-        let run = run_spmd_cfg(n, cfg(n, CollectiveMode::Flat), |comm| {
+        let run = run_spmd_cfg(n, cfg(n), |comm| {
             comm.gather(0, vec![comm.rank() as f64; 3]).unwrap();
         })
         .unwrap();
         let log = run.traffic.expect("torus configured");
-        // Flat gather: ranks 1..n each send one 3-word message to root.
+        // Tree gather: every non-root sends exactly once. Ranks 1 and 3
+        // forward their own 3 words, rank 2 its own plus rank 3's; each
+        // framed entry carries a 2-word header, each message a count word.
         assert_eq!(log.messages(), n - 1);
-        assert_eq!(log.total_bytes(), ((n - 1) * 3 * 8) as f64);
+        let words = 2 * (1 + 2 + 3) + (1 + 2 * (2 + 3));
+        assert_eq!(log.total_bytes(), (words * 8) as f64);
         assert!(log.mean_hops() >= 1.0);
         assert!(log.route().total() > 0.0);
     }
 
     #[test]
     fn hierarchical_gather_shrinks_the_hottest_edge() {
-        // With 8 ranks, the flat gather concentrates 7 messages on the
-        // root's links; the binomial tree spreads them over log₂ 8 rounds.
+        // With 8 ranks a flat gather would land 7 messages on the root;
+        // the binomial tree hands it ⌈log₂ 8⌉ = 3 and spreads the rest
+        // over the interior nodes.
         let n = 8;
-        let payload = vec![1.0; 64];
-        let traffic = |mode| {
-            let data = payload.clone();
-            run_spmd_cfg(n, cfg(n, mode), move |comm| {
-                comm.gather(0, data.clone()).unwrap();
-            })
-            .unwrap()
-            .traffic
-            .unwrap()
-        };
-        let flat = traffic(CollectiveMode::Flat);
-        let hier = traffic(CollectiveMode::Hierarchical);
-        // Tree: every non-root sends exactly once, same message count…
-        assert_eq!(flat.messages(), n - 1);
-        assert_eq!(hier.messages(), n - 1);
-        // …but the flat pattern's root in-degree shows up as congestion.
-        let m = MachineConfig::bgq_nodes(n);
-        assert!(
-            hier.modeled_comm_time(&m) <= flat.modeled_comm_time(&m) * 1.5,
-            "hier {} vs flat {}",
-            hier.modeled_comm_time(&m),
-            flat.modeled_comm_time(&m)
-        );
+        let run = run_spmd_cfg(n, cfg(n), move |comm| {
+            comm.gather(0, vec![1.0; 64]).unwrap();
+        })
+        .unwrap();
+        let log = run.traffic.unwrap();
+        assert_eq!(log.messages(), n - 1);
+        let demands = log.demands();
+        let into_root = demands.iter().filter(|&&(_, dst, _)| dst == 0).count();
+        assert_eq!(into_root, 3);
+        // The root's last child forwards half the machine's payload.
+        let hottest = demands.iter().map(|&(_, _, b)| b).fold(0.0, f64::max);
+        assert_eq!(hottest, ((1 + 4 * (2 + 64)) * 8) as f64);
+        assert!(log.modeled_comm_time(&MachineConfig::bgq_nodes(n)) > 0.0);
     }
 
     #[test]

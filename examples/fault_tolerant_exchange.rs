@@ -5,12 +5,14 @@
 //! seeded fault plan that drops, delays, duplicates, and stalls — and
 //! every energy agrees to the last bit, because retransmission recovers
 //! lost messages and a stalled rank's chunks are re-issued to the
-//! survivors through the identical kernel. Finally a gather pattern is
-//! routed on the fitted 5-D torus to show what hierarchical collectives
-//! buy the runtime at scale.
+//! survivors through the identical kernel. Finally the runtime's tree
+//! gather is routed on the fitted 5-D torus, next to the model's price of
+//! a flat root gather, to show what the hierarchical collective buys at
+//! scale.
 //!
 //! Run with: `cargo run --release --example fault_tolerant_exchange`
 
+use liair::bgq::collectives::{gather, CollectiveAlgo};
 use liair::core::screening::build_pair_list;
 use liair::prelude::*;
 
@@ -114,29 +116,31 @@ fn main() {
         );
     }
 
-    // Route the gather pattern on the fitted torus: what the tree buys.
-    println!("\ngather pattern routed on the fitted torus (32 ranks, 80 B each):");
-    for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
-        let nranks = 32;
-        let cfg = CommConfig {
-            mode,
-            fault: None,
-            torus: Some(fit_torus(nranks)),
-        };
-        let run = run_spmd_cfg(nranks, cfg, |comm| {
-            comm.gather(0, vec![comm.rank() as f64; 10]).unwrap();
-        })
-        .unwrap();
-        let log = run.traffic.unwrap();
-        let machine = MachineConfig::bgq_nodes(nranks);
-        println!(
-            "  {:<13} {} wire messages, mean hops {:.2}, modeled time {:.2} us",
-            format!("{}:", mode.name()),
-            log.messages(),
-            log.mean_hops(),
-            log.modeled_comm_time(&machine) * 1e6
-        );
-    }
+    // Route the executed tree gather on the fitted torus, and price the
+    // flat root gather the runtime no longer ships on the same machine.
+    let nranks = 32;
+    println!("\ngather pattern on the fitted torus ({nranks} ranks, 80 B each):");
+    let cfg = CommConfig {
+        fault: None,
+        torus: Some(fit_torus(nranks)),
+    };
+    let run = run_spmd_cfg(nranks, cfg, |comm| {
+        comm.gather(0, vec![comm.rank() as f64; 10]).unwrap();
+    })
+    .unwrap();
+    let log = run.traffic.unwrap();
+    let machine = MachineConfig::bgq_nodes(nranks);
+    println!(
+        "  executed tree: {} wire messages, mean hops {:.2}, routed time {:.2} us",
+        log.messages(),
+        log.mean_hops(),
+        log.modeled_comm_time(&machine) * 1e6
+    );
+    println!(
+        "  modeled:       flat root {:.2} us, binomial tree {:.2} us",
+        gather(&machine, CollectiveAlgo::FlatRoot, 80.0) * 1e6,
+        gather(&machine, CollectiveAlgo::BinomialTree, 80.0) * 1e6
+    );
     println!(
         "\nat 98,304 nodes the flat gather pays (P-1)*alpha ~ 0.2 s per build;\n\
          the binomial tree pays ceil(log2 P)*alpha ~ 34 us — run\n\

@@ -248,6 +248,19 @@ impl<'a, T: Send> ParChunksMutEnumerate<'a, T> {
             self.slice.chunks_mut(self.chunk).enumerate().collect();
         par_for_each_owned(chunks, || (), |(), pair| f(pair));
     }
+
+    pub fn map_init<S, R, INIT, F>(
+        self,
+        init: INIT,
+        f: F,
+    ) -> ParVecMapInit<(usize, &'a mut [T]), INIT, F>
+    where
+        INIT: Fn() -> S + Sync,
+        F: Fn(&mut S, (usize, &'a mut [T])) -> R + Sync,
+    {
+        let items = self.slice.chunks_mut(self.chunk).enumerate().collect();
+        ParVec { items }.map_init(init, f)
+    }
 }
 
 // ---------------------------------------------------------------------------

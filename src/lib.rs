@@ -18,7 +18,9 @@
 //!   pair-distributed exact exchange, with real executors and the BG/Q
 //!   scale model;
 //! * [`bgq`] — the 5-D-torus machine model;
-//! * [`runtime`] — the SPMD message-passing runtime;
+//! * [`runtime`] — the SPMD message-passing runtime: point-to-point
+//!   transfers plus binomial-tree `gather` / `allreduce_sum` behind the
+//!   `Comm` trait, fault injection and torus traffic accounting;
 //! * [`md`] — molecular dynamics for the electrolyte application;
 //! * [`serve`] — the multi-tenant batch job service: admission quotas,
 //!   priority-aged scheduling, rank-pool leasing, checkpoint/restart
@@ -95,8 +97,7 @@ pub mod prelude {
         MdState, MtsOptions, SplitForceProvider, Thermostat, XcForces,
     };
     pub use liair_runtime::{
-        fit_torus, run_spmd_cfg, CollectiveMode, Comm, CommConfig, CommError, SeedConfig, SpmdRun,
-        TrafficLog,
+        fit_torus, run_spmd_cfg, Comm, CommConfig, CommError, SeedConfig, SpmdRun, TrafficLog,
     };
     pub use liair_scf::{
         fci_two_electron, functional_energy, harmonic_frequencies, mp2_correlation, optimize_rhf,
