@@ -37,7 +37,7 @@ pub fn fig_screening_accuracy(fast: bool) -> Vec<Table> {
     let scf = rhf(&mol, &basis, &ScfOptions::default());
     assert!(scf.converged);
     let reference = grid_exchange_for_molecule(&mol, &basis, &scf, grid_n, 6.0, 0.0, 0.0);
-    let mut t1 = Table::new(
+    let mut t1 = Table::measured(
         &format!("fig-screening-accuracy — (H2)x{nmol} chain, real grid exchange"),
         &["eps", "pairs kept", "of", "E_x [Ha]", "|dE_x| [Ha]"],
     );
@@ -69,7 +69,7 @@ pub fn fig_screening_accuracy(fast: bool) -> Vec<Table> {
     t1.note = "error grows monotonically and controllably with eps — the accuracy knob".into();
 
     // --- workload statistics ---
-    let mut t2 = Table::new(
+    let mut t2 = Table::measured(
         "fig-screening-accuracy — surviving pairs, condensed workload",
         &["eps", "pairs kept", "survival", "partners/orbital"],
     );
@@ -106,11 +106,11 @@ mod tests {
         // non-increasing.
         let errs: Vec<f64> = t.rows[1..]
             .iter()
-            .map(|r| r[4].parse::<f64>().unwrap())
+            .map(|r| r[4].text().parse::<f64>().unwrap())
             .collect();
         let kept: Vec<usize> = t.rows[1..]
             .iter()
-            .map(|r| r[1].parse::<usize>().unwrap())
+            .map(|r| r[1].text().parse::<usize>().unwrap())
             .collect();
         for w in errs.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "errors not monotone: {errs:?}");

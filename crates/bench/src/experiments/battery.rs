@@ -75,7 +75,7 @@ pub fn tab_battery(fast: bool) -> Vec<Table> {
     assert!(scf_cl.converged, "Li2O2 SCF failed");
     let pbe0_cl = functional_energy(&cluster, &basis_cl, &scf_cl, Functional::Pbe0, &opts);
 
-    let mut t = Table::new(
+    let mut t = Table::measured(
         "tab-battery — solvent stability against Li2O2 (STO-3G)",
         &[
             "solvent",
@@ -154,7 +154,7 @@ pub fn fig_md_water(fast: bool) -> Vec<Table> {
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .unwrap();
 
-    let mut t = Table::new(
+    let mut t = Table::measured(
         &format!(
             "fig-md-water — {} H2O periodic box",
             n_side * n_side * n_side
@@ -196,6 +196,7 @@ mod tests {
         let t = &fig_md_water(true)[0];
         let drift_row = &t.rows[1];
         let drift: f64 = drift_row[1]
+            .text()
             .split_whitespace()
             .next()
             .unwrap()

@@ -9,22 +9,22 @@
 //! per build; the tree keeps the collective in the hundreds of
 //! microseconds, which is what keeps the modeled build efficiency flat.
 //!
-//! Two sections:
+//! Three tables:
 //!
 //! 1. **measured** — the runtime's actual message pattern: `run_spmd_cfg`
-//!    executes its (binomial-tree) gather, the
+//!    executes its (binomial-tree) gather and the
 //!    [`TrafficLog`](liair_runtime::TrafficLog) records every wire
-//!    message, and `liair-bgq`'s router prices the resulting link loads —
-//!    executed pattern, modeled machine — beside the analytic model's
-//!    price of both families at the same rank count;
-//! 2. **modeled** — [`liair_bgq::collectives::gather`] over the paper's
+//!    message (counts, hops, link bytes);
+//! 2. **modeled** — what the model machine charges at the same rank
+//!    counts: `liair-bgq`'s router pricing the executed link loads, beside
+//!    the analytic price of both families — in a table of its own, since
+//!    a modeled number never shares a row with an executed one;
+//! 3. **modeled** — [`liair_bgq::collectives::gather`] over the paper's
 //!    scaling series (1 → 96 racks), with the strong-scaling build
 //!    efficiency each algorithm family sustains. The flat family exists
 //!    only here, as [`CollectiveAlgo::FlatRoot`].
-//!
-//! Writes the machine-readable `BENCH_collectives.json`.
 
-use crate::Table;
+use crate::{Datum, Table};
 use liair_bgq::collectives::{gather, CollectiveAlgo};
 use liair_bgq::machine::scaling_series;
 use liair_bgq::MachineConfig;
@@ -78,16 +78,14 @@ fn model_series() -> Vec<ModelRow> {
         .collect()
 }
 
-/// One measured point: the runtime's real gather traffic, routed, beside
-/// the analytic model of both families on the same machine.
+/// One executed point: the runtime's real gather traffic, and what the
+/// model's router charges for exactly those messages.
 struct MeasuredRow {
     nranks: usize,
     messages: usize,
     mean_hops: f64,
     max_link_bytes: f64,
     routed_s: f64,
-    model_flat_s: f64,
-    model_tree_s: f64,
 }
 
 fn measure(nranks: usize, words: usize) -> MeasuredRow {
@@ -101,77 +99,68 @@ fn measure(nranks: usize, words: usize) -> MeasuredRow {
     })
     .expect("valid fault-free configuration");
     let log = run.traffic.expect("torus was configured");
-    let machine = MachineConfig::bgq_nodes(nranks);
-    let bytes = (words * 8) as f64;
     MeasuredRow {
         nranks,
         messages: log.messages(),
         mean_hops: log.mean_hops(),
         max_link_bytes: log.route().max(),
-        routed_s: log.modeled_comm_time(&machine),
-        model_flat_s: gather(&machine, CollectiveAlgo::FlatRoot, bytes),
-        model_tree_s: gather(&machine, CollectiveAlgo::BinomialTree, bytes),
+        routed_s: log.modeled_comm_time(&MachineConfig::bgq_nodes(nranks)),
     }
+}
+
+/// The analytic model's `(flat, tree)` gather seconds on `nranks` nodes.
+fn model_at(nranks: usize, words: usize) -> (f64, f64) {
+    let machine = MachineConfig::bgq_nodes(nranks);
+    let bytes = (words * 8) as f64;
+    (
+        gather(&machine, CollectiveAlgo::FlatRoot, bytes),
+        gather(&machine, CollectiveAlgo::BinomialTree, bytes),
+    )
 }
 
 /// Run the `bench-collectives` experiment.
 pub fn bench_collectives(fast: bool) -> Vec<Table> {
-    let mut tables = Vec::new();
-    let mut json = String::from("{\n  \"experiment\": \"bench-collectives\",\n");
-    json.push_str(&format!(
-        "  \"payload_bytes_per_rank\": {PAYLOAD_BYTES},\n  \"t_build_1rack_s\": {T_BUILD_1RACK_S},\n"
-    ));
-
-    // ── measured: the runtime's wire patterns through the torus router ──
+    // ── measured: the runtime's wire pattern, logged on the fitted torus ──
     let rank_counts: &[usize] = if fast { &[8, 16] } else { &[8, 16, 32, 64] };
     let words = 10; // PAYLOAD_BYTES / 8
-    let mut tm = Table::new(
-        "bench-collectives — executed tree gather (threaded runtime, routed on the fitted torus) vs the model",
+    let mut tm = Table::measured(
+        "bench-collectives — executed tree gather (threaded runtime, traffic logged on the fitted torus)",
+        &["ranks", "pattern", "wire msgs", "mean hops", "max link [B]"],
+    );
+    // ── modeled: what that traffic, and both analytic families, cost on
+    // the model machine at the same rank counts ──
+    let mut tp = Table::modeled(
+        "bench-collectives — model prices at the executed rank counts (executed traffic routed link by link; analytic flat and tree)",
         &[
             "ranks",
-            "wire msgs",
-            "mean hops",
-            "max link [B]",
             "routed [us]",
             "model flat [us]",
             "model tree [us]",
         ],
     );
-    json.push_str("  \"measured\": [\n");
-    let measured: Vec<MeasuredRow> = rank_counts.iter().map(|&n| measure(n, words)).collect();
-    for (i, r) in measured.iter().enumerate() {
+    for r in rank_counts.iter().map(|&n| measure(n, words)) {
         tm.row(vec![
-            r.nranks.to_string(),
-            r.messages.to_string(),
-            format!("{:.2}", r.mean_hops),
-            format!("{:.0}", r.max_link_bytes),
-            format!("{:.2}", r.routed_s * 1e6),
-            format!("{:.2}", r.model_flat_s * 1e6),
-            format!("{:.2}", r.model_tree_s * 1e6),
+            r.nranks.into(),
+            "binomial-tree".into(),
+            r.messages.into(),
+            Datum::fixed(r.mean_hops, 2),
+            Datum::fixed(r.max_link_bytes, 0),
         ]);
-        json.push_str(&format!(
-            "    {{\"ranks\": {}, \"pattern\": \"binomial-tree\", \"messages\": {}, \
-             \"mean_hops\": {:.3}, \"max_link_bytes\": {:.1}, \"routed_s\": {:.3e}, \
-             \"model_flat_s\": {:.3e}, \"model_tree_s\": {:.3e}}}{}\n",
-            r.nranks,
-            r.messages,
-            r.mean_hops,
-            r.max_link_bytes,
-            r.routed_s,
-            r.model_flat_s,
-            r.model_tree_s,
-            if i + 1 < measured.len() { "," } else { "" }
-        ));
+        let (flat, tree) = model_at(r.nranks, words);
+        tp.row(vec![
+            r.nranks.into(),
+            Datum::fixed(r.routed_s * 1e6, 2),
+            Datum::fixed(flat * 1e6, 2),
+            Datum::fixed(tree * 1e6, 2),
+        ]);
     }
-    json.push_str("  ],\n");
     tm.note = "every non-root rank sends exactly once; interior nodes forward their subtree \
                (3 frame words per message + 2 per forwarded rank ride along)"
         .into();
-    tables.push(tm);
 
     // ── modeled: the scaling series to 6,291,456 threads ──
     let rows = model_series();
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "bench-collectives — modeled build efficiency, flat vs hierarchical gather (80 B/rank)",
         &[
             "racks",
@@ -184,63 +173,33 @@ pub fn bench_collectives(fast: bool) -> Vec<Table> {
             "hier/flat speedup",
         ],
     );
-    json.push_str("  \"modeled\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    for r in &rows {
         t.row(vec![
-            r.racks.to_string(),
-            r.threads.to_string(),
-            format!("{:.3e}", r.t_flat),
-            format!("{:.3e}", r.t_tree),
-            format!("{:.3e}", r.t_torus),
-            format!("{:.4}", r.eff_flat),
-            format!("{:.4}", r.eff_hier),
-            format!("{:.1}x", r.t_flat / r.t_tree),
+            r.racks.into(),
+            r.threads.into(),
+            Datum::sci(r.t_flat, 3),
+            Datum::sci(r.t_tree, 3),
+            Datum::sci(r.t_torus, 3),
+            Datum::fixed(r.eff_flat, 4),
+            Datum::fixed(r.eff_hier, 4),
+            Datum::shown(r.t_flat / r.t_tree, format!("{:.1}x", r.t_flat / r.t_tree)),
         ]);
-        json.push_str(&format!(
-            "    {{\"racks\": {}, \"threads\": {}, \"t_flat_s\": {:.6e}, \"t_tree_s\": {:.6e}, \
-             \"t_torus_s\": {:.6e}, \"eff_flat\": {:.6}, \"eff_hier\": {:.6}}}{}\n",
-            r.racks,
-            r.threads,
-            r.t_flat,
-            r.t_tree,
-            r.t_torus,
-            r.eff_flat,
-            r.eff_hier,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
     }
-    json.push_str("  ],\n");
     let dominated = rows
         .iter()
         .filter(|r| r.threads >= 1_000_000)
         .all(|r| r.eff_hier > r.eff_flat && r.t_tree < r.t_flat);
-    json.push_str(&format!(
-        "  \"hierarchical_dominates_at_1m_threads\": {dominated}\n}}\n"
-    ));
     let full = rows.last().expect("scaling series is non-empty");
     t.note = format!(
-        "full machine ({} threads): flat loses {:.1}% build efficiency to the (P-1)*alpha wall, \
+        "{PAYLOAD_BYTES} B/rank against a {T_BUILD_1RACK_S} s one-rack build; \
+         full machine ({} threads): flat loses {:.1}% build efficiency to the (P-1)*alpha wall, \
          hierarchical {:.2}%; dominance at >=1M threads: {}",
         full.threads,
         (1.0 - full.eff_flat) * 100.0,
         (1.0 - full.eff_hier) * 100.0,
         dominated
     );
-    tables.push(t);
-
-    match std::fs::write("BENCH_collectives.json", &json) {
-        Ok(()) => tables
-            .last_mut()
-            .expect("tables is non-empty")
-            .note
-            .push_str("; BENCH_collectives.json written"),
-        Err(e) => tables
-            .last_mut()
-            .expect("tables is non-empty")
-            .note
-            .push_str(&format!("; JSON not written: {e}")),
-    }
-    tables
+    vec![tm, tp, t]
 }
 
 #[cfg(test)]
@@ -284,6 +243,7 @@ mod tests {
         let row = measure(8, 4);
         assert_eq!(row.messages, 7);
         assert!(row.routed_s > 0.0);
-        assert!(row.model_tree_s < row.model_flat_s);
+        let (flat, tree) = model_at(8, 4);
+        assert!(tree < flat);
     }
 }

@@ -21,10 +21,8 @@
 //!    each partition of the paper's scaling series
 //!    ([`liair_bgq::domainmap`]), routed link by link, against the
 //!    replicated-orbital baseline it replaces.
-//!
-//! Writes the machine-readable `BENCH_scaling.json`.
 
-use crate::Table;
+use crate::{Datum, Table};
 use liair_basis::Cell;
 use liair_bgq::domainmap::{halo_cost, DomainMap};
 use liair_bgq::machine::scaling_series;
@@ -322,16 +320,10 @@ fn torus_rows() -> Vec<TorusRow> {
 
 /// Run the `bench-scaling` experiment.
 pub fn bench_scaling(fast: bool) -> Vec<Table> {
-    let mut tables = Vec::new();
-    let mut json = String::from("{\n  \"experiment\": \"bench-scaling\",\n");
-    json.push_str(&format!(
-        "  \"eps\": {EPS:e}, \"spread\": {SPREAD}, \"orbitals_per_rank\": {M_PER_DOMAIN},\n"
-    ));
-
     // ── sourcing ──
     let rows = sourcing_sweep(fast);
     let linear = sourcing_is_linear(&rows);
-    let mut ts = Table::new(
+    let mut ts = Table::measured(
         "bench-scaling — cell-list pair source vs O(N^2) scan, paper water density",
         &[
             "orbitals",
@@ -343,42 +335,29 @@ pub fn bench_scaling(fast: bool) -> Vec<Table> {
             "candidates",
         ],
     );
-    json.push_str("  \"sourcing\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    for r in &rows {
         ts.row(vec![
-            r.n.to_string(),
-            format!("{:.1}", r.celllist_ms),
-            r.brute_ms.map_or("-".into(), |t| format!("{t:.1}")),
-            r.pairs.to_string(),
-            r.considered.to_string(),
-            format!("{:.1}", r.considered as f64 / r.n as f64),
-            r.candidates.to_string(),
+            r.n.into(),
+            Datum::fixed(r.celllist_ms, 1),
+            r.brute_ms.map_or(Datum::missing(), |t| Datum::fixed(t, 1)),
+            r.pairs.into(),
+            r.considered.into(),
+            Datum::fixed(r.considered as f64 / r.n as f64, 1),
+            r.candidates.into(),
         ]);
-        json.push_str(&format!(
-            "    {{\"orbitals\": {}, \"celllist_ms\": {:.3}, \"brute_ms\": {}, \"pairs\": {}, \
-             \"inspected\": {}, \"candidates\": {}}}{}\n",
-            r.n,
-            r.celllist_ms,
-            r.brute_ms.map_or("null".into(), |t| format!("{t:.3}")),
-            r.pairs,
-            r.considered,
-            r.candidates,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
     }
-    json.push_str(&format!("  ],\n  \"sourcing_linear\": {linear},\n"));
     ts.note = format!(
-        "inspected candidates per orbital stay bounded as N grows (linear sourcing: {linear}); \
-         every brute-checked size matches the cell list pair for pair"
+        "eps = {EPS:e}, spread = {SPREAD} Bohr; inspected candidates per orbital stay bounded as N \
+         grows (linear sourcing: {linear}); every brute-checked size matches the cell list pair \
+         for pair"
     );
-    tables.push(ts);
 
     // ── weak scaling ──
     let reps = if fast { 1 } else { 3 };
     let wrows = weak_scaling_rows(reps);
     let flat = weak_scaling_is_flat(&wrows);
     let ident = bit_identity();
-    let mut tw = Table::new(
+    let mut tw = Table::measured(
         "bench-scaling — weak scaling, 3375 orbitals/rank over g^3 torus subdomains (domain 0 measured)",
         &[
             "g",
@@ -393,18 +372,17 @@ pub fn bench_scaling(fast: bool) -> Vec<Table> {
             "path",
         ],
     );
-    json.push_str("  \"weak_scaling\": [\n");
-    for (i, r) in wrows.iter().enumerate() {
+    for r in &wrows {
         tw.row(vec![
-            r.g.to_string(),
-            r.ranks.to_string(),
-            r.orbitals_total.to_string(),
-            r.residents.to_string(),
-            r.halo.to_string(),
-            r.pairs.to_string(),
-            r.considered.to_string(),
-            format!("{:.1}", r.build_ms),
-            format!("{:.2}", r.mem_mb),
+            r.g.into(),
+            r.ranks.into(),
+            r.orbitals_total.into(),
+            r.residents.into(),
+            r.halo.into(),
+            r.pairs.into(),
+            r.considered.into(),
+            Datum::fixed(r.build_ms, 1),
+            Datum::fixed(r.mem_mb, 2),
             if r.windowed {
                 "window"
             } else {
@@ -412,42 +390,19 @@ pub fn bench_scaling(fast: bool) -> Vec<Table> {
             }
             .into(),
         ]);
-        json.push_str(&format!(
-            "    {{\"domains_per_axis\": {}, \"ranks\": {}, \"orbitals_total\": {}, \
-             \"residents\": {}, \"halo\": {}, \"pairs_per_rank\": {}, \
-             \"inspected_per_rank\": {}, \"build_ms\": {:.3}, \"rank_mem_mb\": {:.3}, \
-             \"windowed\": {}}}{}\n",
-            r.g,
-            r.ranks,
-            r.orbitals_total,
-            r.residents,
-            r.halo,
-            r.pairs,
-            r.considered,
-            r.build_ms,
-            r.mem_mb,
-            r.windowed,
-            if i + 1 < wrows.len() { "," } else { "" }
-        ));
     }
     let max_total = wrows.iter().map(|r| r.orbitals_total).max().unwrap_or(0);
-    json.push_str(&format!(
-        "  ],\n  \"weak_scaling_flat\": {flat},\n  \"max_orbitals_total\": {max_total},\n  \
-         \"bit_identity\": {{\"sharded\": {}, \"spmd\": {}, \"windowed\": {}}},\n",
-        ident.sharded, ident.spmd, ident.windowed
-    ));
     tw.note = format!(
         "per-rank load flat within 10% across the windowed series up to {max_total} total \
          orbitals ({flat}); sharded/SPMD lists bit-identical to the global builders \
          (sharded: {}, spmd: {}, windowed: {})",
         ident.sharded, ident.spmd, ident.windowed
     );
-    tables.push(tw);
 
     // ── torus halo traffic ──
     let trows = torus_rows();
     let halo_wins = trows.iter().all(|r| r.halo_us < r.replication_us);
-    let mut tt = Table::new(
+    let mut tt = Table::modeled(
         "bench-scaling — modeled halo exchange on the folded torus vs replicated orbitals",
         &[
             "racks",
@@ -460,57 +415,23 @@ pub fn bench_scaling(fast: bool) -> Vec<Table> {
             "replication [us]",
         ],
     );
-    json.push_str("  \"torus_halo\": [\n");
-    for (i, r) in trows.iter().enumerate() {
+    for r in &trows {
         tt.row(vec![
-            r.racks.to_string(),
-            r.nodes.to_string(),
-            format!("{}x{}x{}", r.grid[0], r.grid[1], r.grid[2]),
-            format!("{:.1}", r.max_link_kb),
-            format!("{:.2}", r.congestion),
-            format!("{:.2}", r.mean_hops),
-            format!("{:.1}", r.halo_us),
-            format!("{:.1}", r.replication_us),
+            r.racks.into(),
+            r.nodes.into(),
+            format!("{}x{}x{}", r.grid[0], r.grid[1], r.grid[2]).into(),
+            Datum::fixed(r.max_link_kb, 1),
+            Datum::fixed(r.congestion, 2),
+            Datum::fixed(r.mean_hops, 2),
+            Datum::fixed(r.halo_us, 1),
+            Datum::fixed(r.replication_us, 1),
         ]);
-        json.push_str(&format!(
-            "    {{\"racks\": {}, \"nodes\": {}, \"grid\": [{}, {}, {}], \
-             \"max_link_kb\": {:.3}, \"congestion\": {:.3}, \"mean_hops\": {:.3}, \
-             \"halo_us\": {:.3}, \"replication_us\": {:.3}}}{}\n",
-            r.racks,
-            r.nodes,
-            r.grid[0],
-            r.grid[1],
-            r.grid[2],
-            r.max_link_kb,
-            r.congestion,
-            r.mean_hops,
-            r.halo_us,
-            r.replication_us,
-            if i + 1 < trows.len() { "," } else { "" }
-        ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"halo_beats_replication\": {halo_wins}\n}}\n"
-    ));
     tt.note = format!(
         "halo stays O(1)/rank while replication grows O(P); halo cheaper at every scale: \
          {halo_wins}"
     );
-    tables.push(tt);
-
-    match std::fs::write("BENCH_scaling.json", &json) {
-        Ok(()) => tables
-            .last_mut()
-            .expect("tables is non-empty")
-            .note
-            .push_str("; BENCH_scaling.json written"),
-        Err(e) => tables
-            .last_mut()
-            .expect("tables is non-empty")
-            .note
-            .push_str(&format!("; JSON not written: {e}")),
-    }
-    tables
+    vec![ts, tw, tt]
 }
 
 #[cfg(test)]

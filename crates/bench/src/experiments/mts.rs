@@ -12,15 +12,16 @@
 //! * `box-li2o2` / `complex-pc` — the `liair-basis::systems` electrolyte
 //!   boxes under the PBE0-flavoured *model* split Hamiltonian
 //!   `E = E_FF + E_xc[n_model] + a_x·E_x^model`: one Gaussian valence
-//!   proxy orbital per heavy atom (the bench-incremental convention),
+//!   proxy orbital per heavy atom,
 //!   the LDA term on the box grid as the fast part, and the exact-
 //!   exchange term through the real engine's incremental energy path
 //!   with one warm cache per finite-difference slot as the slow part.
 //!
-//! Writes `BENCH_mts.json`. Acceptance: ≥3× time-to-solution vs
-//! `n_inner = 1` on an electrolyte box at matched (within-bound) drift.
+//! Acceptance: ≥3× time-to-solution vs `n_inner = 1` on an electrolyte
+//! box at matched (within-bound) drift. A second table keeps the
+//! per-outer-step record (fast/slow seconds, reuse counters) of every run.
 
-use crate::Table;
+use crate::{Datum, Table};
 use liair_basis::{systems, Cell, Element, Molecule};
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{IncSchedule, IncStats, IncrementalExchange};
@@ -396,45 +397,14 @@ struct SweepRow {
     r: RunResult,
 }
 
-fn json_rows(system: &str, dt: f64, n_total: usize, rows: &[SweepRow]) -> Vec<String> {
-    let t1 = rows[0].r.t_total_s;
-    rows.iter()
-        .map(|row| {
-            let outer: Vec<String> = row
-                .r
-                .log
-                .iter()
-                .map(|rec| {
-                    let (reused, recomputed, invalidated) = rec
-                        .inc
-                        .map(|s| (s.pairs_reused, s.pairs_recomputed, s.pairs_invalidated))
-                        .unwrap_or((0, 0, 0));
-                    format!(
-                        "{{\"step\": {}, \"t_fast_s\": {:.4}, \"t_slow_s\": {:.4}, \"pairs_reused\": {}, \"pairs_recomputed\": {}, \"pairs_invalidated\": {}}}",
-                        rec.step_count, rec.times.t_fast_s, rec.times.t_slow_s, reused, recomputed, invalidated
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"system\": \"{}\", \"n_inner\": {}, \"dt_au\": {}, \"inner_steps\": {}, \"t_total_s\": {:.4}, \"speedup\": {:.2}, \"drift_ha\": {:.3e}, \"outer_steps\": [{}]}}",
-                system,
-                row.n_inner,
-                dt,
-                n_total,
-                row.r.t_total_s,
-                t1 / row.r.t_total_s.max(1e-12),
-                row.r.drift,
-                outer.join(", ")
-            )
-        })
-        .collect()
-}
+/// All inner steps run at this time step (a.u.).
+const DT: f64 = 10.0;
 
 /// Run the experiment; `fast` shrinks grids, trajectory lengths, and the
 /// system list.
 pub fn bench_mts(fast: bool) -> Vec<Table> {
     let n_inners = [1usize, 2, 4, 8];
-    let mut table = Table::new(
+    let mut table = Table::measured(
         "bench-mts — r-RESPA MD time-to-solution vs n_inner",
         &[
             "system",
@@ -448,7 +418,19 @@ pub fn bench_mts(fast: bool) -> Vec<Table> {
             "reused/recomputed",
         ],
     );
-    let mut json_blocks: Vec<String> = Vec::new();
+    let mut outer = Table::measured(
+        "bench-mts — per-outer-step record",
+        &[
+            "system",
+            "n_inner",
+            "step",
+            "t_fast [s]",
+            "t_slow [s]",
+            "pairs reused",
+            "pairs recomputed",
+            "pairs invalidated",
+        ],
+    );
     let mut electrolyte_best = 0.0f64;
 
     // --- Tier 1: real r-RESPA BOMD on H2 (grid SCF scale) ---
@@ -462,12 +444,13 @@ pub fn bench_mts(fast: bool) -> Vec<Table> {
                 fast: XcForces::new(Functional::Lda),
                 full: IncrementalGridForces::new(h2_grid, h2_edge, IncSchedule::fixed(1e-4, 0)),
             };
-            let r = run_one(&h2, None, &split, 10.0, n_inner, h2_total, 7);
+            let r = run_one(&h2, None, &split, DT, n_inner, h2_total, 7);
             SweepRow { n_inner, r }
         })
         .collect();
-    push_rows(&mut table, "h2-bomd", h2_total, 10.0, &h2_rows, &mut 0.0);
-    json_blocks.extend(json_rows("h2-bomd", 10.0, h2_total, &h2_rows));
+    push_rows(
+        &mut table, &mut outer, "h2-bomd", h2_total, &h2_rows, &mut 0.0,
+    );
 
     // --- Tier 2: electrolyte boxes under the model split Hamiltonian ---
     let (box_grid, n_total) = if fast { (20, 32) } else { (24, 64) };
@@ -502,44 +485,34 @@ pub fn bench_mts(fast: bool) -> Vec<Table> {
             .iter()
             .map(|&n_inner| {
                 let split = ModelElectrolyteSplit::new(&mol, *cell, box_grid, 1e-2);
-                let r = run_one(&mol, Some(*cell), &split, 10.0, n_inner, n_total, 7);
+                let r = run_one(&mol, Some(*cell), &split, DT, n_inner, n_total, 7);
                 SweepRow { n_inner, r }
             })
             .collect();
         push_rows(
             &mut table,
+            &mut outer,
             name,
             n_total,
-            20.0,
             &rows,
             &mut electrolyte_best,
         );
-        json_blocks.extend(json_rows(name, 20.0, n_total, &rows));
     }
 
     table.note = format!(
-        "matched = drift <= max(3x drift(n_inner=1), 1e-3 Ha); best matched electrolyte speedup {electrolyte_best:.1}x (target >= 3x)"
+        "dt = {DT} a.u. per inner step; matched = drift <= max(3x drift(n_inner=1), 1e-3 Ha); best matched electrolyte speedup {electrolyte_best:.1}x (target >= 3x)"
     );
-
-    let mut json = String::from("{\n  \"experiment\": \"bench-mts\",\n  \"runs\": [\n");
-    json.push_str(&json_blocks.join(",\n"));
-    json.push_str(&format!(
-        "\n  ],\n  \"best_electrolyte_speedup_at_matched_drift\": {electrolyte_best:.2}\n}}\n"
-    ));
-    match std::fs::write("BENCH_mts.json", &json) {
-        Ok(()) => table.note.push_str("; BENCH_mts.json written"),
-        Err(e) => table.note.push_str(&format!("; JSON not written: {e}")),
-    }
-    vec![table]
+    vec![table, outer]
 }
 
-/// Append one system's sweep to the table and fold its best matched-drift
-/// speedup into `best` (used for the electrolyte acceptance line).
+/// Append one system's sweep to the summary and per-outer-step tables and
+/// fold its best matched-drift speedup into `best` (used for the
+/// electrolyte acceptance line).
 fn push_rows(
     table: &mut Table,
+    outer: &mut Table,
     system: &str,
     n_total: usize,
-    _dt: f64,
     rows: &[SweepRow],
     best: &mut f64,
 ) {
@@ -552,22 +525,31 @@ fn push_rows(
         if matched {
             *best = best.max(speedup);
         }
-        let totals = row.r.log.iter().fold(IncStats::default(), |mut acc, rec| {
-            if let Some(s) = rec.inc {
-                acc.accumulate(&s);
-            }
-            acc
-        });
+        let mut totals = IncStats::default();
+        for rec in &row.r.log {
+            let inc = rec.inc.unwrap_or_default();
+            totals.accumulate(&inc);
+            outer.row(vec![
+                system.into(),
+                row.n_inner.into(),
+                rec.step_count.into(),
+                Datum::fixed(rec.times.t_fast_s, 4),
+                Datum::fixed(rec.times.t_slow_s, 4),
+                inc.pairs_reused.into(),
+                inc.pairs_recomputed.into(),
+                inc.pairs_invalidated.into(),
+            ]);
+        }
         table.row(vec![
             system.into(),
-            format!("{}", row.n_inner),
-            format!("{}x{}", n_total / row.n_inner, row.n_inner),
-            format!("{:.3}", row.r.t_total_s),
-            format!("{:.1}", row.r.t_total_s * 1e3 / n_total as f64),
-            format!("{speedup:.2}x"),
-            format!("{:.2e}", row.r.drift),
-            if matched { "yes".into() } else { "no".into() },
-            format!("{}/{}", totals.pairs_reused, totals.pairs_recomputed),
+            row.n_inner.into(),
+            format!("{}x{}", n_total / row.n_inner, row.n_inner).into(),
+            Datum::fixed(row.r.t_total_s, 3),
+            Datum::fixed(row.r.t_total_s * 1e3 / n_total as f64, 1),
+            Datum::shown(speedup, format!("{speedup:.2}x")),
+            Datum::sci(row.r.drift, 2),
+            matched.into(),
+            format!("{}/{}", totals.pairs_reused, totals.pairs_recomputed).into(),
         ]);
     }
 }

@@ -11,13 +11,57 @@ use liair_basis::Cell;
 use liair_bgq::collectives::{allreduce, alltoall, broadcast, CollectiveAlgo};
 use liair_bgq::{MachineConfig, NodeModel};
 use liair_grid::{PoissonSolver, RealGrid};
+use liair_math::rfft::half_len;
+use liair_math::simd::{self, SimdLevel};
+use liair_math::Complex64;
 use std::time::Instant;
+
+/// Best-of-2 over `reps`-call batches, ns per call: robust to one-off
+/// scheduler noise.
+fn time_ns(reps: usize, f: &mut dyn FnMut() -> f64) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..2 {
+        let t0 = Instant::now();
+        let mut acc = 0.0;
+        for _ in 0..reps {
+            acc += f();
+        }
+        let dt = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
+        std::hint::black_box(acc);
+        best = best.min(dt);
+    }
+    best
+}
+
+/// Measured vector/baseline speedup of the half-spectrum energy
+/// contraction — the kernel the BG/Q node-model calibration cares
+/// about. Returns `(ratio, lanes)` where `ratio` is the
+/// best available level's speedup over the `off` sequential loop and
+/// `lanes` that level's vector width. Cheap: one 16³ half-spectrum —
+/// in-cache, so the ratio reflects the compute-bound kernel the node
+/// model prices rather than the host's memory bandwidth.
+fn measured_kernel_ratio() -> (f64, usize) {
+    let n = 16usize;
+    let h = half_len((n, n, n));
+    let mut rng = liair_math::rng::SplitMix64::new(0xca11b);
+    let z: Vec<Complex64> = (0..h)
+        .map(|_| Complex64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+        .collect();
+    let wk: Vec<f64> = (0..h).map(|_| 0.5 + rng.next_f64()).collect();
+    let best = simd::detect();
+    let reps = 4000;
+    let t_off = time_ns(reps, &mut || {
+        simd::weighted_energy_with(SimdLevel::Off, &z, &wk)
+    });
+    let t_best = time_ns(reps, &mut || simd::weighted_energy_with(best, &z, &wk));
+    ((t_off / t_best).max(1.0), best.lanes().max(1))
+}
 
 /// Run the threading experiment.
 pub fn fig_node_threading(fast: bool) -> Vec<Table> {
     // --- model: BG/Q node ---
     let node = NodeModel::bgq();
-    let mut t1 = Table::new(
+    let mut t1 = Table::modeled(
         "fig-node-threading — BG/Q node model (relative throughput)",
         &["threads", "scalar", "SIMD (QPX)", "SIMD speedup"],
     );
@@ -32,16 +76,11 @@ pub fn fig_node_threading(fast: bool) -> Vec<Table> {
         ]);
     }
     let smt = node.thread_scaling(64) / node.thread_scaling(16);
-    // Recalibrate the SIMD factor from the host's measured kernel ratio
-    // (see `bench-simd`); the literature 0.85 stays the documented fallback.
-    let (ratio, lanes) = super::simd::measured_kernel_ratio();
-    let cal = node.with_calibrated_simd(ratio, lanes);
     t1.note = format!(
-        "16 cores scale linearly; 4-way SMT adds {:.2}x; QPX SIMD ~{:.1}x — all three trends the paper exploits. \
-         Host-calibrated simd_efficiency {:.3} (measured {ratio:.2}x on {lanes} lanes) vs literature fallback {:.2}",
+        "16 cores scale linearly; 4-way SMT adds {:.2}x; QPX SIMD ~{:.1}x — all three trends the paper exploits \
+         (literature simd_efficiency {:.2})",
         smt,
         node.sustained_gflops(16, true) / node.sustained_gflops(16, false),
-        cal.simd_efficiency,
         node.simd_efficiency
     );
 
@@ -59,7 +98,7 @@ pub fn fig_node_threading(fast: bool) -> Vec<Table> {
     let max_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let mut t2 = Table::new(
+    let mut t2 = Table::measured(
         &format!("fig-node-threading — measured pair kernel ({grid_n}³ FFT solve), host machine"),
         &["rayon threads", "time/batch [ms]", "speedup"],
     );
@@ -93,14 +132,22 @@ pub fn fig_node_threading(fast: bool) -> Vec<Table> {
         ]);
         threads *= 2;
     }
-    t2.note = "real rayon scaling of the identical kernel the node model prices".into();
+    // What the host's own contraction kernel would calibrate the model's
+    // SIMD factor to; the literature 0.85 stays the documented default.
+    let (ratio, lanes) = measured_kernel_ratio();
+    let cal = node.with_calibrated_simd(ratio, lanes);
+    t2.note = format!(
+        "real rayon scaling of the identical kernel the node model prices; host energy-contraction \
+         kernel {ratio:.2}x on {lanes} lanes -> calibrated simd_efficiency {:.3}",
+        cal.simd_efficiency
+    );
     vec![t1, t2]
 }
 
 /// Run the torus-mapping ablation.
 pub fn fig_torus_mapping(fast: bool) -> Vec<Table> {
     let m = MachineConfig::bgq_racks(if fast { 4 } else { 16 });
-    let mut t1 = Table::new(
+    let mut t1 = Table::modeled(
         &format!(
             "fig-torus-mapping — allreduce on {} nodes ({:?} torus)",
             m.nodes(),
@@ -120,7 +167,7 @@ pub fn fig_torus_mapping(fast: bool) -> Vec<Table> {
     }
     t1.note = "topology-aware mapping is what makes the per-build reduction cheap".into();
 
-    let mut t2 = Table::new(
+    let mut t2 = Table::modeled(
         "fig-torus-mapping — broadcast and the all-to-all wall",
         &["nodes", "bcast 33 MB", "alltoall 33 MB/node"],
     );
@@ -148,7 +195,7 @@ pub fn fig_link_congestion(fast: bool) -> Vec<Table> {
     } else {
         liair_bgq::Torus5D::new([4, 4, 4, 4, 2]) // midplane, 512 nodes
     };
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         &format!(
             "fig-link-congestion — dimension-ordered routing on {:?} ({} nodes)",
             torus.dims,
@@ -200,11 +247,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn measured_ratio_is_sane() {
+        let (ratio, lanes) = measured_kernel_ratio();
+        assert!(ratio >= 1.0 && ratio.is_finite(), "{ratio}");
+        assert!((1..=8).contains(&lanes), "{lanes}");
+    }
+
+    #[test]
     fn node_model_table_simd_column() {
         let t = &fig_node_threading(true)[0];
         // The SIMD speedup column is > 3x everywhere for the BG/Q model.
         for row in &t.rows {
-            let x: f64 = row[3].trim_end_matches('x').parse().unwrap();
+            let x: f64 = row[3].text().trim_end_matches('x').parse().unwrap();
             assert!(x > 3.0, "{row:?}");
         }
     }
@@ -213,7 +267,7 @@ mod tests {
     fn torus_beats_tree_at_large_messages() {
         let t = &fig_torus_mapping(true)[0];
         let last = t.rows.last().unwrap();
-        let penalty: f64 = last[3].trim_end_matches('x').parse().unwrap();
+        let penalty: f64 = last[3].text().trim_end_matches('x').parse().unwrap();
         assert!(penalty > 3.0, "penalty {penalty}");
     }
 }

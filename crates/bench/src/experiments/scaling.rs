@@ -38,7 +38,7 @@ pub fn fig_strong_scaling(fast: bool) -> Vec<Table> {
         .map(|m| simulate_hfx_build(&w, m, Scheme::ours(), algo))
         .collect();
     let eff = parallel_efficiency(&outcomes);
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         &format!(
             "fig-strong-scaling — {} ({} pairs after eps={:.0e} screening)",
             w.name,
@@ -83,7 +83,7 @@ pub fn fig_baseline_scaling(fast: bool) -> Vec<Table> {
     let w = workload(fast);
     let algo = CollectiveAlgo::TorusPipelined;
     let machines = series(fast);
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "fig-baseline-scaling — parallel efficiency by scheme",
         &["threads", "this work", "full-grid pairs", "PW-distributed"],
     );
@@ -130,7 +130,7 @@ pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
     let w = workload(fast);
     let algo = CollectiveAlgo::TorusPipelined;
     let racks: &[usize] = if fast { &[4] } else { &[1, 4, 16] };
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "tab-time-to-solution — one HFX build (ms)",
         &[
             "racks",
@@ -159,7 +159,7 @@ pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
 
     // Second view: the same mechanism *measured* on this host — one real
     // exchange pair on the full cell grid vs on its pair-local patch.
-    let mut t2 = Table::new(
+    let mut t2 = Table::measured(
         "tab-time-to-solution — the compact representation, measured on this host",
         &["kernel", "grid", "time/pair [ms]", "speedup"],
     );
@@ -229,7 +229,7 @@ pub fn fig_load_balance(fast: bool) -> Vec<Table> {
     let w = workload(fast);
     let costs = w.adaptive_pair_costs();
     let racks: &[usize] = if fast { &[1, 16] } else { &[1, 4, 16, 96] };
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "fig-load-balance — max/mean load, adaptive pair-box costs",
         &["racks", "round-robin", "block", "greedy LPT"],
     );
@@ -255,7 +255,7 @@ pub fn fig_load_balance(fast: bool) -> Vec<Table> {
 pub fn tab_step_breakdown(fast: bool) -> Vec<Table> {
     let w = workload(fast);
     let algo = CollectiveAlgo::TorusPipelined;
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "tab-step-breakdown — phase share of one build (this work)",
         &[
             "racks",
@@ -301,7 +301,7 @@ pub fn fig_weak_scaling(fast: bool) -> Vec<Table> {
     } else {
         &[1, 4, 16, 48, 96]
     };
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "fig-weak-scaling — constant work per rack (1024 orbitals/rack-eqv)",
         &[
             "racks",
@@ -340,7 +340,7 @@ pub fn fig_group_size(fast: bool) -> Vec<Table> {
     let w = workload(fast);
     let m = MachineConfig::bgq_racks(96);
     let algo = CollectiveAlgo::TorusPipelined;
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "fig-group-size — forced node-group size at 96 racks (6.29M threads)",
         &["group", "pairs/group", "time [ms]", "vs auto"],
     );
@@ -379,7 +379,7 @@ pub fn fig_group_size(fast: bool) -> Vec<Table> {
 pub fn fig_accuracy_cost(fast: bool) -> Vec<Table> {
     let m = MachineConfig::bgq_racks(16);
     let algo = CollectiveAlgo::TorusPipelined;
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "fig-accuracy-cost — screening eps vs build time at 16 racks",
         &[
             "eps",
@@ -424,7 +424,7 @@ pub fn fig_accuracy_cost(fast: bool) -> Vec<Table> {
 /// the compact pair-local representation matters beyond speed.
 pub fn tab_memory(fast: bool) -> Vec<Table> {
     let w = workload(fast);
-    let mut t = Table::new(
+    let mut t = Table::modeled(
         "tab-memory — orbital storage per node (16 GB BG/Q nodes)",
         &[
             "representation",
@@ -494,7 +494,7 @@ mod tests {
         let t = &tables[0];
         assert_eq!(t.rows.len(), 4);
         // Last row is the full machine.
-        assert_eq!(t.rows.last().unwrap()[2], "6291456");
+        assert_eq!(t.rows.last().unwrap()[2].text(), "6291456");
     }
 
     #[test]
@@ -518,8 +518,8 @@ mod tests {
     fn load_balance_lpt_is_best() {
         let t = &fig_load_balance(true)[0];
         for row in &t.rows {
-            let rr: f64 = row[1].parse().unwrap();
-            let lpt: f64 = row[3].parse().unwrap();
+            let rr: f64 = row[1].text().parse().unwrap();
+            let lpt: f64 = row[3].text().parse().unwrap();
             assert!(lpt <= rr + 1e-9, "LPT {lpt} worse than RR {rr}");
         }
     }

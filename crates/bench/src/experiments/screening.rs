@@ -16,13 +16,13 @@
 //!   byte-for-byte. This is asserted, not just reported: a drift here
 //!   is a regression in the bit-reproducibility contract.
 //!
-//! Writes `BENCH_screening.json`: the canonical report verbatim plus a
-//! provenance section (per-member latency / attempts / resume
-//! accounting, cache counters — everything the canonical report
+//! The record (`BENCH_screening.json`) carries the canonical report's own
+//! bytes verbatim plus a provenance table (per-member latency / attempts
+//! / resume accounting, cache counters — everything the canonical report
 //! deliberately excludes). `fast` (the CI `--smoke` grid) trims to
 //! 2 solvents × 1 functional × 1 seed.
 
-use crate::Table;
+use crate::{Datum, Table};
 use liair_basis::systems::Solvent;
 use liair_serve::campaign::{run_campaign, CampaignReport, CampaignSpec};
 use liair_serve::{ServiceConfig, TenantQuota};
@@ -87,8 +87,8 @@ fn pc_below(report: &CampaignReport) -> (usize, usize) {
     (below, present.len())
 }
 
-fn opt(x: Option<f64>) -> String {
-    x.map_or_else(|| "—".to_string(), |v| format!("{v:.3}"))
+fn opt(x: Option<f64>) -> Datum {
+    x.map_or_else(Datum::missing, |v| Datum::fixed(v, 3))
 }
 
 /// Run the screening campaign; `fast` selects the smoke grid.
@@ -108,7 +108,7 @@ pub fn screen_solvents(fast: bool) -> Vec<Table> {
     );
 
     // --- Ranked stability table ---------------------------------------
-    let mut ranking = Table::new(
+    let mut ranking = Table::measured(
         "screen-solvents — ranked solvent stability",
         &[
             "rank",
@@ -123,12 +123,12 @@ pub fn screen_solvents(fast: bool) -> Vec<Table> {
     );
     for (rank, v) in report.ranking.iter().enumerate() {
         ranking.row(vec![
-            format!("{}", rank + 1),
+            (rank + 1).into(),
             v.solvent.name().into(),
-            format!("{:.3}", v.stability_score),
+            Datum::fixed(v.stability_score, 3),
             opt(v.e_int_mha),
             opt(v.gap_complex_mha),
-            format!("{}", v.bonds_broken),
+            v.bonds_broken.into(),
             opt(v.li_o_coordination),
             opt(v.rdf_peak_r),
         ]);
@@ -144,17 +144,17 @@ pub fn screen_solvents(fast: bool) -> Vec<Table> {
     );
 
     // --- Provenance table ---------------------------------------------
-    let mut prov = Table::new(
+    let mut prov = Table::measured(
         "screen-solvents — campaign provenance",
         &["member", "latency [ms]", "attempts", "resumed", "ckpt [B]"],
     );
     for m in &report.members {
         prov.row(vec![
-            m.label.clone(),
-            format!("{:.1}", m.latency_s * 1e3),
-            format!("{}", m.disruption.attempts),
-            format!("{}", m.disruption.resumed),
-            format!("{}", m.disruption.checkpoint_bytes),
+            m.label.as_str().into(),
+            Datum::fixed(m.latency_s * 1e3, 1),
+            m.disruption.attempts.into(),
+            m.disruption.resumed.into(),
+            m.disruption.checkpoint_bytes.into(),
         ]);
     }
     prov.note = format!(
@@ -167,53 +167,38 @@ pub fn screen_solvents(fast: bool) -> Vec<Table> {
         report.bit_identical_fraction,
     );
 
-    // --- JSON artifact ------------------------------------------------
-    // The canonical report is embedded verbatim (it is already JSON);
-    // everything scheduling-dependent lives in the provenance section.
-    let member_rows: Vec<String> = report
-        .members
-        .iter()
-        .map(|m| {
-            format!(
-                "      {{\"label\": \"{}\", \"latency_ms\": {:.3}, \"attempts\": {}, \
-                 \"resumed\": {}, \"checkpoint_bytes\": {}}}",
-                m.label,
-                m.latency_s * 1e3,
-                m.disruption.attempts,
-                m.disruption.resumed,
-                m.disruption.checkpoint_bytes,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"screen-solvents\",\n  \"grid\": {{\"solvents\": {}, \
-         \"functionals\": {}, \"concentrations\": {}, \"seeds\": {}, \"n_outer\": {}, \
-         \"n_inner\": {}, \"temperature\": {}}},\n  \
-         \"acceptance\": {{\"pc_below_competitors\": \"{below}/{present}\", \
-         \"physics_met\": {physics_ok}, \"rerun_byte_identical\": {rerun_stable}}},\n  \
-         \"canonical_report\": {canon},\n  \"provenance\": {{\n    \"elapsed_s\": {:.4},\n    \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}},\n    \
-         \"bit_identical_fraction\": {:.4},\n    \"members\": [\n{}\n    ]\n  }}\n}}\n",
-        spec.solvents.len(),
-        spec.functionals.len(),
-        spec.concentrations.len(),
-        spec.seeds.len(),
-        spec.n_outer,
-        spec.n_inner,
-        spec.temperature,
-        report.elapsed_s,
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.evictions,
-        report.bit_identical_fraction,
-        member_rows.join(",\n"),
+    // --- Grid, acceptance and the canonical report ---------------------
+    // The canonical report is already JSON: the record embeds the
+    // library's own bytes, never a re-rendering of them.
+    let mut summary = Table::measured(
+        "screen-solvents — grid, acceptance and canonical report",
+        &["key", "value"],
     );
-    match std::fs::write("BENCH_screening.json", &json) {
-        Ok(()) => prov.note.push_str("; BENCH_screening.json written"),
-        Err(e) => prov.note.push_str(&format!("; JSON not written: {e}")),
+    for (key, value) in [
+        ("grid solvents", spec.solvents.len().into()),
+        ("grid functionals", spec.functionals.len().into()),
+        ("grid concentrations", spec.concentrations.len().into()),
+        ("grid seeds", spec.seeds.len().into()),
+        ("n_outer", spec.n_outer.into()),
+        ("n_inner", spec.n_inner.into()),
+        ("temperature [K]", Datum::fixed(spec.temperature, 0)),
+        ("PC below competitors", format!("{below}/{present}").into()),
+        ("physics acceptance met", physics_ok.into()),
+        ("rerun byte-identical", rerun_stable.into()),
+        ("elapsed [s]", Datum::fixed(report.elapsed_s, 2)),
+        ("cache hits", report.cache.hits.into()),
+        ("cache misses", report.cache.misses.into()),
+        ("cache evictions", report.cache.evictions.into()),
+        (
+            "bit-identical fraction",
+            Datum::fixed(report.bit_identical_fraction, 2),
+        ),
+        ("canonical_report", Datum::raw_json(canon)),
+    ] {
+        summary.row(vec![Datum::from(key), value]);
     }
 
-    vec![ranking, prov]
+    vec![ranking, prov, summary]
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ pub fn tab_hfx_validation(fast: bool) -> Vec<Table> {
     let opts = ScfOptions::default();
 
     // --- SCF energies vs literature ---
-    let mut t1 = Table::new(
+    let mut t1 = Table::measured(
         "tab-hfx-validation — RHF/STO-3G total energies vs literature",
         &[
             "system",
@@ -42,7 +42,7 @@ pub fn tab_hfx_validation(fast: bool) -> Vec<Table> {
             .into();
 
     // --- grid vs analytic exchange ---
-    let mut t2 = Table::new(
+    let mut t2 = Table::measured(
         "tab-hfx-validation — grid pair-Poisson E_x vs analytic",
         &[
             "system",
@@ -116,17 +116,17 @@ mod tests {
         let tables = tab_hfx_validation(true);
         // SCF errors below 2 mHa.
         for row in &tables[0].rows {
-            let err: f64 = row[3].parse().unwrap();
+            let err: f64 = row[3].text().parse().unwrap();
             assert!(err < 2e-3, "{row:?}");
         }
         // Grid errors below 20 mHa even at the fast resolutions.
         for row in &tables[1].rows {
-            let err: f64 = row[4].parse().unwrap();
+            let err: f64 = row[4].text().parse().unwrap();
             assert!(err < 2e-2, "{row:?}");
             // Every build row carries a populated profile.
-            let t_exec: f64 = row[5].parse().unwrap();
+            let t_exec: f64 = row[5].text().parse().unwrap();
             assert!(t_exec > 0.0, "unpopulated profile in {row:?}");
-            assert!(row[7].contains('/'), "{row:?}");
+            assert!(row[7].text().contains('/'), "{row:?}");
         }
     }
 }

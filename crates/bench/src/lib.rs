@@ -2,9 +2,12 @@
 //!
 //! The reproduction harness: one function per table/figure of the paper's
 //! evaluation (as reconstructed in DESIGN.md — only the abstract of the
-//! original text was available). The `repro` binary drives them; the
-//! Criterion benches measure the real kernels the cost models are
-//! calibrated against.
+//! original text was available) plus the sweeps that go beyond it. Every
+//! experiment returns [`Table`]s that are `Measured` (executed on this
+//! host) or `Modeled` (priced by `liair-bgq`); the `repro` binary prints
+//! them and alone serializes the record-keeping ones to `BENCH_*.json`.
+//! Host kernel/engine/serve timings are not this crate's job: they come
+//! from the repository benchmark (`BENCHMARK.json`, package `benchmark/`).
 //!
 //! Experiment ids:
 //!
@@ -26,13 +29,14 @@
 //! | `tab-hfx-validation` | grid pair-Poisson exchange = analytic exchange |
 //! | `tab-battery` | PC degrades at Li₂O₂; candidate solvents survive |
 //! | `fig-md-water` | stable condensed-phase MD substrate |
-//! | `bench-incremental` | incremental exchange vs from-scratch across an MD-like step (writes `BENCH_incremental.json`) |
-//! | `bench-simd` | runtime-dispatched vector kernels vs the pre-SIMD loops (writes `BENCH_simd.json`) |
-//! | `bench-collectives` | flat vs hierarchical collectives, measured and modeled to 6,291,456 threads (writes `BENCH_collectives.json`) |
+//! | `bench-mts` | r-RESPA MD time-to-solution and drift vs `n_inner` (record: `BENCH_mts.json`) |
+//! | `bench-collectives` | the executed tree gather, and flat vs hierarchical collectives modeled to 6,291,456 threads (record: `BENCH_collectives.json`) |
+//! | `bench-scaling` | O(N) pair sourcing, sharded weak scaling to 1.1e8 orbitals, modeled torus halo traffic (record: `BENCH_scaling.json`) |
+//! | `screen-solvents` | the solvent-screening campaign through the batch service (record: `BENCH_screening.json`) |
 
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod experiments;
 pub mod table;
 
-pub use table::Table;
+pub use table::{Datum, Provenance, Table};

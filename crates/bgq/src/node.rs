@@ -36,7 +36,7 @@ impl NodeModel {
     ///
     /// `simd_efficiency` here is the documented literature fallback
     /// (QPX on FFT kernels: ~0.85); when a measured kernel ratio is
-    /// available — e.g. from the `bench-simd` experiment — prefer
+    /// available — e.g. the one `repro fig-node-threading` takes — prefer
     /// [`NodeModel::with_calibrated_simd`], which derives the efficiency
     /// from an actually observed vector/scalar speedup.
     pub fn bgq() -> Self {

@@ -16,7 +16,8 @@
 //! [`level()`] resolves the process-wide level once (hardware detection +
 //! the `LIAIR_SIMD` override); no crate above `liair-grid` names a level.
 //! Every primitive also has a `*_with` form taking an explicit
-//! [`SimdLevel`] — the seam the cross-level tests and `bench-simd` use.
+//! [`SimdLevel`] — the seam the cross-level tests and the node-model
+//! calibration (`repro fig-node-threading`) use.
 //!
 //! ## Numerical contract
 //!
@@ -119,7 +120,7 @@ pub fn level() -> SimdLevel {
 }
 
 /// Every level runnable on this machine, in increasing capability order —
-/// what the tests and `bench-simd` sweep.
+/// what the cross-level tests sweep.
 pub fn available_levels() -> Vec<SimdLevel> {
     let mut v = vec![SimdLevel::Off];
     if avx2_available() {

@@ -1,7 +1,8 @@
 //! Short-soak smoke test: a few dozen mixed jobs through the full
 //! service — admission, aged scheduling, rank leasing, cross-job caches,
-//! checkpoint/restart — asserting the acceptance properties the big
-//! `repro bench-serve` soak measures at scale:
+//! checkpoint/restart — asserting the acceptance properties whose
+//! timings the benchmark's `serve-mix` workload reports (`serve.*` rows
+//! of `BENCHMARK.json`):
 //!
 //! * every admitted job completes;
 //! * the repeated-system screening workload hits the cross-job cache;
