@@ -209,7 +209,7 @@ impl ExchangeEngine<'_> {
         // `⟨χ_μ φ_j | v_jν⟩` for every μ.
         let npts = self.grid.len();
         let dvol = self.grid.dvol();
-        let solver = self.full_solver();
+        let solver = self.solver;
         let t0 = Instant::now();
         let cols = self.execute(
             tasks.len(),

@@ -1,12 +1,10 @@
-//! The staged exchange-build engine every driver routes through.
+//! The staged exchange-build engine — the only way to run an exchange
+//! build.
 //!
-//! Before this module existed the repo had five executors of the same
-//! algorithm — the rayon energy loop (`crate::hfx`), the patched energy
-//! loop, the K-operator builder (`crate::operator`), the message-passing
-//! twins (`crate::distributed`), and the incremental dirty-set recompute
-//! (`crate::incremental`) — each owning its own scratch lifetimes, kernel
-//! choice, and reduction order. [`ExchangeEngine`] folds them into one
-//! staged pipeline:
+//! Full-cell pair energies, patched pair energies, the K operator and the
+//! incremental dirty-set recompute (`crate::incremental`) are methods of
+//! one [`ExchangeEngine`], which owns the scratch lifetimes, the pair
+//! kernel and the reduction order of one staged pipeline:
 //!
 //! 1. **pair source** — a screened [`PairList`], an explicit dirty slice
 //!    (incremental), or the `(occupied j, AO ν)` K-task list;
@@ -22,8 +20,13 @@
 //! Every build fills the same [`BuildProfile`]: per-phase wall times (AO
 //! eval, FFT, kernel multiply, execute, reduce) and work counters (pairs
 //! screened/computed/reused, cache hits, bytes reduced, steady-state
-//! allocations). The public entry points in `hfx`, `operator`,
-//! `distributed`, and `incremental` are thin configurations of this type.
+//! allocations).
+//!
+//! Everything that steers a build is an argument: the grid and its
+//! full-cell Poisson solver to [`ExchangeEngine::new`] /
+//! [`ExchangeEngine::builder`], the backend and an optional fault plan to
+//! the [`EngineBuilder`]. Nothing is read from the process environment, so
+//! two engines in one process never influence each other.
 
 pub(crate) mod kpath;
 pub(crate) mod pipeline;
@@ -79,12 +82,12 @@ pub enum ExecBackend {
 #[derive(Debug, Clone, Copy)]
 pub struct ExchangeEngine<'a> {
     grid: &'a RealGrid,
-    /// Full-cell Poisson solver; `None` for a patched-only engine (patches
-    /// solve on their own per-shape cached solvers).
-    solver: Option<&'a PoissonSolver>,
+    /// Full-cell Poisson solver (patches solve on their own per-shape
+    /// cached solvers).
+    solver: &'a PoissonSolver,
     backend: ExecBackend,
     /// Deterministic fault plan the `Comm` backend runs under (`None` =
-    /// clean).
+    /// clean, the default).
     fault: Option<FaultPlan>,
 }
 
@@ -108,8 +111,8 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Run fault-free even when `LIAIR_FAULT_SEED` is set (pinned
-    /// baselines).
+    /// Run fault-free (the default): clears a plan set earlier on this
+    /// builder.
     pub fn no_faults(mut self) -> Self {
         self.0.fault = None;
         self
@@ -199,6 +202,25 @@ fn pair_chunk<'p>(
     }
 }
 
+/// Where a pair's patch sits and how many parent-grid points per axis it
+/// must span: centred on the minimum-image midpoint of the two orbital
+/// centres, covering their minimum-image separation plus three spreads
+/// per orbital plus `margin` Bohr on either side. The patch gather wraps
+/// periodically, so a pair that straddles the cell boundary gets the same
+/// patch as its interior twin (raw coordinates would hand it a patch as
+/// large as the cell, centred mid-cell: right energy, no saving).
+fn patch_geometry(
+    grid: &RealGrid,
+    a: &OrbitalInfo,
+    b: &OrbitalInfo,
+    margin: f64,
+) -> (liair_math::Vec3, usize) {
+    let d = grid.cell.min_image(a.center, b.center);
+    let phys = d.norm() + 3.0 * (a.spread + b.spread) + 2.0 * margin;
+    let extent = ((phys / grid.spacing().x).ceil() as usize).max(8);
+    (a.center + d * 0.5, extent)
+}
+
 /// The serial arm of [`ExchangeEngine::execute`], on caller-owned scratch
 /// and output — which makes it the whole execute stage of
 /// [`ExchangeEngine::energy_into`] too.
@@ -218,30 +240,16 @@ fn run_serial<S, F>(
 }
 
 impl<'a> ExchangeEngine<'a> {
-    /// The default configuration over an optional full-cell solver: rayon
-    /// backend, fault plan from `LIAIR_FAULT_SEED`.
-    fn with_solver(grid: &'a RealGrid, solver: Option<&'a PoissonSolver>) -> Self {
+    /// Engine over `grid`/`solver` in the default configuration: rayon
+    /// backend (the shared-memory production default), no fault plan.
+    /// Shorthand for `ExchangeEngine::builder(grid, solver).build()`.
+    pub fn new(grid: &'a RealGrid, solver: &'a PoissonSolver) -> Self {
         ExchangeEngine {
             grid,
             solver,
             backend: ExecBackend::Rayon,
-            fault: FaultPlan::from_env(),
+            fault: None,
         }
-    }
-
-    /// Engine over `grid`/`solver` with the rayon backend (the
-    /// shared-memory production default). Shorthand for
-    /// `ExchangeEngine::builder(grid, solver).build()`.
-    pub fn new(grid: &'a RealGrid, solver: &'a PoissonSolver) -> Self {
-        Self::with_solver(grid, Some(solver))
-    }
-
-    /// Engine for the patched energy path only: no full-cell solver is
-    /// built or borrowed (each patch shape uses its own cached solver).
-    /// Calling a full-cell path on this engine panics (or returns
-    /// [`Error::MissingSolver`] on the `try_` paths).
-    pub fn for_patches(grid: &'a RealGrid) -> Self {
-        Self::with_solver(grid, None)
     }
 
     /// Fluent, validated configuration — the front door for the knobs
@@ -250,27 +258,9 @@ impl<'a> ExchangeEngine<'a> {
         EngineBuilder(Self::new(grid, solver))
     }
 
-    /// Builder for a patched-only engine (see
-    /// [`ExchangeEngine::for_patches`]).
-    pub fn builder_for_patches(grid: &'a RealGrid) -> EngineBuilder<'a> {
-        EngineBuilder(Self::for_patches(grid))
-    }
-
     /// The backend this engine executes on.
     pub fn backend(&self) -> ExecBackend {
         self.backend
-    }
-
-    /// The full-cell Poisson solver (panics on a patched-only engine).
-    pub(crate) fn full_solver(&self) -> &'a PoissonSolver {
-        self.solver
-            .expect("this engine path needs a full-cell Poisson solver (use ExchangeEngine::new)")
-    }
-
-    /// The full-cell Poisson solver as a typed error on a patched-only
-    /// engine.
-    fn try_full_solver(&self) -> Result<&'a PoissonSolver> {
-        self.solver.ok_or(Error::MissingSolver)
     }
 
     /// Validate the orbital set against the engine's grid.
@@ -368,18 +358,19 @@ impl<'a> ExchangeEngine<'a> {
         pairs: &[Pair],
         profile: &mut BuildProfile,
     ) -> Result<Vec<f64>> {
-        if !orbitals.is_empty() {
+        // An empty dirty set of an empty orbital set is a valid (empty)
+        // build; pairs always need their orbitals.
+        if !(orbitals.is_empty() && pairs.is_empty()) {
             self.validate_orbitals(orbitals)?;
         }
         let plan_window = profile::PlanCacheWindow::open();
         let n = self.grid.len();
-        let solver = self.try_full_solver()?;
         let t0 = Instant::now();
         let mut contribs = self.execute(
             pairs.len().div_ceil(2),
             2,
             HfxScratch::default,
-            pair_chunk(n, solver, orbitals, pairs),
+            pair_chunk(n, self.solver, orbitals, pairs),
             profile,
         )?;
         // The last chunk's second slot is padding when the pair count is
@@ -409,8 +400,10 @@ impl<'a> ExchangeEngine<'a> {
     /// Exchange energy over *pair-local patches* instead of full-cell
     /// transforms (the compact-representation path): same staging, with a
     /// per-worker [`PatchScratch`] and per-shape cached patch solvers.
-    /// The patch spans the center separation plus three spreads per
-    /// orbital plus `margin` Bohr.
+    /// The patch spans the minimum-image center separation plus three
+    /// spreads per orbital plus `margin` Bohr on either side; the margin
+    /// controls the error against [`ExchangeEngine::energy`] (zero once
+    /// every patch is clamped to the cell).
     pub fn energy_patched(
         &self,
         orbitals: &[Vec<f64>],
@@ -437,7 +430,7 @@ impl<'a> ExchangeEngine<'a> {
                 infos.len()
             )));
         }
-        let h = self.grid.spacing().x;
+        self.validate_orbitals(orbitals)?;
         let grid = self.grid;
         let plist = &pairs.pairs;
         let mut profile = BuildProfile::default();
@@ -451,11 +444,7 @@ impl<'a> ExchangeEngine<'a> {
                 let chunk = &plist[2 * ci..(2 * ci + 2).min(plist.len())];
                 for (slot, p) in out.iter_mut().zip(chunk) {
                     let (i, j) = (p.i as usize, p.j as usize);
-                    let (a, b) = (&infos[i], &infos[j]);
-                    let d = a.center.distance(b.center);
-                    let midpoint = (a.center + b.center) * 0.5;
-                    let phys = d + 3.0 * (a.spread + b.spread) + 2.0 * margin;
-                    let extent = ((phys / h).ceil() as usize).max(8);
+                    let (midpoint, extent) = patch_geometry(grid, &infos[i], &infos[j], margin);
                     let e_pair = patch_pair_energy_ws(
                         grid,
                         &orbitals[i],
@@ -498,7 +487,6 @@ impl<'a> ExchangeEngine<'a> {
         scratch: &mut EngineScratch,
     ) -> Result<HfxResult> {
         self.validate_orbitals(orbitals)?;
-        let solver = self.try_full_solver()?;
         let npairs = pairs.len();
         let padded = 2 * npairs.div_ceil(2);
         let mut profile = BuildProfile::default();
@@ -513,7 +501,7 @@ impl<'a> ExchangeEngine<'a> {
             &mut scratch.pair,
             &mut scratch.contribs,
             2,
-            &pair_chunk(self.grid.len(), solver, orbitals, &pairs.pairs),
+            &pair_chunk(self.grid.len(), self.solver, orbitals, &pairs.pairs),
             &mut profile,
         );
         scratch.contribs.truncate(npairs);
@@ -545,5 +533,37 @@ impl<'a> ExchangeEngine<'a> {
             inc: IncStats::default(),
             profile,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use liair_grid::patch::Patch;
+    use liair_math::Vec3;
+
+    #[test]
+    fn boundary_straddling_pair_gets_its_interior_twins_patch() {
+        // Three sites per axis, 4.4 Bohr apart, periodic: the (2, 0) bond
+        // crosses the cell boundary and is the same bond as (0, 1).
+        let a = 4.4;
+        let grid = RealGrid::cubic(liair_basis::Cell::cubic(3.0 * a), 20);
+        let site = |i: usize| OrbitalInfo {
+            center: Vec3::new((i as f64 + 0.5) * a, 0.5 * a, 0.5 * a),
+            spread: 0.7,
+        };
+        for margin in [0.0, 1.0] {
+            let (mid_in, ext_in) = patch_geometry(&grid, &site(0), &site(1), margin);
+            let (mid_out, ext_out) = patch_geometry(&grid, &site(2), &site(0), margin);
+            assert_eq!(ext_in, ext_out, "margin {margin}");
+            // Centred on the bond, in the minimum image.
+            for (mid, end) in [(mid_in, site(0)), (mid_out, site(0)), (mid_out, site(2))] {
+                let r = grid.cell.distance(mid, end.center);
+                assert!((r - 0.5 * a).abs() < 1e-12, "margin {margin}: {r}");
+            }
+        }
+        // Under the raw-coordinate rule this patch was the whole cell.
+        let (mid, ext) = patch_geometry(&grid, &site(2), &site(0), 0.0);
+        assert!(Patch::plan(&grid, mid, ext).extent < grid.dims.0);
     }
 }

@@ -1,8 +1,8 @@
 //! The unified error type of the exchange pipeline.
 //!
 //! Public entry points of `liair-core` return [`Result`]; conditions that
-//! used to abort the process (mismatched orbital shapes, a missing Poisson
-//! solver, an unresponsive rank) surface as typed [`Error`] values the
+//! used to abort the process (mismatched orbital shapes, an inconsistent
+//! configuration, an unresponsive rank) surface as typed [`Error`] values the
 //! caller can match on. Communication failures from the runtime are
 //! wrapped, not flattened, so the rank/attempt detail survives to the
 //! caller.
@@ -28,9 +28,6 @@ pub enum Error {
     },
     /// No orbitals were supplied where at least one is required.
     EmptyOrbitals,
-    /// The engine was asked for a full-grid build without a full-grid
-    /// Poisson solver (it was constructed patch-only via `for_patches`).
-    MissingSolver,
     /// An engine/builder configuration is inconsistent (documented per
     /// knob), e.g. a distributed backend with zero ranks.
     InvalidConfig(String),
@@ -57,10 +54,6 @@ impl fmt::Display for Error {
                 "orbital {orbital} has {got} points, grid expects {expected}"
             ),
             Error::EmptyOrbitals => write!(f, "no occupied orbitals supplied"),
-            Error::MissingSolver => write!(
-                f,
-                "engine built with for_patches() has no full-grid Poisson solver"
-            ),
             Error::InvalidConfig(msg) => write!(f, "invalid engine configuration: {msg}"),
             Error::InvalidEps { eps } => write!(
                 f,
@@ -113,7 +106,6 @@ mod tests {
 
     #[test]
     fn display_names_the_condition() {
-        assert!(Error::MissingSolver.to_string().contains("for_patches"));
         let e = Error::OrbitalSizeMismatch {
             expected: 64,
             got: 32,

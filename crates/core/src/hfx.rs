@@ -1,13 +1,14 @@
-//! The shared-memory exact-exchange entry points.
+//! The molecular pipeline around the exchange engine, and the analytic
+//! references it is validated against.
 //!
-//! Computes `E_x = −Σ_{i≤j} w_ij (ij|ij)` over a screened pair list, with
-//! one FFT Poisson solve per pair — the node-level kernel of the paper's
-//! scheme. Both entry points here are thin configurations of
-//! [`crate::engine::ExchangeEngine`] (rayon backend): the engine owns the
-//! pair chunking, the pair kernel, the scratch lifetimes, and the
-//! [`crate::engine::BuildProfile`] instrumentation, so this module only
-//! supplies the molecular pipeline around it and the analytic references
-//! it is validated against (the `tab-hfx-validation` experiment re-runs
+//! `E_x = −Σ_{i≤j} w_ij (ij|ij)` over a screened pair list, one FFT
+//! Poisson solve per pair, is [`crate::engine::ExchangeEngine::energy`] —
+//! the engine owns the pair chunking, the pair kernel, the scratch
+//! lifetimes and the [`crate::engine::BuildProfile`] instrumentation.
+//! This module supplies what sits around it: the result type, the
+//! localize → screen → grid pipeline for a converged molecule
+//! ([`grid_exchange_for_molecule`]) and the analytic exchange energies the
+//! grid path is compared with (the `tab-hfx-validation` experiment re-runs
 //! that comparison as a resolution sweep).
 
 use crate::engine::{BuildProfile, ExchangeEngine};
@@ -31,22 +32,6 @@ pub struct HfxResult {
     pub inc: IncStats,
     /// Per-phase wall times and work counters of this build.
     pub profile: BuildProfile,
-}
-
-/// Evaluate the exchange energy of occupied orbital fields over a screened
-/// pair list. `orbitals[k]` is φ_k sampled on `grid`.
-///
-/// Thin wrapper over [`ExchangeEngine::energy`] on the rayon backend:
-/// workers walk the pair list two pairs at a time with grow-once scratch
-/// (the steady-state loop performs zero heap allocations), one r2c
-/// transform per pair.
-pub fn exchange_energy(
-    grid: &RealGrid,
-    solver: &PoissonSolver,
-    orbitals: &[Vec<f64>],
-    pairs: &PairList,
-) -> HfxResult {
-    ExchangeEngine::new(grid, solver).energy(orbitals, pairs)
 }
 
 /// End-to-end molecular pipeline: localize the converged occupied
@@ -108,7 +93,7 @@ pub fn grid_exchange_for_molecule(
     let grid = RealGrid::cubic(cell, n);
     let solver = PoissonSolver::isolated(grid);
     let fields = orbitals_on_grid(&basis_c, &c_val, keep.len(), &grid);
-    let result = exchange_energy(&grid, &solver, &fields, &pairs);
+    let result = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
     GridHfxOutcome {
         result,
         pairs,
@@ -170,26 +155,6 @@ pub fn analytic_exchange_orbitals(basis: &Basis, c: &Mat, norb: usize) -> f64 {
         }
     }
     energy
-}
-
-/// Exchange energy over a screened pair list using *pair-local patches*
-/// instead of full-cell transforms — the compact-representation mechanism
-/// behind the paper's >10× time-to-solution, executed for real. Thin
-/// wrapper over [`ExchangeEngine::energy_patched`] on the rayon backend:
-/// each pair is solved on a cubic patch of parent-grid points around the
-/// pair midpoint; the patch spans the center separation plus three spreads
-/// per orbital plus `margin` Bohr.
-pub fn exchange_energy_patched(
-    grid: &RealGrid,
-    orbitals: &[Vec<f64>],
-    infos: &[OrbitalInfo],
-    pairs: &PairList,
-    margin: f64,
-) -> HfxResult {
-    // Patch shapes repeat across the list, so each worker reuses one
-    // gather/density/Poisson scratch and the per-shape cached solver —
-    // no per-pair allocations or kernel-table rebuilds.
-    ExchangeEngine::for_patches(grid).energy_patched(orbitals, infos, pairs, margin)
 }
 
 /// The analytic exact-exchange energy `−¼ Tr(D·K)` of a converged density
@@ -300,7 +265,6 @@ mod tests {
     fn patched_exchange_matches_full_grid_on_h2_chain() {
         // The compact pair-local representation must reproduce the
         // full-grid exchange while transforming far fewer points.
-        use crate::hfx::exchange_energy_patched;
         let mol = {
             let mut all = systems::h2();
             for k in 1..3 {
@@ -333,8 +297,9 @@ mod tests {
         let grid = RealGrid::cubic(Cell::cubic(edge), 64);
         let solver = PoissonSolver::isolated(grid);
         let fields = liair_grid::orbitals_on_grid(&basis_c, &loc.c_loc, scf.nocc, &grid);
-        let full = exchange_energy(&grid, &solver, &fields, &pairs);
-        let patched = exchange_energy_patched(&grid, &fields, &infos, &pairs, 3.0);
+        let engine = ExchangeEngine::new(&grid, &solver);
+        let full = engine.energy(&fields, &pairs);
+        let patched = engine.energy_patched(&fields, &infos, &pairs, 3.0);
         assert!(
             approx_eq(patched.energy, full.energy, 5e-3),
             "patched {} vs full {}",
@@ -366,7 +331,7 @@ mod tests {
             spread: 1.0,
         }];
         let pairs = build_pair_list(&infos, 0.0, None);
-        let full = exchange_energy(&grid, &solver, &fields, &pairs);
+        let full = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!(full.energy < 0.0);
         assert_eq!(full.pairs_evaluated, 1);
     }

@@ -279,7 +279,7 @@ impl IncrementalExchange {
             .expect("a default engine over the configured backend is a valid configuration")
     }
 
-    /// Incremental twin of [`crate::hfx::exchange_energy`]: clean pairs
+    /// Incremental twin of [`ExchangeEngine::energy`]: clean pairs
     /// are summed from the cache, dirty pairs are recomputed
     /// (rayon-parallel over the dirty work only) and re-cached. `infos`
     /// supplies per-orbital centers/spreads for the fingerprints (same
@@ -425,8 +425,7 @@ impl IncrementalExchange {
         }
     }
 
-    /// Incremental twin of
-    /// [`crate::operator::exchange_operator_grid_screened`]: the
+    /// Incremental twin of [`ExchangeEngine::k_operator`]: the
     /// `(occupied j, AO ν)` Poisson tasks of a clean orbital are replaced
     /// by its cached `ΔK_j`; dirty orbitals re-run their surviving tasks
     /// (rayon-parallel over dirty tasks only). With `eps_inc = 0` the
@@ -643,7 +642,7 @@ mod tests {
         assert_eq!(r.inc.pairs_recomputed, 3);
         assert_eq!(r.inc.pairs_reused, 3);
         // And the result matches a from-scratch build closely.
-        let scratch = crate::hfx::exchange_energy(&grid, &solver, &fields, &pairs);
+        let scratch = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!(
             (r.energy - scratch.energy).abs() < 1e-12,
             "{} vs {}",
@@ -716,7 +715,7 @@ mod tests {
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(0.0, 0);
         let a = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        let b = crate::hfx::exchange_energy(&grid, &solver, &fields, &pairs);
+        let b = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!((a.energy - b.energy).abs() <= 1e-12 * b.energy.abs());
         assert_eq!(a.inc.pairs_reused, 0);
     }

@@ -13,29 +13,29 @@
 //! 2. **Screen** ([`screening`]) with a single accuracy knob ε — the
 //!    surviving pair list is the task list;
 //! 3. **Balance** ([`balance`]) tasks across ranks (greedy LPT by default);
-//! 4. **Execute**: node-local threaded FFTs per pair ([`hfx`] — the real
-//!    rayon executor), partial energies/potentials combined by *one*
-//!    reduction per build instead of per-FFT all-to-alls — this
-//!    restructuring is the entire 10–20× win;
+//! 4. **Execute** ([`engine`]): node-local threaded FFTs per pair, partial
+//!    energies/potentials combined by *one* reduction per build instead of
+//!    per-FFT all-to-alls — this restructuring is the entire 10–20× win;
 //! 5. At scale beyond the pair count, pairs are processed by small **node
 //!    groups** ([`simulate`]) — the hierarchical second level of
 //!    parallelism that keeps 6,291,456 threads busy.
 //!
-//! [`distributed`] runs the same algorithm over the message-passing runtime
-//! (correctness at laptop scale); [`simulate`] prices the same task lists
-//! on the BG/Q model (performance at paper scale), alongside the two
-//! baselines the paper compares against.
-//!
-//! All of the above are thin configurations of one staged driver:
-//! [`engine::ExchangeEngine`] owns the canonical build pipeline (pair
-//! source → execute backend → ordered accumulate), the one pair kernel,
-//! and the per-phase [`engine::BuildProfile`] instrumentation.
+//! One staged driver runs every exchange build: [`engine::ExchangeEngine`]
+//! owns the canonical pipeline (pair source → execute backend → ordered
+//! accumulate), the one pair kernel, and the per-phase
+//! [`engine::BuildProfile`] instrumentation. Its inputs are its arguments
+//! — grid, solver, backend, optional fault plan; it reads nothing from the
+//! environment. On [`ExecBackend::Comm`] the same algorithm runs over the
+//! message-passing runtime (correctness at laptop scale, bit-identical to
+//! the serial backend); [`simulate`] prices the same task lists on the
+//! BG/Q model (performance at paper scale), alongside the two baselines
+//! the paper compares against. [`incremental::IncrementalExchange`] is the
+//! engine pointed at a dirty set.
 
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod balance;
 pub mod cachepool;
-pub mod distributed;
 pub mod domain;
 pub mod engine;
 pub mod error;
@@ -57,9 +57,9 @@ pub use engine::{
     KBuildOutcome,
 };
 pub use error::{Error, Result};
-pub use hfx::{exchange_energy, exchange_energy_patched, HfxResult};
+pub use hfx::HfxResult;
 pub use incremental::{Fingerprint, IncStats, IncrementalExchange};
-pub use operator::{exchange_operator_grid, rhf_with_grid_exchange_in_cell, GridScfResult};
+pub use operator::{rhf_with_grid_exchange_in_cell, GridScfResult};
 pub use screening::{
     build_pair_list, build_pair_list_celllist, source_pairs, CrossBins, EpsSchedule, IncSchedule,
     OrbitalInfo, Pair, PairList,

@@ -10,11 +10,10 @@
 //! built as one Poisson solve per `(occupied j, AO ν)` pair density — the
 //! same work unit the parallel scheme distributes (in CPMD terms: the
 //! exchange potentials `v_jν` acting back on the orbitals). The build
-//! itself lives in the engine ([`ExchangeEngine::k_operator`]); the entry
-//! points here are thin rayon-backend configurations of it, and the
-//! [`rhf_with_grid_exchange_in_cell`] driver converges an SCF in which
-//! *all* exact exchange comes from the grid path, validating the full
-//! pipeline against the purely analytic RHF.
+//! itself is [`ExchangeEngine::k_operator`]; this module holds the
+//! [`rhf_with_grid_exchange_in_cell`] driver, which converges an SCF in
+//! which *all* exact exchange comes from the grid path, validating the
+//! full pipeline against the purely analytic RHF.
 
 use crate::engine::{BuildProfile, ExchangeEngine};
 use liair_basis::{Basis, Molecule};
@@ -22,40 +21,6 @@ use liair_grid::{PoissonSolver, RealGrid};
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
 use liair_math::linalg::{eigh, sym_inv_sqrt};
 use liair_math::Mat;
-
-/// Build `K_{μν}` on the grid from occupied orbital fields.
-///
-/// `c_occ` holds the occupied MO coefficients (`nao × nocc`) in the same
-/// (box-centered) basis the grid fields are evaluated in.
-pub fn exchange_operator_grid(
-    basis: &Basis,
-    c_occ: &Mat,
-    nocc: usize,
-    grid: &RealGrid,
-    solver: &PoissonSolver,
-) -> Mat {
-    exchange_operator_grid_screened(basis, c_occ, nocc, grid, solver, 0.0).0
-}
-
-/// As [`exchange_operator_grid`], dropping `(orbital j, AO ν)` tasks whose
-/// Gaussian-overlap bound falls below `eps` (the same knob as the energy
-/// path). Returns `(K, tasks_evaluated, tasks_skipped)`.
-///
-/// Thin wrapper over [`ExchangeEngine::k_operator`] on the rayon backend.
-/// Built as `K = Σ_j ΔK_j` from per-orbital contributions — the same
-/// assembly the incremental path ([`crate::incremental::IncrementalExchange`])
-/// uses, so an incremental build with `eps_inc = 0` is bit-identical.
-pub fn exchange_operator_grid_screened(
-    basis: &Basis,
-    c_occ: &Mat,
-    nocc: usize,
-    grid: &RealGrid,
-    solver: &PoissonSolver,
-    eps: f64,
-) -> (Mat, usize, usize) {
-    let out = ExchangeEngine::new(grid, solver).k_operator(basis, c_occ, nocc, eps);
-    (out.k, out.evaluated, out.skipped)
-}
 
 /// Result of the grid-exchange SCF.
 #[derive(Debug, Clone)]
@@ -261,7 +226,9 @@ mod tests {
         let basis = Basis::sto3g(&mol_c);
         let grid = RealGrid::cubic(Cell::cubic(edge), 64);
         let solver = PoissonSolver::isolated(grid);
-        let k_grid = exchange_operator_grid(&basis, &scf.c, scf.nocc, &grid, &solver);
+        let k_grid = ExchangeEngine::new(&grid, &solver)
+            .k_operator(&basis, &scf.c, scf.nocc, 0.0)
+            .k;
         // Analytic: K(D) with D = 2CCᵀ equals 2 × Σ_j (μj|jν).
         let (_, k_an) = liair_integrals::build_jk(&basis, &scf.density, 0.0);
         let err = k_grid.scale(2.0).sub(&k_an).fro_norm() / k_an.fro_norm();
@@ -353,7 +320,9 @@ mod tests {
         let basis = Basis::sto3g(&mol_c);
         let grid = RealGrid::cubic(Cell::cubic(edge), 48);
         let solver = PoissonSolver::isolated(grid);
-        let k = exchange_operator_grid(&basis, &scf.c, scf.nocc, &grid, &solver);
+        let k = ExchangeEngine::new(&grid, &solver)
+            .k_operator(&basis, &scf.c, scf.nocc, 0.0)
+            .k;
         assert!(k.asymmetry() < 1e-12); // symmetrized by construction
         for i in 0..basis.nao() {
             assert!(k[(i, i)] > 0.0, "K[{i},{i}] = {}", k[(i, i)]);

@@ -72,7 +72,6 @@ proptest! {
             FaultPlan::messages_only(fseed)
         };
         let clean = ExchangeEngine::builder(&grid, &solver)
-            .no_faults()
             .backend(ExecBackend::Serial)
             .build()
             .unwrap()
@@ -113,8 +112,7 @@ proptest! {
         let (grid, solver, fields, pairs) = setup(wseed, norb);
         let build = |backend| {
             let mut b = ExchangeEngine::builder(&grid, &solver)
-                .backend(backend)
-                .no_faults();
+                .backend(backend);
             if faulty == 1 {
                 b = b.fault_plan(FaultPlan::with_stalls(fseed));
             }

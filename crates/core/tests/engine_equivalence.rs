@@ -8,41 +8,34 @@
 //! kernel.
 //!
 //! The SIMD level is latched once per process inside `liair-math`, so CI
-//! runs the whole binary under a `LIAIR_SIMD` matrix and a
-//! `LIAIR_FAULT_SEED` matrix to exercise the env-driven defaults.
+//! runs the whole binary under a `LIAIR_SIMD` matrix. Fault schedules are
+//! arguments: the tests below loop over their seeds themselves.
 
 use liair_basis::{systems, Basis, Cell};
 use liair_core::engine::BuildProfile;
-use liair_core::screening::{build_pair_list, OrbitalInfo, Pair, PairList};
-use liair_core::{BalanceStrategy, ExchangeEngine, ExecBackend, FaultPlan, IncrementalExchange};
+use liair_core::screening::{source_pairs, OrbitalInfo, Pair, PairList};
+use liair_core::{
+    BalanceStrategy, EngineScratch, Error, ExchangeEngine, ExecBackend, FaultPlan,
+    IncrementalExchange,
+};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
 
-/// Smooth synthetic "orbitals": normalized Gaussians at random centers.
-fn synthetic_setup(
-    norb: usize,
-    n: usize,
-) -> (
+type Setup = (
     RealGrid,
     PoissonSolver,
     Vec<Vec<f64>>,
     Vec<OrbitalInfo>,
     PairList,
-) {
-    let l = 14.0;
+);
+
+/// Smooth synthetic "orbitals": one normalized Gaussian (spread ≈ 0.7
+/// Bohr) per centre, periodic in a cubic cell of edge `l` on an `n³` grid,
+/// with the pair list screened at `eps`.
+fn gaussians(centers: &[Vec3], l: f64, n: usize, eps: f64) -> Setup {
     let grid = RealGrid::cubic(Cell::cubic(l), n);
     let solver = PoissonSolver::isolated(grid);
-    let mut rng = SplitMix64::new(171);
-    let centers: Vec<Vec3> = (0..norb)
-        .map(|_| {
-            Vec3::new(
-                rng.range_f64(4.0, 10.0),
-                rng.range_f64(4.0, 10.0),
-                rng.range_f64(4.0, 10.0),
-            )
-        })
-        .collect();
     let fields: Vec<Vec<f64>> = centers
         .iter()
         .map(|&c| {
@@ -63,8 +56,36 @@ fn synthetic_setup(
             spread: 0.7,
         })
         .collect();
-    let pairs = build_pair_list(&infos, 0.0, Some(&grid.cell));
+    let pairs = source_pairs(&infos, eps, Some(&grid.cell));
     (grid, solver, fields, infos, pairs)
+}
+
+/// `norb` Gaussians at random centers, every pair kept.
+fn synthetic_setup(norb: usize, n: usize) -> Setup {
+    let mut rng = SplitMix64::new(171);
+    let centers: Vec<Vec3> = (0..norb)
+        .map(|_| {
+            Vec3::new(
+                rng.range_f64(4.0, 10.0),
+                rng.range_f64(4.0, 10.0),
+                rng.range_f64(4.0, 10.0),
+            )
+        })
+        .collect();
+    gaussians(&centers, 14.0, n, 0.0)
+}
+
+/// One periodic 3 × 3 layer of Gaussians on a 4.4-Bohr lattice with
+/// 0.25 Bohr of jitter per coordinate, nearest neighbours paired — a slab
+/// of the benchmark's `box32` geometry at test size.
+fn periodic_layer(n: usize) -> Setup {
+    let a = 4.4;
+    let mut rng = SplitMix64::new(2014);
+    let mut at = |i: usize| (i as f64 + 0.5) * a + rng.range_f64(-0.25, 0.25);
+    let centers: Vec<Vec3> = (0..9)
+        .map(|s| Vec3::new(at(s / 3), at(s % 3), at(1)))
+        .collect();
+    gaussians(&centers, 3.0 * a, n, 1e-6)
 }
 
 fn comm(nranks: usize, strategy: BalanceStrategy) -> ExecBackend {
@@ -74,7 +95,7 @@ fn comm(nranks: usize, strategy: BalanceStrategy) -> ExecBackend {
 #[test]
 fn energy_bit_identical_across_backends() {
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 20);
-    let base = ExchangeEngine::builder(&grid, &solver).no_faults();
+    let base = ExchangeEngine::builder(&grid, &solver);
     let serial = base
         .backend(ExecBackend::Serial)
         .build()
@@ -96,7 +117,9 @@ fn energy_bit_identical_across_backends() {
         rayon.energy
     );
 
-    for nranks in [1, 3, 4] {
+    // 12 ranks is more than the list has pairs (10), let alone chunks (5):
+    // idle ranks must neither hang the build nor touch the sum.
+    for nranks in [1, 3, 4, 12] {
         for strategy in [
             BalanceStrategy::RoundRobin,
             BalanceStrategy::Block,
@@ -125,7 +148,6 @@ fn energy_bit_identical_under_injected_faults() {
     // same payloads, and re-issued chunks replay the identical kernel.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 16);
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
@@ -158,14 +180,13 @@ fn energy_bit_identical_under_injected_faults() {
 
 #[test]
 fn pipelined_overlap_bit_identical_under_fault_matrix() {
-    // The CI fault matrix seeds (LIAIR_FAULT_SEED = 7, 13, 42), run
-    // explicitly: the pipeline's streamed out-of-order reassembly, steal
-    // queue, and mid-build straggler re-issue must leave every bit where
-    // the serial reference put it.
+    // The fault matrix — three seeded schedules with stalls: the
+    // pipeline's streamed out-of-order reassembly, steal queue, and
+    // mid-build straggler re-issue must leave every bit where the serial
+    // reference put it.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 16);
     let nchunks = pairs.len().div_ceil(2);
     let serial = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
@@ -205,15 +226,13 @@ fn pipelined_overlap_matches_serial_for_k_operator() {
     let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
     let serial = ExchangeEngine::builder(&kgrid, &ksolver)
         .backend(ExecBackend::Serial)
-        .no_faults()
         .build()
         .unwrap()
         .k_operator(&basis, &c_occ, nocc, 0.0);
     let ntasks = nocc * basis.nao();
     for plan in [None, Some(7u64), Some(13), Some(42)] {
-        let mut b = ExchangeEngine::builder(&kgrid, &ksolver)
-            .backend(comm(3, BalanceStrategy::GreedyLpt))
-            .no_faults();
+        let mut b =
+            ExchangeEngine::builder(&kgrid, &ksolver).backend(comm(3, BalanceStrategy::GreedyLpt));
         if let Some(seed) = plan {
             b = b.fault_plan(FaultPlan::with_stalls(seed));
         }
@@ -248,7 +267,7 @@ fn h2_setup() -> (Basis, liair_math::Mat, usize, RealGrid, PoissonSolver) {
 #[test]
 fn k_operator_bit_identical_across_backends() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
-    let base = ExchangeEngine::builder(&grid, &solver).no_faults();
+    let base = ExchangeEngine::builder(&grid, &solver);
     let serial = base
         .backend(ExecBackend::Serial)
         .build()
@@ -280,7 +299,6 @@ fn k_operator_bit_identical_across_backends() {
 fn k_operator_bit_identical_under_injected_faults() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
@@ -348,7 +366,6 @@ fn pair_contribution_is_slice_independent() {
     let (grid, solver, fields, infos, pairs) = synthetic_setup(4, 16);
     let all = &pairs.pairs;
     let full = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
@@ -356,9 +373,7 @@ fn pair_contribution_is_slice_independent() {
     let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
 
     for (backend, fault) in backends_and_faults() {
-        let mut b = ExchangeEngine::builder(&grid, &solver)
-            .backend(backend)
-            .no_faults();
+        let mut b = ExchangeEngine::builder(&grid, &solver).backend(backend);
         if let Some(plan) = fault {
             b = b.fault_plan(plan);
         }
@@ -403,7 +418,6 @@ fn pair_contribution_is_slice_independent() {
         })
         .collect();
     let scratch = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
@@ -442,41 +456,6 @@ fn pair_contribution_is_slice_independent() {
 }
 
 #[test]
-fn public_wrappers_match_pinned_default_engine() {
-    // The thin public entry points must equal an engine configured the way
-    // the wrappers configure it — same default backend — down to the last
-    // bit.
-    let (grid, solver, fields, _infos, pairs) = synthetic_setup(3, 20);
-    let wrapper = liair_core::exchange_energy(&grid, &solver, &fields, &pairs);
-    let engine = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
-    assert_eq!(wrapper.energy.to_bits(), engine.energy.to_bits());
-
-    let dist = liair_core::distributed::distributed_exchange(
-        &grid,
-        &solver,
-        &fields,
-        &pairs,
-        3,
-        BalanceStrategy::GreedyLpt,
-    );
-    assert_eq!(wrapper.energy.to_bits(), dist.energy.to_bits());
-
-    let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
-    let (k_ref, ev, sk) = liair_core::operator::exchange_operator_grid_screened(
-        &basis, &c_occ, nocc, &kgrid, &ksolver, 0.0,
-    );
-    let out = ExchangeEngine::new(&kgrid, &ksolver).k_operator(&basis, &c_occ, nocc, 0.0);
-    assert_eq!(out.evaluated, ev);
-    assert_eq!(out.skipped, sk);
-    assert_eq!(out.k.sub(&k_ref).fro_norm(), 0.0);
-
-    let k_dist = liair_core::distributed::distributed_exchange_operator(
-        &basis, &c_occ, nocc, &kgrid, &ksolver, 3,
-    );
-    assert_eq!(k_dist.sub(&k_ref).fro_norm(), 0.0);
-}
-
-#[test]
 fn incremental_eps0_k_bit_identical() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
     let reference = ExchangeEngine::builder(&grid, &solver)
@@ -507,8 +486,10 @@ fn comm_backend_reports_gather_volume() {
         .build()
         .unwrap()
         .energy(&fields, &pairs);
+    assert!(out.profile.is_populated(), "Comm build must fill profile");
     assert!(out.profile.bytes_reduced > 0);
     assert_eq!(out.profile.pairs_computed, pairs.len());
+    assert_eq!(out.pairs_evaluated, pairs.len());
 
     let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
     let k = ExchangeEngine::builder(&kgrid, &ksolver)
@@ -534,8 +515,104 @@ fn builder_rejects_inconsistent_configuration() {
     // A fault plan whose probabilities cannot be executed.
     let mut plan = FaultPlan::messages_only(1);
     plan.drop_p = 1.5;
-    let err = ExchangeEngine::builder(&grid, &solver)
-        .fault_plan(plan)
-        .build();
-    assert!(err.is_err());
+    let bad = ExchangeEngine::builder(&grid, &solver).fault_plan(plan);
+    assert!(bad.build().is_err());
+    // `no_faults` clears a plan set earlier on the builder.
+    assert!(bad.no_faults().build().is_ok());
+}
+
+#[test]
+fn malformed_orbital_sets_are_typed_errors_on_every_backend() {
+    // Shape problems are reported before the execute stage starts: a typed
+    // error on every backend, never a panic — and on `Comm` before any
+    // rank is launched (ranks are scoped threads, so none can outlive a
+    // build either way). The engine stays usable afterwards.
+    let (grid, solver, fields, infos, pairs) = synthetic_setup(3, 12);
+    let mut short = fields.clone();
+    short[2].pop();
+    let mismatch = Error::OrbitalSizeMismatch {
+        expected: grid.len(),
+        got: grid.len() - 1,
+        orbital: 2,
+    };
+    let none: Vec<Vec<f64>> = Vec::new();
+    let mut want = None;
+    for backend in [
+        ExecBackend::Serial,
+        ExecBackend::Rayon,
+        comm(2, BalanceStrategy::GreedyLpt),
+    ] {
+        let engine = ExchangeEngine::builder(&grid, &solver)
+            .backend(backend)
+            .build()
+            .unwrap();
+        let mut profile = BuildProfile::default();
+        let mut scratch = EngineScratch::new();
+        for (bad, err) in [(&short, &mismatch), (&none, &Error::EmptyOrbitals)] {
+            assert_eq!(engine.try_energy(bad, &pairs).as_ref(), Err(err));
+            assert_eq!(
+                engine
+                    .try_pair_contribs(bad, &pairs.pairs, &mut profile)
+                    .as_ref(),
+                Err(err)
+            );
+            assert_eq!(
+                engine.try_energy_into(bad, &pairs, &mut scratch).as_ref(),
+                Err(err)
+            );
+        }
+        assert_eq!(
+            engine.try_energy_patched(&short, &infos, &pairs, 1.0),
+            Err(mismatch.clone())
+        );
+        // One `OrbitalInfo` short of the orbital count.
+        let err = engine.try_energy_patched(&fields, &infos[..2], &pairs, 1.0);
+        assert!(matches!(err, Err(Error::InvalidConfig(_))), "{err:?}");
+
+        let after = engine.try_energy(&fields, &pairs).expect("valid build");
+        let bits = after.energy.to_bits();
+        assert_eq!(*want.get_or_insert(bits), bits, "{backend:?}");
+    }
+}
+
+#[test]
+fn patched_energy_accuracy_is_controlled_by_margin() {
+    // The paper's "controllable accuracy" on the patch path: a patch
+    // solves the pair with the isolated kernel on a box of its own, so it
+    // drops what of the pair density lies outside — less with every Bohr
+    // of margin, nothing once the patch is the cell.
+    let (grid, solver, fields, infos, pairs) = periodic_layer(20);
+    // 9 self pairs + 18 nearest-neighbour pairs, a third of those across
+    // the periodic boundary.
+    assert_eq!(pairs.len(), 9 + 18);
+    let base = ExchangeEngine::builder(&grid, &solver);
+    let serial = base.backend(ExecBackend::Serial).build().unwrap();
+    let full = serial.energy(&fields, &pairs).energy;
+
+    let mut errs = Vec::new();
+    for margin in [0.0, 1.0, 4.0] {
+        let patched = serial.energy_patched(&fields, &infos, &pairs, margin);
+        assert!(patched.profile.is_populated());
+        assert_eq!(patched.pairs_evaluated, pairs.len());
+        for backend in [ExecBackend::Rayon, comm(2, BalanceStrategy::GreedyLpt)] {
+            let other = base
+                .backend(backend)
+                .build()
+                .unwrap()
+                .energy_patched(&fields, &infos, &pairs, margin);
+            assert_eq!(
+                patched.energy.to_bits(),
+                other.energy.to_bits(),
+                "margin {margin}: Serial vs {backend:?}"
+            );
+        }
+        errs.push(((patched.energy - full) / full).abs());
+    }
+    println!("patched vs full-cell relative error at margins 0/1/4 Bohr: {errs:?}");
+    assert!(errs[0] <= 1e-3, "{errs:?}");
+    assert!(errs[1] <= 5e-5, "{errs:?}");
+    // At 4 Bohr every patch is clamped to the cell: the patch *is* the
+    // full-cell solve, up to the order of a sum.
+    assert!(errs[2] <= 1e-12, "{errs:?}");
+    assert!(errs[0] >= errs[1] && errs[1] >= errs[2], "{errs:?}");
 }

@@ -2,7 +2,7 @@
 //!
 //! * `eps_inc = 0` disables reuse, and the resulting K build is
 //!   **bit-identical** to the from-scratch
-//!   `exchange_operator_grid_screened` (same per-task kernel, same
+//!   `ExchangeEngine::k_operator` (same per-task kernel, same
 //!   ascending-j assembly order);
 //! * the energy error of a stale-cache rebuild is **monotone** in
 //!   `eps_inc`: loosening the tolerance can only enlarge the reused set,
@@ -11,7 +11,7 @@
 
 use liair_basis::{systems, Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo};
-use liair_core::IncrementalExchange;
+use liair_core::{ExchangeEngine, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use proptest::prelude::*;
 
@@ -49,9 +49,9 @@ proptest! {
         let grid = RealGrid::cubic(Cell::cubic(edge), 16);
         let solver = PoissonSolver::isolated(grid);
 
-        let (k_ref, ev_ref, sk_ref) = liair_core::operator::exchange_operator_grid_screened(
-            &basis, &scf.c, scf.nocc, &grid, &solver, eps,
-        );
+        let reference =
+            ExchangeEngine::new(&grid, &solver).k_operator(&basis, &scf.c, scf.nocc, eps);
+        let (k_ref, ev_ref, sk_ref) = (reference.k, reference.evaluated, reference.skipped);
         let mut inc = IncrementalExchange::new(0.0, 0);
         if prime_idx == 1 {
             // A warm cache from another geometry must not leak through.
@@ -119,7 +119,9 @@ proptest! {
                 f.iter().map(|v| g * v).collect()
             })
             .collect();
-        let exact = liair_core::exchange_energy(&grid, &solver, &scaled, &pairs).energy;
+        let exact = ExchangeEngine::new(&grid, &solver)
+            .energy(&scaled, &pairs)
+            .energy;
 
         let mut prev_err = -1e-12;
         let mut prev_reused = 0;

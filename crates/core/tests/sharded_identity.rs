@@ -93,7 +93,7 @@ fn sharded_energy_bit_identical_across_backends() {
     let (grid, solver, fields, global, sharded, spmd) = setup(4, 20, [2, 2, 2]);
     assert_same_list(&global, &sharded, "sharded");
     assert_same_list(&global, &spmd, "spmd");
-    let base = ExchangeEngine::builder(&grid, &solver).no_faults();
+    let base = ExchangeEngine::builder(&grid, &solver);
     let reference = base
         .backend(ExecBackend::Serial)
         .build()
@@ -127,7 +127,6 @@ fn sharded_energy_bit_identical_under_injected_faults() {
     let (grid, solver, fields, global, sharded, _spmd) = setup(4, 16, [3, 2, 1]);
     assert_same_list(&global, &sharded, "sharded");
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
@@ -166,14 +165,12 @@ fn sharded_list_drives_k_operator_identically() {
     let grid = RealGrid::cubic(Cell::cubic(edge), 24);
     let solver = PoissonSolver::isolated(grid);
     let reference = ExchangeEngine::builder(&grid, &solver)
-        .no_faults()
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
         .k_operator(&basis, &scf.c, scf.nocc, 0.0);
     for nranks in [1, 3] {
         let comm = ExchangeEngine::builder(&grid, &solver)
-            .no_faults()
             .backend(ExecBackend::Comm {
                 nranks,
                 strategy: BalanceStrategy::RoundRobin,

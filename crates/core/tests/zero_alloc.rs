@@ -1,4 +1,4 @@
-//! Counting-allocator proof that the `exchange_energy` pair loop is
+//! Counting-allocator proof that the `ExchangeEngine::energy` pair loop is
 //! allocation-free **per pair** in steady state: with the thread count
 //! pinned, the total number of heap allocations per call is a constant
 //! (per-worker scratch, thread spawn bookkeeping) that does not grow with
@@ -7,9 +7,7 @@
 
 use liair_basis::Cell;
 use liair_core::screening::{OrbitalInfo, Pair, PairList};
-use liair_core::{
-    exchange_energy, EngineScratch, ExchangeEngine, ExecBackend, HfxResult, IncrementalExchange,
-};
+use liair_core::{EngineScratch, ExchangeEngine, ExecBackend, HfxResult, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -71,7 +69,7 @@ fn pair_list(n_orb: usize, n_pairs: usize) -> PairList {
 }
 
 #[test]
-fn exchange_energy_allocations_do_not_scale_with_pair_count() {
+fn energy_allocations_do_not_scale_with_pair_count() {
     let _guard = SERIAL.lock().unwrap();
     let grid = RealGrid::cubic(Cell::cubic(10.0), 24);
     let solver = PoissonSolver::isolated(grid);
@@ -90,7 +88,7 @@ fn exchange_energy_allocations_do_not_scale_with_pair_count() {
         .unwrap();
     let run = |pairs: &PairList| -> (HfxResult, u64) {
         let before = alloc_count();
-        let result = pool.install(|| exchange_energy(&grid, &solver, &orbitals, pairs));
+        let result = pool.install(|| ExchangeEngine::new(&grid, &solver).energy(&orbitals, pairs));
         (result, alloc_count() - before)
     };
 

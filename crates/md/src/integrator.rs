@@ -2,6 +2,7 @@
 
 use liair_basis::{Cell, Molecule, KB_HARTREE};
 use liair_math::Vec3;
+use liair_runtime::config::DEFAULT_MD_SEED;
 use rand::Rng;
 
 /// Anything that yields `(potential energy, forces)` for a geometry.
@@ -51,21 +52,6 @@ impl Default for MdOptions {
             mts: crate::mts::MtsOptions::default(),
         }
     }
-}
-
-/// Resolve the velocity-initialization seed under the repo-wide
-/// convention (mirrors `LIAIR_FAULT_SEED`): an explicit `Some(seed)`
-/// wins, else the `LIAIR_MD_SEED` environment variable, else `2014`.
-/// Every thermalization site routes through this so trajectories are
-/// reproducible run-to-run and overridable fleet-wide from the
-/// environment. The precedence itself lives in
-/// [`liair_runtime::SeedConfig`]; multi-tenant serve jobs skip the
-/// environment entirely and call [`SeedConfig::resolve_md_seed`] on their
-/// per-job config instead.
-///
-/// [`SeedConfig::resolve_md_seed`]: liair_runtime::SeedConfig::resolve_md_seed
-pub fn md_seed(explicit: Option<u64>) -> u64 {
-    liair_runtime::SeedConfig::from_env().resolve_md_seed(explicit)
 }
 
 /// The propagated state.
@@ -149,13 +135,15 @@ impl MdState {
         self.remove_com_motion();
     }
 
-    /// Maxwell–Boltzmann initialization under the one documented seed
-    /// convention (see [`md_seed`]): `thermalize_seeded(t, None)` is
-    /// deterministic run-to-run (seed 2014 unless `LIAIR_MD_SEED`
-    /// overrides it), and `Some(seed)` pins a specific stream.
+    /// Maxwell–Boltzmann initialization from a seed that is an argument,
+    /// never ambient state: `Some(seed)` pins a specific stream, `None`
+    /// means [`DEFAULT_MD_SEED`] — so every call is deterministic
+    /// run-to-run. Jobs that carry a [`liair_runtime::SeedConfig`] resolve
+    /// it first and pass `Some`.
     pub fn thermalize_seeded(&mut self, t: f64, seed: Option<u64>) {
         use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(md_seed(seed));
+        let seed = seed.unwrap_or(DEFAULT_MD_SEED);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         self.thermalize(t, &mut rng);
     }
 
@@ -358,19 +346,6 @@ mod tests {
 
     #[test]
     fn seed_convention_precedence_and_reproducibility() {
-        // One test covers the whole precedence chain (explicit > env >
-        // default) sequentially, to avoid env races between tests.
-        let old = std::env::var("LIAIR_MD_SEED").ok();
-        std::env::remove_var("LIAIR_MD_SEED");
-        assert_eq!(md_seed(None), 2014);
-        std::env::set_var("LIAIR_MD_SEED", " 77 ");
-        assert_eq!(md_seed(None), 77);
-        assert_eq!(md_seed(Some(5)), 5, "explicit seed must beat the env");
-        match old {
-            Some(v) => std::env::set_var("LIAIR_MD_SEED", v),
-            None => std::env::remove_var("LIAIR_MD_SEED"),
-        }
-
         // Same seed, same velocities; different seed, different velocities.
         let mol = systems::water();
         let ff = ForceField::from_molecule(&mol, None);
@@ -382,6 +357,10 @@ mod tests {
         c.thermalize_seeded(300.0, Some(10));
         assert_eq!(a.velocities, b.velocities);
         assert_ne!(a.velocities, c.velocities);
+        // No seed is the default seed, not an ambient one.
+        a.thermalize_seeded(300.0, None);
+        b.thermalize_seeded(300.0, Some(DEFAULT_MD_SEED));
+        assert_eq!(a.velocities, b.velocities);
     }
 
     #[test]

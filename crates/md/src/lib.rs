@@ -9,8 +9,8 @@
 //!   peroxide attack — the synthetic substitute for the paper's 96-rack
 //!   PBE0 trajectories (see DESIGN.md);
 //! * [`integrator`] — velocity-Verlet with Berendsen/Nosé–Hoover
-//!   thermostatting and Maxwell–Boltzmann initialization under one
-//!   documented seed convention ([`integrator::md_seed`]);
+//!   thermostatting and Maxwell–Boltzmann initialization from an
+//!   explicit seed ([`MdState::thermalize_seeded`]);
 //! * [`mts`] — r-RESPA multiple time stepping over a
 //!   [`mts::SplitForceProvider`]: cheap GGA/LDA forces every inner step,
 //!   the exact-exchange correction as an outer-step impulse;
@@ -33,7 +33,7 @@ pub mod qmforce;
 
 pub use checkpoint::MdCheckpoint;
 pub use forcefield::ForceField;
-pub use integrator::{md_seed, ForceProvider, MdOptions, MdState, Thermostat};
+pub use integrator::{ForceProvider, MdOptions, MdState, Thermostat};
 pub use mts::{CombinedForces, MtsOptions, MtsOuterRecord, MtsStepTimes, SplitForceProvider};
 pub use qmforce::{
     FiniteDifferenceForces, HfxDeltaForces, IncrementalGridForces, RhfForces, XcForces,

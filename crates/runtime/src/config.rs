@@ -1,62 +1,29 @@
 //! Per-job determinism configuration.
 //!
-//! Before the serve layer, every seed in the workspace was its own
-//! convention: `liair-md` read `LIAIR_MD_SEED`, the fault injector read
-//! `LIAIR_FAULT_SEED` — each at its own call site, each with its own
-//! parse-and-default logic.
-//! Fine for one job per process; wrong for a multi-tenant service, where
-//! two tenants with different seeds would race on process-global
-//! environment variables.
-//!
-//! [`SeedConfig`] collects both in one value that a job carries
-//! with it. [`SeedConfig::from_env`] reproduces the legacy single-job
-//! behavior (and is what the old env-reading call sites now delegate to),
-//! while serve jobs construct theirs explicitly and never touch the
-//! environment after admission.
+//! Every stochastic input of a job is a value the job carries, never a
+//! process-global: a [`SeedConfig`] travels inside the job spec, so two
+//! tenants of one service with different seeds cannot race on — or leak
+//! into each other through — the environment. The one seed a job carries
+//! is the MD thermalization seed; a fault schedule is not a seed here but
+//! a [`crate::FaultPlan`] handed to the engine builder that should run
+//! under it.
 
-use crate::fault::FaultPlan;
-
-/// Environment variable naming the MD thermalization seed.
-pub const MD_SEED_ENV: &str = "LIAIR_MD_SEED";
-/// Environment variable naming the fault-injection seed.
-pub const FAULT_SEED_ENV: &str = "LIAIR_FAULT_SEED";
-
-/// Fallback MD seed when neither an explicit seed nor the environment
-/// provides one (the paper's publication year, as established in PR 7).
+/// Fallback MD seed when neither an explicit seed nor the job's
+/// [`SeedConfig`] provides one (the paper's publication year).
 pub const DEFAULT_MD_SEED: u64 = 2014;
 
-/// All deterministic-behavior knobs a job carries, replacing process-wide
-/// environment lookups scattered across `liair-md` and
-/// `liair-runtime::fault`.
+/// The deterministic-behavior knobs a job carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedConfig {
     /// MD thermalization seed; `None` falls back to [`DEFAULT_MD_SEED`].
     pub md_seed: Option<u64>,
-    /// Fault-injection seed; `None` disables injected faults.
-    pub fault_seed: Option<u64>,
 }
 
 impl SeedConfig {
-    /// The legacy process-wide convention: read every knob from the
-    /// environment once. Single-job binaries (examples, benches, tests)
-    /// keep this path; serve jobs construct their config explicitly.
-    pub fn from_env() -> SeedConfig {
-        SeedConfig {
-            md_seed: parse_env_u64(MD_SEED_ENV),
-            fault_seed: parse_env_u64(FAULT_SEED_ENV),
-        }
-    }
-
     /// Resolve the MD seed with the established precedence:
     /// explicit argument > configured seed > [`DEFAULT_MD_SEED`].
     pub fn resolve_md_seed(&self, explicit: Option<u64>) -> u64 {
         explicit.or(self.md_seed).unwrap_or(DEFAULT_MD_SEED)
-    }
-
-    /// The fault plan this config selects: [`FaultPlan::with_stalls`]
-    /// under the configured seed, or `None` when fault injection is off.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault_seed.map(FaultPlan::with_stalls)
     }
 
     /// Builder-style override of the MD seed.
@@ -64,16 +31,6 @@ impl SeedConfig {
         self.md_seed = Some(seed);
         self
     }
-
-    /// Builder-style override of the fault seed.
-    pub fn with_fault_seed(mut self, seed: u64) -> SeedConfig {
-        self.fault_seed = Some(seed);
-        self
-    }
-}
-
-fn parse_env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse::<u64>().ok()
 }
 
 #[cfg(test)]
@@ -88,13 +45,6 @@ mod tests {
         let cfg = cfg.with_md_seed(42);
         assert_eq!(cfg.resolve_md_seed(None), 42);
         assert_eq!(cfg.resolve_md_seed(Some(7)), 7, "explicit beats config");
-    }
-
-    #[test]
-    fn fault_plan_matches_with_stalls() {
-        assert!(SeedConfig::default().fault_plan().is_none());
-        let plan = SeedConfig::default().with_fault_seed(13).fault_plan();
-        assert_eq!(plan, Some(FaultPlan::with_stalls(13)));
     }
 
     /// Every `LIAIR_*` name in a source file under `dir`.
@@ -119,10 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn workspace_names_exactly_three_env_knobs() {
+    fn workspace_names_exactly_one_env_knob() {
         // Comments and tests included: a knob nobody reads is not named
-        // either. `LIAIR_SIMD` is read by `liair_math::simd::level`, the
-        // two seeds by `SeedConfig::from_env`.
+        // either. `LIAIR_SIMD` is read by `liair_math::simd::level`.
         let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .expect("crates/ directory");
@@ -134,6 +83,6 @@ mod tests {
             }
         }
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        assert_eq!(names, [FAULT_SEED_ENV, MD_SEED_ENV, "LIAIR_SIMD"]);
+        assert_eq!(names, ["LIAIR_SIMD"]);
     }
 }

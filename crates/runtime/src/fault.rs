@@ -73,15 +73,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan selected by the `LIAIR_FAULT_SEED` environment variable
-    /// (the CI fault matrix): `None` when unset or unparsable, otherwise
-    /// [`FaultPlan::with_stalls`] under that seed. Delegates to
-    /// [`crate::config::SeedConfig`] — serve jobs carry a per-job config
-    /// instead of calling this.
-    pub fn from_env() -> Option<Self> {
-        crate::config::SeedConfig::from_env().fault_plan()
-    }
-
     /// Check the plan is executable: probabilities in `[0, 1]`, their sum
     /// per message ≤ 1, and a non-zero retry budget.
     pub fn validate(&self) -> CommResult<()> {
@@ -353,21 +344,5 @@ mod tests {
         let p = FaultPlan::messages_only(0);
         assert!(p.attempt_timeout(1) > p.attempt_timeout(0));
         assert!(p.attempt_timeout(30) <= Duration::from_secs(1));
-    }
-
-    #[test]
-    fn env_plan_parses_seed() {
-        // Only exercises the parser (env reads are process-global; the
-        // variable is restored immediately).
-        let old = std::env::var("LIAIR_FAULT_SEED").ok();
-        std::env::set_var("LIAIR_FAULT_SEED", " 99 ");
-        let plan = FaultPlan::from_env();
-        match old {
-            Some(v) => std::env::set_var("LIAIR_FAULT_SEED", v),
-            None => std::env::remove_var("LIAIR_FAULT_SEED"),
-        }
-        let plan = plan.expect("seed should parse");
-        assert_eq!(plan.seed, 99);
-        assert!(plan.stall_p > 0.0);
     }
 }

@@ -3,10 +3,12 @@
 //! A [`JobSpec`] is a complete, self-contained description of one batch
 //! computation — the physical problem ([`JobKind`]), the tenant it bills
 //! to, its scheduling priority, the rank-pool slice it wants, and the
-//! per-job determinism knobs ([`SeedConfig`]). Nothing in a spec reads
-//! the process environment: two tenants with different seeds coexist in
-//! one service without racing on env vars (the PR 9 satellite that
-//! motivated `SeedConfig`).
+//! per-job determinism knobs ([`SeedConfig`]). Neither a spec nor the
+//! layers a job runs on read the process environment — thermalization
+//! takes the spec's seed, and an `ExchangeEngine` runs under a fault plan
+//! only when its builder was handed one — so two tenants with different
+//! seeds coexist in one service, and no variable set on the serving
+//! process can inject faults into their builds.
 //!
 //! [`Disruption`] injects deterministic failures for the soak tests:
 //! a job preempted or faulted at a known step must *resume from its

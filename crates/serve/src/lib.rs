@@ -7,8 +7,10 @@
 //!
 //! * [`job`] — job specifications: SCF convergence, MTS-MD trajectories,
 //!   grid-exchange screening evaluations; per-job
-//!   [`SeedConfig`](liair_runtime::SeedConfig) so tenants never race on
-//!   process environment;
+//!   [`SeedConfig`](liair_runtime::SeedConfig). Tenants never race on the
+//!   process environment because nothing beneath a job reads it: the MD
+//!   seed travels in the spec, and the exchange engine a job builds takes
+//!   its fault plan as a builder argument or runs clean;
 //! * [`quota`] — per-tenant admission control (job-count and rank caps,
 //!   rejection accounting);
 //! * [`sched`] — priority queue with tick-based aging (no starvation,

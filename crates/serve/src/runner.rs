@@ -19,6 +19,10 @@
 //! Disruptions are injected on the **first attempt only**: the runner is
 //! told whether it is resuming, and a resumed attempt runs undisturbed.
 
+// `Result<_, Attempt>`: the Err is the interrupted attempt itself, built
+// once in `drive` and moved straight out through `run_job`.
+#![allow(clippy::result_large_err)]
+
 use crate::job::{Disruption, JobKind, JobSpec};
 use liair_basis::systems::Solvent;
 use liair_basis::{systems, Basis, Cell, Element, Molecule};
@@ -225,7 +229,8 @@ pub fn run_job(
     } else {
         spec.disruption
     };
-    match &spec.kind {
+    // `Err` is an interrupted attempt, checkpoint attached (see [`drive`]).
+    let outcome = match &spec.kind {
         JobKind::Scf {
             system,
             incremental_fock,
@@ -271,7 +276,8 @@ pub fn run_job(
             resume,
             disruption,
         ),
-    }
+    };
+    outcome.map_or_else(|interrupted| interrupted, Attempt::Done)
 }
 
 /// Run `spec` uninterrupted on the default backend with no shared cache —
@@ -294,34 +300,72 @@ fn scf_options(incremental_fock: bool) -> ScfOptions {
     }
 }
 
-/// Step an SCF session to convergence under the checkpoint/disruption
-/// protocol shared by SCF and reaction jobs: `Err` is the interrupted
-/// attempt (checkpoint attached), `Ok` the converged session.
-#[allow(clippy::result_large_err)] // the Err is the attempt itself, moved straight out
-fn drive_scf<'a>(
-    mut session: ScfSession<'a>,
-    disruption: Disruption,
-) -> Result<ScfSession<'a>, Attempt> {
-    let mut periodic: Option<ScfCheckpoint> = Some(session.checkpoint());
-    while session.step() {
-        let it = session.iterations();
+/// A computation the service can interrupt: it advances in whole steps
+/// and can serialize itself between any two of them. [`drive`] runs the
+/// checkpoint/disruption protocol over it.
+trait Resumable {
+    /// Advance one step (a no-op once complete); `true` while steps remain.
+    fn advance(&mut self) -> bool;
+    /// Steps completed so far — the index disruptions fire on.
+    fn position(&self) -> usize;
+    /// Resume state at the current position.
+    fn snapshot(&self) -> JobCheckpoint;
+}
+
+/// Run `job` to completion under the checkpoint/disruption protocol every
+/// interruptible job kind shares: `Ok` is the completed job, `Err` the
+/// interrupted attempt — carrying a checkpoint taken at the preemption
+/// step itself, or, when a fault fired, the last periodic one (the
+/// starting state, refreshed every [`CHECKPOINT_EVERY`] steps). A
+/// disruption due on the final step never fires: the job is done.
+fn drive<J: Resumable>(mut job: J, disruption: Disruption) -> Result<J, Attempt> {
+    let mut periodic = job.snapshot();
+    while job.advance() {
+        let at = job.position();
         match disruption {
-            Disruption::Preempt { at_step } if it == at_step && !session.done() => {
-                return Err(Attempt::Preempted(JobCheckpoint::Scf(session.checkpoint())));
+            Disruption::Preempt { at_step } if at == at_step => {
+                return Err(Attempt::Preempted(job.snapshot()));
             }
-            Disruption::Fault { at_step } if it == at_step && !session.done() => {
-                let ck = periodic
-                    .take()
-                    .expect("an initial checkpoint always exists");
-                return Err(Attempt::Faulted(JobCheckpoint::Scf(ck)));
+            Disruption::Fault { at_step } if at == at_step => {
+                return Err(Attempt::Faulted(periodic));
             }
             _ => {}
         }
-        if it.is_multiple_of(CHECKPOINT_EVERY) {
-            periodic = Some(session.checkpoint());
+        if at.is_multiple_of(CHECKPOINT_EVERY) {
+            periodic = job.snapshot();
         }
     }
-    Ok(session)
+    Ok(job)
+}
+
+impl Resumable for ScfSession<'_> {
+    fn advance(&mut self) -> bool {
+        self.step()
+    }
+
+    fn position(&self) -> usize {
+        self.iterations()
+    }
+
+    fn snapshot(&self) -> JobCheckpoint {
+        JobCheckpoint::Scf(self.checkpoint())
+    }
+}
+
+/// The session an SCF-stage attempt steps: rebuilt from `resume`'s
+/// checkpoint when there is one, else started from the core guess.
+fn scf_session<'a>(
+    mol: &Molecule,
+    basis: &'a Basis,
+    opts: &ScfOptions,
+    resume: Option<&JobCheckpoint>,
+) -> ScfSession<'a> {
+    match resume {
+        Some(JobCheckpoint::Scf(ck)) => ScfSession::resume(mol, basis, ck)
+            .expect("a checkpoint taken by this runner resumes against the same basis"),
+        Some(_) => unreachable!("SCF-stage job resumed with a non-SCF checkpoint"),
+        None => ScfSession::new(mol, basis, opts, Method::Rhf),
+    }
 }
 
 fn run_scf(
@@ -330,21 +374,12 @@ fn run_scf(
     incremental_fock: bool,
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
-) -> Attempt {
+) -> Result<JobOutput, Attempt> {
     let mol = system.molecule();
     let basis = Basis::sto3g(&mol);
     let opts = scf_options(incremental_fock);
-    let session = match resume {
-        Some(JobCheckpoint::Scf(ck)) => ScfSession::resume(&mol, &basis, ck)
-            .expect("a checkpoint taken by this runner resumes against the same basis"),
-        Some(_) => unreachable!("SCF job resumed with a non-SCF checkpoint"),
-        None => ScfSession::new(&mol, &basis, &opts, Method::Rhf),
-    };
-    let session = match drive_scf(session, disruption) {
-        Ok(s) => s,
-        Err(attempt) => return attempt,
-    };
-    Attempt::Done(JobOutput {
+    let session = drive(scf_session(&mol, &basis, &opts, resume), disruption)?;
+    Ok(JobOutput {
         final_energy: session.energy(),
         steps: session.iterations(),
         converged: session.converged(),
@@ -374,20 +409,11 @@ fn run_reaction(
     functional: Functional,
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
-) -> Attempt {
+) -> Result<JobOutput, Attempt> {
     let complex = systems::li2o2_complex(solvent, COMPLEX_LI_O_DIST);
     let basis_c = Basis::sto3g(&complex);
     let opts = reaction_scf_options();
-    let session = match resume {
-        Some(JobCheckpoint::Scf(ck)) => ScfSession::resume(&complex, &basis_c, ck)
-            .expect("a checkpoint taken by this runner resumes against the same basis"),
-        Some(_) => unreachable!("reaction job resumed with a non-SCF checkpoint"),
-        None => ScfSession::new(&complex, &basis_c, &opts, Method::Rhf),
-    };
-    let session = match drive_scf(session, disruption) {
-        Ok(s) => s,
-        Err(attempt) => return attempt,
-    };
+    let session = drive(scf_session(&complex, &basis_c, &opts, resume), disruption)?;
     let steps = session.iterations();
     let res_c = session.into_result();
 
@@ -408,7 +434,7 @@ fn run_reaction(
             - functional_energy(&solv_mol, &basis_s, &res_s, functional, &opts)
             - functional_energy(&cluster, &basis_x, &res_x, functional, &opts)
     };
-    Attempt::Done(JobOutput {
+    Ok(JobOutput {
         final_energy: e_int_fn,
         steps,
         converged: res_c.converged && res_s.converged && res_x.converged,
@@ -480,7 +506,83 @@ impl SplitForceProvider for TetherSplit {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// An MTS trajectory of `n_outer` outer steps under a [`TetherSplit`];
+/// one [`Resumable`] step is one outer step.
+struct MdRun<'a> {
+    state: MdState,
+    split: &'a TetherSplit,
+    opts: MdOptions,
+    n_outer: usize,
+}
+
+impl<'a> MdRun<'a> {
+    /// The trajectory `md` resumes — its serialized [`MdCheckpoint`] —
+    /// or, without one, a fresh start: `mol0` in `cell`, thermalized at
+    /// `temperature` from `seed`. The Nosé–Hoover/MTS settings are the
+    /// ones every MD-stage job integrates under.
+    #[allow(clippy::too_many_arguments)]
+    fn start(
+        md: Option<&[u8]>,
+        mol0: Molecule,
+        cell: Cell,
+        split: &'a TetherSplit,
+        seed: u64,
+        temperature: f64,
+        n_outer: usize,
+        n_inner: usize,
+    ) -> MdRun<'a> {
+        let state = match md {
+            Some(bytes) => MdCheckpoint::from_bytes(bytes)
+                .expect("a checkpoint taken by this runner round-trips")
+                .restore(),
+            None => {
+                let mut st = MdState::new_split(mol0, Some(cell), split);
+                st.thermalize_seeded(temperature, Some(seed));
+                st
+            }
+        };
+        MdRun {
+            state,
+            split,
+            opts: MdOptions {
+                dt: 10.0,
+                thermostat: Thermostat::NoseHoover {
+                    t_target: temperature,
+                    tau: 300.0,
+                },
+                mts: MtsOptions { n_inner },
+            },
+            n_outer,
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.position() >= self.n_outer
+    }
+
+    fn md_bytes(&self) -> Vec<u8> {
+        MdCheckpoint::capture(&self.state).to_bytes()
+    }
+}
+
+impl Resumable for MdRun<'_> {
+    fn advance(&mut self) -> bool {
+        if self.done() {
+            return false;
+        }
+        self.state.step_mts(self.split, &self.opts);
+        !self.done()
+    }
+
+    fn position(&self) -> usize {
+        self.state.step_count / self.opts.mts.n_inner
+    }
+
+    fn snapshot(&self) -> JobCheckpoint {
+        JobCheckpoint::Md(self.md_bytes())
+    }
+}
+
 fn run_md(
     spec: &JobSpec,
     n_waters: usize,
@@ -489,65 +591,75 @@ fn run_md(
     temperature: f64,
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
-) -> Attempt {
+) -> Result<JobOutput, Attempt> {
     let seed = spec.seeds.resolve_md_seed(None);
     // The provider is never serialized: it is a pure function of the job
     // spec (initial box geometry), reconstructed on every attempt.
     let (mol0, cell) = systems::water_box(n_waters, seed);
     let split = TetherSplit::new(&mol0, Some(&cell), 1e-4);
-    let opts = MdOptions {
-        dt: 10.0,
-        thermostat: Thermostat::NoseHoover {
-            t_target: temperature,
-            tau: 300.0,
-        },
-        mts: MtsOptions { n_inner },
-    };
-    let mut state = match resume {
-        Some(JobCheckpoint::Md(bytes)) => MdCheckpoint::from_bytes(bytes)
-            .expect("a checkpoint taken by this runner round-trips")
-            .restore(),
-        Some(_) => unreachable!("MD job resumed with a non-MD checkpoint"),
-        None => {
-            let mut st = MdState::new_split(mol0, Some(cell), &split);
-            st.thermalize_seeded(temperature, Some(seed));
-            st
-        }
-    };
-    let mut periodic = MdCheckpoint::capture(&state).to_bytes();
-    loop {
-        let outer_done = state.step_count / n_inner;
-        if outer_done >= n_outer {
-            break;
-        }
-        state.step_mts(&split, &opts);
-        let outer_done = state.step_count / n_inner;
-        if outer_done >= n_outer {
-            break;
-        }
-        match disruption {
-            Disruption::Preempt { at_step } if outer_done == at_step => {
-                let ck = MdCheckpoint::capture(&state).to_bytes();
-                return Attempt::Preempted(JobCheckpoint::Md(ck));
-            }
-            Disruption::Fault { at_step } if outer_done == at_step => {
-                return Attempt::Faulted(JobCheckpoint::Md(periodic));
-            }
-            _ => {}
-        }
-        if outer_done.is_multiple_of(CHECKPOINT_EVERY) {
-            periodic = MdCheckpoint::capture(&state).to_bytes();
-        }
-    }
-    Attempt::Done(JobOutput {
-        final_energy: state.potential,
-        steps: state.step_count,
+    let md = resume.map(|ck| match ck {
+        JobCheckpoint::Md(bytes) => bytes.as_slice(),
+        _ => unreachable!("MD job resumed with a non-MD checkpoint"),
+    });
+    let run = MdRun::start(md, mol0, cell, &split, seed, temperature, n_outer, n_inner);
+    let run = drive(run, disruption)?;
+    Ok(JobOutput {
+        final_energy: run.state.potential,
+        steps: run.state.step_count,
         converged: true,
         observables: Observables::default(),
         inc: IncStats::default(),
         profile: BuildProfile::default(),
         cache_warm: false,
     })
+}
+
+/// A solvation trajectory: an [`MdRun`] plus the analysis that rides on
+/// it — one Li–O RDF frame and one bond-scission scan per completed outer
+/// step, taken inside the step so the accumulators are part of every
+/// checkpoint of that step.
+struct SolvationRun<'a> {
+    md: MdRun<'a>,
+    cell: Cell,
+    rdf: RdfAccumulator,
+    events: BondEvents,
+    /// Indices (into the force field's bond list) of the bonds whose
+    /// scission counts against the solvent.
+    solvent_bonds: Vec<usize>,
+}
+
+impl Resumable for SolvationRun<'_> {
+    fn advance(&mut self) -> bool {
+        if self.md.done() {
+            return false;
+        }
+        let more = self.md.advance();
+        let mol = &self.md.state.mol;
+        self.rdf.add_frame(mol, &self.cell);
+        let broken_now: Vec<usize> = self
+            .md
+            .split
+            .force_field()
+            .broken_bonds(mol, Some(&self.cell), BOND_STRETCH)
+            .into_iter()
+            .filter(|b| self.solvent_bonds.contains(b))
+            .collect();
+        self.events.record(&broken_now);
+        more
+    }
+
+    fn position(&self) -> usize {
+        self.md.position()
+    }
+
+    fn snapshot(&self) -> JobCheckpoint {
+        JobCheckpoint::Solvation(SolvationCheckpoint {
+            md: self.md.md_bytes(),
+            rdf_bins: self.rdf.bins.clone(),
+            rdf_frames: self.rdf.frames(),
+            broken: self.events.broken.clone(),
+        })
+    }
 }
 
 /// A solvation job: MTS-integrate an electrolyte box, accumulating the
@@ -565,7 +677,7 @@ fn run_solvation(
     temperature: f64,
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
-) -> Attempt {
+) -> Result<JobOutput, Attempt> {
     // Spec-reconstructable, like the MD jobs' provider: geometry, force
     // field, and bond filter are pure functions of the job spec.
     let (mol0, cell) = systems::electrolyte_box(solvent, box_n, seed);
@@ -585,75 +697,30 @@ fn run_solvation(
         })
         .map(|(idx, _)| idx)
         .collect();
-    let opts = MdOptions {
-        dt: 10.0,
-        thermostat: Thermostat::NoseHoover {
-            t_target: temperature,
-            tau: 300.0,
-        },
-        mts: MtsOptions { n_inner },
-    };
     let mut rdf = RdfAccumulator::new(Element::Li, Element::O, RDF_R_MAX, RDF_NBINS);
     let mut events = BondEvents::default();
-    let mut state = match resume {
-        Some(JobCheckpoint::Solvation(ck)) => {
+    let md = resume.map(|ck| match ck {
+        JobCheckpoint::Solvation(ck) => {
             rdf.set_state(ck.rdf_bins.clone(), ck.rdf_frames);
             events.broken = ck.broken.clone();
-            MdCheckpoint::from_bytes(&ck.md)
-                .expect("a checkpoint taken by this runner round-trips")
-                .restore()
+            ck.md.as_slice()
         }
-        Some(_) => unreachable!("solvation job resumed with a non-solvation checkpoint"),
-        None => {
-            let mut st = MdState::new_split(mol0, Some(cell), &split);
-            st.thermalize_seeded(temperature, Some(seed));
-            st
-        }
+        _ => unreachable!("solvation job resumed with a non-solvation checkpoint"),
+    });
+    let run = SolvationRun {
+        md: MdRun::start(md, mol0, cell, &split, seed, temperature, n_outer, n_inner),
+        cell,
+        rdf,
+        events,
+        solvent_bonds,
     };
-    let capture = |state: &MdState, rdf: &RdfAccumulator, events: &BondEvents| {
-        JobCheckpoint::Solvation(SolvationCheckpoint {
-            md: MdCheckpoint::capture(state).to_bytes(),
-            rdf_bins: rdf.bins.clone(),
-            rdf_frames: rdf.frames(),
-            broken: events.broken.clone(),
-        })
-    };
-    let mut periodic = capture(&state, &rdf, &events);
-    loop {
-        if state.step_count / n_inner >= n_outer {
-            break;
-        }
-        state.step_mts(&split, &opts);
-        let outer_done = state.step_count / n_inner;
-        // One analysis frame per completed outer step, *before* any
-        // checkpoint of that step — the accumulators travel with it.
-        rdf.add_frame(&state.mol, &cell);
-        let broken_now: Vec<usize> = split
-            .force_field()
-            .broken_bonds(&state.mol, Some(&cell), BOND_STRETCH)
-            .into_iter()
-            .filter(|b| solvent_bonds.contains(b))
-            .collect();
-        events.record(&broken_now);
-        if outer_done >= n_outer {
-            break;
-        }
-        match disruption {
-            Disruption::Preempt { at_step } if outer_done == at_step => {
-                return Attempt::Preempted(capture(&state, &rdf, &events));
-            }
-            Disruption::Fault { at_step } if outer_done == at_step => {
-                return Attempt::Faulted(periodic);
-            }
-            _ => {}
-        }
-        if outer_done.is_multiple_of(CHECKPOINT_EVERY) {
-            periodic = capture(&state, &rdf, &events);
-        }
-    }
+    let SolvationRun {
+        md, rdf, events, ..
+    } = drive(run, disruption)?;
+    let state = md.state;
     let g = rdf.finish(&state.mol, &cell);
     let (peak_r, peak_g) = rdf_peak(&g);
-    Attempt::Done(JobOutput {
+    Ok(JobOutput {
         final_energy: state.potential,
         steps: state.step_count,
         converged: true,
@@ -712,7 +779,7 @@ fn run_screening(
     seed: u64,
     nranks: usize,
     cache: Option<&ExchangeCachePool>,
-) -> Attempt {
+) -> Result<JobOutput, Attempt> {
     let (grid, fields, infos, cell) = screening_snapshot(extent, norb, seed);
     let solver = PoissonSolver::isolated(grid);
     let pairs = source_pairs(&infos, SCREEN_EPS, Some(&cell));
@@ -740,7 +807,7 @@ fn run_screening(
     if let Some(pool) = cache {
         pool.checkin(key, inc);
     }
-    Attempt::Done(JobOutput {
+    Ok(JobOutput {
         final_energy: result.energy,
         steps: result.pairs_evaluated + totals.pairs_reused,
         converged: true,

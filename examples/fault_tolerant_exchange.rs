@@ -64,7 +64,6 @@ fn main() {
     // The bitwise reference: one worker, canonical order.
     let reference = ExchangeEngine::builder(&grid, &solver)
         .backend(ExecBackend::Serial)
-        .no_faults()
         .build()
         .unwrap()
         .energy(&orbitals, &pairs);
@@ -80,7 +79,6 @@ fn main() {
                 nranks,
                 strategy: BalanceStrategy::GreedyLpt,
             })
-            .no_faults()
             .build()
             .unwrap()
             .energy(&orbitals, &pairs);

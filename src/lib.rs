@@ -44,10 +44,14 @@
 //!
 //! ## The exchange engine
 //!
-//! Every exchange build routes through one staged driver, configured with
-//! the validated [`EngineBuilder`](prelude::ExchangeEngine::builder): a
-//! backend (`Serial`, `Rayon` or `Comm`) and an optional seeded fault
-//! plan. The distributed backend streams results to the root over the
+//! Every exchange build is a method of one staged driver,
+//! [`ExchangeEngine`](prelude::ExchangeEngine) — full-cell and patched pair
+//! energies, the K operator — and everything that steers it is an
+//! argument: the grid and its Poisson solver to `new` / `builder`, a
+//! backend (`Serial`, `Rayon` or `Comm`) and an optional seeded fault plan
+//! to the validated [`EngineBuilder`](prelude::EngineBuilder). Nothing is
+//! read from the environment; without `fault_plan` a build runs clean.
+//! The distributed backend streams results to the root over the
 //! fault-tolerant [`runtime`] `Comm` layer while ranks keep computing, and
 //! under a fault plan the build is still bit-identical (lost ranks' chunks
 //! are re-issued to the survivors through the same kernel).
@@ -86,15 +90,15 @@ pub mod prelude {
     pub use liair_basis::{systems, Basis, Cell, Element, Molecule, ANGSTROM};
     pub use liair_bgq::{machine::scaling_series, MachineConfig};
     pub use liair_core::{
-        build_pair_list, exchange_energy, simulate_hfx_build, BalanceStrategy, BuildProfile,
-        EngineBuilder, Error as CoreError, ExchangeEngine, ExecBackend, FaultPlan,
-        IncrementalExchange, OrbitalInfo, Result as CoreResult, Scheme, Workload,
+        build_pair_list, simulate_hfx_build, BalanceStrategy, BuildProfile, EngineBuilder,
+        Error as CoreError, ExchangeEngine, ExecBackend, FaultPlan, IncrementalExchange,
+        OrbitalInfo, Result as CoreResult, Scheme, Workload,
     };
     pub use liair_grid::{foster_boys, MolGrid, PoissonSolver, RealGrid};
     pub use liair_math::{Mat, Vec3};
     pub use liair_md::{
-        md_seed, CombinedForces, ForceField, HfxDeltaForces, IncrementalGridForces, MdOptions,
-        MdState, MtsOptions, SplitForceProvider, Thermostat, XcForces,
+        CombinedForces, ForceField, HfxDeltaForces, IncrementalGridForces, MdOptions, MdState,
+        MtsOptions, SplitForceProvider, Thermostat, XcForces,
     };
     pub use liair_runtime::{
         fit_torus, run_spmd_cfg, Comm, CommConfig, CommError, SeedConfig, SpmdRun, TrafficLog,

@@ -1,9 +1,7 @@
-//! Integration: the message-passing exchange implementation against the
-//! shared-memory executor, with *real* molecular orbitals (not synthetic
+//! Integration: the engine's message-passing backend against its
+//! shared-memory default, with *real* molecular orbitals (not synthetic
 //! fields) — crossing scf, grid, runtime and core.
 
-use liair::core::distributed::distributed_exchange;
-use liair::core::hfx::exchange_energy;
 use liair::grid::orbitals_on_grid;
 use liair::prelude::*;
 
@@ -52,14 +50,19 @@ fn setup() -> (
 #[test]
 fn message_passing_matches_shared_memory_on_real_orbitals() {
     let (grid, solver, fields, pairs) = setup();
-    let serial = exchange_energy(&grid, &solver, &fields, &pairs);
+    let serial = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
     assert!(serial.energy < 0.0);
     for nranks in [2, 4] {
-        for strat in [BalanceStrategy::RoundRobin, BalanceStrategy::GreedyLpt] {
-            let dist = distributed_exchange(&grid, &solver, &fields, &pairs, nranks, strat);
-            assert!(
-                (dist.energy - serial.energy).abs() < 1e-10,
-                "nranks={nranks}: {} vs {}",
+        for strategy in [BalanceStrategy::RoundRobin, BalanceStrategy::GreedyLpt] {
+            let dist = ExchangeEngine::builder(&grid, &solver)
+                .backend(ExecBackend::Comm { nranks, strategy })
+                .build()
+                .unwrap()
+                .energy(&fields, &pairs);
+            assert_eq!(
+                dist.energy.to_bits(),
+                serial.energy.to_bits(),
+                "nranks={nranks} {strategy:?}: {} vs {}",
                 dist.energy,
                 serial.energy
             );
