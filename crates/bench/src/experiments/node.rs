@@ -10,7 +10,7 @@ use crate::Table;
 use liair_basis::Cell;
 use liair_bgq::collectives::{allreduce, alltoall, broadcast, CollectiveAlgo};
 use liair_bgq::{MachineConfig, NodeModel};
-use liair_grid::{PoissonSolver, RealGrid};
+use liair_grid::{PoissonSolver, PoissonWorkspace, RealGrid};
 use liair_math::rfft::half_len;
 use liair_math::simd::{self, SimdLevel};
 use liair_math::Complex64;
@@ -113,9 +113,12 @@ pub fn fig_node_threading(fast: bool) -> Vec<Table> {
         let elapsed = pool.install(|| {
             use rayon::prelude::*;
             let run = || {
-                rho.par_iter()
-                    .map(|r| solver.exchange_pair(r).0)
-                    .sum::<f64>()
+                (0..rho.len())
+                    .into_par_iter()
+                    .map_init(PoissonWorkspace::new, |ws, k| {
+                        solver.exchange_pair_energy(&rho[k], ws)
+                    })
+                    .reduce(|| 0.0, |a, b| a + b)
             };
             let _ = run();
             let t0 = Instant::now();

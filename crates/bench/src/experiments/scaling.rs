@@ -164,13 +164,15 @@ pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
         &["kernel", "grid", "time/pair [ms]", "speedup"],
     );
     {
-        use liair_grid::patch::patch_pair_energy;
-        use liair_grid::{PoissonSolver, RealGrid};
+        use liair_grid::{patch_pair_energy_ws, PatchScratch};
+        use liair_grid::{PoissonSolver, PoissonWorkspace, RealGrid};
         use liair_math::Vec3;
         let l = 24.0;
         // Keep the full grid a power of two so both paths use the radix-2
-        // FFT — the comparison isolates the representation, not the
-        // transform algorithm.
+        // FFT, and run both through the same kernel (the energy-only
+        // `exchange_pair_energy`, warm workspace) — the comparison
+        // isolates the representation, not the transform algorithm or
+        // the entry point.
         let n_full = 64;
         let parent = RealGrid::cubic(liair_basis::Cell::cubic(l), n_full);
         let mk = |center: Vec3| -> Vec<f64> {
@@ -188,20 +190,24 @@ pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
         let (phi_i, phi_j) = (mk(c1), mk(c2));
         let solver = PoissonSolver::isolated(parent);
         let reps = if fast { 2 } else { 5 };
-        let time_it = |f: &dyn Fn() -> f64| -> f64 {
-            let _ = f(); // warm up
+        let time_it = |f: &mut dyn FnMut() -> f64| -> f64 {
+            let _ = f(); // warm up (sizes the workspace)
             let t0 = std::time::Instant::now();
             for _ in 0..reps {
                 std::hint::black_box(f());
             }
             t0.elapsed().as_secs_f64() / reps as f64
         };
-        let t_full = time_it(&|| {
-            let rho: Vec<f64> = phi_i.iter().zip(&phi_j).map(|(a, b)| a * b).collect();
-            solver.exchange_pair(&rho).0
+        let mut rho = vec![0.0; parent.len()];
+        let mut ws = PoissonWorkspace::new();
+        let t_full = time_it(&mut || {
+            liair_math::simd::mul_into(&mut rho, &phi_i, &phi_j);
+            solver.exchange_pair_energy(&rho, &mut ws)
         });
-        let t_patch = time_it(&|| {
-            patch_pair_energy(&parent, &phi_i, &phi_j, (c1 + c2) * 0.5, n_full * 3 / 8)
+        let mut scratch = PatchScratch::new();
+        let mid = (c1 + c2) * 0.5;
+        let t_patch = time_it(&mut || {
+            patch_pair_energy_ws(&parent, &phi_i, &phi_j, mid, n_full * 3 / 8, &mut scratch)
         });
         t2.row(vec![
             "full-cell transform".into(),

@@ -21,6 +21,12 @@
 //! Every surviving pair is therefore built by exactly one domain, from
 //! locally resident data only.
 //!
+//! **Local builds.** On a fine grid (`box + 2·halo ≤ L/2` per axis) the
+//! residents are unfolded around the box center and binned in the same
+//! crate-private index the cell list uses (`bins.rs`; its `RADIUS_SLACK`
+//! is also the slack of every halo comparison here), so a domain inspects
+//! O(residents) candidates; on a coarse grid every resident is one.
+//!
 //! **Bit-identity is load-bearing.** Local builds evaluate the identical
 //! [`crate::screening::pair_bound`] (minimum image in the full cell) the
 //! global builders evaluate, and the merged per-domain lists are sorted
@@ -35,16 +41,12 @@
 //! allocating a global array. [`DomainDecomposition`] adds the O(N)
 //! owner/owned/halo tables for laptop-scale whole-system runs.
 
+use crate::bins::{BinIndex, RADIUS_SLACK};
 use crate::error::{Error, Result};
-use crate::screening::{cutoff_radius, pair_bound, OrbitalInfo, Pair, PairList};
+use crate::screening::{cutoff_radius, screen_pair, OrbitalInfo, Pair, PairList};
 use liair_basis::Cell;
 use liair_math::Vec3;
 use liair_runtime::{run_spmd_cfg, Comm, CommConfig, CommResult};
-
-/// Relative inflation applied to every cutoff comparison so a pair whose
-/// bound lands exactly on ε (kept by the `≥ ε` screening rule) can never
-/// be lost to the float rounding of the radius/distance round-trip.
-const RADIUS_SLACK: f64 = 1.0 + 1e-12;
 
 /// Point-to-point user tag of the halo import (bit 63 clear — the
 /// runtime reserves the high bit for internal collective tags).
@@ -224,8 +226,9 @@ impl DomainGeometry {
     /// surviving pairs `(i, j)` whose smaller-index orbital `i` is owned
     /// by `d`: diagonals for every owned orbital plus every off-diagonal
     /// pair with `id_j > id_i` that passes the exact screening filter.
-    /// Bounds are [`pair_bound`] with the full-cell minimum image, so the
-    /// union over domains is bit-identical to the global builders.
+    /// Bounds are [`crate::screening::pair_bound`] with the full-cell
+    /// minimum image, so the union over domains is bit-identical to the
+    /// global builders.
     ///
     /// Returns `(pairs, considered)` where `considered` counts the bound
     /// evaluations performed (diagonals included) — O(residents) on the
@@ -248,104 +251,45 @@ impl DomainGeometry {
                 considered += 1;
             }
         }
-        let m = residents.len();
-        if self.windowed() && m > 1 {
-            // Unfold residents minimum-image around the box center: inside
-            // the window, Euclidean distance == minimum-image distance, so
-            // a binned range search with the claimer's worst-case radius
-            // rc(σ_i, σ_max) finds every partner the exact filter keeps.
+        // Unfold residents minimum-image around the box center: inside the
+        // window, Euclidean distance == minimum-image distance, so a binned
+        // range search finds every partner the exact filter keeps.
+        let window = (self.windowed() && residents.len() > 1).then(|| {
             let center = self.box_center(d);
             let pos: Vec<Vec3> = residents
                 .iter()
                 .map(|(_, o)| center + self.cell.min_image(center, o.center))
                 .collect();
-            let mut lo = pos[0];
-            let mut hi = pos[0];
-            for p in &pos[1..] {
-                for k in 0..3 {
-                    lo[k] = lo[k].min(p[k]);
-                    hi[k] = hi[k].max(p[k]);
-                }
+            let index = BinIndex::build(pos.iter().copied(), self.halo_radius(), None);
+            (pos, index)
+        });
+        for (k, &(id_k, ref ok)) in residents.iter().enumerate() {
+            if !owned[k] {
+                continue;
             }
-            let target = self.halo_radius().max(1e-9);
-            let cap = (((m as f64).cbrt().ceil() as usize) * 2).max(1);
-            let mut nb = [1usize; 3];
-            let mut width = [0.0f64; 3];
-            for k in 0..3 {
-                let ext = (hi[k] - lo[k]).max(1e-9);
-                nb[k] = ((ext / target).floor() as usize).clamp(1, cap);
-                width[k] = ext / nb[k] as f64 * (1.0 + 1e-12);
-            }
-            let bin_of = |p: Vec3| -> [usize; 3] {
-                let mut b = [0usize; 3];
-                for k in 0..3 {
-                    b[k] = (((p[k] - lo[k]) / width[k]) as usize).min(nb[k] - 1);
-                }
-                b
-            };
-            let mut bins: Vec<Vec<u32>> = vec![Vec::new(); nb[0] * nb[1] * nb[2]];
-            for (k, &p) in pos.iter().enumerate() {
-                let b = bin_of(p);
-                bins[(b[0] * nb[1] + b[1]) * nb[2] + b[2]].push(k as u32);
-            }
-            for k in 0..m {
-                if !owned[k] {
-                    continue;
-                }
-                let (id_k, ref ok) = residents[k];
-                let r = cutoff_radius(ok.spread, self.sigma_max, self.eps) * RADIUS_SLACK;
-                let mut bl = [0usize; 3];
-                let mut bh = [0usize; 3];
-                for ax in 0..3 {
-                    bl[ax] = (((pos[k][ax] - r - lo[ax]) / width[ax]).floor().max(0.0) as usize)
-                        .min(nb[ax] - 1);
-                    bh[ax] = (((pos[k][ax] + r - lo[ax]) / width[ax]).floor().max(0.0) as usize)
-                        .min(nb[ax] - 1);
-                }
-                for bx in bl[0]..=bh[0] {
-                    for by in bl[1]..=bh[1] {
-                        for bz in bl[2]..=bh[2] {
-                            for &cand in &bins[(bx * nb[1] + by) * nb[2] + bz] {
-                                let (id_j, ref oj) = residents[cand as usize];
-                                if id_j <= id_k {
-                                    continue;
-                                }
-                                considered += 1;
-                                let bound = pair_bound(ok, oj, Some(&self.cell));
-                                if bound >= self.eps {
-                                    pairs.push(Pair {
-                                        i: id_k,
-                                        j: id_j,
-                                        weight: 2.0,
-                                        bound,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            for k in 0..m {
-                if !owned[k] {
-                    continue;
-                }
-                let (id_k, ref ok) = residents[k];
-                for (id_j, oj) in residents {
-                    if *id_j <= id_k {
-                        continue;
-                    }
+            // The claim rule (larger id) and the exact filter, applied to
+            // each candidate partner.
+            let mut consider = |&(id_j, ref oj): &(u32, OrbitalInfo)| {
+                if id_j > id_k {
                     considered += 1;
-                    let bound = pair_bound(ok, oj, Some(&self.cell));
-                    if bound >= self.eps {
-                        pairs.push(Pair {
-                            i: id_k,
-                            j: *id_j,
-                            weight: 2.0,
-                            bound,
-                        });
-                    }
+                    screen_pair(
+                        (id_k, ok),
+                        (id_j, oj),
+                        self.eps,
+                        Some(&self.cell),
+                        &mut pairs,
+                    );
                 }
+            };
+            // Candidates: the residents within the claimer's worst-case
+            // radius rc(σ_k, σ_max) — or, on a coarse grid with no window,
+            // all of them.
+            match &window {
+                Some((pos, index)) => {
+                    let r = cutoff_radius(ok.spread, self.sigma_max, self.eps);
+                    index.for_each_within(pos[k], r, |c| consider(&residents[c as usize]));
+                }
+                None => residents.iter().for_each(consider),
             }
         }
         (pairs, considered)

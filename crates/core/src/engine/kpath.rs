@@ -182,9 +182,10 @@ impl ExchangeEngine<'_> {
         // K_μν += ∫ χ_μ φ_j v_jν — the pair-task structure of the energy
         // path. The task list is canonical: j-major, ν-ascending. With a
         // finite ε the AOs are binned once and each dirty orbital inspects
-        // only AOs within its cutoff radius (the locality-first source of
-        // the incremental dirty set); the partner sets — and therefore the
-        // canonical order — are exactly the brute filter's.
+        // only AOs within its cutoff radius (`cross_tasks`, the
+        // locality-first source of the incremental dirty set); the partner
+        // sets — and therefore the canonical order — are exactly the brute
+        // filter's.
         let tasks: Vec<(usize, usize)> = if eps <= 0.0 {
             profile.pairs_considered += slots.len() * nao;
             slots
@@ -195,14 +196,9 @@ impl ExchangeEngine<'_> {
             // Every bound is ≤ 1: nothing survives, nothing to inspect.
             Vec::new()
         } else {
-            let bins = crate::screening::CrossBins::new(&setup.ao_info, eps)?;
-            let mut tasks = Vec::new();
-            let mut partners = Vec::new();
-            for &j in slots {
-                profile.pairs_considered +=
-                    bins.partners(&setup.orb_info[j], &setup.ao_info, &mut partners);
-                tasks.extend(partners.iter().map(|&nu| (j, nu)));
-            }
+            let (tasks, inspected) =
+                crate::screening::cross_tasks(&setup.orb_info, slots, &setup.ao_info, eps);
+            profile.pairs_considered += inspected;
             tasks
         };
         // One item per task; its output is column ν of ΔK_j,

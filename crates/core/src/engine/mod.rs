@@ -61,7 +61,7 @@ pub enum ExecBackend {
     Rayon,
     /// Message-passing over `nranks` virtual ranks of the
     /// `liair-runtime` threaded backend, scheduled by the double-buffered
-    /// pipeline of [`pipeline`]: the head of the chunk list is assigned up
+    /// pipeline of `engine::pipeline`: the head of the chunk list is assigned up
     /// front by `strategy` (no coordination traffic), the tail feeds a
     /// root-owned steal queue, finished chunks stream to the root while
     /// ranks keep computing, and a straggler's share is re-issued as soon

@@ -233,6 +233,33 @@ impl std::fmt::Debug for IncrementalExchange {
     }
 }
 
+/// The clean/dirty gate of both paths. `valid` is the baseline of a cache
+/// whose key still matches this build — the fingerprints its entries were
+/// computed at and its builds since the last full one — or `None` when the
+/// key moved (grid, orbital count, ε) or nothing is cached. Marks in
+/// `dirty` every orbital of `now` whose fingerprint moved more than
+/// `eps_inc` from that baseline and returns whether the build is *full*
+/// (everything dirty): no valid cache, the rebuild cadence is due, or
+/// reuse is off (`eps_inc ≤ 0`). Allocates only when `dirty` grows.
+fn mark_dirty(
+    eps_inc: f64,
+    rebuild_every: usize,
+    valid: Option<(&[Fingerprint], usize)>,
+    now: &[Fingerprint],
+    dirty: &mut Vec<bool>,
+) -> bool {
+    let cadence_due = |since_full: usize| rebuild_every > 0 && since_full + 1 >= rebuild_every;
+    let baseline = valid
+        .filter(|&(_, since_full)| eps_inc > 0.0 && !cadence_due(since_full))
+        .map(|(fps, _)| fps);
+    dirty.clear();
+    match baseline {
+        Some(fps) => dirty.extend(fps.iter().zip(now).map(|(c, n)| c.distance(n) > eps_inc)),
+        None => dirty.resize(now.len(), true),
+    }
+    baseline.is_none()
+}
+
 impl IncrementalExchange {
     /// Fresh state with tolerance `eps_inc` and full-rebuild cadence
     /// `rebuild_every` (`0` = no forced rebuilds).
@@ -296,30 +323,18 @@ impl IncrementalExchange {
         let norb = orbitals.len();
         self.fingerprint_all(grid, orbitals, Some(infos));
 
-        // Global invalidation + cadence.
-        let cache_ok = self
+        let valid = self
             .energy
             .as_ref()
-            .is_some_and(|c| c.dims == grid.dims && c.norb == norb && c.eps_screen == pairs.eps);
-        let cadence_hit = self.rebuild_every > 0
-            && self
-                .energy
-                .as_ref()
-                .is_some_and(|c| c.builds_since_full + 1 >= self.rebuild_every);
-        let full = !cache_ok || cadence_hit || self.eps_inc <= 0.0;
-
-        // Per-orbital dirtiness against the *cached* fingerprints.
-        self.dirty_orb.clear();
-        self.dirty_orb.resize(norb, true);
-        if !full {
-            let cache = self
-                .energy
-                .as_ref()
-                .expect("a non-full build implies a validated energy cache");
-            for j in 0..norb {
-                self.dirty_orb[j] = cache.fps[j].distance(&self.fp_scratch[j]) > self.eps_inc;
-            }
-        }
+            .filter(|c| c.dims == grid.dims && c.norb == norb && c.eps_screen == pairs.eps)
+            .map(|c| (c.fps.as_slice(), c.builds_since_full));
+        let full = mark_dirty(
+            self.eps_inc,
+            self.rebuild_every,
+            valid,
+            &self.fp_scratch,
+            &mut self.dirty_orb,
+        );
 
         // Classify pairs; sum clean contributions straight from the cache.
         self.dirty_pairs.clear();
@@ -455,27 +470,20 @@ impl IncrementalExchange {
         };
         self.fingerprint_all(grid, &setup.orbitals, infos);
 
-        let cache_ok = self.k.as_ref().is_some_and(|c| {
-            c.dims == grid.dims && c.nao == nao && c.nocc == nocc && c.eps_screen == eps
-        });
-        let cadence_hit = self.rebuild_every > 0
-            && self
-                .k
-                .as_ref()
-                .is_some_and(|c| c.builds_since_full + 1 >= self.rebuild_every);
-        let full = !cache_ok || cadence_hit || self.eps_inc <= 0.0;
-
-        self.dirty_orb.clear();
-        self.dirty_orb.resize(nocc, true);
-        if !full {
-            let cache = self
-                .k
-                .as_ref()
-                .expect("a non-full build implies a validated K cache");
-            for j in 0..nocc {
-                self.dirty_orb[j] = cache.fps[j].distance(&self.fp_scratch[j]) > self.eps_inc;
-            }
-        }
+        let valid = self
+            .k
+            .as_ref()
+            .filter(|c| {
+                c.dims == grid.dims && c.nao == nao && c.nocc == nocc && c.eps_screen == eps
+            })
+            .map(|c| (c.fps.as_slice(), c.builds_since_full));
+        let full = mark_dirty(
+            self.eps_inc,
+            self.rebuild_every,
+            valid,
+            &self.fp_scratch,
+            &mut self.dirty_orb,
+        );
         self.dirty_slots.clear();
         self.dirty_slots
             .extend((0..nocc).filter(|&j| self.dirty_orb[j]));

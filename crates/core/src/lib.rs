@@ -35,6 +35,7 @@
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod balance;
+mod bins;
 pub mod cachepool;
 pub mod domain;
 pub mod engine;
@@ -61,8 +62,8 @@ pub use hfx::HfxResult;
 pub use incremental::{Fingerprint, IncStats, IncrementalExchange};
 pub use operator::{rhf_with_grid_exchange_in_cell, GridScfResult};
 pub use screening::{
-    build_pair_list, build_pair_list_celllist, source_pairs, CrossBins, EpsSchedule, IncSchedule,
-    OrbitalInfo, Pair, PairList,
+    build_pair_list, build_pair_list_celllist, source_pairs, EpsSchedule, IncSchedule, OrbitalInfo,
+    Pair, PairList,
 };
 pub use simulate::{simulate_hfx_build, Scheme, SimOutcome};
 pub use workload::Workload;

@@ -11,7 +11,17 @@
 //! `B_ij < ε` discards exchange contributions of order `ε²·(ii|ii)` —
 //! the error is controlled *monotonically* by the single knob ε, which is
 //! the paper's "highly controllable manner". ε = 0 disables screening.
+//!
+//! **Who builds lists.** [`build_pair_list`] is the O(N²) reference every
+//! other source is bit-compared against. [`build_pair_list_celllist`], the
+//! K path's `cross_tasks` and the domain-local build in [`crate::domain`]
+//! take their candidates from one crate-private uniform-bin index
+//! (`bins.rs`, which also owns the one rounding guard) and add only their
+//! own claim rule and the shared exact filter `pair_bound ≥ ε`
+//! (`screen_pair`) — which is what makes their output the reference's,
+//! bit for bit.
 
+use crate::bins::BinIndex;
 use liair_basis::Cell;
 use liair_math::Vec3;
 use serde::{Deserialize, Serialize};
@@ -119,29 +129,49 @@ pub fn cutoff_radius(sigma_a: f64, sigma_b: f64, eps: f64) -> f64 {
     (2.0 * (sigma_a * sigma_a + sigma_b * sigma_b) * (1.0 / eps).ln()).sqrt()
 }
 
+/// The exact filter under every builder, spelled once: push the
+/// off-diagonal pair of orbitals `a` and `b` (each given as `(id, info)`,
+/// smaller id first in the entry) if its [`pair_bound`] survives `eps`.
+pub(crate) fn screen_pair(
+    a: (u32, &OrbitalInfo),
+    b: (u32, &OrbitalInfo),
+    eps: f64,
+    cell: Option<&Cell>,
+    pairs: &mut Vec<Pair>,
+) {
+    let bound = pair_bound(a.1, b.1, cell);
+    if bound >= eps {
+        pairs.push(Pair {
+            i: a.0.min(b.0),
+            j: a.0.max(b.0),
+            weight: 2.0,
+            bound,
+        });
+    }
+}
+
 /// Build the screened pair list over `orbitals` with threshold `eps`
 /// (`eps = 0` keeps everything); distances use the minimum image if a
-/// periodic cell is given.
+/// periodic cell is given. The O(N²) reference every locality-aware
+/// builder is bit-compared against.
 pub fn build_pair_list(orbitals: &[OrbitalInfo], eps: f64, cell: Option<&Cell>) -> PairList {
     let n = orbitals.len();
     let mut pairs = Vec::new();
-    for i in 0..n {
+    for (i, oi) in orbitals.iter().enumerate() {
         pairs.push(Pair {
             i: i as u32,
             j: i as u32,
             weight: 1.0,
             bound: 1.0,
         });
-        for j in (i + 1)..n {
-            let b = pair_bound(&orbitals[i], &orbitals[j], cell);
-            if b >= eps {
-                pairs.push(Pair {
-                    i: i as u32,
-                    j: j as u32,
-                    weight: 2.0,
-                    bound: b,
-                });
-            }
+        for j in i + 1..n {
+            screen_pair(
+                (i as u32, oi),
+                (j as u32, &orbitals[j]),
+                eps,
+                cell,
+                &mut pairs,
+            );
         }
     }
     let considered = n * (n + 1) / 2;
@@ -168,15 +198,14 @@ pub fn source_pairs(orbitals: &[OrbitalInfo], eps: f64, cell: Option<&Cell>) -> 
     }
 }
 
-/// Per-axis bin index set within `shells` of `center` on a periodic axis
-/// of `nb` bins (deduplicated when the shell range wraps the whole axis).
-fn axis_bin_range(center: usize, shells: usize, nb: usize) -> Vec<usize> {
-    if 2 * shells + 1 >= nb {
-        return (0..nb).collect();
-    }
-    (-(shells as i64)..=shells as i64)
-        .map(|s| (center as i64 + s).rem_euclid(nb as i64) as usize)
-        .collect()
+/// Bin-width target of the index-backed sources: the self-cutoff of the
+/// *median* spread, so the typical orbital searches O(1) shells of bins
+/// regardless of the spread distribution's tail.
+fn median_cutoff(orbitals: &[OrbitalInfo], eps: f64) -> f64 {
+    let mut spreads: Vec<f64> = orbitals.iter().map(|o| o.spread).collect();
+    spreads.sort_by(f64::total_cmp);
+    let median = spreads.get(spreads.len() / 2).copied().unwrap_or(1.0);
+    cutoff_radius(median, median, eps)
 }
 
 /// Linear-scaling pair-list construction for large condensed systems,
@@ -202,48 +231,8 @@ pub fn build_pair_list_celllist(
         return Err(crate::error::Error::InvalidEps { eps });
     }
     let n = orbitals.len();
-    if n == 0 {
-        return Ok(PairList {
-            pairs: Vec::new(),
-            n_candidates: 0,
-            considered: 0,
-            eps,
-        });
-    }
-    // Bin width from the *median* self-cutoff: the typical orbital then
-    // searches O(1) shells regardless of the spread distribution's tail.
-    let mut spreads: Vec<f64> = orbitals.iter().map(|o| o.spread).collect();
-    spreads.sort_by(f64::total_cmp);
-    let sigma_med = spreads[n / 2];
-    let target = cutoff_radius(sigma_med, sigma_med, eps).max(1e-9);
-    // Cap total bins at ~8N so sparse systems in huge cells stay O(N).
-    let cap = (((n as f64).cbrt().ceil() as usize) * 2).max(1);
-    let nbins = |l: f64| ((l / target).floor() as usize).clamp(1, cap);
-    let nb = [
-        nbins(cell.lengths.x),
-        nbins(cell.lengths.y),
-        nbins(cell.lengths.z),
-    ];
-    let width = [
-        cell.lengths.x / nb[0] as f64,
-        cell.lengths.y / nb[1] as f64,
-        cell.lengths.z / nb[2] as f64,
-    ];
-    let bin_of = |p: liair_math::Vec3| -> [usize; 3] {
-        let w = cell.wrap(p);
-        [
-            ((w.x / cell.lengths.x * nb[0] as f64) as usize).min(nb[0] - 1),
-            ((w.y / cell.lengths.y * nb[1] as f64) as usize).min(nb[1] - 1),
-            ((w.z / cell.lengths.z * nb[2] as f64) as usize).min(nb[2] - 1),
-        ]
-    };
-    let mut bins: Vec<Vec<u32>> = vec![Vec::new(); nb[0] * nb[1] * nb[2]];
-    let mut home = Vec::with_capacity(n);
-    for o in orbitals {
-        let b = bin_of(o.center);
-        home.push(b);
-        bins[(b[0] * nb[1] + b[1]) * nb[2] + b[2]].push((home.len() - 1) as u32);
-    }
+    let centers = orbitals.iter().map(|o| o.center);
+    let index = BinIndex::build(centers, median_cutoff(orbitals, eps), Some(cell));
     // A pair is claimed exactly once, by its wider partner.
     let claims = |i: usize, j: usize| -> bool {
         let (si, sj) = (orbitals[i].spread, orbitals[j].spread);
@@ -251,48 +240,21 @@ pub fn build_pair_list_celllist(
     };
     let mut pairs = Vec::with_capacity(2 * n);
     let mut considered = n; // the always-kept diagonals
-    for i in 0..n {
+    for (i, oi) in orbitals.iter().enumerate() {
         pairs.push(Pair {
             i: i as u32,
             j: i as u32,
             weight: 1.0,
             bound: 1.0,
         });
-        // Tiny inflation guards the shell count against the float rounding
-        // of the radius/width quotient right at an integer boundary.
-        let ri = cutoff_radius(orbitals[i].spread, orbitals[i].spread, eps) * (1.0 + 1e-12);
-        let shells: Vec<[usize; 3]> = {
-            let sx = axis_bin_range(home[i][0], (ri / width[0]).ceil() as usize, nb[0]);
-            let sy = axis_bin_range(home[i][1], (ri / width[1]).ceil() as usize, nb[1]);
-            let sz = axis_bin_range(home[i][2], (ri / width[2]).ceil() as usize, nb[2]);
-            let mut out = Vec::with_capacity(sx.len() * sy.len() * sz.len());
-            for &x in &sx {
-                for &y in &sy {
-                    for &z in &sz {
-                        out.push([x, y, z]);
-                    }
-                }
-            }
-            out
-        };
-        for b in shells {
-            for &cand in &bins[(b[0] * nb[1] + b[1]) * nb[2] + b[2]] {
-                let j = cand as usize;
-                if j == i || !claims(i, j) {
-                    continue;
-                }
+        let ri = cutoff_radius(oi.spread, oi.spread, eps);
+        index.for_each_within(oi.center, ri, |j| {
+            if claims(i, j as usize) {
                 considered += 1;
-                let bound = pair_bound(&orbitals[i], &orbitals[j], Some(cell));
-                if bound >= eps {
-                    pairs.push(Pair {
-                        i: i.min(j) as u32,
-                        j: i.max(j) as u32,
-                        weight: 2.0,
-                        bound,
-                    });
-                }
+                let oj = &orbitals[j as usize];
+                screen_pair((i as u32, oi), (j, oj), eps, Some(cell), &mut pairs);
             }
-        }
+        });
     }
     // Each surviving pair was claimed by exactly one orbital and each bin
     // visited once, so sorting restores the canonical (i, j) order with no
@@ -307,112 +269,43 @@ pub fn build_pair_list_celllist(
     })
 }
 
-/// Locality-aware source for the *cross* task list of the K path: bins
-/// `cols` (the AOs) once in their bounding box so each row (a localized
-/// occupied orbital) inspects only columns within its cutoff radius —
-/// O(rows·partners) instead of O(rows·cols). Partner sets are exactly the
-/// brute filter `pair_bound(row, col, None) ≥ eps`, returned ascending,
-/// so the canonical j-major ν-ascending task order is preserved bit for
-/// bit.
-pub struct CrossBins {
-    lo: Vec3,
-    nb: [usize; 3],
-    width: [f64; 3],
-    bins: Vec<Vec<u32>>,
-    sigma_col_max: f64,
+/// Locality-aware source for the *cross* task list of the K path: the
+/// surviving `(row, col)` tasks of the rows named by `slots`, row-major in
+/// `slots` order and column-ascending within a row. `cols` (the AOs) are
+/// binned once in their bounding box so each row (a localized occupied
+/// orbital) inspects only columns within its worst-case cutoff
+/// `rc(σ_row, σ_col_max)` — O(rows·partners) instead of O(rows·cols). The
+/// partner sets are exactly the brute filter
+/// `pair_bound(row, col, None) ≥ eps`, so the canonical j-major
+/// ν-ascending task order is preserved bit for bit. Also returns the
+/// number of candidates inspected. Needs `0 < eps ≤ 1` (a finite radius).
+pub(crate) fn cross_tasks(
+    rows: &[OrbitalInfo],
+    slots: &[usize],
+    cols: &[OrbitalInfo],
     eps: f64,
-}
-
-impl CrossBins {
-    /// Bin the column orbitals. Needs `0 < eps ≤ 1` (a finite radius).
-    pub fn new(cols: &[OrbitalInfo], eps: f64) -> crate::error::Result<CrossBins> {
-        if !(eps > 0.0 && eps <= 1.0) {
-            return Err(crate::error::Error::InvalidEps { eps });
-        }
-        let n = cols.len().max(1);
-        let mut lo = Vec3::splat(f64::INFINITY);
-        let mut hi = Vec3::splat(f64::NEG_INFINITY);
-        for c in cols {
-            lo = Vec3::new(
-                lo.x.min(c.center.x),
-                lo.y.min(c.center.y),
-                lo.z.min(c.center.z),
-            );
-            hi = Vec3::new(
-                hi.x.max(c.center.x),
-                hi.y.max(c.center.y),
-                hi.z.max(c.center.z),
-            );
-        }
-        if cols.is_empty() {
-            lo = Vec3::splat(0.0);
-            hi = Vec3::splat(0.0);
-        }
-        let mut spreads: Vec<f64> = cols.iter().map(|o| o.spread).collect();
-        spreads.sort_by(f64::total_cmp);
-        let sigma_med = spreads.get(cols.len() / 2).copied().unwrap_or(1.0);
-        let sigma_col_max = spreads.last().copied().unwrap_or(1.0);
-        let target = cutoff_radius(sigma_med, sigma_med, eps).max(1e-9);
-        let cap = (((n as f64).cbrt().ceil() as usize) * 2).max(1);
-        let nbins = |l: f64| ((l / target).floor() as usize).clamp(1, cap);
-        let ext = hi - lo;
-        let nb = [nbins(ext.x), nbins(ext.y), nbins(ext.z)];
-        let width = [
-            (ext.x / nb[0] as f64).max(1e-9),
-            (ext.y / nb[1] as f64).max(1e-9),
-            (ext.z / nb[2] as f64).max(1e-9),
-        ];
-        let mut bins: Vec<Vec<u32>> = vec![Vec::new(); nb[0] * nb[1] * nb[2]];
-        let clampi = |v: f64, n: usize| (v as i64).clamp(0, n as i64 - 1) as usize;
-        for (k, c) in cols.iter().enumerate() {
-            let bx = clampi((c.center.x - lo.x) / width[0], nb[0]);
-            let by = clampi((c.center.y - lo.y) / width[1], nb[1]);
-            let bz = clampi((c.center.z - lo.z) / width[2], nb[2]);
-            bins[(bx * nb[1] + by) * nb[2] + bz].push(k as u32);
-        }
-        Ok(CrossBins {
-            lo,
-            nb,
-            width,
-            bins,
-            sigma_col_max,
-            eps,
-        })
-    }
-
-    /// Collect into `out` (ascending) every column index whose bound
-    /// against `row` survives ε; returns the number of candidates
-    /// inspected. Exactly equal to filtering `0..cols.len()` brute-force.
-    pub fn partners(&self, row: &OrbitalInfo, cols: &[OrbitalInfo], out: &mut Vec<usize>) -> usize {
-        out.clear();
-        let r = cutoff_radius(row.spread, self.sigma_col_max, self.eps) * (1.0 + 1e-12);
-        // All bins intersecting the axis-aligned ball envelope; the row
-        // may sit outside the column bounding box — ranges clamp to it.
-        let range = |p: f64, lo: f64, w: f64, n: usize| -> (usize, usize) {
-            let a = (((p - r - lo) / w).floor() as i64).clamp(0, n as i64 - 1) as usize;
-            let b = (((p + r - lo) / w).floor() as i64).clamp(0, n as i64 - 1) as usize;
-            (a, b)
-        };
-        let (x0, x1) = range(row.center.x, self.lo.x, self.width[0], self.nb[0]);
-        let (y0, y1) = range(row.center.y, self.lo.y, self.width[1], self.nb[1]);
-        let (z0, z1) = range(row.center.z, self.lo.z, self.width[2], self.nb[2]);
-        let mut inspected = 0;
-        for bx in x0..=x1 {
-            for by in y0..=y1 {
-                for bz in z0..=z1 {
-                    for &cand in &self.bins[(bx * self.nb[1] + by) * self.nb[2] + bz] {
-                        inspected += 1;
-                        let c = cand as usize;
-                        if pair_bound(row, &cols[c], None) >= self.eps {
-                            out.push(c);
-                        }
-                    }
-                }
+) -> (Vec<(usize, usize)>, usize) {
+    let sigma_col_max = cols.iter().map(|o| o.spread).fold(0.0, f64::max);
+    let centers = cols.iter().map(|o| o.center);
+    let index = BinIndex::build(centers, median_cutoff(cols, eps), None);
+    let mut tasks = Vec::new();
+    let mut inspected = 0;
+    for &j in slots {
+        let row = &rows[j];
+        let first = tasks.len();
+        // The row may sit outside the column bounding box; the index
+        // clamps the ball's envelope to it.
+        let r = cutoff_radius(row.spread, sigma_col_max, eps);
+        index.for_each_within(row.center, r, |cand| {
+            inspected += 1;
+            let c = cand as usize;
+            if pair_bound(row, &cols[c], None) >= eps {
+                tasks.push((j, c));
             }
-        }
-        out.sort_unstable();
-        inspected
+        });
+        tasks[first..].sort_unstable();
     }
+    (tasks, inspected)
 }
 
 /// An ε schedule over SCF iterations: early iterations run with loose
@@ -664,6 +557,9 @@ mod tests {
             source_pairs(&orbs, 1e-4, None).len(),
             build_pair_list(&orbs, 1e-4, None).len()
         );
+        // Nothing to bin is not a special case of the cell-list route.
+        let none = source_pairs(&[], 1e-4, Some(&cell));
+        assert_eq!((none.len(), none.considered, none.n_candidates), (0, 0, 0));
     }
 
     #[test]
@@ -697,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_bins_match_brute_filter() {
+    fn cross_tasks_match_brute_filter() {
         use liair_math::rng::SplitMix64;
         let mut rng = SplitMix64::new(4);
         let cols: Vec<OrbitalInfo> = (0..120)
@@ -710,19 +606,24 @@ mod tests {
                 spread: rng.range_f64(0.3, 1.8),
             })
             .collect();
+        // Rows inside the column box, plus one well outside it.
+        let mut rows = cols.clone();
+        rows.push(OrbitalInfo {
+            center: Vec3::new(-6.0, 30.0, 11.0),
+            spread: 1.5,
+        });
+        let slots: Vec<usize> = (0..rows.len()).rev().step_by(7).collect();
         for eps in [1e-2, 1e-5, 1e-8] {
-            let bins = CrossBins::new(&cols, eps).unwrap();
-            let mut got = Vec::new();
-            for row in cols.iter().step_by(7) {
-                let inspected = bins.partners(row, &cols, &mut got);
-                assert!(inspected <= cols.len());
-                let want: Vec<usize> = (0..cols.len())
-                    .filter(|&c| pair_bound(row, &cols[c], None) >= eps)
-                    .collect();
-                assert_eq!(got, want, "eps = {eps}");
-            }
+            let (got, inspected) = cross_tasks(&rows, &slots, &cols, eps);
+            assert!(inspected <= slots.len() * cols.len());
+            let want: Vec<(usize, usize)> = slots
+                .iter()
+                .flat_map(|&j| (0..cols.len()).map(move |c| (j, c)))
+                .filter(|&(j, c)| pair_bound(&rows[j], &cols[c], None) >= eps)
+                .collect();
+            assert_eq!(got, want, "eps = {eps}");
         }
-        assert!(CrossBins::new(&cols, 0.0).is_err());
+        assert_eq!(cross_tasks(&rows, &slots, &[], 1e-4), (Vec::new(), 0));
     }
 
     #[test]

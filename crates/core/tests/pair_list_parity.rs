@@ -6,12 +6,20 @@
 //! to the bit, for random orbital layouts, spreads, box shapes
 //! (including anisotropic cells and boundary-straddling clusters),
 //! domain grids and screening thresholds.
+//!
+//! The last test pins, on three fixed inputs, how many candidates each
+//! index-backed source *inspected* — the counts recorded from the three
+//! hand-written bin searches the shared index replaced.
 
-use liair_basis::Cell;
+use liair_basis::{Atom, Basis, Cell, Element, Molecule};
 use liair_core::screening::{build_pair_list, build_pair_list_celllist, OrbitalInfo, Pair};
-use liair_core::{build_pair_list_sharded, DomainGeometry, Error};
+use liair_core::{
+    build_pair_list_sharded, source_pairs, DomainDecomposition, DomainGeometry, Error,
+    ExchangeEngine, ExecBackend,
+};
+use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
-use liair_math::Vec3;
+use liair_math::{Mat, Vec3};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -215,4 +223,95 @@ proptest! {
             }
         }
     }
+}
+
+/// `considered` is observable (`BuildProfile::pairs_considered`, the
+/// benchmark's `core.pairs_considered`), so the index must reproduce each
+/// source's bin geometry, not merely a correct candidate superset. The
+/// numbers below were recorded from the parent of the PR that introduced
+/// the shared index.
+#[test]
+fn recorded_considered_counts_hold() {
+    // (1) The periodic cell list through `source_pairs`: the benchmark's
+    // `box32` layout — 5×5×5 jittered lattice in a 22 Bohr cell, spread
+    // 0.7, ε = 1e-6, seed 2014, storage order shuffled.
+    let mut rng = SplitMix64::new(2014);
+    let (edge, sites) = (22.0, 5);
+    let a = edge / sites as f64;
+    let mut infos = Vec::new();
+    for ix in 0..sites {
+        for iy in 0..sites {
+            for iz in 0..sites {
+                let mut site = |i: usize| (i as f64 + 0.5) * a + rng.range_f64(-0.25, 0.25);
+                infos.push(OrbitalInfo {
+                    center: Vec3::new(site(ix), site(iy), site(iz)),
+                    spread: 0.7,
+                });
+            }
+        }
+    }
+    rng.shuffle(&mut infos);
+    let cell = Cell::cubic(edge);
+    let list = source_pairs(&infos, 1e-6, Some(&cell));
+    assert_eq!((list.considered, list.len()), (3492, 500));
+    assert_eq!(list.pairs, build_pair_list(&infos, 1e-6, Some(&cell)).pairs);
+
+    // (2) The K path's AO partner search: a kinked 20-atom hydrogen chain
+    // (STO-3G, 10 two-centre occupied orbitals), 200 (j, ν) candidates.
+    let mut mol = Molecule::new();
+    for k in 0..20 {
+        mol.atoms.push(Atom {
+            element: Element::H,
+            pos: Vec3::new(3.5 + 3.0 * k as f64, 5.0 + 0.3 * (k % 3) as f64, 5.0),
+        });
+    }
+    let basis = Basis::sto3g(&mol);
+    let nocc = 10;
+    let mut c_occ = Mat::zeros(basis.nao(), nocc);
+    for k in 0..nocc {
+        c_occ[(2 * k, k)] = 0.6;
+        c_occ[(2 * k + 1, k)] = 0.6;
+    }
+    // The counts depend on the basis and the orbitals only: a coarse grid.
+    let grid = RealGrid::new(Cell::orthorhombic(64.0, 10.0, 10.0), (16, 4, 4));
+    let solver = PoissonSolver::isolated(grid);
+    let engine = ExchangeEngine::builder(&grid, &solver)
+        .backend(ExecBackend::Serial)
+        .build()
+        .unwrap();
+    for (eps, considered, evaluated) in [(1e-2, 159, 150), (1e-4, 172, 165)] {
+        let out = engine.k_operator(&basis, &c_occ, nocc, eps);
+        assert_eq!(
+            (out.profile.pairs_considered, out.evaluated, out.skipped),
+            (considered, evaluated, 200 - evaluated),
+            "eps = {eps}"
+        );
+    }
+
+    // (3) The windowed domain-local build: 400 orbitals in an 80 Bohr cell
+    // on a 4×4×4 domain grid, one interior domain and the sum over all.
+    let cell = Cell::cubic(80.0);
+    let orbs = random_layout(7, 400, 80.0, 1.0);
+    let dec = DomainDecomposition::build(&orbs, 1e-4, &cell, [4, 4, 4]).unwrap();
+    assert!(dec.geometry.windowed());
+    let local = |d: usize| {
+        let residents: Vec<(u32, OrbitalInfo)> = dec
+            .residents(d)
+            .into_iter()
+            .map(|i| (i, orbs[i as usize]))
+            .collect();
+        let (pairs, considered) = dec.geometry.local_pairs(d, &residents);
+        (residents.len(), pairs.len(), considered)
+    };
+    assert_eq!(local(21), (27, 9, 24));
+    let total = (0..64)
+        .map(local)
+        .fold((0, 0), |t, l| (t.0 + l.1, t.1 + l.2));
+    assert_eq!(total, (442, 1156));
+    let sharded = build_pair_list_sharded(&orbs, 1e-4, &cell, [4, 4, 4]).unwrap();
+    assert_eq!((sharded.len(), sharded.considered), total);
+    assert_eq!(
+        sharded.pairs,
+        build_pair_list(&orbs, 1e-4, Some(&cell)).pairs
+    );
 }

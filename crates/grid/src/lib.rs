@@ -7,7 +7,8 @@
 //! * [`orbital`] — evaluation of Gaussian AOs/MOs on grids;
 //! * [`poisson`] — FFT-based Poisson solvers with periodic and
 //!   spherical-cutoff (isolated) Coulomb kernels; every orbital-pair
-//!   exchange term is one `solve` on this type;
+//!   exchange term is one `exchange_pair_energy` (or, for the K operator,
+//!   one `solve_into`) on this type;
 //! * [`localize`] — Foster–Boys orbital localization (Jacobi sweeps over
 //!   MO dipole matrices), producing the Wannier-like centers and spreads
 //!   that drive the paper's distance screening.
@@ -27,7 +28,5 @@ pub use molgrid::MolGrid;
 pub use orbital::{
     ao_values, ao_values_at_points, density_from_dm_at_points, density_on_grid, orbitals_on_grid,
 };
-pub use patch::{
-    isolated_patch_solver, patch_pair_energy, patch_pair_energy_ws, Patch, PatchScratch,
-};
+pub use patch::{isolated_patch_solver, patch_pair_energy_ws, Patch, PatchScratch};
 pub use poisson::{CoulombKernel, KernelTimings, PoissonSolver, PoissonWorkspace};

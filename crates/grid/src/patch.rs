@@ -12,8 +12,10 @@
 //! Patch shapes repeat heavily across a pair list (the extent is rounded
 //! to a power of two and the spacing is shared), so the isolated Poisson
 //! solver — whose kernel table costs an `O(N_patch³)` rebuild — is cached
-//! process-wide per `(extent, edge)` shape. Together with
-//! [`PatchScratch`], the steady-state patched pair loop allocates nothing.
+//! process-wide per `(extent, edge)` shape. The one energy entry point,
+//! [`patch_pair_energy_ws`], gathers through [`Patch::gather_into`] into a
+//! caller-owned [`PatchScratch`] and runs the solver's energy-only path,
+//! so the steady-state patched pair loop allocates nothing.
 
 use crate::grid::RealGrid;
 use crate::poisson::{PoissonSolver, PoissonWorkspace};
@@ -59,14 +61,8 @@ impl Patch {
         }
     }
 
-    /// Gather a field from the parent grid into this patch (periodic wrap).
-    pub fn gather(&self, parent: &RealGrid, field: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.extent.pow(3)];
-        self.gather_into(parent, field, &mut out);
-        out
-    }
-
-    /// [`Self::gather`] into caller-owned storage (no allocation).
+    /// Gather a field from the parent grid into this patch (periodic
+    /// wrap), into caller-owned storage of `extent³` values.
     pub fn gather_into(&self, parent: &RealGrid, field: &[f64], out: &mut [f64]) {
         assert_eq!(field.len(), parent.len());
         let e = self.extent;
@@ -145,24 +141,13 @@ impl PatchScratch {
 
 /// One exchange-pair term `(ij|ij)` evaluated on a pair-local patch:
 /// gather both orbitals around the pair midpoint, form the pair density,
-/// solve the isolated Poisson problem on the small box.
+/// solve the isolated Poisson problem on the small box — through the
+/// cached patch solver and the energy-only (forward transform only)
+/// Poisson path, with caller-owned scratch: zero steady-state heap
+/// allocation.
 ///
 /// `extent` is the patch size in parent grid points; choose it to cover
 /// both orbitals (`≥ (d_ij + 6σ)/h`).
-pub fn patch_pair_energy(
-    parent: &RealGrid,
-    phi_i: &[f64],
-    phi_j: &[f64],
-    midpoint: Vec3,
-    extent: usize,
-) -> f64 {
-    let mut scratch = PatchScratch::new();
-    patch_pair_energy_ws(parent, phi_i, phi_j, midpoint, extent, &mut scratch)
-}
-
-/// [`patch_pair_energy`] with caller-owned scratch: the hot-loop form.
-/// Uses the cached patch solver and the energy-only (forward transform
-/// only) Poisson path — zero steady-state heap allocation.
 pub fn patch_pair_energy_ws(
     parent: &RealGrid,
     phi_i: &[f64],
@@ -201,8 +186,8 @@ mod tests {
         let parent = RealGrid::cubic(Cell::cubic(16.0), 32);
         let field: Vec<f64> = (0..parent.len()).map(|i| i as f64).collect();
         let patch = Patch::plan(&parent, Vec3::splat(8.0), 8);
-        let gathered = patch.gather(&parent, &field);
-        assert_eq!(gathered.len(), 512);
+        let mut gathered = vec![0.0; 512];
+        patch.gather_into(&parent, &field, &mut gathered);
         // Spot-check one point: patch (0,0,0) = parent at wrapped origin.
         let (nx, ny, nz) = parent.dims;
         let wrap = |v: i64, n: usize| v.rem_euclid(n as i64) as usize;
@@ -217,9 +202,9 @@ mod tests {
         let field: Vec<f64> = (0..parent.len()).map(|i| (i % 97) as f64).collect();
         // Patch centered at the cell corner must wrap cleanly.
         let patch = Patch::plan(&parent, Vec3::ZERO, 6);
-        let gathered = patch.gather(&parent, &field);
         assert_eq!(patch.extent, 8); // rounded up to the FFT-friendly size
-        assert_eq!(gathered.len(), 512);
+        let mut gathered = vec![f64::NAN; 512];
+        patch.gather_into(&parent, &field, &mut gathered);
         assert!(gathered.iter().all(|v| v.is_finite()));
     }
 
@@ -237,15 +222,20 @@ mod tests {
         // Full-grid reference.
         let solver = PoissonSolver::isolated(parent);
         let rho: Vec<f64> = phi_i.iter().zip(&phi_j).map(|(a, b)| a * b).collect();
-        let (want, _) = solver.exchange_pair(&rho);
+        let want = solver.exchange_pair_energy(&rho, &mut PoissonWorkspace::new());
         // Patch evaluation — 24³ instead of 64³ (19× fewer points).
-        let got = patch_pair_energy(&parent, &phi_i, &phi_j, (c1 + c2) * 0.5, 24);
+        let mid = (c1 + c2) * 0.5;
+        let mut scratch = PatchScratch::new();
+        let got = patch_pair_energy_ws(&parent, &phi_i, &phi_j, mid, 24, &mut scratch);
         assert!(
             approx_eq(got, want, 2e-3),
             "patch {got} vs full {want} (rel {:.1e})",
             (got - want).abs() / want
         );
         assert!(want > 0.0);
+        // A warm scratch carries no state from one pair to the next.
+        let again = patch_pair_energy_ws(&parent, &phi_i, &phi_j, mid, 24, &mut scratch);
+        assert_eq!(got.to_bits(), again.to_bits());
     }
 
     #[test]
@@ -256,10 +246,12 @@ mod tests {
         let phi = gaussian_field(&parent, c, 0.9);
         let solver = PoissonSolver::isolated(parent);
         let rho: Vec<f64> = phi.iter().map(|x| x * x).collect();
-        let (want, _) = solver.exchange_pair(&rho);
+        let want = solver.exchange_pair_energy(&rho, &mut PoissonWorkspace::new());
         let mut errs = Vec::new();
+        // One scratch across the three patch sizes: it regrows per shape.
+        let mut scratch = PatchScratch::new();
         for extent in [12usize, 20, 32] {
-            let got = patch_pair_energy(&parent, &phi, &phi, c, extent);
+            let got = patch_pair_energy_ws(&parent, &phi, &phi, c, extent, &mut scratch);
             errs.push((got - want).abs());
         }
         assert!(errs[2] < errs[0], "{errs:?}");
@@ -288,22 +280,5 @@ mod tests {
         let p3 = Patch::plan(&parent, Vec3::splat(5.0), 16);
         let s3 = isolated_patch_solver(p3.grid);
         assert!(!Arc::ptr_eq(&s1, &s3), "different shapes must not collide");
-    }
-
-    #[test]
-    fn scratch_variant_matches_allocating_variant() {
-        let l = 18.0;
-        let parent = RealGrid::cubic(Cell::cubic(l), 36);
-        let c1 = Vec3::new(l / 2.0 - 0.8, l / 2.0, l / 2.0);
-        let c2 = Vec3::new(l / 2.0 + 0.8, l / 2.0, l / 2.0);
-        let phi_i = gaussian_field(&parent, c1, 1.0);
-        let phi_j = gaussian_field(&parent, c2, 1.0);
-        let mid = (c1 + c2) * 0.5;
-        let want = patch_pair_energy(&parent, &phi_i, &phi_j, mid, 16);
-        let mut scratch = PatchScratch::new();
-        for _ in 0..2 {
-            let got = patch_pair_energy_ws(&parent, &phi_i, &phi_j, mid, 16, &mut scratch);
-            assert!(approx_eq(got, want, 1e-12), "{got} vs {want}");
-        }
     }
 }

@@ -14,20 +14,26 @@
 //!
 //! Because every density here is real, the solver works on the Hermitian
 //! half-spectrum (`nz/2 + 1` bins along `z`) via `liair_math::rfft`: the
-//! kernel table is laid out once over the half-spectrum bins, the r2c/c2r
-//! transforms do roughly half the work of the seed's complex path, and the
-//! hot-loop entry points ([`PoissonSolver::solve_into`],
-//! [`PoissonSolver::exchange_pair_energy`]) run against a caller owned
-//! [`PoissonWorkspace`] so steady-state pair loops perform **zero** heap
-//! allocations.
+//! kernel table is laid out once over the half-spectrum bins and the
+//! r2c/c2r transforms do roughly half the work of a complex path.
 //!
-//! Energy-only callers skip the inverse transform entirely: by Parseval,
-//! `(ij|ij) = (dV/N) Σ_k v(G_k) |ρ̂_k|²`, summed over half-spectrum bins
-//! with weight 2 off the self-conjugate planes (valid because
-//! `v(−G) = v(G)`).
+//! There are two entry points, both on the calling thread against a
+//! caller-owned [`PoissonWorkspace`], so steady-state pair loops perform
+//! **zero** heap allocations:
+//!
+//! * [`PoissonSolver::solve_into`] — the potential (forward transform,
+//!   kernel multiply, inverse transform), for callers that contract it
+//!   with something else (the K-operator columns);
+//! * [`PoissonSolver::exchange_pair_energy`] — the energy only, which
+//!   skips the inverse transform: by Parseval,
+//!   `(ij|ij) = (dV/N) Σ_k v(G_k) |ρ̂_k|²`, summed over half-spectrum bins
+//!   with weight 2 off the self-conjugate planes (valid because
+//!   `v(−G) = v(G)`).
+//!
+//! An interaction energy `∬ ρ₁ ρ₂' v_C` is `grid.inner(ρ₁, solve_into(ρ₂))`.
 
 use crate::grid::RealGrid;
-use liair_math::rfft::{half_len, irfft3, irfft3_into, rfft3, rfft3_into, rfft3_into_with};
+use liair_math::rfft::{half_len, irfft3_into, rfft3_into, rfft3_into_with};
 use liair_math::simd::{self, SimdLevel};
 use liair_math::Complex64;
 use std::f64::consts::PI;
@@ -190,21 +196,10 @@ impl PoissonSolver {
         &self.grid
     }
 
-    /// Hartree potential `v(r) = ∫ ρ(r') v_C(r, r') dr'` of a real density
-    /// (threaded r2c path; allocates the result).
-    pub fn solve(&self, rho: &[f64]) -> Vec<f64> {
-        assert_eq!(rho.len(), self.grid.len());
-        let mut half = rfft3(rho, self.grid.dims);
-        // With ρ(G) = (dV/V)·ρ̂_k = ρ̂_k/N and the 1/N carried by the
-        // inverse FFT, the synthesis v_j = Σ_G ṽ(G) ρ(G) e^{iG·r_j} reduces
-        // to a bare pointwise kernel multiply.
-        self.apply_kernel_half(half.as_mut_slice());
-        irfft3(half, self.grid.dims)
-    }
-
-    /// [`Self::solve`] on the calling thread with caller-owned scratch:
-    /// no rayon, zero steady-state heap allocation. Returns the potential
-    /// borrowed from the workspace.
+    /// Hartree potential `v(r) = ∫ ρ(r') v_C(r, r') dr'` of a real
+    /// density, on the calling thread with caller-owned scratch: no rayon,
+    /// zero steady-state heap allocation. Returns the potential borrowed
+    /// from the workspace.
     pub fn solve_into<'w>(&self, rho: &[f64], ws: &'w mut PoissonWorkspace) -> &'w [f64] {
         assert_eq!(rho.len(), self.grid.len());
         ws.ensure_half(self.grid.dims);
@@ -212,7 +207,10 @@ impl PoissonSolver {
         let t0 = std::time::Instant::now();
         rfft3_into(rho, self.grid.dims, &mut ws.half);
         let t1 = std::time::Instant::now();
-        self.apply_kernel_half(&mut ws.half);
+        // With ρ(G) = (dV/V)·ρ̂_k = ρ̂_k/N and the 1/N carried by the
+        // inverse FFT, the synthesis v_j = Σ_G ṽ(G) ρ(G) e^{iG·r_j} reduces
+        // to a bare pointwise kernel multiply.
+        simd::scale_by_table(&mut ws.half, &self.kernel_half);
         let t2 = std::time::Instant::now();
         irfft3_into(&mut ws.half, self.grid.dims, &mut ws.v);
         ws.timings.fft_s += (t1 - t0).as_secs_f64() + t2.elapsed().as_secs_f64();
@@ -220,32 +218,9 @@ impl PoissonSolver {
         &ws.v
     }
 
-    #[inline]
-    fn apply_kernel_half(&self, half: &mut [Complex64]) {
-        simd::scale_by_table(half, &self.kernel_half);
-    }
-
-    /// Electrostatic interaction energy `∬ ρ₁(r) ρ₂(r') v_C dr dr'`.
-    pub fn interaction_energy(&self, rho1: &[f64], rho2: &[f64]) -> f64 {
-        let v2 = self.solve(rho2);
-        self.grid.inner(rho1, &v2)
-    }
-
-    /// Hartree (self-interaction) energy `½ ∬ ρ ρ' v_C`.
-    pub fn hartree_energy(&self, rho: &[f64]) -> f64 {
-        0.5 * self.interaction_energy(rho, rho)
-    }
-
     /// The exchange-pair work unit of the paper: given the pair density
-    /// `ρ_ij = φ_i φ_j`, return `(ij|ij) = ∬ ρ_ij ρ_ij v_C` along with the
-    /// pair potential (callers that assemble exchange operators reuse it).
-    pub fn exchange_pair(&self, rho_ij: &[f64]) -> (f64, Vec<f64>) {
-        let v = self.solve(rho_ij);
-        (self.grid.inner(rho_ij, &v), v)
-    }
-
-    /// Energy-only exchange pair term: one forward r2c transform, no
-    /// inverse, no allocation. By Parseval,
+    /// `ρ_ij = φ_i φ_j`, return `(ij|ij) = ∬ ρ_ij ρ_ij v_C`. Energy only:
+    /// one forward r2c transform, no inverse, no allocation. By Parseval,
     /// `(ij|ij) = (dV/N) Σ_k v(G_k) |ρ̂_k|²` over half-spectrum bins with
     /// weight 2 off the self-conjugate z-planes.
     pub fn exchange_pair_energy(&self, rho_ij: &[f64], ws: &mut PoissonWorkspace) -> f64 {
@@ -280,10 +255,10 @@ mod tests {
     use liair_math::special::erf;
     use liair_math::{approx_eq, Vec3};
 
-    /// The seed's complex-to-complex energy path — full-spectrum kernel
-    /// table, threaded c2c forward and inverse transforms, real-space
-    /// contraction — kept verbatim as the oracle for the r2c fast path.
-    fn exchange_pair_reference(grid: &RealGrid, kernel: CoulombKernel, rho_ij: &[f64]) -> f64 {
+    /// The seed's complex-to-complex path — full-spectrum kernel table,
+    /// threaded c2c forward and inverse transforms — kept verbatim as the
+    /// oracle for the r2c solver: the potential of `rho`.
+    fn solve_reference(grid: &RealGrid, kernel: CoulombKernel, rho: &[f64]) -> Vec<f64> {
         use liair_math::fft3::{fft3, ifft3, to_complex, to_real};
         let (nx, ny, nz) = grid.dims;
         let mut table = Vec::with_capacity(grid.len());
@@ -294,13 +269,19 @@ mod tests {
                 }
             }
         }
-        let mut work = to_complex(rho_ij, grid.dims);
+        let mut work = to_complex(rho, grid.dims);
         fft3(&mut work);
         for (z, &k) in work.as_mut_slice().iter_mut().zip(&table) {
             *z = z.scale(k);
         }
         ifft3(&mut work);
-        grid.inner(rho_ij, &to_real(&work))
+        to_real(&work)
+    }
+
+    /// `∬ ρ₁(r) ρ₂(r') v_C dr dr'` through the potential entry point.
+    fn coulomb_energy(solver: &PoissonSolver, rho1: &[f64], rho2: &[f64]) -> f64 {
+        let mut ws = PoissonWorkspace::new();
+        solver.grid().inner(rho1, solver.solve_into(rho2, &mut ws))
     }
 
     fn gaussian_density(grid: &RealGrid, center: Vec3, alpha: f64) -> Vec<f64> {
@@ -323,7 +304,8 @@ mod tests {
             .map(|i| (gx * grid.point_flat(i).x).cos())
             .collect();
         let solver = PoissonSolver::new(grid, CoulombKernel::Periodic);
-        let v = solver.solve(&rho);
+        let mut ws = PoissonWorkspace::new();
+        let v = solver.solve_into(&rho, &mut ws);
         let scale = 4.0 * PI / (gx * gx);
         for i in (0..grid.len()).step_by(97) {
             let want = scale * (gx * grid.point_flat(i).x).cos();
@@ -341,7 +323,7 @@ mod tests {
         let alpha = 1.1;
         let rho = gaussian_density(&grid, Vec3::splat(l / 2.0), alpha);
         let solver = PoissonSolver::isolated(grid);
-        let got = solver.hartree_energy(&rho);
+        let got = 0.5 * coulomb_energy(&solver, &rho, &rho);
         let want = 0.5 * (2.0 * alpha / PI).sqrt();
         assert!(approx_eq(got, want, 1e-4), "{got} vs {want}");
     }
@@ -359,7 +341,7 @@ mod tests {
         let rho1 = gaussian_density(&grid, c1, alpha);
         let rho2 = gaussian_density(&grid, c2, alpha);
         let solver = PoissonSolver::isolated(grid);
-        let got = solver.interaction_energy(&rho1, &rho2);
+        let got = coulomb_energy(&solver, &rho1, &rho2);
         let want = erf((alpha / 2.0).sqrt() * r) / r;
         assert!(approx_eq(got, want, 1e-4), "{got} vs {want}");
     }
@@ -372,9 +354,10 @@ mod tests {
         let a: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
         let b: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
         let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| 2.0 * x - 3.0 * y).collect();
-        let va = solver.solve(&a);
-        let vb = solver.solve(&b);
-        let vs = solver.solve(&sum);
+        let mut ws = PoissonWorkspace::new();
+        let va = solver.solve_into(&a, &mut ws).to_vec();
+        let vb = solver.solve_into(&b, &mut ws).to_vec();
+        let vs = solver.solve_into(&sum, &mut ws);
         for i in (0..grid.len()).step_by(53) {
             assert!(approx_eq(vs[i], 2.0 * va[i] - 3.0 * vb[i], 1e-10));
         }
@@ -386,8 +369,8 @@ mod tests {
         let solver = PoissonSolver::isolated(grid);
         let rho1 = gaussian_density(&grid, Vec3::new(6.0, 7.5, 7.5), 0.7);
         let rho2 = gaussian_density(&grid, Vec3::new(9.0, 7.5, 7.5), 1.4);
-        let e12 = solver.interaction_energy(&rho1, &rho2);
-        let e21 = solver.interaction_energy(&rho2, &rho1);
+        let e12 = coulomb_energy(&solver, &rho1, &rho2);
+        let e21 = coulomb_energy(&solver, &rho2, &rho1);
         assert!(approx_eq(e12, e21, 1e-10));
         assert!(e12 > 0.0);
     }
@@ -399,18 +382,17 @@ mod tests {
         let solver = PoissonSolver::isolated(grid);
         let mut rng = liair_math::rng::SplitMix64::new(8);
         let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-        let (e, v) = solver.exchange_pair(&rho);
+        let e = solver.exchange_pair_energy(&rho, &mut PoissonWorkspace::new());
         assert!(e >= 0.0);
-        assert_eq!(v.len(), grid.len());
     }
 
     #[test]
-    fn solve_into_matches_solve() {
+    fn solve_into_matches_c2c_reference() {
         let grid = RealGrid::new(Cell::orthorhombic(9.0, 11.0, 13.0), (12, 10, 15));
         let solver = PoissonSolver::new(grid, CoulombKernel::Periodic);
         let mut rng = liair_math::rng::SplitMix64::new(21);
         let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-        let want = solver.solve(&rho);
+        let want = solve_reference(&grid, CoulombKernel::Periodic, &rho);
         let mut ws = PoissonWorkspace::new();
         // Run twice through the same workspace: the second pass must be
         // identical (buffers fully overwritten, no stale state).
@@ -432,7 +414,7 @@ mod tests {
             let solver = PoissonSolver::isolated(grid);
             let mut rng = liair_math::rng::SplitMix64::new(33);
             let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-            let (want, _) = solver.exchange_pair(&rho);
+            let want = coulomb_energy(&solver, &rho, &rho);
             let mut ws = PoissonWorkspace::new();
             let got = solver.exchange_pair_energy(&rho, &mut ws);
             assert!(
@@ -452,7 +434,7 @@ mod tests {
             let mut rng = liair_math::rng::SplitMix64::new(55);
             let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
             let got = solver.exchange_pair_energy(&rho, &mut PoissonWorkspace::new());
-            let want = exchange_pair_reference(&grid, kernel, &rho);
+            let want = grid.inner(&rho, &solve_reference(&grid, kernel, &rho));
             let rel = (got - want).abs() / want.abs();
             assert!(rel <= 1e-12, "{n}³: {got} vs c2c {want} ({rel:e})");
         }

@@ -10,18 +10,21 @@
 //!   `(ny·nz) × nx` row-major scratch, rows transformed, and transposed back.
 //!
 //! This mirrors the node-local threaded FFT the paper runs with 64 hardware
-//! threads per BG/Q node; here the threading is rayon.
+//! threads per BG/Q node; here the threading is rayon. It is the only
+//! threaded 3-D driver in the crate, and it stays for two callers: one
+//! whole-grid transform at a time with nothing else to parallelize over
+//! (`liair-xc`'s spectral density gradient), and the tests of
+//! [`crate::rfft`] and `liair-grid`, which use the c2c result as the
+//! oracle for the r2c path. The per-pair exchange loop, where each task
+//! owns one whole transform and must not allocate or nest parallelism,
+//! runs the serial r2c path of [`crate::rfft`] instead.
 //!
-//! Plans are fetched **once per axis** from the process-wide cache (the
-//! seed rebuilt twiddle tables inside every 1-D line transform). The
-//! per-pair exchange hot loop, where each task owns one whole transform
-//! and must not allocate or nest parallelism, runs the serial r2c path of
-//! [`crate::rfft`] instead.
+//! Plans are fetched once per axis from the process-wide cache.
 
 use crate::array3::Array3;
 use crate::complex::Complex64;
-use crate::plan::{plan, FftPlan};
-use crate::simd::{self, SimdLevel};
+use crate::plan::plan;
+use crate::simd;
 use rayon::prelude::*;
 
 /// Forward 3-D FFT, unnormalized.
@@ -32,15 +35,6 @@ pub fn fft3(a: &mut Array3<Complex64>) {
 /// Inverse 3-D FFT with `1/(nx·ny·nz)` normalization.
 pub fn ifft3(a: &mut Array3<Complex64>) {
     transform3(a, true);
-}
-
-#[inline]
-fn line_transform(p: &FftPlan, level: SimdLevel, inverse: bool, row: &mut [Complex64]) {
-    if inverse {
-        p.ifft_with(level, row);
-    } else {
-        p.fft_with(level, row);
-    }
 }
 
 fn transform3(a: &mut Array3<Complex64>, inverse: bool) {
@@ -54,7 +48,7 @@ fn transform3(a: &mut Array3<Complex64>, inverse: bool) {
         let pz = &pz;
         a.as_mut_slice()
             .par_chunks_mut(nz)
-            .for_each(|row| line_transform(pz, level, inverse, row));
+            .for_each(|row| pz.line(level, inverse, row));
     }
 
     // --- y axis: per-x slab, strided by nz ---
@@ -67,7 +61,7 @@ fn transform3(a: &mut Array3<Complex64>, inverse: bool) {
                     for iy in 0..ny {
                         scratch[iy] = slab[iy * nz + iz];
                     }
-                    line_transform(py, level, inverse, scratch);
+                    py.line(level, inverse, scratch);
                     for iy in 0..ny {
                         slab[iy * nz + iz] = scratch[iy];
                     }
@@ -91,7 +85,7 @@ fn transform3(a: &mut Array3<Complex64>, inverse: bool) {
         {
             let px = &px;
             t.par_chunks_mut(nx)
-                .for_each(|row| line_transform(px, level, inverse, row));
+                .for_each(|row| px.line(level, inverse, row));
         }
         {
             let dst = a.as_mut_slice();

@@ -156,6 +156,17 @@ impl FftPlan {
         simd::scale_complex_with(level, data, 1.0 / self.n as f64);
     }
 
+    /// [`FftPlan::fft_with`] or [`FftPlan::ifft_with`] by flag — one line
+    /// of a 3-D axis loop, which runs both directions.
+    #[inline]
+    pub(crate) fn line(&self, level: SimdLevel, inverse: bool, data: &mut [Complex64]) {
+        if inverse {
+            self.ifft_with(level, data);
+        } else {
+            self.fft_with(level, data);
+        }
+    }
+
     fn transform(&self, level: SimdLevel, data: &mut [Complex64], inverse: bool) {
         assert_eq!(data.len(), self.n, "data length does not match plan");
         if self.n <= 1 {

@@ -15,19 +15,20 @@
 //!   every grid size remains supported.
 //!
 //! Conventions match [`crate::fft`]: the forward transform is
-//! unnormalized — bin `(ix, iy, iz)` of [`rfft3`] equals bin `(ix, iy, iz)`
-//! of [`crate::fft3::fft3`] for `iz < nz/2 + 1` — and the inverse is exact
-//! (`irfft3(rfft3(x)) == x`).
+//! unnormalized — bin `(ix, iy, iz)` of [`rfft3_into`] equals bin
+//! `(ix, iy, iz)` of [`crate::fft3::fft3`] for `iz < nz/2 + 1` — and the
+//! inverse is exact (`irfft3_into ∘ rfft3_into` is the identity).
 //!
-//! All plans live in a process-wide cache; the `*_into` variants perform
-//! zero steady-state heap allocations (scratch is thread-local,
-//! grow-only), which is what the per-pair exchange hot loop requires.
+//! The 3-D transforms run on the calling thread: in the per-pair exchange
+//! loop each task owns one whole transform, and the parallelism is over
+//! pairs. All plans live in a process-wide cache and the scratch is
+//! thread-local and grow-only, so a transform performs zero steady-state
+//! heap allocations. (The threaded 3-D driver is the c2c one in
+//! [`crate::fft3`].)
 
-use crate::array3::Array3;
 use crate::complex::Complex64;
 use crate::plan::{plan, FftPlan};
 use crate::simd::{self, SimdLevel};
-use rayon::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -261,7 +262,9 @@ pub fn irfft3_into_with(
 }
 
 /// Complex transforms along the `y` then `x` axes of a `z`-contiguous
-/// array (serial, thread-local scratch). The `z` axis is untouched.
+/// array (serial, thread-local scratch). The `z` axis is untouched. This is
+/// the strided-axis loop of the pair kernel: gather a pencil, run the 1-D
+/// plan, scatter it back.
 fn complex_axes_serial(
     level: SimdLevel,
     data: &mut [Complex64],
@@ -283,7 +286,7 @@ fn complex_axes_serial(
                 for iy in 0..ny {
                     line[iy] = slab[iy * nzc + iz];
                 }
-                axis_line(&py, level, inverse, line);
+                py.line(level, inverse, line);
                 for iy in 0..ny {
                     slab[iy * nzc + iz] = line[iy];
                 }
@@ -297,113 +300,13 @@ fn complex_axes_serial(
                 for ix in 0..nx {
                     line[ix] = data[ix * plane + p];
                 }
-                axis_line(&px, level, inverse, line);
+                px.line(level, inverse, line);
                 for ix in 0..nx {
                     data[ix * plane + p] = line[ix];
                 }
             }
         }
     });
-}
-
-#[inline]
-fn axis_line(p: &FftPlan, level: SimdLevel, inverse: bool, row: &mut [Complex64]) {
-    if inverse {
-        p.ifft_with(level, row);
-    } else {
-        p.fft_with(level, row);
-    }
-}
-
-/// Threaded forward 3-D r2c: returns the `(nx, ny, nz/2+1)` half-spectrum.
-pub fn rfft3(real: &[f64], dims: (usize, usize, usize)) -> Array3<Complex64> {
-    let (nx, ny, nz) = dims;
-    let nzh = nz / 2 + 1;
-    assert_eq!(real.len(), nx * ny * nz, "real field does not match dims");
-    let mut half = vec![Complex64::ZERO; nx * ny * nzh];
-
-    // z axis: one r2c per row, parallel over rows.
-    {
-        let rp = real_plan(nz);
-        let rp = &rp;
-        half.par_chunks_mut(nzh)
-            .enumerate()
-            .for_each(|(row, out_row)| rp.rfft(&real[row * nz..row * nz + nz], out_row));
-    }
-    complex_axes_parallel(&mut half, (nx, ny, nzh), false);
-    Array3::from_vec((nx, ny, nzh), half)
-}
-
-/// Threaded inverse of [`rfft3`]: consumes the half-spectrum and returns
-/// the real field.
-pub fn irfft3(mut half: Array3<Complex64>, dims: (usize, usize, usize)) -> Vec<f64> {
-    let (nx, ny, nz) = dims;
-    let nzh = nz / 2 + 1;
-    assert_eq!(
-        half.dims(),
-        (nx, ny, nzh),
-        "half spectrum does not match dims"
-    );
-    complex_axes_parallel(half.as_mut_slice(), (nx, ny, nzh), true);
-    let mut real = vec![0.0; nx * ny * nz];
-    {
-        let rp = real_plan(nz);
-        let rp = &rp;
-        let src = half.as_slice();
-        real.par_chunks_mut(nz)
-            .enumerate()
-            .for_each(|(row, out_row)| rp.irfft(&src[row * nzh..row * nzh + nzh], out_row));
-    }
-    real
-}
-
-/// Threaded complex transforms along `y` then `x` of a `z`-contiguous array.
-fn complex_axes_parallel(data: &mut [Complex64], dims: (usize, usize, usize), inverse: bool) {
-    let (nx, ny, nzc) = dims;
-    let (px, py) = (plan(nx), plan(ny));
-    // Resolve the process default once, outside the rayon tasks.
-    let level = simd::level();
-    {
-        let py = &py;
-        data.par_chunks_mut(ny * nzc).for_each_init(
-            || vec![Complex64::ZERO; ny],
-            |scratch, slab| {
-                for iz in 0..nzc {
-                    for iy in 0..ny {
-                        scratch[iy] = slab[iy * nzc + iz];
-                    }
-                    axis_line(py, level, inverse, scratch);
-                    for iy in 0..ny {
-                        slab[iy * nzc + iz] = scratch[iy];
-                    }
-                }
-            },
-        );
-    }
-    if nx > 1 {
-        let plane = ny * nzc;
-        let mut t = vec![Complex64::ZERO; nx * plane];
-        {
-            let src = &data[..];
-            t.par_chunks_mut(nx).enumerate().for_each(|(p, row)| {
-                for (ix, v) in row.iter_mut().enumerate() {
-                    *v = src[ix * plane + p];
-                }
-            });
-        }
-        {
-            let px = &px;
-            t.par_chunks_mut(nx)
-                .for_each(|row| axis_line(px, level, inverse, row));
-        }
-        data.par_chunks_mut(plane)
-            .enumerate()
-            .for_each(|(ix, slab)| {
-                for (p, v) in slab.iter_mut().enumerate() {
-                    *v = t[p * nx + ix];
-                }
-            });
-    }
 }
 
 #[cfg(test)]
@@ -466,19 +369,31 @@ mod tests {
         }
     }
 
+    fn rfft3_vec(x: &[f64], dims: (usize, usize, usize)) -> Vec<Complex64> {
+        let mut half = vec![Complex64::ZERO; half_len(dims)];
+        rfft3_into(x, dims, &mut half);
+        half
+    }
+
+    /// The c2c transform is the oracle: the serial r2c path shares no 3-D
+    /// driver with it (12³ and 24³ run Bluestein lines, 16³ radix-2).
     #[test]
     fn rfft3_matches_fft3_half_spectrum() {
-        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (3, 5, 7)] {
+        let cubes = [12usize, 16, 24].map(|n| (n, n, n));
+        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (3, 5, 7)]
+            .into_iter()
+            .chain(cubes)
+        {
             let (nx, ny, nz) = dims;
             let x = random_real(nx * ny * nz, 11);
-            let half = rfft3(&x, dims);
+            let half = rfft3_vec(&x, dims);
             let mut full = to_complex(&x, dims);
             fft3(&mut full);
             let nzh = nz / 2 + 1;
             for ix in 0..nx {
                 for iy in 0..ny {
                     for iz in 0..nzh {
-                        let a = *half.get(ix, iy, iz);
+                        let a = half[(ix * ny + iy) * nzh + iz];
                         let b = *full.get(ix, iy, iz);
                         let err = (a - b).abs();
                         assert!(err < 1e-9, "dims {dims:?} bin ({ix},{iy},{iz}): err {err}");
@@ -490,43 +405,22 @@ mod tests {
 
     #[test]
     fn irfft3_roundtrip() {
-        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (5, 5, 5)] {
+        let cubes = [12usize, 16, 24].map(|n| (n, n, n));
+        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (5, 5, 5), (6, 5, 8)]
+            .into_iter()
+            .chain(cubes)
+        {
             let (nx, ny, nz) = dims;
             let x = random_real(nx * ny * nz, 13);
-            let half = rfft3(&x, dims);
-            let back = irfft3(half, dims);
+            let mut half = rfft3_vec(&x, dims);
+            let mut back = vec![0.0; nx * ny * nz];
+            irfft3_into(&mut half, dims, &mut back);
             let err = x
                 .iter()
                 .zip(&back)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
             assert!(err < 1e-10, "dims {dims:?}: err {err}");
-        }
-    }
-
-    #[test]
-    fn serial_into_matches_threaded() {
-        for dims in [(4, 4, 4), (2, 3, 5), (6, 5, 8)] {
-            let (nx, ny, nz) = dims;
-            let x = random_real(nx * ny * nz, 17);
-            let threaded = rfft3(&x, dims);
-            let mut serial = vec![Complex64::ZERO; half_len(dims)];
-            rfft3_into(&x, dims, &mut serial);
-            let err = threaded
-                .as_slice()
-                .iter()
-                .zip(&serial)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-10, "dims {dims:?}: fwd err {err}");
-            let mut back = vec![0.0; nx * ny * nz];
-            irfft3_into(&mut serial, dims, &mut back);
-            let err = x
-                .iter()
-                .zip(&back)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-10, "dims {dims:?}: inv err {err}");
         }
     }
 
@@ -539,20 +433,17 @@ mod tests {
             let n = nx * ny * nz;
             let x = random_real(n, 19);
             let time: f64 = x.iter().map(|v| v * v).sum();
-            let half = rfft3(&x, dims);
+            let half = rfft3_vec(&x, dims);
             let nzh = nz / 2 + 1;
             let mut freq = 0.0;
-            for ix in 0..nx {
-                for iy in 0..ny {
-                    for iz in 0..nzh {
-                        let w = if iz == 0 || (nz % 2 == 0 && iz == nzh - 1) {
-                            1.0
-                        } else {
-                            2.0
-                        };
-                        freq += w * half.get(ix, iy, iz).norm_sqr();
-                    }
-                }
+            for (i, h) in half.iter().enumerate() {
+                let iz = i % nzh;
+                let w = if iz == 0 || (nz % 2 == 0 && iz == nzh - 1) {
+                    1.0
+                } else {
+                    2.0
+                };
+                freq += w * h.norm_sqr();
             }
             freq /= n as f64;
             assert!(

@@ -3,7 +3,7 @@
 use liair_math::fft::{dft_reference, fft, ifft};
 use liair_math::fft3::{fft3, to_complex};
 use liair_math::linalg::{eigh, try_solve, Mat};
-use liair_math::rfft::{half_len, irfft3, irfft3_into, rfft3, rfft3_into};
+use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
 use liair_math::rng::SplitMix64;
 use liair_math::special::{boys, erf};
 use liair_math::Complex64;
@@ -19,6 +19,12 @@ fn random_signal(n: usize, seed: u64) -> Vec<Complex64> {
 fn random_real(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = SplitMix64::new(seed);
     (0..n).map(|_| rng.next_f64() - 0.5).collect()
+}
+
+fn rfft3_vec(x: &[f64], dims: (usize, usize, usize)) -> Vec<Complex64> {
+    let mut half = vec![Complex64::ZERO; half_len(dims)];
+    rfft3_into(x, dims, &mut half);
+    half
 }
 
 /// Mix of power-of-two and odd/mixed grid shapes, indexed so proptest can
@@ -73,40 +79,36 @@ proptest! {
         prop_assert!(err < 1e-9, "n={n}: err {err}");
     }
 
-    /// The real-FFT round-trip irfft3(rfft3(x)) is the identity for any
-    /// grid shape (even pack-trick and odd fallback paths both covered),
-    /// through both the threaded and the serial zero-alloc entry points.
+    /// The real-FFT round-trip irfft3_into ∘ rfft3_into is the identity
+    /// for any grid shape (even pack-trick and odd fallback paths both
+    /// covered).
     #[test]
     fn rfft3_roundtrip_is_identity(pick in 0usize..8, seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
         let n = dims.0 * dims.1 * dims.2;
         let x = random_real(n, seed);
-        let back = irfft3(rfft3(&x, dims), dims);
+        let mut half = rfft3_vec(&x, dims);
+        let mut back = vec![0.0; n];
+        irfft3_into(&mut half, dims, &mut back);
         let err = x.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        prop_assert!(err < 1e-10, "dims {dims:?}: threaded err {err}");
-        let mut half = vec![Complex64::ZERO; half_len(dims)];
-        rfft3_into(&x, dims, &mut half);
-        let mut serial = vec![0.0; n];
-        irfft3_into(&mut half, dims, &mut serial);
-        let err = x.iter().zip(&serial).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        prop_assert!(err < 1e-10, "dims {dims:?}: serial err {err}");
+        prop_assert!(err < 1e-10, "dims {dims:?}: err {err}");
     }
 
-    /// The half-spectrum bins of rfft3 agree exactly with the matching
-    /// bins of the complex fft3 on random real fields.
+    /// The half-spectrum bins of rfft3_into agree with the matching bins
+    /// of the complex fft3 on random real fields.
     #[test]
     fn rfft3_matches_fft3(pick in 0usize..8, seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
         let (nx, ny, nz) = dims;
         let x = random_real(nx * ny * nz, seed);
-        let half = rfft3(&x, dims);
+        let half = rfft3_vec(&x, dims);
         let mut full = to_complex(&x, dims);
         fft3(&mut full);
         let nzh = nz / 2 + 1;
         for ix in 0..nx {
             for iy in 0..ny {
                 for iz in 0..nzh {
-                    let err = (*half.get(ix, iy, iz) - *full.get(ix, iy, iz)).abs();
+                    let err = (half[(ix * ny + iy) * nzh + iz] - *full.get(ix, iy, iz)).abs();
                     prop_assert!(
                         err < 1e-9 * ((nx * ny * nz) as f64).max(8.0),
                         "dims {dims:?} bin ({ix},{iy},{iz}): err {err}"
@@ -125,16 +127,13 @@ proptest! {
         let n = nx * ny * nz;
         let x = random_real(n, seed);
         let time: f64 = x.iter().map(|v| v * v).sum();
-        let half = rfft3(&x, dims);
+        let half = rfft3_vec(&x, dims);
         let nzh = nz / 2 + 1;
         let mut freq = 0.0;
-        for ix in 0..nx {
-            for iy in 0..ny {
-                for iz in 0..nzh {
-                    let w = if iz == 0 || (nz % 2 == 0 && iz == nzh - 1) { 1.0 } else { 2.0 };
-                    freq += w * half.get(ix, iy, iz).norm_sqr();
-                }
-            }
+        for (i, h) in half.iter().enumerate() {
+            let iz = i % nzh;
+            let w = if iz == 0 || (nz % 2 == 0 && iz == nzh - 1) { 1.0 } else { 2.0 };
+            freq += w * h.norm_sqr();
         }
         freq /= n as f64;
         prop_assert!((time - freq).abs() < 1e-9 * time.max(1.0), "dims {dims:?}: {time} vs {freq}");

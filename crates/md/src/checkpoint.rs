@@ -134,6 +134,21 @@ impl MdCheckpoint {
         let nh_eta = d.get_f64()?;
         let forces_slow = get_vec3s(&mut d)?;
         let potential_slow = d.get_f64()?;
+        // Every per-atom array carries its own length prefix; a stream in
+        // which they disagree would decode and then index out of bounds on
+        // the first step. Only `forces_slow` may be absent (a state that
+        // never took the MTS path need not carry it).
+        for n in [velocities.len(), masses.len(), forces.len()] {
+            if n != natoms {
+                return Err(CodecError::BadLength(n as u64));
+            }
+        }
+        if !forces_slow.is_empty() && forces_slow.len() != natoms {
+            return Err(CodecError::BadLength(forces_slow.len() as u64));
+        }
+        if d.remaining() != 0 {
+            return Err(CodecError::BadLength(d.remaining() as u64));
+        }
         Ok(MdCheckpoint {
             state: MdState {
                 mol: Molecule { atoms, charge },

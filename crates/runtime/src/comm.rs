@@ -22,7 +22,7 @@
 //! order gathers and reduces in canonical order itself.
 //!
 //! Faults (dropped / delayed / duplicated messages, stalled ranks) are
-//! injected deterministically by [`FaultInjector`](crate::FaultInjector);
+//! injected deterministically by [`crate::FaultInjector`];
 //! the transport recovers via sequence-deduplicated retransmission with
 //! exponential backoff. See [`crate::fault`].
 

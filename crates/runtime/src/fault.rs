@@ -16,7 +16,7 @@
 //! exponential backoff. A message is therefore never lost permanently —
 //! only late — unless the peer has genuinely stalled, in which case the
 //! retry budget expires and the receive returns
-//! [`CommError::Timeout`](crate::CommError::Timeout).
+//! [`crate::CommError::Timeout`].
 
 use crate::error::{CommError, CommResult};
 use parking_lot::Mutex;

@@ -412,6 +412,9 @@ impl<'a> ScfSession<'a> {
         let eps_final = d.get_f64_vec()?;
         let converged = d.get_bool()?;
         let iterations = d.get_usize()?;
+        if d.remaining() != 0 {
+            return Err(CodecError::BadLength(d.remaining() as u64));
+        }
         let ctx = ScfContext::build(mol, basis, &opts, method);
         Ok(ScfSession {
             method,
@@ -453,7 +456,7 @@ fn get_mat(d: &mut Decoder<'_>) -> Result<Mat, CodecError> {
     let nrows = d.get_usize()?;
     let ncols = d.get_usize()?;
     let data = d.get_f64_vec()?;
-    if data.len() != nrows * ncols {
+    if nrows.checked_mul(ncols) != Some(data.len()) {
         return Err(CodecError::BadLength(data.len() as u64));
     }
     Ok(Mat::from_vec(nrows, ncols, data))

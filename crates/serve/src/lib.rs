@@ -22,9 +22,9 @@
 //! * [`service`] — the scheduler loop: admission → queue → rank-pool
 //!   lease → worker threads, with the shared cross-job
 //!   [`ExchangeCachePool`](liair_core::ExchangeCachePool) and the final
-//!   [`ServiceReport`](service::ServiceReport);
+//!   [`service::ServiceReport`];
 //! * [`campaign`] — the solvent-screening campaign driver: a
-//!   [`CampaignSpec`](campaign::CampaignSpec) grid (solvents ×
+//!   [`campaign::CampaignSpec`] grid (solvents ×
 //!   concentrations × seeds × functionals) fanned across the service,
 //!   aggregated into a deterministic ranked stability report.
 //!

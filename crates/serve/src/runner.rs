@@ -130,7 +130,7 @@ pub struct Observables {
     /// Solvation jobs: height of the first Li–O RDF peak.
     pub rdf_li_o_peak_g: Option<f64>,
     /// Solvation jobs: mean Li–O coordination number within
-    /// [`RDF_COORD_CUT`] Bohr.
+    /// `RDF_COORD_CUT` Bohr.
     pub li_o_coordination: Option<f64>,
     /// Solvation jobs: distinct solvent-internal bonds broken.
     pub bonds_broken: Option<usize>,
@@ -942,6 +942,123 @@ mod tests {
             }
             assert_eq!(obs.bonds_broken, obs_ref.bonds_broken);
         }
+    }
+
+    fn word(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// Offsets of the length prefixes of an MD checkpoint stream, walked
+    /// from the layout `MdCheckpoint::to_bytes` documents: atom count,
+    /// then the velocity, mass, force and slow-force arrays.
+    fn md_length_fields(bytes: &[u8]) -> Vec<usize> {
+        let natoms_at = 6; // magic u32 + version u16
+        let n = word(bytes, natoms_at) as usize;
+        let cell_flag = natoms_at + 8 + 28 * n + 8;
+        let velocities = cell_flag + 1 + 24 * bytes[cell_flag] as usize;
+        let masses = velocities + 8 + 24 * n;
+        let forces = masses + 8 + 8 * n;
+        let forces_slow = forces + 8 + 24 * n + 4 * 8;
+        assert_eq!(forces_slow + 8 + 24 * n + 8, bytes.len(), "layout drifted");
+        vec![natoms_at, velocities, masses, forces, forces_slow]
+    }
+
+    /// Offsets of the length fields of an SCF checkpoint stream: the
+    /// `(rows, cols, len)` header of every `nao x nao` matrix, the `nao`
+    /// word before the first of them, the DIIS history length two words
+    /// after it, and the eigenvalue vector's prefix after the last.
+    fn scf_length_fields(bytes: &[u8], nao: usize) -> Vec<usize> {
+        let (n, nn) = (nao as u64, (nao * nao) as u64);
+        let mut fields = Vec::new();
+        let mut ends = Vec::new();
+        let mut at = 0;
+        while at + 24 <= bytes.len() {
+            if (word(bytes, at), word(bytes, at + 8), word(bytes, at + 16)) == (n, n, nn) {
+                if fields.is_empty() {
+                    fields.push(at - 8);
+                }
+                fields.extend([at, at + 8, at + 16]);
+                at += 24 + 8 * nao * nao;
+                ends.push(at);
+            } else {
+                at += 1;
+            }
+        }
+        assert!(ends.len() >= 5, "density, J, K, C and a DIIS pair at least");
+        fields.extend([ends[0] + 8, *ends.last().unwrap()]);
+        fields
+    }
+
+    /// Every strict prefix of `bytes`, and `bytes` with each length field
+    /// overwritten by a wrong value, must be refused with a typed error.
+    fn assert_hostile_streams_rejected(
+        what: &str,
+        bytes: &[u8],
+        length_fields: &[usize],
+        decode: &dyn Fn(&[u8]) -> Result<(), liair_math::codec::CodecError>,
+    ) {
+        decode(bytes).unwrap_or_else(|e| panic!("{what}: the untouched stream failed: {e}"));
+        for cut in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "{what}: prefix {cut} decoded"
+            );
+        }
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        assert!(decode(&longer).is_err(), "{what}: trailing byte accepted");
+        for &at in length_fields {
+            let v = word(bytes, at);
+            for bad in [0, v.wrapping_sub(1), v + 1, bytes.len() as u64, u64::MAX] {
+                if bad == v {
+                    continue;
+                }
+                let mut hostile = bytes.to_vec();
+                hostile[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert!(
+                    decode(&hostile).is_err(),
+                    "{what}: length {v} at byte {at} overwritten with {bad} decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_checkpoints_are_typed_errors_never_panics() {
+        let preempt = Disruption::Preempt { at_step: 3 };
+        let checkpoint = |spec: &JobSpec| match run_job(spec, None, 1, None) {
+            Attempt::Preempted(ck) => ck,
+            _ => panic!("expected a preempted attempt"),
+        };
+        let md_decode = |b: &[u8]| MdCheckpoint::from_bytes(b).map(|_| ());
+
+        let JobCheckpoint::Scf(scf) = checkpoint(&scf_spec(preempt)) else {
+            panic!("SCF jobs checkpoint SCF sessions");
+        };
+        let mol = ScfSystem::LiH.molecule();
+        let basis = Basis::sto3g(&mol);
+        let resume =
+            |b: &[u8]| ScfSession::resume(&mol, &basis, &ScfCheckpoint { bytes: b.into() });
+        assert_hostile_streams_rejected(
+            "scf",
+            &scf.bytes,
+            &scf_length_fields(&scf.bytes, basis.nao()),
+            &|b| resume(b).map(|_| ()),
+        );
+        assert_eq!(resume(&scf.bytes).unwrap().checkpoint(), scf);
+
+        let JobCheckpoint::Md(md) = checkpoint(&md_spec(preempt)) else {
+            panic!("MD jobs checkpoint MD states");
+        };
+        assert_hostile_streams_rejected("md", &md, &md_length_fields(&md), &md_decode);
+        assert_eq!(MdCheckpoint::from_bytes(&md).unwrap().to_bytes(), md);
+
+        let JobCheckpoint::Solvation(solv) = checkpoint(&solvation_spec(preempt)) else {
+            panic!("solvation jobs checkpoint solvation runs");
+        };
+        let md = &solv.md;
+        assert_hostile_streams_rejected("solvation", md, &md_length_fields(md), &md_decode);
+        assert_eq!(&MdCheckpoint::from_bytes(md).unwrap().to_bytes(), md);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 2. admitted jobs wait in the **aged priority queue** ([`crate::sched`]);
 //! 3. the scheduler dispatches the best *leasable* job — the head job
 //!    waits for its rank slice while smaller jobs backfill around it —
-//!    attaching a [`RankLease`] that travels with the work item and
+//!    attaching a [`liair_runtime::RankLease`] that travels with the work item and
 //!    returns its ranks on drop, even if the worker panics;
 //! 4. workers run attempts through [`crate::runner`]; preempted/faulted
 //!    attempts come back with a checkpoint and are **requeued** (keeping

@@ -2,7 +2,7 @@
 
 use liair::bgq::Torus5D;
 use liair::core::{assign_pairs, build_pair_list, BalanceStrategy, OrbitalInfo};
-use liair::grid::{CoulombKernel, PoissonSolver, RealGrid};
+use liair::grid::{CoulombKernel, PoissonSolver, PoissonWorkspace, RealGrid};
 use liair::prelude::*;
 use proptest::prelude::*;
 
@@ -80,9 +80,10 @@ proptest! {
         let a: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
         let b: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
         let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + 2.0 * y).collect();
-        let va = solver.solve(&a);
-        let vb = solver.solve(&b);
-        let vs = solver.solve(&sum);
+        let mut ws = PoissonWorkspace::new();
+        let va = solver.solve_into(&a, &mut ws).to_vec();
+        let vb = solver.solve_into(&b, &mut ws).to_vec();
+        let vs = solver.solve_into(&sum, &mut ws);
         for i in (0..grid.len()).step_by(41) {
             prop_assert!((vs[i] - (va[i] + 2.0 * vb[i])).abs() < 1e-10);
         }
@@ -98,7 +99,7 @@ proptest! {
         let solver = PoissonSolver::isolated(grid);
         let mut rng = liair::math::rng::SplitMix64::new(seed);
         let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-        let (e, _) = solver.exchange_pair(&rho);
+        let e = solver.exchange_pair_energy(&rho, &mut PoissonWorkspace::new());
         prop_assert!(e >= -1e-10);
     }
 
