@@ -168,11 +168,11 @@ pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
         use liair_grid::{PoissonSolver, PoissonWorkspace, RealGrid};
         use liair_math::Vec3;
         let l = 24.0;
-        // Keep the full grid a power of two so both paths use the radix-2
-        // FFT, and run both through the same kernel (the energy-only
-        // `exchange_pair_energy`, warm workspace) — the comparison
-        // isolates the representation, not the transform algorithm or
-        // the entry point.
+        // Keep the full grid a power of two, like the patch, so both paths
+        // run the same radix-4/2 passes, and run both through the same
+        // kernel (the energy-only `exchange_pair_energy`, warm workspace)
+        // — the comparison isolates the representation, not the transform
+        // algorithm or the entry point.
         let n_full = 64;
         let parent = RealGrid::cubic(liair_basis::Cell::cubic(l), n_full);
         let mk = |center: Vec3| -> Vec<f64> {

@@ -157,36 +157,39 @@ fn warm_serial_engine_build_is_allocation_free() {
     // The strongest steady-state claim: with a caller-owned
     // [`EngineScratch`] already grown to the working size, a full serial
     // exchange build through the engine performs *zero* heap allocations —
-    // no per-pair, no per-build.
+    // no per-pair, no per-build. 24³ and 48³ are the mixed-radix sizes the
+    // benchmark builds on.
     let _guard = SERIAL.lock().unwrap();
-    let grid = RealGrid::cubic(Cell::cubic(10.0), 24);
-    let solver = PoissonSolver::isolated(grid);
-    let mut rng = SplitMix64::new(11);
-    let orbitals: Vec<Vec<f64>> = (0..4)
-        .map(|_| (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect())
-        .collect();
-    let pairs = pair_list(4, 10);
-    let engine = ExchangeEngine::builder(&grid, &solver)
-        .backend(ExecBackend::Serial)
-        .build()
-        .expect("serial engine configuration is always valid");
-    let mut scratch = EngineScratch::new();
+    for n in [24usize, 48] {
+        let grid = RealGrid::cubic(Cell::cubic(10.0), n);
+        let solver = PoissonSolver::isolated(grid);
+        let mut rng = SplitMix64::new(11);
+        let orbitals: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect())
+            .collect();
+        let pairs = pair_list(4, 10);
+        let engine = ExchangeEngine::builder(&grid, &solver)
+            .backend(ExecBackend::Serial)
+            .build()
+            .expect("serial engine configuration is always valid");
+        let mut scratch = EngineScratch::new();
 
-    // Warm-up: grows the scratch, primes FFT plans and kernel tables.
-    let warm = engine.energy_into(&orbitals, &pairs, &mut scratch);
-    assert!(warm.energy.is_finite());
-    assert!(warm.profile.is_populated());
+        // Warm-up: grows the scratch, primes FFT plans and kernel tables.
+        let warm = engine.energy_into(&orbitals, &pairs, &mut scratch);
+        assert!(warm.energy.is_finite());
+        assert!(warm.profile.is_populated());
 
-    let before = alloc_count();
-    let r = engine.energy_into(&orbitals, &pairs, &mut scratch);
-    let delta = alloc_count() - before;
-    assert_eq!(
-        r.energy, warm.energy,
-        "steady-state rebuild changed the energy"
-    );
-    assert_eq!(r.profile.steady_allocs, 0, "engine reported scratch growth");
-    assert_eq!(
-        delta, 0,
-        "warm serial engine build performed {delta} heap allocations"
-    );
+        let before = alloc_count();
+        let r = engine.energy_into(&orbitals, &pairs, &mut scratch);
+        let delta = alloc_count() - before;
+        assert_eq!(
+            r.energy, warm.energy,
+            "{n}³: steady-state rebuild changed the energy"
+        );
+        assert_eq!(r.profile.steady_allocs, 0, "engine reported scratch growth");
+        assert_eq!(
+            delta, 0,
+            "{n}³: warm serial engine build performed {delta} heap allocations"
+        );
+    }
 }

@@ -39,9 +39,10 @@ pub struct Patch {
 impl Patch {
     /// Plan a patch of at least `extent³` parent-spacing points whose
     /// *center* lands nearest to `center`. The extent is rounded up to the
-    /// next power of two (the radix-2 FFT fast path — a non-power-of-two
-    /// patch would fall into the ~4× slower Bluestein transform and waste
-    /// the compact representation's advantage) and clamped to the parent.
+    /// next power of two and clamped to the parent. The rounding is no
+    /// longer about transform speed (every 2ᵃ3ᵇ5ᶜ extent runs mixed-radix
+    /// passes): the margin it adds is part of the patched path's measured
+    /// accuracy bounds.
     pub fn plan(parent: &RealGrid, center: Vec3, extent: usize) -> Patch {
         let (nx, ny, nz) = parent.dims;
         assert_eq!(nx, ny, "patches require cubic parent grids");

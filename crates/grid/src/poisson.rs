@@ -33,7 +33,7 @@
 //! An interaction energy `∬ ρ₁ ρ₂' v_C` is `grid.inner(ρ₁, solve_into(ρ₂))`.
 
 use crate::grid::RealGrid;
-use liair_math::rfft::{half_len, irfft3_into, rfft3_into, rfft3_into_with};
+use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
 use liair_math::simd::{self, SimdLevel};
 use liair_math::Complex64;
 use std::f64::consts::PI;
@@ -227,7 +227,8 @@ impl PoissonSolver {
         self.exchange_pair_energy_with(simd::level(), rho_ij, ws)
     }
 
-    /// [`Self::exchange_pair_energy`] at an explicit SIMD level.
+    /// [`Self::exchange_pair_energy`] with the Parseval contraction at an
+    /// explicit SIMD level (the transform does not depend on one).
     pub fn exchange_pair_energy_with(
         &self,
         level: SimdLevel,
@@ -237,7 +238,7 @@ impl PoissonSolver {
         assert_eq!(rho_ij.len(), self.grid.len());
         ws.ensure_half(self.grid.dims);
         let t0 = std::time::Instant::now();
-        rfft3_into_with(level, rho_ij, self.grid.dims, &mut ws.half);
+        rfft3_into(rho_ij, self.grid.dims, &mut ws.half);
         let t1 = std::time::Instant::now();
         // The double-count weight is pre-folded into the table (exactly, as
         // ×1/×2), so the whole Parseval sum is one flat contraction.
@@ -426,8 +427,9 @@ mod tests {
 
     #[test]
     fn energy_only_path_matches_c2c_reference() {
-        // 16³ runs pure radix-2 lines, 18³ the Bluestein fallback.
-        for n in [16usize, 18] {
+        // 16³ runs radix-4 passes alone, 18³ and 24³ mixed radices, 14³
+        // the Bluestein fallback (a prime factor 7).
+        for n in [16usize, 18, 24, 14] {
             let grid = RealGrid::cubic(Cell::cubic(10.0), n);
             let kernel = CoulombKernel::SphericalCutoff(grid.cell.min_half_edge());
             let solver = PoissonSolver::new(grid, kernel);

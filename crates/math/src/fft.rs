@@ -1,12 +1,12 @@
 //! 1-D complex FFTs (convenience entry points).
 //!
 //! These free functions delegate to the process-wide plan cache in
-//! [`crate::plan`]: the first transform of a given length builds twiddle
-//! tables, the bit-reversal permutation, and (for non-power-of-two lengths)
-//! the Bluestein chirp plus its precomputed forward spectrum; every later
-//! call reuses them. Hot loops that transform many same-length lines should
-//! fetch the plan once with [`crate::plan::plan`] and call it directly to
-//! skip the per-call cache lookup.
+//! [`crate::plan`]: the first transform of a given length builds its pass
+//! twiddles — mixed-radix (4, 2, 3, 5) Stockham passes for `2ᵃ3ᵇ5ᶜ`
+//! lengths, the Bluestein chirp plus its precomputed spectrum for lengths
+//! with a prime factor ≥ 7 — and every later call reuses them. Hot loops
+//! should fetch the plan once with [`crate::plan::plan`], and hand it
+//! many pencils at a time ([`crate::plan::FftPlan::fft_rows`]).
 //!
 //! Convention: [`fft`] is unnormalized, [`ifft`] applies the `1/n` factor,
 //! so `ifft(fft(x)) == x`.

@@ -1,31 +1,76 @@
-//! Threaded 3-D complex FFTs over [`Array3`] grids.
+//! 3-D complex FFTs over [`Array3`] grids, and the axis routine every 3-D
+//! transform in the crate runs.
 //!
-//! The transform is applied axis by axis:
+//! A 3-D transform is three sweeps of `axis`, one per dimension. A sweep
+//! views the array as `[outer][n][inner]` and hands the plan **rows**: an
+//! `[n][inner]` slab that is small enough is transformed where it lies (the
+//! `y` axis: each `x`-slab is `ny` rows of `nz` values); a wider one (the
+//! `x` axis, whose rows are whole planes) goes block by block — about
+//! `BLOCK_ELEMS / n` columns are copied as contiguous runs into the
+//! thread-local work space, transformed there so every pass stays in cache,
+//! and copied back. No pencil is ever gathered on its own; the contiguous
+//! `z` axis of the c2c transform is the `inner = 1` case.
 //!
-//! * the `z` axis is contiguous in memory, so rows are transformed in place
-//!   (one rayon task per batch of rows);
-//! * the `y` axis is handled per `x`-slab — each slab is a disjoint `&mut`
-//!   chunk, gathered into a thread-local scratch line;
-//! * the `x` axis is the long stride: the array is transposed into an
-//!   `(ny·nz) × nx` row-major scratch, rows transformed, and transposed back.
-//!
-//! This mirrors the node-local threaded FFT the paper runs with 64 hardware
-//! threads per BG/Q node; here the threading is rayon. It is the only
-//! threaded 3-D driver in the crate, and it stays for two callers: one
-//! whole-grid transform at a time with nothing else to parallelize over
-//! (`liair-xc`'s spectral density gradient), and the tests of
-//! [`crate::rfft`] and `liair-grid`, which use the c2c result as the
-//! oracle for the r2c path. The per-pair exchange loop, where each task
-//! owns one whole transform and must not allocate or nest parallelism,
-//! runs the serial r2c path of [`crate::rfft`] instead.
-//!
-//! Plans are fetched once per axis from the process-wide cache.
+//! [`fft3`]/[`ifft3`] serve one whole-grid transform at a time
+//! (`liair-xc`'s spectral density gradient) and are the oracle the tests of
+//! [`crate::rfft`] and `liair-grid` hold the r2c path against. The per-pair
+//! exchange loop runs [`crate::rfft`], which shares `axis` for `y` and
+//! `x`. Everything runs on the calling thread.
 
 use crate::array3::Array3;
 use crate::complex::Complex64;
-use crate::plan::plan;
-use crate::simd;
-use rayon::prelude::*;
+use crate::plan::{plan, with_scratch, FftPlan};
+
+/// Target size, in complex values, of one block of rows (128 KiB: the
+/// block and its two work buffers stay in L2). Measured on 16³–64³, longer
+/// runs beat a smaller footprint up to here.
+const BLOCK_ELEMS: usize = 8192;
+
+/// Columns per block when `inner` pencils of length `n` are transformed:
+/// all of them if they fit [`BLOCK_ELEMS`], else an even split.
+pub(crate) fn block_width(n: usize, inner: usize) -> usize {
+    let cap = (BLOCK_ELEMS / n).max(1);
+    inner.div_ceil(inner.div_ceil(cap))
+}
+
+/// Work space [`axis`] needs for `plan` over `inner` columns.
+pub(crate) fn axis_work_len(plan: &FftPlan, inner: usize) -> usize {
+    let bw = block_width(plan.len(), inner);
+    let block = if bw == inner { 0 } else { plan.len() * bw };
+    block + plan.work_len(bw)
+}
+
+/// Transform (and scale) every length-`n` pencil of `data` viewed as
+/// `[outer][n][inner]`, `n = plan.len()`.
+pub(crate) fn axis(
+    plan: &FftPlan,
+    inverse: bool,
+    scale: f64,
+    data: &mut [Complex64],
+    inner: usize,
+    work: &mut [Complex64],
+) {
+    let n = plan.len();
+    let bw = block_width(n, inner);
+    for slab in data.chunks_exact_mut(n * inner) {
+        if bw == inner {
+            plan.rows(inverse, scale, slab, inner, work);
+            continue;
+        }
+        let (block, work) = work.split_at_mut(n * bw);
+        for c0 in (0..inner).step_by(bw) {
+            let w = bw.min(inner - c0);
+            let block = &mut block[..n * w];
+            for (run, row) in block.chunks_exact_mut(w).zip(slab[c0..].chunks(inner)) {
+                run.copy_from_slice(&row[..w]);
+            }
+            plan.rows(inverse, scale, block, w, work);
+            for (run, row) in block.chunks_exact(w).zip(slab[c0..].chunks_mut(inner)) {
+                row[..w].copy_from_slice(run);
+            }
+        }
+    }
+}
 
 /// Forward 3-D FFT, unnormalized.
 pub fn fft3(a: &mut Array3<Complex64>) {
@@ -39,67 +84,15 @@ pub fn ifft3(a: &mut Array3<Complex64>) {
 
 fn transform3(a: &mut Array3<Complex64>, inverse: bool) {
     let (nx, ny, nz) = a.dims();
-    // One cache lookup per axis, not one per line; one SIMD-level resolve.
-    let (px, py, pz) = (plan(nx), plan(ny), plan(nz));
-    let level = simd::level();
-
-    // --- z axis: contiguous rows ---
-    {
-        let pz = &pz;
-        a.as_mut_slice()
-            .par_chunks_mut(nz)
-            .for_each(|row| pz.line(level, inverse, row));
-    }
-
-    // --- y axis: per-x slab, strided by nz ---
-    {
-        let py = &py;
-        a.as_mut_slice().par_chunks_mut(ny * nz).for_each_init(
-            || vec![Complex64::ZERO; ny],
-            |scratch, slab| {
-                for iz in 0..nz {
-                    for iy in 0..ny {
-                        scratch[iy] = slab[iy * nz + iz];
-                    }
-                    py.line(level, inverse, scratch);
-                    for iy in 0..ny {
-                        slab[iy * nz + iz] = scratch[iy];
-                    }
-                }
-            },
-        );
-    }
-
-    // --- x axis: transpose to (ny·nz) × nx, transform rows, transpose back ---
-    if nx > 1 {
-        let plane = ny * nz;
-        let mut t = vec![Complex64::ZERO; nx * plane];
-        {
-            let src = a.as_slice();
-            t.par_chunks_mut(nx).enumerate().for_each(|(p, row)| {
-                for (ix, v) in row.iter_mut().enumerate() {
-                    *v = src[ix * plane + p];
-                }
-            });
+    // One cache lookup per axis, not one per slab.
+    let axes = [(plan(nz), 1), (plan(ny), nz), (plan(nx), ny * nz)];
+    let need = axes.iter().map(|(p, inner)| axis_work_len(p, *inner)).max();
+    with_scratch(need.unwrap_or(0), |work| {
+        for (p, inner) in &axes {
+            let scale = if inverse { 1.0 / p.len() as f64 } else { 1.0 };
+            axis(p, inverse, scale, a.as_mut_slice(), *inner, work);
         }
-        {
-            let px = &px;
-            t.par_chunks_mut(nx)
-                .for_each(|row| px.line(level, inverse, row));
-        }
-        {
-            let dst = a.as_mut_slice();
-            // Scatter back: parallelize over x-slabs of the destination so
-            // each task writes a disjoint chunk.
-            dst.par_chunks_mut(plane)
-                .enumerate()
-                .for_each(|(ix, slab)| {
-                    for (p, v) in slab.iter_mut().enumerate() {
-                        *v = t[p * nx + ix];
-                    }
-                });
-        }
-    }
+    });
 }
 
 /// Convert a real field into a complex work array.

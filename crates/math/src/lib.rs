@@ -3,18 +3,19 @@
 //! Self-contained numerical kernels used throughout the `liair` workspace:
 //!
 //! * [`Complex64`] — a minimal complex number type (no external dependency).
-//! * [`fft`] — 1-D complex FFTs (iterative radix-2 plus a Bluestein fallback
-//!   for arbitrary lengths) and [`fft3`] — threaded 3-D transforms used by the
-//!   pair-Poisson exact-exchange kernel. [`plan`] holds the process-wide
-//!   FFT plan cache (twiddles, bit-reversal, Bluestein chirp spectra) and
-//!   [`rfft`] the real-input r2c/c2r fast path storing only the Hermitian
-//!   half-spectrum.
+//! * [`plan`] — the FFT engine and its process-wide, bounded plan cache:
+//!   mixed-radix (4, 2, 3, 5) Stockham passes over *rows of pencils* (a
+//!   Bluestein fallback covers lengths with a prime factor ≥ 7). [`fft`]
+//!   holds the 1-D entry points and the naive-DFT oracle, [`fft3`] the 3-D
+//!   complex transforms and the one axis routine, and [`rfft`] the
+//!   real-input r2c/c2r path of the pair-Poisson exact-exchange kernel,
+//!   storing only the Hermitian half-spectrum.
 //! * [`linalg`] — dense real linear algebra: symmetric Jacobi eigensolver,
 //!   LU solves, and matrix products sized for quantum-chemistry workloads.
 //! * [`special`] — the Boys function (the workhorse of Gaussian integral
 //!   evaluation), `erf`, incomplete gamma functions and factorial tables.
-//! * [`simd`] — runtime-dispatched vector kernels (AVX2+FMA with a chunked
-//!   scalar fallback) for the exchange hot loops: butterfly passes, kernel
+//! * [`simd`] — runtime-dispatched vector kernels (AVX2+FMA with a scalar
+//!   fallback) for the exchange hot loops around the transform: kernel
 //!   multiplies, energy contractions, pair-density products and axpy.
 //! * [`quadrature`] — Gauss–Legendre nodes/weights.
 //! * [`stats`] — small statistics helpers used by the benchmark harness.

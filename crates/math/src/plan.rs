@@ -1,48 +1,75 @@
-//! Planned 1-D FFTs with a process-wide plan cache.
+//! Planned 1-D FFTs over rows of pencils, with a process-wide plan cache.
 //!
-//! The seed implementation rebuilt the twiddle table `e^{±2πik/n}` on every
-//! 1-D call — `O(n²)` table traffic per 3-D grid since `fft3` issues one
-//! line transform per row. An [`FftPlan`] hoists everything that depends
-//! only on the length out of the transform:
+//! An [`FftPlan`] of length `n` transforms `n` **rows** of `row_len`
+//! contiguous complex values — `row_len` independent pencils at once, one
+//! broadcast twiddle per butterfly, every load and store a contiguous run.
+//! That is the shape the strided axes of a 3-D grid already have (an
+//! `x`-slab is `ny` rows of `nz` values), so the 3-D drivers stream
+//! instead of gathering one pencil at a time; a single pencil is the
+//! `row_len = 1` case.
 //!
-//! * the forward/inverse twiddle tables,
-//! * the bit-reversal permutation (power-of-two lengths),
-//! * for Bluestein lengths: the chirp sequence **and its forward FFT**
-//!   (the seed re-FFT'd the chirp on every non-power-of-two call — two of
-//!   the three `m`-point transforms per call were pure overhead).
+//! * Lengths `2ᵃ3ᵇ5ᶜ` run **mixed-radix (4, 2, 3, 5) Stockham autosort
+//!   passes**: each pass reads one buffer and writes the other in the order
+//!   the next pass wants, so there is no bit-reversal and no in-place
+//!   scatter. Both directions share the kernels (a const-generic conjugate),
+//!   and a caller's `1/n` rides on the last pass, which has no twiddles.
+//! * Lengths with a prime factor ≥ 7 fall back to Bluestein's chirp-z on a
+//!   power-of-two plan of the same kind; the chirp and its spectrum (with
+//!   the convolution's `1/m` folded in) are part of the cached plan.
+//! * Every plan also carries the untangle twiddles that make it the packed
+//!   half of a real transform of length `2n` ([`crate::rfft`]), so real
+//!   transforms have no plan type and no cache of their own.
+//!
+//! A pencil's result depends only on the pencil: the same operations run in
+//! the same order whatever `row_len`, column or block it is transformed in
+//! (tested bit for bit), which is what the cross-backend bit-identity of
+//! the exchange engine rests on. No kernel here branches on a SIMD level.
 //!
 //! Plans are cached process-wide in [`plan`] keyed by length, so the first
 //! transform of a given size pays the setup and every later one (any
-//! thread) reuses it — the serial analogue of FFTW-style planning the
-//! BG/Q paper leans on for its node kernel. The cache is **bounded**: a
-//! multi-tenant serve process sees many distinct grid sizes over its
-//! lifetime, so beyond [`DEFAULT_PLAN_CACHE_CAPACITY`] entries the
-//! least-recently used plan is evicted (in-flight `Arc`s keep evicted
-//! plans alive until their last user drops them — eviction only forgets,
-//! it never invalidates). [`plan_cache_stats`] exposes hit/miss/eviction counters
-//! for regression tests, the engine's `BuildProfile`, and perf triage.
+//! thread) reuses it. The cache is **bounded**: a multi-tenant serve
+//! process sees many distinct grid sizes over its lifetime, so beyond
+//! [`DEFAULT_PLAN_CACHE_CAPACITY`] entries the least-recently used plan is
+//! evicted (in-flight `Arc`s keep evicted plans alive until their last user
+//! drops them — eviction only forgets, it never invalidates).
+//! [`plan_cache_stats`] exposes hit/miss/eviction counters for regression
+//! tests, the engine's `BuildProfile`, and perf triage.
 //!
-//! Steady-state transforms are allocation-free: the Bluestein convolution
-//! scratch lives in a grow-only thread local.
+//! Steady-state transforms are allocation-free: all work space is one
+//! grow-only thread-local buffer.
 
 use crate::complex::Complex64;
-use crate::simd::{self, SimdLevel};
+use std::array;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::f64::consts::PI;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A planned 1-D transform of fixed length.
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
-    /// `e^{-2πik/n}` for `k < n/2` (forward sign).
-    tw_fwd: Vec<Complex64>,
-    /// `e^{+2πik/n}` for `k < n/2`.
-    tw_inv: Vec<Complex64>,
-    /// Bit-reversal permutation; empty unless `n` is a power of two.
-    bitrev: Vec<u32>,
-    /// Chirp-z machinery for non-power-of-two lengths.
+    /// Stockham passes in execution order (empty for `n = 1` and for
+    /// Bluestein lengths).
+    passes: Vec<Pass>,
+    /// Forward twiddles of every pass, concatenated (`Pass::tw` indexes in).
+    twiddles: Vec<Complex64>,
+    /// `e^{-2πik/2n}` for `k ≤ n`: the r2c untangle twiddles of the real
+    /// transform of length `2n` this plan is the packed half of.
+    untangle: Vec<Complex64>,
+    /// Chirp-z machinery for lengths with a prime factor ≥ 7.
     bluestein: Option<Bluestein>,
+}
+
+/// One radix-`radix` Stockham pass over a sub-transform of length
+/// `radix·m`.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    radix: usize,
+    m: usize,
+    /// Offset of this pass's `m·(radix−1)` twiddles `w^{p·j}` (`p < m`,
+    /// `1 ≤ j < radix`, `w = e^{-2πi/(radix·m)}`).
+    tw: usize,
 }
 
 #[derive(Debug)]
@@ -51,78 +78,78 @@ struct Bluestein {
     m: usize,
     /// Forward chirp `e^{-iπ j²/n}` (inverse uses the conjugate).
     chirp: Vec<Complex64>,
-    /// FFT_m of the wrapped conjugate chirp (forward transforms).
-    spec_fwd: Vec<Complex64>,
-    /// FFT_m of the wrapped chirp (inverse transforms).
-    spec_inv: Vec<Complex64>,
-    /// The power-of-two sub-plan driving the cyclic convolution.
+    /// `FFT_m` of the wrapped conjugate chirp, times `1/m`; the inverse
+    /// transform's spectrum is its conjugate (the wrapped chirp is even).
+    spec: Vec<Complex64>,
+    /// The power-of-two plan driving the cyclic convolution.
     sub: Arc<FftPlan>,
 }
 
 thread_local! {
-    /// Grow-only Bluestein convolution scratch (per thread, reused across
-    /// calls — zero allocations once warmed up).
-    static CONV_SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
+    /// Grow-only transform work space (per thread, reused across calls —
+    /// zero allocations once warmed up).
+    static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on `len` elements of this thread's grow-only FFT work space.
+/// Not re-entrant: `f` must not transform through another `with_scratch`.
+pub(crate) fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [Complex64]) -> T) -> T {
+    SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, Complex64::ZERO);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// `n` as a product of radices 4, 2, 3, 5 (at most one 2), or `None` when
+/// a prime factor ≥ 7 is left over.
+fn radices(mut n: usize) -> Option<Vec<usize>> {
+    let mut out = Vec::new();
+    for r in [4, 2, 3, 5] {
+        while n.is_multiple_of(r) {
+            out.push(r);
+            n /= r;
+        }
+    }
+    (n == 1).then_some(out)
 }
 
 impl FftPlan {
     fn build(n: usize) -> FftPlan {
         assert!(n >= 1, "FFT length must be positive");
-        let tw_fwd = twiddle_table(n, false);
-        let tw_inv = twiddle_table(n, true);
-        if n.is_power_of_two() {
-            let shift = usize::BITS - n.trailing_zeros();
-            let bitrev = if n > 1 {
-                (0..n).map(|i| (i.reverse_bits() >> shift) as u32).collect()
-            } else {
-                Vec::new()
-            };
-            return FftPlan {
-                n,
-                tw_fwd,
-                tw_inv,
-                bitrev,
-                bluestein: None,
-            };
-        }
-        // Bluestein setup. Quadratic phase reduced mod 2n to preserve
-        // precision at large indices.
-        let chirp: Vec<Complex64> = (0..n)
-            .map(|j| {
-                let jsq = (j as u128 * j as u128 % (2 * n as u128)) as f64;
-                Complex64::cis(-std::f64::consts::PI * jsq / n as f64)
-            })
+        let untangle = (0..=n)
+            .map(|k| Complex64::cis(-PI * k as f64 / n as f64))
             .collect();
-        let m = (2 * n - 1).next_power_of_two();
-        let sub = plan(m);
-        let mut b_fwd = vec![Complex64::ZERO; m];
-        let mut b_inv = vec![Complex64::ZERO; m];
-        for j in 0..n {
-            b_fwd[j] = chirp[j].conj();
-            b_inv[j] = chirp[j];
-            if j > 0 {
-                b_fwd[m - j] = chirp[j].conj();
-                b_inv[m - j] = chirp[j];
-            }
-        }
-        // Chirp spectra are part of the cached plan: build them at the Off
-        // level so the plan is identical no matter which level built it
-        // (levels are bit-identical anyway; this makes it true by fiat).
-        sub.pow2_transform(SimdLevel::Off, &mut b_fwd, false);
-        sub.pow2_transform(SimdLevel::Off, &mut b_inv, false);
-        FftPlan {
+        let mut plan = FftPlan {
             n,
-            tw_fwd,
-            tw_inv,
-            bitrev: Vec::new(),
-            bluestein: Some(Bluestein {
+            passes: Vec::new(),
+            twiddles: Vec::new(),
+            untangle,
+            bluestein: None,
+        };
+        let Some(radices) = radices(n) else {
+            plan.bluestein = Some(Bluestein::build(n));
+            return plan;
+        };
+        let mut len = n;
+        for radix in radices {
+            let m = len / radix;
+            plan.passes.push(Pass {
+                radix,
                 m,
-                chirp,
-                spec_fwd: b_fwd,
-                spec_inv: b_inv,
-                sub,
-            }),
+                tw: plan.twiddles.len(),
+            });
+            let step = -2.0 * PI / len as f64;
+            for p in 0..m {
+                for j in 1..radix {
+                    plan.twiddles.push(Complex64::cis(step * (p * j) as f64));
+                }
+            }
+            len = m;
         }
+        plan
     }
 
     /// The transform length this plan was built for.
@@ -135,120 +162,309 @@ impl FftPlan {
         self.n == 1
     }
 
-    /// In-place forward DFT `X_k = Σ_j x_j e^{-2πijk/n}` (unnormalized).
-    pub fn fft(&self, data: &mut [Complex64]) {
-        self.fft_with(simd::level(), data);
+    /// `true` when this length runs Bluestein's chirp-z (a prime factor
+    /// ≥ 7) instead of mixed-radix passes.
+    pub fn is_bluestein(&self) -> bool {
+        self.bluestein.is_some()
     }
 
-    /// [`FftPlan::fft`] at an explicit SIMD level.
-    pub fn fft_with(&self, level: SimdLevel, data: &mut [Complex64]) {
-        self.transform(level, data, false);
+    /// In-place forward DFT `X_k = Σ_j x_j e^{-2πijk/n}` (unnormalized).
+    pub fn fft(&self, data: &mut [Complex64]) {
+        self.fft_rows(data, 1);
     }
 
     /// In-place inverse DFT with `1/n` normalization.
     pub fn ifft(&self, data: &mut [Complex64]) {
-        self.ifft_with(simd::level(), data);
+        self.ifft_rows(data, 1);
     }
 
-    /// [`FftPlan::ifft`] at an explicit SIMD level.
-    pub fn ifft_with(&self, level: SimdLevel, data: &mut [Complex64]) {
-        self.transform(level, data, true);
-        simd::scale_complex_with(level, data, 1.0 / self.n as f64);
-    }
-
-    /// [`FftPlan::fft_with`] or [`FftPlan::ifft_with`] by flag — one line
-    /// of a 3-D axis loop, which runs both directions.
-    #[inline]
-    pub(crate) fn line(&self, level: SimdLevel, inverse: bool, data: &mut [Complex64]) {
-        if inverse {
-            self.ifft_with(level, data);
-        } else {
-            self.fft_with(level, data);
-        }
-    }
-
-    fn transform(&self, level: SimdLevel, data: &mut [Complex64], inverse: bool) {
-        assert_eq!(data.len(), self.n, "data length does not match plan");
-        if self.n <= 1 {
-            return;
-        }
-        if self.bluestein.is_none() {
-            self.pow2_transform(level, data, inverse);
-        } else {
-            self.bluestein_transform(level, data, inverse);
-        }
-    }
-
-    /// Iterative radix-2 Cooley–Tukey using the cached permutation and
-    /// twiddles (`n` power of two). The butterfly passes dispatch through
-    /// [`simd::butterfly_pass_with`]; every level is bit-identical.
-    fn pow2_transform(&self, level: SimdLevel, data: &mut [Complex64], inverse: bool) {
-        let n = self.n;
-        debug_assert!(n.is_power_of_two() && data.len() == n);
-        for (i, &jr) in self.bitrev.iter().enumerate() {
-            let j = jr as usize;
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-        let tw = if inverse { &self.tw_inv } else { &self.tw_fwd };
-        let mut len = 2;
-        while len <= n {
-            simd::butterfly_pass_with(level, data, tw, len, n / len);
-            len *= 2;
-        }
-    }
-
-    /// Bluestein chirp-z via one cached-spectrum cyclic convolution: only
-    /// two `m`-point transforms per call (the seed needed three, plus two
-    /// fresh `m`-point buffers; here the single scratch is thread-local).
-    fn bluestein_transform(&self, level: SimdLevel, data: &mut [Complex64], inverse: bool) {
-        let bs = self.bluestein.as_ref().expect("bluestein plan");
-        CONV_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.len() < bs.m {
-                buf.resize(bs.m, Complex64::ZERO);
-            }
-            let a = &mut buf[..bs.m];
-            for j in 0..self.n {
-                let c = if inverse {
-                    bs.chirp[j].conj()
-                } else {
-                    bs.chirp[j]
-                };
-                a[j] = data[j] * c;
-            }
-            a[self.n..].fill(Complex64::ZERO);
-            bs.sub.pow2_transform(level, a, false);
-            let spec = if inverse { &bs.spec_inv } else { &bs.spec_fwd };
-            for (x, s) in a.iter_mut().zip(spec) {
-                *x *= *s;
-            }
-            bs.sub.pow2_transform(level, a, true);
-            let inv_m = 1.0 / bs.m as f64;
-            for k in 0..self.n {
-                let c = if inverse {
-                    bs.chirp[k].conj()
-                } else {
-                    bs.chirp[k]
-                };
-                data[k] = a[k].scale(inv_m) * c;
-            }
+    /// [`FftPlan::fft`] of `row_len` pencils at once: `data` is `n` rows of
+    /// `row_len` values and column `c` of every row is one pencil. Each
+    /// pencil's result is bit-identical to transforming it alone.
+    pub fn fft_rows(&self, data: &mut [Complex64], row_len: usize) {
+        with_scratch(self.work_len(row_len), |work| {
+            self.rows(false, 1.0, data, row_len, work)
         });
     }
+
+    /// [`FftPlan::ifft`] of `row_len` pencils at once (see
+    /// [`FftPlan::fft_rows`]).
+    pub fn ifft_rows(&self, data: &mut [Complex64], row_len: usize) {
+        with_scratch(self.work_len(row_len), |work| {
+            self.rows(true, 1.0 / self.n as f64, data, row_len, work)
+        });
+    }
+
+    /// The r2c untangle twiddles `e^{-2πik/2n}`, `k ≤ n`.
+    pub(crate) fn untangle(&self) -> &[Complex64] {
+        &self.untangle
+    }
+
+    /// Work space [`FftPlan::rows`] needs for rows of `row_len`.
+    pub(crate) fn work_len(&self, row_len: usize) -> usize {
+        match &self.bluestein {
+            None => 2 * self.n * row_len,
+            Some(bs) => bs.m * row_len + bs.sub.work_len(row_len),
+        }
+    }
+
+    /// Transform the `n` rows of `row_len` in `data` in place — forward, or
+    /// the unnormalized inverse — and multiply the result by `scale`.
+    /// `work` holds at least [`FftPlan::work_len`] elements.
+    pub(crate) fn rows(
+        &self,
+        inverse: bool,
+        scale: f64,
+        data: &mut [Complex64],
+        row_len: usize,
+        work: &mut [Complex64],
+    ) {
+        assert_eq!(data.len(), self.n * row_len, "data does not match plan");
+        let work = &mut work[..self.work_len(row_len)];
+        if let Some(bs) = &self.bluestein {
+            bs.rows(inverse, scale, data, row_len, work);
+        } else if self.passes.is_empty() {
+            if scale != 1.0 {
+                data.iter_mut().for_each(|z| *z = z.scale(scale));
+            }
+        } else if inverse {
+            self.stockham::<true>(scale, data, row_len, work);
+        } else {
+            self.stockham::<false>(scale, data, row_len, work);
+        }
+    }
+
+    /// The pass chain `data → a → b → … → data`: the first pass reads
+    /// `data`, the last writes it, the ones between ping-pong in `work`.
+    fn stockham<const INV: bool>(
+        &self,
+        scale: f64,
+        data: &mut [Complex64],
+        row_len: usize,
+        work: &mut [Complex64],
+    ) {
+        let (mut a, mut b) = work.split_at_mut(data.len());
+        let last = self.passes.len() - 1;
+        let mut l = row_len;
+        for (k, pass) in self.passes.iter().enumerate() {
+            let tw = &self.twiddles[pass.tw..];
+            match (k == 0, k == last) {
+                (true, true) => {
+                    a.copy_from_slice(data);
+                    pass.run::<INV>(a, data, l, tw, scale);
+                }
+                (true, false) => pass.run::<INV>(data, a, l, tw, 1.0),
+                (false, true) => pass.run::<INV>(a, data, l, tw, scale),
+                (false, false) => {
+                    pass.run::<INV>(a, b, l, tw, 1.0);
+                    std::mem::swap(&mut a, &mut b);
+                }
+            }
+            l *= pass.radix;
+        }
+    }
 }
 
-fn twiddle_table(n: usize, inverse: bool) -> Vec<Complex64> {
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let step = sign * 2.0 * std::f64::consts::PI / n as f64;
-    (0..n / 2)
-        .map(|k| Complex64::cis(step * k as f64))
-        .collect()
+impl Pass {
+    fn run<const INV: bool>(
+        &self,
+        src: &[Complex64],
+        dst: &mut [Complex64],
+        l: usize,
+        tw: &[Complex64],
+        scale: f64,
+    ) {
+        match self.radix {
+            2 => pass::<2, INV>(src, dst, self.m, l, tw, scale),
+            3 => pass::<3, INV>(src, dst, self.m, l, tw, scale),
+            4 => pass::<4, INV>(src, dst, self.m, l, tw, scale),
+            5 => pass::<5, INV>(src, dst, self.m, l, tw, scale),
+            r => unreachable!("radix {r} is never planned"),
+        }
+    }
 }
 
-/// Default bound on distinct cached lengths. A 3-D transform touches at
-/// most three lengths plus their Bluestein sub-lengths, so this comfortably
-/// covers dozens of concurrently active grid shapes.
+/// One decimation-in-frequency Stockham pass: for each `p < m`, the `R`
+/// input runs `src[(p + m·j)·l ..][..l]` are combined by a radix-`R`
+/// butterfly and written, twiddled by `w^{p·j}`, to the adjacent output
+/// runs `dst[(R·p + j)·l ..][..l]`. `l` is (product of earlier radices) ·
+/// `row_len`, so every run is contiguous and shares one twiddle. `scale`
+/// is applied on the twiddle-free `p = 0` runs — all of a last pass
+/// (`m = 1`), the only one handed a `scale ≠ 1`.
+fn pass<const R: usize, const INV: bool>(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    m: usize,
+    l: usize,
+    tw: &[Complex64],
+    scale: f64,
+) {
+    assert_eq!(src.len(), R * m * l);
+    assert_eq!(dst.len(), R * m * l);
+    for (p, out) in dst.chunks_exact_mut(R * l).enumerate() {
+        let ins: [&[Complex64]; R] = array::from_fn(|j| &src[(p + m * j) * l..][..l]);
+        let mut runs = out.chunks_exact_mut(l);
+        let outs: [&mut [Complex64]; R] = array::from_fn(|_| runs.next().expect("R output runs"));
+        if p > 0 {
+            let w: [Complex64; R] = array::from_fn(|j| match j {
+                0 => Complex64::ONE,
+                _ if INV => tw[p * (R - 1) + j - 1].conj(),
+                _ => tw[p * (R - 1) + j - 1],
+            });
+            butterflies::<R, INV>(ins, outs, |j, y| if j == 0 { y } else { y * w[j] });
+        } else if scale != 1.0 {
+            butterflies::<R, INV>(ins, outs, |_, y| y.scale(scale));
+        } else {
+            butterflies::<R, INV>(ins, outs, |_, y| y);
+        }
+    }
+}
+
+/// The inner loop of a pass: one butterfly per element of the runs, output
+/// `j` post-processed by `post(j, ·)`.
+#[inline(always)]
+fn butterflies<const R: usize, const INV: bool>(
+    ins: [&[Complex64]; R],
+    outs: [&mut [Complex64]; R],
+    post: impl Fn(usize, Complex64) -> Complex64,
+) {
+    for q in 0..ins[0].len() {
+        let y = butterfly::<R, INV>(array::from_fn(|j| ins[j][q]));
+        for j in 0..R {
+            outs[j][q] = post(j, y[j]);
+        }
+    }
+}
+
+/// The `R`-point DFT `y_k = Σ_j a_j e^{∓2πijk/R}` (`−` forward, `+`
+/// inverse), `R ∈ {2, 3, 4, 5}`.
+#[inline(always)]
+fn butterfly<const R: usize, const INV: bool>(a: [Complex64; R]) -> [Complex64; R] {
+    // Multiply by −i (forward) or +i (inverse): the only place the
+    // direction enters a butterfly.
+    let rot = |z: Complex64| {
+        if INV {
+            Complex64::new(-z.im, z.re)
+        } else {
+            Complex64::new(z.im, -z.re)
+        }
+    };
+    let mut y = [Complex64::ZERO; R];
+    match R {
+        2 => {
+            y[0] = a[0] + a[1];
+            y[1] = a[0] - a[1];
+        }
+        3 => {
+            const S3: f64 = 0.866_025_403_784_438_6; // sin(2π/3)
+            let t = a[1] + a[2];
+            let u = a[0] - t.scale(0.5);
+            let v = rot((a[1] - a[2]).scale(S3));
+            y[0] = a[0] + t;
+            y[1] = u + v;
+            y[2] = u - v;
+        }
+        4 => {
+            let (t0, t1) = (a[0] + a[2], a[0] - a[2]);
+            let (t2, t3) = (a[1] + a[3], rot(a[1] - a[3]));
+            y[0] = t0 + t2;
+            y[1] = t1 + t3;
+            y[2] = t0 - t2;
+            y[3] = t1 - t3;
+        }
+        5 => {
+            const C1: f64 = 0.309_016_994_374_947_45; // cos(2π/5)
+            const C2: f64 = -0.809_016_994_374_947_5; // cos(4π/5)
+            const S1: f64 = 0.951_056_516_295_153_5; // sin(2π/5)
+            const S2: f64 = 0.587_785_252_292_473_1; // sin(4π/5)
+            let (t1, t2) = (a[1] + a[4], a[2] + a[3]);
+            let (t3, t4) = (a[1] - a[4], a[2] - a[3]);
+            let m1 = a[0] + t1.scale(C1) + t2.scale(C2);
+            let m2 = a[0] + t1.scale(C2) + t2.scale(C1);
+            let n1 = rot(t3.scale(S1) + t4.scale(S2));
+            let n2 = rot(t3.scale(S2) - t4.scale(S1));
+            y[0] = a[0] + t1 + t2;
+            y[1] = m1 + n1;
+            y[2] = m2 + n2;
+            y[3] = m2 - n2;
+            y[4] = m1 - n1;
+        }
+        _ => unreachable!("radix {R} is never planned"),
+    }
+    y
+}
+
+impl Bluestein {
+    fn build(n: usize) -> Bluestein {
+        // Quadratic phase reduced mod 2n to preserve precision at large
+        // indices.
+        let chirp: Vec<Complex64> = (0..n)
+            .map(|j| {
+                let jsq = (j as u128 * j as u128 % (2 * n as u128)) as f64;
+                Complex64::cis(-PI * jsq / n as f64)
+            })
+            .collect();
+        let m = (2 * n - 1).next_power_of_two();
+        let sub = plan(m);
+        let mut spec = vec![Complex64::ZERO; m];
+        for j in 0..n {
+            spec[j] = chirp[j].conj();
+            spec[(m - j) % m] = chirp[j].conj();
+        }
+        let mut work = vec![Complex64::ZERO; sub.work_len(1)];
+        sub.rows(false, 1.0 / m as f64, &mut spec, 1, &mut work);
+        Bluestein {
+            m,
+            chirp,
+            spec,
+            sub,
+        }
+    }
+
+    /// Chirp-z as one cyclic convolution against the cached spectrum, all
+    /// `row_len` pencils at once: `work` is the `m` padded rows followed by
+    /// the sub-plan's own work space.
+    fn rows(
+        &self,
+        inverse: bool,
+        scale: f64,
+        data: &mut [Complex64],
+        row_len: usize,
+        work: &mut [Complex64],
+    ) {
+        let conj_if = |z: Complex64| if inverse { z.conj() } else { z };
+        let (a, sub_work) = work.split_at_mut(self.m * row_len);
+        let (head, pad) = a.split_at_mut(data.len());
+        let rows = head
+            .chunks_exact_mut(row_len)
+            .zip(data.chunks_exact(row_len));
+        for ((out, row), &c) in rows.zip(&self.chirp) {
+            let c = conj_if(c);
+            for (o, &x) in out.iter_mut().zip(row) {
+                *o = x * c;
+            }
+        }
+        pad.fill(Complex64::ZERO);
+        self.sub.rows(false, 1.0, a, row_len, sub_work);
+        for (row, &s) in a.chunks_exact_mut(row_len).zip(&self.spec) {
+            let s = conj_if(s);
+            row.iter_mut().for_each(|x| *x *= s);
+        }
+        self.sub.rows(true, 1.0, a, row_len, sub_work);
+        let rows = data.chunks_exact_mut(row_len).zip(a.chunks_exact(row_len));
+        for ((out, row), &c) in rows.zip(&self.chirp) {
+            let c = conj_if(c).scale(scale);
+            for (o, &x) in out.iter_mut().zip(row) {
+                *o = x * c;
+            }
+        }
+    }
+}
+
+/// Default bound on distinct cached lengths. A 3-D real transform touches
+/// at most four (three axes plus the packed `nz/2`), and a Bluestein length
+/// one more, so this comfortably covers a dozen concurrently active grid
+/// shapes.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 #[derive(Debug)]
@@ -396,34 +612,32 @@ mod tests {
             .collect()
     }
 
+    fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (*x - *y).abs())
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn planned_transform_matches_reference() {
         for &n in &[2usize, 7, 16, 48, 77, 96, 128] {
             let p = plan(n);
             let x = random_signal(n, n as u64);
-            let want = dft_reference(&x, false);
             let mut got = x.clone();
             p.fft(&mut got);
-            let err = got
-                .iter()
-                .zip(&want)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-8 * n as f64, "n={n}: err {err}");
+            let err = max_err(&got, &dft_reference(&x, false));
+            assert!(err < 1e-12 * n as f64, "n={n}: err {err}");
             p.ifft(&mut got);
-            let rt = got
-                .iter()
-                .zip(&x)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(rt < 1e-10, "n={n} roundtrip err {rt}");
+            let rt = max_err(&got, &x);
+            assert!(rt < 1e-13, "n={n} roundtrip err {rt}");
         }
     }
 
     #[test]
     fn repeated_odd_length_transforms_reuse_the_plan() {
         // Regression: the seed rebuilt the Bluestein chirp and re-FFT'd it
-        // on every odd-length call. With the cache, every lookup of the
+        // on every call of such a length. With the cache, every lookup of the
         // same length must return the *same* plan object.
         let first = plan(77);
         for _ in 0..10 {
@@ -502,10 +716,11 @@ mod tests {
     #[test]
     fn bluestein_spectrum_is_precomputed_once() {
         // The chirp spectrum lives in the plan: two transforms of the same
-        // odd length must not rebuild it (checked via pointer identity of
-        // the cached plan and by exactness of repeated results).
-        let p = plan(45);
-        let x = random_signal(45, 9);
+        // prime-factor-7 length must not rebuild it (checked by exactness
+        // of repeated results).
+        let p = plan(49);
+        assert!(p.is_bluestein());
+        let x = random_signal(49, 9);
         let mut a = x.clone();
         let mut b = x.clone();
         p.fft(&mut a);

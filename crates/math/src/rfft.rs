@@ -1,4 +1,4 @@
-//! Real-input FFTs (r2c / c2r), 1-D and 3-D.
+//! Real-input 3-D FFTs (r2c / c2r) over the Hermitian half-spectrum.
 //!
 //! The pair densities in the exchange kernel are real fields, so their
 //! spectra are Hermitian: `X(-k) = conj(X(k))`. Storing only the
@@ -7,191 +7,36 @@
 //! every later axis, which together buy roughly a 2× speedup of a full
 //! pair-Poisson solve versus the complex-to-complex path.
 //!
-//! * Even lengths use the classic pack-and-untangle trick: the `n` reals
-//!   are packed as `z_j = x_{2j} + i·x_{2j+1}`, one `n/2`-point complex FFT
-//!   runs, and the even/odd sub-spectra are untangled with a twiddle.
-//! * Odd lengths fall back through the complex plan and keep the first
-//!   `n/2 + 1` bins (the c2r side reconstructs the rest by symmetry), so
-//!   every grid size remains supported.
+//! Every axis runs the row-batched plans of [`crate::plan`]:
+//!
+//! * **z** is r2c/c2r on a *block* of rows at once. Even lengths use the
+//!   pack-and-untangle trick — the `nz` reals of a row are packed as
+//!   `z_j = x_{2j} + i·x_{2j+1}`, one `nz/2`-point complex transform runs,
+//!   and the even/odd sub-spectra are untangled with a twiddle — with the
+//!   rows of the block side by side, so the transform streams across rows
+//!   and the untangle broadcasts one twiddle per bin. Odd lengths go
+//!   through the full-length complex plan and keep the first `nz/2 + 1`
+//!   bins (the c2r side reconstructs the rest by symmetry). A 1-D real
+//!   transform is the `(1, 1, n)` case.
+//! * **y** and **x** are the complex axis routine [`crate::fft3`] also
+//!   uses; `y` runs right behind `z` on each `x`-slab while it is hot.
 //!
 //! Conventions match [`crate::fft`]: the forward transform is
 //! unnormalized — bin `(ix, iy, iz)` of [`rfft3_into`] equals bin
 //! `(ix, iy, iz)` of [`crate::fft3::fft3`] for `iz < nz/2 + 1` — and the
-//! inverse is exact (`irfft3_into ∘ rfft3_into` is the identity).
+//! inverse is exact (`irfft3_into ∘ rfft3_into` is the identity; the whole
+//! `1/(nx·ny·nz)` rides on the c2r pre-untangle).
 //!
-//! The 3-D transforms run on the calling thread: in the per-pair exchange
-//! loop each task owns one whole transform, and the parallelism is over
-//! pairs. All plans live in a process-wide cache and the scratch is
+//! The transforms run on the calling thread: in the per-pair exchange loop
+//! each task owns one whole transform, and the parallelism is over pairs.
+//! All plans live in the one process-wide cache and the work space is
 //! thread-local and grow-only, so a transform performs zero steady-state
-//! heap allocations. (The threaded 3-D driver is the c2c one in
-//! [`crate::fft3`].)
+//! heap allocations.
 
 use crate::complex::Complex64;
-use crate::plan::{plan, FftPlan};
-use crate::simd::{self, SimdLevel};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-thread_local! {
-    /// Grow-only pack/untangle scratch for 1-D r2c/c2r rows.
-    static PACK_SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-    /// Grow-only strided-line scratch for the y/x axes of the 3-D variants.
-    static AXIS_SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A planned 1-D real transform of fixed length.
-#[derive(Debug)]
-pub struct RealFftPlan {
-    n: usize,
-    /// `n/2` — the packed sub-transform length (even `n`) and the index of
-    /// the Nyquist-or-last stored bin.
-    h: usize,
-    even: bool,
-    /// Untangle twiddles `e^{-2πik/n}` for `k ≤ n/2` (even lengths only).
-    w: Vec<Complex64>,
-    /// Complex sub-plan: length `n/2` when even, length `n` when odd.
-    sub: Arc<FftPlan>,
-}
-
-impl RealFftPlan {
-    fn build(n: usize) -> RealFftPlan {
-        assert!(n >= 1, "real FFT length must be positive");
-        let even = n.is_multiple_of(2) && n >= 2;
-        let h = n / 2;
-        let sub = if even { plan(h.max(1)) } else { plan(n) };
-        let w = if even {
-            let step = -2.0 * std::f64::consts::PI / n as f64;
-            (0..=h).map(|k| Complex64::cis(step * k as f64)).collect()
-        } else {
-            Vec::new()
-        };
-        RealFftPlan { n, h, even, w, sub }
-    }
-
-    /// The real-signal length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` for the degenerate length-1 plan.
-    pub fn is_empty(&self) -> bool {
-        self.n == 1
-    }
-
-    /// Number of stored spectrum bins: `n/2 + 1`.
-    pub fn half_len(&self) -> usize {
-        self.h + 1
-    }
-
-    /// Forward r2c: `out[k] = Σ_j x_j e^{-2πijk/n}` for `k ≤ n/2`
-    /// (unnormalized; identical to the first `n/2 + 1` bins of [`crate::fft::fft`]).
-    pub fn rfft(&self, input: &[f64], out: &mut [Complex64]) {
-        self.rfft_with(simd::level(), input, out);
-    }
-
-    /// [`RealFftPlan::rfft`] at an explicit SIMD level.
-    pub fn rfft_with(&self, level: SimdLevel, input: &[f64], out: &mut [Complex64]) {
-        assert_eq!(input.len(), self.n, "input length does not match plan");
-        assert_eq!(out.len(), self.half_len(), "output must hold n/2 + 1 bins");
-        if self.n == 1 {
-            out[0] = Complex64::real(input[0]);
-            return;
-        }
-        PACK_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let need = if self.even { self.h } else { self.n };
-            if buf.len() < need {
-                buf.resize(need, Complex64::ZERO);
-            }
-            let z = &mut buf[..need];
-            if self.even {
-                let h = self.h;
-                simd::pack_complex_with(level, z, input);
-                self.sub.fft_with(level, z);
-                // Untangle: E_k + W_k·O_k with Z_h ≡ Z_0 (periodicity).
-                for (k, ok) in out.iter_mut().enumerate() {
-                    let zk = z[k % h];
-                    let zc = z[(h - k) % h].conj();
-                    let e = (zk + zc).scale(0.5);
-                    let o = (zk - zc) * Complex64::new(0.0, -0.5);
-                    *ok = e + self.w[k] * o;
-                }
-            } else {
-                for (zj, &xj) in z.iter_mut().zip(input) {
-                    *zj = Complex64::real(xj);
-                }
-                self.sub.fft_with(level, z);
-                out.copy_from_slice(&z[..self.half_len()]);
-            }
-        });
-    }
-
-    /// Inverse c2r: exact inverse of [`Self::rfft`] (the `1/n` lives here).
-    /// Only the stored half-spectrum is read; the redundant half is implied
-    /// by Hermitian symmetry.
-    pub fn irfft(&self, spec: &[Complex64], out: &mut [f64]) {
-        self.irfft_with(simd::level(), spec, out);
-    }
-
-    /// [`RealFftPlan::irfft`] at an explicit SIMD level.
-    pub fn irfft_with(&self, level: SimdLevel, spec: &[Complex64], out: &mut [f64]) {
-        assert_eq!(
-            spec.len(),
-            self.half_len(),
-            "spectrum must hold n/2 + 1 bins"
-        );
-        assert_eq!(out.len(), self.n, "output length does not match plan");
-        if self.n == 1 {
-            out[0] = spec[0].re;
-            return;
-        }
-        PACK_SCRATCH.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let need = if self.even { self.h } else { self.n };
-            if buf.len() < need {
-                buf.resize(need, Complex64::ZERO);
-            }
-            let z = &mut buf[..need];
-            if self.even {
-                let h = self.h;
-                for (k, zk) in z.iter_mut().enumerate() {
-                    let xk = spec[k];
-                    let xc = spec[h - k].conj();
-                    let e = (xk + xc).scale(0.5);
-                    let o = (xk - xc).scale(0.5) * self.w[k].conj();
-                    *zk = e + Complex64::I * o;
-                }
-                // The sub-plan's 1/h normalization is exactly the inverse of
-                // the packed forward transform — no extra scale.
-                self.sub.ifft_with(level, z);
-                simd::unpack_complex_with(level, out, z);
-            } else {
-                let n = self.n;
-                z[..spec.len()].copy_from_slice(spec);
-                for k in self.half_len()..n {
-                    z[k] = spec[n - k].conj();
-                }
-                self.sub.ifft_with(level, z);
-                for (o, zj) in out.iter_mut().zip(z.iter()) {
-                    *o = zj.re;
-                }
-            }
-        });
-    }
-}
-
-static REAL_PLAN_CACHE: OnceLock<Mutex<HashMap<usize, Arc<RealFftPlan>>>> = OnceLock::new();
-
-/// Fetch (or build and cache) the real-transform plan for length `n`.
-pub fn real_plan(n: usize) -> Arc<RealFftPlan> {
-    let cache = REAL_PLAN_CACHE.get_or_init(Default::default);
-    if let Some(p) = cache.lock().unwrap().get(&n) {
-        return Arc::clone(p);
-    }
-    let built = Arc::new(RealFftPlan::build(n));
-    Arc::clone(cache.lock().unwrap().entry(n).or_insert(built))
-}
+use crate::fft3::{axis, axis_work_len, block_width};
+use crate::plan::{plan, with_scratch, FftPlan};
+use std::sync::Arc;
 
 /// Dimensions of the stored half-spectrum for a real field of `dims`:
 /// `(nx, ny, nz/2 + 1)`, still `z`-contiguous.
@@ -205,46 +50,64 @@ pub fn half_len(dims: (usize, usize, usize)) -> usize {
     hx * hy * hz
 }
 
+/// The plans of one 3-D real transform and the work space it needs.
+struct Plans {
+    x: Arc<FftPlan>,
+    y: Arc<FftPlan>,
+    /// Length `nz/2` (packed) for even `nz`, `nz` itself for odd.
+    z: Arc<FftPlan>,
+    /// Rows per z block.
+    rows: usize,
+    work_len: usize,
+}
+
+impl Plans {
+    fn new((nx, ny, nz): (usize, usize, usize)) -> Plans {
+        let nzh = nz / 2 + 1;
+        let (x, y) = (plan(nx), plan(ny));
+        let z = plan(if nz.is_multiple_of(2) { nz / 2 } else { nz });
+        let rows = block_width(z.len(), ny);
+        let work_len = (z.len() * rows + z.work_len(rows))
+            .max(axis_work_len(&y, nzh))
+            .max(axis_work_len(&x, ny * nzh));
+        Plans {
+            x,
+            y,
+            z,
+            rows,
+            work_len,
+        }
+    }
+}
+
 /// Forward 3-D r2c on the calling thread, writing the `(nx, ny, nz/2+1)`
 /// half-spectrum into `half`. Zero steady-state heap allocation.
 pub fn rfft3_into(real: &[f64], dims: (usize, usize, usize), half: &mut [Complex64]) {
-    rfft3_into_with(simd::level(), real, dims, half);
-}
-
-/// [`rfft3_into`] at an explicit SIMD level.
-pub fn rfft3_into_with(
-    level: SimdLevel,
-    real: &[f64],
-    dims: (usize, usize, usize),
-    half: &mut [Complex64],
-) {
     let (nx, ny, nz) = dims;
     let nzh = nz / 2 + 1;
     assert_eq!(real.len(), nx * ny * nz, "real field does not match dims");
     assert_eq!(half.len(), nx * ny * nzh, "half buffer does not match dims");
-
-    // z axis: r2c row by row.
-    let rp = real_plan(nz);
-    for (row_in, row_out) in real.chunks_exact(nz).zip(half.chunks_exact_mut(nzh)) {
-        rp.rfft_with(level, row_in, row_out);
-    }
-    // y and x axes: ordinary complex transforms over the half array.
-    complex_axes_serial(level, half, (nx, ny, nzh), false);
+    let p = Plans::new(dims);
+    with_scratch(p.work_len, |work| {
+        let slabs = real
+            .chunks_exact(ny * nz)
+            .zip(half.chunks_exact_mut(ny * nzh));
+        for (slab_in, slab_out) in slabs {
+            let blocks = slab_in
+                .chunks(p.rows * nz)
+                .zip(slab_out.chunks_mut(p.rows * nzh));
+            for (rows_in, rows_out) in blocks {
+                r2c_rows(&p.z, nz, rows_in, rows_out, work);
+            }
+            axis(&p.y, false, 1.0, slab_out, nzh, work);
+        }
+        axis(&p.x, false, 1.0, half, ny * nzh, work);
+    });
 }
 
 /// Inverse of [`rfft3_into`]: consumes (destroys) the half-spectrum and
 /// writes the recovered real field. Zero steady-state heap allocation.
 pub fn irfft3_into(half: &mut [Complex64], dims: (usize, usize, usize), real_out: &mut [f64]) {
-    irfft3_into_with(simd::level(), half, dims, real_out);
-}
-
-/// [`irfft3_into`] at an explicit SIMD level.
-pub fn irfft3_into_with(
-    level: SimdLevel,
-    half: &mut [Complex64],
-    dims: (usize, usize, usize),
-    real_out: &mut [f64],
-) {
     let (nx, ny, nz) = dims;
     let nzh = nz / 2 + 1;
     assert_eq!(
@@ -253,66 +116,118 @@ pub fn irfft3_into_with(
         "real field does not match dims"
     );
     assert_eq!(half.len(), nx * ny * nzh, "half buffer does not match dims");
-
-    complex_axes_serial(level, half, (nx, ny, nzh), true);
-    let rp = real_plan(nz);
-    for (row_in, row_out) in half.chunks_exact(nzh).zip(real_out.chunks_exact_mut(nz)) {
-        rp.irfft_with(level, row_in, row_out);
-    }
-}
-
-/// Complex transforms along the `y` then `x` axes of a `z`-contiguous
-/// array (serial, thread-local scratch). The `z` axis is untouched. This is
-/// the strided-axis loop of the pair kernel: gather a pencil, run the 1-D
-/// plan, scatter it back.
-fn complex_axes_serial(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    dims: (usize, usize, usize),
-    inverse: bool,
-) {
-    let (nx, ny, nzc) = dims;
-    let (px, py) = (plan(nx), plan(ny));
-    AXIS_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let need = nx.max(ny);
-        if buf.len() < need {
-            buf.resize(need, Complex64::ZERO);
-        }
-        // y axis: per-x slab, strided by nzc.
-        let line = &mut buf[..ny];
-        for slab in data.chunks_exact_mut(ny * nzc) {
-            for iz in 0..nzc {
-                for iy in 0..ny {
-                    line[iy] = slab[iy * nzc + iz];
-                }
-                py.line(level, inverse, line);
-                for iy in 0..ny {
-                    slab[iy * nzc + iz] = line[iy];
-                }
-            }
-        }
-        // x axis: strided by ny·nzc.
-        if nx > 1 {
-            let plane = ny * nzc;
-            let line = &mut buf[..nx];
-            for p in 0..plane {
-                for ix in 0..nx {
-                    line[ix] = data[ix * plane + p];
-                }
-                px.line(level, inverse, line);
-                for ix in 0..nx {
-                    data[ix * plane + p] = line[ix];
-                }
+    let p = Plans::new(dims);
+    let scale = 1.0 / (nx * ny * nz) as f64;
+    with_scratch(p.work_len, |work| {
+        axis(&p.x, true, 1.0, half, ny * nzh, work);
+        let slabs = half
+            .chunks_exact_mut(ny * nzh)
+            .zip(real_out.chunks_exact_mut(ny * nz));
+        for (slab_in, slab_out) in slabs {
+            axis(&p.y, true, 1.0, slab_in, nzh, work);
+            let blocks = slab_in
+                .chunks(p.rows * nzh)
+                .zip(slab_out.chunks_mut(p.rows * nz));
+            for (rows_in, rows_out) in blocks {
+                c2r_rows(&p.z, nz, scale, rows_in, rows_out, work);
             }
         }
     });
 }
 
+/// r2c of a block of rows: `real` is `b` rows of `nz` reals, `half` the
+/// same rows' `nz/2 + 1` bins. The rows sit side by side in `work` (bin
+/// `j` of row `r` at `j·b + r`) so `pz` transforms them all at once.
+fn r2c_rows(pz: &FftPlan, nz: usize, real: &[f64], half: &mut [Complex64], work: &mut [Complex64]) {
+    let (h, nzh, b) = (nz / 2, nz / 2 + 1, real.len() / nz);
+    let (z, work) = work.split_at_mut(pz.len() * b);
+    if nz.is_multiple_of(2) {
+        for (r, row) in real.chunks_exact(nz).enumerate() {
+            for (j, x) in row.chunks_exact(2).enumerate() {
+                z[j * b + r] = Complex64::new(x[0], x[1]);
+            }
+        }
+        pz.rows(false, 1.0, z, b, work);
+        // Untangle, two bins per butterfly: X_k = E_k + W_k·O_k and
+        // X_{h−k} = conj(E_k − W_k·O_k), with Z_h ≡ Z_0 (periodicity).
+        for (k, &w) in pz.untangle()[..=h / 2].iter().enumerate() {
+            let (zk, zc) = (&z[k * b..][..b], &z[(h - k) % h * b..][..b]);
+            for (r, out) in half.chunks_exact_mut(nzh).enumerate() {
+                let (s, d) = (zk[r] + zc[r].conj(), zk[r] - zc[r].conj());
+                let (e, o) = (s.scale(0.5), Complex64::new(0.5 * d.im, -0.5 * d.re));
+                let wo = w * o;
+                out[h - k] = (e - wo).conj();
+                out[k] = e + wo;
+            }
+        }
+    } else {
+        for (r, row) in real.chunks_exact(nz).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                z[j * b + r] = Complex64::real(x);
+            }
+        }
+        pz.rows(false, 1.0, z, b, work);
+        for (r, out) in half.chunks_exact_mut(nzh).enumerate() {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = z[k * b + r];
+            }
+        }
+    }
+}
+
+/// c2r of a block of rows, the exact inverse of [`r2c_rows`] times
+/// `nz·scale`. Only the stored half-spectrum is read; the redundant half
+/// is implied by Hermitian symmetry.
+fn c2r_rows(
+    pz: &FftPlan,
+    nz: usize,
+    scale: f64,
+    half: &[Complex64],
+    real: &mut [f64],
+    work: &mut [Complex64],
+) {
+    let (h, nzh, b) = (nz / 2, nz / 2 + 1, real.len() / nz);
+    let (z, work) = work.split_at_mut(pz.len() * b);
+    if nz.is_multiple_of(2) {
+        // The forward untangle halves; undoing it and the packed
+        // transform's `h` leaves exactly `scale` on each of e and o. Two
+        // bins per butterfly again: Z_k = e + i·o, Z_{h−k} = conj(e − i·o).
+        for (k, &w) in pz.untangle()[..=h / 2].iter().enumerate() {
+            let w = w.conj().scale(scale);
+            for (r, row) in half.chunks_exact(nzh).enumerate() {
+                let (xk, xc) = (row[k], row[h - k].conj());
+                let (e, o) = ((xk + xc).scale(scale), (xk - xc) * w);
+                let io = Complex64::new(-o.im, o.re);
+                z[(h - k) % h * b + r] = (e - io).conj();
+                z[k * b + r] = e + io;
+            }
+        }
+        pz.rows(true, 1.0, z, b, work);
+        for (r, row) in real.chunks_exact_mut(nz).enumerate() {
+            for (j, x) in row.chunks_exact_mut(2).enumerate() {
+                (x[0], x[1]) = (z[j * b + r].re, z[j * b + r].im);
+            }
+        }
+    } else {
+        for (r, row) in half.chunks_exact(nzh).enumerate() {
+            for k in 0..nz {
+                let x = if k <= h { row[k] } else { row[nz - k].conj() };
+                z[k * b + r] = x.scale(scale);
+            }
+        }
+        pz.rows(true, 1.0, z, b, work);
+        for (r, row) in real.chunks_exact_mut(nz).enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = z[j * b + r].re;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::{dft_reference, fft};
+    use crate::fft::dft_reference;
     use crate::fft3::{fft3, to_complex};
     use crate::rng::SplitMix64;
 
@@ -321,51 +236,38 @@ mod tests {
         (0..n).map(|_| rng.next_f64() - 0.5).collect()
     }
 
+    /// 1-D real transforms are the `(1, 1, n)` case of the 3-D entry points.
+    fn rfft_1d(x: &[f64]) -> Vec<Complex64> {
+        rfft3_vec(x, (1, 1, x.len()))
+    }
+
     #[test]
     fn rfft_matches_complex_fft_1d() {
-        for &n in &[1usize, 2, 4, 8, 9, 15, 16, 48, 63, 64, 100] {
+        for &n in &[1usize, 2, 4, 8, 9, 14, 15, 16, 45, 48, 63, 64, 100] {
             let x = random_real(n, n as u64);
-            let rp = real_plan(n);
-            let mut half = vec![Complex64::ZERO; rp.half_len()];
-            rp.rfft(&x, &mut half);
-            let mut full: Vec<Complex64> = x.iter().map(|&r| Complex64::real(r)).collect();
-            fft(&mut full);
+            let half = rfft_1d(&x);
+            let full: Vec<Complex64> = x.iter().map(|&r| Complex64::real(r)).collect();
+            let want = dft_reference(&full, false);
             for (k, h) in half.iter().enumerate() {
-                let err = (*h - full[k]).abs();
-                assert!(err < 1e-10 * n.max(8) as f64, "n={n} bin {k}: err {err}");
+                let err = (*h - want[k]).abs();
+                assert!(err < 1e-12 * n as f64, "n={n} bin {k}: err {err}");
             }
         }
     }
 
     #[test]
     fn irfft_is_exact_inverse_1d() {
-        for &n in &[1usize, 2, 6, 8, 9, 27, 32, 48, 81, 96] {
+        for &n in &[1usize, 2, 6, 8, 9, 14, 27, 32, 48, 81, 96] {
             let x = random_real(n, 7 + n as u64);
-            let rp = real_plan(n);
-            let mut half = vec![Complex64::ZERO; rp.half_len()];
-            rp.rfft(&x, &mut half);
+            let mut half = rfft_1d(&x);
             let mut back = vec![0.0; n];
-            rp.irfft(&half, &mut back);
+            irfft3_into(&mut half, (1, 1, n), &mut back);
             let err = x
                 .iter()
                 .zip(&back)
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f64::max);
-            assert!(err < 1e-10, "n={n}: roundtrip err {err}");
-        }
-    }
-
-    #[test]
-    fn odd_length_fallback_matches_reference() {
-        let n = 45;
-        let x = random_real(n, 3);
-        let rp = real_plan(n);
-        let mut half = vec![Complex64::ZERO; rp.half_len()];
-        rp.rfft(&x, &mut half);
-        let full: Vec<Complex64> = x.iter().map(|&r| Complex64::real(r)).collect();
-        let want = dft_reference(&full, false);
-        for (k, h) in half.iter().enumerate() {
-            assert!((*h - want[k]).abs() < 1e-9, "bin {k}");
+            assert!(err < 1e-13, "n={n}: roundtrip err {err}");
         }
     }
 
@@ -375,12 +277,14 @@ mod tests {
         half
     }
 
-    /// The c2c transform is the oracle: the serial r2c path shares no 3-D
-    /// driver with it (12³ and 24³ run Bluestein lines, 16³ radix-2).
+    /// Against the c2c transform, which shares the y/x axis routine but not
+    /// the z stage: 12³ and 24³ run mixed-radix passes, 16³ radix 4 alone,
+    /// 14³ the Bluestein fallback; (2, 180, 100) splits the z rows, the y
+    /// slabs and the x planes into several blocks each.
     #[test]
     fn rfft3_matches_fft3_half_spectrum() {
-        let cubes = [12usize, 16, 24].map(|n| (n, n, n));
-        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (3, 5, 7)]
+        let cubes = [12usize, 14, 16, 24].map(|n| (n, n, n));
+        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (3, 5, 7), (2, 180, 100)]
             .into_iter()
             .chain(cubes)
         {
@@ -405,10 +309,17 @@ mod tests {
 
     #[test]
     fn irfft3_roundtrip() {
-        let cubes = [12usize, 16, 24].map(|n| (n, n, n));
-        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (5, 5, 5), (6, 5, 8)]
-            .into_iter()
-            .chain(cubes)
+        let cubes = [12usize, 14, 16, 24].map(|n| (n, n, n));
+        for dims in [
+            (4, 4, 4),
+            (2, 3, 5),
+            (8, 4, 6),
+            (5, 5, 5),
+            (6, 5, 8),
+            (2, 180, 100),
+        ]
+        .into_iter()
+        .chain(cubes)
         {
             let (nx, ny, nz) = dims;
             let x = random_real(nx * ny * nz, 13);

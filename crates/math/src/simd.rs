@@ -1,11 +1,11 @@
 //! Runtime-dispatched short-vector SIMD kernels for the exchange hot path.
 //!
 //! The paper's node-level performance rests on the 4-wide QPX unit; this
-//! module is the host-side equivalent: the handful of inner loops that
-//! dominate a pair-Poisson exchange build — radix-2 butterfly passes,
-//! the pointwise complex×real kernel-table multiply, the half-spectrum
-//! weighted `|ρ̂|²` energy contraction, the real pair-density product
-//! `φ_i·φ_j`, and axpy/scale accumulation — each available as
+//! module is the host-side equivalent: the elementwise inner loops around
+//! the transform in a pair-Poisson exchange build — the pointwise
+//! complex×real kernel-table multiply, the half-spectrum weighted `|ρ̂|²`
+//! energy contraction, the real pair-density product `φ_i·φ_j`, and axpy
+//! accumulation — each available as
 //!
 //! * an **AVX2+FMA** implementation (`x86_64` only, `std::arch`
 //!   intrinsics behind `is_x86_feature_detected!` — no new dependencies),
@@ -17,18 +17,19 @@
 //! the `LIAIR_SIMD` override); no crate above `liair-grid` names a level.
 //! Every primitive also has a `*_with` form taking an explicit
 //! [`SimdLevel`] — the seam the cross-level tests and the node-model
-//! calibration (`repro fig-node-threading`) use.
+//! calibration (`repro fig-node-threading`) use. The transform itself
+//! ([`crate::plan`]) is plain Rust over rows of pencils and does not
+//! dispatch on a level, so it is bit-identical across them by construction.
 //!
 //! ## Numerical contract
 //!
-//! Every *elementwise* primitive (butterfly, kernel multiply, pair
-//! density, axpy, scale, pack/unpack) performs the same per-element
-//! operations in the same rounding order at both levels — the AVX2
-//! variants deliberately use unfused multiply + add/sub — so their
-//! results are **bit-identical** across `off`/`avx2`. Only the energy
-//! *contraction* re-associates the sum (sixteen accumulator lanes); its
-//! terms are non-negative, so the two levels agree to the O(n·ε)
-//! reassociation bound (property-tested).
+//! Every *elementwise* primitive (kernel multiply, pair density, axpy)
+//! performs the same per-element operations in the same rounding order at
+//! both levels — the AVX2 variants deliberately use unfused multiply +
+//! add — so their results are **bit-identical** across `off`/`avx2`. Only
+//! the energy *contraction* re-associates the sum (sixteen accumulator
+//! lanes); its terms are non-negative, so the two levels agree to the
+//! O(n·ε) reassociation bound (property-tested).
 //!
 //! `LIAIR_SIMD=off|avx2` forces a level; requesting `avx2` on hardware
 //! without it falls back to `off` rather than failing, so the same test
@@ -191,28 +192,6 @@ pub fn axpy_with(level: SimdLevel, y: &mut [f64], alpha: f64, x: &[f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform complex scale: z *= s (the 1/n of an inverse transform)
-// ---------------------------------------------------------------------------
-
-/// `z[i] = z[i]·s` for a real scale factor. Bit-identical across levels.
-pub fn scale_complex(z: &mut [Complex64], s: f64) {
-    scale_complex_with(level(), z, s);
-}
-
-/// [`scale_complex`] at an explicit level.
-pub fn scale_complex_with(level: SimdLevel, z: &mut [Complex64], s: f64) {
-    match effective(level) {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2::scale_complex(z, s) },
-        _ => {
-            for zi in z.iter_mut() {
-                *zi = zi.scale(s);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Kernel-table multiply: z[i] *= table[i] (complex × real, pointwise)
 // ---------------------------------------------------------------------------
 
@@ -264,94 +243,6 @@ pub fn weighted_energy_with(level: SimdLevel, z: &[Complex64], wk: &[f64]) -> f6
                 acc += k * zi.norm_sqr();
             }
             acc
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Radix-2 butterfly pass
-// ---------------------------------------------------------------------------
-
-/// One radix-2 Cooley–Tukey pass over `data`: for every `len`-long block,
-/// `lo' = lo + w·hi`, `hi' = lo − w·hi` with twiddle `w = tw[j·step]`.
-/// The AVX2 variant uses unfused complex multiplies, so the transform is
-/// bit-identical across levels.
-pub fn butterfly_pass(data: &mut [Complex64], tw: &[Complex64], len: usize, step: usize) {
-    butterfly_pass_with(level(), data, tw, len, step);
-}
-
-/// [`butterfly_pass`] at an explicit level.
-pub fn butterfly_pass_with(
-    level: SimdLevel,
-    data: &mut [Complex64],
-    tw: &[Complex64],
-    len: usize,
-    step: usize,
-) {
-    debug_assert!(len >= 2 && data.len().is_multiple_of(len));
-    match effective(level) {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if len >= 4 => unsafe { avx2::butterfly_pass(data, tw, len, step) },
-        _ => butterfly_pass_scalar(data, tw, len, step),
-    }
-}
-
-/// The seed butterfly loop: `Off`, and the `len = 2` pass of `Avx2`.
-fn butterfly_pass_scalar(data: &mut [Complex64], tw: &[Complex64], len: usize, step: usize) {
-    let half = len / 2;
-    for block in data.chunks_exact_mut(len) {
-        let (lo, hi) = block.split_at_mut(half);
-        for j in 0..half {
-            let w = tw[j * step];
-            let u = lo[j];
-            let v = hi[j] * w;
-            lo[j] = u + v;
-            hi[j] = u - v;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// r2c pack / unpack
-// ---------------------------------------------------------------------------
-
-/// Pack `2n` reals into `n` complex as `z_j = x_{2j} + i·x_{2j+1}` — the
-/// even-length r2c front end. A straight interleaved copy under
-/// `repr(C)`; bit-identical across levels.
-pub fn pack_complex(out: &mut [Complex64], reals: &[f64]) {
-    pack_complex_with(level(), out, reals);
-}
-
-/// [`pack_complex`] at an explicit level.
-pub fn pack_complex_with(level: SimdLevel, out: &mut [Complex64], reals: &[f64]) {
-    assert_eq!(reals.len(), 2 * out.len());
-    match effective(level) {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2::pack_complex(out, reals) },
-        _ => {
-            for (zj, r) in out.iter_mut().zip(reals.chunks_exact(2)) {
-                *zj = Complex64::new(r[0], r[1]);
-            }
-        }
-    }
-}
-
-/// Inverse of [`pack_complex`]: spill `n` complex back to `2n` reals.
-pub fn unpack_complex(out: &mut [f64], z: &[Complex64]) {
-    unpack_complex_with(level(), out, z);
-}
-
-/// [`unpack_complex`] at an explicit level.
-pub fn unpack_complex_with(level: SimdLevel, out: &mut [f64], z: &[Complex64]) {
-    assert_eq!(out.len(), 2 * z.len());
-    match effective(level) {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { avx2::unpack_complex(out, z) },
-        _ => {
-            for (r, zj) in out.chunks_exact_mut(2).zip(z) {
-                r[0] = zj.re;
-                r[1] = zj.im;
-            }
         }
     }
 }
@@ -424,23 +315,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn scale_complex(z: &mut [Complex64], s: f64) {
-        let n = z.len();
-        let n2 = n / 2 * 2;
-        let vs = _mm256_set1_pd(s);
-        let zp = z.as_mut_ptr() as *mut f64;
-        let mut i = 0;
-        while i < n2 {
-            let v = _mm256_loadu_pd(zp.add(2 * i));
-            _mm256_storeu_pd(zp.add(2 * i), _mm256_mul_pd(v, vs));
-            i += 2;
-        }
-        if n2 < n {
-            z[n2] = z[n2].scale(s);
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn scale_by_table(z: &mut [Complex64], table: &[f64]) {
         let n = z.len();
         let n2 = n / 2 * 2;
@@ -493,87 +367,6 @@ mod avx2 {
             i += 1;
         }
         acc
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn butterfly_pass(
-        data: &mut [Complex64],
-        tw: &[Complex64],
-        len: usize,
-        step: usize,
-    ) {
-        let half = len / 2;
-        let tp = tw.as_ptr() as *const f64;
-        for block in data.chunks_exact_mut(len) {
-            let (lo, hi) = block.split_at_mut(half);
-            let lp = lo.as_mut_ptr() as *mut f64;
-            let hp = hi.as_mut_ptr() as *mut f64;
-            let mut j = 0;
-            while j + 2 <= half {
-                // w = [w0.re, w0.im, w1.re, w1.im] (twiddles strided by `step`).
-                let w = if step == 1 {
-                    _mm256_loadu_pd(tp.add(2 * j))
-                } else {
-                    let w0 = _mm_loadu_pd(tp.add(2 * j * step));
-                    let w1 = _mm_loadu_pd(tp.add(2 * (j + 1) * step));
-                    _mm256_set_m128d(w1, w0)
-                };
-                let u = _mm256_loadu_pd(lp.add(2 * j));
-                let h = _mm256_loadu_pd(hp.add(2 * j));
-                // v = h·w, complex, unfused: p1 ∓ p2 matches the scalar
-                // (re·re − im·im, im·re + re·im) roundings exactly.
-                let w_re = _mm256_movedup_pd(w);
-                let w_im = _mm256_permute_pd(w, 0b1111);
-                let h_sw = _mm256_permute_pd(h, 0b0101);
-                let p1 = _mm256_mul_pd(h, w_re);
-                let p2 = _mm256_mul_pd(h_sw, w_im);
-                let v = _mm256_addsub_pd(p1, p2);
-                _mm256_storeu_pd(lp.add(2 * j), _mm256_add_pd(u, v));
-                _mm256_storeu_pd(hp.add(2 * j), _mm256_sub_pd(u, v));
-                j += 2;
-            }
-            while j < half {
-                let w = tw[j * step];
-                let u = lo[j];
-                let v = hi[j] * w;
-                lo[j] = u + v;
-                hi[j] = u - v;
-                j += 1;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn pack_complex(out: &mut [Complex64], reals: &[f64]) {
-        let n = out.len();
-        let n2 = n / 2 * 2;
-        let op = out.as_mut_ptr() as *mut f64;
-        let rp = reals.as_ptr();
-        let mut i = 0;
-        while i < n2 {
-            _mm256_storeu_pd(op.add(2 * i), _mm256_loadu_pd(rp.add(2 * i)));
-            i += 2;
-        }
-        if n2 < n {
-            out[n2] = Complex64::new(reals[2 * n2], reals[2 * n2 + 1]);
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn unpack_complex(out: &mut [f64], z: &[Complex64]) {
-        let n = z.len();
-        let n2 = n / 2 * 2;
-        let op = out.as_mut_ptr();
-        let zp = z.as_ptr() as *const f64;
-        let mut i = 0;
-        while i < n2 {
-            _mm256_storeu_pd(op.add(2 * i), _mm256_loadu_pd(zp.add(2 * i)));
-            i += 2;
-        }
-        if n2 < n {
-            out[2 * n2] = z[n2].re;
-            out[2 * n2 + 1] = z[n2].im;
-        }
     }
 }
 
@@ -632,8 +425,6 @@ mod tests {
             mul_into_with(SimdLevel::Off, &mut want_mul, &a, &b);
             let mut want_axpy = b.clone();
             axpy_with(SimdLevel::Off, &mut want_axpy, 0.73, &a);
-            let mut want_scale = z0.clone();
-            scale_complex_with(SimdLevel::Off, &mut want_scale, 1.37);
             let mut want_table = z0.clone();
             scale_by_table_with(SimdLevel::Off, &mut want_table, &table);
 
@@ -647,52 +438,8 @@ mod tests {
                 assert_eq!(got, want_axpy, "axpy {lvl:?} n={n}");
 
                 let mut got = z0.clone();
-                scale_complex_with(lvl, &mut got, 1.37);
-                assert_eq!(got, want_scale, "scale_complex {lvl:?} n={n}");
-
-                let mut got = z0.clone();
                 scale_by_table_with(lvl, &mut got, &table);
                 assert_eq!(got, want_table, "scale_by_table {lvl:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn butterfly_pass_bit_identical_across_levels() {
-        // Twiddles for n = 32; sweep every pass geometry (len, step).
-        let n = 32;
-        let tw: Vec<Complex64> = (0..n / 2)
-            .map(|k| Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        let data = randc(n, 99);
-        let mut len = 2;
-        while len <= n {
-            let step = n / len;
-            let mut want = data.clone();
-            butterfly_pass_with(SimdLevel::Off, &mut want, &tw, len, step);
-            for lvl in available_levels() {
-                let mut got = data.clone();
-                butterfly_pass_with(lvl, &mut got, &tw, len, step);
-                assert_eq!(got, want, "butterfly {lvl:?} len={len} step={step}");
-            }
-            len *= 2;
-        }
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_all_levels() {
-        for n in [0usize, 1, 2, 5, 16, 33] {
-            let x = randf(2 * n, 7 + n as u64);
-            for lvl in available_levels() {
-                let mut z = vec![Complex64::ZERO; n];
-                pack_complex_with(lvl, &mut z, &x);
-                for (j, zj) in z.iter().enumerate() {
-                    assert_eq!(zj.re, x[2 * j]);
-                    assert_eq!(zj.im, x[2 * j + 1]);
-                }
-                let mut back = vec![0.0; 2 * n];
-                unpack_complex_with(lvl, &mut back, &z);
-                assert_eq!(back, x, "{lvl:?} n={n}");
             }
         }
     }

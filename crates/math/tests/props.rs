@@ -43,7 +43,7 @@ const RFFT_DIMS: [(usize, usize, usize); 8] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// FFT round-trip is the identity for any length (radix-2 and
+    /// FFT round-trip is the identity for any length (mixed-radix and
     /// Bluestein paths both covered).
     #[test]
     fn fft_roundtrip_any_length(n in 1usize..200, seed in 0u64..1000) {
