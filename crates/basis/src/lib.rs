@@ -15,6 +15,8 @@
 //! All quantities are in Hartree atomic units (lengths in Bohr); the
 //! [`ANGSTROM`] constant converts from Å.
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod element;
 pub mod io;

@@ -11,51 +11,7 @@ use liair_basis::Cell;
 use liair_bgq::collectives::{allreduce, alltoall, broadcast, CollectiveAlgo};
 use liair_bgq::{MachineConfig, NodeModel};
 use liair_grid::{PoissonSolver, PoissonWorkspace, RealGrid};
-use liair_math::rfft::half_len;
-use liair_math::simd::{self, SimdLevel};
-use liair_math::Complex64;
 use std::time::Instant;
-
-/// Best-of-2 over `reps`-call batches, ns per call: robust to one-off
-/// scheduler noise.
-fn time_ns(reps: usize, f: &mut dyn FnMut() -> f64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..2 {
-        let t0 = Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..reps {
-            acc += f();
-        }
-        let dt = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
-        std::hint::black_box(acc);
-        best = best.min(dt);
-    }
-    best
-}
-
-/// Measured vector/baseline speedup of the half-spectrum energy
-/// contraction — the kernel the BG/Q node-model calibration cares
-/// about. Returns `(ratio, lanes)` where `ratio` is the
-/// best available level's speedup over the `off` sequential loop and
-/// `lanes` that level's vector width. Cheap: one 16³ half-spectrum —
-/// in-cache, so the ratio reflects the compute-bound kernel the node
-/// model prices rather than the host's memory bandwidth.
-fn measured_kernel_ratio() -> (f64, usize) {
-    let n = 16usize;
-    let h = half_len((n, n, n));
-    let mut rng = liair_math::rng::SplitMix64::new(0xca11b);
-    let z: Vec<Complex64> = (0..h)
-        .map(|_| Complex64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
-        .collect();
-    let wk: Vec<f64> = (0..h).map(|_| 0.5 + rng.next_f64()).collect();
-    let best = simd::detect();
-    let reps = 4000;
-    let t_off = time_ns(reps, &mut || {
-        simd::weighted_energy_with(SimdLevel::Off, &z, &wk)
-    });
-    let t_best = time_ns(reps, &mut || simd::weighted_energy_with(best, &z, &wk));
-    ((t_off / t_best).max(1.0), best.lanes().max(1))
-}
 
 /// Run the threading experiment.
 pub fn fig_node_threading(fast: bool) -> Vec<Table> {
@@ -135,15 +91,7 @@ pub fn fig_node_threading(fast: bool) -> Vec<Table> {
         ]);
         threads *= 2;
     }
-    // What the host's own contraction kernel would calibrate the model's
-    // SIMD factor to; the literature 0.85 stays the documented default.
-    let (ratio, lanes) = measured_kernel_ratio();
-    let cal = node.with_calibrated_simd(ratio, lanes);
-    t2.note = format!(
-        "real rayon scaling of the identical kernel the node model prices; host energy-contraction \
-         kernel {ratio:.2}x on {lanes} lanes -> calibrated simd_efficiency {:.3}",
-        cal.simd_efficiency
-    );
+    t2.note = "real rayon scaling of the identical kernel the node model prices".into();
     vec![t1, t2]
 }
 
@@ -248,13 +196,6 @@ fn human_bytes(b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measured_ratio_is_sane() {
-        let (ratio, lanes) = measured_kernel_ratio();
-        assert!(ratio >= 1.0 && ratio.is_finite(), "{ratio}");
-        assert!((1..=8).contains(&lanes), "{lanes}");
-    }
 
     #[test]
     fn node_model_table_simd_column() {

@@ -34,6 +34,7 @@
 //! | `bench-scaling` | O(N) pair sourcing, sharded weak scaling to 1.1e8 orbitals, modeled torus halo traffic (record: `BENCH_scaling.json`) |
 //! | `screen-solvents` | the solvent-screening campaign through the batch service (record: `BENCH_screening.json`) |
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod experiments;

@@ -23,6 +23,7 @@
 //! (real screening decisions, real load-balancer assignments); only the
 //! per-task durations come from the calibrated cost model.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod bsp;

@@ -6,7 +6,8 @@
 //! SIMD setting. Threading scales linearly across cores; the extra SMT
 //! threads recover pipeline/memory stalls with diminishing returns (the
 //! published BG/Q experience: ~1.3–1.9× from 4-way SMT). These curves are
-//! what the `fig-node-threading` experiment sweeps.
+//! what the `fig-node-threading` experiment sweeps. Every efficiency is a
+//! documented literature value; none is fitted to a host measurement.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,11 +35,9 @@ pub struct NodeModel {
 impl NodeModel {
     /// The Blue Gene/Q A2 node.
     ///
-    /// `simd_efficiency` here is the documented literature fallback
-    /// (QPX on FFT kernels: ~0.85); when a measured kernel ratio is
-    /// available — e.g. the one `repro fig-node-threading` takes — prefer
-    /// [`NodeModel::with_calibrated_simd`], which derives the efficiency
-    /// from an actually observed vector/scalar speedup.
+    /// `simd_efficiency` is the documented literature value (QPX on FFT
+    /// kernels: ~0.85). It is a model input, not a host measurement: the
+    /// host kernels are portable loops with no vector level to compare.
     pub fn bgq() -> Self {
         Self {
             cores: 16,
@@ -48,29 +47,6 @@ impl NodeModel {
             scalar_efficiency: 0.55,
             simd_efficiency: 0.85,
             smt_gain: [0.35, 0.20, 0.12],
-        }
-    }
-
-    /// Calibrate the SIMD factor from a *measured* vector/scalar kernel
-    /// speedup `ratio` observed on hardware with `width` double-precision
-    /// lanes.
-    ///
-    /// The model expresses the vector speedup as
-    /// `1 + (simd_width − 1) · simd_efficiency`, so inverting a measured
-    /// `ratio` on a `width`-lane machine gives
-    /// `simd_efficiency = (ratio − 1) / (width − 1)`, clamped to `[0, 1]`
-    /// (a ratio below 1× means vectorization didn't help; above the ideal
-    /// `width×` means cache effects polluted the measurement — both are
-    /// clamped rather than extrapolated). A degenerate `width <= 1` keeps
-    /// the fallback efficiency.
-    pub fn with_calibrated_simd(self, ratio: f64, width: usize) -> Self {
-        if width <= 1 || !ratio.is_finite() {
-            return self;
-        }
-        let eff = ((ratio - 1.0) / (width as f64 - 1.0)).clamp(0.0, 1.0);
-        Self {
-            simd_efficiency: eff,
-            ..self
         }
     }
 
@@ -176,30 +152,5 @@ mod tests {
     #[should_panic]
     fn zero_threads_rejected() {
         NodeModel::bgq().thread_scaling(0);
-    }
-
-    #[test]
-    fn calibrated_simd_inverts_the_model() {
-        // A measured 3.55× on a 4-lane machine is exactly the 0.85 default.
-        let n = NodeModel::bgq().with_calibrated_simd(3.55, 4);
-        assert!((n.simd_efficiency - 0.85).abs() < 1e-12);
-        // Round-trip: the model's own simd factor reproduces the ratio.
-        let factor = 1.0 + (n.simd_width as f64 - 1.0) * n.simd_efficiency;
-        assert!((factor - 3.55).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibrated_simd_clamps_and_guards() {
-        // Sub-1× ratio clamps to zero efficiency (vector no better than scalar).
-        let lo = NodeModel::bgq().with_calibrated_simd(0.7, 4);
-        assert_eq!(lo.simd_efficiency, 0.0);
-        // Super-ideal ratio clamps to perfect efficiency.
-        let hi = NodeModel::bgq().with_calibrated_simd(9.0, 4);
-        assert_eq!(hi.simd_efficiency, 1.0);
-        // Degenerate width or non-finite ratio keeps the fallback.
-        let w1 = NodeModel::bgq().with_calibrated_simd(2.0, 1);
-        assert_eq!(w1.simd_efficiency, 0.85);
-        let nan = NodeModel::bgq().with_calibrated_simd(f64::NAN, 4);
-        assert_eq!(nan.simd_efficiency, 0.85);
     }
 }

@@ -32,6 +32,7 @@
 //! the paper compares against. [`incremental::IncrementalExchange`] is the
 //! engine pointed at a dirty set.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod balance;

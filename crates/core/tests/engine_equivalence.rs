@@ -7,9 +7,9 @@
 //! ranks — because retransmission and chunk re-issue replay the identical
 //! kernel.
 //!
-//! The SIMD level is latched once per process inside `liair-math`, so CI
-//! runs the whole binary under a `LIAIR_SIMD` matrix. Fault schedules are
-//! arguments: the tests below loop over their seeds themselves.
+//! Nothing here is steered by the environment, so one run of this binary
+//! covers the whole matrix: fault schedules are arguments, and the tests
+//! below loop over their seeds themselves.
 
 use liair_basis::{systems, Basis, Cell};
 use liair_core::engine::BuildProfile;

@@ -13,6 +13,7 @@
 //!   MO dipole matrices), producing the Wannier-like centers and spreads
 //!   that drive the paper's distance screening.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod grid;

@@ -28,13 +28,15 @@
 //!   skips the inverse transform: by Parseval,
 //!   `(ij|ij) = (dV/N) Σ_k v(G_k) |ρ̂_k|²`, summed over half-spectrum bins
 //!   with weight 2 off the self-conjugate planes (valid because
-//!   `v(−G) = v(G)`).
+//!   `v(−G) = v(G)`). The sum is [`liair_math::simd::weighted_energy`],
+//!   whose summation order is fixed in its source, so the contraction
+//!   rounds the same on every host.
 //!
 //! An interaction energy `∬ ρ₁ ρ₂' v_C` is `grid.inner(ρ₁, solve_into(ρ₂))`.
 
 use crate::grid::RealGrid;
 use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
-use liair_math::simd::{self, SimdLevel};
+use liair_math::simd;
 use liair_math::Complex64;
 use std::f64::consts::PI;
 
@@ -136,10 +138,9 @@ pub struct PoissonSolver {
     kernel_half: Vec<f64>,
     /// Half-spectrum kernel with the Hermitian double-count weight folded
     /// in: `w·v(G)` with `w = 1` on the self-conjugate z-planes and `w = 2`
-    /// elsewhere. Multiplying by `w ∈ {1, 2}` is exact, so the energy
-    /// contraction over this table reproduces the unfolded
-    /// `w·(v·|ρ̂|²)` loop bit for bit while exposing one flat
-    /// weighted-sum that the SIMD layer can consume directly.
+    /// elsewhere. Multiplying by `w ∈ {1, 2}` is exact, so folding it in
+    /// changes no term of the Parseval sum and leaves one flat weighted
+    /// contraction, `simd::weighted_energy`.
     kernel_half_weighted: Vec<f64>,
 }
 
@@ -168,8 +169,8 @@ impl PoissonSolver {
             .enumerate()
             .map(|(i, &v)| {
                 let iz = i % nzh;
-                // ×2 is exact, so folding the weight in here keeps the
-                // Parseval contraction bit-identical to the seed loop.
+                // ×2 is exact, so folding the weight in here leaves every
+                // term of the Parseval contraction unchanged.
                 if iz == 0 || iz == nyquist {
                     v
                 } else {
@@ -224,17 +225,6 @@ impl PoissonSolver {
     /// `(ij|ij) = (dV/N) Σ_k v(G_k) |ρ̂_k|²` over half-spectrum bins with
     /// weight 2 off the self-conjugate z-planes.
     pub fn exchange_pair_energy(&self, rho_ij: &[f64], ws: &mut PoissonWorkspace) -> f64 {
-        self.exchange_pair_energy_with(simd::level(), rho_ij, ws)
-    }
-
-    /// [`Self::exchange_pair_energy`] with the Parseval contraction at an
-    /// explicit SIMD level (the transform does not depend on one).
-    pub fn exchange_pair_energy_with(
-        &self,
-        level: SimdLevel,
-        rho_ij: &[f64],
-        ws: &mut PoissonWorkspace,
-    ) -> f64 {
         assert_eq!(rho_ij.len(), self.grid.len());
         ws.ensure_half(self.grid.dims);
         let t0 = std::time::Instant::now();
@@ -242,7 +232,7 @@ impl PoissonSolver {
         let t1 = std::time::Instant::now();
         // The double-count weight is pre-folded into the table (exactly, as
         // ×1/×2), so the whole Parseval sum is one flat contraction.
-        let acc = simd::weighted_energy_with(level, &ws.half, &self.kernel_half_weighted);
+        let acc = simd::weighted_energy(&ws.half, &self.kernel_half_weighted);
         ws.timings.fft_s += (t1 - t0).as_secs_f64();
         ws.timings.kernel_s += t1.elapsed().as_secs_f64();
         acc * self.grid.dvol() / self.grid.len() as f64
@@ -439,23 +429,6 @@ mod tests {
             let want = grid.inner(&rho, &solve_reference(&grid, kernel, &rho));
             let rel = (got - want).abs() / want.abs();
             assert!(rel <= 1e-12, "{n}³: {got} vs c2c {want} ({rel:e})");
-        }
-    }
-
-    #[test]
-    fn simd_level_never_changes_physics() {
-        // The levels reassociate the Parseval sum and nothing else, so
-        // they agree to round-off (not bitwise).
-        let grid = RealGrid::cubic(Cell::cubic(10.0), 20);
-        let solver = PoissonSolver::isolated(grid);
-        let mut rng = liair_math::rng::SplitMix64::new(66);
-        let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
-        let mut ws = PoissonWorkspace::new();
-        let off = solver.exchange_pair_energy_with(SimdLevel::Off, &rho, &mut ws);
-        for level in simd::available_levels() {
-            let e = solver.exchange_pair_energy_with(level, &rho, &mut ws);
-            let rel = (e - off).abs() / off;
-            assert!(rel < 1e-12, "{level:?}: {e} vs off {off} ({rel:e})");
         }
     }
 }

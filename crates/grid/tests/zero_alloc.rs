@@ -90,35 +90,28 @@ fn pair_energy_paths_are_allocation_free_after_warmup() {
     }
 }
 
-/// The SIMD-dispatched pair path stays zero-alloc at *every* level the
-/// host supports: the vector kernels work strictly in the caller's
-/// workspace, so switching `off`/`avx2` cannot reintroduce heap traffic
-/// into the hot loop.
+/// The energy-only pair path on its own: the contraction works strictly
+/// in the caller's workspace, so it adds no heap traffic to the hot loop.
 #[test]
 fn simd_pair_paths_are_allocation_free_after_warmup() {
-    use liair_math::simd;
     let grid = RealGrid::cubic(Cell::cubic(12.0), 32);
     let solver = PoissonSolver::isolated(grid);
     let a = random_field(grid.len(), 5);
     let mut ws = PoissonWorkspace::new();
-    for level in simd::available_levels() {
-        // Warm-up at this level: plans, grow-once workspace, scratch.
-        let warm = solver.exchange_pair_energy_with(level, &a, &mut ws);
+    // Warm-up: plans, grow-once workspace, scratch.
+    let warm = solver.exchange_pair_energy(&a, &mut ws);
 
-        let before = alloc_count();
-        let mut acc = 0.0;
-        for _ in 0..10 {
-            acc += solver.exchange_pair_energy_with(level, &a, &mut ws);
-        }
-        let delta = alloc_count() - before;
-        assert_eq!(
-            delta,
-            0,
-            "{}: {delta} heap allocations in 10 steady-state SIMD pair solves",
-            level.name()
-        );
-        assert!(acc.is_finite() && warm >= 0.0);
+    let before = alloc_count();
+    let mut acc = 0.0;
+    for _ in 0..10 {
+        acc += solver.exchange_pair_energy(&a, &mut ws);
     }
+    let delta = alloc_count() - before;
+    assert_eq!(
+        delta, 0,
+        "{delta} heap allocations in 10 steady-state energy-only pair solves"
+    );
+    assert!(acc.is_finite() && warm >= 0.0);
 }
 
 #[test]

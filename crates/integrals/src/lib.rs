@@ -18,6 +18,7 @@
 //! from-scratch substrate. It is validated against the classic H₂/STO-3G
 //! tables of Szabo & Ostlund in the unit tests.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod eri;

@@ -7,12 +7,7 @@
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Complex number with `f64` components.
-///
-/// `repr(C)` so a `&[Complex64]` can be reinterpreted as an interleaved
-/// `re, im, re, im, …` `f64` sequence — the layout the SIMD kernels in
-/// [`crate::simd`] load 256 bits at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[repr(C)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

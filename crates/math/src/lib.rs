@@ -14,9 +14,9 @@
 //!   LU solves, and matrix products sized for quantum-chemistry workloads.
 //! * [`special`] — the Boys function (the workhorse of Gaussian integral
 //!   evaluation), `erf`, incomplete gamma functions and factorial tables.
-//! * [`simd`] — runtime-dispatched vector kernels (AVX2+FMA with a scalar
-//!   fallback) for the exchange hot loops around the transform: kernel
-//!   multiplies, energy contractions, pair-density products and axpy.
+//! * [`simd`] — the exchange hot loops around the transform (kernel
+//!   multiplies, the energy contraction, pair-density products and axpy),
+//!   one portable loop each with a summation order fixed in the source.
 //! * [`quadrature`] — Gauss–Legendre nodes/weights.
 //! * [`stats`] — small statistics helpers used by the benchmark harness.
 //! * [`rng`] — a deterministic SplitMix64 generator for reproducible
@@ -26,6 +26,7 @@
 //! no quantum-chemistry or FFT libraries available) and validated against
 //! closed forms in the unit/property tests.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod array3;

@@ -1,9 +1,8 @@
 //! The row-batched mixed-radix engine behind every transform: accuracy
 //! against the naive DFT (1-D, every smooth length, and 3-D r2c directly),
 //! the bit-identity of a pencil's result whatever rows, block or position
-//! it is transformed in — what the cross-backend and cross-`LIAIR_SIMD`
-//! bit-identity of the exchange engine rests on, since the transform
-//! dispatches on no level — and the one bounded, counted plan cache.
+//! it is transformed in — what the cross-backend bit-identity of the
+//! exchange engine rests on — and the one bounded, counted plan cache.
 
 use liair_math::fft::dft_reference;
 use liair_math::fft3::{fft3, ifft3};

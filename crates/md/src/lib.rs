@@ -21,6 +21,7 @@
 //!   forces, the incremental grid-exchange provider, and the
 //!   [`qmforce::HfxDeltaForces`] split used by the MTS integrator.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod analysis;

@@ -28,6 +28,7 @@
 //! degrade gracefully (the exchange engine re-issues a stalled rank's
 //! chunks to survivors).
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod comm;

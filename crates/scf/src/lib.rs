@@ -14,6 +14,8 @@
 //! Validation: H₂, He, LiH and H₂O STO-3G total energies against
 //! literature values in the unit tests.
 
+#![forbid(unsafe_code)]
+
 pub mod diis;
 pub mod driver;
 pub mod fci;

@@ -31,6 +31,8 @@
 //! See DESIGN.md ("The serve layer" and "The campaign layer") for the
 //! architecture and the cache keying/eviction policy.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod job;
 pub mod quota;

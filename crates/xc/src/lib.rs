@@ -14,6 +14,8 @@
 //! The hybrid's exact-exchange share is *not* computed here — that is the
 //! whole point of `liair-core`; this crate only reports the fraction.
 
+#![forbid(unsafe_code)]
+
 pub mod functional;
 pub mod lda;
 pub mod lsda;

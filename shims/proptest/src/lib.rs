@@ -4,9 +4,10 @@
 //! `prop_assert_eq!`, and primitive `Range` strategies (`0u64..1000`,
 //! `1e-10f64..1e-2`, ...).
 //!
-//! Cases are generated deterministically from a per-case SplitMix64 stream
-//! seeded by the case index, so failures reproduce exactly. There is no
-//! shrinking — the failing values are printed instead.
+//! Cases are drawn deterministically from one SplitMix64 stream with a
+//! fixed seed, so failures reproduce exactly. There is no shrinking — a
+//! failure names its case index and prints every drawn value instead. The
+//! draws are not real proptest's: a case seen here does not reproduce there.
 
 pub mod test_runner {
     /// Deterministic per-run value source handed to strategies.
@@ -27,8 +28,9 @@ pub mod test_runner {
             self.cases
         }
 
-        /// Reseed for case `case` (called once per generated argument, so
-        /// arguments draw distinct values while staying reproducible).
+        /// Next draw of the run's one stream (called once per generated
+        /// argument, so arguments draw distinct values while staying
+        /// reproducible).
         pub fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.state;
@@ -152,13 +154,15 @@ macro_rules! __proptest_items {
         fn $name() {
             let config = $cfg;
             let mut runner = $crate::test_runner::TestRunner::new(config);
-            for _case in 0..runner.cases() {
+            for __case in 0..runner.cases() {
                 $(let $arg = $crate::strategy::Strategy::pick(&($strat), &mut runner);)+
                 let __outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                     (|| { $body Ok(()) })();
                 if let ::std::result::Result::Err(e) = __outcome {
                     panic!(
-                        "proptest case failed: {}\n  inputs: {}",
+                        "proptest case {} of {} failed: {}\n  inputs: {}",
+                        __case,
+                        runner.cases(),
                         e,
                         [$(format!(concat!(stringify!($arg), " = {:?}"), $arg)),+].join(", "),
                     );
@@ -212,6 +216,34 @@ mod tests {
             prop_assert!((-2.0..3.0).contains(&x));
             prop_assert_eq!(s, 5);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Not a test itself: fails on the first draw of `n` at or above 50.
+        fn fails_on_large_draws(n in 0usize..100, x in 0.0f64..1.0) {
+            prop_assert!(n < 50 || x < 0.0, "n = {} is too large", n);
+        }
+    }
+
+    #[test]
+    fn failure_names_case_index_and_drawn_values() {
+        use crate::strategy::Strategy;
+        use crate::test_runner::TestRunner;
+        // Replay the runner to find which case must fail, and with what.
+        let mut runner = TestRunner::new(ProptestConfig::with_cases(64));
+        let (case, n, x) = (0..64)
+            .map(|case| {
+                let n = (0usize..100).pick(&mut runner);
+                (case, n, (0.0f64..1.0).pick(&mut runner))
+            })
+            .find(|&(_, n, _)| n >= 50)
+            .expect("some draw of 64 is at least 50");
+        let payload = std::panic::catch_unwind(fails_on_large_draws).unwrap_err();
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains(&format!("case {case} of 64 failed")), "{msg}");
+        assert!(msg.contains(&format!("n = {n:?}, x = {x:?}")), "{msg}");
     }
 
     #[test]

@@ -73,6 +73,8 @@
 //! assert!(out.energy <= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use liair_basis as basis;
 pub use liair_bgq as bgq;
 pub use liair_core as core;
