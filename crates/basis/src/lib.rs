@@ -6,11 +6,14 @@
 //!   (H through Cl) with charges, masses and radii;
 //! * [`molecule`] — atoms, molecules, nuclear-repulsion energies;
 //! * [`cell`] — periodic simulation cells with minimum-image convention;
-//! * [`shell`] — contracted Cartesian Gaussian shells and the STO-3G basis
-//!   set (exponents/coefficients embedded — no data files, no network);
+//! * [`shell`] — contracted Cartesian Gaussian shells and the STO-3G and
+//!   6-31G basis sets (exponents/coefficients embedded — no data files, no
+//!   network);
 //! * [`systems`] — programmatic builders for every benchmark system in the
 //!   paper's evaluation: water boxes, propylene/ethylene carbonate, DMSO,
 //!   DME, Li₂O₂ clusters and mixed electrolyte boxes.
+//!
+//! Geometries are built in code, never read from files.
 //!
 //! All quantities are in Hartree atomic units (lengths in Bohr); the
 //! [`ANGSTROM`] constant converts from Å.
@@ -19,7 +22,6 @@
 
 pub mod cell;
 pub mod element;
-pub mod io;
 pub mod molecule;
 pub mod shell;
 pub mod systems;

@@ -14,6 +14,10 @@
 //!   screening (the *molecular* exact-exchange reference that validates the
 //!   condensed-phase grid pair-Poisson path in `liair-grid`).
 //!
+//! Energies only, no derivative integrals: every MD force in the
+//! workspace is a finite difference of an energy (`liair-md`), and the
+//! screening campaign runs single points.
+//!
 //! No integral library exists for Rust (`repro_why`), so this crate is the
 //! from-scratch substrate. It is validated against the classic H₂/STO-3G
 //! tables of Szabo & Ostlund in the unit tests.
@@ -23,7 +27,6 @@
 
 pub mod eri;
 pub mod fock;
-pub mod gradients;
 pub mod hermite;
 pub mod one_electron;
 
@@ -35,7 +38,6 @@ pub(crate) fn boys_into_shim(out: &mut [f64], x: f64) {
 
 pub use eri::{eri_shell_quartet, eri_tensor, schwarz_matrix, EriTensor};
 pub use fock::{build_jk, JkBuilder};
-pub use gradients::rhf_gradient;
 pub use one_electron::{
     dipole_matrices, kinetic_matrix, nuclear_matrix, overlap_matrix, second_moment_matrices,
 };

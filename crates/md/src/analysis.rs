@@ -153,131 +153,6 @@ impl BondEvents {
     }
 }
 
-/// Mean-squared displacement tracker: record frames, query MSD relative to
-/// the first frame (unwrapped positions assumed — callers integrating in a
-/// periodic cell should pass unwrapped coordinates, which `MdState` keeps).
-#[derive(Debug, Clone, Default)]
-pub struct MsdTracker {
-    reference: Vec<liair_math::Vec3>,
-    /// `(step, msd)` samples.
-    pub samples: Vec<(usize, f64)>,
-}
-
-impl MsdTracker {
-    /// Start tracking from this frame.
-    pub fn start(mol: &Molecule) -> Self {
-        Self {
-            reference: mol.atoms.iter().map(|a| a.pos).collect(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Record the MSD of the current frame.
-    pub fn record(&mut self, step: usize, mol: &Molecule) {
-        assert_eq!(mol.natoms(), self.reference.len());
-        let msd = mol
-            .atoms
-            .iter()
-            .zip(&self.reference)
-            .map(|(a, &r)| (a.pos - r).norm_sqr())
-            .sum::<f64>()
-            / mol.natoms() as f64;
-        self.samples.push((step, msd));
-    }
-
-    /// Diffusion-style slope of MSD vs step (least squares; Bohr²/step).
-    pub fn slope(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let x: Vec<f64> = self.samples.iter().map(|&(s, _)| s as f64).collect();
-        let y: Vec<f64> = self.samples.iter().map(|&(_, m)| m).collect();
-        liair_math::stats::linear_fit(&x, &y).1
-    }
-}
-
-/// Render a geometry as an XYZ-format frame (Å), with an arbitrary comment
-/// line — concatenate frames for a trajectory file.
-pub fn to_xyz(mol: &Molecule, comment: &str) -> String {
-    let mut out = format!("{}\n{}\n", mol.natoms(), comment);
-    let bohr_to_angstrom = 1.0 / liair_basis::ANGSTROM;
-    for a in &mol.atoms {
-        out.push_str(&format!(
-            "{:<2} {:>14.8} {:>14.8} {:>14.8}\n",
-            a.element.symbol(),
-            a.pos.x * bohr_to_angstrom,
-            a.pos.y * bohr_to_angstrom,
-            a.pos.z * bohr_to_angstrom
-        ));
-    }
-    out
-}
-
-/// Velocity autocorrelation accumulator: record velocity frames, then
-/// compute `C(t) = ⟨v(0)·v(t)⟩` (single time origin, averaged over atoms)
-/// and its power spectrum — the classical vibrational density of states.
-#[derive(Debug, Clone, Default)]
-pub struct VacfAccumulator {
-    frames: Vec<Vec<liair_math::Vec3>>,
-}
-
-impl VacfAccumulator {
-    /// Record one velocity frame.
-    pub fn record(&mut self, velocities: &[liair_math::Vec3]) {
-        self.frames.push(velocities.to_vec());
-    }
-
-    /// Number of recorded frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// The normalized autocorrelation `C(t)/C(0)`.
-    pub fn correlation(&self) -> Vec<f64> {
-        assert!(!self.frames.is_empty(), "no frames recorded");
-        let v0 = &self.frames[0];
-        let c0: f64 = v0.iter().map(|v| v.norm_sqr()).sum();
-        assert!(c0 > 0.0, "zero initial velocities");
-        self.frames
-            .iter()
-            .map(|vt| {
-                let ct: f64 = v0.iter().zip(vt).map(|(a, b)| a.dot(*b)).sum();
-                ct / c0
-            })
-            .collect()
-    }
-
-    /// Power spectrum of the VACF: `(frequency in cycles per a.t.u.,
-    /// |FFT|²)` pairs up to the Nyquist frequency. `dt` is the sampling
-    /// interval in atomic time units.
-    pub fn power_spectrum(&self, dt: f64) -> Vec<(f64, f64)> {
-        use liair_math::fft::fft;
-        use liair_math::Complex64;
-        let c = self.correlation();
-        let n = c.len();
-        let mut z: Vec<Complex64> = c.iter().map(|&x| Complex64::real(x)).collect();
-        fft(&mut z);
-        (0..n / 2)
-            .map(|k| (k as f64 / (n as f64 * dt), z[k].norm_sqr()))
-            .collect()
-    }
-
-    /// Frequency (cycles/a.t.u.) of the strongest non-DC spectral peak.
-    pub fn dominant_frequency(&self, dt: f64) -> f64 {
-        let spec = self.power_spectrum(dt);
-        spec.iter()
-            .skip(1)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .map(|&(f, _)| f)
-            .unwrap_or(0.0)
-    }
-}
-
 /// Linear drift per step of a scalar series (least squares slope).
 pub fn drift_per_step(series: &[f64]) -> f64 {
     if series.len() < 2 {
@@ -384,92 +259,6 @@ mod tests {
         ev.record(&[]);
         assert_eq!(ev.count(), 3);
         assert_eq!(ev.broken, vec![3, 5, 7]);
-    }
-
-    #[test]
-    fn msd_tracks_uniform_translation() {
-        let mut mol = systems::water();
-        let mut tracker = MsdTracker::start(&mol);
-        tracker.record(0, &mol);
-        // Translate everything by (1,0,0) per "step": MSD = step².
-        for step in 1..=5 {
-            mol.translate(Vec3::new(1.0, 0.0, 0.0));
-            tracker.record(step, &mol);
-        }
-        for &(s, m) in &tracker.samples {
-            assert!((m - (s * s) as f64).abs() < 1e-10, "step {s}: {m}");
-        }
-        assert!(tracker.slope() > 0.0);
-    }
-
-    #[test]
-    fn xyz_format_roundtrips_atom_count() {
-        let mol = systems::propylene_carbonate();
-        let xyz = to_xyz(&mol, "frame 0");
-        let mut lines = xyz.lines();
-        assert_eq!(lines.next().unwrap(), "13");
-        assert_eq!(lines.next().unwrap(), "frame 0");
-        assert_eq!(xyz.lines().count(), 2 + mol.natoms());
-        // First atom line starts with the element symbol.
-        assert!(xyz.lines().nth(2).unwrap().starts_with('C'));
-    }
-
-    #[test]
-    fn vacf_of_pure_cosine_motion() {
-        // Synthetic oscillation v(t) = cos(ωt)·x̂: the VACF is cos(ωt) and
-        // the spectrum peaks at ω/2π.
-        let omega = 0.02; // rad / a.t.u.
-        let dt = 5.0;
-        let mut acc = VacfAccumulator::default();
-        for step in 0..1024 {
-            let t = step as f64 * dt;
-            acc.record(&[Vec3::new((omega * t).cos(), 0.0, 0.0)]);
-        }
-        let c = acc.correlation();
-        assert!((c[0] - 1.0).abs() < 1e-12);
-        let peak = acc.dominant_frequency(dt);
-        let want = omega / (2.0 * std::f64::consts::PI);
-        assert!(
-            (peak - want).abs() < 0.1 * want + 2.0 / (1024.0 * dt),
-            "peak {peak} vs {want}"
-        );
-    }
-
-    #[test]
-    fn md_vibration_shows_up_in_spectrum() {
-        // A vibrating water monomer: the OH-stretch band appears at the
-        // force field's harmonic frequency ω = √(k/μ).
-        use crate::forcefield::ForceField;
-        use crate::integrator::{MdOptions, MdState, Thermostat};
-        let mol = systems::water();
-        let ff = ForceField::from_molecule(&mol, None);
-        let mut state = MdState::new(mol, None, &ff);
-        // Kick the stretch directly: displace one H along the bond.
-        let bond_dir = (state.mol.atoms[1].pos - state.mol.atoms[0].pos).normalized();
-        state.mol.atoms[1].pos += bond_dir * 0.05;
-        let dt = 5.0;
-        let opts = MdOptions {
-            dt,
-            thermostat: Thermostat::None,
-            ..Default::default()
-        };
-        let mut acc = VacfAccumulator::default();
-        // One step first so velocities are nonzero at the recording origin.
-        state.step(&ff, &opts);
-        for _ in 0..2048 {
-            state.step(&ff, &opts);
-            acc.record(&state.velocities);
-        }
-        let peak = acc.dominant_frequency(dt);
-        // Expected OH stretch: k = 0.35 Ha/Bohr², μ(OH) reduced mass.
-        let m_o = liair_basis::Element::O.mass_au();
-        let m_h = liair_basis::Element::H.mass_au();
-        let mu = m_o * m_h / (m_o + m_h);
-        let want = (0.35f64 / mu).sqrt() / (2.0 * std::f64::consts::PI);
-        assert!(
-            (peak - want).abs() < 0.25 * want,
-            "peak {peak} vs harmonic estimate {want}"
-        );
     }
 
     #[test]

@@ -16,17 +16,18 @@
 //!   the exact-exchange correction as an outer-step impulse;
 //! * [`analysis`] — radial distribution functions, bond-event tracking
 //!   (the degradation metric), and energy-drift diagnostics;
-//! * [`qmforce`] — quantum force providers for Born–Oppenheimer
-//!   trajectories with the real SCF: finite-difference and analytic RHF
-//!   forces, the incremental grid-exchange provider, and the
-//!   [`qmforce::HfxDeltaForces`] split used by the MTS integrator.
+//! * [`checkpoint`] — bit-exact [`MdCheckpoint`]s for preempt/resume;
+//! * [`qmforce`] — the quantum force providers of hybrid-functional
+//!   Born–Oppenheimer MTS: the exchange-free [`XcForces`] (fast), the
+//!   grid-exchange [`IncrementalGridForces`] (full), and their
+//!   [`HfxDeltaForces`] split. Every quantum force is a central finite
+//!   difference of an SCF energy.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod analysis;
 pub mod checkpoint;
-pub mod ewald;
 pub mod forcefield;
 pub mod integrator;
 pub mod mts;
@@ -36,6 +37,4 @@ pub use checkpoint::MdCheckpoint;
 pub use forcefield::ForceField;
 pub use integrator::{ForceProvider, MdOptions, MdState, Thermostat};
 pub use mts::{CombinedForces, MtsOptions, MtsOuterRecord, MtsStepTimes, SplitForceProvider};
-pub use qmforce::{
-    FiniteDifferenceForces, HfxDeltaForces, IncrementalGridForces, RhfForces, XcForces,
-};
+pub use qmforce::{HfxDeltaForces, IncrementalGridForces, XcForces};

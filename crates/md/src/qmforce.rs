@@ -1,83 +1,22 @@
-//! Quantum-mechanical forces by central finite differences of any energy
-//! function of the geometry — the Born–Oppenheimer force provider for
-//! small-molecule ab initio MD (analytic Gaussian gradients are out of
-//! scope; finite differences are exact enough for the validation-scale
-//! trajectories run here, at 6N+1 energy evaluations per step).
+//! Quantum force providers for hybrid-functional Born–Oppenheimer MD under
+//! r-RESPA multiple time stepping:
+//!
+//! * [`XcForces`] — the exchange-free LDA/GGA surrogate, paid every inner
+//!   step;
+//! * [`IncrementalGridForces`] — the grid-exchange SCF with one
+//!   incremental-exchange cache per finite-difference slot, paid every
+//!   outer step;
+//! * [`HfxDeltaForces`] — their difference as the integrator's slow force.
+//!
+//! Every force is a central finite difference of an SCF energy, at 6N+1
+//! energy evaluations per geometry. The slow term is amortized by the
+//! outer step and by the incremental caches, as in the MTS treatment of
+//! hybrid functionals, so no analytic nuclear gradient is needed.
 
 use crate::integrator::ForceProvider;
 use crate::mts::SplitForceProvider;
 use liair_basis::{Cell, Molecule};
 use liair_math::Vec3;
-
-/// Wraps `E(molecule)` into a force provider.
-pub struct FiniteDifferenceForces<F: Fn(&Molecule) -> f64 + Sync> {
-    energy_fn: F,
-    /// Displacement step (Bohr).
-    pub h: f64,
-}
-
-impl<F: Fn(&Molecule) -> f64 + Sync> FiniteDifferenceForces<F> {
-    /// Wrap an energy function with displacement `h`.
-    pub fn new(energy_fn: F, h: f64) -> Self {
-        assert!(h > 0.0);
-        Self { energy_fn, h }
-    }
-}
-
-impl<F: Fn(&Molecule) -> f64 + Sync> ForceProvider for FiniteDifferenceForces<F> {
-    fn compute(&self, mol: &Molecule, _cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        let e0 = (self.energy_fn)(mol);
-        let n = mol.natoms();
-        use rayon::prelude::*;
-        let forces: Vec<Vec3> = (0..n)
-            .into_par_iter()
-            .map(|atom| {
-                let mut f = Vec3::ZERO;
-                for axis in 0..3 {
-                    let mut plus = mol.clone();
-                    plus.atoms[atom].pos[axis] += self.h;
-                    let mut minus = mol.clone();
-                    minus.atoms[atom].pos[axis] -= self.h;
-                    let ep = (self.energy_fn)(&plus);
-                    let em = (self.energy_fn)(&minus);
-                    f[axis] = -(ep - em) / (2.0 * self.h);
-                }
-                f
-            })
-            .collect();
-        (e0, forces)
-    }
-}
-
-/// Born–Oppenheimer RHF forces via the *analytic* nuclear gradient
-/// (`liair_integrals::rhf_gradient`) — one SCF plus one gradient per step,
-/// instead of the 6N+1 SCFs of the finite-difference provider.
-pub struct RhfForces {
-    /// SCF controls used every step.
-    pub scf_options: liair_scf::ScfOptions,
-}
-
-impl Default for RhfForces {
-    fn default() -> Self {
-        let o = liair_scf::ScfOptions {
-            energy_tol: 1e-9,
-            ..Default::default()
-        };
-        Self { scf_options: o }
-    }
-}
-
-impl ForceProvider for RhfForces {
-    fn compute(&self, mol: &Molecule, _cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        let basis = liair_basis::Basis::sto3g(mol);
-        let scf = liair_scf::rhf(mol, &basis, &self.scf_options);
-        assert!(scf.converged, "BOMD step: SCF failed for {}", mol.formula());
-        let grad =
-            liair_integrals::rhf_gradient(mol, &basis, &scf.c, &scf.orbital_energies, &scf.density);
-        let forces = grad.into_iter().map(|g| -g).collect();
-        (scf.energy, forces)
-    }
-}
 
 /// Born–Oppenheimer forces from the *grid-exchange* SCF with an
 /// incremental-exchange cache per finite-difference slot — the MD setting
@@ -321,66 +260,7 @@ mod tests {
     use super::*;
     use crate::integrator::{MdOptions, MdState, Thermostat};
     use crate::mts::MtsOptions;
-    use liair_basis::{systems, Basis};
-    use liair_scf::{rhf, ScfOptions};
-
-    /// RHF energy of H2 as a function of geometry.
-    fn h2_energy(mol: &Molecule) -> f64 {
-        let basis = Basis::sto3g(mol);
-        let opts = ScfOptions {
-            energy_tol: 1e-10,
-            ..ScfOptions::default()
-        };
-        rhf(mol, &basis, &opts).energy
-    }
-
-    #[test]
-    fn h2_force_signs_bracket_equilibrium() {
-        // STO-3G H2 equilibrium is near R = 1.35 Bohr: compressed bond
-        // pushes apart, stretched bond pulls together.
-        let provider = FiniteDifferenceForces::new(h2_energy, 1e-3);
-        let mut short = systems::h2();
-        short.atoms[1].pos.x = 1.1;
-        let (_, f_short) = provider.compute(&short, None);
-        assert!(f_short[1].x > 0.0, "compressed: {}", f_short[1].x);
-        let mut long = systems::h2();
-        long.atoms[1].pos.x = 1.8;
-        let (_, f_long) = provider.compute(&long, None);
-        assert!(f_long[1].x < 0.0, "stretched: {}", f_long[1].x);
-    }
-
-    #[test]
-    fn analytic_forces_match_finite_difference_provider() {
-        let mol = systems::h2();
-        let analytic = RhfForces::default();
-        let fd = FiniteDifferenceForces::new(h2_energy, 1e-4);
-        let (ea, fa) = analytic.compute(&mol, None);
-        let (ef, ff) = fd.compute(&mol, None);
-        assert!((ea - ef).abs() < 1e-7);
-        for (a, f) in fa.iter().zip(&ff) {
-            assert!((*a - *f).norm() < 1e-5, "{a:?} vs {f:?}");
-        }
-    }
-
-    #[test]
-    fn analytic_bomd_water_conserves_energy() {
-        // A short genuinely ab initio trajectory of water with analytic
-        // gradients: NVE energy stays flat.
-        let provider = RhfForces::default();
-        let mut mol = systems::water();
-        // Stretch one OH slightly to start vibrating.
-        mol.atoms[1].pos.x *= 1.05;
-        let mut state = MdState::new(mol, None, &provider);
-        let e0 = state.total_energy();
-        let opts = MdOptions {
-            dt: 10.0,
-            thermostat: Thermostat::None,
-            ..Default::default()
-        };
-        state.run(&provider, &opts, 12);
-        let drift = (state.total_energy() - e0).abs();
-        assert!(drift < 1e-4, "BOMD drift {drift} Ha over 12 steps");
-    }
+    use liair_basis::systems;
 
     #[test]
     fn incremental_grid_forces_reuse_across_steps() {
@@ -471,33 +351,5 @@ mod tests {
             inc_last.pairs_reused > 0,
             "no cross-outer-step reuse: {inc_last:?}"
         );
-    }
-
-    #[test]
-    fn h2_ab_initio_md_oscillates_and_conserves() {
-        // A genuinely ab initio (RHF) Born–Oppenheimer trajectory: the
-        // molecule vibrates around equilibrium and NVE energy is conserved.
-        let provider = FiniteDifferenceForces::new(h2_energy, 1e-3);
-        let mut mol = systems::h2();
-        mol.atoms[1].pos.x = 1.6; // displaced start
-        let mut state = MdState::new(mol, None, &provider);
-        let e0 = state.total_energy();
-        let opts = MdOptions {
-            dt: 10.0,
-            thermostat: Thermostat::None,
-            ..Default::default()
-        };
-        let mut min_r = f64::INFINITY;
-        let mut max_r = 0.0f64;
-        for _ in 0..60 {
-            state.step(&provider, &opts);
-            let r = state.mol.atoms[0].pos.distance(state.mol.atoms[1].pos);
-            min_r = min_r.min(r);
-            max_r = max_r.max(r);
-        }
-        assert!(min_r < 1.45, "min R = {min_r} (no inward swing)");
-        assert!(max_r > 1.55, "max R = {max_r} (no outward swing)");
-        let drift = (state.total_energy() - e0).abs();
-        assert!(drift < 5e-4, "NVE drift {drift}");
     }
 }

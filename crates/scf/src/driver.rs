@@ -189,9 +189,9 @@ pub fn functional_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liair_basis::systems;
+    use liair_basis::{systems, Element};
     use liair_integrals::overlap_matrix;
-    use liair_math::approx_eq;
+    use liair_math::{approx_eq, Vec3};
 
     fn run_rhf(mol: &Molecule) -> (Basis, ScfResult) {
         let basis = Basis::sto3g(mol);
@@ -230,9 +230,39 @@ mod tests {
 
     #[test]
     fn lih_sto3g_energy() {
-        // HF/STO-3G LiH: ≈ −7.86 Ha.
-        let (_, res) = run_rhf(&systems::lih());
-        assert!(res.energy < -7.7 && res.energy > -8.0, "E = {}", res.energy);
+        // The LiH/STO-3G setup of an independent small HF code: Li at the
+        // origin, H at z = 3.0141129518 Bohr (1.595 Å).
+        let mut mol = Molecule::new();
+        mol.push(Element::Li, Vec3::ZERO);
+        mol.push(Element::H, Vec3::new(0.0, 0.0, 3.014_112_951_8));
+        let (_, res) = run_rhf(&mol);
+        // Pinned: the converged value agrees to 10 digits for energy_tol
+        // 1e-8, 1e-10 and 1e-12, so 1e-8 guards the physics, not the
+        // stopping rule ...
+        let pinned = -7.862_023_877_574;
+        assert!((res.energy - pinned).abs() < 1e-8, "E = {}", res.energy);
+        // ... and it is the textbook HF/STO-3G LiH energy, −7.862 Ha.
+        assert!(approx_eq(res.energy, -7.862, 1e-3), "E = {}", res.energy);
+
+        // A rigidly moved copy (Rodrigues rotation, then a shift) has the
+        // same energy: Cartesian p shells rotate into each other.
+        let (axis, angle) = (Vec3::new(1.0, 2.0, 0.5).normalized(), 1.1f64);
+        let shift = Vec3::new(0.7, -1.3, 2.9);
+        let mut moved = mol.clone();
+        for a in &mut moved.atoms {
+            let v = a.pos;
+            a.pos = v * angle.cos()
+                + axis.cross(v) * angle.sin()
+                + axis * (axis.dot(v) * (1.0 - angle.cos()))
+                + shift;
+        }
+        let (_, res_moved) = run_rhf(&moved);
+        assert!(
+            (res_moved.energy - res.energy).abs() < 1e-9,
+            "moved {} vs {}",
+            res_moved.energy,
+            res.energy
+        );
     }
 
     #[test]
@@ -375,7 +405,7 @@ mod tests {
         };
         let res = rks_lda(&mol, &basis, &opts);
         assert!(res.converged, "LDA SCF did not converge");
-        // LSDA H2 sits above the HF value in a minimal basis but in the
+        // LDA H2 sits above the HF value in a minimal basis but in the
         // same ballpark.
         assert!(res.energy < -0.9 && res.energy > -1.3, "E = {}", res.energy);
         assert!(res.breakdown.e_xc < 0.0);

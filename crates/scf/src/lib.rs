@@ -9,25 +9,24 @@
 //!   density. Self-consistency for the GGA potential is intentionally out
 //!   of scope (see DESIGN.md): the hybrid's *exact-exchange* term — the
 //!   paper's entire subject — is computed exactly, both analytically (via
-//!   the K matrix) and on grids (via `liair-core`'s pair-Poisson path).
+//!   the K matrix) and on grids (via `liair-core`'s pair-Poisson path);
+//! * [`session`] — the same SCF loop one iteration at a time, with a
+//!   bit-exact checkpoint/resume for preempted serve jobs.
 //!
-//! Validation: H₂, He, LiH and H₂O STO-3G total energies against
-//! literature values in the unit tests.
+//! Closed-shell, single-determinant energies only: nothing on the
+//! screening or MD paths needs open shells, correlated methods or
+//! analytic forces (MD forces are finite differences, see `liair-md`).
+//!
+//! Validation: H₂, He and H₂O STO-3G total energies against literature
+//! values, and LiH pinned to 1e-8 Ha with a translation/rotation
+//! invariance check, in the unit tests.
 
 #![forbid(unsafe_code)]
 
 pub mod diis;
 pub mod driver;
-pub mod fci;
-pub mod mp2;
-pub mod optimize;
 pub mod session;
-pub mod uhf;
 
 pub use diis::Diis;
 pub use driver::{functional_energy, rhf, rks_lda, EnergyBreakdown, Method, ScfOptions, ScfResult};
-pub use fci::{fci_two_electron, FciResult};
-pub use mp2::{mp2_correlation, rhf_mp2_energy};
-pub use optimize::{dipole_moment, harmonic_frequencies, optimize_rhf, OptResult};
 pub use session::{ScfCheckpoint, ScfSession};
-pub use uhf::{uhf, UhfOptions, UhfResult};

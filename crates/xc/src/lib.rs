@@ -10,6 +10,7 @@
 //!   the paper's `PBE0` hybrid (25 % exact exchange + 75 % PBE exchange +
 //!   full PBE correlation).
 //!
+//! Spin-unpolarized only: every SCF in the workspace is closed-shell.
 //! GGA quantities are evaluated from FFT gradients of the grid density.
 //! The hybrid's exact-exchange share is *not* computed here — that is the
 //! whole point of `liair-core`; this crate only reports the fraction.
@@ -18,7 +19,6 @@
 
 pub mod functional;
 pub mod lda;
-pub mod lsda;
 pub mod pbe;
 
 pub use functional::Functional;

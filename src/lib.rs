@@ -13,7 +13,7 @@
 //! * [`grid`] — real-space grids, FFT Poisson solvers, Foster–Boys
 //!   localization, Becke molecular quadrature;
 //! * [`xc`] — LDA / PBE / PBE0 functionals;
-//! * [`scf`] — RHF / RKS drivers;
+//! * [`scf`] — closed-shell RHF / RKS drivers with checkpointable sessions;
 //! * [`core`] — **the paper's contribution**: screened, load-balanced,
 //!   pair-distributed exact exchange, with real executors and the BG/Q
 //!   scale model;
@@ -105,10 +105,7 @@ pub mod prelude {
     pub use liair_runtime::{
         fit_torus, run_spmd_cfg, Comm, CommConfig, CommError, SeedConfig, SpmdRun, TrafficLog,
     };
-    pub use liair_scf::{
-        fci_two_electron, functional_energy, harmonic_frequencies, mp2_correlation, optimize_rhf,
-        rhf, rks_lda, uhf, ScfOptions, ScfResult, UhfOptions,
-    };
+    pub use liair_scf::{functional_energy, rhf, rks_lda, ScfOptions, ScfResult};
     pub use liair_serve::{
         run_and_verify, run_campaign, CampaignReport, CampaignSpec, Disruption, JobKind, JobReport,
         JobSpec, Observables, Service, ServiceConfig, ServiceReport,

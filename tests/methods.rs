@@ -1,103 +1,8 @@
-//! Cross-method integration: the electronic-structure hierarchy and the
-//! MD substrate, spanning basis / integrals / scf / md.
+//! Cross-crate integration of the MD substrate: the NVE drift baseline of
+//! the force-field integrator, and an NVT frame feeding exchange-pair
+//! screening, spanning basis / md / core.
 
 use liair::prelude::*;
-use liair::scf::fci::fci_two_electron;
-
-/// The variational ladder on one system and two bases:
-/// RHF(STO-3G) > RHF(6-31G); FCI < MP2-ish < RHF within each basis.
-#[test]
-fn method_hierarchy_h2() {
-    let mol = systems::h2();
-    let opts = ScfOptions::default();
-    let mut previous_fci = 0.0;
-    for (k, basis) in [Basis::sto3g(&mol), Basis::b631g(&mol)]
-        .into_iter()
-        .enumerate()
-    {
-        let scf = rhf(&mol, &basis, &opts);
-        assert!(scf.converged);
-        let corr = mp2_correlation(&basis, &scf);
-        let fci = fci_two_electron(&mol, &basis, &scf);
-        assert!(corr < 0.0);
-        assert!(fci.energy < scf.energy, "FCI must be below RHF");
-        assert!(
-            fci.energy <= scf.energy + corr + 5e-3,
-            "FCI {} vs MP2 {}",
-            fci.energy,
-            scf.energy + corr
-        );
-        if k == 1 {
-            assert!(fci.energy < previous_fci, "bigger basis must lower FCI");
-        }
-        previous_fci = fci.energy;
-    }
-}
-
-/// Open-shell vs closed-shell bookkeeping: UHF on a closed-shell system
-/// reproduces RHF; on the superoxide radical it produces a clean doublet.
-#[test]
-fn uhf_rhf_consistency_and_radical() {
-    let mol = systems::lih();
-    let basis = Basis::sto3g(&mol);
-    let r = rhf(&mol, &basis, &ScfOptions::default());
-    let u = uhf(&mol, &basis, 2, 2, &UhfOptions::default());
-    assert!(u.converged);
-    assert!(
-        (u.energy - r.energy).abs() < 1e-6,
-        "{} vs {}",
-        u.energy,
-        r.energy
-    );
-    assert!(u.s_squared.abs() < 1e-6);
-}
-
-/// Ewald and the DSF force field agree on the *forces* of a weakly-charged
-/// molecular configuration at short range better than either agrees with
-/// zero — a sanity cross-check between the two electrostatics backends.
-#[test]
-fn ewald_is_consistent_with_direct_sum_in_big_cell() {
-    use liair::md::ewald::{ewald_energy_forces, EwaldParams};
-    // Two opposite charges in a huge cell: Ewald → bare Coulomb.
-    let cell = Cell::cubic(60.0);
-    let r = 3.0;
-    let pos = vec![
-        Vec3::new(30.0 - r / 2.0, 30.0, 30.0),
-        Vec3::new(30.0 + r / 2.0, 30.0, 30.0),
-    ];
-    let chg = vec![1.0, -1.0];
-    let params = EwaldParams {
-        alpha: 0.25,
-        r_cut: 25.0,
-        k_max: 10,
-    };
-    let (e, f) = ewald_energy_forces(&cell, &pos, &chg, &params);
-    // Isolated pair: E = −1/r, attractive forces along ±x.
-    assert!((e - (-1.0 / r)).abs() < 1e-3, "E = {e} vs {}", -1.0 / r);
-    assert!(f[0].x > 0.0 && f[1].x < 0.0, "not attractive: {f:?}");
-    assert!((f[0].x.abs() - 1.0 / (r * r)).abs() < 1e-3);
-}
-
-/// The optimizer's minimum is a true stationary point of the analytic
-/// gradient AND the finite-difference energy surface.
-#[test]
-fn optimized_geometry_is_stationary() {
-    use liair::scf::optimize::optimize_rhf;
-    let res = optimize_rhf(&systems::h2(), &ScfOptions::default(), 1e-6, 60);
-    assert!(res.converged);
-    // FD check: energy rises in both directions along the bond.
-    let e_at = |r: f64| {
-        let mut m = res.mol.clone();
-        let dir = (m.atoms[1].pos - m.atoms[0].pos).normalized();
-        m.atoms[1].pos = m.atoms[0].pos + dir * r;
-        let b = Basis::sto3g(&m);
-        rhf(&m, &b, &ScfOptions::default()).energy
-    };
-    let r0 = res.mol.atoms[0].pos.distance(res.mol.atoms[1].pos);
-    let e0 = e_at(r0);
-    assert!(e_at(r0 + 0.02) > e0);
-    assert!(e_at(r0 - 0.02) > e0);
-}
 
 /// Pinned NVE energy-conservation baseline for the single-time-step
 /// velocity-Verlet integrator on a small periodic box — the reference
