@@ -5,7 +5,7 @@ use liair_math::Vec3;
 
 /// A uniform grid sampling the periodic cell; point `(ix, iy, iz)` sits at
 /// `(ix·a/nx, iy·b/ny, iz·c/nz)`. Fields over the grid are flat `Vec<f64>`
-/// in the `Array3` layout (z contiguous).
+/// with `(ix, iy, iz)` at `(ix·ny + iy)·nz + iz` (z contiguous).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RealGrid {
     /// The periodic cell.

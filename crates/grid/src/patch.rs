@@ -10,7 +10,9 @@
 //! in `liair-core::simulate` prices it at scale.
 //!
 //! Patch shapes repeat heavily across a pair list (the extent is rounded
-//! to a power of two and the spacing is shared), so the isolated Poisson
+//! to a power of two, at most the parent's extent, and the spacing is
+//! shared), so every patch grid meets the transform's rule (`2ᵃ3ᵇ5ᶜ`, even)
+//! whenever its parent does, and the isolated Poisson
 //! solver — whose kernel table costs an `O(N_patch³)` rebuild — is cached
 //! process-wide per `(extent, edge)` shape. The one energy entry point,
 //! [`patch_pair_energy_ws`], gathers through [`Patch::gather_into`] into a
@@ -39,8 +41,9 @@ pub struct Patch {
 impl Patch {
     /// Plan a patch of at least `extent³` parent-spacing points whose
     /// *center* lands nearest to `center`. The extent is rounded up to the
-    /// next power of two and clamped to the parent. The rounding is no
-    /// longer about transform speed (every 2ᵃ3ᵇ5ᶜ extent runs mixed-radix
+    /// next power of two and clamped to the parent, so it is a size the
+    /// transform runs whenever the parent's is. The rounding is not about
+    /// transform speed (every `2ᵃ3ᵇ5ᶜ` extent runs the same mixed-radix
     /// passes): the margin it adds is part of the patched path's measured
     /// accuracy bounds.
     pub fn plan(parent: &RealGrid, center: Vec3, extent: usize) -> Patch {

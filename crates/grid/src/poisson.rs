@@ -15,7 +15,10 @@
 //! Because every density here is real, the solver works on the Hermitian
 //! half-spectrum (`nz/2 + 1` bins along `z`) via `liair_math::rfft`: the
 //! kernel table is laid out once over the half-spectrum bins and the
-//! r2c/c2r transforms do roughly half the work of a complex path.
+//! r2c/c2r transforms do roughly half the work of a complex path. A solver
+//! is built only for a grid the transform supports (every extent
+//! `2ᵃ3ᵇ5ᶜ`, `nz` even — `liair_math::rfft::supported`), so a bad grid
+//! fails at [`PoissonSolver::new`], never inside a pair loop.
 //!
 //! There are two entry points, both on the calling thread against a
 //! caller-owned [`PoissonWorkspace`], so steady-state pair loops perform
@@ -35,7 +38,7 @@
 //! An interaction energy `∬ ρ₁ ρ₂' v_C` is `grid.inner(ρ₁, solve_into(ρ₂))`.
 
 use crate::grid::RealGrid;
-use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
+use liair_math::rfft::{half_len, irfft3_into, rfft3_into, supported};
 use liair_math::simd;
 use liair_math::Complex64;
 use std::f64::consts::PI;
@@ -137,16 +140,23 @@ pub struct PoissonSolver {
     /// Kernel over the Hermitian half-spectrum `(nx, ny, nz/2 + 1)`.
     kernel_half: Vec<f64>,
     /// Half-spectrum kernel with the Hermitian double-count weight folded
-    /// in: `w·v(G)` with `w = 1` on the self-conjugate z-planes and `w = 2`
-    /// elsewhere. Multiplying by `w ∈ {1, 2}` is exact, so folding it in
-    /// changes no term of the Parseval sum and leaves one flat weighted
-    /// contraction, `simd::weighted_energy`.
+    /// in: `w·v(G)` with `w = 1` on the self-conjugate z-planes (`iz = 0`
+    /// and `iz = nz/2`) and `w = 2` elsewhere. Multiplying by `w ∈ {1, 2}`
+    /// is exact, so folding it in changes no term of the Parseval sum and
+    /// leaves one flat weighted contraction, `simd::weighted_energy`.
     kernel_half_weighted: Vec<f64>,
 }
 
 impl PoissonSolver {
     /// Precompute the kernel tables for a grid.
+    ///
+    /// Panics unless every extent of the grid is `2ᵃ3ᵇ5ᶜ` and `nz` is even.
     pub fn new(grid: RealGrid, kernel: CoulombKernel) -> Self {
+        assert!(
+            supported(grid.dims),
+            "grid {:?}: every extent must be 2ᵃ3ᵇ5ᶜ and nz even",
+            grid.dims
+        );
         let (nx, ny, nz) = grid.dims;
         let nzh = nz / 2 + 1;
         let mut table_half = Vec::with_capacity(nx * ny * nzh);
@@ -159,11 +169,6 @@ impl PoissonSolver {
                 }
             }
         }
-        let nyquist = if nz.is_multiple_of(2) {
-            nzh - 1
-        } else {
-            usize::MAX
-        };
         let table_weighted: Vec<f64> = table_half
             .iter()
             .enumerate()
@@ -171,7 +176,7 @@ impl PoissonSolver {
                 let iz = i % nzh;
                 // ×2 is exact, so folding the weight in here leaves every
                 // term of the Parseval contraction unchanged.
-                if iz == 0 || iz == nyquist {
+                if iz == 0 || iz == nzh - 1 {
                     v
                 } else {
                     2.0 * v
@@ -246,11 +251,10 @@ mod tests {
     use liair_math::special::erf;
     use liair_math::{approx_eq, Vec3};
 
-    /// The seed's complex-to-complex path — full-spectrum kernel table,
-    /// threaded c2c forward and inverse transforms — kept verbatim as the
-    /// oracle for the r2c solver: the potential of `rho`.
+    /// The complex-to-complex path — full-spectrum kernel table, every
+    /// pencil of every axis transformed on its own through the 1-D plans —
+    /// as the oracle for the r2c solver: the potential of `rho`.
     fn solve_reference(grid: &RealGrid, kernel: CoulombKernel, rho: &[f64]) -> Vec<f64> {
-        use liair_math::fft3::{fft3, ifft3, to_complex, to_real};
         let (nx, ny, nz) = grid.dims;
         let mut table = Vec::with_capacity(grid.len());
         for i in 0..nx {
@@ -260,13 +264,34 @@ mod tests {
                 }
             }
         }
-        let mut work = to_complex(rho, grid.dims);
-        fft3(&mut work);
-        for (z, &k) in work.as_mut_slice().iter_mut().zip(&table) {
+        let mut work: Vec<Complex64> = rho.iter().map(|&r| Complex64::real(r)).collect();
+        c2c3(&mut work, grid.dims, false);
+        for (z, &k) in work.iter_mut().zip(&table) {
             *z = z.scale(k);
         }
-        ifft3(&mut work);
-        to_real(&work)
+        c2c3(&mut work, grid.dims, true);
+        work.iter().map(|z| z.re).collect()
+    }
+
+    /// 3-D c2c transform (the inverse normalized), pencil by pencil.
+    fn c2c3(a: &mut [Complex64], (nx, ny, nz): (usize, usize, usize), inverse: bool) {
+        for (n, stride) in [(nz, 1), (ny, nz), (nx, ny * nz)] {
+            let p = liair_math::plan::plan(n);
+            let mut pencil = vec![Complex64::ZERO; n];
+            for start in (0..a.len()).filter(|s| s / stride % n == 0) {
+                for (j, v) in pencil.iter_mut().enumerate() {
+                    *v = a[start + j * stride];
+                }
+                if inverse {
+                    p.ifft(&mut pencil);
+                } else {
+                    p.fft(&mut pencil);
+                }
+                for (j, &v) in pencil.iter().enumerate() {
+                    a[start + j * stride] = v;
+                }
+            }
+        }
     }
 
     /// `∬ ρ₁(r) ρ₂(r') v_C dr dr'` through the potential entry point.
@@ -379,7 +404,7 @@ mod tests {
 
     #[test]
     fn solve_into_matches_c2c_reference() {
-        let grid = RealGrid::new(Cell::orthorhombic(9.0, 11.0, 13.0), (12, 10, 15));
+        let grid = RealGrid::new(Cell::orthorhombic(9.0, 11.0, 13.0), (15, 10, 16));
         let solver = PoissonSolver::new(grid, CoulombKernel::Periodic);
         let mut rng = liair_math::rng::SplitMix64::new(21);
         let rho: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
@@ -400,7 +425,7 @@ mod tests {
 
     #[test]
     fn energy_only_path_matches_solve_based_energy() {
-        for dims in [(16usize, 16usize, 16usize), (12, 10, 15)] {
+        for dims in [(16usize, 16usize, 16usize), (15, 10, 16)] {
             let grid = RealGrid::new(Cell::orthorhombic(9.0, 10.0, 11.0), dims);
             let solver = PoissonSolver::isolated(grid);
             let mut rng = liair_math::rng::SplitMix64::new(33);
@@ -417,9 +442,8 @@ mod tests {
 
     #[test]
     fn energy_only_path_matches_c2c_reference() {
-        // 16³ runs radix-4 passes alone, 18³ and 24³ mixed radices, 14³
-        // the Bluestein fallback (a prime factor 7).
-        for n in [16usize, 18, 24, 14] {
+        // 16³ runs radix-4 passes alone, 18³, 20³ and 24³ mixed radices.
+        for n in [16usize, 18, 20, 24] {
             let grid = RealGrid::cubic(Cell::cubic(10.0), n);
             let kernel = CoulombKernel::SphericalCutoff(grid.cell.min_half_edge());
             let solver = PoissonSolver::new(grid, kernel);
@@ -430,5 +454,11 @@ mod tests {
             let rel = (got - want).abs() / want.abs();
             assert!(rel <= 1e-12, "{n}³: {got} vs c2c {want} ({rel:e})");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every extent must be 2ᵃ3ᵇ5ᶜ and nz even")]
+    fn solver_rejects_a_grid_the_transform_cannot_run() {
+        PoissonSolver::isolated(RealGrid::cubic(Cell::cubic(10.0), 14));
     }
 }

@@ -61,10 +61,9 @@ fn random_field(n: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn pair_energy_paths_are_allocation_free_after_warmup() {
-    // 32³ and the mixed-radix 24³ / 48³ share one grow-only block of
-    // thread-local work space; 14³ (a prime factor 7) adds the Bluestein
-    // fallback's padded rows, which live in the same block.
-    for n in [32usize, 24, 48, 14] {
+    // 32³, the mixed-radix 24³ / 48³ and the radix-5 20³ share one
+    // grow-only block of thread-local work space.
+    for n in [32usize, 24, 48, 20] {
         let grid = RealGrid::cubic(Cell::cubic(12.0), n);
         let solver = PoissonSolver::isolated(grid);
         let a = random_field(grid.len(), 1);

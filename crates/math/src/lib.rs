@@ -4,12 +4,12 @@
 //!
 //! * [`Complex64`] — a minimal complex number type (no external dependency).
 //! * [`plan`] — the FFT engine and its process-wide, bounded plan cache:
-//!   mixed-radix (4, 2, 3, 5) Stockham passes over *rows of pencils* (a
-//!   Bluestein fallback covers lengths with a prime factor ≥ 7). [`fft`]
-//!   holds the 1-D entry points and the naive-DFT oracle, [`fft3`] the 3-D
-//!   complex transforms and the one axis routine, and [`rfft`] the
-//!   real-input r2c/c2r path of the pair-Poisson exact-exchange kernel,
-//!   storing only the Hermitian half-spectrum.
+//!   mixed-radix (4, 2, 3, 5) Stockham passes over *rows of pencils*, for
+//!   `2ᵃ3ᵇ5ᶜ` lengths only, plus the naive-DFT test oracle.
+//! * [`rfft`] — the one 3-D transform family: real-input r2c/c2r over the
+//!   Hermitian half-spectrum, the pair-Poisson exact-exchange kernel's
+//!   transform. [`rfft::supported`] is the one admissibility rule of every
+//!   grid: each extent `2ᵃ3ᵇ5ᶜ`, `nz` even.
 //! * [`linalg`] — dense real linear algebra: symmetric Jacobi eigensolver,
 //!   LU solves, and matrix products sized for quantum-chemistry workloads.
 //! * [`special`] — the Boys function (the workhorse of Gaussian integral
@@ -29,11 +29,8 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
-pub mod array3;
 pub mod codec;
 pub mod complex;
-pub mod fft;
-pub mod fft3;
 pub mod linalg;
 pub mod plan;
 pub mod quadrature;
@@ -44,7 +41,6 @@ pub mod special;
 pub mod stats;
 pub mod vec3;
 
-pub use array3::Array3;
 pub use complex::Complex64;
 pub use linalg::Mat;
 pub use vec3::Vec3;

@@ -8,14 +8,14 @@
 //! instead of gathering one pencil at a time; a single pencil is the
 //! `row_len = 1` case.
 //!
-//! * Lengths `2ᵃ3ᵇ5ᶜ` run **mixed-radix (4, 2, 3, 5) Stockham autosort
-//!   passes**: each pass reads one buffer and writes the other in the order
-//!   the next pass wants, so there is no bit-reversal and no in-place
-//!   scatter. Both directions share the kernels (a const-generic conjugate),
-//!   and a caller's `1/n` rides on the last pass, which has no twiddles.
-//! * Lengths with a prime factor ≥ 7 fall back to Bluestein's chirp-z on a
-//!   power-of-two plan of the same kind; the chirp and its spectrum (with
-//!   the convolution's `1/m` folded in) are part of the cached plan.
+//! * Every length is `2ᵃ3ᵇ5ᶜ` and runs **mixed-radix (4, 2, 3, 5)
+//!   Stockham autosort passes**: each pass reads one buffer and writes the
+//!   other in the order the next pass wants, so there is no bit-reversal
+//!   and no in-place scatter. Both directions share the kernels (a
+//!   const-generic conjugate), and a caller's `1/n` rides on the last pass,
+//!   which has no twiddles. [`plan`] rejects any other length — the grids
+//!   the workspace builds are all `2ᵃ3ᵇ5ᶜ`, as in plane-wave codes, and
+//!   [`crate::rfft::supported`] states the rule for a 3-D grid.
 //! * Every plan also carries the untangle twiddles that make it the packed
 //!   half of a real transform of length `2n` ([`crate::rfft`]), so real
 //!   transforms have no plan type and no cache of their own.
@@ -37,6 +37,9 @@
 //!
 //! Steady-state transforms are allocation-free: all work space is one
 //! grow-only thread-local buffer.
+//!
+//! [`dft_reference`] is the naive `O(n²)` DFT the tests hold every plan
+//! against.
 
 use crate::complex::Complex64;
 use std::array;
@@ -49,16 +52,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
-    /// Stockham passes in execution order (empty for `n = 1` and for
-    /// Bluestein lengths).
+    /// Stockham passes in execution order (empty for `n = 1`).
     passes: Vec<Pass>,
     /// Forward twiddles of every pass, concatenated (`Pass::tw` indexes in).
     twiddles: Vec<Complex64>,
     /// `e^{-2πik/2n}` for `k ≤ n`: the r2c untangle twiddles of the real
     /// transform of length `2n` this plan is the packed half of.
     untangle: Vec<Complex64>,
-    /// Chirp-z machinery for lengths with a prime factor ≥ 7.
-    bluestein: Option<Bluestein>,
 }
 
 /// One radix-`radix` Stockham pass over a sub-transform of length
@@ -70,19 +70,6 @@ struct Pass {
     /// Offset of this pass's `m·(radix−1)` twiddles `w^{p·j}` (`p < m`,
     /// `1 ≤ j < radix`, `w = e^{-2πi/(radix·m)}`).
     tw: usize,
-}
-
-#[derive(Debug)]
-struct Bluestein {
-    /// Convolution length: next power of two ≥ 2n−1.
-    m: usize,
-    /// Forward chirp `e^{-iπ j²/n}` (inverse uses the conjugate).
-    chirp: Vec<Complex64>,
-    /// `FFT_m` of the wrapped conjugate chirp, times `1/m`; the inverse
-    /// transform's spectrum is its conjugate (the wrapped chirp is even).
-    spec: Vec<Complex64>,
-    /// The power-of-two plan driving the cyclic convolution.
-    sub: Arc<FftPlan>,
 }
 
 thread_local! {
@@ -103,9 +90,18 @@ pub(crate) fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [Complex64]) -> T)
     })
 }
 
-/// `n` as a product of radices 4, 2, 3, 5 (at most one 2), or `None` when
-/// a prime factor ≥ 7 is left over.
-fn radices(mut n: usize) -> Option<Vec<usize>> {
+/// `true` when `n` is `2ᵃ3ᵇ5ᶜ` (`n ≥ 1`): the lengths [`plan`] accepts.
+pub(crate) fn is_smooth(mut n: usize) -> bool {
+    for p in [2, 3, 5] {
+        while n > 0 && n.is_multiple_of(p) {
+            n /= p;
+        }
+    }
+    n == 1
+}
+
+/// A `2ᵃ3ᵇ5ᶜ` length as a product of radices 4, 2, 3, 5 (at most one 2).
+fn radices(mut n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     for r in [4, 2, 3, 5] {
         while n.is_multiple_of(r) {
@@ -113,12 +109,11 @@ fn radices(mut n: usize) -> Option<Vec<usize>> {
             n /= r;
         }
     }
-    (n == 1).then_some(out)
+    out
 }
 
 impl FftPlan {
     fn build(n: usize) -> FftPlan {
-        assert!(n >= 1, "FFT length must be positive");
         let untangle = (0..=n)
             .map(|k| Complex64::cis(-PI * k as f64 / n as f64))
             .collect();
@@ -127,14 +122,9 @@ impl FftPlan {
             passes: Vec::new(),
             twiddles: Vec::new(),
             untangle,
-            bluestein: None,
-        };
-        let Some(radices) = radices(n) else {
-            plan.bluestein = Some(Bluestein::build(n));
-            return plan;
         };
         let mut len = n;
-        for radix in radices {
+        for radix in radices(n) {
             let m = len / radix;
             plan.passes.push(Pass {
                 radix,
@@ -160,12 +150,6 @@ impl FftPlan {
     /// `true` for the degenerate length-1 plan.
     pub fn is_empty(&self) -> bool {
         self.n == 1
-    }
-
-    /// `true` when this length runs Bluestein's chirp-z (a prime factor
-    /// ≥ 7) instead of mixed-radix passes.
-    pub fn is_bluestein(&self) -> bool {
-        self.bluestein.is_some()
     }
 
     /// In-place forward DFT `X_k = Σ_j x_j e^{-2πijk/n}` (unnormalized).
@@ -202,10 +186,7 @@ impl FftPlan {
 
     /// Work space [`FftPlan::rows`] needs for rows of `row_len`.
     pub(crate) fn work_len(&self, row_len: usize) -> usize {
-        match &self.bluestein {
-            None => 2 * self.n * row_len,
-            Some(bs) => bs.m * row_len + bs.sub.work_len(row_len),
-        }
+        2 * self.n * row_len
     }
 
     /// Transform the `n` rows of `row_len` in `data` in place — forward, or
@@ -221,9 +202,7 @@ impl FftPlan {
     ) {
         assert_eq!(data.len(), self.n * row_len, "data does not match plan");
         let work = &mut work[..self.work_len(row_len)];
-        if let Some(bs) = &self.bluestein {
-            bs.rows(inverse, scale, data, row_len, work);
-        } else if self.passes.is_empty() {
+        if self.passes.is_empty() {
             if scale != 1.0 {
                 data.iter_mut().for_each(|z| *z = z.scale(scale));
             }
@@ -394,77 +373,9 @@ fn butterfly<const R: usize, const INV: bool>(a: [Complex64; R]) -> [Complex64; 
     y
 }
 
-impl Bluestein {
-    fn build(n: usize) -> Bluestein {
-        // Quadratic phase reduced mod 2n to preserve precision at large
-        // indices.
-        let chirp: Vec<Complex64> = (0..n)
-            .map(|j| {
-                let jsq = (j as u128 * j as u128 % (2 * n as u128)) as f64;
-                Complex64::cis(-PI * jsq / n as f64)
-            })
-            .collect();
-        let m = (2 * n - 1).next_power_of_two();
-        let sub = plan(m);
-        let mut spec = vec![Complex64::ZERO; m];
-        for j in 0..n {
-            spec[j] = chirp[j].conj();
-            spec[(m - j) % m] = chirp[j].conj();
-        }
-        let mut work = vec![Complex64::ZERO; sub.work_len(1)];
-        sub.rows(false, 1.0 / m as f64, &mut spec, 1, &mut work);
-        Bluestein {
-            m,
-            chirp,
-            spec,
-            sub,
-        }
-    }
-
-    /// Chirp-z as one cyclic convolution against the cached spectrum, all
-    /// `row_len` pencils at once: `work` is the `m` padded rows followed by
-    /// the sub-plan's own work space.
-    fn rows(
-        &self,
-        inverse: bool,
-        scale: f64,
-        data: &mut [Complex64],
-        row_len: usize,
-        work: &mut [Complex64],
-    ) {
-        let conj_if = |z: Complex64| if inverse { z.conj() } else { z };
-        let (a, sub_work) = work.split_at_mut(self.m * row_len);
-        let (head, pad) = a.split_at_mut(data.len());
-        let rows = head
-            .chunks_exact_mut(row_len)
-            .zip(data.chunks_exact(row_len));
-        for ((out, row), &c) in rows.zip(&self.chirp) {
-            let c = conj_if(c);
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o = x * c;
-            }
-        }
-        pad.fill(Complex64::ZERO);
-        self.sub.rows(false, 1.0, a, row_len, sub_work);
-        for (row, &s) in a.chunks_exact_mut(row_len).zip(&self.spec) {
-            let s = conj_if(s);
-            row.iter_mut().for_each(|x| *x *= s);
-        }
-        self.sub.rows(true, 1.0, a, row_len, sub_work);
-        let rows = data.chunks_exact_mut(row_len).zip(a.chunks_exact(row_len));
-        for ((out, row), &c) in rows.zip(&self.chirp) {
-            let c = conj_if(c).scale(scale);
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o = x * c;
-            }
-        }
-    }
-}
-
 /// Default bound on distinct cached lengths. A 3-D real transform touches
-/// at most four (three axes plus the packed `nz/2`), and a Bluestein length
-/// one more, so this comfortably covers a dozen concurrently active grid
-/// shapes.
+/// at most three (`nx`, `ny` and the packed `nz/2`), so this comfortably
+/// covers a dozen concurrently active grid shapes.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 #[derive(Debug)]
@@ -528,35 +439,28 @@ fn cache() -> &'static Mutex<PlanCache> {
 /// Fetch (or build and cache) the plan for length `n`. Hot callers that
 /// transform many same-length lines should fetch once and reuse the `Arc`
 /// rather than paying the cache lock per line.
+///
+/// Panics unless `n` is `2ᵃ3ᵇ5ᶜ`.
 pub fn plan(n: usize) -> Arc<FftPlan> {
-    {
-        let mut c = cache().lock().unwrap();
-        c.tick += 1;
-        let tick = c.tick;
-        if let Some(e) = c.entries.get_mut(&n) {
-            e.last_use = tick;
-            let out = Arc::clone(&e.plan);
-            c.hits += 1;
-            return out;
-        }
-        c.misses += 1;
-    }
-    // Build outside the lock: Bluestein setup recurses into `plan(m)`.
-    let built = Arc::new(FftPlan::build(n));
+    assert!(is_smooth(n), "FFT length {n} is not 2ᵃ3ᵇ5ᶜ");
     let mut c = cache().lock().unwrap();
     c.tick += 1;
     let tick = c.tick;
-    let out = Arc::clone(
-        &c.entries
-            .entry(n)
-            .or_insert(PlanEntry {
-                plan: built,
-                last_use: tick,
-            })
-            .plan,
-    );
+    if let Some(e) = c.entries.get_mut(&n) {
+        e.last_use = tick;
+        let out = Arc::clone(&e.plan);
+        c.hits += 1;
+        return out;
+    }
+    c.misses += 1;
+    let plan = Arc::new(FftPlan::build(n));
+    let entry = PlanEntry {
+        plan: Arc::clone(&plan),
+        last_use: tick,
+    };
+    c.entries.insert(n, entry);
     c.enforce_bound(n);
-    out
+    plan
 }
 
 /// Plan-cache observability counters.
@@ -587,6 +491,23 @@ impl PlanCacheStats {
     }
 }
 
+/// Out-of-place naive DFT, `O(n²)`: the oracle the transforms are tested
+/// against. Unnormalized in both directions.
+pub fn dft_reference(input: &[Complex64], inverse: bool) -> Vec<Complex64> {
+    let n = input.len();
+    let sign = if inverse { 1.0 } else { -1.0 };
+    (0..n)
+        .map(|k| {
+            let mut acc = Complex64::ZERO;
+            for (j, &x) in input.iter().enumerate() {
+                let ang = sign * 2.0 * PI * (j * k % n) as f64 / n as f64;
+                acc += x * Complex64::cis(ang);
+            }
+            acc
+        })
+        .collect()
+}
+
 /// Snapshot of the process-wide plan-cache counters.
 pub fn plan_cache_stats() -> PlanCacheStats {
     let c = cache().lock().unwrap();
@@ -602,7 +523,6 @@ pub fn plan_cache_stats() -> PlanCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::dft_reference;
     use crate::rng::SplitMix64;
 
     fn random_signal(n: usize, seed: u64) -> Vec<Complex64> {
@@ -621,7 +541,7 @@ mod tests {
 
     #[test]
     fn planned_transform_matches_reference() {
-        for &n in &[2usize, 7, 16, 48, 77, 96, 128] {
+        for &n in &[2usize, 15, 16, 48, 75, 96, 128] {
             let p = plan(n);
             let x = random_signal(n, n as u64);
             let mut got = x.clone();
@@ -636,17 +556,16 @@ mod tests {
 
     #[test]
     fn repeated_odd_length_transforms_reuse_the_plan() {
-        // Regression: the seed rebuilt the Bluestein chirp and re-FFT'd it
-        // on every call of such a length. With the cache, every lookup of the
-        // same length must return the *same* plan object.
-        let first = plan(77);
+        // Every lookup of the same length must return the *same* plan
+        // object: the twiddles are built once, not per call.
+        let first = plan(75);
         for _ in 0..10 {
-            let again = plan(77);
+            let again = plan(75);
             assert!(
                 Arc::ptr_eq(&first, &again),
-                "plan(77) rebuilt instead of reused"
+                "plan(75) rebuilt instead of reused"
             );
-            let mut x = random_signal(77, 3);
+            let mut x = random_signal(75, 3);
             again.fft(&mut x);
         }
         // And the cache counters move in the right direction: at least ten
@@ -695,18 +614,19 @@ mod tests {
         assert!(c.entries.contains_key(&8));
         assert!(c.entries.contains_key(&64));
         assert_eq!(c.evictions, 1);
-        // The just-inserted key is never its own victim, even at capacity 0.
+        // The just-inserted key is never its own victim, even at capacity 0:
+        // 32 and 8 go, 64 survives alone.
         c.capacity = 0;
-        c.capacity = c.capacity.max(1);
         c.enforce_bound(64);
-        assert!(c.entries.contains_key(&64));
+        assert_eq!(c.entries.keys().collect::<Vec<_>>(), [&64]);
+        assert_eq!(c.evictions, 3);
     }
 
     #[test]
     fn stats_since_windows_the_counters() {
         let a = plan_cache_stats();
-        plan(2053);
-        plan(2053);
+        plan(1875);
+        plan(1875);
         let b = plan_cache_stats();
         let d = b.since(&a);
         assert!(d.misses >= 1, "{d:?}");
@@ -714,20 +634,38 @@ mod tests {
     }
 
     #[test]
-    fn bluestein_spectrum_is_precomputed_once() {
-        // The chirp spectrum lives in the plan: two transforms of the same
-        // prime-factor-7 length must not rebuild it (checked by exactness
-        // of repeated results).
-        let p = plan(49);
-        assert!(p.is_bluestein());
-        let x = random_signal(49, 9);
-        let mut a = x.clone();
-        let mut b = x.clone();
-        p.fft(&mut a);
-        p.fft(&mut b);
-        for (u, v) in a.iter().zip(&b) {
-            assert_eq!(u.re, v.re);
-            assert_eq!(u.im, v.im);
+    fn impulse_transforms_to_constant() {
+        let mut x = vec![Complex64::ZERO; 32];
+        x[0] = Complex64::ONE;
+        plan(32).fft(&mut x);
+        for z in &x {
+            assert!((z.re - 1.0).abs() < 1e-12 && z.im.abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn pure_tone_has_single_bin() {
+        // x_j = e^{2πi·3j/n} transforms to n·δ_{k,3} (with the e^{-..}
+        // convention the +3 tone lands in bin 3).
+        let n = 32;
+        let mut x: Vec<Complex64> = (0..n)
+            .map(|j| Complex64::cis(2.0 * PI * 3.0 * j as f64 / n as f64))
+            .collect();
+        plan(n).fft(&mut x);
+        for (k, z) in x.iter().enumerate() {
+            let expect = if k == 3 { n as f64 } else { 0.0 };
+            assert!((z.re - expect).abs() < 1e-9 && z.im.abs() < 1e-9, "bin {k}");
+        }
+    }
+
+    #[test]
+    fn parseval_energy_conservation() {
+        let n = 128;
+        let x = random_signal(n, 99);
+        let time_energy: f64 = x.iter().map(|z| z.norm_sqr()).sum();
+        let mut y = x.clone();
+        plan(n).fft(&mut y);
+        let freq_energy: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
+        assert!((time_energy - freq_energy).abs() < 1e-10 * time_energy);
     }
 }

@@ -1,31 +1,40 @@
-//! Real-input 3-D FFTs (r2c / c2r) over the Hermitian half-spectrum.
+//! Real-input 3-D FFTs (r2c / c2r) over the Hermitian half-spectrum — the
+//! one 3-D transform family of the workspace.
 //!
 //! The pair densities in the exchange kernel are real fields, so their
 //! spectra are Hermitian: `X(-k) = conj(X(k))`. Storing only the
 //! non-redundant half — `nz/2 + 1` bins along the contiguous `z` axis —
 //! halves both the transform work on that axis and the memory traffic of
-//! every later axis, which together buy roughly a 2× speedup of a full
-//! pair-Poisson solve versus the complex-to-complex path.
+//! every later axis.
+//!
+//! **One admissibility rule:** every extent is `2ᵃ3ᵇ5ᶜ` and `nz` is even
+//! ([`supported`]). Both entry points assert it, and so does the grid
+//! layer's Poisson solver when it is built; every grid the workspace
+//! builds (16³ … 96³, and power-of-two patches) satisfies it.
 //!
 //! Every axis runs the row-batched plans of [`crate::plan`]:
 //!
-//! * **z** is r2c/c2r on a *block* of rows at once. Even lengths use the
+//! * **z** is r2c/c2r on a *block* of rows at once, by the
 //!   pack-and-untangle trick — the `nz` reals of a row are packed as
 //!   `z_j = x_{2j} + i·x_{2j+1}`, one `nz/2`-point complex transform runs,
 //!   and the even/odd sub-spectra are untangled with a twiddle — with the
 //!   rows of the block side by side, so the transform streams across rows
-//!   and the untangle broadcasts one twiddle per bin. Odd lengths go
-//!   through the full-length complex plan and keep the first `nz/2 + 1`
-//!   bins (the c2r side reconstructs the rest by symmetry). A 1-D real
-//!   transform is the `(1, 1, n)` case.
-//! * **y** and **x** are the complex axis routine [`crate::fft3`] also
-//!   uses; `y` runs right behind `z` on each `x`-slab while it is hot.
+//!   and the untangle broadcasts one twiddle per bin. A 1-D real transform
+//!   is the `(1, 1, n)` case.
+//! * **y** and **x** are one complex axis routine (`axis`). A sweep views
+//!   the array as `[outer][n][inner]` and hands the plan **rows**: an
+//!   `[n][inner]` slab that is small enough is transformed where it lies
+//!   (`y`: each `x`-slab is `ny` rows of `nz/2 + 1` bins, run right behind
+//!   `z` while it is hot); a wider one (`x`, whose rows are whole planes)
+//!   goes block by block — about `BLOCK_ELEMS / n` columns are copied as
+//!   contiguous runs into the work space, transformed there so every pass
+//!   stays in cache, and copied back. No pencil is ever gathered alone.
 //!
-//! Conventions match [`crate::fft`]: the forward transform is
-//! unnormalized — bin `(ix, iy, iz)` of [`rfft3_into`] equals bin
-//! `(ix, iy, iz)` of [`crate::fft3::fft3`] for `iz < nz/2 + 1` — and the
-//! inverse is exact (`irfft3_into ∘ rfft3_into` is the identity; the whole
-//! `1/(nx·ny·nz)` rides on the c2r pre-untangle).
+//! Conventions: the forward transform is unnormalized — bin
+//! `(ix, iy, iz)` of [`rfft3_into`] is bin `(ix, iy, iz)` of the full 3-D
+//! DFT for `iz < nz/2 + 1` — and the inverse is exact
+//! (`irfft3_into ∘ rfft3_into` is the identity; the whole `1/(nx·ny·nz)`
+//! rides on the c2r pre-untangle).
 //!
 //! The transforms run on the calling thread: in the per-pair exchange loop
 //! each task owns one whole transform, and the parallelism is over pairs.
@@ -34,9 +43,65 @@
 //! heap allocations.
 
 use crate::complex::Complex64;
-use crate::fft3::{axis, axis_work_len, block_width};
-use crate::plan::{plan, with_scratch, FftPlan};
+use crate::plan::{is_smooth, plan, with_scratch, FftPlan};
 use std::sync::Arc;
+
+/// The admissibility rule of every 3-D transform: each extent is
+/// `2ᵃ3ᵇ5ᶜ` and `nz` is even (`nx`, `ny` may be odd).
+pub fn supported((nx, ny, nz): (usize, usize, usize)) -> bool {
+    is_smooth(nx) && is_smooth(ny) && is_smooth(nz) && nz.is_multiple_of(2)
+}
+
+/// Target size, in complex values, of one block of rows (128 KiB: the
+/// block and its two work buffers stay in L2). Measured on 16³–64³, longer
+/// runs beat a smaller footprint up to here.
+const BLOCK_ELEMS: usize = 8192;
+
+/// Columns per block when `inner` pencils of length `n` are transformed:
+/// all of them if they fit [`BLOCK_ELEMS`], else an even split.
+fn block_width(n: usize, inner: usize) -> usize {
+    let cap = (BLOCK_ELEMS / n).max(1);
+    inner.div_ceil(inner.div_ceil(cap))
+}
+
+/// Work space [`axis`] needs for `plan` over `inner` columns.
+fn axis_work_len(plan: &FftPlan, inner: usize) -> usize {
+    let bw = block_width(plan.len(), inner);
+    let block = if bw == inner { 0 } else { plan.len() * bw };
+    block + plan.work_len(bw)
+}
+
+/// Transform (and scale) every length-`n` pencil of `data` viewed as
+/// `[outer][n][inner]`, `n = plan.len()`.
+fn axis(
+    plan: &FftPlan,
+    inverse: bool,
+    scale: f64,
+    data: &mut [Complex64],
+    inner: usize,
+    work: &mut [Complex64],
+) {
+    let n = plan.len();
+    let bw = block_width(n, inner);
+    for slab in data.chunks_exact_mut(n * inner) {
+        if bw == inner {
+            plan.rows(inverse, scale, slab, inner, work);
+            continue;
+        }
+        let (block, work) = work.split_at_mut(n * bw);
+        for c0 in (0..inner).step_by(bw) {
+            let w = bw.min(inner - c0);
+            let block = &mut block[..n * w];
+            for (run, row) in block.chunks_exact_mut(w).zip(slab[c0..].chunks(inner)) {
+                run.copy_from_slice(&row[..w]);
+            }
+            plan.rows(inverse, scale, block, w, work);
+            for (run, row) in block.chunks_exact(w).zip(slab[c0..].chunks_mut(inner)) {
+                row[..w].copy_from_slice(run);
+            }
+        }
+    }
+}
 
 /// Dimensions of the stored half-spectrum for a real field of `dims`:
 /// `(nx, ny, nz/2 + 1)`, still `z`-contiguous.
@@ -50,11 +115,18 @@ pub fn half_len(dims: (usize, usize, usize)) -> usize {
     hx * hy * hz
 }
 
+fn assert_supported(dims: (usize, usize, usize)) {
+    assert!(
+        supported(dims),
+        "grid {dims:?}: every extent must be 2ᵃ3ᵇ5ᶜ and nz even"
+    );
+}
+
 /// The plans of one 3-D real transform and the work space it needs.
 struct Plans {
     x: Arc<FftPlan>,
     y: Arc<FftPlan>,
-    /// Length `nz/2` (packed) for even `nz`, `nz` itself for odd.
+    /// The packed length `nz/2`.
     z: Arc<FftPlan>,
     /// Rows per z block.
     rows: usize,
@@ -65,7 +137,7 @@ impl Plans {
     fn new((nx, ny, nz): (usize, usize, usize)) -> Plans {
         let nzh = nz / 2 + 1;
         let (x, y) = (plan(nx), plan(ny));
-        let z = plan(if nz.is_multiple_of(2) { nz / 2 } else { nz });
+        let z = plan(nz / 2);
         let rows = block_width(z.len(), ny);
         let work_len = (z.len() * rows + z.work_len(rows))
             .max(axis_work_len(&y, nzh))
@@ -82,7 +154,10 @@ impl Plans {
 
 /// Forward 3-D r2c on the calling thread, writing the `(nx, ny, nz/2+1)`
 /// half-spectrum into `half`. Zero steady-state heap allocation.
+///
+/// Panics unless `dims` is [`supported`].
 pub fn rfft3_into(real: &[f64], dims: (usize, usize, usize), half: &mut [Complex64]) {
+    assert_supported(dims);
     let (nx, ny, nz) = dims;
     let nzh = nz / 2 + 1;
     assert_eq!(real.len(), nx * ny * nz, "real field does not match dims");
@@ -107,7 +182,10 @@ pub fn rfft3_into(real: &[f64], dims: (usize, usize, usize), half: &mut [Complex
 
 /// Inverse of [`rfft3_into`]: consumes (destroys) the half-spectrum and
 /// writes the recovered real field. Zero steady-state heap allocation.
+///
+/// Panics unless `dims` is [`supported`].
 pub fn irfft3_into(half: &mut [Complex64], dims: (usize, usize, usize), real_out: &mut [f64]) {
+    assert_supported(dims);
     let (nx, ny, nz) = dims;
     let nzh = nz / 2 + 1;
     assert_eq!(
@@ -141,36 +219,22 @@ pub fn irfft3_into(half: &mut [Complex64], dims: (usize, usize, usize), real_out
 fn r2c_rows(pz: &FftPlan, nz: usize, real: &[f64], half: &mut [Complex64], work: &mut [Complex64]) {
     let (h, nzh, b) = (nz / 2, nz / 2 + 1, real.len() / nz);
     let (z, work) = work.split_at_mut(pz.len() * b);
-    if nz.is_multiple_of(2) {
-        for (r, row) in real.chunks_exact(nz).enumerate() {
-            for (j, x) in row.chunks_exact(2).enumerate() {
-                z[j * b + r] = Complex64::new(x[0], x[1]);
-            }
+    for (r, row) in real.chunks_exact(nz).enumerate() {
+        for (j, x) in row.chunks_exact(2).enumerate() {
+            z[j * b + r] = Complex64::new(x[0], x[1]);
         }
-        pz.rows(false, 1.0, z, b, work);
-        // Untangle, two bins per butterfly: X_k = E_k + W_k·O_k and
-        // X_{h−k} = conj(E_k − W_k·O_k), with Z_h ≡ Z_0 (periodicity).
-        for (k, &w) in pz.untangle()[..=h / 2].iter().enumerate() {
-            let (zk, zc) = (&z[k * b..][..b], &z[(h - k) % h * b..][..b]);
-            for (r, out) in half.chunks_exact_mut(nzh).enumerate() {
-                let (s, d) = (zk[r] + zc[r].conj(), zk[r] - zc[r].conj());
-                let (e, o) = (s.scale(0.5), Complex64::new(0.5 * d.im, -0.5 * d.re));
-                let wo = w * o;
-                out[h - k] = (e - wo).conj();
-                out[k] = e + wo;
-            }
-        }
-    } else {
-        for (r, row) in real.chunks_exact(nz).enumerate() {
-            for (j, &x) in row.iter().enumerate() {
-                z[j * b + r] = Complex64::real(x);
-            }
-        }
-        pz.rows(false, 1.0, z, b, work);
+    }
+    pz.rows(false, 1.0, z, b, work);
+    // Untangle, two bins per butterfly: X_k = E_k + W_k·O_k and
+    // X_{h−k} = conj(E_k − W_k·O_k), with Z_h ≡ Z_0 (periodicity).
+    for (k, &w) in pz.untangle()[..=h / 2].iter().enumerate() {
+        let (zk, zc) = (&z[k * b..][..b], &z[(h - k) % h * b..][..b]);
         for (r, out) in half.chunks_exact_mut(nzh).enumerate() {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = z[k * b + r];
-            }
+            let (s, d) = (zk[r] + zc[r].conj(), zk[r] - zc[r].conj());
+            let (e, o) = (s.scale(0.5), Complex64::new(0.5 * d.im, -0.5 * d.re));
+            let wo = w * o;
+            out[h - k] = (e - wo).conj();
+            out[k] = e + wo;
         }
     }
 }
@@ -188,38 +252,23 @@ fn c2r_rows(
 ) {
     let (h, nzh, b) = (nz / 2, nz / 2 + 1, real.len() / nz);
     let (z, work) = work.split_at_mut(pz.len() * b);
-    if nz.is_multiple_of(2) {
-        // The forward untangle halves; undoing it and the packed
-        // transform's `h` leaves exactly `scale` on each of e and o. Two
-        // bins per butterfly again: Z_k = e + i·o, Z_{h−k} = conj(e − i·o).
-        for (k, &w) in pz.untangle()[..=h / 2].iter().enumerate() {
-            let w = w.conj().scale(scale);
-            for (r, row) in half.chunks_exact(nzh).enumerate() {
-                let (xk, xc) = (row[k], row[h - k].conj());
-                let (e, o) = ((xk + xc).scale(scale), (xk - xc) * w);
-                let io = Complex64::new(-o.im, o.re);
-                z[(h - k) % h * b + r] = (e - io).conj();
-                z[k * b + r] = e + io;
-            }
-        }
-        pz.rows(true, 1.0, z, b, work);
-        for (r, row) in real.chunks_exact_mut(nz).enumerate() {
-            for (j, x) in row.chunks_exact_mut(2).enumerate() {
-                (x[0], x[1]) = (z[j * b + r].re, z[j * b + r].im);
-            }
-        }
-    } else {
+    // The forward untangle halves; undoing it and the packed transform's
+    // `h` leaves exactly `scale` on each of e and o. Two bins per
+    // butterfly again: Z_k = e + i·o, Z_{h−k} = conj(e − i·o).
+    for (k, &w) in pz.untangle()[..=h / 2].iter().enumerate() {
+        let w = w.conj().scale(scale);
         for (r, row) in half.chunks_exact(nzh).enumerate() {
-            for k in 0..nz {
-                let x = if k <= h { row[k] } else { row[nz - k].conj() };
-                z[k * b + r] = x.scale(scale);
-            }
+            let (xk, xc) = (row[k], row[h - k].conj());
+            let (e, o) = ((xk + xc).scale(scale), (xk - xc) * w);
+            let io = Complex64::new(-o.im, o.re);
+            z[(h - k) % h * b + r] = (e - io).conj();
+            z[k * b + r] = e + io;
         }
-        pz.rows(true, 1.0, z, b, work);
-        for (r, row) in real.chunks_exact_mut(nz).enumerate() {
-            for (j, x) in row.iter_mut().enumerate() {
-                *x = z[j * b + r].re;
-            }
+    }
+    pz.rows(true, 1.0, z, b, work);
+    for (r, row) in real.chunks_exact_mut(nz).enumerate() {
+        for (j, x) in row.chunks_exact_mut(2).enumerate() {
+            (x[0], x[1]) = (z[j * b + r].re, z[j * b + r].im);
         }
     }
 }
@@ -227,8 +276,7 @@ fn c2r_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::dft_reference;
-    use crate::fft3::{fft3, to_complex};
+    use crate::plan::dft_reference;
     use crate::rng::SplitMix64;
 
     fn random_real(n: usize, seed: u64) -> Vec<f64> {
@@ -243,7 +291,7 @@ mod tests {
 
     #[test]
     fn rfft_matches_complex_fft_1d() {
-        for &n in &[1usize, 2, 4, 8, 9, 14, 15, 16, 45, 48, 63, 64, 100] {
+        for &n in &[2usize, 4, 6, 8, 10, 12, 16, 18, 30, 48, 64, 90, 100] {
             let x = random_real(n, n as u64);
             let half = rfft_1d(&x);
             let full: Vec<Complex64> = x.iter().map(|&r| Complex64::real(r)).collect();
@@ -257,7 +305,7 @@ mod tests {
 
     #[test]
     fn irfft_is_exact_inverse_1d() {
-        for &n in &[1usize, 2, 6, 8, 9, 14, 27, 32, 48, 81, 96] {
+        for &n in &[2usize, 6, 8, 10, 18, 32, 48, 54, 96] {
             let x = random_real(n, 7 + n as u64);
             let mut half = rfft_1d(&x);
             let mut back = vec![0.0; n];
@@ -277,31 +325,46 @@ mod tests {
         half
     }
 
-    /// Against the c2c transform, which shares the y/x axis routine but not
-    /// the z stage: 12³ and 24³ run mixed-radix passes, 16³ radix 4 alone,
-    /// 14³ the Bluestein fallback; (2, 180, 100) splits the z rows, the y
-    /// slabs and the x planes into several blocks each.
+    /// The full complex 3-D DFT of a real field, one pencil at a time
+    /// through the 1-D plans: the oracle shares no code with the r2c `z`
+    /// stage or the blocked `y`/`x` axes.
+    fn c2c3(x: &[f64], (nx, ny, nz): (usize, usize, usize)) -> Vec<Complex64> {
+        let mut a: Vec<Complex64> = x.iter().map(|&r| Complex64::real(r)).collect();
+        for (n, stride) in [(nz, 1), (ny, nz), (nx, ny * nz)] {
+            let p = plan(n);
+            let mut pencil = vec![Complex64::ZERO; n];
+            for start in (0..a.len()).filter(|s| s / stride % n == 0) {
+                for (j, v) in pencil.iter_mut().enumerate() {
+                    *v = a[start + j * stride];
+                }
+                p.fft(&mut pencil);
+                for (j, &v) in pencil.iter().enumerate() {
+                    a[start + j * stride] = v;
+                }
+            }
+        }
+        a
+    }
+
+    /// 12³ and 24³ run mixed-radix passes, 16³ radix 4 alone, 20³ radices
+    /// 4 and 5, (3, 5, 8) odd `x` and `y`; (2, 180, 100) splits the z rows,
+    /// the y slabs and the x planes into several blocks each.
     #[test]
-    fn rfft3_matches_fft3_half_spectrum() {
-        let cubes = [12usize, 14, 16, 24].map(|n| (n, n, n));
-        for dims in [(4, 4, 4), (2, 3, 5), (8, 4, 6), (3, 5, 7), (2, 180, 100)]
+    fn rfft3_matches_c2c_half_spectrum() {
+        let cubes = [12usize, 16, 20, 24].map(|n| (n, n, n));
+        for dims in [(4, 4, 4), (2, 3, 10), (8, 4, 6), (3, 5, 8), (2, 180, 100)]
             .into_iter()
             .chain(cubes)
         {
             let (nx, ny, nz) = dims;
             let x = random_real(nx * ny * nz, 11);
             let half = rfft3_vec(&x, dims);
-            let mut full = to_complex(&x, dims);
-            fft3(&mut full);
+            let full = c2c3(&x, dims);
             let nzh = nz / 2 + 1;
-            for ix in 0..nx {
-                for iy in 0..ny {
-                    for iz in 0..nzh {
-                        let a = half[(ix * ny + iy) * nzh + iz];
-                        let b = *full.get(ix, iy, iz);
-                        let err = (a - b).abs();
-                        assert!(err < 1e-9, "dims {dims:?} bin ({ix},{iy},{iz}): err {err}");
-                    }
+            for (row, full_row) in half.chunks_exact(nzh).zip(full.chunks_exact(nz)) {
+                for (iz, (&a, &b)) in row.iter().zip(full_row).enumerate() {
+                    let err = (a - b).abs();
+                    assert!(err < 1e-9, "dims {dims:?} bin z={iz}: err {err}");
                 }
             }
         }
@@ -309,12 +372,12 @@ mod tests {
 
     #[test]
     fn irfft3_roundtrip() {
-        let cubes = [12usize, 14, 16, 24].map(|n| (n, n, n));
+        let cubes = [12usize, 16, 20, 24].map(|n| (n, n, n));
         for dims in [
             (4, 4, 4),
-            (2, 3, 5),
+            (2, 3, 10),
             (8, 4, 6),
-            (5, 5, 5),
+            (5, 5, 6),
             (6, 5, 8),
             (2, 180, 100),
         ]
@@ -338,8 +401,8 @@ mod tests {
     #[test]
     fn parseval_on_half_spectrum() {
         // Σ_r x(r)² == (1/N) Σ_k w_k |X_k|² with w = 1 on the self-conjugate
-        // z-planes (iz == 0, and iz == nz/2 for even nz) and w = 2 elsewhere.
-        for dims in [(4, 4, 8), (3, 5, 7)] {
+        // z-planes (iz == 0 and iz == nz/2) and w = 2 elsewhere.
+        for dims in [(4, 4, 8), (3, 5, 6)] {
             let (nx, ny, nz) = dims;
             let n = nx * ny * nz;
             let x = random_real(n, 19);
@@ -349,11 +412,7 @@ mod tests {
             let mut freq = 0.0;
             for (i, h) in half.iter().enumerate() {
                 let iz = i % nzh;
-                let w = if iz == 0 || (nz % 2 == 0 && iz == nzh - 1) {
-                    1.0
-                } else {
-                    2.0
-                };
+                let w = if iz == 0 || iz == nzh - 1 { 1.0 } else { 2.0 };
                 freq += w * h.norm_sqr();
             }
             freq /= n as f64;
@@ -362,5 +421,14 @@ mod tests {
                 "dims {dims:?}: {time} vs {freq}"
             );
         }
+    }
+
+    #[test]
+    fn the_rule_admits_smooth_extents_with_even_z() {
+        assert!(supported((1, 1, 2)));
+        assert!(supported((15, 45, 96)));
+        assert!(!supported((16, 16, 15)), "odd nz");
+        assert!(!supported((14, 16, 16)), "a prime factor 7");
+        assert!(!supported((16, 16, 0)));
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests of the numerical kernels.
 
-use liair_math::fft::{dft_reference, fft, ifft};
-use liair_math::fft3::{fft3, to_complex};
 use liair_math::linalg::{eigh, try_solve, Mat};
+use liair_math::plan::plan;
 use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
 use liair_math::rng::SplitMix64;
 use liair_math::special::{boys, erf};
@@ -27,61 +26,87 @@ fn rfft3_vec(x: &[f64], dims: (usize, usize, usize)) -> Vec<Complex64> {
     half
 }
 
-/// Mix of power-of-two and odd/mixed grid shapes, indexed so proptest can
-/// pick one: both the packed even r2c path and the odd fallback run.
+/// Mix of power-of-two and mixed-radix grid shapes (odd `x` and `y`
+/// included), indexed so proptest can pick one.
 const RFFT_DIMS: [(usize, usize, usize); 8] = [
     (4, 4, 4),
     (8, 8, 8),
-    (2, 3, 5),
-    (3, 5, 7),
+    (2, 3, 10),
+    (3, 5, 6),
     (8, 4, 6),
-    (5, 5, 5),
-    (4, 6, 9),
+    (5, 5, 10),
+    (4, 9, 12),
     (16, 2, 8),
 ];
+
+/// Every `2ᵃ3ᵇ5ᶜ` length below 200, the lengths a plan accepts.
+fn smooth_lengths() -> Vec<usize> {
+    (1..200)
+        .filter(|&n| {
+            let mut m = n;
+            for p in [2, 3, 5] {
+                while m % p == 0 {
+                    m /= p;
+                }
+            }
+            m == 1
+        })
+        .collect()
+}
+
+/// The naive 3-D DFT of a real field, on the stored half-spectrum bins.
+fn naive_rdft3(x: &[f64], (nx, ny, nz): (usize, usize, usize)) -> Vec<Complex64> {
+    let mut out = Vec::with_capacity(half_len((nx, ny, nz)));
+    for kx in 0..nx {
+        for ky in 0..ny {
+            for kz in 0..nz / 2 + 1 {
+                let mut acc = Complex64::ZERO;
+                for (j, &v) in x.iter().enumerate() {
+                    let (jx, jy, jz) = (j / (ny * nz), j / nz % ny, j % nz);
+                    let turns = (kx * jx % nx) as f64 / nx as f64
+                        + (ky * jy % ny) as f64 / ny as f64
+                        + (kz * jz % nz) as f64 / nz as f64;
+                    acc += Complex64::cis(-2.0 * std::f64::consts::PI * turns).scale(v);
+                }
+                out.push(acc);
+            }
+        }
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// FFT round-trip is the identity for any length (mixed-radix and
-    /// Bluestein paths both covered).
+    /// FFT round-trip is the identity for any length a plan accepts.
     #[test]
-    fn fft_roundtrip_any_length(n in 1usize..200, seed in 0u64..1000) {
+    fn fft_roundtrip_any_length(pick in 0usize..1000, seed in 0u64..1000) {
+        let lengths = smooth_lengths();
+        let n = lengths[pick % lengths.len()];
         let x = random_signal(n, seed);
         let mut y = x.clone();
-        fft(&mut y);
-        ifft(&mut y);
+        let p = plan(n);
+        p.fft(&mut y);
+        p.ifft(&mut y);
         let err = x.iter().zip(&y).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
         prop_assert!(err < 1e-9, "n={n}: err {err}");
     }
 
-    /// Parseval's theorem for arbitrary length.
+    /// Parseval's theorem for any length a plan accepts.
     #[test]
-    fn fft_parseval(n in 2usize..128, seed in 0u64..1000) {
+    fn fft_parseval(pick in 0usize..1000, seed in 0u64..1000) {
+        let lengths = smooth_lengths();
+        let n = lengths[pick % lengths.len()];
         let x = random_signal(n, seed);
         let te: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let mut y = x.clone();
-        fft(&mut y);
+        plan(n).fft(&mut y);
         let fe: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         prop_assert!((te - fe).abs() < 1e-8 * te.max(1.0));
     }
 
-    /// FFT matches the O(n²) reference DFT on awkward (prime) lengths.
-    #[test]
-    fn fft_matches_reference_on_primes(pick in 0usize..8, seed in 0u64..500) {
-        let primes = [3usize, 7, 11, 13, 17, 19, 23, 29];
-        let n = primes[pick];
-        let x = random_signal(n, seed);
-        let want = dft_reference(&x, false);
-        let mut got = x;
-        fft(&mut got);
-        let err = got.iter().zip(&want).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
-        prop_assert!(err < 1e-9, "n={n}: err {err}");
-    }
-
     /// The real-FFT round-trip irfft3_into ∘ rfft3_into is the identity
-    /// for any grid shape (even pack-trick and odd fallback paths both
-    /// covered).
+    /// for any grid shape.
     #[test]
     fn rfft3_roundtrip_is_identity(pick in 0usize..8, seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
@@ -94,27 +119,21 @@ proptest! {
         prop_assert!(err < 1e-10, "dims {dims:?}: err {err}");
     }
 
-    /// The half-spectrum bins of rfft3_into agree with the matching bins
-    /// of the complex fft3 on random real fields.
+    /// The half-spectrum bins of rfft3_into agree with the naive 3-D DFT
+    /// on random real fields.
     #[test]
-    fn rfft3_matches_fft3(pick in 0usize..8, seed in 0u64..1000) {
+    fn rfft3_matches_the_naive_dft(pick in 0usize..8, seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
-        let (nx, ny, nz) = dims;
-        let x = random_real(nx * ny * nz, seed);
+        let n = dims.0 * dims.1 * dims.2;
+        let x = random_real(n, seed);
         let half = rfft3_vec(&x, dims);
-        let mut full = to_complex(&x, dims);
-        fft3(&mut full);
-        let nzh = nz / 2 + 1;
-        for ix in 0..nx {
-            for iy in 0..ny {
-                for iz in 0..nzh {
-                    let err = (half[(ix * ny + iy) * nzh + iz] - *full.get(ix, iy, iz)).abs();
-                    prop_assert!(
-                        err < 1e-9 * ((nx * ny * nz) as f64).max(8.0),
-                        "dims {dims:?} bin ({ix},{iy},{iz}): err {err}"
-                    );
-                }
-            }
+        let want = naive_rdft3(&x, dims);
+        for (i, (a, b)) in half.iter().zip(&want).enumerate() {
+            let err = (*a - *b).abs();
+            prop_assert!(
+                err < 1e-9 * (n as f64).max(8.0),
+                "dims {dims:?} bin {i}: err {err}"
+            );
         }
     }
 
@@ -132,7 +151,7 @@ proptest! {
         let mut freq = 0.0;
         for (i, h) in half.iter().enumerate() {
             let iz = i % nzh;
-            let w = if iz == 0 || (nz % 2 == 0 && iz == nzh - 1) { 1.0 } else { 2.0 };
+            let w = if iz == 0 || iz == nzh - 1 { 1.0 } else { 2.0 };
             freq += w * h.norm_sqr();
         }
         freq /= n as f64;

@@ -2,14 +2,13 @@
 //! against the naive DFT (1-D, every smooth length, and 3-D r2c directly),
 //! the bit-identity of a pencil's result whatever rows, block or position
 //! it is transformed in — what the cross-backend bit-identity of the
-//! exchange engine rests on — and the one bounded, counted plan cache.
+//! exchange engine rests on — the one bounded, counted plan cache, and the
+//! one admissibility rule (`2ᵃ3ᵇ5ᶜ` extents, even `nz`).
 
-use liair_math::fft::dft_reference;
-use liair_math::fft3::{fft3, ifft3};
-use liair_math::plan::{plan, plan_cache_stats};
+use liair_math::plan::{dft_reference, plan, plan_cache_stats};
 use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
 use liair_math::rng::SplitMix64;
-use liair_math::{Array3, Complex64};
+use liair_math::Complex64;
 use std::f64::consts::PI;
 
 type Dims = (usize, usize, usize);
@@ -64,10 +63,8 @@ fn column(m: &[Complex64], row_len: usize, c: usize) -> Vec<Complex64> {
 
 #[test]
 fn every_length_matches_the_naive_dft_in_both_directions() {
-    let smooth = (1..=128usize).filter(|&n| is_smooth(n));
-    for n in smooth.chain([7, 14, 22, 77]) {
+    for n in (1..=128usize).filter(|&n| is_smooth(n)) {
         let p = plan(n);
-        assert_eq!(p.is_bluestein(), !is_smooth(n), "n={n}");
         let x = random_signal(n, n as u64);
         for inverse in [false, true] {
             let mut want = dft_reference(&x, inverse);
@@ -86,13 +83,16 @@ fn every_length_matches_the_naive_dft_in_both_directions() {
 }
 
 #[test]
-fn smooth_lengths_never_carry_bluestein_state() {
-    for n in [12usize, 20, 24, 40, 48, 72] {
-        assert!(!plan(n).is_bluestein(), "n={n} planned Bluestein");
-    }
-    for n in [7usize, 14, 22, 77] {
-        assert!(plan(n).is_bluestein(), "n={n} has a prime factor >= 7");
-    }
+#[should_panic(expected = "FFT length 7 is not 2ᵃ3ᵇ5ᶜ")]
+fn plan_rejects_a_prime_factor_of_seven() {
+    plan(7);
+}
+
+#[test]
+#[should_panic(expected = "every extent must be 2ᵃ3ᵇ5ᶜ and nz even")]
+fn rfft3_rejects_an_odd_z_extent() {
+    let dims = (4, 4, 5);
+    rfft3_into(&[0.0; 80], dims, &mut vec![Complex64::ZERO; half_len(dims)]);
 }
 
 /// `X[k] = Σ_j x[j] e^{-2πi(kx·jx/nx + ky·jy/ny + kz·jz/nz)}` by definition,
@@ -124,15 +124,15 @@ fn naive_rdft3(x: &[f64], (nx, ny, nz): Dims) -> Vec<Complex64> {
 
 #[test]
 fn rfft3_matches_the_naive_3d_dft() {
-    // Even and odd z, every radix, and a prime-factor-7 extent on each axis.
+    // Every radix on each axis, odd x and y, and the 1-D case.
     for dims in [
-        (3, 4, 5),
+        (3, 4, 6),
         (4, 6, 10),
         (5, 3, 8),
-        (6, 5, 9),
-        (2, 7, 6),
-        (7, 2, 4),
-        (2, 3, 14),
+        (6, 5, 18),
+        (2, 9, 6),
+        (15, 2, 4),
+        (2, 3, 30),
         (1, 1, 12),
     ] {
         let n = dims.0 * dims.1 * dims.2;
@@ -153,7 +153,7 @@ fn rfft3_matches_the_naive_3d_dft() {
 
 #[test]
 fn a_pencil_is_bit_identical_in_any_row_length_and_column() {
-    for n in [5usize, 12, 14, 16, 24, 45, 48] {
+    for n in [5usize, 12, 15, 16, 24, 45, 48] {
         let p = plan(n);
         let pencil = random_signal(n, 100 + n as u64);
         for inverse in [false, true] {
@@ -186,7 +186,9 @@ fn a_pencil_is_bit_identical_in_any_row_length_and_column() {
 }
 
 /// Transform every pencil of one axis of a `z`-contiguous array on its own
-/// through the 1-D plan: no rows, no blocks.
+/// through the 1-D plan: no rows, no blocks. The inverse is unnormalized,
+/// as `conj ∘ fft ∘ conj` — bit for bit the inverse kernels, which differ
+/// from the forward ones only by conjugated twiddles and rotations.
 fn pencil_by_pencil(a: &mut [Complex64], dims: Dims, axis: usize, inverse: bool) {
     let (n, stride) = match axis {
         0 => (dims.0, dims.1 * dims.2),
@@ -194,36 +196,33 @@ fn pencil_by_pencil(a: &mut [Complex64], dims: Dims, axis: usize, inverse: bool)
         _ => (dims.2, 1),
     };
     let p = plan(n);
+    let conj_if = |z: Complex64| if inverse { z.conj() } else { z };
     for start in 0..a.len() {
         if start / stride % n != 0 {
             continue;
         }
-        let mut pencil: Vec<Complex64> = (0..n).map(|j| a[start + j * stride]).collect();
-        if inverse {
-            p.ifft(&mut pencil);
-        } else {
-            p.fft(&mut pencil);
-        }
+        let mut pencil: Vec<Complex64> = (0..n).map(|j| conj_if(a[start + j * stride])).collect();
+        p.fft(&mut pencil);
         for (j, v) in pencil.into_iter().enumerate() {
-            a[start + j * stride] = v;
+            a[start + j * stride] = conj_if(v);
         }
     }
 }
 
-/// The small shapes cover every radix, odd `z` and the Bluestein fallback;
-/// the last two are wide enough that the `z` rows, the `y` slabs and the
-/// `x` planes are split into several blocks (all three at once in the
-/// first, with an odd Bluestein `z` in the second).
+/// The small shapes cover every radix and odd `x` and `y`; the last two
+/// are wide enough that the `z` rows, the `y` slabs and the `x` planes are
+/// split into several blocks (all three at once in the first, with odd `x`
+/// and `y` in the second).
 const SHAPES: [Dims; 9] = [
     (4, 4, 4),
     (8, 8, 8),
-    (2, 3, 5),
-    (3, 5, 7),
+    (2, 3, 10),
+    (3, 5, 6),
     (8, 4, 6),
     (16, 2, 8),
-    (14, 14, 14),
+    (20, 20, 20),
     (2, 180, 100),
-    (3, 90, 101),
+    (3, 75, 90),
 ];
 
 #[test]
@@ -244,27 +243,38 @@ fn rfft3_is_bit_identical_to_pencil_by_pencil_transforms() {
     }
 }
 
+/// The inverse x and y axes leave all of `1/N` to the c2r stage, so a
+/// row's `z` transform alone (scaled `1/nz`) matches the blocked one
+/// (scaled `1/N`) up to the exact factor `nx·ny` only when that is a power
+/// of two: these shapes cover every `z` radix, in-place and blocked `y`
+/// slabs, and — in the last — blocked `z` rows, `y` slabs and `x` planes.
 #[test]
-fn fft3_and_ifft3_are_bit_identical_to_pencil_by_pencil_transforms() {
-    for dims in SHAPES {
-        let n = dims.0 * dims.1 * dims.2;
-        for inverse in [false, true] {
-            let x = random_signal(n, 91);
-            let mut got = Array3::from_vec(dims, x.clone());
-            let mut want = x;
-            if inverse {
-                ifft3(&mut got);
-            } else {
-                fft3(&mut got);
+fn irfft3_is_bit_identical_to_pencil_by_pencil_transforms() {
+    for dims in [
+        (4, 4, 4),
+        (8, 8, 8),
+        (8, 4, 6),
+        (16, 2, 8),
+        (2, 2, 30),
+        (4, 256, 100),
+    ] {
+        let (nx, ny, nz) = dims;
+        let nzh = nz / 2 + 1;
+        // A valid half-spectrum: the forward transform of a real field.
+        let mut half = rfft3_vec(&random_real(nx * ny * nz, 91), dims);
+        let mut want = half.clone();
+        let mut got = vec![0.0; nx * ny * nz];
+        irfft3_into(&mut half, dims, &mut got);
+        // x and y: each pencil alone; then z: each row alone.
+        pencil_by_pencil(&mut want, (nx, ny, nzh), 0, true);
+        pencil_by_pencil(&mut want, (nx, ny, nzh), 1, true);
+        let mut rows = vec![0.0; nz];
+        for (r, row) in want.chunks_exact_mut(nzh).enumerate() {
+            irfft3_into(row, (1, 1, nz), &mut rows);
+            for (j, (&v, &w)) in got[r * nz..][..nz].iter().zip(&rows).enumerate() {
+                let v = v * (nx * ny) as f64;
+                assert_eq!(v.to_bits(), w.to_bits(), "dims {dims:?} row {r} point {j}");
             }
-            for axis in [2, 1, 0] {
-                pencil_by_pencil(&mut want, dims, axis, inverse);
-            }
-            assert_eq!(
-                bits(got.as_slice()),
-                bits(&want),
-                "dims {dims:?} inverse={inverse}"
-            );
         }
     }
 }
@@ -300,9 +310,10 @@ fn real_transforms_are_counted_and_bounded_by_the_one_plan_cache() {
     // one cache, and more lengths than the bound are evicted from it.
     let before = plan_cache_stats();
     let lengths = before.capacity + 6;
-    for h in 0..lengths {
-        let nz = 2 * (300 + h);
-        let x = random_real(nz, h as u64);
+    let packed = (300usize..).filter(|&h| is_smooth(h)).take(lengths);
+    for (seed, h) in packed.enumerate() {
+        let nz = 2 * h;
+        let x = random_real(nz, seed as u64);
         let half = rfft3_vec(&x, (1, 1, nz));
         let dc: f64 = x.iter().sum();
         assert!((half[0].re - dc).abs() < 1e-9 && half[0].im == 0.0);

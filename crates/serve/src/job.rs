@@ -88,7 +88,8 @@ pub enum JobKind {
     Screening {
         /// Solvent label (cache namespace).
         system: String,
-        /// Cubic grid extent per axis.
+        /// Cubic grid extent per axis: even and `2ᵃ3ᵇ5ᶜ`, a size the grid
+        /// transform runs (checked by [`JobBuilder::build`]).
         extent: usize,
         /// Proxy orbital count.
         norb: usize,
@@ -425,6 +426,12 @@ impl JobBuilder {
                 if *extent == 0 {
                     return Err(SpecError::ZeroParam("extent"));
                 }
+                if !liair_math::rfft::supported((*extent, *extent, *extent)) {
+                    return Err(SpecError::BadParam {
+                        field: "extent",
+                        why: "the grid transform needs an even 2^a 3^b 5^c extent",
+                    });
+                }
                 if *norb == 0 {
                     return Err(SpecError::ZeroParam("norb"));
                 }
@@ -566,6 +573,23 @@ mod tests {
             JobSpec::scf(ScfSystem::H2).nranks(0).build().unwrap_err(),
             SpecError::ZeroParam("nranks")
         );
+    }
+
+    #[test]
+    fn screening_extent_must_be_one_the_transform_runs() {
+        for extent in [14, 15] {
+            assert!(
+                matches!(
+                    JobSpec::screening("pc", extent, 3, 1).build().unwrap_err(),
+                    SpecError::BadParam {
+                        field: "extent",
+                        ..
+                    }
+                ),
+                "extent {extent}"
+            );
+        }
+        assert!(JobSpec::screening("pc", 16, 3, 1).build().is_ok());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crate::{lda, pbe};
 use liair_grid::RealGrid;
-use liair_math::fft3::{fft3, ifft3};
-use liair_math::{Array3, Complex64};
+use liair_math::rfft::{half_len, irfft3_into, rfft3_into};
+use liair_math::Complex64;
 use rayon::prelude::*;
 
 /// The exchange–correlation treatments of the study.
@@ -102,45 +102,33 @@ impl Functional {
 }
 
 /// `|∇n|` on the grid via reciprocal-space differentiation
-/// (`∂̂f = iG f̂`), one FFT pair per axis.
+/// (`∂̂f = iG f̂`): one r2c transform, then one c2r per axis.
 pub fn density_gradient_norm(grid: &RealGrid, density: &[f64]) -> Vec<f64> {
     assert_eq!(density.len(), grid.len());
-    let mut hat = Array3::from_vec(
-        grid.dims,
-        density.iter().map(|&r| Complex64::real(r)).collect(),
-    );
-    fft3(&mut hat);
-    let (nx, ny, nz) = grid.dims;
+    let dims = grid.dims;
+    let (_, ny, nz) = dims;
+    let nzh = nz / 2 + 1;
+    let mut hat = vec![Complex64::ZERO; half_len(dims)];
+    rfft3_into(density, dims, &mut hat);
+    // A Nyquist plane (even extents only) has no conjugate partner: zero it
+    // on the differentiated axis so the derivative stays real.
+    let nyquist = [dims.0, dims.1, dims.2].map(|n| n.is_multiple_of(2).then_some(n / 2));
+    let mut comp = vec![Complex64::ZERO; hat.len()];
+    let mut deriv = vec![0.0; grid.len()];
     let mut grad_sq = vec![0.0; grid.len()];
     for axis in 0..3 {
-        let mut comp = hat.clone();
-        {
-            let data = comp.as_mut_slice();
-            let mut idx = 0;
-            for i in 0..nx {
-                for j in 0..ny {
-                    for k in 0..nz {
-                        let g = grid.g_of_bin(i, j, k);
-                        let gk = g[axis];
-                        // i·g_k multiply; Nyquist rows of even grids have no
-                        // matching conjugate partner — zero them so the
-                        // derivative stays real.
-                        let is_nyquist = (axis == 0 && nx % 2 == 0 && i == nx / 2)
-                            || (axis == 1 && ny % 2 == 0 && j == ny / 2)
-                            || (axis == 2 && nz % 2 == 0 && k == nz / 2);
-                        data[idx] = if is_nyquist {
-                            Complex64::ZERO
-                        } else {
-                            Complex64::new(-data[idx].im * gk, data[idx].re * gk)
-                        };
-                        idx += 1;
-                    }
-                }
-            }
+        for (idx, (c, &h)) in comp.iter_mut().zip(&hat).enumerate() {
+            let bin = [idx / (ny * nzh), idx / nzh % ny, idx % nzh];
+            *c = if Some(bin[axis]) == nyquist[axis] {
+                Complex64::ZERO
+            } else {
+                let g = grid.g_of_bin(bin[0], bin[1], bin[2])[axis];
+                Complex64::new(-h.im * g, h.re * g)
+            };
         }
-        ifft3(&mut comp);
-        for (acc, z) in grad_sq.iter_mut().zip(comp.as_slice()) {
-            *acc += z.re * z.re;
+        irfft3_into(&mut comp, dims, &mut deriv);
+        for (acc, &d) in grad_sq.iter_mut().zip(&deriv) {
+            *acc += d * d;
         }
     }
     grad_sq.into_iter().map(f64::sqrt).collect()
@@ -155,17 +143,34 @@ mod tests {
 
     #[test]
     fn gradient_of_plane_wave() {
-        // n = 2 + sin(Gx): |∇n| = G|cos(Gx)|.
-        let l = 9.0;
-        let grid = RealGrid::cubic(Cell::cubic(l), 24);
-        let g0 = 2.0 * PI / l;
-        let n: Vec<f64> = (0..grid.len())
-            .map(|i| 2.0 + (g0 * grid.point_flat(i).x).sin())
-            .collect();
-        let g = density_gradient_norm(&grid, &n);
-        for i in (0..grid.len()).step_by(101) {
-            let want = g0 * (g0 * grid.point_flat(i).x).cos().abs();
-            assert!(approx_eq(g[i], want, 1e-8), "{} vs {want}", g[i]);
+        // n = 2 + sin(G₁x) + ½cos(2G₂y) + ⅓sin(3G₃z) on an orthorhombic
+        // (12, 18, 20) grid, one axis at a time and all three at once: each
+        // component of ∇n is analytic, so |∇n| is too.
+        let (a, b, c) = (9.0, 11.0, 13.0);
+        let grid = RealGrid::new(Cell::orthorhombic(a, b, c), (12, 18, 20));
+        let g = [2.0 * PI / a, 2.0 * PI / b, 2.0 * PI / c];
+        for on in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0; 3]] {
+            let n: Vec<f64> = (0..grid.len())
+                .map(|i| {
+                    let p = grid.point_flat(i);
+                    2.0 + on[0] * (g[0] * p.x).sin()
+                        + on[1] * 0.5 * (2.0 * g[1] * p.y).cos()
+                        + on[2] * (3.0 * g[2] * p.z).sin() / 3.0
+                })
+                .collect();
+            let got = density_gradient_norm(&grid, &n);
+            for i in (0..grid.len()).step_by(37) {
+                let p = grid.point_flat(i);
+                let dx = on[0] * g[0] * (g[0] * p.x).cos();
+                let dy = on[1] * -g[1] * (2.0 * g[1] * p.y).sin();
+                let dz = on[2] * g[2] * (3.0 * g[2] * p.z).cos();
+                let want = (dx * dx + dy * dy + dz * dz).sqrt();
+                assert!(
+                    approx_eq(got[i], want, 1e-8),
+                    "axes {on:?} point {i}: {} vs {want}",
+                    got[i]
+                );
+            }
         }
     }
 
