@@ -16,9 +16,9 @@ use liair_grid::{ao_values, orbitals_on_grid, RealGrid};
 use liair_math::Mat;
 use std::time::Instant;
 
-/// One orbital's unsymmetrized `ΔK_j` contribution tagged with its slot,
-/// plus that orbital's `(evaluated, skipped)` task counts.
-pub(crate) type OrbitalContrib = ((usize, Mat), (usize, usize));
+/// One orbital's index `j`, its unsymmetrized `ΔK_j` contribution, and the
+/// number of its `(j, ν)` tasks that survived the ε screen.
+pub(crate) type OrbitalContrib = (usize, Mat, usize);
 
 /// Everything the per-orbital K tasks need that does not depend on which
 /// orbitals are dirty: AO and orbital fields on the grid plus the
@@ -108,11 +108,10 @@ pub(crate) fn symmetrize(k: &mut Mat) {
 pub struct KBuildOutcome {
     /// The symmetrized exchange operator `Σ_j (μj|jν)`.
     pub k: Mat,
-    /// `(j, ν)` tasks evaluated through a Poisson solve.
-    pub evaluated: usize,
-    /// Tasks dropped by the ε screen.
-    pub skipped: usize,
-    /// Per-phase instrumentation of this build.
+    /// Per-phase instrumentation and task counts of this build: of the
+    /// `nocc · nao` `(j, ν)` tasks, `pairs_computed` ran a Poisson solve,
+    /// `pairs_reused` came from an incremental cache and `pairs_screened`
+    /// were dropped by the ε screen.
     pub profile: BuildProfile,
 }
 
@@ -144,31 +143,21 @@ impl ExchangeEngine<'_> {
         let results = self.k_orbital_contribs(&setup, eps, &slots, &mut profile)?;
         let tr = Instant::now();
         let mut k = Mat::zeros(setup.nao, setup.nao);
-        let mut evaluated = 0;
-        let mut skipped = 0;
-        for ((_, dk), (ev, sk)) in &results {
+        for (_, dk, _) in &results {
             k.axpy(1.0, dk);
-            evaluated += ev;
-            skipped += sk;
         }
         symmetrize(&mut k);
         profile.t_reduce_s += tr.elapsed().as_secs_f64();
         profile.bytes_reduced += results.len() * setup.nao * setup.nao * std::mem::size_of::<f64>();
-        profile.pairs_computed = evaluated;
-        profile.pairs_screened = skipped;
-        Ok(KBuildOutcome {
-            k,
-            evaluated,
-            skipped,
-            profile,
-        })
+        Ok(KBuildOutcome { k, profile })
     }
 
     /// Run the surviving `(j, ν)` Poisson tasks of the orbitals in `slots`
     /// on the configured backend and return, per requested orbital, its
-    /// unsymmetrized contribution `ΔK_j` plus `(evaluated, skipped)` task
-    /// counts. `K = Σ_j ΔK_j` over all occupied orbitals. Execute-phase
-    /// profile fields are accumulated into `profile`.
+    /// unsymmetrized contribution `ΔK_j` plus its evaluated-task count.
+    /// `K = Σ_j ΔK_j` over all occupied orbitals. Execute-phase profile
+    /// fields and the requested orbitals' computed/screened task counts
+    /// are accumulated into `profile`.
     pub(crate) fn k_orbital_contribs(
         &self,
         setup: &KBuildSetup,
@@ -177,7 +166,6 @@ impl ExchangeEngine<'_> {
         profile: &mut BuildProfile,
     ) -> Result<Vec<OrbitalContrib>> {
         let nao = setup.nao;
-        let plan_window = super::profile::PlanCacheWindow::open();
         // For each (j, ν): v_jν = Poisson[φ_j χ_ν]; then
         // K_μν += ∫ χ_μ φ_j v_jν — the pair-task structure of the energy
         // path. The task list is canonical: j-major, ν-ascending. With a
@@ -231,24 +219,24 @@ impl ExchangeEngine<'_> {
             profile,
         )?;
         profile.t_exec_s += t0.elapsed().as_secs_f64();
-        plan_window.record(profile);
+        profile.pairs_computed += tasks.len();
+        profile.pairs_screened += slots.len() * nao - tasks.len();
         let mut slot_of = vec![usize::MAX; setup.nocc];
         for (s, &j) in slots.iter().enumerate() {
             slot_of[j] = s;
         }
-        let mut out: Vec<((usize, Mat), (usize, usize))> = slots
+        let mut out: Vec<OrbitalContrib> = slots
             .iter()
-            .map(|&j| ((j, Mat::zeros(nao, nao)), (0, nao)))
+            .map(|&j| (j, Mat::zeros(nao, nao), 0))
             .collect();
         // Accumulate columns in canonical task order — the fixed sequence
         // shared by every backend and the incremental rebuild.
         for (col, &(j, nu)) in cols.chunks_exact(nao).zip(&tasks) {
-            let ((_, dk), (ev, sk)) = &mut out[slot_of[j]];
+            let (_, dk, evaluated) = &mut out[slot_of[j]];
             for mu in 0..nao {
                 dk[(mu, nu)] += col[mu];
             }
-            *ev += 1;
-            *sk -= 1;
+            *evaluated += 1;
         }
         Ok(out)
     }

@@ -17,10 +17,11 @@
 //!    same floating-point sequence, which is what makes the cross-driver
 //!    equivalence suite exact rather than tolerance-based.
 //!
-//! Every build fills the same [`BuildProfile`]: per-phase wall times (AO
+//! Every build returns the same [`BuildProfile`]: per-phase wall times (AO
 //! eval, FFT, kernel multiply, execute, reduce) and work counters (pairs
-//! screened/computed/reused, cache hits, bytes reduced, steady-state
-//! allocations).
+//! considered/screened/computed/reused, bytes reduced, steady-state
+//! allocations, steal and fault traffic) — the only place those counts
+//! live.
 //!
 //! Everything that steers a build is an argument: the grid and its
 //! full-cell Poisson solver to [`ExchangeEngine::new`] /
@@ -41,7 +42,6 @@ pub use liair_runtime::FaultPlan;
 use crate::balance::BalanceStrategy;
 use crate::error::{Error, Result};
 use crate::hfx::HfxResult;
-use crate::incremental::IncStats;
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::patch::{patch_pair_energy_ws, PatchScratch};
 use liair_grid::{KernelTimings, PoissonSolver, PoissonWorkspace, RealGrid};
@@ -363,7 +363,6 @@ impl<'a> ExchangeEngine<'a> {
         if !(orbitals.is_empty() && pairs.is_empty()) {
             self.validate_orbitals(orbitals)?;
         }
-        let plan_window = profile::PlanCacheWindow::open();
         let n = self.grid.len();
         let t0 = Instant::now();
         let mut contribs = self.execute(
@@ -377,7 +376,6 @@ impl<'a> ExchangeEngine<'a> {
         // odd.
         contribs.truncate(pairs.len());
         profile.t_exec_s += t0.elapsed().as_secs_f64();
-        plan_window.record(profile);
         Ok(contribs)
     }
 
@@ -434,7 +432,6 @@ impl<'a> ExchangeEngine<'a> {
         let grid = self.grid;
         let plist = &pairs.pairs;
         let mut profile = BuildProfile::default();
-        let plan_window = profile::PlanCacheWindow::open();
         let t0 = Instant::now();
         let mut contribs = self.execute(
             plist.len().div_ceil(2),
@@ -461,7 +458,6 @@ impl<'a> ExchangeEngine<'a> {
         )?;
         contribs.truncate(plist.len());
         profile.t_exec_s += t0.elapsed().as_secs_f64();
-        plan_window.record(&mut profile);
         Ok(self.finish_energy(&contribs, pairs, profile))
     }
 
@@ -490,9 +486,6 @@ impl<'a> ExchangeEngine<'a> {
         let npairs = pairs.len();
         let padded = 2 * npairs.div_ceil(2);
         let mut profile = BuildProfile::default();
-        // Stats snapshots are plain stack copies — the zero-alloc
-        // guarantee of this path is untouched.
-        let plan_window = profile::PlanCacheWindow::open();
         let t0 = Instant::now();
         profile.steady_allocs += (padded > scratch.contribs.capacity()) as usize;
         scratch.contribs.clear();
@@ -506,7 +499,6 @@ impl<'a> ExchangeEngine<'a> {
         );
         scratch.contribs.truncate(npairs);
         profile.t_exec_s += t0.elapsed().as_secs_f64();
-        plan_window.record(&mut profile);
         Ok(self.finish_energy(&scratch.contribs, pairs, profile))
     }
 
@@ -526,13 +518,7 @@ impl<'a> ExchangeEngine<'a> {
         profile.pairs_computed = pairs.len();
         profile.pairs_screened = pairs.n_candidates - pairs.len();
         profile.pairs_considered = pairs.considered;
-        HfxResult {
-            energy,
-            pairs_evaluated: pairs.len(),
-            pairs_screened: pairs.n_candidates - pairs.len(),
-            inc: IncStats::default(),
-            profile,
-        }
+        HfxResult { energy, profile }
     }
 }
 

@@ -14,8 +14,9 @@
 //!   *while* everyone is still computing;
 //! * **progress-driven root** — between its own chunks the root polls
 //!   [`Comm::try_recv`]: it drains result packets, serves steal requests,
-//!   and collects trailers without ever blocking, which is where the
-//!   hidden reduce time (`BuildProfile::t_reduce_hidden_s`) comes from;
+//!   and collects trailers without ever blocking, so ingestion overlaps
+//!   its own compute and `BuildProfile::t_reduce_s` times only the drain
+//!   after its last own chunk;
 //! * **hybrid static + dynamic schedule** — the head of the chunk list is
 //!   assigned statically (no coordination traffic for the bulk), the tail
 //!   feeds a root-owned steal queue that idle ranks claim one chunk at a
@@ -68,10 +69,10 @@ const T_RESULT: u64 = 1 << TAG_KIND_SHIFT;
 const T_REQUEST: u64 = 2 << TAG_KIND_SHIFT;
 /// Root → worker: `[chunk id]` grant, or empty = no more work.
 const T_GRANT: u64 = 3 << TAG_KIND_SHIFT;
-/// Worker → root: `[fft_s, kernel_s, grew, busy_s, idle_s, npackets]`.
+/// Worker → root: `[fft_s, kernel_s, grew, busy_s, npackets]`.
 const T_TRAILER: u64 = 4 << TAG_KIND_SHIFT;
 /// Trailer payload length (see [`T_TRAILER`]).
-const TRAILER_LEN: usize = 6;
+const TRAILER_LEN: usize = 5;
 
 /// The static description of one pipelined region.
 pub(crate) struct PipelineJob {
@@ -194,7 +195,6 @@ where
     let mut tim = KernelTimings::default();
     let mut grew = 0usize;
     let mut busy_s = 0.0f64;
-    let mut idle_s = 0.0f64;
     {
         let mut compute = |ci: usize, sc: &mut S, bufs: &mut [Vec<f64>; 2], cur: &mut usize| {
             let t0 = Instant::now();
@@ -226,9 +226,7 @@ where
         let mut req = 0u64;
         loop {
             comm.send(0, T_REQUEST | req, Vec::new())?;
-            let t0 = Instant::now();
             let grant = comm.recv(0, T_GRANT | req)?;
-            idle_s += t0.elapsed().as_secs_f64();
             req += 1;
             match grant.first() {
                 Some(&ci) => compute(ci as usize, &mut sc, &mut bufs, &mut cur)?,
@@ -249,7 +247,6 @@ where
             tim.kernel_s,
             grew as f64,
             busy_s,
-            idle_s,
             npackets as f64,
         ],
     )?;
@@ -335,15 +332,13 @@ where
                 }
                 // Finalize once every announced packet is drained.
                 if let Some(tr) = &ws[w].trailer {
-                    if ws[w].next_seq >= tr[5] as u64 {
+                    if ws[w].next_seq >= tr[4] as u64 {
                         let d = &mut out.delta;
                         d.t_fft_s += tr[0];
                         d.t_kernel_s += tr[1];
                         d.steady_allocs += tr[2] as usize;
                         d.rank_busy_min_s = d.rank_busy_min_s.min(tr[3]);
                         d.rank_busy_max_s = d.rank_busy_max_s.max(tr[3]);
-                        d.rank_busy_total_s += tr[3];
-                        d.rank_idle_total_s += tr[4];
                         ws[w].finalized = true;
                         progressed = true;
                     }
@@ -377,9 +372,7 @@ where
     // hidden behind compute.
     for &ci in &sched.per_rank[0] {
         eval_local(eval, &mut sc, ci, width, &mut out, &mut filled);
-        let t0 = Instant::now();
         sweep!();
-        out.delta.t_reduce_hidden_s += t0.elapsed().as_secs_f64();
     }
 
     // Phase 2 — service loop: whatever the root waits on here is the
@@ -448,16 +441,12 @@ where
             eval_local(eval, &mut sc, ci, width, &mut out, &mut filled);
         }
     }
-    let exposed_s = t_drain.elapsed().as_secs_f64();
     let d = &mut out.delta;
-    d.t_reduce_s = exposed_s;
+    d.t_reduce_s = t_drain.elapsed().as_secs_f64();
     d.bytes_reduced += out.flat.len() * std::mem::size_of::<f64>();
-    // The root's own compute participates in the busy bracket; its
-    // phase-2 wait is idle time like any worker's.
+    // The root's own compute participates in the busy bracket.
     d.rank_busy_min_s = d.rank_busy_min_s.min(out.root_busy_s);
     d.rank_busy_max_s = d.rank_busy_max_s.max(out.root_busy_s);
-    d.rank_busy_total_s += out.root_busy_s;
-    d.rank_idle_total_s += exposed_s;
     Ok(out)
 }
 

@@ -1,18 +1,25 @@
-//! The uniform per-build instrumentation record every [`super::ExchangeEngine`]
-//! build produces, replacing the ad-hoc per-driver counters.
-
-use serde::{Deserialize, Serialize};
+//! The one record of what an executed exchange build did: every
+//! [`super::ExchangeEngine`] entry point and both incremental paths return
+//! a [`BuildProfile`], and no other type carries a copy of its counts.
+//!
+//! It holds measured numbers only. The machine model prices builds in
+//! `liair_bgq::bsp::BspReport` (see `crate::simulate`), and the process-wide
+//! FFT plan-cache counters are read from `liair_math::plan::plan_cache_stats`
+//! — concurrent builds share that cache, so no per-build window of it
+//! exists here.
 
 /// Phase-resolved wall times and work counters of one exchange build.
 ///
 /// Every driver that routes through the engine — energy-only, patched,
 /// K-operator, message-passing, incremental — fills the same fields, so
 /// `repro` tables and downstream tooling can compare builds without
-/// knowing which driver produced them. Times are wall seconds; the FFT and
-/// kernel phases are summed *across workers* (they can exceed `t_exec_s`
-/// on a multi-core build), while `t_exec_s` and `t_reduce_s` are elapsed
-/// times of the whole stage.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+/// knowing which driver produced them. The work counters partition the
+/// build's candidates: `pairs_computed + pairs_reused + pairs_screened` is
+/// the candidate pair count of an energy build and `nocc · nao` of a K
+/// build. Times are wall seconds; the FFT and kernel phases are summed
+/// *across workers* (they can exceed `t_exec_s` on a multi-core build),
+/// while `t_exec_s` and `t_reduce_s` are elapsed times of the whole stage.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BuildProfile {
     /// AO/orbital field evaluation (and localization) ahead of the pair loop.
     pub t_ao_eval_s: f64,
@@ -32,24 +39,11 @@ pub struct BuildProfile {
     /// while building the list — `N(N+1)/2` for the brute scan, the far
     /// smaller O(N·partners) count for the locality-aware cell-list
     /// source. The per-build evidence of sub-quadratic sourcing.
-    #[serde(default)]
     pub pairs_considered: usize,
     /// Pairs (or K tasks) actually computed through a Poisson solve.
     pub pairs_computed: usize,
     /// Pairs (or K tasks) served from the incremental cache instead.
     pub pairs_reused: usize,
-    /// Incremental cache hits (entries consulted and found clean).
-    pub cache_hits: usize,
-    /// FFT plan-cache lookups served warm during this build — the PR 1
-    /// process-wide plan cache, windowed per build so serve can report
-    /// per-job hit rates without side channels. (The incremental path was
-    /// previously the only one reporting any reuse; these two fields make
-    /// plan reuse uniform across every driver.)
-    #[serde(default)]
-    pub plan_cache_hits: u64,
-    /// FFT plan-cache lookups that had to build a plan during this build.
-    #[serde(default)]
-    pub plan_cache_misses: u64,
     /// Bytes that flowed through the reduction stage (contribution vectors,
     /// gathered columns, allreduce payloads).
     pub bytes_reduced: usize,
@@ -65,12 +59,6 @@ pub struct BuildProfile {
     /// Receive attempts that timed out and retried during the build's
     /// collectives (0 on a fault-free build).
     pub comm_retries: usize,
-    /// Reduce/reassembly time hidden behind the execute stage by the
-    /// pipelined backend (root-side result ingestion that ran while the
-    /// root still had chunks of its own). `t_reduce_s` keeps only the
-    /// exposed remainder, so `t_exec_s + t_reduce_s` stays the critical
-    /// path and this field is the comm the pipeline took off it.
-    pub t_reduce_hidden_s: f64,
     /// Chunks dispatched through the steal queue instead of a static
     /// owner: the dynamic tail plus every chunk re-issued from a stalled
     /// rank. 0 on the staged backend.
@@ -85,11 +73,6 @@ pub struct BuildProfile {
     pub rank_busy_max_s: f64,
     /// Least-busy *live* rank's compute seconds (0 when unmeasured).
     pub rank_busy_min_s: f64,
-    /// Compute seconds summed over all ranks.
-    pub rank_busy_total_s: f64,
-    /// Seconds ranks spent blocked on the steal/stream protocol (waiting
-    /// for grants or draining receives), summed over all ranks.
-    pub rank_idle_total_s: f64,
 }
 
 impl BuildProfile {
@@ -105,15 +88,11 @@ impl BuildProfile {
         self.pairs_considered += other.pairs_considered;
         self.pairs_computed += other.pairs_computed;
         self.pairs_reused += other.pairs_reused;
-        self.cache_hits += other.cache_hits;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
         self.bytes_reduced += other.bytes_reduced;
         self.steady_allocs += other.steady_allocs;
         self.ranks_stalled += other.ranks_stalled;
         self.chunks_reissued += other.chunks_reissued;
         self.comm_retries += other.comm_retries;
-        self.t_reduce_hidden_s += other.t_reduce_hidden_s;
         self.chunks_stolen += other.chunks_stolen;
         self.steal_requests += other.steal_requests;
         self.rank_busy_max_s = self.rank_busy_max_s.max(other.rank_busy_max_s);
@@ -124,8 +103,6 @@ impl BuildProfile {
             (a, 0.0) => a,
             (a, b) => a.min(b),
         };
-        self.rank_busy_total_s += other.rank_busy_total_s;
-        self.rank_idle_total_s += other.rank_idle_total_s;
     }
 
     /// Account one executed item: its kernel phase times and whether its
@@ -136,18 +113,6 @@ impl BuildProfile {
         self.steady_allocs += grew;
     }
 
-    /// Fraction of the build's reduce/reassembly the pipelined backend hid
-    /// behind compute: `hidden / (hidden + exposed)`. 0 for a staged or
-    /// serial build (nothing was overlapped).
-    pub fn exec_reduce_overlap_frac(&self) -> f64 {
-        let denom = self.t_reduce_hidden_s + self.t_reduce_s;
-        if denom > 0.0 {
-            self.t_reduce_hidden_s / denom
-        } else {
-            0.0
-        }
-    }
-
     /// Whether this profile carries any evidence of a build (a populated
     /// profile has either elapsed execute time or non-zero work counters).
     pub fn is_populated(&self) -> bool {
@@ -155,30 +120,6 @@ impl BuildProfile {
             || self.pairs_computed > 0
             || self.pairs_reused > 0
             || self.pairs_screened > 0
-    }
-}
-
-/// Per-build window over the process-wide FFT plan-cache counters: open
-/// before the build, [`PlanCacheWindow::record`] after, and the delta
-/// lands in the profile's `plan_cache_hits`/`plan_cache_misses`. The
-/// counters are process-global, so concurrent builds may attribute each
-/// other's lookups — acceptable for the aggregate hit rates the serve
-/// bench reports, and exact in single-build contexts.
-pub(crate) struct PlanCacheWindow {
-    start: liair_math::plan::PlanCacheStats,
-}
-
-impl PlanCacheWindow {
-    pub(crate) fn open() -> PlanCacheWindow {
-        PlanCacheWindow {
-            start: liair_math::plan::plan_cache_stats(),
-        }
-    }
-
-    pub(crate) fn record(self, profile: &mut BuildProfile) {
-        let delta = liair_math::plan::plan_cache_stats().since(&self.start);
-        profile.plan_cache_hits += delta.hits;
-        profile.plan_cache_misses += delta.misses;
     }
 }
 
@@ -208,34 +149,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_plan_cache_counters() {
-        let mut a = BuildProfile {
-            plan_cache_hits: 10,
-            plan_cache_misses: 2,
-            ..Default::default()
-        };
-        let b = BuildProfile {
-            plan_cache_hits: 5,
-            plan_cache_misses: 1,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.plan_cache_hits, 15);
-        assert_eq!(a.plan_cache_misses, 3);
-    }
-
-    #[test]
-    fn merge_brackets_busy_extremes_and_overlap_is_bounded() {
+    fn merge_brackets_busy_extremes() {
         let mut a = BuildProfile {
             rank_busy_min_s: 2.0,
             rank_busy_max_s: 3.0,
-            t_reduce_hidden_s: 0.8,
-            t_reduce_s: 0.2,
             chunks_stolen: 4,
             steal_requests: 6,
             ..Default::default()
         };
-        assert_eq!(a.exec_reduce_overlap_frac(), 0.8);
         let b = BuildProfile {
             rank_busy_min_s: 1.0,
             rank_busy_max_s: 5.0,
@@ -250,7 +171,6 @@ mod tests {
         // An unmeasured profile never drags the min to 0.
         a.merge(&BuildProfile::default());
         assert_eq!(a.rank_busy_min_s, 1.0);
-        assert_eq!(BuildProfile::default().exec_reduce_overlap_frac(), 0.0);
     }
 
     #[test]

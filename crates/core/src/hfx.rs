@@ -12,7 +12,6 @@
 //! that comparison as a resolution sweep).
 
 use crate::engine::{BuildProfile, ExchangeEngine};
-use crate::incremental::IncStats;
 use crate::screening::{source_pairs, OrbitalInfo, PairList};
 use liair_basis::{Basis, Cell, Molecule};
 use liair_grid::{foster_boys, orbitals_on_grid, PoissonSolver, RealGrid};
@@ -24,13 +23,9 @@ use liair_scf::ScfResult;
 pub struct HfxResult {
     /// Exchange energy (Hartree, ≤ 0).
     pub energy: f64,
-    /// Pairs actually evaluated.
-    pub pairs_evaluated: usize,
-    /// Pairs dropped by screening.
-    pub pairs_screened: usize,
-    /// Incremental-build reuse counters (all zero for from-scratch builds).
-    pub inc: IncStats,
-    /// Per-phase wall times and work counters of this build.
+    /// Per-phase wall times and work counters of this build: the pairs
+    /// evaluated are `pairs_computed + pairs_reused`, the ones dropped by
+    /// screening `pairs_screened`.
     pub profile: BuildProfile,
 }
 
@@ -208,26 +203,30 @@ mod tests {
     }
 
     #[test]
-    fn grid_exchange_is_translation_invariant() {
-        // Four Gaussians in a periodic 12-Bohr cell at 32³: shifting every
-        // centre by whole grid steps permutes the samples cyclically, so
-        // E_x moves only by rounding; half and quarter steps resample the
+    fn grid_exchange_is_invariant_under_rigid_motion() {
+        // Four Gaussians in a periodic 12-Bohr cell at 32³, every centre
+        // mapped by `c → C + R (c − C) + t` about the cell centre C. Shifts
+        // by whole grid steps and the cube's symmetries map the sample
+        // lattice onto itself (C is a grid point), so E_x moves only by
+        // rounding; half/quarter steps and arbitrary rotations resample the
         // same smooth fields and move it by the sampling error alone. Both
-        // kernels act as periodic convolutions, so both are invariant.
+        // kernels act as periodic convolutions with an isotropic
+        // reciprocal-space kernel, so both are invariant.
         let (l, n, sigma) = (12.0, 32, 0.8);
         let grid = RealGrid::cubic(Cell::cubic(l), n);
         let h = l / n as f64;
+        let centre = Vec3::splat(0.5 * l);
         let base = [
             Vec3::new(3.1, 4.2, 5.3),
             Vec3::new(7.4, 5.0, 6.1),
             Vec3::new(5.2, 8.3, 4.4),
             Vec3::new(6.6, 6.2, 8.9),
         ];
-        let energy = |solver: &PoissonSolver, shift: Vec3| {
+        let energy = |solver: &PoissonSolver, motion: &dyn Fn(Vec3) -> Vec3| {
             let infos: Vec<OrbitalInfo> = base
                 .iter()
                 .map(|&c| OrbitalInfo {
-                    center: c + shift,
+                    center: motion(c),
                     spread: sigma,
                 })
                 .collect();
@@ -247,21 +246,60 @@ mod tests {
                 .energy(&fields, &pairs)
                 .energy
         };
+        type Motion = Box<dyn Fn(Vec3) -> Vec3>;
+        let shift = |steps: [f64; 3]| -> Motion {
+            let t = Vec3::new(steps[0], steps[1], steps[2]) * h;
+            Box::new(move |c| c + t)
+        };
+        let turn = |r: fn(Vec3) -> Vec3| -> Motion { Box::new(move |c| centre + r(c - centre)) };
+        // Rodrigues' rotation by `theta` about `axis`, through C.
+        let rodrigues = |axis: Vec3, theta: f64| -> Motion {
+            let k = axis.normalized();
+            let (s, co) = theta.sin_cos();
+            Box::new(move |c| {
+                let v = c - centre;
+                centre + v * co + k.cross(v) * s + k * (k.dot(v) * (1.0 - co))
+            })
+        };
+        let motions: [(&str, Motion, f64); 11] = [
+            ("shift (1, 2, 3) steps", shift([1.0, 2.0, 3.0]), 1e-14),
+            ("shift (5, -3, 7) steps", shift([5.0, -3.0, 7.0]), 1e-14),
+            ("shift (.5, .5, .5) steps", shift([0.5, 0.5, 0.5]), 1e-10),
+            (
+                "shift (.25, .5, .75) steps",
+                shift([0.25, 0.5, 0.75]),
+                1e-10,
+            ),
+            (
+                "cyclic axis permutation",
+                turn(|v| Vec3::new(v.y, v.z, v.x)),
+                1e-14,
+            ),
+            ("90° about z", turn(|v| Vec3::new(-v.y, v.x, v.z)), 1e-14),
+            ("90° about y", turn(|v| Vec3::new(v.z, v.y, -v.x)), 1e-14),
+            ("180° about x", turn(|v| Vec3::new(v.x, -v.y, -v.z)), 1e-14),
+            ("inversion", turn(|v| v * -1.0), 1e-14),
+            (
+                "30° about z",
+                rodrigues(Vec3::new(0.0, 0.0, 1.0), 30f64.to_radians()),
+                1e-10,
+            ),
+            (
+                "1.1 rad about (1, 2, 0.5)",
+                rodrigues(Vec3::new(1.0, 2.0, 0.5), 1.1),
+                1e-10,
+            ),
+        ];
         for kernel in [
             CoulombKernel::SphericalCutoff(grid.cell.min_half_edge()),
             CoulombKernel::Periodic,
         ] {
             let solver = PoissonSolver::new(grid, kernel);
-            let e0 = energy(&solver, Vec3::ZERO);
-            for (steps, tol) in [
-                ([1.0, 2.0, 3.0], 1e-14),
-                ([5.0, -3.0, 7.0], 1e-14),
-                ([0.5, 0.5, 0.5], 1e-10),
-                ([0.25, 0.5, 0.75], 1e-10),
-            ] {
-                let e = energy(&solver, Vec3::new(steps[0], steps[1], steps[2]) * h);
+            let e0 = energy(&solver, &|c| c);
+            for (what, motion, tol) in &motions {
+                let e = energy(&solver, motion);
                 let rel = ((e - e0) / e0).abs();
-                assert!(rel <= tol, "{kernel:?} shift {steps:?} steps: rel {rel:e}");
+                assert!(rel <= *tol, "{kernel:?} {what}: rel {rel:e}");
             }
         }
     }
@@ -394,6 +432,6 @@ mod tests {
         let pairs = build_pair_list(&infos, 0.0, None);
         let full = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!(full.energy < 0.0);
-        assert_eq!(full.pairs_evaluated, 1);
+        assert_eq!(full.profile.pairs_computed, 1);
     }
 }

@@ -40,7 +40,8 @@
 //! build is exactly the from-scratch one (bit-identical for the operator
 //! path — property-tested).
 
-use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend};
+use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KBuildOutcome};
+use crate::hfx::HfxResult;
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::{Mat, Vec3};
@@ -123,8 +124,9 @@ impl Fingerprint {
     }
 }
 
-/// Reuse counters of one incremental build (also accumulated across
-/// builds in [`IncrementalExchange::totals`]).
+/// Deterministic reuse counters accumulated across the builds of one
+/// [`IncrementalExchange`] ([`IncrementalExchange::totals`]). One build's
+/// counts are in the [`BuildProfile`] it returns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IncStats {
     /// Pairs (or operator tasks) whose cached contribution was reused.
@@ -134,9 +136,6 @@ pub struct IncStats {
     /// Pairs invalidated wholesale (cache miss, cadence, or a global
     /// invalidation — grid/basis/ε change) rather than by fingerprint.
     pub pairs_invalidated: usize,
-    /// Estimated wall-clock saved by reuse (seconds), from the measured
-    /// per-pair cost of the recomputed work.
-    pub time_saved_s: f64,
 }
 
 impl IncStats {
@@ -145,7 +144,6 @@ impl IncStats {
         self.pairs_reused += other.pairs_reused;
         self.pairs_recomputed += other.pairs_recomputed;
         self.pairs_invalidated += other.pairs_invalidated;
-        self.time_saved_s += other.time_saved_s;
     }
 
     /// The counters accumulated since a previous cumulative snapshot
@@ -160,7 +158,6 @@ impl IncStats {
             pairs_invalidated: self
                 .pairs_invalidated
                 .saturating_sub(baseline.pairs_invalidated),
-            time_saved_s: (self.time_saved_s - baseline.time_saved_s).max(0.0),
         }
     }
 }
@@ -174,8 +171,6 @@ struct EnergyCache {
     fps: Vec<Fingerprint>,
     /// `(i, j) → −w_ij (ij|ij)` exactly as the from-scratch loop computes it.
     contrib: HashMap<(u32, u32), f64>,
-    /// Smoothed seconds per recomputed pair (for the time-saved estimate).
-    cost_per_pair: f64,
     builds_since_full: usize,
 }
 
@@ -188,9 +183,8 @@ struct KCache {
     fps: Vec<Fingerprint>,
     /// Unsymmetrized `ΔK_j` per occupied orbital (`K = Σ_j ΔK_j`).
     contribs: Vec<Mat>,
-    /// `(evaluated, skipped)` task counts behind each cached `ΔK_j`.
-    tasks: Vec<(usize, usize)>,
-    cost_per_task: f64,
+    /// Evaluated (unscreened) task count behind each cached `ΔK_j`.
+    tasks: Vec<usize>,
     builds_since_full: usize,
 }
 
@@ -208,8 +202,6 @@ pub struct IncrementalExchange {
     k: Option<KCache>,
     /// Cumulative counters across all builds since construction.
     pub totals: IncStats,
-    /// Per-phase instrumentation of the most recent build (either path).
-    pub last_profile: BuildProfile,
     /// Execution backend of the dirty recompute (None = rayon). The serve
     /// scheduler points this at its rank-pool lease
     /// (`ExecBackend::Comm { nranks, .. }`); engine bit-identity across
@@ -271,7 +263,6 @@ impl IncrementalExchange {
             energy: None,
             k: None,
             totals: IncStats::default(),
-            last_profile: BuildProfile::default(),
             backend: None,
             fp_scratch: Vec::new(),
             dirty_orb: Vec::new(),
@@ -318,7 +309,7 @@ impl IncrementalExchange {
         orbitals: &[Vec<f64>],
         infos: &[OrbitalInfo],
         pairs: &PairList,
-    ) -> crate::hfx::HfxResult {
+    ) -> HfxResult {
         assert_eq!(orbitals.len(), infos.len());
         let norb = orbitals.len();
         self.fingerprint_all(grid, orbitals, Some(infos));
@@ -372,14 +363,12 @@ impl IncrementalExchange {
         // recomputed entry carries the bits a from-scratch build gives it.
         let n_dirty = self.dirty_pairs.len();
         let mut profile = BuildProfile::default();
-        let t_dirty0 = Instant::now();
         let contribs = if n_dirty > 0 {
             self.engine(grid, solver)
                 .pair_contribs(orbitals, &self.dirty_pairs, &mut profile)
         } else {
             Vec::new()
         };
-        let dt_dirty = t_dirty0.elapsed().as_secs_f64();
 
         // Install the recomputed contributions. A full build starts a
         // fresh cache; the steady all-clean rebuild touches nothing here
@@ -391,7 +380,6 @@ impl IncrementalExchange {
                 eps_screen: pairs.eps,
                 fps: self.fp_scratch.clone(),
                 contrib: HashMap::new(),
-                cost_per_pair: 0.0,
                 builds_since_full: 0,
             });
         }
@@ -413,29 +401,19 @@ impl IncrementalExchange {
                 cache.fps[j] = self.fp_scratch[j];
             }
         }
-        if n_dirty > 0 {
-            cache.cost_per_pair = dt_dirty / n_dirty as f64;
-        }
         cache.builds_since_full = if full { 0 } else { cache.builds_since_full + 1 };
 
-        let stats = IncStats {
+        self.totals.accumulate(&IncStats {
             pairs_reused: reused,
             pairs_recomputed: n_dirty,
             pairs_invalidated: invalidated,
-            time_saved_s: reused as f64 * cache.cost_per_pair,
-        };
-        self.totals.accumulate(&stats);
+        });
         profile.pairs_computed = n_dirty;
         profile.pairs_reused = reused;
-        profile.cache_hits = reused;
         profile.pairs_screened = pairs.n_candidates - pairs.len();
         profile.bytes_reduced += contribs.len() * std::mem::size_of::<f64>();
-        self.last_profile = profile;
-        crate::hfx::HfxResult {
+        HfxResult {
             energy: clean_sum + dirty_sum,
-            pairs_evaluated: pairs.len(),
-            pairs_screened: pairs.n_candidates - pairs.len(),
-            inc: stats,
             profile,
         }
     }
@@ -446,9 +424,10 @@ impl IncrementalExchange {
     /// (rayon-parallel over dirty tasks only). With `eps_inc = 0` the
     /// result is bit-identical to the from-scratch build.
     ///
-    /// Returns `(K, evaluated, skipped, stats)` where evaluated/skipped
-    /// count the *logical* tasks of this build (reused ones included, so
-    /// the numbers match the from-scratch call).
+    /// The profile splits the build's `nocc · nao` tasks into
+    /// `pairs_computed` (dirty orbitals' surviving tasks), `pairs_reused`
+    /// (clean orbitals' cached ones) and `pairs_screened`; computed plus
+    /// reused equals the from-scratch build's `pairs_computed`.
     pub fn exchange_operator(
         &mut self,
         basis: &liair_basis::Basis,
@@ -457,7 +436,7 @@ impl IncrementalExchange {
         grid: &RealGrid,
         solver: &PoissonSolver,
         eps: f64,
-    ) -> (Mat, usize, usize, IncStats) {
+    ) -> KBuildOutcome {
         let mut profile = BuildProfile::default();
         let t_ao = Instant::now();
         let setup = crate::engine::kpath::k_build_setup(basis, c_occ, nocc, grid, eps);
@@ -488,12 +467,10 @@ impl IncrementalExchange {
         self.dirty_slots
             .extend((0..nocc).filter(|&j| self.dirty_orb[j]));
 
-        let t_dirty0 = Instant::now();
         let dirty_results = self
             .engine(grid, solver)
             .k_orbital_contribs(&setup, eps, &self.dirty_slots, &mut profile)
             .unwrap_or_else(|e| panic!("incremental K rebuild failed: {e}"));
-        let dt_dirty = t_dirty0.elapsed().as_secs_f64();
 
         // Install recomputed contributions, then assemble K = Σ_j ΔK_j in
         // ascending-j order (the same floating-point sequence as the
@@ -506,8 +483,7 @@ impl IncrementalExchange {
                 eps_screen: eps,
                 fps: self.fp_scratch.clone(),
                 contribs: vec![Mat::zeros(nao, nao); nocc],
-                tasks: vec![(0, 0); nocc],
-                cost_per_task: 0.0,
+                tasks: vec![0; nocc],
                 builds_since_full: 0,
             });
         }
@@ -515,44 +491,31 @@ impl IncrementalExchange {
             .k
             .as_mut()
             .expect("the K cache was just installed above");
-        let mut recomputed_tasks = 0;
-        for ((j, dk), counts) in dirty_results {
-            recomputed_tasks += counts.0;
+        for (j, dk, evaluated) in dirty_results {
             cache.contribs[j] = dk;
-            cache.tasks[j] = counts;
+            cache.tasks[j] = evaluated;
             cache.fps[j] = self.fp_scratch[j];
         }
-        if recomputed_tasks > 0 {
-            cache.cost_per_task = dt_dirty / recomputed_tasks as f64;
-        }
+        // The dirty orbitals' tasks were counted by the rebuild; a clean
+        // orbital's cached tasks are reused and its screened ones stay
+        // screened.
         let mut k = Mat::zeros(nao, nao);
-        let mut evaluated = 0;
-        let mut skipped = 0;
-        let mut reused_tasks = 0;
         for j in 0..nocc {
             k.axpy(1.0, &cache.contribs[j]);
-            evaluated += cache.tasks[j].0;
-            skipped += cache.tasks[j].1;
             if !self.dirty_orb[j] {
-                reused_tasks += cache.tasks[j].0;
+                profile.pairs_reused += cache.tasks[j];
+                profile.pairs_screened += nao - cache.tasks[j];
             }
         }
         crate::engine::kpath::symmetrize(&mut k);
 
         cache.builds_since_full = if full { 0 } else { cache.builds_since_full + 1 };
-        let stats = IncStats {
-            pairs_reused: reused_tasks,
-            pairs_recomputed: recomputed_tasks,
-            pairs_invalidated: if full { recomputed_tasks } else { 0 },
-            time_saved_s: reused_tasks as f64 * cache.cost_per_task,
-        };
-        self.totals.accumulate(&stats);
-        profile.pairs_computed = recomputed_tasks;
-        profile.pairs_reused = reused_tasks;
-        profile.cache_hits = reused_tasks;
-        profile.pairs_screened = skipped;
-        self.last_profile = profile;
-        (k, evaluated, skipped, stats)
+        self.totals.accumulate(&IncStats {
+            pairs_reused: profile.pairs_reused,
+            pairs_recomputed: profile.pairs_computed,
+            pairs_invalidated: if full { profile.pairs_computed } else { 0 },
+        });
+        KBuildOutcome { k, profile }
     }
 
     /// Compute fingerprints for all orbital fields into the reusable
@@ -627,11 +590,11 @@ mod tests {
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(1e-6, 0);
         let first = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(first.inc.pairs_recomputed, pairs.len());
-        assert_eq!(first.inc.pairs_reused, 0);
+        assert_eq!(first.profile.pairs_computed, pairs.len());
+        assert_eq!(first.profile.pairs_reused, 0);
         let second = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(second.inc.pairs_reused, pairs.len());
-        assert_eq!(second.inc.pairs_recomputed, 0);
+        assert_eq!(second.profile.pairs_reused, pairs.len());
+        assert_eq!(second.profile.pairs_computed, 0);
         assert_eq!(second.energy, first.energy);
         assert!(inc.totals.pairs_reused == pairs.len());
     }
@@ -647,8 +610,8 @@ mod tests {
         infos[2].center = Vec3::new(9.0, 6.0, 6.0);
         fields[2] = gaussian_field(&grid, infos[2].center, 1.0);
         let r = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(r.inc.pairs_recomputed, 3);
-        assert_eq!(r.inc.pairs_reused, 3);
+        assert_eq!(r.profile.pairs_computed, 3);
+        assert_eq!(r.profile.pairs_reused, 3);
         // And the result matches a from-scratch build closely.
         let scratch = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!(
@@ -666,10 +629,10 @@ mod tests {
         let mut inc = IncrementalExchange::new(1e-4, 2);
         inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
         let a = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(a.inc.pairs_reused, pairs.len());
+        assert_eq!(a.profile.pairs_reused, pairs.len());
         let b = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
         // Next build hits the every-2 cadence: everything recomputed.
-        assert_eq!(b.inc.pairs_recomputed, pairs.len(), "{:?}", b.inc);
+        assert_eq!(b.profile.pairs_computed, pairs.len(), "{:?}", b.profile);
     }
 
     #[test]
@@ -684,9 +647,10 @@ mod tests {
             .iter()
             .map(|o| gaussian_field(&grid2, o.center, 1.0))
             .collect();
+        let before = inc.totals;
         let r = inc.exchange_energy(&grid2, &solver2, &fields2, &infos, &pairs);
-        assert_eq!(r.inc.pairs_reused, 0);
-        assert_eq!(r.inc.pairs_invalidated, pairs.len());
+        assert_eq!(r.profile.pairs_reused, 0);
+        assert_eq!(inc.totals.since(&before).pairs_invalidated, pairs.len());
     }
 
     #[test]
@@ -725,6 +689,6 @@ mod tests {
         let a = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
         let b = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!((a.energy - b.energy).abs() <= 1e-12 * b.energy.abs());
-        assert_eq!(a.inc.pairs_reused, 0);
+        assert_eq!(a.profile.pairs_reused, 0);
     }
 }

@@ -33,15 +33,10 @@ pub struct GridScfResult {
     pub converged: bool,
     /// Final occupied coefficients (box-centered basis).
     pub c_occ: Mat,
-    /// Total `(j, ν)` exchange tasks evaluated across all iterations.
-    pub tasks_evaluated: usize,
-    /// Total tasks dropped by the ε schedule.
-    pub tasks_skipped: usize,
-    /// Tasks satisfied from the incremental cache instead of a Poisson
-    /// solve (0 for non-incremental runs; included in `tasks_evaluated`).
-    pub tasks_reused: usize,
     /// Per-phase build instrumentation accumulated over every K build of
-    /// the SCF (times and counters sum across iterations).
+    /// the SCF (times and counters sum across iterations): `(j, ν)` tasks
+    /// solved, reused from the incremental cache, and dropped by the ε
+    /// schedule.
     pub profile: BuildProfile,
 }
 
@@ -97,9 +92,6 @@ pub fn rhf_with_grid_exchange_in_cell(
     let mut energy = 0.0;
     let mut converged = false;
     let mut iterations = 0;
-    let mut tasks_evaluated = 0;
-    let mut tasks_skipped = 0;
-    let mut tasks_reused = 0;
     let mut profile = BuildProfile::default();
     for it in 1..=max_iter {
         iterations = it;
@@ -109,29 +101,20 @@ pub fn rhf_with_grid_exchange_in_cell(
         // becomes −K and the exchange energy −¼Tr(D·K(D)) becomes
         // −½Tr(D·K).
         let eps = schedule.eps_for(it - 1);
-        let (k, evaluated, skipped) = match inc.as_mut() {
+        let out = match inc.as_mut() {
             Some((state, inc_schedule)) => {
                 state.eps_inc = inc_schedule.eps_for(it - 1);
                 state.rebuild_every = inc_schedule.rebuild_every;
-                let (k, evaluated, skipped, stats) =
-                    state.exchange_operator(&basis, &c_occ, nocc, grid, solver, eps);
-                tasks_reused += stats.pairs_reused;
-                profile.merge(&state.last_profile);
-                (k, evaluated, skipped)
+                state.exchange_operator(&basis, &c_occ, nocc, grid, solver, eps)
             }
-            None => {
-                let out = engine.k_operator(&basis, &c_occ, nocc, eps);
-                profile.merge(&out.profile);
-                (out.k, out.evaluated, out.skipped)
-            }
+            None => engine.k_operator(&basis, &c_occ, nocc, eps),
         };
-        tasks_evaluated += evaluated;
-        tasks_skipped += skipped;
+        profile.merge(&out.profile);
         let mut f = h.clone();
         f.axpy(1.0, &j);
-        f.axpy(-1.0, &k);
+        f.axpy(-1.0, &out.k);
         let e_elec = density.trace_product(&h) + 0.5 * density.trace_product(&j)
-            - 0.5 * density.trace_product(&k);
+            - 0.5 * density.trace_product(&out.k);
         let new_energy = e_elec + e_nuc;
         let de = (new_energy - energy).abs();
         energy = new_energy;
@@ -146,9 +129,6 @@ pub fn rhf_with_grid_exchange_in_cell(
         iterations,
         converged,
         c_occ,
-        tasks_evaluated,
-        tasks_skipped,
-        tasks_reused,
         profile,
     }
 }
@@ -255,7 +235,12 @@ mod tests {
             "SCF must accumulate build profiles: {:?}",
             grid_scf.profile
         );
-        assert_eq!(grid_scf.profile.pairs_computed, grid_scf.tasks_evaluated);
+        let p = &grid_scf.profile;
+        let nao = Basis::sto3g(&mol).nao();
+        assert_eq!(
+            p.pairs_computed + p.pairs_screened,
+            grid_scf.iterations * mol.nocc() * nao
+        );
     }
 
     #[test]
@@ -281,8 +266,11 @@ mod tests {
             plain.energy,
             scheduled.energy
         );
-        assert!(scheduled.tasks_skipped > 0, "schedule skipped nothing");
-        assert!(scheduled.tasks_evaluated < plain.tasks_evaluated);
+        assert!(
+            scheduled.profile.pairs_screened > 0,
+            "schedule skipped nothing"
+        );
+        assert!(scheduled.profile.pairs_computed < plain.profile.pairs_computed);
     }
 
     #[test]
@@ -303,9 +291,9 @@ mod tests {
             plain.energy,
             incr.energy
         );
-        assert!(incr.tasks_reused > 0, "no tasks reused: {incr:?}");
-        assert_eq!(incr.tasks_reused, inc.totals.pairs_reused);
-        assert_eq!(incr.tasks_reused, incr.profile.pairs_reused);
+        assert!(incr.profile.pairs_reused > 0, "no tasks reused: {incr:?}");
+        assert_eq!(incr.profile.pairs_reused, inc.totals.pairs_reused);
+        assert_eq!(incr.profile.pairs_computed, inc.totals.pairs_recomputed);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //!   conventional quantum-chemistry route), included for context.
 
 use crate::balance::{assign_pairs, BalanceStrategy};
-use crate::engine::BuildProfile;
 use crate::workload::Workload;
 use liair_bgq::bsp::{comm_time, simulate, BspPhase, BspReport, CommOp, PhaseCompute, PhaseTiming};
 use liair_bgq::collectives::{self, CollectiveAlgo};
@@ -85,12 +84,10 @@ pub struct SimOutcome {
     pub time: f64,
     /// Node-group size used (1 for flat schemes).
     pub group_size: usize,
-    /// Phase-resolved report.
+    /// Phase-resolved report — the model's whole account of the build
+    /// (measured builds report a `BuildProfile` instead; the two never
+    /// share a type).
     pub report: BspReport,
-    /// Modelled build profile on the same axes as measured builds, so the
-    /// repro tables can report one uniform schema for simulated and real
-    /// executions.
-    pub profile: BuildProfile,
 }
 
 /// Pick the node-group size: smallest power of two giving each group at
@@ -201,14 +198,6 @@ pub fn simulate_hfx_build(
                 },
                 imbalance: compute_report.imbalance,
             };
-            let profile = BuildProfile {
-                t_fft_s: makespan,
-                t_exec_s: makespan + exposed_comm,
-                t_reduce_s: t_allreduce,
-                pairs_computed: w.pairs.len(),
-                bytes_reduced: 8,
-                ..BuildProfile::default()
-            };
             SimOutcome {
                 scheme: scheme.name().into(),
                 nodes,
@@ -216,7 +205,6 @@ pub fn simulate_hfx_build(
                 time: total,
                 group_size: g,
                 report,
-                profile,
             }
         }
         Scheme::FullGridPairs => {
@@ -283,14 +271,6 @@ pub fn simulate_hfx_build(
                 },
                 imbalance: compute_report.imbalance,
             };
-            let profile = BuildProfile {
-                t_fft_s: makespan,
-                t_exec_s: makespan + exposed_comm,
-                t_reduce_s: t_allreduce,
-                pairs_computed: w.pairs.len(),
-                bytes_reduced: 8,
-                ..BuildProfile::default()
-            };
             SimOutcome {
                 scheme: scheme.name().into(),
                 nodes,
@@ -298,7 +278,6 @@ pub fn simulate_hfx_build(
                 time: total,
                 group_size: 1,
                 report,
-                profile,
             }
         }
         Scheme::PwDistributed => {
@@ -324,16 +303,6 @@ pub fn simulate_hfx_build(
                 compute_utilization: busy_fraction,
                 imbalance: nodes as f64 / used as f64,
             };
-            let profile = BuildProfile {
-                t_fft_s: total,
-                t_exec_s: total,
-                pairs_computed: w.pairs.len(),
-                // Pencil FFTs pay an all-to-all inside every transform; the
-                // moved bytes are folded into t_fft here, but the volume is
-                // still worth reporting.
-                bytes_reduced: w.pairs.len() * w.full_grid * w.full_grid * w.full_grid * 8,
-                ..BuildProfile::default()
-            };
             SimOutcome {
                 scheme: scheme.name().into(),
                 nodes,
@@ -341,7 +310,6 @@ pub fn simulate_hfx_build(
                 time: total,
                 group_size: used,
                 report,
-                profile,
             }
         }
         Scheme::ReplicatedDirect => {
@@ -373,14 +341,6 @@ pub fn simulate_hfx_build(
                 compute_utilization: t_compute / total,
                 imbalance: 1.0,
             };
-            let profile = BuildProfile {
-                t_kernel_s: t_compute,
-                t_exec_s: t_compute,
-                t_reduce_s: t_reduce,
-                pairs_computed: (sig_pairs * sig_pairs) as usize,
-                bytes_reduced: k_bytes as usize,
-                ..BuildProfile::default()
-            };
             SimOutcome {
                 scheme: scheme.name().into(),
                 nodes,
@@ -388,7 +348,6 @@ pub fn simulate_hfx_build(
                 time: total,
                 group_size: 1,
                 report,
-                profile,
             }
         }
     }
@@ -504,8 +463,6 @@ mod tests {
             ours.report.compute_total(),
             ours.report.comm_total()
         );
-        assert!(ours.profile.is_populated());
-        assert_eq!(ours.profile.pairs_computed, w.pairs.len());
     }
 
     #[test]

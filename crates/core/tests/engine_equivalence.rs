@@ -11,7 +11,7 @@
 //! covers the whole matrix: fault schedules are arguments, and the tests
 //! below loop over their seeds themselves.
 
-use liair_basis::{systems, Basis, Cell};
+use liair_basis::{systems, Atom, Basis, Cell, Element, Molecule};
 use liair_core::engine::BuildProfile;
 use liair_core::screening::{source_pairs, OrbitalInfo, Pair, PairList};
 use liair_core::{
@@ -20,7 +20,7 @@ use liair_core::{
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
-use liair_math::Vec3;
+use liair_math::{Mat, Vec3};
 
 type Setup = (
     RealGrid,
@@ -237,8 +237,14 @@ fn pipelined_overlap_matches_serial_for_k_operator() {
             b = b.fault_plan(FaultPlan::with_stalls(seed));
         }
         let pipelined = b.build().unwrap().k_operator(&basis, &c_occ, nocc, 0.0);
-        assert_eq!(serial.evaluated, pipelined.evaluated);
-        assert_eq!(serial.skipped, pipelined.skipped);
+        assert_eq!(
+            serial.profile.pairs_computed,
+            pipelined.profile.pairs_computed
+        );
+        assert_eq!(
+            serial.profile.pairs_screened,
+            pipelined.profile.pairs_screened
+        );
         assert_eq!(
             pipelined.k.sub(&serial.k).fro_norm(),
             0.0,
@@ -274,7 +280,7 @@ fn k_operator_bit_identical_across_backends() {
         .unwrap()
         .k_operator(&basis, &c_occ, nocc, 0.0);
     assert!(serial.profile.is_populated());
-    assert_eq!(serial.evaluated, nocc * basis.nao());
+    assert_eq!(serial.profile.pairs_computed, nocc * basis.nao());
 
     let rayon = base
         .backend(ExecBackend::Rayon)
@@ -337,7 +343,7 @@ fn incremental_eps0_energy_bit_identical() {
     );
     // Rebuild on identical fields: eps_inc = 0 must recompute, not reuse.
     let rebuilt = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-    assert_eq!(rebuilt.inc.pairs_reused, 0);
+    assert_eq!(rebuilt.profile.pairs_reused, 0);
     assert_eq!(
         reference.energy.to_bits(),
         rebuilt.energy.to_bits(),
@@ -431,8 +437,12 @@ fn pair_contribution_is_slice_independent() {
         inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
         let warm = inc.exchange_energy(&grid, &solver, &moved, &infos, &pairs);
         let touching = all.iter().filter(|p| p.i == 1 || p.j == 1).count();
-        assert_eq!(warm.inc.pairs_recomputed, touching, "{backend:?}");
-        assert_eq!(warm.inc.pairs_reused, all.len() - touching, "{backend:?}");
+        assert_eq!(warm.profile.pairs_computed, touching, "{backend:?}");
+        assert_eq!(
+            warm.profile.pairs_reused,
+            all.len() - touching,
+            "{backend:?}"
+        );
         for (p, want) in all.iter().zip(&scratch) {
             let one = PairList {
                 pairs: vec![*p],
@@ -440,7 +450,7 @@ fn pair_contribution_is_slice_independent() {
             };
             let held = inc.exchange_energy(&grid, &solver, &moved, &infos, &one);
             assert_eq!(
-                held.inc.pairs_reused, 1,
+                held.profile.pairs_reused, 1,
                 "{backend:?}: pair ({}, {})",
                 p.i, p.j
             );
@@ -464,15 +474,167 @@ fn incremental_eps0_k_bit_identical() {
         .unwrap()
         .k_operator(&basis, &c_occ, nocc, 0.0);
     let mut inc = IncrementalExchange::new(0.0, 0);
-    let (k_inc, ev, sk, stats) = inc.exchange_operator(&basis, &c_occ, nocc, &grid, &solver, 0.0);
-    assert_eq!(ev, reference.evaluated);
-    assert_eq!(sk, reference.skipped);
-    assert_eq!(stats.pairs_reused, 0);
+    let out = inc.exchange_operator(&basis, &c_occ, nocc, &grid, &solver, 0.0);
+    assert_eq!(out.profile.pairs_computed, reference.profile.pairs_computed);
+    assert_eq!(out.profile.pairs_screened, reference.profile.pairs_screened);
+    assert_eq!(out.profile.pairs_reused, 0);
     assert_eq!(
-        k_inc.sub(&reference.k).fro_norm(),
+        out.k.sub(&reference.k).fro_norm(),
         0.0,
         "incremental eps_inc=0 K differs"
     );
+}
+
+/// Four H2 molecules in a row, 8 Bohr apart (STO-3G), with one bond
+/// orbital each, the third one's weight tilted by `tilt` toward its
+/// second atom — a hand-placed occupied set whose ε-screen drops the
+/// far `(j, ν)` tasks; the counters need no SCF-quality grid.
+fn h_chain(tilt: f64) -> (Basis, Mat, usize, RealGrid, PoissonSolver) {
+    let mut mol = Molecule::new();
+    for k in 0..8 {
+        let x = 3.0 + 8.0 * (k / 2) as f64 + 1.4 * (k % 2) as f64;
+        mol.atoms.push(Atom {
+            element: Element::H,
+            pos: Vec3::new(x, 5.0, 5.0),
+        });
+    }
+    let basis = Basis::sto3g(&mol);
+    let nocc = 4;
+    let mut c_occ = Mat::zeros(basis.nao(), nocc);
+    for k in 0..nocc {
+        let t = if k == 2 { tilt } else { 0.0 };
+        c_occ[(2 * k, k)] = 0.6 - t;
+        c_occ[(2 * k + 1, k)] = 0.6 + t;
+    }
+    let grid = RealGrid::new(Cell::orthorhombic(32.0, 10.0, 10.0), (16, 4, 4));
+    let solver = PoissonSolver::isolated(grid);
+    (basis, c_occ, nocc, grid, solver)
+}
+
+/// Every entry point's work counters partition its candidates: computed,
+/// reused and screened add up to the candidate pair count of an energy
+/// build and to `nocc · nao` `(j, ν)` tasks of a K build — on every
+/// backend, and for the incremental paths cold, all-clean warm and with
+/// one orbital moved. The K path's computed plus reused tasks are the
+/// from-scratch build's computed ones.
+#[test]
+fn build_counters_partition_the_candidates_on_every_entry_point() {
+    let partition = |p: &BuildProfile| p.pairs_computed + p.pairs_reused + p.pairs_screened;
+    let (grid, solver, fields, infos, pairs) = periodic_layer(16);
+    let candidates = pairs.n_candidates;
+    assert!(pairs.len() < candidates, "the layer must screen some pairs");
+    // Orbital 1 moved by a fraction of a Bohr; the pair list is kept.
+    let mut centers: Vec<Vec3> = infos.iter().map(|o| o.center).collect();
+    centers[1] += Vec3::new(0.3, -0.2, 0.1);
+    let (_, _, moved, moved_infos, _) = gaussians(&centers, 3.0 * 4.4, 16, 1e-6);
+
+    const EPS_K: f64 = 1e-2;
+    let chain = h_chain(0.0);
+    let tilted = h_chain(0.1);
+    let ntasks = chain.2 * chain.0.nao();
+    let scratch_k =
+        |(basis, c_occ, nocc, grid, solver): &(Basis, Mat, usize, RealGrid, PoissonSolver)| {
+            ExchangeEngine::builder(grid, solver)
+                .backend(ExecBackend::Serial)
+                .build()
+                .unwrap()
+                .k_operator(basis, c_occ, *nocc, EPS_K)
+                .profile
+                .pairs_computed
+        };
+    let (computed_k, computed_tilted) = (scratch_k(&chain), scratch_k(&tilted));
+    assert!(computed_k < ntasks, "the chain must screen some tasks");
+
+    for backend in [
+        ExecBackend::Serial,
+        ExecBackend::Rayon,
+        comm(2, BalanceStrategy::GreedyLpt),
+        comm(3, BalanceStrategy::GreedyLpt),
+    ] {
+        let engine = ExchangeEngine::builder(&grid, &solver)
+            .backend(backend)
+            .build()
+            .unwrap();
+        let mut scratch = EngineScratch::new();
+        for (what, p) in [
+            ("energy", engine.energy(&fields, &pairs).profile),
+            (
+                "energy_into",
+                engine.energy_into(&fields, &pairs, &mut scratch).profile,
+            ),
+            (
+                "energy_patched",
+                engine.energy_patched(&fields, &infos, &pairs, 1.0).profile,
+            ),
+        ] {
+            assert_eq!(partition(&p), candidates, "{backend:?} {what}: {p:?}");
+            assert_eq!(p.pairs_computed, pairs.len(), "{backend:?} {what}");
+        }
+        let (basis, c_occ, nocc, kgrid, ksolver) = &chain;
+        let k = ExchangeEngine::builder(kgrid, ksolver)
+            .backend(backend)
+            .build()
+            .unwrap()
+            .k_operator(basis, c_occ, *nocc, EPS_K)
+            .profile;
+        assert_eq!(partition(&k), ntasks, "{backend:?} k_operator: {k:?}");
+        assert_eq!(k.pairs_computed, computed_k, "{backend:?} k_operator");
+
+        let mut inc = IncrementalExchange::new(1e-12, 0);
+        inc.set_backend(backend);
+        for (what, orbs, orb_infos) in [
+            ("cold", &fields, &infos),
+            ("warm", &fields, &infos),
+            ("moved", &moved, &moved_infos),
+        ] {
+            let p = inc
+                .exchange_energy(&grid, &solver, orbs, orb_infos, &pairs)
+                .profile;
+            assert_eq!(
+                partition(&p),
+                candidates,
+                "{backend:?} {what} energy: {p:?}"
+            );
+            assert_eq!(p.pairs_computed + p.pairs_reused, pairs.len());
+            assert_eq!(
+                p.pairs_reused > 0,
+                what != "cold",
+                "{backend:?} {what}: {p:?}"
+            );
+        }
+
+        // Localization passes the tilt on to the neighbouring orbitals at
+        // the 1e-3 level (fingerprint distance), to the tilted one at ~1:
+        // a 1e-2 tolerance keeps exactly one orbital dirty.
+        let mut inc = IncrementalExchange::new(1e-2, 0);
+        inc.set_backend(backend);
+        for (what, (basis, c_occ, nocc, kgrid, ksolver), want) in [
+            ("cold", &chain, computed_k),
+            ("warm", &chain, computed_k),
+            ("moved", &tilted, computed_tilted),
+        ] {
+            let p = inc
+                .exchange_operator(basis, c_occ, *nocc, kgrid, ksolver, EPS_K)
+                .profile;
+            assert_eq!(partition(&p), ntasks, "{backend:?} {what} K: {p:?}");
+            assert_eq!(
+                p.pairs_computed + p.pairs_reused,
+                want,
+                "{backend:?} {what} K"
+            );
+            assert_eq!(
+                p.pairs_reused > 0,
+                what != "cold",
+                "{backend:?} {what} K: {p:?}"
+            );
+            if what == "moved" {
+                assert!(
+                    p.pairs_computed > 0,
+                    "{backend:?}: the tilted orbital is dirty"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -489,7 +651,6 @@ fn comm_backend_reports_gather_volume() {
     assert!(out.profile.is_populated(), "Comm build must fill profile");
     assert!(out.profile.bytes_reduced > 0);
     assert_eq!(out.profile.pairs_computed, pairs.len());
-    assert_eq!(out.pairs_evaluated, pairs.len());
 
     let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
     let k = ExchangeEngine::builder(&kgrid, &ksolver)
@@ -593,7 +754,7 @@ fn patched_energy_accuracy_is_controlled_by_margin() {
     for margin in [0.0, 1.0, 4.0] {
         let patched = serial.energy_patched(&fields, &infos, &pairs, margin);
         assert!(patched.profile.is_populated());
-        assert_eq!(patched.pairs_evaluated, pairs.len());
+        assert_eq!(patched.profile.pairs_computed, pairs.len());
         for backend in [ExecBackend::Rayon, comm(2, BalanceStrategy::GreedyLpt)] {
             let other = base
                 .backend(backend)

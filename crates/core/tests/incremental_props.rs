@@ -51,7 +51,7 @@ proptest! {
 
         let reference =
             ExchangeEngine::new(&grid, &solver).k_operator(&basis, &scf.c, scf.nocc, eps);
-        let (k_ref, ev_ref, sk_ref) = (reference.k, reference.evaluated, reference.skipped);
+        let (k_ref, p_ref) = (reference.k, reference.profile);
         let mut inc = IncrementalExchange::new(0.0, 0);
         if prime_idx == 1 {
             // A warm cache from another geometry must not leak through.
@@ -61,11 +61,11 @@ proptest! {
             let s2 = liair_scf::rhf(&other, &b2, &liair_scf::ScfOptions::default());
             inc.exchange_operator(&b2, &s2.c, s2.nocc, &grid, &solver, eps);
         }
-        let (k_inc, ev, sk, stats) =
-            inc.exchange_operator(&basis, &scf.c, scf.nocc, &grid, &solver, eps);
-        prop_assert_eq!(ev, ev_ref);
-        prop_assert_eq!(sk, sk_ref);
-        prop_assert_eq!(stats.pairs_reused, 0);
+        let out = inc.exchange_operator(&basis, &scf.c, scf.nocc, &grid, &solver, eps);
+        let k_inc = out.k;
+        prop_assert_eq!(out.profile.pairs_computed, p_ref.pairs_computed);
+        prop_assert_eq!(out.profile.pairs_screened, p_ref.pairs_screened);
+        prop_assert_eq!(out.profile.pairs_reused, 0);
         for mu in 0..basis.nao() {
             for nu in 0..basis.nao() {
                 let (a, b) = (k_inc[(mu, nu)], k_ref[(mu, nu)]);
@@ -147,12 +147,12 @@ proptest! {
                 step, prev_err, err, eps_inc
             );
             prop_assert!(
-                r.inc.pairs_reused >= prev_reused,
+                r.profile.pairs_reused >= prev_reused,
                 "step {}: reuse fell from {} to {}",
-                step, prev_reused, r.inc.pairs_reused
+                step, prev_reused, r.profile.pairs_reused
             );
             prev_err = err;
-            prev_reused = r.inc.pairs_reused;
+            prev_reused = r.profile.pairs_reused;
         }
         // The loosest tolerance must actually have reused something, or
         // the property is vacuous.

@@ -282,7 +282,11 @@ fn recorded_considered_counts_hold() {
     for (eps, considered, evaluated) in [(1e-2, 159, 150), (1e-4, 172, 165)] {
         let out = engine.k_operator(&basis, &c_occ, nocc, eps);
         assert_eq!(
-            (out.profile.pairs_considered, out.evaluated, out.skipped),
+            (
+                out.profile.pairs_considered,
+                out.profile.pairs_computed,
+                out.profile.pairs_screened
+            ),
             (considered, evaluated, 200 - evaluated),
             "eps = {eps}"
         );

@@ -98,8 +98,8 @@ fn energy_allocations_do_not_scale_with_pair_count() {
 
     let (r_few, d_few) = run(&few);
     let (r_many, d_many) = run(&many);
-    assert_eq!(r_few.pairs_evaluated, 6);
-    assert_eq!(r_many.pairs_evaluated, 30);
+    assert_eq!(r_few.profile.pairs_computed, 6);
+    assert_eq!(r_many.profile.pairs_computed, 30);
     assert!(r_few.energy.is_finite() && r_many.energy.is_finite());
     // 5× the pairs, same allocation count: the steady-state loop itself
     // performs zero per-pair heap allocations.
@@ -136,15 +136,15 @@ fn all_clean_incremental_rebuild_is_allocation_free() {
     // Prime (everything dirty) and then one warm all-clean rebuild so any
     // lazily grown scratch has reached its final size.
     let primed = inc.exchange_energy(&grid, &solver, &orbitals, &infos, &pairs);
-    assert_eq!(primed.inc.pairs_recomputed, pairs.len());
+    assert_eq!(primed.profile.pairs_computed, pairs.len());
     let warm = inc.exchange_energy(&grid, &solver, &orbitals, &infos, &pairs);
-    assert_eq!(warm.inc.pairs_reused, pairs.len());
+    assert_eq!(warm.profile.pairs_reused, pairs.len());
 
     let before = alloc_count();
     let r = inc.exchange_energy(&grid, &solver, &orbitals, &infos, &pairs);
     let delta = alloc_count() - before;
-    assert_eq!(r.inc.pairs_reused, pairs.len());
-    assert_eq!(r.inc.pairs_recomputed, 0);
+    assert_eq!(r.profile.pairs_reused, pairs.len());
+    assert_eq!(r.profile.pairs_computed, 0);
     assert_eq!(r.energy, warm.energy);
     assert_eq!(
         delta, 0,

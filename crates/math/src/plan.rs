@@ -33,7 +33,8 @@
 //! evicted (in-flight `Arc`s keep evicted plans alive until their last user
 //! drops them — eviction only forgets, it never invalidates).
 //! [`plan_cache_stats`] exposes hit/miss/eviction counters for regression
-//! tests, the engine's `BuildProfile`, and perf triage.
+//! tests, the benchmark's `math.plan_cache_misses`, and perf triage — the
+//! one source of them (builds keep no per-build copy).
 //!
 //! Steady-state transforms are allocation-free: all work space is one
 //! grow-only thread-local buffer.
@@ -479,7 +480,7 @@ pub struct PlanCacheStats {
 }
 
 impl PlanCacheStats {
-    /// Counter deltas `self − earlier` (for per-build / per-job windows).
+    /// Counter deltas `self − earlier`: the lookups made between two reads.
     pub fn since(&self, earlier: &PlanCacheStats) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.saturating_sub(earlier.hits),

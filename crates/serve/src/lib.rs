@@ -46,6 +46,5 @@ pub use quota::{Admission, RejectReason, TenantQuota};
 pub use runner::{run_job, run_reference, Attempt, JobCheckpoint, JobOutput, Observables};
 pub use sched::AgedQueue;
 pub use service::{
-    run_and_verify, DisruptionRecord, JobOutcome, JobReport, ProfileSummary, Service,
-    ServiceConfig, ServiceReport,
+    run_and_verify, DisruptionRecord, JobOutcome, JobReport, Service, ServiceConfig, ServiceReport,
 };

@@ -27,9 +27,7 @@ use crate::job::{Disruption, JobKind, JobSpec};
 use liair_basis::systems::Solvent;
 use liair_basis::{systems, Basis, Cell, Element, Molecule};
 use liair_core::screening::{source_pairs, OrbitalInfo};
-use liair_core::{
-    BalanceStrategy, BuildProfile, ExchangeCachePool, ExecBackend, IncStats, SystemKey,
-};
+use liair_core::{BalanceStrategy, BuildProfile, ExchangeCachePool, ExecBackend, SystemKey};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
@@ -167,19 +165,16 @@ pub struct JobOutput {
     /// interaction energy. Bit-compared against the uninterrupted
     /// reference by the soak tests.
     pub final_energy: f64,
-    /// SCF iterations / MD inner steps / screening pairs evaluated.
+    /// SCF iterations / MD inner steps / screening pairs in the list.
     pub steps: usize,
     /// SCF convergence flag (`true` for the other kinds).
     pub converged: bool,
     /// Kind-specific physical observables (campaign jobs).
     pub observables: Observables,
-    /// Incremental-exchange reuse counters (screening jobs).
-    pub inc: IncStats,
-    /// Build instrumentation of the job's last exchange build (screening
-    /// jobs; carries the FFT plan-cache window among the rest).
+    /// Build instrumentation of the job's exchange build (screening jobs;
+    /// default for the other kinds). The job reused a cross-job cache
+    /// exactly when `pairs_reused > 0`.
     pub profile: BuildProfile,
-    /// Whether this job's screening cache came warm out of the pool.
-    pub cache_warm: bool,
 }
 
 /// How one attempt ended.
@@ -384,9 +379,7 @@ fn run_scf(
         steps: session.iterations(),
         converged: session.converged(),
         observables: Observables::default(),
-        inc: IncStats::default(),
         profile: BuildProfile::default(),
-        cache_warm: false,
     })
 }
 
@@ -445,9 +438,7 @@ fn run_reaction(
             gap_solvent: res_s.homo_lumo_gap(),
             ..Default::default()
         },
-        inc: IncStats::default(),
         profile: BuildProfile::default(),
-        cache_warm: false,
     })
 }
 
@@ -608,9 +599,7 @@ fn run_md(
         steps: run.state.step_count,
         converged: true,
         observables: Observables::default(),
-        inc: IncStats::default(),
         profile: BuildProfile::default(),
-        cache_warm: false,
     })
 }
 
@@ -731,9 +720,7 @@ fn run_solvation(
             bonds_broken: Some(events.count()),
             ..Default::default()
         },
-        inc: IncStats::default(),
         profile: BuildProfile::default(),
-        cache_warm: false,
     })
 }
 
@@ -789,32 +776,21 @@ fn run_screening(
         norb,
         seed,
     };
-    let (mut inc, warm) = match cache {
-        Some(pool) => {
-            let before = pool.stats().hits;
-            let inc = pool.checkout(&key, SCREEN_EPS_INC, 0);
-            (inc, pool.stats().hits > before)
-        }
-        None => (
-            liair_core::IncrementalExchange::new(SCREEN_EPS_INC, 0),
-            false,
-        ),
+    let mut inc = match cache {
+        Some(pool) => pool.checkout(&key, SCREEN_EPS_INC, 0),
+        None => liair_core::IncrementalExchange::new(SCREEN_EPS_INC, 0),
     };
     inc.set_backend(backend_for_lease(nranks));
     let result = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-    let profile = inc.last_profile;
-    let totals = result.inc;
     if let Some(pool) = cache {
         pool.checkin(key, inc);
     }
     Ok(JobOutput {
         final_energy: result.energy,
-        steps: result.pairs_evaluated + totals.pairs_reused,
+        steps: pairs.len(),
         converged: true,
         observables: Observables::default(),
-        inc: totals,
-        profile,
-        cache_warm: warm,
+        profile: result.profile,
     })
 }
 
@@ -1072,16 +1048,17 @@ mod tests {
             Attempt::Done(out) => out,
             _ => unreachable!(),
         };
-        assert!(!cold.cache_warm);
-        assert_eq!(cold.inc.pairs_reused, 0);
+        assert_eq!(cold.profile.pairs_reused, 0);
         let warm = match run_job(&spec, None, 1, Some(&pool)) {
             Attempt::Done(out) => out,
             _ => unreachable!(),
         };
-        assert!(warm.cache_warm);
-        assert!(warm.inc.pairs_reused > 0);
-        assert_eq!(warm.inc.pairs_recomputed, 0);
+        assert!(warm.profile.pairs_reused > 0);
+        assert_eq!(warm.profile.pairs_computed, 0);
         assert_eq!(warm.final_energy.to_bits(), cold.final_energy.to_bits());
+        // `steps` is a function of the spec, not of which job warmed the
+        // pool: the pair-list length either way.
+        assert_eq!((cold.steps, warm.steps), (6, 6));
         // And both match a pool-free reference.
         let lone = run_reference(&spec);
         assert_eq!(lone.final_energy.to_bits(), cold.final_energy.to_bits());

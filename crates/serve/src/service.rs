@@ -15,16 +15,17 @@
 //!    their FIFO seq, so aging treats the wait fairly); the follow-up
 //!    attempt resumes instead of restarting.
 //!
-//! Screening jobs share one [`ExchangeCachePool`] across tenants: the
-//! cross-job cache at the heart of this PR. Everything the acceptance
-//! criteria measure — p99 latency, cache hit rate, resume counts — lands
-//! in [`ServiceReport`].
+//! Screening jobs share one [`ExchangeCachePool`] across tenants. Each
+//! [`JobReport`] carries its job's [`BuildProfile`] — the job reused a
+//! parked cache exactly when `profile.pairs_reused > 0` — and the batch's
+//! latency quantiles, pool hit/miss counters ([`CachePoolStats`]) and
+//! resume counts land in [`ServiceReport`].
 
 use crate::job::{Disruption, JobSpec};
 use crate::quota::{Admission, RejectReason, TenantQuota};
 use crate::runner::{run_job, Attempt, JobCheckpoint, JobOutput, Observables};
 use crate::sched::AgedQueue;
-use liair_core::{BuildProfile, CachePoolStats, ExchangeCachePool, IncStats};
+use liair_core::{BuildProfile, CachePoolStats, ExchangeCachePool};
 use liair_runtime::{PoolStats, RankPool};
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -66,24 +67,10 @@ pub struct JobOutcome {
     /// potential, screening exchange energy, reaction interaction
     /// energy).
     pub final_energy: f64,
-    /// SCF iterations / MD inner steps / screening pairs evaluated.
+    /// SCF iterations / MD inner steps / screening pairs in the list.
     pub steps: usize,
     /// SCF convergence flag (`true` for non-SCF kinds).
     pub converged: bool,
-}
-
-/// Execution instrumentation of a completed job: cache-reuse counters
-/// and the build profile of its last exchange build. Informational —
-/// *not* part of the deterministic surface (the FFT plan-cache window is
-/// process-wide state, and scheduling decides which job warms a cache).
-#[derive(Debug, Clone, Default)]
-pub struct ProfileSummary {
-    /// Incremental-exchange reuse counters (screening jobs).
-    pub inc: IncStats,
-    /// Build instrumentation of the job's last exchange build.
-    pub build: BuildProfile,
-    /// Whether the job's cross-job cache came warm out of the pool.
-    pub cache_warm: bool,
 }
 
 /// What failure injection did to a job, and whether the resumed result
@@ -114,8 +101,12 @@ pub struct JobReport {
     pub outcome: JobOutcome,
     /// Kind-specific physical observables.
     pub observables: Observables,
-    /// Execution instrumentation (informational, non-deterministic).
-    pub profile: ProfileSummary,
+    /// The job's exchange-build instrumentation (screening jobs; default
+    /// for the other kinds). Informational — *not* part of the
+    /// deterministic surface: wall times vary, and scheduling decides which
+    /// job warms a cache, so `pairs_reused > 0` marks the jobs that found
+    /// one warm. [`ServiceReport::cache`] is the batch-level answer.
+    pub profile: BuildProfile,
     /// Failure injection and resume accounting.
     pub disruption: DisruptionRecord,
     /// Submit → completion wall time (seconds).
@@ -338,9 +329,7 @@ impl Service {
                             steps,
                             converged,
                             observables,
-                            inc,
                             profile,
-                            cache_warm,
                         } = output;
                         completed.push(JobReport {
                             spec: t.spec.clone(),
@@ -350,11 +339,7 @@ impl Service {
                                 converged,
                             },
                             observables,
-                            profile: ProfileSummary {
-                                inc,
-                                build: profile,
-                                cache_warm,
-                            },
+                            profile,
                             disruption: DisruptionRecord {
                                 injected: t.spec.disruption.is_disruptive(),
                                 attempts: t.attempts,
