@@ -34,11 +34,5 @@ pub use shell::{Basis, Shell};
 /// One Ångström in Bohr.
 pub const ANGSTROM: f64 = 1.0 / 0.529_177_210_92;
 
-/// One Hartree in electron-volts.
-pub const HARTREE_EV: f64 = 27.211_386_245_988;
-
 /// Boltzmann constant in Hartree per Kelvin.
 pub const KB_HARTREE: f64 = 3.166_811_563e-6;
-
-/// One atomic time unit in femtoseconds.
-pub const AU_TIME_FS: f64 = 0.024_188_843_265_857;

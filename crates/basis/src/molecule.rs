@@ -34,11 +34,6 @@ impl Molecule {
         Self::default()
     }
 
-    /// Build from `(element, position)` pairs.
-    pub fn from_atoms(atoms: Vec<Atom>) -> Self {
-        Self { atoms, charge: 0 }
-    }
-
     /// Add one atom (builder style).
     pub fn push(&mut self, element: Element, pos: Vec3) {
         self.atoms.push(Atom::new(element, pos));

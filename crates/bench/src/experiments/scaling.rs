@@ -357,10 +357,7 @@ pub fn fig_group_size(fast: bool) -> Vec<Table> {
             &w,
             &m,
             Scheme::PairDistributed {
-                strategy: BalanceStrategy::GreedyLpt,
                 group_size: Some(g),
-                threads: 64,
-                simd: true,
             },
             algo,
         );

@@ -67,7 +67,6 @@ fn service_cfg() -> ServiceConfig {
         pool_ranks: 8,
         cache_capacity: 8,
         quota: TenantQuota::default(),
-        aging_rate: 1,
     }
 }
 

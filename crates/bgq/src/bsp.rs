@@ -18,24 +18,6 @@ pub enum CommOp {
     None,
     /// Allreduce of `bytes`.
     Allreduce { bytes: f64 },
-    /// One-to-all broadcast of `bytes`.
-    Broadcast { bytes: f64 },
-    /// Reduce-scatter of a `bytes`-sized vector.
-    ReduceScatter { bytes: f64 },
-    /// All-to-all with `bytes` held per node.
-    Alltoall { bytes_per_node: f64 },
-    /// Irregular point-to-point phase; `max_bytes_per_node` bounds the
-    /// busiest node.
-    PointToPoint { max_bytes_per_node: f64 },
-}
-
-/// Per-rank compute of a phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum PhaseCompute {
-    /// Every rank busy for the same duration (seconds).
-    Uniform(f64),
-    /// Explicit per-rank durations (len = node count).
-    PerRank(Vec<f64>),
 }
 
 /// One BSP superstep.
@@ -43,8 +25,8 @@ pub enum PhaseCompute {
 pub struct BspPhase {
     /// Label used in breakdown tables.
     pub name: String,
-    /// Compute part.
-    pub compute: PhaseCompute,
+    /// Per-rank compute durations in seconds (len = node count).
+    pub compute: Vec<f64>,
     /// Closing communication.
     pub comm: CommOp,
 }
@@ -92,12 +74,6 @@ pub fn comm_time(machine: &MachineConfig, algo: CollectiveAlgo, op: &CommOp) -> 
     match *op {
         CommOp::None => 0.0,
         CommOp::Allreduce { bytes } => collectives::allreduce(machine, algo, bytes),
-        CommOp::Broadcast { bytes } => collectives::broadcast(machine, algo, bytes),
-        CommOp::ReduceScatter { bytes } => collectives::reduce_scatter(machine, algo, bytes),
-        CommOp::Alltoall { bytes_per_node } => collectives::alltoall(machine, bytes_per_node),
-        CommOp::PointToPoint { max_bytes_per_node } => {
-            collectives::point_to_point(machine, max_bytes_per_node)
-        }
     }
 }
 
@@ -109,20 +85,15 @@ pub fn simulate(machine: &MachineConfig, algo: CollectiveAlgo, phases: &[BspPhas
     let mut timings = Vec::with_capacity(phases.len());
     let mut worst_imbalance = 1.0f64;
     for ph in phases {
-        let (cmax, cmean) = match &ph.compute {
-            PhaseCompute::Uniform(t) => (*t, *t),
-            PhaseCompute::PerRank(v) => {
-                assert_eq!(
-                    v.len(),
-                    machine.torus.nodes(),
-                    "phase '{}' rank count mismatch",
-                    ph.name
-                );
-                let max = v.iter().copied().fold(0.0f64, f64::max);
-                let mean = v.iter().sum::<f64>() / v.len() as f64;
-                (max, mean)
-            }
-        };
+        let v = &ph.compute;
+        assert_eq!(
+            v.len(),
+            machine.torus.nodes(),
+            "phase '{}' rank count mismatch",
+            ph.name
+        );
+        let cmax = v.iter().copied().fold(0.0f64, f64::max);
+        let cmean = v.iter().sum::<f64>() / v.len() as f64;
         if cmean > 0.0 {
             worst_imbalance = worst_imbalance.max(cmax / cmean);
         }
@@ -159,12 +130,12 @@ mod tests {
         let phases = vec![
             BspPhase {
                 name: "a".into(),
-                compute: PhaseCompute::Uniform(1.0),
+                compute: vec![1.0; m.nodes()],
                 comm: CommOp::None,
             },
             BspPhase {
                 name: "b".into(),
-                compute: PhaseCompute::Uniform(0.5),
+                compute: vec![0.5; m.nodes()],
                 comm: CommOp::None,
             },
         ];
@@ -181,7 +152,7 @@ mod tests {
         loads[0] = 2.0; // one straggler
         let phases = vec![BspPhase {
             name: "work".into(),
-            compute: PhaseCompute::PerRank(loads),
+            compute: loads,
             comm: CommOp::None,
         }];
         let r = simulate(&m, CollectiveAlgo::TorusPipelined, &phases);
@@ -195,7 +166,7 @@ mod tests {
         let m = machine();
         let phases = vec![BspPhase {
             name: "x".into(),
-            compute: PhaseCompute::Uniform(0.1),
+            compute: vec![0.1; m.nodes()],
             comm: CommOp::Allreduce { bytes: 1e8 },
         }];
         let r = simulate(&m, CollectiveAlgo::TorusPipelined, &phases);
@@ -210,7 +181,7 @@ mod tests {
         let m = machine();
         let phases = vec![BspPhase {
             name: "bad".into(),
-            compute: PhaseCompute::PerRank(vec![1.0; 3]),
+            compute: vec![1.0; 3],
             comm: CommOp::None,
         }];
         simulate(&m, CollectiveAlgo::TorusPipelined, &phases);

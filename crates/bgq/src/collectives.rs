@@ -135,63 +135,6 @@ pub fn gather(m: &MachineConfig, algo: CollectiveAlgo, bytes_per_rank: f64) -> f
     }
 }
 
-/// Cost split of a gather whose payload streams in while the ranks are
-/// still computing (the pipelined exchange engine's double-buffered
-/// reduce): how much of the collective hides behind compute and how much
-/// stays on the critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PipelinedGather {
-    /// End-to-end time of the overlapped exec∧reduce region.
-    pub total_s: f64,
-    /// Gather time left exposed on the critical path (the final buffer's
-    /// drain, plus any stall when comm is slower than compute).
-    pub exposed_s: f64,
-    /// Gather time hidden behind compute.
-    pub hidden_s: f64,
-    /// `hidden / (hidden + exposed)` — 0 when the gather is free.
-    pub overlap_frac: f64,
-}
-
-/// Gather of `bytes_per_rank` onto the root, streamed in `nbuffers`
-/// rotating partial gathers that overlap `compute_s` seconds of per-rank
-/// work — the cost model of the engine's pipelined exec stage.
-///
-/// Each rank emits a buffer's worth of contributions every
-/// `compute_s / n` seconds; the in-flight partial gather of buffer `k`
-/// overlaps the compute of buffer `k+1`, so in steady state only the last
-/// buffer's drain is exposed. When a sub-gather outruns its compute
-/// window the pipeline stalls and the excess lands on the critical path —
-/// which is why the overlap fraction approaches `(n−1)/n` only while the
-/// per-buffer collective stays cheaper than a compute slice, exactly the
-/// regime the hierarchical algorithms keep the engine in at 96 racks.
-pub fn gather_pipelined(
-    m: &MachineConfig,
-    algo: CollectiveAlgo,
-    bytes_per_rank: f64,
-    nbuffers: usize,
-    compute_s: f64,
-) -> PipelinedGather {
-    let n = nbuffers.max(1);
-    let per_buf = gather(m, algo, bytes_per_rank / n as f64);
-    let slice = compute_s / n as f64;
-    // n − 1 sub-gathers each hide up to one compute slice; the rest stalls.
-    let hidden_s = (n - 1) as f64 * per_buf.min(slice);
-    let exposed_s = per_buf + (n - 1) as f64 * (per_buf - slice).max(0.0);
-    let denom = hidden_s + exposed_s;
-    PipelinedGather {
-        total_s: compute_s + exposed_s,
-        exposed_s,
-        hidden_s,
-        overlap_frac: if denom > 0.0 { hidden_s / denom } else { 0.0 },
-    }
-}
-
-/// Reduce-scatter of `bytes` (total vector size) across all nodes.
-pub fn reduce_scatter(m: &MachineConfig, algo: CollectiveAlgo, bytes: f64) -> f64 {
-    // Half of the Rabenseifner allreduce.
-    0.5 * allreduce(m, algo, bytes)
-}
-
 /// All-to-all personalized exchange: every node holds `bytes_per_node`
 /// destined in equal `1/P` shares to every other node.
 ///
@@ -336,60 +279,5 @@ mod tests {
             assert!(allreduce(&m, algo, bytes) < allreduce(&m, CollectiveAlgo::FlatRoot, bytes));
             assert!(broadcast(&m, algo, bytes) < broadcast(&m, CollectiveAlgo::FlatRoot, bytes));
         }
-    }
-
-    #[test]
-    fn pipelined_gather_hides_most_of_the_collective_at_scale() {
-        // The overlap acceptance property at the model level: with 8
-        // rotating buffers and the strong-scaled compute window of the
-        // full machine, the tree gather overlaps >= 80% of itself.
-        let m = MachineConfig::bgq_racks(96);
-        let compute_s = 30.0 * 1024.0 / m.torus.nodes() as f64;
-        let pg = gather_pipelined(&m, CollectiveAlgo::BinomialTree, 80.0, 8, compute_s);
-        assert!(pg.overlap_frac >= 0.80, "overlap {}", pg.overlap_frac);
-        assert!((pg.overlap_frac - 7.0 / 8.0).abs() < 1e-9, "steady state");
-        assert!(pg.total_s > compute_s);
-        // One-shot gather for reference: pipelining never moves more bytes,
-        // it only re-times them.
-        let one_shot = gather(&m, CollectiveAlgo::BinomialTree, 80.0);
-        assert!(pg.exposed_s < one_shot);
-    }
-
-    #[test]
-    fn pipelined_gather_stalls_when_comm_outruns_compute() {
-        // A vanishing compute window leaves nothing to hide behind: the
-        // whole streamed gather is exposed and the overlap collapses.
-        let m = MachineConfig::bgq_racks(4);
-        let pg = gather_pipelined(&m, CollectiveAlgo::BinomialTree, 1e9, 8, 1e-9);
-        assert!(pg.overlap_frac < 0.01, "overlap {}", pg.overlap_frac);
-        assert!(pg.exposed_s > pg.hidden_s * 50.0);
-        // And more buffers help only while the per-buffer gather fits the
-        // compute slice.
-        let fits = gather_pipelined(&m, CollectiveAlgo::BinomialTree, 80.0, 8, 1.0);
-        let two = gather_pipelined(&m, CollectiveAlgo::BinomialTree, 80.0, 2, 1.0);
-        assert!(fits.overlap_frac > two.overlap_frac);
-    }
-
-    #[test]
-    fn pipelined_gather_degenerate_cases() {
-        let m = MachineConfig::bgq_racks(1);
-        // One buffer = the staged engine: nothing hides.
-        let staged = gather_pipelined(&m, CollectiveAlgo::BinomialTree, 80.0, 1, 1.0);
-        assert_eq!(staged.hidden_s, 0.0);
-        assert!(staged.overlap_frac == 0.0);
-        // Single node: the gather is free, the fraction well-defined.
-        let mut m1 = MachineConfig::bgq_racks(1);
-        m1.torus = crate::torus::Torus5D::new([1, 1, 1, 1, 1]);
-        let free = gather_pipelined(&m1, CollectiveAlgo::BinomialTree, 80.0, 8, 1.0);
-        assert_eq!(free.overlap_frac, 0.0);
-        assert_eq!(free.total_s, 1.0);
-    }
-
-    #[test]
-    fn reduce_scatter_is_half_allreduce() {
-        let m = MachineConfig::bgq_racks(4);
-        let a = allreduce(&m, CollectiveAlgo::TorusPipelined, 4e6);
-        let rs = reduce_scatter(&m, CollectiveAlgo::TorusPipelined, 4e6);
-        assert!((rs - 0.5 * a).abs() < 1e-12);
     }
 }

@@ -8,7 +8,7 @@
 //! * [`node`] — the per-node compute model: 16 cores × 4 SMT threads,
 //!   4-wide (QPX-like) SIMD, with empirical thread/SMT/SIMD scaling curves;
 //! * [`collectives`] — analytic cost models for broadcast / allreduce /
-//!   reduce-scatter on the torus, including a torus-aware dimension-pipelined
+//!   gather / all-to-all on the torus, including a torus-aware dimension-pipelined
 //!   algorithm and a topology-oblivious binomial tree (the mapping ablation);
 //! * [`machine`] — partition presets from one node board to the full
 //!   96-rack, 6,291,456-thread configuration of the paper;

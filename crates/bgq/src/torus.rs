@@ -93,12 +93,6 @@ impl Torus5D {
         2 * self.nodes() / max_dim
     }
 
-    /// Links per node (two per dimension with extent > 1; extent 2 gives a
-    /// single physical neighbor but BG/Q wires both ports, so we count 2).
-    pub fn links_per_node(&self) -> usize {
-        self.dims.iter().filter(|&&d| d > 1).count() * 2
-    }
-
     /// The ranks adjacent to `rank` (±1 in each dimension, deduplicated).
     pub fn neighbors(&self, rank: usize) -> Vec<usize> {
         let c = self.coords(rank);

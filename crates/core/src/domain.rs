@@ -359,15 +359,6 @@ impl DomainDecomposition {
         r.sort_unstable();
         r
     }
-
-    /// Largest resident count over all domains — the per-rank memory
-    /// high-water mark in orbital records.
-    pub fn max_residents(&self) -> usize {
-        (0..self.geometry.n_domains())
-            .map(|d| self.owned[d].len() + self.halo[d].len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Build the global screened pair list by sharding it over a `dims` grid

@@ -60,7 +60,7 @@ pub enum ExecBackend {
     /// deterministic regardless of the steal schedule.
     Rayon,
     /// Message-passing over `nranks` virtual ranks of the
-    /// `liair-runtime` threaded backend, scheduled by the double-buffered
+    /// `liair-runtime` threaded backend, scheduled by the streaming
     /// pipeline of `engine::pipeline`: the head of the chunk list is assigned up
     /// front by `strategy` (no coordination traffic), the tail feeds a
     /// root-owned steal queue, finished chunks stream to the root while

@@ -1,4 +1,4 @@
-//! The `Comm` exec stage: double-buffered comm/compute overlap with a
+//! The `Comm` exec stage: streamed comm/compute overlap with a
 //! root-coordinated steal queue, over point-to-point `send` / `recv` /
 //! `try_recv` only (no collective is issued).
 //!
@@ -8,10 +8,11 @@
 //! the build. This module schedules the same work as an asynchronous
 //! pipeline:
 //!
-//! * **streaming results** — each worker fills one of two rotating chunk
-//!   buffers while the previous packet is in flight inside the transport
-//!   ([`Comm::send`] is non-blocking), so the root ingests contributions
-//!   *while* everyone is still computing;
+//! * **streaming results** — each worker fills one packet buffer and hands
+//!   it to the transport every [`STREAM_BATCH`] chunks ([`Comm::send`] is
+//!   non-blocking and takes ownership), then refills a fresh one while the
+//!   packet is in flight, so the root ingests contributions *while*
+//!   everyone is still computing;
 //! * **progress-driven root** — between its own chunks the root polls
 //!   [`Comm::try_recv`]: it drains result packets, serves steal requests,
 //!   and collects trailers without ever blocking, so ingestion overlaps
@@ -172,8 +173,9 @@ fn eval_local<S, F>(
 }
 
 /// The non-root side of the protocol: compute the static share streaming
-/// results in double-buffered packets, then steal from the root's queue
-/// until told there is nothing left, then send the timing trailer.
+/// results in packets of [`STREAM_BATCH`] chunks, then steal from the
+/// root's queue until told there is nothing left, then send the timing
+/// trailer.
 fn worker_drive<S, F>(
     comm: &dyn Comm,
     width: usize,
@@ -185,20 +187,17 @@ where
     F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize),
 {
     let cap = STREAM_BATCH * (width + 1);
-    // Two rotating buffers: while one packet is in flight inside the
-    // transport, the other buffer fills — the double buffering of the
-    // pipeline.
-    let mut bufs = [Vec::with_capacity(cap), Vec::with_capacity(cap)];
-    let mut cur = 0usize;
+    // The send takes the full buffer; the next packet fills a fresh one
+    // while it is in flight.
+    let mut buf = Vec::with_capacity(cap);
     let mut entries = 0usize;
     let mut npackets = 0u64;
     let mut tim = KernelTimings::default();
     let mut grew = 0usize;
     let mut busy_s = 0.0f64;
     {
-        let mut compute = |ci: usize, sc: &mut S, bufs: &mut [Vec<f64>; 2], cur: &mut usize| {
+        let mut compute = |ci: usize, sc: &mut S| {
             let t0 = Instant::now();
-            let buf = &mut bufs[*cur];
             buf.push(ci as f64);
             let at = buf.len();
             buf.resize(at + width, 0.0);
@@ -208,18 +207,17 @@ where
             grew += g;
             entries += 1;
             if entries >= STREAM_BATCH {
-                let pkt = std::mem::replace(&mut bufs[*cur], Vec::with_capacity(cap));
+                let pkt = std::mem::replace(&mut buf, Vec::with_capacity(cap));
                 let sent = comm.send(0, T_RESULT | npackets, pkt);
                 npackets += 1;
                 entries = 0;
-                *cur ^= 1;
                 sent
             } else {
                 Ok(())
             }
         };
         for &ci in mine {
-            compute(ci, &mut sc, &mut bufs, &mut cur)?;
+            compute(ci, &mut sc)?;
         }
         // Dynamic tail: one outstanding request, one chunk per grant, until
         // the root replies with an empty grant (no more work anywhere).
@@ -229,14 +227,13 @@ where
             let grant = comm.recv(0, T_GRANT | req)?;
             req += 1;
             match grant.first() {
-                Some(&ci) => compute(ci as usize, &mut sc, &mut bufs, &mut cur)?,
+                Some(&ci) => compute(ci as usize, &mut sc)?,
                 None => break,
             }
         }
     }
     if entries > 0 {
-        let pkt = std::mem::take(&mut bufs[cur]);
-        comm.send(0, T_RESULT | npackets, pkt)?;
+        comm.send(0, T_RESULT | npackets, buf)?;
         npackets += 1;
     }
     comm.send(

@@ -63,8 +63,8 @@ pub use hfx::HfxResult;
 pub use incremental::{Fingerprint, IncStats, IncrementalExchange};
 pub use operator::{rhf_with_grid_exchange_in_cell, GridScfResult};
 pub use screening::{
-    build_pair_list, build_pair_list_celllist, source_pairs, EpsSchedule, IncSchedule, OrbitalInfo,
-    Pair, PairList,
+    build_pair_list, build_pair_list_celllist, source_pairs, IncSchedule, OrbitalInfo, Pair,
+    PairList,
 };
 pub use simulate::{simulate_hfx_build, Scheme, SimOutcome};
 pub use workload::Workload;

@@ -10,12 +10,16 @@
 //! built as one Poisson solve per `(occupied j, AO ν)` pair density — the
 //! same work unit the parallel scheme distributes (in CPMD terms: the
 //! exchange potentials `v_jν` acting back on the orbitals). The build
-//! itself is [`ExchangeEngine::k_operator`]; this module holds the
+//! itself is [`crate::ExchangeEngine::k_operator`]; this module holds the
 //! [`rhf_with_grid_exchange_in_cell`] driver, which converges an SCF in
 //! which *all* exact exchange comes from the grid path, validating the
-//! full pipeline against the purely analytic RHF.
+//! full pipeline against the purely analytic RHF. Its one tunable is the
+//! screening threshold ε; every K build goes through the caller's
+//! [`IncrementalExchange`], and the iteration cap and energy tolerance are
+//! constants.
 
-use crate::engine::{BuildProfile, ExchangeEngine};
+use crate::engine::BuildProfile;
+use crate::incremental::IncrementalExchange;
 use liair_basis::{Basis, Molecule};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
@@ -36,9 +40,15 @@ pub struct GridScfResult {
     /// Per-phase build instrumentation accumulated over every K build of
     /// the SCF (times and counters sum across iterations): `(j, ν)` tasks
     /// solved, reused from the incremental cache, and dropped by the ε
-    /// schedule.
+    /// screen.
     pub profile: BuildProfile,
 }
+
+/// Iteration cap of [`rhf_with_grid_exchange_in_cell`].
+const MAX_ITER: usize = 40;
+/// Energy change (Hartree) below which [`rhf_with_grid_exchange_in_cell`]
+/// stops.
+const ENERGY_TOL: f64 = 1e-8;
 
 /// Restricted Hartree–Fock in which the exchange matrix is built on the
 /// grid every iteration (Coulomb and one-electron parts stay analytic —
@@ -50,25 +60,20 @@ pub struct GridScfResult {
 ///
 /// The loop runs in a caller-fixed frame: `mol_c` must already sit inside
 /// the cell `grid` discretizes. A fixed box keeps orbital fields
-/// comparable across MD steps, which is what lets an
-/// [`crate::incremental::IncrementalExchange`] passed in `inc` carry its
-/// cache from one step to the next — each K build recomputes only the
-/// orbitals that moved since their cached contribution (tolerance from the
-/// [`crate::screening::IncSchedule`]). `schedule` is the ε schedule: early
-/// iterations may screen aggressively (fewer exchange tasks), tightening
-/// toward convergence.
-#[allow(clippy::too_many_arguments)]
+/// comparable across MD steps, which is what lets the
+/// [`IncrementalExchange`] passed in `inc` carry its cache from one step to
+/// the next — each K build recomputes only the orbitals that moved since
+/// their cached contribution, within the tolerance `inc` was built with.
+/// `eps` screens every iteration's `(j, ν)` tasks. An `inc` built with
+/// `eps_inc = 0` reuses nothing: every K build is the from-scratch one, bit
+/// for bit. The loop stops once the energy moves less than 1e-8 Ha, or
+/// after 40 iterations.
 pub fn rhf_with_grid_exchange_in_cell(
     mol_c: &Molecule,
     grid: &RealGrid,
     solver: &PoissonSolver,
-    max_iter: usize,
-    tol: f64,
-    schedule: crate::screening::EpsSchedule,
-    mut inc: Option<(
-        &mut crate::incremental::IncrementalExchange,
-        crate::screening::IncSchedule,
-    )>,
+    eps: f64,
+    inc: &mut IncrementalExchange,
     guess: Option<&Mat>,
 ) -> GridScfResult {
     let basis = Basis::sto3g(mol_c);
@@ -80,7 +85,6 @@ pub fn rhf_with_grid_exchange_in_cell(
     let x = sym_inv_sqrt(&s);
     let e_nuc = mol_c.nuclear_repulsion();
     let jk = JkBuilder::new(&basis);
-    let engine = ExchangeEngine::new(grid, solver);
 
     // Core guess, unless the caller warm-starts from a previous step's
     // converged orbitals (an MD loop: iteration 1 then starts next to the
@@ -93,22 +97,14 @@ pub fn rhf_with_grid_exchange_in_cell(
     let mut converged = false;
     let mut iterations = 0;
     let mut profile = BuildProfile::default();
-    for it in 1..=max_iter {
+    for it in 1..=MAX_ITER {
         iterations = it;
         let density = density_of(&c_occ, nocc);
         let (j, _unused_k) = jk.build(&density, 1e-11);
         // K here is Σ_j (μj|jν) = K(D)/2, so the RHF Fock term −½K(D)
         // becomes −K and the exchange energy −¼Tr(D·K(D)) becomes
         // −½Tr(D·K).
-        let eps = schedule.eps_for(it - 1);
-        let out = match inc.as_mut() {
-            Some((state, inc_schedule)) => {
-                state.eps_inc = inc_schedule.eps_for(it - 1);
-                state.rebuild_every = inc_schedule.rebuild_every;
-                state.exchange_operator(&basis, &c_occ, nocc, grid, solver, eps)
-            }
-            None => engine.k_operator(&basis, &c_occ, nocc, eps),
-        };
+        let out = inc.exchange_operator(&basis, &c_occ, nocc, grid, solver, eps);
         profile.merge(&out.profile);
         let mut f = h.clone();
         f.axpy(1.0, &j);
@@ -119,7 +115,7 @@ pub fn rhf_with_grid_exchange_in_cell(
         let de = (new_energy - energy).abs();
         energy = new_energy;
         c_occ = occupied_from(&f, &x, nao, nocc);
-        if it > 1 && de < tol {
+        if it > 1 && de < ENERGY_TOL {
             converged = true;
             break;
         }
@@ -164,8 +160,7 @@ fn density_of(c_occ: &Mat, nocc: usize) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::IncrementalExchange;
-    use crate::screening::{EpsSchedule, IncSchedule};
+    use crate::engine::ExchangeEngine;
     use liair_basis::{systems, Cell};
     use liair_math::approx_eq;
     use liair_scf::{rhf, ScfOptions};
@@ -177,8 +172,8 @@ mod tests {
         mol: &Molecule,
         n: usize,
         padding: f64,
-        schedule: EpsSchedule,
-        inc: Option<(&mut IncrementalExchange, IncSchedule)>,
+        eps: f64,
+        inc: &mut IncrementalExchange,
     ) -> GridScfResult {
         let (lo, hi) = mol.bounding_box();
         let extent = (hi - lo).x.max((hi - lo).y).max((hi - lo).z);
@@ -188,7 +183,7 @@ mod tests {
         mol_c.translate(shift);
         let grid = RealGrid::cubic(Cell::cubic(edge), n);
         let solver = PoissonSolver::isolated(grid);
-        rhf_with_grid_exchange_in_cell(&mol_c, &grid, &solver, 40, 1e-8, schedule, inc, None)
+        rhf_with_grid_exchange_in_cell(&mol_c, &grid, &solver, eps, inc, None)
     }
 
     #[test]
@@ -222,7 +217,7 @@ mod tests {
         let mol = systems::h2();
         let basis = Basis::sto3g(&mol);
         let reference = rhf(&mol, &basis, &ScfOptions::default());
-        let grid_scf = scf_in_box(&mol, 64, 7.0, EpsSchedule::fixed(0.0), None);
+        let grid_scf = scf_in_box(&mol, 64, 7.0, 0.0, &mut IncrementalExchange::new(0.0, 0));
         assert!(grid_scf.converged, "grid-exchange SCF did not converge");
         assert!(
             approx_eq(grid_scf.energy, reference.energy, 2e-3),
@@ -244,46 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_schedule_converges_to_same_energy_with_fewer_tasks() {
-        // Two well-separated H2 molecules: distant (j, ν) tasks are
-        // screenable; the scheduled SCF must hit the same energy while
-        // evaluating fewer exchange tasks.
-        let mut mol = systems::h2();
-        let mut far = systems::h2();
-        far.translate(liair_math::Vec3::new(0.0, 9.0, 0.0));
-        mol.merge(&far);
-        let plain = scf_in_box(&mol, 48, 6.0, EpsSchedule::fixed(0.0), None);
-        let tightening = EpsSchedule {
-            eps_start: 1e-2,
-            eps_final: 1e-5,
-            tighten_over: 5,
-        };
-        let scheduled = scf_in_box(&mol, 48, 6.0, tightening, None);
-        assert!(plain.converged && scheduled.converged);
-        assert!(
-            approx_eq(plain.energy, scheduled.energy, 1e-4),
-            "{} vs {}",
-            plain.energy,
-            scheduled.energy
-        );
-        assert!(
-            scheduled.profile.pairs_screened > 0,
-            "schedule skipped nothing"
-        );
-        assert!(scheduled.profile.pairs_computed < plain.profile.pairs_computed);
-    }
-
-    #[test]
     fn incremental_scf_matches_scheduled_and_reuses_tasks() {
         // Same molecule, same screening: the incremental SCF must land on
-        // the scheduled SCF's energy (reuse tolerance only perturbs
+        // the from-scratch SCF's energy (reuse tolerance only perturbs
         // mid-convergence iterations) while skipping Poisson solves.
         let mol = systems::h2();
-        let sched = EpsSchedule::fixed(1e-4);
-        let plain = scf_in_box(&mol, 48, 6.0, sched, None);
+        let plain = scf_in_box(&mol, 48, 6.0, 1e-4, &mut IncrementalExchange::new(0.0, 0));
         let mut inc = IncrementalExchange::new(1e-3, 0);
-        let reuse = Some((&mut inc, IncSchedule::fixed(1e-3, 0)));
-        let incr = scf_in_box(&mol, 48, 6.0, sched, reuse);
+        let incr = scf_in_box(&mol, 48, 6.0, 1e-4, &mut inc);
         assert!(plain.converged && incr.converged);
         assert!(
             approx_eq(plain.energy, incr.energy, 2e-3),

@@ -11,6 +11,9 @@
 //! `B_ij < ε` discards exchange contributions of order `ε²·(ii|ii)` —
 //! the error is controlled *monotonically* by the single knob ε, which is
 //! the paper's "highly controllable manner". ε = 0 disables screening.
+//! Every caller passes one ε for a whole calculation; nothing tightens it
+//! across SCF iterations. [`IncSchedule`] is likewise fixed: the reuse
+//! tolerance and rebuild cadence an incremental cache is built with.
 //!
 //! **Who builds lists.** [`build_pair_list`] is the O(N²) reference every
 //! other source is bit-compared against. [`build_pair_list_celllist`], the
@@ -100,15 +103,6 @@ impl PairList {
             return 1.0;
         }
         self.pairs.len() as f64 / self.n_candidates as f64
-    }
-
-    /// Fraction of the N(N+1)/2 candidates the builder had to inspect
-    /// (1.0 for the brute-force scan, ≪ 1 for locality-aware sources).
-    pub fn considered_fraction(&self) -> f64 {
-        if self.n_candidates == 0 {
-            return 1.0;
-        }
-        self.considered as f64 / self.n_candidates as f64
     }
 }
 
@@ -308,92 +302,24 @@ pub(crate) fn cross_tasks(
     (tasks, inspected)
 }
 
-/// An ε schedule over SCF iterations: early iterations run with loose
-/// screening (cheap, approximate exchange), tightening geometrically to
-/// `eps_final` as the density converges — the standard trick the
-/// controllable-accuracy knob enables (final energies are unaffected
-/// because the last iterations run at full accuracy).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EpsSchedule {
-    /// Screening threshold for the first iteration.
-    pub eps_start: f64,
-    /// Threshold from `tighten_over` iterations onward.
-    pub eps_final: f64,
-    /// Number of iterations over which to tighten.
-    pub tighten_over: usize,
-}
-
-impl EpsSchedule {
-    /// A fixed (non-adaptive) schedule.
-    pub fn fixed(eps: f64) -> Self {
-        Self {
-            eps_start: eps,
-            eps_final: eps,
-            tighten_over: 1,
-        }
-    }
-
-    /// Geometric interpolation between start and final thresholds.
-    pub fn eps_for(&self, iteration: usize) -> f64 {
-        if iteration + 1 >= self.tighten_over || self.eps_start == self.eps_final {
-            return self.eps_final;
-        }
-        let t = iteration as f64 / (self.tighten_over.max(2) - 1) as f64;
-        // Geometric path handles eps_final = 0 by switching at the end.
-        if self.eps_final <= 0.0 {
-            if iteration + 1 >= self.tighten_over {
-                0.0
-            } else {
-                self.eps_start * (1e-6f64).powf(t)
-            }
-        } else {
-            self.eps_start * (self.eps_final / self.eps_start).powf(t)
-        }
-    }
-}
-
-/// Incremental-exchange tolerance schedule over SCF iterations, the
-/// temporal twin of [`EpsSchedule`]: early iterations (where orbitals move
-/// a lot anyway) may reuse aggressively, tightening geometrically toward
-/// `eps_inc_final` as the density converges. Feeds
-/// [`crate::incremental::IncrementalExchange::eps_inc`] each iteration.
+/// The incremental-exchange reuse settings of a grid SCF: the fingerprint
+/// tolerance and full-rebuild cadence each slot's
+/// [`crate::incremental::IncrementalExchange`] is built with.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IncSchedule {
-    /// Reuse tolerance for the first iteration.
-    pub eps_inc_start: f64,
-    /// Tolerance from `tighten_over` iterations onward.
-    pub eps_inc_final: f64,
-    /// Number of iterations over which to tighten.
-    pub tighten_over: usize,
+    /// Reuse tolerance (`0` = every build from scratch).
+    pub eps_inc: f64,
     /// Force a full rebuild every N builds (`0` = never force).
     pub rebuild_every: usize,
 }
 
 impl IncSchedule {
-    /// A fixed (non-adaptive) tolerance with full-rebuild cadence.
+    /// A fixed tolerance with full-rebuild cadence.
     pub fn fixed(eps_inc: f64, rebuild_every: usize) -> Self {
         Self {
-            eps_inc_start: eps_inc,
-            eps_inc_final: eps_inc,
-            tighten_over: 1,
+            eps_inc,
             rebuild_every,
         }
-    }
-
-    /// Reuse disabled: every build is from scratch (the exact path).
-    pub fn off() -> Self {
-        Self::fixed(0.0, 0)
-    }
-
-    /// The tolerance for `iteration` (0-based) — the same geometric
-    /// interpolation as [`EpsSchedule::eps_for`].
-    pub fn eps_for(&self, iteration: usize) -> f64 {
-        EpsSchedule {
-            eps_start: self.eps_inc_start,
-            eps_final: self.eps_inc_final,
-            tighten_over: self.tighten_over,
-        }
-        .eps_for(iteration)
     }
 }
 
@@ -624,47 +550,6 @@ mod tests {
             assert_eq!(got, want, "eps = {eps}");
         }
         assert_eq!(cross_tasks(&rows, &slots, &[], 1e-4), (Vec::new(), 0));
-    }
-
-    #[test]
-    fn eps_schedule_tightens_monotonically() {
-        let s = EpsSchedule {
-            eps_start: 1e-2,
-            eps_final: 1e-8,
-            tighten_over: 6,
-        };
-        let mut prev = f64::INFINITY;
-        for it in 0..10 {
-            let e = s.eps_for(it);
-            assert!(e <= prev + 1e-18, "iteration {it}: {e} > {prev}");
-            prev = e;
-        }
-        assert!(approx_eq(s.eps_for(0), 1e-2, 1e-12));
-        assert!(approx_eq(s.eps_for(9), 1e-8, 1e-12));
-        // Fixed schedules are constant.
-        let f = EpsSchedule::fixed(1e-6);
-        assert_eq!(f.eps_for(0), 1e-6);
-        assert_eq!(f.eps_for(50), 1e-6);
-    }
-
-    #[test]
-    fn inc_schedule_tightens_and_off_disables() {
-        let s = IncSchedule {
-            eps_inc_start: 1e-2,
-            eps_inc_final: 1e-5,
-            tighten_over: 4,
-            rebuild_every: 10,
-        };
-        let mut prev = f64::INFINITY;
-        for it in 0..8 {
-            let e = s.eps_for(it);
-            assert!(e <= prev + 1e-18);
-            prev = e;
-        }
-        assert!(approx_eq(s.eps_for(7), 1e-5, 1e-15));
-        let off = IncSchedule::off();
-        assert_eq!(off.eps_for(0), 0.0);
-        assert_eq!(off.rebuild_every, 0);
     }
 
     #[test]

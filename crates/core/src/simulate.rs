@@ -22,24 +22,31 @@
 
 use crate::balance::{assign_pairs, BalanceStrategy};
 use crate::workload::Workload;
-use liair_bgq::bsp::{comm_time, simulate, BspPhase, BspReport, CommOp, PhaseCompute, PhaseTiming};
+use liair_bgq::bsp::{comm_time, simulate, BspPhase, BspReport, CommOp, PhaseTiming};
 use liair_bgq::collectives::{self, CollectiveAlgo};
 use liair_bgq::MachineConfig;
 use serde::{Deserialize, Serialize};
 
+/// Hardware threads per node in every modelled scheme (the full A2 node).
+const NODE_THREADS: usize = 64;
+/// Every modelled kernel runs on the node's QPX SIMD unit.
+const NODE_SIMD: bool = true;
+/// Pair balancing of the pair-distributed schemes.
+const PAIR_BALANCE: BalanceStrategy = BalanceStrategy::GreedyLpt;
+
+/// Seconds one modelled node spends on `flops`.
+fn node_time(m: &MachineConfig, flops: f64) -> f64 {
+    m.node.compute_time(flops, NODE_THREADS, NODE_SIMD)
+}
+
 /// Which parallelization to model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Scheme {
-    /// The paper's scheme.
+    /// The paper's scheme: greedy-LPT balanced pairs on full 64-thread
+    /// SIMD nodes.
     PairDistributed {
-        /// Task balancing strategy.
-        strategy: BalanceStrategy,
         /// Nodes cooperating on one pair (None = automatic).
         group_size: Option<usize>,
-        /// Threads per node (1..=64).
-        threads: usize,
-        /// Whether the QPX-style SIMD kernels are used.
-        simd: bool,
     },
     /// Pair-distributed but with full-cell grids, flat (no groups).
     FullGridPairs,
@@ -52,12 +59,7 @@ pub enum Scheme {
 impl Scheme {
     /// Default configuration of the paper's scheme.
     pub fn ours() -> Scheme {
-        Scheme::PairDistributed {
-            strategy: BalanceStrategy::GreedyLpt,
-            group_size: None,
-            threads: 64,
-            simd: true,
-        }
+        Scheme::PairDistributed { group_size: None }
     }
 
     /// Display name.
@@ -116,19 +118,13 @@ pub fn simulate_hfx_build(
 ) -> SimOutcome {
     let nodes = m.nodes();
     match scheme {
-        Scheme::PairDistributed {
-            strategy,
-            group_size,
-            threads,
-            simd,
-        } => {
+        Scheme::PairDistributed { group_size } => {
             let g = group_size
                 .unwrap_or_else(|| auto_group_size(w.pairs.len(), nodes))
                 .clamp(1, nodes);
             let ngroups = (nodes / g).max(1);
-            let assignment = assign_pairs(&w.pairs, ngroups, strategy);
-            let t_pair = m.node.compute_time(w.pair_flops(), threads, simd)
-                / (g as f64 * group_fft_efficiency(g));
+            let assignment = assign_pairs(&w.pairs, ngroups, PAIR_BALANCE);
+            let t_pair = node_time(m, w.pair_flops()) / (g as f64 * group_fft_efficiency(g));
             // Per-node compute vector: every node of a group carries the
             // group's time.
             let mut per_node = vec![0.0; nodes];
@@ -161,7 +157,7 @@ pub fn simulate_hfx_build(
                 algo,
                 &[BspPhase {
                     name: "pair FFTs".into(),
-                    compute: PhaseCompute::PerRank(per_node),
+                    compute: per_node,
                     comm: CommOp::None,
                 }],
             );
@@ -211,8 +207,8 @@ pub fn simulate_hfx_build(
             // Same pair list & balancing, but each pair transforms the full
             // cell grid node-locally; no groups, so at extreme scale the
             // integer pair quantum also costs efficiency.
-            let assignment = assign_pairs(&w.pairs, nodes, BalanceStrategy::GreedyLpt);
-            let t_pair = m.node.compute_time(w.full_grid_flops(), 64, true);
+            let assignment = assign_pairs(&w.pairs, nodes, PAIR_BALANCE);
+            let t_pair = node_time(m, w.full_grid_flops());
             let per_node: Vec<f64> = assignment.loads.iter().map(|&l| l * t_pair).collect();
             let max_pairs = assignment
                 .per_rank
@@ -234,7 +230,7 @@ pub fn simulate_hfx_build(
                 algo,
                 &[BspPhase {
                     name: "pair FFTs (full grid)".into(),
-                    compute: PhaseCompute::PerRank(per_node),
+                    compute: per_node,
                     comm: CommOp::None,
                 }],
             );
@@ -288,8 +284,7 @@ pub fn simulate_hfx_build(
             // parallel efficiency (transposes folded into the factor).
             let cap = (w.full_grid / 2) * (w.full_grid / 2);
             let used = nodes.min(cap);
-            let t_compute =
-                m.node.compute_time(w.full_grid_flops(), 64, true) / (used as f64 * 0.5);
+            let t_compute = node_time(m, w.full_grid_flops()) / (used as f64 * 0.5);
             let total = w.pairs.len() as f64 * t_compute;
             let busy_fraction = used as f64 / nodes as f64;
             let report = BspReport {
@@ -318,7 +313,7 @@ pub fn simulate_hfx_build(
             let kappa = 60.0; // significant AO partners in the condensed phase
             let sig_pairs = w.nao as f64 * kappa;
             let flops = sig_pairs * sig_pairs * 120.0;
-            let t_compute = m.node.compute_time(flops, 64, true) / nodes as f64;
+            let t_compute = node_time(m, flops) / nodes as f64;
             let k_bytes = (w.nao * w.nao) as f64 * 8.0;
             let t_reduce = collectives::allreduce(m, algo, k_bytes);
             let total = t_compute + t_reduce;
@@ -463,24 +458,5 @@ mod tests {
             ours.report.compute_total(),
             ours.report.comm_total()
         );
-    }
-
-    #[test]
-    fn scalar_no_simd_is_much_slower() {
-        let w = Workload::water_box_small();
-        let m = MachineConfig::bgq_racks(1);
-        let fast = simulate_hfx_build(&w, &m, Scheme::ours(), CollectiveAlgo::TorusPipelined);
-        let slow = simulate_hfx_build(
-            &w,
-            &m,
-            Scheme::PairDistributed {
-                strategy: BalanceStrategy::GreedyLpt,
-                group_size: None,
-                threads: 1,
-                simd: false,
-            },
-            CollectiveAlgo::TorusPipelined,
-        );
-        assert!(slow.time > 30.0 * fast.time);
     }
 }

@@ -346,18 +346,6 @@ pub fn schwarz_matrix_with(engine: &EriEngine<'_>) -> Mat {
     m
 }
 
-/// Shell-pair distance helper used by distance-based pair screening in the
-/// exact-exchange pair list: returns the centers' separation.
-pub fn shell_pair_distance(basis: &Basis, sa: usize, sb: usize) -> f64 {
-    basis.shells[sa].center.distance(basis.shells[sb].center)
-}
-
-/// Estimate of a primitive-pair prefactor `exp(−μ R²_AB)` used in tests.
-pub fn gaussian_product_prefactor(a: f64, b: f64, ra: Vec3, rb: Vec3) -> f64 {
-    let mu = a * b / (a + b);
-    (-mu * (ra - rb).norm_sqr()).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -124,12 +124,6 @@ impl Encoder {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    /// Append length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, bs: &[u8]) {
-        self.put_usize(bs.len());
-        self.buf.extend_from_slice(bs);
-    }
 }
 
 /// Cursor-based decoder over a checkpoint byte stream.
@@ -231,15 +225,6 @@ impl<'a> Decoder<'a> {
             return Err(CodecError::BadLength(n as u64));
         }
         Ok(String::from_utf8_lossy(self.take(n)?).into_owned())
-    }
-
-    /// Read length-prefixed raw bytes.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.get_usize()?;
-        if n > self.remaining() {
-            return Err(CodecError::BadLength(n as u64));
-        }
-        Ok(self.take(n)?.to_vec())
     }
 }
 

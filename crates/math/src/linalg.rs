@@ -76,12 +76,6 @@ impl Mat {
         &self.data
     }
 
-    /// Mutable flat row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

@@ -221,16 +221,6 @@ impl Mat3 {
         )
     }
 
-    /// Matrix–vector product.
-    #[inline]
-    pub fn mul_vec(&self, v: Vec3) -> Vec3 {
-        Vec3::new(
-            self.rows[0].dot(v),
-            self.rows[1].dot(v),
-            self.rows[2].dot(v),
-        )
-    }
-
     /// Determinant.
     #[inline]
     pub fn det(&self) -> f64 {

@@ -18,7 +18,7 @@
 //! the impulse weight is exactly `1.0`, multiplication by `1.0` is exact
 //! in IEEE-754, and the closing thermostat application is shared code
 //! (`MdState::end_of_step_thermostat`). That identity is property-tested
-//! (`tests/mts_equivalence.rs` and the root `tests/properties.rs`).
+//! in `tests/mts_equivalence.rs` on [`TetherSplit`].
 //!
 //! Thermostats act on the outer timestep: Nosé–Hoover half-steps bracket
 //! the whole outer step (so its conserved quantity
@@ -34,6 +34,7 @@
 //! reuse counters when the slow path carries the PR 2 cache
 //! ([`SplitForceProvider::reuse_totals`]).
 
+use crate::forcefield::ForceField;
 use crate::integrator::{ForceProvider, MdOptions, MdState, Thermostat};
 use liair_basis::{Cell, Molecule};
 use liair_core::IncStats;
@@ -261,6 +262,63 @@ impl MdState {
     }
 }
 
+/// The deterministic force split of the classical MD jobs and of the MTS
+/// equivalence tests: the force field as the fast part, a weak quartic
+/// tether to each atom's *initial* position as the slow correction
+/// (smooth, conservative, nonzero). Reconstructable from the initial
+/// geometry alone — which is why [`crate::MdCheckpoint`] never serializes
+/// the provider.
+pub struct TetherSplit {
+    ff: ForceField,
+    anchors: Vec<Vec3>,
+    k: f64,
+}
+
+impl TetherSplit {
+    /// Split anchored at `mol`'s current positions, with tether stiffness
+    /// `k` (`E = k/4 · |r − r₀|⁴` per atom).
+    pub fn new(mol: &Molecule, cell: Option<&Cell>, k: f64) -> TetherSplit {
+        TetherSplit {
+            ff: ForceField::from_molecule(mol, cell),
+            anchors: mol.atoms.iter().map(|a| a.pos).collect(),
+            k,
+        }
+    }
+
+    /// The classical force field of the fast part (bond-scission
+    /// detection reuses its bond list).
+    pub fn force_field(&self) -> &ForceField {
+        &self.ff
+    }
+}
+
+impl SplitForceProvider for TetherSplit {
+    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
+        self.ff.energy_forces(mol, cell)
+    }
+
+    fn slow_correction(
+        &self,
+        mol: &Molecule,
+        _cell: Option<&Cell>,
+        _fast: (f64, &[Vec3]),
+    ) -> (f64, Vec<Vec3>) {
+        let mut e = 0.0;
+        let forces = mol
+            .atoms
+            .iter()
+            .zip(&self.anchors)
+            .map(|(a, &r0)| {
+                let d = a.pos - r0;
+                let r2 = d.norm_sqr();
+                e += 0.25 * self.k * r2 * r2;
+                -d * (self.k * r2)
+            })
+            .collect();
+        (e, forces)
+    }
+}
+
 /// Adapter so `MdState::new` can initialize from the fast part alone
 /// (the slow correction is grafted on immediately after).
 struct InitFast<'a, S: SplitForceProvider>(&'a S);
@@ -274,54 +332,7 @@ impl<S: SplitForceProvider> ForceProvider for InitFast<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forcefield::ForceField;
     use liair_basis::systems;
-
-    /// A deterministic toy split: the classical force field as the fast
-    /// part, a weak quartic tether to each atom's initial position as the
-    /// slow correction (smooth, conservative, nonzero).
-    pub(crate) struct TetherSplit {
-        pub ff: ForceField,
-        pub anchors: Vec<Vec3>,
-        pub k: f64,
-    }
-
-    impl TetherSplit {
-        pub fn new(mol: &Molecule, cell: Option<&Cell>, k: f64) -> Self {
-            Self {
-                ff: ForceField::from_molecule(mol, cell),
-                anchors: mol.atoms.iter().map(|a| a.pos).collect(),
-                k,
-            }
-        }
-    }
-
-    impl SplitForceProvider for TetherSplit {
-        fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-            self.ff.energy_forces(mol, cell)
-        }
-
-        fn slow_correction(
-            &self,
-            mol: &Molecule,
-            _cell: Option<&Cell>,
-            _fast: (f64, &[Vec3]),
-        ) -> (f64, Vec<Vec3>) {
-            let mut e = 0.0;
-            let forces = mol
-                .atoms
-                .iter()
-                .zip(&self.anchors)
-                .map(|(a, &r0)| {
-                    let d = a.pos - r0;
-                    let r2 = d.norm_sqr();
-                    e += 0.25 * self.k * r2 * r2;
-                    -d * (self.k * r2)
-                })
-                .collect();
-            (e, forces)
-        }
-    }
 
     fn bitwise_eq(a: &MdState, b: &MdState) -> bool {
         a.potential.to_bits() == b.potential.to_bits()

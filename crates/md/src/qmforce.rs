@@ -12,11 +12,26 @@
 //! energy evaluations per geometry. The slow term is amortized by the
 //! outer step and by the incremental caches, as in the MTS treatment of
 //! hybrid functionals, so no analytic nuclear gradient is needed.
+//!
+//! The settings are constants: displacements of 1e-2 Bohr (grid SCF) and
+//! 1e-3 Bohr (surrogate), screening at ε = 1e-4, and the fixed SCF
+//! controls of `liair_core::rhf_with_grid_exchange_in_cell` and
+//! `ScfOptions::default()`. What a caller chooses is the grid, the box,
+//! the reuse tolerance and the surrogate functional.
 
 use crate::integrator::ForceProvider;
 use crate::mts::SplitForceProvider;
 use liair_basis::{Cell, Molecule};
+use liair_core::{rhf_with_grid_exchange_in_cell, IncSchedule, IncrementalExchange};
 use liair_math::Vec3;
+
+/// Finite-difference displacement of [`IncrementalGridForces`] (Bohr).
+const GRID_FD_STEP: f64 = 1e-2;
+/// Pair-screening threshold of [`IncrementalGridForces`]' grid SCF (also
+/// turns on localization).
+const GRID_EPS: f64 = 1e-4;
+/// Finite-difference displacement of [`XcForces`] (Bohr).
+const XC_FD_STEP: f64 = 1e-3;
 
 /// Born–Oppenheimer forces from the *grid-exchange* SCF with an
 /// incremental-exchange cache per finite-difference slot — the MD setting
@@ -36,16 +51,8 @@ pub struct IncrementalGridForces {
     pub n: usize,
     /// Fixed cubic box edge (Bohr); must contain the trajectory.
     pub edge: f64,
-    /// Finite-difference displacement (Bohr).
-    pub h: f64,
-    /// SCF iteration cap and energy tolerance.
-    pub max_iter: usize,
-    /// SCF energy tolerance (Hartree).
-    pub tol: f64,
-    /// Pair-screening threshold (also turns on localization).
-    pub eps: f64,
-    /// Reuse tolerance schedule fed to each slot's cache every iteration.
-    pub inc_schedule: liair_core::IncSchedule,
+    /// Reuse tolerance and rebuild cadence each slot's cache is built with.
+    inc_schedule: IncSchedule,
     state: std::sync::Mutex<IncGridState>,
 }
 
@@ -53,19 +60,15 @@ struct IncGridState {
     /// `(shift, grid, solver)` frozen at the first call.
     frame: Option<(Vec3, liair_grid::RealGrid, liair_grid::PoissonSolver)>,
     /// One cache + warm-start orbitals per FD slot (slot 0 = undisplaced).
-    slots: Vec<(liair_core::IncrementalExchange, Option<liair_math::Mat>)>,
+    slots: Vec<(IncrementalExchange, Option<liair_math::Mat>)>,
 }
 
 impl IncrementalGridForces {
-    /// A provider with the given grid/box and sensible SCF defaults.
-    pub fn new(n: usize, edge: f64, inc_schedule: liair_core::IncSchedule) -> Self {
+    /// A provider with the given grid/box and reuse settings.
+    pub fn new(n: usize, edge: f64, inc_schedule: IncSchedule) -> Self {
         Self {
             n,
             edge,
-            h: 1e-2,
-            max_iter: 40,
-            tol: 1e-8,
-            eps: 1e-4,
             inc_schedule,
             state: std::sync::Mutex::new(IncGridState {
                 frame: None,
@@ -88,16 +91,7 @@ impl IncrementalGridForces {
     fn slot_energy(&self, st: &mut IncGridState, mol_c: &Molecule, slot: usize) -> f64 {
         let (_, grid, solver) = st.frame.as_ref().unwrap();
         let (inc, guess) = &mut st.slots[slot];
-        let r = liair_core::rhf_with_grid_exchange_in_cell(
-            mol_c,
-            grid,
-            solver,
-            self.max_iter,
-            self.tol,
-            liair_core::EpsSchedule::fixed(self.eps),
-            Some((inc, self.inc_schedule)),
-            guess.as_ref(),
-        );
+        let r = rhf_with_grid_exchange_in_cell(mol_c, grid, solver, GRID_EPS, inc, guess.as_ref());
         assert!(r.converged, "grid SCF failed for {}", mol_c.formula());
         *guess = Some(r.c_occ);
         r.energy
@@ -115,8 +109,12 @@ impl ForceProvider for IncrementalGridForces {
         }
         let nslots = 1 + 6 * mol.natoms();
         if st.slots.len() != nslots {
+            let IncSchedule {
+                eps_inc,
+                rebuild_every,
+            } = self.inc_schedule;
             st.slots = (0..nslots)
-                .map(|_| (liair_core::IncrementalExchange::new(0.0, 0), None))
+                .map(|_| (IncrementalExchange::new(eps_inc, rebuild_every), None))
                 .collect();
         }
         let shift = st.frame.as_ref().unwrap().0;
@@ -134,11 +132,11 @@ impl ForceProvider for IncrementalGridForces {
                 let mut ep_em = [0.0; 2];
                 for (sign, e) in ep_em.iter_mut().enumerate() {
                     let mut m = mol_c.clone();
-                    m.atoms[atom].pos[axis] += if sign == 0 { self.h } else { -self.h };
+                    m.atoms[atom].pos[axis] += [GRID_FD_STEP, -GRID_FD_STEP][sign];
                     let slot = 1 + atom * 6 + axis * 2 + sign;
                     *e = self.slot_energy(&mut st, &m, slot);
                 }
-                forces[atom][axis] = -(ep_em[0] - ep_em[1]) / (2.0 * self.h);
+                forces[atom][axis] = -(ep_em[0] - ep_em[1]) / (2.0 * GRID_FD_STEP);
             }
         }
         (e0, forces)
@@ -156,42 +154,31 @@ pub struct XcForces {
     /// The exchange-free surrogate functional (`Lda` or `Pbe`; construct
     /// from a hybrid target with `Functional::mts_fast()`).
     pub functional: liair_xc::Functional,
-    /// SCF controls used for every energy evaluation.
-    pub scf_options: liair_scf::ScfOptions,
-    /// Finite-difference displacement (Bohr).
-    pub h: f64,
 }
 
 impl XcForces {
-    /// A provider for the given surrogate functional with FD-tight SCF
-    /// settings. Panics if the functional carries exact exchange — pass
-    /// `target.mts_fast()` for hybrids.
+    /// A provider for the given surrogate functional. Panics if the
+    /// functional carries exact exchange — pass `target.mts_fast()` for
+    /// hybrids.
     pub fn new(functional: liair_xc::Functional) -> Self {
         assert!(
             functional.hfx_fraction() == 0.0,
             "fast MTS forces must be exchange-free; use Functional::mts_fast() ({} given)",
             functional.name()
         );
-        let scf_options = liair_scf::ScfOptions {
-            energy_tol: 1e-9,
-            ..Default::default()
-        };
-        Self {
-            functional,
-            scf_options,
-            h: 1e-3,
-        }
+        Self { functional }
     }
 
     /// Surrogate energy at one geometry.
     fn energy(&self, mol: &Molecule) -> f64 {
         let basis = liair_basis::Basis::sto3g(mol);
-        let res = liair_scf::rks_lda(mol, &basis, &self.scf_options);
+        let opts = liair_scf::ScfOptions::default();
+        let res = liair_scf::rks_lda(mol, &basis, &opts);
         assert!(res.converged, "fast-force SCF failed for {}", mol.formula());
         if self.functional == liair_xc::Functional::Lda {
             res.energy
         } else {
-            liair_scf::functional_energy(mol, &basis, &res, self.functional, &self.scf_options)
+            liair_scf::functional_energy(mol, &basis, &res, self.functional, &opts)
         }
     }
 }
@@ -206,10 +193,10 @@ impl ForceProvider for XcForces {
                 let mut f = Vec3::ZERO;
                 for axis in 0..3 {
                     let mut plus = mol.clone();
-                    plus.atoms[atom].pos[axis] += self.h;
+                    plus.atoms[atom].pos[axis] += XC_FD_STEP;
                     let mut minus = mol.clone();
-                    minus.atoms[atom].pos[axis] -= self.h;
-                    f[axis] = -(self.energy(&plus) - self.energy(&minus)) / (2.0 * self.h);
+                    minus.atoms[atom].pos[axis] -= XC_FD_STEP;
+                    f[axis] = -(self.energy(&plus) - self.energy(&minus)) / (2.0 * XC_FD_STEP);
                 }
                 f
             })

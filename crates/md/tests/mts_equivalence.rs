@@ -5,56 +5,10 @@
 //! timesteps, and thermostats. This is the safety rail that lets the MTS
 //! path replace the plain one with zero behavioral risk at `n_inner = 1`.
 
-use liair_basis::{systems, Cell, Molecule};
-use liair_math::Vec3;
-use liair_md::mts::{CombinedForces, MtsOptions, SplitForceProvider};
-use liair_md::{ForceField, MdOptions, MdState, Thermostat};
+use liair_basis::systems;
+use liair_md::mts::{CombinedForces, MtsOptions, TetherSplit};
+use liair_md::{MdOptions, MdState, Thermostat};
 use proptest::prelude::*;
-
-/// Deterministic split: force field fast part, weak quartic tether to the
-/// initial positions as the slow correction.
-struct TetherSplit {
-    ff: ForceField,
-    anchors: Vec<Vec3>,
-    k: f64,
-}
-
-impl TetherSplit {
-    fn new(mol: &Molecule, cell: Option<&Cell>, k: f64) -> Self {
-        Self {
-            ff: ForceField::from_molecule(mol, cell),
-            anchors: mol.atoms.iter().map(|a| a.pos).collect(),
-            k,
-        }
-    }
-}
-
-impl SplitForceProvider for TetherSplit {
-    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        self.ff.energy_forces(mol, cell)
-    }
-
-    fn slow_correction(
-        &self,
-        mol: &Molecule,
-        _cell: Option<&Cell>,
-        _fast: (f64, &[Vec3]),
-    ) -> (f64, Vec<Vec3>) {
-        let mut e = 0.0;
-        let forces = mol
-            .atoms
-            .iter()
-            .zip(&self.anchors)
-            .map(|(a, &r0)| {
-                let d = a.pos - r0;
-                let r2 = d.norm_sqr();
-                e += 0.25 * self.k * r2 * r2;
-                -d * (self.k * r2)
-            })
-            .collect();
-        (e, forces)
-    }
-}
 
 fn thermostat_for(idx: usize, t_target: f64, tau: f64) -> Thermostat {
     match idx % 3 {

@@ -8,8 +8,8 @@
 //! a [`crate::FaultPlan`] handed to the engine builder that should run
 //! under it.
 
-/// Fallback MD seed when neither an explicit seed nor the job's
-/// [`SeedConfig`] provides one (the paper's publication year).
+/// Fallback MD seed when the job's [`SeedConfig`] provides none (the
+/// paper's publication year).
 pub const DEFAULT_MD_SEED: u64 = 2014;
 
 /// The deterministic-behavior knobs a job carries.
@@ -20,10 +20,10 @@ pub struct SeedConfig {
 }
 
 impl SeedConfig {
-    /// Resolve the MD seed with the established precedence:
-    /// explicit argument > configured seed > [`DEFAULT_MD_SEED`].
-    pub fn resolve_md_seed(&self, explicit: Option<u64>) -> u64 {
-        explicit.or(self.md_seed).unwrap_or(DEFAULT_MD_SEED)
+    /// Resolve the MD seed: the configured seed, else
+    /// [`DEFAULT_MD_SEED`].
+    pub fn resolve_md_seed(&self) -> u64 {
+        self.md_seed.unwrap_or(DEFAULT_MD_SEED)
     }
 
     /// Builder-style override of the MD seed.
@@ -40,11 +40,12 @@ mod tests {
     #[test]
     fn md_seed_precedence_matches_pr7_convention() {
         let cfg = SeedConfig::default();
-        assert_eq!(cfg.resolve_md_seed(None), DEFAULT_MD_SEED);
-        assert_eq!(cfg.resolve_md_seed(Some(7)), 7);
-        let cfg = cfg.with_md_seed(42);
-        assert_eq!(cfg.resolve_md_seed(None), 42);
-        assert_eq!(cfg.resolve_md_seed(Some(7)), 7, "explicit beats config");
+        assert_eq!(cfg.resolve_md_seed(), DEFAULT_MD_SEED);
+        assert_eq!(
+            cfg.with_md_seed(42).resolve_md_seed(),
+            42,
+            "configured beats 2014"
+        );
     }
 
     /// `path:line` of every line of a source file under `dir` that names

@@ -42,11 +42,6 @@ impl Diis {
         }
     }
 
-    /// History depth bound.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Stored `(Fock, error)` history, oldest first (for checkpointing).
     pub fn history(&self) -> (Vec<&Mat>, Vec<&Mat>) {
         (self.focks.iter().collect(), self.errors.iter().collect())

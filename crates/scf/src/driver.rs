@@ -17,30 +17,33 @@ pub enum Method {
     RksLda,
 }
 
-/// SCF controls.
+/// DIIS error (∞-norm of FDS−SDF) below which an SCF may converge.
+pub(crate) const DIIS_ERROR_TOL: f64 = 1e-6;
+/// DIIS history depth.
+pub(crate) const DIIS_DEPTH: usize = 8;
+/// Radial points of the Becke XC grid (RKS and post-SCF functionals).
+pub(crate) const XC_GRID_RADIAL: usize = 40;
+/// θ points of the Becke XC grid's angular product grid (φ uses 2×this).
+pub(crate) const XC_GRID_THETA: usize = 8;
+/// Full (non-incremental) Fock rebuild every N iterations under
+/// `incremental_fock`, resetting the accumulated screening error.
+pub(crate) const FOCK_REBUILD_EVERY: usize = 8;
+
+/// SCF controls. The DIIS depth and error threshold, the XC grid and the
+/// incremental-Fock rebuild cadence are constants of this crate.
 #[derive(Debug, Clone, Copy)]
 pub struct ScfOptions {
     /// Maximum iterations before declaring non-convergence.
     pub max_iter: usize,
     /// Energy convergence threshold (Hartree).
     pub energy_tol: f64,
-    /// DIIS error (∞-norm of FDS−SDF) threshold.
-    pub error_tol: f64,
-    /// DIIS history depth.
-    pub diis_depth: usize,
     /// Schwarz screening threshold for the integral-direct build.
     pub schwarz_tol: f64,
-    /// Radial points of the Becke XC grid (RKS only).
-    pub grid_radial: usize,
-    /// θ points of the angular product grid (φ uses 2×this).
-    pub grid_theta: usize,
     /// Build J/K incrementally from difference densities `ΔD = D_n −
     /// D_{n−1}` (density-weighted Schwarz screening drops most quartets
-    /// as ΔD shrinks toward convergence). Exact up to `schwarz_tol`.
+    /// as ΔD shrinks toward convergence), with a full rebuild every 8
+    /// iterations. Exact up to `schwarz_tol`.
     pub incremental_fock: bool,
-    /// Full (non-incremental) Fock rebuild every N iterations, resetting
-    /// the accumulated screening error. Only used with `incremental_fock`.
-    pub fock_rebuild_every: usize,
 }
 
 impl Default for ScfOptions {
@@ -48,13 +51,8 @@ impl Default for ScfOptions {
         Self {
             max_iter: 100,
             energy_tol: 1e-9,
-            error_tol: 1e-6,
-            diis_depth: 8,
             schwarz_tol: 1e-11,
-            grid_radial: 40,
-            grid_theta: 8,
             incremental_fock: false,
-            fock_rebuild_every: 8,
         }
     }
 }
@@ -158,7 +156,7 @@ pub fn functional_energy(
     let e_dft = if functional == Functional::Hf {
         0.0
     } else {
-        let grid = MolGrid::becke(mol, opts.grid_radial, opts.grid_theta);
+        let grid = MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA);
         let (nvals, grads) = density_from_dm_at_points(basis, &res.density, &grid.points);
         match functional {
             Functional::Lda => nvals
@@ -305,7 +303,6 @@ mod tests {
                 &basis,
                 &ScfOptions {
                     incremental_fock: true,
-                    fock_rebuild_every: 6,
                     ..ScfOptions::default()
                 },
             );

@@ -15,12 +15,21 @@
 //! [`ScfSession::resume`] rebuilds the immutable context deterministically
 //! from the same molecule/basis/options and continues the iteration
 //! sequence **bit-identically** to an uninterrupted run (property-tested
-//! in `tests/session_checkpoint.rs`). The context is deliberately *not*
+//! in `tests/session_props.rs`). The context is deliberately *not*
 //! serialized: it is a pure function of the inputs and dwarfs the loop
 //! state.
+//!
+//! The stream (layout version 2) carries the four [`ScfOptions`] fields
+//! and no DIIS depth: the depth, the DIIS error threshold, the XC grid and
+//! the incremental-Fock rebuild cadence are constants of this crate, so a
+//! stream cannot set them. Any other version is refused with
+//! [`CodecError::BadVersion`].
 
 use crate::diis::Diis;
-use crate::driver::{EnergyBreakdown, Method, ScfOptions, ScfResult};
+use crate::driver::{
+    EnergyBreakdown, Method, ScfOptions, ScfResult, DIIS_DEPTH, DIIS_ERROR_TOL, FOCK_REBUILD_EVERY,
+    XC_GRID_RADIAL, XC_GRID_THETA,
+};
 use liair_basis::{Basis, Molecule};
 use liair_grid::orbital::density_from_dm_at_points;
 use liair_grid::MolGrid;
@@ -33,7 +42,8 @@ use liair_xc::lda::lda_exc;
 
 /// Magic tag for SCF checkpoint streams (`"LSC1"`).
 const MAGIC: u32 = 0x4C53_4331;
-const VERSION: u16 = 1;
+/// Layout version; a stream of any other version is refused.
+const VERSION: u16 = 2;
 
 /// Immutable per-calculation context, deterministic in the inputs.
 struct ScfContext<'a> {
@@ -50,12 +60,7 @@ struct ScfContext<'a> {
 }
 
 impl<'a> ScfContext<'a> {
-    fn build(
-        mol: &Molecule,
-        basis: &'a Basis,
-        opts: &ScfOptions,
-        method: Method,
-    ) -> ScfContext<'a> {
+    fn build(mol: &Molecule, basis: &'a Basis, method: Method) -> ScfContext<'a> {
         let n = basis.nao();
         let nocc = mol.nocc();
         assert!(nocc >= 1, "no electrons to converge");
@@ -67,7 +72,7 @@ impl<'a> ScfContext<'a> {
         let h = kinetic_matrix(basis).add(&nuclear_matrix(basis, mol));
         let x = sym_inv_sqrt(&s);
         let molgrid = if method == Method::RksLda {
-            Some(MolGrid::becke(mol, opts.grid_radial, opts.grid_theta))
+            Some(MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA))
         } else {
             None
         };
@@ -122,7 +127,7 @@ impl<'a> ScfSession<'a> {
         opts: &ScfOptions,
         method: Method,
     ) -> ScfSession<'a> {
-        let ctx = ScfContext::build(mol, basis, opts, method);
+        let ctx = ScfContext::build(mol, basis, method);
         let n = ctx.n;
         let density = density_from_fock(&ctx.h, &ctx.x, ctx.nocc);
         let e_nuc = ctx.e_nuc;
@@ -133,7 +138,7 @@ impl<'a> ScfSession<'a> {
             ctx,
             st: ScfLoopState {
                 density,
-                diis: Diis::new(opts.diis_depth),
+                diis: Diis::new(DIIS_DEPTH),
                 d_ref: None,
                 j_acc: Mat::zeros(n, n),
                 k_acc: Mat::zeros(n, n),
@@ -178,9 +183,7 @@ impl<'a> ScfSession<'a> {
         st.iterations += 1;
         let it = st.iterations;
         let (j, k) = if opts.incremental_fock {
-            let full = st.d_ref.is_none()
-                || (opts.fock_rebuild_every > 0
-                    && st.builds_since_full + 1 >= opts.fock_rebuild_every);
+            let full = st.d_ref.is_none() || st.builds_since_full + 1 >= FOCK_REBUILD_EVERY;
             if full {
                 let (jf, kf) = ctx.jk_builder.build(&st.density, opts.schwarz_tol);
                 st.j_acc = jf;
@@ -278,7 +281,7 @@ impl<'a> ScfSession<'a> {
         st.breakdown = bd;
         st.c_final = c;
         st.eps_final = eps;
-        if it > 1 && de < opts.energy_tol && diis_err < opts.error_tol {
+        if it > 1 && de < opts.energy_tol && diis_err < DIIS_ERROR_TOL {
             st.converged = true;
         }
         !self.done()
@@ -323,7 +326,6 @@ impl<'a> ScfSession<'a> {
         put_mat(&mut e, &st.density);
         // DIIS history, oldest first.
         let (focks, errors) = st.diis.history();
-        e.put_usize(st.diis.depth());
         e.put_usize(focks.len());
         for (f, er) in focks.iter().zip(&errors) {
             put_mat(&mut e, f);
@@ -381,7 +383,6 @@ impl<'a> ScfSession<'a> {
             return Err(CodecError::BadLength(nao as u64));
         }
         let density = get_mat(&mut d)?;
-        let depth = d.get_usize()?;
         let hist_len = d.get_usize()?;
         if hist_len > d.remaining() / 16 {
             return Err(CodecError::BadLength(hist_len as u64));
@@ -415,7 +416,7 @@ impl<'a> ScfSession<'a> {
         if d.remaining() != 0 {
             return Err(CodecError::BadLength(d.remaining() as u64));
         }
-        let ctx = ScfContext::build(mol, basis, &opts, method);
+        let ctx = ScfContext::build(mol, basis, method);
         Ok(ScfSession {
             method,
             opts,
@@ -423,7 +424,7 @@ impl<'a> ScfSession<'a> {
             ctx,
             st: ScfLoopState {
                 density,
-                diis: Diis::from_history(depth, focks, errors),
+                diis: Diis::from_history(DIIS_DEPTH, focks, errors),
                 d_ref,
                 j_acc,
                 k_acc,
@@ -465,26 +466,16 @@ fn get_mat(d: &mut Decoder<'_>) -> Result<Mat, CodecError> {
 fn put_opts(e: &mut Encoder, o: &ScfOptions) {
     e.put_usize(o.max_iter);
     e.put_f64(o.energy_tol);
-    e.put_f64(o.error_tol);
-    e.put_usize(o.diis_depth);
     e.put_f64(o.schwarz_tol);
-    e.put_usize(o.grid_radial);
-    e.put_usize(o.grid_theta);
     e.put_bool(o.incremental_fock);
-    e.put_usize(o.fock_rebuild_every);
 }
 
 fn get_opts(d: &mut Decoder<'_>) -> Result<ScfOptions, CodecError> {
     Ok(ScfOptions {
         max_iter: d.get_usize()?,
         energy_tol: d.get_f64()?,
-        error_tol: d.get_f64()?,
-        diis_depth: d.get_usize()?,
         schwarz_tol: d.get_f64()?,
-        grid_radial: d.get_usize()?,
-        grid_theta: d.get_usize()?,
         incremental_fock: d.get_bool()?,
-        fock_rebuild_every: d.get_usize()?,
     })
 }
 
@@ -574,5 +565,20 @@ mod tests {
         let ck = session.checkpoint();
         let bigger = Basis::b631g(&mol);
         assert!(ScfSession::resume(&mol, &bigger, &ck).is_err());
+    }
+
+    #[test]
+    fn version_1_stream_is_refused() {
+        // Version 1 carried a DIIS depth word; a stream claiming it is
+        // refused before any field is read.
+        let mol = systems::h2();
+        let basis = Basis::sto3g(&mol);
+        let mut ck =
+            ScfSession::new(&mol, &basis, &ScfOptions::default(), Method::Rhf).checkpoint();
+        ck.bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            ScfSession::resume(&mol, &basis, &ck),
+            Err(CodecError::BadVersion(1))
+        ));
     }
 }

@@ -606,7 +606,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(s.seeds.resolve_md_seed(None), 99);
+        assert_eq!(s.seeds.resolve_md_seed(), 99);
 
         let s = JobSpec::solvation(Solvent::EthyleneCarbonate, 2, 1)
             .steps(6, 3)

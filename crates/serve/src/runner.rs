@@ -32,8 +32,8 @@ use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
 use liair_md::analysis::{rdf_peak, BondEvents, RdfAccumulator};
-use liair_md::mts::SplitForceProvider;
-use liair_md::{ForceField, MdCheckpoint, MdOptions, MdState, MtsOptions, Thermostat};
+use liair_md::mts::TetherSplit;
+use liair_md::{MdCheckpoint, MdOptions, MdState, MtsOptions, Thermostat};
 use liair_scf::{functional_energy, rhf, Method, ScfCheckpoint, ScfOptions, ScfSession};
 use liair_xc::Functional;
 
@@ -442,61 +442,6 @@ fn run_reaction(
     })
 }
 
-/// The deterministic force split MD jobs integrate under: classical
-/// force field fast part, a weak quartic tether to the *initial*
-/// positions as the slow correction (the same split the MTS equivalence
-/// proofs use). Reconstructable from the job spec alone — which is why
-/// [`MdCheckpoint`] never serializes the provider.
-pub struct TetherSplit {
-    ff: ForceField,
-    anchors: Vec<Vec3>,
-    k: f64,
-}
-
-impl TetherSplit {
-    /// Split anchored at `mol`'s current positions.
-    pub fn new(mol: &Molecule, cell: Option<&Cell>, k: f64) -> TetherSplit {
-        TetherSplit {
-            ff: ForceField::from_molecule(mol, cell),
-            anchors: mol.atoms.iter().map(|a| a.pos).collect(),
-            k,
-        }
-    }
-
-    /// The classical force field of the fast part (bond-scission
-    /// detection reuses its bond list).
-    pub fn force_field(&self) -> &ForceField {
-        &self.ff
-    }
-}
-
-impl SplitForceProvider for TetherSplit {
-    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        self.ff.energy_forces(mol, cell)
-    }
-
-    fn slow_correction(
-        &self,
-        mol: &Molecule,
-        _cell: Option<&Cell>,
-        _fast: (f64, &[Vec3]),
-    ) -> (f64, Vec<Vec3>) {
-        let mut e = 0.0;
-        let forces = mol
-            .atoms
-            .iter()
-            .zip(&self.anchors)
-            .map(|(a, &r0)| {
-                let d = a.pos - r0;
-                let r2 = d.norm_sqr();
-                e += 0.25 * self.k * r2 * r2;
-                -d * (self.k * r2)
-            })
-            .collect();
-        (e, forces)
-    }
-}
-
 /// An MTS trajectory of `n_outer` outer steps under a [`TetherSplit`];
 /// one [`Resumable`] step is one outer step.
 struct MdRun<'a> {
@@ -583,7 +528,7 @@ fn run_md(
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
 ) -> Result<JobOutput, Attempt> {
-    let seed = spec.seeds.resolve_md_seed(None);
+    let seed = spec.seeds.resolve_md_seed();
     // The provider is never serialized: it is a pure function of the job
     // spec (initial box geometry), reconstructed on every attempt.
     let (mol0, cell) = systems::water_box(n_waters, seed);
@@ -939,10 +884,11 @@ mod tests {
         vec![natoms_at, velocities, masses, forces, forces_slow]
     }
 
-    /// Offsets of the length fields of an SCF checkpoint stream: the
-    /// `(rows, cols, len)` header of every `nao x nao` matrix, the `nao`
-    /// word before the first of them, the DIIS history length two words
-    /// after it, and the eigenvalue vector's prefix after the last.
+    /// Offsets of the length fields of an SCF checkpoint stream (layout
+    /// version 2): the `(rows, cols, len)` header of every `nao x nao`
+    /// matrix, the `nao` word before the first of them, the DIIS history
+    /// length right after it, and the eigenvalue vector's prefix after the
+    /// last.
     fn scf_length_fields(bytes: &[u8], nao: usize) -> Vec<usize> {
         let (n, nn) = (nao as u64, (nao * nao) as u64);
         let mut fields = Vec::new();
@@ -961,7 +907,7 @@ mod tests {
             }
         }
         assert!(ends.len() >= 5, "density, J, K, C and a DIIS pair at least");
-        fields.extend([ends[0] + 8, *ends.last().unwrap()]);
+        fields.extend([ends[0], *ends.last().unwrap()]);
         fields
     }
 

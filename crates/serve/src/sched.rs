@@ -11,6 +11,9 @@
 //! Ties (equal effective priority) break FIFO by submission sequence, so
 //! equal-priority tenants get fair ordering rather than hash order.
 
+/// Effective-priority points an entry gains per tick of waiting.
+const AGING_RATE: u64 = 1;
+
 /// One queued entry: the payload plus its scheduling metadata.
 #[derive(Debug)]
 struct Queued<T> {
@@ -28,22 +31,21 @@ pub struct AgedQueue<T> {
     entries: Vec<Queued<T>>,
     next_seq: u64,
     tick: u64,
-    /// Effective-priority points gained per tick of waiting.
-    aging_rate: u64,
 }
 
-impl<T> AgedQueue<T> {
-    /// Queue whose entries gain `aging_rate` priority points per
-    /// scheduling tick they wait.
-    pub fn new(aging_rate: u64) -> AgedQueue<T> {
+/// An empty queue whose entries gain one priority point per scheduling
+/// tick they wait.
+impl<T> Default for AgedQueue<T> {
+    fn default() -> AgedQueue<T> {
         AgedQueue {
             entries: Vec::new(),
             next_seq: 0,
             tick: 0,
-            aging_rate,
         }
     }
+}
 
+impl<T> AgedQueue<T> {
     /// Enqueue with a base priority. Returns the submission sequence
     /// number.
     pub fn push(&mut self, item: T, base_priority: u32) -> u64 {
@@ -71,7 +73,7 @@ impl<T> AgedQueue<T> {
     }
 
     fn effective(&self, q: &Queued<T>) -> u64 {
-        q.base_priority as u64 + self.aging_rate * (self.tick - q.born)
+        q.base_priority as u64 + AGING_RATE * (self.tick - q.born)
     }
 
     /// Pop the best entry: highest effective priority, FIFO among ties.
@@ -120,7 +122,7 @@ mod tests {
 
     #[test]
     fn higher_priority_pops_first_fifo_on_ties() {
-        let mut q = AgedQueue::new(0);
+        let mut q = AgedQueue::default();
         q.push("low", 1);
         q.push("hi", 5);
         q.push("low2", 1);
@@ -132,24 +134,24 @@ mod tests {
 
     #[test]
     fn aging_lets_old_jobs_outbid_fresh_high_priority() {
-        // rate 2/tick: a priority-0 job that sits through 3 scheduling
-        // decisions (e.g. its rank request was never leasable) outbids a
-        // fresh priority-5 arrival on the 4th.
-        let mut q = AgedQueue::new(2);
+        // One point per tick: a priority-0 job that sits through 6
+        // scheduling decisions (e.g. its rank request was never leasable)
+        // outbids a fresh priority-5 arrival on the 7th.
+        let mut q = AgedQueue::default();
         q.push("old", 0);
-        for _ in 0..3 {
+        for _ in 0..6 {
             // Scheduling decisions that can't run "old" (no eligible
             // entry) still advance the aging tick.
             assert!(q.pop_where(|_| false).is_none());
         }
         q.push("fresh", 5);
-        // old: 0 + 2·4 = 8 beats fresh: 5 + 2·1 = 7.
+        // old: 0 + 7 = 7 beats fresh: 5 + 1 = 6.
         assert_eq!(q.pop().unwrap().0, "old", "aged past the fresh job");
     }
 
     #[test]
     fn pop_where_backfills_around_ineligible_head() {
-        let mut q = AgedQueue::new(0);
+        let mut q = AgedQueue::default();
         q.push(("big", 16usize), 9);
         q.push(("small", 2usize), 1);
         // Only 4 ranks free: the priority-9 head is ineligible.
@@ -160,13 +162,14 @@ mod tests {
 
     #[test]
     fn requeue_preserves_fifo_position_among_equals() {
-        let mut q = AgedQueue::new(0);
+        let mut q = AgedQueue::default();
         q.push("first", 3);
         q.push("second", 3);
         let (item, p, seq) = q.pop().unwrap();
         assert_eq!(item, "first");
-        q.requeue(item, p, seq);
-        // Same priority, original seq: "first" still precedes "second".
+        // Requeued one tick later with one point more, "first" ties
+        // "second" (3 + 1 + 1 = 3 + 2); its original seq keeps it ahead.
+        q.requeue(item, p + 1, seq);
         assert_eq!(q.pop().unwrap().0, "first");
     }
 }

@@ -42,8 +42,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Default per-tenant quota.
     pub quota: TenantQuota,
-    /// Priority points a waiting job gains per scheduling tick.
-    pub aging_rate: u64,
 }
 
 impl Default for ServiceConfig {
@@ -53,7 +51,6 @@ impl Default for ServiceConfig {
             pool_ranks: 8,
             cache_capacity: 16,
             quota: TenantQuota::default(),
-            aging_rate: 1,
         }
     }
 }
@@ -229,7 +226,7 @@ impl Service {
         let mut admission = Admission::new(self.cfg.quota);
         let mut rejected = Vec::new();
         let mut tracked: Vec<Tracked> = Vec::new();
-        let mut queue: AgedQueue<usize> = AgedQueue::new(self.cfg.aging_rate);
+        let mut queue: AgedQueue<usize> = AgedQueue::default();
 
         for spec in jobs {
             match admission.try_admit(&spec.tenant, spec.nranks, pool.total()) {

@@ -33,7 +33,6 @@ fn cfg(max_workers: usize) -> ServiceConfig {
         pool_ranks: 4,
         cache_capacity: 8,
         quota: TenantQuota::default(),
-        aging_rate: 1,
     }
 }
 

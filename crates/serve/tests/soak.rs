@@ -99,7 +99,6 @@ fn short_soak_completes_hits_cache_and_resumes_bitwise() {
         pool_ranks: 6,
         cache_capacity: 8,
         quota: TenantQuota::default(),
-        aging_rate: 1,
     };
     let report = run_and_verify(cfg, jobs);
 

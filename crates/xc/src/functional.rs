@@ -31,11 +31,6 @@ impl Functional {
         }
     }
 
-    /// Whether the DFT part needs density gradients.
-    pub fn needs_gradient(self) -> bool {
-        matches!(self, Functional::Pbe | Functional::Pbe0)
-    }
-
     /// The exchange-free surrogate used for the *fast* (inner) forces of
     /// r-RESPA multiple time stepping: hybrids drop their exact-exchange
     /// share (PBE0 → PBE), pure Hartree–Fock falls back to LDA, and

@@ -128,91 +128,4 @@ proptest! {
         let assigned: usize = a.per_rank.iter().map(|v| v.len()).sum();
         prop_assert_eq!(assigned, pl.len());
     }
-
-    /// r-RESPA MTS with `n_inner = 1` is bit-identical (positions,
-    /// velocities, conserved quantity) to the plain velocity-Verlet path
-    /// driving the combined fast+slow provider — for any geometry seed,
-    /// timestep, and thermostat. The guarantee that makes the MTS path a
-    /// safe default at `n_inner = 1`.
-    #[test]
-    fn mts_n_inner_1_bit_identical(
-        seed in 0u64..10_000,
-        dt in 5.0f64..25.0,
-        steps in 1usize..6,
-        thermo in 0usize..3,
-    ) {
-        use liair::md::mts::{CombinedForces, MtsOptions, SplitForceProvider};
-        use liair::md::ForceField;
-        use liair::basis::Molecule;
-
-        struct TetherSplit {
-            ff: ForceField,
-            anchors: Vec<Vec3>,
-            k: f64,
-        }
-        impl SplitForceProvider for TetherSplit {
-            fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-                self.ff.energy_forces(mol, cell)
-            }
-            fn slow_correction(
-                &self,
-                mol: &Molecule,
-                _cell: Option<&Cell>,
-                _fast: (f64, &[Vec3]),
-            ) -> (f64, Vec<Vec3>) {
-                let mut e = 0.0;
-                let forces = mol
-                    .atoms
-                    .iter()
-                    .zip(&self.anchors)
-                    .map(|(a, &r0)| {
-                        let d = a.pos - r0;
-                        let r2 = d.norm_sqr();
-                        e += 0.25 * self.k * r2 * r2;
-                        -d * (self.k * r2)
-                    })
-                    .collect();
-                (e, forces)
-            }
-        }
-
-        let (mol, cell) = systems::water_box(2, seed);
-        let split = TetherSplit {
-            ff: ForceField::from_molecule(&mol, Some(&cell)),
-            anchors: mol.atoms.iter().map(|a| a.pos).collect(),
-            k: 1e-4,
-        };
-        let mut mts = MdState::new_split(mol.clone(), Some(cell), &split);
-        let mut plain = MdState::new(mol, Some(cell), &CombinedForces(&split));
-        mts.thermalize_seeded(300.0, Some(seed));
-        plain.thermalize_seeded(300.0, Some(seed));
-        let thermostat = match thermo {
-            0 => Thermostat::None,
-            1 => Thermostat::Berendsen { t_target: 300.0, tau: 250.0 },
-            _ => Thermostat::NoseHoover { t_target: 300.0, tau: 350.0 },
-        };
-        let opts = MdOptions { dt, thermostat, mts: MtsOptions { n_inner: 1 } };
-        for _ in 0..steps {
-            mts.step_mts(&split, &opts);
-            plain.step(&CombinedForces(&split), &opts);
-        }
-        prop_assert_eq!(mts.potential.to_bits(), plain.potential.to_bits());
-        prop_assert_eq!(mts.total_energy().to_bits(), plain.total_energy().to_bits());
-        prop_assert_eq!(mts.nh_xi.to_bits(), plain.nh_xi.to_bits());
-        prop_assert_eq!(mts.nh_eta.to_bits(), plain.nh_eta.to_bits());
-        for i in 0..mts.mol.natoms() {
-            for axis in 0..3 {
-                prop_assert!(
-                    mts.mol.atoms[i].pos[axis].to_bits()
-                        == plain.mol.atoms[i].pos[axis].to_bits(),
-                    "position diverged: atom {}, axis {}", i, axis
-                );
-                prop_assert!(
-                    mts.velocities[i][axis].to_bits()
-                        == plain.velocities[i][axis].to_bits(),
-                    "velocity diverged: atom {}, axis {}", i, axis
-                );
-            }
-        }
-    }
 }
