@@ -69,8 +69,8 @@ pub fn fig_strong_scaling(fast: bool) -> Vec<Table> {
             // The pair-FFT makespan and the energy allreduce.
             format!(
                 "{:.3}/{:.3}",
-                o.report.phases[0].compute * 1e3,
-                o.report.phases[2].comm * 1e3
+                o.phases[0].compute * 1e3,
+                o.phases[2].comm * 1e3
             ),
         ]);
     }
@@ -278,8 +278,7 @@ pub fn tab_step_breakdown(fast: bool) -> Vec<Table> {
         let total = o.time.max(1e-30);
         let pct = |x: f64| format!("{:.1}%", 100.0 * x / total);
         let phase = |name: &str| -> f64 {
-            o.report
-                .phases
+            o.phases
                 .iter()
                 .find(|p| p.name.contains(name))
                 .map(|p| p.compute + p.comm)
@@ -291,7 +290,7 @@ pub fn tab_step_breakdown(fast: bool) -> Vec<Table> {
             pct(phase("pair FFTs")),
             pct(phase("traffic")),
             pct(phase("allreduce")),
-            format!("{:.1}%", o.report.compute_utilization * 100.0),
+            format!("{:.1}%", o.compute_utilization * 100.0),
         ]);
     }
     t.note = "compute-dominated at every scale — the communication-avoiding design".into();

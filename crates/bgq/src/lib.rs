@@ -14,19 +14,17 @@
 //!   96-rack, 6,291,456-thread configuration of the paper;
 //! * [`domainmap`] — folds the 5-D torus into the 3-D domain grid of the
 //!   spatial decomposition and prices its nearest-neighbor halo traffic
-//!   (per-link bytes, hops, congestion) against replicated-data baselines;
-//! * [`bsp`] — a bulk-synchronous simulator that turns per-rank work lists
-//!   and collective phases into step times, efficiencies and per-phase
-//!   breakdowns.
+//!   (per-link bytes, hops, congestion) against replicated-data baselines.
 //!
-//! The model executes the *actual* task graphs produced by `liair-core`
-//! (real screening decisions, real load-balancer assignments); only the
-//! per-task durations come from the calibrated cost model.
+//! These are prices, not a scheduler: `liair_core::simulate` turns the
+//! *actual* task graphs produced by `liair-core` (real screening decisions,
+//! real load-balancer assignments) into step times and per-phase
+//! breakdowns, taking only the per-task durations and collective costs
+//! from the models here.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
-pub mod bsp;
 pub mod collectives;
 pub mod domainmap;
 pub mod machine;
@@ -34,7 +32,6 @@ pub mod node;
 pub mod routing;
 pub mod torus;
 
-pub use bsp::{BspPhase, BspReport, CommOp};
 pub use domainmap::{halo_cost, DomainMap, HaloCost};
 pub use machine::MachineConfig;
 pub use node::NodeModel;

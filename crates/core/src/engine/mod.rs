@@ -258,11 +258,6 @@ impl<'a> ExchangeEngine<'a> {
         EngineBuilder(Self::new(grid, solver))
     }
 
-    /// The backend this engine executes on.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
     /// Validate the orbital set against the engine's grid.
     fn validate_orbitals(&self, orbitals: &[Vec<f64>]) -> Result<()> {
         if orbitals.is_empty() {

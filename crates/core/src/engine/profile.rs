@@ -3,7 +3,7 @@
 //! a [`BuildProfile`], and no other type carries a copy of its counts.
 //!
 //! It holds measured numbers only. The machine model prices builds in
-//! `liair_bgq::bsp::BspReport` (see `crate::simulate`), and the process-wide
+//! [`crate::SimOutcome`]'s phases (see `crate::simulate`), and the process-wide
 //! FFT plan-cache counters are read from `liair_math::plan::plan_cache_stats`
 //! — concurrent builds share that cache, so no per-build window of it
 //! exists here.

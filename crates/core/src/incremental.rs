@@ -271,12 +271,6 @@ impl IncrementalExchange {
         }
     }
 
-    /// Drop all cached state (next builds are from scratch).
-    pub fn invalidate(&mut self) {
-        self.energy = None;
-        self.k = None;
-    }
-
     /// Route the dirty recompute through `backend` instead of the default
     /// rayon pool. This does *not* invalidate the cache: every backend
     /// produces bit-identical contributions (a pair's contribution is a

@@ -23,8 +23,9 @@ use crate::incremental::IncrementalExchange;
 use liair_basis::{Basis, Molecule};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
-use liair_math::linalg::{eigh, sym_inv_sqrt};
+use liair_math::linalg::sym_inv_sqrt;
 use liair_math::Mat;
+use liair_scf::session::{assemble_density, orbitals_from_fock};
 
 /// Result of the grid-exchange SCF.
 #[derive(Debug, Clone)]
@@ -85,13 +86,18 @@ pub fn rhf_with_grid_exchange_in_cell(
     let x = sym_inv_sqrt(&s);
     let e_nuc = mol_c.nuclear_repulsion();
     let jk = JkBuilder::new(&basis);
+    // The `nocc` lowest orbitals of a Fock matrix.
+    let occupied = |f: &Mat| {
+        let (_, c) = orbitals_from_fock(f, &x);
+        Mat::from_fn(nao, nocc, |mu, k| c[(mu, k)])
+    };
 
     // Core guess, unless the caller warm-starts from a previous step's
     // converged orbitals (an MD loop: iteration 1 then starts next to the
     // cached fingerprints instead of at the delocalized core guess).
     let mut c_occ = match guess {
         Some(c) => c.clone(),
-        None => occupied_from(&h, &x, nao, nocc),
+        None => occupied(&h),
     };
     let mut energy = 0.0;
     let mut converged = false;
@@ -99,7 +105,7 @@ pub fn rhf_with_grid_exchange_in_cell(
     let mut profile = BuildProfile::default();
     for it in 1..=MAX_ITER {
         iterations = it;
-        let density = density_of(&c_occ, nocc);
+        let density = assemble_density(&c_occ, nocc);
         let (j, _unused_k) = jk.build(&density, 1e-11);
         // K here is Σ_j (μj|jν) = K(D)/2, so the RHF Fock term −½K(D)
         // becomes −K and the exchange energy −¼Tr(D·K(D)) becomes
@@ -114,7 +120,7 @@ pub fn rhf_with_grid_exchange_in_cell(
         let new_energy = e_elec + e_nuc;
         let de = (new_energy - energy).abs();
         energy = new_energy;
-        c_occ = occupied_from(&f, &x, nao, nocc);
+        c_occ = occupied(&f);
         if it > 1 && de < ENERGY_TOL {
             converged = true;
             break;
@@ -127,34 +133,6 @@ pub fn rhf_with_grid_exchange_in_cell(
         c_occ,
         profile,
     }
-}
-
-fn occupied_from(f: &Mat, x: &Mat, nao: usize, nocc: usize) -> Mat {
-    let fp = x.transpose().matmul(f).matmul(x);
-    let (_, cp) = eigh(&fp);
-    let c = x.matmul(&cp);
-    let mut out = Mat::zeros(nao, nocc);
-    for mu in 0..nao {
-        for k in 0..nocc {
-            out[(mu, k)] = c[(mu, k)];
-        }
-    }
-    out
-}
-
-fn density_of(c_occ: &Mat, nocc: usize) -> Mat {
-    let nao = c_occ.nrows();
-    let mut d = Mat::zeros(nao, nao);
-    for mu in 0..nao {
-        for nu in 0..nao {
-            let mut acc = 0.0;
-            for k in 0..nocc {
-                acc += c_occ[(mu, k)] * c_occ[(nu, k)];
-            }
-            d[(mu, nu)] = 2.0 * acc;
-        }
-    }
-    d
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! BG/Q-scale execution of the exchange build, for the paper's scaling
 //! figures.
 //!
-//! Three parallelization schemes are priced on the machine model:
+//! Four parallelization schemes are priced on the machine model:
 //!
 //! * [`Scheme::PairDistributed`] — **this work**: screened pairs on
 //!   pair-local grids, balanced across node groups, node-local threaded
@@ -19,13 +19,19 @@
 //! * [`Scheme::ReplicatedDirect`] — a Gaussian integral-direct exchange
 //!   with replicated density and a full K-matrix allreduce per build (the
 //!   conventional quantum-chemistry route), included for context.
+//!
+//! The two pair schemes are priced by one routine: balanced pairs make a
+//! per-node busy vector whose maximum is the FFT makespan, the orbital
+//! traffic not hidden behind that makespan is charged, and one 8-byte
+//! energy allreduce closes the build. They differ only in the flops and
+//! orbital bytes of one pair and in the node-group size (full-grid pairs
+//! run flat, groups of one). Every scheme returns its build as a list of
+//! [`PhaseTiming`]s that add up to [`SimOutcome::time`].
 
 use crate::balance::{assign_pairs, BalanceStrategy};
 use crate::workload::Workload;
-use liair_bgq::bsp::{comm_time, simulate, BspPhase, BspReport, CommOp, PhaseTiming};
 use liair_bgq::collectives::{self, CollectiveAlgo};
 use liair_bgq::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// Hardware threads per node in every modelled scheme (the full A2 node).
 const NODE_THREADS: usize = 64;
@@ -40,7 +46,7 @@ fn node_time(m: &MachineConfig, flops: f64) -> f64 {
 }
 
 /// Which parallelization to model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scheme {
     /// The paper's scheme: greedy-LPT balanced pairs on full 64-thread
     /// SIMD nodes.
@@ -61,23 +67,40 @@ impl Scheme {
     pub fn ours() -> Scheme {
         Scheme::PairDistributed { group_size: None }
     }
+}
 
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::PairDistributed { .. } => "pair-distributed (this work)",
-            Scheme::FullGridPairs => "full-grid pairs (comparable approach)",
-            Scheme::PwDistributed => "PW-distributed (prior state of the art)",
-            Scheme::ReplicatedDirect => "replicated integral-direct",
-        }
+/// One priced phase of a modelled build.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseTiming {
+    /// Phase label (tables find phases by substring).
+    pub name: &'static str,
+    /// Compute wall time: the busiest node's (seconds).
+    pub compute: f64,
+    /// Communication time (seconds).
+    pub comm: f64,
+}
+
+fn compute_phase(name: &'static str, compute: f64) -> PhaseTiming {
+    PhaseTiming {
+        name,
+        compute,
+        comm: 0.0,
     }
 }
 
-/// Result of a modelled build.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+fn comm_phase(name: &'static str, comm: f64) -> PhaseTiming {
+    PhaseTiming {
+        name,
+        compute: 0.0,
+        comm,
+    }
+}
+
+/// Result of a modelled build — the model's whole account of it
+/// (measured builds report a `BuildProfile` instead; the two never share a
+/// type).
+#[derive(Debug, Clone)]
 pub struct SimOutcome {
-    /// Scheme label.
-    pub scheme: String,
     /// Machine size in nodes.
     pub nodes: usize,
     /// Machine size in hardware threads.
@@ -86,10 +109,11 @@ pub struct SimOutcome {
     pub time: f64,
     /// Node-group size used (1 for flat schemes).
     pub group_size: usize,
-    /// Phase-resolved report — the model's whole account of the build
-    /// (measured builds report a `BuildProfile` instead; the two never
-    /// share a type).
-    pub report: BspReport,
+    /// The priced phases in execution order.
+    pub phases: Vec<PhaseTiming>,
+    /// Fraction of node-seconds spent computing: mean busy time over
+    /// `time`.
+    pub compute_utilization: f64,
 }
 
 /// Pick the node-group size: smallest power of two giving each group at
@@ -117,165 +141,44 @@ pub fn simulate_hfx_build(
     algo: CollectiveAlgo,
 ) -> SimOutcome {
     let nodes = m.nodes();
+    let outcome = |time, group_size, phases, compute_utilization| SimOutcome {
+        nodes,
+        threads: m.threads(),
+        time,
+        group_size,
+        phases,
+        compute_utilization,
+    };
     match scheme {
         Scheme::PairDistributed { group_size } => {
             let g = group_size
                 .unwrap_or_else(|| auto_group_size(w.pairs.len(), nodes))
                 .clamp(1, nodes);
-            let ngroups = (nodes / g).max(1);
-            let assignment = assign_pairs(&w.pairs, ngroups, PAIR_BALANCE);
-            let t_pair = node_time(m, w.pair_flops()) / (g as f64 * group_fft_efficiency(g));
-            // Per-node compute vector: every node of a group carries the
-            // group's time.
-            let mut per_node = vec![0.0; nodes];
-            for (grp, &load) in assignment.loads.iter().enumerate() {
-                for member in 0..g {
-                    let node = grp * g + member;
-                    if node < nodes {
-                        per_node[node] = load * t_pair;
-                    }
-                }
-            }
-            let max_pairs = assignment
-                .per_rank
-                .iter()
-                .map(|v| v.len())
-                .max()
-                .unwrap_or(0) as f64;
-            // Traffic: pairs are assigned in orbital blocks (locality-aware),
-            // so a node touches ~2√(2·pairs) distinct orbitals — each
-            // orbital's patch is fetched once and its accumulated exchange
-            // potential returned once. Prefetching hides this behind the
-            // FFTs; only the non-hideable remainder is charged.
-            let unique_orbitals = (2.0 * (2.0 * max_pairs).sqrt())
-                .min(2.0 * max_pairs)
-                .min(w.norb as f64);
-            let traffic_bytes = unique_orbitals * 2.0 * w.patch_bytes() / g as f64;
-            let t_traffic = collectives::point_to_point(m, traffic_bytes);
-            let compute_report = simulate(
+            // A group's nodes split each orbital's patch between them.
+            price_pairs(
+                w,
                 m,
                 algo,
-                &[BspPhase {
-                    name: "pair FFTs".into(),
-                    compute: per_node,
-                    comm: CommOp::None,
-                }],
-            );
-            let makespan = compute_report.total;
-            let exposed_comm = (t_traffic - makespan).max(0.0);
-            let t_allreduce = comm_time(m, algo, &CommOp::Allreduce { bytes: 8.0 });
-            let total = makespan + exposed_comm + t_allreduce;
-            let report = BspReport {
-                total,
-                phases: vec![
-                    PhaseTiming {
-                        name: "pair FFTs".into(),
-                        compute: makespan,
-                        compute_mean: compute_report.phases[0].compute_mean,
-                        comm: 0.0,
-                    },
-                    PhaseTiming {
-                        name: "patch traffic (exposed)".into(),
-                        compute: 0.0,
-                        compute_mean: 0.0,
-                        comm: exposed_comm,
-                    },
-                    PhaseTiming {
-                        name: "energy allreduce".into(),
-                        compute: 0.0,
-                        compute_mean: 0.0,
-                        comm: t_allreduce,
-                    },
-                ],
-                compute_utilization: if total > 0.0 {
-                    compute_report.phases[0].compute_mean / total
-                } else {
-                    1.0
-                },
-                imbalance: compute_report.imbalance,
-            };
-            SimOutcome {
-                scheme: scheme.name().into(),
-                nodes,
-                threads: m.threads(),
-                time: total,
-                group_size: g,
-                report,
-            }
+                g,
+                w.pair_flops(),
+                (w.patch_bytes(), g as f64),
+                ["pair FFTs", "patch traffic (exposed)"],
+            )
         }
-        Scheme::FullGridPairs => {
-            // Same pair list & balancing, but each pair transforms the full
-            // cell grid node-locally; no groups, so at extreme scale the
-            // integer pair quantum also costs efficiency.
-            let assignment = assign_pairs(&w.pairs, nodes, PAIR_BALANCE);
-            let t_pair = node_time(m, w.full_grid_flops());
-            let per_node: Vec<f64> = assignment.loads.iter().map(|&l| l * t_pair).collect();
-            let max_pairs = assignment
-                .per_rank
-                .iter()
-                .map(|v| v.len())
-                .max()
-                .unwrap_or(0) as f64;
-            // Without the compact pair-local representation, the orbital
-            // data moved is the full real-space field (same locality-aware
-            // unique-orbital model as the main scheme, to keep the
-            // comparison about representation and decomposition).
-            let unique_orbitals = (2.0 * (2.0 * max_pairs).sqrt())
-                .min(2.0 * max_pairs)
-                .min(w.norb as f64);
-            let traffic_bytes = unique_orbitals * 2.0 * w.full_grid_bytes() / 2.0;
-            let t_traffic = collectives::point_to_point(m, traffic_bytes);
-            let compute_report = simulate(
-                m,
-                algo,
-                &[BspPhase {
-                    name: "pair FFTs (full grid)".into(),
-                    compute: per_node,
-                    comm: CommOp::None,
-                }],
-            );
-            let makespan = compute_report.total;
-            let exposed_comm = (t_traffic - makespan).max(0.0);
-            let t_allreduce = comm_time(m, algo, &CommOp::Allreduce { bytes: 8.0 });
-            let total = makespan + exposed_comm + t_allreduce;
-            let report = BspReport {
-                total,
-                phases: vec![
-                    PhaseTiming {
-                        name: "pair FFTs (full grid)".into(),
-                        compute: makespan,
-                        compute_mean: compute_report.phases[0].compute_mean,
-                        comm: 0.0,
-                    },
-                    PhaseTiming {
-                        name: "field traffic (exposed)".into(),
-                        compute: 0.0,
-                        compute_mean: 0.0,
-                        comm: exposed_comm,
-                    },
-                    PhaseTiming {
-                        name: "energy allreduce".into(),
-                        compute: 0.0,
-                        compute_mean: 0.0,
-                        comm: t_allreduce,
-                    },
-                ],
-                compute_utilization: if total > 0.0 {
-                    compute_report.phases[0].compute_mean / total
-                } else {
-                    1.0
-                },
-                imbalance: compute_report.imbalance,
-            };
-            SimOutcome {
-                scheme: scheme.name().into(),
-                nodes,
-                threads: m.threads(),
-                time: total,
-                group_size: 1,
-                report,
-            }
-        }
+        // Same pair list & balancing, but each pair transforms the full
+        // cell grid node-locally; no groups, so at extreme scale the
+        // integer pair quantum also costs efficiency. Without the compact
+        // pair-local representation, the orbital data moved is the full
+        // real-space field (half the complex grid's bytes).
+        Scheme::FullGridPairs => price_pairs(
+            w,
+            m,
+            algo,
+            1,
+            w.full_grid_flops(),
+            (w.full_grid_bytes(), 2.0),
+            ["pair FFTs (full grid)", "field traffic (exposed)"],
+        ),
         Scheme::PwDistributed => {
             // Pencil decomposition: at most (full_grid/2)² pencils exist,
             // so nodes beyond that cap idle — this is the structural limit
@@ -287,25 +190,8 @@ pub fn simulate_hfx_build(
             let t_compute = node_time(m, w.full_grid_flops()) / (used as f64 * 0.5);
             let total = w.pairs.len() as f64 * t_compute;
             let busy_fraction = used as f64 / nodes as f64;
-            let report = BspReport {
-                total,
-                phases: vec![PhaseTiming {
-                    name: "distributed FFTs".into(),
-                    compute: total,
-                    compute_mean: total * busy_fraction,
-                    comm: 0.0,
-                }],
-                compute_utilization: busy_fraction,
-                imbalance: nodes as f64 / used as f64,
-            };
-            SimOutcome {
-                scheme: scheme.name().into(),
-                nodes,
-                threads: m.threads(),
-                time: total,
-                group_size: used,
-                report,
-            }
+            let phases = vec![compute_phase("distributed FFTs", total)];
+            outcome(total, used, phases, busy_fraction)
         }
         Scheme::ReplicatedDirect => {
             // Integral-direct: significant shell pairs ~ nao·κ; quartets =
@@ -317,34 +203,70 @@ pub fn simulate_hfx_build(
             let k_bytes = (w.nao * w.nao) as f64 * 8.0;
             let t_reduce = collectives::allreduce(m, algo, k_bytes);
             let total = t_compute + t_reduce;
-            let report = BspReport {
-                total,
-                phases: vec![
-                    PhaseTiming {
-                        name: "ERI quartets".into(),
-                        compute: t_compute,
-                        compute_mean: t_compute,
-                        comm: 0.0,
-                    },
-                    PhaseTiming {
-                        name: "K allreduce".into(),
-                        compute: 0.0,
-                        compute_mean: 0.0,
-                        comm: t_reduce,
-                    },
-                ],
-                compute_utilization: t_compute / total,
-                imbalance: 1.0,
-            };
-            SimOutcome {
-                scheme: scheme.name().into(),
-                nodes,
-                threads: m.threads(),
-                time: total,
-                group_size: 1,
-                report,
-            }
+            let phases = vec![
+                compute_phase("ERI quartets", t_compute),
+                comm_phase("K allreduce", t_reduce),
+            ];
+            outcome(total, 1, phases, t_compute / total)
         }
+    }
+}
+
+/// Price a pair-distributed build on groups of `g` nodes: every pair costs
+/// `pair_flops` of one group, and each orbital a node touches moves
+/// `bytes.0 / bytes.1` bytes each way. `phase_names` label the FFT and the
+/// exposed-traffic phases.
+fn price_pairs(
+    w: &Workload,
+    m: &MachineConfig,
+    algo: CollectiveAlgo,
+    g: usize,
+    pair_flops: f64,
+    bytes: (f64, f64),
+    phase_names: [&'static str; 2],
+) -> SimOutcome {
+    let nodes = m.nodes();
+    let assignment = assign_pairs(&w.pairs, (nodes / g).max(1), PAIR_BALANCE);
+    let t_pair = node_time(m, pair_flops) / (g as f64 * group_fft_efficiency(g));
+    // Every node of a group carries the group's time; nodes left over
+    // after the last whole group idle.
+    let busy = |node: usize| {
+        assignment
+            .loads
+            .get(node / g)
+            .map_or(0.0, |&load| load * t_pair)
+    };
+    let makespan = (0..nodes).map(busy).fold(0.0f64, f64::max);
+    let mean_busy = (0..nodes).map(busy).sum::<f64>() / nodes as f64;
+    let max_pairs = assignment
+        .per_rank
+        .iter()
+        .map(|v| v.len())
+        .max()
+        .unwrap_or(0) as f64;
+    // Traffic: pairs are assigned in orbital blocks (locality-aware), so a
+    // node touches ~2√(2·pairs) distinct orbitals — each orbital is fetched
+    // once and its accumulated exchange potential returned once.
+    // Prefetching hides this behind the FFTs; only the non-hideable
+    // remainder is charged.
+    let unique_orbitals = (2.0 * (2.0 * max_pairs).sqrt())
+        .min(2.0 * max_pairs)
+        .min(w.norb as f64);
+    let t_traffic = collectives::point_to_point(m, unique_orbitals * 2.0 * bytes.0 / bytes.1);
+    let exposed_comm = (t_traffic - makespan).max(0.0);
+    let t_allreduce = collectives::allreduce(m, algo, 8.0);
+    let total = makespan + exposed_comm + t_allreduce;
+    SimOutcome {
+        nodes,
+        threads: m.threads(),
+        time: total,
+        group_size: g,
+        phases: vec![
+            compute_phase(phase_names[0], makespan),
+            comm_phase(phase_names[1], exposed_comm),
+            comm_phase("energy allreduce", t_allreduce),
+        ],
+        compute_utilization: if total > 0.0 { mean_busy / total } else { 1.0 },
     }
 }
 
@@ -447,16 +369,118 @@ mod tests {
         assert!(g_large >= 2, "group size at 96 racks: {g_large}");
     }
 
+    /// One pinned modelled build: racks, scheme, group size, and the bits
+    /// of `time`, `compute_utilization` and each phase's `(compute, comm)`.
+    type Pin = (
+        usize,
+        Scheme,
+        usize,
+        u64,
+        u64,
+        &'static [(&'static str, u64, u64)],
+    );
+
+    /// Bit pins of the model: every scheme at 1 and 96 racks plus a forced
+    /// group size. Any change to a modelled number (evaluation order
+    /// included) fails here; re-record them only for an intended change to
+    /// the model.
+    #[rustfmt::skip]
+    const GOLDEN: &[Pin] = &[
+        (1, Scheme::PairDistributed { group_size: None }, 1, 0x3f4e30473c8408d0, 0x3fee99a909fe3e55,
+         &[("pair FFTs", 0x3f4dd7c5607c1064, 0), ("patch traffic (exposed)", 0, 0), ("energy allreduce", 0, 0x3ee6207701fe1b0c)]),
+        (1, Scheme::FullGridPairs, 1, 0x3f81bda54f0a2942, 0x3feeeac30b6a2722,
+         &[("pair FFTs (full grid)", 0x3f81b81d3149a9bb, 0), ("field traffic (exposed)", 0, 0), ("energy allreduce", 0, 0x3ee6207701fe1b0c)]),
+        (1, Scheme::PwDistributed, 1024, 0x3f9123f1e4e6e511, 0x3ff0000000000000,
+         &[("distributed FFTs", 0x3f9123f1e4e6e511, 0)]),
+        (1, Scheme::ReplicatedDirect, 1, 0x3f668bc1e2c0ffa2, 0x3fe79691fa80f4dd,
+         &[("ERI quartets", 0x3f609e895196e22e, 0), ("K allreduce", 0, 0x3f47b4e244a875d0)]),
+        (96, Scheme::PairDistributed { group_size: None }, 16, 0x3efa482bcc597df6, 0x3fdf53220080161c,
+         &[("pair FFTs", 0x3eeb835ee461c638, 0), ("patch traffic (exposed)", 0, 0x3e9a74540061e400), ("energy allreduce", 0, 0x3ee83956144e2694)]),
+        (96, Scheme::FullGridPairs, 1, 0x3f3f6e18757e3e18, 0x3fc744af736a9a76,
+         &[("pair FFTs (full grid)", 0x3f338d5e016bc41e, 0), ("field traffic (exposed)", 0, 0x3f263ddf86e0118a), ("energy allreduce", 0, 0x3ee83956144e2694)]),
+        (96, Scheme::PwDistributed, 1024, 0x3f9123f1e4e6e511, 0x3f85555555555555,
+         &[("distributed FFTs", 0x3f9123f1e4e6e511, 0)]),
+        (96, Scheme::ReplicatedDirect, 1, 0x3f487454711a67b9, 0x3f9cff129561367c,
+         &[("ERI quartets", 0x3ef628b71773d83d, 0), ("K allreduce", 0, 0x3f47c30eb85ec8f7)]),
+        (96, Scheme::PairDistributed { group_size: Some(8) }, 8, 0x3f0074c3478d652c, 0x3fd743647073449c,
+         &[("pair FFTs", 0x3eeeb466d3ddc192, 0), ("patch traffic (exposed)", 0, 0x3ed5caa06c135918), ("energy allreduce", 0, 0x3ee83956144e2694)]),
+    ];
+
+    #[test]
+    fn modelled_numbers_are_bit_pinned() {
+        let w = Workload::condensed("pin", 512, 30.0, 1.5, 1e-6, 32, 64, 11);
+        for &(racks, scheme, group_size, time, util, phases) in GOLDEN {
+            let m = MachineConfig::bgq_racks(racks);
+            let o = simulate_hfx_build(&w, &m, scheme, CollectiveAlgo::TorusPipelined);
+            let case = format!("{scheme:?} at {racks} racks");
+            assert_eq!(o.group_size, group_size, "{case}");
+            assert_eq!(o.time.to_bits(), time, "{case}: time {}", o.time);
+            assert_eq!(
+                o.compute_utilization.to_bits(),
+                util,
+                "{case}: utilization {}",
+                o.compute_utilization
+            );
+            let got: Vec<(&str, u64, u64)> = o
+                .phases
+                .iter()
+                .map(|p| (p.name, p.compute.to_bits(), p.comm.to_bits()))
+                .collect();
+            assert_eq!(got, phases, "{case}");
+        }
+    }
+
     #[test]
     fn compute_dominates_our_scheme() {
         let w = paper_workload();
         let m = MachineConfig::bgq_racks(16);
         let ours = simulate_hfx_build(&w, &m, Scheme::ours(), CollectiveAlgo::TorusPipelined);
+        let compute: f64 = ours.phases.iter().map(|p| p.compute).sum();
+        let comm: f64 = ours.phases.iter().map(|p| p.comm).sum();
         assert!(
-            ours.report.compute_total() > 2.0 * ours.report.comm_total(),
-            "comm-bound: compute {} vs comm {}",
-            ours.report.compute_total(),
-            ours.report.comm_total()
+            compute > 2.0 * comm,
+            "comm-bound: compute {compute} vs comm {comm}"
+        );
+    }
+
+    #[test]
+    fn communication_adds_to_total() {
+        let w = Workload::condensed("pin", 512, 30.0, 1.5, 1e-6, 32, 64, 11);
+        for &(racks, scheme, ..) in GOLDEN {
+            let m = MachineConfig::bgq_racks(racks);
+            let o = simulate_hfx_build(&w, &m, scheme, CollectiveAlgo::TorusPipelined);
+            let phases: f64 = o.phases.iter().map(|p| p.compute + p.comm).sum();
+            assert!(
+                (o.time - phases).abs() <= 1e-12 * o.time,
+                "{scheme:?} at {racks} racks: time {} vs phases {phases}",
+                o.time
+            );
+            assert!(o.compute_utilization > 0.0 && o.compute_utilization <= 1.0);
+        }
+    }
+
+    #[test]
+    fn imbalance_shows_up_in_utilization() {
+        // One pair per node is balanced; one node fewer leaves a straggler
+        // with two pairs, which doubles the build while the mean node does
+        // barely more work.
+        let w = Workload::condensed("straggler", 64, 20.0, 1.5, 1e-6, 32, 64, 11);
+        let npairs = w.pairs.len();
+        let utilization = |nodes| {
+            let m = MachineConfig::bgq_nodes(nodes);
+            simulate_hfx_build(
+                &w,
+                &m,
+                Scheme::FullGridPairs,
+                CollectiveAlgo::TorusPipelined,
+            )
+            .compute_utilization
+        };
+        let balanced = utilization(npairs);
+        let straggler = utilization(npairs - 1);
+        assert!(
+            straggler < 0.6 * balanced,
+            "one straggler: {straggler} vs balanced {balanced}"
         );
     }
 }

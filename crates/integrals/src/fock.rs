@@ -20,7 +20,8 @@ use rayon::prelude::*;
 /// screening.
 pub fn build_jk(basis: &Basis, density: &Mat, screen: f64) -> (Mat, Mat) {
     let engine = EriEngine::new(basis);
-    build_jk_with(&engine, density, screen)
+    let q = schwarz_matrix_with(&engine);
+    build_jk_inner(&engine, &q, density, screen, None)
 }
 
 /// Caches the integral engine and Schwarz bounds so repeated Fock builds
@@ -75,12 +76,6 @@ fn shell_pair_density_max(basis: &Basis, density: &Mat) -> Mat {
         }
     }
     m
-}
-
-/// As [`build_jk`] but reusing a prepared [`EriEngine`].
-pub fn build_jk_with(engine: &EriEngine<'_>, density: &Mat, screen: f64) -> (Mat, Mat) {
-    let q = schwarz_matrix_with(engine);
-    build_jk_inner(engine, &q, density, screen, None)
 }
 
 fn build_jk_inner(

@@ -18,7 +18,6 @@
 //!   multiplies, the energy contraction, pair-density products and axpy),
 //!   one portable loop each with a summation order fixed in the source.
 //! * [`quadrature`] — Gauss–Legendre nodes/weights.
-//! * [`stats`] — small statistics helpers used by the benchmark harness.
 //! * [`rng`] — a deterministic SplitMix64 generator for reproducible
 //!   workload construction.
 //!
@@ -38,7 +37,6 @@ pub mod rfft;
 pub mod rng;
 pub mod simd;
 pub mod special;
-pub mod stats;
 pub mod vec3;
 
 pub use complex::Complex64;

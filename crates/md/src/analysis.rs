@@ -159,8 +159,25 @@ pub fn drift_per_step(series: &[f64]) -> f64 {
         return 0.0;
     }
     let x: Vec<f64> = (0..series.len()).map(|i| i as f64).collect();
-    let (_, slope) = liair_math::stats::linear_fit(&x, series);
+    let (_, slope) = linear_fit(&x, series);
     slope
+}
+
+/// Least-squares line `y = a + b·x`; returns `(a, b)`.
+/// Panics with fewer than 2 points or a degenerate x-range.
+fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
+    assert_eq!(x.len(), y.len());
+    assert!(x.len() >= 2, "linear_fit needs at least 2 points");
+    let n = x.len() as f64;
+    let sx: f64 = x.iter().sum();
+    let sy: f64 = y.iter().sum();
+    let sxx: f64 = x.iter().map(|v| v * v).sum();
+    let sxy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+    let denom = n * sxx - sx * sx;
+    assert!(denom.abs() > 1e-300, "linear_fit: degenerate x range");
+    let b = (n * sxy - sx * sy) / denom;
+    let a = (sy - b * sx) / n;
+    (a, b)
 }
 
 #[cfg(test)]
@@ -259,6 +276,15 @@ mod tests {
         ev.record(&[]);
         assert_eq!(ev.count(), 3);
         assert_eq!(ev.broken, vec![3, 5, 7]);
+    }
+
+    #[test]
+    fn fit_recovers_line() {
+        let x: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let y: Vec<f64> = x.iter().map(|v| 3.0 - 0.5 * v).collect();
+        let (a, b) = linear_fit(&x, &y);
+        assert!(liair_math::approx_eq(a, 3.0, 1e-12));
+        assert!(liair_math::approx_eq(b, -0.5, 1e-12));
     }
 
     #[test]

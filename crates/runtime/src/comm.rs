@@ -450,7 +450,7 @@ pub struct CommConfig {
     /// Deterministic fault plan, if the region runs under injection.
     pub fault: Option<crate::fault::FaultPlan>,
     /// Map ranks onto this torus and account every transfer's route
-    /// (hop counts, per-link loads) for the BSP cost model.
+    /// (hop counts, per-link loads) for the machine cost model.
     pub torus: Option<liair_bgq::Torus5D>,
 }
 

@@ -14,7 +14,7 @@
 //!   *correctness* of the distributed algorithm at laptop scale;
 //! * [`TorusComm`] — wraps a communicator and charges every transfer to a
 //!   [`TrafficLog`] routed over `liair-bgq`'s 5-D torus, so the executed
-//!   message pattern (not an assumed one) feeds the BSP cost model.
+//!   message pattern (not an assumed one) feeds the machine cost model.
 //!
 //! Point-to-point receives come in blocking ([`Comm::recv`]) and
 //! non-blocking ([`Comm::try_recv`]) forms; the pipelined exchange engine

@@ -6,7 +6,7 @@
 //! That closes the loop between the *executed* algorithm and the *modeled*
 //! machine — the hop counts and per-link loads of the real message
 //! pattern (every edge of the binomial-tree collectives, every packet of
-//! the engine's pipeline) feed the BSP cost model, instead of an assumed
+//! the engine's pipeline) feed the machine cost model, instead of an assumed
 //! analytic pattern.
 
 use crate::comm::Comm;

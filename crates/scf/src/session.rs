@@ -479,15 +479,17 @@ fn get_opts(d: &mut Decoder<'_>) -> Result<ScfOptions, CodecError> {
     })
 }
 
-/// Diagonalize a Fock matrix in the orthonormal basis; return
-/// `(ε, C)` in the original AO basis.
-pub(crate) fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
+/// Diagonalize a Fock matrix in the orthonormal basis `x`; return
+/// `(ε, C)` in the original AO basis, orbitals in ascending energy.
+pub fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
     let fp = x.transpose().matmul(f).matmul(x);
     let (eps, cp) = eigh(&fp);
     (eps, x.matmul(&cp))
 }
 
-pub(crate) fn assemble_density(c: &Mat, nocc: usize) -> Mat {
+/// Closed-shell density `D = 2 C_occ C_occᵀ` of the first `nocc` columns
+/// of `c`.
+pub fn assemble_density(c: &Mat, nocc: usize) -> Mat {
     let n = c.nrows();
     let mut d = Mat::zeros(n, n);
     for mu in 0..n {
