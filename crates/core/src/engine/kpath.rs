@@ -241,3 +241,55 @@ impl ExchangeEngine<'_> {
         Ok(out)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::ExchangeEngine;
+    use liair_basis::{systems, Basis, Cell, Molecule};
+    use liair_grid::{PoissonSolver, RealGrid};
+    use liair_scf::{rhf, ScfOptions, ScfResult};
+
+    /// Converged H₂ RHF, and a copy of the molecule centered in a cubic
+    /// box of `edge` Bohr.
+    fn h2_in_box(edge: f64) -> (ScfResult, Molecule) {
+        let mol = systems::h2();
+        let scf = rhf(&mol, &Basis::sto3g(&mol), &ScfOptions::default());
+        let mut mol_c = mol.clone();
+        mol_c.translate(liair_math::Vec3::splat(edge / 2.0) - mol.centroid());
+        (scf, mol_c)
+    }
+
+    #[test]
+    fn grid_k_matches_analytic_k() {
+        // Build K on the grid for the converged H2 density and compare to
+        // the analytic K(D)/2 (K(D) contracts the doubled density).
+        let edge = 16.0;
+        let (scf, mol_c) = h2_in_box(edge);
+        let basis = Basis::sto3g(&mol_c);
+        let grid = RealGrid::cubic(Cell::cubic(edge), 64);
+        let solver = PoissonSolver::isolated(grid);
+        let k_grid = ExchangeEngine::new(&grid, &solver)
+            .k_operator(&basis, &scf.c, scf.nocc, 0.0)
+            .k;
+        // Analytic: K(D) with D = 2CCᵀ equals 2 × Σ_j (μj|jν).
+        let (_, k_an) = liair_integrals::build_jk(&basis, &scf.density, 0.0);
+        let err = k_grid.scale(2.0).sub(&k_an).fro_norm() / k_an.fro_norm();
+        assert!(err < 5e-3, "relative K error {err}");
+    }
+
+    #[test]
+    fn grid_k_is_symmetric_and_psd_on_diagonal() {
+        let edge = 14.0;
+        let (scf, mol_c) = h2_in_box(edge);
+        let basis = Basis::sto3g(&mol_c);
+        let grid = RealGrid::cubic(Cell::cubic(edge), 48);
+        let solver = PoissonSolver::isolated(grid);
+        let k = ExchangeEngine::new(&grid, &solver)
+            .k_operator(&basis, &scf.c, scf.nocc, 0.0)
+            .k;
+        assert!(k.asymmetry() < 1e-12); // symmetrized by construction
+        for i in 0..basis.nao() {
+            assert!(k[(i, i)] > 0.0, "K[{i},{i}] = {}", k[(i, i)]);
+        }
+    }
+}

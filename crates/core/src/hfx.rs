@@ -339,25 +339,51 @@ mod tests {
 
     #[test]
     fn screening_error_is_controlled() {
-        // Two H2 molecules far apart: cross pairs are negligible; ε = 1e−3
-        // screening changes E_x by ≪ the pair bound.
+        // A chain of H2 molecules at unequal spacings, so pair bounds span
+        // several decades. Every pair term w·(ij|ij) is ≥ 0 and a tighter ε
+        // keeps a superset of the pairs, so as ε tightens the pair count
+        // cannot fall and |E(ε) − E(0)| (the dropped terms) cannot grow.
         let mut mol = systems::h2();
-        let mut far = systems::h2();
-        far.translate(liair_math::Vec3::new(0.0, 12.0, 0.0));
-        mol.merge(&far);
+        for y in [3.0, 7.5, 14.0] {
+            let mut next = systems::h2();
+            next.translate(liair_math::Vec3::new(0.0, y, 0.0));
+            mol.merge(&next);
+        }
         let basis = Basis::sto3g(&mol);
         let scf = rhf(&mol, &basis, &ScfOptions::default());
-        let unscreened = grid_exchange_for_molecule(&mol, &basis, &scf, 64, 6.0, 0.0, 0.0);
-        let screened = grid_exchange_for_molecule(&mol, &basis, &scf, 64, 6.0, 1e-3, 0.0);
-        assert!(
-            screened.pairs.len() < unscreened.pairs.len(),
-            "screening dropped nothing"
-        );
-        assert!(
-            (unscreened.result.energy - screened.result.energy).abs() < 1e-4,
-            "ΔE = {}",
-            (unscreened.result.energy - screened.result.energy).abs()
-        );
+        let exact = grid_exchange_for_molecule(&mol, &basis, &scf, 48, 6.0, 0.0, 0.0);
+        let sweep: Vec<(f64, usize, f64)> = [1e-2, 1e-3, 1e-4, 1e-6]
+            .into_iter()
+            .map(|eps| {
+                let out = grid_exchange_for_molecule(&mol, &basis, &scf, 48, 6.0, eps, 0.0);
+                (
+                    eps,
+                    out.pairs.len(),
+                    (out.result.energy - exact.result.energy).abs(),
+                )
+            })
+            .collect();
+        // Sums over different pair lists round differently; 1e-14 Ha is
+        // that rounding, far below any dropped pair here.
+        for w in sweep.windows(2) {
+            let ((eps_a, pairs_a, err_a), (eps_b, pairs_b, err_b)) = (w[0], w[1]);
+            assert!(
+                pairs_b >= pairs_a,
+                "pairs {pairs_a} at ε {eps_a} → {pairs_b} at ε {eps_b}"
+            );
+            assert!(
+                err_b <= err_a + 1e-14,
+                "|ΔE| {err_a:e} at ε {eps_a} → {err_b:e} at ε {eps_b}"
+            );
+        }
+        // And the error stays small: at most 1 % of ε at every point.
+        for &(eps, _, err) in &sweep {
+            assert!(err <= 1e-2 * eps, "|ΔE| {err:e} at ε {eps}");
+        }
+        let mut counts: Vec<usize> = sweep.iter().map(|&(_, p, _)| p).collect();
+        counts.push(exact.pairs.len());
+        counts.dedup();
+        assert!(counts.len() >= 3, "pair counts {counts:?}");
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! BG/Q model (performance at paper scale), alongside the two baselines
 //! the paper compares against. [`incremental::IncrementalExchange`] is the
 //! engine pointed at a dirty set.
+//!
+//! An SCF whose exchange is built entirely on the grid is not a loop of
+//! this crate: it is `liair_scf::ScfSession::with_exchange` with a closure
+//! over [`IncrementalExchange::exchange_operator`] that doubles its
+//! `Σ_j (μj|jν)` into the session's `K(D)` convention (`liair-md`'s
+//! `IncrementalGridForces` runs one per finite-difference slot).
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
@@ -43,7 +49,6 @@ pub mod engine;
 pub mod error;
 pub mod hfx;
 pub mod incremental;
-pub mod operator;
 pub mod screening;
 pub mod simulate;
 pub mod workload;
@@ -61,7 +66,6 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use hfx::HfxResult;
 pub use incremental::{Fingerprint, IncStats, IncrementalExchange};
-pub use operator::{rhf_with_grid_exchange_in_cell, GridScfResult};
 pub use screening::{
     build_pair_list, build_pair_list_celllist, source_pairs, IncSchedule, OrbitalInfo, Pair,
     PairList,

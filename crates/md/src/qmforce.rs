@@ -14,16 +14,19 @@
 //! hybrid functionals, so no analytic nuclear gradient is needed.
 //!
 //! The settings are constants: displacements of 1e-2 Bohr (grid SCF) and
-//! 1e-3 Bohr (surrogate), screening at ε = 1e-4, and the fixed SCF
-//! controls of `liair_core::rhf_with_grid_exchange_in_cell` and
-//! `ScfOptions::default()`. What a caller chooses is the grid, the box,
-//! the reuse tolerance and the surrogate functional.
+//! 1e-3 Bohr (surrogate), screening at ε = 1e-4, and
+//! `ScfOptions::default()` for both SCFs. The grid SCF is an
+//! `ScfSession::with_exchange` whose K is the slot's
+//! `IncrementalExchange::exchange_operator`, so it has the session's DIIS
+//! and convergence test. What a caller chooses is the grid, the box, the
+//! reuse tolerance and the surrogate functional.
 
 use crate::integrator::ForceProvider;
 use crate::mts::SplitForceProvider;
-use liair_basis::{Cell, Molecule};
-use liair_core::{rhf_with_grid_exchange_in_cell, IncSchedule, IncrementalExchange};
-use liair_math::Vec3;
+use liair_basis::{Basis, Cell, Molecule};
+use liair_core::{IncSchedule, IncrementalExchange};
+use liair_math::{Mat, Vec3};
+use liair_scf::{ScfOptions, ScfSession};
 
 /// Finite-difference displacement of [`IncrementalGridForces`] (Bohr).
 const GRID_FD_STEP: f64 = 1e-2;
@@ -60,7 +63,7 @@ struct IncGridState {
     /// `(shift, grid, solver)` frozen at the first call.
     frame: Option<(Vec3, liair_grid::RealGrid, liair_grid::PoissonSolver)>,
     /// One cache + warm-start orbitals per FD slot (slot 0 = undisplaced).
-    slots: Vec<(IncrementalExchange, Option<liair_math::Mat>)>,
+    slots: Vec<(IncrementalExchange, Option<Mat>)>,
 }
 
 impl IncrementalGridForces {
@@ -87,13 +90,25 @@ impl IncrementalGridForces {
         t
     }
 
-    /// One grid SCF in the fixed frame using (and updating) slot `slot`.
+    /// One grid SCF in the fixed frame using (and updating) slot `slot`:
+    /// an RHF session whose K is the slot cache's grid operator, started
+    /// from the slot's previous orbitals.
     fn slot_energy(&self, st: &mut IncGridState, mol_c: &Molecule, slot: usize) -> f64 {
         let (_, grid, solver) = st.frame.as_ref().unwrap();
         let (inc, guess) = &mut st.slots[slot];
-        let r = rhf_with_grid_exchange_in_cell(mol_c, grid, solver, GRID_EPS, inc, guess.as_ref());
+        let basis = Basis::sto3g(mol_c);
+        let nocc = mol_c.nocc();
+        // The grid builds Σ_j (μj|jν); the session's K(D) is twice that.
+        let mut exchange = |c_occ: &Mat| {
+            inc.exchange_operator(&basis, c_occ, nocc, grid, solver, GRID_EPS)
+                .k
+                .scale(2.0)
+        };
+        let opts = ScfOptions::default();
+        let r = ScfSession::with_exchange(mol_c, &basis, &opts, &mut exchange, guess.as_ref())
+            .run_to_completion();
         assert!(r.converged, "grid SCF failed for {}", mol_c.formula());
-        *guess = Some(r.c_occ);
+        *guess = Some(r.c);
         r.energy
     }
 }

@@ -47,16 +47,6 @@ impl Diis {
         (self.focks.iter().collect(), self.errors.iter().collect())
     }
 
-    /// Number of stored history entries.
-    pub fn len(&self) -> usize {
-        self.focks.len()
-    }
-
-    /// Whether the history is empty.
-    pub fn is_empty(&self) -> bool {
-        self.focks.is_empty()
-    }
-
     /// Current worst error element (∞-norm of the latest error), or
     /// `f64::INFINITY` before the first push.
     pub fn latest_error(&self) -> f64 {
@@ -127,7 +117,7 @@ mod tests {
         let f = mat_of(&[1.0, 2.0]);
         let out = d.extrapolate(f.clone(), mat_of(&[0.5, 0.5]));
         assert_eq!(out, f);
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.history().0.len(), 1);
     }
 
     #[test]
@@ -146,7 +136,7 @@ mod tests {
         for k in 0..10 {
             d.extrapolate(mat_of(&[k as f64]), mat_of(&[1.0 / (k + 1) as f64]));
         }
-        assert_eq!(d.len(), 3);
+        assert_eq!(d.history().0.len(), 3);
     }
 
     #[test]

@@ -3,15 +3,21 @@
 //! Restricted self-consistent-field engines over the `liair-integrals`
 //! substrate:
 //!
-//! * [`diis`] — Pulay's DIIS convergence accelerator;
-//! * [`driver`] — RHF and RKS(LDA) SCF drivers, plus post-SCF evaluation
-//!   of PBE and PBE0 (the paper's production functional) on the converged
-//!   density. Self-consistency for the GGA potential is intentionally out
-//!   of scope (see DESIGN.md): the hybrid's *exact-exchange* term — the
-//!   paper's entire subject — is computed exactly, both analytically (via
-//!   the K matrix) and on grids (via `liair-core`'s pair-Poisson path);
-//! * [`session`] — the same SCF loop one iteration at a time, with a
-//!   bit-exact checkpoint/resume for preempted serve jobs.
+//! * [`session`] — the SCF loop, one iteration at a time: J/K, the Fock
+//!   matrix, Pulay DIIS and diagonalization, with a bit-exact
+//!   checkpoint/resume for preempted serve jobs. Exchange is one term of
+//!   it: built analytically, or supplied by the caller as an operator on
+//!   the occupied orbitals ([`ScfSession::with_exchange`]), which is how
+//!   `liair-core`'s pair-Poisson K enters an SCF. The loop's parts (DIIS,
+//!   diagonalization, density assembly) are private, so no other crate
+//!   builds a second loop;
+//! * [`driver`] — RHF and RKS(LDA) run as sessions to completion, plus
+//!   post-SCF evaluation of PBE and PBE0 (the paper's production
+//!   functional) on the converged density. Self-consistency for the GGA
+//!   potential is intentionally out of scope (see DESIGN.md): the hybrid's
+//!   *exact-exchange* term — the paper's entire subject — is computed
+//!   exactly, both analytically (via the K matrix) and on grids (via
+//!   `liair-core`'s pair-Poisson path).
 //!
 //! Closed-shell, single-determinant energies only: nothing on the
 //! screening or MD paths needs open shells, correlated methods or
@@ -23,10 +29,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod diis;
+mod diis;
 pub mod driver;
 pub mod session;
 
-pub use diis::Diis;
 pub use driver::{functional_energy, rhf, rks_lda, EnergyBreakdown, Method, ScfOptions, ScfResult};
 pub use session::{ScfCheckpoint, ScfSession};

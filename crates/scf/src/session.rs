@@ -1,23 +1,32 @@
-//! Stepwise SCF with checkpoint/restart.
+//! The SCF loop: the one place in the workspace that iterates a closed-shell
+//! SCF, one [`ScfSession::step`] at a time, with checkpoint/restart.
 //!
-//! PR 9 splits the monolithic SCF loop (`driver::scf`) into an explicit
-//! [`ScfSession`]: construction builds the immutable per-calculation
-//! context (integrals, orthogonalizer, XC grid, Schwarz bounds) and the
-//! core-guess density; [`ScfSession::step`] advances exactly one SCF
-//! iteration. `rhf`/`rks_lda` now run sessions to completion, so the
-//! converged numbers are the same code path — and bit-identical — to what
-//! the old loop produced.
+//! Construction builds the immutable per-calculation context (integrals,
+//! orthogonalizer, XC grid, Schwarz bounds) and the first density, from
+//! the core-Hamiltonian orbitals or a caller's warm-start guess. Each step
+//! builds J and K for the current density, forms the Fock matrix of the
+//! method, extrapolates it with DIIS, diagonalizes, and tests convergence
+//! (energy change below `energy_tol` and DIIS error below 1e-6). `rhf`
+//! and `rks_lda` run sessions to completion.
 //!
-//! The point of the split is preemption: a serve job interrupted between
-//! iterations captures an [`ScfCheckpoint`] — every mutable loop variable
-//! (density, DIIS history, incremental-Fock accumulators, energies,
-//! latest orbitals) as raw IEEE-754 bits — and a later
-//! [`ScfSession::resume`] rebuilds the immutable context deterministically
-//! from the same molecule/basis/options and continues the iteration
-//! sequence **bit-identically** to an uninterrupted run (property-tested
-//! in `tests/session_props.rs`). The context is deliberately *not*
-//! serialized: it is a pure function of the inputs and dwarfs the loop
-//! state.
+//! Exchange is one term of the loop, with two sources: the analytic build
+//! ([`ScfSession::new`]) or a caller-supplied operator on the occupied
+//! orbitals ([`ScfSession::with_exchange`]). The grid-exchange SCF of
+//! `liair-md`'s `IncrementalGridForces` is the second: its closure calls
+//! `liair_core::IncrementalExchange::exchange_operator`.
+//!
+//! A serve job interrupted between iterations captures an
+//! [`ScfCheckpoint`] — every mutable loop variable (density, DIIS history,
+//! incremental-Fock accumulators, energies, latest orbitals) as raw
+//! IEEE-754 bits — and a later [`ScfSession::resume`] rebuilds the
+//! immutable context deterministically from the same molecule/basis and
+//! continues the iteration sequence **bit-identically** to an
+//! uninterrupted run (property-tested in `tests/session_props.rs`). The
+//! context is deliberately *not* serialized: it is a pure function of the
+//! inputs and dwarfs the loop state. Neither is a caller's operator, so
+//! its checkpoint carries its own magic tag: resuming it as analytic, or
+//! an analytic one with an operator, fails with [`CodecError::BadMagic`]
+//! instead of switching the exchange source.
 //!
 //! The stream (layout version 2) carries the four [`ScfOptions`] fields
 //! and no DIIS depth: the depth, the DIIS error threshold, the XC grid and
@@ -42,8 +51,20 @@ use liair_xc::lda::lda_exc;
 
 /// Magic tag for SCF checkpoint streams (`"LSC1"`).
 const MAGIC: u32 = 0x4C53_4331;
+/// Magic tag for the checkpoints of a session whose exchange matrix the
+/// caller supplies (`"LSCK"`); the layout is [`MAGIC`]'s.
+const MAGIC_OPERATOR: u32 = 0x4C53_434B;
 /// Layout version; a stream of any other version is refused.
 const VERSION: u16 = 2;
+
+/// The magic tag of a session with (`true`) or without a caller's operator.
+fn magic(operator: bool) -> u32 {
+    if operator {
+        MAGIC_OPERATOR
+    } else {
+        MAGIC
+    }
+}
 
 /// Immutable per-calculation context, deterministic in the inputs.
 struct ScfContext<'a> {
@@ -104,6 +125,7 @@ struct ScfLoopState {
     builds_since_full: usize,
     energy: f64,
     breakdown: EnergyBreakdown,
+    /// The orbitals `density` was assembled from.
     c_final: Mat,
     eps_final: Vec<f64>,
     converged: bool,
@@ -114,9 +136,10 @@ struct ScfLoopState {
 pub struct ScfSession<'a> {
     method: Method,
     opts: ScfOptions,
-    basis_nao: usize,
     ctx: ScfContext<'a>,
     st: ScfLoopState,
+    /// The caller's exchange operator; `None` builds K analytically.
+    exchange: Option<&'a mut dyn FnMut(&Mat) -> Mat>,
 }
 
 impl<'a> ScfSession<'a> {
@@ -127,15 +150,56 @@ impl<'a> ScfSession<'a> {
         opts: &ScfOptions,
         method: Method,
     ) -> ScfSession<'a> {
+        Self::start(mol, basis, opts, method, None, None)
+    }
+
+    /// An RHF session whose exchange matrix comes from `exchange` instead
+    /// of the analytic build. Every step calls it once with the `nao ×
+    /// nocc` occupied coefficients the current density was assembled from;
+    /// it returns K in the analytic `K(D)` convention, `2 Σ_j (μj|jν)`.
+    /// J and the one-electron terms stay analytic. `guess` warm-starts the
+    /// first density from a previous [`ScfResult::c`] (`nao × nao`; its
+    /// first `nocc` columns); `None` starts from the core Hamiltonian.
+    pub fn with_exchange(
+        mol: &Molecule,
+        basis: &'a Basis,
+        opts: &ScfOptions,
+        exchange: &'a mut dyn FnMut(&Mat) -> Mat,
+        guess: Option<&Mat>,
+    ) -> ScfSession<'a> {
+        Self::start(mol, basis, opts, Method::Rhf, Some(exchange), guess)
+    }
+
+    fn start(
+        mol: &Molecule,
+        basis: &'a Basis,
+        opts: &ScfOptions,
+        method: Method,
+        exchange: Option<&'a mut dyn FnMut(&Mat) -> Mat>,
+        guess: Option<&Mat>,
+    ) -> ScfSession<'a> {
         let ctx = ScfContext::build(mol, basis, method);
         let n = ctx.n;
-        let density = density_from_fock(&ctx.h, &ctx.x, ctx.nocc);
+        let c = match guess {
+            Some(c) => {
+                // Square, like every `ScfResult::c`, so a checkpoint taken
+                // before the first step still resumes.
+                assert_eq!(
+                    (c.nrows(), c.ncols()),
+                    (n, n),
+                    "warm-start orbitals are nao × nao"
+                );
+                c.clone()
+            }
+            None => orbitals_from_fock(&ctx.h, &ctx.x).1,
+        };
+        let density = assemble_density(&c, ctx.nocc);
         let e_nuc = ctx.e_nuc;
         ScfSession {
             method,
             opts: *opts,
-            basis_nao: n,
             ctx,
+            exchange,
             st: ScfLoopState {
                 density,
                 diis: Diis::new(DIIS_DEPTH),
@@ -148,7 +212,7 @@ impl<'a> ScfSession<'a> {
                     e_nuc,
                     ..Default::default()
                 },
-                c_final: Mat::zeros(n, n),
+                c_final: c,
                 eps_final: vec![0.0; n],
                 converged: false,
                 iterations: 0,
@@ -202,6 +266,10 @@ impl<'a> ScfSession<'a> {
             (st.j_acc.clone(), st.k_acc.clone())
         } else {
             ctx.jk_builder.build(&st.density, opts.schwarz_tol)
+        };
+        let k = match self.exchange.as_mut() {
+            Some(op) => op(&Mat::from_fn(ctx.n, ctx.nocc, |mu, i| st.c_final[(mu, i)])),
+            None => k,
         };
         let e_nuc = ctx.e_nuc;
         let (fock, e_elec, bd) = match self.method {
@@ -316,13 +384,13 @@ impl<'a> ScfSession<'a> {
     /// Capture every mutable loop variable, bit-exact.
     pub fn checkpoint(&self) -> ScfCheckpoint {
         let st = &self.st;
-        let mut e = Encoder::with_magic(MAGIC, VERSION);
+        let mut e = Encoder::with_magic(magic(self.exchange.is_some()), VERSION);
         e.put_u8(match self.method {
             Method::Rhf => 0,
             Method::RksLda => 1,
         });
         put_opts(&mut e, &self.opts);
-        e.put_usize(self.basis_nao);
+        e.put_usize(self.ctx.n);
         put_mat(&mut e, &st.density);
         // DIIS history, oldest first.
         let (focks, errors) = st.diis.history();
@@ -360,20 +428,45 @@ impl<'a> ScfSession<'a> {
 
     /// Rebuild a session from a checkpoint plus the *same* molecule and
     /// basis the original was built from (the job spec is the source of
-    /// truth; the context is recomputed, the loop state restored).
+    /// truth; the context is recomputed, the loop state restored). A
+    /// checkpoint of a [`ScfSession::with_exchange`] session is refused
+    /// with [`CodecError::BadMagic`].
     pub fn resume(
         mol: &Molecule,
         basis: &'a Basis,
         ck: &ScfCheckpoint,
     ) -> Result<ScfSession<'a>, CodecError> {
-        let (mut d, version) = Decoder::with_magic(&ck.bytes, MAGIC)?;
+        Self::restore(mol, basis, ck, None)
+    }
+
+    /// [`ScfSession::resume`] for a checkpoint written by a
+    /// [`ScfSession::with_exchange`] session, continuing with `exchange`.
+    /// An analytic session's checkpoint is refused with
+    /// [`CodecError::BadMagic`]. The operator's own state (an incremental
+    /// cache, say) is the caller's to restore.
+    pub fn resume_with_exchange(
+        mol: &Molecule,
+        basis: &'a Basis,
+        ck: &ScfCheckpoint,
+        exchange: &'a mut dyn FnMut(&Mat) -> Mat,
+    ) -> Result<ScfSession<'a>, CodecError> {
+        Self::restore(mol, basis, ck, Some(exchange))
+    }
+
+    fn restore(
+        mol: &Molecule,
+        basis: &'a Basis,
+        ck: &ScfCheckpoint,
+        exchange: Option<&'a mut dyn FnMut(&Mat) -> Mat>,
+    ) -> Result<ScfSession<'a>, CodecError> {
+        let (mut d, version) = Decoder::with_magic(&ck.bytes, magic(exchange.is_some()))?;
         if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
-        let method = match d.get_u8()? {
-            0 => Method::Rhf,
-            1 => Method::RksLda,
-            m => return Err(CodecError::BadLength(m as u64)),
+        let method = match (d.get_u8()?, exchange.is_some()) {
+            (0, _) => Method::Rhf,
+            (1, false) => Method::RksLda,
+            (m, _) => return Err(CodecError::BadLength(m as u64)),
         };
         let opts = get_opts(&mut d)?;
         let nao = d.get_usize()?;
@@ -382,7 +475,9 @@ impl<'a> ScfSession<'a> {
             // garbage — fail loudly instead.
             return Err(CodecError::BadLength(nao as u64));
         }
-        let density = get_mat(&mut d)?;
+        // A matrix of another shape is refused here, not by an index panic
+        // in `step`.
+        let density = get_mat(&mut d, nao)?;
         let hist_len = d.get_usize()?;
         if hist_len > d.remaining() / 16 {
             return Err(CodecError::BadLength(hist_len as u64));
@@ -390,16 +485,16 @@ impl<'a> ScfSession<'a> {
         let mut focks = Vec::with_capacity(hist_len);
         let mut errors = Vec::with_capacity(hist_len);
         for _ in 0..hist_len {
-            focks.push(get_mat(&mut d)?);
-            errors.push(get_mat(&mut d)?);
+            focks.push(get_mat(&mut d, nao)?);
+            errors.push(get_mat(&mut d, nao)?);
         }
         let d_ref = if d.get_bool()? {
-            Some(get_mat(&mut d)?)
+            Some(get_mat(&mut d, nao)?)
         } else {
             None
         };
-        let j_acc = get_mat(&mut d)?;
-        let k_acc = get_mat(&mut d)?;
+        let j_acc = get_mat(&mut d, nao)?;
+        let k_acc = get_mat(&mut d, nao)?;
         let builds_since_full = d.get_usize()?;
         let energy = d.get_f64()?;
         let breakdown = EnergyBreakdown {
@@ -409,8 +504,11 @@ impl<'a> ScfSession<'a> {
             e_exchange: d.get_f64()?,
             e_xc: d.get_f64()?,
         };
-        let c_final = get_mat(&mut d)?;
+        let c_final = get_mat(&mut d, nao)?;
         let eps_final = d.get_f64_vec()?;
+        if eps_final.len() != nao {
+            return Err(CodecError::BadLength(eps_final.len() as u64));
+        }
         let converged = d.get_bool()?;
         let iterations = d.get_usize()?;
         if d.remaining() != 0 {
@@ -420,8 +518,8 @@ impl<'a> ScfSession<'a> {
         Ok(ScfSession {
             method,
             opts,
-            basis_nao: nao,
             ctx,
+            exchange,
             st: ScfLoopState {
                 density,
                 diis: Diis::from_history(DIIS_DEPTH, focks, errors),
@@ -453,14 +551,16 @@ fn put_mat(e: &mut Encoder, m: &Mat) {
     e.put_f64_slice(m.as_slice());
 }
 
-fn get_mat(d: &mut Decoder<'_>) -> Result<Mat, CodecError> {
+/// Decode a matrix written by [`put_mat`]; every matrix of the loop state
+/// is `n × n`, and any other shape is [`CodecError::BadLength`].
+fn get_mat(d: &mut Decoder<'_>, n: usize) -> Result<Mat, CodecError> {
     let nrows = d.get_usize()?;
     let ncols = d.get_usize()?;
     let data = d.get_f64_vec()?;
-    if nrows.checked_mul(ncols) != Some(data.len()) {
+    if (nrows, ncols) != (n, n) || data.len() != n * n {
         return Err(CodecError::BadLength(data.len() as u64));
     }
-    Ok(Mat::from_vec(nrows, ncols, data))
+    Ok(Mat::from_vec(n, n, data))
 }
 
 fn put_opts(e: &mut Encoder, o: &ScfOptions) {
@@ -481,7 +581,7 @@ fn get_opts(d: &mut Decoder<'_>) -> Result<ScfOptions, CodecError> {
 
 /// Diagonalize a Fock matrix in the orthonormal basis `x`; return
 /// `(ε, C)` in the original AO basis, orbitals in ascending energy.
-pub fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
+fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
     let fp = x.transpose().matmul(f).matmul(x);
     let (eps, cp) = eigh(&fp);
     (eps, x.matmul(&cp))
@@ -489,7 +589,7 @@ pub fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
 
 /// Closed-shell density `D = 2 C_occ C_occᵀ` of the first `nocc` columns
 /// of `c`.
-pub fn assemble_density(c: &Mat, nocc: usize) -> Mat {
+fn assemble_density(c: &Mat, nocc: usize) -> Mat {
     let n = c.nrows();
     let mut d = Mat::zeros(n, n);
     for mu in 0..n {
@@ -502,11 +602,6 @@ pub fn assemble_density(c: &Mat, nocc: usize) -> Mat {
         }
     }
     d
-}
-
-pub(crate) fn density_from_fock(f: &Mat, x: &Mat, nocc: usize) -> Mat {
-    let (_, c) = orbitals_from_fock(f, x);
-    assemble_density(&c, nocc)
 }
 
 #[cfg(test)]
@@ -533,6 +628,34 @@ mod tests {
         assert_eq!(via_session.energy.to_bits(), via_driver.energy.to_bits());
         assert_eq!(via_session.iterations, via_driver.iterations);
         assert!(bitwise_mat(&via_session.density, &via_driver.density));
+    }
+
+    #[test]
+    fn analytic_k_through_the_operator_seam_is_bit_identical() {
+        // A session whose operator returns the analytic K of the density
+        // its orbitals assemble must be the analytic session, bit for bit.
+        for mol in [systems::h2(), systems::lih(), systems::water()] {
+            let basis = Basis::sto3g(&mol);
+            let opts = ScfOptions::default();
+            let plain = ScfSession::new(&mol, &basis, &opts, Method::Rhf).run_to_completion();
+            let jk = JkBuilder::new(&basis);
+            let nocc = mol.nocc();
+            let mut analytic_k = |c: &Mat| jk.build(&assemble_density(c, nocc), opts.schwarz_tol).1;
+            let seam = ScfSession::with_exchange(&mol, &basis, &opts, &mut analytic_k, None)
+                .run_to_completion();
+            assert_eq!(
+                seam.energy.to_bits(),
+                plain.energy.to_bits(),
+                "{}",
+                mol.formula()
+            );
+            assert_eq!(seam.iterations, plain.iterations, "{}", mol.formula());
+            assert!(
+                bitwise_mat(&seam.density, &plain.density),
+                "{}",
+                mol.formula()
+            );
+        }
     }
 
     #[test]
@@ -567,6 +690,29 @@ mod tests {
         let ck = session.checkpoint();
         let bigger = Basis::b631g(&mol);
         assert!(ScfSession::resume(&mol, &bigger, &ck).is_err());
+    }
+
+    #[test]
+    fn misshapen_orbitals_in_a_checkpoint_are_refused() {
+        // An operator session reads the occupied columns of `c_final` on
+        // its next step, so a stream whose orbitals are not nao × nao must
+        // fail to decode rather than panic there.
+        let mol = systems::h2();
+        let basis = Basis::sto3g(&mol);
+        let opts = ScfOptions::default();
+        let jk = JkBuilder::new(&basis);
+        let nocc = mol.nocc();
+        let mut analytic_k = |c: &Mat| jk.build(&assemble_density(c, nocc), opts.schwarz_tol).1;
+        let mut session = ScfSession::with_exchange(&mol, &basis, &opts, &mut analytic_k, None);
+        session.step();
+        session.st.c_final = Mat::zeros(basis.nao(), 1);
+        let ck = session.checkpoint();
+        drop(session);
+        let mut again = |c: &Mat| jk.build(&assemble_density(c, nocc), opts.schwarz_tol).1;
+        assert!(matches!(
+            ScfSession::resume_with_exchange(&mol, &basis, &ck, &mut again),
+            Err(CodecError::BadLength(_))
+        ));
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! them from [`ScfCheckpoint`] bytes; the resumed session must converge
 //! to exactly the uninterrupted energy, density, and orbitals — the DIIS
 //! history, incremental-Fock accumulators, and convergence bookkeeping
-//! all have to survive the byte round trip intact.
+//! all have to survive the byte round trip intact. A session whose
+//! exchange operator the caller supplies resumes the same way, with the
+//! operator handed back, and only that way. (The grid operator's own
+//! resume tests are in `liair-core`'s `tests/grid_session.rs`, where
+//! `IncrementalExchange` lives.)
 
 use liair_basis::{systems, Basis, Molecule};
+use liair_math::codec::CodecError;
+use liair_math::Mat;
 use liair_scf::driver::{Method, ScfOptions};
 use liair_scf::ScfSession;
 use proptest::prelude::*;
@@ -77,4 +83,78 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// An exchange operator standing in for the grid one: the analytic K of
+/// `D = 2 C_occ C_occᵀ`.
+fn analytic_operator(basis: &Basis) -> impl FnMut(&Mat) -> Mat + '_ {
+    move |c_occ: &Mat| {
+        let d = c_occ.matmul(&c_occ.transpose()).scale(2.0);
+        liair_integrals::build_jk(basis, &d, 1e-11).1
+    }
+}
+
+#[test]
+fn operator_session_resumes_bit_identically_after_every_iteration() {
+    for mol in [systems::h2(), systems::lih()] {
+        let basis = Basis::sto3g(&mol);
+        let opts = ScfOptions::default();
+        let mut k = analytic_operator(&basis);
+        let reference =
+            ScfSession::with_exchange(&mol, &basis, &opts, &mut k, None).run_to_completion();
+        assert!(reference.converged);
+        for cut in 1..reference.iterations {
+            let mut k = analytic_operator(&basis);
+            let mut live = ScfSession::with_exchange(&mol, &basis, &opts, &mut k, None);
+            for _ in 0..cut {
+                live.step();
+            }
+            let ck = live.checkpoint();
+            drop(live);
+            let mut k = analytic_operator(&basis);
+            let resumed = ScfSession::resume_with_exchange(&mol, &basis, &ck, &mut k)
+                .expect("own checkpoint resumes")
+                .run_to_completion();
+            assert_eq!(resumed.energy.to_bits(), reference.energy.to_bits());
+            assert_eq!(resumed.iterations, reference.iterations);
+            assert!(resumed
+                .density
+                .as_slice()
+                .iter()
+                .zip(reference.density.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+}
+
+#[test]
+fn checkpoint_resumes_only_with_the_exchange_source_that_wrote_it() {
+    // The operator is not in the stream, so a resume must not silently
+    // swap it for the analytic build, or the analytic build for an
+    // operator: both directions are a typed error.
+    let mol = systems::h2();
+    let basis = Basis::sto3g(&mol);
+    let opts = ScfOptions::default();
+    let mut analytic = ScfSession::new(&mol, &basis, &opts, Method::Rhf);
+    analytic.step();
+    let analytic_ck = analytic.checkpoint();
+    let mut k = analytic_operator(&basis);
+    let mut operator = ScfSession::with_exchange(&mol, &basis, &opts, &mut k, None);
+    operator.step();
+    let operator_ck = operator.checkpoint();
+    drop(operator);
+
+    assert!(matches!(
+        ScfSession::resume(&mol, &basis, &operator_ck),
+        Err(CodecError::BadMagic { .. })
+    ));
+    let mut k = analytic_operator(&basis);
+    assert!(matches!(
+        ScfSession::resume_with_exchange(&mol, &basis, &analytic_ck, &mut k),
+        Err(CodecError::BadMagic { .. })
+    ));
+    // Each resumes through its own entry point.
+    assert!(ScfSession::resume(&mol, &basis, &analytic_ck).is_ok());
+    let mut k = analytic_operator(&basis);
+    assert!(ScfSession::resume_with_exchange(&mol, &basis, &operator_ck, &mut k).is_ok());
 }

@@ -58,33 +58,32 @@ impl Functional {
     /// DFT exchange–correlation energy of a closed-shell density sampled on
     /// the grid. The exact-exchange share (for `Hf`/`Pbe0`) is *not*
     /// included — callers add `hfx_fraction() · E_x^{exact}` themselves.
+    /// The per-point energies are evaluated in parallel and summed in grid
+    /// order, so the result's bits do not depend on the thread count.
     pub fn xc_energy(self, grid: &RealGrid, density: &[f64]) -> f64 {
         assert_eq!(density.len(), grid.len());
-        match self {
-            Functional::Hf => 0.0,
-            Functional::Lda => {
-                let e: f64 = density.par_iter().map(|&n| n * lda::lda_exc(n)).sum();
-                e * grid.dvol()
-            }
+        let per_point: Vec<f64> = match self {
+            Functional::Hf => return 0.0,
+            Functional::Lda => density.par_iter().map(|&n| n * lda::lda_exc(n)).collect(),
             Functional::Pbe => {
                 let g = density_gradient_norm(grid, density);
-                let e: f64 = density
-                    .par_iter()
-                    .zip(&g)
-                    .map(|(&n, &gn)| n * pbe::pbe_exc(n, gn))
-                    .sum();
-                e * grid.dvol()
+                (0..density.len())
+                    .into_par_iter()
+                    .map(|i| density[i] * pbe::pbe_exc(density[i], g[i]))
+                    .collect()
             }
             Functional::Pbe0 => {
                 let g = density_gradient_norm(grid, density);
-                let e: f64 = density
-                    .par_iter()
-                    .zip(&g)
-                    .map(|(&n, &gn)| n * (0.75 * pbe::pbe_ex(n, gn) + pbe::pbe_ec(n, gn)))
-                    .sum();
-                e * grid.dvol()
+                (0..density.len())
+                    .into_par_iter()
+                    .map(|i| {
+                        let (n, gn) = (density[i], g[i]);
+                        n * (0.75 * pbe::pbe_ex(n, gn) + pbe::pbe_ec(n, gn))
+                    })
+                    .collect()
             }
-        }
+        };
+        per_point.iter().sum::<f64>() * grid.dvol()
     }
 
     /// LDA exchange–correlation potential on the grid (used by the
@@ -235,6 +234,38 @@ mod tests {
         for f in [Functional::Lda, Functional::Pbe, Functional::Pbe0] {
             let e = f.xc_energy(&grid, &n);
             assert!(e < 0.0, "{}: {e}", f.name());
+        }
+    }
+
+    #[test]
+    fn xc_energy_bits_do_not_depend_on_thread_count() {
+        let l = 12.0;
+        let grid = RealGrid::cubic(Cell::cubic(l), 24);
+        let c = liair_math::Vec3::new(5.3, 6.1, 6.9);
+        let n: Vec<f64> = (0..grid.len())
+            .map(|i| {
+                let d = grid.cell.min_image(c, grid.point_flat(i));
+                2.0 * (0.5 / PI).powf(1.5) * (-0.5 * d.norm_sqr()).exp()
+            })
+            .collect();
+        for f in [Functional::Lda, Functional::Pbe, Functional::Pbe0] {
+            let on = |threads: usize| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| f.xc_energy(&grid, &n))
+            };
+            let one = on(1);
+            for threads in 2..=4 {
+                let e = on(threads);
+                assert_eq!(
+                    e.to_bits(),
+                    one.to_bits(),
+                    "{} at {threads} threads: {e:e} vs {one:e}",
+                    f.name()
+                );
+            }
         }
     }
 
