@@ -1,65 +1,155 @@
 //! Two-electron repulsion integrals `(ab|cd)` (chemists' notation) over
 //! contracted Cartesian shells, via McMurchie–Davidson:
 //!
-//! `(ab|cd) = Σ_prims c⁴ · 2π^{5/2}/(pq√(p+q)) · Σ_{tuv} E^{ab}_{tuv}
+//! `(ab|cd) = Σ_prims 2π^{5/2}/(pq√(p+q)) · Σ_{tuv} E^{ab}_{tuv}
 //!            Σ_{τνφ} (−1)^{τ+ν+φ} E^{cd}_{τνφ} R_{t+τ,u+ν,v+φ}(α, P−Q)`
 //!
-//! with `p`, `q` the bra/ket total exponents and `α = pq/(p+q)`.
+//! with `p`, `q` the bra/ket total exponents, `α = pq/(p+q)` and the
+//! contraction coefficients folded into the `E` products.
 //!
-//! The engine precomputes, per ordered shell pair and primitive pair, the
-//! Hermite `E` tables and the Gaussian product prefactor — the quartet
-//! loop then only evaluates the `R_{tuv}` auxiliaries (into reusable
-//! scratch) and the contraction sums. Primitive quartets whose prefactor
-//! product is below `PRIM_SCREEN` are skipped.
+//! A primitive quartet pays only for its own angular momentum
+//! `L = la+lb+lc+ld`:
+//!
+//! * `R` runs to order `L` only: [`hermite_len`]`(L)` entries (35 for
+//!   (pp|pp)) from one Boys evaluation of order `L`.
+//! * [`EriEngine::new`] precomputes, once per ordered shell pair, per
+//!   primitive pair and per Cartesian component pair, the coefficient-
+//!   weighted Hermite products `c_a c_b E^{ab}_{tuv}` over the box
+//!   `t ≤ a_x+b_x, u ≤ a_y+b_y, v ≤ a_z+b_z` — one flat array per shell
+//!   pair, laid out by a table shared by every pair of the same
+//!   `(la, lb)` class.
+//! * The contraction takes two steps: the ket side with `R` into an
+//!   intermediate `X[ket component pair][bra tuv]`, then one short dot
+//!   product per (bra, ket) component pair. `R` is taken at `Q−P`: since
+//!   `R_{tuv}(−x) = (−1)^{t+u+v} R_{tuv}(x)`, the ket's sign
+//!   `(−1)^{τ+ν+φ}` becomes the bra's `(−1)^{t+u+v}`, which is folded into
+//!   `X` with the prefactor.
+//!
+//! Primitive quartets whose prefactor product is below `PRIM_SCREEN` are
+//! skipped. A warm quartet evaluation allocates nothing.
 
-use crate::hermite::{hermite_aux_into, AuxScratch, ECoefs};
+use crate::hermite::{hermite_aux_into, hermite_index, hermite_len, AuxScratch, ECoefs};
 use liair_basis::shell::{cart_components, ncart};
 use liair_basis::Basis;
 use liair_math::{Mat, Vec3};
 use rayon::prelude::*;
-use std::f64::consts::PI;
+use std::f64::consts::{FRAC_2_SQRT_PI, PI};
 
 /// Primitive-quartet prefactor threshold below which the quartet is
 /// skipped (`exp(−μ_br |AB|²) · exp(−μ_kt |CD|²)` bound).
 pub const PRIM_SCREEN: f64 = 1e-16;
 
-/// Precomputed data for one primitive pair of an ordered shell pair.
-#[derive(Debug, Clone)]
+/// `2π^{5/2}`, the Coulomb prefactor's constant.
+const TWO_PI_POW_2_5: f64 = 2.0 * PI * PI * (2.0 / FRAC_2_SQRT_PI);
+
+/// The Hermite terms of every Cartesian component pair of one shell-pair
+/// class `(la, lb)`. Component pair `c` (row-major over the two shells'
+/// components) owns `terms[start[c]..start[c + 1]]`: the [`hermite_index`]
+/// of each `(t, u, v)` in its `E`-product box, ascending.
+#[derive(Debug)]
+struct PairClass {
+    /// `la + lb`, the highest Hermite order of the class.
+    l: usize,
+    start: Vec<usize>,
+    terms: Vec<usize>,
+}
+
+impl PairClass {
+    fn new(la: usize, lb: usize) -> Self {
+        let mut class = PairClass {
+            l: la + lb,
+            start: vec![0],
+            terms: Vec::new(),
+        };
+        for pa in cart_components(la) {
+            for pb in cart_components(lb) {
+                let first = class.terms.len();
+                for t in 0..=pa.0 + pb.0 {
+                    for u in 0..=pa.1 + pb.1 {
+                        for v in 0..=pa.2 + pb.2 {
+                            class.terms.push(hermite_index(t, u, v));
+                        }
+                    }
+                }
+                class.terms[first..].sort_unstable();
+                class.start.push(class.terms.len());
+            }
+        }
+        class
+    }
+
+    /// Number of component pairs.
+    fn ncomp(&self) -> usize {
+        self.start.len() - 1
+    }
+}
+
+/// One primitive pair of an ordered shell pair.
+#[derive(Debug, Clone, Copy)]
 struct PrimPair {
-    /// Primitive indices within the two shells.
-    ia: usize,
-    ib: usize,
     /// Total exponent `p = a + b`.
     p: f64,
     /// Gaussian product center.
     big_p: Vec3,
-    /// Hermite tables per axis.
-    ex: ECoefs,
-    ey: ECoefs,
-    ez: ECoefs,
     /// `exp(−μ|AB|²)` prefactor used for primitive screening.
     screen: f64,
+}
+
+/// Precomputed data of one ordered shell pair.
+#[derive(Debug)]
+struct ShellPair {
+    /// Index of the pair's `(la, lb)` class in `EriEngine::classes`.
+    class: usize,
+    prims: Vec<PrimPair>,
+    /// `c_a c_b E^{ab}_{tuv}`: per primitive pair (in `prims` order) one
+    /// value per entry of the class's `terms`.
+    e: Vec<f64>,
 }
 
 /// Reusable per-thread scratch for quartet evaluation.
 #[derive(Debug, Default, Clone)]
 pub struct EriScratch {
     aux: AuxScratch,
+    /// The ket-contracted intermediate `X[ket component pair][bra tuv]`.
+    x: Vec<f64>,
 }
 
 /// Precomputed engine over a basis.
 pub struct EriEngine<'a> {
     basis: &'a Basis,
-    /// Normalized contraction coefficients per (shell, component, prim).
-    coefs: Vec<Vec<Vec<f64>>>,
-    /// Primitive-pair tables per ordered shell pair `[sa * nsh + sb]`.
-    pairs: Vec<Vec<PrimPair>>,
+    /// Shell-pair classes, `[la * (lmax + 1) + lb]`.
+    classes: Vec<PairClass>,
+    /// Per ordered shell pair `[sa * nsh + sb]`.
+    pairs: Vec<ShellPair>,
+    /// Where the ket step reads `R`: for a bra order `lb` and a ket class
+    /// `kc`, `ket_r_index[lb * classes.len() + kc][h * nterms + j]` is the
+    /// [`hermite_index`] of bra triple `h` plus the triple of the class's
+    /// `j`-th term (`nterms` of them).
+    ket_r_index: Vec<Vec<usize>>,
+    /// `(−1)^{t+u+v}` per bra position.
+    hermite_sign: Vec<f64>,
 }
 
 impl<'a> EriEngine<'a> {
     /// Prepare the engine: normalization plus all shell-pair Hermite
     /// tables (O(nsh²·nprim²) setup amortized over O(nsh⁴) quartets).
     pub fn new(basis: &'a Basis) -> Self {
+        let lmax = basis.shells.iter().map(|sh| sh.l).max().unwrap_or(0);
+        let nl = lmax + 1;
+        let classes: Vec<PairClass> = (0..nl * nl)
+            .map(|i| PairClass::new(i / nl, i % nl))
+            .collect();
+        // Every Hermite triple of a pair class, in layout order.
+        let lpair = 2 * lmax;
+        let mut triples = vec![[0usize; 3]; hermite_len(lpair)];
+        for t in 0..=lpair {
+            for u in 0..=lpair - t {
+                for v in 0..=lpair - t - u {
+                    triples[hermite_index(t, u, v)] = [t, u, v];
+                }
+            }
+        }
+        let comps: Vec<Vec<(usize, usize, usize)>> = (0..nl).map(cart_components).collect();
         let coefs: Vec<Vec<Vec<f64>>> = basis
             .shells
             .iter()
@@ -71,37 +161,85 @@ impl<'a> EriEngine<'a> {
             })
             .collect();
         let nsh = basis.shells.len();
-        let pairs: Vec<Vec<PrimPair>> = (0..nsh * nsh)
+        let pairs: Vec<ShellPair> = (0..nsh * nsh)
             .into_par_iter()
             .map(|idx| {
                 let (sa, sb) = (idx / nsh, idx % nsh);
                 let (sha, shb) = (&basis.shells[sa], &basis.shells[sb]);
+                let class_idx = sha.l * nl + shb.l;
+                let class = &classes[class_idx];
+                let nb = ncart(shb.l);
                 let d = sha.center - shb.center;
-                let mut out = Vec::with_capacity(sha.prims.len() * shb.prims.len());
+                let nprim = sha.prims.len() * shb.prims.len();
+                let mut prims = Vec::with_capacity(nprim);
+                let mut e = Vec::with_capacity(nprim * class.terms.len());
                 for (ia, pa) in sha.prims.iter().enumerate() {
                     for (ib, pb) in shb.prims.iter().enumerate() {
                         let (a, b) = (pa.exp, pb.exp);
                         let p = a + b;
                         let mu = a * b / p;
-                        out.push(PrimPair {
-                            ia,
-                            ib,
+                        prims.push(PrimPair {
                             p,
                             big_p: (sha.center * a + shb.center * b) / p,
-                            ex: ECoefs::new(sha.l, shb.l, d.x, a, b),
-                            ey: ECoefs::new(sha.l, shb.l, d.y, a, b),
-                            ez: ECoefs::new(sha.l, shb.l, d.z, a, b),
                             screen: (-mu * d.norm_sqr()).exp(),
                         });
+                        let ex = ECoefs::new(sha.l, shb.l, d.x, a, b);
+                        let ey = ECoefs::new(sha.l, shb.l, d.y, a, b);
+                        let ez = ECoefs::new(sha.l, shb.l, d.z, a, b);
+                        for c in 0..class.ncomp() {
+                            let (ca, cb) = (c / nb, c % nb);
+                            let (pwa, pwb) = (comps[sha.l][ca], comps[shb.l][cb]);
+                            let coef = coefs[sa][ca][ia] * coefs[sb][cb][ib];
+                            for &h in &class.terms[class.start[c]..class.start[c + 1]] {
+                                let [t, u, v] = triples[h];
+                                e.push(
+                                    coef * ex.get(pwa.0, pwb.0, t)
+                                        * ey.get(pwa.1, pwb.1, u)
+                                        * ez.get(pwa.2, pwb.2, v),
+                                );
+                            }
+                        }
                     }
                 }
-                out
+                ShellPair {
+                    class: class_idx,
+                    prims,
+                    e,
+                }
+            })
+            .collect();
+        let triples = &triples;
+        let ket_r_index = (0..=lpair)
+            .flat_map(|lbra| {
+                classes.iter().map(move |kc| {
+                    triples[..hermite_len(lbra)]
+                        .iter()
+                        .flat_map(|h| {
+                            kc.terms.iter().map(move |&k| {
+                                let k = triples[k];
+                                hermite_index(h[0] + k[0], h[1] + k[1], h[2] + k[2])
+                            })
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let hermite_sign = triples
+            .iter()
+            .map(|h| {
+                if (h[0] + h[1] + h[2]) % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                }
             })
             .collect();
         Self {
             basis,
-            coefs,
+            classes,
             pairs,
+            ket_r_index,
+            hermite_sign,
         }
     }
 
@@ -122,101 +260,52 @@ impl<'a> EriEngine<'a> {
         out: &mut Vec<f64>,
     ) {
         let nsh = self.basis.shells.len();
-        let (la, lb, lc, ld) = (
-            self.basis.shells[sa].l,
-            self.basis.shells[sb].l,
-            self.basis.shells[sc].l,
-            self.basis.shells[sd].l,
-        );
-        let (na, nb, nc, nd) = (ncart(la), ncart(lb), ncart(lc), ncart(ld));
-        let comps_a = cart_components(la);
-        let comps_b = cart_components(lb);
-        let comps_c = cart_components(lc);
-        let comps_d = cart_components(ld);
+        let (bra, ket) = (&self.pairs[sa * nsh + sb], &self.pairs[sc * nsh + sd]);
+        let (bra_class, ket_class) = (&self.classes[bra.class], &self.classes[ket.class]);
+        let (nbra, nket) = (bra_class.ncomp(), ket_class.ncomp());
+        let (bra_len, ket_len) = (bra_class.terms.len(), ket_class.terms.len());
+        // Bra Hermite positions: every t+u+v ≤ la+lb.
+        let nh = hermite_len(bra_class.l);
+        let l = bra_class.l + ket_class.l;
+        let r_index = &self.ket_r_index[bra_class.l * self.classes.len() + ket.class];
         out.clear();
-        out.resize(na * nb * nc * nd, 0.0);
-        let tdim = la + lb + lc + ld;
-        let at = |t: usize, u: usize, v: usize| (t * (tdim + 1) + u) * (tdim + 1) + v;
+        out.resize(nbra * nket, 0.0);
+        let EriScratch { aux, x } = scratch;
+        x.resize(nket * nh, 0.0);
 
-        for bra in &self.pairs[sa * nsh + sb] {
-            for ket in &self.pairs[sc * nsh + sd] {
-                if bra.screen * ket.screen < PRIM_SCREEN {
+        for (bp, eb) in bra.prims.iter().zip(bra.e.chunks_exact(bra_len)) {
+            for (kp, ek) in ket.prims.iter().zip(ket.e.chunks_exact(ket_len)) {
+                if bp.screen * kp.screen < PRIM_SCREEN {
                     continue;
                 }
-                let (p, q) = (bra.p, ket.p);
-                let alpha = p * q / (p + q);
-                hermite_aux_into(
-                    tdim,
-                    tdim,
-                    tdim,
-                    alpha,
-                    bra.big_p - ket.big_p,
-                    &mut scratch.aux,
-                );
-                let aux = &scratch.aux.cur;
-                let pref = 2.0 * PI.powf(2.5) / (p * q * (p + q).sqrt());
+                let (p, q) = (bp.p, kp.p);
+                hermite_aux_into(l, p * q / (p + q), kp.big_p - bp.big_p, aux);
+                let r = &aux.r;
+                let pref = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt());
 
-                for (ca, &pa) in comps_a.iter().enumerate() {
-                    for (cb, &pb) in comps_b.iter().enumerate() {
-                        for (cc, &pc) in comps_c.iter().enumerate() {
-                            for (cdx, &pd) in comps_d.iter().enumerate() {
-                                let coef = self.coefs[sa][ca][bra.ia]
-                                    * self.coefs[sb][cb][bra.ib]
-                                    * self.coefs[sc][cc][ket.ia]
-                                    * self.coefs[sd][cdx][ket.ib];
-                                let mut val = 0.0;
-                                for t in 0..=(pa.0 + pb.0) {
-                                    let etx = bra.ex.get(pa.0, pb.0, t);
-                                    if etx == 0.0 {
-                                        continue;
-                                    }
-                                    for u in 0..=(pa.1 + pb.1) {
-                                        let euy = bra.ey.get(pa.1, pb.1, u);
-                                        if euy == 0.0 {
-                                            continue;
-                                        }
-                                        for v in 0..=(pa.2 + pb.2) {
-                                            let evz = bra.ez.get(pa.2, pb.2, v);
-                                            if evz == 0.0 {
-                                                continue;
-                                            }
-                                            let ebra = etx * euy * evz;
-                                            for tau in 0..=(pc.0 + pd.0) {
-                                                let etc = ket.ex.get(pc.0, pd.0, tau);
-                                                if etc == 0.0 {
-                                                    continue;
-                                                }
-                                                for nu in 0..=(pc.1 + pd.1) {
-                                                    let euc = ket.ey.get(pc.1, pd.1, nu);
-                                                    if euc == 0.0 {
-                                                        continue;
-                                                    }
-                                                    for ph in 0..=(pc.2 + pd.2) {
-                                                        let evc = ket.ez.get(pc.2, pd.2, ph);
-                                                        if evc == 0.0 {
-                                                            continue;
-                                                        }
-                                                        let sign = if (tau + nu + ph) % 2 == 0 {
-                                                            1.0
-                                                        } else {
-                                                            -1.0
-                                                        };
-                                                        val += ebra
-                                                            * sign
-                                                            * etc
-                                                            * euc
-                                                            * evc
-                                                            * aux[at(t + tau, u + nu, v + ph)];
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                let idx = ((ca * nb + cb) * nc + cc) * nd + cdx;
-                                out[idx] += coef * pref * val;
-                            }
+                // X[c][h] = (−1)^{|h|} pref Σ_k E^{cd}_k R_{h+k}(Q−P).
+                for (c, xc) in x.chunks_exact_mut(nh).enumerate() {
+                    let span = ket_class.start[c]..ket_class.start[c + 1];
+                    let ec = &ek[span.clone()];
+                    let rows = r_index.chunks_exact(ket_len);
+                    for ((xh, row), &sign) in xc.iter_mut().zip(rows).zip(&self.hermite_sign) {
+                        let mut s = 0.0;
+                        for (&e, &i) in ec.iter().zip(&row[span.clone()]) {
+                            s += e * r[i];
                         }
+                        *xh = sign * pref * s;
+                    }
+                }
+                // (ab|cd) += Σ_h E^{ab}_h X[cd][h].
+                for (b, out_row) in out.chunks_exact_mut(nket).enumerate() {
+                    let span = bra_class.start[b]..bra_class.start[b + 1];
+                    let (eb_b, hb) = (&eb[span.clone()], &bra_class.terms[span]);
+                    for (o, xc) in out_row.iter_mut().zip(x.chunks_exact(nh)) {
+                        let mut s = 0.0;
+                        for (&e, &h) in eb_b.iter().zip(hb) {
+                            s += e * xc[h];
+                        }
+                        *o += s;
                     }
                 }
             }
@@ -349,8 +438,182 @@ pub fn schwarz_matrix_with(engine: &EriEngine<'_>) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hermite::hermite_aux;
     use liair_basis::systems;
     use liair_math::approx_eq;
+
+    /// One primitive pair of the reference: per-axis `E` tables.
+    struct RefPrimPair {
+        ia: usize,
+        ib: usize,
+        p: f64,
+        big_p: Vec3,
+        e: [ECoefs; 3],
+        screen: f64,
+    }
+
+    fn ref_prim_pairs(basis: &Basis, sa: usize, sb: usize) -> Vec<RefPrimPair> {
+        let (sha, shb) = (&basis.shells[sa], &basis.shells[sb]);
+        let d = sha.center - shb.center;
+        let mut out = Vec::new();
+        for (ia, pa) in sha.prims.iter().enumerate() {
+            for (ib, pb) in shb.prims.iter().enumerate() {
+                let (a, b) = (pa.exp, pb.exp);
+                let p = a + b;
+                out.push(RefPrimPair {
+                    ia,
+                    ib,
+                    p,
+                    big_p: (sha.center * a + shb.center * b) / p,
+                    e: [
+                        ECoefs::new(sha.l, shb.l, d.x, a, b),
+                        ECoefs::new(sha.l, shb.l, d.y, a, b),
+                        ECoefs::new(sha.l, shb.l, d.z, a, b),
+                    ],
+                    screen: (-(a * b / p) * d.norm_sqr()).exp(),
+                });
+            }
+        }
+        out
+    }
+
+    /// The kernel's oracle, the formula of the module docs term by term:
+    /// per primitive quartet and per component quadruple, a nine-deep loop
+    /// over `ECoefs::get` with zero skips, the contraction coefficients
+    /// applied per quadruple and the ket sign `(−1)^{τ+ν+φ}` explicit, with
+    /// `R` at `P−Q`.
+    fn shell_quartet_reference(
+        basis: &Basis,
+        sa: usize,
+        sb: usize,
+        sc: usize,
+        sd: usize,
+    ) -> Vec<f64> {
+        let shells = [sa, sb, sc, sd].map(|s| &basis.shells[s]);
+        let comps = shells.map(|sh| cart_components(sh.l));
+        let coefs = shells.map(|sh| {
+            cart_components(sh.l)
+                .into_iter()
+                .map(|powers| sh.normalized_coefs(powers))
+                .collect::<Vec<_>>()
+        });
+        let (nb, nc, nd) = (comps[1].len(), comps[2].len(), comps[3].len());
+        let mut out = vec![0.0; comps[0].len() * nb * nc * nd];
+        let l = shells.iter().map(|sh| sh.l).sum();
+        for bra in &ref_prim_pairs(basis, sa, sb) {
+            for ket in &ref_prim_pairs(basis, sc, sd) {
+                if bra.screen * ket.screen < PRIM_SCREEN {
+                    continue;
+                }
+                let (p, q) = (bra.p, ket.p);
+                let aux = hermite_aux(l, p * q / (p + q), bra.big_p - ket.big_p);
+                let pref = 2.0 * PI.powf(2.5) / (p * q * (p + q).sqrt());
+                for (ca, &pa) in comps[0].iter().enumerate() {
+                    for (cb, &pb) in comps[1].iter().enumerate() {
+                        for (cc, &pc) in comps[2].iter().enumerate() {
+                            for (cdx, &pd) in comps[3].iter().enumerate() {
+                                let coef = coefs[0][ca][bra.ia]
+                                    * coefs[1][cb][bra.ib]
+                                    * coefs[2][cc][ket.ia]
+                                    * coefs[3][cdx][ket.ib];
+                                let mut val = 0.0;
+                                for t in 0..=(pa.0 + pb.0) {
+                                    let etx = bra.e[0].get(pa.0, pb.0, t);
+                                    if etx == 0.0 {
+                                        continue;
+                                    }
+                                    for u in 0..=(pa.1 + pb.1) {
+                                        let euy = bra.e[1].get(pa.1, pb.1, u);
+                                        if euy == 0.0 {
+                                            continue;
+                                        }
+                                        for v in 0..=(pa.2 + pb.2) {
+                                            let evz = bra.e[2].get(pa.2, pb.2, v);
+                                            if evz == 0.0 {
+                                                continue;
+                                            }
+                                            let ebra = etx * euy * evz;
+                                            for tau in 0..=(pc.0 + pd.0) {
+                                                let etc = ket.e[0].get(pc.0, pd.0, tau);
+                                                if etc == 0.0 {
+                                                    continue;
+                                                }
+                                                for nu in 0..=(pc.1 + pd.1) {
+                                                    let euc = ket.e[1].get(pc.1, pd.1, nu);
+                                                    if euc == 0.0 {
+                                                        continue;
+                                                    }
+                                                    for ph in 0..=(pc.2 + pd.2) {
+                                                        let evc = ket.e[2].get(pc.2, pd.2, ph);
+                                                        if evc == 0.0 {
+                                                            continue;
+                                                        }
+                                                        let sign = if (tau + nu + ph) % 2 == 0 {
+                                                            1.0
+                                                        } else {
+                                                            -1.0
+                                                        };
+                                                        val += ebra
+                                                            * sign
+                                                            * etc
+                                                            * euc
+                                                            * evc
+                                                            * aux[hermite_index(
+                                                                t + tau,
+                                                                u + nu,
+                                                                v + ph,
+                                                            )];
+                                                    }
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                                let idx = ((ca * nb + cb) * nc + cc) * nd + cdx;
+                                out[idx] += coef * pref * val;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn kernel_matches_reference_contraction() {
+        for (name, basis) in [
+            ("water/6-31G", Basis::b631g(&systems::water())),
+            ("Li2O2/STO-3G", Basis::sto3g(&systems::li2o2())),
+        ] {
+            let engine = EriEngine::new(&basis);
+            let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
+            let nsh = basis.shells.len();
+            let (mut quartets, mut worst) = (0, 0.0f64);
+            for sa in 0..nsh {
+                for sb in 0..=sa {
+                    for sc in 0..=sa {
+                        let sd_max = if sc == sa { sb } else { sc };
+                        for sd in 0..=sd_max {
+                            engine.shell_quartet_into(sa, sb, sc, sd, &mut scratch, &mut block);
+                            let want = shell_quartet_reference(&basis, sa, sb, sc, sd);
+                            assert_eq!(block.len(), want.len());
+                            for (i, (&got, &want)) in block.iter().zip(&want).enumerate() {
+                                let err = (got - want).abs();
+                                worst = worst.max(err / want.abs().max(1e-3));
+                                assert!(
+                                    err <= 1e-12 * want.abs() || err <= 1e-15,
+                                    "{name} ({sa}{sb}|{sc}{sd})[{i}]: {got:e} vs {want:e}"
+                                );
+                            }
+                            quartets += 1;
+                        }
+                    }
+                }
+            }
+            eprintln!("{name}: {quartets} canonical quartets, worst scaled error {worst:e}");
+        }
+    }
 
     #[test]
     fn h2_sto3g_eri_table() {

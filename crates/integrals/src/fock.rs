@@ -6,8 +6,9 @@
 //! quartets are enumerated canonically (`sa ≥ sb`, `sc ≥ sd`,
 //! `pair(sa,sb) ≥ pair(sc,sd)`), Schwarz-screened, computed once, and each
 //! canonical AO element is scattered into J and K over its (deduplicated)
-//! permutation orbit. Parallelism is rayon over bra shells with per-thread
-//! accumulators.
+//! permutation orbit. Parallelism is rayon over fixed groups of bra
+//! shells: each group fills its own J/K partial, and the partials are added
+//! in group order, so the result is bit-identical at every thread count.
 
 use crate::eri::{schwarz_matrix_with, EriEngine, EriScratch};
 use liair_basis::shell::ncart;
@@ -78,6 +79,13 @@ fn shell_pair_density_max(basis: &Basis, density: &Mat) -> Mat {
     m
 }
 
+/// The bra shells are dealt round-robin into at most this many groups, and
+/// each group folds its shells serially into one J/K partial. The grouping
+/// depends on the shell count alone, so the bits do not depend on the
+/// thread count, and at most this many partial pairs are alive at once
+/// however large the basis.
+const JK_GROUPS: usize = 32;
+
 fn build_jk_inner(
     engine: &EriEngine<'_>,
     q: &Mat,
@@ -92,54 +100,57 @@ fn build_jk_inner(
     let nsh = basis.shells.len();
     let pair_idx = |a: usize, b: usize| a * (a + 1) / 2 + b; // requires a ≥ b
 
-    let (j, k) = (0..nsh)
+    let groups = nsh.min(JK_GROUPS);
+    let partials: Vec<(Mat, Mat)> = (0..groups)
         .into_par_iter()
         .map_init(
             || (EriScratch::default(), Vec::new()),
-            |(scratch, block), sa| {
+            |(scratch, block), g| {
                 let mut jloc = Mat::zeros(n, n);
                 let mut kloc = Mat::zeros(n, n);
-                for sb in 0..=sa {
-                    let qab = q[(sa, sb)];
-                    let ab = pair_idx(sa, sb);
-                    for sc in 0..=sa {
-                        let sd_max = if sc == sa { sb } else { sc };
-                        for sd in 0..=sd_max {
-                            debug_assert!(pair_idx(sc, sd) <= ab);
-                            let bound = qab * q[(sc, sd)];
-                            // Density weighting covers every block the
-                            // quartet reads through J (D_ab, D_cd) or K
-                            // (the four cross pairings).
-                            let weight = match dmax {
-                                None => 1.0,
-                                Some(dm) => dm[(sa, sb)]
-                                    .max(dm[(sc, sd)])
-                                    .max(dm[(sa, sc)])
-                                    .max(dm[(sa, sd)])
-                                    .max(dm[(sb, sc)])
-                                    .max(dm[(sb, sd)]),
-                            };
-                            if bound * weight < screen {
-                                continue;
+                for sa in (g..nsh).step_by(groups) {
+                    for sb in 0..=sa {
+                        let qab = q[(sa, sb)];
+                        let ab = pair_idx(sa, sb);
+                        for sc in 0..=sa {
+                            let sd_max = if sc == sa { sb } else { sc };
+                            for sd in 0..=sd_max {
+                                debug_assert!(pair_idx(sc, sd) <= ab);
+                                let bound = qab * q[(sc, sd)];
+                                // Density weighting covers every block the
+                                // quartet reads through J (D_ab, D_cd) or K
+                                // (the four cross pairings).
+                                let weight = match dmax {
+                                    None => 1.0,
+                                    Some(dm) => dm[(sa, sb)]
+                                        .max(dm[(sc, sd)])
+                                        .max(dm[(sa, sc)])
+                                        .max(dm[(sa, sd)])
+                                        .max(dm[(sb, sc)])
+                                        .max(dm[(sb, sd)]),
+                                };
+                                if bound * weight < screen {
+                                    continue;
+                                }
+                                engine.shell_quartet_into(sa, sb, sc, sd, scratch, block);
+                                scatter_block(
+                                    basis, density, &mut jloc, &mut kloc, block, sa, sb, sc, sd,
+                                );
                             }
-                            engine.shell_quartet_into(sa, sb, sc, sd, scratch, block);
-                            scatter_block(
-                                basis, density, &mut jloc, &mut kloc, block, sa, sb, sc, sd,
-                            );
                         }
                     }
                 }
                 (jloc, kloc)
             },
         )
-        .reduce(
-            || (Mat::zeros(n, n), Mat::zeros(n, n)),
-            |(mut ja, mut ka), (jb, kb)| {
-                ja.axpy(1.0, &jb);
-                ka.axpy(1.0, &kb);
-                (ja, ka)
-            },
-        );
+        .collect();
+    // Summed in group order, so the association of the sum — and the bits
+    // — do not depend on how many threads computed the partials.
+    let (mut j, mut k) = (Mat::zeros(n, n), Mat::zeros(n, n));
+    for (jp, kp) in &partials {
+        j.axpy(1.0, jp);
+        k.axpy(1.0, kp);
+    }
     (j, k)
 }
 
@@ -337,6 +348,47 @@ mod tests {
         let (jr, kr) = build_jk(&basis, &delta, 0.0);
         assert!(jd.sub(&jr).fro_norm() < 1e-9, "{}", jd.sub(&jr).fro_norm());
         assert!(kd.sub(&kr).fro_norm() < 1e-9, "{}", kd.sub(&kr).fro_norm());
+    }
+
+    #[test]
+    fn jk_bits_do_not_depend_on_thread_count() {
+        // A hydrogen chain with more shells than groups, so that groups
+        // fold several bra shells (3 a₀ apart, most quartets screen out).
+        let mut chain = liair_basis::Molecule::new();
+        for i in 0..JK_GROUPS + 9 {
+            chain.push(
+                liair_basis::Element::H,
+                liair_math::Vec3::new(3.0 * i as f64, 0.0, 0.0),
+            );
+        }
+        for mol in [systems::water(), systems::li2o2(), chain] {
+            let basis = Basis::sto3g(&mol);
+            let builder = JkBuilder::new(&basis);
+            let d = test_density(basis.nao(), 11);
+            let on = |threads: usize| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| builder.build(&d, 1e-11))
+            };
+            let (j1, k1) = on(1);
+            for threads in 2..=4 {
+                let (j, k) = on(threads);
+                for (name, a, b) in [("J", &j, &j1), ("K", &k, &k1)] {
+                    let differ = (0..basis.nao())
+                        .flat_map(|r| (0..basis.nao()).map(move |c| (r, c)))
+                        .filter(|&rc| a[rc].to_bits() != b[rc].to_bits())
+                        .count();
+                    assert_eq!(
+                        differ,
+                        0,
+                        "{}: {differ} {name} elements differ at {threads} threads",
+                        mol.formula()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

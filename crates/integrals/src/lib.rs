@@ -30,12 +30,6 @@ pub mod fock;
 pub mod hermite;
 pub mod one_electron;
 
-/// Internal shim so `hermite` can fill Boys values into a resized buffer
-/// without re-importing across module privacy.
-pub(crate) fn boys_into_shim(out: &mut [f64], x: f64) {
-    liair_math::special::boys_into(out, x);
-}
-
 pub use eri::{eri_shell_quartet, eri_tensor, schwarz_matrix, EriTensor};
 pub use fock::{build_jk, JkBuilder};
 pub use one_electron::{

@@ -1,7 +1,7 @@
 //! One-electron integral matrices: overlap, kinetic, nuclear attraction,
 //! and dipole moments.
 
-use crate::hermite::{hermite_aux, ECoefs};
+use crate::hermite::{hermite_aux, hermite_index, ECoefs};
 use liair_basis::shell::cart_components;
 use liair_basis::{Basis, Molecule};
 use liair_math::{Mat, Vec3};
@@ -132,8 +132,7 @@ pub fn nuclear_matrix(basis: &Basis, mol: &Molecule) -> Mat {
         let (tmax, umax, vmax) = (pa.0 + pb.0, pa.1 + pb.1, pa.2 + pb.2);
         let mut total = 0.0;
         for &(z, rc) in &nuclei {
-            let r = hermite_aux(tmax, umax, vmax, p, big_p - rc);
-            let at = |t: usize, u: usize, v: usize| (t * (umax + 1) + u) * (vmax + 1) + v;
+            let r = hermite_aux(tmax + umax + vmax, p, big_p - rc);
             let mut acc = 0.0;
             for t in 0..=tmax {
                 for u in 0..=umax {
@@ -141,7 +140,7 @@ pub fn nuclear_matrix(basis: &Basis, mol: &Molecule) -> Mat {
                         acc += ex.get(pa.0, pb.0, t)
                             * ey.get(pa.1, pb.1, u)
                             * ez.get(pa.2, pb.2, v)
-                            * r[at(t, u, v)];
+                            * r[hermite_index(t, u, v)];
                     }
                 }
             }

@@ -2,15 +2,22 @@
 //!
 //! The centrepiece is the Boys function
 //! `F_m(x) = ∫₀¹ t^{2m} e^{-x t²} dt`, which every Coulomb-type Gaussian
-//! integral reduces to. We use the standard numerically-stable split:
+//! integral reduces to, once per primitive quartet. We use the standard
+//! numerically-stable split:
 //!
-//! * `x < 35`: evaluate the highest requested order by its convergent series
-//!   and fill lower orders with the *downward* recursion
-//!   `F_m = (2x·F_{m+1} + e^{-x}) / (2m+1)` (stable in this direction);
+//! * `x < 35`: the highest requested order comes from a precomputed grid
+//!   (spacing 1/40, orders up to [`BOYS_MAX_ORDER`] + 5) by a 6-term Taylor
+//!   step from the nearest grid point, `F_m(x₀+δ) = Σ_k F_{m+k}(x₀)(−δ)^k/k!`
+//!   (|δ| ≤ 1/80, so the first dropped term is below 6e-15 of `F_m`); lower
+//!   orders follow by the *downward* recursion
+//!   `F_m = (2x·F_{m+1} + e^{-x}) / (2m+1)`, which is stable in this
+//!   direction. The grid itself is built once, by the same recursion started
+//!   far above the orders it keeps, where the start value is damped away;
 //! * `x ≥ 35`: `F₀ ≈ ½√(π/x)` (the `erfc(√x)` correction is below machine
 //!   epsilon here) followed by the *upward* recursion, stable for large `x`.
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Natural log of the gamma function (Lanczos, g = 7, 9 coefficients);
 /// |relative error| < 1e-13 for x > 0.
@@ -128,36 +135,77 @@ pub fn boys(mmax: usize, x: f64) -> Vec<f64> {
     f
 }
 
+/// Highest Boys order [`boys_into`] evaluates: `L = 16` is a (gg|gg)
+/// quartet; the Cartesian s/p bases of this workspace reach 4.
+pub const BOYS_MAX_ORDER: usize = 16;
+/// Below this argument the grid is used, at or above it the asymptotic form.
+const BOYS_ASYMPTOTIC_X: f64 = 35.0;
+/// Grid points per unit of `x`.
+const BOYS_GRID_DENSITY: f64 = 40.0;
+/// Terms of the Taylor step (and orders the grid keeps above the top one).
+const BOYS_TAYLOR_TERMS: usize = 6;
+/// Orders stored per grid point.
+const BOYS_GRID_ORDERS: usize = BOYS_MAX_ORDER + BOYS_TAYLOR_TERMS;
+/// Order the grid's downward recursion starts from (with `F = 0`): at
+/// `x ≤ 35` the start error is damped by more than 1e-25 on its way down
+/// to the kept orders.
+const BOYS_GRID_START_ORDER: usize = 128;
+/// `1/k!` for the Taylor step.
+const INV_FACTORIAL: [f64; BOYS_TAYLOR_TERMS] = [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0];
+
+/// Grid abscissa of point `i`.
+fn boys_grid_x(i: usize) -> f64 {
+    i as f64 / BOYS_GRID_DENSITY
+}
+
+/// `F_0 … F_{BOYS_GRID_ORDERS−1}` at every grid point of `[0, 35]`, point
+/// major (one Taylor step reads six adjacent values). Built on first use.
+fn boys_grid() -> &'static [f64] {
+    static GRID: OnceLock<Vec<f64>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let npoints = (BOYS_ASYMPTOTIC_X * BOYS_GRID_DENSITY) as usize + 1;
+        let mut grid = vec![0.0; npoints * BOYS_GRID_ORDERS];
+        for (i, row) in grid.chunks_exact_mut(BOYS_GRID_ORDERS).enumerate() {
+            let x = boys_grid_x(i);
+            let emx = (-x).exp();
+            let mut f = 0.0;
+            for m in (0..BOYS_GRID_START_ORDER).rev() {
+                f = (2.0 * x * f + emx) / (2 * m + 1) as f64;
+                if m < BOYS_GRID_ORDERS {
+                    row[m] = f;
+                }
+            }
+        }
+        grid
+    })
+}
+
 /// As [`boys`], writing into a caller-provided slice (hot paths reuse the
-/// buffer). `out.len() - 1` is the maximum order.
+/// buffer). `out.len() - 1` is the maximum order, at most
+/// [`BOYS_MAX_ORDER`].
 pub fn boys_into(out: &mut [f64], x: f64) {
     assert!(!out.is_empty());
     let mmax = out.len() - 1;
-    if x < 1e-14 {
-        for (m, f) in out.iter_mut().enumerate() {
-            *f = 1.0 / (2 * m + 1) as f64;
+    assert!(
+        mmax <= BOYS_MAX_ORDER,
+        "Boys order {mmax} above BOYS_MAX_ORDER = {BOYS_MAX_ORDER}"
+    );
+    if x < BOYS_ASYMPTOTIC_X {
+        // Nearest grid point x₀, then F_m(x₀ + δ) = Σ_k F_{m+k}(x₀)(−δ)^k/k!
+        // (dF_m/dx = −F_{m+1}), in Horner form.
+        let i = (x * BOYS_GRID_DENSITY + 0.5) as usize;
+        let nd = boys_grid_x(i) - x;
+        let f = &boys_grid()[i * BOYS_GRID_ORDERS + mmax..][..BOYS_TAYLOR_TERMS];
+        let mut top = f[BOYS_TAYLOR_TERMS - 1] * INV_FACTORIAL[BOYS_TAYLOR_TERMS - 1];
+        for k in (0..BOYS_TAYLOR_TERMS - 1).rev() {
+            top = f[k] * INV_FACTORIAL[k] + nd * top;
         }
-        return;
-    }
-    if x < 35.0 {
-        // Series for the top order: F_m(x) = e^{-x} Σ_k (2x)^k /
-        // ((2m+1)(2m+3)...(2m+2k+1)) — term ratio 2x/(2m+2k+3).
-        let emx = (-x).exp();
-        let mut term = 1.0 / (2 * mmax + 1) as f64;
-        let mut sum = term;
-        let mut k = 0usize;
-        loop {
-            term *= 2.0 * x / (2 * mmax + 2 * k + 3) as f64;
-            sum += term;
-            k += 1;
-            if term < sum * 1e-17 || k > 10_000 {
-                break;
+        out[mmax] = top;
+        if mmax > 0 {
+            let emx = (-x).exp();
+            for m in (0..mmax).rev() {
+                out[m] = (2.0 * x * out[m + 1] + emx) / (2 * m + 1) as f64;
             }
-        }
-        out[mmax] = emx * sum;
-        // Downward recursion.
-        for m in (0..mmax).rev() {
-            out[m] = (2.0 * x * out[m + 1] + emx) / (2 * m + 1) as f64;
         }
     } else {
         // Large-x asymptotics: erfc(√35) ≈ 3e-17 so the correction vanishes.
@@ -206,6 +254,65 @@ pub fn binomial(n: usize, k: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    /// The grid's oracle: the convergent series
+    /// `F_m(x) = e^{-x} Σ_k (2x)^k / ((2m+1)(2m+3)…(2m+2k+1))` for the top
+    /// order, then the downward recursion.
+    fn boys_series(mmax: usize, x: f64) -> Vec<f64> {
+        let mut out = vec![0.0; mmax + 1];
+        let emx = (-x).exp();
+        let mut term = 1.0 / (2 * mmax + 1) as f64;
+        let mut sum = term;
+        let mut k = 0usize;
+        loop {
+            term *= 2.0 * x / (2 * mmax + 2 * k + 3) as f64;
+            sum += term;
+            k += 1;
+            if term < sum * 1e-17 || k > 10_000 {
+                break;
+            }
+        }
+        out[mmax] = emx * sum;
+        for m in (0..mmax).rev() {
+            out[m] = (2.0 * x * out[m + 1] + emx) / (2 * m + 1) as f64;
+        }
+        out
+    }
+
+    #[test]
+    fn boys_grid_matches_series() {
+        // Every top order the grid serves, at grid points, at midpoints
+        // (the longest Taylor step), at off-grid points and on both sides
+        // of the switch to the asymptotic form at 35.
+        let mut xs: Vec<f64> = (0..=2400).map(|i| i as f64 / 40.0).collect();
+        xs.extend((0..2400).map(|i| (i as f64 + 0.5) / 40.0));
+        xs.extend((0..4380).map(|i| i as f64 * 0.013_7));
+        xs.extend([1e-300, 1e-14, 1e-3, 35.0 - 1e-12, 35.0, 35.0 + 1e-12, 60.0]);
+        let mut worst = 0.0f64;
+        for mmax in 0..=BOYS_MAX_ORDER {
+            for &x in &xs {
+                let got = boys(mmax, x);
+                let want = boys_series(mmax, x);
+                for m in 0..=mmax {
+                    let rel = (got[m] - want[m]).abs() / want[m];
+                    worst = worst.max(rel);
+                    assert!(
+                        rel <= 1e-14,
+                        "F_{m}({x}) with top order {mmax}: {} vs series {} (rel {rel:e})",
+                        got[m],
+                        want[m]
+                    );
+                }
+            }
+        }
+        eprintln!("largest relative deviation from the series: {worst:e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "BOYS_MAX_ORDER")]
+    fn boys_refuses_orders_above_the_grid() {
+        let _ = boys(BOYS_MAX_ORDER + 1, 1.0);
+    }
 
     #[test]
     fn ln_gamma_known_values() {

@@ -409,6 +409,39 @@ mod tests {
     }
 
     #[test]
+    fn rhf_energy_bits_do_not_depend_on_thread_count() {
+        // Li₂O₂ too slow for an unoptimized test build four times over;
+        // its J/K bits are pinned across thread counts in `fock`'s tests.
+        let water = systems::water();
+        for (mol, basis) in [
+            (&water, Basis::sto3g(&water)),
+            (&water, Basis::b631g(&water)),
+        ] {
+            let mol = mol.clone();
+            let on = |threads: usize| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| rhf(&mol, &basis, &ScfOptions::default()))
+            };
+            let one = on(1);
+            assert!(one.converged, "{}", mol.formula());
+            for threads in 2..=4 {
+                let res = on(threads);
+                assert_eq!(
+                    (res.energy.to_bits(), res.iterations),
+                    (one.energy.to_bits(), one.iterations),
+                    "{} at {threads} threads: {:e} vs {:e}",
+                    mol.formula(),
+                    res.energy,
+                    one.energy
+                );
+            }
+        }
+    }
+
+    #[test]
     fn converges_quickly_with_diis() {
         let (_, res) = run_rhf(&systems::water());
         assert!(res.iterations < 30, "took {} iterations", res.iterations);
