@@ -8,11 +8,14 @@
 //! ΔK_j` sums ascending-j before the final symmetrization — the fixed
 //! floating-point sequence that makes the rayon build, the message-passing
 //! build, and the incremental build with `eps_inc = 0` bit-identical.
+//! The AO fields are the caller's [`BasisOnGrid`], evaluated once per
+//! geometry; a build evaluates only its orbital fields from them.
 
 use super::{BuildProfile, ExchangeEngine, HfxScratch};
 use crate::error::Result;
+use crate::screening::OrbitalInfo;
 use liair_basis::Basis;
-use liair_grid::{ao_values, orbitals_on_grid, RealGrid};
+use liair_grid::{ao_values, orbitals_from_aos, RealGrid};
 use liair_math::Mat;
 use std::time::Instant;
 
@@ -20,21 +23,53 @@ use std::time::Instant;
 /// number of its `(j, ν)` tasks that survived the ε screen.
 pub(crate) type OrbitalContrib = (usize, Mat, usize);
 
+/// A basis evaluated on a grid: the AO fields and AO screening metadata
+/// every K build at one geometry shares, so the SCF iterations there
+/// evaluate the basis once.
+pub struct BasisOnGrid<'a> {
+    pub(crate) basis: &'a Basis,
+    pub(crate) grid: &'a RealGrid,
+    pub(crate) aos: Vec<Vec<f64>>,
+    /// Center and spread of each AO's most diffuse primitive.
+    pub(crate) ao_info: Vec<OrbitalInfo>,
+}
+
+impl<'a> BasisOnGrid<'a> {
+    /// Evaluate `basis` (in the grid's box frame) on `grid`.
+    pub fn new(basis: &'a Basis, grid: &'a RealGrid) -> Self {
+        let ao_info = basis
+            .aos
+            .iter()
+            .map(|ao| {
+                let sh = &basis.shells[ao.shell];
+                let alpha_min = sh.prims.iter().map(|p| p.exp).fold(f64::INFINITY, f64::min);
+                OrbitalInfo {
+                    center: sh.center,
+                    spread: (1.0 / (2.0 * alpha_min)).sqrt().max(0.3),
+                }
+            })
+            .collect();
+        BasisOnGrid {
+            basis,
+            grid,
+            aos: ao_values(basis, grid),
+            ao_info,
+        }
+    }
+}
+
 /// Everything the per-orbital K tasks need that does not depend on which
-/// orbitals are dirty: AO and orbital fields on the grid plus the
+/// orbitals are dirty: the caller's AO fields plus the orbital fields and
 /// screening metadata. Shared by the from-scratch and incremental builds.
-pub(crate) struct KBuildSetup {
+pub(crate) struct KBuildSetup<'a> {
+    pub(crate) fields: &'a BasisOnGrid<'a>,
     pub(crate) nao: usize,
     pub(crate) nocc: usize,
     /// Localization centers/spreads of the (localized) occupied orbitals;
     /// empty when `eps = 0` (no localization, nothing to screen).
-    pub(crate) orb_info: Vec<crate::screening::OrbitalInfo>,
-    /// Screening metadata of the AOs (empty when `eps = 0`).
-    pub(crate) ao_info: Vec<crate::screening::OrbitalInfo>,
+    pub(crate) orb_info: Vec<OrbitalInfo>,
     /// Occupied orbital fields on the grid (localized when `eps > 0`).
     pub(crate) orbitals: Vec<Vec<f64>>,
-    /// AO fields on the grid.
-    pub(crate) aos: Vec<Vec<f64>>,
 }
 
 /// Evaluate the orbital fields and screening metadata for a K build.
@@ -42,52 +77,37 @@ pub(crate) struct KBuildSetup {
 /// Canonical orbitals are delocalized and unscreenable; K is invariant
 /// under rotations within the occupied space, so when screening is on we
 /// localize first (exactly what the paper's scheme does each step).
-pub(crate) fn k_build_setup(
-    basis: &Basis,
+pub(crate) fn k_build_setup<'a>(
+    fields: &'a BasisOnGrid<'a>,
     c_occ: &Mat,
     nocc: usize,
-    grid: &RealGrid,
     eps: f64,
-) -> KBuildSetup {
-    let nao = basis.nao();
+) -> KBuildSetup<'a> {
+    let nao = fields.aos.len();
     assert_eq!(c_occ.nrows(), nao);
     assert!(nocc <= c_occ.ncols());
-    let aos = ao_values(basis, grid);
-    let (c_work, orb_info, ao_info) = if eps > 0.0 {
-        let loc = liair_grid::foster_boys(basis, c_occ, nocc, 60);
-        let orbs: Vec<crate::screening::OrbitalInfo> = loc
+    let (c_work, orb_info) = if eps > 0.0 {
+        let loc = liair_grid::foster_boys(fields.basis, c_occ, nocc, 60);
+        let orbs: Vec<OrbitalInfo> = loc
             .centers
             .iter()
             .zip(&loc.spreads)
-            .map(|(&center, &s)| crate::screening::OrbitalInfo {
+            .map(|(&center, &s)| OrbitalInfo {
                 center,
                 spread: s.max(0.3),
             })
             .collect();
-        let aos_s: Vec<crate::screening::OrbitalInfo> = basis
-            .aos
-            .iter()
-            .map(|ao| {
-                let sh = &basis.shells[ao.shell];
-                let alpha_min = sh.prims.iter().map(|p| p.exp).fold(f64::INFINITY, f64::min);
-                crate::screening::OrbitalInfo {
-                    center: sh.center,
-                    spread: (1.0 / (2.0 * alpha_min)).sqrt().max(0.3),
-                }
-            })
-            .collect();
-        (loc.c_loc, orbs, aos_s)
+        (loc.c_loc, orbs)
     } else {
-        (c_occ.clone(), Vec::new(), Vec::new())
+        (c_occ.clone(), Vec::new())
     };
-    let orbitals = orbitals_on_grid(basis, &c_work, nocc, grid);
+    let orbitals = orbitals_from_aos(&fields.aos, &c_work, nocc);
     KBuildSetup {
+        fields,
         nao,
         nocc,
         orb_info,
-        ao_info,
         orbitals,
-        aos,
     }
 }
 
@@ -118,26 +138,34 @@ pub struct KBuildOutcome {
 impl ExchangeEngine<'_> {
     /// Build the AO-basis exchange operator on the configured backend.
     ///
-    /// `c_occ` holds the occupied MO coefficients (`nao × nocc`) in the
-    /// same (box-centered) basis the grid discretizes; `eps` drops `(j, ν)`
-    /// tasks whose Gaussian-overlap bound falls below it (localizing
-    /// first when `eps > 0`).
-    pub fn k_operator(&self, basis: &Basis, c_occ: &Mat, nocc: usize, eps: f64) -> KBuildOutcome {
-        self.try_k_operator(basis, c_occ, nocc, eps)
+    /// `fields` is the basis evaluated on this engine's grid; `c_occ`
+    /// holds the occupied MO coefficients (`nao × nocc`) in that same
+    /// (box-centered) basis; `eps` drops `(j, ν)` tasks whose
+    /// Gaussian-overlap bound falls below it (localizing first when
+    /// `eps > 0`).
+    pub fn k_operator(
+        &self,
+        fields: &BasisOnGrid,
+        c_occ: &Mat,
+        nocc: usize,
+        eps: f64,
+    ) -> KBuildOutcome {
+        self.try_k_operator(fields, c_occ, nocc, eps)
             .unwrap_or_else(|e| panic!("K-operator build failed: {e}"))
     }
 
     /// Fallible twin of [`ExchangeEngine::k_operator`].
     pub fn try_k_operator(
         &self,
-        basis: &Basis,
+        fields: &BasisOnGrid,
         c_occ: &Mat,
         nocc: usize,
         eps: f64,
     ) -> Result<KBuildOutcome> {
+        assert_eq!(fields.grid, self.grid, "fields evaluated on another grid");
         let mut profile = BuildProfile::default();
         let t_ao = Instant::now();
-        let setup = k_build_setup(basis, c_occ, nocc, self.grid, eps);
+        let setup = k_build_setup(fields, c_occ, nocc, eps);
         profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
         let slots: Vec<usize> = (0..nocc).collect();
         let results = self.k_orbital_contribs(&setup, eps, &slots, &mut profile)?;
@@ -185,13 +213,13 @@ impl ExchangeEngine<'_> {
             Vec::new()
         } else {
             let (tasks, inspected) =
-                crate::screening::cross_tasks(&setup.orb_info, slots, &setup.ao_info, eps);
+                crate::screening::cross_tasks(&setup.orb_info, slots, &setup.fields.ao_info, eps);
             profile.pairs_considered += inspected;
             tasks
         };
         // One item per task; its output is column ν of ΔK_j,
         // `⟨χ_μ φ_j | v_jν⟩` for every μ.
-        let npts = self.grid.len();
+        let (npts, aos) = (self.grid.len(), &setup.fields.aos);
         let dvol = self.grid.dvol();
         let solver = self.solver;
         let t0 = Instant::now();
@@ -203,14 +231,14 @@ impl ExchangeEngine<'_> {
                 let (j, nu) = tasks[t];
                 let grew = sc.ensure(npts) as usize;
                 let HfxScratch { rho, ws } = sc;
-                for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&setup.aos[nu]) {
+                for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&aos[nu]) {
                     *r = a * b;
                 }
                 let v = solver.solve_into(rho, ws);
                 for (mu, c) in col.iter_mut().enumerate() {
                     let mut acc = 0.0;
                     for p in 0..npts {
-                        acc += setup.aos[mu][p] * setup.orbitals[j][p] * v[p];
+                        acc += aos[mu][p] * setup.orbitals[j][p] * v[p];
                     }
                     *c = acc * dvol;
                 }
@@ -244,6 +272,7 @@ impl ExchangeEngine<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::BasisOnGrid;
     use crate::engine::ExchangeEngine;
     use liair_basis::{systems, Basis, Cell, Molecule};
     use liair_grid::{PoissonSolver, RealGrid};
@@ -269,7 +298,7 @@ mod tests {
         let grid = RealGrid::cubic(Cell::cubic(edge), 64);
         let solver = PoissonSolver::isolated(grid);
         let k_grid = ExchangeEngine::new(&grid, &solver)
-            .k_operator(&basis, &scf.c, scf.nocc, 0.0)
+            .k_operator(&BasisOnGrid::new(&basis, &grid), &scf.c, scf.nocc, 0.0)
             .k;
         // Analytic: K(D) with D = 2CCᵀ equals 2 × Σ_j (μj|jν).
         let (_, k_an) = liair_integrals::build_jk(&basis, &scf.density, 0.0);
@@ -285,7 +314,7 @@ mod tests {
         let grid = RealGrid::cubic(Cell::cubic(edge), 48);
         let solver = PoissonSolver::isolated(grid);
         let k = ExchangeEngine::new(&grid, &solver)
-            .k_operator(&basis, &scf.c, scf.nocc, 0.0)
+            .k_operator(&BasisOnGrid::new(&basis, &grid), &scf.c, scf.nocc, 0.0)
             .k;
         assert!(k.asymmetry() < 1e-12); // symmetrized by construction
         for i in 0..basis.nao() {

@@ -33,7 +33,7 @@ pub(crate) mod kpath;
 pub(crate) mod pipeline;
 pub mod profile;
 
-pub use kpath::KBuildOutcome;
+pub use kpath::{BasisOnGrid, KBuildOutcome};
 pub use profile::BuildProfile;
 // The fault plan appears in the builder's public API; re-export it so
 // engine users need not depend on the runtime crate.

@@ -21,7 +21,7 @@
 /// while `t_exec_s` and `t_reduce_s` are elapsed times of the whole stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BuildProfile {
-    /// AO/orbital field evaluation (and localization) ahead of the pair loop.
+    /// Orbital field evaluation (and localization) ahead of the pair loop.
     pub t_ao_eval_s: f64,
     /// Forward/inverse FFT time summed over all workers.
     pub t_fft_s: f64,

@@ -40,7 +40,7 @@
 //! build is exactly the from-scratch one (bit-identical for the operator
 //! path — property-tested).
 
-use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KBuildOutcome};
+use crate::engine::{BasisOnGrid, BuildProfile, ExchangeEngine, ExecBackend, KBuildOutcome};
 use crate::hfx::HfxResult;
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::{PoissonSolver, RealGrid};
@@ -416,7 +416,8 @@ impl IncrementalExchange {
     /// `(occupied j, AO ν)` Poisson tasks of a clean orbital are replaced
     /// by its cached `ΔK_j`; dirty orbitals re-run their surviving tasks
     /// (rayon-parallel over dirty tasks only). With `eps_inc = 0` the
-    /// result is bit-identical to the from-scratch build.
+    /// result is bit-identical to the from-scratch build. `fields` is the
+    /// basis on the cache's grid, `solver` that grid's Poisson solver.
     ///
     /// The profile splits the build's `nocc · nao` tasks into
     /// `pairs_computed` (dirty orbitals' surviving tasks), `pairs_reused`
@@ -424,23 +425,19 @@ impl IncrementalExchange {
     /// reused equals the from-scratch build's `pairs_computed`.
     pub fn exchange_operator(
         &mut self,
-        basis: &liair_basis::Basis,
+        fields: &BasisOnGrid,
         c_occ: &Mat,
         nocc: usize,
-        grid: &RealGrid,
         solver: &PoissonSolver,
         eps: f64,
     ) -> KBuildOutcome {
+        let grid = fields.grid;
         let mut profile = BuildProfile::default();
         let t_ao = Instant::now();
-        let setup = crate::engine::kpath::k_build_setup(basis, c_occ, nocc, grid, eps);
+        let setup = crate::engine::kpath::k_build_setup(fields, c_occ, nocc, eps);
         profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
-        let nao = basis.nao();
-        let infos = if setup.orb_info.is_empty() {
-            None
-        } else {
-            Some(setup.orb_info.as_slice())
-        };
+        let nao = setup.nao;
+        let infos = (!setup.orb_info.is_empty()).then_some(setup.orb_info.as_slice());
         self.fingerprint_all(grid, &setup.orbitals, infos);
 
         let valid = self

@@ -60,8 +60,8 @@ pub use domain::{
     DomainGeometry,
 };
 pub use engine::{
-    BuildProfile, EngineBuilder, EngineScratch, ExchangeEngine, ExecBackend, FaultPlan,
-    KBuildOutcome,
+    BasisOnGrid, BuildProfile, EngineBuilder, EngineScratch, ExchangeEngine, ExecBackend,
+    FaultPlan, KBuildOutcome,
 };
 pub use error::{Error, Result};
 pub use hfx::HfxResult;

@@ -15,7 +15,7 @@ use liair_basis::{systems, Atom, Basis, Cell, Element, Molecule};
 use liair_core::engine::BuildProfile;
 use liair_core::screening::{source_pairs, OrbitalInfo, Pair, PairList};
 use liair_core::{
-    BalanceStrategy, EngineScratch, Error, ExchangeEngine, ExecBackend, FaultPlan,
+    BalanceStrategy, BasisOnGrid, EngineScratch, Error, ExchangeEngine, ExecBackend, FaultPlan,
     IncrementalExchange,
 };
 use liair_grid::{PoissonSolver, RealGrid};
@@ -224,11 +224,12 @@ fn pipelined_overlap_bit_identical_under_fault_matrix() {
 #[test]
 fn pipelined_overlap_matches_serial_for_k_operator() {
     let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
+    let on_grid = BasisOnGrid::new(&basis, &kgrid);
     let serial = ExchangeEngine::builder(&kgrid, &ksolver)
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&basis, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0);
     let ntasks = nocc * basis.nao();
     for plan in [None, Some(7u64), Some(13), Some(42)] {
         let mut b =
@@ -236,7 +237,7 @@ fn pipelined_overlap_matches_serial_for_k_operator() {
         if let Some(seed) = plan {
             b = b.fault_plan(FaultPlan::with_stalls(seed));
         }
-        let pipelined = b.build().unwrap().k_operator(&basis, &c_occ, nocc, 0.0);
+        let pipelined = b.build().unwrap().k_operator(&on_grid, &c_occ, nocc, 0.0);
         assert_eq!(
             serial.profile.pairs_computed,
             pipelined.profile.pairs_computed
@@ -273,12 +274,13 @@ fn h2_setup() -> (Basis, liair_math::Mat, usize, RealGrid, PoissonSolver) {
 #[test]
 fn k_operator_bit_identical_across_backends() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
+    let on_grid = BasisOnGrid::new(&basis, &grid);
     let base = ExchangeEngine::builder(&grid, &solver);
     let serial = base
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&basis, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0);
     assert!(serial.profile.is_populated());
     assert_eq!(serial.profile.pairs_computed, nocc * basis.nao());
 
@@ -286,7 +288,7 @@ fn k_operator_bit_identical_across_backends() {
         .backend(ExecBackend::Rayon)
         .build()
         .unwrap()
-        .k_operator(&basis, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0);
     let d = rayon.k.sub(&serial.k).fro_norm();
     assert_eq!(d, 0.0, "serial vs rayon K differ: {d:e}");
 
@@ -295,7 +297,7 @@ fn k_operator_bit_identical_across_backends() {
             .backend(comm(nranks, BalanceStrategy::RoundRobin))
             .build()
             .unwrap()
-            .k_operator(&basis, &c_occ, nocc, 0.0);
+            .k_operator(&on_grid, &c_occ, nocc, 0.0);
         let d = out.k.sub(&serial.k).fro_norm();
         assert_eq!(d, 0.0, "serial vs comm(nranks={nranks}) K differ: {d:e}");
     }
@@ -304,18 +306,19 @@ fn k_operator_bit_identical_across_backends() {
 #[test]
 fn k_operator_bit_identical_under_injected_faults() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
+    let on_grid = BasisOnGrid::new(&basis, &grid);
     let clean = ExchangeEngine::builder(&grid, &solver)
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&basis, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0);
     for plan in [FaultPlan::messages_only(42), FaultPlan::with_stalls(42)] {
         let faulty = ExchangeEngine::builder(&grid, &solver)
             .backend(comm(3, BalanceStrategy::RoundRobin))
             .fault_plan(plan)
             .build()
             .unwrap()
-            .k_operator(&basis, &c_occ, nocc, 0.0);
+            .k_operator(&on_grid, &c_occ, nocc, 0.0);
         assert_eq!(
             faulty.k.sub(&clean.k).fro_norm(),
             0.0,
@@ -468,13 +471,14 @@ fn pair_contribution_is_slice_independent() {
 #[test]
 fn incremental_eps0_k_bit_identical() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
+    let on_grid = BasisOnGrid::new(&basis, &grid);
     let reference = ExchangeEngine::builder(&grid, &solver)
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&basis, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0);
     let mut inc = IncrementalExchange::new(0.0, 0);
-    let out = inc.exchange_operator(&basis, &c_occ, nocc, &grid, &solver, 0.0);
+    let out = inc.exchange_operator(&on_grid, &c_occ, nocc, &solver, 0.0);
     assert_eq!(out.profile.pairs_computed, reference.profile.pairs_computed);
     assert_eq!(out.profile.pairs_screened, reference.profile.pairs_screened);
     assert_eq!(out.profile.pairs_reused, 0);
@@ -538,7 +542,7 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
                 .backend(ExecBackend::Serial)
                 .build()
                 .unwrap()
-                .k_operator(basis, c_occ, *nocc, EPS_K)
+                .k_operator(&BasisOnGrid::new(basis, grid), c_occ, *nocc, EPS_K)
                 .profile
                 .pairs_computed
         };
@@ -575,7 +579,7 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
             .backend(backend)
             .build()
             .unwrap()
-            .k_operator(basis, c_occ, *nocc, EPS_K)
+            .k_operator(&BasisOnGrid::new(basis, kgrid), c_occ, *nocc, EPS_K)
             .profile;
         assert_eq!(partition(&k), ntasks, "{backend:?} k_operator: {k:?}");
         assert_eq!(k.pairs_computed, computed_k, "{backend:?} k_operator");
@@ -614,7 +618,13 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
             ("moved", &tilted, computed_tilted),
         ] {
             let p = inc
-                .exchange_operator(basis, c_occ, *nocc, kgrid, ksolver, EPS_K)
+                .exchange_operator(
+                    &BasisOnGrid::new(basis, kgrid),
+                    c_occ,
+                    *nocc,
+                    ksolver,
+                    EPS_K,
+                )
                 .profile;
             assert_eq!(partition(&p), ntasks, "{backend:?} {what} K: {p:?}");
             assert_eq!(
@@ -653,6 +663,7 @@ fn comm_backend_reports_gather_volume() {
     assert_eq!(out.profile.pairs_computed, pairs.len());
 
     let (basis, c_occ, nocc, kgrid, ksolver) = h2_setup();
+    let on_grid = BasisOnGrid::new(&basis, &kgrid);
     let k = ExchangeEngine::builder(&kgrid, &ksolver)
         .backend(ExecBackend::Comm {
             nranks: 2,
@@ -660,7 +671,7 @@ fn comm_backend_reports_gather_volume() {
         })
         .build()
         .unwrap()
-        .k_operator(&basis, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0);
     assert!(k.profile.bytes_reduced > 0);
     assert!(k.profile.t_ao_eval_s >= 0.0);
 }

@@ -4,7 +4,7 @@
 //! checkpoint/resume at every iteration.
 
 use liair_basis::{systems, Basis, Cell, Molecule};
-use liair_core::{BuildProfile, IncrementalExchange};
+use liair_core::{BasisOnGrid, BuildProfile, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::{approx_eq, Mat};
 use liair_scf::{rhf, ScfOptions, ScfResult, ScfSession};
@@ -20,7 +20,7 @@ fn h2_in_box(edge: f64, n: usize) -> (Molecule, RealGrid, PoissonSolver) {
 
 /// The session's exchange term: the grid `Σ_j (μj|jν)` at screening `eps`,
 /// doubled into the analytic `K(D)` convention, with every build's profile
-/// merged into `profile`.
+/// merged into `profile`. The basis is evaluated on the grid once, here.
 fn grid_k<'a>(
     basis: &'a Basis,
     nocc: usize,
@@ -30,8 +30,9 @@ fn grid_k<'a>(
     inc: &'a mut IncrementalExchange,
     profile: &'a mut BuildProfile,
 ) -> impl FnMut(&Mat) -> Mat + 'a {
+    let on_grid = BasisOnGrid::new(basis, grid);
     move |c_occ: &Mat| {
-        let out = inc.exchange_operator(basis, c_occ, nocc, grid, solver, eps);
+        let out = inc.exchange_operator(&on_grid, c_occ, nocc, solver, eps);
         profile.merge(&out.profile);
         out.k.scale(2.0)
     }

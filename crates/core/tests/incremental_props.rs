@@ -11,7 +11,7 @@
 
 use liair_basis::{systems, Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo};
-use liair_core::{ExchangeEngine, IncrementalExchange};
+use liair_core::{BasisOnGrid, ExchangeEngine, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use proptest::prelude::*;
 
@@ -48,9 +48,10 @@ proptest! {
         let scf = liair_scf::rhf(&mol, &basis, &liair_scf::ScfOptions::default());
         let grid = RealGrid::cubic(Cell::cubic(edge), 16);
         let solver = PoissonSolver::isolated(grid);
+        let on_grid = BasisOnGrid::new(&basis, &grid);
 
         let reference =
-            ExchangeEngine::new(&grid, &solver).k_operator(&basis, &scf.c, scf.nocc, eps);
+            ExchangeEngine::new(&grid, &solver).k_operator(&on_grid, &scf.c, scf.nocc, eps);
         let (k_ref, p_ref) = (reference.k, reference.profile);
         let mut inc = IncrementalExchange::new(0.0, 0);
         if prime_idx == 1 {
@@ -59,9 +60,9 @@ proptest! {
             other.translate(liair_math::Vec3::splat(edge / 2.0) - other.centroid());
             let b2 = Basis::sto3g(&other);
             let s2 = liair_scf::rhf(&other, &b2, &liair_scf::ScfOptions::default());
-            inc.exchange_operator(&b2, &s2.c, s2.nocc, &grid, &solver, eps);
+            inc.exchange_operator(&BasisOnGrid::new(&b2, &grid), &s2.c, s2.nocc, &solver, eps);
         }
-        let out = inc.exchange_operator(&basis, &scf.c, scf.nocc, &grid, &solver, eps);
+        let out = inc.exchange_operator(&on_grid, &scf.c, scf.nocc, &solver, eps);
         let k_inc = out.k;
         prop_assert_eq!(out.profile.pairs_computed, p_ref.pairs_computed);
         prop_assert_eq!(out.profile.pairs_screened, p_ref.pairs_screened);

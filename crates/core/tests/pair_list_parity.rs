@@ -14,7 +14,7 @@
 use liair_basis::{Atom, Basis, Cell, Element, Molecule};
 use liair_core::screening::{build_pair_list, build_pair_list_celllist, OrbitalInfo, Pair};
 use liair_core::{
-    build_pair_list_sharded, source_pairs, DomainDecomposition, DomainGeometry, Error,
+    build_pair_list_sharded, source_pairs, BasisOnGrid, DomainDecomposition, DomainGeometry, Error,
     ExchangeEngine, ExecBackend,
 };
 use liair_grid::{PoissonSolver, RealGrid};
@@ -279,8 +279,9 @@ fn recorded_considered_counts_hold() {
         .backend(ExecBackend::Serial)
         .build()
         .unwrap();
+    let on_grid = BasisOnGrid::new(&basis, &grid);
     for (eps, considered, evaluated) in [(1e-2, 159, 150), (1e-4, 172, 165)] {
-        let out = engine.k_operator(&basis, &c_occ, nocc, eps);
+        let out = engine.k_operator(&on_grid, &c_occ, nocc, eps);
         assert_eq!(
             (
                 out.profile.pairs_considered,

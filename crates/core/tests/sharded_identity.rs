@@ -12,8 +12,8 @@
 use liair_basis::{Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{
-    build_pair_list_sharded, sharded_pair_list_spmd, BalanceStrategy, ExchangeEngine, ExecBackend,
-    FaultPlan,
+    build_pair_list_sharded, sharded_pair_list_spmd, BalanceStrategy, BasisOnGrid, ExchangeEngine,
+    ExecBackend, FaultPlan,
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
@@ -164,11 +164,12 @@ fn sharded_list_drives_k_operator_identically() {
     let scf = liair_scf::rhf(&mol, &basis, &ScfOptions::default());
     let grid = RealGrid::cubic(Cell::cubic(edge), 24);
     let solver = PoissonSolver::isolated(grid);
+    let on_grid = BasisOnGrid::new(&basis, &grid);
     let reference = ExchangeEngine::builder(&grid, &solver)
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&basis, &scf.c, scf.nocc, 0.0);
+        .k_operator(&on_grid, &scf.c, scf.nocc, 0.0);
     for nranks in [1, 3] {
         let comm = ExchangeEngine::builder(&grid, &solver)
             .backend(ExecBackend::Comm {
@@ -177,7 +178,7 @@ fn sharded_list_drives_k_operator_identically() {
             })
             .build()
             .unwrap()
-            .k_operator(&basis, &scf.c, scf.nocc, 0.0);
+            .k_operator(&on_grid, &scf.c, scf.nocc, 0.0);
         assert_eq!(
             comm.k.sub(&reference.k).fro_norm(),
             0.0,

@@ -7,7 +7,7 @@
 
 use crate::grid::RealGrid;
 use liair_basis::shell::cart_components;
-use liair_basis::Basis;
+use liair_basis::{Basis, Shell};
 use liair_math::{simd, Mat};
 use rayon::prelude::*;
 
@@ -90,13 +90,20 @@ pub fn ao_values(basis: &Basis, grid: &RealGrid) -> Vec<Vec<f64>> {
 /// Evaluate MO columns `0..nmo` of the coefficient matrix `c`
 /// (`nao × nmo_total`) on the grid: `φ_k(r) = Σ_μ C_{μk} χ_μ(r)`.
 pub fn orbitals_on_grid(basis: &Basis, c: &Mat, nmo: usize, grid: &RealGrid) -> Vec<Vec<f64>> {
-    assert_eq!(c.nrows(), basis.nao());
+    orbitals_from_aos(&ao_values(basis, grid), c, nmo)
+}
+
+/// [`orbitals_on_grid`] from AO fields already evaluated by
+/// [`ao_values`]: a caller that keeps one geometry's fields builds every
+/// SCF iteration's orbitals without re-evaluating the basis.
+pub fn orbitals_from_aos(aos: &[Vec<f64>], c: &Mat, nmo: usize) -> Vec<Vec<f64>> {
+    assert_eq!(c.nrows(), aos.len());
     assert!(nmo <= c.ncols());
-    let aos = ao_values(basis, grid);
+    let npts = aos.first().map_or(0, Vec::len);
     (0..nmo)
         .into_par_iter()
         .map(|k| {
-            let mut phi = vec![0.0; grid.len()];
+            let mut phi = vec![0.0; npts];
             for (mu, ao) in aos.iter().enumerate() {
                 let coef = c[(mu, k)];
                 if coef.abs() < 1e-14 {
@@ -123,18 +130,16 @@ pub fn density_on_grid(orbitals: &[Vec<f64>]) -> Vec<f64> {
     rho
 }
 
+/// Every Cartesian AO of `basis` as its shell and `(lx, ly, lz)`.
+fn cartesian_aos<'a>(basis: &'a Basis) -> Vec<(&'a Shell, (usize, usize, usize))> {
+    let ao = |sh: &'a Shell| cart_components(sh.l).into_iter().map(move |l| (sh, l));
+    basis.shells.iter().flat_map(ao).collect()
+}
+
 /// Evaluate every AO at an arbitrary point set (no periodic wrapping —
 /// used by the atom-centered molecular quadrature). Returns `nao` rows.
 pub fn ao_values_at_points(basis: &Basis, points: &[liair_math::Vec3]) -> Vec<Vec<f64>> {
-    basis
-        .shells
-        .iter()
-        .flat_map(|sh| {
-            cart_components(sh.l)
-                .into_iter()
-                .map(move |powers| (sh, powers))
-        })
-        .collect::<Vec<_>>()
+    cartesian_aos(basis)
         .par_iter()
         .map(|(sh, powers)| {
             let coefs = sh.normalized_coefs(*powers);
@@ -165,15 +170,7 @@ pub fn ao_values_and_gradients_at_points(
     basis: &Basis,
     points: &[liair_math::Vec3],
 ) -> (Vec<Vec<f64>>, Vec<Vec<liair_math::Vec3>>) {
-    let rows: Vec<(Vec<f64>, Vec<liair_math::Vec3>)> = basis
-        .shells
-        .iter()
-        .flat_map(|sh| {
-            cart_components(sh.l)
-                .into_iter()
-                .map(move |powers| (sh, powers))
-        })
-        .collect::<Vec<_>>()
+    let rows: Vec<(Vec<f64>, Vec<liair_math::Vec3>)> = cartesian_aos(basis)
         .par_iter()
         .map(|(sh, powers)| {
             let coefs = sh.normalized_coefs(*powers);
@@ -224,36 +221,43 @@ pub fn ao_values_and_gradients_at_points(
     rows.into_iter().unzip()
 }
 
-/// Closed-shell density and gradient magnitude at arbitrary points from an
-/// AO density matrix: `n = Σ_{μν} D_{μν} χ_μ χ_ν`,
-/// `∇n = 2 Σ_{μν} D_{μν} χ_μ ∇χ_ν`.
-pub fn density_from_dm_at_points(
-    basis: &Basis,
+/// Closed-shell density and gradient magnitude from an AO density matrix
+/// at the points the AO values `vals` (and gradients `grads`) were
+/// evaluated at: `n = Σ_{μν} D_{μν} χ_μ χ_ν`,
+/// `∇n = 2 Σ_{μν} D_{μν} χ_μ ∇χ_ν`. Without `grads` the gradient
+/// magnitudes are 0.
+pub fn density_from_aos(
+    vals: &[Vec<f64>],
+    grads: Option<&[Vec<liair_math::Vec3>]>,
     dm: &Mat,
-    points: &[liair_math::Vec3],
 ) -> (Vec<f64>, Vec<f64>) {
-    let nao = basis.nao();
+    let nao = vals.len();
     assert_eq!(dm.nrows(), nao);
-    let (vals, grads) = ao_values_and_gradients_at_points(basis, points);
-    let out: Vec<(f64, f64)> = (0..points.len())
+    let npts = vals.first().map_or(0, Vec::len);
+    let out: Vec<(f64, f64)> = (0..npts)
         .into_par_iter()
-        .map(|p| {
-            // ψ_μ(p) once per point; n = χᵀ D χ, ∇n = 2 (Dχ)·∇χ.
-            let mut dchi = vec![0.0; nao];
-            for mu in 0..nao {
-                let mut acc = 0.0;
-                for nu in 0..nao {
-                    acc += dm[(mu, nu)] * vals[nu][p];
+        .map_init(
+            || vec![0.0; nao],
+            |dchi, p| {
+                // n = χᵀ D χ, ∇n = 2 (Dχ)·∇χ, with Dχ in per-worker scratch.
+                for mu in 0..nao {
+                    let mut acc = 0.0;
+                    for nu in 0..nao {
+                        acc += dm[(mu, nu)] * vals[nu][p];
+                    }
+                    dchi[mu] = acc;
                 }
-                dchi[mu] = acc;
-            }
-            let n: f64 = (0..nao).map(|mu| dchi[mu] * vals[mu][p]).sum();
-            let mut g = liair_math::Vec3::ZERO;
-            for mu in 0..nao {
-                g += grads[mu][p] * (2.0 * dchi[mu]);
-            }
-            (n.max(0.0), g.norm())
-        })
+                let n: f64 = (0..nao).map(|mu| dchi[mu] * vals[mu][p]).sum();
+                let g = grads.map_or(0.0, |grads| {
+                    let mut g = liair_math::Vec3::ZERO;
+                    for mu in 0..nao {
+                        g += grads[mu][p] * (2.0 * dchi[mu]);
+                    }
+                    g.norm()
+                });
+                (n.max(0.0), g)
+            },
+        )
         .collect();
     out.into_iter().unzip()
 }
@@ -380,7 +384,8 @@ mod tests {
             }
         }
         let mg = crate::molgrid::MolGrid::becke(&mol, 40, 8);
-        let (n, grad) = density_from_dm_at_points(&basis, &dm, &mg.points);
+        let (vals, grads) = ao_values_and_gradients_at_points(&basis, &mg.points);
+        let (n, grad) = density_from_aos(&vals, Some(&grads), &dm);
         let total = mg.integrate(&n);
         assert!(approx_eq(total, 2.0, 1e-4), "{total}");
         assert!(grad.iter().all(|&g| g >= 0.0));

@@ -18,13 +18,14 @@
 //! `ScfOptions::default()` for both SCFs. The grid SCF is an
 //! `ScfSession::with_exchange` whose K is the slot's
 //! `IncrementalExchange::exchange_operator`, so it has the session's DIIS
-//! and convergence test. What a caller chooses is the grid, the box, the
+//! and convergence test, and the AO fields it contracts are evaluated
+//! once per geometry. What a caller chooses is the grid, the box, the
 //! reuse tolerance and the surrogate functional.
 
 use crate::integrator::ForceProvider;
 use crate::mts::SplitForceProvider;
 use liair_basis::{Basis, Cell, Molecule};
-use liair_core::{IncSchedule, IncrementalExchange};
+use liair_core::{BasisOnGrid, IncSchedule, IncrementalExchange};
 use liair_math::{Mat, Vec3};
 use liair_scf::{ScfOptions, ScfSession};
 
@@ -92,15 +93,17 @@ impl IncrementalGridForces {
 
     /// One grid SCF in the fixed frame using (and updating) slot `slot`:
     /// an RHF session whose K is the slot cache's grid operator, started
-    /// from the slot's previous orbitals.
+    /// from the slot's previous orbitals. The AO fields live as long as
+    /// the SCF: a slot keeps none between calls.
     fn slot_energy(&self, st: &mut IncGridState, mol_c: &Molecule, slot: usize) -> f64 {
         let (_, grid, solver) = st.frame.as_ref().unwrap();
         let (inc, guess) = &mut st.slots[slot];
         let basis = Basis::sto3g(mol_c);
+        let on_grid = BasisOnGrid::new(&basis, grid);
         let nocc = mol_c.nocc();
         // The grid builds Σ_j (μj|jν); the session's K(D) is twice that.
         let mut exchange = |c_occ: &Mat| {
-            inc.exchange_operator(&basis, c_occ, nocc, grid, solver, GRID_EPS)
+            inc.exchange_operator(&on_grid, c_occ, nocc, solver, GRID_EPS)
                 .k
                 .scale(2.0)
         };
@@ -294,6 +297,37 @@ mod tests {
             t2.pairs_reused > t1.pairs_reused,
             "no cross-step reuse: {t1:?} then {t2:?}"
         );
+    }
+
+    #[test]
+    fn incremental_grid_forces_are_pinned() {
+        // Stretched H₂ on the benchmark's 24³ grid in a 12 Bohr box. The
+        // bits were recorded on x86-64 Linux; 1e-14 relative leaves room
+        // only for another platform's FFT twiddles (its `sin`/`cos`).
+        let mut mol = systems::h2();
+        mol.atoms[1].pos.x = 1.5;
+        let provider =
+            IncrementalGridForces::new(24, 12.0, liair_core::IncSchedule::fixed(1e-4, 0));
+        let (e, f) = provider.compute(&mol, None);
+        for (got, want) in [
+            (e, f64::from_bits(0xbff1_ca71_fc16_0efe)),
+            (f[1].x, f64::from_bits(0xbfb2_002d_b82a_c360)),
+        ] {
+            assert!(
+                (got - want).abs() <= 1e-14 * want.abs(),
+                "{got:.17e} ({:#x}) vs {want:.17e}",
+                got.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn xc_forces_are_pinned() {
+        let mut mol = systems::h2();
+        mol.atoms[1].pos.x = 1.5;
+        let (_, f) = XcForces::new(liair_xc::Functional::Lda).compute(&mol, None);
+        let want = -4.312_777_195_969_453e-2;
+        assert!((f[1].x - want).abs() <= 1e-10, "{:.17e}", f[1].x);
     }
 
     #[test]

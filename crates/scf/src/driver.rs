@@ -1,7 +1,7 @@
 //! RHF / RKS(LDA) SCF drivers and post-SCF functional energies.
 
 use liair_basis::{Basis, Molecule};
-use liair_grid::orbital::density_from_dm_at_points;
+use liair_grid::orbital::{ao_values_and_gradients_at_points, density_from_aos};
 use liair_grid::MolGrid;
 use liair_integrals::{build_jk, kinetic_matrix, nuclear_matrix};
 use liair_math::Mat;
@@ -157,7 +157,8 @@ pub fn functional_energy(
         0.0
     } else {
         let grid = MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA);
-        let (nvals, grads) = density_from_dm_at_points(basis, &res.density, &grid.points);
+        let (vals, grads) = ao_values_and_gradients_at_points(basis, &grid.points);
+        let (nvals, grads) = density_from_aos(&vals, Some(&grads), &res.density);
         match functional {
             Functional::Lda => nvals
                 .iter()
@@ -406,6 +407,27 @@ mod tests {
         // same ballpark.
         assert!(res.energy < -0.9 && res.energy > -1.3, "E = {}", res.energy);
         assert!(res.breakdown.e_xc < 0.0);
+    }
+
+    #[test]
+    fn rks_lda_sto3g_energies_and_iterations_are_pinned() {
+        // Within 1e-12 Ha rather than bitwise: the two AO evaluators at
+        // points (values; values and gradients) agree only to rounding.
+        for (mol, energy, iterations) in [
+            (systems::h2(), -1.121_022_781_142_925_4, 2),
+            (systems::lih(), -7.791_331_539_627_74, 7),
+            (systems::water(), -74.728_872_261_139_22, 9),
+        ] {
+            let res = rks_lda(&mol, &Basis::sto3g(&mol), &ScfOptions::default());
+            assert!(res.converged, "{}", mol.formula());
+            assert!(
+                (res.energy - energy).abs() <= 1e-12,
+                "{}: E = {:.17e}",
+                mol.formula(),
+                res.energy
+            );
+            assert_eq!(res.iterations, iterations, "{}", mol.formula());
+        }
     }
 
     #[test]

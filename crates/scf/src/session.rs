@@ -13,7 +13,9 @@
 //! ([`ScfSession::new`]) or a caller-supplied operator on the occupied
 //! orbitals ([`ScfSession::with_exchange`]). The grid-exchange SCF of
 //! `liair-md`'s `IncrementalGridForces` is the second: its closure calls
-//! `liair_core::IncrementalExchange::exchange_operator`.
+//! `liair_core::IncrementalExchange::exchange_operator` on AO fields
+//! evaluated once for the geometry, as RKS-LDA's density contracts AO
+//! values at the XC grid points evaluated once, in the context.
 //!
 //! A serve job interrupted between iterations captures an
 //! [`ScfCheckpoint`] — every mutable loop variable (density, DIIS history,
@@ -40,7 +42,7 @@ use crate::driver::{
     XC_GRID_RADIAL, XC_GRID_THETA,
 };
 use liair_basis::{Basis, Molecule};
-use liair_grid::orbital::density_from_dm_at_points;
+use liair_grid::orbital::density_from_aos;
 use liair_grid::MolGrid;
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
 use liair_math::codec::{CodecError, Decoder, Encoder};
@@ -68,7 +70,6 @@ fn magic(operator: bool) -> u32 {
 
 /// Immutable per-calculation context, deterministic in the inputs.
 struct ScfContext<'a> {
-    basis: &'a Basis,
     n: usize,
     nocc: usize,
     s: Mat,
@@ -76,6 +77,7 @@ struct ScfContext<'a> {
     x: Mat,
     e_nuc: f64,
     molgrid: Option<MolGrid>,
+    /// AO values at the `molgrid` points (RKS only), evaluated once.
     ao_at_pts: Option<Vec<Vec<f64>>>,
     jk_builder: JkBuilder<'a>,
 }
@@ -101,7 +103,6 @@ impl<'a> ScfContext<'a> {
             .as_ref()
             .map(|g| liair_grid::ao_values_at_points(basis, &g.points));
         ScfContext {
-            basis,
             n,
             nocc,
             s,
@@ -296,7 +297,7 @@ impl<'a> ScfSession<'a> {
                 let grid = ctx.molgrid.as_ref().unwrap();
                 let aos = ctx.ao_at_pts.as_ref().unwrap();
                 let n = ctx.n;
-                let (nvals, _) = density_from_dm_at_points(ctx.basis, &st.density, &grid.points);
+                let (nvals, _) = density_from_aos(aos, None, &st.density);
                 // V_xc matrix: Σ_p w_p v_xc(n_p) χ_μ(p) χ_ν(p).
                 let vxc_pts: Vec<f64> = nvals.iter().map(|&d| lda::lda_vxc(d)).collect();
                 let mut vxc = Mat::zeros(n, n);
