@@ -31,7 +31,7 @@
 //! | `fig-md-water` | stable condensed-phase MD substrate |
 //! | `bench-mts` | r-RESPA MD time-to-solution and drift vs `n_inner` (record: `BENCH_mts.json`) |
 //! | `bench-collectives` | the executed tree gather, and flat vs hierarchical collectives modeled to 6,291,456 threads (record: `BENCH_collectives.json`) |
-//! | `bench-scaling` | O(N) pair sourcing, sharded weak scaling to 1.1e8 orbitals, modeled torus halo traffic (record: `BENCH_scaling.json`) |
+//! | `bench-scaling` | O(N) pair sourcing: the cell list vs the O(N²) scan to 32,768 orbitals (record: `BENCH_scaling.json`) |
 //! | `screen-solvents` | the solvent-screening campaign through the batch service (record: `BENCH_screening.json`) |
 
 #![forbid(unsafe_code)]

@@ -12,9 +12,9 @@
 //!   algorithm and a topology-oblivious binomial tree (the mapping ablation);
 //! * [`machine`] — partition presets from one node board to the full
 //!   96-rack, 6,291,456-thread configuration of the paper;
-//! * [`domainmap`] — folds the 5-D torus into the 3-D domain grid of the
-//!   spatial decomposition and prices its nearest-neighbor halo traffic
-//!   (per-link bytes, hops, congestion) against replicated-data baselines.
+//! * [`routing`] — dimension-ordered routing of a traffic demand set,
+//!   link by link, for the congestion ablation and the runtime's routed
+//!   traffic.
 //!
 //! These are prices, not a scheduler: `liair_core::simulate` turns the
 //! *actual* task graphs produced by `liair-core` (real screening decisions,
@@ -26,13 +26,11 @@
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
 pub mod collectives;
-pub mod domainmap;
 pub mod machine;
 pub mod node;
 pub mod routing;
 pub mod torus;
 
-pub use domainmap::{halo_cost, DomainMap, HaloCost};
 pub use machine::MachineConfig;
 pub use node::NodeModel;
 pub use torus::Torus5D;

@@ -8,12 +8,10 @@
 //! ([`crate::screening::pair_bound`]) and claim rule on top — which is why
 //! the lists it feeds are bit-identical to the brute scan's.
 //!
-//! Three sources sit on it: the periodic cell list
-//! ([`crate::screening::build_pair_list_celllist`], index over the cell),
-//! the K path's AO partner search ([`crate::screening::cross_tasks`], index
-//! over the AOs' bounding box) and the windowed domain-local build
-//! ([`crate::domain::DomainGeometry::local_pairs`], index over the
-//! residents unfolded around the box center).
+//! Two sources sit on it: the periodic cell list
+//! ([`crate::screening::build_pair_list_celllist`], index over the cell)
+//! and the K path's AO partner search ([`crate::screening::cross_tasks`],
+//! index over the AOs' bounding box).
 
 use liair_basis::Cell;
 use liair_math::Vec3;
@@ -26,7 +24,7 @@ use liair_math::Vec3;
 /// 1e-12 is far above those few ulps and far below any physical length,
 /// so a partner can never be lost to rounding and the candidate sets grow
 /// by nothing measurable.
-pub(crate) const RADIUS_SLACK: f64 = 1.0 + 1e-12;
+const RADIUS_SLACK: f64 = 1.0 + 1e-12;
 
 /// Points binned on a regular grid: over a periodic [`Cell`] (queries wrap)
 /// or over the points' own bounding box (queries clamp to it).

@@ -31,10 +31,10 @@ pub enum Error {
     /// An engine/builder configuration is inconsistent (documented per
     /// knob), e.g. a distributed backend with zero ranks.
     InvalidConfig(String),
-    /// A locality-aware pair source (cell list, domain sharding) was asked
-    /// to build with a threshold outside `0 < ε ≤ 1` — there is no finite
-    /// cutoff radius to bin by. Use the O(N²) [`crate::build_pair_list`]
-    /// for unscreened lists.
+    /// The cell-list pair source was asked to build with a threshold
+    /// outside `0 < ε ≤ 1` — there is no finite cutoff radius to bin by.
+    /// Use the O(N²) [`crate::build_pair_list`] (or
+    /// [`crate::source_pairs`], which routes there) for unscreened lists.
     InvalidEps {
         /// The offending screening threshold.
         eps: f64,

@@ -405,6 +405,7 @@ impl IncrementalExchange {
         profile.pairs_computed = n_dirty;
         profile.pairs_reused = reused;
         profile.pairs_screened = pairs.n_candidates - pairs.len();
+        profile.pairs_considered = pairs.considered;
         profile.bytes_reduced += contribs.len() * std::mem::size_of::<f64>();
         HfxResult {
             energy: clean_sum + dirty_sum,

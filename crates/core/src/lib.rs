@@ -44,7 +44,6 @@
 pub mod balance;
 mod bins;
 pub mod cachepool;
-pub mod domain;
 pub mod engine;
 pub mod error;
 pub mod hfx;
@@ -55,10 +54,6 @@ pub mod workload;
 
 pub use balance::{assign_pairs, Assignment, BalanceStrategy};
 pub use cachepool::{CachePoolStats, ExchangeCachePool, SystemKey};
-pub use domain::{
-    build_pair_list_sharded, exchange_halo, sharded_pair_list_spmd, DomainDecomposition,
-    DomainGeometry,
-};
 pub use engine::{
     BasisOnGrid, BuildProfile, EngineBuilder, EngineScratch, ExchangeEngine, ExecBackend,
     FaultPlan, KBuildOutcome,

@@ -15,9 +15,10 @@
 //! across SCF iterations. [`IncSchedule`] is likewise fixed: the reuse
 //! tolerance and rebuild cadence an incremental cache is built with.
 //!
-//! **Who builds lists.** [`build_pair_list`] is the O(N²) reference every
-//! other source is bit-compared against. [`build_pair_list_celllist`], the
-//! K path's `cross_tasks` and the domain-local build in [`crate::domain`]
+//! **Who builds lists.** [`source_pairs`] is the one pair source: the
+//! cell list [`build_pair_list_celllist`] when a cell and `0 < ε ≤ 1` are
+//! given, else [`build_pair_list`], the O(N²) reference the cell list is
+//! bit-compared against. The cell list and the K path's `cross_tasks`
 //! take their candidates from one crate-private uniform-bin index
 //! (`bins.rs`, which also owns the one rounding guard) and add only their
 //! own claim rule and the shared exact filter `pair_bound ≥ ε`

@@ -519,14 +519,16 @@ fn h_chain(tilt: f64) -> (Basis, Mat, usize, RealGrid, PoissonSolver) {
 /// reused and screened add up to the candidate pair count of an energy
 /// build and to `nocc · nao` `(j, ν)` tasks of a K build — on every
 /// backend, and for the incremental paths cold, all-clean warm and with
-/// one orbital moved. The K path's computed plus reused tasks are the
-/// from-scratch build's computed ones.
+/// one orbital moved. Every energy build reports the list's inspected
+/// candidates as `pairs_considered`. The K path's computed plus reused
+/// tasks are the from-scratch build's computed ones.
 #[test]
 fn build_counters_partition_the_candidates_on_every_entry_point() {
     let partition = |p: &BuildProfile| p.pairs_computed + p.pairs_reused + p.pairs_screened;
     let (grid, solver, fields, infos, pairs) = periodic_layer(16);
     let candidates = pairs.n_candidates;
     assert!(pairs.len() < candidates, "the layer must screen some pairs");
+    assert!(pairs.considered > 0);
     // Orbital 1 moved by a fraction of a Bohr; the pair list is kept.
     let mut centers: Vec<Vec3> = infos.iter().map(|o| o.center).collect();
     centers[1] += Vec3::new(0.3, -0.2, 0.1);
@@ -573,6 +575,7 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
         ] {
             assert_eq!(partition(&p), candidates, "{backend:?} {what}: {p:?}");
             assert_eq!(p.pairs_computed, pairs.len(), "{backend:?} {what}");
+            assert_eq!(p.pairs_considered, pairs.considered, "{backend:?} {what}");
         }
         let (basis, c_occ, nocc, kgrid, ksolver) = &chain;
         let k = ExchangeEngine::builder(kgrid, ksolver)
@@ -600,6 +603,10 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
                 "{backend:?} {what} energy: {p:?}"
             );
             assert_eq!(p.pairs_computed + p.pairs_reused, pairs.len());
+            assert_eq!(
+                p.pairs_considered, pairs.considered,
+                "{backend:?} {what} energy"
+            );
             assert_eq!(
                 p.pairs_reused > 0,
                 what != "cold",

@@ -1,22 +1,19 @@
-//! Property tests: every locality-exploiting pair builder — the
-//! O(N·partners) cell list ([`build_pair_list_celllist`]) and the
-//! domain-sharded source ([`build_pair_list_sharded`]) — must produce
-//! exactly the same screened pair set as the reference O(N²) builder
+//! Property tests: the O(N·partners) cell list
+//! ([`build_pair_list_celllist`]) — the route [`source_pairs`] takes
+//! whenever a cell and a finite ε are given — must produce exactly the
+//! same screened pair set as the reference O(N²) builder
 //! ([`build_pair_list`]): same (i, j) pairs, same weights, same bounds,
 //! to the bit, for random orbital layouts, spreads, box shapes
-//! (including anisotropic cells and boundary-straddling clusters),
-//! domain grids and screening thresholds.
+//! (including anisotropic cells and boundary-straddling clusters) and
+//! screening thresholds.
 //!
-//! The last test pins, on three fixed inputs, how many candidates each
-//! index-backed source *inspected* — the counts recorded from the three
+//! The last test pins, on two fixed inputs, how many candidates each
+//! index-backed source *inspected* — the counts recorded from the
 //! hand-written bin searches the shared index replaced.
 
 use liair_basis::{Atom, Basis, Cell, Element, Molecule};
 use liair_core::screening::{build_pair_list, build_pair_list_celllist, OrbitalInfo, Pair};
-use liair_core::{
-    build_pair_list_sharded, source_pairs, BasisOnGrid, DomainDecomposition, DomainGeometry, Error,
-    ExchangeEngine, ExecBackend,
-};
+use liair_core::{source_pairs, BasisOnGrid, Error, ExchangeEngine, ExecBackend};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use liair_math::{Mat, Vec3};
@@ -174,53 +171,20 @@ proptest! {
         let reference = build_pair_list(&infos, eps, Some(&cell));
         let celllist = build_pair_list_celllist(&infos, eps, &cell).unwrap();
         assert_bit_identical(&reference.pairs, &celllist.pairs)?;
-        let sharded = build_pair_list_sharded(&infos, eps, &cell, [2, 2, 2]).unwrap();
-        assert_bit_identical(&reference.pairs, &sharded.pairs)?;
     }
 
-    /// The domain-sharded builder (halo import + per-domain local build +
-    /// canonical merge) equals both global builders bitwise for random
-    /// domain grids — including degenerate 1-axis and deep ε thresholds.
-    #[test]
-    fn sharded_matches_global_builders(
-        seed in 0u64..1_000_000,
-        norb in 2usize..36,
-        edge in 8.0f64..30.0,
-        spread_max in 0.5f64..2.0,
-        eps_exp in 1i32..12,
-        gx in 1usize..4,
-        gy in 1usize..4,
-        gz in 1usize..4,
-    ) {
-        let eps = 10f64.powi(-eps_exp);
-        let cell = Cell::cubic(edge);
-        let infos = random_layout(seed, norb, edge, spread_max);
-        let reference = build_pair_list(&infos, eps, Some(&cell));
-        let celllist = build_pair_list_celllist(&infos, eps, &cell).unwrap();
-        let sharded = build_pair_list_sharded(&infos, eps, &cell, [gx, gy, gz]).unwrap();
-        prop_assert_eq!(reference.n_candidates, sharded.n_candidates);
-        assert_bit_identical(&reference.pairs, &sharded.pairs)?;
-        assert_bit_identical(&celllist.pairs, &sharded.pairs)?;
-    }
-
-    /// Out-of-range ε is a typed error from every fallible builder, never
-    /// a panic or a silently empty list.
+    /// Out-of-range ε is a typed error from the cell list, never a panic
+    /// or a silently empty list.
     #[test]
     fn invalid_eps_is_rejected_with_a_typed_error(which in 0usize..4) {
         let bad_eps = [0.0f64, -1e-6, 1.5, f64::NAN][which];
         let cell = Cell::cubic(12.0);
         let infos = random_layout(9, 6, 12.0, 1.0);
-        for result in [
-            build_pair_list_celllist(&infos, bad_eps, &cell).map(|_| ()),
-            build_pair_list_sharded(&infos, bad_eps, &cell, [2, 2, 2]).map(|_| ()),
-            DomainGeometry::new(cell, [2, 2, 2], bad_eps, 1.0).map(|_| ()),
-        ] {
-            match result {
-                Err(Error::InvalidEps { eps }) => {
-                    prop_assert!(eps.is_nan() || eps == bad_eps)
-                }
-                other => prop_assert!(false, "expected InvalidEps, got {:?}", other),
+        match build_pair_list_celllist(&infos, bad_eps, &cell) {
+            Err(Error::InvalidEps { eps }) => {
+                prop_assert!(eps.is_nan() || eps == bad_eps)
             }
+            other => prop_assert!(false, "expected InvalidEps, got {:?}", other),
         }
     }
 }
@@ -292,31 +256,4 @@ fn recorded_considered_counts_hold() {
             "eps = {eps}"
         );
     }
-
-    // (3) The windowed domain-local build: 400 orbitals in an 80 Bohr cell
-    // on a 4×4×4 domain grid, one interior domain and the sum over all.
-    let cell = Cell::cubic(80.0);
-    let orbs = random_layout(7, 400, 80.0, 1.0);
-    let dec = DomainDecomposition::build(&orbs, 1e-4, &cell, [4, 4, 4]).unwrap();
-    assert!(dec.geometry.windowed());
-    let local = |d: usize| {
-        let residents: Vec<(u32, OrbitalInfo)> = dec
-            .residents(d)
-            .into_iter()
-            .map(|i| (i, orbs[i as usize]))
-            .collect();
-        let (pairs, considered) = dec.geometry.local_pairs(d, &residents);
-        (residents.len(), pairs.len(), considered)
-    };
-    assert_eq!(local(21), (27, 9, 24));
-    let total = (0..64)
-        .map(local)
-        .fold((0, 0), |t, l| (t.0 + l.1, t.1 + l.2));
-    assert_eq!(total, (442, 1156));
-    let sharded = build_pair_list_sharded(&orbs, 1e-4, &cell, [4, 4, 4]).unwrap();
-    assert_eq!((sharded.len(), sharded.considered), total);
-    assert_eq!(
-        sharded.pairs,
-        build_pair_list(&orbs, 1e-4, Some(&cell)).pairs
-    );
 }

@@ -321,11 +321,6 @@ impl<'a> EriEngine<'a> {
     }
 }
 
-/// One shell quartet through a throwaway engine (tests, small jobs).
-pub fn eri_shell_quartet(basis: &Basis, sa: usize, sb: usize, sc: usize, sd: usize) -> Vec<f64> {
-    EriEngine::new(basis).shell_quartet(sa, sb, sc, sd)
-}
-
 /// Dense `(μν|λσ)` tensor for small systems.
 #[derive(Debug, Clone)]
 pub struct EriTensor {

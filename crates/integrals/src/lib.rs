@@ -30,7 +30,7 @@ pub mod fock;
 pub mod hermite;
 pub mod one_electron;
 
-pub use eri::{eri_shell_quartet, eri_tensor, schwarz_matrix, EriTensor};
+pub use eri::{eri_tensor, schwarz_matrix, EriTensor};
 pub use fock::{build_jk, JkBuilder};
 pub use one_electron::{
     dipole_matrices, kinetic_matrix, nuclear_matrix, overlap_matrix, second_moment_matrices,
