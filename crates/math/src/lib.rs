@@ -13,7 +13,7 @@
 //! * [`linalg`] — dense real linear algebra: symmetric Jacobi eigensolver,
 //!   LU solves, and matrix products sized for quantum-chemistry workloads.
 //! * [`special`] — the Boys function (the workhorse of Gaussian integral
-//!   evaluation), `erf`, incomplete gamma functions and factorial tables.
+//!   evaluation), `erf`/`erfc` read from its grid, and factorial tables.
 //! * [`simd`] — the exchange hot loops around the transform (kernel
 //!   multiplies, the energy contraction, pair-density products and axpy),
 //!   one portable loop each with a summation order fixed in the source.

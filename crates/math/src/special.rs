@@ -15,114 +15,36 @@
 //!   far above the orders it keeps, where the start value is damped away;
 //! * `x ≥ 35`: `F₀ ≈ ½√(π/x)` (the `erfc(√x)` correction is below machine
 //!   epsilon here) followed by the *upward* recursion, stable for large `x`.
+//!
+//! The error function reads the same grid, `erf(x) = 2x/√π · F₀(x²)`, so
+//! the force field's per-pair `erfc` is one Taylor step, not an
+//! incomplete-gamma series. That series stays as the test oracle.
 
-use std::f64::consts::PI;
+use std::f64::consts::{FRAC_2_SQRT_PI, PI};
 use std::sync::OnceLock;
 
-/// Natural log of the gamma function (Lanczos, g = 7, 9 coefficients);
-/// |relative error| < 1e-13 for x > 0.
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.984_369_578_019_572e-6,
-        1.5056327351493116e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        return (PI / (PI * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut a = COEF[0];
-    let t = x + G + 0.5;
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        a += c / (x + i as f64);
-    }
-    0.5 * (2.0 * PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// Regularized lower incomplete gamma `P(a, x)` by series expansion
-/// (valid/fast for `x < a + 1`).
-fn gamma_p_series(a: f64, x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    let gln = ln_gamma(a);
-    let mut ap = a;
-    let mut sum = 1.0 / a;
-    let mut del = sum;
-    for _ in 0..500 {
-        ap += 1.0;
-        del *= x / ap;
-        sum += del;
-        if del.abs() < sum.abs() * 1e-16 {
-            break;
-        }
-    }
-    sum * (-x + a * x.ln() - gln).exp()
-}
-
-/// Regularized upper incomplete gamma `Q(a, x)` by continued fraction
-/// (valid/fast for `x ≥ a + 1`).
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
-    let gln = ln_gamma(a);
-    let fpmin = 1e-300;
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / fpmin;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..500 {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < fpmin {
-            d = fpmin;
-        }
-        c = b + an / c;
-        if c.abs() < fpmin {
-            c = fpmin;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < 1e-16 {
-            break;
-        }
-    }
-    (-x + a * x.ln() - gln).exp() * h
-}
-
-/// Regularized lower incomplete gamma `P(a, x)`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && x >= 0.0, "gamma_p domain: a={a}, x={x}");
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
-/// Error function to near machine precision via `erf(x) = P(1/2, x²)`.
+/// Error function, `erf(x) = 2x/√π · F₀(x²)` with `F₀` read from the Boys
+/// grid below `x² = 35`, and `±1` at and above it (`erfc(√35) ≈ 3e-17`).
+/// Within 5e-15 relative of the incomplete-gamma series `P(½, x²)`; the
+/// grid's last-bit noise is clamped so that `|erf| ≤ 1`. Past `|x| ≈ 4.6`,
+/// where `erfc < 1e-10`, that noise can also break monotonicity in the
+/// last bits.
 pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
+    let x2 = x * x;
+    if x2 >= BOYS_ASYMPTOTIC_X {
+        return x.signum();
     }
-    let p = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
+    let mut f0 = [0.0];
+    boys_into(&mut f0, x2);
+    (FRAC_2_SQRT_PI * x * f0[0]).clamp(-1.0, 1.0)
 }
 
-/// Complementary error function.
+/// Complementary error function, `1 − erf(x)`.
+///
+/// Accurate in absolute terms (within 2e-15 of the series), not in
+/// relative terms: once `erfc(x) ≪ 1` the subtraction cancels, and at
+/// `x ≥ √35` it returns exactly 0. The force field's damped shifted-force
+/// Coulomb term stays below `α·r_c = 0.12 × 18 ≈ 2.2`, where `erfc > 2e-3`.
 pub fn erfc(x: f64) -> f64 {
     1.0 - erf(x)
 }
@@ -279,6 +201,107 @@ mod tests {
         out
     }
 
+    /// Natural log of the gamma function (Lanczos, g = 7, 9 coefficients);
+    /// |relative error| < 1e-13 for x > 0.
+    fn ln_gamma(x: f64) -> f64 {
+        assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
+        const G: f64 = 7.0;
+        const COEF: [f64; 9] = [
+            0.999_999_999_999_809_9,
+            676.5203681218851,
+            -1259.1392167224028,
+            771.323_428_777_653_1,
+            -176.615_029_162_140_6,
+            12.507343278686905,
+            -0.13857109526572012,
+            9.984_369_578_019_572e-6,
+            1.5056327351493116e-7,
+        ];
+        if x < 0.5 {
+            // Reflection formula.
+            return (PI / (PI * x).sin()).ln() - ln_gamma(1.0 - x);
+        }
+        let x = x - 1.0;
+        let mut a = COEF[0];
+        let t = x + G + 0.5;
+        for (i, &c) in COEF.iter().enumerate().skip(1) {
+            a += c / (x + i as f64);
+        }
+        0.5 * (2.0 * PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
+    }
+
+    /// Regularized lower incomplete gamma `P(a, x)` by series expansion
+    /// (valid/fast for `x < a + 1`).
+    fn gamma_p_series(a: f64, x: f64) -> f64 {
+        if x <= 0.0 {
+            return 0.0;
+        }
+        let gln = ln_gamma(a);
+        let mut ap = a;
+        let mut sum = 1.0 / a;
+        let mut del = sum;
+        for _ in 0..500 {
+            ap += 1.0;
+            del *= x / ap;
+            sum += del;
+            if del.abs() < sum.abs() * 1e-16 {
+                break;
+            }
+        }
+        sum * (-x + a * x.ln() - gln).exp()
+    }
+
+    /// Regularized upper incomplete gamma `Q(a, x)` by continued fraction
+    /// (valid/fast for `x ≥ a + 1`).
+    fn gamma_q_cf(a: f64, x: f64) -> f64 {
+        let gln = ln_gamma(a);
+        let fpmin = 1e-300;
+        let mut b = x + 1.0 - a;
+        let mut c = 1.0 / fpmin;
+        let mut d = 1.0 / b;
+        let mut h = d;
+        for i in 1..500 {
+            let an = -(i as f64) * (i as f64 - a);
+            b += 2.0;
+            d = an * d + b;
+            if d.abs() < fpmin {
+                d = fpmin;
+            }
+            c = b + an / c;
+            if c.abs() < fpmin {
+                c = fpmin;
+            }
+            d = 1.0 / d;
+            let del = d * c;
+            h *= del;
+            if (del - 1.0).abs() < 1e-16 {
+                break;
+            }
+        }
+        (-x + a * x.ln() - gln).exp() * h
+    }
+
+    /// Regularized lower incomplete gamma `P(a, x)`.
+    fn gamma_p(a: f64, x: f64) -> f64 {
+        assert!(a > 0.0 && x >= 0.0, "gamma_p domain: a={a}, x={x}");
+        if x < a + 1.0 {
+            gamma_p_series(a, x)
+        } else {
+            1.0 - gamma_q_cf(a, x)
+        }
+    }
+
+    /// The error function's oracle: `erf(x) = P(½, x²)`, the regularized
+    /// lower incomplete gamma function by series or continued fraction.
+    fn erf_series(x: f64) -> f64 {
+        let p = gamma_p(0.5, x * x);
+        if x < 0.0 {
+            -p
+        } else {
+            p
+        }
+    }
+
     #[test]
     fn boys_grid_matches_series() {
         // Every top order the grid serves, at grid points, at midpoints
@@ -339,6 +362,35 @@ mod tests {
     }
 
     #[test]
+    fn erf_matches_incomplete_gamma_series() {
+        // The argument range of every caller and then some: the DSF
+        // Coulomb term stops at α·r ≈ 2.2, `erf` saturates at √35 ≈ 5.92.
+        let (mut worst_erf, mut worst_erfc) = (0.0f64, 0.0f64);
+        for k in 1..=65_000 {
+            let x = k as f64 * 1e-4;
+            let want = erf_series(x);
+            let rel = (erf(x) - want).abs() / want;
+            let abs = (erfc(x) - (1.0 - want)).abs();
+            worst_erf = worst_erf.max(rel);
+            worst_erfc = worst_erfc.max(abs);
+            assert!(
+                rel <= 5e-15,
+                "erf({x}) = {} vs series {want} (rel {rel:e})",
+                erf(x)
+            );
+            assert!(
+                abs <= 2e-15,
+                "erfc({x}) = {} vs series {} (abs {abs:e})",
+                erfc(x),
+                1.0 - want
+            );
+        }
+        eprintln!(
+            "erf: largest relative deviation {worst_erf:e}; erfc: largest absolute {worst_erfc:e}"
+        );
+    }
+
+    #[test]
     fn erf_is_odd_and_bounded() {
         for k in 0..60 {
             let x = -3.0 + 0.1 * k as f64;
@@ -360,7 +412,7 @@ mod tests {
         // F_0(x) = (1/2)·√(π/x)·erf(√x)
         for &x in &[0.1, 0.5, 1.0, 3.0, 10.0, 30.0, 40.0, 100.0] {
             let f = boys(0, x);
-            let want = 0.5 * (PI / x).sqrt() * erf(x.sqrt());
+            let want = 0.5 * (PI / x).sqrt() * erf_series(x.sqrt());
             assert!(approx_eq(f[0], want, 1e-12), "x={x}: {} vs {want}", f[0]);
         }
     }

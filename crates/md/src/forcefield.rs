@@ -18,6 +18,7 @@
 use liair_basis::{Cell, Element, Molecule};
 use liair_math::special::erfc;
 use liair_math::Vec3;
+use std::collections::HashSet;
 
 /// A detected covalent bond.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +71,26 @@ fn integrity(r: f64, (a, r0): (f64, f64)) -> (f64, f64) {
     }
 }
 
+/// One non-bonded atom pair `i < j` with its mixed parameters.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    /// Atom indices (`i < j`); `u32` keeps an entry at 32 bytes, and a
+    /// solvation box holds thousands of entries.
+    i: u32,
+    /// Second atom.
+    j: u32,
+    /// Lorentz–Berthelot σ, `(σᵢ + σⱼ)/2` (Bohr).
+    sigma: f64,
+    /// `4√(εᵢεⱼ)` (Hartree).
+    eps4: f64,
+    /// Charge product `qᵢqⱼ`.
+    qq: f64,
+}
+
 /// The parametrized force field over a fixed topology.
+///
+/// The per-atom parameters are private: the non-bonded pair table caches
+/// their mixes, so they are fixed once the field is built.
 #[derive(Debug, Clone)]
 pub struct ForceField {
     /// Bond terms.
@@ -78,17 +98,22 @@ pub struct ForceField {
     /// Angle terms.
     pub angles: Vec<Angle>,
     /// Partial charges (neutralized per molecule).
-    pub charges: Vec<f64>,
+    charges: Vec<f64>,
     /// LJ σ per atom (Bohr).
-    pub lj_sigma: Vec<f64>,
+    lj_sigma: Vec<f64>,
     /// LJ ε per atom (Hartree).
-    pub lj_eps: Vec<f64>,
-    /// Pairs excluded from non-bonded terms (1-2 and 1-3).
-    excluded: std::collections::HashSet<(usize, usize)>,
+    lj_eps: Vec<f64>,
+    /// Every pair not excluded from the non-bonded terms (1-2 and 1-3
+    /// excluded), in row-major `(i, j)` order.
+    pairs: Vec<Pair>,
     /// Non-bonded cutoff (Bohr).
-    pub cutoff: f64,
+    cutoff: f64,
     /// DSF damping parameter (Bohr⁻¹).
-    pub alpha: f64,
+    alpha: f64,
+    /// `erfc(α·r_c)`.
+    erfc_rc: f64,
+    /// The DSF force shift, `erfc(α r_c)/r_c² + 2α/√π · e^{−α²r_c²}/r_c`.
+    f_shift: f64,
 }
 
 /// Base partial charge by element (before per-molecule neutralization).
@@ -145,7 +170,7 @@ fn bond_de(a: Element, b: Element) -> f64 {
 impl ForceField {
     /// Build the field over the current geometry: bonds from covalent
     /// radii (1.3× sum), angles from bonded triplets, charges neutralized
-    /// per connected component.
+    /// per connected component, and the table of non-bonded pairs.
     pub fn from_molecule(mol: &Molecule, cell: Option<&Cell>) -> ForceField {
         let n = mol.natoms();
         let dist = |i: usize, j: usize| -> f64 {
@@ -251,39 +276,101 @@ impl ForceField {
                 charges[i] -= share;
             }
         }
-        // --- exclusions: 1-2 and 1-3 ---
-        let mut excluded = std::collections::HashSet::new();
-        for b in &bonds {
-            excluded.insert((b.i.min(b.j), b.i.max(b.j)));
-        }
-        for a in &angles {
-            excluded.insert((a.i.min(a.k), a.i.max(a.k)));
-        }
         let (lj_sigma, lj_eps): (Vec<f64>, Vec<f64>) =
             mol.atoms.iter().map(|a| lj_params(a.element)).unzip();
-        ForceField {
+        let (cutoff, alpha) = (18.0, 0.12);
+        let erfc_rc = erfc(alpha * cutoff);
+        let two_a_pi = 2.0 * alpha / std::f64::consts::PI.sqrt();
+        let f_shift = erfc_rc / (cutoff * cutoff)
+            + two_a_pi * (-alpha * alpha * cutoff * cutoff).exp() / cutoff;
+        let mut ff = ForceField {
             bonds,
             angles,
             charges,
             lj_sigma,
             lj_eps,
-            excluded,
-            cutoff: 18.0,
-            alpha: 0.12,
+            pairs: Vec::new(),
+            cutoff,
+            alpha,
+            erfc_rc,
+            f_shift,
+        };
+        ff.pairs = ff.pair_table();
+        ff
+    }
+
+    /// Pairs `(i, j)`, `i < j`, excluded from the non-bonded terms: 1-2
+    /// (bonds) and 1-3 (angle ends).
+    fn exclusions(&self) -> HashSet<(usize, usize)> {
+        let mut excluded = HashSet::new();
+        for b in &self.bonds {
+            excluded.insert((b.i.min(b.j), b.i.max(b.j)));
         }
+        for a in &self.angles {
+            excluded.insert((a.i.min(a.k), a.i.max(a.k)));
+        }
+        excluded
+    }
+
+    /// Every non-excluded pair with its mixed parameters, in the order the
+    /// non-bonded sum visits them.
+    fn pair_table(&self) -> Vec<Pair> {
+        let n = self.charges.len();
+        let excluded = self.exclusions();
+        let mut pairs = Vec::with_capacity(n * n.saturating_sub(1) / 2 - excluded.len());
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if !excluded.contains(&(i, j)) {
+                    pairs.push(Pair {
+                        i: u32::try_from(i).expect("atom index fits in u32"),
+                        j: u32::try_from(j).expect("atom index fits in u32"),
+                        sigma: 0.5 * (self.lj_sigma[i] + self.lj_sigma[j]),
+                        eps4: 4.0 * (self.lj_eps[i] * self.lj_eps[j]).sqrt(),
+                        qq: self.charges[i] * self.charges[j],
+                    });
+                }
+            }
+        }
+        pairs
     }
 
     /// Potential energy and per-atom forces for the current positions.
     pub fn energy_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        let n = mol.natoms();
-        let mut energy = 0.0;
-        let mut forces = vec![Vec3::ZERO; n];
-        let disp = |i: usize, j: usize| -> Vec3 {
-            match cell {
-                Some(c) => c.min_image(mol.atoms[i].pos, mol.atoms[j].pos),
-                None => mol.atoms[j].pos - mol.atoms[i].pos,
+        let (mut energy, mut forces) = self.bonded_energy_forces(mol, cell);
+        // Non-bonded: LJ + DSF Coulomb over the pair table.
+        let (rc, alpha) = (self.cutoff, self.alpha);
+        let two_a_pi = 2.0 * alpha / std::f64::consts::PI.sqrt();
+        for p in &self.pairs {
+            let (i, j) = (p.i as usize, p.j as usize);
+            let d = displacement(mol, cell, i, j);
+            let r = d.norm();
+            if r >= rc {
+                continue;
             }
-        };
+            // Lennard-Jones (Lorentz–Berthelot combination).
+            let sr6 = (p.sigma / r).powi(6);
+            let sr12 = sr6 * sr6;
+            energy += p.eps4 * (sr12 - sr6);
+            let dvdr_lj = p.eps4 * (-12.0 * sr12 + 6.0 * sr6) / r;
+            // DSF Coulomb.
+            let erfc_r = erfc(alpha * r);
+            energy += p.qq * (erfc_r / r - self.erfc_rc / rc + self.f_shift * (r - rc));
+            let dvdr_c = p.qq
+                * (-(erfc_r / (r * r) + two_a_pi * (-alpha * alpha * r * r).exp() / r)
+                    + self.f_shift);
+            let f = d * ((dvdr_lj + dvdr_c) / r);
+            forces[i] += f;
+            forces[j] -= f;
+        }
+        (energy, forces)
+    }
+
+    /// Energy and forces of the Morse bonds and the integrity-scaled
+    /// angles, the terms that precede the non-bonded ones.
+    fn bonded_energy_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
+        let mut energy = 0.0;
+        let mut forces = vec![Vec3::ZERO; mol.natoms()];
+        let disp = |i: usize, j: usize| displacement(mol, cell, i, j);
 
         // Morse bonds.
         for b in &self.bonds {
@@ -324,41 +411,6 @@ impl ForceField {
             forces[a.j] -= fi + fk;
         }
 
-        // Non-bonded: LJ + DSF Coulomb.
-        let rc = self.cutoff;
-        let alpha = self.alpha;
-        let erfc_rc = erfc(alpha * rc);
-        let two_a_pi = 2.0 * alpha / std::f64::consts::PI.sqrt();
-        let f_shift = erfc_rc / (rc * rc) + two_a_pi * (-alpha * alpha * rc * rc).exp() / rc;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if self.excluded.contains(&(i, j)) {
-                    continue;
-                }
-                let d = disp(i, j);
-                let r = d.norm();
-                if r >= rc {
-                    continue;
-                }
-                // Lennard-Jones (Lorentz–Berthelot combination).
-                let sigma = 0.5 * (self.lj_sigma[i] + self.lj_sigma[j]);
-                let eps = (self.lj_eps[i] * self.lj_eps[j]).sqrt();
-                let sr6 = (sigma / r).powi(6);
-                let sr12 = sr6 * sr6;
-                energy += 4.0 * eps * (sr12 - sr6);
-                let dvdr_lj = 4.0 * eps * (-12.0 * sr12 + 6.0 * sr6) / r;
-                // DSF Coulomb.
-                let qq = self.charges[i] * self.charges[j];
-                let erfc_r = erfc(alpha * r);
-                energy += qq * (erfc_r / r - erfc_rc / rc + f_shift * (r - rc));
-                let dvdr_c = qq
-                    * (-(erfc_r / (r * r) + two_a_pi * (-alpha * alpha * r * r).exp() / r)
-                        + f_shift);
-                let f = d * ((dvdr_lj + dvdr_c) / r);
-                forces[i] += f;
-                forces[j] -= f;
-            }
-        }
         (energy, forces)
     }
 
@@ -377,6 +429,15 @@ impl ForceField {
             })
             .map(|(k, _)| k)
             .collect()
+    }
+}
+
+/// `j`'s position minus `i`'s, the minimum image in a cell.
+#[inline]
+fn displacement(mol: &Molecule, cell: Option<&Cell>, i: usize, j: usize) -> Vec3 {
+    match cell {
+        Some(c) => c.min_image(mol.atoms[i].pos, mol.atoms[j].pos),
+        None => mol.atoms[j].pos - mol.atoms[i].pos,
     }
 }
 
@@ -417,6 +478,98 @@ mod tests {
     use super::*;
     use liair_basis::systems;
     use liair_math::approx_eq;
+
+    /// The non-bonded sum before the pair table: every `(i, j)` probed
+    /// against the exclusion set, its parameters mixed in the loop. Same
+    /// `erfc`, same bonded terms.
+    fn energy_forces_reference(
+        ff: &ForceField,
+        mol: &Molecule,
+        cell: Option<&Cell>,
+    ) -> (f64, Vec<Vec3>) {
+        let n = mol.natoms();
+        let (mut energy, mut forces) = ff.bonded_energy_forces(mol, cell);
+        let excluded = ff.exclusions();
+        let rc = ff.cutoff;
+        let alpha = ff.alpha;
+        let erfc_rc = erfc(alpha * rc);
+        let two_a_pi = 2.0 * alpha / std::f64::consts::PI.sqrt();
+        let f_shift = erfc_rc / (rc * rc) + two_a_pi * (-alpha * alpha * rc * rc).exp() / rc;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if excluded.contains(&(i, j)) {
+                    continue;
+                }
+                let d = displacement(mol, cell, i, j);
+                let r = d.norm();
+                if r >= rc {
+                    continue;
+                }
+                let sigma = 0.5 * (ff.lj_sigma[i] + ff.lj_sigma[j]);
+                let eps = (ff.lj_eps[i] * ff.lj_eps[j]).sqrt();
+                let sr6 = (sigma / r).powi(6);
+                let sr12 = sr6 * sr6;
+                energy += 4.0 * eps * (sr12 - sr6);
+                let dvdr_lj = 4.0 * eps * (-12.0 * sr12 + 6.0 * sr6) / r;
+                let qq = ff.charges[i] * ff.charges[j];
+                let erfc_r = erfc(alpha * r);
+                energy += qq * (erfc_r / r - erfc_rc / rc + f_shift * (r - rc));
+                let dvdr_c = qq
+                    * (-(erfc_r / (r * r) + two_a_pi * (-alpha * alpha * r * r).exp() / r)
+                        + f_shift);
+                let f = d * ((dvdr_lj + dvdr_c) / r);
+                forces[i] += f;
+                forces[j] -= f;
+            }
+        }
+        (energy, forces)
+    }
+
+    #[test]
+    fn pair_table_is_bit_equal_to_the_exclusion_probe_loop() {
+        let mut cases: Vec<(String, Molecule, Cell)> = [
+            systems::Solvent::PropyleneCarbonate,
+            systems::Solvent::EthyleneCarbonate,
+            systems::Solvent::Dmso,
+            systems::Solvent::Dme,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(k, s)| {
+            let (mol, cell) = systems::electrolyte_box(s, 2, 11 + k as u64);
+            (format!("{s:?} box"), mol, cell)
+        })
+        .collect();
+        let (water, cell) = systems::water_box(2, 5);
+        cases.push(("water box".into(), water, cell));
+        for (name, mol, cell) in &cases {
+            for cell in [Some(cell), None] {
+                let ff = ForceField::from_molecule(mol, cell);
+                let (e, f) = ff.energy_forces(mol, cell);
+                let (e_ref, f_ref) = energy_forces_reference(&ff, mol, cell);
+                let periodic = cell.is_some();
+                assert!(
+                    ff.pairs.len() > ff.bonds.len(),
+                    "{name}: {} pairs",
+                    ff.pairs.len()
+                );
+                assert_eq!(
+                    e.to_bits(),
+                    e_ref.to_bits(),
+                    "{name} (periodic {periodic}): energy"
+                );
+                for (a, (got, want)) in f.iter().zip(&f_ref).enumerate() {
+                    for axis in 0..3 {
+                        assert_eq!(
+                            got[axis].to_bits(),
+                            want[axis].to_bits(),
+                            "{name} (periodic {periodic}): atom {a} axis {axis}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn detects_chemically_sensible_topology() {
