@@ -47,9 +47,49 @@ impl MolGrid {
     /// Build a Becke grid with `n_rad` radial shells and an
     /// `n_theta × 2·n_theta` angular product grid per shell.
     pub fn becke(mol: &Molecule, n_rad: usize, n_theta: usize) -> MolGrid {
+        let natoms = mol.natoms();
+        // Inter-atomic distances once per grid; point–atom distances once
+        // per point, into scratch reused by every point.
+        let rij: Vec<f64> = (0..natoms * natoms)
+            .map(|k| {
+                mol.atoms[k / natoms]
+                    .pos
+                    .distance(mol.atoms[k % natoms].pos)
+            })
+            .collect();
+        let mut dist = vec![0.0; natoms];
+        let mut cell = vec![0.0; natoms];
+        Self::assemble(mol, n_rad, n_theta, |a, p| {
+            for (d, atom) in dist.iter_mut().zip(&mol.atoms) {
+                *d = p.distance(atom.pos);
+            }
+            cell.fill(1.0);
+            for i1 in 0..natoms {
+                for j1 in 0..natoms {
+                    if i1 == j1 {
+                        continue;
+                    }
+                    let mu = (dist[i1] - dist[j1]) / rij[i1 * natoms + j1];
+                    cell[i1] *= 0.5 * (1.0 - becke_smooth(mu));
+                }
+            }
+            let total: f64 = cell.iter().sum();
+            (total > 1e-300).then(|| cell[a] / total)
+        })
+    }
+
+    /// Every atom's radial × angular product points, in atom, shell,
+    /// direction order; a point is kept with weight `w_rad·w_ang·w` when
+    /// `partition(atom, point)` gives a Becke weight `w` and the product
+    /// exceeds 1e-16.
+    fn assemble(
+        mol: &Molecule,
+        n_rad: usize,
+        n_theta: usize,
+        mut partition: impl FnMut(usize, Vec3) -> Option<f64>,
+    ) -> MolGrid {
         assert!(n_rad >= 2 && n_theta >= 2);
         let n_phi = 2 * n_theta;
-        let natoms = mol.natoms();
         // Angular product grid on the unit sphere.
         let (ct_nodes, ct_weights) = gauss_legendre(n_theta);
         let mut sphere: Vec<(Vec3, f64)> = Vec::with_capacity(n_theta * n_phi);
@@ -83,25 +123,9 @@ impl MolGrid {
                 }
                 for &(dir, w_ang) in &sphere {
                     let p = atom.pos + dir * r;
-                    // Becke partition weight of atom `a` at point p.
-                    let mut cell = vec![1.0; natoms];
-                    for i1 in 0..natoms {
-                        for j1 in 0..natoms {
-                            if i1 == j1 {
-                                continue;
-                            }
-                            let ri = p.distance(mol.atoms[i1].pos);
-                            let rj = p.distance(mol.atoms[j1].pos);
-                            let rij = mol.atoms[i1].pos.distance(mol.atoms[j1].pos);
-                            let mu = (ri - rj) / rij;
-                            cell[i1] *= 0.5 * (1.0 - becke_smooth(mu));
-                        }
-                    }
-                    let total: f64 = cell.iter().sum();
-                    if total <= 1e-300 {
+                    let Some(w_becke) = partition(a, p) else {
                         continue;
-                    }
-                    let w_becke = cell[a] / total;
+                    };
                     let w = w_rad * w_ang * w_becke;
                     if w > 1e-16 {
                         points.push(p);
@@ -195,5 +219,42 @@ mod tests {
         let want = 0.5 / alpha * (PI / alpha).powf(1.5);
         let got = grid.integrate(&f);
         assert!(approx_eq(got, want, 1e-6), "{got} vs {want}");
+    }
+
+    #[test]
+    fn becke_is_bit_identical_to_the_per_point_allocating_partition() {
+        // The partition as it was: a fresh cell vector per point, every
+        // distance recomputed inside the atom-pair loop.
+        for mol in [systems::h2(), systems::water(), systems::li2o2()] {
+            let natoms = mol.natoms();
+            let oracle = MolGrid::assemble(&mol, 30, 6, |a, p| {
+                let mut cell = vec![1.0; natoms];
+                for i1 in 0..natoms {
+                    for j1 in 0..natoms {
+                        if i1 == j1 {
+                            continue;
+                        }
+                        let ri = p.distance(mol.atoms[i1].pos);
+                        let rj = p.distance(mol.atoms[j1].pos);
+                        let rij = mol.atoms[i1].pos.distance(mol.atoms[j1].pos);
+                        let mu = (ri - rj) / rij;
+                        cell[i1] *= 0.5 * (1.0 - becke_smooth(mu));
+                    }
+                }
+                let total: f64 = cell.iter().sum();
+                if total <= 1e-300 {
+                    return None;
+                }
+                Some(cell[a] / total)
+            });
+            let grid = MolGrid::becke(&mol, 30, 6);
+            assert_eq!(grid.len(), oracle.len(), "{}", mol.formula());
+            for (p, q) in grid.points.iter().zip(&oracle.points) {
+                assert!((0..3).all(|k| p[k].to_bits() == q[k].to_bits()));
+            }
+            for (w, v) in grid.weights.iter().zip(&oracle.weights) {
+                assert_eq!(w.to_bits(), v.to_bits(), "{}", mol.formula());
+            }
+        }
     }
 }

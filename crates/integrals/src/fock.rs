@@ -6,9 +6,11 @@
 //! quartets are enumerated canonically (`sa ≥ sb`, `sc ≥ sd`,
 //! `pair(sa,sb) ≥ pair(sc,sd)`), Schwarz-screened, computed once, and each
 //! canonical AO element is scattered into J and K over its (deduplicated)
-//! permutation orbit. Parallelism is rayon over fixed groups of bra
-//! shells: each group fills its own J/K partial, and the partials are added
-//! in group order, so the result is bit-identical at every thread count.
+//! permutation orbit; the J-only builds, for callers that discard K (RKS,
+//! an SCF whose exchange comes from elsewhere), skip the K scatter and
+//! nothing else. Parallelism is rayon over fixed groups of bra shells:
+//! each group fills its own J/K partial, and the partials are added in
+//! group order, so the result is bit-identical at every thread count.
 
 use crate::eri::{schwarz_matrix_with, EriEngine, EriScratch};
 use liair_basis::shell::ncart;
@@ -22,7 +24,7 @@ use rayon::prelude::*;
 pub fn build_jk(basis: &Basis, density: &Mat, screen: f64) -> (Mat, Mat) {
     let engine = EriEngine::new(basis);
     let q = schwarz_matrix_with(&engine);
-    build_jk_inner(&engine, &q, density, screen, None)
+    build_jk_inner::<true>(&engine, &q, density, screen, None)
 }
 
 /// Caches the integral engine and Schwarz bounds so repeated Fock builds
@@ -42,7 +44,14 @@ impl<'a> JkBuilder<'a> {
 
     /// Build `(J, K)` for a density.
     pub fn build(&self, density: &Mat, screen: f64) -> (Mat, Mat) {
-        build_jk_inner(&self.engine, &self.schwarz, density, screen, None)
+        build_jk_inner::<true>(&self.engine, &self.schwarz, density, screen, None)
+    }
+
+    /// J alone, for a caller that has no use for the analytic K: the
+    /// quartets and the J accumulation of [`Self::build`], without the K
+    /// scatter, so the result is bit-equal to `build(..).0`.
+    pub fn build_j(&self, density: &Mat, screen: f64) -> Mat {
+        build_jk_inner::<false>(&self.engine, &self.schwarz, density, screen, None).0
     }
 
     /// As [`Self::build`], additionally weighting the Schwarz bound by the
@@ -55,7 +64,14 @@ impl<'a> JkBuilder<'a> {
     /// direct-SCF trick.
     pub fn build_density_screened(&self, density: &Mat, screen: f64) -> (Mat, Mat) {
         let dmax = shell_pair_density_max(self.engine.basis(), density);
-        build_jk_inner(&self.engine, &self.schwarz, density, screen, Some(&dmax))
+        build_jk_inner::<true>(&self.engine, &self.schwarz, density, screen, Some(&dmax))
+    }
+
+    /// J alone from [`Self::build_density_screened`]'s quartets (the
+    /// screen still weighs the K pairings), bit-equal to its `.0`.
+    pub fn build_j_density_screened(&self, density: &Mat, screen: f64) -> Mat {
+        let dmax = shell_pair_density_max(self.engine.basis(), density);
+        build_jk_inner::<false>(&self.engine, &self.schwarz, density, screen, Some(&dmax)).0
     }
 }
 
@@ -86,7 +102,9 @@ fn shell_pair_density_max(basis: &Basis, density: &Mat) -> Mat {
 /// however large the basis.
 const JK_GROUPS: usize = 32;
 
-fn build_jk_inner(
+/// J, and K when `WITH_K` (else K is 0 × 0). Skipping K changes neither
+/// the quartets computed nor the order J accumulates in.
+fn build_jk_inner<const WITH_K: bool>(
     engine: &EriEngine<'_>,
     q: &Mat,
     density: &Mat,
@@ -97,6 +115,7 @@ fn build_jk_inner(
     let n = basis.nao();
     assert_eq!(density.nrows(), n);
     assert_eq!(density.ncols(), n);
+    let nk = if WITH_K { n } else { 0 };
     let nsh = basis.shells.len();
     let pair_idx = |a: usize, b: usize| a * (a + 1) / 2 + b; // requires a ≥ b
 
@@ -107,7 +126,7 @@ fn build_jk_inner(
             || (EriScratch::default(), Vec::new()),
             |(scratch, block), g| {
                 let mut jloc = Mat::zeros(n, n);
-                let mut kloc = Mat::zeros(n, n);
+                let mut kloc = Mat::zeros(nk, nk);
                 for sa in (g..nsh).step_by(groups) {
                     for sb in 0..=sa {
                         let qab = q[(sa, sb)];
@@ -133,7 +152,7 @@ fn build_jk_inner(
                                     continue;
                                 }
                                 engine.shell_quartet_into(sa, sb, sc, sd, scratch, block);
-                                scatter_block(
+                                scatter_block::<WITH_K>(
                                     basis, density, &mut jloc, &mut kloc, block, sa, sb, sc, sd,
                                 );
                             }
@@ -146,7 +165,7 @@ fn build_jk_inner(
         .collect();
     // Summed in group order, so the association of the sum — and the bits
     // — do not depend on how many threads computed the partials.
-    let (mut j, mut k) = (Mat::zeros(n, n), Mat::zeros(n, n));
+    let (mut j, mut k) = (Mat::zeros(n, n), Mat::zeros(nk, nk));
     for (jp, kp) in &partials {
         j.axpy(1.0, jp);
         k.axpy(1.0, kp);
@@ -154,10 +173,11 @@ fn build_jk_inner(
     (j, k)
 }
 
-/// Scatter one computed shell-quartet block into J/K accumulators using
-/// per-element canonical filtering plus orbit deduplication.
+/// Scatter one computed shell-quartet block into the J accumulator, and
+/// into the K one when `WITH_K`, using per-element canonical filtering
+/// plus orbit deduplication.
 #[allow(clippy::too_many_arguments)]
-fn scatter_block(
+fn scatter_block<const WITH_K: bool>(
     basis: &Basis,
     density: &Mat,
     jloc: &mut Mat,
@@ -228,7 +248,9 @@ fn scatter_block(
                         let (p, qx, r, s) = tup;
                         // Quartet read as (pq|rs):
                         jloc[(p, qx)] += v * density[(r, s)];
-                        kloc[(p, r)] += v * density[(qx, s)];
+                        if WITH_K {
+                            kloc[(p, r)] += v * density[(qx, s)];
+                        }
                     }
                 }
             }
@@ -348,6 +370,41 @@ mod tests {
         let (jr, kr) = build_jk(&basis, &delta, 0.0);
         assert!(jd.sub(&jr).fro_norm() < 1e-9, "{}", jd.sub(&jr).fro_norm());
         assert!(kd.sub(&kr).fro_norm() < 1e-9, "{}", kd.sub(&kr).fro_norm());
+    }
+
+    #[test]
+    fn j_only_builds_are_bit_equal_to_the_j_of_jk_builds() {
+        for mol in [systems::h2(), systems::lih(), systems::water()] {
+            let basis = Basis::sto3g(&mol);
+            let builder = JkBuilder::new(&basis);
+            let d = test_density(basis.nao(), 23);
+            // Blocks spanning nine decades, so the screen drops some
+            // quartets on their J pairings alone and keeps them for K's.
+            let delta = Mat::from_fn(d.nrows(), d.ncols(), |i, j| {
+                d[(i, j)] * 1e-4 * 10f64.powi(-(((i * j) % 9) as i32))
+            });
+            for (name, j, jk) in [
+                (
+                    "full",
+                    builder.build_j(&d, 1e-11),
+                    builder.build(&d, 1e-11).0,
+                ),
+                (
+                    "density-screened",
+                    builder.build_j_density_screened(&delta, 1e-11),
+                    builder.build_density_screened(&delta, 1e-11).0,
+                ),
+            ] {
+                assert!(
+                    j.as_slice()
+                        .iter()
+                        .zip(jk.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} {name}: J differs",
+                    mol.formula()
+                );
+            }
+        }
     }
 
     #[test]

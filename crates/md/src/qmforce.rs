@@ -18,9 +18,13 @@
 //! `ScfOptions::default()` for both SCFs. The grid SCF is an
 //! `ScfSession::with_exchange` whose K is the slot's
 //! `IncrementalExchange::exchange_operator`, so it has the session's DIIS
-//! and convergence test, and the AO fields it contracts are evaluated
-//! once per geometry. What a caller chooses is the grid, the box, the
-//! reuse tolerance and the surrogate functional.
+//! and convergence test and builds the analytic J alone. The AO fields it
+//! contracts are evaluated once per geometry, by tensor-product
+//! collocation (`nx + ny + nz` exponentials per primitive, not one per
+//! grid point). The surrogate's RKS-LDA SCFs also build J alone, and
+//! evaluate the LDA energy density and potential together, once per
+//! Becke point per iteration. What a caller chooses is the grid, the box,
+//! the reuse tolerance and the surrogate functional.
 
 use crate::integrator::ForceProvider;
 use crate::mts::SplitForceProvider;

@@ -4,8 +4,10 @@
 //! Construction builds the immutable per-calculation context (integrals,
 //! orthogonalizer, XC grid, Schwarz bounds) and the first density, from
 //! the core-Hamiltonian orbitals or a caller's warm-start guess. Each step
-//! builds J and K for the current density, forms the Fock matrix of the
-//! method, extrapolates it with DIIS, diagonalizes, and tests convergence
+//! builds J for the current density (and K, for an analytic RHF: the
+//! other sessions build J alone), forms the Fock matrix of the method
+//! (RKS-LDA takes `ε_xc` and `v_xc` from one kernel call per XC grid
+//! point), extrapolates it with DIIS, diagonalizes, and tests convergence
 //! (energy change below `energy_tol` and DIIS error below 1e-6). `rhf`
 //! and `rks_lda` run sessions to completion.
 //!
@@ -48,8 +50,7 @@ use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder}
 use liair_math::codec::{CodecError, Decoder, Encoder};
 use liair_math::linalg::{eigh, sym_inv_sqrt};
 use liair_math::Mat;
-use liair_xc::lda;
-use liair_xc::lda::lda_exc;
+use liair_xc::lda::lda_exc_vxc;
 
 /// Magic tag for SCF checkpoint streams (`"LSC1"`).
 const MAGIC: u32 = 0x4C53_4331;
@@ -114,6 +115,24 @@ impl<'a> ScfContext<'a> {
             jk_builder: JkBuilder::new(basis),
         }
     }
+
+    /// J of `d`, and K when `with_k`; `screened` weights the Schwarz
+    /// screen by `|d|` (the incremental-Fock difference builds).
+    fn jk(&self, d: &Mat, screen: f64, screened: bool, with_k: bool) -> (Mat, Option<Mat>) {
+        let b = &self.jk_builder;
+        match (with_k, screened) {
+            (true, false) => {
+                let (j, k) = b.build(d, screen);
+                (j, Some(k))
+            }
+            (true, true) => {
+                let (j, k) = b.build_density_screened(d, screen);
+                (j, Some(k))
+            }
+            (false, false) => (b.build_j(d, screen), None),
+            (false, true) => (b.build_j_density_screened(d, screen), None),
+        }
+    }
 }
 
 /// The mutable SCF loop state — exactly what a checkpoint captures.
@@ -122,6 +141,7 @@ struct ScfLoopState {
     diis: Diis,
     d_ref: Option<Mat>,
     j_acc: Mat,
+    /// Stays zero in a session that builds J alone.
     k_acc: Mat,
     builds_since_full: usize,
     energy: f64,
@@ -247,34 +267,39 @@ impl<'a> ScfSession<'a> {
         let opts = &self.opts;
         st.iterations += 1;
         let it = st.iterations;
+        // Only an analytic RHF uses the analytic K; the others build J alone
+        // (and leave `k_acc` at zero).
+        let with_k = self.method == Method::Rhf && self.exchange.is_none();
         let (j, k) = if opts.incremental_fock {
             let full = st.d_ref.is_none() || st.builds_since_full + 1 >= FOCK_REBUILD_EVERY;
             if full {
-                let (jf, kf) = ctx.jk_builder.build(&st.density, opts.schwarz_tol);
+                let (jf, kf) = ctx.jk(&st.density, opts.schwarz_tol, false, with_k);
                 st.j_acc = jf;
-                st.k_acc = kf;
+                if let Some(kf) = kf {
+                    st.k_acc = kf;
+                }
                 st.builds_since_full = 0;
             } else {
                 let delta = st.density.sub(st.d_ref.as_ref().unwrap());
-                let (dj, dk) = ctx
-                    .jk_builder
-                    .build_density_screened(&delta, opts.schwarz_tol);
+                let (dj, dk) = ctx.jk(&delta, opts.schwarz_tol, true, with_k);
                 st.j_acc.axpy(1.0, &dj);
-                st.k_acc.axpy(1.0, &dk);
+                if let Some(dk) = dk {
+                    st.k_acc.axpy(1.0, &dk);
+                }
                 st.builds_since_full += 1;
             }
             st.d_ref = Some(st.density.clone());
-            (st.j_acc.clone(), st.k_acc.clone())
+            (st.j_acc.clone(), with_k.then(|| st.k_acc.clone()))
         } else {
-            ctx.jk_builder.build(&st.density, opts.schwarz_tol)
-        };
-        let k = match self.exchange.as_mut() {
-            Some(op) => op(&Mat::from_fn(ctx.n, ctx.nocc, |mu, i| st.c_final[(mu, i)])),
-            None => k,
+            ctx.jk(&st.density, opts.schwarz_tol, false, with_k)
         };
         let e_nuc = ctx.e_nuc;
         let (fock, e_elec, bd) = match self.method {
             Method::Rhf => {
+                let k = match self.exchange.as_mut() {
+                    Some(op) => op(&Mat::from_fn(ctx.n, ctx.nocc, |mu, i| st.c_final[(mu, i)])),
+                    None => k.expect("an analytic RHF step builds K"),
+                };
                 let mut f = ctx.h.clone();
                 f.axpy(1.0, &j);
                 f.axpy(-0.5, &k);
@@ -298,8 +323,15 @@ impl<'a> ScfSession<'a> {
                 let aos = ctx.ao_at_pts.as_ref().unwrap();
                 let n = ctx.n;
                 let (nvals, _) = density_from_aos(aos, None, &st.density);
+                // One pass: v_xc at every point, and E_xc = Σ_p w_p n_p ε_xc(n_p).
+                let mut vxc_pts = Vec::with_capacity(nvals.len());
+                let mut e_xc = 0.0;
+                for (&d, &w) in nvals.iter().zip(&grid.weights) {
+                    let (exc, vxc) = lda_exc_vxc(d);
+                    vxc_pts.push(vxc);
+                    e_xc += w * d * exc;
+                }
                 // V_xc matrix: Σ_p w_p v_xc(n_p) χ_μ(p) χ_ν(p).
-                let vxc_pts: Vec<f64> = nvals.iter().map(|&d| lda::lda_vxc(d)).collect();
                 let mut vxc = Mat::zeros(n, n);
                 for mu in 0..n {
                     for nu in 0..=mu {
@@ -311,11 +343,6 @@ impl<'a> ScfSession<'a> {
                         vxc[(nu, mu)] = acc;
                     }
                 }
-                let e_xc: f64 = nvals
-                    .iter()
-                    .zip(&grid.weights)
-                    .map(|(&d, &w)| w * d * lda_exc(d))
-                    .sum();
                 let mut f = ctx.h.clone();
                 f.axpy(1.0, &j);
                 f.axpy(1.0, &vxc);

@@ -1,5 +1,8 @@
 //! Local-density approximation, closed shell (spin-unpolarized):
-//! Slater–Dirac exchange and Perdew–Wang 1992 correlation.
+//! Slater–Dirac exchange and Perdew–Wang 1992 correlation. Per-point
+//! functions for each term, and [`lda_exc_vxc`], which an SCF loop calls to
+//! get energy density and potential together from one `cbrt`, `sqrt` and
+//! `ln`.
 
 use std::f64::consts::PI;
 
@@ -90,6 +93,35 @@ pub fn lda_vxc(n: f64) -> f64 {
     slater_vx(n) + pw92_vc(n)
 }
 
+/// `(3/π)^{1/3}`.
+const CBRT_3_OVER_PI: f64 = 0.984_745_021_842_696_5;
+/// `(3/4π)^{1/3}`.
+const CBRT_3_OVER_4PI: f64 = 0.620_350_490_899_4;
+
+/// LDA energy per particle and potential at one density, `(ε_xc, v_xc)`,
+/// for a loop that needs both at every point: one `cbrt` gives both
+/// `(3n/π)^{1/3}` and `r_s`, and PW92's `ε_c` and `dε_c/dr_s` share one
+/// `sqrt` and one `ln`. Equal to `(lda_exc(n), lda_vxc(n))` up to
+/// rounding (1e-13 relative from `n = 1e-12` to `1e4`); `(0, 0)` below
+/// [`DENSITY_FLOOR`].
+#[inline]
+pub fn lda_exc_vxc(n: f64) -> (f64, f64) {
+    if n < DENSITY_FLOOR {
+        return (0.0, 0.0);
+    }
+    let t = n.cbrt();
+    let vx = -CBRT_3_OVER_PI * t;
+    let rs = CBRT_3_OVER_4PI / t;
+    let sqrt_rs = rs.sqrt();
+    let q0 = -2.0 * A * (1.0 + ALPHA1 * rs);
+    let q1 = 2.0 * A * (BETA1 * sqrt_rs + BETA2 * rs + BETA3 * rs * sqrt_rs + BETA4 * rs * rs);
+    let dq1 = A * (BETA1 / sqrt_rs + 2.0 * BETA2 + 3.0 * BETA3 * sqrt_rs + 4.0 * BETA4 * rs);
+    let log = (1.0 + 1.0 / q1).ln();
+    let ec = q0 * log;
+    let dec_drs = -2.0 * A * ALPHA1 * log - q0 * dq1 / (q1 * q1 + q1);
+    (0.75 * vx + ec, vx + ec - rs / 3.0 * dec_drs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +182,28 @@ mod tests {
             let h = 1e-7 * n;
             let fd = ((n + h) * lda_exc(n + h) - (n - h) * lda_exc(n - h)) / (2.0 * h);
             assert!(approx_eq(lda_vxc(n), fd, 1e-5), "n={n}");
+        }
+    }
+
+    #[test]
+    fn fused_kernel_matches_separate_functions() {
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+        for k in 0..=1600 {
+            let n = 1e-12 * 10f64.powf(k as f64 / 100.0);
+            let (exc, vxc) = lda_exc_vxc(n);
+            let want_exc = slater_ex(n) + pw92_ec(n);
+            let want_vxc = slater_vx(n) + pw92_vc(n);
+            assert!(
+                rel(exc, want_exc) <= 1e-13,
+                "n={n:e}: {exc:e} vs {want_exc:e}"
+            );
+            assert!(
+                rel(vxc, want_vxc) <= 1e-13,
+                "n={n:e}: {vxc:e} vs {want_vxc:e}"
+            );
+        }
+        for n in [0.0, 1e-20, 0.999e-12] {
+            assert_eq!(lda_exc_vxc(n), (0.0, 0.0), "n={n:e}");
         }
     }
 }
