@@ -1,5 +1,5 @@
 //! Two-electron repulsion integrals `(ab|cd)` (chemists' notation) over
-//! contracted Cartesian shells, via McMurchie–Davidson:
+//! blocks of contracted Cartesian shells, via McMurchie–Davidson:
 //!
 //! `(ab|cd) = Σ_prims 2π^{5/2}/(pq√(p+q)) · Σ_{tuv} E^{ab}_{tuv}
 //!            Σ_{τνφ} (−1)^{τ+ν+φ} E^{cd}_{τνφ} R_{t+τ,u+ν,v+φ}(α, P−Q)`
@@ -7,33 +7,42 @@
 //! with `p`, `q` the bra/ket total exponents, `α = pq/(p+q)` and the
 //! contraction coefficients folded into the `E` products.
 //!
-//! A primitive quartet pays only for its own angular momentum
-//! `L = la+lb+lc+ld`:
+//! The unit of work is a **block**: a run of consecutive shells on one
+//! atom that share one exponent list and have ascending `l` (STO-3G's
+//! 2s+2p, 6-31G's sp shells); every other shell is a block of its own.
+//! A block's components are its shells' Cartesian components in shell
+//! order, so its AOs are contiguous, and each component keeps its own
+//! normalized contraction coefficients. A block quartet therefore pays
+//! once for what depends only on exponents and centers:
 //!
-//! * `R` runs to order `L` only: [`hermite_len`]`(L)` entries (35 for
-//!   (pp|pp)) from one Boys evaluation of order `L`.
-//! * [`EriEngine::new`] precomputes, once per ordered shell pair, per
+//! * one Boys evaluation and one `R` table per primitive quartet, of order
+//!   `L = lmax_a+lmax_b+lmax_c+lmax_d`: [`hermite_len`]`(L)` entries (35
+//!   for (sp sp|sp sp));
+//! * [`EriEngine::new`] precomputes, once per ordered block pair, per
 //!   primitive pair and per Cartesian component pair, the coefficient-
 //!   weighted Hermite products `c_a c_b E^{ab}_{tuv}` over the box
-//!   `t ≤ a_x+b_x, u ≤ a_y+b_y, v ≤ a_z+b_z` — one flat array per shell
-//!   pair, laid out by a table shared by every pair of the same
-//!   `(la, lb)` class.
-//! * The contraction takes two steps: the ket side with `R` into an
-//!   intermediate `X[ket component pair][bra tuv]`, then one short dot
-//!   product per (bra, ket) component pair. `R` is taken at `Q−P`: since
+//!   `t ≤ a_x+b_x, u ≤ a_y+b_y, v ≤ a_z+b_z` — one flat array per block
+//!   pair, laid out by a table shared by every pair of the same class (the
+//!   two blocks' `l` sets). The coefficients absorb the 2s/2p difference.
+//! * The contraction takes two steps. Per bra primitive pair, the ket side
+//!   is contracted with every ket primitive pair's `R` into one
+//!   intermediate `X[ket component pair][bra tuv]`; then the bra `E` is
+//!   contracted into `X` once, one short dot product per (bra, ket)
+//!   component pair. `R` is taken at `Q−P`: since
 //!   `R_{tuv}(−x) = (−1)^{t+u+v} R_{tuv}(x)`, the ket's sign
-//!   `(−1)^{τ+ν+φ}` becomes the bra's `(−1)^{t+u+v}`, which is folded into
-//!   `X` with the prefactor.
+//!   `(−1)^{τ+ν+φ}` becomes the bra's `(−1)^{t+u+v}`, applied to `X`
+//!   before the bra step.
 //!
 //! Primitive quartets whose prefactor product is below `PRIM_SCREEN` are
 //! skipped. A warm quartet evaluation allocates nothing.
 
 use crate::hermite::{hermite_aux_into, hermite_index, hermite_len, AuxScratch, ECoefs};
 use liair_basis::shell::{cart_components, ncart};
-use liair_basis::Basis;
+use liair_basis::{Basis, Shell};
 use liair_math::{Mat, Vec3};
 use rayon::prelude::*;
 use std::f64::consts::{FRAC_2_SQRT_PI, PI};
+use std::ops::Range;
 
 /// Primitive-quartet prefactor threshold below which the quartet is
 /// skipped (`exp(−μ_br |AB|²) · exp(−μ_kt |CD|²)` bound).
@@ -42,27 +51,92 @@ pub const PRIM_SCREEN: f64 = 1e-16;
 /// `2π^{5/2}`, the Coulomb prefactor's constant.
 const TWO_PI_POW_2_5: f64 = 2.0 * PI * PI * (2.0 / FRAC_2_SQRT_PI);
 
-/// The Hermite terms of every Cartesian component pair of one shell-pair
-/// class `(la, lb)`. Component pair `c` (row-major over the two shells'
-/// components) owns `terms[start[c]..start[c + 1]]`: the [`hermite_index`]
-/// of each `(t, u, v)` in its `E`-product box, ascending.
+/// A run of consecutive shells on one atom with one exponent list and
+/// ascending `l`; its components are the AOs `offset..offset + ncomp`.
+#[derive(Debug, Clone)]
+pub struct ShellBlock {
+    /// The block's shells, `basis.shells[shells]`.
+    pub shells: Range<usize>,
+    /// AO index of the block's first component.
+    pub offset: usize,
+    /// Number of Cartesian components (AOs) of the block.
+    pub ncomp: usize,
+    /// Bit `l` set for each of the block's shells.
+    lmask: u32,
+}
+
+impl ShellBlock {
+    /// The highest angular momentum in the block.
+    fn lmax(&self) -> usize {
+        (u32::BITS - 1 - self.lmask.leading_zeros()) as usize
+    }
+}
+
+/// Group `basis.shells` into blocks: a shell joins the block before it
+/// when it sits on the same atom and center, has the same exponents, and a
+/// higher `l` than every shell already in the block.
+fn shell_blocks(basis: &Basis) -> Vec<ShellBlock> {
+    let same_exponents = |a: &Shell, b: &Shell| {
+        a.prims.len() == b.prims.len() && a.prims.iter().zip(&b.prims).all(|(x, y)| x.exp == y.exp)
+    };
+    let mut blocks: Vec<ShellBlock> = Vec::new();
+    for (s, sh) in basis.shells.iter().enumerate() {
+        if let Some(block) = blocks.last_mut() {
+            let first = &basis.shells[block.shells.start];
+            if first.atom == sh.atom
+                && first.center == sh.center
+                && same_exponents(first, sh)
+                && block.lmask >> sh.l == 0
+            {
+                block.shells.end = s + 1;
+                block.ncomp += ncart(sh.l);
+                block.lmask |= 1 << sh.l;
+                continue;
+            }
+        }
+        blocks.push(ShellBlock {
+            shells: s..s + 1,
+            offset: basis.shell_offsets[s],
+            ncomp: ncart(sh.l),
+            lmask: 1 << sh.l,
+        });
+    }
+    blocks
+}
+
+/// Cartesian powers of every component of a block with `l` set `lmask`, in
+/// component order.
+fn block_components(lmask: u32) -> Vec<(usize, usize, usize)> {
+    (0..u32::BITS as usize)
+        .filter(|&l| lmask >> l & 1 == 1)
+        .flat_map(cart_components)
+        .collect()
+}
+
+/// The Hermite terms of every Cartesian component pair of one block-pair
+/// class. Component pair `c` (row-major over the two blocks' components)
+/// owns `terms[start[c]..start[c + 1]]`: the [`hermite_index`] of each
+/// `(t, u, v)` in its `E`-product box, ascending.
 #[derive(Debug)]
 struct PairClass {
-    /// `la + lb`, the highest Hermite order of the class.
+    /// `lmax_a + lmax_b`, the highest Hermite order of the class.
     l: usize,
     start: Vec<usize>,
     terms: Vec<usize>,
 }
 
 impl PairClass {
-    fn new(la: usize, lb: usize) -> Self {
+    fn new(comps_a: &[(usize, usize, usize)], comps_b: &[(usize, usize, usize)]) -> Self {
+        let lmax = |comps: &[(usize, usize, usize)]| {
+            comps.iter().map(|c| c.0 + c.1 + c.2).max().unwrap_or(0)
+        };
         let mut class = PairClass {
-            l: la + lb,
+            l: lmax(comps_a) + lmax(comps_b),
             start: vec![0],
             terms: Vec::new(),
         };
-        for pa in cart_components(la) {
-            for pb in cart_components(lb) {
+        for pa in comps_a {
+            for pb in comps_b {
                 let first = class.terms.len();
                 for t in 0..=pa.0 + pb.0 {
                     for u in 0..=pa.1 + pb.1 {
@@ -84,7 +158,7 @@ impl PairClass {
     }
 }
 
-/// One primitive pair of an ordered shell pair.
+/// One primitive pair of an ordered block pair.
 #[derive(Debug, Clone, Copy)]
 struct PrimPair {
     /// Total exponent `p = a + b`.
@@ -95,10 +169,10 @@ struct PrimPair {
     screen: f64,
 }
 
-/// Precomputed data of one ordered shell pair.
+/// Precomputed data of one ordered block pair.
 #[derive(Debug)]
-struct ShellPair {
-    /// Index of the pair's `(la, lb)` class in `EriEngine::classes`.
+struct BlockPair {
+    /// Index of the pair's class in `EriEngine::classes`.
     class: usize,
     prims: Vec<PrimPair>,
     /// `c_a c_b E^{ab}_{tuv}`: per primitive pair (in `prims` order) one
@@ -117,10 +191,12 @@ pub struct EriScratch {
 /// Precomputed engine over a basis.
 pub struct EriEngine<'a> {
     basis: &'a Basis,
-    /// Shell-pair classes, `[la * (lmax + 1) + lb]`.
+    blocks: Vec<ShellBlock>,
+    /// Block-pair classes, `[kind_a * nkinds + kind_b]` over the distinct
+    /// block `l` sets.
     classes: Vec<PairClass>,
-    /// Per ordered shell pair `[sa * nsh + sb]`.
-    pairs: Vec<ShellPair>,
+    /// Per ordered block pair `[ba * nblocks + bb]`.
+    pairs: Vec<BlockPair>,
     /// Where the ket step reads `R`: for a bra order `lb` and a ket class
     /// `kc`, `ket_r_index[lb * classes.len() + kc][h * nterms + j]` is the
     /// [`hermite_index`] of bra triple `h` plus the triple of the class's
@@ -131,15 +207,30 @@ pub struct EriEngine<'a> {
 }
 
 impl<'a> EriEngine<'a> {
-    /// Prepare the engine: normalization plus all shell-pair Hermite
-    /// tables (O(nsh²·nprim²) setup amortized over O(nsh⁴) quartets).
+    /// Prepare the engine: the blocks, normalization plus all block-pair
+    /// Hermite tables (O(nblk²·nprim²) setup amortized over O(nblk⁴)
+    /// quartets).
     pub fn new(basis: &'a Basis) -> Self {
-        let lmax = basis.shells.iter().map(|sh| sh.l).max().unwrap_or(0);
-        let nl = lmax + 1;
-        let classes: Vec<PairClass> = (0..nl * nl)
-            .map(|i| PairClass::new(i / nl, i % nl))
+        let blocks = shell_blocks(basis);
+        // The distinct `l` sets, in order of first appearance.
+        let mut kinds: Vec<u32> = Vec::new();
+        for b in &blocks {
+            if !kinds.contains(&b.lmask) {
+                kinds.push(b.lmask);
+            }
+        }
+        let kind_of: Vec<usize> = blocks
+            .iter()
+            .map(|b| kinds.iter().position(|&k| k == b.lmask).expect("listed"))
+            .collect();
+        let comps: Vec<Vec<(usize, usize, usize)>> =
+            kinds.iter().map(|&k| block_components(k)).collect();
+        let nk = kinds.len();
+        let classes: Vec<PairClass> = (0..nk * nk)
+            .map(|i| PairClass::new(&comps[i / nk], &comps[i % nk]))
             .collect();
         // Every Hermite triple of a pair class, in layout order.
+        let lmax = blocks.iter().map(ShellBlock::lmax).max().unwrap_or(0);
         let lpair = 2 * lmax;
         let mut triples = vec![[0usize; 3]; hermite_len(lpair)];
         for t in 0..=lpair {
@@ -149,26 +240,35 @@ impl<'a> EriEngine<'a> {
                 }
             }
         }
-        let comps: Vec<Vec<(usize, usize, usize)>> = (0..nl).map(cart_components).collect();
-        let coefs: Vec<Vec<Vec<f64>>> = basis
-            .shells
+        // Per block, per component: the normalized coefficients of its
+        // shell, one per primitive.
+        let coefs: Vec<Vec<Vec<f64>>> = blocks
             .iter()
-            .map(|sh| {
-                cart_components(sh.l)
-                    .into_iter()
-                    .map(|powers| sh.normalized_coefs(powers))
+            .map(|b| {
+                basis.shells[b.shells.clone()]
+                    .iter()
+                    .flat_map(|sh| {
+                        cart_components(sh.l)
+                            .into_iter()
+                            .map(|powers| sh.normalized_coefs(powers))
+                    })
                     .collect()
             })
             .collect();
-        let nsh = basis.shells.len();
-        let pairs: Vec<ShellPair> = (0..nsh * nsh)
+        let nblk = blocks.len();
+        let pairs: Vec<BlockPair> = (0..nblk * nblk)
             .into_par_iter()
             .map(|idx| {
-                let (sa, sb) = (idx / nsh, idx % nsh);
-                let (sha, shb) = (&basis.shells[sa], &basis.shells[sb]);
-                let class_idx = sha.l * nl + shb.l;
+                let (ba, bb) = (idx / nblk, idx % nblk);
+                let (sha, shb) = (
+                    &basis.shells[blocks[ba].shells.start],
+                    &basis.shells[blocks[bb].shells.start],
+                );
+                let (la, lb) = (blocks[ba].lmax(), blocks[bb].lmax());
+                let class_idx = kind_of[ba] * nk + kind_of[bb];
                 let class = &classes[class_idx];
-                let nb = ncart(shb.l);
+                let (comps_a, comps_b) = (&comps[kind_of[ba]], &comps[kind_of[bb]]);
+                let nb = comps_b.len();
                 let d = sha.center - shb.center;
                 let nprim = sha.prims.len() * shb.prims.len();
                 let mut prims = Vec::with_capacity(nprim);
@@ -183,13 +283,13 @@ impl<'a> EriEngine<'a> {
                             big_p: (sha.center * a + shb.center * b) / p,
                             screen: (-mu * d.norm_sqr()).exp(),
                         });
-                        let ex = ECoefs::new(sha.l, shb.l, d.x, a, b);
-                        let ey = ECoefs::new(sha.l, shb.l, d.y, a, b);
-                        let ez = ECoefs::new(sha.l, shb.l, d.z, a, b);
+                        let ex = ECoefs::new(la, lb, d.x, a, b);
+                        let ey = ECoefs::new(la, lb, d.y, a, b);
+                        let ez = ECoefs::new(la, lb, d.z, a, b);
                         for c in 0..class.ncomp() {
                             let (ca, cb) = (c / nb, c % nb);
-                            let (pwa, pwb) = (comps[sha.l][ca], comps[shb.l][cb]);
-                            let coef = coefs[sa][ca][ia] * coefs[sb][cb][ib];
+                            let (pwa, pwb) = (comps_a[ca], comps_b[cb]);
+                            let coef = coefs[ba][ca][ia] * coefs[bb][cb][ib];
                             for &h in &class.terms[class.start[c]..class.start[c + 1]] {
                                 let [t, u, v] = triples[h];
                                 e.push(
@@ -201,7 +301,7 @@ impl<'a> EriEngine<'a> {
                         }
                     }
                 }
-                ShellPair {
+                BlockPair {
                     class: class_idx,
                     prims,
                     e,
@@ -236,6 +336,7 @@ impl<'a> EriEngine<'a> {
             .collect();
         Self {
             basis,
+            blocks,
             classes,
             pairs,
             ket_r_index,
@@ -248,76 +349,116 @@ impl<'a> EriEngine<'a> {
         self.basis
     }
 
-    /// Compute the component block of the shell quartet `(sa sb | sc sd)`
-    /// into `out` (resized to `[a][b][c][d]` row-major).
-    pub fn shell_quartet_into(
+    /// The shell blocks, in basis order; every quartet index of this
+    /// engine is a block index.
+    pub fn blocks(&self) -> &[ShellBlock] {
+        &self.blocks
+    }
+
+    /// Compute the component block of the block quartet `(ba bb | bc bd)`
+    /// into `out` (resized to `[a][b][c][d]` row-major over each block's
+    /// components).
+    pub fn block_quartet_into(
         &self,
-        sa: usize,
-        sb: usize,
-        sc: usize,
-        sd: usize,
+        ba: usize,
+        bb: usize,
+        bc: usize,
+        bd: usize,
         scratch: &mut EriScratch,
         out: &mut Vec<f64>,
     ) {
-        let nsh = self.basis.shells.len();
-        let (bra, ket) = (&self.pairs[sa * nsh + sb], &self.pairs[sc * nsh + sd]);
+        let nblk = self.blocks.len();
+        let (bra, ket) = (&self.pairs[ba * nblk + bb], &self.pairs[bc * nblk + bd]);
         let (bra_class, ket_class) = (&self.classes[bra.class], &self.classes[ket.class]);
         let (nbra, nket) = (bra_class.ncomp(), ket_class.ncomp());
         let (bra_len, ket_len) = (bra_class.terms.len(), ket_class.terms.len());
-        // Bra Hermite positions: every t+u+v ≤ la+lb.
+        // Bra Hermite positions: every t+u+v ≤ lmax_a+lmax_b.
         let nh = hermite_len(bra_class.l);
         let l = bra_class.l + ket_class.l;
         let r_index = &self.ket_r_index[bra_class.l * self.classes.len() + ket.class];
+        let sign = &self.hermite_sign[..nh];
         out.clear();
         out.resize(nbra * nket, 0.0);
         let EriScratch { aux, x } = scratch;
         x.resize(nket * nh, 0.0);
 
         for (bp, eb) in bra.prims.iter().zip(bra.e.chunks_exact(bra_len)) {
+            let mut any_ket = false;
             for (kp, ek) in ket.prims.iter().zip(ket.e.chunks_exact(ket_len)) {
                 if bp.screen * kp.screen < PRIM_SCREEN {
                     continue;
                 }
+                if !any_ket {
+                    x.fill(0.0);
+                    any_ket = true;
+                }
                 let (p, q) = (bp.p, kp.p);
                 hermite_aux_into(l, p * q / (p + q), kp.big_p - bp.big_p, aux);
-                let r = &aux.r;
                 let pref = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt());
+                for r in aux.r.iter_mut() {
+                    *r *= pref;
+                }
+                let r = &aux.r;
 
-                // X[c][h] = (−1)^{|h|} pref Σ_k E^{cd}_k R_{h+k}(Q−P).
+                // X[c][h] += pref Σ_k E^{cd}_k R_{h+k}(Q−P).
                 for (c, xc) in x.chunks_exact_mut(nh).enumerate() {
                     let span = ket_class.start[c]..ket_class.start[c + 1];
                     let ec = &ek[span.clone()];
-                    let rows = r_index.chunks_exact(ket_len);
-                    for ((xh, row), &sign) in xc.iter_mut().zip(rows).zip(&self.hermite_sign) {
+                    for (xh, row) in xc.iter_mut().zip(r_index.chunks_exact(ket_len)) {
                         let mut s = 0.0;
                         for (&e, &i) in ec.iter().zip(&row[span.clone()]) {
                             s += e * r[i];
                         }
-                        *xh = sign * pref * s;
+                        *xh += s;
                     }
                 }
-                // (ab|cd) += Σ_h E^{ab}_h X[cd][h].
-                for (b, out_row) in out.chunks_exact_mut(nket).enumerate() {
-                    let span = bra_class.start[b]..bra_class.start[b + 1];
-                    let (eb_b, hb) = (&eb[span.clone()], &bra_class.terms[span]);
-                    for (o, xc) in out_row.iter_mut().zip(x.chunks_exact(nh)) {
-                        let mut s = 0.0;
-                        for (&e, &h) in eb_b.iter().zip(hb) {
-                            s += e * xc[h];
-                        }
-                        *o += s;
+            }
+            if !any_ket {
+                continue;
+            }
+            // (ab|cd) += Σ_h E^{ab}_h (−1)^{|h|} X[cd][h].
+            for xc in x.chunks_exact_mut(nh) {
+                for (xh, &s) in xc.iter_mut().zip(sign) {
+                    *xh *= s;
+                }
+            }
+            for (b, out_row) in out.chunks_exact_mut(nket).enumerate() {
+                let span = bra_class.start[b]..bra_class.start[b + 1];
+                let (eb_b, hb) = (&eb[span.clone()], &bra_class.terms[span]);
+                for (o, xc) in out_row.iter_mut().zip(x.chunks_exact(nh)) {
+                    let mut s = 0.0;
+                    for (&e, &h) in eb_b.iter().zip(hb) {
+                        s += e * xc[h];
                     }
+                    *o += s;
                 }
             }
         }
     }
 
-    /// Allocating convenience wrapper around [`Self::shell_quartet_into`].
-    pub fn shell_quartet(&self, sa: usize, sb: usize, sc: usize, sd: usize) -> Vec<f64> {
+    /// Allocating convenience wrapper around [`Self::block_quartet_into`].
+    pub fn block_quartet(&self, ba: usize, bb: usize, bc: usize, bd: usize) -> Vec<f64> {
         let mut scratch = EriScratch::default();
         let mut out = Vec::new();
-        self.shell_quartet_into(sa, sb, sc, sd, &mut scratch, &mut out);
+        self.block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut out);
         out
+    }
+
+    /// The `R` tables [`Self::block_quartet_into`] evaluates for
+    /// `(ba bb | bc bd)`: one per primitive quartet that passes
+    /// [`PRIM_SCREEN`].
+    pub(crate) fn quartet_r_tables(&self, ba: usize, bb: usize, bc: usize, bd: usize) -> u64 {
+        let nblk = self.blocks.len();
+        let (bra, ket) = (&self.pairs[ba * nblk + bb], &self.pairs[bc * nblk + bd]);
+        bra.prims
+            .iter()
+            .map(|bp| {
+                ket.prims
+                    .iter()
+                    .filter(|kp| bp.screen * kp.screen >= PRIM_SCREEN)
+                    .count() as u64
+            })
+            .sum()
     }
 }
 
@@ -347,41 +488,28 @@ pub fn eri_tensor(basis: &Basis) -> EriTensor {
     let n = basis.nao();
     assert!(n <= 96, "eri_tensor is for small systems (nao = {n} > 96)");
     let engine = EriEngine::new(basis);
-    let nsh = basis.shells.len();
-    let blocks: Vec<(usize, usize, usize, usize, Vec<f64>)> = (0..nsh * nsh)
+    let nblk = engine.blocks().len();
+    let quartets: Vec<([usize; 4], Vec<f64>)> = (0..nblk * nblk)
         .into_par_iter()
-        .flat_map_iter(|ij| {
-            let si = ij / nsh;
-            let sj = ij % nsh;
-            (0..nsh).flat_map(move |sk| (0..nsh).map(move |sl| (si, sj, sk, sl)))
+        .flat_map_iter(|ab| {
+            let (ba, bb) = (ab / nblk, ab % nblk);
+            (0..nblk).flat_map(move |bc| (0..nblk).map(move |bd| [ba, bb, bc, bd]))
         })
-        .map_init(EriScratch::default, |scratch, (si, sj, sk, sl)| {
+        .map_init(EriScratch::default, |scratch, q| {
             let mut block = Vec::new();
-            engine.shell_quartet_into(si, sj, sk, sl, scratch, &mut block);
-            (si, sj, sk, sl, block)
+            engine.block_quartet_into(q[0], q[1], q[2], q[3], scratch, &mut block);
+            (q, block)
         })
         .collect();
     let mut data = vec![0.0; n * n * n * n];
-    for (si, sj, sk, sl, block) in blocks {
-        let (oa, ob, oc, od) = (
-            basis.shell_offsets[si],
-            basis.shell_offsets[sj],
-            basis.shell_offsets[sk],
-            basis.shell_offsets[sl],
-        );
-        let (na, nb, nc, nd) = (
-            ncart(basis.shells[si].l),
-            ncart(basis.shells[sj].l),
-            ncart(basis.shells[sk].l),
-            ncart(basis.shells[sl].l),
-        );
-        for ca in 0..na {
-            for cb in 0..nb {
-                for cc in 0..nc {
-                    for cd in 0..nd {
-                        let v = block[((ca * nb + cb) * nc + cc) * nd + cd];
-                        let (i, j, k, l) = (oa + ca, ob + cb, oc + cc, od + cd);
-                        data[((i * n + j) * n + k) * n + l] = v;
+    for (q, block) in quartets {
+        let [a, b, c, d] = q.map(|i| &engine.blocks()[i]);
+        let mut values = block.iter();
+        for i in a.offset..a.offset + a.ncomp {
+            for j in b.offset..b.offset + b.ncomp {
+                for k in c.offset..c.offset + c.ncomp {
+                    for l in d.offset..d.offset + d.ncomp {
+                        data[((i * n + j) * n + k) * n + l] = *values.next().expect("sized");
                     }
                 }
             }
@@ -390,8 +518,10 @@ pub fn eri_tensor(basis: &Basis) -> EriTensor {
     EriTensor { n, data }
 }
 
-/// Schwarz screening bounds per *shell pair*:
-/// `Q_{AB} = max_{μ∈A,ν∈B} √|(μν|μν)|`; `|(ab|cd)| ≤ Q_{AB} Q_{CD}`.
+/// Schwarz screening bounds per *block pair*:
+/// `Q_{AB} = max_{μ∈A,ν∈B} √|(μν|μν)|`; `|(ab|cd)| ≤ Q_{AB} Q_{CD}`. For
+/// a basis of one-shell blocks (no shared exponents) this is the per-shell
+/// bound.
 pub fn schwarz_matrix(basis: &Basis) -> Mat {
     let engine = EriEngine::new(basis);
     schwarz_matrix_with(&engine)
@@ -399,29 +529,24 @@ pub fn schwarz_matrix(basis: &Basis) -> Mat {
 
 /// As [`schwarz_matrix`] but reusing a prepared engine.
 pub fn schwarz_matrix_with(engine: &EriEngine<'_>) -> Mat {
-    let basis = engine.basis();
-    let nsh = basis.shells.len();
-    let rows: Vec<Vec<f64>> = (0..nsh)
+    let nblk = engine.blocks().len();
+    let rows: Vec<Vec<f64>> = (0..nblk)
         .into_par_iter()
-        .map_init(EriScratch::default, |scratch, sa| {
+        .map_init(EriScratch::default, |scratch, ba| {
             let mut block = Vec::new();
-            (0..nsh)
-                .map(|sb| {
-                    engine.shell_quartet_into(sa, sb, sa, sb, scratch, &mut block);
-                    let (na, nb) = (ncart(basis.shells[sa].l), ncart(basis.shells[sb].l));
-                    let mut best = 0.0f64;
-                    for ca in 0..na {
-                        for cb in 0..nb {
-                            let v = block[((ca * nb + cb) * na + ca) * nb + cb];
-                            best = best.max(v.abs());
-                        }
-                    }
+            (0..nblk)
+                .map(|bb| {
+                    engine.block_quartet_into(ba, bb, ba, bb, scratch, &mut block);
+                    // Component pair `ab` of the bra meets itself at
+                    // `ab * nab + ab`.
+                    let nab = engine.blocks()[ba].ncomp * engine.blocks()[bb].ncomp;
+                    let best = (0..nab).fold(0.0f64, |m, ab| m.max(block[ab * nab + ab].abs()));
                     best.sqrt()
                 })
                 .collect()
         })
         .collect();
-    let mut m = Mat::zeros(nsh, nsh);
+    let mut m = Mat::zeros(nblk, nblk);
     for (i, row) in rows.into_iter().enumerate() {
         for (j, v) in row.into_iter().enumerate() {
             m[(i, j)] = v;
@@ -576,37 +701,92 @@ mod tests {
     }
 
     #[test]
+    fn blocks_merge_shells_that_share_exponents() {
+        for (name, basis, nshells, nblocks) in [
+            ("water/STO-3G", Basis::sto3g(&systems::water()), 5, 4),
+            ("water/6-31G", Basis::b631g(&systems::water()), 9, 7),
+            ("Li2O2/STO-3G", Basis::sto3g(&systems::li2o2()), 12, 8),
+            ("H2/STO-3G", Basis::sto3g(&systems::h2()), 2, 2),
+        ] {
+            let blocks = shell_blocks(&basis);
+            assert_eq!(basis.shells.len(), nshells, "{name} shells");
+            assert_eq!(blocks.len(), nblocks, "{name} blocks");
+            // The blocks tile the shells and the AOs in order, and every
+            // merged shell shares its block's atom and exponents.
+            let mut next = (0, 0);
+            for b in &blocks {
+                assert_eq!((b.shells.start, b.offset), next, "{name}");
+                let shells = &basis.shells[b.shells.clone()];
+                let ncomp: usize = shells.iter().map(|sh| ncart(sh.l)).sum();
+                assert_eq!(b.ncomp, ncomp, "{name}");
+                for pair in shells.windows(2) {
+                    assert_eq!(pair[0].atom, pair[1].atom, "{name}");
+                    assert!(pair[0].l < pair[1].l, "{name}");
+                    let exps = |sh: &liair_basis::Shell| {
+                        sh.prims.iter().map(|p| p.exp).collect::<Vec<_>>()
+                    };
+                    assert_eq!(exps(&pair[0]), exps(&pair[1]), "{name}");
+                }
+                next = (b.shells.end, b.offset + b.ncomp);
+            }
+            assert_eq!(next, (nshells, basis.nao()), "{name}");
+        }
+    }
+
+    #[test]
     fn kernel_matches_reference_contraction() {
         for (name, basis) in [
             ("water/6-31G", Basis::b631g(&systems::water())),
             ("Li2O2/STO-3G", Basis::sto3g(&systems::li2o2())),
         ] {
             let engine = EriEngine::new(&basis);
-            let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
-            let nsh = basis.shells.len();
-            let (mut quartets, mut worst) = (0, 0.0f64);
-            for sa in 0..nsh {
-                for sb in 0..=sa {
-                    for sc in 0..=sa {
-                        let sd_max = if sc == sa { sb } else { sc };
-                        for sd in 0..=sd_max {
-                            engine.shell_quartet_into(sa, sb, sc, sd, &mut scratch, &mut block);
-                            let want = shell_quartet_reference(&basis, sa, sb, sc, sd);
-                            assert_eq!(block.len(), want.len());
-                            for (i, (&got, &want)) in block.iter().zip(&want).enumerate() {
-                                let err = (got - want).abs();
-                                worst = worst.max(err / want.abs().max(1e-3));
-                                assert!(
-                                    err <= 1e-12 * want.abs() || err <= 1e-15,
-                                    "{name} ({sa}{sb}|{sc}{sd})[{i}]: {got:e} vs {want:e}"
-                                );
-                            }
-                            quartets += 1;
-                        }
-                    }
+            let blocks = engine.blocks();
+            let nblk = blocks.len();
+            let canonical: Vec<[usize; 4]> = (0..nblk)
+                .flat_map(|ba| (0..=ba).map(move |bb| (ba, bb)))
+                .flat_map(|(ba, bb)| {
+                    (0..=ba).flat_map(move |bc| {
+                        (0..=if bc == ba { bb } else { bc }).map(move |bd| [ba, bb, bc, bd])
+                    })
+                })
+                .collect();
+            let (mut scratch, mut got) = (EriScratch::default(), Vec::new());
+            let mut worst = 0.0f64;
+            for &[ba, bb, bc, bd] in &canonical {
+                engine.block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut got);
+                let q = [ba, bb, bc, bd].map(|b| &blocks[b]);
+                let [_, nb, nc, nd] = q.map(|b| b.ncomp);
+                assert_eq!(got.len(), q[0].ncomp * nb * nc * nd);
+                // Each element is one of the reference's shell quartets.
+                let mut reference = std::collections::BTreeMap::new();
+                for (idx, &got) in got.iter().enumerate() {
+                    let comp = [
+                        idx / (nb * nc * nd),
+                        idx / (nc * nd) % nb,
+                        idx / nd % nc,
+                        idx % nd,
+                    ];
+                    let aos = [0, 1, 2, 3].map(|k| q[k].offset + comp[k]);
+                    let shells = aos.map(|ao| basis.aos[ao].shell);
+                    let want = reference.entry(shells).or_insert_with(|| {
+                        let [sa, sb, sc, sd] = shells;
+                        shell_quartet_reference(&basis, sa, sb, sc, sd)
+                    });
+                    let n = shells.map(|s| ncart(basis.shells[s].l));
+                    let c = [0, 1, 2, 3].map(|k| aos[k] - basis.shell_offsets[shells[k]]);
+                    let want = want[((c[0] * n[1] + c[1]) * n[2] + c[2]) * n[3] + c[3]];
+                    let err = (got - want).abs();
+                    worst = worst.max(err / want.abs().max(1e-3));
+                    assert!(
+                        err <= 1e-12 * want.abs() || err <= 1e-15,
+                        "{name} shells {shells:?}, AOs {aos:?}: {got:e} vs {want:e}"
+                    );
                 }
             }
-            eprintln!("{name}: {quartets} canonical quartets, worst scaled error {worst:e}");
+            eprintln!(
+                "{name}: {} canonical block quartets, worst scaled error {worst:e}",
+                canonical.len()
+            );
         }
     }
 
@@ -683,12 +863,12 @@ mod tests {
         let basis = Basis::sto3g(&mol);
         let q = schwarz_matrix(&basis);
         let engine = EriEngine::new(&basis);
-        let nsh = basis.shells.len();
-        for sa in 0..nsh {
-            for sb in 0..nsh {
-                for sc in 0..nsh {
-                    for sd in 0..nsh {
-                        let block = engine.shell_quartet(sa, sb, sc, sd);
+        let nblk = engine.blocks().len();
+        for sa in 0..nblk {
+            for sb in 0..nblk {
+                for sc in 0..nblk {
+                    for sd in 0..nblk {
+                        let block = engine.block_quartet(sa, sb, sc, sd);
                         let max = block.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
                         let bound = q[(sa, sb)] * q[(sc, sd)];
                         assert!(max <= bound + 1e-9, "({sa}{sb}|{sc}{sd}): {max} > {bound}");
@@ -716,9 +896,9 @@ mod tests {
         let engine = EriEngine::new(&basis);
         let mut scratch = EriScratch::default();
         let mut out = Vec::new();
-        for (sa, sb, sc, sd) in [(0, 1, 2, 3), (2, 2, 2, 2), (4, 0, 3, 1)] {
-            engine.shell_quartet_into(sa, sb, sc, sd, &mut scratch, &mut out);
-            let reference = engine.shell_quartet(sa, sb, sc, sd);
+        for (ba, bb, bc, bd) in [(0, 1, 2, 3), (1, 1, 1, 1), (3, 0, 2, 1)] {
+            engine.block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut out);
+            let reference = engine.block_quartet(ba, bb, bc, bd);
             assert_eq!(out, reference);
         }
     }

@@ -2,36 +2,41 @@
 //!
 //! `J_{μν} = Σ_{λσ} (μν|λσ) D_{λσ}` and `K_{μν} = Σ_{λσ} (μλ|νσ) D_{λσ}`.
 //!
-//! The build exploits the full 8-fold permutational symmetry: shell
-//! quartets are enumerated canonically (`sa ≥ sb`, `sc ≥ sd`,
-//! `pair(sa,sb) ≥ pair(sc,sd)`), Schwarz-screened, computed once, and each
+//! The build runs over the ERI engine's shell blocks
+//! ([`EriEngine::blocks`]: shells of one atom that share exponents, such as
+//! STO-3G's 2s+2p) and exploits the full 8-fold permutational symmetry:
+//! block quartets are enumerated canonically (`ba ≥ bb`, `bc ≥ bd`,
+//! `pair(ba,bb) ≥ pair(bc,bd)`), Schwarz-screened, computed once, and each
 //! canonical AO element is scattered into J and K over its (deduplicated)
 //! permutation orbit; the J-only builds, for callers that discard K (RKS,
 //! an SCF whose exchange comes from elsewhere), skip the K scatter and
-//! nothing else. Parallelism is rayon over fixed groups of bra shells:
-//! each group fills its own J/K partial, and the partials are added in
-//! group order, so the result is bit-identical at every thread count.
+//! nothing else. Parallelism is rayon over fixed groups of bra block
+//! pairs, dealt once per basis by LPT (longest processing time first) on
+//! each pair's `R`-table count at the SCF's Schwarz threshold: each group
+//! fills its own J/K partial, and the partials are added in group order,
+//! so the result is bit-identical at every thread count.
 
-use crate::eri::{schwarz_matrix_with, EriEngine, EriScratch};
-use liair_basis::shell::ncart;
+use crate::eri::{schwarz_matrix_with, EriEngine, EriScratch, ShellBlock};
 use liair_basis::Basis;
 use liair_math::Mat;
 use rayon::prelude::*;
+use std::cmp::Reverse;
 
 /// Build `(J, K)` for a symmetric AO density matrix. `screen` is the
 /// Schwarz threshold below which quartets are skipped; `0.0` disables
 /// screening.
 pub fn build_jk(basis: &Basis, density: &Mat, screen: f64) -> (Mat, Mat) {
-    let engine = EriEngine::new(basis);
-    let q = schwarz_matrix_with(&engine);
-    build_jk_inner::<true>(&engine, &q, density, screen, None)
+    JkBuilder::new(basis).build(density, screen)
 }
 
-/// Caches the integral engine and Schwarz bounds so repeated Fock builds
-/// (every SCF iteration) pay the setup cost once.
+/// Caches the integral engine, the Schwarz bounds and the task groups so
+/// repeated Fock builds (every SCF iteration) pay the setup cost once.
 pub struct JkBuilder<'a> {
     engine: EriEngine<'a>,
+    /// Schwarz bounds per block pair.
     schwarz: Mat,
+    /// The bra block pairs `(ba, bb)`, `ba ≥ bb`, of each group, ascending.
+    groups: Vec<Vec<(usize, usize)>>,
 }
 
 impl<'a> JkBuilder<'a> {
@@ -39,19 +44,24 @@ impl<'a> JkBuilder<'a> {
     pub fn new(basis: &'a Basis) -> Self {
         let engine = EriEngine::new(basis);
         let schwarz = schwarz_matrix_with(&engine);
-        Self { engine, schwarz }
+        let groups = deal_tasks(&engine, &schwarz);
+        Self {
+            engine,
+            schwarz,
+            groups,
+        }
     }
 
     /// Build `(J, K)` for a density.
     pub fn build(&self, density: &Mat, screen: f64) -> (Mat, Mat) {
-        build_jk_inner::<true>(&self.engine, &self.schwarz, density, screen, None)
+        self.build_inner::<true>(density, screen, None)
     }
 
     /// J alone, for a caller that has no use for the analytic K: the
     /// quartets and the J accumulation of [`Self::build`], without the K
     /// scatter, so the result is bit-equal to `build(..).0`.
     pub fn build_j(&self, density: &Mat, screen: f64) -> Mat {
-        build_jk_inner::<false>(&self.engine, &self.schwarz, density, screen, None).0
+        self.build_inner::<false>(density, screen, None).0
     }
 
     /// As [`Self::build`], additionally weighting the Schwarz bound by the
@@ -63,148 +73,196 @@ impl<'a> JkBuilder<'a> {
     /// screening drop almost every quartet — the standard incremental
     /// direct-SCF trick.
     pub fn build_density_screened(&self, density: &Mat, screen: f64) -> (Mat, Mat) {
-        let dmax = shell_pair_density_max(self.engine.basis(), density);
-        build_jk_inner::<true>(&self.engine, &self.schwarz, density, screen, Some(&dmax))
+        let dmax = block_pair_density_max(self.engine.blocks(), density);
+        self.build_inner::<true>(density, screen, Some(&dmax))
     }
 
     /// J alone from [`Self::build_density_screened`]'s quartets (the
     /// screen still weighs the K pairings), bit-equal to its `.0`.
     pub fn build_j_density_screened(&self, density: &Mat, screen: f64) -> Mat {
-        let dmax = shell_pair_density_max(self.engine.basis(), density);
-        build_jk_inner::<false>(&self.engine, &self.schwarz, density, screen, Some(&dmax)).0
+        let dmax = block_pair_density_max(self.engine.blocks(), density);
+        self.build_inner::<false>(density, screen, Some(&dmax)).0
+    }
+
+    /// J, and K when `WITH_K` (else K is 0 × 0). Skipping K changes
+    /// neither the quartets computed nor the order J accumulates in.
+    fn build_inner<const WITH_K: bool>(
+        &self,
+        density: &Mat,
+        screen: f64,
+        dmax: Option<&Mat>,
+    ) -> (Mat, Mat) {
+        let n = self.engine.basis().nao();
+        assert_eq!(density.nrows(), n);
+        assert_eq!(density.ncols(), n);
+        let nk = if WITH_K { n } else { 0 };
+        let partials: Vec<(Mat, Mat)> = (0..self.groups.len())
+            .into_par_iter()
+            .map_init(
+                || (EriScratch::default(), Vec::new()),
+                |(scratch, block), g| {
+                    self.fold_group::<WITH_K>(
+                        &self.groups[g],
+                        density,
+                        screen,
+                        dmax,
+                        scratch,
+                        block,
+                    )
+                },
+            )
+            .collect();
+        // Summed in group order, so the association of the sum — and the
+        // bits — do not depend on how many threads computed the partials.
+        let (mut j, mut k) = (Mat::zeros(n, n), Mat::zeros(nk, nk));
+        for (jp, kp) in &partials {
+            j.axpy(1.0, jp);
+            k.axpy(1.0, kp);
+        }
+        (j, k)
+    }
+
+    /// The J/K partial of one group: the canonical quartets of its bra
+    /// block pairs, in task order.
+    fn fold_group<const WITH_K: bool>(
+        &self,
+        tasks: &[(usize, usize)],
+        density: &Mat,
+        screen: f64,
+        dmax: Option<&Mat>,
+        scratch: &mut EriScratch,
+        block: &mut Vec<f64>,
+    ) -> (Mat, Mat) {
+        let n = density.nrows();
+        let nk = if WITH_K { n } else { 0 };
+        let (mut jloc, mut kloc) = (Mat::zeros(n, n), Mat::zeros(nk, nk));
+        let q = &self.schwarz;
+        for &(ba, bb) in tasks {
+            let qab = q[(ba, bb)];
+            for (bc, bd) in kets(ba, bb) {
+                let bound = qab * q[(bc, bd)];
+                // Density weighting covers every block the quartet reads
+                // through J (D_ab, D_cd) or K (the four cross pairings).
+                let weight = match dmax {
+                    None => 1.0,
+                    Some(dm) => dm[(ba, bb)]
+                        .max(dm[(bc, bd)])
+                        .max(dm[(ba, bc)])
+                        .max(dm[(ba, bd)])
+                        .max(dm[(bb, bc)])
+                        .max(dm[(bb, bd)]),
+                };
+                if bound * weight < screen {
+                    continue;
+                }
+                self.engine
+                    .block_quartet_into(ba, bb, bc, bd, scratch, block);
+                scatter_block::<WITH_K>(
+                    self.engine.blocks(),
+                    density,
+                    &mut jloc,
+                    &mut kloc,
+                    block,
+                    [ba, bb, bc, bd],
+                );
+            }
+        }
+        (jloc, kloc)
     }
 }
 
-/// Per-shell-pair `max |D|` over the corresponding AO block.
-fn shell_pair_density_max(basis: &Basis, density: &Mat) -> Mat {
-    let nsh = basis.shells.len();
-    let mut m = Mat::zeros(nsh, nsh);
-    for sa in 0..nsh {
-        let (oa, na) = (basis.shell_offsets[sa], ncart(basis.shells[sa].l));
-        for sb in 0..nsh {
-            let (ob, nb) = (basis.shell_offsets[sb], ncart(basis.shells[sb].l));
+/// The canonical kets `(bc, bd)` of the bra block pair `(ba, bb)`:
+/// `bc ≥ bd` and `pair(bc, bd) ≤ pair(ba, bb)`.
+fn kets(ba: usize, bb: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..=ba).flat_map(move |bc| (0..=if bc == ba { bb } else { bc }).map(move |bd| (bc, bd)))
+}
+
+/// Per-block-pair `max |D|` over the corresponding AO block.
+fn block_pair_density_max(blocks: &[ShellBlock], density: &Mat) -> Mat {
+    let nblk = blocks.len();
+    let mut m = Mat::zeros(nblk, nblk);
+    for (ba, a) in blocks.iter().enumerate() {
+        for (bb, b) in blocks.iter().enumerate() {
             let mut mx = 0.0f64;
-            for i in oa..oa + na {
-                for j in ob..ob + nb {
+            for i in a.offset..a.offset + a.ncomp {
+                for j in b.offset..b.offset + b.ncomp {
                     mx = mx.max(density[(i, j)].abs());
                 }
             }
-            m[(sa, sb)] = mx;
+            m[(ba, bb)] = mx;
         }
     }
     m
 }
 
-/// The bra shells are dealt round-robin into at most this many groups, and
-/// each group folds its shells serially into one J/K partial. The grouping
-/// depends on the shell count alone, so the bits do not depend on the
-/// thread count, and at most this many partial pairs are alive at once
-/// however large the basis.
+/// The bra block pairs are dealt into at most this many groups, and each
+/// group folds its tasks serially into one J/K partial. The dealing
+/// depends on the basis and its Schwarz bounds alone, so the bits do not
+/// depend on the thread count, and at most this many partial pairs are
+/// alive at once however large the basis.
 const JK_GROUPS: usize = 32;
 
-/// J, and K when `WITH_K` (else K is 0 × 0). Skipping K changes neither
-/// the quartets computed nor the order J accumulates in.
-fn build_jk_inner<const WITH_K: bool>(
-    engine: &EriEngine<'_>,
-    q: &Mat,
-    density: &Mat,
-    screen: f64,
-    dmax: Option<&Mat>,
-) -> (Mat, Mat) {
-    let basis = engine.basis();
-    let n = basis.nao();
-    assert_eq!(density.nrows(), n);
-    assert_eq!(density.ncols(), n);
-    let nk = if WITH_K { n } else { 0 };
-    let nsh = basis.shells.len();
-    let pair_idx = |a: usize, b: usize| a * (a + 1) / 2 + b; // requires a ≥ b
+/// The Schwarz threshold the task costs are estimated at: the SCF's
+/// default. It only balances the groups; a build at any threshold computes
+/// the same J/K from them.
+const DEAL_SCREEN: f64 = 1e-11;
 
-    let groups = nsh.min(JK_GROUPS);
-    let partials: Vec<(Mat, Mat)> = (0..groups)
-        .into_par_iter()
-        .map_init(
-            || (EriScratch::default(), Vec::new()),
-            |(scratch, block), g| {
-                let mut jloc = Mat::zeros(n, n);
-                let mut kloc = Mat::zeros(nk, nk);
-                for sa in (g..nsh).step_by(groups) {
-                    for sb in 0..=sa {
-                        let qab = q[(sa, sb)];
-                        let ab = pair_idx(sa, sb);
-                        for sc in 0..=sa {
-                            let sd_max = if sc == sa { sb } else { sc };
-                            for sd in 0..=sd_max {
-                                debug_assert!(pair_idx(sc, sd) <= ab);
-                                let bound = qab * q[(sc, sd)];
-                                // Density weighting covers every block the
-                                // quartet reads through J (D_ab, D_cd) or K
-                                // (the four cross pairings).
-                                let weight = match dmax {
-                                    None => 1.0,
-                                    Some(dm) => dm[(sa, sb)]
-                                        .max(dm[(sc, sd)])
-                                        .max(dm[(sa, sc)])
-                                        .max(dm[(sa, sd)])
-                                        .max(dm[(sb, sc)])
-                                        .max(dm[(sb, sd)]),
-                                };
-                                if bound * weight < screen {
-                                    continue;
-                                }
-                                engine.shell_quartet_into(sa, sb, sc, sd, scratch, block);
-                                scatter_block::<WITH_K>(
-                                    basis, density, &mut jloc, &mut kloc, block, sa, sb, sc, sd,
-                                );
-                            }
-                        }
-                    }
-                }
-                (jloc, kloc)
-            },
-        )
-        .collect();
-    // Summed in group order, so the association of the sum — and the bits
-    // — do not depend on how many threads computed the partials.
-    let (mut j, mut k) = (Mat::zeros(n, n), Mat::zeros(nk, nk));
-    for (jp, kp) in &partials {
-        j.axpy(1.0, jp);
-        k.axpy(1.0, kp);
-    }
-    (j, k)
+/// The `R` tables of one bra block-pair task at the Schwarz threshold
+/// `screen`, without density weighting: the dealing's cost estimate.
+fn task_r_tables(engine: &EriEngine<'_>, q: &Mat, (ba, bb): (usize, usize), screen: f64) -> u64 {
+    kets(ba, bb)
+        .filter(|&(bc, bd)| q[(ba, bb)] * q[(bc, bd)] >= screen)
+        .map(|(bc, bd)| engine.quartet_r_tables(ba, bb, bc, bd))
+        .sum()
 }
 
-/// Scatter one computed shell-quartet block into the J accumulator, and
+/// Deal every bra block pair into at most [`JK_GROUPS`] groups by LPT:
+/// tasks in decreasing `R`-table count (ties by position) each go to the
+/// least-loaded group so far (ties to the lowest group).
+fn deal_tasks(engine: &EriEngine<'_>, q: &Mat) -> Vec<Vec<(usize, usize)>> {
+    let nblk = engine.blocks().len();
+    let tasks: Vec<(usize, usize)> = (0..nblk)
+        .flat_map(|a| (0..=a).map(move |b| (a, b)))
+        .collect();
+    let cost: Vec<u64> = tasks
+        .iter()
+        .map(|&t| task_r_tables(engine, q, t, DEAL_SCREEN))
+        .collect();
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by_key(|&t| (Reverse(cost[t]), t));
+    let ngroups = tasks.len().min(JK_GROUPS);
+    let (mut load, mut groups) = (vec![0u64; ngroups], vec![Vec::new(); ngroups]);
+    for t in order {
+        let g = (0..ngroups)
+            .min_by_key(|&g| (load[g], g))
+            .expect("a task means a group");
+        load[g] += cost[t];
+        groups[g].push(tasks[t]);
+    }
+    for group in &mut groups {
+        group.sort_unstable();
+    }
+    groups
+}
+
+/// Scatter one computed block-quartet result into the J accumulator, and
 /// into the K one when `WITH_K`, using per-element canonical filtering
 /// plus orbit deduplication.
-#[allow(clippy::too_many_arguments)]
 fn scatter_block<const WITH_K: bool>(
-    basis: &Basis,
+    blocks: &[ShellBlock],
     density: &Mat,
     jloc: &mut Mat,
     kloc: &mut Mat,
     block: &[f64],
-    sa: usize,
-    sb: usize,
-    sc: usize,
-    sd: usize,
+    [ba, bb, bc, bd]: [usize; 4],
 ) {
-    let (oa, ob, oc, od) = (
-        basis.shell_offsets[sa],
-        basis.shell_offsets[sb],
-        basis.shell_offsets[sc],
-        basis.shell_offsets[sd],
-    );
-    let (na, nb, nc, nd) = (
-        ncart(basis.shells[sa].l),
-        ncart(basis.shells[sb].l),
-        ncart(basis.shells[sc].l),
-        ncart(basis.shells[sd].l),
-    );
-    // Component-level canonical filters apply only where shells coincide —
+    let [oa, ob, oc, od] = [ba, bb, bc, bd].map(|b| blocks[b].offset);
+    let [na, nb, nc, nd] = [ba, bb, bc, bd].map(|b| blocks[b].ncomp);
+    // Component-level canonical filters apply only where blocks coincide —
     // that is exactly where the 8-fold orbit folds back into this block.
-    let same_bra = sa == sb;
-    let same_ket = sc == sd;
-    let same_pairs = (sa, sb) == (sc, sd);
+    let same_bra = ba == bb;
+    let same_ket = bc == bd;
+    let same_pairs = (ba, bb) == (bc, bd);
     for ca in 0..na {
         let i = oa + ca;
         for cb in 0..nb {
@@ -262,7 +320,9 @@ fn scatter_block<const WITH_K: bool>(
 mod tests {
     use super::*;
     use crate::eri::eri_tensor;
-    use liair_basis::systems;
+    use crate::hermite::R_TABLES;
+    use liair_basis::{systems, Element, Molecule};
+    use liair_math::Vec3;
 
     /// Reference J/K from the dense tensor.
     fn jk_reference(basis: &Basis, d: &Mat) -> (Mat, Mat) {
@@ -445,6 +505,100 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `R` tables `f` evaluates on this thread.
+    fn r_tables_of(f: impl FnOnce()) -> u64 {
+        R_TABLES.with(|n| n.set(0));
+        f();
+        R_TABLES.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn work_counts_of_one_build_are_exact() {
+        // Linear Li₂O/STO-3G at r(Li–O) = 1.62 Å, the benchmark's SCF
+        // molecule: 9 shells (1,035 canonical shell quartets) make 6
+        // blocks, since every 2s shares its exponents with the 2p.
+        let mut mol = Molecule::new();
+        for (element, x) in [(Element::O, 0.0), (Element::Li, 1.62), (Element::Li, -1.62)] {
+            mol.push(element, Vec3::new(x, 0.0, 0.0) * liair_basis::ANGSTROM);
+        }
+        let basis = Basis::sto3g(&mol);
+        let builder = JkBuilder::new(&basis);
+        assert_eq!((basis.shells.len(), builder.engine.blocks().len()), (9, 6));
+        let tasks: Vec<(usize, usize)> = builder.groups.iter().flatten().copied().collect();
+        assert_eq!(tasks.len(), 21, "every block pair is one task");
+        let quartets: usize = tasks.iter().map(|&(a, b)| kets(a, b).count()).sum();
+        assert_eq!(quartets, 231, "canonical block quartets before screening");
+
+        // One build at the SCF's threshold, on one thread: 16,429 `R`
+        // tables, one per primitive quartet of a surviving block quartet
+        // (the per-shell kernel evaluated 78,624).
+        let d = test_density(basis.nao(), 29);
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let total = one.install(|| {
+            r_tables_of(|| {
+                builder.build(&d, 1e-11);
+            })
+        });
+        assert_eq!(total, 16_429);
+        // The dealing's cost model counts exactly these, group by group.
+        let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
+        let mut sum = 0;
+        for tasks in &builder.groups {
+            let counted = r_tables_of(|| {
+                builder.fold_group::<true>(tasks, &d, 1e-11, None, &mut scratch, &mut block);
+            });
+            let modelled: u64 = tasks
+                .iter()
+                .map(|&t| task_r_tables(&builder.engine, &builder.schwarz, t, DEAL_SCREEN))
+                .sum();
+            assert_eq!(counted, modelled);
+            sum += counted;
+        }
+        assert_eq!(sum, total);
+    }
+
+    #[test]
+    fn lpt_groups_split_the_r_tables_evenly_over_two_halves() {
+        // Two threads run the first and the second contiguous half of the
+        // groups; the larger half's `R` tables bound the speed-up. Bra
+        // shells dealt round-robin, without blocks, read 1.73 (PC·Li₂O₂)
+        // and 1.69 (DME·Li₂O₂).
+        for solvent in [systems::Solvent::PropyleneCarbonate, systems::Solvent::Dme] {
+            let mol = systems::li2o2_complex(solvent, 3.6);
+            let basis = Basis::sto3g(&mol);
+            let builder = JkBuilder::new(&basis);
+            assert_eq!(builder.groups.len(), JK_GROUPS);
+            let per_group: Vec<u64> = builder
+                .groups
+                .iter()
+                .map(|tasks| {
+                    tasks
+                        .iter()
+                        .map(|&t| task_r_tables(&builder.engine, &builder.schwarz, t, DEAL_SCREEN))
+                        .sum()
+                })
+                .collect();
+            let (first, second) = per_group.split_at(JK_GROUPS / 2);
+            let (first, second): (u64, u64) = (first.iter().sum(), second.iter().sum());
+            let bound = (first + second) as f64 / first.max(second) as f64;
+            assert!(bound >= 1.85, "{}: split bound {bound:.3}", mol.formula());
+            // LPT evens out every group, not only the two halves (dealt
+            // round-robin by block pair, the busiest group holds 1.25–1.3×
+            // the mean).
+            let busiest = *per_group.iter().max().expect("32 groups") as f64;
+            let mean = (first + second) as f64 / JK_GROUPS as f64;
+            assert!(
+                busiest <= 1.02 * mean,
+                "{}: busiest group {:.3}× the mean",
+                mol.formula(),
+                busiest / mean
+            );
         }
     }
 

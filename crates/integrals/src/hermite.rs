@@ -175,9 +175,17 @@ pub struct AuxScratch {
     boys: Vec<f64>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `R` tables evaluated on this thread: the tests' exact work count.
+    pub(crate) static R_TABLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// As [`hermite_aux`], but writing into reusable scratch storage; the
 /// result lives in `scratch.r`.
 pub fn hermite_aux_into(l: usize, p: f64, pc: Vec3, scratch: &mut AuxScratch) {
+    #[cfg(test)]
+    R_TABLES.with(|n| n.set(n.get() + 1));
     assert!(
         l <= BOYS_MAX_ORDER,
         "R order {l} above BOYS_MAX_ORDER = {BOYS_MAX_ORDER}"

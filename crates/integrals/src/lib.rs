@@ -8,8 +8,9 @@
 //!   `R_{tuv}` Coulomb auxiliary integrals;
 //! * [`one_electron`] — overlap, kinetic, nuclear-attraction and dipole
 //!   matrices;
-//! * [`eri`] — two-electron repulsion integrals `(ab|cd)`, the full tensor
-//!   for small systems, and the Schwarz screening bounds;
+//! * [`eri`] — two-electron repulsion integrals `(ab|cd)` over blocks of
+//!   shells that share exponents (sp shells), the full tensor for small
+//!   systems, and the Schwarz screening bounds;
 //! * [`fock`] — integral-direct Coulomb/exchange builds with Schwarz
 //!   screening (the *molecular* exact-exchange reference that validates the
 //!   condensed-phase grid pair-Poisson path in `liair-grid`).

@@ -1,8 +1,8 @@
 //! Counting-allocator proof that a warm ERI quartet evaluation performs
 //! **zero** heap allocations: after one warm-up pass (the Boys grid, the
-//! grow-once scratch and output block), `EriEngine::shell_quartet_into`
-//! on every quartet class from (ss|ss) to (pp|pp) must not touch the
-//! allocator.
+//! grow-once scratch and output block), `EriEngine::block_quartet_into`
+//! on every block-quartet class from ({s}{s}|{s}{s}) to
+//! ({s,p}{s,p}|{s,p}{s,p}) must not touch the allocator.
 
 use liair_basis::{systems, Basis};
 use liair_integrals::eri::{EriEngine, EriScratch};
@@ -51,30 +51,31 @@ fn alloc_count() -> u64 {
 
 #[test]
 fn warm_quartets_are_allocation_free() {
-    // Water/STO-3G: O 1s, 2s, 2p and two H 1s — every s/p class occurs.
+    // Water/STO-3G: blocks O 1s, O 2s+2p and two H 1s, so each position
+    // of a quartet takes an {s} or an {s,p} block: 16 classes.
     let basis = Basis::sto3g(&systems::water());
     let engine = EriEngine::new(&basis);
-    let nsh = basis.shells.len();
-    let quartets: Vec<[usize; 4]> = (0..nsh * nsh * nsh * nsh)
+    let nblk = engine.blocks().len();
+    let quartets: Vec<[usize; 4]> = (0..nblk * nblk * nblk * nblk)
         .map(|i| {
             [
-                i / (nsh * nsh * nsh),
-                i / (nsh * nsh) % nsh,
-                i / nsh % nsh,
-                i % nsh,
+                i / (nblk * nblk * nblk),
+                i / (nblk * nblk) % nblk,
+                i / nblk % nblk,
+                i % nblk,
             ]
         })
         .collect();
     let classes: std::collections::BTreeSet<[usize; 4]> = quartets
         .iter()
-        .map(|q| q.map(|s| basis.shells[s].l))
+        .map(|q| q.map(|b| engine.blocks()[b].ncomp))
         .collect();
-    assert_eq!(classes.len(), 16, "every (ss|ss) … (pp|pp) class");
+    assert_eq!(classes.len(), 16, "every {{s}}/{{s,p}} block-quartet class");
 
     let (mut scratch, mut out) = (EriScratch::default(), Vec::new());
     let mut warm = 0.0;
     for &[a, b, c, d] in &quartets {
-        engine.shell_quartet_into(a, b, c, d, &mut scratch, &mut out);
+        engine.block_quartet_into(a, b, c, d, &mut scratch, &mut out);
         warm += out[0];
     }
 
@@ -82,7 +83,7 @@ fn warm_quartets_are_allocation_free() {
     let mut acc = 0.0;
     for _ in 0..3 {
         for &[a, b, c, d] in &quartets {
-            engine.shell_quartet_into(a, b, c, d, &mut scratch, &mut out);
+            engine.block_quartet_into(a, b, c, d, &mut scratch, &mut out);
             acc += out[0];
         }
     }

@@ -431,6 +431,32 @@ mod tests {
     }
 
     #[test]
+    fn rhf_energies_and_iterations_are_pinned() {
+        // Linear Li₂O/STO-3G at r(Li–O) = 1.62 Å is the benchmark's
+        // `scf-direct` molecule (its 2s/2p shells share exponents); water
+        // /6-31G has two sp pairs on O and split s shells on H.
+        let mut li2o = Molecule::new();
+        for (element, x) in [(Element::O, 0.0), (Element::Li, 1.62), (Element::Li, -1.62)] {
+            li2o.push(element, Vec3::new(x, 0.0, 0.0) * liair_basis::ANGSTROM);
+        }
+        let water = systems::water();
+        for (mol, basis, energy, iterations) in [
+            (&li2o, Basis::sto3g(&li2o), -88.571_614_784_988, 13),
+            (&water, Basis::b631g(&water), -75.983_997_467_418_7, 11),
+        ] {
+            let res = rhf(mol, &basis, &ScfOptions::default());
+            assert!(res.converged, "{}", mol.formula());
+            assert!(
+                (res.energy - energy).abs() <= 1e-9,
+                "{}: E = {:.15e}",
+                mol.formula(),
+                res.energy
+            );
+            assert_eq!(res.iterations, iterations, "{}", mol.formula());
+        }
+    }
+
+    #[test]
     fn rhf_energy_bits_do_not_depend_on_thread_count() {
         // Li₂O₂ too slow for an unoptimized test build four times over;
         // its J/K bits are pinned across thread counts in `fock`'s tests.
