@@ -1,4 +1,4 @@
-//! The uniform-bin spatial index behind every locality-aware pair source.
+//! The uniform-bin spatial index behind the locality-aware pair source.
 //!
 //! Points are dropped into a regular grid of bins and a range query visits
 //! only the bins a ball of radius `r` can reach, so sourcing partners costs
@@ -8,10 +8,8 @@
 //! ([`crate::screening::pair_bound`]) and claim rule on top — which is why
 //! the lists it feeds are bit-identical to the brute scan's.
 //!
-//! Two sources sit on it: the periodic cell list
-//! ([`crate::screening::build_pair_list_celllist`], index over the cell)
-//! and the K path's AO partner search ([`crate::screening::cross_tasks`],
-//! index over the AOs' bounding box).
+//! The periodic cell list ([`crate::screening::build_pair_list_celllist`])
+//! sits on it; the index spans the cell and its queries wrap.
 
 use liair_basis::Cell;
 use liair_math::Vec3;
@@ -26,11 +24,10 @@ use liair_math::Vec3;
 /// by nothing measurable.
 const RADIUS_SLACK: f64 = 1.0 + 1e-12;
 
-/// Points binned on a regular grid: over a periodic [`Cell`] (queries wrap)
-/// or over the points' own bounding box (queries clamp to it).
+/// Points binned on a regular grid over a periodic [`Cell`] (queries
+/// wrap).
 pub(crate) struct BinIndex {
-    cell: Option<Cell>,
-    lo: [f64; 3],
+    cell: Cell,
     width: [f64; 3],
     nb: [usize; 3],
     bins: Vec<Vec<u32>>,
@@ -44,34 +41,15 @@ impl BinIndex {
     pub(crate) fn build(
         points: impl Iterator<Item = Vec3> + Clone,
         target: f64,
-        cell: Option<&Cell>,
+        cell: &Cell,
     ) -> BinIndex {
         let n = points.clone().count();
-        let (lo, ext) = match cell {
-            Some(c) => ([0.0; 3], [c.lengths.x, c.lengths.y, c.lengths.z]),
-            None => {
-                let mut lo = [f64::INFINITY; 3];
-                let mut hi = [f64::NEG_INFINITY; 3];
-                for p in points.clone() {
-                    for k in 0..3 {
-                        lo[k] = lo[k].min(p[k]);
-                        hi[k] = hi[k].max(p[k]);
-                    }
-                }
-                if n == 0 {
-                    (lo, hi) = ([0.0; 3], [0.0; 3]);
-                }
-                // A degenerate (planar, single-point) extent still gets a
-                // positive width to divide by.
-                (lo, [0, 1, 2].map(|k| (hi[k] - lo[k]).max(1e-9)))
-            }
-        };
+        let ext = [cell.lengths.x, cell.lengths.y, cell.lengths.z];
         let cap = (((n as f64).cbrt().ceil() as usize) * 2).max(1);
         let nb = ext.map(|l| ((l / target.max(1e-9)).floor() as usize).clamp(1, cap));
         let width = [0, 1, 2].map(|k| ext[k] / nb[k] as f64);
         let mut index = BinIndex {
-            cell: cell.copied(),
-            lo,
+            cell: *cell,
             width,
             nb,
             bins: vec![Vec::new(); nb[0] * nb[1] * nb[2]],
@@ -83,21 +61,15 @@ impl BinIndex {
         index
     }
 
-    /// Bin of coordinate `x` along axis `k`, clamped to the grid (a query
-    /// may start outside an open box; a wrapped coordinate may round onto
-    /// the upper cell face).
+    /// Bin of coordinate `x` along axis `k`, clamped to the grid (a
+    /// wrapped coordinate may round onto the upper cell face).
     fn axis_bin(&self, k: usize, x: f64) -> i64 {
-        (((x - self.lo[k]) / self.width[k]).floor() as i64).clamp(0, self.nb[k] as i64 - 1)
-    }
-
-    /// `p` in the index's own frame: wrapped into the cell when periodic.
-    fn wrapped(&self, p: Vec3) -> Vec3 {
-        self.cell.map_or(p, |c| c.wrap(p))
+        ((x / self.width[k]).floor() as i64).clamp(0, self.nb[k] as i64 - 1)
     }
 
     /// The (flat, x-major) bin holding `p`.
     fn bin_of(&self, p: Vec3) -> usize {
-        let p = self.wrapped(p);
+        let p = self.cell.wrap(p);
         let b = [0, 1, 2].map(|k| self.axis_bin(k, p[k]) as usize);
         (b[0] * self.nb[1] + b[1]) * self.nb[2] + b[2]
     }
@@ -107,24 +79,19 @@ impl BinIndex {
     /// id, exactly once. Bins are visited x-major and ids ascending within
     /// a bin.
     ///
-    /// An open axis visits the bins overlapping `[x − r, x + r]`. A
-    /// periodic axis visits whole shells, `⌈r / width⌉` bins either side
-    /// of `p`'s own, wrapping around the cell and stopping at one full
-    /// turn when the shells cover the axis.
+    /// Each axis visits whole shells, `⌈r / width⌉` bins either side of
+    /// `p`'s own, wrapping around the cell and stopping at one full turn
+    /// when the shells cover the axis.
     pub(crate) fn for_each_within(&self, p: Vec3, r: f64, mut f: impl FnMut(u32)) {
         let r = r * RADIUS_SLACK;
-        let p = self.wrapped(p);
+        let p = self.cell.wrap(p);
         // Per axis: first bin (wrapped into the grid) and how many to visit.
         let span = [0, 1, 2].map(|k| {
             let nb = self.nb[k] as i64;
-            let (a, b) = if self.cell.is_some() {
-                let shells = (r / self.width[k]).ceil() as i64;
-                let home = self.axis_bin(k, p[k]);
-                (home - shells, home + shells)
-            } else {
-                (self.axis_bin(k, p[k] - r), self.axis_bin(k, p[k] + r))
-            };
-            (a.rem_euclid(nb) as usize, (b - a + 1).min(nb) as usize)
+            let shells = (r / self.width[k]).ceil() as i64;
+            let home = self.axis_bin(k, p[k]);
+            let first = (home - shells).rem_euclid(nb) as usize;
+            (first, (2 * shells + 1).min(nb) as usize)
         });
         // `t < count ≤ nb` past a first bin `< nb`: one subtraction wraps.
         let bin = |k: usize, t: usize| {
@@ -164,13 +131,13 @@ mod tests {
     }
 
     /// The contract: the candidates are a duplicate-free superset of the
-    /// brute filter `distance ≤ r` (minimum image when periodic).
-    fn assert_covers(points: &[Vec3], target: f64, cell: Option<&Cell>, queries: &[(Vec3, f64)]) {
+    /// brute filter `distance ≤ r` (minimum image).
+    fn assert_covers(points: &[Vec3], target: f64, cell: &Cell, queries: &[(Vec3, f64)]) {
         let index = BinIndex::build(points.iter().copied(), target, cell);
         for &(q, r) in queries {
             let got = candidates(&index, q, r);
             for (id, &p) in points.iter().enumerate() {
-                let d = cell.map_or(q.distance(p), |c| c.distance(q, p));
+                let d = cell.distance(q, p);
                 if d <= r {
                     assert!(
                         got.binary_search(&(id as u32)).is_ok(),
@@ -213,34 +180,28 @@ mod tests {
         queries.extend([
             // On a bin edge, reaching exactly to the next edges.
             (Vec3::new(8.0, 8.0, 8.0), 4.0),
-            // Outside the box / a periodic image of an interior point.
+            // A periodic image of an interior point.
             (Vec3::new(-3.0, 25.0, 10.0), 5.0),
-            // Larger than the box: every bin once, not once per image.
+            // Larger than the cell: every bin once, not once per image.
             (Vec3::new(1.0, 2.0, 3.0), 3.0 * edge),
         ]);
-        for cell in [Some(&cell), None] {
-            assert_covers(&points, 4.0, cell, &queries);
-            // One bin per axis (target wider than the extent).
-            assert_covers(&points, 50.0, cell, &queries);
-        }
-        // The whole-box query reports every point exactly once.
-        for cell in [Some(&cell), None] {
-            let index = BinIndex::build(points.iter().copied(), 4.0, cell);
-            let all = candidates(&index, Vec3::new(1.0, 2.0, 3.0), 3.0 * edge);
-            assert_eq!(all.len(), points.len());
-        }
+        assert_covers(&points, 4.0, &cell, &queries);
+        // One bin per axis (target wider than the cell).
+        assert_covers(&points, 50.0, &cell, &queries);
+        // The whole-cell query reports every point exactly once.
+        let index = BinIndex::build(points.iter().copied(), 4.0, &cell);
+        let all = candidates(&index, Vec3::new(1.0, 2.0, 3.0), 3.0 * edge);
+        assert_eq!(all.len(), points.len());
     }
 
     #[test]
     fn empty_and_degenerate_inputs_are_queryable() {
         let cell = Cell::cubic(10.0);
-        for cell in [Some(&cell), None] {
-            let empty = BinIndex::build(std::iter::empty(), 2.0, cell);
-            assert!(candidates(&empty, Vec3::splat(1.0), 100.0).is_empty());
-            // Coincident points: zero extent on every axis.
-            let same = [Vec3::splat(3.0); 4];
-            let index = BinIndex::build(same.iter().copied(), 2.0, cell);
-            assert_eq!(candidates(&index, Vec3::splat(3.5), 1.0).len(), 4);
-        }
+        let empty = BinIndex::build(std::iter::empty(), 2.0, &cell);
+        assert!(candidates(&empty, Vec3::splat(1.0), 100.0).is_empty());
+        // Coincident points.
+        let same = [Vec3::splat(3.0); 4];
+        let index = BinIndex::build(same.iter().copied(), 2.0, &cell);
+        assert_eq!(candidates(&index, Vec3::splat(3.5), 1.0).len(), 4);
     }
 }

@@ -1,82 +1,95 @@
-//! The K-operator stage of the engine: `K_{μν} = Σ_j (μj|jν)` built as
-//! one Poisson solve per `(occupied j, AO ν)` task, on any
+//! The K-operator stage of the engine: the exchange operator of the
+//! occupied orbitals, built from the energy path's orbital-pair task and
+//! compressed as Lin's adaptively compressed exchange (ACE, J. Chem.
+//! Theory Comput. 12, 2242, 2016), on any
 //! [`ExecBackend`](super::ExecBackend).
 //!
-//! The task list is canonical (j-major, ν-ascending, ε-screened), per-task
-//! output columns are reassembled in that order on every backend, each
-//! orbital's `ΔK_j` accumulates its columns in task order, and `K = Σ_j
-//! ΔK_j` sums ascending-j before the final symmetrization — the fixed
-//! floating-point sequence that makes the rayon build, the message-passing
-//! build, and the incremental build with `eps_inc = 0` bit-identical.
+//! A K build runs over the pairs `(i ≤ j)` of the screened [`PairList`]
+//! of the occupied orbitals (localized first when ε > 0, every pair when
+//! ε = 0). Each pair solves `v_ij = Poisson[ψ_i ψ_j]` once; its item holds
+//! `⟨χ_μ|ψ_j v_ij⟩` and, off the diagonal, `⟨χ_μ|ψ_i v_ij⟩` for every AO,
+//! `2·nao` words. Summed in canonical pair order these give
+//! `B_μi = ⟨χ_μ|W_i⟩` with `W_i = Σ_j ψ_j v_ij`, that is `B = K C`, and
+//! with `M = Cᵀ B` the operator `K = B M⁻¹ Bᵀ` equals `Σ_j (μj|jν)` on
+//! the occupied space — the only space `FDS − SDF` and `tr(DK)` apply it
+//! to. It is symmetric by construction and its diagonal is a sum of
+//! squares. The from-scratch build and the incremental one
+//! (`crate::incremental`) share [`ace_operator`], so with canonical-order
+//! items on every backend the rayon build, the message-passing build and
+//! the incremental build with `eps_inc = 0` are bit-identical.
+//!
 //! The AO fields are the caller's [`BasisOnGrid`], evaluated once per
 //! geometry; a build evaluates only its orbital fields from them.
 
-use super::{BuildProfile, ExchangeEngine, HfxScratch};
-use crate::error::Result;
-use crate::screening::OrbitalInfo;
+use super::{BuildProfile, ExchangeEngine, HfxScratch, PairWork};
+use crate::error::{Error, Result};
+use crate::screening::{source_pairs, OrbitalInfo, Pair, PairList};
 use liair_basis::Basis;
-use liair_grid::{ao_values, orbitals_from_aos, RealGrid};
-use liair_math::Mat;
+use liair_grid::{ao_values, orbitals_from_aos, KernelTimings, PoissonSolver, RealGrid};
+use liair_math::linalg::eigh;
+use liair_math::{simd, Mat, Vec3};
 use std::time::Instant;
 
-/// One orbital's index `j`, its unsymmetrized `ΔK_j` contribution, and the
-/// number of its `(j, ν)` tasks that survived the ε screen.
-pub(crate) type OrbitalContrib = (usize, Mat, usize);
-
-/// A basis evaluated on a grid: the AO fields and AO screening metadata
-/// every K build at one geometry shares, so the SCF iterations there
-/// evaluate the basis once.
+/// A basis evaluated on a grid: the AO fields every K build at one
+/// geometry shares, so the SCF iterations there evaluate the basis once.
 pub struct BasisOnGrid<'a> {
     pub(crate) basis: &'a Basis,
     pub(crate) grid: &'a RealGrid,
     pub(crate) aos: Vec<Vec<f64>>,
-    /// Center and spread of each AO's most diffuse primitive.
-    pub(crate) ao_info: Vec<OrbitalInfo>,
 }
 
 impl<'a> BasisOnGrid<'a> {
     /// Evaluate `basis` (in the grid's box frame) on `grid`.
     pub fn new(basis: &'a Basis, grid: &'a RealGrid) -> Self {
-        let ao_info = basis
-            .aos
-            .iter()
-            .map(|ao| {
-                let sh = &basis.shells[ao.shell];
-                let alpha_min = sh.prims.iter().map(|p| p.exp).fold(f64::INFINITY, f64::min);
-                OrbitalInfo {
-                    center: sh.center,
-                    spread: (1.0 / (2.0 * alpha_min)).sqrt().max(0.3),
-                }
-            })
-            .collect();
         BasisOnGrid {
             basis,
             grid,
             aos: ao_values(basis, grid),
-            ao_info,
         }
     }
 }
 
-/// Everything the per-orbital K tasks need that does not depend on which
-/// orbitals are dirty: the caller's AO fields plus the orbital fields and
-/// screening metadata. Shared by the from-scratch and incremental builds.
+/// The orbitals a K build runs on, shared by the from-scratch and
+/// incremental builds.
 pub(crate) struct KBuildSetup<'a> {
     pub(crate) fields: &'a BasisOnGrid<'a>,
-    pub(crate) nao: usize,
-    pub(crate) nocc: usize,
-    /// Localization centers/spreads of the (localized) occupied orbitals;
-    /// empty when `eps = 0` (no localization, nothing to screen).
-    pub(crate) orb_info: Vec<OrbitalInfo>,
-    /// Occupied orbital fields on the grid (localized when `eps > 0`).
+    /// Their coefficients (`nao × nocc`): the occupied block, localized
+    /// when ε > 0. K is invariant under rotations within the occupied
+    /// space.
+    pub(crate) c: Mat,
+    /// The same orbitals on the grid.
     pub(crate) orbitals: Vec<Vec<f64>>,
+    /// Localization centers and spreads; with ε = 0 nothing is screened
+    /// and every record is the placeholder `(0, 1)`.
+    pub(crate) infos: Vec<OrbitalInfo>,
+}
+
+impl KBuildSetup<'_> {
+    pub(crate) fn nao(&self) -> usize {
+        self.fields.aos.len()
+    }
+
+    /// The screened pair list of this build: ε drops pairs whose
+    /// Gaussian-overlap bound falls below it (open boundaries: the box of
+    /// a K build holds an isolated molecule).
+    pub(crate) fn pairs(&self, eps: f64) -> PairList {
+        source_pairs(&self.infos, eps, None)
+    }
+
+    /// Negate the orbital fields marked in `flipped`, so that each
+    /// matches the sign its cached pair items were computed with.
+    pub(crate) fn align(&mut self, flipped: &[bool]) {
+        for (i, _) in flipped.iter().enumerate().filter(|(_, &f)| f) {
+            self.orbitals[i].iter_mut().for_each(|v| *v = -*v);
+        }
+    }
 }
 
 /// Evaluate the orbital fields and screening metadata for a K build.
 ///
-/// Canonical orbitals are delocalized and unscreenable; K is invariant
-/// under rotations within the occupied space, so when screening is on we
-/// localize first (exactly what the paper's scheme does each step).
+/// Canonical orbitals are delocalized and unscreenable, so when screening
+/// is on we localize first (exactly what the paper's scheme does each
+/// step).
 pub(crate) fn k_build_setup<'a>(
     fields: &'a BasisOnGrid<'a>,
     c_occ: &Mat,
@@ -86,9 +99,9 @@ pub(crate) fn k_build_setup<'a>(
     let nao = fields.aos.len();
     assert_eq!(c_occ.nrows(), nao);
     assert!(nocc <= c_occ.ncols());
-    let (c_work, orb_info) = if eps > 0.0 {
+    let (c, infos) = if eps > 0.0 {
         let loc = liair_grid::foster_boys(fields.basis, c_occ, nocc, 60);
-        let orbs: Vec<OrbitalInfo> = loc
+        let infos = loc
             .centers
             .iter()
             .zip(&loc.spreads)
@@ -97,41 +110,116 @@ pub(crate) fn k_build_setup<'a>(
                 spread: s.max(0.3),
             })
             .collect();
-        (loc.c_loc, orbs)
+        (loc.c_loc, infos)
     } else {
-        (c_occ.clone(), Vec::new())
+        let placeholder = OrbitalInfo {
+            center: Vec3::ZERO,
+            spread: 1.0,
+        };
+        (
+            Mat::from_fn(nao, nocc, |mu, k| c_occ[(mu, k)]),
+            vec![placeholder; nocc],
+        )
     };
-    let orbitals = orbitals_from_aos(&fields.aos, &c_work, nocc);
+    let orbitals = orbitals_from_aos(&fields.aos, &c, nocc);
     KBuildSetup {
         fields,
-        nao,
-        nocc,
-        orb_info,
+        c,
         orbitals,
+        infos,
     }
 }
 
-/// Average away the 1e-6-level asymmetry grid quadrature leaves in K.
-pub(crate) fn symmetrize(k: &mut Mat) {
-    let nao = k.nrows();
-    for mu in 0..nao {
-        for nu in (mu + 1)..nao {
-            let s = 0.5 * (k[(mu, nu)] + k[(nu, mu)]);
-            k[(mu, nu)] = s;
-            k[(nu, mu)] = s;
+/// The K path's work item as [`ExchangeEngine::execute`] takes it: item
+/// `t` is pair `pairs[t]`, its `2·nao` words the AO projections of
+/// `ψ_j v_ij` (first half) and, off the diagonal, `ψ_i v_ij` (second
+/// half). A pure function of the pair, like the energy path's.
+pub(super) fn k_pair_item<'p>(
+    grid: &RealGrid,
+    solver: &'p PoissonSolver,
+    setup: &'p KBuildSetup<'p>,
+    pairs: &'p [Pair],
+) -> impl Fn(&mut HfxScratch, usize, &mut [f64]) -> (KernelTimings, usize) + Send + Sync + 'p {
+    let (aos, orbitals) = (&setup.fields.aos, &setup.orbitals);
+    let (npts, dvol) = (grid.len(), grid.dvol());
+    move |sc, t, out| {
+        let grew = sc.ensure(npts) as usize;
+        let (i, j) = (pairs[t].i as usize, pairs[t].j as usize);
+        let HfxScratch { rho, ws } = sc;
+        simd::mul_into(rho, &orbitals[i], &orbitals[j]);
+        let v = solver.solve_into(rho, ws);
+        let (to_i, to_j) = out.split_at_mut(aos.len());
+        // `rho` is free once `v` is solved: it holds `ψ v` for each half.
+        let mut project = |psi: &[f64], dst: &mut [f64]| {
+            simd::mul_into(rho, psi, v);
+            for (d, ao) in dst.iter_mut().zip(aos) {
+                *d = ao.iter().zip(rho.iter()).map(|(a, w)| a * w).sum::<f64>() * dvol;
+            }
+        };
+        project(&orbitals[j], to_i);
+        if i == j {
+            to_j.fill(0.0);
+        } else {
+            project(&orbitals[i], to_j);
+        }
+        (ws.take_timings(), grew)
+    }
+}
+
+/// Assemble the ACE operator from the pair items of orbitals with
+/// coefficients `c` (`nao × nocc`), `items[t]` belonging to
+/// `pairs.pairs[t]`: `B` summed in canonical pair order, `M = cᵀ B`
+/// decomposed by [`eigh`] (which averages `M` with its transpose),
+/// `K = (B V Λ^{-1/2}) (B V Λ^{-1/2})ᵀ`. An eigenvalue of `M` at or below
+/// zero is [`Error::IndefiniteExchange`]. The reduce time goes into
+/// `profile`.
+pub(crate) fn ace_operator<'i>(
+    c: &Mat,
+    pairs: &PairList,
+    items: impl Iterator<Item = &'i [f64]>,
+    profile: &mut BuildProfile,
+) -> Result<Mat> {
+    let t0 = Instant::now();
+    let (nao, nocc) = (c.nrows(), c.ncols());
+    let mut b = Mat::zeros(nao, nocc);
+    for (p, item) in pairs.pairs.iter().zip(items) {
+        let (i, j) = (p.i as usize, p.j as usize);
+        let (to_i, to_j) = item.split_at(nao);
+        for mu in 0..nao {
+            b[(mu, i)] += to_i[mu];
+        }
+        if i != j {
+            for mu in 0..nao {
+                b[(mu, j)] += to_j[mu];
+            }
         }
     }
+    let (vals, vecs) = eigh(&c.transpose().matmul(&b));
+    if let Some(&eigenvalue) = vals.first().filter(|&&l| l <= 0.0) {
+        return Err(Error::IndefiniteExchange { eigenvalue });
+    }
+    let mut xi = b.matmul(&vecs);
+    for (k, l) in vals.iter().enumerate() {
+        let f = 1.0 / l.sqrt();
+        for mu in 0..nao {
+            xi[(mu, k)] *= f;
+        }
+    }
+    let k = xi.matmul(&xi.transpose());
+    profile.t_reduce_s += t0.elapsed().as_secs_f64();
+    Ok(k)
 }
 
 /// Output of [`ExchangeEngine::k_operator`].
 #[derive(Debug, Clone)]
 pub struct KBuildOutcome {
-    /// The symmetrized exchange operator `Σ_j (μj|jν)`.
+    /// The exchange operator: `Σ_j (μj|jν)` on the occupied space, as
+    /// ACE `B M⁻¹ Bᵀ`.
     pub k: Mat,
-    /// Per-phase instrumentation and task counts of this build: of the
-    /// `nocc · nao` `(j, ν)` tasks, `pairs_computed` ran a Poisson solve,
-    /// `pairs_reused` came from an incremental cache and `pairs_screened`
-    /// were dropped by the ε screen.
+    /// Per-phase instrumentation and pair counts of this build: of the
+    /// `nocc(nocc+1)/2` orbital pairs, `pairs_computed` ran a Poisson
+    /// solve, `pairs_reused` came from an incremental cache and
+    /// `pairs_screened` were dropped by the ε screen.
     pub profile: BuildProfile,
 }
 
@@ -140,22 +228,11 @@ impl ExchangeEngine<'_> {
     ///
     /// `fields` is the basis evaluated on this engine's grid; `c_occ`
     /// holds the occupied MO coefficients (`nao × nocc`) in that same
-    /// (box-centered) basis; `eps` drops `(j, ν)` tasks whose
+    /// (box-centered) basis; `eps` drops orbital pairs whose
     /// Gaussian-overlap bound falls below it (localizing first when
-    /// `eps > 0`).
+    /// `eps > 0`). Unrecovered communication failures and an occupied
+    /// exchange matrix that is not positive come back as typed errors.
     pub fn k_operator(
-        &self,
-        fields: &BasisOnGrid,
-        c_occ: &Mat,
-        nocc: usize,
-        eps: f64,
-    ) -> KBuildOutcome {
-        self.try_k_operator(fields, c_occ, nocc, eps)
-            .unwrap_or_else(|e| panic!("K-operator build failed: {e}"))
-    }
-
-    /// Fallible twin of [`ExchangeEngine::k_operator`].
-    pub fn try_k_operator(
         &self,
         fields: &BasisOnGrid,
         c_occ: &Mat,
@@ -167,158 +244,198 @@ impl ExchangeEngine<'_> {
         let t_ao = Instant::now();
         let setup = k_build_setup(fields, c_occ, nocc, eps);
         profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
-        let slots: Vec<usize> = (0..nocc).collect();
-        let results = self.k_orbital_contribs(&setup, eps, &slots, &mut profile)?;
-        let tr = Instant::now();
-        let mut k = Mat::zeros(setup.nao, setup.nao);
-        for (_, dk, _) in &results {
-            k.axpy(1.0, dk);
-        }
-        symmetrize(&mut k);
-        profile.t_reduce_s += tr.elapsed().as_secs_f64();
-        profile.bytes_reduced += results.len() * setup.nao * setup.nao * std::mem::size_of::<f64>();
+        let pairs = setup.pairs(eps);
+        let items = self.pair_contribs(PairWork::Operator(&setup), &pairs.pairs, &mut profile)?;
+        let width = 2 * setup.nao();
+        let k = ace_operator(&setup.c, &pairs, items.chunks_exact(width), &mut profile)?;
+        profile.bytes_reduced += std::mem::size_of_val(&items[..]);
+        profile.count_pairs(&pairs, pairs.len(), 0);
         Ok(KBuildOutcome { k, profile })
-    }
-
-    /// Run the surviving `(j, ν)` Poisson tasks of the orbitals in `slots`
-    /// on the configured backend and return, per requested orbital, its
-    /// unsymmetrized contribution `ΔK_j` plus its evaluated-task count.
-    /// `K = Σ_j ΔK_j` over all occupied orbitals. Execute-phase profile
-    /// fields and the requested orbitals' computed/screened task counts
-    /// are accumulated into `profile`.
-    pub(crate) fn k_orbital_contribs(
-        &self,
-        setup: &KBuildSetup,
-        eps: f64,
-        slots: &[usize],
-        profile: &mut BuildProfile,
-    ) -> Result<Vec<OrbitalContrib>> {
-        let nao = setup.nao;
-        // For each (j, ν): v_jν = Poisson[φ_j χ_ν]; then
-        // K_μν += ∫ χ_μ φ_j v_jν — the pair-task structure of the energy
-        // path. The task list is canonical: j-major, ν-ascending. With a
-        // finite ε the AOs are binned once and each dirty orbital inspects
-        // only AOs within its cutoff radius (`cross_tasks`, the
-        // locality-first source of the incremental dirty set); the partner
-        // sets — and therefore the canonical order — are exactly the brute
-        // filter's.
-        let tasks: Vec<(usize, usize)> = if eps <= 0.0 {
-            profile.pairs_considered += slots.len() * nao;
-            slots
-                .iter()
-                .flat_map(|&j| (0..nao).map(move |nu| (j, nu)))
-                .collect()
-        } else if eps > 1.0 {
-            // Every bound is ≤ 1: nothing survives, nothing to inspect.
-            Vec::new()
-        } else {
-            let (tasks, inspected) =
-                crate::screening::cross_tasks(&setup.orb_info, slots, &setup.fields.ao_info, eps);
-            profile.pairs_considered += inspected;
-            tasks
-        };
-        // One item per task; its output is column ν of ΔK_j,
-        // `⟨χ_μ φ_j | v_jν⟩` for every μ.
-        let (npts, aos) = (self.grid.len(), &setup.fields.aos);
-        let dvol = self.grid.dvol();
-        let solver = self.solver;
-        let t0 = Instant::now();
-        let cols = self.execute(
-            tasks.len(),
-            nao,
-            HfxScratch::default,
-            |sc, t, col| {
-                let (j, nu) = tasks[t];
-                let grew = sc.ensure(npts) as usize;
-                let HfxScratch { rho, ws } = sc;
-                for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&aos[nu]) {
-                    *r = a * b;
-                }
-                let v = solver.solve_into(rho, ws);
-                for (mu, c) in col.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for p in 0..npts {
-                        acc += aos[mu][p] * setup.orbitals[j][p] * v[p];
-                    }
-                    *c = acc * dvol;
-                }
-                (sc.ws.take_timings(), grew)
-            },
-            profile,
-        )?;
-        profile.t_exec_s += t0.elapsed().as_secs_f64();
-        profile.pairs_computed += tasks.len();
-        profile.pairs_screened += slots.len() * nao - tasks.len();
-        let mut slot_of = vec![usize::MAX; setup.nocc];
-        for (s, &j) in slots.iter().enumerate() {
-            slot_of[j] = s;
-        }
-        let mut out: Vec<OrbitalContrib> = slots
-            .iter()
-            .map(|&j| (j, Mat::zeros(nao, nao), 0))
-            .collect();
-        // Accumulate columns in canonical task order — the fixed sequence
-        // shared by every backend and the incremental rebuild.
-        for (col, &(j, nu)) in cols.chunks_exact(nao).zip(&tasks) {
-            let (_, dk, evaluated) = &mut out[slot_of[j]];
-            for mu in 0..nao {
-                dk[(mu, nu)] += col[mu];
-            }
-            *evaluated += 1;
-        }
-        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::BasisOnGrid;
-    use crate::engine::ExchangeEngine;
-    use liair_basis::{systems, Basis, Cell, Molecule};
-    use liair_grid::{PoissonSolver, RealGrid};
+    use super::*;
+    use crate::balance::BalanceStrategy;
+    use crate::engine::ExecBackend;
+    use liair_basis::{systems, Cell, Molecule};
     use liair_scf::{rhf, ScfOptions, ScfResult};
 
-    /// Converged H₂ RHF, and a copy of the molecule centered in a cubic
-    /// box of `edge` Bohr.
-    fn h2_in_box(edge: f64) -> (ScfResult, Molecule) {
-        let mol = systems::h2();
+    /// Converged RHF of `mol`, and a copy of the molecule centered in a
+    /// cubic box of `edge` Bohr.
+    fn in_box(mol: Molecule, edge: f64) -> (ScfResult, Molecule) {
         let scf = rhf(&mol, &Basis::sto3g(&mol), &ScfOptions::default());
         let mut mol_c = mol.clone();
-        mol_c.translate(liair_math::Vec3::splat(edge / 2.0) - mol.centroid());
+        mol_c.translate(Vec3::splat(edge / 2.0) - mol.centroid());
         (scf, mol_c)
+    }
+
+    /// The retired `(j, ν)` column build, kept as the oracle of the ACE
+    /// operator: one Poisson solve per (occupied `j`, AO `ν`) and
+    /// `K_μν = Σ_j ⟨χ_μ ψ_j | v_jν⟩`, unsymmetrized.
+    fn column_oracle(
+        fields: &BasisOnGrid,
+        solver: &PoissonSolver,
+        c_occ: &Mat,
+        nocc: usize,
+    ) -> Mat {
+        let setup = k_build_setup(fields, c_occ, nocc, 0.0);
+        let (aos, nao) = (&fields.aos, setup.nao());
+        let dvol = fields.grid.dvol();
+        let mut sc = HfxScratch::default();
+        sc.ensure(fields.grid.len());
+        let mut k = Mat::zeros(nao, nao);
+        for psi in &setup.orbitals {
+            for nu in 0..nao {
+                simd::mul_into(&mut sc.rho, psi, &aos[nu]);
+                let v = solver.solve_into(&sc.rho, &mut sc.ws);
+                for mu in 0..nao {
+                    let acc: f64 = (0..v.len()).map(|p| aos[mu][p] * psi[p] * v[p]).sum();
+                    k[(mu, nu)] += acc * dvol;
+                }
+            }
+        }
+        k
+    }
+
+    /// The first `nocc` columns of `c`.
+    fn occupied(c: &Mat, nocc: usize) -> Mat {
+        Mat::from_fn(c.nrows(), nocc, |mu, k| c[(mu, k)])
+    }
+
+    #[test]
+    fn ace_equals_the_column_oracle_on_the_occupied_space() {
+        let cases = [
+            ("H2", systems::h2(), 12.0, 24),
+            ("H2", systems::h2(), 12.0, 48),
+            ("LiH", systems::lih(), 14.0, 32),
+            ("water", systems::water(), 14.0, 32),
+        ];
+        for (name, mol, edge, n) in cases {
+            let (scf, mol_c) = in_box(mol, edge);
+            let basis = Basis::sto3g(&mol_c);
+            let grid = RealGrid::cubic(Cell::cubic(edge), n);
+            let solver = PoissonSolver::isolated(grid);
+            let fields = BasisOnGrid::new(&basis, &grid);
+            let c_occ = occupied(&scf.c, scf.nocc);
+            let want = column_oracle(&fields, &solver, &scf.c, scf.nocc).matmul(&c_occ);
+            let backends = [
+                ExecBackend::Serial,
+                ExecBackend::Comm {
+                    nranks: 2,
+                    strategy: BalanceStrategy::GreedyLpt,
+                },
+            ];
+            for backend in backends {
+                let out = ExchangeEngine::builder(&grid, &solver)
+                    .backend(backend)
+                    .build()
+                    .unwrap()
+                    .k_operator(&fields, &scf.c, scf.nocc, 0.0)
+                    .expect("the occupied exchange matrix of an RHF density is positive");
+                let what = format!("{name} {n}³ {backend:?}");
+                let err = out.k.matmul(&c_occ).sub(&want).fro_norm() / want.fro_norm();
+                assert!(err < 1e-10, "{what}: K C off the oracle by {err:e}");
+                let scale = out.k.fro_norm();
+                assert!(out.k.asymmetry() <= 1e-14 * scale, "{what}");
+                for mu in 0..basis.nao() {
+                    assert!(out.k[(mu, mu)] >= 0.0, "{what}: K[{mu},{mu}]");
+                }
+                let nocc = scf.nocc;
+                assert_eq!(out.profile.pairs_computed, nocc * (nocc + 1) / 2, "{what}");
+            }
+        }
     }
 
     #[test]
     fn grid_k_matches_analytic_k() {
-        // Build K on the grid for the converged H2 density and compare to
-        // the analytic K(D)/2 (K(D) contracts the doubled density).
+        // Build K on the grid for the converged H2 density and compare its
+        // action on the occupied orbital with the analytic K(D)/2 (K(D)
+        // contracts the doubled density). ACE is exact on that space only.
         let edge = 16.0;
-        let (scf, mol_c) = h2_in_box(edge);
+        let (scf, mol_c) = in_box(systems::h2(), edge);
         let basis = Basis::sto3g(&mol_c);
         let grid = RealGrid::cubic(Cell::cubic(edge), 64);
         let solver = PoissonSolver::isolated(grid);
         let k_grid = ExchangeEngine::new(&grid, &solver)
             .k_operator(&BasisOnGrid::new(&basis, &grid), &scf.c, scf.nocc, 0.0)
+            .expect("the occupied exchange matrix of an RHF density is positive")
             .k;
-        // Analytic: K(D) with D = 2CCᵀ equals 2 × Σ_j (μj|jν).
+        let c_occ = occupied(&scf.c, scf.nocc);
         let (_, k_an) = liair_integrals::build_jk(&basis, &scf.density, 0.0);
-        let err = k_grid.scale(2.0).sub(&k_an).fro_norm() / k_an.fro_norm();
-        assert!(err < 5e-3, "relative K error {err}");
+        let want = k_an.matmul(&c_occ).scale(0.5);
+        let err = k_grid.matmul(&c_occ).sub(&want).fro_norm() / want.fro_norm();
+        assert!(err < 5e-3, "relative K C error {err}");
     }
 
     #[test]
     fn grid_k_is_symmetric_and_psd_on_diagonal() {
         let edge = 14.0;
-        let (scf, mol_c) = h2_in_box(edge);
+        let (scf, mol_c) = in_box(systems::h2(), edge);
         let basis = Basis::sto3g(&mol_c);
         let grid = RealGrid::cubic(Cell::cubic(edge), 48);
         let solver = PoissonSolver::isolated(grid);
         let k = ExchangeEngine::new(&grid, &solver)
             .k_operator(&BasisOnGrid::new(&basis, &grid), &scf.c, scf.nocc, 0.0)
+            .expect("the occupied exchange matrix of an RHF density is positive")
             .k;
-        assert!(k.asymmetry() < 1e-12); // symmetrized by construction
+        assert!(k.asymmetry() < 1e-12); // symmetric by construction
         for i in 0..basis.nao() {
             assert!(k[(i, i)] > 0.0, "K[{i},{i}] = {}", k[(i, i)]);
+        }
+    }
+
+    #[test]
+    fn one_k_build_computes_one_poisson_solve_per_orbital_pair() {
+        // At ε = 0 every pair (i ≤ j) runs once: 1 / 3 / 15 for
+        // H₂ / LiH / water. The (j, ν) column build ran nocc · nao of them:
+        // 2 / 12 / 35. The grid only needs to hold the molecules.
+        for (mol, want) in [
+            (systems::h2(), 1),
+            (systems::lih(), 3),
+            (systems::water(), 15),
+        ] {
+            let (scf, mol_c) = in_box(mol, 14.0);
+            let basis = Basis::sto3g(&mol_c);
+            let grid = RealGrid::cubic(Cell::cubic(14.0), 16);
+            let solver = PoissonSolver::isolated(grid);
+            let out = ExchangeEngine::new(&grid, &solver)
+                .k_operator(&BasisOnGrid::new(&basis, &grid), &scf.c, scf.nocc, 0.0)
+                .expect("the occupied exchange matrix of an RHF density is positive");
+            let p = out.profile;
+            assert_eq!(
+                (p.pairs_computed, p.pairs_screened, p.pairs_reused),
+                (want, 0, 0)
+            );
+            assert_eq!(p.pairs_considered, want);
+        }
+    }
+
+    #[test]
+    fn a_non_positive_occupied_exchange_matrix_is_a_typed_error() {
+        let edge = 12.0;
+        let (scf, mol_c) = in_box(systems::h2(), edge);
+        let basis = Basis::sto3g(&mol_c);
+        let grid = RealGrid::cubic(Cell::cubic(edge), 16);
+        let solver = PoissonSolver::isolated(grid);
+        let fields = BasisOnGrid::new(&basis, &grid);
+        let engine = ExchangeEngine::builder(&grid, &solver)
+            .backend(ExecBackend::Serial)
+            .build()
+            .unwrap();
+        let setup = k_build_setup(&fields, &scf.c, scf.nocc, 0.0);
+        let pairs = setup.pairs(0.0);
+        let mut profile = BuildProfile::default();
+        let items = engine
+            .pair_contribs(PairWork::Operator(&setup), &pairs.pairs, &mut profile)
+            .unwrap();
+        // Negated items make M = Cᵀ B negative definite.
+        let negated: Vec<f64> = items.iter().map(|v| -v).collect();
+        let width = 2 * setup.nao();
+        match ace_operator(&setup.c, &pairs, negated.chunks_exact(width), &mut profile) {
+            Err(Error::IndefiniteExchange { eigenvalue }) => assert!(eigenvalue < 0.0),
+            other => panic!("expected IndefiniteExchange, got {other:?}"),
         }
     }
 }

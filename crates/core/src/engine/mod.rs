@@ -6,16 +6,19 @@
 //! one [`ExchangeEngine`], which owns the scratch lifetimes, the pair
 //! kernel and the reduction order of one staged pipeline:
 //!
-//! 1. **pair source** — a screened [`PairList`], an explicit dirty slice
-//!    (incremental), or the `(occupied j, AO ν)` K-task list;
+//! 1. **pair source** — a screened [`PairList`] of orbital pairs
+//!    `(i ≤ j)`, or an explicit dirty slice of one (incremental); the
+//!    energy and the K operator share it;
 //! 2. **execute** — an [`ExecBackend`]: serial, rayon, or message-passing
 //!    over `liair-runtime` ranks, all running the *identical* per-pair
-//!    kernel (one r2c transform + Parseval contraction per pair);
-//! 3. **accumulate** — per-pair contributions reassembled in canonical
-//!    pair-list order and summed sequentially, or per-task K columns
-//!    accumulated in canonical task order — so every backend produces the
-//!    same floating-point sequence, which is what makes the cross-driver
-//!    equivalence suite exact rather than tolerance-based.
+//!    kernel: one Poisson problem per pair, contracted to `−w (ij|ij)`
+//!    for the energy or projected on the AOs (`2·nao` words) for K;
+//! 3. **accumulate** — per-pair outputs reassembled in canonical
+//!    pair-list order and summed sequentially (the energy, or K's
+//!    `B = K C` before the ACE assembly of `engine::kpath`) — so every
+//!    backend produces the same floating-point sequence, which is what
+//!    makes the cross-backend equivalence suite exact rather than
+//!    tolerance-based.
 //!
 //! Every build returns the same [`BuildProfile`]: per-phase wall times (AO
 //! eval, FFT, kernel multiply, execute, reduce) and work counters (pairs
@@ -132,9 +135,9 @@ impl<'a> EngineBuilder<'a> {
     }
 }
 
-/// Per-worker scratch of the pair loop and the K task loop alike: one
-/// pair density plus the Poisson workspace. Grow-once, reused across all
-/// items a worker takes.
+/// Per-worker scratch of the energy and K pair items alike: one pair
+/// density plus the Poisson workspace. Grow-once, reused across all items
+/// a worker takes.
 #[derive(Debug, Default)]
 pub(crate) struct HfxScratch {
     rho: Vec<f64>,
@@ -168,6 +171,15 @@ impl EngineScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// What a pair item computes: the energy path's weighted `−w (ij|ij)`
+/// over these orbital fields (one word per pair), or the K path's AO
+/// projections over this build's orbitals (`2·nao` words per pair, see
+/// `engine::kpath`).
+pub(crate) enum PairWork<'s> {
+    Energy(&'s [Vec<f64>]),
+    Operator(&'s kpath::KBuildSetup<'s>),
 }
 
 /// The weighted contribution `−w (ij|ij)` of one pair: form `ρ_ij`, one
@@ -285,7 +297,7 @@ impl<'a> ExchangeEngine<'a> {
     /// reassembly that is what makes the backends bit-identical. The
     /// energy paths run two-pair chunks (`width` 2 — a scheduling grain
     /// only: what a rank is assigned, streams and steals), the K path one
-    /// `nao`-word column per `(j, ν)` task.
+    /// pair per `2·nao`-word item.
     fn execute<S, I, F>(
         &self,
         nitems: usize,
@@ -330,48 +342,48 @@ impl<'a> ExchangeEngine<'a> {
         }
     }
 
-    /// Per-pair weighted contributions `−w_ij (ij|ij)` over an explicit
-    /// pair slice, in pair order — the recompute stage the incremental
-    /// build points at its dirty set. Fills the execute-phase fields of
-    /// `profile` (times, growth); the caller owns the counters.
-    pub fn pair_contribs(
+    /// Per-pair outputs over an explicit pair slice, in slice order,
+    /// `work`'s width per pair — the recompute stage of every build, the
+    /// incremental one pointed at its dirty set. Fills the execute-phase
+    /// fields of `profile` (times, growth); the caller owns the counters.
+    /// Orbital-shape problems and unrecovered communication failures come
+    /// back as typed [`Error`]s; an empty slice runs nothing.
+    pub(crate) fn pair_contribs(
         &self,
-        orbitals: &[Vec<f64>],
-        pairs: &[Pair],
-        profile: &mut BuildProfile,
-    ) -> Vec<f64> {
-        self.try_pair_contribs(orbitals, pairs, profile)
-            .unwrap_or_else(|e| panic!("exchange pair build failed: {e}"))
-    }
-
-    /// Fallible twin of [`ExchangeEngine::pair_contribs`]: orbital-shape
-    /// and configuration problems, and unrecovered communication
-    /// failures, come back as typed [`Error`]s.
-    pub fn try_pair_contribs(
-        &self,
-        orbitals: &[Vec<f64>],
+        work: PairWork,
         pairs: &[Pair],
         profile: &mut BuildProfile,
     ) -> Result<Vec<f64>> {
-        // An empty dirty set of an empty orbital set is a valid (empty)
-        // build; pairs always need their orbitals.
-        if !(orbitals.is_empty() && pairs.is_empty()) {
-            self.validate_orbitals(orbitals)?;
+        if pairs.is_empty() {
+            return Ok(Vec::new());
         }
-        let n = self.grid.len();
+        let (n, solver) = (self.grid.len(), self.solver);
         let t0 = Instant::now();
-        let mut contribs = self.execute(
-            pairs.len().div_ceil(2),
-            2,
-            HfxScratch::default,
-            pair_chunk(n, self.solver, orbitals, pairs),
-            profile,
-        )?;
-        // The last chunk's second slot is padding when the pair count is
-        // odd.
-        contribs.truncate(pairs.len());
+        let out = match work {
+            PairWork::Energy(orbitals) => {
+                self.validate_orbitals(orbitals)?;
+                let mut contribs = self.execute(
+                    pairs.len().div_ceil(2),
+                    2,
+                    HfxScratch::default,
+                    pair_chunk(n, solver, orbitals, pairs),
+                    profile,
+                )?;
+                // The last chunk's second slot is padding when the pair
+                // count is odd.
+                contribs.truncate(pairs.len());
+                contribs
+            }
+            PairWork::Operator(setup) => self.execute(
+                pairs.len(),
+                2 * setup.nao(),
+                HfxScratch::default,
+                kpath::k_pair_item(self.grid, solver, setup, pairs),
+                profile,
+            )?,
+        };
         profile.t_exec_s += t0.elapsed().as_secs_f64();
-        Ok(contribs)
+        Ok(out)
     }
 
     /// Full-cell exchange energy over a screened pair list: execute on the
@@ -386,7 +398,8 @@ impl<'a> ExchangeEngine<'a> {
     pub fn try_energy(&self, orbitals: &[Vec<f64>], pairs: &PairList) -> Result<HfxResult> {
         self.validate_orbitals(orbitals)?;
         let mut profile = BuildProfile::default();
-        let contribs = self.try_pair_contribs(orbitals, &pairs.pairs, &mut profile)?;
+        let contribs =
+            self.pair_contribs(PairWork::Energy(orbitals), &pairs.pairs, &mut profile)?;
         Ok(self.finish_energy(&contribs, pairs, profile))
     }
 
@@ -510,9 +523,7 @@ impl<'a> ExchangeEngine<'a> {
         let energy: f64 = contribs.iter().sum();
         profile.t_reduce_s += tr.elapsed().as_secs_f64();
         profile.bytes_reduced += std::mem::size_of_val(contribs);
-        profile.pairs_computed = pairs.len();
-        profile.pairs_screened = pairs.n_candidates - pairs.len();
-        profile.pairs_considered = pairs.considered;
+        profile.count_pairs(pairs, pairs.len(), 0);
         HfxResult { energy, profile }
     }
 }
@@ -520,8 +531,249 @@ impl<'a> ExchangeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::IncrementalExchange;
+    use crate::screening::source_pairs;
+    use liair_basis::{Atom, Basis, Cell, Element, Molecule};
     use liair_grid::patch::Patch;
-    use liair_math::Vec3;
+    use liair_math::rng::SplitMix64;
+    use liair_math::{Mat, Vec3};
+
+    /// Normalized Gaussian (exponent 1.1) at `c`, periodic on `grid`.
+    fn gaussian(grid: &RealGrid, c: Vec3) -> Vec<f64> {
+        let norm = (2.2 / std::f64::consts::PI).powf(0.75);
+        (0..grid.len())
+            .map(|i| {
+                let d = grid.cell.min_image(c, grid.point_flat(i));
+                norm * (-1.1 * d.norm_sqr()).exp()
+            })
+            .collect()
+    }
+
+    /// Four Gaussians at random centres of a 14-Bohr cell on a 16³ grid,
+    /// every pair kept.
+    fn four_gaussians() -> (
+        RealGrid,
+        PoissonSolver,
+        Vec<Vec<f64>>,
+        Vec<OrbitalInfo>,
+        PairList,
+    ) {
+        let grid = RealGrid::cubic(Cell::cubic(14.0), 16);
+        let mut rng = SplitMix64::new(171);
+        let infos: Vec<OrbitalInfo> = (0..4)
+            .map(|_| OrbitalInfo {
+                center: Vec3::new(
+                    rng.range_f64(4.0, 10.0),
+                    rng.range_f64(4.0, 10.0),
+                    rng.range_f64(4.0, 10.0),
+                ),
+                spread: 0.7,
+            })
+            .collect();
+        let fields = infos.iter().map(|o| gaussian(&grid, o.center)).collect();
+        let pairs = source_pairs(&infos, 0.0, Some(&grid.cell));
+        (grid, PoissonSolver::isolated(grid), fields, infos, pairs)
+    }
+
+    /// The backends the slice-independence contract is held on, each with
+    /// an optional fault plan.
+    fn backends_and_faults() -> Vec<(ExecBackend, Option<FaultPlan>)> {
+        let mut out = vec![(ExecBackend::Serial, None), (ExecBackend::Rayon, None)];
+        for nranks in [1, 2, 3] {
+            let b = ExecBackend::Comm {
+                nranks,
+                strategy: BalanceStrategy::GreedyLpt,
+            };
+            out.push((b, None));
+            out.push((b, Some(FaultPlan::with_stalls(13))));
+        }
+        out
+    }
+
+    fn engine<'a>(
+        grid: &'a RealGrid,
+        solver: &'a PoissonSolver,
+        backend: ExecBackend,
+        fault: Option<FaultPlan>,
+    ) -> ExchangeEngine<'a> {
+        let mut b = ExchangeEngine::builder(grid, solver).backend(backend);
+        if let Some(plan) = fault {
+            b = b.fault_plan(plan);
+        }
+        b.build().unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// Every sub-slice of `all` (so every pair meets every chunk position
+    /// and partner; odd-length prefixes are the `0..end` rows) and the
+    /// reversed list give the full build's outputs, `width` words per pair.
+    fn assert_slice_independent(
+        what: &str,
+        width: usize,
+        all: &[Pair],
+        full: &[f64],
+        run: impl Fn(&[Pair]) -> Vec<f64>,
+    ) {
+        assert_eq!(bits(&run(all)), bits(full), "{what}: full list");
+        for start in 0..all.len() {
+            for end in start + 1..=all.len() {
+                assert_eq!(
+                    bits(&run(&all[start..end])),
+                    bits(&full[start * width..end * width]),
+                    "{what}: slice {start}..{end}"
+                );
+            }
+        }
+        let reversed: Vec<Pair> = all.iter().rev().copied().collect();
+        let want: Vec<f64> = full.chunks_exact(width).rev().flatten().copied().collect();
+        assert_eq!(bits(&run(&reversed)), bits(&want), "{what}: reversed list");
+    }
+
+    #[test]
+    fn pair_contribution_is_slice_independent() {
+        // A pair's output is a pure function of the pair: whichever slice
+        // of the list it is evaluated in, at whichever position, on
+        // whichever backend, it carries the same bits — the energy path's
+        // contribution and the K path's AO projections alike. 16³ is a
+        // grid where a chunk-partner-dependent kernel shows up in the last
+        // 1–2 bits.
+        let (grid, solver, fields, infos, pairs) = four_gaussians();
+        let all = &pairs.pairs;
+        let serial = engine(&grid, &solver, ExecBackend::Serial, None);
+        let contribs = |e: &ExchangeEngine, orbs: &[Vec<f64>], slice: &[Pair]| {
+            e.pair_contribs(PairWork::Energy(orbs), slice, &mut BuildProfile::default())
+                .unwrap()
+        };
+        let full = contribs(&serial, &fields, all);
+
+        // K items over four hand-placed bond orbitals of an H₈ chain.
+        let mut mol = Molecule::new();
+        for k in 0..8 {
+            mol.atoms.push(Atom {
+                element: Element::H,
+                pos: Vec3::new(3.0 + 3.0 * (k / 2) as f64 + 1.4 * (k % 2) as f64, 5.0, 5.0),
+            });
+        }
+        let basis = Basis::sto3g(&mol);
+        let mut c_occ = Mat::zeros(basis.nao(), 4);
+        for k in 0..4 {
+            c_occ[(2 * k, k)] = 0.6;
+            c_occ[(2 * k + 1, k)] = 0.6;
+        }
+        let kgrid = RealGrid::new(Cell::orthorhombic(16.0, 10.0, 10.0), (16, 8, 8));
+        let ksolver = PoissonSolver::isolated(kgrid);
+        let on_grid = kpath::BasisOnGrid::new(&basis, &kgrid);
+        let setup = kpath::k_build_setup(&on_grid, &c_occ, 4, 0.0);
+        let kpairs = setup.pairs(0.0);
+        let width = 2 * setup.nao();
+        let items = |e: &ExchangeEngine, slice: &[Pair]| {
+            e.pair_contribs(
+                PairWork::Operator(&setup),
+                slice,
+                &mut BuildProfile::default(),
+            )
+            .unwrap()
+        };
+        let kfull = items(
+            &engine(&kgrid, &ksolver, ExecBackend::Serial, None),
+            &kpairs.pairs,
+        );
+
+        for (backend, fault) in backends_and_faults() {
+            let what = format!("{backend:?} fault={}", fault.is_some());
+            let e = engine(&grid, &solver, backend, fault);
+            assert_slice_independent(&what, 1, all, &full, |slice| contribs(&e, &fields, slice));
+            let ke = engine(&kgrid, &ksolver, backend, fault);
+            assert_slice_independent(
+                &format!("K {what}"),
+                width,
+                &kpairs.pairs,
+                &kfull,
+                |slice| items(&ke, slice),
+            );
+        }
+
+        // Warm incremental build with a partial dirty set: move one orbital,
+        // so only its pairs are recomputed — as a short list with different
+        // chunk partners than in the full one. (The tolerance is the
+        // smallest that still reuses: eps_inc = 0 would recompute
+        // everything and hide the dirty slice.) Every contribution the
+        // cache then holds must be the from-scratch build's, bit for bit; a
+        // one-pair list reads one cached entry back as the build's energy.
+        let mut moved = fields.clone();
+        moved[1] = gaussian(&grid, infos[1].center + Vec3::new(0.3, -0.2, 0.1));
+        let scratch = contribs(&serial, &moved, all);
+        let clean_backends = backends_and_faults()
+            .into_iter()
+            .filter(|(_, fault)| fault.is_none());
+        for (backend, _) in clean_backends {
+            let mut inc = IncrementalExchange::new(1e-12, 0);
+            inc.set_backend(backend);
+            inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+            let warm = inc.exchange_energy(&grid, &solver, &moved, &infos, &pairs);
+            let touching = all.iter().filter(|p| p.i == 1 || p.j == 1).count();
+            assert_eq!(warm.profile.pairs_computed, touching, "{backend:?}");
+            assert_eq!(
+                warm.profile.pairs_reused,
+                all.len() - touching,
+                "{backend:?}"
+            );
+            for (p, want) in all.iter().zip(&scratch) {
+                let one = PairList {
+                    pairs: vec![*p],
+                    ..pairs.clone()
+                };
+                let held = inc.exchange_energy(&grid, &solver, &moved, &infos, &one);
+                assert_eq!(
+                    held.profile.pairs_reused, 1,
+                    "{backend:?}: ({}, {})",
+                    p.i, p.j
+                );
+                assert_eq!(
+                    held.energy.to_bits(),
+                    want.to_bits(),
+                    "{backend:?}: cached ({}, {}) is not the from-scratch contribution",
+                    p.i,
+                    p.j
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_contribs_rejects_malformed_orbitals_on_every_backend() {
+        // Shape problems are typed errors before the execute stage starts,
+        // on every backend (on `Comm` before any rank is launched).
+        let (grid, solver, fields, _, pairs) = four_gaussians();
+        let mut short = fields.clone();
+        short[2].pop();
+        let mismatch = Error::OrbitalSizeMismatch {
+            expected: grid.len(),
+            got: grid.len() - 1,
+            orbital: 2,
+        };
+        let none: Vec<Vec<f64>> = Vec::new();
+        let comm2 = ExecBackend::Comm {
+            nranks: 2,
+            strategy: BalanceStrategy::GreedyLpt,
+        };
+        for backend in [ExecBackend::Serial, ExecBackend::Rayon, comm2] {
+            let e = engine(&grid, &solver, backend, None);
+            let mut profile = BuildProfile::default();
+            for (bad, err) in [(&short, &mismatch), (&none, &Error::EmptyOrbitals)] {
+                let got = e.pair_contribs(PairWork::Energy(bad), &pairs.pairs, &mut profile);
+                assert_eq!(got.as_ref(), Err(err), "{backend:?}");
+            }
+            // An empty slice runs nothing, so there is nothing to check.
+            assert_eq!(
+                e.pair_contribs(PairWork::Energy(&none), &[], &mut profile),
+                Ok(vec![])
+            );
+        }
+    }
 
     #[test]
     fn boundary_straddling_pair_gets_its_interior_twins_patch() {

@@ -14,9 +14,9 @@
 /// K-operator, message-passing, incremental — fills the same fields, so
 /// `repro` tables and downstream tooling can compare builds without
 /// knowing which driver produced them. The work counters partition the
-/// build's candidates: `pairs_computed + pairs_reused + pairs_screened` is
-/// the candidate pair count of an energy build and `nocc · nao` of a K
-/// build. Times are wall seconds; the FFT and kernel phases are summed
+/// build's candidate orbital pairs: `pairs_computed + pairs_reused +
+/// pairs_screened` is `N(N+1)/2` for an energy build over `N` orbitals and
+/// for a K build over `N` occupied ones alike. Times are wall seconds; the FFT and kernel phases are summed
 /// *across workers* (they can exceed `t_exec_s` on a multi-core build),
 /// while `t_exec_s` and `t_reduce_s` are elapsed times of the whole stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -31,21 +31,21 @@ pub struct BuildProfile {
     /// Elapsed wall time of the execute stage (pair/task loop, all backends).
     pub t_exec_s: f64,
     /// Elapsed wall time of the reduction stage (ordered contribution sum,
-    /// column accumulation, or the Comm gather).
+    /// K's `B` accumulation and ACE assembly, or the Comm gather).
     pub t_reduce_s: f64,
-    /// Pairs (or K tasks) dropped by ε screening before execution.
+    /// Pairs dropped by ε screening before execution.
     pub pairs_screened: usize,
-    /// Candidate pairs (or K tasks) the pair source actually *inspected*
+    /// Candidate pairs the pair source actually *inspected*
     /// while building the list — `N(N+1)/2` for the brute scan, the far
     /// smaller O(N·partners) count for the locality-aware cell-list
     /// source. The per-build evidence of sub-quadratic sourcing.
     pub pairs_considered: usize,
-    /// Pairs (or K tasks) actually computed through a Poisson solve.
+    /// Pairs actually computed through a Poisson solve.
     pub pairs_computed: usize,
-    /// Pairs (or K tasks) served from the incremental cache instead.
+    /// Pairs served from the incremental cache instead.
     pub pairs_reused: usize,
     /// Bytes that flowed through the reduction stage (contribution vectors,
-    /// gathered columns, allreduce payloads).
+    /// K pair items, allreduce payloads).
     pub bytes_reduced: usize,
     /// Steady-state scratch growth events during execution (0 once every
     /// worker's grow-once buffers are warm).
@@ -103,6 +103,21 @@ impl BuildProfile {
             (a, 0.0) => a,
             (a, b) => a.min(b),
         };
+    }
+
+    /// Set the work counters of a build over `pairs`: `computed` pairs ran
+    /// a Poisson solve, `reused` came from a cache, the ε screen dropped
+    /// the rest of the candidates.
+    pub(crate) fn count_pairs(
+        &mut self,
+        pairs: &crate::screening::PairList,
+        computed: usize,
+        reused: usize,
+    ) {
+        self.pairs_computed = computed;
+        self.pairs_reused = reused;
+        self.pairs_screened = pairs.n_candidates - pairs.len();
+        self.pairs_considered = pairs.considered;
     }
 
     /// Account one executed item: its kernel phase times and whether its

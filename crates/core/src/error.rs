@@ -39,6 +39,14 @@ pub enum Error {
         /// The offending screening threshold.
         eps: f64,
     },
+    /// A K build's occupied-space exchange matrix `M = Cᵀ K C` has an
+    /// eigenvalue at or below zero, so the ACE operator `B M⁻¹ Bᵀ` does
+    /// not exist (exchange of real orbitals is positive on the occupied
+    /// space).
+    IndefiniteExchange {
+        /// The smallest eigenvalue of `M`.
+        eigenvalue: f64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -59,6 +67,11 @@ impl fmt::Display for Error {
                 f,
                 "locality-aware pair sourcing needs 0 < eps <= 1 (got {eps}); \
                  use build_pair_list for unscreened lists"
+            ),
+            Error::IndefiniteExchange { eigenvalue } => write!(
+                f,
+                "occupied exchange matrix is not positive definite \
+                 (smallest eigenvalue {eigenvalue:e})"
             ),
         }
     }

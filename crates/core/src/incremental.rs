@@ -1,4 +1,4 @@
-//! Incremental exact exchange: dirty-pair tracking and contribution caching
+//! Incremental exact exchange: dirty-pair tracking and pair-output caching
 //! across SCF iterations and MD steps.
 //!
 //! The pair-screened exchange build exploits locality in *space* (distant
@@ -8,39 +8,48 @@
 //! from-scratch builds re-solve one Poisson problem per surviving pair
 //! every call.
 //!
-//! [`IncrementalExchange`] persists per-pair state across builds:
+//! [`IncrementalExchange`] keeps one cache keyed by orbital pair `(i, j)`.
+//! Each entry is the pair's execute-stage output: the weighted energy
+//! contribution `−w_ij (ij|ij)` (one word) for an energy build, the AO
+//! projections of `ψ_j v_ij` and `ψ_i v_ij` (`2·nao` words) for a K build.
+//! Both builds run one routine — classify every pair, recompute the dirty
+//! ones as one slice through the engine, install them — and then reduce
+//! the cached entries in canonical pair order: summed for the energy,
+//! assembled into the ACE operator for K.
 //!
-//! * **energy path** — for each screened pair `(i, j)` the weighted
-//!   contribution `−w_ij (ij|ij)` is cached;
-//! * **operator path** — for each occupied orbital `j` the (unsymmetrized)
-//!   K-matrix contribution `ΔK_j = Σ_ν` column of `(μ j | j ν)` tasks is
-//!   cached, so a clean orbital re-enters `K` without a single Poisson
-//!   solve.
-//!
-//! Each cached entry carries a [`Fingerprint`] of the orbital(s) it was
-//! computed from: localization center, spread, and a coarse 4×4×4
-//! grid-coefficient mass signature (per-cell `∫ φ²`). On the next build a
-//! pair/orbital is **clean** when its fingerprint distance from the cached
-//! state stays within the tolerance `eps_inc` (cached contribution reused)
-//! and **dirty** otherwise (recomputed through the workspace fast path,
-//! rayon-parallel over the dirty work only).
+//! Each orbital's cached state carries a [`Fingerprint`] of the field its
+//! entries were computed from: localization center, spread, and a coarse
+//! 4×4×4 grid-coefficient mass signature (per-cell `∫ φ²`). On the next
+//! build an orbital is **clean** when its fingerprint distance from that
+//! state stays within the tolerance `eps_inc` and **dirty** otherwise; a
+//! pair is reused when both its orbitals are clean, and recomputed
+//! otherwise. A K build assembles its operator with the coefficients each
+//! orbital's entries were computed with, so an all-clean K build returns
+//! the previous operator exactly. A K entry is linear in each orbital's
+//! sign, which the eigensolver does not fix: a clean orbital that comes
+//! back negated is negated again before the build, so that it matches its
+//! entries.
 //!
 //! Three rules bound the error:
 //!
 //! 1. *Invalidation* — dirtiness is measured against the fingerprint the
-//!    cached contribution was **computed at**, not the previous build, so
+//!    cached entries were **computed at**, not the previous build, so
 //!    slow drift accumulates in the comparison and eventually triggers a
 //!    recompute instead of being reused forever;
-//! 2. *Global invalidation* — any change of grid shape, basis size,
-//!    orbital count, or screening threshold discards the whole cache;
+//! 2. *Global invalidation* — any change of grid shape, orbital count,
+//!    screening threshold or entry width (energy vs K, basis size)
+//!    discards the whole cache;
 //! 3. *Cadence* — `rebuild_every > 0` forces a full recompute every
 //!    N builds, bounding worst-case drift regardless of the tolerance.
 //!
 //! `eps_inc = 0` disables reuse entirely: every pair is dirty and the
-//! build is exactly the from-scratch one (bit-identical for the operator
-//! path — property-tested).
+//! build is exactly the from-scratch one (bit-identical — property-tested).
 
-use crate::engine::{BasisOnGrid, BuildProfile, ExchangeEngine, ExecBackend, KBuildOutcome};
+use crate::engine::kpath::{ace_operator, k_build_setup};
+use crate::engine::{
+    BasisOnGrid, BuildProfile, ExchangeEngine, ExecBackend, KBuildOutcome, PairWork,
+};
+use crate::error::Result;
 use crate::hfx::HfxResult;
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::{PoissonSolver, RealGrid};
@@ -53,8 +62,9 @@ const SIG_PER_AXIS: usize = 4;
 /// Total signature cells.
 const SIG_CELLS: usize = SIG_PER_AXIS * SIG_PER_AXIS * SIG_PER_AXIS;
 
-/// Coarse, sign-invariant summary of one orbital field used to decide
-/// whether a cached contribution is still valid.
+/// Coarse summary of one orbital field used to decide whether a cached
+/// entry is still valid: sign-invariant for the clean/dirty distance, plus
+/// a signed signature that tells a negated orbital apart.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fingerprint {
     /// Localization center (Bohr); `Vec3::ZERO` when unknown.
@@ -66,6 +76,8 @@ pub struct Fingerprint {
     /// Per-coarse-cell mass `∫_cell φ² dV` (quadratic in φ, so invariant
     /// under the arbitrary sign the eigensolver/localizer assigns).
     sig: [f64; SIG_CELLS],
+    /// Per-coarse-cell amplitude `∫_cell φ dV` (linear in φ: the sign).
+    lin: [f64; SIG_CELLS],
 }
 
 impl Fingerprint {
@@ -75,6 +87,7 @@ impl Fingerprint {
         assert_eq!(field.len(), grid.len());
         let (nx, ny, nz) = grid.dims;
         let mut sig = [0.0; SIG_CELLS];
+        let mut lin = [0.0; SIG_CELLS];
         let mut idx = 0;
         for ix in 0..nx {
             let cx = ix * SIG_PER_AXIS / nx;
@@ -85,14 +98,16 @@ impl Fingerprint {
                     let cz = iz * SIG_PER_AXIS / nz;
                     let v = field[idx];
                     sig[row + cz] += v * v;
+                    lin[row + cz] += v;
                     idx += 1;
                 }
             }
         }
         let dvol = grid.dvol();
         let mut mass = 0.0;
-        for s in sig.iter_mut() {
+        for (s, l) in sig.iter_mut().zip(lin.iter_mut()) {
             *s *= dvol;
+            *l *= dvol;
             mass += *s;
         }
         let (center, spread) = match info {
@@ -104,13 +119,15 @@ impl Fingerprint {
             spread,
             mass,
             sig,
+            lin,
         }
     }
 
     /// Dimensionless distance between two fingerprints: relative movement
     /// of the coarse mass distribution plus center displacement in units
     /// of the spread. ~0 for an unchanged orbital, O(1) for a relocated
-    /// one; a uniform amplitude change `φ → (1+γ)φ` scores ≈ 2γ.
+    /// one; a uniform amplitude change `φ → (1+γ)φ` scores ≈ 2γ. Blind to
+    /// the sign.
     pub fn distance(&self, other: &Fingerprint) -> f64 {
         let mut dd = 0.0;
         for (a, b) in self.sig.iter().zip(&other.sig) {
@@ -122,6 +139,13 @@ impl Fingerprint {
         let d_center = self.center.distance(other.center) / self.spread.max(other.spread);
         d_field + d_center
     }
+
+    /// Whether two fingerprints of (nearly) the same orbital have the same
+    /// sign rather than opposite ones.
+    pub fn same_sign(&self, other: &Fingerprint) -> bool {
+        let dot: f64 = self.lin.iter().zip(&other.lin).map(|(a, b)| a * b).sum();
+        dot >= 0.0
+    }
 }
 
 /// Deterministic reuse counters accumulated across the builds of one
@@ -129,12 +153,13 @@ impl Fingerprint {
 /// counts are in the [`BuildProfile`] it returns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IncStats {
-    /// Pairs (or operator tasks) whose cached contribution was reused.
+    /// Pairs whose cached entry was reused.
     pub pairs_reused: usize,
-    /// Pairs (or operator tasks) recomputed through the workspace path.
+    /// Pairs recomputed through the engine.
     pub pairs_recomputed: usize,
     /// Pairs invalidated wholesale (cache miss, cadence, or a global
-    /// invalidation — grid/basis/ε change) rather than by fingerprint.
+    /// invalidation — grid/ε/entry-width change) rather than by
+    /// fingerprint.
     pub pairs_invalidated: usize,
 }
 
@@ -162,35 +187,38 @@ impl IncStats {
     }
 }
 
-/// Cached state of the pair-energy path.
-struct EnergyCache {
+/// What a cache was filled for. A build with another key discards it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CacheKey {
     dims: (usize, usize, usize),
     norb: usize,
     eps_screen: f64,
-    /// Fingerprint each cached contribution was computed at.
+    /// Words per entry: 1 for an energy build, `2·nao` for a K build.
+    width: usize,
+}
+
+/// The pair-keyed cache of one [`IncrementalExchange`].
+struct PairCache {
+    key: CacheKey,
+    /// Fingerprint each orbital's cached entries were computed at.
     fps: Vec<Fingerprint>,
-    /// `(i, j) → −w_ij (ij|ij)` exactly as the from-scratch loop computes it.
-    contrib: HashMap<(u32, u32), f64>,
+    /// `(i, j)` → offset of the pair's entry in `values`.
+    slots: HashMap<(u32, u32), usize>,
+    /// Entries exactly as the from-scratch execute stage produces them.
+    values: Vec<f64>,
     builds_since_full: usize,
 }
 
-/// Cached state of the K-operator path.
-struct KCache {
-    dims: (usize, usize, usize),
-    nao: usize,
-    nocc: usize,
-    eps_screen: f64,
-    fps: Vec<Fingerprint>,
-    /// Unsymmetrized `ΔK_j` per occupied orbital (`K = Σ_j ΔK_j`).
-    contribs: Vec<Mat>,
-    /// Evaluated (unscreened) task count behind each cached `ΔK_j`.
-    tasks: Vec<usize>,
-    builds_since_full: usize,
+impl PairCache {
+    fn entry(&self, p: &Pair) -> &[f64] {
+        let at = self.slots[&(p.i, p.j)];
+        &self.values[at..at + self.key.width]
+    }
 }
 
 /// Persistent incremental-exchange state. One instance lives across the
 /// SCF iterations of a driver (and across the MD steps of a trajectory)
-/// and owns both the energy-path and operator-path caches.
+/// and owns one pair-keyed cache.
 pub struct IncrementalExchange {
     /// Clean/dirty fingerprint tolerance. `0` disables reuse (every build
     /// is from scratch); typical SCF values are 1e-4..1e-2.
@@ -198,8 +226,10 @@ pub struct IncrementalExchange {
     /// Force a full rebuild every N builds (`0` = never force). Bounds
     /// error drift independently of `eps_inc`.
     pub rebuild_every: usize,
-    energy: Option<EnergyCache>,
-    k: Option<KCache>,
+    cache: Option<PairCache>,
+    /// Coefficients (`nao × nocc`) each orbital's cached K items were
+    /// computed with: the `C` of the ACE assembly.
+    k_coeffs: Mat,
     /// Cumulative counters across all builds since construction.
     pub totals: IncStats,
     /// Execution backend of the dirty recompute (None = rayon). The serve
@@ -211,8 +241,8 @@ pub struct IncrementalExchange {
     // all-clean steady state).
     fp_scratch: Vec<Fingerprint>,
     dirty_orb: Vec<bool>,
+    flipped: Vec<bool>,
     dirty_pairs: Vec<Pair>,
-    dirty_slots: Vec<usize>,
 }
 
 impl std::fmt::Debug for IncrementalExchange {
@@ -225,10 +255,10 @@ impl std::fmt::Debug for IncrementalExchange {
     }
 }
 
-/// The clean/dirty gate of both paths. `valid` is the baseline of a cache
-/// whose key still matches this build — the fingerprints its entries were
-/// computed at and its builds since the last full one — or `None` when the
-/// key moved (grid, orbital count, ε) or nothing is cached. Marks in
+/// The clean/dirty gate. `valid` is the baseline of a cache whose key
+/// still matches this build — the fingerprints its entries were computed
+/// at and its builds since the last full one — or `None` when the key
+/// moved (grid, orbital count, ε, width) or nothing is cached. Marks in
 /// `dirty` every orbital of `now` whose fingerprint moved more than
 /// `eps_inc` from that baseline and returns whether the build is *full*
 /// (everything dirty): no valid cache, the rebuild cadence is due, or
@@ -260,21 +290,21 @@ impl IncrementalExchange {
         Self {
             eps_inc,
             rebuild_every,
-            energy: None,
-            k: None,
+            cache: None,
+            k_coeffs: Mat::zeros(0, 0),
             totals: IncStats::default(),
             backend: None,
             fp_scratch: Vec::new(),
             dirty_orb: Vec::new(),
+            flipped: Vec::new(),
             dirty_pairs: Vec::new(),
-            dirty_slots: Vec::new(),
         }
     }
 
     /// Route the dirty recompute through `backend` instead of the default
     /// rayon pool. This does *not* invalidate the cache: every backend
-    /// produces bit-identical contributions (a pair's contribution is a
-    /// pure function of the pair), so cached entries remain exact.
+    /// produces bit-identical entries (a pair's output is a pure function
+    /// of the pair), so cached entries remain exact.
     pub fn set_backend(&mut self, backend: ExecBackend) {
         self.backend = Some(backend);
     }
@@ -291,11 +321,11 @@ impl IncrementalExchange {
             .expect("a default engine over the configured backend is a valid configuration")
     }
 
-    /// Incremental twin of [`ExchangeEngine::energy`]: clean pairs
-    /// are summed from the cache, dirty pairs are recomputed
-    /// (rayon-parallel over the dirty work only) and re-cached. `infos`
-    /// supplies per-orbital centers/spreads for the fingerprints (same
-    /// length as `orbitals`).
+    /// Incremental twin of [`ExchangeEngine::energy`]: clean pairs come
+    /// from the cache, dirty pairs are recomputed (parallel over the dirty
+    /// work only) and re-cached, and the energy is their sum in canonical
+    /// pair order. `infos` supplies per-orbital centers/spreads for the
+    /// fingerprints (same length as `orbitals`).
     pub fn exchange_energy(
         &mut self,
         grid: &RealGrid,
@@ -305,90 +335,158 @@ impl IncrementalExchange {
         pairs: &PairList,
     ) -> HfxResult {
         assert_eq!(orbitals.len(), infos.len());
-        let norb = orbitals.len();
-        self.fingerprint_all(grid, orbitals, Some(infos));
+        self.fingerprint_all(grid, orbitals, infos);
+        let key = CacheKey {
+            dims: grid.dims,
+            norb: orbitals.len(),
+            eps_screen: pairs.eps,
+            width: 1,
+        };
+        let engine = self.engine(grid, solver);
+        let profile = self
+            .refresh(key, pairs, |dirty, _, profile| {
+                engine.pair_contribs(PairWork::Energy(orbitals), dirty, profile)
+            })
+            .unwrap_or_else(|e| panic!("incremental exchange energy build failed: {e}"));
+        let cache = self.cache.as_ref().expect("refresh installs the cache");
+        HfxResult {
+            energy: pairs.pairs.iter().map(|p| cache.entry(p)[0]).sum(),
+            profile,
+        }
+    }
 
-        let valid = self
-            .energy
-            .as_ref()
-            .filter(|c| c.dims == grid.dims && c.norb == norb && c.eps_screen == pairs.eps)
-            .map(|c| (c.fps.as_slice(), c.builds_since_full));
+    /// Incremental twin of [`ExchangeEngine::k_operator`]: the pair items
+    /// of clean pairs come from the cache, dirty pairs re-run their
+    /// Poisson solves (parallel over the dirty pairs only), and the ACE
+    /// operator is assembled from all of them in canonical pair order,
+    /// with each orbital's coefficients as of its last recompute.
+    /// With `eps_inc = 0` the result is bit-identical to the from-scratch
+    /// build. `fields` is the basis on the cache's grid, `solver` that
+    /// grid's Poisson solver.
+    ///
+    /// The profile splits the build's `nocc(nocc+1)/2` candidate pairs
+    /// into `pairs_computed`, `pairs_reused` and `pairs_screened`;
+    /// computed plus reused equals the from-scratch build's
+    /// `pairs_computed`.
+    pub fn exchange_operator(
+        &mut self,
+        fields: &BasisOnGrid,
+        c_occ: &Mat,
+        nocc: usize,
+        solver: &PoissonSolver,
+        eps: f64,
+    ) -> Result<KBuildOutcome> {
+        let grid = fields.grid;
+        let t_ao = Instant::now();
+        let mut setup = k_build_setup(fields, c_occ, nocc, eps);
+        let t_ao_eval_s = t_ao.elapsed().as_secs_f64();
+        self.fingerprint_all(grid, &setup.orbitals, &setup.infos);
+        let pairs = setup.pairs(eps);
+        let key = CacheKey {
+            dims: grid.dims,
+            norb: nocc,
+            eps_screen: eps,
+            width: 2 * setup.nao(),
+        };
+        let engine = self.engine(grid, solver);
+        let mut profile = self.refresh(key, &pairs, |dirty, flipped, profile| {
+            setup.align(flipped);
+            engine.pair_contribs(PairWork::Operator(&setup), dirty, profile)
+        })?;
+        profile.t_ao_eval_s += t_ao_eval_s;
+        // A dirty orbital's items were all just computed from its current
+        // coefficients (a full build marks every orbital dirty).
+        let nao = setup.nao();
+        if (self.k_coeffs.nrows(), self.k_coeffs.ncols()) != (nao, nocc) {
+            self.k_coeffs = Mat::zeros(nao, nocc);
+        }
+        for (i, _) in self.dirty_orb.iter().enumerate().filter(|(_, &d)| d) {
+            for mu in 0..nao {
+                self.k_coeffs[(mu, i)] = setup.c[(mu, i)];
+            }
+        }
+        let cache = self.cache.as_ref().expect("refresh installs the cache");
+        let items = pairs.pairs.iter().map(|p| cache.entry(p));
+        let k = ace_operator(&self.k_coeffs, &pairs, items, &mut profile)?;
+        Ok(KBuildOutcome { k, profile })
+    }
+
+    /// The one routine under both builds, on the fingerprints of the
+    /// build's orbitals in `fp_scratch`: classify every pair of `pairs`
+    /// (reused when it has an entry and both orbitals are clean), hand the
+    /// dirty ones to `recompute` as one slice in canonical order, together
+    /// with the clean orbitals whose sign differs from their entries', and
+    /// install what it returns, `key.width` words per pair. Afterwards the
+    /// cache holds an entry for every pair of `pairs`. Returns the build's
+    /// profile with its counters set.
+    fn refresh(
+        &mut self,
+        key: CacheKey,
+        pairs: &PairList,
+        recompute: impl FnOnce(&[Pair], &[bool], &mut BuildProfile) -> Result<Vec<f64>>,
+    ) -> Result<BuildProfile> {
+        let valid = self.cache.as_ref().filter(|c| c.key == key);
         let full = mark_dirty(
             self.eps_inc,
             self.rebuild_every,
-            valid,
+            valid.map(|c| (c.fps.as_slice(), c.builds_since_full)),
             &self.fp_scratch,
             &mut self.dirty_orb,
         );
-
-        // Classify pairs; sum clean contributions straight from the cache.
+        let valid = valid.filter(|_| !full);
+        self.flipped.clear();
+        match valid {
+            Some(c) => self.flipped.extend(
+                (c.fps.iter().zip(&self.fp_scratch).zip(&self.dirty_orb))
+                    .map(|((then, now), &dirty)| !dirty && !now.same_sign(then)),
+            ),
+            None => self.flipped.resize(self.fp_scratch.len(), false),
+        }
         self.dirty_pairs.clear();
-        let mut clean_sum = 0.0;
-        let mut reused = 0;
-        let mut invalidated = 0;
+        let (mut reused, mut invalidated) = (0, 0);
         for p in &pairs.pairs {
-            let key = (p.i, p.j);
-            let cached = if full {
-                None
+            let cached = valid.is_some_and(|c| c.slots.contains_key(&(p.i, p.j)));
+            if cached && !self.dirty_orb[p.i as usize] && !self.dirty_orb[p.j as usize] {
+                reused += 1;
             } else {
-                self.energy
-                    .as_ref()
-                    .expect("a non-full build implies a validated energy cache")
-                    .contrib
-                    .get(&key)
-                    .copied()
-            };
-            match cached {
-                Some(c) if !self.dirty_orb[p.i as usize] && !self.dirty_orb[p.j as usize] => {
-                    clean_sum += c;
-                    reused += 1;
-                }
-                _ => {
-                    if full || cached.is_none() {
-                        invalidated += 1;
-                    }
-                    self.dirty_pairs.push(*p);
-                }
+                invalidated += !cached as usize;
+                self.dirty_pairs.push(*p);
             }
         }
 
-        // Recompute the dirty pairs through the engine. A contribution is
-        // a pure function of its pair, so whichever subset is dirty, each
-        // recomputed entry carries the bits a from-scratch build gives it.
-        let n_dirty = self.dirty_pairs.len();
+        // A pair's output is a pure function of the pair, so whichever
+        // subset is dirty, each recomputed entry carries the bits a
+        // from-scratch build gives it.
         let mut profile = BuildProfile::default();
-        let contribs = if n_dirty > 0 {
-            self.engine(grid, solver)
-                .pair_contribs(orbitals, &self.dirty_pairs, &mut profile)
-        } else {
-            Vec::new()
-        };
+        let fresh = recompute(&self.dirty_pairs, &self.flipped, &mut profile)?;
 
-        // Install the recomputed contributions. A full build starts a
-        // fresh cache; the steady all-clean rebuild touches nothing here
-        // (no allocations).
-        if full || self.energy.is_none() {
-            self.energy = Some(EnergyCache {
-                dims: grid.dims,
-                norb,
-                eps_screen: pairs.eps,
+        // A full build starts a fresh cache; the steady all-clean rebuild
+        // touches nothing here (no allocations).
+        if full {
+            self.cache = Some(PairCache {
+                key,
                 fps: self.fp_scratch.clone(),
-                contrib: HashMap::new(),
+                slots: HashMap::new(),
+                values: Vec::new(),
                 builds_since_full: 0,
             });
         }
         let cache = self
-            .energy
+            .cache
             .as_mut()
-            .expect("the energy cache was just installed above");
-        let mut dirty_sum = 0.0;
-        for (p, c) in self.dirty_pairs.iter().zip(&contribs) {
-            cache.contrib.insert((p.i, p.j), *c);
-            dirty_sum += *c;
+            .expect("a non-full build implies a validated cache");
+        for (p, out) in self.dirty_pairs.iter().zip(fresh.chunks_exact(key.width)) {
+            match cache.slots.get(&(p.i, p.j)) {
+                Some(&at) => cache.values[at..at + key.width].copy_from_slice(out),
+                None => {
+                    cache.slots.insert((p.i, p.j), cache.values.len());
+                    cache.values.extend_from_slice(out);
+                }
+            }
         }
         // Refresh the fingerprint baselines of *dirty* orbitals only (all
         // their pairs were just recomputed). Clean orbitals keep the
-        // fingerprint their cached data was computed at, so slow drift
+        // fingerprint their cached entries were computed at, so slow drift
         // accumulates in the comparison instead of being re-baselined away.
         for (j, &d) in self.dirty_orb.iter().enumerate() {
             if d {
@@ -397,143 +495,27 @@ impl IncrementalExchange {
         }
         cache.builds_since_full = if full { 0 } else { cache.builds_since_full + 1 };
 
+        let n_dirty = self.dirty_pairs.len();
         self.totals.accumulate(&IncStats {
             pairs_reused: reused,
             pairs_recomputed: n_dirty,
             pairs_invalidated: invalidated,
         });
-        profile.pairs_computed = n_dirty;
-        profile.pairs_reused = reused;
-        profile.pairs_screened = pairs.n_candidates - pairs.len();
-        profile.pairs_considered = pairs.considered;
-        profile.bytes_reduced += contribs.len() * std::mem::size_of::<f64>();
-        HfxResult {
-            energy: clean_sum + dirty_sum,
-            profile,
-        }
-    }
-
-    /// Incremental twin of [`ExchangeEngine::k_operator`]: the
-    /// `(occupied j, AO ν)` Poisson tasks of a clean orbital are replaced
-    /// by its cached `ΔK_j`; dirty orbitals re-run their surviving tasks
-    /// (rayon-parallel over dirty tasks only). With `eps_inc = 0` the
-    /// result is bit-identical to the from-scratch build. `fields` is the
-    /// basis on the cache's grid, `solver` that grid's Poisson solver.
-    ///
-    /// The profile splits the build's `nocc · nao` tasks into
-    /// `pairs_computed` (dirty orbitals' surviving tasks), `pairs_reused`
-    /// (clean orbitals' cached ones) and `pairs_screened`; computed plus
-    /// reused equals the from-scratch build's `pairs_computed`.
-    pub fn exchange_operator(
-        &mut self,
-        fields: &BasisOnGrid,
-        c_occ: &Mat,
-        nocc: usize,
-        solver: &PoissonSolver,
-        eps: f64,
-    ) -> KBuildOutcome {
-        let grid = fields.grid;
-        let mut profile = BuildProfile::default();
-        let t_ao = Instant::now();
-        let setup = crate::engine::kpath::k_build_setup(fields, c_occ, nocc, eps);
-        profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
-        let nao = setup.nao;
-        let infos = (!setup.orb_info.is_empty()).then_some(setup.orb_info.as_slice());
-        self.fingerprint_all(grid, &setup.orbitals, infos);
-
-        let valid = self
-            .k
-            .as_ref()
-            .filter(|c| {
-                c.dims == grid.dims && c.nao == nao && c.nocc == nocc && c.eps_screen == eps
-            })
-            .map(|c| (c.fps.as_slice(), c.builds_since_full));
-        let full = mark_dirty(
-            self.eps_inc,
-            self.rebuild_every,
-            valid,
-            &self.fp_scratch,
-            &mut self.dirty_orb,
-        );
-        self.dirty_slots.clear();
-        self.dirty_slots
-            .extend((0..nocc).filter(|&j| self.dirty_orb[j]));
-
-        let dirty_results = self
-            .engine(grid, solver)
-            .k_orbital_contribs(&setup, eps, &self.dirty_slots, &mut profile)
-            .unwrap_or_else(|e| panic!("incremental K rebuild failed: {e}"));
-
-        // Install recomputed contributions, then assemble K = Σ_j ΔK_j in
-        // ascending-j order (the same floating-point sequence as the
-        // from-scratch task accumulation).
-        if full || self.k.is_none() {
-            self.k = Some(KCache {
-                dims: grid.dims,
-                nao,
-                nocc,
-                eps_screen: eps,
-                fps: self.fp_scratch.clone(),
-                contribs: vec![Mat::zeros(nao, nao); nocc],
-                tasks: vec![0; nocc],
-                builds_since_full: 0,
-            });
-        }
-        let cache = self
-            .k
-            .as_mut()
-            .expect("the K cache was just installed above");
-        for (j, dk, evaluated) in dirty_results {
-            cache.contribs[j] = dk;
-            cache.tasks[j] = evaluated;
-            cache.fps[j] = self.fp_scratch[j];
-        }
-        // The dirty orbitals' tasks were counted by the rebuild; a clean
-        // orbital's cached tasks are reused and its screened ones stay
-        // screened.
-        let mut k = Mat::zeros(nao, nao);
-        for j in 0..nocc {
-            k.axpy(1.0, &cache.contribs[j]);
-            if !self.dirty_orb[j] {
-                profile.pairs_reused += cache.tasks[j];
-                profile.pairs_screened += nao - cache.tasks[j];
-            }
-        }
-        crate::engine::kpath::symmetrize(&mut k);
-
-        cache.builds_since_full = if full { 0 } else { cache.builds_since_full + 1 };
-        self.totals.accumulate(&IncStats {
-            pairs_reused: profile.pairs_reused,
-            pairs_recomputed: profile.pairs_computed,
-            pairs_invalidated: if full { profile.pairs_computed } else { 0 },
-        });
-        KBuildOutcome { k, profile }
+        profile.count_pairs(pairs, n_dirty, reused);
+        profile.bytes_reduced += std::mem::size_of_val(&fresh[..]);
+        Ok(profile)
     }
 
     /// Compute fingerprints for all orbital fields into the reusable
     /// scratch (no allocations once the scratch has the right length).
-    fn fingerprint_all(
-        &mut self,
-        grid: &RealGrid,
-        orbitals: &[Vec<f64>],
-        infos: Option<&[OrbitalInfo]>,
-    ) {
-        let n = orbitals.len();
-        if self.fp_scratch.len() != n {
-            self.fp_scratch.resize(
-                n,
-                Fingerprint {
-                    center: Vec3::ZERO,
-                    spread: 1.0,
-                    mass: 0.0,
-                    sig: [0.0; SIG_CELLS],
-                },
-            );
-        }
-        for (j, field) in orbitals.iter().enumerate() {
-            let info = infos.map(|i| &i[j]);
-            self.fp_scratch[j] = Fingerprint::of_field(grid, field, info);
-        }
+    fn fingerprint_all(&mut self, grid: &RealGrid, orbitals: &[Vec<f64>], infos: &[OrbitalInfo]) {
+        self.fp_scratch.clear();
+        self.fp_scratch.extend(
+            orbitals
+                .iter()
+                .zip(infos)
+                .map(|(field, info)| Fingerprint::of_field(grid, field, Some(info))),
+        );
     }
 }
 
@@ -682,5 +664,49 @@ mod tests {
         let b = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!((a.energy - b.energy).abs() <= 1e-12 * b.energy.abs());
         assert_eq!(a.profile.pairs_reused, 0);
+    }
+
+    #[test]
+    fn a_negated_clean_orbital_keeps_its_cached_k_items() {
+        // The eigensolver fixes no sign. Orbital 1 stays clean but comes
+        // back negated while orbital 0 moves, so pair (0, 1) is recomputed:
+        // with orbital 1 negated back first, the build is the one without
+        // the sign flip, to the bit. All clean, a build is the previous one.
+        let edge = 12.0;
+        let mut mol = liair_basis::systems::lih();
+        mol.translate(Vec3::splat(edge / 2.0) - mol.centroid());
+        let basis = liair_basis::Basis::sto3g(&mol);
+        let scf = liair_scf::rhf(&mol, &basis, &liair_scf::ScfOptions::default());
+        let grid = RealGrid::cubic(Cell::cubic(edge), 16);
+        let solver = PoissonSolver::isolated(grid);
+        let fields = BasisOnGrid::new(&basis, &grid);
+        let scaled = |c: &Mat, col: usize, f: f64| {
+            let mut c = c.clone();
+            for mu in 0..c.nrows() {
+                c[(mu, col)] *= f;
+            }
+            c
+        };
+        let moved = scaled(&scf.c, 0, 1.01);
+        let moved_negated = scaled(&moved, 1, -1.0);
+        let build = |inc: &mut IncrementalExchange, c: &Mat| {
+            inc.exchange_operator(&fields, c, scf.nocc, &solver, 0.0)
+                .expect("fault-free build")
+        };
+        let mut plain = IncrementalExchange::new(1e-6, 0);
+        let first = build(&mut plain, &scf.c);
+        let want = build(&mut plain, &moved).k;
+        let mut flipped = IncrementalExchange::new(1e-6, 0);
+        build(&mut flipped, &scf.c);
+        let got = build(&mut flipped, &moved_negated);
+        assert_eq!(got.profile.pairs_computed, 2, "(0, 0) and (0, 1)");
+        assert_eq!(got.profile.pairs_reused, 1, "(1, 1)");
+        assert_eq!(got.k.sub(&want).fro_norm(), 0.0);
+
+        let mut clean = IncrementalExchange::new(1e-6, 0);
+        build(&mut clean, &scf.c);
+        let again = build(&mut clean, &scaled(&scf.c, 1, -1.0));
+        assert_eq!(again.profile.pairs_reused, 3);
+        assert_eq!(again.k.sub(&first.k).fro_norm(), 0.0);
     }
 }

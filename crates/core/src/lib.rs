@@ -22,20 +22,24 @@
 //!
 //! One staged driver runs every exchange build: [`engine::ExchangeEngine`]
 //! owns the canonical pipeline (pair source → execute backend → ordered
-//! accumulate), the one pair kernel, and the per-phase
-//! [`engine::BuildProfile`] instrumentation. Its inputs are its arguments
+//! accumulate), the one pair task, and the per-phase
+//! [`engine::BuildProfile`] instrumentation. The energy and the K operator
+//! share that task: a K build solves one Poisson problem per screened
+//! orbital pair, as the energy does, and compresses the pair potentials
+//! into the AO basis as adaptively compressed exchange (ACE). Its inputs are its arguments
 //! — grid, solver, backend, optional fault plan; it reads nothing from the
 //! environment. On [`ExecBackend::Comm`] the same algorithm runs over the
 //! message-passing runtime (correctness at laptop scale, bit-identical to
 //! the serial backend); [`simulate`] prices the same task lists on the
 //! BG/Q model (performance at paper scale), alongside the two baselines
 //! the paper compares against. [`incremental::IncrementalExchange`] is the
-//! engine pointed at a dirty set.
+//! engine pointed at a dirty set, with one pair-keyed cache for both.
 //!
 //! An SCF whose exchange is built entirely on the grid is not a loop of
 //! this crate: it is `liair_scf::ScfSession::with_exchange` with a closure
 //! over [`IncrementalExchange::exchange_operator`] that doubles its
-//! `Σ_j (μj|jν)` into the session's `K(D)` convention (`liair-md`'s
+//! `Σ_j (μj|jν)` (exact on the occupied space) into the session's `K(D)`
+//! convention (`liair-md`'s
 //! `IncrementalGridForces` runs one per finite-difference slot).
 
 #![forbid(unsafe_code)]

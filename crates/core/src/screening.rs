@@ -15,15 +15,15 @@
 //! across SCF iterations. [`IncSchedule`] is likewise fixed: the reuse
 //! tolerance and rebuild cadence an incremental cache is built with.
 //!
-//! **Who builds lists.** [`source_pairs`] is the one pair source: the
-//! cell list [`build_pair_list_celllist`] when a cell and `0 < ε ≤ 1` are
-//! given, else [`build_pair_list`], the O(N²) reference the cell list is
-//! bit-compared against. The cell list and the K path's `cross_tasks`
-//! take their candidates from one crate-private uniform-bin index
-//! (`bins.rs`, which also owns the one rounding guard) and add only their
-//! own claim rule and the shared exact filter `pair_bound ≥ ε`
-//! (`screen_pair`) — which is what makes their output the reference's,
-//! bit for bit.
+//! **Who builds lists.** [`source_pairs`] is the one pair source, for
+//! the energy path and the K path alike: the cell list
+//! [`build_pair_list_celllist`] when a cell and `0 < ε ≤ 1` are given,
+//! else [`build_pair_list`], the O(N²) reference the cell list is
+//! bit-compared against. The cell list takes its candidates from a
+//! crate-private uniform-bin index (`bins.rs`, which also owns the one
+//! rounding guard) and adds only its claim rule and the shared exact
+//! filter `pair_bound ≥ ε` (`screen_pair`) — which is what makes its
+//! output the reference's, bit for bit.
 
 use crate::bins::BinIndex;
 use liair_basis::Cell;
@@ -193,7 +193,7 @@ pub fn source_pairs(orbitals: &[OrbitalInfo], eps: f64, cell: Option<&Cell>) -> 
     }
 }
 
-/// Bin-width target of the index-backed sources: the self-cutoff of the
+/// Bin-width target of the cell list: the self-cutoff of the
 /// *median* spread, so the typical orbital searches O(1) shells of bins
 /// regardless of the spread distribution's tail.
 fn median_cutoff(orbitals: &[OrbitalInfo], eps: f64) -> f64 {
@@ -227,7 +227,7 @@ pub fn build_pair_list_celllist(
     }
     let n = orbitals.len();
     let centers = orbitals.iter().map(|o| o.center);
-    let index = BinIndex::build(centers, median_cutoff(orbitals, eps), Some(cell));
+    let index = BinIndex::build(centers, median_cutoff(orbitals, eps), cell);
     // A pair is claimed exactly once, by its wider partner.
     let claims = |i: usize, j: usize| -> bool {
         let (si, sj) = (orbitals[i].spread, orbitals[j].spread);
@@ -262,45 +262,6 @@ pub fn build_pair_list_celllist(
         considered,
         eps,
     })
-}
-
-/// Locality-aware source for the *cross* task list of the K path: the
-/// surviving `(row, col)` tasks of the rows named by `slots`, row-major in
-/// `slots` order and column-ascending within a row. `cols` (the AOs) are
-/// binned once in their bounding box so each row (a localized occupied
-/// orbital) inspects only columns within its worst-case cutoff
-/// `rc(σ_row, σ_col_max)` — O(rows·partners) instead of O(rows·cols). The
-/// partner sets are exactly the brute filter
-/// `pair_bound(row, col, None) ≥ eps`, so the canonical j-major
-/// ν-ascending task order is preserved bit for bit. Also returns the
-/// number of candidates inspected. Needs `0 < eps ≤ 1` (a finite radius).
-pub(crate) fn cross_tasks(
-    rows: &[OrbitalInfo],
-    slots: &[usize],
-    cols: &[OrbitalInfo],
-    eps: f64,
-) -> (Vec<(usize, usize)>, usize) {
-    let sigma_col_max = cols.iter().map(|o| o.spread).fold(0.0, f64::max);
-    let centers = cols.iter().map(|o| o.center);
-    let index = BinIndex::build(centers, median_cutoff(cols, eps), None);
-    let mut tasks = Vec::new();
-    let mut inspected = 0;
-    for &j in slots {
-        let row = &rows[j];
-        let first = tasks.len();
-        // The row may sit outside the column bounding box; the index
-        // clamps the ball's envelope to it.
-        let r = cutoff_radius(row.spread, sigma_col_max, eps);
-        index.for_each_within(row.center, r, |cand| {
-            inspected += 1;
-            let c = cand as usize;
-            if pair_bound(row, &cols[c], None) >= eps {
-                tasks.push((j, c));
-            }
-        });
-        tasks[first..].sort_unstable();
-    }
-    (tasks, inspected)
 }
 
 /// The incremental-exchange reuse settings of a grid SCF: the fingerprint
@@ -517,40 +478,6 @@ mod tests {
             pl.considered,
             pl.n_candidates
         );
-    }
-
-    #[test]
-    fn cross_tasks_match_brute_filter() {
-        use liair_math::rng::SplitMix64;
-        let mut rng = SplitMix64::new(4);
-        let cols: Vec<OrbitalInfo> = (0..120)
-            .map(|_| OrbitalInfo {
-                center: Vec3::new(
-                    rng.range_f64(0.0, 22.0),
-                    rng.range_f64(0.0, 22.0),
-                    rng.range_f64(0.0, 22.0),
-                ),
-                spread: rng.range_f64(0.3, 1.8),
-            })
-            .collect();
-        // Rows inside the column box, plus one well outside it.
-        let mut rows = cols.clone();
-        rows.push(OrbitalInfo {
-            center: Vec3::new(-6.0, 30.0, 11.0),
-            spread: 1.5,
-        });
-        let slots: Vec<usize> = (0..rows.len()).rev().step_by(7).collect();
-        for eps in [1e-2, 1e-5, 1e-8] {
-            let (got, inspected) = cross_tasks(&rows, &slots, &cols, eps);
-            assert!(inspected <= slots.len() * cols.len());
-            let want: Vec<(usize, usize)> = slots
-                .iter()
-                .flat_map(|&j| (0..cols.len()).map(move |c| (j, c)))
-                .filter(|&(j, c)| pair_bound(&rows[j], &cols[c], None) >= eps)
-                .collect();
-            assert_eq!(got, want, "eps = {eps}");
-        }
-        assert_eq!(cross_tasks(&rows, &slots, &[], 1e-4), (Vec::new(), 0));
     }
 
     #[test]

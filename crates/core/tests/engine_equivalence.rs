@@ -13,7 +13,7 @@
 
 use liair_basis::{systems, Atom, Basis, Cell, Element, Molecule};
 use liair_core::engine::BuildProfile;
-use liair_core::screening::{source_pairs, OrbitalInfo, Pair, PairList};
+use liair_core::screening::{source_pairs, OrbitalInfo, PairList};
 use liair_core::{
     BalanceStrategy, BasisOnGrid, EngineScratch, Error, ExchangeEngine, ExecBackend, FaultPlan,
     IncrementalExchange,
@@ -229,15 +229,20 @@ fn pipelined_overlap_matches_serial_for_k_operator() {
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&on_grid, &c_occ, nocc, 0.0);
-    let ntasks = nocc * basis.nao();
+        .k_operator(&on_grid, &c_occ, nocc, 0.0)
+        .expect("fault-free build");
+    let npairs = nocc * (nocc + 1) / 2;
     for plan in [None, Some(7u64), Some(13), Some(42)] {
         let mut b =
             ExchangeEngine::builder(&kgrid, &ksolver).backend(comm(3, BalanceStrategy::GreedyLpt));
         if let Some(seed) = plan {
             b = b.fault_plan(FaultPlan::with_stalls(seed));
         }
-        let pipelined = b.build().unwrap().k_operator(&on_grid, &c_occ, nocc, 0.0);
+        let pipelined = b
+            .build()
+            .unwrap()
+            .k_operator(&on_grid, &c_occ, nocc, 0.0)
+            .expect("stalled ranks are re-issued, not lost");
         assert_eq!(
             serial.profile.pairs_computed,
             pipelined.profile.pairs_computed
@@ -249,11 +254,11 @@ fn pipelined_overlap_matches_serial_for_k_operator() {
         assert_eq!(
             pipelined.k.sub(&serial.k).fro_norm(),
             0.0,
-            "{plan:?}: K columns must reassemble identically under streamed arrival"
+            "{plan:?}: K pair items must reassemble identically under streamed arrival"
         );
         assert_eq!(
             pipelined.profile.chunks_stolen,
-            ntasks / 4 + pipelined.profile.chunks_reissued,
+            npairs / 4 + pipelined.profile.chunks_reissued,
             "{plan:?}: tail + re-issues must each be granted exactly once"
         );
     }
@@ -273,33 +278,33 @@ fn h2_setup() -> (Basis, liair_math::Mat, usize, RealGrid, PoissonSolver) {
 
 #[test]
 fn k_operator_bit_identical_across_backends() {
-    let (basis, c_occ, nocc, grid, solver) = h2_setup();
-    let on_grid = BasisOnGrid::new(&basis, &grid);
-    let base = ExchangeEngine::builder(&grid, &solver);
-    let serial = base
-        .backend(ExecBackend::Serial)
-        .build()
-        .unwrap()
-        .k_operator(&on_grid, &c_occ, nocc, 0.0);
-    assert!(serial.profile.is_populated());
-    assert_eq!(serial.profile.pairs_computed, nocc * basis.nao());
+    // H₂ is one pair; the H chain's four bond orbitals at ε = 0 are ten,
+    // so the chain exercises the canonical-order accumulation of `B`.
+    let h2 = h2_setup();
+    let chain = h_chain(0.0);
+    for (basis, c_occ, nocc, grid, solver) in [&h2, &chain] {
+        let on_grid = BasisOnGrid::new(basis, grid);
+        let base = ExchangeEngine::builder(grid, solver);
+        let build = |backend| {
+            base.backend(backend)
+                .build()
+                .unwrap()
+                .k_operator(&on_grid, c_occ, *nocc, 0.0)
+                .expect("fault-free build")
+        };
+        let serial = build(ExecBackend::Serial);
+        assert!(serial.profile.is_populated());
+        assert_eq!(serial.profile.pairs_computed, nocc * (nocc + 1) / 2);
 
-    let rayon = base
-        .backend(ExecBackend::Rayon)
-        .build()
-        .unwrap()
-        .k_operator(&on_grid, &c_occ, nocc, 0.0);
-    let d = rayon.k.sub(&serial.k).fro_norm();
-    assert_eq!(d, 0.0, "serial vs rayon K differ: {d:e}");
+        let rayon = build(ExecBackend::Rayon);
+        let d = rayon.k.sub(&serial.k).fro_norm();
+        assert_eq!(d, 0.0, "serial vs rayon K differ: {d:e}");
 
-    for nranks in [1, 3] {
-        let out = base
-            .backend(comm(nranks, BalanceStrategy::RoundRobin))
-            .build()
-            .unwrap()
-            .k_operator(&on_grid, &c_occ, nocc, 0.0);
-        let d = out.k.sub(&serial.k).fro_norm();
-        assert_eq!(d, 0.0, "serial vs comm(nranks={nranks}) K differ: {d:e}");
+        for nranks in [1, 3] {
+            let out = build(comm(nranks, BalanceStrategy::RoundRobin));
+            let d = out.k.sub(&serial.k).fro_norm();
+            assert_eq!(d, 0.0, "serial vs comm(nranks={nranks}) K differ: {d:e}");
+        }
     }
 }
 
@@ -311,14 +316,16 @@ fn k_operator_bit_identical_under_injected_faults() {
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&on_grid, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0)
+        .expect("fault-free build");
     for plan in [FaultPlan::messages_only(42), FaultPlan::with_stalls(42)] {
         let faulty = ExchangeEngine::builder(&grid, &solver)
             .backend(comm(3, BalanceStrategy::RoundRobin))
             .fault_plan(plan)
             .build()
             .unwrap()
-            .k_operator(&on_grid, &c_occ, nocc, 0.0);
+            .k_operator(&on_grid, &c_occ, nocc, 0.0)
+            .expect("recovered faults are not errors");
         assert_eq!(
             faulty.k.sub(&clean.k).fro_norm(),
             0.0,
@@ -354,120 +361,6 @@ fn incremental_eps0_energy_bit_identical() {
     );
 }
 
-/// The backends the slice-independence contract is held on, each with an
-/// optional fault plan (ignored off the `Comm` backend).
-fn backends_and_faults() -> Vec<(ExecBackend, Option<FaultPlan>)> {
-    let mut out = vec![(ExecBackend::Serial, None), (ExecBackend::Rayon, None)];
-    for nranks in [1, 2, 3] {
-        let b = comm(nranks, BalanceStrategy::GreedyLpt);
-        out.push((b, None));
-        out.push((b, Some(FaultPlan::with_stalls(13))));
-    }
-    out
-}
-
-#[test]
-fn pair_contribution_is_slice_independent() {
-    // A pair's contribution is a pure function of the pair: whichever
-    // slice of the list it is evaluated in, at whichever position, on
-    // whichever backend, it carries the same bits. 16³ is a grid where a
-    // chunk-partner-dependent kernel shows up in the last 1–2 bits.
-    let (grid, solver, fields, infos, pairs) = synthetic_setup(4, 16);
-    let all = &pairs.pairs;
-    let full = ExchangeEngine::builder(&grid, &solver)
-        .backend(ExecBackend::Serial)
-        .build()
-        .unwrap()
-        .pair_contribs(&fields, all, &mut BuildProfile::default());
-    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-
-    for (backend, fault) in backends_and_faults() {
-        let mut b = ExchangeEngine::builder(&grid, &solver).backend(backend);
-        if let Some(plan) = fault {
-            b = b.fault_plan(plan);
-        }
-        let engine = b.build().unwrap();
-        let what = format!("{backend:?} fault={}", fault.is_some());
-        let run = |slice: &[Pair]| {
-            bits(&engine.pair_contribs(&fields, slice, &mut BuildProfile::default()))
-        };
-        assert_eq!(run(all), bits(&full), "{what}: full list");
-        // Every sub-slice, so every pair meets every chunk position and
-        // partner; odd-length prefixes are the `0..end` rows.
-        for start in 0..all.len() {
-            for end in start + 1..=all.len() {
-                assert_eq!(
-                    run(&all[start..end]),
-                    bits(&full[start..end]),
-                    "{what}: slice {start}..{end}"
-                );
-            }
-        }
-        let reversed: Vec<Pair> = all.iter().rev().copied().collect();
-        let want: Vec<f64> = full.iter().rev().copied().collect();
-        assert_eq!(run(&reversed), bits(&want), "{what}: reversed list");
-    }
-
-    // Warm incremental build with a partial dirty set: move one orbital,
-    // so only its pairs are recomputed — as a short list with different
-    // chunk partners than in the full one. (The tolerance is the smallest
-    // that still reuses: eps_inc = 0 would recompute everything and hide
-    // the dirty slice.) Every contribution the cache then holds must be
-    // the from-scratch build's, bit for bit; a one-pair list reads one
-    // cached entry back as the build's energy.
-    let mut moved = fields.clone();
-    let shift = Vec3::new(0.3, -0.2, 0.1);
-    let norm = (2.0 * 1.1 / std::f64::consts::PI).powf(0.75);
-    moved[1] = (0..grid.len())
-        .map(|i| {
-            let d = grid
-                .cell
-                .min_image(infos[1].center + shift, grid.point_flat(i));
-            norm * (-1.1 * d.norm_sqr()).exp()
-        })
-        .collect();
-    let scratch = ExchangeEngine::builder(&grid, &solver)
-        .backend(ExecBackend::Serial)
-        .build()
-        .unwrap()
-        .pair_contribs(&moved, all, &mut BuildProfile::default());
-    let clean_backends = backends_and_faults()
-        .into_iter()
-        .filter(|(_, fault)| fault.is_none());
-    for (backend, _) in clean_backends {
-        let mut inc = IncrementalExchange::new(1e-12, 0);
-        inc.set_backend(backend);
-        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        let warm = inc.exchange_energy(&grid, &solver, &moved, &infos, &pairs);
-        let touching = all.iter().filter(|p| p.i == 1 || p.j == 1).count();
-        assert_eq!(warm.profile.pairs_computed, touching, "{backend:?}");
-        assert_eq!(
-            warm.profile.pairs_reused,
-            all.len() - touching,
-            "{backend:?}"
-        );
-        for (p, want) in all.iter().zip(&scratch) {
-            let one = PairList {
-                pairs: vec![*p],
-                ..pairs.clone()
-            };
-            let held = inc.exchange_energy(&grid, &solver, &moved, &infos, &one);
-            assert_eq!(
-                held.profile.pairs_reused, 1,
-                "{backend:?}: pair ({}, {})",
-                p.i, p.j
-            );
-            assert_eq!(
-                held.energy.to_bits(),
-                want.to_bits(),
-                "{backend:?}: cached ({}, {}) is not the from-scratch contribution",
-                p.i,
-                p.j
-            );
-        }
-    }
-}
-
 #[test]
 fn incremental_eps0_k_bit_identical() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
@@ -476,9 +369,12 @@ fn incremental_eps0_k_bit_identical() {
         .backend(ExecBackend::Serial)
         .build()
         .unwrap()
-        .k_operator(&on_grid, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0)
+        .expect("fault-free build");
     let mut inc = IncrementalExchange::new(0.0, 0);
-    let out = inc.exchange_operator(&on_grid, &c_occ, nocc, &solver, 0.0);
+    let out = inc
+        .exchange_operator(&on_grid, &c_occ, nocc, &solver, 0.0)
+        .expect("fault-free build");
     assert_eq!(out.profile.pairs_computed, reference.profile.pairs_computed);
     assert_eq!(out.profile.pairs_screened, reference.profile.pairs_screened);
     assert_eq!(out.profile.pairs_reused, 0);
@@ -492,7 +388,7 @@ fn incremental_eps0_k_bit_identical() {
 /// Four H2 molecules in a row, 8 Bohr apart (STO-3G), with one bond
 /// orbital each, the third one's weight tilted by `tilt` toward its
 /// second atom — a hand-placed occupied set whose ε-screen drops the
-/// far `(j, ν)` tasks; the counters need no SCF-quality grid.
+/// pairs of distant bonds; the counters need no SCF-quality grid.
 fn h_chain(tilt: f64) -> (Basis, Mat, usize, RealGrid, PoissonSolver) {
     let mut mol = Molecule::new();
     for k in 0..8 {
@@ -516,12 +412,12 @@ fn h_chain(tilt: f64) -> (Basis, Mat, usize, RealGrid, PoissonSolver) {
 }
 
 /// Every entry point's work counters partition its candidates: computed,
-/// reused and screened add up to the candidate pair count of an energy
-/// build and to `nocc · nao` `(j, ν)` tasks of a K build — on every
-/// backend, and for the incremental paths cold, all-clean warm and with
-/// one orbital moved. Every energy build reports the list's inspected
-/// candidates as `pairs_considered`. The K path's computed plus reused
-/// tasks are the from-scratch build's computed ones.
+/// reused and screened add up to the candidate pair count `N(N+1)/2` of
+/// an energy build and of a K build alike — on every backend, and for the
+/// incremental paths cold, all-clean warm and with one orbital moved.
+/// Every energy build reports the list's inspected candidates as
+/// `pairs_considered`. The K path's computed plus reused pairs are the
+/// from-scratch build's computed ones.
 #[test]
 fn build_counters_partition_the_candidates_on_every_entry_point() {
     let partition = |p: &BuildProfile| p.pairs_computed + p.pairs_reused + p.pairs_screened;
@@ -537,7 +433,7 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
     const EPS_K: f64 = 1e-2;
     let chain = h_chain(0.0);
     let tilted = h_chain(0.1);
-    let ntasks = chain.2 * chain.0.nao();
+    let npairs = chain.2 * (chain.2 + 1) / 2;
     let scratch_k =
         |(basis, c_occ, nocc, grid, solver): &(Basis, Mat, usize, RealGrid, PoissonSolver)| {
             ExchangeEngine::builder(grid, solver)
@@ -545,11 +441,12 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
                 .build()
                 .unwrap()
                 .k_operator(&BasisOnGrid::new(basis, grid), c_occ, *nocc, EPS_K)
+                .expect("fault-free build")
                 .profile
                 .pairs_computed
         };
     let (computed_k, computed_tilted) = (scratch_k(&chain), scratch_k(&tilted));
-    assert!(computed_k < ntasks, "the chain must screen some tasks");
+    assert!(computed_k < npairs, "the chain must screen some pairs");
 
     for backend in [
         ExecBackend::Serial,
@@ -583,8 +480,9 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
             .build()
             .unwrap()
             .k_operator(&BasisOnGrid::new(basis, kgrid), c_occ, *nocc, EPS_K)
+            .expect("fault-free build")
             .profile;
-        assert_eq!(partition(&k), ntasks, "{backend:?} k_operator: {k:?}");
+        assert_eq!(partition(&k), npairs, "{backend:?} k_operator: {k:?}");
         assert_eq!(k.pairs_computed, computed_k, "{backend:?} k_operator");
 
         let mut inc = IncrementalExchange::new(1e-12, 0);
@@ -632,8 +530,9 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
                     ksolver,
                     EPS_K,
                 )
+                .expect("fault-free build")
                 .profile;
-            assert_eq!(partition(&p), ntasks, "{backend:?} {what} K: {p:?}");
+            assert_eq!(partition(&p), npairs, "{backend:?} {what} K: {p:?}");
             assert_eq!(
                 p.pairs_computed + p.pairs_reused,
                 want,
@@ -678,7 +577,8 @@ fn comm_backend_reports_gather_volume() {
         })
         .build()
         .unwrap()
-        .k_operator(&on_grid, &c_occ, nocc, 0.0);
+        .k_operator(&on_grid, &c_occ, nocc, 0.0)
+        .expect("fault-free build");
     assert!(k.profile.bytes_reduced > 0);
     assert!(k.profile.t_ao_eval_s >= 0.0);
 }
@@ -725,16 +625,9 @@ fn malformed_orbital_sets_are_typed_errors_on_every_backend() {
             .backend(backend)
             .build()
             .unwrap();
-        let mut profile = BuildProfile::default();
         let mut scratch = EngineScratch::new();
         for (bad, err) in [(&short, &mismatch), (&none, &Error::EmptyOrbitals)] {
             assert_eq!(engine.try_energy(bad, &pairs).as_ref(), Err(err));
-            assert_eq!(
-                engine
-                    .try_pair_contribs(bad, &pairs.pairs, &mut profile)
-                    .as_ref(),
-                Err(err)
-            );
             assert_eq!(
                 engine.try_energy_into(bad, &pairs, &mut scratch).as_ref(),
                 Err(err)

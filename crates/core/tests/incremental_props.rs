@@ -2,8 +2,8 @@
 //!
 //! * `eps_inc = 0` disables reuse, and the resulting K build is
 //!   **bit-identical** to the from-scratch
-//!   `ExchangeEngine::k_operator` (same per-task kernel, same
-//!   ascending-j assembly order);
+//!   `ExchangeEngine::k_operator` (same per-pair kernel, same
+//!   canonical-order ACE assembly);
 //! * the energy error of a stale-cache rebuild is **monotone** in
 //!   `eps_inc`: loosening the tolerance can only enlarge the reused set,
 //!   and every reused pair contributes an error of the same sign here by
@@ -50,8 +50,9 @@ proptest! {
         let solver = PoissonSolver::isolated(grid);
         let on_grid = BasisOnGrid::new(&basis, &grid);
 
-        let reference =
-            ExchangeEngine::new(&grid, &solver).k_operator(&on_grid, &scf.c, scf.nocc, eps);
+        let reference = ExchangeEngine::new(&grid, &solver)
+            .k_operator(&on_grid, &scf.c, scf.nocc, eps)
+            .expect("fault-free build");
         let (k_ref, p_ref) = (reference.k, reference.profile);
         let mut inc = IncrementalExchange::new(0.0, 0);
         if prime_idx == 1 {
@@ -60,9 +61,12 @@ proptest! {
             other.translate(liair_math::Vec3::splat(edge / 2.0) - other.centroid());
             let b2 = Basis::sto3g(&other);
             let s2 = liair_scf::rhf(&other, &b2, &liair_scf::ScfOptions::default());
-            inc.exchange_operator(&BasisOnGrid::new(&b2, &grid), &s2.c, s2.nocc, &solver, eps);
+            inc.exchange_operator(&BasisOnGrid::new(&b2, &grid), &s2.c, s2.nocc, &solver, eps)
+                .expect("fault-free build");
         }
-        let out = inc.exchange_operator(&on_grid, &scf.c, scf.nocc, &solver, eps);
+        let out = inc
+            .exchange_operator(&on_grid, &scf.c, scf.nocc, &solver, eps)
+            .expect("fault-free build");
         let k_inc = out.k;
         prop_assert_eq!(out.profile.pairs_computed, p_ref.pairs_computed);
         prop_assert_eq!(out.profile.pairs_screened, p_ref.pairs_screened);

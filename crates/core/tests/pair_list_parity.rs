@@ -7,9 +7,8 @@
 //! (including anisotropic cells and boundary-straddling clusters) and
 //! screening thresholds.
 //!
-//! The last test pins, on two fixed inputs, how many candidates each
-//! index-backed source *inspected* — the counts recorded from the
-//! hand-written bin searches the shared index replaced.
+//! The last test pins, on two fixed inputs, how many candidates the
+//! cell list *inspected* and how many pairs a K build computes.
 
 use liair_basis::{Atom, Basis, Cell, Element, Molecule};
 use liair_core::screening::{build_pair_list, build_pair_list_celllist, OrbitalInfo, Pair};
@@ -190,10 +189,9 @@ proptest! {
 }
 
 /// `considered` is observable (`BuildProfile::pairs_considered`, the
-/// benchmark's `core.pairs_considered`), so the index must reproduce each
-/// source's bin geometry, not merely a correct candidate superset. The
-/// numbers below were recorded from the parent of the PR that introduced
-/// the shared index.
+/// benchmark's `core.pairs_considered`), so the index must reproduce the
+/// cell list's bin geometry, not merely a correct candidate superset. The
+/// periodic count was recorded before the shared index existed.
 #[test]
 fn recorded_considered_counts_hold() {
     // (1) The periodic cell list through `source_pairs`: the benchmark's
@@ -220,8 +218,13 @@ fn recorded_considered_counts_hold() {
     assert_eq!((list.considered, list.len()), (3492, 500));
     assert_eq!(list.pairs, build_pair_list(&infos, 1e-6, Some(&cell)).pairs);
 
-    // (2) The K path's AO partner search: a kinked 20-atom hydrogen chain
-    // (STO-3G, 10 two-centre occupied orbitals), 200 (j, ν) candidates.
+    // (2) The K build's pair list: a kinked 20-atom hydrogen chain
+    // (STO-3G), 10 Löwdin-orthonormalized two-centre occupied orbitals
+    // 6 Bohr apart (localized spread ≈ 2.01 Bohr), 55 candidate pairs,
+    // screened by the O(N²) scan with open boundaries: ε = 1e-2 keeps the
+    // diagonals and nearest neighbours, ε = 1e-4 the next ones too. The
+    // retired (j, ν) column build computed 150 / 165 of its 200 tasks on
+    // this chain.
     let mut mol = Molecule::new();
     for k in 0..20 {
         mol.atoms.push(Atom {
@@ -231,11 +234,14 @@ fn recorded_considered_counts_hold() {
     }
     let basis = Basis::sto3g(&mol);
     let nocc = 10;
-    let mut c_occ = Mat::zeros(basis.nao(), nocc);
+    let mut bonds = Mat::zeros(basis.nao(), nocc);
     for k in 0..nocc {
-        c_occ[(2 * k, k)] = 0.6;
-        c_occ[(2 * k + 1, k)] = 0.6;
+        bonds[(2 * k, k)] = 1.0;
+        bonds[(2 * k + 1, k)] = 1.0;
     }
+    let s = liair_integrals::overlap_matrix(&basis);
+    let metric = bonds.transpose().matmul(&s).matmul(&bonds);
+    let c_occ = bonds.matmul(&liair_math::linalg::sym_inv_sqrt(&metric));
     // The counts depend on the basis and the orbitals only: a coarse grid.
     let grid = RealGrid::new(Cell::orthorhombic(64.0, 10.0, 10.0), (16, 4, 4));
     let solver = PoissonSolver::isolated(grid);
@@ -244,15 +250,14 @@ fn recorded_considered_counts_hold() {
         .build()
         .unwrap();
     let on_grid = BasisOnGrid::new(&basis, &grid);
-    for (eps, considered, evaluated) in [(1e-2, 159, 150), (1e-4, 172, 165)] {
-        let out = engine.k_operator(&on_grid, &c_occ, nocc, eps);
+    for (eps, computed) in [(1e-2, 19), (1e-4, 27)] {
+        let out = engine
+            .k_operator(&on_grid, &c_occ, nocc, eps)
+            .expect("fault-free build");
+        let p = out.profile;
         assert_eq!(
-            (
-                out.profile.pairs_considered,
-                out.profile.pairs_computed,
-                out.profile.pairs_screened
-            ),
-            (considered, evaluated, 200 - evaluated),
+            (p.pairs_considered, p.pairs_computed, p.pairs_screened),
+            (55, computed, 55 - computed),
             "eps = {eps}"
         );
     }

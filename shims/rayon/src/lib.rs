@@ -22,6 +22,7 @@
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Set inside worker threads: nested parallel calls degrade to
@@ -31,14 +32,21 @@ thread_local! {
     static THREADS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// Threads a parallel call may use: 1 inside a worker, else the
+/// `ThreadPool::install` override, else the host's parallelism. The host
+/// value is read once per process: `available_parallelism` reads cgroup
+/// files on every call, which small parallel calls would pay each time.
 fn pool_threads() -> usize {
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
     if IN_WORKER.with(|w| w.get()) {
         return 1;
     }
     THREADS_OVERRIDE.with(|t| t.get()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *HOST_THREADS.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 
@@ -801,6 +809,24 @@ mod tests {
     fn install_overrides_thread_count() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         assert_eq!(pool.install(current_num_threads), 3);
+    }
+
+    #[test]
+    fn install_wins_over_the_cached_host_count_and_nesting_stays_sequential() {
+        // Read the host count first, so it is cached before the override.
+        let host = current_num_threads();
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let (outer, inner) = pool.install(|| {
+            let inner: Vec<usize> = (0..6)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect();
+            (current_num_threads(), inner)
+        });
+        assert_eq!(outer, 3);
+        // Six items over three threads: every item ran on a worker.
+        assert!(inner.iter().all(|&n| n == 1), "{inner:?}");
+        assert_eq!(current_num_threads(), host);
     }
 
     #[test]
