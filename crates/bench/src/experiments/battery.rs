@@ -2,26 +2,20 @@
 //!
 //! * `tab-battery` — the lithium/air chemistry result: interaction
 //!   energies of each candidate solvent with the Li₂O₂ discharge product
-//!   (RHF + PBE0, real SCF) and degradation events in hot reactive-MD
-//!   trajectories. Propylene carbonate (the incumbent) should bind
-//!   strongest and break bonds; the replacement candidates survive.
+//!   (RHF + PBE0, real SCF, from one serve reaction job per solvent) and
+//!   degradation events in hot reactive-MD trajectories. Propylene
+//!   carbonate (the incumbent) should bind strongest and break bonds; the
+//!   replacement candidates survive.
 //! * `fig-md-water` — the MD substrate check: NVE conservation and the
 //!   liquid structure of a periodic water box.
 
 use crate::Table;
-use liair_basis::{systems, Basis, Element};
+use liair_basis::{systems, Element};
 use liair_md::analysis::{drift_per_step, BondEvents, RdfAccumulator};
 use liair_md::{ForceField, MdOptions, MdState, Thermostat};
-use liair_scf::{functional_energy, rhf, ScfOptions};
+use liair_serve::runner::COMPLEX_LI_O_DIST;
+use liair_serve::{run_reference, JobSpec};
 use liair_xc::Functional;
-
-fn scf_opts() -> ScfOptions {
-    ScfOptions {
-        energy_tol: 1e-7,
-        max_iter: 150,
-        ..Default::default()
-    }
-}
 
 /// Hot-trajectory degradation count for one solvent's Li₂O₂ complex:
 /// distinct solvent-internal bonds broken (stretch > 1.5·r₀, where the
@@ -32,7 +26,7 @@ fn scf_opts() -> ScfOptions {
 pub fn degradation_events(solvent: systems::Solvent, t_target: f64, steps: usize) -> usize {
     let mut total = 0;
     for seed in 0..3u64 {
-        let complex = systems::li2o2_complex(solvent, 3.6);
+        let complex = systems::li2o2_complex(solvent, COMPLEX_LI_O_DIST);
         let n_solvent = solvent.molecule().natoms();
         let ff = ForceField::from_molecule(&complex, None);
         let mut state = MdState::new(complex, None, &ff);
@@ -67,13 +61,6 @@ pub fn tab_battery(fast: bool) -> Vec<Table> {
     } else {
         systems::Solvent::all().to_vec()
     };
-    let opts = scf_opts();
-
-    let cluster = systems::li2o2();
-    let basis_cl = Basis::sto3g(&cluster);
-    let scf_cl = rhf(&cluster, &basis_cl, &opts);
-    assert!(scf_cl.converged, "Li2O2 SCF failed");
-    let pbe0_cl = functional_energy(&cluster, &basis_cl, &scf_cl, Functional::Pbe0, &opts);
 
     let mut t = Table::measured(
         "tab-battery — solvent stability against Li2O2 (STO-3G)",
@@ -86,21 +73,13 @@ pub fn tab_battery(fast: bool) -> Vec<Table> {
         ],
     );
     for s in solvents {
-        let solvent = s.molecule();
-        let complex = systems::li2o2_complex(s, 3.6);
-        let basis_s = Basis::sto3g(&solvent);
-        let scf_s = rhf(&solvent, &basis_s, &opts);
-        let basis_c = Basis::sto3g(&complex);
-        let scf_c = rhf(&complex, &basis_c, &opts);
-        assert!(
-            scf_s.converged && scf_c.converged,
-            "{} SCF failed",
-            s.name()
-        );
-        let e_int_rhf = scf_c.energy - scf_s.energy - scf_cl.energy;
-        let pbe0_s = functional_energy(&solvent, &basis_s, &scf_s, Functional::Pbe0, &opts);
-        let pbe0_c = functional_energy(&complex, &basis_c, &scf_c, Functional::Pbe0, &opts);
-        let e_int_pbe0 = pbe0_c - pbe0_s - pbe0_cl;
+        let spec = JobSpec::reaction(s, &[Functional::Pbe0])
+            .build()
+            .expect("a one-functional reaction spec is valid");
+        let out = run_reference(&spec);
+        assert!(out.converged, "{} SCF failed", s.name());
+        let e_int_rhf = out.final_energy;
+        let e_int_pbe0 = out.observables.e_int_by_functional[0].1;
         let broken = degradation_events(s, 1200.0, if fast { 4000 } else { 6000 });
         let verdict = if broken > 0 { "DEGRADES" } else { "stable" };
         t.row(vec![

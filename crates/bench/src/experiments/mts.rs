@@ -225,6 +225,7 @@ impl SplitForceProvider for ModelElectrolyteSplit {
         let e0 = self.hfx_fraction
             * slots[0]
                 .exchange_energy(&self.grid, &self.solver, &base, &infos0, &self.pairs)
+                .expect("a clean rayon build over grid-sized fields cannot fail")
                 .energy;
         // Sequential FD over the heavy atoms: each displaced slot diffs
         // against the same displacement of the previous outer step.
@@ -254,6 +255,7 @@ impl SplitForceProvider for ModelElectrolyteSplit {
                     *e = self.hfx_fraction
                         * slots[slot]
                             .exchange_energy(&self.grid, &self.solver, &work, &infos, &self.pairs)
+                            .expect("a clean rayon build over grid-sized fields cannot fail")
                             .energy;
                 }
                 for &k in &mine {

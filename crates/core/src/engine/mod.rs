@@ -55,8 +55,7 @@ use std::time::Instant;
 /// How the execute stage runs its chunk list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// One worker, ascending chunk order — the reference execution and the
-    /// strict zero-allocation path ([`ExchangeEngine::energy_into`]).
+    /// One worker, ascending chunk order — the reference execution.
     Serial,
     /// Rayon work-stealing over chunks (the shared-memory production
     /// path). Results are collected in chunk order, so the reduction is
@@ -157,22 +156,6 @@ impl HfxScratch {
     }
 }
 
-/// Caller-owned scratch for [`ExchangeEngine::energy_into`]: the pair
-/// scratch plus the contribution vector, so a warm repeat build performs
-/// zero heap allocations.
-#[derive(Debug, Default)]
-pub struct EngineScratch {
-    pair: HfxScratch,
-    contribs: Vec<f64>,
-}
-
-impl EngineScratch {
-    /// Empty scratch; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// What a pair item computes: the energy path's weighted `−w (ij|ij)`
 /// over these orbital fields (one word per pair), or the K path's AO
 /// projections over this build's orbitals (`2·nao` words per pair, see
@@ -231,24 +214,6 @@ fn patch_geometry(
     let phys = d.norm() + 3.0 * (a.spread + b.spread) + 2.0 * margin;
     let extent = ((phys / grid.spacing().x).ceil() as usize).max(8);
     (a.center + d * 0.5, extent)
-}
-
-/// The serial arm of [`ExchangeEngine::execute`], on caller-owned scratch
-/// and output — which makes it the whole execute stage of
-/// [`ExchangeEngine::energy_into`] too.
-fn run_serial<S, F>(
-    sc: &mut S,
-    flat: &mut [f64],
-    width: usize,
-    eval: &F,
-    profile: &mut BuildProfile,
-) where
-    F: Fn(&mut S, usize, &mut [f64]) -> (KernelTimings, usize),
-{
-    for (i, out) in flat.chunks_exact_mut(width).enumerate() {
-        let (t, grew) = eval(sc, i, out);
-        profile.note_kernel(t, grew);
-    }
 }
 
 impl<'a> ExchangeEngine<'a> {
@@ -314,7 +279,11 @@ impl<'a> ExchangeEngine<'a> {
         match self.backend {
             ExecBackend::Serial => {
                 let mut flat = vec![0.0; nitems * width];
-                run_serial(&mut init(), &mut flat, width, &eval, profile);
+                let mut sc = init();
+                for (i, out) in flat.chunks_exact_mut(width).enumerate() {
+                    let (t, grew) = eval(&mut sc, i, out);
+                    profile.note_kernel(t, grew);
+                }
                 Ok(flat)
             }
             ExecBackend::Rayon => {
@@ -409,20 +378,9 @@ impl<'a> ExchangeEngine<'a> {
     /// The patch spans the minimum-image center separation plus three
     /// spreads per orbital plus `margin` Bohr on either side; the margin
     /// controls the error against [`ExchangeEngine::energy`] (zero once
-    /// every patch is clamped to the cell).
+    /// every patch is clamped to the cell). Orbital-shape problems and
+    /// unrecovered communication failures come back as typed [`Error`]s.
     pub fn energy_patched(
-        &self,
-        orbitals: &[Vec<f64>],
-        infos: &[OrbitalInfo],
-        pairs: &PairList,
-        margin: f64,
-    ) -> HfxResult {
-        self.try_energy_patched(orbitals, infos, pairs, margin)
-            .unwrap_or_else(|e| panic!("patched exchange build failed: {e}"))
-    }
-
-    /// Fallible twin of [`ExchangeEngine::energy_patched`].
-    pub fn try_energy_patched(
         &self,
         orbitals: &[Vec<f64>],
         infos: &[OrbitalInfo],
@@ -467,47 +425,6 @@ impl<'a> ExchangeEngine<'a> {
         contribs.truncate(plist.len());
         profile.t_exec_s += t0.elapsed().as_secs_f64();
         Ok(self.finish_energy(&contribs, pairs, profile))
-    }
-
-    /// Strict zero-allocation energy build: serial execution into a
-    /// caller-owned [`EngineScratch`]. A warm repeat build (same grid,
-    /// same pair count) performs no heap allocations at all — the property
-    /// the counting-allocator test pins down.
-    pub fn energy_into(
-        &self,
-        orbitals: &[Vec<f64>],
-        pairs: &PairList,
-        scratch: &mut EngineScratch,
-    ) -> HfxResult {
-        self.try_energy_into(orbitals, pairs, scratch)
-            .unwrap_or_else(|e| panic!("exchange build failed: {e}"))
-    }
-
-    /// Fallible twin of [`ExchangeEngine::energy_into`].
-    pub fn try_energy_into(
-        &self,
-        orbitals: &[Vec<f64>],
-        pairs: &PairList,
-        scratch: &mut EngineScratch,
-    ) -> Result<HfxResult> {
-        self.validate_orbitals(orbitals)?;
-        let npairs = pairs.len();
-        let padded = 2 * npairs.div_ceil(2);
-        let mut profile = BuildProfile::default();
-        let t0 = Instant::now();
-        profile.steady_allocs += (padded > scratch.contribs.capacity()) as usize;
-        scratch.contribs.clear();
-        scratch.contribs.resize(padded, 0.0);
-        run_serial(
-            &mut scratch.pair,
-            &mut scratch.contribs,
-            2,
-            &pair_chunk(self.grid.len(), self.solver, orbitals, &pairs.pairs),
-            &mut profile,
-        );
-        scratch.contribs.truncate(npairs);
-        profile.t_exec_s += t0.elapsed().as_secs_f64();
-        Ok(self.finish_energy(&scratch.contribs, pairs, profile))
     }
 
     /// Reduce stage of the energy paths: ordered sequential sum of the
@@ -712,8 +629,11 @@ mod tests {
         for (backend, _) in clean_backends {
             let mut inc = IncrementalExchange::new(1e-12, 0);
             inc.set_backend(backend);
-            inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-            let warm = inc.exchange_energy(&grid, &solver, &moved, &infos, &pairs);
+            inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+                .expect("fault-free build");
+            let warm = inc
+                .exchange_energy(&grid, &solver, &moved, &infos, &pairs)
+                .expect("fault-free build");
             let touching = all.iter().filter(|p| p.i == 1 || p.j == 1).count();
             assert_eq!(warm.profile.pairs_computed, touching, "{backend:?}");
             assert_eq!(
@@ -726,7 +646,9 @@ mod tests {
                     pairs: vec![*p],
                     ..pairs.clone()
                 };
-                let held = inc.exchange_energy(&grid, &solver, &moved, &infos, &one);
+                let held = inc
+                    .exchange_energy(&grid, &solver, &moved, &infos, &one)
+                    .expect("fault-free build");
                 assert_eq!(
                     held.profile.pairs_reused, 1,
                     "{backend:?}: ({}, {})",

@@ -424,7 +424,9 @@ mod tests {
         let fields = liair_grid::orbitals_on_grid(&basis_c, &loc.c_loc, scf.nocc, &grid);
         let engine = ExchangeEngine::new(&grid, &solver);
         let full = engine.energy(&fields, &pairs);
-        let patched = engine.energy_patched(&fields, &infos, &pairs, 3.0);
+        let patched = engine
+            .energy_patched(&fields, &infos, &pairs, 3.0)
+            .expect("fault-free build");
         assert!(
             approx_eq(patched.energy, full.energy, 5e-3),
             "patched {} vs full {}",

@@ -325,7 +325,9 @@ impl IncrementalExchange {
     /// from the cache, dirty pairs are recomputed (parallel over the dirty
     /// work only) and re-cached, and the energy is their sum in canonical
     /// pair order. `infos` supplies per-orbital centers/spreads for the
-    /// fingerprints (same length as `orbitals`).
+    /// fingerprints (same length as `orbitals`). Orbital-shape problems
+    /// and unrecovered communication failures of the recompute come back
+    /// as typed [`Error`](crate::Error)s.
     pub fn exchange_energy(
         &mut self,
         grid: &RealGrid,
@@ -333,8 +335,14 @@ impl IncrementalExchange {
         orbitals: &[Vec<f64>],
         infos: &[OrbitalInfo],
         pairs: &PairList,
-    ) -> HfxResult {
-        assert_eq!(orbitals.len(), infos.len());
+    ) -> Result<HfxResult> {
+        if orbitals.len() != infos.len() {
+            return Err(crate::Error::InvalidConfig(format!(
+                "{} orbitals but {} OrbitalInfo records",
+                orbitals.len(),
+                infos.len()
+            )));
+        }
         self.fingerprint_all(grid, orbitals, infos);
         let key = CacheKey {
             dims: grid.dims,
@@ -343,16 +351,14 @@ impl IncrementalExchange {
             width: 1,
         };
         let engine = self.engine(grid, solver);
-        let profile = self
-            .refresh(key, pairs, |dirty, _, profile| {
-                engine.pair_contribs(PairWork::Energy(orbitals), dirty, profile)
-            })
-            .unwrap_or_else(|e| panic!("incremental exchange energy build failed: {e}"));
+        let profile = self.refresh(key, pairs, |dirty, _, profile| {
+            engine.pair_contribs(PairWork::Energy(orbitals), dirty, profile)
+        })?;
         let cache = self.cache.as_ref().expect("refresh installs the cache");
-        HfxResult {
+        Ok(HfxResult {
             energy: pairs.pairs.iter().map(|p| cache.entry(p)[0]).sum(),
             profile,
-        }
+        })
     }
 
     /// Incremental twin of [`ExchangeEngine::k_operator`]: the pair items
@@ -563,10 +569,14 @@ mod tests {
         let (grid, solver, fields, infos) = test_setup();
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(1e-6, 0);
-        let first = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        let first = inc
+            .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         assert_eq!(first.profile.pairs_computed, pairs.len());
         assert_eq!(first.profile.pairs_reused, 0);
-        let second = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        let second = inc
+            .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         assert_eq!(second.profile.pairs_reused, pairs.len());
         assert_eq!(second.profile.pairs_computed, 0);
         assert_eq!(second.energy, first.energy);
@@ -578,12 +588,15 @@ mod tests {
         let (grid, solver, mut fields, mut infos) = test_setup();
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(1e-4, 0);
-        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         // Move orbital 2 by a Bohr: its 3 pairs (0,2) (1,2) (2,2) go dirty,
         // the other 3 stay clean.
         infos[2].center = Vec3::new(9.0, 6.0, 6.0);
         fields[2] = gaussian_field(&grid, infos[2].center, 1.0);
-        let r = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        let r = inc
+            .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         assert_eq!(r.profile.pairs_computed, 3);
         assert_eq!(r.profile.pairs_reused, 3);
         // And the result matches a from-scratch build closely.
@@ -601,10 +614,15 @@ mod tests {
         let (grid, solver, fields, infos) = test_setup();
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(1e-4, 2);
-        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        let a = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
+        let a = inc
+            .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         assert_eq!(a.profile.pairs_reused, pairs.len());
-        let b = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        let b = inc
+            .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         // Next build hits the every-2 cadence: everything recomputed.
         assert_eq!(b.profile.pairs_computed, pairs.len(), "{:?}", b.profile);
     }
@@ -614,7 +632,8 @@ mod tests {
         let (grid, solver, fields, infos) = test_setup();
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(1e-4, 0);
-        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         let grid2 = RealGrid::cubic(Cell::cubic(12.0), 24);
         let solver2 = PoissonSolver::isolated(grid2);
         let fields2: Vec<Vec<f64>> = infos
@@ -622,7 +641,9 @@ mod tests {
             .map(|o| gaussian_field(&grid2, o.center, 1.0))
             .collect();
         let before = inc.totals;
-        let r = inc.exchange_energy(&grid2, &solver2, &fields2, &infos, &pairs);
+        let r = inc
+            .exchange_energy(&grid2, &solver2, &fields2, &infos, &pairs)
+            .expect("fault-free build");
         assert_eq!(r.profile.pairs_reused, 0);
         assert_eq!(inc.totals.since(&before).pairs_invalidated, pairs.len());
     }
@@ -660,7 +681,9 @@ mod tests {
         ];
         let pairs = build_pair_list(&infos, 0.0, None);
         let mut inc = IncrementalExchange::new(0.0, 0);
-        let a = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+        let a = inc
+            .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+            .expect("fault-free build");
         let b = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
         assert!((a.energy - b.energy).abs() <= 1e-12 * b.energy.abs());
         assert_eq!(a.profile.pairs_reused, 0);

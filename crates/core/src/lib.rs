@@ -59,8 +59,7 @@ pub mod workload;
 pub use balance::{assign_pairs, Assignment, BalanceStrategy};
 pub use cachepool::{CachePoolStats, ExchangeCachePool, SystemKey};
 pub use engine::{
-    BasisOnGrid, BuildProfile, EngineBuilder, EngineScratch, ExchangeEngine, ExecBackend,
-    FaultPlan, KBuildOutcome,
+    BasisOnGrid, BuildProfile, EngineBuilder, ExchangeEngine, ExecBackend, FaultPlan, KBuildOutcome,
 };
 pub use error::{Error, Result};
 pub use hfx::HfxResult;

@@ -15,7 +15,7 @@ use liair_basis::{systems, Atom, Basis, Cell, Element, Molecule};
 use liair_core::engine::BuildProfile;
 use liair_core::screening::{source_pairs, OrbitalInfo, PairList};
 use liair_core::{
-    BalanceStrategy, BasisOnGrid, EngineScratch, Error, ExchangeEngine, ExecBackend, FaultPlan,
+    BalanceStrategy, BasisOnGrid, Error, ExchangeEngine, ExecBackend, FaultPlan,
     IncrementalExchange,
 };
 use liair_grid::{PoissonSolver, RealGrid};
@@ -345,14 +345,18 @@ fn incremental_eps0_energy_bit_identical() {
 
     let mut inc = IncrementalExchange::new(0.0, 0);
     // Cold build: everything dirty.
-    let cold = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+    let cold = inc
+        .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+        .expect("fault-free build");
     assert_eq!(
         reference.energy.to_bits(),
         cold.energy.to_bits(),
         "cold incremental differs"
     );
     // Rebuild on identical fields: eps_inc = 0 must recompute, not reuse.
-    let rebuilt = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+    let rebuilt = inc
+        .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+        .expect("fault-free build");
     assert_eq!(rebuilt.profile.pairs_reused, 0);
     assert_eq!(
         reference.energy.to_bits(),
@@ -458,16 +462,14 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
             .backend(backend)
             .build()
             .unwrap();
-        let mut scratch = EngineScratch::new();
         for (what, p) in [
             ("energy", engine.energy(&fields, &pairs).profile),
             (
-                "energy_into",
-                engine.energy_into(&fields, &pairs, &mut scratch).profile,
-            ),
-            (
                 "energy_patched",
-                engine.energy_patched(&fields, &infos, &pairs, 1.0).profile,
+                engine
+                    .energy_patched(&fields, &infos, &pairs, 1.0)
+                    .expect("fault-free build")
+                    .profile,
             ),
         ] {
             assert_eq!(partition(&p), candidates, "{backend:?} {what}: {p:?}");
@@ -494,6 +496,7 @@ fn build_counters_partition_the_candidates_on_every_entry_point() {
         ] {
             let p = inc
                 .exchange_energy(&grid, &solver, orbs, orb_infos, &pairs)
+                .expect("fault-free build")
                 .profile;
             assert_eq!(
                 partition(&p),
@@ -625,20 +628,19 @@ fn malformed_orbital_sets_are_typed_errors_on_every_backend() {
             .backend(backend)
             .build()
             .unwrap();
-        let mut scratch = EngineScratch::new();
         for (bad, err) in [(&short, &mismatch), (&none, &Error::EmptyOrbitals)] {
             assert_eq!(engine.try_energy(bad, &pairs).as_ref(), Err(err));
-            assert_eq!(
-                engine.try_energy_into(bad, &pairs, &mut scratch).as_ref(),
-                Err(err)
-            );
         }
         assert_eq!(
-            engine.try_energy_patched(&short, &infos, &pairs, 1.0),
+            engine.energy_patched(&short, &infos, &pairs, 1.0),
             Err(mismatch.clone())
         );
         // One `OrbitalInfo` short of the orbital count.
-        let err = engine.try_energy_patched(&fields, &infos[..2], &pairs, 1.0);
+        let err = engine.energy_patched(&fields, &infos[..2], &pairs, 1.0);
+        assert!(matches!(err, Err(Error::InvalidConfig(_))), "{err:?}");
+        let mut inc = IncrementalExchange::new(0.0, 0);
+        inc.set_backend(backend);
+        let err = inc.exchange_energy(&grid, &solver, &fields, &infos[..2], &pairs);
         assert!(matches!(err, Err(Error::InvalidConfig(_))), "{err:?}");
 
         let after = engine.try_energy(&fields, &pairs).expect("valid build");
@@ -663,7 +665,9 @@ fn patched_energy_accuracy_is_controlled_by_margin() {
 
     let mut errs = Vec::new();
     for margin in [0.0, 1.0, 4.0] {
-        let patched = serial.energy_patched(&fields, &infos, &pairs, margin);
+        let patched = serial
+            .energy_patched(&fields, &infos, &pairs, margin)
+            .expect("fault-free build");
         assert!(patched.profile.is_populated());
         assert_eq!(patched.profile.pairs_computed, pairs.len());
         for backend in [ExecBackend::Rayon, comm(2, BalanceStrategy::GreedyLpt)] {
@@ -671,7 +675,8 @@ fn patched_energy_accuracy_is_controlled_by_margin() {
                 .backend(backend)
                 .build()
                 .unwrap()
-                .energy_patched(&fields, &infos, &pairs, margin);
+                .energy_patched(&fields, &infos, &pairs, margin)
+                .expect("fault-free build");
             assert_eq!(
                 patched.energy.to_bits(),
                 other.energy.to_bits(),

@@ -137,8 +137,8 @@ proptest! {
         {
             // Fresh state per tolerance, primed with the same stale fields.
             let mut inc = IncrementalExchange::new(eps_inc, 0);
-            inc.exchange_energy(&grid, &solver, &base, &infos, &pairs);
-            let r = inc.exchange_energy(&grid, &solver, &scaled, &infos, &pairs);
+            inc.exchange_energy(&grid, &solver, &base, &infos, &pairs).expect("fault-free build");
+            let r = inc.exchange_energy(&grid, &solver, &scaled, &infos, &pairs).expect("fault-free build");
             // Stale reuse under-binds: signed error ≥ 0 (up to FP noise).
             let err = r.energy - exact;
             prop_assert!(

@@ -1,13 +1,13 @@
 //! Counting-allocator proof that the `ExchangeEngine::energy` pair loop is
-//! allocation-free **per pair** in steady state: with the thread count
-//! pinned, the total number of heap allocations per call is a constant
+//! allocation-free **per pair** in steady state, on the serial and the
+//! rayon backend at 24³ and 48³: with the thread count pinned, the total number of heap allocations per call is a constant
 //! (per-worker scratch, thread spawn bookkeeping) that does not grow with
 //! the number of pairs evaluated — and that the all-clean incremental
 //! rebuild performs *zero* heap allocations outright.
 
 use liair_basis::Cell;
 use liair_core::screening::{OrbitalInfo, Pair, PairList};
-use liair_core::{EngineScratch, ExchangeEngine, ExecBackend, HfxResult, IncrementalExchange};
+use liair_core::{ExchangeEngine, ExecBackend, HfxResult, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,43 +70,54 @@ fn pair_list(n_orb: usize, n_pairs: usize) -> PairList {
 
 #[test]
 fn energy_allocations_do_not_scale_with_pair_count() {
+    // 24³ and 48³ are the mixed-radix sizes the benchmark builds on; the
+    // serial backend is the reference execution, rayon the production one.
     let _guard = SERIAL.lock().unwrap();
-    let grid = RealGrid::cubic(Cell::cubic(10.0), 24);
-    let solver = PoissonSolver::isolated(grid);
-    let mut rng = SplitMix64::new(5);
-    let orbitals: Vec<Vec<f64>> = (0..4)
-        .map(|_| (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect())
-        .collect();
-    let few = pair_list(4, 6);
-    let many = pair_list(4, 30);
-
     // Single worker so the per-call constant (scratch init, thread spawn)
     // is identical between runs regardless of machine core count.
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap();
-    let run = |pairs: &PairList| -> (HfxResult, u64) {
-        let before = alloc_count();
-        let result = pool.install(|| ExchangeEngine::new(&grid, &solver).energy(&orbitals, pairs));
-        (result, alloc_count() - before)
-    };
+    for n in [24usize, 48] {
+        let grid = RealGrid::cubic(Cell::cubic(10.0), n);
+        let solver = PoissonSolver::isolated(grid);
+        let mut rng = SplitMix64::new(5);
+        let orbitals: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect())
+            .collect();
+        let few = pair_list(4, 10);
+        let many = pair_list(4, 30);
+        for backend in [ExecBackend::Serial, ExecBackend::Rayon] {
+            let engine = ExchangeEngine::builder(&grid, &solver)
+                .backend(backend)
+                .build()
+                .expect("serial and rayon engines are always valid");
+            let run = |pairs: &PairList| -> (HfxResult, u64) {
+                let before = alloc_count();
+                let result = pool.install(|| engine.energy(&orbitals, pairs));
+                (result, alloc_count() - before)
+            };
 
-    // Warm-up: FFT plans and kernel tables all primed.
-    let (warm, _) = run(&few);
-    assert!(warm.energy.is_finite());
+            // Warm-up: FFT plans and kernel tables all primed.
+            let (warm, _) = run(&few);
+            assert!(warm.energy.is_finite());
 
-    let (r_few, d_few) = run(&few);
-    let (r_many, d_many) = run(&many);
-    assert_eq!(r_few.profile.pairs_computed, 6);
-    assert_eq!(r_many.profile.pairs_computed, 30);
-    assert!(r_few.energy.is_finite() && r_many.energy.is_finite());
-    // 5× the pairs, same allocation count: the steady-state loop itself
-    // performs zero per-pair heap allocations.
-    assert_eq!(
-        d_few, d_many,
-        "allocations scale with pair count ({d_few} for 6 pairs vs {d_many} for 30)"
-    );
+            let (r_few, d_few) = run(&few);
+            let (r_many, d_many) = run(&many);
+            assert_eq!(r_few.energy, warm.energy, "{n}³ {backend:?}");
+            assert_eq!(r_few.profile.pairs_computed, 10);
+            assert_eq!(r_many.profile.pairs_computed, 30);
+            assert!(r_many.energy.is_finite());
+            // 3× the pairs, same allocation count: the steady-state loop
+            // itself performs zero per-pair heap allocations.
+            assert_eq!(
+                d_few, d_many,
+                "{n}³ {backend:?}: allocations scale with pair count \
+                 ({d_few} for 10 pairs vs {d_many} for 30)"
+            );
+        }
+    }
 }
 
 #[test]
@@ -135,13 +146,19 @@ fn all_clean_incremental_rebuild_is_allocation_free() {
     let mut inc = IncrementalExchange::new(1e-6, 0);
     // Prime (everything dirty) and then one warm all-clean rebuild so any
     // lazily grown scratch has reached its final size.
-    let primed = inc.exchange_energy(&grid, &solver, &orbitals, &infos, &pairs);
+    let primed = inc
+        .exchange_energy(&grid, &solver, &orbitals, &infos, &pairs)
+        .expect("fault-free build");
     assert_eq!(primed.profile.pairs_computed, pairs.len());
-    let warm = inc.exchange_energy(&grid, &solver, &orbitals, &infos, &pairs);
+    let warm = inc
+        .exchange_energy(&grid, &solver, &orbitals, &infos, &pairs)
+        .expect("fault-free build");
     assert_eq!(warm.profile.pairs_reused, pairs.len());
 
     let before = alloc_count();
-    let r = inc.exchange_energy(&grid, &solver, &orbitals, &infos, &pairs);
+    let r = inc
+        .exchange_energy(&grid, &solver, &orbitals, &infos, &pairs)
+        .expect("fault-free build");
     let delta = alloc_count() - before;
     assert_eq!(r.profile.pairs_reused, pairs.len());
     assert_eq!(r.profile.pairs_computed, 0);
@@ -150,46 +167,4 @@ fn all_clean_incremental_rebuild_is_allocation_free() {
         delta, 0,
         "all-clean incremental rebuild performed {delta} heap allocations"
     );
-}
-
-#[test]
-fn warm_serial_engine_build_is_allocation_free() {
-    // The strongest steady-state claim: with a caller-owned
-    // [`EngineScratch`] already grown to the working size, a full serial
-    // exchange build through the engine performs *zero* heap allocations —
-    // no per-pair, no per-build. 24³ and 48³ are the mixed-radix sizes the
-    // benchmark builds on.
-    let _guard = SERIAL.lock().unwrap();
-    for n in [24usize, 48] {
-        let grid = RealGrid::cubic(Cell::cubic(10.0), n);
-        let solver = PoissonSolver::isolated(grid);
-        let mut rng = SplitMix64::new(11);
-        let orbitals: Vec<Vec<f64>> = (0..4)
-            .map(|_| (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect())
-            .collect();
-        let pairs = pair_list(4, 10);
-        let engine = ExchangeEngine::builder(&grid, &solver)
-            .backend(ExecBackend::Serial)
-            .build()
-            .expect("serial engine configuration is always valid");
-        let mut scratch = EngineScratch::new();
-
-        // Warm-up: grows the scratch, primes FFT plans and kernel tables.
-        let warm = engine.energy_into(&orbitals, &pairs, &mut scratch);
-        assert!(warm.energy.is_finite());
-        assert!(warm.profile.is_populated());
-
-        let before = alloc_count();
-        let r = engine.energy_into(&orbitals, &pairs, &mut scratch);
-        let delta = alloc_count() - before;
-        assert_eq!(
-            r.energy, warm.energy,
-            "{n}³: steady-state rebuild changed the energy"
-        );
-        assert_eq!(r.profile.steady_allocs, 0, "engine reported scratch growth");
-        assert_eq!(
-            delta, 0,
-            "{n}³: warm serial engine build performed {delta} heap allocations"
-        );
-    }
 }

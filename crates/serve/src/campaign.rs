@@ -3,11 +3,11 @@
 //!
 //! A [`CampaignSpec`] names a grid — solvents × concentrations × seeds ×
 //! functionals — and [`run_campaign`] fans it across the batch service
-//! as ordinary [`JobSpec`]s: one *reaction* job per (solvent,
-//! functional) measuring the interaction energy of the solvent·Li₂O₂
-//! contact complex, and one *solvation* job per (solvent, concentration,
-//! seed) measuring Li–O structure and bond scissions in an MTS
-//! electrolyte-box trajectory. The members inherit everything the serve
+//! as ordinary [`JobSpec`]s: one *reaction* job per solvent measuring
+//! the interaction energy of the solvent·Li₂O₂ contact complex under
+//! every listed functional, and one *solvation* job per (solvent,
+//! concentration, seed) measuring Li–O structure and bond scissions in
+//! an MTS electrolyte-box trajectory. The members inherit everything the serve
 //! layer already guarantees — admission, aged scheduling, rank leases,
 //! cross-job caches, checkpoint/restart — so a campaign survives
 //! preemptions and faults without losing determinism.
@@ -21,7 +21,7 @@
 //! across worker counts and under injected disruptions — the property
 //! `crates/serve/tests/campaign.rs` pins.
 
-use crate::job::{Disruption, JobKind, JobSpec, SpecError};
+use crate::job::{all_distinct, Disruption, JobKind, JobSpec, SpecError};
 use crate::runner::Observables;
 use crate::service::{run_and_verify, DisruptionRecord, JobOutcome, JobReport, ServiceConfig};
 use liair_basis::systems::Solvent;
@@ -42,8 +42,8 @@ const GAP_WEIGHT: f64 = 0.01;
 pub struct CampaignSpec {
     /// Candidate solvents, in report order.
     pub solvents: Vec<Solvent>,
-    /// Post-SCF functionals of the reaction ensemble (one reaction job
-    /// per solvent × functional). Empty ⇒ no reaction members.
+    /// Post-SCF functionals of the reaction ensemble, all reported by
+    /// one reaction job per solvent. Empty ⇒ no reaction members.
     pub functionals: Vec<Functional>,
     /// Electrolyte concentrations as lattice sides `box_n` (a box holds
     /// `box_n³ − 1` solvent molecules + Li₂O₂). Empty ⇒ no solvation
@@ -84,28 +84,23 @@ impl Default for CampaignSpec {
     }
 }
 
-fn all_distinct<T: PartialEq>(xs: &[T]) -> bool {
-    xs.iter()
-        .enumerate()
-        .all(|(i, x)| !xs[..i].iter().any(|y| y == x))
-}
-
 impl CampaignSpec {
     /// Members this grid expands to.
     pub fn n_members(&self) -> usize {
-        self.solvents.len()
-            * (self.functionals.len() + self.concentrations.len() * self.seeds.len())
+        let reactions = usize::from(!self.functionals.is_empty());
+        self.solvents.len() * (reactions + self.concentrations.len() * self.seeds.len())
     }
 
     /// Expand the grid into service jobs, in the fixed **expansion
     /// order** every downstream aggregate uses: for each solvent (spec
-    /// order), its reaction members (functional order), then its
-    /// solvation members (concentration-major, seed-minor).
+    /// order), its one reaction member (carrying `functionals` in spec
+    /// order), then its solvation members (concentration-major,
+    /// seed-minor).
     ///
     /// Validates the grid: non-empty, duplicate-free axes (a duplicate
     /// member would be indistinguishable in the result set), in-range
-    /// disruption indices. Per-member validation is the
-    /// [`crate::job::JobBuilder`]'s.
+    /// disruption indices. Per-member validation — a duplicate-free
+    /// functional list among it — is the [`crate::job::JobBuilder`]'s.
     pub fn expand(&self) -> Result<Vec<JobSpec>, SpecError> {
         if self.solvents.is_empty() {
             return Err(SpecError::ZeroParam("solvents"));
@@ -118,7 +113,6 @@ impl CampaignSpec {
         }
         for (xs_distinct, field) in [
             (all_distinct(&self.solvents), "solvents"),
-            (all_distinct(&self.functionals), "functionals"),
             (all_distinct(&self.concentrations), "concentrations"),
             (all_distinct(&self.seeds), "seeds"),
         ] {
@@ -131,9 +125,9 @@ impl CampaignSpec {
         }
         let mut jobs = Vec::with_capacity(self.n_members());
         for &solvent in &self.solvents {
-            for &functional in &self.functionals {
+            if !self.functionals.is_empty() {
                 jobs.push(
-                    JobSpec::reaction(solvent, functional)
+                    JobSpec::reaction(solvent, &self.functionals)
                         .tenant(&self.tenant)
                         .priority(self.priority)
                         .build()?,
@@ -196,7 +190,7 @@ pub struct SolventVerdict {
     /// Mean interaction energy over the functional ensemble (mHa);
     /// `None` without reaction members.
     pub e_int_mha: Option<f64>,
-    /// Complex HOMO–LUMO gap (mHa), from the first reaction member.
+    /// Complex HOMO–LUMO gap (mHa), from the reaction member.
     pub gap_complex_mha: Option<f64>,
     /// Isolated-solvent HOMO–LUMO gap (mHa).
     pub gap_solvent_mha: Option<f64>,
@@ -304,7 +298,7 @@ impl CampaignReport {
             let o = &m.observables;
             out.push_str(&format!(
                 "{{\"label\":\"{}\",\"final_energy\":{},\"steps\":{},\"converged\":{},\
-                 \"e_int_rhf\":{},\"e_int_functional\":{},\"gap_complex\":{},\"gap_solvent\":{},\
+                 \"e_int_rhf\":{},\"e_int_by_functional\":[{}],\"gap_complex\":{},\"gap_solvent\":{},\
                  \"rdf_li_o_peak_r\":{},\"rdf_li_o_peak_g\":{},\"li_o_coordination\":{},\
                  \"bonds_broken\":{}}}",
                 m.label,
@@ -312,7 +306,11 @@ impl CampaignReport {
                 m.outcome.steps,
                 m.outcome.converged,
                 opt(o.e_int_rhf),
-                opt(o.e_int_functional),
+                o.e_int_by_functional
+                    .iter()
+                    .map(|(fnl, e)| format!("{{\"functional\":\"{}\",\"ha\":{}}}", fnl.name(), f(*e)))
+                    .collect::<Vec<_>>()
+                    .join(","),
                 opt(o.gap_complex),
                 opt(o.gap_solvent),
                 opt(o.rdf_li_o_peak_r),
@@ -362,7 +360,7 @@ pub fn run_campaign(cfg: ServiceConfig, spec: &CampaignSpec) -> Result<CampaignR
     let mut ranking: Vec<SolventVerdict> = spec
         .solvents
         .iter()
-        .map(|&solvent| verdict_for(solvent, spec, &members))
+        .map(|&solvent| verdict_for(solvent, &members))
         .collect();
     // Stable sort + spec-ordered input ⇒ deterministic tie-breaking.
     ranking.sort_by(|a, b| b.stability_score.total_cmp(&a.stability_score));
@@ -392,22 +390,18 @@ fn member_record(r: &JobReport) -> MemberRecord {
     }
 }
 
-fn verdict_for(solvent: Solvent, spec: &CampaignSpec, members: &[MemberRecord]) -> SolventVerdict {
+fn verdict_for(solvent: Solvent, members: &[MemberRecord]) -> SolventVerdict {
     let mine: Vec<&MemberRecord> = members.iter().filter(|m| m.solvent == solvent).collect();
-    // Reaction aggregates, in functional (= expansion) order.
-    let mut e_int_by_functional = Vec::new();
-    for &functional in &spec.functionals {
-        let label = JobKind::Reaction {
-            solvent,
-            functional,
-        }
-        .label();
-        if let Some(m) = mine.iter().find(|m| m.label == label) {
-            if let Some(e) = m.observables.e_int_functional {
-                e_int_by_functional.push((functional.name(), e * 1e3));
-            }
-        }
-    }
+    // Reaction aggregates, off the solvent's one reaction member, in its
+    // functional (= spec) order.
+    let reaction = mine.iter().find(|m| m.observables.e_int_rhf.is_some());
+    let e_int_by_functional: Vec<(&'static str, f64)> = reaction.map_or_else(Vec::new, |m| {
+        m.observables
+            .e_int_by_functional
+            .iter()
+            .map(|&(functional, e)| (functional.name(), e * 1e3))
+            .collect()
+    });
     let e_int_mha = if e_int_by_functional.is_empty() {
         None
     } else {
@@ -416,9 +410,8 @@ fn verdict_for(solvent: Solvent, spec: &CampaignSpec, members: &[MemberRecord]) 
                 / e_int_by_functional.len() as f64,
         )
     };
-    let first_reaction = mine.iter().find(|m| m.observables.gap_complex.is_some());
-    let gap_complex_mha = first_reaction.and_then(|m| m.observables.gap_complex.map(|g| g * 1e3));
-    let gap_solvent_mha = first_reaction.and_then(|m| m.observables.gap_solvent.map(|g| g * 1e3));
+    let gap_complex_mha = reaction.and_then(|m| m.observables.gap_complex.map(|g| g * 1e3));
+    let gap_solvent_mha = reaction.and_then(|m| m.observables.gap_solvent.map(|g| g * 1e3));
     // Solvation aggregates, in expansion order.
     let solvation: Vec<&&MemberRecord> = mine
         .iter()
@@ -462,7 +455,7 @@ mod tests {
     fn expansion_order_is_fixed_and_validated() {
         let spec = CampaignSpec {
             solvents: vec![Solvent::PropyleneCarbonate, Solvent::Dme],
-            functionals: vec![Functional::Hf],
+            functionals: vec![Functional::Hf, Functional::Pbe0],
             concentrations: vec![2],
             seeds: vec![1, 2],
             ..CampaignSpec::default()
@@ -473,14 +466,23 @@ mod tests {
         assert_eq!(
             labels,
             vec![
-                "reaction:pc:HF",
+                "reaction:pc:HF+PBE0",
                 "solvation:pc:n2#1",
                 "solvation:pc:n2#2",
-                "reaction:dme:HF",
+                "reaction:dme:HF+PBE0",
                 "solvation:dme:n2#1",
                 "solvation:dme:n2#2",
             ]
         );
+        for (at, solvent) in [(0, Solvent::PropyleneCarbonate), (3, Solvent::Dme)] {
+            assert_eq!(
+                jobs[at].kind,
+                JobKind::Reaction {
+                    solvent,
+                    functionals: vec![Functional::Hf, Functional::Pbe0],
+                }
+            );
+        }
         assert!(jobs.iter().all(|j| j.tenant == "campaign"));
     }
 
@@ -502,6 +504,18 @@ mod tests {
         assert!(matches!(
             dup.expand().unwrap_err(),
             SpecError::BadParam { field: "seeds", .. }
+        ));
+
+        let dup_functional = CampaignSpec {
+            functionals: vec![Functional::Hf, Functional::Pbe0, Functional::Hf],
+            ..CampaignSpec::default()
+        };
+        assert!(matches!(
+            dup_functional.expand().unwrap_err(),
+            SpecError::BadParam {
+                field: "functionals",
+                ..
+            }
         ));
 
         let no_members = CampaignSpec {
@@ -545,5 +559,63 @@ mod tests {
         assert_eq!(jobs.len(), 2);
         assert!(!jobs[0].disruption.is_disruptive());
         assert_eq!(jobs[1].disruption, Disruption::Fault { at_step: 2 });
+    }
+
+    fn member(solvent: Solvent, observables: Observables) -> MemberRecord {
+        MemberRecord {
+            label: String::new(),
+            solvent,
+            outcome: JobOutcome {
+                final_energy: 0.0,
+                steps: 0,
+                converged: true,
+            },
+            observables,
+            disruption: DisruptionRecord::default(),
+            latency_s: 0.0,
+        }
+    }
+
+    #[test]
+    fn verdict_reads_every_functional_off_the_one_reaction_member() {
+        let reaction = Observables {
+            e_int_rhf: Some(-0.040),
+            e_int_by_functional: vec![(Functional::Pbe0, -0.030), (Functional::Hf, -0.040)],
+            gap_complex: Some(0.5),
+            gap_solvent: Some(0.6),
+            ..Observables::default()
+        };
+        let solvation = |bonds, coord| Observables {
+            rdf_li_o_peak_r: Some(3.0),
+            li_o_coordination: Some(coord),
+            bonds_broken: Some(bonds),
+            ..Observables::default()
+        };
+        let members = vec![
+            member(Solvent::Dmso, solvation(1, 2.0)),
+            member(Solvent::PropyleneCarbonate, reaction),
+            member(Solvent::PropyleneCarbonate, solvation(2, 4.0)),
+            member(Solvent::PropyleneCarbonate, solvation(1, 5.0)),
+        ];
+
+        let pc = verdict_for(Solvent::PropyleneCarbonate, &members);
+        assert_eq!(
+            pc.e_int_by_functional,
+            vec![("PBE0", -0.030 * 1e3), ("HF", -0.040 * 1e3)]
+        );
+        assert_eq!(pc.e_int_mha, Some((-0.030 * 1e3 + -0.040 * 1e3) / 2.0));
+        assert_eq!(pc.gap_complex_mha, Some(0.5 * 1e3));
+        assert_eq!(pc.gap_solvent_mha, Some(0.6 * 1e3));
+        assert_eq!(pc.bonds_broken, 3);
+        assert_eq!(pc.li_o_coordination, Some(4.5));
+        assert_eq!(pc.stability_score, pc.score());
+
+        // A solvent with no reaction member has no reaction aggregates.
+        let dmso = verdict_for(Solvent::Dmso, &members);
+        assert!(dmso.e_int_by_functional.is_empty());
+        assert_eq!(dmso.e_int_mha, None);
+        assert_eq!(dmso.gap_complex_mha, None);
+        assert_eq!(dmso.gap_solvent_mha, None);
+        assert_eq!(dmso.bonds_broken, 1);
     }
 }

@@ -99,15 +99,18 @@ pub enum JobKind {
     /// The campaign's quantum observable: the reaction (interaction)
     /// energy of the solvent·Li₂O₂ contact complex against its isolated
     /// fragments, `E_int = E(complex) − E(solvent) − E(Li₂O₂)`, at RHF
-    /// plus a post-SCF `functional` total, with HOMO–LUMO gaps of the
+    /// and under every listed post-SCF functional (all read off the same
+    /// three converged RHF densities), with HOMO–LUMO gaps of the
     /// complex and the free solvent as oxidative-stability proxies.
     /// Checkpointable during the (dominant) complex SCF stage.
     Reaction {
         /// Which candidate solvent.
         solvent: Solvent,
-        /// Post-SCF functional for the reported interaction energy
-        /// (`Functional::Hf` reproduces the RHF number exactly).
-        functional: Functional,
+        /// Post-SCF functionals of the reported interaction energies, in
+        /// report order: non-empty, duplicate-free (checked by
+        /// [`JobBuilder::build`]). `Functional::Hf` reproduces the RHF
+        /// number exactly.
+        functionals: Vec<Functional>,
     },
     /// The campaign's dynamical observable: an r-RESPA MTS trajectory of
     /// an electrolyte box (`box_n³ − 1` solvent molecules around one
@@ -140,8 +143,11 @@ impl JobKind {
             JobKind::Screening { system, seed, .. } => format!("screen:{system}#{seed}"),
             JobKind::Reaction {
                 solvent,
-                functional,
-            } => format!("reaction:{}:{}", solvent.key(), functional.name()),
+                functionals,
+            } => {
+                let names: Vec<&str> = functionals.iter().map(|f| f.name()).collect();
+                format!("reaction:{}:{}", solvent.key(), names.join("+"))
+            }
             JobKind::Solvation {
                 solvent,
                 box_n,
@@ -258,11 +264,12 @@ impl JobSpec {
     }
 
     /// Typed entry point: a reaction-energy job on a solvent·Li₂O₂
-    /// complex.
-    pub fn reaction(solvent: Solvent, functional: Functional) -> JobBuilder {
+    /// complex, reporting the interaction energy under each of
+    /// `functionals`.
+    pub fn reaction(solvent: Solvent, functionals: &[Functional]) -> JobBuilder {
         JobBuilder::new(JobKind::Reaction {
             solvent,
-            functional,
+            functionals: functionals.to_vec(),
         })
     }
 
@@ -399,7 +406,18 @@ impl JobBuilder {
             return Err(SpecError::ZeroParam("nranks"));
         }
         match &self.kind {
-            JobKind::Scf { .. } | JobKind::Reaction { .. } => {}
+            JobKind::Scf { .. } => {}
+            JobKind::Reaction { functionals, .. } => {
+                if functionals.is_empty() {
+                    return Err(SpecError::ZeroParam("functionals"));
+                }
+                if !all_distinct(functionals) {
+                    return Err(SpecError::BadParam {
+                        field: "functionals",
+                        why: "must be duplicate-free (each is reported once)",
+                    });
+                }
+            }
             JobKind::Md {
                 n_waters,
                 n_outer,
@@ -474,6 +492,13 @@ impl JobBuilder {
     }
 }
 
+/// Whether no two entries of `xs` are equal.
+pub(crate) fn all_distinct<T: PartialEq>(xs: &[T]) -> bool {
+    xs.iter()
+        .enumerate()
+        .all(|(i, x)| !xs[..i].iter().any(|y| y == x))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,10 +521,21 @@ mod tests {
         assert_eq!(
             JobKind::Reaction {
                 solvent: Solvent::Dmso,
-                functional: Functional::Pbe0
+                functionals: vec![Functional::Pbe0]
             }
             .label(),
             "reaction:dmso:PBE0"
+        );
+        assert_eq!(
+            JobSpec::reaction(
+                Solvent::PropyleneCarbonate,
+                &[Functional::Hf, Functional::Pbe0]
+            )
+            .build()
+            .unwrap()
+            .kind
+            .label(),
+            "reaction:pc:HF+PBE0"
         );
         assert_eq!(
             JobKind::Solvation {
@@ -573,6 +609,22 @@ mod tests {
             JobSpec::scf(ScfSystem::H2).nranks(0).build().unwrap_err(),
             SpecError::ZeroParam("nranks")
         );
+        assert_eq!(
+            JobSpec::reaction(Solvent::Dme, &[]).build().unwrap_err(),
+            SpecError::ZeroParam("functionals")
+        );
+        assert!(matches!(
+            JobSpec::reaction(
+                Solvent::Dme,
+                &[Functional::Pbe0, Functional::Hf, Functional::Pbe0]
+            )
+            .build()
+            .unwrap_err(),
+            SpecError::BadParam {
+                field: "functionals",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -40,8 +40,8 @@ use liair_xc::Functional;
 /// Steps between the periodic checkpoints a fault falls back on.
 pub const CHECKPOINT_EVERY: usize = 2;
 
-/// Li–O attack distance (Bohr) of the reaction jobs' contact complexes —
-/// the geometry `tab-battery` established for the degradation study.
+/// Li–O attack distance (Bohr) of the contact complexes: the reaction
+/// jobs' geometry and the degradation study's (`tab-battery`).
 pub const COMPLEX_LI_O_DIST: f64 = 3.6;
 
 /// Li–O RDF extent (Bohr) of the solvation jobs.
@@ -109,16 +109,17 @@ impl JobCheckpoint {
 }
 
 /// Physical observables a job extracted, beyond its headline energy.
-/// Every field is `None` unless the job kind computes it; all are
-/// deterministic functions of the spec, so the soak and campaign layers
+/// Every field is `None` (or empty) unless the job kind computes it; all
+/// are deterministic functions of the spec, so the soak and campaign layers
 /// bit-compare them the same way they compare `final_energy`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Observables {
     /// Reaction jobs: `E(complex) − E(solvent) − E(Li₂O₂)` at RHF (Ha).
     pub e_int_rhf: Option<f64>,
-    /// Reaction jobs: the same interaction energy under the requested
-    /// post-SCF functional (Ha). Equals `e_int_rhf` for `Hf`.
-    pub e_int_functional: Option<f64>,
+    /// Reaction jobs: the same interaction energy under each requested
+    /// post-SCF functional (Ha), in job order; the `Hf` entry equals
+    /// `e_int_rhf`. Empty for the other kinds.
+    pub e_int_by_functional: Vec<(Functional, f64)>,
     /// Reaction jobs: HOMO–LUMO gap of the contact complex (Ha).
     pub gap_complex: Option<f64>,
     /// Reaction jobs: HOMO–LUMO gap of the isolated solvent (Ha).
@@ -146,8 +147,11 @@ impl Observables {
                 _ => false,
             }
         }
+        fn by_functional(o: &Observables) -> impl Iterator<Item = (Functional, u64)> + '_ {
+            o.e_int_by_functional.iter().map(|&(f, e)| (f, e.to_bits()))
+        }
         beq(self.e_int_rhf, other.e_int_rhf)
-            && beq(self.e_int_functional, other.e_int_functional)
+            && by_functional(self).eq(by_functional(other))
             && beq(self.gap_complex, other.gap_complex)
             && beq(self.gap_solvent, other.gap_solvent)
             && beq(self.rdf_li_o_peak_r, other.rdf_li_o_peak_r)
@@ -161,7 +165,7 @@ impl Observables {
 #[derive(Debug, Clone)]
 pub struct JobOutput {
     /// The job's headline number: converged SCF energy, final MD
-    /// potential, total screening exchange energy, or reaction
+    /// potential, total screening exchange energy, or RHF reaction
     /// interaction energy. Bit-compared against the uninterrupted
     /// reference by the soak tests.
     pub final_energy: f64,
@@ -252,8 +256,8 @@ pub fn run_job(
         } => run_screening(system, *extent, *norb, *seed, nranks, cache),
         JobKind::Reaction {
             solvent,
-            functional,
-        } => run_reaction(*solvent, *functional, resume, disruption),
+            functionals,
+        } => run_reaction(*solvent, functionals, resume, disruption),
         JobKind::Solvation {
             solvent,
             box_n,
@@ -383,8 +387,8 @@ fn run_scf(
     })
 }
 
-/// SCF options of the reaction jobs — the `tab-battery` settings (the
-/// bigger complexes need the headroom).
+/// SCF options of the reaction jobs (the bigger complexes need the
+/// headroom).
 fn reaction_scf_options() -> ScfOptions {
     ScfOptions {
         energy_tol: 1e-7,
@@ -395,11 +399,13 @@ fn reaction_scf_options() -> ScfOptions {
 
 /// A reaction job: converge the solvent·Li₂O₂ complex (disruptable, the
 /// dominant stage), then its isolated fragments (cheap, never
-/// disrupted — rerun deterministically on resume), and report the
-/// interaction energy plus frontier-orbital gaps.
+/// disrupted — rerun deterministically on resume), and report the RHF
+/// interaction energy, the interaction energy under each of
+/// `functionals` off the same three converged densities, and the
+/// frontier-orbital gaps.
 fn run_reaction(
     solvent: Solvent,
-    functional: Functional,
+    functionals: &[Functional],
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
 ) -> Result<JobOutput, Attempt> {
@@ -418,22 +424,28 @@ fn run_reaction(
     let res_x = rhf(&cluster, &basis_x, &opts);
 
     let e_int_rhf = res_c.energy - res_s.energy - res_x.energy;
-    // `Hf` is the RHF energy expression itself — skip the recompute so
-    // the two columns are bitwise equal, not merely close.
-    let e_int_fn = if functional == Functional::Hf {
-        e_int_rhf
-    } else {
-        functional_energy(&complex, &basis_c, &res_c, functional, &opts)
-            - functional_energy(&solv_mol, &basis_s, &res_s, functional, &opts)
-            - functional_energy(&cluster, &basis_x, &res_x, functional, &opts)
-    };
+    let e_int_by_functional = functionals
+        .iter()
+        .map(|&functional| {
+            // `Hf` is the RHF energy expression itself — skip the recompute
+            // so the two numbers are bitwise equal, not merely close.
+            let e = if functional == Functional::Hf {
+                e_int_rhf
+            } else {
+                functional_energy(&complex, &basis_c, &res_c, functional, &opts)
+                    - functional_energy(&solv_mol, &basis_s, &res_s, functional, &opts)
+                    - functional_energy(&cluster, &basis_x, &res_x, functional, &opts)
+            };
+            (functional, e)
+        })
+        .collect();
     Ok(JobOutput {
-        final_energy: e_int_fn,
+        final_energy: e_int_rhf,
         steps,
         converged: res_c.converged && res_s.converged && res_x.converged,
         observables: Observables {
             e_int_rhf: Some(e_int_rhf),
-            e_int_functional: Some(e_int_fn),
+            e_int_by_functional,
             gap_complex: res_c.homo_lumo_gap(),
             gap_solvent: res_s.homo_lumo_gap(),
             ..Default::default()
@@ -726,7 +738,11 @@ fn run_screening(
         None => liair_core::IncrementalExchange::new(SCREEN_EPS_INC, 0),
     };
     inc.set_backend(backend_for_lease(nranks));
-    let result = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+    // The snapshot's fields are sized to its grid, one info per field, and
+    // the lease's backend runs without a fault plan: nothing can fail.
+    let result = inc
+        .exchange_energy(&grid, &solver, &fields, &infos, &pairs)
+        .expect("a fault-free build over a well-formed snapshot");
     if let Some(pool) = cache {
         pool.checkin(key, inc);
     }

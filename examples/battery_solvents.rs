@@ -5,7 +5,8 @@
 //! quantum-chemistry stack:
 //!
 //! * RHF and PBE0 interaction energies of the solvent·Li₂O₂ contact
-//!   complex (stronger binding ⇒ stronger peroxide attack on that site);
+//!   complex (stronger binding ⇒ stronger peroxide attack on that site),
+//!   from one reaction job of the batch service per solvent;
 //!
 //! and with the reactive-flavoured classical MD:
 //!
@@ -20,21 +21,8 @@
 
 use liair::md::analysis::BondEvents;
 use liair::prelude::*;
-
-fn scf_opts() -> ScfOptions {
-    ScfOptions {
-        energy_tol: 1e-7,
-        max_iter: 120,
-        ..ScfOptions::default()
-    }
-}
-
-fn rhf_energy(mol: &Molecule) -> (ScfResult, Basis) {
-    let basis = Basis::sto3g(mol);
-    let res = rhf(mol, &basis, &scf_opts());
-    assert!(res.converged, "SCF failed for {}", mol.formula());
-    (res, basis)
-}
+use liair::serve::run_reference;
+use liair::serve::runner::COMPLEX_LI_O_DIST;
 
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
@@ -45,42 +33,25 @@ fn main() {
     };
 
     println!("== Li/air electrolyte screening (STO-3G, PBE0 post-SCF) ==\n");
-    // Shared fragment: the peroxide cluster.
-    let cluster = systems::li2o2();
-    let (scf_cluster, basis_cluster) = rhf_energy(&cluster);
-    let e_cluster_pbe0 = functional_energy(
-        &cluster,
-        &basis_cluster,
-        &scf_cluster,
-        Functional::Pbe0,
-        &scf_opts(),
-    );
-    println!(
-        "Li2O2 cluster: E(RHF) = {:.5} Ha, E(PBE0) = {:.5} Ha\n",
-        scf_cluster.energy, e_cluster_pbe0
-    );
-
     println!(
         "{:<6} {:>14} {:>14} {:>16} {:>12}",
         "solvent", "E_int RHF (mHa)", "E_int PBE0 (mHa)", "bonds broken@1200K", "verdict"
     );
     for s in solvents {
-        // --- quantum interaction energies ---
-        let solvent = s.molecule();
-        let complex = systems::li2o2_complex(s, 3.6);
-        let (scf_s, basis_s) = rhf_energy(&solvent);
-        let (scf_c, basis_c) = rhf_energy(&complex);
-        let e_int_rhf = scf_c.energy - scf_s.energy - scf_cluster.energy;
-        let pbe0_s = functional_energy(&solvent, &basis_s, &scf_s, Functional::Pbe0, &scf_opts());
-        let pbe0_c = functional_energy(&complex, &basis_c, &scf_c, Functional::Pbe0, &scf_opts());
-        let e_int_pbe0 = pbe0_c - pbe0_s - e_cluster_pbe0;
+        // --- quantum interaction energies: one reaction job ---
+        let spec = JobSpec::reaction(s, &[Functional::Pbe0])
+            .build()
+            .expect("a one-functional reaction spec is valid");
+        let out = run_reference(&spec);
+        assert!(out.converged, "SCF failed for {}", s.name());
+        let e_int_rhf = out.final_energy;
+        let e_int_pbe0 = out.observables.e_int_by_functional[0].1;
 
         // --- hot classical MD of the complex: degradation events ---
+        let n_solvent = s.molecule().natoms();
+        let complex = systems::li2o2_complex(s, COMPLEX_LI_O_DIST);
         let ff = ForceField::from_molecule(&complex, None);
-        let n_solvent_bonds = liair::md::ForceField::from_molecule(&solvent, None)
-            .bonds
-            .len();
-        let mut state = MdState::new(complex.clone(), None, &ff);
+        let mut state = MdState::new(complex, None, &ff);
         state.thermalize_seeded(1200.0, Some(2014));
         let opts = MdOptions {
             dt: 15.0,
@@ -96,11 +67,10 @@ fn main() {
             let broken: Vec<usize> = ff
                 .broken_bonds(&state.mol, None, 1.5)
                 .into_iter()
-                .filter(|&b| ff.bonds[b].i < solvent.natoms() && ff.bonds[b].j < solvent.natoms())
+                .filter(|&b| ff.bonds[b].i < n_solvent && ff.bonds[b].j < n_solvent)
                 .collect();
             events.record(&broken);
         }
-        let _ = n_solvent_bonds;
         let verdict = if events.count() > 0 {
             "DEGRADES"
         } else {
