@@ -11,48 +11,11 @@
 
 use crate::Table;
 use liair_basis::{systems, Element};
-use liair_md::analysis::{drift_per_step, BondEvents, RdfAccumulator};
+use liair_md::analysis::{degradation_events, drift_per_step, RdfAccumulator};
 use liair_md::{ForceField, MdOptions, MdState, Thermostat};
 use liair_serve::runner::COMPLEX_LI_O_DIST;
 use liair_serve::{run_reference, JobSpec};
 use liair_xc::Functional;
-
-/// Hot-trajectory degradation count for one solvent's Li₂O₂ complex:
-/// distinct solvent-internal bonds broken (stretch > 1.5·r₀, where the
-/// Morse bonds are > 95 % dissociated) in `steps` Berendsen-thermostatted
-/// steps at `t_target` K, summed over three independent seeds
-/// (accelerated-aging protocol — see DESIGN.md on the activation-energy
-/// calibration of the labile carbonate linkages).
-pub fn degradation_events(solvent: systems::Solvent, t_target: f64, steps: usize) -> usize {
-    let mut total = 0;
-    for seed in 0..3u64 {
-        let complex = systems::li2o2_complex(solvent, COMPLEX_LI_O_DIST);
-        let n_solvent = solvent.molecule().natoms();
-        let ff = ForceField::from_molecule(&complex, None);
-        let mut state = MdState::new(complex, None, &ff);
-        state.thermalize_seeded(t_target, Some(2014 + seed));
-        let opts = MdOptions {
-            dt: 15.0,
-            thermostat: Thermostat::Berendsen {
-                t_target,
-                tau: 500.0,
-            },
-            ..Default::default()
-        };
-        let mut events = BondEvents::default();
-        for _ in 0..steps {
-            state.step(&ff, &opts);
-            let broken: Vec<usize> = ff
-                .broken_bonds(&state.mol, None, 1.5)
-                .into_iter()
-                .filter(|&b| ff.bonds[b].i < n_solvent && ff.bonds[b].j < n_solvent)
-                .collect();
-            events.record(&broken);
-        }
-        total += events.count();
-    }
-    total
-}
 
 /// Run the battery table.
 pub fn tab_battery(fast: bool) -> Vec<Table> {
@@ -80,7 +43,9 @@ pub fn tab_battery(fast: bool) -> Vec<Table> {
         assert!(out.converged, "{} SCF failed", s.name());
         let e_int_rhf = out.final_energy;
         let e_int_pbe0 = out.observables.e_int_by_functional[0].1;
-        let broken = degradation_events(s, 1200.0, if fast { 4000 } else { 6000 });
+        let complex = systems::li2o2_complex(s, COMPLEX_LI_O_DIST);
+        let steps = if fast { 4000 } else { 6000 };
+        let broken = degradation_events(&complex, s.molecule().natoms(), 1200.0, steps);
         let verdict = if broken > 0 { "DEGRADES" } else { "stable" };
         t.row(vec![
             s.name().into(),
@@ -164,8 +129,14 @@ mod tests {
     #[test]
     fn pc_degrades_and_dme_survives() {
         // The core chemistry claim at reduced step count.
-        let pc = degradation_events(systems::Solvent::PropyleneCarbonate, 1200.0, 4000);
-        let dme = degradation_events(systems::Solvent::Dme, 1200.0, 4000);
+        let broken = |s: systems::Solvent| {
+            let complex = systems::li2o2_complex(s, COMPLEX_LI_O_DIST);
+            degradation_events(&complex, s.molecule().natoms(), 1200.0, 4000)
+        };
+        let (pc, dme) = (
+            broken(systems::Solvent::PropyleneCarbonate),
+            broken(systems::Solvent::Dme),
+        );
         assert!(pc > dme, "PC broke {pc} bonds vs DME {dme}");
         assert!(pc >= 1, "PC should degrade in the hot trajectory");
     }

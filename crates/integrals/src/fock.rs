@@ -6,15 +6,24 @@
 //! ([`EriEngine::blocks`]: shells of one atom that share exponents, such as
 //! STO-3G's 2s+2p) and exploits the full 8-fold permutational symmetry:
 //! block quartets are enumerated canonically (`ba ≥ bb`, `bc ≥ bd`,
-//! `pair(ba,bb) ≥ pair(bc,bd)`), Schwarz-screened, computed once, and each
-//! canonical AO element is scattered into J and K over its (deduplicated)
-//! permutation orbit; the J-only builds, for callers that discard K (RKS,
-//! an SCF whose exchange comes from elsewhere), skip the K scatter and
-//! nothing else. Parallelism is rayon over fixed groups of bra block
-//! pairs, dealt once per basis by LPT (longest processing time first) on
-//! each pair's `R`-table count at the SCF's Schwarz threshold: each group
-//! fills its own J/K partial, and the partials are added in group order,
-//! so the result is bit-identical at every thread count.
+//! `pair(ba,bb) ≥ pair(bc,bd)`), Schwarz-screened, and each canonical AO
+//! element is scattered into J and K over its (deduplicated) permutation
+//! orbit; the J-only builds, for callers that discard K (RKS, an SCF whose
+//! exchange comes from elsewhere), skip the K scatter and nothing else.
+//! Parallelism is rayon over fixed groups of bra block pairs, dealt once
+//! per basis by LPT (longest processing time first) on each pair's
+//! `R`-table count at the SCF's Schwarz threshold: each group fills its own
+//! J/K partial, and the partials are added in group order, so the result
+//! is bit-identical at every thread count.
+//!
+//! The geometry and the basis, hence every `(ab|cd)`, are fixed for a
+//! [`JkBuilder`]'s life (one SCF), so it evaluates each quartet that passes
+//! the dealing threshold once, in [`JkBuilder::new`], and every build
+//! replays the stored values (semi-direct SCF). A build computes a quartet
+//! only when the store does not hold it: below the store threshold, under
+//! a density weight above 1, or past the store's word budget. The stored
+//! values are the kernel's own bits, so a replayed build is bit-equal to
+//! one that computes every quartet.
 
 use crate::eri::{schwarz_matrix_with, EriEngine, EriScratch, ShellBlock};
 use liair_basis::Basis;
@@ -24,27 +33,86 @@ use std::cmp::Reverse;
 
 /// Build `(J, K)` for a symmetric AO density matrix. `screen` is the
 /// Schwarz threshold below which quartets are skipped; `0.0` disables
-/// screening.
+/// screening. One build stores nothing: each quartet is computed once
+/// either way.
 pub fn build_jk(basis: &Basis, density: &Mat, screen: f64) -> (Mat, Mat) {
-    JkBuilder::new(basis).build(density, screen)
+    JkBuilder::with_budget(basis, 0).build(density, screen)
 }
 
-/// Caches the integral engine, the Schwarz bounds and the task groups so
-/// repeated Fock builds (every SCF iteration) pay the setup cost once.
+/// Caches the integral engine, the Schwarz bounds, the task groups and
+/// the screened quartets' values, so repeated Fock builds (every SCF
+/// iteration) pay the integral evaluation once.
 pub struct JkBuilder<'a> {
     engine: EriEngine<'a>,
     /// Schwarz bounds per block pair.
     schwarz: Mat,
-    /// The bra block pairs `(ba, bb)`, `ba ≥ bb`, of each group, ascending.
-    groups: Vec<Vec<(usize, usize)>>,
+    groups: Vec<Group>,
+}
+
+/// One task group: its bra block pairs and the values of the quartets it
+/// stores.
+struct Group {
+    /// The bra block pairs `(ba, bb)`, `ba ≥ bb`, ascending.
+    tasks: Vec<(usize, usize)>,
+    /// One entry per canonical quartet of `tasks`, in fold order: the
+    /// offset of its values in `values`, or [`NOT_STORED`].
+    offsets: Vec<u32>,
+    /// The stored quartets' values back to back, exactly sized.
+    values: Vec<f64>,
 }
 
 impl<'a> JkBuilder<'a> {
-    /// Prepare for a basis.
+    /// Prepare for a basis, evaluating and storing every canonical block
+    /// quartet whose Schwarz bound passes the SCF's default threshold
+    /// (1e-11), up to 2²⁴ values.
     pub fn new(basis: &'a Basis) -> Self {
+        Self::with_budget(basis, STORE_WORDS)
+    }
+
+    /// As [`Self::new`], storing at most `budget` values: the quartets are
+    /// taken in fold order over the groups, and one that does not fit the
+    /// budget left is computed in every build instead.
+    fn with_budget(basis: &'a Basis, budget: usize) -> Self {
+        debug_assert!(budget <= STORE_WORDS, "offsets must fit a u32");
         let engine = EriEngine::new(basis);
         let schwarz = schwarz_matrix_with(&engine);
-        let groups = deal_tasks(&engine, &schwarz);
+        let mut left = budget;
+        let (mut groups, lens): (Vec<Group>, Vec<usize>) = deal_tasks(&engine, &schwarz)
+            .into_iter()
+            .map(|tasks| {
+                let (mut offsets, mut len) = (Vec::new(), 0);
+                for &(ba, bb) in &tasks {
+                    for (bc, bd) in kets(ba, bb) {
+                        let words = quartet_words(engine.blocks(), [ba, bb, bc, bd]);
+                        let stored =
+                            schwarz[(ba, bb)] * schwarz[(bc, bd)] >= DEAL_SCREEN && words <= left;
+                        offsets.push(if stored {
+                            left -= words;
+                            len += words;
+                            u32::try_from(len - words).expect("offsets below the budget fit")
+                        } else {
+                            NOT_STORED
+                        });
+                    }
+                }
+                let group = Group {
+                    tasks,
+                    offsets,
+                    values: Vec::new(),
+                };
+                (group, len)
+            })
+            .unzip();
+        let values: Vec<Vec<f64>> = (0..groups.len())
+            .into_par_iter()
+            .map_init(
+                || (EriScratch::default(), Vec::new()),
+                |(scratch, block), g| fill_group(&engine, &groups[g], lens[g], scratch, block),
+            )
+            .collect();
+        for (group, values) in groups.iter_mut().zip(values) {
+            group.values = values;
+        }
         Self {
             engine,
             schwarz,
@@ -71,7 +139,9 @@ impl<'a> JkBuilder<'a> {
     /// is **difference densities** (`ΔD = D_n − D_{n−1}` of consecutive
     /// SCF iterations), which shrink toward convergence and let the
     /// screening drop almost every quartet — the standard incremental
-    /// direct-SCF trick.
+    /// direct-SCF trick. With the quartets stored, what it drops is
+    /// scatter work; a block maximum above 1 can admit quartets below the
+    /// store threshold, which are computed.
     pub fn build_density_screened(&self, density: &Mat, screen: f64) -> (Mat, Mat) {
         let dmax = block_pair_density_max(self.engine.blocks(), density);
         self.build_inner::<true>(density, screen, Some(&dmax))
@@ -85,7 +155,7 @@ impl<'a> JkBuilder<'a> {
     }
 
     /// J, and K when `WITH_K` (else K is 0 × 0). Skipping K changes
-    /// neither the quartets computed nor the order J accumulates in.
+    /// neither the quartets read nor the order J accumulates in.
     fn build_inner<const WITH_K: bool>(
         &self,
         density: &Mat,
@@ -123,10 +193,11 @@ impl<'a> JkBuilder<'a> {
     }
 
     /// The J/K partial of one group: the canonical quartets of its bra
-    /// block pairs, in task order.
+    /// block pairs, in task order, each replayed from the store or, when
+    /// the store does not hold it, computed.
     fn fold_group<const WITH_K: bool>(
         &self,
-        tasks: &[(usize, usize)],
+        group: &Group,
         density: &Mat,
         screen: f64,
         dmax: Option<&Mat>,
@@ -137,9 +208,12 @@ impl<'a> JkBuilder<'a> {
         let nk = if WITH_K { n } else { 0 };
         let (mut jloc, mut kloc) = (Mat::zeros(n, n), Mat::zeros(nk, nk));
         let q = &self.schwarz;
-        for &(ba, bb) in tasks {
+        let blocks = self.engine.blocks();
+        let mut offsets = group.offsets.iter();
+        for &(ba, bb) in &group.tasks {
             let qab = q[(ba, bb)];
             for (bc, bd) in kets(ba, bb) {
+                let offset = *offsets.next().expect("one offset per quartet");
                 let bound = qab * q[(bc, bd)];
                 // Density weighting covers every block the quartet reads
                 // through J (D_ab, D_cd) or K (the four cross pairings).
@@ -155,16 +229,16 @@ impl<'a> JkBuilder<'a> {
                 if bound * weight < screen {
                     continue;
                 }
-                self.engine
-                    .block_quartet_into(ba, bb, bc, bd, scratch, block);
-                scatter_block::<WITH_K>(
-                    self.engine.blocks(),
-                    density,
-                    &mut jloc,
-                    &mut kloc,
-                    block,
-                    [ba, bb, bc, bd],
-                );
+                let quartet = [ba, bb, bc, bd];
+                let values = if offset == NOT_STORED {
+                    self.engine
+                        .block_quartet_into(ba, bb, bc, bd, scratch, block);
+                    &block[..]
+                } else {
+                    let start = offset as usize;
+                    &group.values[start..start + quartet_words(blocks, quartet)]
+                };
+                scatter_block::<WITH_K>(blocks, density, &mut jloc, &mut kloc, values, quartet);
             }
         }
         (jloc, kloc)
@@ -202,10 +276,51 @@ fn block_pair_density_max(blocks: &[ShellBlock], density: &Mat) -> Mat {
 /// alive at once however large the basis.
 const JK_GROUPS: usize = 32;
 
-/// The Schwarz threshold the task costs are estimated at: the SCF's
-/// default. It only balances the groups; a build at any threshold computes
-/// the same J/K from them.
+/// The Schwarz threshold the task costs are estimated at and the store's:
+/// the SCF's default. A build at this threshold or above, under density
+/// weights of at most 1, replays stored quartets only; a build at any
+/// threshold computes the same J/K.
 const DEAL_SCREEN: f64 = 1e-11;
+
+/// The values one builder stores at most (128 MiB). PC·Li₂O₂/STO-3G, the
+/// largest system here, stores 1.21 M; the quartets past the budget are
+/// computed in every build.
+const STORE_WORDS: usize = 1 << 24;
+
+/// The offset of a quartet the store does not hold.
+const NOT_STORED: u32 = u32::MAX;
+
+// Every offset below the budget is representable and distinct from the mark.
+const _: () = assert!(STORE_WORDS < NOT_STORED as usize);
+
+/// The values of the block quartet `(ba bb | bc bd)`: the product of its
+/// blocks' component counts.
+fn quartet_words(blocks: &[ShellBlock], quartet: [usize; 4]) -> usize {
+    quartet.iter().map(|&b| blocks[b].ncomp).product()
+}
+
+/// The `len` values of the quartets `group` stores, in fold order, in a
+/// vector of exactly that length.
+fn fill_group(
+    engine: &EriEngine<'_>,
+    group: &Group,
+    len: usize,
+    scratch: &mut EriScratch,
+    block: &mut Vec<f64>,
+) -> Vec<f64> {
+    let mut values = Vec::with_capacity(len);
+    let mut offsets = group.offsets.iter();
+    for &(ba, bb) in &group.tasks {
+        for (bc, bd) in kets(ba, bb) {
+            if *offsets.next().expect("one offset per quartet") != NOT_STORED {
+                engine.block_quartet_into(ba, bb, bc, bd, scratch, block);
+                values.extend_from_slice(block);
+            }
+        }
+    }
+    debug_assert_eq!(values.len(), len);
+    values
+}
 
 /// The `R` tables of one bra block-pair task at the Schwarz threshold
 /// `screen`, without density weighting: the dealing's cost estimate.
@@ -245,7 +360,7 @@ fn deal_tasks(engine: &EriEngine<'_>, q: &Mat) -> Vec<Vec<(usize, usize)>> {
     groups
 }
 
-/// Scatter one computed block-quartet result into the J accumulator, and
+/// Scatter one block-quartet result into the J accumulator, and
 /// into the K one when `WITH_K`, using per-element canonical filtering
 /// plus orbit deduplication.
 fn scatter_block<const WITH_K: bool>(
@@ -467,36 +582,55 @@ mod tests {
         }
     }
 
+    /// The hydrogen chain of the thread-count and oracle tests: more
+    /// blocks than groups, so that groups fold several bra blocks (3 a₀
+    /// apart, most quartets screen out).
+    fn h_chain() -> Molecule {
+        let mut chain = Molecule::new();
+        for i in 0..JK_GROUPS + 9 {
+            chain.push(Element::H, Vec3::new(3.0 * i as f64, 0.0, 0.0));
+        }
+        chain
+    }
+
+    /// Run `f` under a pool of `threads` threads.
+    fn on<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    /// The elements of `a` whose bits differ from `b`'s.
+    fn bits_differ(a: &Mat, b: &Mat) -> usize {
+        assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()));
+        a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .filter(|(x, y)| x.to_bits() != y.to_bits())
+            .count()
+    }
+
     #[test]
     fn jk_bits_do_not_depend_on_thread_count() {
-        // A hydrogen chain with more shells than groups, so that groups
-        // fold several bra shells (3 a₀ apart, most quartets screen out).
-        let mut chain = liair_basis::Molecule::new();
-        for i in 0..JK_GROUPS + 9 {
-            chain.push(
-                liair_basis::Element::H,
-                liair_math::Vec3::new(3.0 * i as f64, 0.0, 0.0),
-            );
-        }
-        for mol in [systems::water(), systems::li2o2(), chain] {
+        for mol in [systems::water(), systems::li2o2(), h_chain()] {
             let basis = Basis::sto3g(&mol);
-            let builder = JkBuilder::new(&basis);
             let d = test_density(basis.nao(), 11);
-            let on = |threads: usize| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap()
-                    .install(|| builder.build(&d, 1e-11))
-            };
-            let (j1, k1) = on(1);
-            for threads in 2..=4 {
-                let (j, k) = on(threads);
+            // The store is filled under one pool and replayed under
+            // another: both the fill and the builds deal by group.
+            let (made_on_1, made_on_4) = (
+                on(1, || JkBuilder::new(&basis)),
+                on(4, || JkBuilder::new(&basis)),
+            );
+            let (j1, k1) = on(1, || made_on_1.build(&d, 1e-11));
+            let replays = (2..=4)
+                .map(|threads| (threads, &made_on_1))
+                .chain([(1, &made_on_4)]);
+            for (threads, builder) in replays {
+                let (j, k) = on(threads, || builder.build(&d, 1e-11));
                 for (name, a, b) in [("J", &j, &j1), ("K", &k, &k1)] {
-                    let differ = (0..basis.nao())
-                        .flat_map(|r| (0..basis.nao()).map(move |c| (r, c)))
-                        .filter(|&rc| a[rc].to_bits() != b[rc].to_bits())
-                        .count();
+                    let differ = bits_differ(a, b);
                     assert_eq!(
                         differ,
                         0,
@@ -506,6 +640,134 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The compute-every-quartet build: every quartet that passes the
+    /// screen is evaluated by the kernel, folded over `builder`'s groups
+    /// in task order and summed in group order, and the store is never
+    /// read.
+    fn oracle_build(
+        builder: &JkBuilder<'_>,
+        density: &Mat,
+        screen: f64,
+        dmax: Option<&Mat>,
+    ) -> (Mat, Mat) {
+        let n = density.nrows();
+        let (q, blocks) = (&builder.schwarz, builder.engine.blocks());
+        let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
+        let (mut j, mut k) = (Mat::zeros(n, n), Mat::zeros(n, n));
+        for group in &builder.groups {
+            let (mut jloc, mut kloc) = (Mat::zeros(n, n), Mat::zeros(n, n));
+            for &(ba, bb) in &group.tasks {
+                for (bc, bd) in kets(ba, bb) {
+                    let weight = dmax.map_or(1.0, |dm| {
+                        dm[(ba, bb)]
+                            .max(dm[(bc, bd)])
+                            .max(dm[(ba, bc)])
+                            .max(dm[(ba, bd)])
+                            .max(dm[(bb, bc)])
+                            .max(dm[(bb, bd)])
+                    });
+                    if q[(ba, bb)] * q[(bc, bd)] * weight < screen {
+                        continue;
+                    }
+                    builder
+                        .engine
+                        .block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut block);
+                    scatter_block::<true>(
+                        blocks,
+                        density,
+                        &mut jloc,
+                        &mut kloc,
+                        &block,
+                        [ba, bb, bc, bd],
+                    );
+                }
+            }
+            j.axpy(1.0, &jloc);
+            k.axpy(1.0, &kloc);
+        }
+        (j, k)
+    }
+
+    /// The values `builder` stores.
+    fn stored_words(builder: &JkBuilder<'_>) -> usize {
+        builder.groups.iter().map(|g| g.values.len()).sum()
+    }
+
+    #[test]
+    fn stored_builds_are_bit_equal_to_the_compute_every_quartet_oracle() {
+        // `R` tables the stored builds compute under a large ΔD and under
+        // a half budget, summed over the molecules: each path is taken.
+        let mut past_store = (0, 0);
+        for mol in [systems::water(), systems::li2o2(), h_chain()] {
+            let basis = Basis::sto3g(&mol);
+            let full = JkBuilder::new(&basis);
+            let words = stored_words(&full);
+            assert!(words > 0, "{}: nothing stored", mol.formula());
+            let half = JkBuilder::with_budget(&basis, words / 2);
+            let none = JkBuilder::with_budget(&basis, 0);
+            assert!(stored_words(&half) <= words / 2);
+            assert_eq!(stored_words(&none), 0);
+            let d = test_density(basis.nao(), 31);
+            // A difference density whose blocks span nine decades, and one
+            // whose block maxima run to the hundreds, so that the density
+            // weight lets quartets below the store threshold through (the
+            // chain's bounds of 1e-13 to 1e-12).
+            let small = Mat::from_fn(d.nrows(), d.ncols(), |i, j| {
+                d[(i, j)] * 1e-4 * 10f64.powi(-(((i * j) % 9) as i32))
+            });
+            let large = d.scale(1e3);
+            let blocks = full.engine.blocks();
+            // The ways past the store: a weight above 1 (where some
+            // quartets fall below the store threshold) and a half budget.
+            on(1, || {
+                past_store.0 += r_tables_of(|| {
+                    full.build_density_screened(&large, 1e-11);
+                });
+                past_store.1 += r_tables_of(|| {
+                    half.build(&d, 1e-11);
+                });
+            });
+            // At `screen = 0.0` every quartet passes, density-weighted or
+            // not, so the plain build covers that threshold. The partial
+            // stores replay the cases where they differ from the full one.
+            let cases = [
+                ("D", &d, 1e-11, false, true),
+                ("D", &d, 1e-11, true, false),
+                ("small ΔD", &small, 1e-11, true, false),
+                ("large ΔD", &large, 1e-11, true, true),
+                ("D", &d, 0.0, false, false),
+            ];
+            for (dname, delta, screen, screened, partial) in cases {
+                let dmax = screened.then(|| block_pair_density_max(blocks, delta));
+                // The parent's J-only build was bit-equal to the J of its
+                // J/K build, so one oracle serves both.
+                let (jr, kr) = oracle_build(&full, delta, screen, dmax.as_ref());
+                let builders = [("full", &full), ("half", &half), ("none", &none)];
+                for (budget, builder) in &builders[..if partial { 3 } else { 1 }] {
+                    let ((j, k), j_only) = if screened {
+                        (
+                            builder.build_density_screened(delta, screen),
+                            builder.build_j_density_screened(delta, screen),
+                        )
+                    } else {
+                        (builder.build(delta, screen), builder.build_j(delta, screen))
+                    };
+                    for (name, a, b) in [("J", &j, &jr), ("K", &k, &kr), ("J-only", &j_only, &jr)] {
+                        let differ = bits_differ(a, b);
+                        assert_eq!(
+                            differ,
+                            0,
+                            "{} {budget} store, {dname} at {screen:e} (density-screened: \
+                             {screened}): {differ} {name} elements differ",
+                            mol.formula()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(past_store.0 > 0 && past_store.1 > 0, "{past_store:?}");
     }
 
     /// `R` tables `f` evaluates on this thread.
@@ -525,42 +787,65 @@ mod tests {
             mol.push(element, Vec3::new(x, 0.0, 0.0) * liair_basis::ANGSTROM);
         }
         let basis = Basis::sto3g(&mol);
-        let builder = JkBuilder::new(&basis);
-        assert_eq!((basis.shells.len(), builder.engine.blocks().len()), (9, 6));
-        let tasks: Vec<(usize, usize)> = builder.groups.iter().flatten().copied().collect();
-        assert_eq!(tasks.len(), 21, "every block pair is one task");
-        let quartets: usize = tasks.iter().map(|&(a, b)| kets(a, b).count()).sum();
-        assert_eq!(quartets, 231, "canonical block quartets before screening");
-
-        // One build at the SCF's threshold, on one thread: 16,429 `R`
-        // tables, one per primitive quartet of a surviving block quartet
-        // (the per-shell kernel evaluated 78,624).
-        let d = test_density(basis.nao(), 29);
-        let one = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let total = one.install(|| {
-            r_tables_of(|| {
-                builder.build(&d, 1e-11);
-            })
-        });
-        assert_eq!(total, 16_429);
-        // The dealing's cost model counts exactly these, group by group.
-        let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
-        let mut sum = 0;
-        for tasks in &builder.groups {
-            let counted = r_tables_of(|| {
-                builder.fold_group::<true>(tasks, &d, 1e-11, None, &mut scratch, &mut block);
+        // Everything on this thread, where the `R` tables are counted.
+        on(1, || {
+            let schwarz = r_tables_of(|| {
+                schwarz_matrix_with(&EriEngine::new(&basis));
             });
-            let modelled: u64 = tasks
+            let mut built = None;
+            let new = r_tables_of(|| built = Some(JkBuilder::new(&basis)));
+            let builder = built.expect("built");
+            assert_eq!((basis.shells.len(), builder.engine.blocks().len()), (9, 6));
+            let tasks: Vec<(usize, usize)> = builder
+                .groups
                 .iter()
-                .map(|&t| task_r_tables(&builder.engine, &builder.schwarz, t, DEAL_SCREEN))
-                .sum();
-            assert_eq!(counted, modelled);
-            sum += counted;
-        }
-        assert_eq!(sum, total);
+                .flat_map(|g| g.tasks.iter().copied())
+                .collect();
+            assert_eq!(tasks.len(), 21, "every block pair is one task");
+            let quartets: usize = tasks.iter().map(|&(a, b)| kets(a, b).count()).sum();
+            assert_eq!(quartets, 231, "canonical block quartets before screening");
+
+            // The store's fill evaluates 16,429 `R` tables, one per
+            // primitive quartet of a block quartet that passes the SCF's
+            // threshold (the per-shell kernel evaluated 78,624 per build),
+            // into 10,364 values.
+            assert_eq!(new - schwarz, 16_429);
+            assert_eq!(stored_words(&builder), 10_364);
+            // Every build at the SCF's threshold or above then replays.
+            let d = test_density(basis.nao(), 29);
+            for screen in [1e-11, 1e-9] {
+                let replayed = r_tables_of(|| {
+                    builder.build(&d, screen);
+                    builder.build_j(&d, screen);
+                    builder.build_density_screened(&d, screen);
+                    builder.build_j_density_screened(&d, screen);
+                });
+                assert_eq!(replayed, 0, "at {screen:e}");
+            }
+            // The dealing's cost model counts the fill exactly, group by
+            // group.
+            let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
+            let mut sum = 0;
+            for group in &builder.groups {
+                let counted = r_tables_of(|| {
+                    fill_group(
+                        &builder.engine,
+                        group,
+                        group.values.len(),
+                        &mut scratch,
+                        &mut block,
+                    );
+                });
+                let modelled: u64 = group
+                    .tasks
+                    .iter()
+                    .map(|&t| task_r_tables(&builder.engine, &builder.schwarz, t, DEAL_SCREEN))
+                    .sum();
+                assert_eq!(counted, modelled);
+                sum += counted;
+            }
+            assert_eq!(sum, new - schwarz);
+        });
     }
 
     #[test]
@@ -572,13 +857,15 @@ mod tests {
         for solvent in [systems::Solvent::PropyleneCarbonate, systems::Solvent::Dme] {
             let mol = systems::li2o2_complex(solvent, 3.6);
             let basis = Basis::sto3g(&mol);
-            let builder = JkBuilder::new(&basis);
+            // The groups alone: nothing stored.
+            let builder = JkBuilder::with_budget(&basis, 0);
             assert_eq!(builder.groups.len(), JK_GROUPS);
             let per_group: Vec<u64> = builder
                 .groups
                 .iter()
-                .map(|tasks| {
-                    tasks
+                .map(|group| {
+                    group
+                        .tasks
                         .iter()
                         .map(|&t| task_r_tables(&builder.engine, &builder.schwarz, t, DEAL_SCREEN))
                         .sum()

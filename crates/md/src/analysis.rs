@@ -1,6 +1,7 @@
 //! Trajectory analysis: radial distribution functions, bond-event
-//! tracking, and drift diagnostics.
+//! tracking, the hot-trajectory degradation assay, and drift diagnostics.
 
+use crate::{ForceField, MdOptions, MdState, Thermostat};
 use liair_basis::{Cell, Element, Molecule};
 
 /// Accumulates a radial distribution function g(r) between two element
@@ -151,6 +152,47 @@ impl BondEvents {
     pub fn count(&self) -> usize {
         self.broken.len()
     }
+}
+
+/// Hot-trajectory degradation count of a solvent·Li₂O₂ `complex` whose
+/// first `n_solvent` atoms are the solvent: distinct solvent-internal
+/// bonds broken (stretch > 1.5·r₀, where the Morse bonds are > 95 %
+/// dissociated) in `steps` Berendsen-thermostatted steps at `t_target` K,
+/// summed over three independent seeds (accelerated-aging protocol — see
+/// DESIGN.md on the activation-energy calibration of the labile carbonate
+/// linkages).
+pub fn degradation_events(
+    complex: &Molecule,
+    n_solvent: usize,
+    t_target: f64,
+    steps: usize,
+) -> usize {
+    let ff = ForceField::from_molecule(complex, None);
+    let opts = MdOptions {
+        dt: 15.0,
+        thermostat: Thermostat::Berendsen {
+            t_target,
+            tau: 500.0,
+        },
+        ..Default::default()
+    };
+    let mut total = 0;
+    for seed in 0..3u64 {
+        let mut state = MdState::new(complex.clone(), None, &ff);
+        state.thermalize_seeded(t_target, Some(2014 + seed));
+        let mut events = BondEvents::default();
+        for _ in 0..steps {
+            state.step(&ff, &opts);
+            let broken: Vec<usize> = ff
+                .broken_bonds(&state.mol, None, 1.5)
+                .into_iter()
+                .filter(|&b| ff.bonds[b].i < n_solvent && ff.bonds[b].j < n_solvent)
+                .collect();
+            events.record(&broken);
+        }
+        total += events.count();
+    }
+    total
 }
 
 /// Linear drift per step of a scalar series (least squares slope).

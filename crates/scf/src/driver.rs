@@ -42,7 +42,9 @@ pub struct ScfOptions {
     /// Build J/K incrementally from difference densities `ΔD = D_n −
     /// D_{n−1}` (density-weighted Schwarz screening drops most quartets
     /// as ΔD shrinks toward convergence), with a full rebuild every 8
-    /// iterations. Exact up to `schwarz_tol`.
+    /// iterations. Exact up to `schwarz_tol`. Every build replays the
+    /// quartets the session's J/K builder evaluated once, so a ΔD build
+    /// saves scatter work, not integral evaluation.
     pub incremental_fock: bool,
 }
 
@@ -430,15 +432,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rhf_energies_and_iterations_are_pinned() {
-        // Linear Li₂O/STO-3G at r(Li–O) = 1.62 Å is the benchmark's
-        // `scf-direct` molecule (its 2s/2p shells share exponents); water
-        // /6-31G has two sp pairs on O and split s shells on H.
+    /// Linear Li₂O at r(Li–O) = 1.62 Å, the benchmark's `scf-direct`
+    /// molecule.
+    fn li2o() -> Molecule {
         let mut li2o = Molecule::new();
         for (element, x) in [(Element::O, 0.0), (Element::Li, 1.62), (Element::Li, -1.62)] {
             li2o.push(element, Vec3::new(x, 0.0, 0.0) * liair_basis::ANGSTROM);
         }
+        li2o
+    }
+
+    #[test]
+    fn rhf_energies_and_iterations_are_pinned() {
+        // Li₂O/STO-3G's 2s/2p shells share exponents; water/6-31G has two
+        // sp pairs on O and split s shells on H.
+        let li2o = li2o();
         let water = systems::water();
         for (mol, basis, energy, iterations) in [
             (&li2o, Basis::sto3g(&li2o), -88.571_614_784_988, 13),
@@ -460,8 +468,11 @@ mod tests {
     fn rhf_energy_bits_do_not_depend_on_thread_count() {
         // Li₂O₂ too slow for an unoptimized test build four times over;
         // its J/K bits are pinned across thread counts in `fock`'s tests.
-        let water = systems::water();
+        // Each SCF fills its quartet store under the pool it runs in and
+        // replays it in every iteration.
+        let (li2o, water) = (li2o(), systems::water());
         for (mol, basis) in [
+            (&li2o, Basis::sto3g(&li2o)),
             (&water, Basis::sto3g(&water)),
             (&water, Basis::b631g(&water)),
         ] {

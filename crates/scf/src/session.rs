@@ -2,11 +2,13 @@
 //! SCF, one [`ScfSession::step`] at a time, with checkpoint/restart.
 //!
 //! Construction builds the immutable per-calculation context (integrals,
-//! orthogonalizer, XC grid, Schwarz bounds) and the first density, from
-//! the core-Hamiltonian orbitals or a caller's warm-start guess. Each step
-//! builds J for the current density (and K, for an analytic RHF: the
-//! other sessions build J alone), forms the Fock matrix of the method
-//! (RKS-LDA takes `ε_xc` and `v_xc` from one kernel call per XC grid
+//! orthogonalizer, XC grid, Schwarz bounds, and the J/K builder, which
+//! evaluates every screened ERI block quartet once and keeps it for the
+//! session's life) and the first density, from the core-Hamiltonian
+//! orbitals or a caller's warm-start guess. Each step builds J for the
+//! current density (and K, for an analytic RHF: the other sessions build J
+//! alone) by replaying the stored quartets, forms the Fock matrix of the
+//! method (RKS-LDA takes `ε_xc` and `v_xc` from one kernel call per XC grid
 //! point), extrapolates it with DIIS, diagonalizes, and tests convergence
 //! (energy change below `energy_tol` and DIIS error below 1e-6). `rhf`
 //! and `rks_lda` run sessions to completion.
