@@ -77,6 +77,23 @@ impl Molecule {
         e
     }
 
+    /// Gradient of [`Molecule::nuclear_repulsion`] with respect to each
+    /// nucleus: `−Σ_{B≠A} Z_A Z_B (R_A − R_B) / R_AB³` (Hartree/Bohr).
+    pub fn nuclear_repulsion_gradient(&self) -> Vec<Vec3> {
+        let mut g = vec![Vec3::ZERO; self.atoms.len()];
+        for i in 0..self.atoms.len() {
+            for j in (i + 1)..self.atoms.len() {
+                let d = self.atoms[i].pos - self.atoms[j].pos;
+                let r = d.norm();
+                let zz = (self.atoms[i].element.z() * self.atoms[j].element.z()) as f64;
+                let f = d * (zz / (r * r * r));
+                g[i] -= f;
+                g[j] += f;
+            }
+        }
+        g
+    }
+
     /// Center of nuclear mass.
     pub fn center_of_mass(&self) -> Vec3 {
         let mut c = Vec3::ZERO;

@@ -27,8 +27,8 @@ pub use grid::RealGrid;
 pub use localize::{foster_boys, Localization};
 pub use molgrid::MolGrid;
 pub use orbital::{
-    ao_values, ao_values_at_points, density_from_aos, density_on_grid, orbitals_from_aos,
-    orbitals_on_grid,
+    ao_gradients_into, ao_values, ao_values_at_points, density_from_aos, density_on_grid,
+    orbitals_from_aos, orbitals_on_grid,
 };
 pub use patch::{isolated_patch_solver, patch_pair_energy_ws, Patch, PatchScratch};
 pub use poisson::{CoulombKernel, KernelTimings, PoissonSolver, PoissonWorkspace};

@@ -11,10 +11,17 @@
 //!   Lebedev to stay table-free);
 //! * Becke's fuzzy Voronoi partition (three iterations of the smoothing
 //!   polynomial) to assemble atomic cells into a molecular weight.
+//!
+//! Each point belongs to the atom whose radial × angular grid it came
+//! from and moves with it; [`MolGrid::weight_gradients`] gives the
+//! derivatives of the Becke weights with respect to every nucleus
+//! (Johnson–Gill–Pople), so a quadrature energy can be differentiated
+//! exactly.
 
 use liair_basis::Molecule;
 use liair_math::quadrature::gauss_legendre;
 use liair_math::Vec3;
+use std::ops::Range;
 
 /// A molecular integration grid: points with weights such that
 /// `∫ f ≈ Σ_p w_p f(x_p)`.
@@ -24,12 +31,23 @@ pub struct MolGrid {
     pub points: Vec<Vec3>,
     /// Quadrature weights (Bohr³).
     pub weights: Vec<f64>,
+    /// Points are stored atom by atom: those of atom `a`'s radial ×
+    /// angular grid are `atom_starts[a]..atom_starts[a + 1]`.
+    pub atom_starts: Vec<usize>,
 }
 
 /// Becke smoothing polynomial iterated three times.
 fn becke_smooth(mu: f64) -> f64 {
     let f = |x: f64| 1.5 * x - 0.5 * x * x * x;
     f(f(f(mu)))
+}
+
+/// Derivative of the Becke cell function `s(μ) = ½(1 − f(f(f(μ))))`,
+/// `f(x) = 1.5x − 0.5x³`: `−½ f′(f₂) f′(f₁) f′(μ)` with `f′(x) = 1.5(1 − x²)`.
+fn becke_cell_derivative(mu: f64) -> f64 {
+    let f = |x: f64| 1.5 * x - 0.5 * x * x * x;
+    let (f1, f2) = (f(mu), f(f(mu)));
+    -27.0 / 16.0 * (1.0 - f2 * f2) * (1.0 - f1 * f1) * (1.0 - mu * mu)
 }
 
 /// Map radius scale per element: half the Bragg–Slater-ish radius works
@@ -104,9 +122,14 @@ impl MolGrid {
             }
         }
 
-        let mut points = Vec::new();
-        let mut weights = Vec::new();
+        // At most every product point is kept: sized once, so the grid
+        // holds no spare capacity.
+        let most = mol.natoms() * n_rad * sphere.len();
+        let mut points = Vec::with_capacity(most);
+        let mut weights = Vec::with_capacity(most);
+        let mut atom_starts = Vec::with_capacity(mol.natoms() + 1);
         for (a, atom) in mol.atoms.iter().enumerate() {
+            atom_starts.push(points.len());
             let rm = radial_scale(atom.element.z());
             // Gauss–Chebyshev (2nd kind) nodes mapped by r = rm(1+x)/(1−x).
             for i in 1..=n_rad {
@@ -134,7 +157,90 @@ impl MolGrid {
                 }
             }
         }
-        MolGrid { points, weights }
+        atom_starts.push(points.len());
+        MolGrid {
+            points,
+            weights,
+            atom_starts,
+        }
+    }
+
+    /// `∂w_p/∂R_B` for the points `range` of a grid built by
+    /// [`MolGrid::becke`] for `mol`, into `out` row-major (`[p][B]`,
+    /// `range.len() × natoms`). The point moves with its atom `A`; for
+    /// `B ≠ A` the derivative is that of the Becke partition `P_A / Σ_C P_C`
+    /// at the fixed point, and `∂w_p/∂R_A = −Σ_{B≠A} ∂w_p/∂R_B` because
+    /// translating every nucleus and the point together leaves the weight
+    /// unchanged (Johnson, Gill and Pople, J. Chem. Phys. 98, 5612, 1993).
+    pub fn weight_gradients(&self, mol: &Molecule, range: Range<usize>, out: &mut Vec<Vec3>) {
+        let natoms = mol.natoms();
+        let pos: Vec<Vec3> = mol.atoms.iter().map(|a| a.pos).collect();
+        // R_CD per ordered atom pair.
+        let rij: Vec<f64> = (0..natoms * natoms)
+            .map(|k| pos[k / natoms].distance(pos[k % natoms]))
+            .collect();
+        let (mut dist, mut unit) = (vec![0.0; natoms], vec![Vec3::ZERO; natoms]);
+        let (mut cell, mut dcell) = (vec![0.0; natoms], vec![Vec3::ZERO; natoms]);
+        let (mut dz, mut dpa) = (vec![Vec3::ZERO; natoms], vec![Vec3::ZERO; natoms]);
+        out.clear();
+        out.resize(range.len() * natoms, Vec3::ZERO);
+        for (p, row) in range.zip(out.chunks_exact_mut(natoms.max(1))) {
+            let (r, owner) = (self.points[p], self.atom_of(p));
+            // r_C = |r − R_C| and u_C = (r − R_C)/r_C.
+            for c in 0..natoms {
+                let d = r - pos[c];
+                dist[c] = d.norm();
+                unit[c] = d / dist[c];
+            }
+            // P_C = Π_{D≠C} s(μ_CD), μ_CD = (r_C − r_D)/R_CD, and the sum
+            // of their gradients over B ≠ owner. A zero factor has μ = 1,
+            // where s′ vanishes too, so a zero P_C has a zero gradient;
+            // otherwise ∂P_C = P_C Σ_D (s′/s) ∂μ_CD. A kept point's own
+            // cell P_A is nonzero.
+            dz.fill(Vec3::ZERO);
+            for c in 0..natoms {
+                let mut prod = 1.0;
+                for d in (0..natoms).filter(|&d| d != c) {
+                    let mu = (dist[c] - dist[d]) / rij[c * natoms + d];
+                    prod *= 0.5 * (1.0 - becke_smooth(mu));
+                }
+                cell[c] = prod;
+                dcell.fill(Vec3::ZERO);
+                if prod == 0.0 {
+                    continue;
+                }
+                for d in (0..natoms).filter(|&d| d != c) {
+                    let r_cd = rij[c * natoms + d];
+                    let mu = (dist[c] - dist[d]) / r_cd;
+                    let s = 0.5 * (1.0 - becke_smooth(mu));
+                    let g = prod * becke_cell_derivative(mu) / s;
+                    let e_cd = (pos[c] - pos[d]) / r_cd;
+                    // ∂μ_CD/∂R_C = −(u_C + μ e_CD)/R_CD, ∂μ_CD/∂R_D = (u_D + μ e_CD)/R_CD.
+                    dcell[c] -= (unit[c] + e_cd * mu) * (g / r_cd);
+                    dcell[d] += (unit[d] + e_cd * mu) * (g / r_cd);
+                }
+                for b in 0..natoms {
+                    dz[b] += dcell[b];
+                }
+                if c == owner {
+                    dpa.copy_from_slice(&dcell);
+                }
+            }
+            let z: f64 = cell.iter().sum();
+            // w = w_rad w_ang P_A / Z, so ∂w = w (∂P_A / P_A − ∂Z / Z).
+            let w = self.weights[p];
+            let mut own = Vec3::ZERO;
+            for b in (0..natoms).filter(|&b| b != owner) {
+                row[b] = (dpa[b] / cell[owner] - dz[b] / z) * w;
+                own -= row[b];
+            }
+            row[owner] = own;
+        }
+    }
+
+    /// The atom point `p` belongs to (and moves with).
+    pub fn atom_of(&self, p: usize) -> usize {
+        self.atom_starts.partition_point(|&start| start <= p) - 1
     }
 
     /// Number of quadrature points.
@@ -219,6 +325,48 @@ mod tests {
         let want = 0.5 / alpha * (PI / alpha).powf(1.5);
         let got = grid.integrate(&f);
         assert!(approx_eq(got, want, 1e-6), "{got} vs {want}");
+    }
+
+    #[test]
+    fn weight_gradients_match_finite_differences() {
+        // Every point moves with its atom, so a displaced grid keeps the
+        // point order (when it keeps the same points) and point p's weight
+        // is differenced directly.
+        for mol in [systems::lih(), systems::water()] {
+            let grid = MolGrid::becke(&mol, 20, 6);
+            let mut dw = Vec::new();
+            grid.weight_gradients(&mol, 0..grid.len(), &mut dw);
+            let natoms = mol.natoms();
+            let h = 1e-5;
+            let mut worst: f64 = 0.0;
+            for atom in 0..natoms {
+                for axis in 0..3 {
+                    let at = |step: f64| {
+                        let mut m = mol.clone();
+                        m.atoms[atom].pos[axis] += step;
+                        MolGrid::becke(&m, 20, 6)
+                    };
+                    let (plus, minus) = (at(h), at(-h));
+                    assert_eq!((plus.len(), minus.len()), (grid.len(), grid.len()));
+                    assert_eq!(plus.atom_starts, grid.atom_starts);
+                    for p in 0..grid.len() {
+                        let fd = (plus.weights[p] - minus.weights[p]) / (2.0 * h);
+                        let err = (dw[p * natoms + atom][axis] - fd).abs();
+                        worst = worst.max(err / (1.0 + fd.abs()));
+                    }
+                }
+            }
+            assert!(
+                worst < 1e-6,
+                "{}: worst relative error {worst:e}",
+                mol.formula()
+            );
+            assert!(
+                dw.iter().any(|v| v.norm() > 1e-3),
+                "{}: no weight moves",
+                mol.formula()
+            );
+        }
     }
 
     #[test]

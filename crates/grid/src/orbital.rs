@@ -159,53 +159,80 @@ pub fn ao_values_and_gradients_at_points(
 ) -> (Vec<Vec<f64>>, Vec<Vec<liair_math::Vec3>>) {
     let rows: Vec<(Vec<f64>, Vec<liair_math::Vec3>)> = cartesian_aos(basis)
         .par_iter()
-        .map(|(sh, powers)| {
-            let coefs = sh.normalized_coefs(*powers);
-            let (lx, ly, lz) = (powers.0 as i32, powers.1 as i32, powers.2 as i32);
-            let mut vals = Vec::with_capacity(points.len());
-            let mut grads = Vec::with_capacity(points.len());
-            for &p in points.iter() {
-                let d = p - sh.center;
-                let r2 = d.norm_sqr();
-                let px = d.x.powi(lx);
-                let py = d.y.powi(ly);
-                let pz = d.z.powi(lz);
-                let mut val = 0.0;
-                let mut grad = liair_math::Vec3::ZERO;
-                for (pr, &c) in sh.prims.iter().zip(&coefs) {
-                    let g = c * (-pr.exp * r2).exp();
-                    val += px * py * pz * g;
-                    // ∂/∂x [x^l e^{-αr²}] = (l x^{l−1} − 2α x^{l+1}) e^{-αr²}
-                    let dx = (if lx > 0 {
-                        lx as f64 * d.x.powi(lx - 1)
-                    } else {
-                        0.0
-                    } - 2.0 * pr.exp * d.x.powi(lx + 1))
-                        * py
-                        * pz;
-                    let dy = (if ly > 0 {
-                        ly as f64 * d.y.powi(ly - 1)
-                    } else {
-                        0.0
-                    } - 2.0 * pr.exp * d.y.powi(ly + 1))
-                        * px
-                        * pz;
-                    let dz = (if lz > 0 {
-                        lz as f64 * d.z.powi(lz - 1)
-                    } else {
-                        0.0
-                    } - 2.0 * pr.exp * d.z.powi(lz + 1))
-                        * px
-                        * py;
-                    grad += liair_math::Vec3::new(dx, dy, dz) * g;
-                }
-                vals.push(val);
-                grads.push(grad);
-            }
-            (vals, grads)
+        .map(|&(sh, powers)| {
+            let coefs = sh.normalized_coefs(powers);
+            points
+                .iter()
+                .map(|&p| ao_value_and_gradient(sh, &coefs, powers, p))
+                .unzip()
         })
         .collect();
     rows.into_iter().unzip()
+}
+
+/// The Cartesian gradient of every AO at `points`, into `out` as `nao`
+/// rows of `points.len()`. Serial: a caller streams batches of points
+/// through it, so no `3·nao·npts` array is ever held.
+pub fn ao_gradients_into(
+    basis: &Basis,
+    points: &[liair_math::Vec3],
+    out: &mut Vec<liair_math::Vec3>,
+) {
+    out.clear();
+    for (sh, powers) in cartesian_aos(basis) {
+        let coefs = sh.normalized_coefs(powers);
+        out.extend(
+            points
+                .iter()
+                .map(|&p| ao_value_and_gradient(sh, &coefs, powers, p).1),
+        );
+    }
+}
+
+/// One AO's value and gradient at `p`, from its shell's normalized
+/// coefficients for `powers`.
+fn ao_value_and_gradient(
+    sh: &Shell,
+    coefs: &[f64],
+    powers: (usize, usize, usize),
+    p: liair_math::Vec3,
+) -> (f64, liair_math::Vec3) {
+    let (lx, ly, lz) = (powers.0 as i32, powers.1 as i32, powers.2 as i32);
+    let d = p - sh.center;
+    let r2 = d.norm_sqr();
+    let px = d.x.powi(lx);
+    let py = d.y.powi(ly);
+    let pz = d.z.powi(lz);
+    let mut val = 0.0;
+    let mut grad = liair_math::Vec3::ZERO;
+    for (pr, &c) in sh.prims.iter().zip(coefs) {
+        let g = c * (-pr.exp * r2).exp();
+        val += px * py * pz * g;
+        // ∂/∂x [x^l e^{-αr²}] = (l x^{l−1} − 2α x^{l+1}) e^{-αr²}
+        let dx = (if lx > 0 {
+            lx as f64 * d.x.powi(lx - 1)
+        } else {
+            0.0
+        } - 2.0 * pr.exp * d.x.powi(lx + 1))
+            * py
+            * pz;
+        let dy = (if ly > 0 {
+            ly as f64 * d.y.powi(ly - 1)
+        } else {
+            0.0
+        } - 2.0 * pr.exp * d.y.powi(ly + 1))
+            * px
+            * pz;
+        let dz = (if lz > 0 {
+            lz as f64 * d.z.powi(lz - 1)
+        } else {
+            0.0
+        } - 2.0 * pr.exp * d.z.powi(lz + 1))
+            * px
+            * py;
+        grad += liair_math::Vec3::new(dx, dy, dz) * g;
+    }
+    (val, grad)
 }
 
 /// Closed-shell density and gradient magnitude from an AO density matrix

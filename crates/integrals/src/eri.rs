@@ -35,6 +35,12 @@
 //!
 //! Primitive quartets whose prefactor product is below `PRIM_SCREEN` are
 //! skipped. A warm quartet evaluation allocates nothing.
+//!
+//! The Coulomb energy's gradient runs over the same block pairs and
+//! primitive screen: a density contracted into each block pair's Hermite
+//! expansion, with its center derivatives one order higher
+//! (`HermiteDensities`), meets another through one `R` table per
+//! primitive quartet.
 
 use crate::hermite::{hermite_aux_into, hermite_index, hermite_len, AuxScratch, ECoefs};
 use liair_basis::shell::{cart_components, ncart};
@@ -110,6 +116,19 @@ fn block_components(lmask: u32) -> Vec<(usize, usize, usize)> {
     (0..u32::BITS as usize)
         .filter(|&l| lmask >> l & 1 == 1)
         .flat_map(cart_components)
+        .collect()
+}
+
+/// Per component of `block`, the normalized coefficients of its shell,
+/// one per primitive.
+fn block_coefs(basis: &Basis, block: &ShellBlock) -> Vec<Vec<f64>> {
+    basis.shells[block.shells.clone()]
+        .iter()
+        .flat_map(|sh| {
+            cart_components(sh.l)
+                .into_iter()
+                .map(|powers| sh.normalized_coefs(powers))
+        })
         .collect()
 }
 
@@ -202,8 +221,10 @@ pub struct EriEngine<'a> {
     /// [`hermite_index`] of bra triple `h` plus the triple of the class's
     /// `j`-th term (`nterms` of them).
     ket_r_index: Vec<Vec<usize>>,
-    /// `(−1)^{t+u+v}` per bra position.
+    /// `(−1)^{t+u+v}` per position, up to one order above a pair's.
     hermite_sign: Vec<f64>,
+    /// `(t, u, v)` per position, up to one order above a pair's.
+    triples: Vec<[usize; 3]>,
 }
 
 impl<'a> EriEngine<'a> {
@@ -229,32 +250,19 @@ impl<'a> EriEngine<'a> {
         let classes: Vec<PairClass> = (0..nk * nk)
             .map(|i| PairClass::new(&comps[i / nk], &comps[i % nk]))
             .collect();
-        // Every Hermite triple of a pair class, in layout order.
+        // Every Hermite triple of a pair class, in layout order, and of
+        // one order more (a pair's derivative, for the Coulomb gradient).
         let lmax = blocks.iter().map(ShellBlock::lmax).max().unwrap_or(0);
         let lpair = 2 * lmax;
-        let mut triples = vec![[0usize; 3]; hermite_len(lpair)];
-        for t in 0..=lpair {
-            for u in 0..=lpair - t {
-                for v in 0..=lpair - t - u {
+        let mut triples = vec![[0usize; 3]; hermite_len(lpair + 1)];
+        for t in 0..=lpair + 1 {
+            for u in 0..=lpair + 1 - t {
+                for v in 0..=lpair + 1 - t - u {
                     triples[hermite_index(t, u, v)] = [t, u, v];
                 }
             }
         }
-        // Per block, per component: the normalized coefficients of its
-        // shell, one per primitive.
-        let coefs: Vec<Vec<Vec<f64>>> = blocks
-            .iter()
-            .map(|b| {
-                basis.shells[b.shells.clone()]
-                    .iter()
-                    .flat_map(|sh| {
-                        cart_components(sh.l)
-                            .into_iter()
-                            .map(|powers| sh.normalized_coefs(powers))
-                    })
-                    .collect()
-            })
-            .collect();
+        let coefs: Vec<Vec<Vec<f64>>> = blocks.iter().map(|b| block_coefs(basis, b)).collect();
         let nblk = blocks.len();
         let pairs: Vec<BlockPair> = (0..nblk * nblk)
             .into_par_iter()
@@ -308,15 +316,15 @@ impl<'a> EriEngine<'a> {
                 }
             })
             .collect();
-        let triples = &triples;
+        let all = &triples[..];
         let ket_r_index = (0..=lpair)
             .flat_map(|lbra| {
                 classes.iter().map(move |kc| {
-                    triples[..hermite_len(lbra)]
+                    all[..hermite_len(lbra)]
                         .iter()
                         .flat_map(|h| {
                             kc.terms.iter().map(move |&k| {
-                                let k = triples[k];
+                                let k = all[k];
                                 hermite_index(h[0] + k[0], h[1] + k[1], h[2] + k[2])
                             })
                         })
@@ -341,6 +349,7 @@ impl<'a> EriEngine<'a> {
             pairs,
             ket_r_index,
             hermite_sign,
+            triples,
         }
     }
 
@@ -459,6 +468,221 @@ impl<'a> EriEngine<'a> {
                     .count() as u64
             })
             .sum()
+    }
+}
+
+/// Rows per primitive pair of [`HermiteDensities`]: the pair density
+/// itself, then its derivative with respect to the first center and to the
+/// second, per axis.
+const DENSITY_ROWS: usize = 7;
+
+/// The 1-D tables of [`EriEngine::hermite_densities`] hold this many
+/// Hermite orders.
+const MAX_1D: usize = 16;
+
+/// A density contracted into each canonical block pair's Hermite
+/// expansion: for the block pair `(A, B)` and one of its primitive pairs,
+/// `G_h = Σ_{a∈A, b∈B} D_ab c_a c_b E^{ab}_h`, and the same sum with
+/// `E^{ab}` replaced by its derivative with respect to `A` or `B` along
+/// each axis (the raise/lower identity
+/// `∂/∂A_x [x_A^i e^{−a x_A²}] = (2a x_A^{i+1} − i x_A^{i−1}) e^{−a x_A²}`,
+/// one Hermite order higher). The Coulomb gradient contracts two of them
+/// through one `R` table per primitive quartet, so no derivative integral
+/// is ever formed.
+pub(crate) struct HermiteDensities {
+    /// Per block pair `ba * nblk + bb` with `ba ≥ bb` (empty otherwise):
+    /// per primitive pair, in the engine's order, [`DENSITY_ROWS`] rows of
+    /// `stride` values in the [`hermite_index`] layout.
+    rows: Vec<Vec<f64>>,
+    /// Positions up to one order above the engine's largest pair order.
+    stride: usize,
+    /// `sum[h * stride + k]`: the [`hermite_index`] of triple `h` plus
+    /// triple `k`.
+    sum: Vec<usize>,
+}
+
+impl EriEngine<'_> {
+    /// `density` contracted into every canonical block pair's Hermite
+    /// expansion (see [`HermiteDensities`]).
+    pub(crate) fn hermite_densities(&self, density: &Mat) -> HermiteDensities {
+        let nblk = self.blocks.len();
+        let stride = self.triples.len();
+        let sum = self
+            .triples
+            .iter()
+            .flat_map(|h| {
+                self.triples
+                    .iter()
+                    .map(move |k| hermite_index(h[0] + k[0], h[1] + k[1], h[2] + k[2]))
+            })
+            .collect();
+        let rows = (0..nblk * nblk)
+            .into_par_iter()
+            .map(|idx| {
+                let (ba, bb) = (idx / nblk, idx % nblk);
+                if ba < bb {
+                    return Vec::new();
+                }
+                self.pair_density_rows(ba, bb, density, stride)
+            })
+            .collect();
+        HermiteDensities { rows, stride, sum }
+    }
+
+    /// The [`HermiteDensities`] rows of the block pair `(ba, bb)`.
+    fn pair_density_rows(&self, ba: usize, bb: usize, density: &Mat, stride: usize) -> Vec<f64> {
+        let (blk_a, blk_b) = (&self.blocks[ba], &self.blocks[bb]);
+        let (sha, shb) = (
+            &self.basis.shells[blk_a.shells.start],
+            &self.basis.shells[blk_b.shells.start],
+        );
+        let (comps_a, comps_b) = (block_components(blk_a.lmask), block_components(blk_b.lmask));
+        let (coefs_a, coefs_b) = (
+            block_coefs(self.basis, blk_a),
+            block_coefs(self.basis, blk_b),
+        );
+        let (la, lb) = (blk_a.lmax(), blk_b.lmax());
+        assert!(la + lb < MAX_1D, "pair order {} too high", la + lb);
+        let d = sha.center - shb.center;
+        let nprim = sha.prims.len() * shb.prims.len();
+        let mut rows = vec![0.0; nprim * DENSITY_ROWS * stride];
+        let mut chunks = rows.chunks_exact_mut(DENSITY_ROWS * stride);
+        for (ia, pa) in sha.prims.iter().enumerate() {
+            for (ib, pb) in shb.prims.iter().enumerate() {
+                let out = chunks.next().expect("one chunk per primitive pair");
+                let (a, b) = (pa.exp, pb.exp);
+                let e: [ECoefs; 3] =
+                    std::array::from_fn(|k| ECoefs::new(la + 1, lb + 1, d[k], a, b));
+                for (ca, pwa) in comps_a.iter().enumerate() {
+                    for (cb, pwb) in comps_b.iter().enumerate() {
+                        let w = density[(blk_a.offset + ca, blk_b.offset + cb)]
+                            * coefs_a[ca][ia]
+                            * coefs_b[cb][ib];
+                        if w == 0.0 {
+                            continue;
+                        }
+                        let (i, j) = ([pwa.0, pwa.1, pwa.2], [pwb.0, pwb.1, pwb.2]);
+                        // Per axis: E^{ij}_t, and its derivatives by the
+                        // first and the second center, one order higher.
+                        let mut plain = [[0.0; MAX_1D]; 3];
+                        let mut by_a = [[0.0; MAX_1D]; 3];
+                        let mut by_b = [[0.0; MAX_1D]; 3];
+                        for k in 0..3 {
+                            let (i, j, e) = (i[k], j[k], &e[k]);
+                            let lower = |n: usize, f: &dyn Fn(usize) -> f64| {
+                                if n > 0 {
+                                    n as f64 * f(n - 1)
+                                } else {
+                                    0.0
+                                }
+                            };
+                            for t in 0..=i + j + 1 {
+                                plain[k][t] = e.get(i, j, t);
+                                by_a[k][t] =
+                                    2.0 * a * e.get(i + 1, j, t) - lower(i, &|i| e.get(i, j, t));
+                                by_b[k][t] =
+                                    2.0 * b * e.get(i, j + 1, t) - lower(j, &|j| e.get(i, j, t));
+                            }
+                        }
+                        let top: [usize; 3] = std::array::from_fn(|k| i[k] + j[k]);
+                        let plain_rows = [&plain[0], &plain[1], &plain[2]];
+                        add_outer(&mut out[..stride], w, plain_rows, top);
+                        for k in 0..3 {
+                            let mut raised = top;
+                            raised[k] += 1;
+                            for (row, by) in [(1 + k, &by_a), (4 + k, &by_b)] {
+                                let mut f = plain_rows;
+                                f[k] = &by[k];
+                                add_outer(&mut out[row * stride..][..stride], w, f, raised);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    /// The derivatives of `Σ_{abcd} D_ab D_cd (ab|cd)` over the block
+    /// quartet `(ba bb | bc bd)` with respect to the centers of its four
+    /// blocks, from `dens` (built for `D`): the first three contract one
+    /// center's derivative row with the other pair's density through one
+    /// `R` table of order `L + 1` per primitive quartet; the fourth follows
+    /// from translational invariance. Primitive quartets are screened as
+    /// in [`Self::block_quartet_into`].
+    pub(crate) fn coulomb_gradient_quartet(
+        &self,
+        dens: &HermiteDensities,
+        [ba, bb, bc, bd]: [usize; 4],
+        scratch: &mut EriScratch,
+    ) -> [Vec3; 4] {
+        let nblk = self.blocks.len();
+        let (bra, ket) = (&self.pairs[ba * nblk + bb], &self.pairs[bc * nblk + bd]);
+        let (lbra, lket) = (self.classes[bra.class].l, self.classes[ket.class].l);
+        let (nb, nb1) = (hermite_len(lbra), hermite_len(lbra + 1));
+        let (nk, nk1) = (hermite_len(lket), hermite_len(lket + 1));
+        let stride = dens.stride;
+        let chunk = DENSITY_ROWS * stride;
+        let (bra_rows, ket_rows) = (&dens.rows[ba * nblk + bb], &dens.rows[bc * nblk + bd]);
+        let EriScratch { aux, x } = scratch;
+        x.resize(nb1 + nk1, 0.0);
+        let (xs, ys) = x.split_at_mut(nb1);
+        let mut g = [Vec3::ZERO; 3];
+        for (bp, brow) in bra.prims.iter().zip(bra_rows.chunks_exact(chunk)) {
+            for (kp, krow) in ket.prims.iter().zip(ket_rows.chunks_exact(chunk)) {
+                if bp.screen * kp.screen < PRIM_SCREEN {
+                    continue;
+                }
+                let (p, q) = (bp.p, kp.p);
+                hermite_aux_into(lbra + lket + 1, p * q / (p + q), bp.big_p - kp.big_p, aux);
+                let pref = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt());
+                let r = &aux.r;
+                // X_h = Σ_k (−1)^{|k|} G^{cd}_k R_{h+k}, the ket contracted
+                // for the bra's derivative rows ...
+                let sign = &self.hermite_sign;
+                for (h, xh) in xs.iter_mut().enumerate() {
+                    let sum = &dens.sum[h * stride..];
+                    let mut s = 0.0;
+                    for k in 0..nk {
+                        s += sign[k] * krow[k] * r[sum[k]];
+                    }
+                    *xh = s;
+                }
+                // ... and Y_k = (−1)^{|k|} Σ_h G^{ab}_h R_{h+k} for the ket's.
+                for (k, yk) in ys.iter_mut().enumerate() {
+                    let mut s = 0.0;
+                    for h in 0..nb {
+                        s += brow[h] * r[dens.sum[h * stride + k]];
+                    }
+                    *yk = sign[k] * s;
+                }
+                // Row `r` of a primitive pair's chunk, dotted with `v`.
+                let dot = |rows: &[f64], r: usize, v: &[f64]| -> f64 {
+                    let row = &rows[r * stride..r * stride + v.len()];
+                    row.iter().zip(v).map(|(a, b)| a * b).sum()
+                };
+                for axis in 0..3 {
+                    g[0][axis] += pref * dot(brow, 1 + axis, xs);
+                    g[1][axis] += pref * dot(brow, 4 + axis, xs);
+                    g[2][axis] += pref * dot(krow, 1 + axis, ys);
+                }
+            }
+        }
+        [g[0], g[1], g[2], -(g[0] + g[1] + g[2])]
+    }
+}
+
+/// `row[hermite_index(t, u, v)] += w f[0][t] f[1][u] f[2][v]` for
+/// `t ≤ top[0]`, `u ≤ top[1]`, `v ≤ top[2]`.
+fn add_outer(row: &mut [f64], w: f64, f: [&[f64; MAX_1D]; 3], top: [usize; 3]) {
+    for t in 0..=top[0] {
+        let wt = w * f[0][t];
+        for u in 0..=top[1] {
+            let wtu = wt * f[1][u];
+            for v in 0..=top[2] {
+                row[hermite_index(t, u, v)] += wtu * f[2][v];
+            }
+        }
     }
 }
 

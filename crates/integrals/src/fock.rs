@@ -24,10 +24,14 @@
 //! a density weight above 1, or past the store's word budget. The stored
 //! values are the kernel's own bits, so a replayed build is bit-equal to
 //! one that computes every quartet.
+//!
+//! [`JkBuilder::coulomb_gradient`] walks the same groups, tasks and
+//! Schwarz screen for the nuclear gradient of `½ Tr(D J(D))`; it stores
+//! nothing and builds no J.
 
 use crate::eri::{schwarz_matrix_with, EriEngine, EriScratch, ShellBlock};
 use liair_basis::Basis;
-use liair_math::Mat;
+use liair_math::{Mat, Vec3};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 
@@ -152,6 +156,59 @@ impl<'a> JkBuilder<'a> {
     pub fn build_j_density_screened(&self, density: &Mat, screen: f64) -> Mat {
         let dmax = block_pair_density_max(self.engine.blocks(), density);
         self.build_inner::<false>(density, screen, Some(&dmax)).0
+    }
+
+    /// The gradient of the Coulomb energy `E_J = ½ Tr(D J(D)) =
+    /// ½ Σ D_μν D_λσ (μν|λσ)` with respect to each of the `natoms` nuclei
+    /// the basis sits on. It runs over the quartets [`Self::build_j`]
+    /// reads at `screen` (the same groups, tasks and Schwarz screen) and
+    /// contracts each block quartet's derivatives with `Γ = ½ D_μν D_λσ`
+    /// as it goes, through `density` contracted into each block pair's
+    /// Hermite expansion: no derivative integral is formed or stored. A
+    /// canonical block quartet stands for its whole permutation orbit, so
+    /// it is weighted by the orbit's size. The group partials are summed
+    /// in group order, so the bits do not depend on the thread count.
+    pub fn coulomb_gradient(&self, density: &Mat, screen: f64, natoms: usize) -> Vec<Vec3> {
+        let basis = self.engine.basis();
+        assert_eq!(density.nrows(), basis.nao());
+        let dens = self.engine.hermite_densities(density);
+        let blocks = self.engine.blocks();
+        let atom_of: Vec<usize> = blocks
+            .iter()
+            .map(|b| basis.shells[b.shells.start].atom)
+            .collect();
+        let q = &self.schwarz;
+        let partials: Vec<Vec<Vec3>> = (0..self.groups.len())
+            .into_par_iter()
+            .map_init(EriScratch::default, |scratch, g| {
+                let mut grad = vec![Vec3::ZERO; natoms];
+                for &(ba, bb) in &self.groups[g].tasks {
+                    for (bc, bd) in kets(ba, bb) {
+                        if q[(ba, bb)] * q[(bc, bd)] < screen {
+                            continue;
+                        }
+                        let quartet = [ba, bb, bc, bd];
+                        let coincide = [ba == bb, bc == bd, (ba, bb) == (bc, bd)];
+                        let orbit_size = 8 >> coincide.iter().filter(|&&c| c).count();
+                        let weight = 0.5 * orbit_size as f64;
+                        let d = self
+                            .engine
+                            .coulomb_gradient_quartet(&dens, quartet, scratch);
+                        for (b, dv) in quartet.into_iter().zip(d) {
+                            grad[atom_of[b]] += dv * weight;
+                        }
+                    }
+                }
+                grad
+            })
+            .collect();
+        let mut grad = vec![Vec3::ZERO; natoms];
+        for partial in &partials {
+            for (g, p) in grad.iter_mut().zip(partial) {
+                *g += *p;
+            }
+        }
+        grad
     }
 
     /// J, and K when `WITH_K` (else K is 0 × 0). Skipping K changes
@@ -361,9 +418,65 @@ fn deal_tasks(engine: &EriEngine<'_>, q: &Mat) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Scatter one block-quartet result into the J accumulator, and
-/// into the K one when `WITH_K`, using per-element canonical filtering
-/// plus orbit deduplication.
+/// into the K one when `WITH_K`. Where no two blocks of the quartet
+/// coincide (`ba ≠ bb`, `bc ≠ bd`, `(ba, bb) ≠ (bc, bd)`), every element's
+/// 8 permutations are distinct AO quadruples and are all scattered;
+/// otherwise [`scatter_block_coincident`] filters and deduplicates. The
+/// order of the updates is the same either way.
 fn scatter_block<const WITH_K: bool>(
+    blocks: &[ShellBlock],
+    density: &Mat,
+    jloc: &mut Mat,
+    kloc: &mut Mat,
+    block: &[f64],
+    quartet: [usize; 4],
+) {
+    let [ba, bb, bc, bd] = quartet;
+    if ba == bb || bc == bd || (ba, bb) == (bc, bd) {
+        scatter_block_coincident::<WITH_K>(blocks, density, jloc, kloc, block, quartet);
+        return;
+    }
+    let [oa, ob, oc, od] = quartet.map(|b| blocks[b].offset);
+    let [na, nb, nc, nd] = quartet.map(|b| blocks[b].ncomp);
+    let mut values = block.iter();
+    for i in oa..oa + na {
+        for jj in ob..ob + nb {
+            for kk in oc..oc + nc {
+                for ll in od..od + nd {
+                    let v = *values.next().expect("one value per element");
+                    if v == 0.0 {
+                        continue;
+                    }
+                    for (p, qx, r, s) in orbit(i, jj, kk, ll) {
+                        jloc[(p, qx)] += v * density[(r, s)];
+                        if WITH_K {
+                            kloc[(p, r)] += v * density[(qx, s)];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The 8 permutations of `(i j | k l)` that leave a real ERI unchanged, in
+/// the order both scatters update them.
+fn orbit(i: usize, j: usize, k: usize, l: usize) -> [(usize, usize, usize, usize); 8] {
+    [
+        (i, j, k, l),
+        (j, i, k, l),
+        (i, j, l, k),
+        (j, i, l, k),
+        (k, l, i, j),
+        (l, k, i, j),
+        (k, l, j, i),
+        (l, k, j, i),
+    ]
+}
+
+/// [`scatter_block`] for a quartet with coinciding blocks: per-element
+/// canonical filtering plus orbit deduplication.
+fn scatter_block_coincident<const WITH_K: bool>(
     blocks: &[ShellBlock],
     density: &Mat,
     jloc: &mut Mat,
@@ -400,16 +513,7 @@ fn scatter_block<const WITH_K: bool>(
                         continue;
                     }
                     // Deduplicated permutation orbit of (i j | k l).
-                    let candidates = [
-                        (i, jj, kk, ll),
-                        (jj, i, kk, ll),
-                        (i, jj, ll, kk),
-                        (jj, i, ll, kk),
-                        (kk, ll, i, jj),
-                        (ll, kk, i, jj),
-                        (kk, ll, jj, i),
-                        (ll, kk, jj, i),
-                    ];
+                    let candidates = orbit(i, jj, kk, ll);
                     let mut seen: [(usize, usize, usize, usize); 8] = [(usize::MAX, 0, 0, 0); 8];
                     let mut nseen = 0;
                     for tup in candidates {
@@ -645,7 +749,9 @@ mod tests {
     /// The compute-every-quartet build: every quartet that passes the
     /// screen is evaluated by the kernel, folded over `builder`'s groups
     /// in task order and summed in group order, and the store is never
-    /// read.
+    /// read. Every quartet takes the deduplicating scatter, so the stored
+    /// builds' direct scatter of quartets without coinciding blocks is
+    /// checked against it too.
     fn oracle_build(
         builder: &JkBuilder<'_>,
         density: &Mat,
@@ -674,7 +780,7 @@ mod tests {
                     builder
                         .engine
                         .block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut block);
-                    scatter_block::<true>(
+                    scatter_block_coincident::<true>(
                         blocks,
                         density,
                         &mut jloc,
@@ -886,6 +992,74 @@ mod tests {
                 mol.formula(),
                 busiest / mean
             );
+        }
+    }
+
+    /// `f` at `mol` with atom `atom` moved by `h` along `axis`.
+    fn displaced<R>(
+        mol: &Molecule,
+        atom: usize,
+        axis: usize,
+        h: f64,
+        f: impl Fn(&Molecule) -> R,
+    ) -> R {
+        let mut m = mol.clone();
+        m.atoms[atom].pos[axis] += h;
+        f(&m)
+    }
+
+    #[test]
+    fn coulomb_gradient_matches_finite_differences_and_sums_to_zero() {
+        // E_J = ½ Tr(D J(D)) at a fixed AO density, differenced over the
+        // nuclei the basis moves with; water/6-31G has two sp blocks on O
+        // and split s shells on H.
+        let water = systems::water();
+        for (mol, basis_of) in [
+            (systems::lih(), Basis::sto3g as fn(&Molecule) -> Basis),
+            (water.clone(), Basis::sto3g),
+            (water, Basis::b631g),
+        ] {
+            let basis = basis_of(&mol);
+            let d = test_density(basis.nao(), 41);
+            let grad = JkBuilder::new(&basis).coulomb_gradient(&d, 0.0, mol.natoms());
+            let e_j = |m: &Molecule| {
+                let b = basis_of(m);
+                0.5 * d.trace_product(&build_jk(&b, &d, 0.0).0)
+            };
+            let h = 1e-4;
+            for atom in 0..mol.natoms() {
+                for axis in 0..3 {
+                    let fd = (displaced(&mol, atom, axis, h, e_j)
+                        - displaced(&mol, atom, axis, -h, e_j))
+                        / (2.0 * h);
+                    let got = grad[atom][axis];
+                    assert!(
+                        (got - fd).abs() < 1e-7,
+                        "{} atom {atom} axis {axis}: {got:.12e} vs FD {fd:.12e}",
+                        mol.formula()
+                    );
+                }
+            }
+            let total = grad.iter().fold(Vec3::ZERO, |a, g| a + *g);
+            assert!(total.norm() < 1e-12, "{}: Σ = {total:?}", mol.formula());
+        }
+    }
+
+    #[test]
+    fn coulomb_gradient_bits_do_not_depend_on_thread_count() {
+        let mol = systems::water();
+        let basis = Basis::sto3g(&mol);
+        let d = test_density(basis.nao(), 43);
+        let builder = JkBuilder::new(&basis);
+        let one = on(1, || builder.coulomb_gradient(&d, 1e-11, 3));
+        for threads in 2..=4 {
+            let g = on(threads, || builder.coulomb_gradient(&d, 1e-11, 3));
+            for (a, b) in g.iter().zip(&one) {
+                assert!(
+                    (0..3).all(|k| a[k].to_bits() == b[k].to_bits()),
+                    "{threads} threads"
+                );
+            }
         }
     }
 

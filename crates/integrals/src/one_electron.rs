@@ -150,6 +150,195 @@ pub fn nuclear_matrix(basis: &Basis, mol: &Molecule) -> Mat {
     })
 }
 
+/// One primitive pair of an ordered AO pair, as the gradient loops see it.
+struct GradPair {
+    /// Atom of the bra AO (the center the bra derivative moves).
+    atom: usize,
+    /// The AO pair `(row, col)`.
+    row: usize,
+    col: usize,
+    /// Cartesian powers of the bra and the ket.
+    pa: [usize; 3],
+    pb: [usize; 3],
+    a: f64,
+    b: f64,
+    ra: Vec3,
+    rb: Vec3,
+    /// Product of the two normalized contraction coefficients.
+    coef: f64,
+}
+
+impl GradPair {
+    /// The `E` tables per axis, one order above the bra's power (for the
+    /// raise/lower identity) and `extra_j` above the ket's.
+    fn tables(&self, extra_j: usize) -> [ECoefs; 3] {
+        let d = self.ra - self.rb;
+        std::array::from_fn(|k| {
+            ECoefs::new(self.pa[k] + 1, self.pb[k] + extra_j, d[k], self.a, self.b)
+        })
+    }
+
+    /// The bra-center derivative of a 1-D factor `f(i)` of bra power `i`
+    /// along `axis`: `∂/∂A_x [x_A^i e^{−a x_A²}] = (2a x_A^{i+1} −
+    /// i x_A^{i−1}) e^{−a x_A²}`.
+    fn bra_derivative(&self, axis: usize, f: impl Fn(usize) -> f64) -> f64 {
+        let i = self.pa[axis];
+        let lower = if i > 0 { i as f64 * f(i - 1) } else { 0.0 };
+        2.0 * self.a * f(i + 1) - lower
+    }
+
+    /// The 1-D overlap and kinetic factors along `axis` as functions of the
+    /// bra power, from `e = tables(2)[axis]`.
+    fn s_and_t<'e>(
+        &self,
+        axis: usize,
+        e: &'e ECoefs,
+    ) -> (impl Fn(usize) -> f64 + 'e, impl Fn(usize) -> f64 + 'e) {
+        let (j, b) = (self.pb[axis], self.b);
+        let sqrt_pi_p = (PI / (self.a + b)).sqrt();
+        let s = move |i: usize, j: usize| e.get(i, j, 0) * sqrt_pi_p;
+        // T(i, j) = −2b² S(i, j+2) + b(2j+1) S(i, j) − ½ j(j−1) S(i, j−2).
+        let t = move |i: usize| {
+            let lower = if j >= 2 {
+                0.5 * (j * (j - 1)) as f64 * s(i, j - 2)
+            } else {
+                0.0
+            };
+            -2.0 * b * b * s(i, j + 2) + b * (2 * j + 1) as f64 * s(i, j) - lower
+        };
+        (move |i: usize| s(i, j), t)
+    }
+}
+
+/// Visit every primitive pair of every *ordered* AO pair. Summing
+/// `2 W_μν ∂_A O_μν` over them gives both centers' derivatives of
+/// `Σ W_μν O_μν` for a symmetric `W` and a symmetric two-center `O`: the
+/// ket derivative of `O_μν` is the bra derivative of `O_νμ`.
+fn for_each_ordered_prim_pair(basis: &Basis, mut visit: impl FnMut(&GradPair)) {
+    let coefs = shell_coefs(basis);
+    let arr = |p: (usize, usize, usize)| [p.0, p.1, p.2];
+    for (si, sa) in basis.shells.iter().enumerate() {
+        for (sj, sb) in basis.shells.iter().enumerate() {
+            let (oa, ob) = (basis.shell_offsets[si], basis.shell_offsets[sj]);
+            for (ca, pa) in cart_components(sa.l).into_iter().enumerate() {
+                for (cb, pb) in cart_components(sb.l).into_iter().enumerate() {
+                    for (ia, prim_a) in sa.prims.iter().enumerate() {
+                        for (ib, prim_b) in sb.prims.iter().enumerate() {
+                            visit(&GradPair {
+                                atom: sa.atom,
+                                row: oa + ca,
+                                col: ob + cb,
+                                pa: arr(pa),
+                                pb: arr(pb),
+                                a: prim_a.exp,
+                                b: prim_b.exp,
+                                ra: sa.center,
+                                rb: sb.center,
+                                coef: coefs[si][ca][ia] * coefs[sj][cb][ib],
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `Σ f(t, u, v)` over `t ≤ top[0]`, `u ≤ top[1]`, `v ≤ top[2]`.
+fn box_sum(top: [usize; 3], f: impl Fn([usize; 3]) -> f64) -> f64 {
+    let mut acc = 0.0;
+    for t in 0..=top[0] {
+        for u in 0..=top[1] {
+            for v in 0..=top[2] {
+                acc += f([t, u, v]);
+            }
+        }
+    }
+    acc
+}
+
+/// `g[A] = Σ_{μν} W_{μν} ∂S_{μν}/∂R_A` for a symmetric weight `W` (the
+/// Pulay term of a gradient, with `W` the energy-weighted density), per
+/// atom of an `natoms`-atom molecule.
+pub fn overlap_gradient(basis: &Basis, natoms: usize, w: &Mat) -> Vec<Vec3> {
+    let mut grad = vec![Vec3::ZERO; natoms];
+    for_each_ordered_prim_pair(basis, |g| {
+        let weight = 2.0 * w[(g.row, g.col)] * g.coef;
+        if weight == 0.0 {
+            return;
+        }
+        let tables = g.tables(0);
+        let s: [_; 3] = std::array::from_fn(|k| g.s_and_t(k, &tables[k]).0);
+        for k in 0..3 {
+            let (k1, k2) = ((k + 1) % 3, (k + 2) % 3);
+            let ds = g.bra_derivative(k, &s[k]);
+            grad[g.atom][k] += weight * ds * s[k1](g.pa[k1]) * s[k2](g.pa[k2]);
+        }
+    });
+    grad
+}
+
+/// `g[A] = Σ_{μν} D_{μν} ∂H_{μν}/∂R_A` for a symmetric density `D`, with
+/// `H = T + V` the core Hamiltonian of `mol`: the basis functions' centers
+/// move (kinetic and attraction integrals) and so do the nuclei
+/// (`∂R_{tuv}(P − C)/∂C_x = −R_{t+1,u,v}`, the Hellmann–Feynman term).
+pub fn core_hamiltonian_gradient(basis: &Basis, mol: &Molecule, d: &Mat) -> Vec<Vec3> {
+    let mut grad = vec![Vec3::ZERO; mol.natoms()];
+    for_each_ordered_prim_pair(basis, |g| {
+        let weight = d[(g.row, g.col)] * g.coef;
+        if weight == 0.0 {
+            return;
+        }
+        let tables = g.tables(2);
+        // Kinetic: T = Tx Sy Sz + Sx Ty Sz + Sx Sy Tz, differentiated along
+        // each axis through that axis's factors.
+        let st: [_; 3] = std::array::from_fn(|k| g.s_and_t(k, &tables[k]));
+        let s: [f64; 3] = std::array::from_fn(|k| st[k].0(g.pa[k]));
+        let t: [f64; 3] = std::array::from_fn(|k| st[k].1(g.pa[k]));
+        for k in 0..3 {
+            let (k1, k2) = ((k + 1) % 3, (k + 2) % 3);
+            let ds = g.bra_derivative(k, &st[k].0);
+            let dt = g.bra_derivative(k, &st[k].1);
+            let dkin = dt * s[k1] * s[k2] + ds * (t[k1] * s[k2] + s[k1] * t[k2]);
+            grad[g.atom][k] += 2.0 * weight * dkin;
+        }
+        // Attraction, V = −Z (2π/p) Σ_tuv E_t E_u E_v R_tuv(P − C) per
+        // nucleus C: one R table one order above the pair's. The bra
+        // derivative raises the differentiated axis's E; the nucleus's
+        // takes R_{tuv + 1_k} with the opposite sign.
+        let p = g.a + g.b;
+        let big_p = (g.ra * g.a + g.rb * g.b) / p;
+        let top: [usize; 3] = std::array::from_fn(|k| g.pa[k] + g.pb[k]);
+        let e = |k: usize, i: usize, t: usize| tables[k].get(i, g.pb[k], t);
+        let r_index = |tuv: [usize; 3]| hermite_index(tuv[0], tuv[1], tuv[2]);
+        for (c, atom) in mol.atoms.iter().enumerate() {
+            let r = hermite_aux(top.iter().sum::<usize>() + 1, p, big_p - atom.pos);
+            let scale = atom.element.z() as f64 * 2.0 * PI / p * weight;
+            for k in 0..3 {
+                let mut raised = top;
+                raised[k] += 1;
+                let d_bra = box_sum(raised, |tuv| {
+                    let factor = |m: usize| {
+                        if m == k {
+                            g.bra_derivative(m, |i| e(m, i, tuv[m]))
+                        } else {
+                            e(m, g.pa[m], tuv[m])
+                        }
+                    };
+                    factor(0) * factor(1) * factor(2) * r[r_index(tuv)]
+                });
+                let d_nuc = box_sum(top, |tuv| {
+                    let eee: f64 = (0..3).map(|m| e(m, g.pa[m], tuv[m])).product();
+                    eee * r[r_index(std::array::from_fn(|m| tuv[m] + usize::from(m == k)))]
+                });
+                grad[g.atom][k] -= 2.0 * scale * d_bra;
+                grad[c][k] += scale * d_nuc;
+            }
+        }
+    });
+    grad
+}
+
 /// Dipole-moment matrices `D^k_{μν} = ⟨μ| (r − C)_k |ν⟩` for `k = x, y, z`
 /// about the origin `c` (used by the Foster–Boys localization).
 pub fn dipole_matrices(basis: &Basis, c: Vec3) -> [Mat; 3] {
@@ -337,6 +526,72 @@ mod tests {
             let mean_sq: f64 = (0..3).map(|k| q[k][(i, i)]).sum();
             let sq_mean: f64 = (0..3).map(|k| d[k][(i, i)] * d[k][(i, i)]).sum();
             assert!(mean_sq - sq_mean > 0.0, "AO {i}");
+        }
+    }
+
+    /// A symmetric matrix of `n × n` entries in `[−0.5, 0.5)`.
+    fn symmetric(n: usize, seed: u64) -> Mat {
+        let mut rng = liair_math::rng::SplitMix64::new(seed);
+        let mut m = Mat::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = rng.next_f64() - 0.5;
+                m[(i, j)] = v;
+                m[(j, i)] = v;
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn overlap_and_core_gradients_match_finite_differences() {
+        // Tr(W S) and Tr(D H) at fixed AO matrices, differenced over the
+        // nuclei (the basis and, for V, the charges move with them).
+        let water = systems::water();
+        for (mol, basis_of) in [
+            (systems::lih(), Basis::sto3g as fn(&Molecule) -> Basis),
+            (water.clone(), Basis::sto3g),
+            (water, Basis::b631g),
+        ] {
+            let n = basis_of(&mol).nao();
+            let (w, d) = (symmetric(n, 3), symmetric(n, 5));
+            let basis = basis_of(&mol);
+            let gs = overlap_gradient(&basis, mol.natoms(), &w);
+            let gh = core_hamiltonian_gradient(&basis, &mol, &d);
+            let energies = |m: &Molecule| {
+                let b = basis_of(m);
+                let h = kinetic_matrix(&b).add(&nuclear_matrix(&b, m));
+                (w.trace_product(&overlap_matrix(&b)), d.trace_product(&h))
+            };
+            let h = 1e-4;
+            for atom in 0..mol.natoms() {
+                for axis in 0..3 {
+                    let at = |step: f64| {
+                        let mut m = mol.clone();
+                        m.atoms[atom].pos[axis] += step;
+                        energies(&m)
+                    };
+                    let ((sp, hp), (sm, hm)) = (at(h), at(-h));
+                    for (name, got, fd) in [
+                        ("S", gs[atom][axis], (sp - sm) / (2.0 * h)),
+                        ("H", gh[atom][axis], (hp - hm) / (2.0 * h)),
+                    ] {
+                        assert!(
+                            (got - fd).abs() < 1e-7,
+                            "{} {name} atom {atom} axis {axis}: {got:.12e} vs FD {fd:.12e}",
+                            mol.formula()
+                        );
+                    }
+                }
+            }
+            for (name, g) in [("S", &gs), ("H", &gh)] {
+                let total = g.iter().fold(Vec3::ZERO, |a, v| a + *v);
+                assert!(
+                    total.norm() < 1e-11,
+                    "{} {name}: Σ = {total:?}",
+                    mol.formula()
+                );
+            }
         }
     }
 

@@ -12,16 +12,17 @@
 //!   thermostatting and Maxwell–Boltzmann initialization from an
 //!   explicit seed ([`MdState::thermalize_seeded`]);
 //! * [`mts`] — r-RESPA multiple time stepping over a
-//!   [`mts::SplitForceProvider`]: cheap GGA/LDA forces every inner step,
-//!   the exact-exchange correction as an outer-step impulse;
+//!   [`mts::SplitForceProvider`]: cheap exchange-free forces every inner
+//!   step, the exact-exchange correction as an outer-step impulse;
 //! * [`analysis`] — radial distribution functions, bond-event tracking
 //!   (the degradation metric), and energy-drift diagnostics;
 //! * [`checkpoint`] — bit-exact [`MdCheckpoint`]s for preempt/resume;
 //! * [`qmforce`] — the quantum force providers of hybrid-functional
 //!   Born–Oppenheimer MTS: the exchange-free [`XcForces`] (fast), the
 //!   grid-exchange [`IncrementalGridForces`] (full), and their
-//!   [`HfxDeltaForces`] split. Every quantum force is a central finite
-//!   difference of an SCF energy.
+//!   [`HfxDeltaForces`] split. The fast force is the analytic gradient of
+//!   one RKS-LDA SCF; the full force is a central finite difference of the
+//!   grid SCF's energy.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code

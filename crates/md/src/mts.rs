@@ -7,8 +7,8 @@
 //! reversible reference-system propagator (r-RESPA, Tuckerman–Berne–
 //! Martyna) splits the force accordingly:
 //!
-//! * **fast** — the surrogate-functional force (`Functional::mts_fast()`
-//!   of the target hybrid), evaluated every inner step of size `dt`;
+//! * **fast** — the exchange-free surrogate force (`XcForces`, RKS-LDA
+//!   with its analytic gradient), evaluated every inner step of size `dt`;
 //! * **slow** — the correction `F_full − F_fast`, applied as an impulse
 //!   `n_inner · F_slow` folded into the opening and closing half-kicks of
 //!   each outer step of size `n_inner · dt`.

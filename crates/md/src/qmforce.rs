@@ -8,14 +8,15 @@
 //!   outer step;
 //! * [`HfxDeltaForces`] — their difference as the integrator's slow force.
 //!
-//! Every force is a central finite difference of an SCF energy, at 6N+1
-//! energy evaluations per geometry. The slow term is amortized by the
-//! outer step and by the incremental caches, as in the MTS treatment of
-//! hybrid functionals, so no analytic nuclear gradient is needed.
+//! The fast force is analytic: one RKS-LDA SCF and its nuclear gradient
+//! (`ScfSession::gradient`), from the grid, AO values, J builder and
+//! orbitals the converged session holds. The full force is a central
+//! finite difference of the grid-exchange SCF energy, at 6N+1 energy
+//! evaluations per geometry, amortized by the outer step and by the
+//! incremental caches, as in the MTS treatment of hybrid functionals.
 //!
-//! The settings are constants: displacements of 1e-2 Bohr (grid SCF) and
-//! 1e-3 Bohr (surrogate), screening at ε = 1e-4, and
-//! `ScfOptions::default()` for both SCFs. The grid SCF is an
+//! The settings are constants: a displacement of 1e-2 Bohr, screening at
+//! ε = 1e-4, and `ScfOptions::default()` for both SCFs. The grid SCF is an
 //! `ScfSession::with_exchange` whose K is the slot's
 //! `IncrementalExchange::exchange_operator`, so it has the session's DIIS
 //! and convergence test and builds the analytic J alone. The AO fields it
@@ -23,23 +24,21 @@
 //! collocation (`nx + ny + nz` exponentials per primitive, not one per
 //! grid point). The surrogate's RKS-LDA SCFs also build J alone, and
 //! evaluate the LDA energy density and potential together, once per
-//! Becke point per iteration. What a caller chooses is the grid, the box,
-//! the reuse tolerance and the surrogate functional.
+//! Becke point per iteration. What a caller chooses is the grid, the box
+//! and the reuse tolerance.
 
 use crate::integrator::ForceProvider;
 use crate::mts::SplitForceProvider;
 use liair_basis::{Basis, Cell, Molecule};
 use liair_core::{BasisOnGrid, IncSchedule, IncrementalExchange};
 use liair_math::{Mat, Vec3};
-use liair_scf::{ScfOptions, ScfSession};
+use liair_scf::{Method, ScfOptions, ScfSession};
 
 /// Finite-difference displacement of [`IncrementalGridForces`] (Bohr).
 const GRID_FD_STEP: f64 = 1e-2;
 /// Pair-screening threshold of [`IncrementalGridForces`]' grid SCF (also
 /// turns on localization).
 const GRID_EPS: f64 = 1e-4;
-/// Finite-difference displacement of [`XcForces`] (Bohr).
-const XC_FD_STEP: f64 = 1e-3;
 
 /// Born–Oppenheimer forces from the *grid-exchange* SCF with an
 /// incremental-exchange cache per finite-difference slot — the MD setting
@@ -169,65 +168,45 @@ impl ForceProvider for IncrementalGridForces {
     }
 }
 
-/// GGA/LDA Born–Oppenheimer forces — the *fast* half of the MTS force
-/// splitting. The energy is an analytic RKS-LDA SCF on the Becke
-/// molecular quadrature (`liair-grid::MolGrid`), optionally with a GGA
-/// energy evaluated post-SCF on the converged LDA density (the repo's
-/// GGA convention — see DESIGN.md); forces are rayon-parallel central
-/// differences. This path never touches the exchange engine, which is
-/// the whole point of paying it every inner step.
+/// RKS-LDA Born–Oppenheimer forces — the *fast* half of the MTS force
+/// splitting. One SCF on the Becke molecular quadrature
+/// (`liair-grid::MolGrid`) per geometry, and the forces are its analytic
+/// gradient, the exact derivative of that quadrature energy. This path
+/// never touches the exchange engine, which is the whole point of paying
+/// it every inner step.
 pub struct XcForces {
-    /// The exchange-free surrogate functional (`Lda` or `Pbe`; construct
-    /// from a hybrid target with `Functional::mts_fast()`).
+    /// The exchange-free surrogate functional: always `Lda`, the one
+    /// functional whose SCF energy here is variational and so has an
+    /// analytic gradient (PBE is only ever evaluated post-SCF).
     pub functional: liair_xc::Functional,
 }
 
 impl XcForces {
-    /// A provider for the given surrogate functional. Panics if the
-    /// functional carries exact exchange — pass `target.mts_fast()` for
-    /// hybrids.
+    /// A provider for the given surrogate functional. Panics for any
+    /// functional other than `Functional::Lda`: hybrids carry exact
+    /// exchange, and a GGA has no self-consistent energy to differentiate.
     pub fn new(functional: liair_xc::Functional) -> Self {
         assert!(
-            functional.hfx_fraction() == 0.0,
-            "fast MTS forces must be exchange-free; use Functional::mts_fast() ({} given)",
+            functional == liair_xc::Functional::Lda,
+            "fast MTS forces must be exchange-free RKS-LDA ({} given)",
             functional.name()
         );
         Self { functional }
-    }
-
-    /// Surrogate energy at one geometry.
-    fn energy(&self, mol: &Molecule) -> f64 {
-        let basis = liair_basis::Basis::sto3g(mol);
-        let opts = liair_scf::ScfOptions::default();
-        let res = liair_scf::rks_lda(mol, &basis, &opts);
-        assert!(res.converged, "fast-force SCF failed for {}", mol.formula());
-        if self.functional == liair_xc::Functional::Lda {
-            res.energy
-        } else {
-            liair_scf::functional_energy(mol, &basis, &res, self.functional, &opts)
-        }
     }
 }
 
 impl ForceProvider for XcForces {
     fn compute(&self, mol: &Molecule, _cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        let e0 = self.energy(mol);
-        use rayon::prelude::*;
-        let forces: Vec<Vec3> = (0..mol.natoms())
-            .into_par_iter()
-            .map(|atom| {
-                let mut f = Vec3::ZERO;
-                for axis in 0..3 {
-                    let mut plus = mol.clone();
-                    plus.atoms[atom].pos[axis] += XC_FD_STEP;
-                    let mut minus = mol.clone();
-                    minus.atoms[atom].pos[axis] -= XC_FD_STEP;
-                    f[axis] = -(self.energy(&plus) - self.energy(&minus)) / (2.0 * XC_FD_STEP);
-                }
-                f
-            })
-            .collect();
-        (e0, forces)
+        let basis = Basis::sto3g(mol);
+        let mut scf = ScfSession::new(mol, &basis, &ScfOptions::default(), Method::RksLda);
+        while scf.step() {}
+        assert!(
+            scf.converged(),
+            "fast-force SCF failed for {}",
+            mol.formula()
+        );
+        let forces = scf.gradient().into_iter().map(|g| -g).collect();
+        (scf.energy(), forces)
     }
 }
 
@@ -334,20 +313,118 @@ mod tests {
         }
     }
 
+    /// The forces `XcForces` took before they were analytic: central
+    /// differences of the RKS-LDA energy, 1e-3 Bohr each way.
+    fn xc_fd_oracle(mol: &Molecule) -> Vec<Vec3> {
+        let energy = |m: &Molecule| {
+            let res = liair_scf::rks_lda(m, &Basis::sto3g(m), &ScfOptions::default());
+            assert!(res.converged);
+            res.energy
+        };
+        let h = 1e-3;
+        (0..mol.natoms())
+            .map(|atom| {
+                let mut f = Vec3::ZERO;
+                for axis in 0..3 {
+                    let at = |step: f64| {
+                        let mut m = mol.clone();
+                        m.atoms[atom].pos[axis] += step;
+                        energy(&m)
+                    };
+                    f[axis] = -(at(h) - at(-h)) / (2.0 * h);
+                }
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn xc_forces_match_the_finite_difference_oracle_and_sum_to_zero() {
+        // Both at the default SCF settings (energy_tol 1e-9 Ha), so the
+        // oracle carries its own O(h²) truncation and its energies'
+        // convergence noise over 2h; the bound covers both (the largest
+        // |F − F_FD| per atom read 2.6e-7, 2.3e-8 and 5.2e-7 Ha/Bohr on
+        // H₂, LiH and water when recorded). The energy is the SCF's own.
+        let provider = XcForces::new(liair_xc::Functional::Lda);
+        for mol in [systems::h2(), systems::lih(), systems::water()] {
+            let (e, f) = provider.compute(&mol, None);
+            let res = liair_scf::rks_lda(&mol, &Basis::sto3g(&mol), &ScfOptions::default());
+            assert_eq!(e.to_bits(), res.energy.to_bits(), "{}", mol.formula());
+            let oracle = xc_fd_oracle(&mol);
+            for (atom, (a, b)) in f.iter().zip(&oracle).enumerate() {
+                let err = (*a - *b).norm();
+                assert!(
+                    err < 2e-6,
+                    "{} atom {atom}: {a:?} vs FD {b:?}",
+                    mol.formula()
+                );
+            }
+            let total = f.iter().fold(Vec3::ZERO, |a, g| a + *g);
+            assert!(total.norm() < 1e-10, "{}: Σ F = {total:?}", mol.formula());
+        }
+    }
+
     #[test]
     fn xc_forces_are_pinned() {
+        // Stretched H₂, the benchmark's molecule. The central difference
+        // (1e-3 Bohr) this provider used to take read
+        // −4.312777195969453e-2; the analytic force is 1.84e-7 Ha/Bohr
+        // below it, the difference's O(h²) truncation and its energies'
+        // convergence noise.
         let mut mol = systems::h2();
         mol.atoms[1].pos.x = 1.5;
         let (_, f) = XcForces::new(liair_xc::Functional::Lda).compute(&mol, None);
-        let want = -4.312_777_195_969_453e-2;
+        let want = -4.312_795_633_236_516e-2;
         assert!((f[1].x - want).abs() <= 1e-10, "{:.17e}", f[1].x);
+    }
+
+    #[test]
+    fn xc_forces_conserve_energy_on_a_single_time_step() {
+        // Plain velocity Verlet on the analytic LDA forces alone: stretched
+        // H₂ released from rest for 100 a.u. (a third of a vibration). The
+        // largest |E(t) − E(0)| is Verlet's own O(dt²) error: under 2e-6
+        // Ha at dt = 2.5, and a quarter of that at half the step (1.881e-6
+        // and 4.704e-7 when recorded, ratio 3.999). The forces add no
+        // floor of their own: the 1e-3 Bohr central differences they
+        // replaced read 1.909e-6 and 4.977e-7, ratio 3.835.
+        let provider = XcForces::new(liair_xc::Functional::Lda);
+        let drift = |dt: f64| {
+            let mut mol = systems::h2();
+            mol.atoms[1].pos.x = 1.5;
+            let mut state = MdState::new(mol, None, &provider);
+            let e0 = state.total_energy();
+            let opts = MdOptions {
+                dt,
+                thermostat: Thermostat::None,
+                mts: MtsOptions { n_inner: 1 },
+            };
+            let mut drift: f64 = 0.0;
+            for _ in 0..(100.0 / dt) as usize {
+                state.step(&provider, &opts);
+                drift = drift.max((state.total_energy() - e0).abs());
+            }
+            drift
+        };
+        let (coarse, fine) = (drift(2.5), drift(1.25));
+        assert!(coarse < 2e-6, "NVE drift {coarse:e} Ha at dt = 2.5");
+        let ratio = coarse / fine;
+        assert!(
+            (ratio - 4.0).abs() < 0.05,
+            "drift ratio {ratio} ({coarse:e}, {fine:e})"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange-free RKS-LDA")]
+    fn xc_forces_reject_gga() {
+        let _ = XcForces::new(liair_xc::Functional::Pbe);
     }
 
     #[test]
     fn xc_forces_bracket_lda_equilibrium() {
         // The LDA surrogate is a genuine potential surface: compressed H2
-        // pushes apart, stretched pulls together, and the FD forces are
-        // consistent with the energy (sign test around the minimum).
+        // pushes apart, stretched pulls together (sign test around the
+        // minimum).
         let provider = XcForces::new(liair_xc::Functional::Lda);
         let mut short = systems::h2();
         short.atoms[1].pos.x = 1.1;

@@ -19,9 +19,11 @@
 //!   exactly, both analytically (via the K matrix) and on grids (via
 //!   `liair-core`'s pair-Poisson path).
 //!
-//! Closed-shell, single-determinant energies only: nothing on the
-//! screening or MD paths needs open shells, correlated methods or
-//! analytic forces (MD forces are finite differences, see `liair-md`).
+//! Closed-shell and single-determinant: nothing on the screening or MD
+//! paths needs open shells or correlated methods. A converged RKS-LDA
+//! session gives its analytic nuclear gradient
+//! ([`ScfSession::gradient`]), the fast MTS force of `liair-md`; the
+//! other MD forces are finite differences of an energy.
 //!
 //! Validation: H₂, He and H₂O STO-3G total energies against literature
 //! values, and LiH pinned to 1e-8 Ha with a translation/rotation
@@ -31,6 +33,7 @@
 
 mod diis;
 pub mod driver;
+mod gradient;
 pub mod session;
 
 pub use driver::{functional_energy, rhf, rks_lda, EnergyBreakdown, Method, ScfOptions, ScfResult};

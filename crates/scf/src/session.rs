@@ -21,6 +21,12 @@
 //! evaluated once for the geometry, as RKS-LDA's density contracts AO
 //! values at the XC grid points evaluated once, in the context.
 //!
+//! A converged RKS-LDA session also gives the analytic nuclear gradient of
+//! its energy ([`ScfSession::gradient`], terms in `gradient.rs`) from the
+//! same context: the Becke grid and its AO values, the J builder's blocks
+//! and screen, and the latest orbitals and orbital energies. It is
+//! `liair-md`'s fast MTS force: one SCF per force.
+//!
 //! A serve job interrupted between iterations captures an
 //! [`ScfCheckpoint`] — every mutable loop variable (density, DIIS history,
 //! incremental-Fock accumulators, energies, latest orbitals) as raw
@@ -45,13 +51,17 @@ use crate::driver::{
     EnergyBreakdown, Method, ScfOptions, ScfResult, DIIS_DEPTH, DIIS_ERROR_TOL, FOCK_REBUILD_EVERY,
     XC_GRID_RADIAL, XC_GRID_THETA,
 };
+use crate::gradient::{xc_gradient, GradientTerms};
 use liair_basis::{Basis, Molecule};
 use liair_grid::orbital::density_from_aos;
 use liair_grid::MolGrid;
-use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
+use liair_integrals::{
+    core_hamiltonian_gradient, kinetic_matrix, nuclear_matrix, overlap_gradient, overlap_matrix,
+    JkBuilder,
+};
 use liair_math::codec::{CodecError, Decoder, Encoder};
 use liair_math::linalg::{eigh, sym_inv_sqrt};
-use liair_math::Mat;
+use liair_math::{Mat, Vec3};
 use liair_xc::lda::lda_exc_vxc;
 
 /// Magic tag for SCF checkpoint streams (`"LSC1"`).
@@ -73,6 +83,8 @@ fn magic(operator: bool) -> u32 {
 
 /// Immutable per-calculation context, deterministic in the inputs.
 struct ScfContext<'a> {
+    mol: Molecule,
+    basis: &'a Basis,
     n: usize,
     nocc: usize,
     s: Mat,
@@ -106,6 +118,8 @@ impl<'a> ScfContext<'a> {
             .as_ref()
             .map(|g| liair_grid::ao_values_at_points(basis, &g.points));
         ScfContext {
+            mol: mol.clone(),
+            basis,
             n,
             nocc,
             s,
@@ -411,6 +425,52 @@ impl<'a> ScfSession<'a> {
         self.st.energy
     }
 
+    /// The analytic nuclear gradient `dE/dR_A` (Hartree/Bohr, one per
+    /// atom) of an RKS-LDA session, from the context it holds: the Becke
+    /// grid and its AO values, the J builder's blocks, groups and Schwarz
+    /// bounds, and the latest orbitals and their energies. It is the
+    /// derivative of the energy at those orbitals' density, exact up to
+    /// how far the SCF is from self-consistency, so call it once
+    /// [`ScfSession::converged`]. The terms are listed in `gradient.rs`.
+    /// Panics for an RHF session.
+    pub fn gradient(&self) -> Vec<Vec3> {
+        self.gradient_terms().total()
+    }
+
+    /// The gradient's terms (see [`ScfSession::gradient`]).
+    pub(crate) fn gradient_terms(&self) -> GradientTerms {
+        assert_eq!(
+            self.method,
+            Method::RksLda,
+            "the analytic gradient is RKS-LDA's"
+        );
+        let (ctx, st) = (&self.ctx, &self.st);
+        let (mol, basis, natoms) = (&ctx.mol, ctx.basis, ctx.mol.natoms());
+        // `density` was assembled from `c_final`, whose energies weight W.
+        let d = &st.density;
+        let w = weighted_density(&st.c_final, &st.eps_final[..ctx.nocc]);
+        GradientTerms {
+            nuclear: mol.nuclear_repulsion_gradient(),
+            core: core_hamiltonian_gradient(basis, mol, d),
+            pulay: overlap_gradient(basis, natoms, &w)
+                .into_iter()
+                .map(|g| -g)
+                .collect(),
+            coulomb: ctx
+                .jk_builder
+                .coulomb_gradient(d, self.opts.schwarz_tol, natoms),
+            xc: xc_gradient(
+                mol,
+                basis,
+                ctx.molgrid.as_ref().expect("an RKS context has a grid"),
+                ctx.ao_at_pts
+                    .as_ref()
+                    .expect("an RKS context has AO values"),
+                d,
+            ),
+        }
+    }
+
     /// Capture every mutable loop variable, bit-exact.
     pub fn checkpoint(&self) -> ScfCheckpoint {
         let st = &self.st;
@@ -620,13 +680,21 @@ fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
 /// Closed-shell density `D = 2 C_occ C_occᵀ` of the first `nocc` columns
 /// of `c`.
 fn assemble_density(c: &Mat, nocc: usize) -> Mat {
+    weighted_density(c, &vec![1.0; nocc])
+}
+
+/// `2 Σ_k w_k c_k c_kᵀ` over the first `w.len()` columns of `c`: with unit
+/// weights the closed-shell density (the product by 1.0 is exact), with
+/// the occupied orbital energies the energy-weighted density of the
+/// gradient's Pulay term.
+fn weighted_density(c: &Mat, w: &[f64]) -> Mat {
     let n = c.nrows();
     let mut d = Mat::zeros(n, n);
     for mu in 0..n {
         for nu in 0..n {
             let mut acc = 0.0;
-            for k in 0..nocc {
-                acc += c[(mu, k)] * c[(nu, k)];
+            for (k, &wk) in w.iter().enumerate() {
+                acc += wk * c[(mu, k)] * c[(nu, k)];
             }
             d[(mu, nu)] = 2.0 * acc;
         }

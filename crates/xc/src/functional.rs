@@ -31,12 +31,15 @@ impl Functional {
         }
     }
 
-    /// The exchange-free surrogate used for the *fast* (inner) forces of
-    /// r-RESPA multiple time stepping: hybrids drop their exact-exchange
-    /// share (PBE0 → PBE), pure Hartree–Fock falls back to LDA, and
-    /// functionals with no exact exchange are their own surrogate. The
-    /// expensive HFX part then enters only through the outer-step slow
-    /// correction (see `liair-md::mts`).
+    /// The exchange-free member of a functional's family: hybrids drop
+    /// their exact-exchange share (PBE0 → PBE), pure Hartree–Fock falls
+    /// back to LDA, and functionals with no exact exchange are their own.
+    /// It names a surrogate's family only: the fast (inner) forces of
+    /// r-RESPA multiple time stepping (`liair-md`'s `XcForces`) are
+    /// RKS-LDA whatever the target, because LDA is the functional whose
+    /// SCF energy here is self-consistent and so has an analytic gradient
+    /// (PBE is evaluated post-SCF only). The expensive HFX part enters
+    /// only through the outer-step slow correction (see `liair-md::mts`).
     pub fn mts_fast(self) -> Functional {
         match self {
             Functional::Hf => Functional::Lda,
