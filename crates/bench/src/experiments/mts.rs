@@ -4,9 +4,9 @@
 //! reuse counters. Two tiers (see EXPERIMENTS.md):
 //!
 //! * `h2-bomd` — genuinely ab initio r-RESPA BOMD: the LDA surrogate SCF
-//!   as the fast force ([`XcForces`]), the grid-exchange SCF with
-//!   per-FD-slot incremental caches as the outer full force
-//!   ([`IncrementalGridForces`] via [`HfxDeltaForces`]). All-electron
+//!   as the fast force ([`XcForces`]), the grid-exchange SCF with one warm
+//!   incremental cache as the outer full force ([`IncrementalGridForces`]
+//!   via [`HfxDeltaForces`]), both analytic gradients. All-electron
 //!   grid SCF converges only for hydrogenic systems (DESIGN.md), so this
 //!   tier runs the smallest real molecule end to end.
 //! * `box-li2o2` / `complex-pc` — the `liair-basis::systems` electrolyte

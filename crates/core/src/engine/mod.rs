@@ -12,10 +12,12 @@
 //! 2. **execute** — an [`ExecBackend`]: serial, rayon, or message-passing
 //!    over `liair-runtime` ranks, all running the *identical* per-pair
 //!    kernel: one Poisson problem per pair, contracted to `−w (ij|ij)`
-//!    for the energy or projected on the AOs (`2·nao` words) for K;
+//!    for the energy or projected on the AOs and their gradients
+//!    (`8·nao` words) for K;
 //! 3. **accumulate** — per-pair outputs reassembled in canonical
 //!    pair-list order and summed sequentially (the energy, or K's
-//!    `B = K C` before the ACE assembly of `engine::kpath`) — so every
+//!    `B = K C` and exchange gradient before the ACE assembly of
+//!    `engine::kpath`) — so every
 //!    backend produces the same floating-point sequence, which is what
 //!    makes the cross-backend equivalence suite exact rather than
 //!    tolerance-based.
@@ -158,7 +160,7 @@ impl HfxScratch {
 
 /// What a pair item computes: the energy path's weighted `−w (ij|ij)`
 /// over these orbital fields (one word per pair), or the K path's AO
-/// projections over this build's orbitals (`2·nao` words per pair, see
+/// projections over this build's orbitals (`8·nao` words per pair, see
 /// `engine::kpath`).
 pub(crate) enum PairWork<'s> {
     Energy(&'s [Vec<f64>]),
@@ -262,7 +264,7 @@ impl<'a> ExchangeEngine<'a> {
     /// reassembly that is what makes the backends bit-identical. The
     /// energy paths run two-pair chunks (`width` 2 — a scheduling grain
     /// only: what a rank is assigned, streams and steals), the K path one
-    /// pair per `2·nao`-word item.
+    /// pair per `8·nao`-word item.
     fn execute<S, I, F>(
         &self,
         nitems: usize,
@@ -345,7 +347,7 @@ impl<'a> ExchangeEngine<'a> {
             }
             PairWork::Operator(setup) => self.execute(
                 pairs.len(),
-                2 * setup.nao(),
+                kpath::k_item_width(setup.nao()),
                 HfxScratch::default,
                 kpath::k_pair_item(self.grid, solver, setup, pairs),
                 profile,
@@ -585,7 +587,7 @@ mod tests {
         let on_grid = kpath::BasisOnGrid::new(&basis, &kgrid);
         let setup = kpath::k_build_setup(&on_grid, &c_occ, 4, 0.0);
         let kpairs = setup.pairs(0.0);
-        let width = 2 * setup.nao();
+        let width = kpath::k_item_width(setup.nao());
         let items = |e: &ExchangeEngine, slice: &[Pair]| {
             e.pair_contribs(
                 PairWork::Operator(&setup),

@@ -10,8 +10,9 @@
 //!
 //! [`IncrementalExchange`] keeps one cache keyed by orbital pair `(i, j)`.
 //! Each entry is the pair's execute-stage output: the weighted energy
-//! contribution `−w_ij (ij|ij)` (one word) for an energy build, the AO
-//! projections of `ψ_j v_ij` and `ψ_i v_ij` (`2·nao` words) for a K build.
+//! contribution `−w_ij (ij|ij)` (one word) for an energy build, the
+//! projections of `ψ_j v_ij` and `ψ_i v_ij` onto the AOs and their
+//! gradients (`8·nao` words) for a K build.
 //! Both builds run one routine — classify every pair, recompute the dirty
 //! ones as one slice through the engine, install them — and then reduce
 //! the cached entries in canonical pair order: summed for the energy,
@@ -45,7 +46,7 @@
 //! `eps_inc = 0` disables reuse entirely: every pair is dirty and the
 //! build is exactly the from-scratch one (bit-identical — property-tested).
 
-use crate::engine::kpath::{ace_operator, k_build_setup};
+use crate::engine::kpath::{ace_operator, k_build_setup, k_item_width};
 use crate::engine::{
     BasisOnGrid, BuildProfile, ExchangeEngine, ExecBackend, KBuildOutcome, PairWork,
 };
@@ -193,7 +194,7 @@ struct CacheKey {
     dims: (usize, usize, usize),
     norb: usize,
     eps_screen: f64,
-    /// Words per entry: 1 for an energy build, `2·nao` for a K build.
+    /// Words per entry: 1 for an energy build, `8·nao` for a K build.
     width: usize,
 }
 
@@ -364,10 +365,10 @@ impl IncrementalExchange {
     /// Incremental twin of [`ExchangeEngine::k_operator`]: the pair items
     /// of clean pairs come from the cache, dirty pairs re-run their
     /// Poisson solves (parallel over the dirty pairs only), and the ACE
-    /// operator is assembled from all of them in canonical pair order,
-    /// with each orbital's coefficients as of its last recompute.
-    /// With `eps_inc = 0` the result is bit-identical to the from-scratch
-    /// build. `fields` is the basis on the cache's grid, `solver` that
+    /// operator and the exchange gradient are assembled from all of them
+    /// in canonical pair order, with each orbital's coefficients as of its
+    /// last recompute. With `eps_inc = 0` the result is bit-identical to
+    /// the from-scratch build. `fields` is the basis on the cache's grid, `solver` that
     /// grid's Poisson solver.
     ///
     /// The profile splits the build's `nocc(nocc+1)/2` candidate pairs
@@ -392,7 +393,7 @@ impl IncrementalExchange {
             dims: grid.dims,
             norb: nocc,
             eps_screen: eps,
-            width: 2 * setup.nao(),
+            width: k_item_width(setup.nao()),
         };
         let engine = self.engine(grid, solver);
         let mut profile = self.refresh(key, &pairs, |dirty, flipped, profile| {
@@ -413,8 +414,7 @@ impl IncrementalExchange {
         }
         let cache = self.cache.as_ref().expect("refresh installs the cache");
         let items = pairs.pairs.iter().map(|p| cache.entry(p));
-        let k = ace_operator(&self.k_coeffs, &pairs, items, &mut profile)?;
-        Ok(KBuildOutcome { k, profile })
+        ace_operator(fields, &self.k_coeffs, &pairs, items, profile)
     }
 
     /// The one routine under both builds, on the fingerprints of the

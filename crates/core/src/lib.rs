@@ -39,8 +39,10 @@
 //! this crate: it is `liair_scf::ScfSession::with_exchange` with a closure
 //! over [`IncrementalExchange::exchange_operator`] that doubles its
 //! `Σ_j (μj|jν)` (exact on the occupied space) into the session's `K(D)`
-//! convention (`liair-md`'s
-//! `IncrementalGridForces` runs one per finite-difference slot).
+//! convention. Its nuclear gradient is the session's, with the exchange
+//! term from one more K build at the converged orbitals
+//! ([`KBuildOutcome::gradient`]): `liair-md`'s `IncrementalGridForces`
+//! runs one SCF and one such build per force.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code

@@ -1,6 +1,7 @@
 //! Cross-driver equivalence suite for the staged [`ExchangeEngine`]: every
 //! execution backend (serial, rayon, message-passing `Comm`) must produce
-//! **bit-identical** energies and K matrices, and the incremental driver
+//! **bit-identical** energies, K matrices and exchange gradients (also
+//! across rayon thread counts), and the incremental driver
 //! with `eps_inc = 0` must reproduce the from-scratch build exactly. The
 //! distributed backend must additionally hold the guarantee *under
 //! injected faults* — dropped, delayed, duplicated messages and stalled
@@ -16,7 +17,7 @@ use liair_core::engine::BuildProfile;
 use liair_core::screening::{source_pairs, OrbitalInfo, PairList};
 use liair_core::{
     BalanceStrategy, BasisOnGrid, Error, ExchangeEngine, ExecBackend, FaultPlan,
-    IncrementalExchange,
+    IncrementalExchange, KBuildOutcome,
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
@@ -299,11 +300,62 @@ fn k_operator_bit_identical_across_backends() {
         let rayon = build(ExecBackend::Rayon);
         let d = rayon.k.sub(&serial.k).fro_norm();
         assert_eq!(d, 0.0, "serial vs rayon K differ: {d:e}");
+        assert_eq!(
+            gradient_bits(&rayon),
+            gradient_bits(&serial),
+            "rayon gradient"
+        );
 
         for nranks in [1, 3] {
             let out = build(comm(nranks, BalanceStrategy::RoundRobin));
             let d = out.k.sub(&serial.k).fro_norm();
             assert_eq!(d, 0.0, "serial vs comm(nranks={nranks}) K differ: {d:e}");
+            assert_eq!(
+                gradient_bits(&out),
+                gradient_bits(&serial),
+                "comm({nranks}) gradient"
+            );
+        }
+    }
+}
+
+/// The bits of a K build's exchange gradient.
+fn gradient_bits(out: &KBuildOutcome) -> Vec<u64> {
+    out.gradient
+        .iter()
+        .flat_map(|g| [g.x, g.y, g.z])
+        .map(f64::to_bits)
+        .collect()
+}
+
+#[test]
+fn k_operator_bits_do_not_depend_on_thread_count() {
+    // The rayon build on 1–4 threads: K and its exchange gradient keep
+    // their bits (each pair item is serial and the assembly runs in
+    // canonical pair order), on H₂ and on the ten pairs of the H chain.
+    for (basis, c_occ, nocc, grid, solver) in [&h2_setup(), &h_chain(0.0)] {
+        let on_grid = BasisOnGrid::new(basis, grid);
+        let on = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| {
+                    ExchangeEngine::new(grid, solver)
+                        .k_operator(&on_grid, c_occ, *nocc, 0.0)
+                        .expect("fault-free build")
+                })
+        };
+        let one = on(1);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in 2..=4 {
+            let out = on(threads);
+            assert_eq!(bits(&out.k), bits(&one.k), "{threads} threads: K");
+            assert_eq!(
+                gradient_bits(&out),
+                gradient_bits(&one),
+                "{threads} threads: gradient"
+            );
         }
     }
 }
@@ -386,6 +438,11 @@ fn incremental_eps0_k_bit_identical() {
         out.k.sub(&reference.k).fro_norm(),
         0.0,
         "incremental eps_inc=0 K differs"
+    );
+    assert_eq!(
+        gradient_bits(&out),
+        gradient_bits(&reference),
+        "incremental eps_inc=0 gradient differs"
     );
 }
 

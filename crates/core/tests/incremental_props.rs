@@ -1,7 +1,7 @@
 //! Property tests of the incremental-exchange contract:
 //!
-//! * `eps_inc = 0` disables reuse, and the resulting K build is
-//!   **bit-identical** to the from-scratch
+//! * `eps_inc = 0` disables reuse, and the resulting K build (operator
+//!   and exchange gradient) is **bit-identical** to the from-scratch
 //!   `ExchangeEngine::k_operator` (same per-pair kernel, same
 //!   canonical-order ACE assembly);
 //! * the energy error of a stale-cache rebuild is **monotone** in
@@ -53,7 +53,7 @@ proptest! {
         let reference = ExchangeEngine::new(&grid, &solver)
             .k_operator(&on_grid, &scf.c, scf.nocc, eps)
             .expect("fault-free build");
-        let (k_ref, p_ref) = (reference.k, reference.profile);
+        let (k_ref, g_ref, p_ref) = (reference.k, reference.gradient, reference.profile);
         let mut inc = IncrementalExchange::new(0.0, 0);
         if prime_idx == 1 {
             // A warm cache from another geometry must not leak through.
@@ -68,6 +68,9 @@ proptest! {
             .exchange_operator(&on_grid, &scf.c, scf.nocc, &solver, eps)
             .expect("fault-free build");
         let k_inc = out.k;
+        for (a, b) in out.gradient.iter().zip(&g_ref) {
+            prop_assert!((0..3).all(|k| a[k].to_bits() == b[k].to_bits()), "gradient {:?} vs {:?}", a, b);
+        }
         prop_assert_eq!(out.profile.pairs_computed, p_ref.pairs_computed);
         prop_assert_eq!(out.profile.pairs_screened, p_ref.pairs_screened);
         prop_assert_eq!(out.profile.pairs_reused, 0);

@@ -28,7 +28,7 @@ pub use localize::{foster_boys, Localization};
 pub use molgrid::MolGrid;
 pub use orbital::{
     ao_gradients_into, ao_values, ao_values_at_points, density_from_aos, density_on_grid,
-    orbitals_from_aos, orbitals_on_grid,
+    orbitals_from_aos, orbitals_on_grid, SeparableAos,
 };
 pub use patch::{isolated_patch_solver, patch_pair_energy_ws, Patch, PatchScratch};
 pub use poisson::{CoulombKernel, KernelTimings, PoissonSolver, PoissonWorkspace};

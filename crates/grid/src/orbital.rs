@@ -12,66 +12,149 @@ use liair_math::{simd, Mat};
 use rayon::prelude::*;
 
 /// Evaluate every AO at every grid point; returns `nao` fields of
-/// `grid.len()` values each.
-///
-/// Collocation is a tensor product: on an orthorhombic grid a Cartesian
-/// Gaussian primitive factors per axis, `x^lx e^{−αx²}·y^ly e^{−αy²}·
-/// z^lz e^{−αz²}`, with each axis displacement the minimum image that
-/// [`liair_basis::Cell::min_image`] takes. Each AO builds one table per
-/// primitive and axis (`nx + ny + nz` exponentials per primitive, not one
-/// per grid point) and streams `Σ_prim c·gx[ix]·gy[iy]·gz[iz]` along the
-/// contiguous z rows. The values differ from the per-point form
-/// `(x^lx y^ly z^lz)·Σ c e^{−αr²}` only by rounding: the bound is 1e-14 of
-/// the field's largest magnitude, and the test cases (STO-3G and 6-31G,
-/// periodic wrap, non-cubic cells) stay below 2.2·`f64::EPSILON` of it
-/// (`tests::separable_collocation_matches_per_point_oracle`).
+/// `grid.len()` values each: [`SeparableAos::values`].
 pub fn ao_values(basis: &Basis, grid: &RealGrid) -> Vec<Vec<f64>> {
-    let (nx, ny, nz) = grid.dims;
-    let h = grid.spacing();
-    let lengths = grid.cell.lengths;
-    cartesian_aos(basis)
-        .par_iter()
-        .map(|(sh, powers)| {
-            let coefs = sh.normalized_coefs(*powers);
-            let nprim = sh.prims.len();
-            // Per axis, the minimum-image displacement of each grid plane
-            // from the shell center, then one `d^l e^{−αd²}` row per
-            // primitive (the coefficient folded into x's).
-            let axis = |n: usize, k: usize, l: usize| -> Vec<f64> {
-                let disp: Vec<f64> = (0..n)
-                    .map(|i| {
-                        let mut d = i as f64 * h[k] - sh.center[k];
-                        d -= lengths[k] * (d / lengths[k]).round();
-                        d
-                    })
-                    .collect();
-                let mut t = Vec::with_capacity(nprim * n);
-                for p in &sh.prims {
-                    t.extend(
-                        disp.iter()
-                            .map(|&d| d.powi(l as i32) * (-p.exp * d * d).exp()),
-                    );
+    SeparableAos::new(basis, grid).values()
+}
+
+/// A basis on a uniform grid in factored form. On an orthorhombic grid a
+/// Cartesian Gaussian primitive factors per axis, `x^lx e^{−αx²}·
+/// y^ly e^{−αy²}·z^lz e^{−αz²}`, with each axis displacement the minimum
+/// image that [`liair_basis::Cell::min_image`] takes. Per AO, primitive
+/// and axis this holds the value row `d^l e^{−αd²}` and the derivative
+/// row `(l d^{l−1} − 2α d^{l+1}) e^{−αd²}` over the grid planes, the
+/// contraction coefficient folded into both x rows: `nx + ny + nz`
+/// exponentials per primitive, not one per grid point.
+pub struct SeparableAos {
+    dims: (usize, usize, usize),
+    aos: Vec<AxisRows>,
+}
+
+/// One AO's rows: per axis `k`, `nprim` value (`val[k]`) and derivative
+/// (`der[k]`) rows of `n_k` entries, primitive-major.
+struct AxisRows {
+    nprim: usize,
+    val: [Vec<f64>; 3],
+    der: [Vec<f64>; 3],
+}
+
+impl SeparableAos {
+    /// The factored AOs of `basis` (in the grid's box frame) on `grid`.
+    pub fn new(basis: &Basis, grid: &RealGrid) -> Self {
+        let (nx, ny, nz) = grid.dims;
+        let h = grid.spacing();
+        let lengths = grid.cell.lengths;
+        let aos = cartesian_aos(basis)
+            .par_iter()
+            .map(|(sh, powers)| {
+                let coefs = sh.normalized_coefs(*powers);
+                let axis = |n: usize, k: usize, l: usize| -> (Vec<f64>, Vec<f64>) {
+                    let disp: Vec<f64> = (0..n)
+                        .map(|i| {
+                            let mut d = i as f64 * h[k] - sh.center[k];
+                            d -= lengths[k] * (d / lengths[k]).round();
+                            d
+                        })
+                        .collect();
+                    let (mut val, mut der) = (Vec::new(), Vec::new());
+                    for p in &sh.prims {
+                        for &d in &disp {
+                            let e = (-p.exp * d * d).exp();
+                            let lower = if l > 0 {
+                                l as f64 * d.powi(l as i32 - 1)
+                            } else {
+                                0.0
+                            };
+                            val.push(d.powi(l as i32) * e);
+                            der.push((lower - 2.0 * p.exp * d.powi(l as i32 + 1)) * e);
+                        }
+                    }
+                    (val, der)
+                };
+                let (mut vx, mut dx) = axis(nx, 0, powers.0);
+                for (rows, &c) in vx.chunks_mut(nx).zip(dx.chunks_mut(nx)).zip(&coefs) {
+                    let (v, d) = rows;
+                    v.iter_mut().for_each(|x| *x *= c);
+                    d.iter_mut().for_each(|x| *x *= c);
                 }
-                t
-            };
-            let mut gx = axis(nx, 0, powers.0);
-            for (row, &c) in gx.chunks_mut(nx).zip(&coefs) {
-                row.iter_mut().for_each(|v| *v *= c);
-            }
-            let gy = axis(ny, 1, powers.1);
-            let gz = axis(nz, 2, powers.2);
-            let mut out = vec![0.0; grid.len()];
-            for (ix, plane) in out.chunks_mut(ny * nz).enumerate() {
-                for (iy, row) in plane.chunks_mut(nz).enumerate() {
-                    for p in 0..nprim {
-                        let s = gx[p * nx + ix] * gy[p * ny + iy];
-                        simd::axpy(row, s, &gz[p * nz..(p + 1) * nz]);
+                let (vy, dy) = axis(ny, 1, powers.1);
+                let (vz, dz) = axis(nz, 2, powers.2);
+                AxisRows {
+                    nprim: sh.prims.len(),
+                    val: [vx, vy, vz],
+                    der: [dx, dy, dz],
+                }
+            })
+            .collect();
+        SeparableAos {
+            dims: grid.dims,
+            aos,
+        }
+    }
+
+    /// Every AO's field on the grid, streaming `Σ_prim x·y·z` along the
+    /// contiguous z rows. The values differ from the per-point form
+    /// `(x^lx y^ly z^lz)·Σ c e^{−αr²}` only by rounding: the bound is
+    /// 1e-14 of the field's largest magnitude, and the test cases
+    /// (STO-3G and 6-31G, periodic wrap, non-cubic cells) stay below
+    /// 2.2·`f64::EPSILON` of it
+    /// (`tests::separable_collocation_matches_per_point_oracle`).
+    pub fn values(&self) -> Vec<Vec<f64>> {
+        let (nx, ny, nz) = self.dims;
+        self.aos
+            .par_iter()
+            .map(|ao| {
+                let [gx, gy, gz] = &ao.val;
+                let mut out = vec![0.0; nx * ny * nz];
+                for (ix, plane) in out.chunks_mut(ny * nz).enumerate() {
+                    for (iy, row) in plane.chunks_mut(nz).enumerate() {
+                        for p in 0..ao.nprim {
+                            let s = gx[p * nx + ix] * gy[p * ny + iy];
+                            simd::axpy(row, s, &gz[p * nz..(p + 1) * nz]);
+                        }
                     }
                 }
+                out
+            })
+            .collect()
+    }
+
+    /// `out[3μ + k] = Σ_p ∂_k χ_μ(r_p) f(r_p)` for every AO `μ` and axis
+    /// `k`, the field's projections onto the AO gradients (no volume
+    /// element). Each primitive contracts `f` with its z rows first, then
+    /// y, then x, so no gradient field is formed. Serial, with a fixed
+    /// summation order: the bits depend on `f` alone.
+    pub fn gradient_projections(&self, f: &[f64], out: &mut [f64]) {
+        let (nx, ny, nz) = self.dims;
+        assert_eq!(f.len(), nx * ny * nz);
+        assert_eq!(out.len(), 3 * self.aos.len());
+        for (ao, o) in self.aos.iter().zip(out.chunks_exact_mut(3)) {
+            let mut g = [0.0; 3];
+            for p in 0..ao.nprim {
+                let [gx, gy, gz] =
+                    [(0, nx), (1, ny), (2, nz)].map(|(k, n)| &ao.val[k][p * n..][..n]);
+                let [dgx, dgy, dgz] =
+                    [(0, nx), (1, ny), (2, nz)].map(|(k, n)| &ao.der[k][p * n..][..n]);
+                for (ix, plane) in f.chunks_exact(ny * nz).enumerate() {
+                    let (mut sy, mut sdy, mut sdz) = (0.0, 0.0, 0.0);
+                    for (iy, line) in plane.chunks_exact(nz).enumerate() {
+                        let (mut a, mut b) = (0.0, 0.0);
+                        for ((&v, &z), &dz) in line.iter().zip(gz).zip(dgz) {
+                            a += v * z;
+                            b += v * dz;
+                        }
+                        sy += gy[iy] * a;
+                        sdy += dgy[iy] * a;
+                        sdz += gy[iy] * b;
+                    }
+                    g[0] += dgx[ix] * sy;
+                    g[1] += gx[ix] * sdy;
+                    g[2] += gx[ix] * sdz;
+                }
             }
-            out
-        })
-        .collect()
+            o.copy_from_slice(&g);
+        }
+    }
 }
 
 /// Evaluate MO columns `0..nmo` of the coefficient matrix `c`
@@ -353,6 +436,44 @@ mod tests {
                     err <= 1e-14 * scale,
                     "case {case} AO {mu}: {err:e} of {scale:e}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_projections_match_the_per_point_gradients() {
+        // Σ_p ∇χ_μ(p) f(p) from the factored rows against the per-point
+        // AO gradient at each minimum-image displacement, on a field with
+        // no structure to hide an axis mix-up; periodic wrap included.
+        let l = 10.0;
+        let mut straddling = systems::water();
+        let o = straddling.atoms[0].pos;
+        straddling.translate(Vec3::new(0.3, l / 2.0, l / 2.0) - o);
+        let grid = RealGrid::new(Cell::orthorhombic(l, 11.0, 12.0), (16, 18, 20));
+        let mut rng = liair_math::rng::SplitMix64::new(7);
+        let f: Vec<f64> = (0..grid.len()).map(|_| rng.next_f64() - 0.5).collect();
+        for basis in [
+            Basis::sto3g(&centered_in_box(systems::lih(), l)),
+            Basis::sto3g(&straddling),
+        ] {
+            let mut got = vec![0.0; 3 * basis.nao()];
+            SeparableAos::new(&basis, &grid).gradient_projections(&f, &mut got);
+            for (mu, (sh, powers)) in cartesian_aos(&basis).into_iter().enumerate() {
+                let coefs = sh.normalized_coefs(powers);
+                let (mut want, mut scale) = (Vec3::ZERO, 0.0);
+                for (p, &v) in f.iter().enumerate() {
+                    let at = sh.center + grid.cell.min_image(sh.center, grid.point_flat(p));
+                    let g = ao_value_and_gradient(sh, &coefs, powers, at).1;
+                    want += g * v;
+                    scale += g.norm() * v.abs();
+                }
+                for k in 0..3 {
+                    let err = (got[3 * mu + k] - want[k]).abs();
+                    assert!(
+                        err <= 1e-13 * scale,
+                        "AO {mu} axis {k}: {err:e} of {scale:e}"
+                    );
+                }
             }
         }
     }

@@ -20,9 +20,8 @@
 //! * [`qmforce`] — the quantum force providers of hybrid-functional
 //!   Born–Oppenheimer MTS: the exchange-free [`XcForces`] (fast), the
 //!   grid-exchange [`IncrementalGridForces`] (full), and their
-//!   [`HfxDeltaForces`] split. The fast force is the analytic gradient of
-//!   one RKS-LDA SCF; the full force is a central finite difference of the
-//!   grid SCF's energy.
+//!   [`HfxDeltaForces`] split. Each force is the analytic gradient of one
+//!   SCF: RKS-LDA for the fast one, the grid-exchange RHF for the full one.
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code

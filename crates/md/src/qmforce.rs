@@ -4,20 +4,18 @@
 //! * [`XcForces`] — the exchange-free LDA/GGA surrogate, paid every inner
 //!   step;
 //! * [`IncrementalGridForces`] — the grid-exchange SCF with one
-//!   incremental-exchange cache per finite-difference slot, paid every
-//!   outer step;
+//!   incremental-exchange cache, paid every outer step;
 //! * [`HfxDeltaForces`] — their difference as the integrator's slow force.
 //!
-//! The fast force is analytic: one RKS-LDA SCF and its nuclear gradient
-//! (`ScfSession::gradient`), from the grid, AO values, J builder and
-//! orbitals the converged session holds. The full force is a central
-//! finite difference of the grid-exchange SCF energy, at 6N+1 energy
-//! evaluations per geometry, amortized by the outer step and by the
-//! incremental caches, as in the MTS treatment of hybrid functionals.
+//! Both forces are analytic: one SCF and its nuclear gradient
+//! (`ScfSession::gradient`) per geometry, from what the converged session
+//! holds. The grid SCF's exchange term comes from one more K build at the
+//! converged orbitals, whose pair items carry the projections onto the AO
+//! gradients (clean pairs are read from the cache).
 //!
-//! The settings are constants: a displacement of 1e-2 Bohr, screening at
-//! ε = 1e-4, and `ScfOptions::default()` for both SCFs. The grid SCF is an
-//! `ScfSession::with_exchange` whose K is the slot's
+//! The settings are constants: screening at ε = 1e-4 and
+//! `ScfOptions::default()` for both SCFs. The grid SCF is an
+//! `ScfSession::with_exchange` whose K is the cache's
 //! `IncrementalExchange::exchange_operator`, so it has the session's DIIS
 //! and convergence test and builds the analytic J alone. The AO fields it
 //! contracts are evaluated once per geometry, by tensor-product
@@ -33,138 +31,106 @@ use liair_basis::{Basis, Cell, Molecule};
 use liair_core::{BasisOnGrid, IncSchedule, IncrementalExchange};
 use liair_math::{Mat, Vec3};
 use liair_scf::{Method, ScfOptions, ScfSession};
+use std::cell::RefCell;
 
-/// Finite-difference displacement of [`IncrementalGridForces`] (Bohr).
-const GRID_FD_STEP: f64 = 1e-2;
 /// Pair-screening threshold of [`IncrementalGridForces`]' grid SCF (also
 /// turns on localization).
 const GRID_EPS: f64 = 1e-4;
 
-/// Born–Oppenheimer forces from the *grid-exchange* SCF with an
-/// incremental-exchange cache per finite-difference slot — the MD setting
-/// the incremental scheme is built for: between consecutive steps (and
-/// between the `±h` displacements of one step) the localized orbitals
-/// barely move, so most pair-Poisson solves are replaced by cache hits.
+/// Born–Oppenheimer forces from the *grid-exchange* SCF with one
+/// incremental-exchange cache — the MD setting the incremental scheme is
+/// built for: between consecutive steps the localized orbitals barely
+/// move, so most pair-Poisson solves are replaced by cache hits.
 ///
 /// The box frame is **fixed at the first call** (molecule centered once,
 /// never re-centered): a drifting frame would move every orbital field in
-/// grid coordinates and defeat the fingerprint comparison. Each of the
-/// `6N + 1` energy evaluations per step owns its own
-/// [`liair_core::IncrementalExchange`] and warm-starts from its previous
-/// converged orbitals, so slot `k` of step `t + 1` diffs against slot `k`
-/// of step `t`.
+/// grid coordinates and defeat the fingerprint comparison. Each call
+/// warm-starts from the previous call's converged orbitals, and its K
+/// builds diff against the previous call's cache.
 pub struct IncrementalGridForces {
     /// Grid points per axis.
     pub n: usize,
     /// Fixed cubic box edge (Bohr); must contain the trajectory.
     pub edge: f64,
-    /// Reuse tolerance and rebuild cadence each slot's cache is built with.
-    inc_schedule: IncSchedule,
     state: std::sync::Mutex<IncGridState>,
 }
 
 struct IncGridState {
     /// `(shift, grid, solver)` frozen at the first call.
     frame: Option<(Vec3, liair_grid::RealGrid, liair_grid::PoissonSolver)>,
-    /// One cache + warm-start orbitals per FD slot (slot 0 = undisplaced).
-    slots: Vec<(IncrementalExchange, Option<Mat>)>,
+    inc: IncrementalExchange,
+    /// The previous call's converged orbitals.
+    guess: Option<Mat>,
 }
 
 impl IncrementalGridForces {
     /// A provider with the given grid/box and reuse settings.
     pub fn new(n: usize, edge: f64, inc_schedule: IncSchedule) -> Self {
+        let IncSchedule {
+            eps_inc,
+            rebuild_every,
+        } = inc_schedule;
         Self {
             n,
             edge,
-            inc_schedule,
             state: std::sync::Mutex::new(IncGridState {
                 frame: None,
-                slots: Vec::new(),
+                inc: IncrementalExchange::new(eps_inc, rebuild_every),
+                guess: None,
             }),
         }
     }
 
-    /// Cumulative reuse counters over every slot since construction.
+    /// Cumulative reuse counters of the cache since construction.
     pub fn reuse_totals(&self) -> liair_core::IncStats {
-        let st = self.state.lock().unwrap();
-        let mut t = liair_core::IncStats::default();
-        for (inc, _) in &st.slots {
-            t.accumulate(&inc.totals);
-        }
-        t
-    }
-
-    /// One grid SCF in the fixed frame using (and updating) slot `slot`:
-    /// an RHF session whose K is the slot cache's grid operator, started
-    /// from the slot's previous orbitals. The AO fields live as long as
-    /// the SCF: a slot keeps none between calls.
-    fn slot_energy(&self, st: &mut IncGridState, mol_c: &Molecule, slot: usize) -> f64 {
-        let (_, grid, solver) = st.frame.as_ref().unwrap();
-        let (inc, guess) = &mut st.slots[slot];
-        let basis = Basis::sto3g(mol_c);
-        let on_grid = BasisOnGrid::new(&basis, grid);
-        let nocc = mol_c.nocc();
-        // The grid builds Σ_j (μj|jν); the session's K(D) is twice that.
-        let mut exchange = |c_occ: &Mat| {
-            inc.exchange_operator(&on_grid, c_occ, nocc, solver, GRID_EPS)
-                .expect(
-                    "the rayon backend has no messages to lose, and the occupied \
-                     exchange matrix of real orbitals is positive",
-                )
-                .k
-                .scale(2.0)
-        };
-        let opts = ScfOptions::default();
-        let r = ScfSession::with_exchange(mol_c, &basis, &opts, &mut exchange, guess.as_ref())
-            .run_to_completion();
-        assert!(r.converged, "grid SCF failed for {}", mol_c.formula());
-        *guess = Some(r.c);
-        r.energy
+        self.state.lock().unwrap().inc.totals
     }
 }
 
 impl ForceProvider for IncrementalGridForces {
+    /// One grid SCF in the fixed frame, an RHF session whose K is the
+    /// cache's grid operator, then one more K build at its converged
+    /// orbitals for the exchange term of its gradient. The AO fields live
+    /// as long as the call.
     fn compute(&self, mol: &Molecule, _cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        let mut st = self.state.lock().unwrap();
-        if st.frame.is_none() {
-            let shift = Vec3::splat(self.edge / 2.0) - mol.centroid();
+        let mut guard = self.state.lock().unwrap();
+        let IncGridState { frame, inc, guess } = &mut *guard;
+        let (shift, grid, solver) = frame.get_or_insert_with(|| {
             let grid = liair_grid::RealGrid::cubic(Cell::cubic(self.edge), self.n);
             let solver = liair_grid::PoissonSolver::isolated(grid);
-            st.frame = Some((shift, grid, solver));
-        }
-        let nslots = 1 + 6 * mol.natoms();
-        if st.slots.len() != nslots {
-            let IncSchedule {
-                eps_inc,
-                rebuild_every,
-            } = self.inc_schedule;
-            st.slots = (0..nslots)
-                .map(|_| (IncrementalExchange::new(eps_inc, rebuild_every), None))
-                .collect();
-        }
-        let shift = st.frame.as_ref().unwrap().0;
+            (Vec3::splat(self.edge / 2.0) - mol.centroid(), grid, solver)
+        });
         let mut mol_c = mol.clone();
-        mol_c.translate(shift);
-
-        let e0 = self.slot_energy(&mut st, &mol_c, 0);
-        // Sequential FD loop: each displaced geometry diffs against the
-        // *same* displacement of the previous step, where almost nothing
-        // moved — the incremental caches turn most of the 6N extra SCFs
-        // into cache-dominated reruns.
-        let mut forces = vec![Vec3::ZERO; mol.natoms()];
-        for atom in 0..mol.natoms() {
-            for axis in 0..3 {
-                let mut ep_em = [0.0; 2];
-                for (sign, e) in ep_em.iter_mut().enumerate() {
-                    let mut m = mol_c.clone();
-                    m.atoms[atom].pos[axis] += [GRID_FD_STEP, -GRID_FD_STEP][sign];
-                    let slot = 1 + atom * 6 + axis * 2 + sign;
-                    *e = self.slot_energy(&mut st, &m, slot);
-                }
-                forces[atom][axis] = -(ep_em[0] - ep_em[1]) / (2.0 * GRID_FD_STEP);
-            }
-        }
-        (e0, forces)
+        mol_c.translate(*shift);
+        let basis = Basis::sto3g(&mol_c);
+        let on_grid = BasisOnGrid::new(&basis, grid);
+        let nocc = mol_c.nocc();
+        let inc = RefCell::new(inc);
+        let k_build = |c_occ: &Mat| {
+            inc.borrow_mut()
+                .exchange_operator(&on_grid, c_occ, nocc, solver, GRID_EPS)
+                .expect(
+                    "the rayon backend has no messages to lose, and the occupied \
+                     exchange matrix of real orbitals is positive",
+                )
+        };
+        // The grid builds Σ_j (μj|jν); the session's K(D) is twice that.
+        let mut exchange = |c_occ: &Mat| k_build(c_occ).k.scale(2.0);
+        let opts = ScfOptions::default();
+        // Another molecule's orbitals are no guess.
+        let start = guess.as_ref().filter(|c| c.nrows() == basis.nao());
+        let mut scf = ScfSession::with_exchange(&mol_c, &basis, &opts, &mut exchange, start);
+        while scf.step() {}
+        assert!(scf.converged(), "grid SCF failed for {}", mol_c.formula());
+        let exchange_term = k_build(&scf.occupied_orbitals()).gradient;
+        let forces = scf
+            .gradient(Some(&exchange_term))
+            .into_iter()
+            .map(|g| -g)
+            .collect();
+        let energy = scf.energy();
+        *guess = Some(scf.into_result().c);
+        (energy, forces)
     }
 }
 
@@ -205,18 +171,18 @@ impl ForceProvider for XcForces {
             "fast-force SCF failed for {}",
             mol.formula()
         );
-        let forces = scf.gradient().into_iter().map(|g| -g).collect();
+        let forces = scf.gradient(None).into_iter().map(|g| -g).collect();
         (scf.energy(), forces)
     }
 }
 
 /// The r-RESPA force split for hybrid-functional MD: `fast` is the
 /// exchange-free surrogate ([`XcForces`]), `full` is the grid-exchange
-/// SCF with per-slot incremental caches ([`IncrementalGridForces`]), and
+/// SCF with its incremental cache ([`IncrementalGridForces`]), and
 /// the slow correction is their difference at the outer geometry —
 /// reusing the fast result the integrator just computed, so one outer
 /// step pays exactly one full evaluation. Consecutive outer steps
-/// warm-start the same incremental caches, and
+/// warm-start the same incremental cache, and
 /// [`SplitForceProvider::reuse_totals`] exposes the counters for the
 /// trajectory log.
 pub struct HfxDeltaForces {
@@ -291,11 +257,10 @@ mod tests {
         // Stretched H₂ on the benchmark's 24³ grid in a 12 Bohr box. The
         // bits were recorded on x86-64 Linux; 1e-14 relative leaves room
         // only for another platform's FFT twiddles (its `sin`/`cos`). The
-        // ACE operator replaced the (j, ν) column build's 0xbff1ca71fc160efe
-        // and 0xbfb2002db82ac360: the energy moved by 8e-15 relative, the
-        // force by 7.8e-10, under half of what reusing cached K data costs
-        // the force at this tolerance (eps_inc 1e-4 against 0, 1.7e-9 and
-        // 1.8e-9 relative in the two builds).
+        // energy is the one the 6N+1-point central difference pinned (its
+        // K items' AO words did not change). The analytic force moved from
+        // that difference's 0xbfb2002db866cc20 (−7.031522514e-2) by
+        // −1.952e-5 Ha/Bohr: the difference's O(h²) truncation at h = 1e-2.
         let mut mol = systems::h2();
         mol.atoms[1].pos.x = 1.5;
         let provider =
@@ -303,7 +268,7 @@ mod tests {
         let (e, f) = provider.compute(&mol, None);
         for (got, want) in [
             (e, f64::from_bits(0xbff1_ca71_fc16_0ed6)),
-            (f[1].x, f64::from_bits(0xbfb2_002d_b866_cc20)),
+            (f[1].x, f64::from_bits(0xbfb2_0175_3418_b55c)),
         ] {
             assert!(
                 (got - want).abs() <= 1e-14 * want.abs(),
@@ -311,6 +276,82 @@ mod tests {
                 got.to_bits()
             );
         }
+    }
+
+    #[test]
+    fn one_grid_force_is_one_scf_and_one_gradient_build() {
+        // H₂ has one orbital pair, so each K build counts one pair: a call
+        // adds the SCF's iterations plus the gradient's build, where the
+        // central difference ran 13 SCFs. The iterations are those of the
+        // same SCF run alone (the provider's first call has no guess and
+        // a cold cache).
+        let (n, edge, eps) = (24, 12.0, 1e-4);
+        let mut mol = systems::h2();
+        mol.atoms[1].pos.x = 1.5;
+        let provider = IncrementalGridForces::new(n, edge, liair_core::IncSchedule::fixed(eps, 0));
+        provider.compute(&mol, None);
+        let totals = provider.reuse_totals();
+
+        mol.translate(Vec3::splat(edge / 2.0) - mol.centroid());
+        let grid = liair_grid::RealGrid::cubic(Cell::cubic(edge), n);
+        let solver = liair_grid::PoissonSolver::isolated(grid);
+        let basis = Basis::sto3g(&mol);
+        let on_grid = BasisOnGrid::new(&basis, &grid);
+        let mut inc = IncrementalExchange::new(eps, 0);
+        let mut k = |c: &Mat| {
+            inc.exchange_operator(&on_grid, c, 1, &solver, GRID_EPS)
+                .expect("fault-free build")
+                .k
+                .scale(2.0)
+        };
+        let scf = ScfSession::with_exchange(&mol, &basis, &ScfOptions::default(), &mut k, None)
+            .run_to_completion();
+        assert_eq!(
+            totals.pairs_reused + totals.pairs_recomputed,
+            scf.iterations + 1,
+            "{totals:?}"
+        );
+    }
+
+    #[test]
+    fn mts_conserves_energy_to_second_order_in_the_step() {
+        // NVE r-RESPA on `HfxDeltaForces` at n_inner = 2: stretched H₂
+        // released from rest for 100 a.u. (a third of a vibration), the
+        // production reuse tolerance. The largest |E(t) − E(0)| over the
+        // outer boundaries is the integrator's own O(dt²) error: a quarter
+        // at half the step (9.947e-6 and 2.487e-6 Ha when recorded, ratio
+        // 3.9996). The 1e-2 Bohr central differences of the grid energy
+        // this force replaced read 1.695e-5 and 1.037e-5, ratio 1.63: a
+        // floor of their own.
+        let drift = |dt: f64| {
+            let split = HfxDeltaForces {
+                fast: XcForces::new(liair_xc::Functional::Lda),
+                full: IncrementalGridForces::new(24, 12.0, liair_core::IncSchedule::fixed(1e-4, 0)),
+            };
+            let mut mol = systems::h2();
+            mol.atoms[1].pos.x = 1.5;
+            let mut state = MdState::new_split(mol, None, &split);
+            let e0 = state.total_energy();
+            let opts = MdOptions {
+                dt,
+                thermostat: Thermostat::None,
+                mts: MtsOptions { n_inner: 2 },
+            };
+            let mut drift: f64 = 0.0;
+            for _ in 0..(100.0 / (2.0 * dt)) as usize {
+                state.step_mts(&split, &opts);
+                drift = drift.max((state.total_energy() - e0).abs());
+            }
+            drift
+        };
+        let (coarse, fine) = (drift(2.5), drift(1.25));
+        let ratio = coarse / fine;
+        eprintln!("MTS drift {coarse:e} / {fine:e} = {ratio}");
+        assert!(coarse < 2e-5, "NVE drift {coarse:e} Ha at dt = 2.5");
+        assert!(
+            (ratio - 4.0).abs() < 0.05,
+            "drift ratio {ratio} ({coarse:e}, {fine:e})"
+        );
     }
 
     /// The forces `XcForces` took before they were analytic: central

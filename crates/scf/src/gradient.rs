@@ -1,16 +1,24 @@
-//! The analytic nuclear gradient of a converged RKS-LDA energy, from the
-//! context its session holds.
+//! The analytic nuclear gradient of a converged RKS-LDA energy, or of an
+//! RHF energy whose exchange a caller's operator supplies, from the context
+//! its session holds.
 //!
 //! `dE/dR_A = Σ D·∂H − Σ W·∂S + ½ Σ D_μν D_λσ ∂(μν|λσ) + ∂E_xc + ∂E_nn`
 //!
 //! with `D = 2 C_occ C_occᵀ` and the energy-weighted density
-//! `W = 2 Σ_i ε_i c_i c_iᵀ` of the session's latest orbitals (the Pulay
-//! term: the basis functions move with their atoms). The XC term is the
-//! exact derivative of the quadrature energy `E_xc = Σ_p w_p n_p ε_xc(n_p)`
-//! on the session's Becke grid: every point moves with its atom, so
+//! `W = 2 C_occ (C_occᵀ F C_occ) C_occᵀ` of the session's latest orbitals
+//! and its last Fock matrix before DIIS (the Pulay term: the basis
+//! functions move with their atoms). The XC term is the exact derivative
+//! of the quadrature energy `E_xc = Σ_p w_p n_p ε_xc(n_p)` on the
+//! session's Becke grid: every point moves with its atom, so
 //! `∂n_p/∂R_B = −2 Σ_{μ∈B} (Dχ)_μ ∇χ_μ + δ_{B,A(p)} ∇n_p`, and the Becke
 //! weights have their own derivatives (`MolGrid::weight_gradients`).
 //! Every term is translation-invariant, so the forces sum to zero.
+//!
+//! For the RHF session `∂E_xc` is the operator's exchange term `∂E_x` at
+//! fixed AO coefficients, which its owner computes and passes in. The
+//! grid's comes from the K build's pair items (`liair-core`'s `kpath`);
+//! its grid does not move with the atoms, so those forces do not sum to
+//! zero.
 //!
 //! The AO gradients are streamed over fixed batches of [`XC_BATCH`] points
 //! (the AO values are the session's own), so no `3·nao·npts` array is held;
@@ -27,13 +35,14 @@ use rayon::prelude::*;
 /// Grid points per batch of the XC gradient.
 const XC_BATCH: usize = 128;
 
-/// The terms of an RKS-LDA gradient, per atom, in the order they are summed.
+/// The terms of a gradient, per atom, in the order they are summed.
 pub(crate) struct GradientTerms {
     pub(crate) nuclear: Vec<Vec3>,
     pub(crate) core: Vec<Vec3>,
     /// `−Σ W·∂S`.
     pub(crate) pulay: Vec<Vec3>,
     pub(crate) coulomb: Vec<Vec3>,
+    /// `∂E_xc` of RKS-LDA, or the caller's exchange term of an RHF.
     pub(crate) xc: Vec<Vec3>,
 }
 
@@ -169,7 +178,7 @@ mod tests {
         let mut session = ScfSession::new(mol, basis, &tight(), Method::RksLda);
         while session.step() {}
         assert!(session.converged(), "{}", mol.formula());
-        let terms = session.gradient_terms();
+        let terms = session.gradient_terms(None);
         let res = session.into_result();
         let n = basis.nao();
         let w = Mat::from_fn(n, n, |mu, nu| {

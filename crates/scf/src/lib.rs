@@ -22,8 +22,9 @@
 //! Closed-shell and single-determinant: nothing on the screening or MD
 //! paths needs open shells or correlated methods. A converged RKS-LDA
 //! session gives its analytic nuclear gradient
-//! ([`ScfSession::gradient`]), the fast MTS force of `liair-md`; the
-//! other MD forces are finite differences of an energy.
+//! ([`ScfSession::gradient`]), the fast MTS force of `liair-md`, and so
+//! does a converged `with_exchange` session given its operator's exchange
+//! term, the full MTS force.
 //!
 //! Validation: H₂, He and H₂O STO-3G total energies against literature
 //! values, and LiH pinned to 1e-8 Ha with a translation/rotation

@@ -25,7 +25,10 @@
 //! its energy ([`ScfSession::gradient`], terms in `gradient.rs`) from the
 //! same context: the Becke grid and its AO values, the J builder's blocks
 //! and screen, and the latest orbitals and orbital energies. It is
-//! `liair-md`'s fast MTS force: one SCF per force.
+//! `liair-md`'s fast MTS force: one SCF per force. A converged
+//! `with_exchange` session gives it too, with the exchange term passed in
+//! by the operator's owner (the grid's comes from the same pair items as
+//! its K): `liair-md`'s full force, again one SCF per force.
 //!
 //! A serve job interrupted between iterations captures an
 //! [`ScfCheckpoint`] — every mutable loop variable (density, DIIS history,
@@ -425,30 +428,71 @@ impl<'a> ScfSession<'a> {
         self.st.energy
     }
 
+    /// The occupied coefficients (`nao × nocc`) of the latest orbitals:
+    /// the ones [`ScfSession::gradient`] is taken at, so the ones a
+    /// caller's exchange term must be evaluated at.
+    pub fn occupied_orbitals(&self) -> Mat {
+        Mat::from_fn(self.ctx.n, self.ctx.nocc, |mu, i| self.st.c_final[(mu, i)])
+    }
+
     /// The analytic nuclear gradient `dE/dR_A` (Hartree/Bohr, one per
-    /// atom) of an RKS-LDA session, from the context it holds: the Becke
-    /// grid and its AO values, the J builder's blocks, groups and Schwarz
-    /// bounds, and the latest orbitals and their energies. It is the
-    /// derivative of the energy at those orbitals' density, exact up to
-    /// how far the SCF is from self-consistency, so call it once
-    /// [`ScfSession::converged`]. The terms are listed in `gradient.rs`.
-    /// Panics for an RHF session.
-    pub fn gradient(&self) -> Vec<Vec3> {
-        self.gradient_terms().total()
+    /// atom) of an RKS-LDA session or of an RHF session whose exchange a
+    /// caller supplies ([`ScfSession::with_exchange`]), from the context it
+    /// holds: the J builder's blocks, groups and Schwarz bounds, the
+    /// latest orbitals and their energies, and for RKS-LDA the Becke grid
+    /// and its AO values. It is the derivative of the energy at those
+    /// orbitals' density, exact up to how far the SCF is from
+    /// self-consistency, so call it once [`ScfSession::converged`]. The
+    /// terms are listed in `gradient.rs`.
+    ///
+    /// `exchange` is the exchange term `∂E_x/∂R_A` of a caller's operator,
+    /// evaluated by its owner at [`ScfSession::occupied_orbitals`]: it is
+    /// required for a `with_exchange` session and refused for RKS-LDA.
+    /// Panics for an analytic RHF session, whose exchange gradient is not
+    /// written.
+    pub fn gradient(&self, exchange: Option<&[Vec3]>) -> Vec<Vec3> {
+        self.gradient_terms(exchange).total()
     }
 
     /// The gradient's terms (see [`ScfSession::gradient`]).
-    pub(crate) fn gradient_terms(&self) -> GradientTerms {
-        assert_eq!(
-            self.method,
-            Method::RksLda,
-            "the analytic gradient is RKS-LDA's"
-        );
+    pub(crate) fn gradient_terms(&self, exchange: Option<&[Vec3]>) -> GradientTerms {
         let (ctx, st) = (&self.ctx, &self.st);
         let (mol, basis, natoms) = (&ctx.mol, ctx.basis, ctx.mol.natoms());
-        // `density` was assembled from `c_final`, whose energies weight W.
+        // `density` was assembled from `c_final`.
         let d = &st.density;
-        let w = weighted_density(&st.c_final, &st.eps_final[..ctx.nocc]);
+        let xc = match (self.method, self.exchange.is_some(), exchange) {
+            (Method::RksLda, _, None) => xc_gradient(
+                mol,
+                basis,
+                ctx.molgrid.as_ref().expect("an RKS context has a grid"),
+                ctx.ao_at_pts
+                    .as_ref()
+                    .expect("an RKS context has AO values"),
+                d,
+            ),
+            (Method::Rhf, true, Some(term)) => {
+                assert_eq!(term.len(), natoms, "one exchange gradient entry per atom");
+                term.to_vec()
+            }
+            (Method::Rhf, true, None) => {
+                panic!("a caller-supplied exchange operator needs its exchange gradient")
+            }
+            (Method::Rhf, false, _) => panic!("the analytic RHF exchange gradient is not written"),
+            (Method::RksLda, _, Some(_)) => panic!("an RKS-LDA gradient has no exchange term"),
+        };
+        // W = 2 C L Cᵀ with the occupied orbitals' Lagrange multipliers
+        // L = Cᵀ F C of the last Fock matrix *before* DIIS. An extrapolated
+        // Fock has the converged eigenvectors but not their eigenvalues:
+        // DIIS weighs only the occupied–virtual block, and the large
+        // weights of a warm start put 1e-3 Ha errors in the occupied one.
+        let c_occ = self.occupied_orbitals();
+        let (focks, _) = st.diis.history();
+        let fock = focks.last().expect("a converged session has a Fock matrix");
+        let lagrange = c_occ.transpose().matmul(fock).matmul(&c_occ);
+        let w = c_occ
+            .matmul(&lagrange)
+            .matmul(&c_occ.transpose())
+            .scale(2.0);
         GradientTerms {
             nuclear: mol.nuclear_repulsion_gradient(),
             core: core_hamiltonian_gradient(basis, mol, d),
@@ -459,15 +503,7 @@ impl<'a> ScfSession<'a> {
             coulomb: ctx
                 .jk_builder
                 .coulomb_gradient(d, self.opts.schwarz_tol, natoms),
-            xc: xc_gradient(
-                mol,
-                basis,
-                ctx.molgrid.as_ref().expect("an RKS context has a grid"),
-                ctx.ao_at_pts
-                    .as_ref()
-                    .expect("an RKS context has AO values"),
-                d,
-            ),
+            xc,
         }
     }
 
@@ -684,9 +720,7 @@ fn assemble_density(c: &Mat, nocc: usize) -> Mat {
 }
 
 /// `2 Σ_k w_k c_k c_kᵀ` over the first `w.len()` columns of `c`: with unit
-/// weights the closed-shell density (the product by 1.0 is exact), with
-/// the occupied orbital energies the energy-weighted density of the
-/// gradient's Pulay term.
+/// weights the closed-shell density (the product by 1.0 is exact).
 fn weighted_density(c: &Mat, w: &[f64]) -> Mat {
     let n = c.nrows();
     let mut d = Mat::zeros(n, n);
