@@ -139,9 +139,9 @@ impl ModelElectrolyteSplit {
             solver,
             sigma,
             hfx_fraction: Functional::Pbe0.hfx_fraction(),
-            // LDA rather than `Pbe0.mts_fast()` (= PBE): the surrogate's
-            // job is to be cheap and exchange-free, and PBE's FFT
-            // gradient would dominate the inner-step cost at this grid.
+            // LDA rather than PBE (PBE0 less its exact exchange): the
+            // surrogate's job is to be cheap and exchange-free, and PBE's
+            // FFT gradient would dominate the inner-step cost at this grid.
             xc: Functional::Lda,
             xc_scale: 0.1,
             // Large enough that an eps_inc-level stale-value mismatch

@@ -1,7 +1,7 @@
 //! Quantum force providers for hybrid-functional Born–Oppenheimer MD under
 //! r-RESPA multiple time stepping:
 //!
-//! * [`XcForces`] — the exchange-free LDA/GGA surrogate, paid every inner
+//! * [`XcForces`] — the exchange-free RKS-LDA surrogate, paid every inner
 //!   step;
 //! * [`IncrementalGridForces`] — the grid-exchange SCF with one
 //!   incremental-exchange cache, paid every outer step;
@@ -222,9 +222,9 @@ mod tests {
 
     #[test]
     fn incremental_grid_forces_reuse_across_steps() {
-        // Grid-exchange BOMD provider with per-slot incremental caches: a
+        // Grid-exchange BOMD provider with one incremental cache: a
         // compressed H2 pushes apart, and a repeated step (nothing moved)
-        // is served almost entirely from the caches.
+        // is served almost entirely from the cache.
         let sched = liair_core::IncSchedule::fixed(1e-4, 0);
         let provider = IncrementalGridForces::new(20, 12.0, sched);
         let mut short = systems::h2();
@@ -233,7 +233,7 @@ mod tests {
         assert!(e1.is_finite());
         assert!(f1[1].x > 0.0, "compressed: {}", f1[1].x);
         let t1 = provider.reuse_totals();
-        // Identical geometry: every FD slot diffs against itself.
+        // Identical geometry: the K builds diff against the first call's.
         let (e2, f2) = provider.compute(&short, None);
         let t2 = provider.reuse_totals();
         assert!(

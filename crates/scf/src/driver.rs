@@ -1,12 +1,9 @@
-//! RHF / RKS(LDA) SCF drivers and post-SCF functional energies.
+//! RHF / RKS(LDA) SCF drivers: sessions run to completion. Post-SCF
+//! functional energies come from the converged session itself
+//! ([`ScfSession::functional_energies`](crate::ScfSession::functional_energies)).
 
 use liair_basis::{Basis, Molecule};
-use liair_grid::orbital::{ao_values_and_gradients_at_points, density_from_aos};
-use liair_grid::MolGrid;
-use liair_integrals::{build_jk, kinetic_matrix, nuclear_matrix};
 use liair_math::Mat;
-use liair_xc::functional::Functional;
-use liair_xc::lda::lda_exc;
 
 /// Which self-consistent method to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,60 +136,83 @@ fn scf(mol: &Molecule, basis: &Basis, opts: &ScfOptions, method: Method) -> ScfR
     crate::session::ScfSession::new(mol, basis, opts, method).run_to_completion()
 }
 
-/// Post-SCF total energy of `functional` on a converged density:
-/// `E = E_nn + Tr(DH) + ½Tr(DJ) + c_x·(−¼Tr(DK)) + E_xc^{DFT}[n]`,
-/// with the DFT part integrated on a Becke grid. For `Functional::Hf`
-/// this reproduces the RHF energy expression exactly.
-pub fn functional_energy(
-    mol: &Molecule,
-    basis: &Basis,
-    res: &ScfResult,
-    functional: Functional,
-    opts: &ScfOptions,
-) -> f64 {
-    let h = kinetic_matrix(basis).add(&nuclear_matrix(basis, mol));
-    let (j, k) = build_jk(basis, &res.density, opts.schwarz_tol);
-    let e_core = res.density.trace_product(&h);
-    let e_coul = 0.5 * res.density.trace_product(&j);
-    let e_hfx = -0.25 * res.density.trace_product(&k);
-    let e_dft = if functional == Functional::Hf {
-        0.0
-    } else {
-        let grid = MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA);
-        let (vals, grads) = ao_values_and_gradients_at_points(basis, &grid.points);
-        let (nvals, grads) = density_from_aos(&vals, Some(&grads), &res.density);
-        match functional {
-            Functional::Lda => nvals
-                .iter()
-                .zip(&grid.weights)
-                .map(|(&d, &w)| w * d * lda_exc(d))
-                .sum(),
-            Functional::Pbe => nvals
-                .iter()
-                .zip(&grads)
-                .zip(&grid.weights)
-                .map(|((&d, &g), &w)| w * d * liair_xc::pbe::pbe_exc(d, g))
-                .sum(),
-            Functional::Pbe0 => nvals
-                .iter()
-                .zip(&grads)
-                .zip(&grid.weights)
-                .map(|((&d, &g), &w)| {
-                    w * d * (0.75 * liair_xc::pbe::pbe_ex(d, g) + liair_xc::pbe::pbe_ec(d, g))
-                })
-                .sum(),
-            Functional::Hf => unreachable!(),
-        }
-    };
-    mol.nuclear_repulsion() + e_core + e_coul + functional.hfx_fraction() * e_hfx + e_dft
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScfSession;
     use liair_basis::{systems, Element};
-    use liair_integrals::overlap_matrix;
+    use liair_grid::orbital::{ao_values_and_gradients_at_points, density_from_aos};
+    use liair_grid::MolGrid;
+    use liair_integrals::{build_jk, kinetic_matrix, nuclear_matrix, overlap_matrix};
     use liair_math::{approx_eq, Vec3};
+    use liair_xc::lda::lda_exc;
+    use liair_xc::Functional;
+
+    const FUNCTIONALS: [Functional; 4] = [
+        Functional::Hf,
+        Functional::Lda,
+        Functional::Pbe,
+        Functional::Pbe0,
+    ];
+
+    /// A fresh RHF session stepped to the end, still holding its context.
+    fn converged_session<'a>(mol: &Molecule, basis: &'a Basis) -> ScfSession<'a> {
+        let mut scf = ScfSession::new(mol, basis, &ScfOptions::default(), Method::Rhf);
+        while scf.step() {}
+        assert!(
+            scf.converged(),
+            "RHF did not converge for {}",
+            mol.formula()
+        );
+        scf
+    }
+
+    /// The one-shot post-SCF energy that `ScfSession::functional_energies`
+    /// replaced, kept as its oracle: a fresh `H`, a `build_jk` that computes
+    /// every quartet again, and a Becke grid per functional.
+    fn functional_energy_oracle(
+        mol: &Molecule,
+        basis: &Basis,
+        res: &ScfResult,
+        functional: Functional,
+        opts: &ScfOptions,
+    ) -> f64 {
+        let h = kinetic_matrix(basis).add(&nuclear_matrix(basis, mol));
+        let (j, k) = build_jk(basis, &res.density, opts.schwarz_tol);
+        let e_core = res.density.trace_product(&h);
+        let e_coul = 0.5 * res.density.trace_product(&j);
+        let e_hfx = -0.25 * res.density.trace_product(&k);
+        let e_dft = if functional == Functional::Hf {
+            0.0
+        } else {
+            let grid = MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA);
+            let (vals, grads) = ao_values_and_gradients_at_points(basis, &grid.points);
+            let (nvals, grads) = density_from_aos(&vals, Some(&grads), &res.density);
+            match functional {
+                Functional::Lda => nvals
+                    .iter()
+                    .zip(&grid.weights)
+                    .map(|(&d, &w)| w * d * lda_exc(d))
+                    .sum(),
+                Functional::Pbe => nvals
+                    .iter()
+                    .zip(&grads)
+                    .zip(&grid.weights)
+                    .map(|((&d, &g), &w)| w * d * liair_xc::pbe::pbe_exc(d, g))
+                    .sum(),
+                Functional::Pbe0 => nvals
+                    .iter()
+                    .zip(&grads)
+                    .zip(&grid.weights)
+                    .map(|((&d, &g), &w)| {
+                        w * d * (0.75 * liair_xc::pbe::pbe_ex(d, g) + liair_xc::pbe::pbe_ec(d, g))
+                    })
+                    .sum(),
+                Functional::Hf => unreachable!(),
+            }
+        };
+        mol.nuclear_repulsion() + e_core + e_coul + functional.hfx_fraction() * e_hfx + e_dft
+    }
 
     fn run_rhf(mol: &Molecule) -> (Basis, ScfResult) {
         let basis = Basis::sto3g(mol);
@@ -376,10 +396,9 @@ mod tests {
     fn hf_functional_energy_reproduces_rhf() {
         let mol = systems::h2();
         let basis = Basis::sto3g(&mol);
-        let opts = ScfOptions::default();
-        let res = rhf(&mol, &basis, &opts);
-        let e = functional_energy(&mol, &basis, &res, Functional::Hf, &opts);
-        assert!(approx_eq(e, res.energy, 1e-8));
+        let scf = converged_session(&mol, &basis);
+        let e = scf.functional_energies(&[Functional::Hf])[0];
+        assert!(approx_eq(e, scf.energy(), 1e-8));
     }
 
     #[test]
@@ -388,11 +407,39 @@ mod tests {
         // tens of mHa.
         let mol = systems::h2();
         let basis = Basis::sto3g(&mol);
-        let opts = ScfOptions::default();
-        let res = rhf(&mol, &basis, &opts);
-        let e0 = functional_energy(&mol, &basis, &res, Functional::Pbe0, &opts);
-        let diff = e0 - res.energy;
+        let scf = converged_session(&mol, &basis);
+        let diff = scf.functional_energies(&[Functional::Pbe0])[0] - scf.energy();
         assert!(diff < -0.005 && diff > -0.3, "E(PBE0)−E(RHF) = {diff}");
+    }
+
+    #[test]
+    fn functional_energies_are_bit_equal_to_the_one_shot_oracle() {
+        // The replay at `schwarz_tol` has the one-shot build's bits, `H` is
+        // the context's, and the grid, AO evaluator and sums are the
+        // oracle's, once for all four functionals.
+        let (h2, lih, water, li2o) = (systems::h2(), systems::lih(), systems::water(), li2o());
+        let opts = ScfOptions::default();
+        for (mol, basis) in [
+            (&h2, Basis::sto3g(&h2)),
+            (&lih, Basis::sto3g(&lih)),
+            (&water, Basis::sto3g(&water)),
+            (&water, Basis::b631g(&water)),
+            (&li2o, Basis::sto3g(&li2o)),
+        ] {
+            let scf = converged_session(mol, &basis);
+            let energies = scf.functional_energies(&FUNCTIONALS);
+            let res = scf.into_result();
+            for (&f, e) in FUNCTIONALS.iter().zip(energies) {
+                let want = functional_energy_oracle(mol, &basis, &res, f, &opts);
+                assert_eq!(
+                    e.to_bits(),
+                    want.to_bits(),
+                    "{} {}: {e:e} vs {want:e}",
+                    mol.formula(),
+                    f.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -469,7 +516,8 @@ mod tests {
         // Li₂O₂ too slow for an unoptimized test build four times over;
         // its J/K bits are pinned across thread counts in `fock`'s tests.
         // Each SCF fills its quartet store under the pool it runs in and
-        // replays it in every iteration.
+        // replays it in every iteration and once more for the post-SCF
+        // energies, which are compared too.
         let (li2o, water) = (li2o(), systems::water());
         for (mol, basis) in [
             (&li2o, Basis::sto3g(&li2o)),
@@ -482,19 +530,24 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .unwrap()
-                    .install(|| rhf(&mol, &basis, &ScfOptions::default()))
+                    .install(|| {
+                        let scf = converged_session(&mol, &basis);
+                        let mut energies = vec![scf.energy()];
+                        energies.extend(scf.functional_energies(&FUNCTIONALS));
+                        (energies, scf.iterations())
+                    })
             };
+            let bits = |energies: &[f64]| energies.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
             let one = on(1);
-            assert!(one.converged, "{}", mol.formula());
             for threads in 2..=4 {
                 let res = on(threads);
                 assert_eq!(
-                    (res.energy.to_bits(), res.iterations),
-                    (one.energy.to_bits(), one.iterations),
-                    "{} at {threads} threads: {:e} vs {:e}",
+                    (bits(&res.0), res.1),
+                    (bits(&one.0), one.1),
+                    "{} at {threads} threads: {:?} vs {:?}",
                     mol.formula(),
-                    res.energy,
-                    one.energy
+                    res.0,
+                    one.0
                 );
             }
         }

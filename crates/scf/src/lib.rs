@@ -10,14 +10,14 @@
 //!   the occupied orbitals ([`ScfSession::with_exchange`]), which is how
 //!   `liair-core`'s pair-Poisson K enters an SCF. The loop's parts (DIIS,
 //!   diagonalization, density assembly) are private, so no other crate
-//!   builds a second loop;
-//! * [`driver`] — RHF and RKS(LDA) run as sessions to completion, plus
-//!   post-SCF evaluation of PBE and PBE0 (the paper's production
-//!   functional) on the converged density. Self-consistency for the GGA
-//!   potential is intentionally out of scope (see DESIGN.md): the hybrid's
-//!   *exact-exchange* term — the paper's entire subject — is computed
-//!   exactly, both analytically (via the K matrix) and on grids (via
-//!   `liair-core`'s pair-Poisson path).
+//!   builds a second loop. A converged session also gives the post-SCF
+//!   energies of PBE and PBE0 (the paper's production functional) on its
+//!   density ([`ScfSession::functional_energies`]), from the quartets it
+//!   stores. Self-consistency for the GGA potential is intentionally out
+//!   of scope (see DESIGN.md): the hybrid's *exact-exchange* term — the
+//!   paper's entire subject — is computed exactly, both analytically (via
+//!   the K matrix) and on grids (via `liair-core`'s pair-Poisson path);
+//! * [`driver`] — RHF and RKS(LDA) run as sessions to completion.
 //!
 //! Closed-shell and single-determinant: nothing on the screening or MD
 //! paths needs open shells or correlated methods. A converged RKS-LDA
@@ -37,5 +37,5 @@ pub mod driver;
 mod gradient;
 pub mod session;
 
-pub use driver::{functional_energy, rhf, rks_lda, EnergyBreakdown, Method, ScfOptions, ScfResult};
+pub use driver::{rhf, rks_lda, EnergyBreakdown, Method, ScfOptions, ScfResult};
 pub use session::{ScfCheckpoint, ScfSession};

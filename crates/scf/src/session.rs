@@ -30,6 +30,10 @@
 //! by the operator's owner (the grid's comes from the same pair items as
 //! its K): `liair-md`'s full force, again one SCF per force.
 //!
+//! A converged session also gives post-SCF functional energies
+//! ([`ScfSession::functional_energies`]), the only way into them: J and K
+//! from one more replay, `H` from the context, one Becke grid for them all.
+//!
 //! A serve job interrupted between iterations captures an
 //! [`ScfCheckpoint`] — every mutable loop variable (density, DIIS history,
 //! incremental-Fock accumulators, energies, latest orbitals) as raw
@@ -56,7 +60,7 @@ use crate::driver::{
 };
 use crate::gradient::{xc_gradient, GradientTerms};
 use liair_basis::{Basis, Molecule};
-use liair_grid::orbital::density_from_aos;
+use liair_grid::orbital::{ao_values_and_gradients_at_points, density_from_aos};
 use liair_grid::MolGrid;
 use liair_integrals::{
     core_hamiltonian_gradient, kinetic_matrix, nuclear_matrix, overlap_gradient, overlap_matrix,
@@ -66,6 +70,7 @@ use liair_math::codec::{CodecError, Decoder, Encoder};
 use liair_math::linalg::{eigh, sym_inv_sqrt};
 use liair_math::{Mat, Vec3};
 use liair_xc::lda::lda_exc_vxc;
+use liair_xc::Functional;
 
 /// Magic tag for SCF checkpoint streams (`"LSC1"`).
 const MAGIC: u32 = 0x4C53_4331;
@@ -421,6 +426,37 @@ impl<'a> ScfSession<'a> {
             breakdown: self.st.breakdown,
             method: self.method,
         }
+    }
+
+    /// The post-SCF total energy of each of `functionals` on the latest
+    /// density (the one [`ScfSession::into_result`] returns):
+    /// `E = E_nn + Tr(DH) + ½Tr(DJ) + c_x·(−¼Tr(DK)) + E_xc^{DFT}[n]`. J and
+    /// K are one replay of the session's stored quartets at `schwarz_tol`;
+    /// the DFT part integrates [`Functional::exc`] on one Becke grid, with
+    /// the AO values and gradients at its points evaluated once for every
+    /// functional. For `Functional::Hf` it is the RHF energy expression.
+    pub fn functional_energies(&self, functionals: &[Functional]) -> Vec<f64> {
+        let (ctx, d) = (&self.ctx, &self.st.density);
+        let (j, k) = ctx.jk_builder.build(d, self.opts.schwarz_tol);
+        let e_no_x = ctx.e_nuc + d.trace_product(&ctx.h) + 0.5 * d.trace_product(&j);
+        let e_hfx = -0.25 * d.trace_product(&k);
+        // `((n, |∇n|), weights)` at the Becke points; `Hf` alone needs none.
+        let points = functionals.iter().any(|&f| f != Functional::Hf).then(|| {
+            let grid = MolGrid::becke(&ctx.mol, XC_GRID_RADIAL, XC_GRID_THETA);
+            let (vals, grads) = ao_values_and_gradients_at_points(ctx.basis, &grid.points);
+            (density_from_aos(&vals, Some(&grads), d), grid.weights)
+        });
+        functionals
+            .iter()
+            .map(|&f| {
+                // `Hf`'s integrand is 0, so its sum adds exactly nothing.
+                let e_xc: f64 = points.as_ref().map_or(0.0, |((n, g), w)| {
+                    let pts = n.iter().zip(g).zip(w);
+                    pts.map(|((&n, &g), &w)| w * n * f.exc(n, g)).sum()
+                });
+                e_no_x + f.hfx_fraction() * e_hfx + e_xc
+            })
+            .collect()
     }
 
     /// Latest total energy (0.0 before the first step).

@@ -18,6 +18,10 @@
 //!
 //! Disruptions are injected on the **first attempt only**: the runner is
 //! told whether it is resuming, and a resumed attempt runs undisturbed.
+//!
+//! A reaction job reads every functional's energy off each of its three
+//! converged `ScfSession`s, then drops it: no quartet is computed after an
+//! SCF, and the job holds one quartet store at a time.
 
 // `Result<_, Attempt>`: the Err is the interrupted attempt itself, built
 // once in `drive` and moved straight out through `run_job`.
@@ -34,7 +38,7 @@ use liair_math::Vec3;
 use liair_md::analysis::{rdf_peak, BondEvents, RdfAccumulator};
 use liair_md::mts::TetherSplit;
 use liair_md::{MdCheckpoint, MdOptions, MdState, MtsOptions, Thermostat};
-use liair_scf::{functional_energy, rhf, Method, ScfCheckpoint, ScfOptions, ScfSession};
+use liair_scf::{Method, ScfCheckpoint, ScfOptions, ScfResult, ScfSession};
 use liair_xc::Functional;
 
 /// Steps between the periodic checkpoints a fault falls back on.
@@ -397,11 +401,18 @@ fn reaction_scf_options() -> ScfOptions {
     }
 }
 
+/// Step `session` to the end and read its energies under `functionals`.
+fn finish(mut session: ScfSession<'_>, functionals: &[Functional]) -> (ScfResult, Vec<f64>) {
+    while session.step() {}
+    let energies = session.functional_energies(functionals);
+    (session.into_result(), energies)
+}
+
 /// A reaction job: converge the solvent·Li₂O₂ complex (disruptable, the
 /// dominant stage), then its isolated fragments (cheap, never
 /// disrupted — rerun deterministically on resume), and report the RHF
 /// interaction energy, the interaction energy under each of
-/// `functionals` off the same three converged densities, and the
+/// `functionals` off the same three converged sessions, and the
 /// frontier-orbital gaps.
 fn run_reaction(
     solvent: Solvent,
@@ -414,27 +425,28 @@ fn run_reaction(
     let opts = reaction_scf_options();
     let session = drive(scf_session(&complex, &basis_c, &opts, resume), disruption)?;
     let steps = session.iterations();
-    let res_c = session.into_result();
-
-    let solv_mol = solvent.molecule();
-    let basis_s = Basis::sto3g(&solv_mol);
-    let res_s = rhf(&solv_mol, &basis_s, &opts);
-    let cluster = systems::li2o2();
-    let basis_x = Basis::sto3g(&cluster);
-    let res_x = rhf(&cluster, &basis_x, &opts);
+    let (res_c, e_c) = finish(session, functionals);
+    let fragment = |mol: Molecule| {
+        let basis = Basis::sto3g(&mol);
+        finish(
+            ScfSession::new(&mol, &basis, &opts, Method::Rhf),
+            functionals,
+        )
+    };
+    let (res_s, e_s) = fragment(solvent.molecule());
+    let (res_x, e_x) = fragment(systems::li2o2());
 
     let e_int_rhf = res_c.energy - res_s.energy - res_x.energy;
     let e_int_by_functional = functionals
         .iter()
-        .map(|&functional| {
-            // `Hf` is the RHF energy expression itself — skip the recompute
-            // so the two numbers are bitwise equal, not merely close.
+        .zip(e_c.iter().zip(&e_s).zip(&e_x))
+        .map(|(&functional, ((c, s), x))| {
+            // `Hf` is the RHF energy expression itself: report the RHF
+            // E_int so the two numbers are bitwise equal, not merely close.
             let e = if functional == Functional::Hf {
                 e_int_rhf
             } else {
-                functional_energy(&complex, &basis_c, &res_c, functional, &opts)
-                    - functional_energy(&solv_mol, &basis_s, &res_s, functional, &opts)
-                    - functional_energy(&cluster, &basis_x, &res_x, functional, &opts)
+                c - s - x
             };
             (functional, e)
         })

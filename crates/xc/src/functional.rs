@@ -31,23 +31,6 @@ impl Functional {
         }
     }
 
-    /// The exchange-free member of a functional's family: hybrids drop
-    /// their exact-exchange share (PBE0 → PBE), pure Hartree–Fock falls
-    /// back to LDA, and functionals with no exact exchange are their own.
-    /// It names a surrogate's family only: the fast (inner) forces of
-    /// r-RESPA multiple time stepping (`liair-md`'s `XcForces`) are
-    /// RKS-LDA whatever the target, because LDA is the functional whose
-    /// SCF energy here is self-consistent and so has an analytic gradient
-    /// (PBE is evaluated post-SCF only). The expensive HFX part enters
-    /// only through the outer-step slow correction (see `liair-md::mts`).
-    pub fn mts_fast(self) -> Functional {
-        match self {
-            Functional::Hf => Functional::Lda,
-            Functional::Pbe0 => Functional::Pbe,
-            f => f,
-        }
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -55,6 +38,23 @@ impl Functional {
             Functional::Lda => "LDA",
             Functional::Pbe => "PBE",
             Functional::Pbe0 => "PBE0",
+        }
+    }
+
+    /// DFT exchange–correlation energy per particle at density `n` and
+    /// density-gradient magnitude `grad_n`, the integrand of
+    /// [`Functional::xc_energy`] and of the post-SCF energies
+    /// (`E_xc = ∫ n·exc`): 0 for `Hf`, Slater + PW92 for `Lda`
+    /// (which ignores `grad_n`), PBE for `Pbe`, and 75 % PBE exchange plus
+    /// PBE correlation for `Pbe0`. Like [`Functional::xc_energy`], it leaves
+    /// out the exact-exchange share.
+    #[inline]
+    pub fn exc(self, n: f64, grad_n: f64) -> f64 {
+        match self {
+            Functional::Hf => 0.0,
+            Functional::Lda => lda::lda_exc(n),
+            Functional::Pbe => pbe::pbe_exc(n, grad_n),
+            Functional::Pbe0 => 0.75 * pbe::pbe_ex(n, grad_n) + pbe::pbe_ec(n, grad_n),
         }
     }
 
@@ -67,22 +67,17 @@ impl Functional {
         assert_eq!(density.len(), grid.len());
         let per_point: Vec<f64> = match self {
             Functional::Hf => return 0.0,
-            Functional::Lda => density.par_iter().map(|&n| n * lda::lda_exc(n)).collect(),
-            Functional::Pbe => {
+            // A constant receiver lets `exc`'s match fold away per point,
+            // and LDA reads no gradient.
+            Functional::Lda => density
+                .par_iter()
+                .map(|&n| n * Functional::Lda.exc(n, 0.0))
+                .collect(),
+            Functional::Pbe | Functional::Pbe0 => {
                 let g = density_gradient_norm(grid, density);
                 (0..density.len())
                     .into_par_iter()
-                    .map(|i| density[i] * pbe::pbe_exc(density[i], g[i]))
-                    .collect()
-            }
-            Functional::Pbe0 => {
-                let g = density_gradient_norm(grid, density);
-                (0..density.len())
-                    .into_par_iter()
-                    .map(|i| {
-                        let (n, gn) = (density[i], g[i]);
-                        n * (0.75 * pbe::pbe_ex(n, gn) + pbe::pbe_ec(n, gn))
-                    })
+                    .map(|i| density[i] * self.exc(density[i], g[i]))
                     .collect()
             }
         };
@@ -270,21 +265,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mts_fast_surrogate_is_exchange_free_and_idempotent() {
-        for f in [
-            Functional::Hf,
-            Functional::Lda,
-            Functional::Pbe,
-            Functional::Pbe0,
-        ] {
-            let s = f.mts_fast();
-            assert_eq!(s.hfx_fraction(), 0.0, "{} surrogate carries HFX", f.name());
-            assert_eq!(s.mts_fast(), s, "{} surrogate not a fixed point", f.name());
-        }
-        assert_eq!(Functional::Pbe0.mts_fast(), Functional::Pbe);
-        assert_eq!(Functional::Hf.mts_fast(), Functional::Lda);
     }
 }

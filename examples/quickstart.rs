@@ -1,7 +1,8 @@
 //! Quickstart: the full pipeline on one water molecule.
 //!
 //! 1. Converge restricted Hartree–Fock in the embedded STO-3G basis.
-//! 2. Evaluate the PBE0 hybrid energy (25 % exact exchange) post-SCF.
+//! 2. Evaluate the PBE0 hybrid energy (25 % exact exchange) post-SCF, off
+//!    the converged session.
 //! 3. Localize the occupied orbitals (Foster–Boys) and recompute the exact
 //!    exchange on a real-space grid via the pair-Poisson path — the kernel
 //!    the paper distributes over 6.3 M threads — and compare it to the
@@ -24,8 +25,10 @@ fn main() {
     );
 
     // --- SCF ---
-    let opts = ScfOptions::default();
-    let scf = rhf(&mol, &basis, &opts);
+    let mut session = ScfSession::new(&mol, &basis, &ScfOptions::default(), Method::Rhf);
+    while session.step() {}
+    let e = session.functional_energies(&[Functional::Pbe, Functional::Pbe0]);
+    let scf = session.into_result();
     println!(
         "\nRHF converged in {} iterations: E = {:.6} Ha",
         scf.iterations, scf.energy
@@ -37,13 +40,11 @@ fn main() {
     );
 
     // --- hybrid functional ---
-    let e_pbe0 = functional_energy(&mol, &basis, &scf, Functional::Pbe0, &opts);
-    let e_pbe = functional_energy(&mol, &basis, &scf, Functional::Pbe, &opts);
     println!("\npost-SCF functionals on the converged density:");
-    println!("  PBE   : {:.6} Ha", e_pbe);
+    println!("  PBE   : {:.6} Ha", e[0]);
     println!(
         "  PBE0  : {:.6} Ha  (the paper's production functional)",
-        e_pbe0
+        e[1]
     );
 
     // --- grid exact exchange (the paper's kernel) ---

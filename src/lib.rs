@@ -105,7 +105,7 @@ pub mod prelude {
     pub use liair_runtime::{
         fit_torus, run_spmd_cfg, Comm, CommConfig, CommError, SeedConfig, SpmdRun, TrafficLog,
     };
-    pub use liair_scf::{functional_energy, rhf, rks_lda, ScfOptions, ScfResult};
+    pub use liair_scf::{rhf, rks_lda, Method, ScfOptions, ScfResult, ScfSession};
     pub use liair_serve::{
         run_and_verify, run_campaign, CampaignReport, CampaignSpec, Disruption, JobKind, JobReport,
         JobSpec, Observables, Service, ServiceConfig, ServiceReport,

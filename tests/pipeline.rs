@@ -41,14 +41,14 @@ fn full_pipeline_h2_dimer() {
 fn pbe0_identity_on_rhf_density() {
     let mol = systems::h2();
     let basis = Basis::sto3g(&mol);
-    let opts = ScfOptions::default();
-    let scf = rhf(&mol, &basis, &opts);
-    let e_pbe0 = functional_energy(&mol, &basis, &scf, Functional::Pbe0, &opts);
-    let e_hf = functional_energy(&mol, &basis, &scf, Functional::Hf, &opts);
+    let mut session = ScfSession::new(&mol, &basis, &ScfOptions::default(), Method::Rhf);
+    while session.step() {}
+    let e = session.functional_energies(&[Functional::Pbe0, Functional::Hf, Functional::Pbe]);
+    let (e_pbe0, e_hf, e_pbe) = (e[0], e[1], e[2]);
+    let scf = session.into_result();
     // e_hf reproduces the RHF energy on the converged density.
     assert!((e_hf - scf.energy).abs() < 1e-8);
     // The hybrid's DFT-correlation pull puts it below bare HF…
-    let e_pbe = functional_energy(&mol, &basis, &scf, Functional::Pbe, &opts);
     assert!(e_pbe0 < e_hf, "PBE0 {e_pbe0} not below HF {e_hf}");
     // …and within the exchange-admixture scale of PBE (25 % of E_x).
     assert!(
