@@ -122,26 +122,6 @@ impl Element {
             _ => return None,
         })
     }
-
-    /// Parse a symbol (case-sensitive standard notation).
-    pub fn from_symbol(s: &str) -> Option<Element> {
-        Some(match s {
-            "H" => Element::H,
-            "He" => Element::He,
-            "Li" => Element::Li,
-            "Be" => Element::Be,
-            "B" => Element::B,
-            "C" => Element::C,
-            "N" => Element::N,
-            "O" => Element::O,
-            "F" => Element::F,
-            "Na" => Element::Na,
-            "P" => Element::P,
-            "S" => Element::S,
-            "Cl" => Element::Cl,
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for Element {
@@ -179,9 +159,11 @@ mod tests {
             Element::S,
             Element::Cl,
         ] {
-            assert_eq!(Element::from_symbol(e.symbol()), Some(e));
+            // Display prints the symbol; a checkpoint's `z` decodes back.
+            assert_eq!(e.to_string(), e.symbol());
+            assert_eq!(Element::from_z(e.z()), Some(e));
         }
-        assert_eq!(Element::from_symbol("Xx"), None);
+        assert_eq!(Element::from_z(10), None);
     }
 
     #[test]

@@ -94,22 +94,6 @@ impl Molecule {
         g
     }
 
-    /// Center of nuclear mass.
-    pub fn center_of_mass(&self) -> Vec3 {
-        let mut c = Vec3::ZERO;
-        let mut m = 0.0;
-        for a in &self.atoms {
-            let w = a.element.mass_au();
-            c += a.pos * w;
-            m += w;
-        }
-        if m > 0.0 {
-            c / m
-        } else {
-            Vec3::ZERO
-        }
-    }
-
     /// Geometric centroid.
     pub fn centroid(&self) -> Vec3 {
         if self.atoms.is_empty() {
@@ -179,7 +163,6 @@ impl Molecule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ANGSTROM;
     use liair_math::approx_eq;
 
     fn h2() -> Molecule {
@@ -260,15 +243,5 @@ mod tests {
         let (lo, hi) = m.bounding_box();
         assert_eq!(lo, Vec3::ZERO);
         assert!(approx_eq(hi.x, 1.4, 1e-14));
-    }
-
-    #[test]
-    fn com_weights_by_mass() {
-        // O at origin, H far away: COM stays near O.
-        let mut m = Molecule::new();
-        m.push(Element::O, Vec3::ZERO);
-        m.push(Element::H, Vec3::new(10.0 * ANGSTROM, 0.0, 0.0));
-        let com = m.center_of_mass();
-        assert!(com.x < 1.5 * ANGSTROM);
     }
 }

@@ -82,11 +82,6 @@ impl MachineConfig {
     pub fn threads(&self) -> usize {
         self.nodes() * self.node.hw_threads()
     }
-
-    /// Aggregate peak performance in TFLOP/s.
-    pub fn peak_tflops(&self) -> f64 {
-        self.nodes() as f64 * self.node.peak_gflops() / 1000.0
-    }
 }
 
 /// Factor `n` into five near-balanced extents (largest last-but-one, E = 2
@@ -134,7 +129,6 @@ mod tests {
         let m = MachineConfig::bgq_racks(96);
         assert_eq!(m.nodes(), 98_304);
         assert_eq!(m.threads(), 6_291_456); // the abstract's headline number
-        assert!((m.peak_tflops() - 20_132.659_2).abs() < 1.0); // ~20 PF Sequoia
     }
 
     #[test]

@@ -79,6 +79,24 @@ pub enum ExecBackend {
     },
 }
 
+/// The thread count the calling thread's rayon loops run on
+/// ([`ExecBackend::Rayon`] builds among them): the pool it installed, else
+/// the host's.
+pub fn rayon_threads() -> usize {
+    rayon::current_num_threads()
+}
+
+/// Run `f` with its rayon loops on `threads` threads. A thread working
+/// for another (a serve worker) passes the submitter's [`rayon_threads`],
+/// which no plain thread inherits.
+pub fn with_rayon_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a rayon pool of any positive size builds")
+        .install(f)
+}
+
 /// The unified exchange-build driver: borrow a grid and its Poisson
 /// solver, pick a backend, and every exchange product — pair energies,
 /// patched pair energies, the K operator — comes out of the same staged

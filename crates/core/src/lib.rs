@@ -61,7 +61,8 @@ pub mod workload;
 pub use balance::{assign_pairs, Assignment, BalanceStrategy};
 pub use cachepool::{CachePoolStats, ExchangeCachePool, SystemKey};
 pub use engine::{
-    BasisOnGrid, BuildProfile, EngineBuilder, ExchangeEngine, ExecBackend, FaultPlan, KBuildOutcome,
+    rayon_threads, with_rayon_threads, BasisOnGrid, BuildProfile, EngineBuilder, ExchangeEngine,
+    ExecBackend, FaultPlan, KBuildOutcome,
 };
 pub use error::{Error, Result};
 pub use hfx::HfxResult;

@@ -112,11 +112,6 @@ impl Workload {
         Workload::condensed("water-1024", 4096, 59.2, 1.5, 1e-6, 48, 128, 2014)
     }
 
-    /// A smaller condensed workload for quick runs (256 orbitals).
-    pub fn water_box_small() -> Workload {
-        Workload::condensed("water-64", 256, 23.5, 1.5, 1e-6, 32, 64, 7)
-    }
-
     /// Flops of one pair-local exchange kernel: forward + inverse complex
     /// 3-D FFT (5 N log₂N each) plus the reciprocal kernel multiply and
     /// pair-density formation.

@@ -398,3 +398,38 @@ fn production_screening_and_reuse_bound_the_gradient_as_the_energy() {
         assert!(df < 1e-5 * fmax, "{name}: force off by {df:e} of {fmax:e}");
     }
 }
+
+#[test]
+fn warm_started_orbital_energies_are_those_of_the_converged_scf() {
+    // H₂ one MD step (0.02 Bohr) from where its orbitals were converged:
+    // the SCF warm-started from them converges in 3 steps, but DIIS weighs
+    // only the occupied–virtual block, so the extrapolated Fock's occupied
+    // eigenvalue is no orbital energy (it read −0.573477 Ha here, 6.8e-4
+    // off). `(CᵀFC)_ii` of the last Fock before DIIS is within 1e-5 Ha of
+    // the cold converged SCF's.
+    let (mol, grid, solver) = off_center(systems::h2(), 12.0, 24);
+    let run = |mol: &Molecule, guess: Option<&Mat>| {
+        let basis = Basis::sto3g(mol);
+        let (mut inc, mut profile) = (IncrementalExchange::new(0.0, 0), BuildProfile::default());
+        let mut k = grid_k(
+            &basis,
+            mol.nocc(),
+            &grid,
+            &solver,
+            0.0,
+            &mut inc,
+            &mut profile,
+        );
+        let res = ScfSession::with_exchange(mol, &basis, &ScfOptions::default(), &mut k, guess)
+            .run_to_completion();
+        assert!(res.converged, "{}", mol.formula());
+        res
+    };
+    let mut moved = mol.clone();
+    moved.atoms[1].pos.x += 0.02;
+    let warm = run(&moved, Some(&run(&mol, None).c));
+    let cold = run(&moved, None);
+    assert_eq!(warm.iterations, 3);
+    let (got, want) = (warm.homo().unwrap(), cold.homo().unwrap());
+    assert!((got - want).abs() < 1e-5, "ε_HOMO {got} vs {want}");
+}

@@ -4,7 +4,8 @@
 //! exchange path (the code path the paper parallelizes):
 //!
 //! * [`grid`] — uniform grids over periodic cells;
-//! * [`orbital`] — evaluation of Gaussian AOs/MOs on grids;
+//! * [`orbital`] — evaluation of Gaussian AOs/MOs on grids, and of the
+//!   AOs at arbitrary points with one density contraction over them;
 //! * [`poisson`] — FFT-based Poisson solvers with periodic and
 //!   spherical-cutoff (isolated) Coulomb kernels; every orbital-pair
 //!   exchange term is one `exchange_pair_energy` (or, for the K operator,
@@ -27,8 +28,8 @@ pub use grid::RealGrid;
 pub use localize::{foster_boys, Localization};
 pub use molgrid::MolGrid;
 pub use orbital::{
-    ao_gradients_into, ao_values, ao_values_at_points, density_from_aos, density_on_grid,
-    orbitals_from_aos, orbitals_on_grid, SeparableAos,
+    ao_values, aos_at_points, density_at_points, density_on_grid, orbitals_from_aos,
+    orbitals_on_grid, SeparableAos,
 };
 pub use patch::{isolated_patch_solver, patch_pair_energy_ws, Patch, PatchScratch};
 pub use poisson::{CoulombKernel, KernelTimings, PoissonSolver, PoissonWorkspace};

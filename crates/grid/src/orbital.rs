@@ -8,7 +8,7 @@
 use crate::grid::RealGrid;
 use liair_basis::shell::cart_components;
 use liair_basis::{Basis, Shell};
-use liair_math::{simd, Mat};
+use liair_math::{simd, Mat, Vec3};
 use rayon::prelude::*;
 
 /// Evaluate every AO at every grid point; returns `nao` fields of
@@ -206,157 +206,120 @@ fn cartesian_aos<'a>(basis: &'a Basis) -> Vec<(&'a Shell, (usize, usize, usize))
     basis.shells.iter().flat_map(ao).collect()
 }
 
-/// Evaluate every AO at an arbitrary point set (no periodic wrapping —
-/// used by the atom-centered molecular quadrature). Returns `nao` rows.
-pub fn ao_values_at_points(basis: &Basis, points: &[liair_math::Vec3]) -> Vec<Vec<f64>> {
-    cartesian_aos(basis)
-        .par_iter()
-        .map(|(sh, powers)| {
-            let coefs = sh.normalized_coefs(*powers);
-            points
-                .iter()
-                .map(|&p| {
-                    let d = p - sh.center;
-                    let r2 = d.norm_sqr();
-                    let ang = d.x.powi(powers.0 as i32)
-                        * d.y.powi(powers.1 as i32)
-                        * d.z.powi(powers.2 as i32);
-                    let radial: f64 = sh
-                        .prims
-                        .iter()
-                        .zip(&coefs)
-                        .map(|(pr, &c)| c * (-pr.exp * r2).exp())
-                        .sum();
-                    ang * radial
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Evaluate every AO *and* its Cartesian gradient at a point set.
-/// Returns `(values, gradients)` with gradients as `[Vec3]` rows per AO.
-pub fn ao_values_and_gradients_at_points(
-    basis: &Basis,
-    points: &[liair_math::Vec3],
-) -> (Vec<Vec<f64>>, Vec<Vec<liair_math::Vec3>>) {
-    let rows: Vec<(Vec<f64>, Vec<liair_math::Vec3>)> = cartesian_aos(basis)
-        .par_iter()
-        .map(|&(sh, powers)| {
-            let coefs = sh.normalized_coefs(powers);
-            points
-                .iter()
-                .map(|&p| ao_value_and_gradient(sh, &coefs, powers, p))
-                .unzip()
-        })
-        .collect();
-    rows.into_iter().unzip()
-}
-
-/// The Cartesian gradient of every AO at `points`, into `out` as `nao`
-/// rows of `points.len()`. Serial: a caller streams batches of points
-/// through it, so no `3·nao·npts` array is ever held.
-pub fn ao_gradients_into(
-    basis: &Basis,
-    points: &[liair_math::Vec3],
-    out: &mut Vec<liair_math::Vec3>,
-) {
-    out.clear();
-    for (sh, powers) in cartesian_aos(basis) {
-        let coefs = sh.normalized_coefs(powers);
-        out.extend(
-            points
-                .iter()
-                .map(|&p| ao_value_and_gradient(sh, &coefs, powers, p).1),
-        );
+/// Evaluate every AO of `basis` at `points` (no periodic wrapping: the
+/// atom-centered molecular quadrature) into the caller's AO-major
+/// buffers: `vals[μ·m + i] = χ_μ(r_i)` for the `m` points, and with
+/// `grads` the Cartesian gradient `∇χ_μ(r_i)` at the same index. A value
+/// is `(x^lx y^ly z^lz)·Σ c e^{−αr²}`; each primitive's exponential serves
+/// the value and the gradient. Serial: callers stream fixed batches of
+/// points through it (in parallel over batches), so no whole-grid array
+/// need be held.
+pub fn aos_at_points(basis: &Basis, points: &[Vec3], vals: &mut [f64], grads: Option<&mut [Vec3]>) {
+    let m = points.len();
+    let aos = cartesian_aos(basis);
+    assert_eq!(vals.len(), aos.len() * m, "one value per AO and point");
+    let rows = vals.chunks_exact_mut(m.max(1));
+    match grads {
+        None => {
+            for ((sh, powers), row) in aos.into_iter().zip(rows) {
+                let coefs = sh.normalized_coefs(powers);
+                for (v, &p) in row.iter_mut().zip(points) {
+                    *v = ao_at::<false>(sh, &coefs, powers, p).0;
+                }
+            }
+        }
+        Some(grads) => {
+            assert_eq!(grads.len(), aos.len() * m, "one gradient per AO and point");
+            let grad_rows = grads.chunks_exact_mut(m.max(1));
+            for (((sh, powers), row), grad_row) in aos.into_iter().zip(rows).zip(grad_rows) {
+                let coefs = sh.normalized_coefs(powers);
+                for ((v, g), &p) in row.iter_mut().zip(grad_row).zip(points) {
+                    (*v, *g) = ao_at::<true>(sh, &coefs, powers, p);
+                }
+            }
+        }
     }
 }
 
-/// One AO's value and gradient at `p`, from its shell's normalized
-/// coefficients for `powers`.
-fn ao_value_and_gradient(
+/// One AO's value at `p`, and its gradient when `GRAD` (else zero), from
+/// its shell's normalized coefficients for `powers`.
+fn ao_at<const GRAD: bool>(
     sh: &Shell,
     coefs: &[f64],
     powers: (usize, usize, usize),
-    p: liair_math::Vec3,
-) -> (f64, liair_math::Vec3) {
+    p: Vec3,
+) -> (f64, Vec3) {
     let (lx, ly, lz) = (powers.0 as i32, powers.1 as i32, powers.2 as i32);
     let d = p - sh.center;
     let r2 = d.norm_sqr();
     let px = d.x.powi(lx);
     let py = d.y.powi(ly);
     let pz = d.z.powi(lz);
-    let mut val = 0.0;
-    let mut grad = liair_math::Vec3::ZERO;
+    // −0.0 is where `Iterator::sum` starts, so an all-zero tail keeps the
+    // sign the per-point form gave it.
+    let mut radial = -0.0;
+    let mut grad = Vec3::ZERO;
     for (pr, &c) in sh.prims.iter().zip(coefs) {
         let g = c * (-pr.exp * r2).exp();
-        val += px * py * pz * g;
-        // ∂/∂x [x^l e^{-αr²}] = (l x^{l−1} − 2α x^{l+1}) e^{-αr²}
-        let dx = (if lx > 0 {
-            lx as f64 * d.x.powi(lx - 1)
-        } else {
-            0.0
-        } - 2.0 * pr.exp * d.x.powi(lx + 1))
-            * py
-            * pz;
-        let dy = (if ly > 0 {
-            ly as f64 * d.y.powi(ly - 1)
-        } else {
-            0.0
-        } - 2.0 * pr.exp * d.y.powi(ly + 1))
-            * px
-            * pz;
-        let dz = (if lz > 0 {
-            lz as f64 * d.z.powi(lz - 1)
-        } else {
-            0.0
-        } - 2.0 * pr.exp * d.z.powi(lz + 1))
-            * px
-            * py;
-        grad += liair_math::Vec3::new(dx, dy, dz) * g;
+        radial += g;
+        if GRAD {
+            // ∂/∂x [x^l e^{-αr²}] = (l x^{l−1} − 2α x^{l+1}) e^{-αr²}
+            let lower = |l: i32, x: f64| if l > 0 { l as f64 * x.powi(l - 1) } else { 0.0 };
+            let dx = (lower(lx, d.x) - 2.0 * pr.exp * d.x.powi(lx + 1)) * py * pz;
+            let dy = (lower(ly, d.y) - 2.0 * pr.exp * d.y.powi(ly + 1)) * px * pz;
+            let dz = (lower(lz, d.z) - 2.0 * pr.exp * d.z.powi(lz + 1)) * px * py;
+            grad += Vec3::new(dx, dy, dz) * g;
+        }
     }
-    (val, grad)
+    (px * py * pz * radial, grad)
 }
 
-/// Closed-shell density and gradient magnitude from an AO density matrix
-/// at the points the AO values `vals` (and gradients `grads`) were
-/// evaluated at: `n = Σ_{μν} D_{μν} χ_μ χ_ν`,
-/// `∇n = 2 Σ_{μν} D_{μν} χ_μ ∇χ_ν`. Without `grads` the gradient
-/// magnitudes are 0.
-pub fn density_from_aos(
-    vals: &[Vec<f64>],
-    grads: Option<&[Vec<liair_math::Vec3>]>,
+/// Contract the AO density matrix `dm` over one batch of `m = n.len()`
+/// points whose AO values `vals` (and gradients) [`aos_at_points`] wrote:
+/// `(Dχ)_μ = Σ_ν D_μν χ_ν` into `dchi` (AO-major, like `vals`), the
+/// closed-shell density `n = Σ_μ (Dχ)_μ χ_μ` clamped at 0, and with
+/// `grad = Some((grads, grad_n))` the gradient magnitude
+/// `|∇n| = |Σ_μ 2(Dχ)_μ ∇χ_μ|`. Every point's sums run over `ν` and `μ`
+/// in ascending order, so its bits do not depend on the batch it is in.
+pub fn density_at_points(
     dm: &Mat,
-) -> (Vec<f64>, Vec<f64>) {
-    let nao = vals.len();
-    assert_eq!(dm.nrows(), nao);
-    let npts = vals.first().map_or(0, Vec::len);
-    let out: Vec<(f64, f64)> = (0..npts)
-        .into_par_iter()
-        .map_init(
-            || vec![0.0; nao],
-            |dchi, p| {
-                // n = χᵀ D χ, ∇n = 2 (Dχ)·∇χ, with Dχ in per-worker scratch.
-                for mu in 0..nao {
-                    let mut acc = 0.0;
-                    for nu in 0..nao {
-                        acc += dm[(mu, nu)] * vals[nu][p];
-                    }
-                    dchi[mu] = acc;
-                }
-                let n: f64 = (0..nao).map(|mu| dchi[mu] * vals[mu][p]).sum();
-                let g = grads.map_or(0.0, |grads| {
-                    let mut g = liair_math::Vec3::ZERO;
-                    for mu in 0..nao {
-                        g += grads[mu][p] * (2.0 * dchi[mu]);
-                    }
-                    g.norm()
-                });
-                (n.max(0.0), g)
-            },
-        )
-        .collect();
-    out.into_iter().unzip()
+    vals: &[f64],
+    grad: Option<(&[Vec3], &mut [f64])>,
+    n: &mut [f64],
+    dchi: &mut [f64],
+) {
+    let (nao, m) = (dm.nrows(), n.len());
+    assert_eq!(vals.len(), nao * m, "one value per AO and point");
+    assert_eq!(dchi.len(), nao * m, "one (Dχ) per AO and point");
+    let row = |mu: usize| mu * m..(mu + 1) * m;
+    for mu in 0..nao {
+        let out = &mut dchi[row(mu)];
+        out.fill(0.0);
+        for nu in 0..nao {
+            let d = dm[(mu, nu)];
+            for (o, &v) in out.iter_mut().zip(&vals[row(nu)]) {
+                *o += d * v;
+            }
+        }
+    }
+    // −0.0 is where `Iterator::sum` starts (see `ao_at`).
+    n.fill(-0.0);
+    for mu in 0..nao {
+        for ((n, &dc), &v) in n.iter_mut().zip(&dchi[row(mu)]).zip(&vals[row(mu)]) {
+            *n += dc * v;
+        }
+    }
+    n.iter_mut().for_each(|n| *n = n.max(0.0));
+    if let Some((grads, grad_n)) = grad {
+        assert_eq!(grads.len(), nao * m, "one gradient per AO and point");
+        for (i, out) in grad_n.iter_mut().enumerate() {
+            let mut g = Vec3::ZERO;
+            for mu in 0..nao {
+                g += grads[mu * m + i] * (2.0 * dchi[mu * m + i]);
+            }
+            *out = g.norm();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +358,162 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The per-point value formula [`aos_at_points`] replaced:
+    /// `(x^lx y^ly z^lz)·Σ c e^{−αr²}`.
+    fn value_oracle(sh: &Shell, coefs: &[f64], powers: (usize, usize, usize), p: Vec3) -> f64 {
+        let d = p - sh.center;
+        let r2 = d.norm_sqr();
+        let ang = d.x.powi(powers.0 as i32) * d.y.powi(powers.1 as i32) * d.z.powi(powers.2 as i32);
+        let radial: f64 = sh
+            .prims
+            .iter()
+            .zip(coefs)
+            .map(|(pr, &c)| c * (-pr.exp * r2).exp())
+            .sum();
+        ang * radial
+    }
+
+    /// The per-point gradient formula [`aos_at_points`] replaced.
+    fn gradient_oracle(sh: &Shell, coefs: &[f64], powers: (usize, usize, usize), p: Vec3) -> Vec3 {
+        let (lx, ly, lz) = (powers.0 as i32, powers.1 as i32, powers.2 as i32);
+        let d = p - sh.center;
+        let r2 = d.norm_sqr();
+        let px = d.x.powi(lx);
+        let py = d.y.powi(ly);
+        let pz = d.z.powi(lz);
+        let mut grad = Vec3::ZERO;
+        for (pr, &c) in sh.prims.iter().zip(coefs) {
+            let g = c * (-pr.exp * r2).exp();
+            let dx = (if lx > 0 {
+                lx as f64 * d.x.powi(lx - 1)
+            } else {
+                0.0
+            } - 2.0 * pr.exp * d.x.powi(lx + 1))
+                * py
+                * pz;
+            let dy = (if ly > 0 {
+                ly as f64 * d.y.powi(ly - 1)
+            } else {
+                0.0
+            } - 2.0 * pr.exp * d.y.powi(ly + 1))
+                * px
+                * pz;
+            let dz = (if lz > 0 {
+                lz as f64 * d.z.powi(lz - 1)
+            } else {
+                0.0
+            } - 2.0 * pr.exp * d.z.powi(lz + 1))
+                * px
+                * py;
+            grad += Vec3::new(dx, dy, dz) * g;
+        }
+        grad
+    }
+
+    /// The per-point density contraction [`density_at_points`] replaced,
+    /// at point `i` of a batch of `m`: `(n, |∇n|)`.
+    fn density_oracle(dm: &Mat, vals: &[f64], grads: &[Vec3], m: usize, i: usize) -> (f64, f64) {
+        let nao = dm.nrows();
+        let mut dchi = vec![0.0; nao];
+        for mu in 0..nao {
+            let mut acc = 0.0;
+            for nu in 0..nao {
+                acc += dm[(mu, nu)] * vals[nu * m + i];
+            }
+            dchi[mu] = acc;
+        }
+        let n: f64 = (0..nao).map(|mu| dchi[mu] * vals[mu * m + i]).sum();
+        let mut g = Vec3::ZERO;
+        for mu in 0..nao {
+            g += grads[mu * m + i] * (2.0 * dchi[mu]);
+        }
+        (n.max(0.0), g.norm())
+    }
+
+    /// Linear Li₂O at r(Li–O) = 1.62 Å.
+    fn li2o() -> liair_basis::Molecule {
+        let mut m = liair_basis::Molecule::new();
+        for (el, x) in [
+            (liair_basis::Element::O, 0.0),
+            (liair_basis::Element::Li, 1.62),
+            (liair_basis::Element::Li, -1.62),
+        ] {
+            m.push(el, Vec3::new(x, 0.0, 0.0) * liair_basis::ANGSTROM);
+        }
+        m
+    }
+
+    #[test]
+    fn point_evaluator_and_contraction_are_bit_equal_to_the_per_point_oracles() {
+        // Every point of a coarse Becke grid (far tails included), in
+        // batches of 1, 7 and 128 with a ragged last batch; values alone
+        // and with gradients; then a density matrix contracted over each
+        // batch.
+        let (water, lih, li2o) = (systems::water(), systems::lih(), li2o());
+        for (mol, basis) in [
+            (&water, Basis::sto3g(&water)),
+            (&water, Basis::b631g(&water)),
+            (&lih, Basis::sto3g(&lih)),
+            (&li2o, Basis::sto3g(&li2o)),
+        ] {
+            let grid = crate::molgrid::MolGrid::becke(mol, 13, 4);
+            let nao = basis.nao();
+            let aos = cartesian_aos(&basis);
+            let coefs: Vec<Vec<f64>> = aos
+                .iter()
+                .map(|(sh, pw)| sh.normalized_coefs(*pw))
+                .collect();
+            // A symmetric density-like matrix with no structure to hide
+            // an index mix-up.
+            let mut rng = liair_math::rng::SplitMix64::new(11);
+            let mut dm = Mat::zeros(nao, nao);
+            for mu in 0..nao {
+                for nu in 0..=mu {
+                    let x = rng.next_f64() - 0.3;
+                    dm[(mu, nu)] = x;
+                    dm[(nu, mu)] = x;
+                }
+            }
+            // Drop one point where the pruned grid would split evenly.
+            let len = grid.len();
+            let points =
+                &grid.points[..len - usize::from(len.is_multiple_of(7) || len.is_multiple_of(128))];
+            for batch in [1, 7, 128] {
+                assert!(
+                    batch == 1 || !points.len().is_multiple_of(batch),
+                    "a ragged last batch"
+                );
+                for points in points.chunks(batch) {
+                    let m = points.len();
+                    let (mut vals, mut alone) = (vec![0.0; nao * m], vec![0.0; nao * m]);
+                    let mut grads = vec![Vec3::ZERO; nao * m];
+                    aos_at_points(&basis, points, &mut vals, Some(&mut grads));
+                    aos_at_points(&basis, points, &mut alone, None);
+                    for (mu, (sh, pw)) in aos.iter().enumerate() {
+                        for (i, &p) in points.iter().enumerate() {
+                            let want = value_oracle(sh, &coefs[mu], *pw, p);
+                            let want_g = gradient_oracle(sh, &coefs[mu], *pw, p);
+                            let k = mu * m + i;
+                            assert_eq!(vals[k].to_bits(), want.to_bits(), "AO {mu} at {p:?}");
+                            assert_eq!(alone[k].to_bits(), want.to_bits(), "AO {mu} at {p:?}");
+                            for a in 0..3 {
+                                assert_eq!(grads[k][a].to_bits(), want_g[a].to_bits(), "∇AO {mu}");
+                            }
+                        }
+                    }
+                    let (mut n, mut grad_n, mut dchi) =
+                        (vec![0.0; m], vec![0.0; m], vec![0.0; nao * m]);
+                    density_at_points(&dm, &vals, Some((&grads, &mut grad_n)), &mut n, &mut dchi);
+                    for i in 0..m {
+                        let (want_n, want_g) = density_oracle(&dm, &vals, &grads, m, i);
+                        assert_eq!(n[i].to_bits(), want_n.to_bits(), "n at batch point {i}");
+                        assert_eq!(grad_n[i].to_bits(), want_g.to_bits(), "|∇n| at {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -463,7 +582,7 @@ mod tests {
                 let (mut want, mut scale) = (Vec3::ZERO, 0.0);
                 for (p, &v) in f.iter().enumerate() {
                     let at = sh.center + grid.cell.min_image(sh.center, grid.point_flat(p));
-                    let g = ao_value_and_gradient(sh, &coefs, powers, at).1;
+                    let g = gradient_oracle(sh, &coefs, powers, at);
                     want += g * v;
                     scale += g.norm() * v.abs();
                 }
@@ -531,7 +650,8 @@ mod tests {
         let grid = RealGrid::cubic(Cell::cubic(l), 8);
         let pts: Vec<Vec3> = (0..grid.len()).map(|i| grid.point_flat(i)).collect();
         let on_grid = ao_values(&basis, &grid);
-        let at_pts = ao_values_at_points(&basis, &pts);
+        let mut at_pts = vec![0.0; basis.nao() * pts.len()];
+        aos_at_points(&basis, &pts, &mut at_pts, None);
         // Min-image equals the direct displacement only for points within
         // half a box of the shell center along every axis; compare those.
         for (mu, ao) in basis.aos.iter().enumerate() {
@@ -540,7 +660,7 @@ mod tests {
                 let p = pts[i];
                 if (0..3).all(|k| (p[k] - c[k]).abs() < l / 2.0 - 1e-9) {
                     assert!(
-                        approx_eq(on_grid[mu][i], at_pts[mu][i], 1e-10),
+                        approx_eq(on_grid[mu][i], at_pts[mu * pts.len() + i], 1e-10),
                         "AO {mu} point {i}"
                     );
                 }
@@ -554,20 +674,26 @@ mod tests {
         let basis = liair_basis::Basis::sto3g(&mol);
         let p0 = Vec3::new(0.4, 0.3, 0.2);
         let h = 1e-6;
-        let (_, grads) = ao_values_and_gradients_at_points(&basis, &[p0]);
+        let nao = basis.nao();
+        let values = |p: Vec3| {
+            let mut v = vec![0.0; nao];
+            aos_at_points(&basis, &[p], &mut v, None);
+            v
+        };
+        let mut grads = vec![Vec3::ZERO; nao];
+        aos_at_points(&basis, &[p0], &mut vec![0.0; nao], Some(&mut grads));
         for axis in 0..3 {
             let mut pp = p0;
             pp[axis] += h;
             let mut pm = p0;
             pm[axis] -= h;
-            let vp = ao_values_at_points(&basis, &[pp]);
-            let vm = ao_values_at_points(&basis, &[pm]);
-            for mu in 0..basis.nao() {
-                let fd = (vp[mu][0] - vm[mu][0]) / (2.0 * h);
+            let (vp, vm) = (values(pp), values(pm));
+            for mu in 0..nao {
+                let fd = (vp[mu] - vm[mu]) / (2.0 * h);
                 assert!(
-                    approx_eq(grads[mu][0][axis], fd, 1e-5),
+                    approx_eq(grads[mu][axis], fd, 1e-5),
                     "AO {mu} axis {axis}: {} vs {fd}",
-                    grads[mu][0][axis]
+                    grads[mu][axis]
                 );
             }
         }
@@ -588,8 +714,11 @@ mod tests {
             }
         }
         let mg = crate::molgrid::MolGrid::becke(&mol, 40, 8);
-        let (vals, grads) = ao_values_and_gradients_at_points(&basis, &mg.points);
-        let (n, grad) = density_from_aos(&vals, Some(&grads), &dm);
+        let npts = mg.len();
+        let (mut vals, mut grads) = (vec![0.0; 2 * npts], vec![Vec3::ZERO; 2 * npts]);
+        aos_at_points(&basis, &mg.points, &mut vals, Some(&mut grads));
+        let (mut n, mut grad, mut dchi) = (vec![0.0; npts], vec![0.0; npts], vec![0.0; 2 * npts]);
+        density_at_points(&dm, &vals, Some((&grads, &mut grad)), &mut n, &mut dchi);
         let total = mg.integrate(&n);
         assert!(approx_eq(total, 2.0, 1e-4), "{total}");
         assert!(grad.iter().all(|&g| g >= 0.0));

@@ -445,14 +445,6 @@ impl<'a> EriEngine<'a> {
         }
     }
 
-    /// Allocating convenience wrapper around [`Self::block_quartet_into`].
-    pub fn block_quartet(&self, ba: usize, bb: usize, bc: usize, bd: usize) -> Vec<f64> {
-        let mut scratch = EriScratch::default();
-        let mut out = Vec::new();
-        self.block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut out);
-        out
-    }
-
     /// The `R` tables [`Self::block_quartet_into`] evaluates for
     /// `(ba bb | bc bd)`: one per primitive quartet that passes
     /// [`PRIM_SCREEN`].
@@ -1088,11 +1080,12 @@ mod tests {
         let q = schwarz_matrix(&basis);
         let engine = EriEngine::new(&basis);
         let nblk = engine.blocks().len();
+        let (mut scratch, mut block) = (EriScratch::default(), Vec::new());
         for sa in 0..nblk {
             for sb in 0..nblk {
                 for sc in 0..nblk {
                     for sd in 0..nblk {
-                        let block = engine.block_quartet(sa, sb, sc, sd);
+                        engine.block_quartet_into(sa, sb, sc, sd, &mut scratch, &mut block);
                         let max = block.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
                         let bound = q[(sa, sb)] * q[(sc, sd)];
                         assert!(max <= bound + 1e-9, "({sa}{sb}|{sc}{sd}): {max} > {bound}");
@@ -1111,19 +1104,5 @@ mod tests {
         assert!(eri.get(0, 1, 0, 1).abs() < 1e-8);
         // While the classical Coulomb (11|22) only decays like 1/R.
         assert!(approx_eq(eri.get(0, 0, 1, 1), 0.1, 1e-2));
-    }
-
-    #[test]
-    fn into_matches_allocating_path() {
-        let mol = systems::water();
-        let basis = Basis::sto3g(&mol);
-        let engine = EriEngine::new(&basis);
-        let mut scratch = EriScratch::default();
-        let mut out = Vec::new();
-        for (ba, bb, bc, bd) in [(0, 1, 2, 3), (1, 1, 1, 1), (3, 0, 2, 1)] {
-            engine.block_quartet_into(ba, bb, bc, bd, &mut scratch, &mut out);
-            let reference = engine.block_quartet(ba, bb, bc, bd);
-            assert_eq!(out, reference);
-        }
     }
 }

@@ -118,12 +118,6 @@ impl Encoder {
             self.put_f64(v);
         }
     }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
 }
 
 /// Cursor-based decoder over a checkpoint byte stream.
@@ -217,15 +211,6 @@ impl<'a> Decoder<'a> {
         }
         (0..n).map(|_| self.get_f64()).collect()
     }
-
-    /// Read a length-prefixed UTF-8 string (lossy on invalid bytes).
-    pub fn get_string(&mut self) -> Result<String, CodecError> {
-        let n = self.get_usize()?;
-        if n > self.remaining() {
-            return Err(CodecError::BadLength(n as u64));
-        }
-        Ok(String::from_utf8_lossy(self.take(n)?).into_owned())
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +238,6 @@ mod tests {
         e.put_u64(u64::MAX);
         e.put_usize(77);
         e.put_bool(true);
-        e.put_str("liair-serve");
         let bytes = e.finish();
 
         let (mut d, version) = Decoder::with_magic(&bytes, 0x4C41_4952).unwrap();
@@ -269,7 +253,6 @@ mod tests {
         assert_eq!(d.get_u64().unwrap(), u64::MAX);
         assert_eq!(d.get_usize().unwrap(), 77);
         assert!(d.get_bool().unwrap());
-        assert_eq!(d.get_string().unwrap(), "liair-serve");
         assert_eq!(d.remaining(), 0);
     }
 

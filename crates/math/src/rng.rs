@@ -48,17 +48,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// Standard normal via Box–Muller.
-    pub fn next_gaussian(&mut self) -> f64 {
-        loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                let v = self.next_f64();
-                return (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos();
-            }
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -108,22 +97,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.below(13) < 13);
         }
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut r = SplitMix64::new(1234);
-        let n = 50_000;
-        let (mut m1, mut m2) = (0.0, 0.0);
-        for _ in 0..n {
-            let g = r.next_gaussian();
-            m1 += g;
-            m2 += g * g;
-        }
-        m1 /= n as f64;
-        m2 /= n as f64;
-        assert!(m1.abs() < 0.02, "mean {m1}");
-        assert!((m2 - 1.0).abs() < 0.05, "var {m2}");
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl TrafficLog {
         self.demands.lock().len()
     }
 
-    /// Total payload bytes injected (before hop multiplication).
-    pub fn total_bytes(&self) -> f64 {
-        self.demands.lock().iter().map(|&(_, _, b)| b).sum()
-    }
-
     /// Mean hop count of the recorded messages under dimension-ordered
     /// routing (0 when nothing was recorded).
     pub fn mean_hops(&self) -> f64 {
@@ -187,7 +182,8 @@ mod tests {
         // framed entry carries a 2-word header, each message a count word.
         assert_eq!(log.messages(), n - 1);
         let words = 2 * (1 + 2 + 3) + (1 + 2 * (2 + 3));
-        assert_eq!(log.total_bytes(), (words * 8) as f64);
+        let bytes: f64 = log.demands().iter().map(|&(_, _, b)| b).sum();
+        assert_eq!(bytes, (words * 8) as f64);
         assert!(log.mean_hops() >= 1.0);
         assert!(log.route().total() > 0.0);
     }

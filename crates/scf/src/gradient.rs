@@ -20,20 +20,49 @@
 //! its grid does not move with the atoms, so those forces do not sum to
 //! zero.
 //!
-//! The AO gradients are streamed over fixed batches of [`XC_BATCH`] points
-//! (the AO values are the session's own), so no `3·nao·npts` array is held;
-//! the batch partials are summed in batch order, and the Coulomb term's
-//! group partials in group order, so the bits do not depend on the thread
-//! count.
+//! The AO values and gradients are streamed over fixed batches of
+//! `XC_BATCH` points through [`PointBatch`], so no `3·nao·npts` array is
+//! held; the batch partials are summed in batch order, and the Coulomb
+//! term's group partials in group order, so the bits do not depend on the
+//! thread count. A point's `n` and `Dχ` come from the same contraction as
+//! the SCF's, so its bits are the ones the energy was evaluated with.
 
+use crate::driver::XC_BATCH;
 use liair_basis::{Basis, Molecule};
-use liair_grid::{ao_gradients_into, MolGrid};
+use liair_grid::{aos_at_points, density_at_points, MolGrid};
 use liair_math::{Mat, Vec3};
 use liair_xc::lda::lda_exc_vxc;
 use rayon::prelude::*;
 
-/// Grid points per batch of the XC gradient.
-const XC_BATCH: usize = 128;
+/// One batch of Becke points, in caller-owned buffers reused batch after
+/// batch: the AO values and gradients there (AO-major), and a density
+/// matrix contracted over them.
+#[derive(Default)]
+pub(crate) struct PointBatch {
+    vals: Vec<f64>,
+    pub(crate) grads: Vec<Vec3>,
+    /// `(Dχ)_μ` per point, AO-major.
+    pub(crate) dchi: Vec<f64>,
+    pub(crate) n: Vec<f64>,
+    /// `|∇n|` per point; zero unless asked for.
+    pub(crate) grad_n: Vec<f64>,
+}
+
+impl PointBatch {
+    /// Evaluate the basis and its gradient at `points` and contract `d`
+    /// over them, with `|∇n|` when `grad_n`.
+    pub(crate) fn evaluate(&mut self, basis: &Basis, points: &[Vec3], d: &Mat, grad_n: bool) {
+        let (nao, m) = (basis.nao(), points.len());
+        self.vals.resize(nao * m, 0.0);
+        self.grads.resize(nao * m, Vec3::ZERO);
+        self.dchi.resize(nao * m, 0.0);
+        self.n.resize(m, 0.0);
+        self.grad_n.resize(m, 0.0);
+        aos_at_points(basis, points, &mut self.vals, Some(&mut self.grads));
+        let grad = grad_n.then_some((&self.grads[..], &mut self.grad_n[..]));
+        density_at_points(d, &self.vals, grad, &mut self.n, &mut self.dchi);
+    }
+}
 
 /// The terms of a gradient, per atom, in the order they are summed.
 pub(crate) struct GradientTerms {
@@ -62,15 +91,8 @@ impl GradientTerms {
     }
 }
 
-/// `∂E_xc/∂R_B` of the LDA quadrature energy of `d` on `grid`, whose
-/// AO values are `aos`.
-pub(crate) fn xc_gradient(
-    mol: &Molecule,
-    basis: &Basis,
-    grid: &MolGrid,
-    aos: &[Vec<f64>],
-    d: &Mat,
-) -> Vec<Vec3> {
+/// `∂E_xc/∂R_B` of the LDA quadrature energy of `d` on `grid`.
+pub(crate) fn xc_gradient(mol: &Molecule, basis: &Basis, grid: &MolGrid, d: &Mat) -> Vec<Vec3> {
     let (natoms, nao, npts) = (mol.natoms(), basis.nao(), grid.len());
     let ao_atom: Vec<usize> = basis
         .aos
@@ -80,27 +102,23 @@ pub(crate) fn xc_gradient(
     let partials: Vec<Vec<Vec3>> = (0..npts.div_ceil(XC_BATCH))
         .into_par_iter()
         .map_init(
-            || (Vec::new(), Vec::new(), vec![0.0; nao]),
-            |(grads, dw, dchi), batch| {
-                let range = batch * XC_BATCH..npts.min((batch + 1) * XC_BATCH);
+            || (PointBatch::default(), Vec::new()),
+            |(batch, dw), b| {
+                let range = b * XC_BATCH..npts.min((b + 1) * XC_BATCH);
                 let m = range.len();
-                ao_gradients_into(basis, &grid.points[range.clone()], grads);
+                batch.evaluate(basis, &grid.points[range.clone()], d, false);
                 grid.weight_gradients(mol, range.clone(), dw);
+                let (grads, dchi) = (&batch.grads, &batch.dchi);
                 let mut g = vec![Vec3::ZERO; natoms];
                 for (i, p) in range.enumerate() {
-                    // n = χᵀ D χ exactly as the SCF's energy evaluates it.
-                    for mu in 0..nao {
-                        dchi[mu] = (0..nao).map(|nu| d[(mu, nu)] * aos[nu][p]).sum();
-                    }
-                    let n: f64 = (0..nao).map(|mu| dchi[mu] * aos[mu][p]).sum();
-                    let n = n.max(0.0);
+                    let n = batch.n[i];
                     let (exc, vxc) = lda_exc_vxc(n);
                     let owner = grid.atom_of(p);
                     // w v ∂n/∂R: the AO's atom loses 2(Dχ)_μ ∇χ_μ and the
                     // point's atom gains it, so an AO on the owner adds 0.
                     let wv2 = 2.0 * grid.weights[p] * vxc;
                     for mu in (0..nao).filter(|&mu| ao_atom[mu] != owner) {
-                        let f = grads[mu * m + i] * (wv2 * dchi[mu]);
+                        let f = grads[mu * m + i] * (wv2 * dchi[mu * m + i]);
                         g[ao_atom[mu]] -= f;
                         g[owner] += f;
                     }
@@ -129,8 +147,6 @@ mod tests {
     use crate::session::ScfSession;
     use crate::Method;
     use liair_basis::systems;
-    use liair_grid::ao_values_at_points;
-    use liair_grid::orbital::density_from_aos;
     use liair_integrals::{build_jk, kinetic_matrix, nuclear_matrix, overlap_matrix};
     use liair_xc::lda::lda_exc;
 
@@ -199,9 +215,11 @@ mod tests {
             let xc_energy = |m: &Molecule| {
                 let b = Basis::sto3g(m);
                 let grid = MolGrid::becke(m, XC_GRID_RADIAL, XC_GRID_THETA);
-                let aos = ao_values_at_points(&b, &grid.points);
-                let (n, _) = density_from_aos(&aos, None, &d);
-                n.iter()
+                let mut batch = PointBatch::default();
+                batch.evaluate(&b, &grid.points, &d, false);
+                batch
+                    .n
+                    .iter()
                     .zip(&grid.weights)
                     .map(|(&n, &w)| w * n * lda_exc(n))
                     .sum()

@@ -23,8 +23,8 @@
 //!
 //! A converged RKS-LDA session also gives the analytic nuclear gradient of
 //! its energy ([`ScfSession::gradient`], terms in `gradient.rs`) from the
-//! same context: the Becke grid and its AO values, the J builder's blocks
-//! and screen, and the latest orbitals and orbital energies. It is
+//! same context: the Becke grid, the J builder's blocks and screen, the
+//! latest orbitals and the last Fock matrix before DIIS. It is
 //! `liair-md`'s fast MTS force: one SCF per force. A converged
 //! `with_exchange` session gives it too, with the exchange term passed in
 //! by the operator's owner (the grid's comes from the same pair items as
@@ -32,7 +32,14 @@
 //!
 //! A converged session also gives post-SCF functional energies
 //! ([`ScfSession::functional_energies`]), the only way into them: J and K
-//! from one more replay, `H` from the context, one Becke grid for them all.
+//! from one more replay, `H` from the context, one Becke grid for them all,
+//! streamed batch by batch. Every Becke-grid walk (RKS values, XC gradient,
+//! post-SCF functionals) goes through `liair-grid`'s one AO evaluator at
+//! points and its one density contraction.
+//!
+//! Orbital energies are read, not iterated: [`ScfSession::into_result`]
+//! takes them from the latest orbitals and the last Fock matrix before
+//! DIIS, so a step pays nothing for them.
 //!
 //! A serve job interrupted between iterations captures an
 //! [`ScfCheckpoint`] — every mutable loop variable (density, DIIS history,
@@ -47,8 +54,8 @@
 //! an analytic one with an operator, fails with [`CodecError::BadMagic`]
 //! instead of switching the exchange source.
 //!
-//! The stream (layout version 2) carries the four [`ScfOptions`] fields
-//! and no DIIS depth: the depth, the DIIS error threshold, the XC grid and
+//! The stream (layout version 3) carries the four [`ScfOptions`] fields,
+//! no DIIS depth and no orbital energies: the depth, the DIIS error threshold, the XC grid and
 //! the incremental-Fock rebuild cadence are constants of this crate, so a
 //! stream cannot set them. Any other version is refused with
 //! [`CodecError::BadVersion`].
@@ -56,12 +63,11 @@
 use crate::diis::Diis;
 use crate::driver::{
     EnergyBreakdown, Method, ScfOptions, ScfResult, DIIS_DEPTH, DIIS_ERROR_TOL, FOCK_REBUILD_EVERY,
-    XC_GRID_RADIAL, XC_GRID_THETA,
+    XC_BATCH, XC_GRID_RADIAL, XC_GRID_THETA,
 };
-use crate::gradient::{xc_gradient, GradientTerms};
+use crate::gradient::{xc_gradient, GradientTerms, PointBatch};
 use liair_basis::{Basis, Molecule};
-use liair_grid::orbital::{ao_values_and_gradients_at_points, density_from_aos};
-use liair_grid::MolGrid;
+use liair_grid::{aos_at_points, density_at_points, MolGrid};
 use liair_integrals::{
     core_hamiltonian_gradient, kinetic_matrix, nuclear_matrix, overlap_gradient, overlap_matrix,
     JkBuilder,
@@ -71,6 +77,7 @@ use liair_math::linalg::{eigh, sym_inv_sqrt};
 use liair_math::{Mat, Vec3};
 use liair_xc::lda::lda_exc_vxc;
 use liair_xc::Functional;
+use rayon::prelude::*;
 
 /// Magic tag for SCF checkpoint streams (`"LSC1"`).
 const MAGIC: u32 = 0x4C53_4331;
@@ -78,7 +85,7 @@ const MAGIC: u32 = 0x4C53_4331;
 /// caller supplies (`"LSCK"`); the layout is [`MAGIC`]'s.
 const MAGIC_OPERATOR: u32 = 0x4C53_434B;
 /// Layout version; a stream of any other version is refused.
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 /// The magic tag of a session with (`true`) or without a caller's operator.
 fn magic(operator: bool) -> u32 {
@@ -100,8 +107,10 @@ struct ScfContext<'a> {
     x: Mat,
     e_nuc: f64,
     molgrid: Option<MolGrid>,
-    /// AO values at the `molgrid` points (RKS only), evaluated once.
-    ao_at_pts: Option<Vec<Vec<f64>>>,
+    /// AO values at the `molgrid` points (RKS only), evaluated once, batch
+    /// by batch: the AO-major block of batch `b` (points `b·XC_BATCH..`,
+    /// the last batch ragged) starts at `nao·b·XC_BATCH`.
+    ao_at_pts: Option<Vec<f64>>,
     jk_builder: JkBuilder<'a>,
 }
 
@@ -122,9 +131,16 @@ impl<'a> ScfContext<'a> {
         } else {
             None
         };
-        let ao_at_pts = molgrid
-            .as_ref()
-            .map(|g| liair_grid::ao_values_at_points(basis, &g.points));
+        let ao_at_pts = molgrid.as_ref().map(|g| {
+            let mut aos = vec![0.0; n * g.len()];
+            aos.par_chunks_mut(n * XC_BATCH)
+                .enumerate()
+                .for_each(|(b, block)| {
+                    let points = &g.points[b * XC_BATCH..][..block.len() / n];
+                    aos_at_points(basis, points, block, None);
+                });
+            aos
+        });
         ScfContext {
             mol: mol.clone(),
             basis,
@@ -172,7 +188,6 @@ struct ScfLoopState {
     breakdown: EnergyBreakdown,
     /// The orbitals `density` was assembled from.
     c_final: Mat,
-    eps_final: Vec<f64>,
     converged: bool,
     iterations: usize,
 }
@@ -236,7 +251,7 @@ impl<'a> ScfSession<'a> {
                 );
                 c.clone()
             }
-            None => orbitals_from_fock(&ctx.h, &ctx.x).1,
+            None => orbitals_from_fock(&ctx.h, &ctx.x),
         };
         let density = assemble_density(&c, ctx.nocc);
         let e_nuc = ctx.e_nuc;
@@ -258,7 +273,6 @@ impl<'a> ScfSession<'a> {
                     ..Default::default()
                 },
                 c_final: c,
-                eps_final: vec![0.0; n],
                 converged: false,
                 iterations: 0,
             },
@@ -346,25 +360,41 @@ impl<'a> ScfSession<'a> {
                 let grid = ctx.molgrid.as_ref().unwrap();
                 let aos = ctx.ao_at_pts.as_ref().unwrap();
                 let n = ctx.n;
-                let (nvals, _) = density_from_aos(aos, None, &st.density);
-                // One pass: v_xc at every point, and E_xc = Σ_p w_p n_p ε_xc(n_p).
-                let mut vxc_pts = Vec::with_capacity(nvals.len());
+                let mut nvals = vec![0.0; grid.len()];
+                let density = &st.density;
+                nvals
+                    .par_chunks_mut(XC_BATCH)
+                    .enumerate()
+                    .for_each(|(b, nb)| {
+                        let block = &aos[n * b * XC_BATCH..][..n * nb.len()];
+                        let mut dchi = vec![0.0; block.len()];
+                        density_at_points(density, block, None, nb, &mut dchi);
+                    });
+                // One pass: w_p v_xc(n_p) at every point, and
+                // E_xc = Σ_p w_p n_p ε_xc(n_p).
+                let mut wv = Vec::with_capacity(nvals.len());
                 let mut e_xc = 0.0;
                 for (&d, &w) in nvals.iter().zip(&grid.weights) {
                     let (exc, vxc) = lda_exc_vxc(d);
-                    vxc_pts.push(vxc);
+                    wv.push(w * vxc);
                     e_xc += w * d * exc;
                 }
-                // V_xc matrix: Σ_p w_p v_xc(n_p) χ_μ(p) χ_ν(p).
+                // V_xc matrix: Σ_p w_p v_xc(n_p) χ_μ(p) χ_ν(p), each entry
+                // summed over the points in order, one batch after another.
                 let mut vxc = Mat::zeros(n, n);
-                for mu in 0..n {
-                    for nu in 0..=mu {
-                        let mut acc = 0.0;
-                        for p in 0..grid.len() {
-                            acc += grid.weights[p] * vxc_pts[p] * aos[mu][p] * aos[nu][p];
+                for (block, wv) in aos.chunks(n * XC_BATCH).zip(wv.chunks(XC_BATCH)) {
+                    let m = wv.len();
+                    for mu in 0..n {
+                        let a = &block[mu * m..][..m];
+                        for nu in 0..=mu {
+                            let b = &block[nu * m..][..m];
+                            let mut acc = vxc[(mu, nu)];
+                            for ((&wv, &a), &b) in wv.iter().zip(a).zip(b) {
+                                acc += wv * a * b;
+                            }
+                            vxc[(mu, nu)] = acc;
+                            vxc[(nu, mu)] = acc;
                         }
-                        vxc[(mu, nu)] = acc;
-                        vxc[(nu, mu)] = acc;
                     }
                 }
                 let mut f = ctx.h.clone();
@@ -394,13 +424,12 @@ impl<'a> ScfSession<'a> {
         let diis_err = st.diis.latest_error();
 
         // New density.
-        let (eps, c) = orbitals_from_fock(&fock_x, &ctx.x);
+        let c = orbitals_from_fock(&fock_x, &ctx.x);
         st.density = assemble_density(&c, ctx.nocc);
         let de = (new_energy - st.energy).abs();
         st.energy = new_energy;
         st.breakdown = bd;
         st.c_final = c;
-        st.eps_final = eps;
         if it > 1 && de < opts.energy_tol && diis_err < DIIS_ERROR_TOL {
             st.converged = true;
         }
@@ -417,7 +446,7 @@ impl<'a> ScfSession<'a> {
     pub fn into_result(self) -> ScfResult {
         ScfResult {
             energy: self.st.energy,
-            orbital_energies: self.st.eps_final,
+            orbital_energies: self.orbital_energies(),
             c: self.st.c_final,
             density: self.st.density,
             nocc: self.ctx.nocc,
@@ -432,30 +461,63 @@ impl<'a> ScfSession<'a> {
     /// density (the one [`ScfSession::into_result`] returns):
     /// `E = E_nn + Tr(DH) + ½Tr(DJ) + c_x·(−¼Tr(DK)) + E_xc^{DFT}[n]`. J and
     /// K are one replay of the session's stored quartets at `schwarz_tol`;
-    /// the DFT part integrates [`Functional::exc`] on one Becke grid, with
-    /// the AO values and gradients at its points evaluated once for every
-    /// functional. For `Functional::Hf` it is the RHF energy expression.
+    /// the DFT part integrates [`Functional::exc`] on one Becke grid,
+    /// streamed in batches of `XC_BATCH` points: each batch's AO values and
+    /// gradients are evaluated once for every functional, and each
+    /// functional's batch partials are summed in batch order, so the bits
+    /// do not depend on the thread count. For `Functional::Hf` it is the
+    /// RHF energy expression.
     pub fn functional_energies(&self, functionals: &[Functional]) -> Vec<f64> {
         let (ctx, d) = (&self.ctx, &self.st.density);
         let (j, k) = ctx.jk_builder.build(d, self.opts.schwarz_tol);
         let e_no_x = ctx.e_nuc + d.trace_product(&ctx.h) + 0.5 * d.trace_product(&j);
         let e_hfx = -0.25 * d.trace_product(&k);
-        // `((n, |∇n|), weights)` at the Becke points; `Hf` alone needs none.
-        let points = functionals.iter().any(|&f| f != Functional::Hf).then(|| {
-            let grid = MolGrid::becke(&ctx.mol, XC_GRID_RADIAL, XC_GRID_THETA);
-            let (vals, grads) = ao_values_and_gradients_at_points(ctx.basis, &grid.points);
-            (density_from_aos(&vals, Some(&grads), d), grid.weights)
-        });
+        // Per batch, every functional's Σ_p w n ε(n, |∇n|); `Hf` alone
+        // needs no grid.
+        let partials: Option<Vec<Vec<f64>>> =
+            functionals.iter().any(|&f| f != Functional::Hf).then(|| {
+                let grid = MolGrid::becke(&ctx.mol, XC_GRID_RADIAL, XC_GRID_THETA);
+                (0..grid.len().div_ceil(XC_BATCH))
+                    .into_par_iter()
+                    .map_init(PointBatch::default, |batch, b| {
+                        let range = b * XC_BATCH..grid.len().min((b + 1) * XC_BATCH);
+                        batch.evaluate(ctx.basis, &grid.points[range.clone()], d, true);
+                        let pts = batch.n.iter().zip(&batch.grad_n).zip(&grid.weights[range]);
+                        functionals
+                            .iter()
+                            .map(|f| pts.clone().map(|((&n, &g), &w)| w * n * f.exc(n, g)).sum())
+                            .collect()
+                    })
+                    .collect()
+            });
         functionals
             .iter()
-            .map(|&f| {
+            .enumerate()
+            .map(|(i, &f)| {
                 // `Hf`'s integrand is 0, so its sum adds exactly nothing.
-                let e_xc: f64 = points.as_ref().map_or(0.0, |((n, g), w)| {
-                    let pts = n.iter().zip(g).zip(w);
-                    pts.map(|((&n, &g), &w)| w * n * f.exc(n, g)).sum()
-                });
+                let e_xc: f64 = partials
+                    .as_ref()
+                    .map_or(0.0, |p| p.iter().map(|p| p[i]).sum());
                 e_no_x + f.hfx_fraction() * e_hfx + e_xc
             })
+            .collect()
+    }
+
+    /// `ε_i = (Cᵀ F C)_ii` of the latest orbitals in the last Fock matrix
+    /// *before* DIIS, the one [`ScfSession::gradient`]'s `W` reads; empty
+    /// before the first step. The orbitals are eigenvectors of the
+    /// extrapolated Fock matrix, but its eigenvalues are not orbital
+    /// energies: DIIS weighs only the occupied–virtual block, and after a
+    /// warm start the occupied ones were off by up to 7e-4 Ha.
+    fn orbital_energies(&self) -> Vec<f64> {
+        let (focks, _) = self.st.diis.history();
+        let Some(fock) = focks.last() else {
+            return Vec::new();
+        };
+        let c = &self.st.c_final;
+        let fc = fock.matmul(c);
+        (0..c.ncols())
+            .map(|i| (0..c.nrows()).map(|mu| c[(mu, i)] * fc[(mu, i)]).sum())
             .collect()
     }
 
@@ -475,8 +537,8 @@ impl<'a> ScfSession<'a> {
     /// atom) of an RKS-LDA session or of an RHF session whose exchange a
     /// caller supplies ([`ScfSession::with_exchange`]), from the context it
     /// holds: the J builder's blocks, groups and Schwarz bounds, the
-    /// latest orbitals and their energies, and for RKS-LDA the Becke grid
-    /// and its AO values. It is the derivative of the energy at those
+    /// latest orbitals, the last Fock matrix before DIIS, and for RKS-LDA
+    /// the Becke grid. It is the derivative of the energy at those
     /// orbitals' density, exact up to how far the SCF is from
     /// self-consistency, so call it once [`ScfSession::converged`]. The
     /// terms are listed in `gradient.rs`.
@@ -501,9 +563,6 @@ impl<'a> ScfSession<'a> {
                 mol,
                 basis,
                 ctx.molgrid.as_ref().expect("an RKS context has a grid"),
-                ctx.ao_at_pts
-                    .as_ref()
-                    .expect("an RKS context has AO values"),
                 d,
             ),
             (Method::Rhf, true, Some(term)) => {
@@ -582,7 +641,6 @@ impl<'a> ScfSession<'a> {
             e.put_f64(v);
         }
         put_mat(&mut e, &st.c_final);
-        e.put_f64_slice(&st.eps_final);
         e.put_bool(st.converged);
         e.put_usize(st.iterations);
         ScfCheckpoint { bytes: e.finish() }
@@ -667,10 +725,6 @@ impl<'a> ScfSession<'a> {
             e_xc: d.get_f64()?,
         };
         let c_final = get_mat(&mut d, nao)?;
-        let eps_final = d.get_f64_vec()?;
-        if eps_final.len() != nao {
-            return Err(CodecError::BadLength(eps_final.len() as u64));
-        }
         let converged = d.get_bool()?;
         let iterations = d.get_usize()?;
         if d.remaining() != 0 {
@@ -692,7 +746,6 @@ impl<'a> ScfSession<'a> {
                 energy,
                 breakdown,
                 c_final,
-                eps_final,
                 converged,
                 iterations,
             },
@@ -743,10 +796,9 @@ fn get_opts(d: &mut Decoder<'_>) -> Result<ScfOptions, CodecError> {
 
 /// Diagonalize a Fock matrix in the orthonormal basis `x`; return
 /// `(ε, C)` in the original AO basis, orbitals in ascending energy.
-fn orbitals_from_fock(f: &Mat, x: &Mat) -> (Vec<f64>, Mat) {
+fn orbitals_from_fock(f: &Mat, x: &Mat) -> Mat {
     let fp = x.transpose().matmul(f).matmul(x);
-    let (eps, cp) = eigh(&fp);
-    (eps, x.matmul(&cp))
+    x.matmul(&eigh(&fp).1)
 }
 
 /// Closed-shell density `D = 2 C_occ C_occᵀ` of the first `nocc` columns
@@ -885,16 +937,19 @@ mod tests {
 
     #[test]
     fn version_1_stream_is_refused() {
-        // Version 1 carried a DIIS depth word; a stream claiming it is
-        // refused before any field is read.
+        // Version 1 carried a DIIS depth word and version 2 the orbital
+        // energies; a stream claiming either is refused before any field
+        // is read.
         let mol = systems::h2();
         let basis = Basis::sto3g(&mol);
-        let mut ck =
-            ScfSession::new(&mol, &basis, &ScfOptions::default(), Method::Rhf).checkpoint();
-        ck.bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            ScfSession::resume(&mol, &basis, &ck),
-            Err(CodecError::BadVersion(1))
-        ));
+        for version in [1u16, 2] {
+            let mut ck =
+                ScfSession::new(&mol, &basis, &ScfOptions::default(), Method::Rhf).checkpoint();
+            ck.bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                ScfSession::resume(&mol, &basis, &ck),
+                Err(CodecError::BadVersion(v)) if v == version
+            ));
+        }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The service is multi-tenant: one misbehaving tenant must not be able
 //! to flood the queue or monopolize the rank pool. Admission is checked
-//! once, at submit time, against the tenant's [`TenantQuota`]; a rejected
+//! once, at submit time, against the one [`TenantQuota`] each tenant is
+//! held to separately; a rejected
 //! job never enters the queue (the tenant sees the rejection immediately,
 //! matching batch-system convention).
 
@@ -38,35 +39,22 @@ pub enum RejectReason {
     RanksOverPool,
 }
 
-/// Admission bookkeeping: per-tenant quotas, live admitted counts, and
-/// rejection counters.
+/// Admission bookkeeping: the quota every tenant gets, live admitted
+/// counts, and rejection counters.
 #[derive(Debug, Default)]
 pub struct Admission {
-    default_quota: TenantQuota,
-    quotas: HashMap<String, TenantQuota>,
+    quota: TenantQuota,
     admitted: HashMap<String, usize>,
     rejections: u64,
 }
 
 impl Admission {
-    /// Admission under one default quota for every tenant.
-    pub fn new(default_quota: TenantQuota) -> Admission {
+    /// Admission under one quota for every tenant.
+    pub fn new(quota: TenantQuota) -> Admission {
         Admission {
-            default_quota,
+            quota,
             ..Admission::default()
         }
-    }
-
-    /// Override the quota for one tenant.
-    pub fn set_quota(&mut self, tenant: &str, quota: TenantQuota) {
-        self.quotas.insert(tenant.to_string(), quota);
-    }
-
-    fn quota_for(&self, tenant: &str) -> TenantQuota {
-        self.quotas
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.default_quota)
     }
 
     /// Try to admit a job of `nranks` for `tenant` against a pool of
@@ -79,7 +67,7 @@ impl Admission {
         nranks: usize,
         pool_total: usize,
     ) -> Result<(), RejectReason> {
-        let quota = self.quota_for(tenant);
+        let quota = self.quota;
         let live = self.admitted.get(tenant).copied().unwrap_or(0);
         let verdict = if live >= quota.max_jobs {
             Err(RejectReason::TooManyJobs)
@@ -152,25 +140,5 @@ mod tests {
         assert_eq!(adm.try_admit("a", 4, 2), Err(RejectReason::RanksOverPool));
         assert!(adm.try_admit("a", 4, 16).is_ok());
         assert_eq!(adm.admitted("a"), 1);
-    }
-
-    #[test]
-    fn per_tenant_override_beats_default() {
-        let mut adm = Admission::new(TenantQuota {
-            max_jobs: 1,
-            max_ranks_per_job: 1,
-        });
-        adm.set_quota(
-            "vip",
-            TenantQuota {
-                max_jobs: 100,
-                max_ranks_per_job: 100,
-            },
-        );
-        assert!(adm.try_admit("vip", 32, 64).is_ok());
-        assert_eq!(
-            adm.try_admit("pleb", 32, 64),
-            Err(RejectReason::RanksOverQuota)
-        );
     }
 }

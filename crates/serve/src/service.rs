@@ -25,7 +25,9 @@ use crate::job::{Disruption, JobSpec};
 use crate::quota::{Admission, RejectReason, TenantQuota};
 use crate::runner::{run_job, Attempt, JobCheckpoint, JobOutput, Observables};
 use crate::sched::AgedQueue;
-use liair_core::{BuildProfile, CachePoolStats, ExchangeCachePool};
+use liair_core::{
+    rayon_threads, with_rayon_threads, BuildProfile, CachePoolStats, ExchangeCachePool,
+};
 use liair_runtime::{PoolStats, RankPool};
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -255,13 +257,16 @@ impl Service {
         let work_rx = Mutex::new(work_rx);
         let mut completed: Vec<JobReport> = Vec::new();
 
+        // A worker is a plain thread, outside any rayon pool the caller
+        // installed: it runs its jobs under the caller's thread count.
+        let threads = rayon_threads();
         std::thread::scope(|scope| {
             for _ in 0..self.cfg.max_workers.max(1) {
                 let done_tx = done_tx.clone();
                 let work_rx = &work_rx;
                 let cache = &cache;
                 scope.spawn(move || {
-                    loop {
+                    with_rayon_threads(threads, || loop {
                         // Hold the receiver lock only for the recv itself.
                         let item = match work_rx.lock().unwrap().recv() {
                             Ok(item) => item,
@@ -280,7 +285,7 @@ impl Service {
                         {
                             break;
                         }
-                    }
+                    });
                 });
             }
             drop(done_tx); // scheduler's own clones only via workers
