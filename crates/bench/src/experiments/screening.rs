@@ -145,7 +145,7 @@ pub fn screen_solvents(fast: bool) -> Vec<Table> {
             Datum::fixed(v.stability_score, 3),
             opt(v.e_int_mha),
             opt(v.gap_complex_mha),
-            v.bonds_broken.into(),
+            v.bonds_broken.map_or_else(Datum::missing, Datum::from),
             opt(v.li_o_coordination),
             opt(v.rdf_peak_r),
         ]);
@@ -246,7 +246,7 @@ mod tests {
             e_int_mha: None,
             gap_complex_mha: None,
             gap_solvent_mha: None,
-            bonds_broken: 0,
+            bonds_broken: None,
             li_o_coordination: None,
             rdf_peak_r: None,
             stability_score,

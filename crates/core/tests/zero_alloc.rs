@@ -11,21 +11,30 @@ use liair_core::{ExchangeEngine, ExecBackend, HfxResult, IncrementalExchange};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// The allocation counter is process-global, so the tests in this binary
-/// must not overlap: one test's warm-up would land in the other's
-/// measured window.
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::cell::Cell as Counter;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. Every path measured here runs on
+    /// the calling thread (a one-thread pool runs the rayon backend
+    /// inline), and a per-thread count keeps the other test of this binary
+    /// and the harness's own bookkeeping (registering the running test)
+    /// out of a measured window.
+    static ALLOC_CALLS: Counter<u64> = const { Counter::new(0) };
+}
 
+fn count_one() {
+    // `try_with`: a thread being torn down may allocate after its locals.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialised cell with no destructor, so touching it allocates
+// nothing and cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -34,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::SeqCst)
+    ALLOC_CALLS.with(Counter::get)
 }
 
 fn pair_list(n_orb: usize, n_pairs: usize) -> PairList {
@@ -72,7 +81,6 @@ fn pair_list(n_orb: usize, n_pairs: usize) -> PairList {
 fn energy_allocations_do_not_scale_with_pair_count() {
     // 24³ and 48³ are the mixed-radix sizes the benchmark builds on; the
     // serial backend is the reference execution, rayon the production one.
-    let _guard = SERIAL.lock().unwrap();
     // Single worker so the per-call constant (scratch init, thread spawn)
     // is identical between runs regardless of machine core count.
     let pool = rayon::ThreadPoolBuilder::new()
@@ -127,7 +135,6 @@ fn all_clean_incremental_rebuild_is_allocation_free() {
     // cache — and not a single heap allocation happens. (No rayon pool is
     // involved: with an empty dirty list the parallel recompute is never
     // entered, so this runs entirely on the calling thread.)
-    let _guard = SERIAL.lock().unwrap();
     let grid = RealGrid::cubic(Cell::cubic(10.0), 24);
     let solver = PoissonSolver::isolated(grid);
     let mut rng = SplitMix64::new(7);

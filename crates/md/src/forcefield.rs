@@ -416,17 +416,11 @@ impl ForceField {
 
     /// Indices of bonds whose current length exceeds `stretch × r₀` — the
     /// degradation (bond-scission) detector.
-    pub fn broken_bonds(&self, mol: &Molecule, cell: Option<&Cell>, stretch: f64) -> Vec<usize> {
+    pub fn broken_bonds(&self, mol: &Molecule, stretch: f64) -> Vec<usize> {
         self.bonds
             .iter()
             .enumerate()
-            .filter(|(_, b)| {
-                let r = match cell {
-                    Some(c) => c.distance(mol.atoms[b.i].pos, mol.atoms[b.j].pos),
-                    None => mol.atoms[b.i].pos.distance(mol.atoms[b.j].pos),
-                };
-                r > stretch * b.r0
-            })
+            .filter(|(_, b)| mol.atoms[b.i].pos.distance(mol.atoms[b.j].pos) > stretch * b.r0)
             .map(|(k, _)| k)
             .collect()
     }
@@ -676,13 +670,13 @@ mod tests {
         let (e, _) = ff.energy_forces(&stretched, None);
         let de_oh = ff.bonds[0].de.max(ff.bonds[1].de);
         assert!(e < 3.0 * de_oh, "E = {e} vs D_e = {de_oh}");
-        assert!(!ff.broken_bonds(&stretched, None, 1.5).is_empty());
+        assert!(!ff.broken_bonds(&stretched, 1.5).is_empty());
     }
 
     #[test]
     fn broken_bond_detector_quiet_at_equilibrium() {
         let pc = systems::propylene_carbonate();
         let ff = ForceField::from_molecule(&pc, None);
-        assert!(ff.broken_bonds(&pc, None, 1.5).is_empty());
+        assert!(ff.broken_bonds(&pc, 1.5).is_empty());
     }
 }

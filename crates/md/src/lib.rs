@@ -14,8 +14,8 @@
 //! * [`mts`] — r-RESPA multiple time stepping over a
 //!   [`mts::SplitForceProvider`]: cheap exchange-free forces every inner
 //!   step, the exact-exchange correction as an outer-step impulse;
-//! * [`analysis`] — radial distribution functions, bond-event tracking
-//!   (the degradation metric), and energy-drift diagnostics;
+//! * [`analysis`] — radial distribution functions, the hot-MD degradation
+//!   assay (the one bond-scission count), and energy-drift diagnostics;
 //! * [`checkpoint`] — bit-exact [`MdCheckpoint`]s for preempt/resume;
 //! * [`qmforce`] — the quantum force providers of hybrid-functional
 //!   Born–Oppenheimer MTS: the exchange-free [`XcForces`] (fast), the

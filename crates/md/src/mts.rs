@@ -284,12 +284,6 @@ impl TetherSplit {
             k,
         }
     }
-
-    /// The classical force field of the fast part (bond-scission
-    /// detection reuses its bond list).
-    pub fn force_field(&self) -> &ForceField {
-        &self.ff
-    }
 }
 
 impl SplitForceProvider for TetherSplit {

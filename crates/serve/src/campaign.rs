@@ -5,9 +5,10 @@
 //! functionals — and [`run_campaign`] fans it across the batch service
 //! as ordinary [`JobSpec`]s: one *reaction* job per solvent measuring
 //! the interaction energy of the solvent·Li₂O₂ contact complex under
-//! every listed functional, and one *solvation* job per (solvent,
-//! concentration, seed) measuring Li–O structure and bond scissions in
-//! an MTS electrolyte-box trajectory. The members inherit everything the serve
+//! every listed functional and the bond scissions of its hot-MD
+//! degradation assay, and one *solvation* job per (solvent,
+//! concentration, seed) measuring Li–O structure in an MTS
+//! electrolyte-box trajectory. The members inherit everything the serve
 //! layer already guarantees — admission, aged scheduling, rank leases,
 //! cross-job caches, checkpoint/restart — so a campaign survives
 //! preemptions and faults without losing determinism.
@@ -28,9 +29,9 @@ use liair_basis::systems::Solvent;
 use liair_core::CachePoolStats;
 use liair_xc::Functional;
 
-/// Score penalty per solvent-internal bond broken in a solvation
-/// trajectory (mHa-equivalent). Degradation dominates: one scission
-/// outweighs typical binding-energy spreads.
+/// Score penalty per solvent-internal bond broken in the reaction
+/// member's degradation assay (mHa-equivalent). Degradation dominates:
+/// one scission outweighs typical binding-energy spreads.
 const BROKEN_BOND_PENALTY: f64 = 10.0;
 /// Weight of the complex HOMO–LUMO gap (mHa) in the stability score —
 /// a small oxidative-stability bonus, never decisive on its own.
@@ -194,8 +195,9 @@ pub struct SolventVerdict {
     pub gap_complex_mha: Option<f64>,
     /// Isolated-solvent HOMO–LUMO gap (mHa).
     pub gap_solvent_mha: Option<f64>,
-    /// Solvent-internal bonds broken, summed over solvation members.
-    pub bonds_broken: usize,
+    /// Solvent-internal bonds broken in the reaction member's
+    /// degradation assay; `None` without a reaction member.
+    pub bonds_broken: Option<usize>,
     /// Mean Li–O coordination number over solvation members.
     pub li_o_coordination: Option<f64>,
     /// Mean first-peak radius of the Li–O RDF (Bohr).
@@ -218,7 +220,7 @@ impl SolventVerdict {
         if let Some(g) = self.gap_complex_mha {
             s += GAP_WEIGHT * g;
         }
-        s - BROKEN_BOND_PENALTY * self.bonds_broken as f64
+        s - BROKEN_BOND_PENALTY * self.bonds_broken.unwrap_or(0) as f64
     }
 }
 
@@ -266,6 +268,9 @@ impl CampaignReport {
         fn opt(x: Option<f64>) -> String {
             x.map_or_else(|| "null".to_string(), f)
         }
+        fn count(n: Option<usize>) -> String {
+            n.map_or_else(|| "null".to_string(), |n| n.to_string())
+        }
         let mut out = String::from("{\"ranking\":[");
         for (i, v) in self.ranking.iter().enumerate() {
             if i > 0 {
@@ -285,7 +290,7 @@ impl CampaignReport {
                     .join(","),
                 opt(v.gap_complex_mha),
                 opt(v.gap_solvent_mha),
-                v.bonds_broken,
+                count(v.bonds_broken),
                 opt(v.li_o_coordination),
                 opt(v.rdf_peak_r),
             ));
@@ -316,8 +321,7 @@ impl CampaignReport {
                 opt(o.rdf_li_o_peak_r),
                 opt(o.rdf_li_o_peak_g),
                 opt(o.li_o_coordination),
-                o.bonds_broken
-                    .map_or_else(|| "null".to_string(), |n| n.to_string()),
+                count(o.bonds_broken),
             ));
         }
         out.push_str("],\"missing\":[");
@@ -412,15 +416,12 @@ fn verdict_for(solvent: Solvent, members: &[MemberRecord]) -> SolventVerdict {
     };
     let gap_complex_mha = reaction.and_then(|m| m.observables.gap_complex.map(|g| g * 1e3));
     let gap_solvent_mha = reaction.and_then(|m| m.observables.gap_solvent.map(|g| g * 1e3));
+    let bonds_broken = reaction.and_then(|m| m.observables.bonds_broken);
     // Solvation aggregates, in expansion order.
     let solvation: Vec<&&MemberRecord> = mine
         .iter()
-        .filter(|m| m.observables.bonds_broken.is_some())
+        .filter(|m| m.observables.rdf_li_o_peak_r.is_some())
         .collect();
-    let bonds_broken = solvation
-        .iter()
-        .map(|m| m.observables.bonds_broken.unwrap_or(0))
-        .sum();
     let mean = |get: fn(&Observables) -> Option<f64>| -> Option<f64> {
         let vals: Vec<f64> = solvation
             .iter()
@@ -583,19 +584,19 @@ mod tests {
             e_int_by_functional: vec![(Functional::Pbe0, -0.030), (Functional::Hf, -0.040)],
             gap_complex: Some(0.5),
             gap_solvent: Some(0.6),
+            bonds_broken: Some(3),
             ..Observables::default()
         };
-        let solvation = |bonds, coord| Observables {
+        let solvation = |coord| Observables {
             rdf_li_o_peak_r: Some(3.0),
             li_o_coordination: Some(coord),
-            bonds_broken: Some(bonds),
             ..Observables::default()
         };
         let members = vec![
-            member(Solvent::Dmso, solvation(1, 2.0)),
+            member(Solvent::Dmso, solvation(2.0)),
             member(Solvent::PropyleneCarbonate, reaction),
-            member(Solvent::PropyleneCarbonate, solvation(2, 4.0)),
-            member(Solvent::PropyleneCarbonate, solvation(1, 5.0)),
+            member(Solvent::PropyleneCarbonate, solvation(4.0)),
+            member(Solvent::PropyleneCarbonate, solvation(5.0)),
         ];
 
         let pc = verdict_for(Solvent::PropyleneCarbonate, &members);
@@ -606,16 +607,22 @@ mod tests {
         assert_eq!(pc.e_int_mha, Some((-0.030 * 1e3 + -0.040 * 1e3) / 2.0));
         assert_eq!(pc.gap_complex_mha, Some(0.5 * 1e3));
         assert_eq!(pc.gap_solvent_mha, Some(0.6 * 1e3));
-        assert_eq!(pc.bonds_broken, 3);
+        // Bonds come from the reaction member only; the solvation means
+        // are over the two solvation members.
+        assert_eq!(pc.bonds_broken, Some(3));
         assert_eq!(pc.li_o_coordination, Some(4.5));
+        assert_eq!(pc.rdf_peak_r, Some(3.0));
         assert_eq!(pc.stability_score, pc.score());
 
-        // A solvent with no reaction member has no reaction aggregates.
+        // A solvent with no reaction member has no reaction aggregates
+        // and no bond count: its solvation member carries none.
         let dmso = verdict_for(Solvent::Dmso, &members);
         assert!(dmso.e_int_by_functional.is_empty());
         assert_eq!(dmso.e_int_mha, None);
         assert_eq!(dmso.gap_complex_mha, None);
         assert_eq!(dmso.gap_solvent_mha, None);
-        assert_eq!(dmso.bonds_broken, 1);
+        assert_eq!(dmso.bonds_broken, None);
+        assert_eq!(dmso.li_o_coordination, Some(2.0));
+        assert_eq!(dmso.stability_score, 0.0);
     }
 }

@@ -101,7 +101,8 @@ pub enum JobKind {
     /// fragments, `E_int = E(complex) − E(solvent) − E(Li₂O₂)`, at RHF
     /// and under every listed post-SCF functional (all read off the same
     /// three converged RHF densities), with HOMO–LUMO gaps of the
-    /// complex and the free solvent as oxidative-stability proxies.
+    /// complex and the free solvent as oxidative-stability proxies, and
+    /// the bond scissions of the complex's hot-MD degradation assay.
     /// Checkpointable during the (dominant) complex SCF stage.
     Reaction {
         /// Which candidate solvent.
@@ -115,7 +116,7 @@ pub enum JobKind {
     /// The campaign's dynamical observable: an r-RESPA MTS trajectory of
     /// an electrolyte box (`box_n³ − 1` solvent molecules around one
     /// Li₂O₂ cluster), accumulating the Li–O radial distribution
-    /// function and solvent bond-scission events along the way.
+    /// function along the way; bond scissions are the reaction job's.
     /// Checkpointable per outer step, including the RDF histogram.
     Solvation {
         /// Which candidate solvent fills the box.
@@ -128,8 +129,7 @@ pub enum JobKind {
         n_outer: usize,
         /// Inner steps per outer step.
         n_inner: usize,
-        /// Thermostat target (K); campaigns run hot for accelerated
-        /// degradation.
+        /// Thermostat target (K).
         temperature: f64,
     },
 }

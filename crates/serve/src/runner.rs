@@ -35,7 +35,7 @@ use liair_core::{BalanceStrategy, BuildProfile, ExchangeCachePool, ExecBackend, 
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
-use liair_md::analysis::{rdf_peak, BondEvents, RdfAccumulator};
+use liair_md::analysis::{degradation_events, rdf_peak, RdfAccumulator};
 use liair_md::mts::TetherSplit;
 use liair_md::{MdCheckpoint, MdOptions, MdState, MtsOptions, Thermostat};
 use liair_scf::{Method, ScfCheckpoint, ScfOptions, ScfResult, ScfSession};
@@ -44,9 +44,9 @@ use liair_xc::Functional;
 /// Steps between the periodic checkpoints a fault falls back on.
 pub const CHECKPOINT_EVERY: usize = 2;
 
-/// Li–O attack distance (Bohr) of the contact complexes: the reaction
-/// jobs' geometry and the degradation study's (`tab-battery`).
-pub const COMPLEX_LI_O_DIST: f64 = 3.6;
+/// Li–O attack distance (Bohr) of the reaction jobs' contact complexes,
+/// for their SCFs and their degradation assay alike.
+const COMPLEX_LI_O_DIST: f64 = 3.6;
 
 /// Li–O RDF extent (Bohr) of the solvation jobs.
 const RDF_R_MAX: f64 = 12.0;
@@ -54,9 +54,6 @@ const RDF_R_MAX: f64 = 12.0;
 const RDF_NBINS: usize = 48;
 /// First-shell cutoff (Bohr) for the reported Li–O coordination number.
 const RDF_COORD_CUT: f64 = 5.0;
-/// Bond-scission stretch criterion (relative to r₀) of the solvation
-/// jobs — the Morse bonds are > 95 % dissociated past it.
-const BOND_STRETCH: f64 = 1.5;
 
 /// Fixed cubic cell edge (Bohr) of the screening snapshots.
 const SCREEN_CELL_EDGE: f64 = 12.0;
@@ -70,9 +67,8 @@ const SCREEN_EPS: f64 = 1e-6;
 const SCREEN_EPS_INC: f64 = 1e-9;
 
 /// Resume state of an interrupted solvation trajectory: the MD state
-/// plus the analysis accumulators, so a resumed attempt continues the
-/// RDF histogram and bond-event ledger bit-exactly rather than
-/// restarting them.
+/// plus the RDF accumulator, so a resumed attempt continues the
+/// histogram bit-exactly rather than restarting it.
 #[derive(Debug, Clone)]
 pub struct SolvationCheckpoint {
     /// Serialized [`MdCheckpoint`].
@@ -81,9 +77,6 @@ pub struct SolvationCheckpoint {
     pub rdf_bins: Vec<f64>,
     /// RDF frames accumulated at the checkpoint.
     pub rdf_frames: usize,
-    /// Distinct solvent-internal bonds broken so far (first-broken
-    /// order, the [`BondEvents`] ledger).
-    pub broken: Vec<usize>,
 }
 
 /// Serialized resume state of a suspended job.
@@ -94,7 +87,7 @@ pub enum JobCheckpoint {
     Scf(ScfCheckpoint),
     /// An MD trajectory mid-flight (serialized [`MdCheckpoint`]).
     Md(Vec<u8>),
-    /// A solvation trajectory mid-flight: MD state + analysis state.
+    /// A solvation trajectory mid-flight: MD state + RDF state.
     Solvation(SolvationCheckpoint),
 }
 
@@ -105,9 +98,7 @@ impl JobCheckpoint {
         match self {
             JobCheckpoint::Scf(ck) => ck.bytes.len(),
             JobCheckpoint::Md(b) => b.len(),
-            JobCheckpoint::Solvation(ck) => {
-                ck.md.len() + 8 * ck.rdf_bins.len() + 8 + 8 * ck.broken.len()
-            }
+            JobCheckpoint::Solvation(ck) => ck.md.len() + 8 * ck.rdf_bins.len() + 8,
         }
     }
 }
@@ -135,7 +126,9 @@ pub struct Observables {
     /// Solvation jobs: mean Li–O coordination number within
     /// `RDF_COORD_CUT` Bohr.
     pub li_o_coordination: Option<f64>,
-    /// Solvation jobs: distinct solvent-internal bonds broken.
+    /// Reaction jobs: distinct solvent-internal bonds broken by the
+    /// hot-MD degradation assay on the contact complex
+    /// (`liair_md::analysis::degradation_events`).
     pub bonds_broken: Option<usize>,
 }
 
@@ -412,8 +405,9 @@ fn finish(mut session: ScfSession<'_>, functionals: &[Functional]) -> (ScfResult
 /// dominant stage), then its isolated fragments (cheap, never
 /// disrupted — rerun deterministically on resume), and report the RHF
 /// interaction energy, the interaction energy under each of
-/// `functionals` off the same three converged sessions, and the
-/// frontier-orbital gaps.
+/// `functionals` off the same three converged sessions, the
+/// frontier-orbital gaps, and the complex's degradation assay (also
+/// rerun deterministically on resume).
 fn run_reaction(
     solvent: Solvent,
     functionals: &[Functional],
@@ -433,7 +427,9 @@ fn run_reaction(
             functionals,
         )
     };
-    let (res_s, e_s) = fragment(solvent.molecule());
+    let solvent_mol = solvent.molecule();
+    let n_solvent = solvent_mol.natoms();
+    let (res_s, e_s) = fragment(solvent_mol);
     let (res_x, e_x) = fragment(systems::li2o2());
 
     let e_int_rhf = res_c.energy - res_s.energy - res_x.energy;
@@ -460,6 +456,7 @@ fn run_reaction(
             e_int_by_functional,
             gap_complex: res_c.homo_lumo_gap(),
             gap_solvent: res_s.homo_lumo_gap(),
+            bonds_broken: Some(degradation_events(&complex, n_solvent)),
             ..Default::default()
         },
         profile: BuildProfile::default(),
@@ -572,18 +569,13 @@ fn run_md(
     })
 }
 
-/// A solvation trajectory: an [`MdRun`] plus the analysis that rides on
-/// it — one Li–O RDF frame and one bond-scission scan per completed outer
-/// step, taken inside the step so the accumulators are part of every
-/// checkpoint of that step.
+/// A solvation trajectory: an [`MdRun`] plus the Li–O RDF that rides on
+/// it — one frame per completed outer step, taken inside the step so the
+/// histogram is part of every checkpoint of that step.
 struct SolvationRun<'a> {
     md: MdRun<'a>,
     cell: Cell,
     rdf: RdfAccumulator,
-    events: BondEvents,
-    /// Indices (into the force field's bond list) of the bonds whose
-    /// scission counts against the solvent.
-    solvent_bonds: Vec<usize>,
 }
 
 impl Resumable for SolvationRun<'_> {
@@ -592,17 +584,7 @@ impl Resumable for SolvationRun<'_> {
             return false;
         }
         let more = self.md.advance();
-        let mol = &self.md.state.mol;
-        self.rdf.add_frame(mol, &self.cell);
-        let broken_now: Vec<usize> = self
-            .md
-            .split
-            .force_field()
-            .broken_bonds(mol, Some(&self.cell), BOND_STRETCH)
-            .into_iter()
-            .filter(|b| self.solvent_bonds.contains(b))
-            .collect();
-        self.events.record(&broken_now);
+        self.rdf.add_frame(&self.md.state.mol, &self.cell);
         more
     }
 
@@ -615,16 +597,14 @@ impl Resumable for SolvationRun<'_> {
             md: self.md.md_bytes(),
             rdf_bins: self.rdf.bins.clone(),
             rdf_frames: self.rdf.frames(),
-            broken: self.events.broken.clone(),
         })
     }
 }
 
 /// A solvation job: MTS-integrate an electrolyte box, accumulating the
-/// Li–O RDF and solvent-internal bond scissions once per outer step.
-/// The analysis accumulators checkpoint *with* the MD state
-/// ([`SolvationCheckpoint`]), so a resumed trajectory's histogram is
-/// bit-identical to an uninterrupted one.
+/// Li–O RDF once per outer step. The histogram checkpoints *with* the MD
+/// state ([`SolvationCheckpoint`]), so a resumed trajectory's histogram
+/// is bit-identical to an uninterrupted one.
 #[allow(clippy::too_many_arguments)]
 fn run_solvation(
     solvent: Solvent,
@@ -636,31 +616,14 @@ fn run_solvation(
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
 ) -> Result<JobOutput, Attempt> {
-    // Spec-reconstructable, like the MD jobs' provider: geometry, force
-    // field, and bond filter are pure functions of the job spec.
+    // Spec-reconstructable, like the MD jobs' provider: geometry and
+    // force field are pure functions of the job spec.
     let (mol0, cell) = systems::electrolyte_box(solvent, box_n, seed);
     let split = TetherSplit::new(&mol0, Some(&cell), 1e-4);
-    // Solvent-internal bonds only: the cluster's Li–O/O–O bonds stretch
-    // and reform as solvation forces act on it, and counting those would
-    // charge the solvent for the peroxide's breathing. No solvent in the
-    // candidate set has an O–O bond, and only the cluster has Li.
-    let solvent_bonds: Vec<usize> = split
-        .force_field()
-        .bonds
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| {
-            let (ei, ej) = (mol0.atoms[b.i].element, mol0.atoms[b.j].element);
-            ei != Element::Li && ej != Element::Li && !(ei == Element::O && ej == Element::O)
-        })
-        .map(|(idx, _)| idx)
-        .collect();
     let mut rdf = RdfAccumulator::new(Element::Li, Element::O, RDF_R_MAX, RDF_NBINS);
-    let mut events = BondEvents::default();
     let md = resume.map(|ck| match ck {
         JobCheckpoint::Solvation(ck) => {
             rdf.set_state(ck.rdf_bins.clone(), ck.rdf_frames);
-            events.broken = ck.broken.clone();
             ck.md.as_slice()
         }
         _ => unreachable!("solvation job resumed with a non-solvation checkpoint"),
@@ -669,12 +632,8 @@ fn run_solvation(
         md: MdRun::start(md, mol0, cell, &split, seed, temperature, n_outer, n_inner),
         cell,
         rdf,
-        events,
-        solvent_bonds,
     };
-    let SolvationRun {
-        md, rdf, events, ..
-    } = drive(run, disruption)?;
+    let SolvationRun { md, rdf, .. } = drive(run, disruption)?;
     let state = md.state;
     let g = rdf.finish(&state.mol, &cell);
     let (peak_r, peak_g) = rdf_peak(&g);
@@ -686,7 +645,6 @@ fn run_solvation(
             rdf_li_o_peak_r: Some(peak_r),
             rdf_li_o_peak_g: Some(peak_g),
             li_o_coordination: Some(rdf.coordination_number(&state.mol, RDF_COORD_CUT)),
-            bonds_broken: Some(events.count()),
             ..Default::default()
         },
         profile: BuildProfile::default(),
@@ -861,7 +819,8 @@ mod tests {
         let reference = run_reference(&solvation_spec(Disruption::None));
         let obs_ref = &reference.observables;
         assert!(obs_ref.rdf_li_o_peak_g.is_some());
-        assert!(obs_ref.bonds_broken.is_some());
+        // Bond scissions are the reaction job's assay, not the box's.
+        assert_eq!(obs_ref.bonds_broken, None);
         for disruption in [
             Disruption::Preempt { at_step: 2 },
             Disruption::Fault { at_step: 3 },
@@ -875,7 +834,7 @@ mod tests {
                 "under {disruption:?}"
             );
             assert_eq!(resumed.steps, reference.steps);
-            // The analysis accumulators resumed too: every observable is
+            // The RDF accumulator resumed too: every observable is
             // bitwise equal, not merely close.
             let obs = &resumed.observables;
             for (got, want) in [
@@ -889,7 +848,6 @@ mod tests {
                     "under {disruption:?}"
                 );
             }
-            assert_eq!(obs.bonds_broken, obs_ref.bonds_broken);
         }
     }
 

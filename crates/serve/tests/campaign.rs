@@ -42,6 +42,9 @@ fn canonical_report_is_byte_identical_across_workers_and_disruption() {
     assert_eq!(baseline.members.len(), 4, "2 solvents × 2 seeds");
     assert!(baseline.missing.is_empty());
     assert_eq!(baseline.ranking.len(), 2);
+    // Bond scissions are the reaction members' assay: a campaign without
+    // them reports no count.
+    assert!(baseline.ranking.iter().all(|v| v.bonds_broken.is_none()));
     let canon = baseline.canonical_json();
     assert!(canon.contains("solvation:ec:n2#11"));
 

@@ -5,26 +5,26 @@
 //! quantum-chemistry stack:
 //!
 //! * RHF and PBE0 interaction energies of the solvent·Li₂O₂ contact
-//!   complex (stronger binding ⇒ stronger peroxide attack on that site),
-//!   from one reaction job of the batch service per solvent;
+//!   complex (stronger binding ⇒ stronger peroxide attack on that site);
 //!
 //! and with the reactive-flavoured classical MD:
 //!
 //! * the number of solvent bonds broken in hot (1200 K) trajectories of
-//!   the complex, summed over three seeds — the degradation-event count of
-//!   `tab-battery`'s `--fast` run (`liair::md::analysis::degradation_events`).
+//!   the complex, summed over three seeds
+//!   (`liair::md::analysis::degradation_events`),
+//!
+//! both from one reaction job of the batch service per solvent, the same
+//! job and numbers as `tab-battery`.
 //!
 //! Propylene carbonate (the incumbent electrolyte) degrades; the ether/
 //! sulfoxide candidates survive — the paper's chemistry conclusion.
 //!
 //! Run with: `cargo run --release --example battery_solvents` (add `--all`
-//! for all four solvents; the default runs PC and DMSO in about 7.5 s on a
-//! 2-core x86 host, `--all` in about 15 s).
+//! for all four solvents; the default runs PC and DMSO in about 3.7 s on a
+//! 2-core x86 host, `--all` in about 7.5 s).
 
-use liair::md::analysis::degradation_events;
 use liair::prelude::*;
 use liair::serve::run_reference;
-use liair::serve::runner::COMPLEX_LI_O_DIST;
 
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
@@ -40,7 +40,7 @@ fn main() {
         "solvent", "E_int RHF (mHa)", "E_int PBE0 (mHa)", "bonds broken@1200K", "verdict"
     );
     for s in solvents {
-        // --- quantum interaction energies: one reaction job ---
+        // --- one reaction job: interaction energies and degradation ---
         let spec = JobSpec::reaction(s, &[Functional::Pbe0])
             .build()
             .expect("a one-functional reaction spec is valid");
@@ -48,10 +48,10 @@ fn main() {
         assert!(out.converged, "SCF failed for {}", s.name());
         let e_int_rhf = out.final_energy;
         let e_int_pbe0 = out.observables.e_int_by_functional[0].1;
-
-        // --- hot classical MD of the complex: degradation events ---
-        let complex = systems::li2o2_complex(s, COMPLEX_LI_O_DIST);
-        let broken = degradation_events(&complex, s.molecule().natoms(), 1200.0, 4000);
+        let broken = out
+            .observables
+            .bonds_broken
+            .expect("reaction jobs run the degradation assay");
         let verdict = if broken > 0 { "DEGRADES" } else { "stable" };
         println!(
             "{:<6} {:>14.1} {:>14.1} {:>16} {:>12}",
