@@ -11,7 +11,7 @@
 
 use crate::Table;
 use liair_basis::{systems, Element};
-use liair_md::analysis::{drift_per_step, RdfAccumulator};
+use liair_md::analysis::{drift_per_step, rdf_peak, RdfAccumulator};
 use liair_md::{ForceField, MdOptions, MdState, Thermostat};
 use liair_serve::{run_reference, JobSpec};
 use liair_xc::Functional;
@@ -92,11 +92,7 @@ pub fn fig_md_water(fast: bool) -> Vec<Table> {
     }
     let drift = drift_per_step(&energies);
     let g = rdf.finish(&state.mol, &state.cell.unwrap());
-    let (r_peak, g_peak) = g
-        .iter()
-        .copied()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .unwrap();
+    let (r_peak, g_peak) = rdf_peak(&g);
 
     let mut t = Table::measured(
         &format!(

@@ -5,11 +5,10 @@ use crate::Table;
 use liair_bgq::collectives::CollectiveAlgo;
 use liair_bgq::machine::scaling_series;
 use liair_bgq::MachineConfig;
-use liair_core::balance::assign_pairs;
 use liair_core::simulate::parallel_efficiency;
 use liair_core::{simulate_hfx_build, BalanceStrategy, Scheme, Workload};
 
-fn workload(_fast: bool) -> Workload {
+fn workload() -> Workload {
     // The paper workload is cheap to *model* (the expensive part at scale
     // is real FFT work, which the simulator prices analytically), so even
     // fast mode uses it — a smaller workload would hit its legitimate
@@ -31,7 +30,7 @@ fn series(fast: bool) -> Vec<MachineConfig> {
 /// `fig-strong-scaling`: the headline figure — time per exchange build and
 /// parallel efficiency of this work's scheme up to 6,291,456 threads.
 pub fn fig_strong_scaling(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+    let w = workload();
     let algo = CollectiveAlgo::TorusPipelined;
     let outcomes: Vec<_> = series(fast)
         .iter()
@@ -81,7 +80,7 @@ pub fn fig_strong_scaling(fast: bool) -> Vec<Table> {
 /// `fig-baseline-scaling`: efficiency of every scheme across the series —
 /// the >20× scalability-gap figure.
 pub fn fig_baseline_scaling(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+    let w = workload();
     let algo = CollectiveAlgo::TorusPipelined;
     let machines = series(fast);
     let mut t = Table::modeled(
@@ -128,7 +127,7 @@ pub fn fig_baseline_scaling(fast: bool) -> Vec<Table> {
 /// `tab-time-to-solution`: wall time of one build per scheme at fixed
 /// machine sizes — the >10× claim.
 pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+    let w = workload();
     let algo = CollectiveAlgo::TorusPipelined;
     let racks: &[usize] = if fast { &[4] } else { &[1, 4, 16] };
     let mut t = Table::modeled(
@@ -233,7 +232,7 @@ pub fn tab_time_to_solution(fast: bool) -> Vec<Table> {
 /// where balancing strategy matters; fixed boxes cost uniformly and any
 /// striping balances).
 pub fn fig_load_balance(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+    let w = workload();
     let costs = w.adaptive_pair_costs();
     let racks: &[usize] = if fast { &[1, 16] } else { &[1, 4, 16, 96] };
     let mut t = Table::modeled(
@@ -253,14 +252,13 @@ pub fn fig_load_balance(fast: bool) -> Vec<Table> {
         }
         t.row(cells);
     }
-    let _ = assign_pairs; // unit-cost path exercised elsewhere
     t.note = "1.000 = perfect balance; block striping concentrates the expensive long pairs".into();
     vec![t]
 }
 
 /// `tab-step-breakdown`: per-phase share of one build across machine sizes.
 pub fn tab_step_breakdown(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+    let w = workload();
     let algo = CollectiveAlgo::TorusPipelined;
     let mut t = Table::modeled(
         "tab-step-breakdown — phase share of one build (this work)",
@@ -342,8 +340,8 @@ pub fn fig_weak_scaling(fast: bool) -> Vec<Table> {
 /// `fig-group-size`: ablation of the hierarchical second level — forcing
 /// the node-group size at the full machine shows why grouping is needed
 /// once pairs/node drops below a handful.
-pub fn fig_group_size(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+pub fn fig_group_size(_fast: bool) -> Vec<Table> {
+    let w = workload();
     let m = MachineConfig::bgq_racks(96);
     let algo = CollectiveAlgo::TorusPipelined;
     let mut t = Table::modeled(
@@ -425,8 +423,8 @@ pub fn fig_accuracy_cost(fast: bool) -> Vec<Table> {
 /// `tab-memory`: per-node orbital-storage footprint by representation —
 /// the 16 GB BG/Q node is why full-cell replication is impossible and why
 /// the compact pair-local representation matters beyond speed.
-pub fn tab_memory(fast: bool) -> Vec<Table> {
-    let w = workload(fast);
+pub fn tab_memory(_fast: bool) -> Vec<Table> {
+    let w = workload();
     let mut t = Table::modeled(
         "tab-memory — orbital storage per node (16 GB BG/Q nodes)",
         &[

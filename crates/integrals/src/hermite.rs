@@ -77,6 +77,12 @@ impl ECoefs {
         let tdim = self.imax + self.jmax + 1;
         self.data[(i * (self.jmax + 1) + j) * tdim + t]
     }
+
+    /// `E_t^{ij}` for `t = 0..=i+j`, for `i ≤ imax`, `j ≤ jmax`.
+    pub(crate) fn row(&self, i: usize, j: usize) -> &[f64] {
+        let start = (i * (self.jmax + 1) + j) * (self.imax + self.jmax + 1);
+        &self.data[start..=start + i + j]
+    }
 }
 
 /// Number of Hermite triples `(t, u, v)` with `t + u + v ≤ l`:

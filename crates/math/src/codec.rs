@@ -7,6 +7,12 @@
 //! fixed-width integers, length-prefixed slices, and a caller-chosen magic
 //! tag so mismatched payloads fail loudly instead of decoding garbage.
 //!
+//! A stream stamped with a magic tag ends in a 64-bit checksum of
+//! everything after the tag and the version. Raw bits round-trip any
+//! value, so a flipped bit inside a float would otherwise decode into a
+//! plausible (or NaN) number and resume a job from state it never had;
+//! [`Decoder::with_magic`] refuses it with [`CodecError::BadChecksum`].
+//!
 //! This module exists because the workspace's `serde` shim is
 //! serialization-free by design (the reproduction environment has no real
 //! serde); everything that needs durable bytes goes through here.
@@ -34,6 +40,13 @@ pub enum CodecError {
     BadVersion(u16),
     /// A length prefix that is implausibly large for the stream.
     BadLength(u64),
+    /// The stream's trailing checksum does not match its contents.
+    BadChecksum {
+        /// Checksum stored at the end of the stream.
+        stored: u64,
+        /// Checksum of the bytes actually present.
+        computed: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -50,29 +63,65 @@ impl fmt::Display for CodecError {
             }
             CodecError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CodecError::BadLength(n) => write!(f, "implausible length prefix {n}"),
+            CodecError::BadChecksum { stored, computed } => write!(
+                f,
+                "checksum mismatch: stream says {stored:#018x}, contents give {computed:#018x}"
+            ),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
+/// Bytes of the magic tag (`u32`) and the version (`u16`).
+const HEADER: usize = 6;
+
+/// A 64-bit hash over little-endian 8-byte words (the last one
+/// zero-padded), then the length: each step xors a word in, multiplies by
+/// the FNV prime and xor-shifts the high half down. Every step is a
+/// bijection of the state, so any change confined to one word changes the
+/// result.
+fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| {
+        let h = (h ^ w).wrapping_mul(0x0100_0000_01b3);
+        h ^ (h >> 32)
+    };
+    let words = bytes.chunks(8).map(|c| {
+        let mut w = [0; 8];
+        w[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(w)
+    });
+    step(words.fold(0xcbf2_9ce4_8422_2325, step), bytes.len() as u64)
+}
+
 /// Append-only byte encoder.
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// Stamped by [`Encoder::with_magic`]: [`Encoder::finish`] appends the
+    /// checksum.
+    stamped: bool,
 }
 
 impl Encoder {
     /// Fresh encoder stamped with a magic tag and format version.
     pub fn with_magic(magic: u32, version: u16) -> Encoder {
-        let mut e = Encoder { buf: Vec::new() };
+        let mut e = Encoder {
+            buf: Vec::new(),
+            stamped: true,
+        };
         e.put_u32(magic);
         e.put_u16(version);
         e
     }
 
-    /// Consume the encoder, returning the byte stream.
-    pub fn finish(self) -> Vec<u8> {
+    /// Consume the encoder, returning the byte stream; a stamped stream
+    /// ends in the checksum of everything after its header.
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.stamped {
+            let sum = checksum(&self.buf[HEADER..]);
+            self.put_u64(sum);
+        }
         self.buf
     }
 
@@ -133,8 +182,9 @@ impl<'a> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
-    /// Decoder that first checks the magic tag and returns the stream
-    /// version, failing on a mismatched tag.
+    /// Decoder over a stream written by [`Encoder::with_magic`]: checks the
+    /// magic tag, reads the version, then verifies the trailing checksum and
+    /// returns a decoder over the fields between them with the version.
     pub fn with_magic(buf: &'a [u8], magic: u32) -> Result<(Decoder<'a>, u16), CodecError> {
         let mut d = Decoder::new(buf);
         let found = d.get_u32()?;
@@ -145,6 +195,20 @@ impl<'a> Decoder<'a> {
             });
         }
         let version = d.get_u16()?;
+        let body_end = buf
+            .len()
+            .checked_sub(8)
+            .filter(|&end| end >= HEADER)
+            .ok_or(CodecError::Truncated {
+                wanted: 8,
+                remaining: d.remaining(),
+            })?;
+        let stored = u64::from_le_bytes(buf[body_end..].try_into().unwrap());
+        let computed = checksum(&buf[HEADER..body_end]);
+        if stored != computed {
+            return Err(CodecError::BadChecksum { stored, computed });
+        }
+        d.buf = &buf[..body_end];
         Ok((d, version))
     }
 
@@ -274,6 +338,33 @@ mod tests {
         let bytes = e.finish();
         let err = Decoder::with_magic(&bytes, 0x3333_4444).unwrap_err();
         assert!(matches!(err, CodecError::BadMagic { .. }));
+    }
+
+    #[test]
+    fn any_flipped_bit_after_the_header_is_a_checksum_error() {
+        let mut e = Encoder::with_magic(0x4C41_4952, 7);
+        e.put_f64_slice(&[1.0, -2.5, f64::MIN_POSITIVE]);
+        let bytes = e.finish();
+        assert_eq!(bytes.len(), HEADER + 8 + 3 * 8 + 8);
+        for bit in HEADER * 8..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    Decoder::with_magic(&flipped, 0x4C41_4952),
+                    Err(CodecError::BadChecksum { .. })
+                ),
+                "bit {bit} decoded"
+            );
+        }
+        // The version is outside the sum: a stream re-stamped with another
+        // version still decodes, for the caller to refuse by number.
+        let mut restamped = bytes.clone();
+        restamped[4] ^= 1;
+        assert_eq!(Decoder::with_magic(&restamped, 0x4C41_4952).unwrap().1, 6);
+        let (mut d, _) = Decoder::with_magic(&bytes, 0x4C41_4952).unwrap();
+        assert_eq!(d.get_f64_vec().unwrap().len(), 3);
+        assert_eq!(d.remaining(), 0, "the checksum is not a field");
     }
 
     #[test]

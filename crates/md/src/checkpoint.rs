@@ -24,7 +24,8 @@ use crate::integrator::MdState;
 
 /// Magic tag for MD checkpoint streams (`"LMD1"`).
 const MAGIC: u32 = 0x4C4D_4431;
-const VERSION: u16 = 1;
+/// Layout version; 2 added the trailing checksum.
+const VERSION: u16 = 2;
 
 /// A frozen [`MdState`], restorable bit-identically.
 #[derive(Debug, Clone)]

@@ -54,11 +54,13 @@
 //! an analytic one with an operator, fails with [`CodecError::BadMagic`]
 //! instead of switching the exchange source.
 //!
-//! The stream (layout version 3) carries the four [`ScfOptions`] fields,
+//! The stream (layout version 4) carries the four [`ScfOptions`] fields,
 //! no DIIS depth and no orbital energies: the depth, the DIIS error threshold, the XC grid and
 //! the incremental-Fock rebuild cadence are constants of this crate, so a
 //! stream cannot set them. Any other version is refused with
-//! [`CodecError::BadVersion`].
+//! [`CodecError::BadVersion`], and a stream whose bytes changed after it
+//! was written (a flipped bit in the density, say) with
+//! [`CodecError::BadChecksum`].
 
 use crate::diis::Diis;
 use crate::driver::{
@@ -85,7 +87,7 @@ const MAGIC: u32 = 0x4C53_4331;
 /// caller supplies (`"LSCK"`); the layout is [`MAGIC`]'s.
 const MAGIC_OPERATOR: u32 = 0x4C53_434B;
 /// Layout version; a stream of any other version is refused.
-const VERSION: u16 = 3;
+const VERSION: u16 = 4;
 
 /// The magic tag of a session with (`true`) or without a caller's operator.
 fn magic(operator: bool) -> u32 {
@@ -937,12 +939,12 @@ mod tests {
 
     #[test]
     fn version_1_stream_is_refused() {
-        // Version 1 carried a DIIS depth word and version 2 the orbital
-        // energies; a stream claiming either is refused before any field
-        // is read.
+        // Version 1 carried a DIIS depth word, version 2 the orbital
+        // energies and version 3 no checksum; a stream claiming any of them
+        // is refused before any field is read.
         let mol = systems::h2();
         let basis = Basis::sto3g(&mol);
-        for version in [1u16, 2] {
+        for version in [1u16, 2, 3] {
             let mut ck =
                 ScfSession::new(&mol, &basis, &ScfOptions::default(), Method::Rhf).checkpoint();
             ck.bytes[4..6].copy_from_slice(&version.to_le_bytes());

@@ -866,12 +866,17 @@ mod tests {
         let masses = velocities + 8 + 24 * n;
         let forces = masses + 8 + 8 * n;
         let forces_slow = forces + 8 + 24 * n + 4 * 8;
-        assert_eq!(forces_slow + 8 + 24 * n + 8, bytes.len(), "layout drifted");
+        // `forces_slow`, `potential_slow`, then the stream's checksum.
+        assert_eq!(
+            forces_slow + 8 + 24 * n + 8 + 8,
+            bytes.len(),
+            "layout drifted"
+        );
         vec![natoms_at, velocities, masses, forces, forces_slow]
     }
 
     /// Offsets of the length fields of an SCF checkpoint stream (layout
-    /// version 3): the `(rows, cols, len)` header of every `nao x nao`
+    /// version 4): the `(rows, cols, len)` header of every `nao x nao`
     /// matrix, the `nao` word before the first of them and the DIIS
     /// history length right after it.
     fn scf_length_fields(bytes: &[u8], nao: usize) -> Vec<usize> {
@@ -966,6 +971,137 @@ mod tests {
         let md = &solv.md;
         assert_hostile_streams_rejected("solvation", md, &md_length_fields(md), &md_decode);
         assert_eq!(&MdCheckpoint::from_bytes(md).unwrap().to_bytes(), md);
+    }
+
+    /// The checkpoint of `spec`'s job preempted at step 3.
+    fn preempted(spec: impl Fn(Disruption) -> JobSpec) -> JobCheckpoint {
+        match run_job(&spec(Disruption::Preempt { at_step: 3 }), None, 1, None) {
+            Attempt::Preempted(ck) => ck,
+            _ => panic!("expected a preempted attempt"),
+        }
+    }
+
+    /// `bytes` without its trailing checksum.
+    fn unsealed(bytes: &[u8]) -> &[u8] {
+        &bytes[..bytes.len() - 8]
+    }
+
+    /// `body` with a checksum appended: a stream corrupted before it was
+    /// sealed, which the checksum cannot see, so the field checks must.
+    fn seal(body: &[u8]) -> Vec<u8> {
+        if body.len() < 6 {
+            return body.to_vec();
+        }
+        let magic = u32::from_le_bytes(body[..4].try_into().unwrap());
+        let version = u16::from_le_bytes(body[4..6].try_into().unwrap());
+        let mut e = liair_math::codec::Encoder::with_magic(magic, version);
+        body[6..].iter().for_each(|&b| e.put_u8(b));
+        e.finish()
+    }
+
+    #[test]
+    fn resealed_hostile_checkpoints_reach_the_field_checks() {
+        // The checksum refuses every stream the hostile test builds before
+        // any field is read; sealed again, each one reaches the decoders'
+        // own length and shape checks.
+        let JobCheckpoint::Scf(scf) = preempted(scf_spec) else {
+            panic!("SCF jobs checkpoint SCF sessions");
+        };
+        let mol = ScfSystem::LiH.molecule();
+        let basis = Basis::sto3g(&mol);
+        assert_eq!(seal(unsealed(&scf.bytes)), scf.bytes);
+        assert_hostile_streams_rejected(
+            "resealed scf",
+            unsealed(&scf.bytes),
+            &scf_length_fields(&scf.bytes, basis.nao()),
+            &|b| {
+                let ck = ScfCheckpoint { bytes: seal(b) };
+                ScfSession::resume(&mol, &basis, &ck).map(|_| ())
+            },
+        );
+        let JobCheckpoint::Md(md) = preempted(md_spec) else {
+            panic!("MD jobs checkpoint MD states");
+        };
+        assert_hostile_streams_rejected(
+            "resealed md",
+            unsealed(&md),
+            &md_length_fields(&md),
+            &|b| MdCheckpoint::from_bytes(&seal(b)).map(|_| ()),
+        );
+    }
+
+    /// Every bit of every 8-byte word at `words`, flipped one at a time,
+    /// must be refused by the stream's checksum.
+    fn assert_flips_refused(
+        what: &str,
+        bytes: &[u8],
+        words: impl Iterator<Item = usize>,
+        decode: &dyn Fn(&[u8]) -> Result<(), liair_math::codec::CodecError>,
+    ) {
+        for at in words {
+            for bit in 0..64 {
+                let mut flipped = bytes.to_vec();
+                flipped[at + bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    matches!(
+                        decode(&flipped),
+                        Err(liair_math::codec::CodecError::BadChecksum { .. })
+                    ),
+                    "{what}: bit {bit} of the f64 at byte {at} was not refused"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flipped_bits_in_float_payloads_are_checksum_errors() {
+        // Raw bits round-trip any value, so without the checksum each of
+        // these streams decodes, and a job resumes from a density (or a
+        // geometry) it never had; a NaN there reaches `eigh`'s sort.
+        let words = |start: usize, n: usize| (start..start + 8 * n).step_by(8);
+
+        let JobCheckpoint::Scf(scf) = preempted(scf_spec) else {
+            panic!("SCF jobs checkpoint SCF sessions");
+        };
+        let mol = ScfSystem::LiH.molecule();
+        let basis = Basis::sto3g(&mol);
+        let nao = basis.nao();
+        let resume =
+            |b: &[u8]| ScfSession::resume(&mol, &basis, &ScfCheckpoint { bytes: b.into() });
+        // The `nao` word, then `(rows, cols, len)` per matrix: the density
+        // first and the oldest DIIS Fock matrix second.
+        let fields = scf_length_fields(&scf.bytes, nao);
+        assert!(
+            word(&scf.bytes, *fields.last().unwrap()) >= 1,
+            "no DIIS history"
+        );
+        let (density, fock) = (fields[3] + 8, fields[6] + 8);
+        let state = resume(&scf.bytes).unwrap().into_result();
+        assert_eq!(
+            word(&scf.bytes, density + 8),
+            state.density[(0, 1)].to_bits()
+        );
+        let scf_words = words(density, nao * nao).chain(words(fock, nao * nao));
+        assert_flips_refused("scf", &scf.bytes, scf_words, &|b| resume(b).map(|_| ()));
+
+        let JobCheckpoint::Md(md) = preempted(md_spec) else {
+            panic!("MD jobs checkpoint MD states");
+        };
+        // Each atom is a `u32` element then its position; the velocities
+        // follow their length prefix.
+        let n = word(&md, 6) as usize;
+        let (position, velocity) = (|i: usize| 6 + 8 + 28 * i + 4, md_length_fields(&md)[1] + 8);
+        let state = MdCheckpoint::from_bytes(&md).unwrap().state;
+        assert_eq!(
+            word(&md, position(n - 1)),
+            state.mol.atoms[n - 1].pos.x.to_bits()
+        );
+        assert_eq!(word(&md, velocity), state.velocities[0].x.to_bits());
+        let positions = (0..n).flat_map(|i| words(position(i), 3));
+        let velocities = words(velocity, 3 * n);
+        assert_flips_refused("md", &md, positions.chain(velocities), &|b| {
+            MdCheckpoint::from_bytes(b).map(|_| ())
+        });
     }
 
     #[test]
