@@ -26,7 +26,7 @@ pub mod poisson;
 
 pub use grid::RealGrid;
 pub use localize::{foster_boys, Localization};
-pub use molgrid::MolGrid;
+pub use molgrid::{GridSpec, MolGrid, RowSpec, WeightGradients};
 pub use orbital::{
     ao_values, aos_at_points, density_at_points, density_on_grid, orbitals_from_aos,
     orbitals_on_grid, SeparableAos,

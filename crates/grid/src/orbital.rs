@@ -458,7 +458,7 @@ mod tests {
             (&lih, Basis::sto3g(&lih)),
             (&li2o, Basis::sto3g(&li2o)),
         ] {
-            let grid = crate::molgrid::MolGrid::becke(mol, 13, 4);
+            let grid = crate::molgrid::MolGrid::becke(mol, &crate::GridSpec::uniform(13, 4));
             let nao = basis.nao();
             let aos = cartesian_aos(&basis);
             let coefs: Vec<Vec<f64>> = aos
@@ -713,7 +713,7 @@ mod tests {
                 dm[(i, j)] = 2.0 * norm * norm;
             }
         }
-        let mg = crate::molgrid::MolGrid::becke(&mol, 40, 8);
+        let mg = crate::molgrid::MolGrid::becke(&mol, &crate::GridSpec::uniform(40, 8));
         let npts = mg.len();
         let (mut vals, mut grads) = (vec![0.0; 2 * npts], vec![Vec3::ZERO; 2 * npts]);
         aos_at_points(&basis, &mg.points, &mut vals, Some(&mut grads));

@@ -156,16 +156,9 @@ const fn r_steps() -> [RStep; hermite_len(BOYS_MAX_ORDER)] {
     steps
 }
 
-/// Coulomb auxiliary integrals `R_{tuv} = R^0_{tuv}(p, PC)` for every
-/// `t + u + v ≤ l`, in the [`hermite_index`] layout
-/// ([`hermite_len`]`(l)` entries).
-///
-/// Recursion (Helgaker–Jørgensen–Olsen §9.9):
-/// `R^n_{000} = (−2p)^n F_n(p·|PC|²)`,
-/// `R^n_{t+1,u,v} = t·R^{n+1}_{t−1,u,v} + X_PC·R^{n+1}_{t,u,v}` (same per
-/// axis). One Boys evaluation of order `l`, then `l` downward steps in `n`;
-/// step `n` needs `R^n` only for `t + u + v ≤ l − n`.
-pub fn hermite_aux(l: usize, p: f64, pc: Vec3) -> Vec<f64> {
+/// [`hermite_aux_into`] into a fresh table: the tests' one-call form.
+#[cfg(test)]
+pub(crate) fn hermite_aux(l: usize, p: f64, pc: Vec3) -> Vec<f64> {
     let mut scratch = AuxScratch::default();
     hermite_aux_into(l, p, pc, &mut scratch);
     scratch.r
@@ -187,8 +180,18 @@ thread_local! {
     pub(crate) static R_TABLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// As [`hermite_aux`], but writing into reusable scratch storage; the
-/// result lives in `scratch.r`.
+/// Coulomb auxiliary integrals `R_{tuv} = R^0_{tuv}(p, PC)` for every
+/// `t + u + v ≤ l`, in the [`hermite_index`] layout
+/// ([`hermite_len`]`(l)` entries).
+///
+/// Recursion (Helgaker–Jørgensen–Olsen §9.9):
+/// `R^n_{000} = (−2p)^n F_n(p·|PC|²)`,
+/// `R^n_{t+1,u,v} = t·R^{n+1}_{t−1,u,v} + X_PC·R^{n+1}_{t,u,v}` (same per
+/// axis). One Boys evaluation of order `l`, then `l` downward steps in `n`;
+/// step `n` needs `R^n` only for `t + u + v ≤ l − n`.
+///
+/// The table is written into reusable scratch storage: it lives in
+/// `scratch.r`.
 pub fn hermite_aux_into(l: usize, p: f64, pc: Vec3, scratch: &mut AuxScratch) {
     #[cfg(test)]
     R_TABLES.with(|n| n.set(n.get() + 1));

@@ -7,7 +7,7 @@
 //! walk and mirrors it; a gradient takes every record. The 1-D factors
 //! and the attraction sum below are each written once and shared by both.
 
-use crate::hermite::{hermite_aux, hermite_index, ECoefs};
+use crate::hermite::{hermite_aux_into, hermite_index, AuxScratch, ECoefs};
 use liair_basis::shell::cart_components;
 use liair_basis::{Basis, Molecule};
 use liair_math::{Mat, Vec3};
@@ -215,14 +215,16 @@ pub fn kinetic_matrix(basis: &Basis) -> Mat {
 
 /// Nuclear-attraction matrix `V_{μν} = ⟨μ| Σ_A −Z_A/|r−R_A| |ν⟩`.
 pub fn nuclear_matrix(basis: &Basis, mol: &Molecule) -> Mat {
+    // One `R` table per nucleus per primitive pair, in one buffer.
+    let mut aux = AuxScratch::default();
     let [v] = symmetric_matrices(basis, |g| {
         let (p, big_p) = (g.p(), g.big_p());
         let e = g.tables(0, 0);
         let rows = g.e_rows(&e);
         let mut total = 0.0;
         for (z, rc) in nuclei(mol) {
-            let r = hermite_aux(g.order(), p, big_p - rc);
-            total -= z * attraction_sum(rows, &r, [0; 3]);
+            hermite_aux_into(g.order(), p, big_p - rc, &mut aux);
+            total -= z * attraction_sum(rows, &aux.r, [0; 3]);
         }
         [total * 2.0 * PI / p]
     });
@@ -261,6 +263,7 @@ pub fn overlap_gradient(basis: &Basis, natoms: usize, w: &Mat) -> Vec<Vec3> {
 /// (`∂R_{tuv}(P − C)/∂C_x = −R_{t+1,u,v}`, the Hellmann–Feynman term).
 pub fn core_hamiltonian_gradient(basis: &Basis, mol: &Molecule, d: &Mat) -> Vec<Vec3> {
     let mut grad = vec![Vec3::ZERO; mol.natoms()];
+    let mut aux = AuxScratch::default();
     for_each_prim_pair(basis, false, |g| {
         let weight = d[(g.row, g.col)] * g.coef;
         if weight == 0.0 {
@@ -293,14 +296,14 @@ pub fn core_hamiltonian_gradient(basis: &Basis, mol: &Molecule, d: &Mat) -> Vec<
                 .collect()
         });
         for (c, (z, rc)) in nuclei(mol).enumerate() {
-            let r = hermite_aux(g.order() + 1, p, big_p - rc);
-            let scale = z * 2.0 * PI / p * weight;
+            hermite_aux_into(g.order() + 1, p, big_p - rc, &mut aux);
+            let (r, scale) = (&aux.r, z * 2.0 * PI / p * weight);
             for k in 0..3 {
                 let mut bra = rows;
                 bra[k] = &d_rows[k];
-                let d_bra = attraction_sum(bra, &r, [0; 3]);
+                let d_bra = attraction_sum(bra, r, [0; 3]);
                 let unit = std::array::from_fn(|m| usize::from(m == k));
-                let d_nuc = attraction_sum(rows, &r, unit);
+                let d_nuc = attraction_sum(rows, r, unit);
                 grad[g.atom][k] -= 2.0 * scale * d_bra;
                 grad[c][k] += scale * d_nuc;
             }

@@ -407,15 +407,14 @@ mod tests {
 
     #[test]
     fn xc_forces_are_pinned() {
-        // Stretched H₂, the benchmark's molecule. The central difference
-        // (1e-3 Bohr) this provider used to take read
-        // −4.312777195969453e-2; the analytic force is 1.84e-7 Ha/Bohr
-        // below it, the difference's O(h²) truncation and its energies'
-        // convergence noise.
+        // Stretched H₂, the benchmark's molecule, on the pruned XC grid.
+        // The unpruned 40 × 8 grid read −4.312795633236516e-2, 1.1e-4
+        // Ha/Bohr from a dense 80 × 16 grid's force; this one is at most
+        // 4.3e-6 from it.
         let mut mol = systems::h2();
         mol.atoms[1].pos.x = 1.5;
         let (_, f) = XcForces::new(liair_xc::Functional::Lda).compute(&mol, None);
-        let want = -4.312_795_633_236_516e-2;
+        let want = -4.301_555_021_705_999_5e-2;
         assert!((f[1].x - want).abs() <= 1e-10, "{:.17e}", f[1].x);
     }
 

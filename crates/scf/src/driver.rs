@@ -3,6 +3,7 @@
 //! ([`ScfSession::functional_energies`](crate::ScfSession::functional_energies)).
 
 use liair_basis::{Basis, Molecule};
+use liair_grid::{GridSpec, RowSpec};
 use liair_math::Mat;
 
 /// Which self-consistent method to run.
@@ -18,10 +19,29 @@ pub enum Method {
 pub(crate) const DIIS_ERROR_TOL: f64 = 1e-6;
 /// DIIS history depth.
 pub(crate) const DIIS_DEPTH: usize = 8;
-/// Radial points of the Becke XC grid (RKS and post-SCF functionals).
-pub(crate) const XC_GRID_RADIAL: usize = 40;
-/// θ points of the Becke XC grid's angular product grid (φ uses 2×this).
-pub(crate) const XC_GRID_THETA: usize = 8;
+/// The Becke XC grid of every caller: the RKS-LDA context, its gradient
+/// and the post-SCF functionals. Radial shells per element row, and the
+/// angular order per SG-1 region, tuned against a uniform 80 × 16 grid:
+/// RKS-LDA energies and forces of stretched H₂, LiH and water, and the
+/// four reactions' E_int(PBE0), are no farther from it than the unpruned
+/// 40 × 8 grid this replaced (or within 1e-5 Ha, 1e-4 Ha/Bohr and 6e-4 Ha
+/// of it), with 2,270 points per H against 4,608.
+pub(crate) const XC_GRID: GridSpec = GridSpec {
+    rows: [
+        RowSpec {
+            n_rad: 31,
+            n_theta: [2, 3, 7, 10, 5],
+        },
+        RowSpec {
+            n_rad: 35,
+            n_theta: [4, 6, 9, 12, 8],
+        },
+        RowSpec {
+            n_rad: 40,
+            n_theta: [2, 5, 8, 12, 8],
+        },
+    ],
+};
 /// Becke points per batch wherever the XC grid is walked: the RKS AO
 /// values, the XC gradient and the post-SCF functionals all evaluate and
 /// contract the basis one batch at a time, and sum batch partials in
@@ -145,6 +165,7 @@ fn scf(mol: &Molecule, basis: &Basis, opts: &ScfOptions, method: Method) -> ScfR
 mod tests {
     use super::*;
     use crate::ScfSession;
+    use liair_basis::systems::Solvent;
     use liair_basis::{systems, Element};
     use liair_grid::{aos_at_points, density_at_points, MolGrid};
     use liair_integrals::{build_jk, kinetic_matrix, nuclear_matrix, overlap_matrix};
@@ -190,7 +211,7 @@ mod tests {
         let e_dft = if functional == Functional::Hf {
             0.0
         } else {
-            let grid = MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA);
+            let grid = MolGrid::becke(mol, &XC_GRID);
             let nao = basis.nao();
             let batches = grid
                 .points
@@ -483,11 +504,14 @@ mod tests {
     #[test]
     fn rks_lda_sto3g_energies_and_iterations_are_pinned() {
         // Within 1e-12 Ha rather than bitwise: a rounding-level change of
-        // the AO evaluator or of the quadrature sums keeps these pins.
+        // the AO evaluator or of the quadrature sums keeps these pins. The
+        // pruned XC grid moved them by +3.8e-6, −5.4e-6 and −7.0e-6 Ha
+        // from the unpruned 40 × 8 grid's values, less than that grid's
+        // own distance from the dense 80 × 16 one on LiH and water.
         for (mol, energy, iterations) in [
-            (systems::h2(), -1.121_022_781_142_925_4, 2),
-            (systems::lih(), -7.791_331_539_627_74, 7),
-            (systems::water(), -74.728_872_261_139_22, 9),
+            (systems::h2(), -1.121_019_014_007_668_8, 2),
+            (systems::lih(), -7.791_336_890_529_201, 7),
+            (systems::water(), -74.728_879_224_833_92, 9),
         ] {
             let res = rks_lda(&mol, &Basis::sto3g(&mol), &ScfOptions::default());
             assert!(res.converged, "{}", mol.formula());
@@ -579,5 +603,80 @@ mod tests {
     fn converges_quickly_with_diis() {
         let (_, res) = run_rhf(&systems::water());
         assert!(res.iterations < 30, "took {} iterations", res.iterations);
+    }
+
+    #[test]
+    fn xc_grid_points_per_atom_are_pinned() {
+        // A lone atom keeps every product point (its Becke weight is 1):
+        // the grid's size per element. The unpruned 40 × 8 grid gave each
+        // 4,608 (36 of its 40 shells lie inside 40 Bohr).
+        for (element, points) in [
+            (Element::H, 2_270),
+            (Element::Li, 3_574),
+            (Element::C, 4_214),
+            (Element::O, 4_526),
+            (Element::S, 4_222),
+        ] {
+            let mut mol = Molecule::new();
+            mol.push(element, Vec3::ZERO);
+            assert_eq!(MolGrid::becke(&mol, &XC_GRID).len(), points, "{element:?}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "reaction complexes: release only")]
+    fn xc_grid_pbe0_interaction_energies_are_as_close_to_the_dense_grid_as_the_unpruned_one() {
+        // E_int(PBE0) of the four solvent·Li₂O₂ reactions (the campaign's
+        // complexes, RHF densities at the reaction jobs' options) at the
+        // crate's grid and at the unpruned 40 × 8, each against a dense
+        // 80 × 16 reference: the pruned error is at most the unpruned one
+        // or 6e-4 Ha, and EC − PC keeps the reference's sign.
+        let opts = ScfOptions {
+            energy_tol: 1e-7,
+            max_iter: 150,
+            ..ScfOptions::default()
+        };
+        let specs = [GridSpec::uniform(80, 16), GridSpec::uniform(40, 8), XC_GRID];
+        let e_int = |solvent: Solvent| -> [f64; 3] {
+            let parts = [
+                systems::li2o2_complex(solvent, 3.6),
+                solvent.molecule(),
+                systems::li2o2(),
+            ];
+            let e: Vec<[f64; 3]> = parts
+                .iter()
+                .map(|mol| {
+                    let basis = Basis::sto3g(mol);
+                    let mut scf = ScfSession::new(mol, &basis, &opts, Method::Rhf);
+                    while scf.step() {}
+                    assert!(scf.converged(), "{}", mol.formula());
+                    specs.map(|spec| scf.functional_energies_on(&spec, &[Functional::Pbe0])[0])
+                })
+                .collect();
+            std::array::from_fn(|k| e[0][k] - e[1][k] - e[2][k])
+        };
+        let mut by_solvent = Vec::new();
+        for solvent in [
+            Solvent::PropyleneCarbonate,
+            Solvent::EthyleneCarbonate,
+            Solvent::Dmso,
+            Solvent::Dme,
+        ] {
+            let [reference, old, new] = e_int(solvent);
+            let (err_old, err_new) = ((old - reference).abs(), (new - reference).abs());
+            eprintln!(
+                "{solvent:?}: E_int {reference:.6e} Ha, |ΔE_int| {err_old:.2e} → {err_new:.2e} Ha"
+            );
+            assert!(err_new <= err_old.max(6e-4), "{solvent:?}: {err_new:e} Ha");
+            by_solvent.push([reference, new]);
+        }
+        let (pc, ec) = (by_solvent[0], by_solvent[1]);
+        assert_eq!(
+            (ec[1] - pc[1]).signum(),
+            (ec[0] - pc[0]).signum(),
+            "EC − PC: {:e} against the reference's {:e} Ha",
+            ec[1] - pc[1],
+            ec[0] - pc[0]
+        );
     }
 }

@@ -65,11 +65,11 @@
 use crate::diis::Diis;
 use crate::driver::{
     EnergyBreakdown, Method, ScfOptions, ScfResult, DIIS_DEPTH, DIIS_ERROR_TOL, FOCK_REBUILD_EVERY,
-    XC_BATCH, XC_GRID_RADIAL, XC_GRID_THETA,
+    XC_BATCH, XC_GRID,
 };
 use crate::gradient::{xc_gradient, GradientTerms, PointBatch};
 use liair_basis::{Basis, Molecule};
-use liair_grid::{aos_at_points, density_at_points, MolGrid};
+use liair_grid::{aos_at_points, density_at_points, GridSpec, MolGrid};
 use liair_integrals::{
     core_hamiltonian_gradient, kinetic_matrix, nuclear_matrix, overlap_gradient, overlap_matrix,
     JkBuilder,
@@ -117,7 +117,12 @@ struct ScfContext<'a> {
 }
 
 impl<'a> ScfContext<'a> {
-    fn build(mol: &Molecule, basis: &'a Basis, method: Method) -> ScfContext<'a> {
+    fn build(
+        mol: &Molecule,
+        basis: &'a Basis,
+        method: Method,
+        xc_grid: &GridSpec,
+    ) -> ScfContext<'a> {
         let n = basis.nao();
         let nocc = mol.nocc();
         assert!(nocc >= 1, "no electrons to converge");
@@ -129,7 +134,7 @@ impl<'a> ScfContext<'a> {
         let h = kinetic_matrix(basis).add(&nuclear_matrix(basis, mol));
         let x = sym_inv_sqrt(&s);
         let molgrid = if method == Method::RksLda {
-            Some(MolGrid::becke(mol, XC_GRID_RADIAL, XC_GRID_THETA))
+            Some(MolGrid::becke(mol, xc_grid))
         } else {
             None
         };
@@ -194,12 +199,21 @@ struct ScfLoopState {
     iterations: usize,
 }
 
+/// The RKS step's per-point buffers, reused step after step: the density
+/// and `w_p v_xc(n_p)` at every XC grid point.
+#[derive(Default)]
+struct XcPoints {
+    n: Vec<f64>,
+    wv: Vec<f64>,
+}
+
 /// An in-flight SCF calculation: step it, checkpoint it, resume it.
 pub struct ScfSession<'a> {
     method: Method,
     opts: ScfOptions,
     ctx: ScfContext<'a>,
     st: ScfLoopState,
+    xc: XcPoints,
     /// The caller's exchange operator; `None` builds K analytically.
     exchange: Option<&'a mut dyn FnMut(&Mat) -> Mat>,
 }
@@ -212,7 +226,20 @@ impl<'a> ScfSession<'a> {
         opts: &ScfOptions,
         method: Method,
     ) -> ScfSession<'a> {
-        Self::start(mol, basis, opts, method, None, None)
+        Self::start(mol, basis, opts, method, None, None, &XC_GRID)
+    }
+
+    /// [`ScfSession::new`] with an RKS-LDA grid of `xc_grid`'s sizes in
+    /// place of the crate's one: the quadrature oracles' reference grids.
+    #[cfg(test)]
+    pub(crate) fn on_xc_grid(
+        mol: &Molecule,
+        basis: &'a Basis,
+        opts: &ScfOptions,
+        method: Method,
+        xc_grid: &GridSpec,
+    ) -> ScfSession<'a> {
+        Self::start(mol, basis, opts, method, None, None, xc_grid)
     }
 
     /// An RHF session whose exchange matrix comes from `exchange` instead
@@ -229,7 +256,15 @@ impl<'a> ScfSession<'a> {
         exchange: &'a mut dyn FnMut(&Mat) -> Mat,
         guess: Option<&Mat>,
     ) -> ScfSession<'a> {
-        Self::start(mol, basis, opts, Method::Rhf, Some(exchange), guess)
+        Self::start(
+            mol,
+            basis,
+            opts,
+            Method::Rhf,
+            Some(exchange),
+            guess,
+            &XC_GRID,
+        )
     }
 
     fn start(
@@ -239,8 +274,9 @@ impl<'a> ScfSession<'a> {
         method: Method,
         exchange: Option<&'a mut dyn FnMut(&Mat) -> Mat>,
         guess: Option<&Mat>,
+        xc_grid: &GridSpec,
     ) -> ScfSession<'a> {
-        let ctx = ScfContext::build(mol, basis, method);
+        let ctx = ScfContext::build(mol, basis, method, xc_grid);
         let n = ctx.n;
         let c = match guess {
             Some(c) => {
@@ -262,6 +298,7 @@ impl<'a> ScfSession<'a> {
             opts: *opts,
             ctx,
             exchange,
+            xc: XcPoints::default(),
             st: ScfLoopState {
                 density,
                 diis: Diis::new(DIIS_DEPTH),
@@ -304,6 +341,7 @@ impl<'a> ScfSession<'a> {
         }
         let ctx = &self.ctx;
         let st = &mut self.st;
+        let xc = &mut self.xc;
         let opts = &self.opts;
         st.iterations += 1;
         let it = st.iterations;
@@ -362,19 +400,23 @@ impl<'a> ScfSession<'a> {
                 let grid = ctx.molgrid.as_ref().unwrap();
                 let aos = ctx.ao_at_pts.as_ref().unwrap();
                 let n = ctx.n;
-                let mut nvals = vec![0.0; grid.len()];
+                let XcPoints { n: nvals, wv } = xc;
+                nvals.resize(grid.len(), 0.0);
                 let density = &st.density;
-                nvals
+                // One (Dχ) buffer per worker; the units collect into a
+                // zero-sized vector.
+                let _: Vec<()> = nvals
                     .par_chunks_mut(XC_BATCH)
                     .enumerate()
-                    .for_each(|(b, nb)| {
+                    .map_init(Vec::new, |dchi, (b, nb)| {
                         let block = &aos[n * b * XC_BATCH..][..n * nb.len()];
-                        let mut dchi = vec![0.0; block.len()];
-                        density_at_points(density, block, None, nb, &mut dchi);
-                    });
+                        dchi.resize(block.len(), 0.0);
+                        density_at_points(density, block, None, nb, dchi);
+                    })
+                    .collect();
                 // One pass: w_p v_xc(n_p) at every point, and
                 // E_xc = Σ_p w_p n_p ε_xc(n_p).
-                let mut wv = Vec::with_capacity(nvals.len());
+                wv.clear();
                 let mut e_xc = 0.0;
                 for (&d, &w) in nvals.iter().zip(&grid.weights) {
                     let (exc, vxc) = lda_exc_vxc(d);
@@ -470,6 +512,15 @@ impl<'a> ScfSession<'a> {
     /// do not depend on the thread count. For `Functional::Hf` it is the
     /// RHF energy expression.
     pub fn functional_energies(&self, functionals: &[Functional]) -> Vec<f64> {
+        self.functional_energies_on(&XC_GRID, functionals)
+    }
+
+    /// [`ScfSession::functional_energies`] on a grid of `xc_grid`'s sizes.
+    pub(crate) fn functional_energies_on(
+        &self,
+        xc_grid: &GridSpec,
+        functionals: &[Functional],
+    ) -> Vec<f64> {
         let (ctx, d) = (&self.ctx, &self.st.density);
         let (j, k) = ctx.jk_builder.build(d, self.opts.schwarz_tol);
         let e_no_x = ctx.e_nuc + d.trace_product(&ctx.h) + 0.5 * d.trace_product(&j);
@@ -478,7 +529,7 @@ impl<'a> ScfSession<'a> {
         // needs no grid.
         let partials: Option<Vec<Vec<f64>>> =
             functionals.iter().any(|&f| f != Functional::Hf).then(|| {
-                let grid = MolGrid::becke(&ctx.mol, XC_GRID_RADIAL, XC_GRID_THETA);
+                let grid = MolGrid::becke(&ctx.mol, xc_grid);
                 (0..grid.len().div_ceil(XC_BATCH))
                     .into_par_iter()
                     .map_init(PointBatch::default, |batch, b| {
@@ -732,12 +783,13 @@ impl<'a> ScfSession<'a> {
         if d.remaining() != 0 {
             return Err(CodecError::BadLength(d.remaining() as u64));
         }
-        let ctx = ScfContext::build(mol, basis, method);
+        let ctx = ScfContext::build(mol, basis, method, &XC_GRID);
         Ok(ScfSession {
             method,
             opts,
             ctx,
             exchange,
+            xc: XcPoints::default(),
             st: ScfLoopState {
                 density,
                 diis: Diis::from_history(DIIS_DEPTH, focks, errors),
