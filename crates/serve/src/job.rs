@@ -427,18 +427,7 @@ impl JobBuilder {
                 if *n_waters == 0 {
                     return Err(SpecError::ZeroParam("n_waters"));
                 }
-                if *n_outer == 0 {
-                    return Err(SpecError::ZeroParam("n_outer"));
-                }
-                if *n_inner == 0 {
-                    return Err(SpecError::ZeroParam("n_inner"));
-                }
-                if !temperature.is_finite() || *temperature <= 0.0 {
-                    return Err(SpecError::BadParam {
-                        field: "temperature",
-                        why: "must be finite and positive",
-                    });
-                }
+                check_mts(*n_outer, *n_inner, *temperature)?;
             }
             JobKind::Screening { extent, norb, .. } => {
                 if *extent == 0 {
@@ -467,18 +456,7 @@ impl JobBuilder {
                         why: "electrolyte box needs box_n >= 2 (box_n^3 - 1 solvent molecules)",
                     });
                 }
-                if *n_outer == 0 {
-                    return Err(SpecError::ZeroParam("n_outer"));
-                }
-                if *n_inner == 0 {
-                    return Err(SpecError::ZeroParam("n_inner"));
-                }
-                if !temperature.is_finite() || *temperature <= 0.0 {
-                    return Err(SpecError::BadParam {
-                        field: "temperature",
-                        why: "must be finite and positive",
-                    });
-                }
+                check_mts(*n_outer, *n_inner, *temperature)?;
             }
         }
         Ok(JobSpec {
@@ -490,6 +468,23 @@ impl JobBuilder {
             disruption: self.disruption,
         })
     }
+}
+
+/// The MTS settings both trajectory kinds validate alike.
+fn check_mts(n_outer: usize, n_inner: usize, temperature: f64) -> Result<(), SpecError> {
+    if n_outer == 0 {
+        return Err(SpecError::ZeroParam("n_outer"));
+    }
+    if n_inner == 0 {
+        return Err(SpecError::ZeroParam("n_inner"));
+    }
+    if !temperature.is_finite() || temperature <= 0.0 {
+        return Err(SpecError::BadParam {
+            field: "temperature",
+            why: "must be finite and positive",
+        });
+    }
+    Ok(())
 }
 
 /// Whether no two entries of `xs` are equal.
@@ -594,6 +589,28 @@ mod tests {
         assert!(matches!(
             JobSpec::solvation(Solvent::Dmso, 1, 0).build().unwrap_err(),
             SpecError::BadParam { field: "box_n", .. }
+        ));
+        // Both trajectory kinds check their MTS settings alike.
+        assert_eq!(
+            JobSpec::solvation(Solvent::Dmso, 2, 0)
+                .steps(0, 2)
+                .build()
+                .unwrap_err(),
+            SpecError::ZeroParam("n_outer")
+        );
+        assert_eq!(
+            JobSpec::md(2, 3, 0).build().unwrap_err(),
+            SpecError::ZeroParam("n_inner")
+        );
+        assert!(matches!(
+            JobSpec::solvation(Solvent::Dmso, 2, 0)
+                .temperature(-1.0)
+                .build()
+                .unwrap_err(),
+            SpecError::BadParam {
+                field: "temperature",
+                ..
+            }
         ));
         assert!(matches!(
             JobSpec::md(2, 3, 2)

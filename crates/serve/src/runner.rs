@@ -66,29 +66,21 @@ const SCREEN_EPS: f64 = 1e-6;
 /// inherits).
 const SCREEN_EPS_INC: f64 = 1e-9;
 
-/// Resume state of an interrupted solvation trajectory: the MD state
-/// plus the RDF accumulator, so a resumed attempt continues the
-/// histogram bit-exactly rather than restarting it.
-#[derive(Debug, Clone)]
-pub struct SolvationCheckpoint {
-    /// Serialized [`MdCheckpoint`].
-    pub md: Vec<u8>,
-    /// Li–O RDF histogram bins at the checkpoint.
-    pub rdf_bins: Vec<f64>,
-    /// RDF frames accumulated at the checkpoint.
-    pub rdf_frames: usize,
-}
-
 /// Serialized resume state of a suspended job.
 #[derive(Debug, Clone)]
 pub enum JobCheckpoint {
     /// An SCF session mid-convergence (SCF and reaction jobs — a
     /// reaction job checkpoints its dominant stage, the complex SCF).
     Scf(ScfCheckpoint),
-    /// An MD trajectory mid-flight (serialized [`MdCheckpoint`]).
-    Md(Vec<u8>),
-    /// A solvation trajectory mid-flight: MD state + RDF state.
-    Solvation(SolvationCheckpoint),
+    /// A trajectory mid-flight (MD and solvation jobs).
+    Md {
+        /// Serialized [`MdCheckpoint`].
+        md: Vec<u8>,
+        /// A solvation job's Li–O RDF histogram bins and frame count at
+        /// the checkpoint, beside the checksummed MD stream; `None` for
+        /// an MD job.
+        rdf: Option<(Vec<f64>, usize)>,
+    },
 }
 
 impl JobCheckpoint {
@@ -97,8 +89,9 @@ impl JobCheckpoint {
     pub fn nbytes(&self) -> usize {
         match self {
             JobCheckpoint::Scf(ck) => ck.bytes.len(),
-            JobCheckpoint::Md(b) => b.len(),
-            JobCheckpoint::Solvation(ck) => ck.md.len() + 8 * ck.rdf_bins.len() + 8,
+            JobCheckpoint::Md { md, rdf } => {
+                md.len() + rdf.as_ref().map_or(0, |(bins, _)| 8 * bins.len() + 8)
+            }
         }
     }
 }
@@ -230,21 +223,18 @@ pub fn run_job(
         JobKind::Scf {
             system,
             incremental_fock,
-        } => run_scf(spec, *system, *incremental_fock, resume, disruption),
+        } => run_scf(*system, *incremental_fock, resume, disruption),
         JobKind::Md {
             n_waters,
             n_outer,
             n_inner,
             temperature,
-        } => run_md(
-            spec,
-            *n_waters,
-            *n_outer,
-            *n_inner,
-            *temperature,
-            resume,
-            disruption,
-        ),
+        } => {
+            let seed = spec.seeds.resolve_md_seed();
+            let water = systems::water_box(*n_waters, seed);
+            let mts = (*n_outer, *n_inner, *temperature);
+            run_trajectory(water, seed, false, mts, resume, disruption)
+        }
         JobKind::Screening {
             system,
             extent,
@@ -262,16 +252,11 @@ pub fn run_job(
             n_outer,
             n_inner,
             temperature,
-        } => run_solvation(
-            *solvent,
-            *box_n,
-            *seed,
-            *n_outer,
-            *n_inner,
-            *temperature,
-            resume,
-            disruption,
-        ),
+        } => {
+            let electrolyte = systems::electrolyte_box(*solvent, *box_n, *seed);
+            let mts = (*n_outer, *n_inner, *temperature);
+            run_trajectory(electrolyte, *seed, true, mts, resume, disruption)
+        }
     };
     outcome.map_or_else(|interrupted| interrupted, Attempt::Done)
 }
@@ -365,7 +350,6 @@ fn scf_session<'a>(
 }
 
 fn run_scf(
-    _spec: &JobSpec,
     system: crate::job::ScfSystem,
     incremental_fock: bool,
     resume: Option<&JobCheckpoint>,
@@ -464,71 +448,28 @@ fn run_reaction(
 }
 
 /// An MTS trajectory of `n_outer` outer steps under a [`TetherSplit`];
-/// one [`Resumable`] step is one outer step.
-struct MdRun<'a> {
+/// one [`Resumable`] step is one outer step. A solvation job's Li–O RDF
+/// rides along: one frame per completed outer step, taken inside the step
+/// so the histogram is part of every checkpoint of that step.
+struct Trajectory {
     state: MdState,
-    split: &'a TetherSplit,
+    split: TetherSplit,
     opts: MdOptions,
     n_outer: usize,
+    cell: Cell,
+    rdf: Option<RdfAccumulator>,
 }
 
-impl<'a> MdRun<'a> {
-    /// The trajectory `md` resumes — its serialized [`MdCheckpoint`] —
-    /// or, without one, a fresh start: `mol0` in `cell`, thermalized at
-    /// `temperature` from `seed`. The Nosé–Hoover/MTS settings are the
-    /// ones every MD-stage job integrates under.
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        md: Option<&[u8]>,
-        mol0: Molecule,
-        cell: Cell,
-        split: &'a TetherSplit,
-        seed: u64,
-        temperature: f64,
-        n_outer: usize,
-        n_inner: usize,
-    ) -> MdRun<'a> {
-        let state = match md {
-            Some(bytes) => MdCheckpoint::from_bytes(bytes)
-                .expect("a checkpoint taken by this runner round-trips")
-                .restore(),
-            None => {
-                let mut st = MdState::new_split(mol0, Some(cell), split);
-                st.thermalize_seeded(temperature, Some(seed));
-                st
-            }
-        };
-        MdRun {
-            state,
-            split,
-            opts: MdOptions {
-                dt: 10.0,
-                thermostat: Thermostat::NoseHoover {
-                    t_target: temperature,
-                    tau: 300.0,
-                },
-                mts: MtsOptions { n_inner },
-            },
-            n_outer,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.position() >= self.n_outer
-    }
-
-    fn md_bytes(&self) -> Vec<u8> {
-        MdCheckpoint::capture(&self.state).to_bytes()
-    }
-}
-
-impl Resumable for MdRun<'_> {
+impl Resumable for Trajectory {
     fn advance(&mut self) -> bool {
-        if self.done() {
+        if self.position() >= self.n_outer {
             return false;
         }
-        self.state.step_mts(self.split, &self.opts);
-        !self.done()
+        self.state.step_mts(&self.split, &self.opts);
+        if let Some(rdf) = &mut self.rdf {
+            rdf.add_frame(&self.state.mol, &self.cell);
+        }
+        self.position() < self.n_outer
     }
 
     fn position(&self) -> usize {
@@ -536,117 +477,90 @@ impl Resumable for MdRun<'_> {
     }
 
     fn snapshot(&self) -> JobCheckpoint {
-        JobCheckpoint::Md(self.md_bytes())
-    }
-}
-
-fn run_md(
-    spec: &JobSpec,
-    n_waters: usize,
-    n_outer: usize,
-    n_inner: usize,
-    temperature: f64,
-    resume: Option<&JobCheckpoint>,
-    disruption: Disruption,
-) -> Result<JobOutput, Attempt> {
-    let seed = spec.seeds.resolve_md_seed();
-    // The provider is never serialized: it is a pure function of the job
-    // spec (initial box geometry), reconstructed on every attempt.
-    let (mol0, cell) = systems::water_box(n_waters, seed);
-    let split = TetherSplit::new(&mol0, Some(&cell), 1e-4);
-    let md = resume.map(|ck| match ck {
-        JobCheckpoint::Md(bytes) => bytes.as_slice(),
-        _ => unreachable!("MD job resumed with a non-MD checkpoint"),
-    });
-    let run = MdRun::start(md, mol0, cell, &split, seed, temperature, n_outer, n_inner);
-    let run = drive(run, disruption)?;
-    Ok(JobOutput {
-        final_energy: run.state.potential,
-        steps: run.state.step_count,
-        converged: true,
-        observables: Observables::default(),
-        profile: BuildProfile::default(),
-    })
-}
-
-/// A solvation trajectory: an [`MdRun`] plus the Li–O RDF that rides on
-/// it — one frame per completed outer step, taken inside the step so the
-/// histogram is part of every checkpoint of that step.
-struct SolvationRun<'a> {
-    md: MdRun<'a>,
-    cell: Cell,
-    rdf: RdfAccumulator,
-}
-
-impl Resumable for SolvationRun<'_> {
-    fn advance(&mut self) -> bool {
-        if self.md.done() {
-            return false;
+        JobCheckpoint::Md {
+            md: MdCheckpoint::capture(&self.state).to_bytes(),
+            rdf: self
+                .rdf
+                .as_ref()
+                .map(|rdf| (rdf.bins.clone(), rdf.frames())),
         }
-        let more = self.md.advance();
-        self.rdf.add_frame(&self.md.state.mol, &self.cell);
-        more
-    }
-
-    fn position(&self) -> usize {
-        self.md.position()
-    }
-
-    fn snapshot(&self) -> JobCheckpoint {
-        JobCheckpoint::Solvation(SolvationCheckpoint {
-            md: self.md.md_bytes(),
-            rdf_bins: self.rdf.bins.clone(),
-            rdf_frames: self.rdf.frames(),
-        })
     }
 }
 
-/// A solvation job: MTS-integrate an electrolyte box, accumulating the
-/// Li–O RDF once per outer step. The histogram checkpoints *with* the MD
-/// state ([`SolvationCheckpoint`]), so a resumed trajectory's histogram
-/// is bit-identical to an uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-fn run_solvation(
-    solvent: Solvent,
-    box_n: usize,
+/// A trajectory job (MD or solvation): `n_outer` outer steps of `n_inner`
+/// inner steps on the box `(mol0, cell)`, thermalized at `temperature`
+/// from `seed` — or resumed from `resume`'s checkpoint — under the
+/// Nosé–Hoover/MTS settings every trajectory job shares. With `with_rdf`
+/// the Li–O RDF accumulates once per outer step and checkpoints beside
+/// the MD state, so a resumed histogram is bit-identical to an
+/// uninterrupted one.
+fn run_trajectory(
+    (mol0, cell): (Molecule, Cell),
     seed: u64,
-    n_outer: usize,
-    n_inner: usize,
-    temperature: f64,
+    with_rdf: bool,
+    (n_outer, n_inner, temperature): (usize, usize, f64),
     resume: Option<&JobCheckpoint>,
     disruption: Disruption,
 ) -> Result<JobOutput, Attempt> {
-    // Spec-reconstructable, like the MD jobs' provider: geometry and
-    // force field are pure functions of the job spec.
-    let (mol0, cell) = systems::electrolyte_box(solvent, box_n, seed);
+    // The provider is never serialized: box geometry and force field are
+    // pure functions of the job spec, reconstructed on every attempt.
     let split = TetherSplit::new(&mol0, Some(&cell), 1e-4);
-    let mut rdf = RdfAccumulator::new(Element::Li, Element::O, RDF_R_MAX, RDF_NBINS);
-    let md = resume.map(|ck| match ck {
-        JobCheckpoint::Solvation(ck) => {
-            rdf.set_state(ck.rdf_bins.clone(), ck.rdf_frames);
-            ck.md.as_slice()
+    let new_rdf = || RdfAccumulator::new(Element::Li, Element::O, RDF_R_MAX, RDF_NBINS);
+    let (state, rdf) = match resume {
+        None => {
+            let mut state = MdState::new_split(mol0, Some(cell), &split);
+            state.thermalize_seeded(temperature, Some(seed));
+            (state, with_rdf.then(new_rdf))
         }
-        _ => unreachable!("solvation job resumed with a non-solvation checkpoint"),
-    });
-    let run = SolvationRun {
-        md: MdRun::start(md, mol0, cell, &split, seed, temperature, n_outer, n_inner),
+        // A solvation job never resumes with an empty histogram, nor an
+        // MD job with one.
+        Some(JobCheckpoint::Md { md, rdf }) if rdf.is_some() == with_rdf => {
+            let state = MdCheckpoint::from_bytes(md)
+                .expect("a checkpoint taken by this runner round-trips")
+                .restore();
+            let rdf = rdf.clone().map(|(bins, frames)| {
+                let mut acc = new_rdf();
+                acc.set_state(bins, frames);
+                acc
+            });
+            (state, rdf)
+        }
+        Some(_) => unreachable!("trajectory job resumed with another job kind's checkpoint"),
+    };
+    let opts = MdOptions {
+        dt: 10.0,
+        thermostat: Thermostat::NoseHoover {
+            t_target: temperature,
+            tau: 300.0,
+        },
+        mts: MtsOptions { n_inner },
+    };
+    let run = Trajectory {
+        state,
+        split,
+        opts,
+        n_outer,
         cell,
         rdf,
     };
-    let SolvationRun { md, rdf, .. } = drive(run, disruption)?;
-    let state = md.state;
-    let g = rdf.finish(&state.mol, &cell);
-    let (peak_r, peak_g) = rdf_peak(&g);
+    let Trajectory { state, rdf, .. } = drive(run, disruption)?;
+    let observables = match rdf {
+        None => Observables::default(),
+        Some(rdf) => {
+            let (peak_r, peak_g) = rdf_peak(&rdf.finish(&state.mol, &cell));
+            Observables {
+                rdf_li_o_peak_r: Some(peak_r),
+                rdf_li_o_peak_g: Some(peak_g),
+                li_o_coordination: Some(rdf.coordination_number(&state.mol, RDF_COORD_CUT)),
+                ..Default::default()
+            }
+        }
+    };
     Ok(JobOutput {
         final_energy: state.potential,
         steps: state.step_count,
         converged: true,
-        observables: Observables {
-            rdf_li_o_peak_r: Some(peak_r),
-            rdf_li_o_peak_g: Some(peak_g),
-            li_o_coordination: Some(rdf.coordination_number(&state.mol, RDF_COORD_CUT)),
-            ..Default::default()
-        },
+        observables,
         profile: BuildProfile::default(),
     })
 }
@@ -851,6 +765,83 @@ mod tests {
         }
     }
 
+    /// The checkpoint of `spec`'s job preempted at step 2, handed to
+    /// `other`'s job: a trajectory resumes only from its own kind's state.
+    fn resume_across_kinds(
+        spec: impl Fn(Disruption) -> JobSpec,
+        other: impl Fn(Disruption) -> JobSpec,
+    ) {
+        let first = run_job(&spec(Disruption::Preempt { at_step: 2 }), None, 1, None);
+        resume_to_done(&other(Disruption::None), first);
+    }
+
+    #[test]
+    #[should_panic(expected = "resumed with another job kind's checkpoint")]
+    fn solvation_job_refuses_an_md_checkpoint() {
+        resume_across_kinds(md_spec, solvation_spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "resumed with another job kind's checkpoint")]
+    fn md_job_refuses_a_solvation_checkpoint() {
+        resume_across_kinds(solvation_spec, md_spec);
+    }
+
+    #[test]
+    fn trajectory_jobs_are_pinned() {
+        // A water box and an EC electrolyte box under the one MTS scheme
+        // every trajectory job runs. The bits were recorded on x86-64
+        // Linux; 1e-14 relative leaves room only for another platform's
+        // libm. The checkpoint sizes are exact: the MD stream, plus the
+        // solvation job's 48 RDF bins and frame count.
+        let pinned = |got: f64, want: u64| {
+            let want = f64::from_bits(want);
+            assert!(
+                (got - want).abs() <= 1e-14 * want.abs(),
+                "{got:.17e} ({:#x}) vs {want:.17e}",
+                got.to_bits()
+            );
+        };
+        let first_checkpoint = |spec: &JobSpec| match run_job(spec, None, 1, None) {
+            Attempt::Preempted(ck) | Attempt::Faulted(ck) => ck.nbytes(),
+            Attempt::Done(_) => panic!("expected a disrupted attempt"),
+        };
+
+        let md = |disruption| {
+            JobSpec::md(2, 5, 2)
+                .md_seed(11)
+                .disruption(disruption)
+                .build()
+                .unwrap()
+        };
+        let out = run_reference(&md(Disruption::None));
+        pinned(out.final_energy, 0x3faa_1914_e2ea_5b91);
+        assert_eq!(out.steps, 10);
+        assert_eq!(
+            first_checkpoint(&md(Disruption::Preempt { at_step: 2 })),
+            2719
+        );
+
+        let solvation = |disruption| {
+            JobSpec::solvation(Solvent::EthyleneCarbonate, 2, 3)
+                .steps(5, 2)
+                .disruption(disruption)
+                .build()
+                .unwrap()
+        };
+        let out = run_reference(&solvation(Disruption::None));
+        pinned(out.final_energy, 0x3fde_0019_adbe_c0b4);
+        assert_eq!(out.steps, 10);
+        let obs = &out.observables;
+        pinned(obs.rdf_li_o_peak_r.unwrap(), 0x400b_0000_0000_0000);
+        pinned(obs.rdf_li_o_peak_g.unwrap(), 0x4033_92e6_773e_49d4);
+        pinned(obs.li_o_coordination.unwrap(), 0x4000_0000_0000_0000);
+        assert_eq!(
+            first_checkpoint(&solvation(Disruption::Fault { at_step: 3 })),
+            8511
+        );
+    }
+
     fn word(bytes: &[u8], at: usize) -> u64 {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
@@ -959,16 +950,19 @@ mod tests {
         );
         assert_eq!(resume(&scf.bytes).unwrap().checkpoint(), scf);
 
-        let JobCheckpoint::Md(md) = checkpoint(&md_spec(preempt)) else {
+        let JobCheckpoint::Md { md, rdf: None } = checkpoint(&md_spec(preempt)) else {
             panic!("MD jobs checkpoint MD states");
         };
         assert_hostile_streams_rejected("md", &md, &md_length_fields(&md), &md_decode);
         assert_eq!(MdCheckpoint::from_bytes(&md).unwrap().to_bytes(), md);
 
-        let JobCheckpoint::Solvation(solv) = checkpoint(&solvation_spec(preempt)) else {
+        let JobCheckpoint::Md {
+            ref md,
+            rdf: Some(_),
+        } = checkpoint(&solvation_spec(preempt))
+        else {
             panic!("solvation jobs checkpoint solvation runs");
         };
-        let md = &solv.md;
         assert_hostile_streams_rejected("solvation", md, &md_length_fields(md), &md_decode);
         assert_eq!(&MdCheckpoint::from_bytes(md).unwrap().to_bytes(), md);
     }
@@ -1019,7 +1013,7 @@ mod tests {
                 ScfSession::resume(&mol, &basis, &ck).map(|_| ())
             },
         );
-        let JobCheckpoint::Md(md) = preempted(md_spec) else {
+        let JobCheckpoint::Md { md, rdf: None } = preempted(md_spec) else {
             panic!("MD jobs checkpoint MD states");
         };
         assert_hostile_streams_rejected(
@@ -1084,7 +1078,7 @@ mod tests {
         let scf_words = words(density, nao * nao).chain(words(fock, nao * nao));
         assert_flips_refused("scf", &scf.bytes, scf_words, &|b| resume(b).map(|_| ()));
 
-        let JobCheckpoint::Md(md) = preempted(md_spec) else {
+        let JobCheckpoint::Md { md, rdf: None } = preempted(md_spec) else {
             panic!("MD jobs checkpoint MD states");
         };
         // Each atom is a `u32` element then its position; the velocities

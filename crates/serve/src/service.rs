@@ -205,7 +205,7 @@ struct Tracked {
     checkpoint_bytes: usize,
     checkpoint: Option<JobCheckpoint>,
     /// FIFO sequence from first enqueue, preserved across requeues.
-    seq: Option<u64>,
+    seq: u64,
 }
 
 /// The batch service. Construct, [`Service::run`] a batch, read the
@@ -235,18 +235,14 @@ impl Service {
                 Ok(()) => {
                     let id = tracked.len();
                     tracked.push(Tracked {
-                        spec,
-                        submitted: t_start, // overwritten below; placeholder
+                        submitted: Instant::now(),
                         attempts: 0,
                         resumed: false,
                         checkpoint_bytes: 0,
                         checkpoint: None,
-                        seq: None,
+                        seq: queue.push(id, spec.priority),
+                        spec,
                     });
-                    let t = tracked.last_mut().expect("just pushed");
-                    t.submitted = Instant::now();
-                    let seq = queue.push(id, t.spec.priority);
-                    t.seq = Some(seq);
                 }
                 Err(reason) => rejected.push((spec, reason)),
             }
@@ -260,8 +256,9 @@ impl Service {
         // A worker is a plain thread, outside any rayon pool the caller
         // installed: it runs its jobs under the caller's thread count.
         let threads = rayon_threads();
+        let workers = self.cfg.max_workers.max(1);
         std::thread::scope(|scope| {
-            for _ in 0..self.cfg.max_workers.max(1) {
+            for _ in 0..workers {
                 let done_tx = done_tx.clone();
                 let work_rx = &work_rx;
                 let cache = &cache;
@@ -293,7 +290,7 @@ impl Service {
             let mut inflight = 0usize;
             loop {
                 // Dispatch while a worker slot and a leasable job exist.
-                while inflight < self.cfg.max_workers.max(1) && !queue.is_empty() {
+                while inflight < workers && !queue.is_empty() {
                     let popped = queue.pop_where(|&id| {
                         pool.available() >= tracked[id].spec.nranks.clamp(1, pool.total())
                     });
@@ -356,8 +353,7 @@ impl Service {
                         t.checkpoint_bytes = t.checkpoint_bytes.max(ck.nbytes());
                         t.checkpoint = Some(ck);
                         t.resumed = true;
-                        let seq = t.seq.expect("admitted jobs were enqueued");
-                        queue.requeue(done.id, t.spec.priority, seq);
+                        queue.requeue(done.id, t.spec.priority, t.seq);
                     }
                 }
             }
