@@ -27,7 +27,7 @@ use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{IncSchedule, IncStats, IncrementalExchange};
 use liair_grid::{density_on_grid, PoissonSolver, RealGrid};
 use liair_math::Vec3;
-use liair_md::mts::{MtsOptions, MtsOuterRecord, SplitForceProvider};
+use liair_md::mts::{MtsOptions, MtsOuterRecord};
 use liair_md::{
     ForceField, ForceProvider, HfxDeltaForces, IncrementalGridForces, MdOptions, MdState,
     Thermostat, XcForces,
@@ -188,8 +188,8 @@ impl ModelElectrolyteSplit {
     }
 }
 
-impl SplitForceProvider for ModelElectrolyteSplit {
-    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
+impl ForceProvider for ModelElectrolyteSplit {
+    fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
         let (e_ff, mut forces) = self.ff.energy_forces(mol, cell);
         let fields = self.base_fields(mol);
         let rho = density_on_grid(&fields);
@@ -218,7 +218,7 @@ impl SplitForceProvider for ModelElectrolyteSplit {
         mol: &Molecule,
         _cell: Option<&Cell>,
         _fast: (f64, &[Vec3]),
-    ) -> (f64, Vec<Vec3>) {
+    ) -> Option<(f64, Vec<Vec3>)> {
         let infos0 = self.infos(mol);
         let base = self.base_fields(mol);
         let mut slots = self.slots.lock().unwrap();
@@ -265,7 +265,7 @@ impl SplitForceProvider for ModelElectrolyteSplit {
                 forces[atom][axis] = -(e_pm[0] - e_pm[1]) / (2.0 * self.h);
             }
         }
-        (e0, forces)
+        Some((e0, forces))
     }
 
     fn reuse_totals(&self) -> Option<IncStats> {
@@ -309,7 +309,7 @@ struct ModelRelax<'a>(&'a ModelElectrolyteSplit);
 impl ForceProvider for ModelRelax<'_> {
     fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
         let m = self.0;
-        let (mut e, mut forces) = m.fast_forces(mol, cell);
+        let (mut e, mut forces) = m.compute(mol, cell);
         let coef = m.hfx_fraction * (2.0 / std::f64::consts::PI).sqrt() / m.sigma;
         let inv_s2 = 1.0 / (m.sigma * m.sigma);
         for p in &m.pairs.pairs {
@@ -362,16 +362,16 @@ struct RunResult {
     log: Vec<MtsOuterRecord>,
 }
 
-fn run_one<S: SplitForceProvider>(
+fn run_one<F: ForceProvider>(
     mol: &Molecule,
     cell: Option<Cell>,
-    provider: &S,
+    provider: &F,
     dt: f64,
     n_inner: usize,
     n_total: usize,
     seed: u64,
 ) -> RunResult {
-    let mut state = MdState::new_split(mol.clone(), cell, provider);
+    let mut state = MdState::new(mol.clone(), cell, provider);
     state.thermalize_seeded(300.0, Some(seed));
     let e0 = state.total_energy();
     let opts = MdOptions {

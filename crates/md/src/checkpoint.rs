@@ -10,7 +10,7 @@
 //! the cached forces in the checkpoint make the first resumed step use
 //! exactly the forces the interrupted run had in hand.
 //!
-//! Velocity-Verlet (and its r-RESPA extension, [`crate::mts`]) only ever
+//! The one step ([`MdState::step`], r-RESPA in [`crate::mts`]) only ever
 //! consumes state captured here plus provider outputs that are pure
 //! functions of the geometry — which is what makes this small struct a
 //! *sufficient* checkpoint, property-tested in `tests/checkpoint_props.rs`
@@ -137,15 +137,16 @@ impl MdCheckpoint {
         let potential_slow = d.get_f64()?;
         // Every per-atom array carries its own length prefix; a stream in
         // which they disagree would decode and then index out of bounds on
-        // the first step. Only `forces_slow` may be absent (a state that
-        // never took the MTS path need not carry it).
-        for n in [velocities.len(), masses.len(), forces.len()] {
+        // the first step (every step reads `forces_slow`).
+        for n in [
+            velocities.len(),
+            masses.len(),
+            forces.len(),
+            forces_slow.len(),
+        ] {
             if n != natoms {
                 return Err(CodecError::BadLength(n as u64));
             }
-        }
-        if !forces_slow.is_empty() && forces_slow.len() != natoms {
-            return Err(CodecError::BadLength(forces_slow.len() as u64));
         }
         if d.remaining() != 0 {
             return Err(CodecError::BadLength(d.remaining() as u64));

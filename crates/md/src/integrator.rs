@@ -1,14 +1,45 @@
-//! Velocity-Verlet molecular dynamics with thermostats.
+//! The propagated MD state, its thermostats and Maxwell–Boltzmann
+//! initialization, and the one force-provider trait. The step itself,
+//! r-RESPA that is plain velocity Verlet without a slow force, lives in
+//! [`crate::mts`].
 
 use liair_basis::{Cell, Molecule, KB_HARTREE};
+use liair_core::IncStats;
 use liair_math::Vec3;
 use liair_runtime::config::DEFAULT_MD_SEED;
 use rand::Rng;
 
-/// Anything that yields `(potential energy, forces)` for a geometry.
+/// Anything that yields `(potential energy, forces)` for a geometry —
+/// whole, or split into a fast part and a slow correction for r-RESPA.
 pub trait ForceProvider {
-    /// Evaluate at the molecule's current positions.
+    /// The force of every (inner) step at the molecule's current
+    /// positions: the whole force of an unsplit provider, the fast part of
+    /// a split one. A split provider's fast part must never touch the
+    /// exchange engine — this is what the inner loop pays per step.
     fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>);
+
+    /// A split provider's slow correction `(E_slow, F_slow)` at the
+    /// current geometry, evaluated once per outer step. `fast` is the
+    /// *just-computed* [`ForceProvider::compute`] result at the same
+    /// geometry, so delta providers (`F_full − F_fast`) need not evaluate
+    /// the fast part again. `None`, the default, makes the step plain
+    /// velocity Verlet.
+    fn slow_correction(
+        &self,
+        _mol: &Molecule,
+        _cell: Option<&Cell>,
+        _fast: (f64, &[Vec3]),
+    ) -> Option<(f64, Vec<Vec3>)> {
+        None
+    }
+
+    /// Cumulative incremental-exchange reuse counters, when the slow part
+    /// warm-starts an incremental cache (`IncrementalGridForces`, or any
+    /// other `IncrementalExchange` user). The logged runner differences
+    /// consecutive reads into per-outer-step deltas.
+    fn reuse_totals(&self) -> Option<IncStats> {
+        None
+    }
 }
 
 impl ForceProvider for crate::forcefield::ForceField {
@@ -33,14 +64,12 @@ pub enum Thermostat {
 /// MD controls.
 #[derive(Debug, Clone, Copy)]
 pub struct MdOptions {
-    /// Timestep in atomic time units (≈ 0.0242 fs each). On the MTS path
-    /// this is the *inner* timestep; the outer step is `mts.n_inner · dt`.
+    /// Timestep in atomic time units (≈ 0.0242 fs each): the *inner*
+    /// timestep; one [`MdState::step`] advances `mts.n_inner · dt`.
     pub dt: f64,
-    /// Thermostat.
+    /// Thermostat, applied on the outer timestep.
     pub thermostat: Thermostat,
-    /// Multiple-time-stepping controls, honored by
-    /// [`MdState::step_mts`]/[`MdState::run_mts`] (the plain
-    /// [`MdState::step`] path ignores them).
+    /// Multiple-time-stepping controls.
     pub mts: crate::mts::MtsOptions,
 }
 
@@ -75,20 +104,26 @@ pub struct MdState {
     pub nh_xi: f64,
     /// Nosé–Hoover position variable η (∫ξ dt), for the conserved quantity.
     pub nh_eta: f64,
-    /// Cached slow-correction forces (MTS path only; on the plain path
-    /// this stays zero and [`MdState::forces`] holds the full force). See
+    /// Cached slow-correction forces (zero for a provider without a slow
+    /// correction, where [`MdState::forces`] holds the whole force). See
     /// [`crate::mts`].
     pub forces_slow: Vec<Vec3>,
-    /// Cached slow-correction potential (MTS path only).
+    /// Cached slow-correction potential (zero without a slow correction).
     pub potential_slow: f64,
 }
 
 impl MdState {
-    /// Initialize at rest.
+    /// Initialize at rest: caches [`ForceProvider::compute`] in
+    /// [`MdState::forces`] and the slow correction, if there is one, in
+    /// [`MdState::forces_slow`]; [`MdState::potential`] is their sum.
     pub fn new<F: ForceProvider>(mol: Molecule, cell: Option<Cell>, provider: &F) -> MdState {
         let masses: Vec<f64> = mol.atoms.iter().map(|a| a.element.mass_au()).collect();
-        let (potential, forces) = provider.compute(&mol, cell.as_ref());
+        let (mut potential, forces) = provider.compute(&mol, cell.as_ref());
         let n = mol.natoms();
+        let (potential_slow, forces_slow) = provider
+            .slow_correction(&mol, cell.as_ref(), (potential, &forces))
+            .unwrap_or_else(|| (0.0, vec![Vec3::ZERO; n]));
+        potential += potential_slow;
         MdState {
             mol,
             cell,
@@ -99,8 +134,8 @@ impl MdState {
             step_count: 0,
             nh_xi: 0.0,
             nh_eta: 0.0,
-            forces_slow: vec![Vec3::ZERO; n],
-            potential_slow: 0.0,
+            forces_slow,
+            potential_slow,
         }
     }
 
@@ -172,8 +207,7 @@ impl MdState {
 
     /// Instantaneous temperature (Kelvin), 3N−3 degrees of freedom.
     pub fn temperature(&self) -> f64 {
-        let dof = (3 * self.mol.natoms()).saturating_sub(3).max(1) as f64;
-        2.0 * self.kinetic() / (dof * KB_HARTREE)
+        2.0 * self.kinetic() / (self.dof() * KB_HARTREE)
     }
 
     /// Total (conserved, NVE) energy.
@@ -182,8 +216,8 @@ impl MdState {
     }
 
     /// Half-step of the Nosé–Hoover thermostat operator: advance ξ from
-    /// the current kinetic energy, then scale velocities. The MTS path
-    /// calls this with the *outer* timestep (`crate::mts`).
+    /// the current kinetic energy, then scale velocities. The step calls
+    /// this with the *outer* timestep (`crate::mts`).
     pub(crate) fn nose_hoover_half(&mut self, dt: f64, t_target: f64, tau: f64) {
         let g = self.dof();
         let kt = KB_HARTREE * t_target;
@@ -197,32 +231,7 @@ impl MdState {
         self.nh_eta += 0.5 * dt * self.nh_xi;
     }
 
-    /// One velocity-Verlet step.
-    pub fn step<F: ForceProvider>(&mut self, provider: &F, opts: &MdOptions) {
-        let dt = opts.dt;
-        if let Thermostat::NoseHoover { t_target, tau } = opts.thermostat {
-            self.nose_hoover_half(dt, t_target, tau);
-        }
-        // Half kick + drift.
-        for i in 0..self.mol.natoms() {
-            self.velocities[i] += self.forces[i] * (0.5 * dt / self.masses[i]);
-            self.mol.atoms[i].pos += self.velocities[i] * dt;
-        }
-        // New forces + half kick.
-        let (pot, forces) = provider.compute(&self.mol, self.cell.as_ref());
-        self.potential = pot;
-        self.forces = forces;
-        for i in 0..self.mol.natoms() {
-            self.velocities[i] += self.forces[i] * (0.5 * dt / self.masses[i]);
-        }
-        // Thermostat.
-        self.end_of_step_thermostat(dt, opts.thermostat);
-        self.step_count += 1;
-    }
-
-    /// The closing thermostat application of one (inner or outer) step —
-    /// shared by the plain and MTS paths so the `n_inner = 1` equivalence
-    /// is an identity of code, not of reimplementation.
+    /// The closing thermostat application of one outer step.
     pub(crate) fn end_of_step_thermostat(&mut self, dt: f64, thermostat: Thermostat) {
         match thermostat {
             Thermostat::Berendsen { t_target, tau } => {
@@ -236,13 +245,6 @@ impl MdState {
                 self.nose_hoover_half(dt, t_target, tau);
             }
             Thermostat::None => {}
-        }
-    }
-
-    /// Run `n` steps.
-    pub fn run<F: ForceProvider>(&mut self, provider: &F, opts: &MdOptions, n: usize) {
-        for _ in 0..n {
-            self.step(provider, opts);
         }
     }
 }

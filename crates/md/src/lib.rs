@@ -8,12 +8,14 @@
 //!   known ring-opening degradation channel of cyclic carbonates under
 //!   peroxide attack — the synthetic substitute for the paper's 96-rack
 //!   PBE0 trajectories (see DESIGN.md);
-//! * [`integrator`] — velocity-Verlet with Berendsen/Nosé–Hoover
-//!   thermostatting and Maxwell–Boltzmann initialization from an
-//!   explicit seed ([`MdState::thermalize_seeded`]);
-//! * [`mts`] — r-RESPA multiple time stepping over a
-//!   [`mts::SplitForceProvider`]: cheap exchange-free forces every inner
-//!   step, the exact-exchange correction as an outer-step impulse;
+//! * [`integrator`] — the MD state, Berendsen/Nosé–Hoover thermostatting,
+//!   Maxwell–Boltzmann initialization from an explicit seed
+//!   ([`MdState::thermalize_seeded`]), and the one [`ForceProvider`]
+//!   trait: a force for every inner step and an optional slow correction;
+//! * [`mts`] — the one MD step, [`MdState::step`]: r-RESPA multiple time
+//!   stepping (cheap exchange-free forces every inner step, the
+//!   exact-exchange correction as an outer-step impulse), which is plain
+//!   velocity Verlet for a provider without a slow correction;
 //! * [`analysis`] — radial distribution functions, the hot-MD degradation
 //!   assay (the one bond-scission count), and energy-drift diagnostics;
 //! * [`checkpoint`] — bit-exact [`MdCheckpoint`]s for preempt/resume;
@@ -36,5 +38,5 @@ pub mod qmforce;
 pub use checkpoint::MdCheckpoint;
 pub use forcefield::ForceField;
 pub use integrator::{ForceProvider, MdOptions, MdState, Thermostat};
-pub use mts::{CombinedForces, MtsOptions, MtsOuterRecord, MtsStepTimes, SplitForceProvider};
+pub use mts::{MtsOptions, MtsOuterRecord, MtsStepTimes};
 pub use qmforce::{HfxDeltaForces, IncrementalGridForces, XcForces};

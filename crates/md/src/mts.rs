@@ -13,12 +13,16 @@
 //!   `n_inner · F_slow` folded into the opening and closing half-kicks of
 //!   each outer step of size `n_inner · dt`.
 //!
-//! With `n_inner = 1` the propagator reduces *bitwise* to the plain
-//! velocity-Verlet step driving the summed provider ([`CombinedForces`]):
-//! the impulse weight is exactly `1.0`, multiplication by `1.0` is exact
-//! in IEEE-754, and the closing thermostat application is shared code
-//! (`MdState::end_of_step_thermostat`). That identity is property-tested
-//! in `tests/mts_equivalence.rs` on [`TetherSplit`].
+//! [`MdState::step`] is the only MD step. A provider without a slow
+//! correction ([`ForceProvider::slow_correction`] returns `None`, the
+//! default: the force field, `XcForces`) leaves the slow force at zero, so
+//! at `n_inner = 1` the step is plain velocity Verlet, bit for bit: the
+//! impulse weight is exactly `1.0`, and adding the zero impulse changes
+//! no velocity (only a `−0.0` one, and velocities start at `+0.0` or
+//! thermalized, and exact cancellation rounds to `+0.0`). The
+//! `#[cfg(test)]` oracle beside the step is the velocity-Verlet step it
+//! replaced; two property tests hold the step to it, on a bare
+//! [`ForceField`] and on the summed [`TetherSplit`].
 //!
 //! Thermostats act on the outer timestep: Nosé–Hoover half-steps bracket
 //! the whole outer step (so its conserved quantity
@@ -32,7 +36,7 @@
 //! boundaries, where both parts are fresh — [`MdState::run_mts_logged`]
 //! records exactly those, along with per-outer-step incremental-exchange
 //! reuse counters when the slow path carries the PR 2 cache
-//! ([`SplitForceProvider::reuse_totals`]).
+//! ([`ForceProvider::reuse_totals`]).
 
 use crate::forcefield::ForceField;
 use crate::integrator::{ForceProvider, MdOptions, MdState, Thermostat};
@@ -46,7 +50,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MtsOptions {
     /// Inner (fast-force) steps per outer (slow-correction) step. `1`
-    /// recovers plain velocity-Verlet bitwise.
+    /// without a slow correction is plain velocity Verlet.
     pub n_inner: usize,
 }
 
@@ -56,54 +60,13 @@ impl Default for MtsOptions {
     }
 }
 
-/// A force model split into a cheap fast part and an expensive slow
-/// correction, for r-RESPA propagation.
-pub trait SplitForceProvider {
-    /// The fast (inner-step) part: `(E_fast, F_fast)` at the current
-    /// geometry. Must never touch the exchange engine — this is what the
-    /// inner loop pays per step.
-    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>);
-
-    /// The slow correction `(E_slow, F_slow)` at the current geometry,
-    /// evaluated once per outer step. `fast` is the *just-computed* fast
-    /// result at the same geometry, so delta providers
-    /// (`F_full − F_fast`) need not re-evaluate the fast part.
-    fn slow_correction(
-        &self,
-        mol: &Molecule,
-        cell: Option<&Cell>,
-        fast: (f64, &[Vec3]),
-    ) -> (f64, Vec<Vec3>);
-
-    /// Cumulative incremental-exchange reuse counters, when the slow path
-    /// warm-starts an incremental cache (`IncrementalGridForces`, or any
-    /// other `IncrementalExchange` user). The logged runner differences
-    /// consecutive reads into per-outer-step deltas.
-    fn reuse_totals(&self) -> Option<IncStats> {
-        None
-    }
-}
-
-/// View a split provider as a plain [`ForceProvider`] summing fast and
-/// slow parts — the single-time-step reference the MTS path must match
-/// bitwise at `n_inner = 1`.
-pub struct CombinedForces<'a, S: SplitForceProvider>(pub &'a S);
-
-impl<S: SplitForceProvider> ForceProvider for CombinedForces<'_, S> {
-    fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        let (e_fast, f_fast) = self.0.fast_forces(mol, cell);
-        let (e_slow, f_slow) = self.0.slow_correction(mol, cell, (e_fast, &f_fast));
-        let forces = f_fast.iter().zip(&f_slow).map(|(a, b)| *a + *b).collect();
-        (e_fast + e_slow, forces)
-    }
-}
-
 /// Wall-clock split of one outer step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MtsStepTimes {
-    /// Total time in `fast_forces` over the `n_inner` inner steps.
+    /// Total time in [`ForceProvider::compute`] over the `n_inner` inner
+    /// steps.
     pub t_fast_s: f64,
-    /// Time in the single `slow_correction` evaluation.
+    /// Time in the single [`ForceProvider::slow_correction`] evaluation.
     pub t_slow_s: f64,
 }
 
@@ -123,42 +86,25 @@ pub struct MtsOuterRecord {
     /// Wall-clock split of this outer step.
     pub times: MtsStepTimes,
     /// Incremental-exchange counters attributable to this outer step
-    /// (delta of [`SplitForceProvider::reuse_totals`] across the step).
+    /// (delta of [`ForceProvider::reuse_totals`] across the step).
     pub inc: Option<IncStats>,
 }
 
 impl MdState {
-    /// Initialize at rest from a split provider (the MTS analogue of
-    /// [`MdState::new`]): caches fast forces in [`MdState::forces`] and
-    /// the slow correction in [`MdState::forces_slow`].
-    pub fn new_split<S: SplitForceProvider>(
-        mol: Molecule,
-        cell: Option<Cell>,
-        provider: &S,
-    ) -> MdState {
-        let mut state = MdState::new(mol, cell, &InitFast(provider));
-        let (e_slow, f_slow) = provider.slow_correction(
-            &state.mol,
-            state.cell.as_ref(),
-            (state.potential, &state.forces),
-        );
-        state.potential += e_slow;
-        state.forces_slow = f_slow;
-        state.potential_slow = e_slow;
-        state
+    /// [`MdState::new`] under its split-provider name, kept only for the
+    /// `mts-bomd` benchmark workload that calls it (ROADMAP item 8).
+    pub fn new_split<F: ForceProvider>(mol: Molecule, cell: Option<Cell>, provider: &F) -> MdState {
+        MdState::new(mol, cell, provider)
     }
 
     /// One r-RESPA **outer** step: `opts.mts.n_inner` velocity-Verlet
-    /// inner steps of size `opts.dt` under the fast force, with the slow
-    /// impulse `n_inner · F_slow` folded into the opening and closing
-    /// half-kicks, and the thermostat applied on the outer timestep.
+    /// inner steps of size `opts.dt` under [`ForceProvider::compute`],
+    /// with the slow impulse `n_inner · F_slow` folded into the opening
+    /// and closing half-kicks, and the thermostat applied on the outer
+    /// timestep. Without a slow correction this is plain velocity Verlet.
     /// Advances [`MdState::step_count`] by `n_inner`. Returns the
     /// wall-clock split between fast and slow evaluations.
-    pub fn step_mts<S: SplitForceProvider>(
-        &mut self,
-        provider: &S,
-        opts: &MdOptions,
-    ) -> MtsStepTimes {
+    pub fn step<F: ForceProvider>(&mut self, provider: &F, opts: &MdOptions) -> MtsStepTimes {
         let n = opts.mts.n_inner;
         assert!(n >= 1, "MtsOptions::n_inner must be >= 1");
         let dt = opts.dt;
@@ -171,40 +117,35 @@ impl MdState {
         for k in 0..n {
             // Half kick + drift; the outer step's opening kick carries
             // the slow impulse.
+            let opening = (k == 0).then_some(kick);
             for i in 0..self.mol.natoms() {
-                let f = if k == 0 {
-                    self.forces[i] + self.forces_slow[i] * kick
-                } else {
-                    self.forces[i]
-                };
+                let f = self.kick_force(i, opening);
                 self.velocities[i] += f * (0.5 * dt / self.masses[i]);
                 self.mol.atoms[i].pos += self.velocities[i] * dt;
             }
             let t0 = Instant::now();
-            let (e_fast, f_fast) = provider.fast_forces(&self.mol, self.cell.as_ref());
+            let (e_fast, f_fast) = provider.compute(&self.mol, self.cell.as_ref());
             times.t_fast_s += t0.elapsed().as_secs_f64();
             self.forces = f_fast;
-            if k == n - 1 {
-                // Outer boundary: refresh the slow correction and close
-                // with the impulse-carrying half kick.
+            // The outer boundary refreshes the slow correction and closes
+            // with the impulse-carrying half kick; an interior inner step
+            // closes with the fast force alone, and the cached slow
+            // potential keeps `total_energy` meaningful.
+            let closing = (k == n - 1).then_some(kick);
+            if closing.is_some() {
                 let t0 = Instant::now();
-                let (e_slow, f_slow) =
+                let slow =
                     provider.slow_correction(&self.mol, self.cell.as_ref(), (e_fast, &self.forces));
                 times.t_slow_s += t0.elapsed().as_secs_f64();
-                self.forces_slow = f_slow;
-                self.potential_slow = e_slow;
-                self.potential = e_fast + e_slow;
-                for i in 0..self.mol.natoms() {
-                    self.velocities[i] +=
-                        (self.forces[i] + self.forces_slow[i] * kick) * (0.5 * dt / self.masses[i]);
+                if let Some((e_slow, f_slow)) = slow {
+                    self.forces_slow = f_slow;
+                    self.potential_slow = e_slow;
                 }
-            } else {
-                // Interior inner step: fast-only closing kick; the cached
-                // slow potential keeps `total_energy` meaningful.
-                self.potential = e_fast + self.potential_slow;
-                for i in 0..self.mol.natoms() {
-                    self.velocities[i] += self.forces[i] * (0.5 * dt / self.masses[i]);
-                }
+            }
+            self.potential = e_fast + self.potential_slow;
+            for i in 0..self.mol.natoms() {
+                let f = self.kick_force(i, closing);
+                self.velocities[i] += f * (0.5 * dt / self.masses[i]);
             }
         }
         self.end_of_step_thermostat(dt_outer, opts.thermostat);
@@ -212,31 +153,36 @@ impl MdState {
         times
     }
 
+    /// The force on atom `i` in a half kick: the cached fast force, plus
+    /// the slow impulse `kick · F_slow` when the kick opens or closes an
+    /// outer step.
+    fn kick_force(&self, i: usize, kick: Option<f64>) -> Vec3 {
+        match kick {
+            Some(w) => self.forces[i] + self.forces_slow[i] * w,
+            None => self.forces[i],
+        }
+    }
+
     /// Run `n_outer` outer steps (`n_outer · n_inner` inner steps).
-    pub fn run_mts<S: SplitForceProvider>(
-        &mut self,
-        provider: &S,
-        opts: &MdOptions,
-        n_outer: usize,
-    ) {
+    pub fn run<F: ForceProvider>(&mut self, provider: &F, opts: &MdOptions, n_outer: usize) {
         for _ in 0..n_outer {
-            self.step_mts(provider, opts);
+            self.step(provider, opts);
         }
     }
 
     /// Run `n_outer` outer steps recording one [`MtsOuterRecord`] per
     /// outer boundary — conserved quantity, wall-clock split, and the
     /// per-outer-step incremental-exchange reuse counters.
-    pub fn run_mts_logged<S: SplitForceProvider>(
+    pub fn run_mts_logged<F: ForceProvider>(
         &mut self,
-        provider: &S,
+        provider: &F,
         opts: &MdOptions,
         n_outer: usize,
     ) -> Vec<MtsOuterRecord> {
         let mut log = Vec::with_capacity(n_outer);
         let mut base = provider.reuse_totals();
         for _ in 0..n_outer {
-            let times = self.step_mts(provider, opts);
+            let times = self.step(provider, opts);
             let now = provider.reuse_totals();
             let inc = match (&base, &now) {
                 (Some(b), Some(n)) => Some(n.since(b)),
@@ -262,8 +208,8 @@ impl MdState {
     }
 }
 
-/// The deterministic force split of the classical MD jobs and of the MTS
-/// equivalence tests: the force field as the fast part, a weak quartic
+/// The deterministic force split of the classical MD jobs and of the step's
+/// oracle tests: the force field as the fast part, a weak quartic
 /// tether to each atom's *initial* position as the slow correction
 /// (smooth, conservative, nonzero). Reconstructable from the initial
 /// geometry alone — which is why [`crate::MdCheckpoint`] never serializes
@@ -286,8 +232,8 @@ impl TetherSplit {
     }
 }
 
-impl SplitForceProvider for TetherSplit {
-    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
+impl ForceProvider for TetherSplit {
+    fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
         self.ff.energy_forces(mol, cell)
     }
 
@@ -296,7 +242,7 @@ impl SplitForceProvider for TetherSplit {
         mol: &Molecule,
         _cell: Option<&Cell>,
         _fast: (f64, &[Vec3]),
-    ) -> (f64, Vec<Vec3>) {
+    ) -> Option<(f64, Vec<Vec3>)> {
         let mut e = 0.0;
         let forces = mol
             .atoms
@@ -309,17 +255,7 @@ impl SplitForceProvider for TetherSplit {
                 -d * (self.k * r2)
             })
             .collect();
-        (e, forces)
-    }
-}
-
-/// Adapter so `MdState::new` can initialize from the fast part alone
-/// (the slow correction is grafted on immediately after).
-struct InitFast<'a, S: SplitForceProvider>(&'a S);
-
-impl<S: SplitForceProvider> ForceProvider for InitFast<'_, S> {
-    fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
-        self.0.fast_forces(mol, cell)
+        Some((e, forces))
     }
 }
 
@@ -327,8 +263,62 @@ impl<S: SplitForceProvider> ForceProvider for InitFast<'_, S> {
 mod tests {
     use super::*;
     use liair_basis::systems;
+    use proptest::prelude::*;
 
-    fn bitwise_eq(a: &MdState, b: &MdState) -> bool {
+    impl MdState {
+        /// The velocity-Verlet step that [`MdState::step`] replaced,
+        /// verbatim: the step must match it bit for bit at `n_inner = 1`
+        /// without a slow force.
+        fn velocity_verlet_oracle<F: ForceProvider>(&mut self, provider: &F, opts: &MdOptions) {
+            let dt = opts.dt;
+            if let Thermostat::NoseHoover { t_target, tau } = opts.thermostat {
+                self.nose_hoover_half(dt, t_target, tau);
+            }
+            // Half kick + drift.
+            for i in 0..self.mol.natoms() {
+                self.velocities[i] += self.forces[i] * (0.5 * dt / self.masses[i]);
+                self.mol.atoms[i].pos += self.velocities[i] * dt;
+            }
+            // New forces + half kick.
+            let (pot, forces) = provider.compute(&self.mol, self.cell.as_ref());
+            self.potential = pot;
+            self.forces = forces;
+            for i in 0..self.mol.natoms() {
+                self.velocities[i] += self.forces[i] * (0.5 * dt / self.masses[i]);
+            }
+            // Thermostat.
+            self.end_of_step_thermostat(dt, opts.thermostat);
+            self.step_count += 1;
+        }
+    }
+
+    /// A split provider's two parts summed into one unsplit force: the
+    /// single-time-step reference of the split.
+    struct Summed<'a, F: ForceProvider>(&'a F);
+
+    impl<F: ForceProvider> ForceProvider for Summed<'_, F> {
+        fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
+            let (e_fast, f_fast) = self.0.compute(mol, cell);
+            let (e_slow, f_slow) = self
+                .0
+                .slow_correction(mol, cell, (e_fast, &f_fast))
+                .expect("a split provider");
+            let forces = f_fast.iter().zip(&f_slow).map(|(a, b)| *a + *b).collect();
+            (e_fast + e_slow, forces)
+        }
+    }
+
+    fn thermostat_for(idx: usize, t_target: f64, tau: f64) -> Thermostat {
+        match idx % 3 {
+            0 => Thermostat::None,
+            1 => Thermostat::Berendsen { t_target, tau },
+            _ => Thermostat::NoseHoover { t_target, tau },
+        }
+    }
+
+    /// Positions, velocities, potential, thermostat variables, step count
+    /// and both conserved quantities agree to the bit.
+    fn bitwise_eq(a: &MdState, b: &MdState, t_target: f64, tau: f64) -> bool {
         a.potential.to_bits() == b.potential.to_bits()
             && a.nh_xi.to_bits() == b.nh_xi.to_bits()
             && a.nh_eta.to_bits() == b.nh_eta.to_bits()
@@ -342,36 +332,88 @@ mod tests {
                 .iter()
                 .zip(&b.velocities)
                 .all(|(x, y)| (0..3).all(|ax| x[ax].to_bits() == y[ax].to_bits()))
+            // Functions of the state above, but what the drift
+            // comparisons of bench-mts and the NH oracle are built on.
+            && a.total_energy().to_bits() == b.total_energy().to_bits()
+            && a.nose_hoover_conserved(t_target, tau).to_bits()
+                == b.nose_hoover_conserved(t_target, tau).to_bits()
     }
 
-    #[test]
-    fn n_inner_1_is_bitwise_plain_velocity_verlet() {
-        for thermostat in [
-            Thermostat::None,
-            Thermostat::Berendsen {
-                t_target: 300.0,
-                tau: 200.0,
-            },
-            Thermostat::NoseHoover {
-                t_target: 300.0,
-                tau: 300.0,
-            },
-        ] {
-            let (mol, cell) = systems::water_box(2, 13);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// r-RESPA at `n_inner = 1` on the split is the velocity-Verlet
+        /// oracle on the summed split, for arbitrary geometries, seeds,
+        /// timesteps and thermostats.
+        #[test]
+        fn n_inner_1_is_bitwise_plain_velocity_verlet(
+            seed in 0u64..10_000,
+            dt in 5.0f64..25.0,
+            steps in 1usize..8,
+            thermo in 0usize..3,
+            t_target in 100.0f64..500.0,
+            tau in 100.0f64..600.0,
+        ) {
+            let (mol, cell) = systems::water_box(2, seed);
             let split = TetherSplit::new(&mol, Some(&cell), 1e-4);
-            let mut a = MdState::new_split(mol.clone(), Some(cell), &split);
-            let mut b = MdState::new(mol, Some(cell), &CombinedForces(&split));
-            a.thermalize_seeded(300.0, Some(13));
-            b.thermalize_seeded(300.0, Some(13));
+            let mut mts = MdState::new(mol.clone(), Some(cell), &split);
+            let mut plain = MdState::new(mol, Some(cell), &Summed(&split));
+            mts.thermalize_seeded(t_target, Some(seed));
+            plain.thermalize_seeded(t_target, Some(seed));
+            let thermostat = thermostat_for(thermo, t_target, tau);
             let opts = MdOptions {
-                dt: 12.0,
+                dt,
                 thermostat,
                 mts: MtsOptions { n_inner: 1 },
             };
-            for _ in 0..7 {
-                a.step_mts(&split, &opts);
-                b.step(&CombinedForces(&split), &opts);
-                assert!(bitwise_eq(&a, &b), "diverged under {thermostat:?}");
+            for step in 0..steps {
+                mts.step(&split, &opts);
+                plain.velocity_verlet_oracle(&Summed(&split), &opts);
+                prop_assert!(
+                    bitwise_eq(&mts, &plain, t_target, tau),
+                    "diverged at step {} under {:?}", step, thermostat
+                );
+            }
+        }
+
+        /// The step on a bare force field (no slow correction: the
+        /// degradation assay and the classical relaxations) is the
+        /// velocity-Verlet oracle under every thermostat. Without a
+        /// thermostat `n_inner` is only a stride: one step of `n_inner`
+        /// inner steps is `n_inner` oracle steps.
+        #[test]
+        fn unsplit_step_is_bitwise_plain_velocity_verlet(
+            seed in 0u64..10_000,
+            dt in 5.0f64..25.0,
+            steps in 1usize..8,
+            thermo in 0usize..3,
+            n_inner_pow in 0u32..3,
+            t_target in 100.0f64..500.0,
+            tau in 100.0f64..600.0,
+        ) {
+            let (mol, cell) = systems::water_box(2, seed);
+            let ff = ForceField::from_molecule(&mol, Some(&cell));
+            let mut one = MdState::new(mol.clone(), Some(cell), &ff);
+            let mut plain = MdState::new(mol, Some(cell), &ff);
+            one.thermalize_seeded(t_target, Some(seed));
+            plain.thermalize_seeded(t_target, Some(seed));
+            let thermostat = thermostat_for(thermo, t_target, tau);
+            let n_inner = if thermostat == Thermostat::None { 1 << n_inner_pow } else { 1 };
+            let opts = MdOptions {
+                dt,
+                thermostat,
+                mts: MtsOptions { n_inner },
+            };
+            for step in 0..steps {
+                one.step(&ff, &opts);
+                for _ in 0..n_inner {
+                    plain.velocity_verlet_oracle(&ff, &opts);
+                }
+                prop_assert!(
+                    bitwise_eq(&one, &plain, t_target, tau),
+                    "diverged at step {} under {:?}, n_inner {}", step, thermostat, n_inner
+                );
+                prop_assert!(one.forces_slow.iter().all(|f| *f == Vec3::ZERO));
             }
         }
     }
@@ -380,7 +422,7 @@ mod tests {
     fn mts_nve_conserves_energy_at_n_inner_4() {
         let (mol, cell) = systems::water_box(2, 21);
         let split = TetherSplit::new(&mol, Some(&cell), 1e-4);
-        let mut state = MdState::new_split(mol, Some(cell), &split);
+        let mut state = MdState::new(mol, Some(cell), &split);
         state.thermalize_seeded(300.0, Some(21));
         let e0 = state.total_energy();
         let opts = MdOptions {
@@ -404,7 +446,7 @@ mod tests {
     fn mts_nose_hoover_conserves_extended_energy() {
         let (mol, cell) = systems::water_box(2, 31);
         let split = TetherSplit::new(&mol, Some(&cell), 1e-4);
-        let mut state = MdState::new_split(mol, Some(cell), &split);
+        let mut state = MdState::new(mol, Some(cell), &split);
         state.thermalize_seeded(250.0, Some(31));
         let (t_target, tau) = (300.0, 400.0);
         let opts = MdOptions {
@@ -413,7 +455,7 @@ mod tests {
             mts: MtsOptions { n_inner: 2 },
         };
         let h0 = state.nose_hoover_conserved(t_target, tau);
-        state.run_mts(&split, &opts, 200);
+        state.run(&split, &opts, 200);
         let drift = (state.nose_hoover_conserved(t_target, tau) - h0).abs();
         assert!(drift < 5e-3, "NH-MTS conserved-quantity drift {drift}");
     }
@@ -422,7 +464,7 @@ mod tests {
     fn logged_runner_reports_outer_boundaries() {
         let (mol, cell) = systems::water_box(2, 5);
         let split = TetherSplit::new(&mol, Some(&cell), 1e-4);
-        let mut state = MdState::new_split(mol, Some(cell), &split);
+        let mut state = MdState::new(mol, Some(cell), &split);
         state.thermalize_seeded(300.0, Some(5));
         let opts = MdOptions {
             dt: 10.0,

@@ -26,7 +26,6 @@
 //! and the reuse tolerance.
 
 use crate::integrator::ForceProvider;
-use crate::mts::SplitForceProvider;
 use liair_basis::{Basis, Cell, Molecule};
 use liair_core::{BasisOnGrid, IncSchedule, IncrementalExchange};
 use liair_math::{Mat, Vec3};
@@ -139,13 +138,10 @@ impl ForceProvider for IncrementalGridForces {
 /// (`liair-grid::MolGrid`) per geometry, and the forces are its analytic
 /// gradient, the exact derivative of that quadrature energy. This path
 /// never touches the exchange engine, which is the whole point of paying
-/// it every inner step.
-pub struct XcForces {
-    /// The exchange-free surrogate functional: always `Lda`, the one
-    /// functional whose SCF energy here is variational and so has an
-    /// analytic gradient (PBE is only ever evaluated post-SCF).
-    pub functional: liair_xc::Functional,
-}
+/// it every inner step. LDA is the one functional whose SCF energy here
+/// is variational and so has an analytic gradient (PBE is only ever
+/// evaluated post-SCF).
+pub struct XcForces;
 
 impl XcForces {
     /// A provider for the given surrogate functional. Panics for any
@@ -157,7 +153,7 @@ impl XcForces {
             "fast MTS forces must be exchange-free RKS-LDA ({} given)",
             functional.name()
         );
-        Self { functional }
+        Self
     }
 }
 
@@ -183,7 +179,7 @@ impl ForceProvider for XcForces {
 /// reusing the fast result the integrator just computed, so one outer
 /// step pays exactly one full evaluation. Consecutive outer steps
 /// warm-start the same incremental cache, and
-/// [`SplitForceProvider::reuse_totals`] exposes the counters for the
+/// [`ForceProvider::reuse_totals`] exposes the counters for the
 /// trajectory log.
 pub struct HfxDeltaForces {
     /// Inner-step surrogate provider.
@@ -192,8 +188,8 @@ pub struct HfxDeltaForces {
     pub full: IncrementalGridForces,
 }
 
-impl SplitForceProvider for HfxDeltaForces {
-    fn fast_forces(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
+impl ForceProvider for HfxDeltaForces {
+    fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>) {
         self.fast.compute(mol, cell)
     }
 
@@ -202,10 +198,10 @@ impl SplitForceProvider for HfxDeltaForces {
         mol: &Molecule,
         cell: Option<&Cell>,
         fast: (f64, &[Vec3]),
-    ) -> (f64, Vec<Vec3>) {
+    ) -> Option<(f64, Vec<Vec3>)> {
         let (e_full, f_full) = self.full.compute(mol, cell);
         let forces = f_full.iter().zip(fast.1).map(|(a, b)| *a - *b).collect();
-        (e_full - fast.0, forces)
+        Some((e_full - fast.0, forces))
     }
 
     fn reuse_totals(&self) -> Option<liair_core::IncStats> {
@@ -330,7 +326,7 @@ mod tests {
             };
             let mut mol = systems::h2();
             mol.atoms[1].pos.x = 1.5;
-            let mut state = MdState::new_split(mol, None, &split);
+            let mut state = MdState::new(mol, None, &split);
             let e0 = state.total_energy();
             let opts = MdOptions {
                 dt,
@@ -339,7 +335,7 @@ mod tests {
             };
             let mut drift: f64 = 0.0;
             for _ in 0..(100.0 / (2.0 * dt)) as usize {
-                state.step_mts(&split, &opts);
+                state.step(&split, &opts);
                 drift = drift.max((state.total_energy() - e0).abs());
             }
             drift
@@ -497,7 +493,7 @@ mod tests {
         };
         let mut mol = systems::h2();
         mol.atoms[1].pos.x = 1.5;
-        let mut state = MdState::new_split(mol, None, &split);
+        let mut state = MdState::new(mol, None, &split);
         let e0 = state.total_energy();
         let opts = MdOptions {
             dt: 10.0,

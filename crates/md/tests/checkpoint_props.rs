@@ -46,18 +46,18 @@ proptest! {
         };
 
         // Uninterrupted reference.
-        let mut reference = MdState::new_split(mol.clone(), Some(cell), &split);
+        let mut reference = MdState::new(mol.clone(), Some(cell), &split);
         reference.thermalize_seeded(t_target, Some(seed));
         for _ in 0..(outer_before + outer_after) {
-            reference.step_mts(&split, &opts);
+            reference.step(&split, &opts);
         }
 
         // Interrupted twin: run, checkpoint through *bytes*, drop the
         // live state, resume, finish.
-        let mut live = MdState::new_split(mol, Some(cell), &split);
+        let mut live = MdState::new(mol, Some(cell), &split);
         live.thermalize_seeded(t_target, Some(seed));
         for _ in 0..outer_before {
-            live.step_mts(&split, &opts);
+            live.step(&split, &opts);
         }
         let bytes = MdCheckpoint::capture(&live).to_bytes();
         drop(live);
@@ -65,7 +65,7 @@ proptest! {
             .expect("runner-written bytes round-trip")
             .restore();
         for _ in 0..outer_after {
-            resumed.step_mts(&split, &opts);
+            resumed.step(&split, &opts);
         }
 
         prop_assert!(

@@ -465,7 +465,7 @@ impl Resumable for Trajectory {
         if self.position() >= self.n_outer {
             return false;
         }
-        self.state.step_mts(&self.split, &self.opts);
+        self.state.step(&self.split, &self.opts);
         if let Some(rdf) = &mut self.rdf {
             rdf.add_frame(&self.state.mol, &self.cell);
         }
@@ -508,7 +508,7 @@ fn run_trajectory(
     let new_rdf = || RdfAccumulator::new(Element::Li, Element::O, RDF_R_MAX, RDF_NBINS);
     let (state, rdf) = match resume {
         None => {
-            let mut state = MdState::new_split(mol0, Some(cell), &split);
+            let mut state = MdState::new(mol0, Some(cell), &split);
             state.thermalize_seeded(temperature, Some(seed));
             (state, with_rdf.then(new_rdf))
         }

@@ -99,8 +99,8 @@ pub mod prelude {
     pub use liair_grid::{foster_boys, MolGrid, PoissonSolver, RealGrid};
     pub use liair_math::{Mat, Vec3};
     pub use liair_md::{
-        CombinedForces, ForceField, HfxDeltaForces, IncrementalGridForces, MdOptions, MdState,
-        MtsOptions, SplitForceProvider, Thermostat, XcForces,
+        ForceField, ForceProvider, HfxDeltaForces, IncrementalGridForces, MdOptions, MdState,
+        MtsOptions, Thermostat, XcForces,
     };
     pub use liair_runtime::{
         fit_torus, run_spmd_cfg, Comm, CommConfig, CommError, SeedConfig, SpmdRun, TrafficLog,
