@@ -215,15 +215,28 @@ impl MdState {
         self.kinetic() + self.potential
     }
 
-    /// Half-step of the Nosé–Hoover thermostat operator: advance ξ from
-    /// the current kinetic energy, then scale velocities. The step calls
-    /// this with the *outer* timestep (`crate::mts`).
+    /// Opening half-step of the Nosé–Hoover thermostat operator: advance
+    /// ξ from the current kinetic energy, then scale velocities and
+    /// advance η. The step calls this with the *outer* timestep
+    /// (`crate::mts`); [`MdState::end_of_step_thermostat`] closes with
+    /// its mirror image.
     pub(crate) fn nose_hoover_half(&mut self, dt: f64, t_target: f64, tau: f64) {
+        self.nose_hoover_xi_half(dt, t_target, tau);
+        self.nose_hoover_scale_half(dt);
+    }
+
+    /// `ξ += ½dt·(2K − g·kT)/Q` from the current kinetic energy.
+    fn nose_hoover_xi_half(&mut self, dt: f64, t_target: f64, tau: f64) {
         let g = self.dof();
         let kt = KB_HARTREE * t_target;
         let q = g * kt * tau * tau;
         let xi_dot = (2.0 * self.kinetic() - g * kt) / q;
         self.nh_xi += 0.5 * dt * xi_dot;
+    }
+
+    /// `v ← v·e^{−ξdt/2}` and `η += ½dt·ξ` at the current ξ (the two
+    /// commute).
+    fn nose_hoover_scale_half(&mut self, dt: f64) {
         let scale = (-self.nh_xi * 0.5 * dt).exp();
         for v in &mut self.velocities {
             *v = *v * scale;
@@ -241,8 +254,12 @@ impl MdState {
                     *v = *v * lambda;
                 }
             }
+            // The mirror of the opening half-step, so the step is
+            // time-reversible: η and the velocities at the current ξ, then
+            // ξ from the new kinetic energy.
             Thermostat::NoseHoover { t_target, tau } => {
-                self.nose_hoover_half(dt, t_target, tau);
+                self.nose_hoover_scale_half(dt);
+                self.nose_hoover_xi_half(dt, t_target, tau);
             }
             Thermostat::None => {}
         }

@@ -33,6 +33,7 @@ use liair_basis::{systems, Basis, Cell, Element, Molecule};
 use liair_core::screening::{source_pairs, OrbitalInfo};
 use liair_core::{BalanceStrategy, BuildProfile, ExchangeCachePool, ExecBackend, SystemKey};
 use liair_grid::{PoissonSolver, RealGrid};
+use liair_math::codec::{CodecError, Decoder, Encoder};
 use liair_math::rng::SplitMix64;
 use liair_math::Vec3;
 use liair_md::analysis::{degradation_events, rdf_peak, RdfAccumulator};
@@ -54,6 +55,10 @@ const RDF_R_MAX: f64 = 12.0;
 const RDF_NBINS: usize = 48;
 /// First-shell cutoff (Bohr) for the reported Li–O coordination number.
 const RDF_COORD_CUT: f64 = 5.0;
+/// Magic tag of a solvation checkpoint's RDF stream (`"LRD1"`).
+const RDF_MAGIC: u32 = 0x4C52_4431;
+/// Layout version of the RDF stream.
+const RDF_VERSION: u16 = 1;
 
 /// Fixed cubic cell edge (Bohr) of the screening snapshots.
 const SCREEN_CELL_EDGE: f64 = 12.0;
@@ -76,10 +81,10 @@ pub enum JobCheckpoint {
     Md {
         /// Serialized [`MdCheckpoint`].
         md: Vec<u8>,
-        /// A solvation job's Li–O RDF histogram bins and frame count at
-        /// the checkpoint, beside the checksummed MD stream; `None` for
-        /// an MD job.
-        rdf: Option<(Vec<f64>, usize)>,
+        /// A solvation job's Li–O RDF at the checkpoint, its own stamped
+        /// and checksummed stream (frame count, then histogram bins);
+        /// `None` for an MD job.
+        rdf: Option<Vec<u8>>,
     },
 }
 
@@ -89,9 +94,7 @@ impl JobCheckpoint {
     pub fn nbytes(&self) -> usize {
         match self {
             JobCheckpoint::Scf(ck) => ck.bytes.len(),
-            JobCheckpoint::Md { md, rdf } => {
-                md.len() + rdf.as_ref().map_or(0, |(bins, _)| 8 * bins.len() + 8)
-            }
+            JobCheckpoint::Md { md, rdf } => md.len() + rdf.as_ref().map_or(0, Vec::len),
         }
     }
 }
@@ -479,12 +482,36 @@ impl Resumable for Trajectory {
     fn snapshot(&self) -> JobCheckpoint {
         JobCheckpoint::Md {
             md: MdCheckpoint::capture(&self.state).to_bytes(),
-            rdf: self
-                .rdf
-                .as_ref()
-                .map(|rdf| (rdf.bins.clone(), rdf.frames())),
+            rdf: self.rdf.as_ref().map(rdf_stream),
         }
     }
+}
+
+/// A solvation job's RDF as a stamped codec stream: frame count, then
+/// bins, then the checksum.
+fn rdf_stream(rdf: &RdfAccumulator) -> Vec<u8> {
+    let mut e = Encoder::with_magic(RDF_MAGIC, RDF_VERSION);
+    e.put_usize(rdf.frames());
+    e.put_f64_slice(&rdf.bins);
+    e.finish()
+}
+
+/// `(frames, bins)` of a stream written by [`rdf_stream`], refusing any
+/// other layout or bin count.
+fn rdf_from_stream(bytes: &[u8]) -> Result<(usize, Vec<f64>), CodecError> {
+    let (mut d, version) = Decoder::with_magic(bytes, RDF_MAGIC)?;
+    if version != RDF_VERSION {
+        return Err(CodecError::BadVersion(version));
+    }
+    let frames = d.get_usize()?;
+    let bins = d.get_f64_vec()?;
+    if bins.len() != RDF_NBINS {
+        return Err(CodecError::BadLength(bins.len() as u64));
+    }
+    if d.remaining() != 0 {
+        return Err(CodecError::BadLength(d.remaining() as u64));
+    }
+    Ok((frames, bins))
 }
 
 /// A trajectory job (MD or solvation): `n_outer` outer steps of `n_inner`
@@ -518,7 +545,9 @@ fn run_trajectory(
             let state = MdCheckpoint::from_bytes(md)
                 .expect("a checkpoint taken by this runner round-trips")
                 .restore();
-            let rdf = rdf.clone().map(|(bins, frames)| {
+            let rdf = rdf.as_ref().map(|bytes| {
+                let (frames, bins) =
+                    rdf_from_stream(bytes).expect("a checkpoint taken by this runner round-trips");
                 let mut acc = new_rdf();
                 acc.set_state(bins, frames);
                 acc
@@ -793,7 +822,10 @@ mod tests {
         // every trajectory job runs. The bits were recorded on x86-64
         // Linux; 1e-14 relative leaves room only for another platform's
         // libm. The checkpoint sizes are exact: the MD stream, plus the
-        // solvation job's 48 RDF bins and frame count.
+        // solvation job's RDF stream (48 bins, frame count, header and
+        // checksum). The energies moved when Nosé–Hoover's closing
+        // half-step became the mirror of its opening one (from
+        // 0x3faa1914e2ea5b91 and 0x3fde0019adbec0b4); the RDF did not.
         let pinned = |got: f64, want: u64| {
             let want = f64::from_bits(want);
             assert!(
@@ -815,7 +847,7 @@ mod tests {
                 .unwrap()
         };
         let out = run_reference(&md(Disruption::None));
-        pinned(out.final_energy, 0x3faa_1914_e2ea_5b91);
+        pinned(out.final_energy, 0x3faa_188a_4a0f_0864);
         assert_eq!(out.steps, 10);
         assert_eq!(
             first_checkpoint(&md(Disruption::Preempt { at_step: 2 })),
@@ -830,7 +862,7 @@ mod tests {
                 .unwrap()
         };
         let out = run_reference(&solvation(Disruption::None));
-        pinned(out.final_energy, 0x3fde_0019_adbe_c0b4);
+        pinned(out.final_energy, 0x3fde_46c3_8418_dc99);
         assert_eq!(out.steps, 10);
         let obs = &out.observables;
         pinned(obs.rdf_li_o_peak_r.unwrap(), 0x400b_0000_0000_0000);
@@ -838,7 +870,7 @@ mod tests {
         pinned(obs.li_o_coordination.unwrap(), 0x4000_0000_0000_0000);
         assert_eq!(
             first_checkpoint(&solvation(Disruption::Fault { at_step: 3 })),
-            8511
+            8533
         );
     }
 
@@ -958,13 +990,16 @@ mod tests {
 
         let JobCheckpoint::Md {
             ref md,
-            rdf: Some(_),
+            rdf: Some(ref rdf),
         } = checkpoint(&solvation_spec(preempt))
         else {
             panic!("solvation jobs checkpoint solvation runs");
         };
         assert_hostile_streams_rejected("solvation", md, &md_length_fields(md), &md_decode);
         assert_eq!(&MdCheckpoint::from_bytes(md).unwrap().to_bytes(), md);
+        // The bins' length prefix follows the magic, version and frame
+        // count.
+        assert_hostile_streams_rejected("rdf", rdf, &[6 + 8], &|b| rdf_from_stream(b).map(|_| ()));
     }
 
     /// The checkpoint of `spec`'s job preempted at step 3.
@@ -1095,6 +1130,20 @@ mod tests {
         let velocities = words(velocity, 3 * n);
         assert_flips_refused("md", &md, positions.chain(velocities), &|b| {
             MdCheckpoint::from_bytes(b).map(|_| ())
+        });
+
+        let JobCheckpoint::Md { rdf: Some(rdf), .. } = preempted(solvation_spec) else {
+            panic!("solvation jobs checkpoint solvation runs");
+        };
+        // Every RDF bin, after the magic, version, frame count and the
+        // bins' length prefix.
+        let bins = 6 + 8 + 8;
+        let (frames, hist) = rdf_from_stream(&rdf).unwrap();
+        assert_eq!(frames, 3);
+        assert!(hist.iter().any(|&g| g > 0.0), "an empty histogram");
+        assert_eq!(word(&rdf, bins + 8), hist[1].to_bits());
+        assert_flips_refused("rdf", &rdf, words(bins, RDF_NBINS), &|b| {
+            rdf_from_stream(b).map(|_| ())
         });
     }
 
