@@ -1,7 +1,5 @@
-//! The propagated MD state, its thermostats and Maxwell–Boltzmann
-//! initialization, and the one force-provider trait. The step itself,
-//! r-RESPA that is plain velocity Verlet without a slow force, lives in
-//! [`crate::mts`].
+//! The MD state, its thermostats, seeded Maxwell–Boltzmann initialization
+//! and the one force-provider trait; the one step is in [`crate::mts`].
 
 use liair_basis::{Cell, Molecule, KB_HARTREE};
 use liair_core::IncStats;
@@ -12,18 +10,15 @@ use rand::Rng;
 /// Anything that yields `(potential energy, forces)` for a geometry —
 /// whole, or split into a fast part and a slow correction for r-RESPA.
 pub trait ForceProvider {
-    /// The force of every (inner) step at the molecule's current
-    /// positions: the whole force of an unsplit provider, the fast part of
-    /// a split one. A split provider's fast part must never touch the
-    /// exchange engine — this is what the inner loop pays per step.
+    /// The force of every inner step at the current positions: the whole
+    /// force, or a split provider's fast part, which must never touch the
+    /// exchange engine (the inner loop pays it every step).
     fn compute(&self, mol: &Molecule, cell: Option<&Cell>) -> (f64, Vec<Vec3>);
 
-    /// A split provider's slow correction `(E_slow, F_slow)` at the
-    /// current geometry, evaluated once per outer step. `fast` is the
-    /// *just-computed* [`ForceProvider::compute`] result at the same
-    /// geometry, so delta providers (`F_full − F_fast`) need not evaluate
-    /// the fast part again. `None`, the default, makes the step plain
-    /// velocity Verlet.
+    /// A split provider's slow correction `(E_slow, F_slow)`, once per outer
+    /// step; `fast` is the just-computed [`ForceProvider::compute`] at the
+    /// same geometry, so a delta provider need not evaluate it again.
+    /// `None`, the default, makes the step plain velocity Verlet.
     fn slow_correction(
         &self,
         _mol: &Molecule,
@@ -113,24 +108,22 @@ pub struct MdState {
 }
 
 impl MdState {
-    /// Initialize at rest: caches [`ForceProvider::compute`] in
-    /// [`MdState::forces`] and the slow correction, if there is one, in
-    /// [`MdState::forces_slow`]; [`MdState::potential`] is their sum.
+    /// Initialize at rest, caching [`ForceProvider::compute`] and the slow
+    /// correction, if there is one.
     pub fn new<F: ForceProvider>(mol: Molecule, cell: Option<Cell>, provider: &F) -> MdState {
         let masses: Vec<f64> = mol.atoms.iter().map(|a| a.element.mass_au()).collect();
-        let (mut potential, forces) = provider.compute(&mol, cell.as_ref());
+        let (e_fast, forces) = provider.compute(&mol, cell.as_ref());
         let n = mol.natoms();
         let (potential_slow, forces_slow) = provider
-            .slow_correction(&mol, cell.as_ref(), (potential, &forces))
+            .slow_correction(&mol, cell.as_ref(), (e_fast, &forces))
             .unwrap_or_else(|| (0.0, vec![Vec3::ZERO; n]));
-        potential += potential_slow;
         MdState {
             mol,
             cell,
             velocities: vec![Vec3::ZERO; n],
             masses,
             forces,
-            potential,
+            potential: e_fast + potential_slow,
             step_count: 0,
             nh_xi: 0.0,
             nh_eta: 0.0,
@@ -215,28 +208,22 @@ impl MdState {
         self.kinetic() + self.potential
     }
 
-    /// Opening half-step of the Nosé–Hoover thermostat operator: advance
-    /// ξ from the current kinetic energy, then scale velocities and
-    /// advance η. The step calls this with the *outer* timestep
-    /// (`crate::mts`); [`MdState::end_of_step_thermostat`] closes with
-    /// its mirror image.
+    /// Opening half-step of the Nosé–Hoover thermostat operator on the
+    /// outer timestep: ξ from the current kinetic energy, then the
+    /// velocities and η. [`MdState::end_of_step_thermostat`] mirrors it.
     pub(crate) fn nose_hoover_half(&mut self, dt: f64, t_target: f64, tau: f64) {
-        self.nose_hoover_xi_half(dt, t_target, tau);
-        self.nose_hoover_scale_half(dt);
+        self.nh_xi += 0.5 * dt * self.nose_hoover_force(t_target, tau);
+        self.nose_hoover_scale(dt);
     }
 
-    /// `ξ += ½dt·(2K − g·kT)/Q` from the current kinetic energy.
-    fn nose_hoover_xi_half(&mut self, dt: f64, t_target: f64, tau: f64) {
-        let g = self.dof();
-        let kt = KB_HARTREE * t_target;
-        let q = g * kt * tau * tau;
-        let xi_dot = (2.0 * self.kinetic() - g * kt) / q;
-        self.nh_xi += 0.5 * dt * xi_dot;
+    /// `dξ/dt = (2K − g·kT)/Q` at the current kinetic energy.
+    fn nose_hoover_force(&self, t_target: f64, tau: f64) -> f64 {
+        let (g, kt) = (self.dof(), KB_HARTREE * t_target);
+        (2.0 * self.kinetic() - g * kt) / (g * kt * tau * tau)
     }
 
-    /// `v ← v·e^{−ξdt/2}` and `η += ½dt·ξ` at the current ξ (the two
-    /// commute).
-    fn nose_hoover_scale_half(&mut self, dt: f64) {
+    /// `v ← v·e^{−ξdt/2}` and `η += ½dt·ξ` (the two commute).
+    fn nose_hoover_scale(&mut self, dt: f64) {
         let scale = (-self.nh_xi * 0.5 * dt).exp();
         for v in &mut self.velocities {
             *v = *v * scale;
@@ -254,12 +241,10 @@ impl MdState {
                     *v = *v * lambda;
                 }
             }
-            // The mirror of the opening half-step, so the step is
-            // time-reversible: η and the velocities at the current ξ, then
-            // ξ from the new kinetic energy.
+            // The opening half-step's mirror, so the step is time-reversible.
             Thermostat::NoseHoover { t_target, tau } => {
-                self.nose_hoover_scale_half(dt);
-                self.nose_hoover_xi_half(dt, t_target, tau);
+                self.nose_hoover_scale(dt);
+                self.nh_xi += 0.5 * dt * self.nose_hoover_force(t_target, tau);
             }
             Thermostat::None => {}
         }

@@ -8,14 +8,12 @@
 //!   known ring-opening degradation channel of cyclic carbonates under
 //!   peroxide attack — the synthetic substitute for the paper's 96-rack
 //!   PBE0 trajectories (see DESIGN.md);
-//! * [`integrator`] — the MD state, Berendsen/Nosé–Hoover thermostatting,
+//! * [`integrator`] — Berendsen/Nosé–Hoover thermostatting,
 //!   Maxwell–Boltzmann initialization from an explicit seed
-//!   ([`MdState::thermalize_seeded`]), and the one [`ForceProvider`]
-//!   trait: a force for every inner step and an optional slow correction;
-//! * [`mts`] — the one MD step, [`MdState::step`]: r-RESPA multiple time
-//!   stepping (cheap exchange-free forces every inner step, the
-//!   exact-exchange correction as an outer-step impulse), which is plain
-//!   velocity Verlet for a provider without a slow correction;
+//!   ([`MdState::thermalize_seeded`]) and the one [`ForceProvider`] trait;
+//! * [`mts`] — the one MD step, [`MdState::step`]: r-RESPA over cheap
+//!   exchange-free forces every inner step and the exact-exchange
+//!   correction as an outer-step impulse; velocity Verlet without one;
 //! * [`analysis`] — radial distribution functions, the hot-MD degradation
 //!   assay (the one bond-scission count), and energy-drift diagnostics;
 //! * [`checkpoint`] — bit-exact [`MdCheckpoint`]s for preempt/resume;

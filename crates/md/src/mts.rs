@@ -13,16 +13,13 @@
 //!   `n_inner · F_slow` folded into the opening and closing half-kicks of
 //!   each outer step of size `n_inner · dt`.
 //!
-//! [`MdState::step`] is the only MD step. A provider without a slow
-//! correction ([`ForceProvider::slow_correction`] returns `None`, the
-//! default: the force field, `XcForces`) leaves the slow force at zero, so
-//! at `n_inner = 1` the step is plain velocity Verlet, bit for bit: the
-//! impulse weight is exactly `1.0`, and adding the zero impulse changes
-//! no velocity (only a `−0.0` one, and velocities start at `+0.0` or
-//! thermalized, and exact cancellation rounds to `+0.0`). The
-//! `#[cfg(test)]` oracle beside the step is the velocity-Verlet step it
-//! replaced; two property tests hold the step to it, on a bare
-//! [`ForceField`] and on the summed [`TetherSplit`].
+//! [`MdState::step`] is the only MD step. Without a slow correction
+//! ([`ForceProvider::slow_correction`] returns `None`) the slow force stays
+//! zero, and at `n_inner = 1` the step is plain velocity Verlet bit for
+//! bit: the impulse weight is exactly `1.0`, and the zero impulse could
+//! only turn a `−0.0` velocity into `+0.0`, which no velocity here is.
+//! Property tests hold the step to the velocity-Verlet step it replaced,
+//! kept as a `#[cfg(test)]` oracle.
 //!
 //! Thermostats act on the outer timestep: Nosé–Hoover half-steps bracket
 //! the whole outer step (so its conserved quantity
@@ -35,8 +32,8 @@
 //! slow correction (the r-RESPA approximation). Judge drift at outer
 //! boundaries, where both parts are fresh — [`MdState::run_mts_logged`]
 //! records exactly those, along with per-outer-step incremental-exchange
-//! reuse counters when the slow path carries the PR 2 cache
-//! ([`ForceProvider::reuse_totals`]).
+//! reuse counters when the slow path carries an incremental-exchange
+//! cache ([`ForceProvider::reuse_totals`]).
 
 use crate::forcefield::ForceField;
 use crate::integrator::{ForceProvider, MdOptions, MdState, Thermostat};

@@ -823,9 +823,7 @@ mod tests {
         // Linux; 1e-14 relative leaves room only for another platform's
         // libm. The checkpoint sizes are exact: the MD stream, plus the
         // solvation job's RDF stream (48 bins, frame count, header and
-        // checksum). The energies moved when Nosé–Hoover's closing
-        // half-step became the mirror of its opening one (from
-        // 0x3faa1914e2ea5b91 and 0x3fde0019adbec0b4); the RDF did not.
+        // checksum).
         let pinned = |got: f64, want: u64| {
             let want = f64::from_bits(want);
             assert!(
